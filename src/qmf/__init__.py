@@ -46,7 +46,6 @@ from .projection_engine import (
     build_projector,
     projector_by_block_recursion,
     projector_diagnostics,
-    resolvent_chain_apply,
 )
 from .formal_diagonalization import (
     EigenResult,
@@ -122,7 +121,6 @@ __all__ = [
     "hermite_synthesize",
     "level_by_index",
     "projector_by_block_recursion",
-    "resolvent_chain_apply",
     "parse_problem_spec",
     "preset_problem",
     "serialize_problem_spec",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -616,10 +615,8 @@ def _run_checks(spec: ParsedSpec, result) -> list:
     if checks.get("orthonormality", True):
         reports.append(orthonormality_report(result))
     if checks.get("parity", True):
-        class _Wrap:
-            eigenvalues = [e.shift(HalfInt(-2)) for e in result.eigenvalues]
         mode = spec.problem.mode
-        rep = parity_filter(_Wrap(), result.level,
+        rep = parity_filter([e.shift(HalfInt(-2)) for e in result.eigenvalues], result.level,
                             tol=0.0 if mode.name == "exact" else tol)
         reports.append(VerificationReport(
             name="parity", passed=rep.ok, order=result.order,
@@ -637,10 +634,7 @@ def _run_checks(spec: ParsedSpec, result) -> list:
             detail="pipeline eigenvalue equals the perturbation recursion"))
     if checks.get("projector", False):
         ctx = result.context
-        omega = ctx.omega
-        from .projection_engine import build_projector
-        proj = build_projector(ctx.family, ctx.basis, ctx.table, ctx.level, result.order)
-        rep = projector_diagnostics(proj, omega, ctx.gamma)
+        rep = projector_diagnostics(ctx.projector, ctx.omega, ctx.gamma)
         mode = spec.problem.mode
         ptol = 0.0 if mode.name == "exact" else tol
         reports.append(VerificationReport(
@@ -699,7 +693,6 @@ def run_command(argv) -> int:
     p_cross.add_argument("--csv", help="write (hbar, error) pairs here")
 
     args = parser.parse_args(argv)
-    os.environ.setdefault("QMF_THREADS", "1")
 
     try:
         spec = _load_spec(args)

@@ -2,16 +2,22 @@
 
 The projector is the contour integral of the perturbed resolvent around the
 chosen level. In the eigenbasis of the model operator the resolvent factor
-acts diagonally, so each order-j contribution is a finite sum over
-compositions j = j_1 + ... + j_k of chains
+G0(z) acts diagonally: it multiplies the component at eigenvalue E by
+1/(z - E). Writing z = E0 + w, level components contribute a pole factor 1/w
+and the rest expand as geometric series in w; the contour integral is then
+the exact w^(-1) coefficient (a Laurent-series residue, no numerical contour
+needed).
 
-    G0(z) Q_{j_1} G0(z) Q_{j_2} ... Q_{j_k} G0(z)
+The resolvent expansion G0 + G0 Q G0 + G0 Q G0 Q G0 + ... is graded by order
+(T. Kato, Perturbation Theory for Linear Operators, ch. II, sections 1-2).
+Its order-s part, applied to a basis vector e, obeys the recursion
 
-applied to a basis vector, where G0(z) multiplies the component at
-eigenvalue E by 1/(z - E). Writing z = E0 + w, level components contribute
-a pole factor 1/w and the rest expand as geometric series in w; the contour
-integral is then the exact w^(-1) coefficient (a Laurent-series residue, no
-numerical contour needed).
+    T_0 = G0 e,    T_s = G0 sum_{0 < i <= s} Q_i T_{s-i},
+
+so the order-j image of e is the w^(-1) residue of T_j. Every chain summed
+into T_s has the same remaining budget, so T_s is truncated once, above the
+w-power 2(budget - s), and one pass per basis vector yields all orders with
+O(order^2) operator applications instead of one per composition of each order.
 
 A second, independent construction of the same projector -- the commutator /
 idempotency block recursion -- is provided for cross-checks.
@@ -37,7 +43,6 @@ __all__ = [
     "ProjectorSeries",
     "ProjectorReport",
     "build_projector",
-    "resolvent_chain_apply",
     "projector_diagnostics",
     "projector_by_block_recursion",
     "WorkspaceDegreeError",
@@ -46,7 +51,7 @@ __all__ = [
 
 
 class WorkspaceDegreeError(RuntimeError):
-    """A chain left the tabulated polynomial space; the degree bound must grow."""
+    """An operator action left the tabulated polynomial space; the degree bound must grow."""
 
 
 HermiteVec = dict  # HermiteIndex -> coefficient
@@ -83,11 +88,11 @@ def graded_vecs_to_s0(basis: HermiteBasis, vecs: Mapping, trunc: HalfInt | None)
 
 
 # ---------------------------------------------------------------------------
-# The chain engine
+# The resolvent engine
 
 
 class ProjectorEngine:
-    """Laurent-residue evaluation of resolvent chains at one level."""
+    """Laurent-residue evaluation of the graded resolvent expansion at one level."""
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis,
                  table: SpectrumTable, level: DegenerateLevel):
@@ -97,7 +102,6 @@ class ProjectorEngine:
         self.table = table
         self.level = level
         self._q_cache: dict[tuple, HermiteVec] = {}
-        self._chain_cache: dict[tuple, dict] = {}
         self._level_set = set(level.members)
 
     # -- model operator pieces in the eigenbasis
@@ -161,67 +165,33 @@ class ProjectorEngine:
                 out[power] = acc
         return out
 
-    def chain_state(self, suffix: tuple, index: HermiteIndex, budget: HalfInt) -> dict:
-        """State of G0 Q_{s_1} G0 ... Q_{s_m} G0 applied to the basis vector.
+    def images(self, index: HermiteIndex, budget: HalfInt) -> dict:
+        """The order-j coefficients, 0 <= j <= budget, of the projected basis vector.
 
-        ``budget`` is the total order of the full chains this suffix can be
-        part of; positive w-powers above the remaining budget cannot reach
-        the residue and are dropped. Memoized on (suffix, index, budget cap).
+        Runs the graded recursion T_s = G0 sum_i Q_i T_{s-i} from T_0 = G0 e,
+        dropping w-powers above the remaining budget (they cannot reach the
+        residue), and returns {j: residue of T_j} for the nonzero residues.
         """
-        spent = sum((s.doubled for s in suffix), 0)
-        pmax = budget.doubled - spent
-        key = (suffix, index, pmax)
-        hit = self._chain_cache.get(key)
-        if hit is not None:
-            return hit
-        if not suffix:
-            state = self._resolvent_factor({0: {index: self.mode.one()}}, pmax)
-        else:
-            inner = self.chain_state(suffix[1:], index, budget)
-            state = self._resolvent_factor(self._apply_q(suffix[0], inner), pmax)
-        self._chain_cache[key] = state
-        return state
-
-    def order_image(self, j: HalfInt, index: HermiteIndex, budget: HalfInt) -> HermiteVec:
-        """The order-j coefficient of the projected basis vector."""
         mode = self.mode
-        if j == HI0:
-            if index in self._level_set:
-                return {index: mode.one()}
-            return {}
-        total: HermiteVec = {}
-        for comp in _compositions(j):
-            if any(self.family.get(part).is_zero() for part in comp):
-                continue
-            state = self.chain_state(comp, index, budget)
+        parts = [i for i in half_range(HalfInt(1), budget) if not self.family.get(i).is_zero()]
+        states: dict[HalfInt, dict] = {}
+        out: dict[HalfInt, HermiteVec] = {}
+        for s in half_range(HI0, budget):
+            if s == HI0:
+                summed = {0: {index: mode.one()}}
+            else:
+                summed = {}
+                for i in parts:
+                    if i > s:
+                        break
+                    for power, vec in self._apply_q(i, states[s - i]).items():
+                        summed[power] = _vec_add(mode, summed.get(power, {}), vec)
+            state = self._resolvent_factor(summed, (budget - s).doubled)
+            states[s] = state
             residue = state.get(-1)
             if residue:
-                total = _vec_add(mode, total, residue)
-        return total
-
-
-def _compositions(j: HalfInt) -> list[tuple]:
-    """Ordered compositions of j into half-integer parts >= 1/2."""
-    target = j.doubled
-    out: list[tuple] = []
-
-    def rec(remaining: int, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(1, remaining + 1):
-            acc.append(HalfInt(part))
-            rec(remaining - part, acc)
-            acc.pop()
-
-    rec(target, [])
-    return out
-
-
-def resolvent_chain_apply(engine: ProjectorEngine, j: HalfInt,
-                          index: HermiteIndex, budget: HalfInt | None = None) -> HermiteVec:
-    """Residue at the level of all order-j resolvent chains applied to one basis vector."""
-    return engine.order_image(j, index, budget if budget is not None else j)
+                out[s] = residue
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +229,7 @@ class ProjectorSeries:
     def image(self, index: HermiteIndex) -> dict:
         hit = self._images.get(index)
         if hit is None:
-            hit = {}
-            for j in half_range(HI0, self.order):
-                vec = self.engine.order_image(j, index, self.order)
-                if vec:
-                    hit[j] = vec
+            hit = self.engine.images(index, self.order)
             self._images[index] = hit
         return hit
 

@@ -24,7 +24,6 @@ The verifiers are deliberately independent of that path:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +56,7 @@ from .harmonic_oscillator import (
     degenerate_level,
     level_by_index,
 )
-from .projection_engine import build_projector
+from .projection_engine import ProjectorSeries, build_projector
 from .formal_diagonalization import (
     SeriesMatrix,
     formal_eigendecomposition,
@@ -121,6 +120,7 @@ class PipelineContext:
     level: DegenerateLevel
     omega: WeightExpansion
     gamma: GammaJet | None
+    projector: ProjectorSeries
     gram: SeriesMatrix
     interaction: SeriesMatrix
 
@@ -247,19 +247,15 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
         if not e.is_real():
             raise AssertionError("eigenvalue series has a non-real coefficient")
 
-    class _EigWrap:
-        pass
-
-    wrap = _EigWrap()
-    wrap.eigenvalues = [e.shift(HalfInt(-2)) for e in eigenvalues]
-    parity_filter(wrap, level, tol=0.0 if mode.name == "exact" else rel_tol)
+    parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level,
+                  tol=0.0 if mode.name == "exact" else rel_tol)
 
     eigenfunctions = [unrescale(psi) for psi in psis]
     _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol)
 
     ctx = PipelineContext(problem=problem, phi=phi, conj=conj, family=family,
                           basis=basis, table=table, level=level, omega=omega,
-                          gamma=gamma, gram=a_mat, interaction=c_mat)
+                          gamma=gamma, projector=proj, gram=a_mat, interaction=c_mat)
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=norm2_constants,
@@ -577,14 +573,7 @@ def crosscheck_eigenvalue_1d(problem: JetProblem, result: QuasimodeResult,
         series_val = series.evaluate(hb, through=result.order + HalfInt(2)).real
         return abs(extrap - series_val), ok
 
-    workers = max(1, int(os.environ.get("QMF_THREADS", "1")))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_hbar, hbars))
-    else:
-        results = [one_hbar(hb) for hb in hbars]
+    results = [one_hbar(hb) for hb in hbars]
     errors = [r[0] for r in results]
     richardson_ok = all(r[1] for r in results)
 

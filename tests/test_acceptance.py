@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from qmf.series_algebra import EXACT, HalfInt
 from qmf.harmonic_oscillator import build_spectrum
-from qmf.projection_engine import build_projector, projector_diagnostics
+from qmf.projection_engine import projector_diagnostics
 from qmf.quasimode_pipeline import (
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
@@ -88,8 +88,7 @@ def test_ac3_projector_laws():
         spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(6))
         res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value)
         ctx = res.context
-        proj = build_projector(ctx.family, ctx.basis, ctx.table, ctx.level, HalfInt(6))
-        rep = projector_diagnostics(proj, ctx.omega, ctx.gamma)
+        rep = projector_diagnostics(ctx.projector, ctx.omega, ctx.gamma)
         tol = 0.0 if mode_name == "exact" else 1e-9
         assert rep.passed(tol), (preset, mode_name, rep)
         details.append(f"{preset}/{mode_name}: defects <= {tol}")
@@ -198,3 +197,17 @@ def test_ac9_degree_offset_bookkeeping():
                 assert jet.min_degree() >= bound, (preset, k, jet.min_degree(), bound)
     _report("AC9 degree/offset bookkeeping", True, time.perf_counter() - t0, None,
             "K = max |alpha|/2 and the lowest-degree bound hold on every preset")
+
+
+def test_ac10_projector_cost_grows_polynomially():
+    # the order-graded resolvent recursion makes order 8 cheap; the sum over
+    # compositions it replaced (2^(2j-1) chains at order j) takes minutes on
+    # this case, so a return to exponential cost overruns the budget
+    t0 = time.perf_counter()
+    order = HalfInt.of(8)
+    spec = preset_problem("cubic1d", order=order)
+    res = compute_quasimodes(spec.problem, order, e0=spec.level_value)
+    rep = transport_residual(res)
+    assert rep.passed and rep.max_residual == 0.0, rep
+    _report("AC10 projector cost", True, time.perf_counter() - t0, 30.0,
+            "cubic1d exact through order 8, transport residual exactly zero")

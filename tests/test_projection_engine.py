@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
+from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, half_range
 from qmf.operator_calculus import (
     JetProblem,
     conjugate_hamiltonian,
@@ -22,7 +22,6 @@ from qmf.projection_engine import (
     build_projector,
     projector_by_block_recursion,
     projector_diagnostics,
-    resolvent_chain_apply,
 )
 
 F = Fraction
@@ -48,14 +47,53 @@ def setup_problem(vhigher=None, D=8, lam=(1,), rank=1, W=None, E0=None, N=HalfIn
     return problem, family, basis, table, level, omega
 
 
+RANK2_W = (
+    (Poly.zero(EXACT, 1), Poly.monomial(EXACT, 1, (1,), 1)),
+    (Poly.monomial(EXACT, 1, (1,), 1), Poly.const(EXACT, 1, 4)),
+)
+
+
+def compositions(n):
+    """Ordered compositions of the integer n >= 0 into positive parts."""
+    if n == 0:
+        yield []
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield [first] + rest
+
+
+def composition_sum_image(engine, j, index, budget):
+    """Order-j image as the residue sum of single chains G0 Q_{j_1} G0 ... Q_{j_k} G0."""
+    total = {}
+    for comp in compositions(j.doubled):
+        spent = 0
+        state = engine._resolvent_factor({0: {index: F(1)}}, budget.doubled)
+        for part in reversed(comp):
+            spent += part
+            state = engine._resolvent_factor(engine._apply_q(HalfInt(part), state),
+                                             budget.doubled - spent)
+        for idx, c in state.get(-1, {}).items():
+            total[idx] = total.get(idx, 0) + c
+    return {idx: c for idx, c in total.items() if c != 0}
+
+
+def assert_block_recursion_agrees(family, basis, table, level, N, cover):
+    proj = build_projector(family, basis, table, level, N)
+    blocks = projector_by_block_recursion(family, basis, table, level, N, cover)
+    for j, cols in blocks.items():
+        for col, vec in cols.items():
+            want = proj.image(col).get(j, {})
+            assert vec == want, (j, col)
+
+
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
         _, family, basis, table, level, _ = setup_problem()
         engine = ProjectorEngine(family, basis, table, level)
         h0 = HermiteIndex((0,), 0)
         h2 = HermiteIndex((2,), 0)
-        assert engine.order_image(HI0, h0, HI0) == {h0: F(1)}
-        assert engine.order_image(HI0, h2, HI0) == {}
+        assert engine.images(h0, HI0) == {HI0: {h0: F(1)}}
+        assert engine.images(h2, HI0) == {}
 
     def test_first_order_reduced_resolvent_formula(self):
         # cubic well, ground level: residue at order 1/2 on the ground vector
@@ -64,7 +102,7 @@ class TestChainResidues:
         _, family, basis, table, level, _ = setup_problem(poly1({2: 1, 3: c}))
         engine = ProjectorEngine(family, basis, table, level)
         h0 = HermiteIndex((0,), 0)
-        got = resolvent_chain_apply(engine, HalfInt(1), h0, HalfInt(4))
+        got = engine.images(h0, HalfInt(4))[HalfInt(1)]
         assert got == {HermiteIndex((1,), 0): F(-c, 2)}
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
@@ -74,7 +112,7 @@ class TestChainResidues:
         _, family, basis, table, level, _ = setup_problem(poly1({2: 1, 3: c}))
         engine = ProjectorEngine(family, basis, table, level)
         h1 = HermiteIndex((1,), 0)
-        got = resolvent_chain_apply(engine, HalfInt(1), h1, HalfInt(4))
+        got = engine.images(h1, HalfInt(4))[HalfInt(1)]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
@@ -93,7 +131,7 @@ class TestChainResidues:
         small_table = build_spectrum(EXACT, (F(1),), (F(0),), 2)
         engine = ProjectorEngine(family, small_basis, small_table, level)
         with pytest.raises(WorkspaceDegreeError):
-            resolvent_chain_apply(engine, HalfInt(4), HermiteIndex((2,), 0), HalfInt(4))
+            engine.images(HermiteIndex((2,), 0), HalfInt(4))
 
 
 class TestProjectorLaws:
@@ -117,25 +155,35 @@ class TestProjectorLaws:
 
     def test_block_recursion_agrees_with_residues(self):
         # independent construction must match the contour route exactly
-        N = HalfInt(3)
+        N = HalfInt(8)
         _, family, basis, table, level, _ = setup_problem(
-            poly1({2: 1, 3: 1}), N=N, workspace_margin=2 * N.doubled + 2)
-        proj = build_projector(family, basis, table, level, N)
-        cover = [i for i in basis.indices(2)]
-        blocks = projector_by_block_recursion(family, basis, table, level, N, cover)
-        for j, cols in blocks.items():
-            for col, vec in cols.items():
-                want = proj.image(col).get(j, {})
-                assert vec == want, (j, col)
+            poly1({2: 1, 3: 1}), D=12, N=N, workspace_margin=2 * N.doubled + 2)
+        assert_block_recursion_agrees(family, basis, table, level, N, basis.indices(2))
+
+    def test_block_recursion_agrees_on_rank2_mixed_level(self):
+        N = HalfInt(8)
+        _, family, basis, table, level, _ = setup_problem(
+            poly1({2: 4, 3: 1}), D=12, lam=(2,), rank=2, W=RANK2_W, E0=6, N=N,
+            workspace_margin=2 * N.doubled + 2)
+        assert level.parity == "mixed" and level.m0 == 2
+        assert_block_recursion_agrees(family, basis, table, level, N, basis.indices(2))
+
+    def test_recursion_equals_composition_sum(self):
+        # the recursion regroups the Kato sum over compositions; in exact
+        # arithmetic both must give the same images, order by order
+        N = HalfInt(8)
+        _, family, basis, table, level, _ = setup_problem(
+            poly1({2: 1, 3: 1}), D=12, N=N)
+        engine = ProjectorEngine(family, basis, table, level)
+        for idx in basis.indices(2):
+            images = engine.images(idx, N)
+            for j in half_range(HI0, HalfInt(6)):
+                assert images.get(j, {}) == composition_sum_image(engine, j, idx, N), (j, idx)
 
     def test_rank2_mixed_level_laws(self):
-        W = (
-            (Poly.zero(EXACT, 1), Poly.monomial(EXACT, 1, (1,), 1)),
-            (Poly.monomial(EXACT, 1, (1,), 1), Poly.const(EXACT, 1, 4)),
-        )
         N = HalfInt(3)
         _, family, basis, table, level, omega = setup_problem(
-            poly1({2: 4, 3: 1}), lam=(2,), rank=2, W=W, E0=6, N=N,
+            poly1({2: 4, 3: 1}), lam=(2,), rank=2, W=RANK2_W, E0=6, N=N,
             workspace_margin=2 * N.doubled)
         assert level.parity == "mixed" and level.m0 == 2
         proj = build_projector(family, basis, table, level, N)
