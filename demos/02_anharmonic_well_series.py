@@ -23,7 +23,7 @@ for preset in ("cubic1d:c=1", "quartic1d:c=1"):
     (energy,) = result.eigenvalues
     print(f"{preset}:")
     print(f"  pipeline:   E(h) = {energy}")
-    oracle = rs_oracle(spec.problem, spec.order, e0=spec.level_value)
+    oracle = rs_oracle(result)
     print(f"  recursion:  E(h) = h * ({oracle})")
     inner = energy.shift(HalfInt(-2))
     diff = inner - oracle

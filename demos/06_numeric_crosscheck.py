@@ -18,8 +18,7 @@ result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 (energy,) = result.eigenvalues
 print(f"series: E(h) = {energy}\n")
 
-report = crosscheck_eigenvalue_1d(spec.problem, result,
-                                  hbars=[0.2, 0.1, 0.05], grid=2048)
+report = crosscheck_eigenvalue_1d(result, hbars=[0.2, 0.1, 0.05], grid=2048)
 print("   h        |E_numeric - E_series|")
 for hb, err in zip(report.data["hbars"], report.data["errors"]):
     print(f"  {hb:<8} {err:.3e}")

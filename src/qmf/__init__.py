@@ -8,54 +8,9 @@ oracles (transport equations, Rayleigh-Schrodinger recursion, and a 1-D
 finite-difference eigensolver).
 """
 
-from .series_algebra import (
-    EXACT,
-    FiberPoly,
-    FormalScalarSeries,
-    HalfInt,
-    Poly,
-    S0Series,
-    XJetSeries,
-    float_mode,
-    inverse_sqrt_series,
-    rescale,
-    unrescale,
-)
-from .operator_calculus import (
-    GradedDiffOp,
-    JetProblem,
-    ScalarJet,
-    conjugate_hamiltonian,
-    rescale_operator,
-    solve_eikonal,
-)
-from .gaussian_pairing import GammaJet, WeightExpansion, gaussian_moment, pair_s0, weight_expansion
-from .harmonic_oscillator import (
-    DegenerateLevel,
-    HermiteBasis,
-    HermiteIndex,
-    SpectrumTable,
-    build_spectrum,
-    degenerate_level,
-    hermite_expand,
-    hermite_synthesize,
-    level_by_index,
-)
-from .projection_engine import (
-    ProjectorSeries,
-    build_projector,
-    projector_by_block_recursion,
-    projector_diagnostics,
-)
-from .formal_diagonalization import (
-    EigenResult,
-    SeriesMatrix,
-    effective_matrix,
-    formal_eigendecomposition,
-    gram_matrix,
-    matrix_inverse_sqrt,
-    parity_filter,
-)
+from .series_algebra import EXACT, HalfInt, Poly, float_mode
+from .operator_calculus import JetProblem
+from .harmonic_oscillator import build_spectrum
 from .quasimode_pipeline import (
     QuasimodeResult,
     VerificationReport,
@@ -66,7 +21,7 @@ from .quasimode_pipeline import (
     rs_oracle,
     transport_residual,
 )
-from .cli_io import parse_problem_spec, preset_problem, run_command, serialize_problem_spec
+from .cli_io import preset_problem, run_command
 
 __version__ = "0.1.0"
 
@@ -75,55 +30,17 @@ __all__ = [
     "float_mode",
     "HalfInt",
     "Poly",
-    "FiberPoly",
-    "FormalScalarSeries",
-    "S0Series",
-    "XJetSeries",
-    "rescale",
-    "unrescale",
-    "inverse_sqrt_series",
     "JetProblem",
-    "ScalarJet",
-    "GradedDiffOp",
-    "solve_eikonal",
-    "conjugate_hamiltonian",
-    "rescale_operator",
-    "WeightExpansion",
-    "GammaJet",
-    "weight_expansion",
-    "gaussian_moment",
-    "pair_s0",
-    "HermiteIndex",
-    "HermiteBasis",
-    "SpectrumTable",
-    "DegenerateLevel",
     "build_spectrum",
-    "degenerate_level",
-    "ProjectorSeries",
-    "build_projector",
-    "projector_diagnostics",
-    "SeriesMatrix",
-    "EigenResult",
-    "gram_matrix",
-    "matrix_inverse_sqrt",
-    "effective_matrix",
-    "formal_eigendecomposition",
-    "parity_filter",
+    "compute_quasimodes",
     "QuasimodeResult",
     "VerificationReport",
-    "compute_quasimodes",
     "transport_residual",
     "eigen_residual",
     "orthonormality_report",
     "rs_oracle",
     "crosscheck_eigenvalue_1d",
-    "hermite_expand",
-    "hermite_synthesize",
-    "level_by_index",
-    "projector_by_block_recursion",
-    "parse_problem_spec",
     "preset_problem",
-    "serialize_problem_spec",
     "run_command",
     "__version__",
 ]

@@ -28,13 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
-from .operator_calculus import EikonalError, JetProblem, ProblemValidationError
-from .harmonic_oscillator import LevelNotFoundError, build_spectrum
+from .operator_calculus import JetProblem, ProblemValidationError
+from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
-from .formal_diagonalization import ExactSplitUnavailable, SplitAmbiguityError, parity_filter
+from .formal_diagonalization import parity_filter
 from .quasimode_pipeline import (
-    DegenerateLevelError,
-    InsufficientOrderError,
     VerificationReport,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
@@ -71,11 +69,11 @@ class SpecFileError(ValueError):
 
 
 _KNOWN_SECTIONS = {"problem", "lambda", "potential", "metric_inverse",
-                   "endomorphism", "connection", "gamma", "level", "checks"}
+                   "endomorphism", "connection", "level", "checks"}
 _PROBLEM_KEYS = {"n", "rank", "mode", "order", "degree"}
 _LEVEL_KEYS = {"value", "index"}
-_CHECK_KEYS = {"transport", "parity", "orthonormality", "eigen_residual",
-               "rs", "projector", "tolerance"}
+_CHECK_NAMES = ("transport", "parity", "orthonormality", "eigen_residual", "rs", "projector")
+_CHECK_KEYS = set(_CHECK_NAMES) | {"tolerance"}
 _DEFAULT_CHECKS = {"transport": True, "parity": True, "orthonormality": True,
                    "eigen_residual": True, "rs": "auto", "projector": False,
                    "tolerance": 1e-9}
@@ -105,6 +103,21 @@ def _parse_coeff(token: str, mode, line: int, col: int):
         raise
     except (ValueError, ZeroDivisionError):
         raise SpecFileError(f"cannot parse coefficient {token!r}", line, col) from None
+
+
+def _parse_as(cast, what: str, token: str, line: int | None, col: int | None = 1):
+    """``cast(token)``, or a ``SpecFileError`` naming ``what`` at the line."""
+    try:
+        return cast(token)
+    except (ValueError, ZeroDivisionError):
+        raise SpecFileError(f"cannot parse {what} {token!r}", line, col) from None
+
+
+def _parse_order(token: str, line: int | None = None) -> HalfInt:
+    order = _parse_as(HalfInt.parse, "order (an integer or half-integer like 5/2)", token, line)
+    if order < HI0:
+        raise SpecFileError("order must be nonnegative", line)
+    return order
 
 
 def _parse_multiindex(tokens, n, line, col):
@@ -185,18 +198,13 @@ def parse_problem_spec(text: str) -> ParsedSpec:
         raise SpecFileError(f"mode must be 'exact' or 'float', got {mode_name!r}",
                             pk.get("mode", (None, None))[1])
     tol = _DEFAULT_CHECKS["tolerance"]
-    if "checks" in keyvals and "tolerance" in keyvals["checks"]:
-        tol = float(keyvals["checks"]["tolerance"][0])
+    if "tolerance" in keyvals.get("checks", {}):
+        tol = _parse_as(float, "tolerance", *keyvals["checks"]["tolerance"])
     mode = EXACT if mode_name == "exact" else float_mode(min(tol, 1e-12))
-    try:
-        order = HalfInt.parse(need("order")[0])
-    except ValueError:
-        raise SpecFileError("order must be an integer or half-integer like 5/2") from None
-    if order < HI0:
-        raise SpecFileError("order must be nonnegative")
+    order = _parse_order(*need("order"))
     degree = None
     if "degree" in pk:
-        degree = int(pk["degree"][0])
+        degree = _parse_as(int, "degree", *pk["degree"])
 
     lam = []
     for tokens, lineno in sections["lambda"]:
@@ -226,7 +234,7 @@ def parse_problem_spec(text: str) -> ParsedSpec:
             if len(tokens) != n + 3:
                 raise SpecFileError(
                     f"metric rows are: i j, {n} index entries, coefficient", lineno, 1)
-            i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
+            i, j = (_parse_as(int, "metric index", t, lineno) - 1 for t in tokens[:2])
             if not (0 <= i < n and 0 <= j < n):
                 raise SpecFileError("metric entry indices out of range", lineno, 1)
             alpha = _parse_multiindex(tokens[2:2 + n], n, lineno, 1)
@@ -237,30 +245,23 @@ def parse_problem_spec(text: str) -> ParsedSpec:
                 entries[j][i] = entries[j][i] + mono
         g_inv = tuple(tuple(r) for r in entries)
 
-    def endo_from(rows, name, implied_identity=False):
-        if not rows and not implied_identity:
-            return None
+    w_mat = None
+    rows = sections.get("endomorphism", [])
+    if rows:
         entries = [[Poly.zero(mode, n) for _ in range(rank)] for _ in range(rank)]
-        if implied_identity:
-            for k in range(rank):
-                entries[k][k] = entries[k][k] + Poly.const(mode, n, 1)
         for tokens, lineno in rows:
             if len(tokens) != n + 3:
                 raise SpecFileError(
-                    f"{name} rows are: k l, {n} index entries, coefficient", lineno, 1)
-            k, l = int(tokens[0]) - 1, int(tokens[1]) - 1
+                    f"endomorphism rows are: k l, {n} index entries, coefficient", lineno, 1)
+            k, l = (_parse_as(int, "endomorphism index", t, lineno) - 1 for t in tokens[:2])
             if not (0 <= k < rank and 0 <= l < rank):
-                raise SpecFileError(f"{name} fiber indices out of range", lineno, 1)
+                raise SpecFileError("endomorphism fiber indices out of range", lineno, 1)
             alpha = _parse_multiindex(tokens[2:2 + n], n, lineno, 1)
             c = _parse_coeff(tokens[-1], mode, lineno, 1)
             entries[k][l] = entries[k][l] + Poly.monomial(mode, n, alpha, c)
             if k != l:
                 entries[l][k] = entries[l][k] + Poly.monomial(mode, n, alpha, mode.conj(c))
-        return tuple(tuple(r) for r in entries)
-
-    w_mat = endo_from(sections.get("endomorphism", []), "endomorphism")
-    gamma_mat = endo_from(sections.get("gamma", []), "gamma",
-                          implied_identity=bool(sections.get("gamma")))
+        w_mat = tuple(tuple(r) for r in entries)
 
     gamma_conn = None
     rows = sections.get("connection", [])
@@ -272,8 +273,7 @@ def parse_problem_spec(text: str) -> ParsedSpec:
                 raise SpecFileError(
                     f"connection rows are: direction, k l, {n} index entries, coefficient",
                     lineno, 1)
-            d = int(tokens[0]) - 1
-            k, l = int(tokens[1]) - 1, int(tokens[2]) - 1
+            d, k, l = (_parse_as(int, "connection index", t, lineno) - 1 for t in tokens[:3])
             if not (0 <= d < n and 0 <= k < rank and 0 <= l < rank):
                 raise SpecFileError("connection indices out of range", lineno, 1)
             alpha = _parse_multiindex(tokens[3:3 + n], n, lineno, 1)
@@ -295,13 +295,13 @@ def parse_problem_spec(text: str) -> ParsedSpec:
         tok, lineno = lk["value"]
         level_value = _parse_coeff(tok, mode, lineno, 1)
     if "index" in lk:
-        level_index = int(lk["index"][0])
+        level_index = _parse_as(int, "level index", *lk["index"])
 
-    checks = dict(_DEFAULT_CHECKS)
+    checks = dict(_DEFAULT_CHECKS, tolerance=tol)
     for key, (val, lineno) in keyvals.get("checks", {}).items():
         if key == "tolerance":
-            checks[key] = float(val)
-        elif key == "rs":
+            continue
+        if key == "rs":
             if val not in ("on", "off", "auto"):
                 raise SpecFileError("rs check must be on, off, or auto", lineno)
             checks[key] = {"on": True, "off": False, "auto": "auto"}[val]
@@ -314,7 +314,7 @@ def parse_problem_spec(text: str) -> ParsedSpec:
         problem = JetProblem.create(
             mode, n, rank, degree, lam,
             V=None if v_poly.is_zero() else v_poly,
-            g_inv=g_inv, W=w_mat, Gamma=gamma_conn, gamma=gamma_mat)
+            g_inv=g_inv, W=w_mat, Gamma=gamma_conn)
     except ProblemValidationError as exc:
         raise SpecFileError(str(exc)) from exc
 
@@ -366,16 +366,6 @@ def serialize_problem_spec(spec: ParsedSpec) -> str:
                                 + " ".join(str(a) for a in alpha) + f"  {fmt(c)}")
     if rows:
         out += ["", "[connection]"] + rows
-    if p.gamma is not None:
-        rows = []
-        for k in range(p.rank):
-            for l in range(k, p.rank):
-                for alpha, c in sorted(p.gamma[k][l].terms.items()):
-                    if sum(alpha) == 0 and k == l:
-                        continue
-                    rows.append(f"{k + 1} {l + 1}  "
-                                + " ".join(str(a) for a in alpha) + f"  {fmt(c)}")
-        out += ["", "[gamma]"] + rows
     out += ["", "[level]"]
     if spec.level_value is not None:
         out.append(f"value = {fmt(spec.level_value)}")
@@ -495,14 +485,17 @@ def preset_problem(spec: str, mode_name: str = "exact",
                 raise SpecFileError(f"preset parameter {item!r} is not key=value")
             params[key.strip()] = val.strip()
     mode = EXACT if mode_name == "exact" else float_mode()
-    problem, e0, index = PRESETS[name](params, mode)
+    try:
+        problem, e0, index = PRESETS[name](params, mode)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecFileError(f"bad parameters for preset {name!r}: {exc}") from None
     if params:
         raise SpecFileError(f"unknown preset parameters: {', '.join(sorted(params))}")
     order = HalfInt.of(order)
     if problem.D < order.doubled + 2:
         problem = JetProblem.create(mode, problem.n, problem.rank, order.doubled + 4,
                                     problem.lam, V=problem.V, g_inv=problem.g_inv,
-                                    W=problem.W, Gamma=problem.Gamma, gamma=problem.gamma)
+                                    W=problem.W, Gamma=problem.Gamma)
     return ParsedSpec(problem=problem, mode_name=mode_name, order=order,
                       level_value=e0, level_index=index, checks=dict(_DEFAULT_CHECKS))
 
@@ -578,14 +571,14 @@ def _version() -> str:
 def _load_spec(args) -> ParsedSpec:
     if getattr(args, "preset", None):
         spec = preset_problem(args.preset, mode_name=args.mode or "exact",
-                              order=HalfInt.parse(args.order) if args.order else HalfInt(6))
+                              order=_parse_order(args.order) if args.order else HalfInt(6))
     elif getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = parse_problem_spec(fh.read())
         if args.mode and args.mode != spec.mode_name:
             raise SpecFileError("--mode conflicts with the spec file's mode; edit the file")
         if args.order:
-            spec.order = HalfInt.parse(args.order)
+            spec.order = _parse_order(args.order)
     else:
         raise SpecFileError("one of --spec or --preset is required")
     if getattr(args, "level", None) is not None:
@@ -623,7 +616,7 @@ def _run_checks(spec: ParsedSpec, result) -> list:
             max_residual=rep.worst, detail=rep.detail))
     rs_flag = checks.get("rs", "auto")
     if rs_flag is True or (rs_flag == "auto" and result.level.m0 == 1):
-        oracle = rs_oracle(spec.problem, result.order, e0=result.level.E0)
+        oracle = rs_oracle(result)
         mode = spec.problem.mode
         inner = result.eigenvalues[0].shift(HalfInt(-2))
         diff = inner - oracle
@@ -634,7 +627,7 @@ def _run_checks(spec: ParsedSpec, result) -> list:
             detail="pipeline eigenvalue equals the perturbation recursion"))
     if checks.get("projector", False):
         ctx = result.context
-        rep = projector_diagnostics(ctx.projector, ctx.omega, ctx.gamma)
+        rep = projector_diagnostics(ctx.projector, ctx.omega)
         mode = spec.problem.mode
         ptol = 0.0 if mode.name == "exact" else tol
         reports.append(VerificationReport(
@@ -660,9 +653,30 @@ def _print_summary(spec: ParsedSpec, result, reports, out=None):
               file=out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error status; 2 means a check failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _check_names(text: str):
+    """The ``--checks`` value: 'all', or a nonempty set of check names."""
+    if text == "all":
+        return text
+    names = {w.strip() for w in text.split(",")}
+    unknown = sorted(names - set(_CHECK_NAMES))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {', '.join(map(repr, unknown))}; "
+            f"use all or a comma list of {','.join(_CHECK_NAMES)}")
+    return names
+
+
 def run_command(argv) -> int:
     """Dispatch a command line; returns the process exit status."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=TOOL_NAME,
         description="formal quasimode expansions near a potential minimum")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -672,17 +686,17 @@ def run_command(argv) -> int:
         p.add_argument("--preset", help="preset name, e.g. witten1d:c=1")
         p.add_argument("--order", help="series order N (integer or p/2)")
         p.add_argument("--mode", choices=["exact", "float"])
-        p.add_argument("--level", help="model eigenvalue selecting the level")
-        p.add_argument("--level-index", type=int, dest="level_index")
+        level = p.add_mutually_exclusive_group()
+        level.add_argument("--level", help="model eigenvalue selecting the level")
+        level.add_argument("--level-index", type=int, dest="level_index")
         p.add_argument("--out", help="write the JSON result document here")
 
     p_compute = sub.add_parser("compute", help="compute the quasimode series")
     common(p_compute)
     p_verify = sub.add_parser("verify", help="compute and run verification checks")
     common(p_verify)
-    p_verify.add_argument("--checks", default="all",
-                          help="all or a comma list: transport,parity,orthonormality,"
-                               "eigen_residual,rs,projector")
+    p_verify.add_argument("--checks", default="all", type=_check_names,
+                          help="all or a comma list: " + ",".join(_CHECK_NAMES))
     p_spec = sub.add_parser("spectrum", help="tabulate the model spectrum")
     common(p_spec)
     p_spec.add_argument("--degree", type=int, default=6)
@@ -692,11 +706,14 @@ def run_command(argv) -> int:
     p_cross.add_argument("--grid", type=int, default=4096)
     p_cross.add_argument("--csv", help="write (hbar, error) pairs here")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (status 1) or --help (status 0)
+        return exc.code
 
     try:
         spec = _load_spec(args)
-    except (SpecFileError, ProblemValidationError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -719,30 +736,24 @@ def run_command(argv) -> int:
             result = _compute(spec)
             reports = []
         elif args.command == "verify":
-            wanted = args.checks
-            if wanted != "all":
-                names = {w.strip() for w in wanted.split(",")}
-                for key in ("transport", "parity", "orthonormality", "eigen_residual",
-                            "projector"):
-                    spec.checks[key] = key in names
-                spec.checks["rs"] = True if "rs" in names else False
-            else:
+            if args.checks == "all":
                 spec.checks["projector"] = True
+            else:
+                for key in _CHECK_NAMES:
+                    spec.checks[key] = key in args.checks
             result = _compute(spec)
             reports = _run_checks(spec, result)
         else:  # crosscheck
             result = _compute(spec)
             hbars = [float(t) for t in args.hbar.split(",")]
-            rep = crosscheck_eigenvalue_1d(spec.problem, result, hbars, grid=args.grid)
+            rep = crosscheck_eigenvalue_1d(result, hbars, grid=args.grid)
             reports = [rep]
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8") as fh:
                     fh.write("hbar,error\n")
                     for hb, err in zip(rep.data["hbars"], rep.data["errors"]):
                         fh.write(f"{hb},{err}\n")
-    except (LevelNotFoundError, InsufficientOrderError, DegenerateLevelError,
-            EikonalError, ProblemValidationError, ExactSplitUnavailable,
-            SplitAmbiguityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,12 @@
 """Hermitian matrices over the half-power series field and their eigendecomposition.
 
-The level data produced by the projector is a Gram matrix A = 1 + (higher
-order) and an interaction matrix C = E0 * 1 + (higher order); the effective
-hermitian matrix is M = B C B with B = A^(-1/2). Its eigenvalue series are
-the output of the whole construction.
-
-Two equivalent routes are provided:
-
-* ``effective_matrix`` + ``formal_eigendecomposition(M)`` -- the normalized
-  route (leading Gram term must be the identity);
-* ``formal_eigendecomposition(C, gram=A)`` -- the generalized (pencil) route
-  C v = E A v, which has the same eigenvalue series but stays inside the
-  rational field for unnormalized bases. The exact pipeline uses this one.
+The level data produced by the projector is a Gram matrix A, whose leading
+term is a positive diagonal for the monic level basis, and an interaction
+matrix C = E0 * A + (higher order). Their eigenvalue series are the output of
+the whole construction. They are found from the generalized (pencil) problem
+C v = E A v, which has the eigenvalue series of the normalized matrix
+A^(-1/2) C A^(-1/2) but stays inside the rational field for unnormalized
+bases; ``matrix_inverse_sqrt`` builds that normalized matrix for tests.
 
 The eigendecomposition splits recursively: at the first order where the
 deflated coefficient is not a scalar multiple of the leading Gram term, the
@@ -34,8 +29,9 @@ from .series_algebra import (
     S0Series,
     binomial_series,
     half_range,
+    inverse_sqrt_series,
 )
-from .gaussian_pairing import GammaJet, WeightExpansion, pair_s0
+from .gaussian_pairing import WeightExpansion, pair_s0
 from .harmonic_oscillator import DegenerateLevel
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "gram_matrix",
     "interaction_matrix",
     "matrix_inverse_sqrt",
-    "effective_matrix",
     "formal_eigendecomposition",
     "parity_filter",
     "ExactSplitUnavailable",
@@ -171,43 +166,35 @@ class SeriesMatrix:
 
 
 def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
-                gamma: GammaJet | None = None, through: HalfInt | None = None,
-                expect: str = "diagonal") -> SeriesMatrix:
+                through: HalfInt | None = None) -> SeriesMatrix:
     """Pairing Gram matrix of the projected level basis.
 
-    ``expect`` = 'identity' validates a leading identity (normalized basis),
-    'diagonal' a leading positive diagonal (monic basis); a violation signals
-    a projector or pairing inconsistency upstream.
+    Validates a leading positive diagonal (the monic basis is orthogonal at
+    leading order); a violation signals a projector or pairing inconsistency
+    upstream.
     """
     mode = fs[0].mode
     m = len(fs)
-    rows = [[pair_s0(fs[i], fs[j], omega, gamma, through) for j in range(m)] for i in range(m)]
+    rows = [[pair_s0(fs[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
     a = SeriesMatrix.from_rows(mode, rows)
     lead = a.coeff_at(HI0)
     for i in range(m):
         for j in range(m):
-            bad = False
-            if i != j and not mode.is_zero(lead[i][j]):
-                bad = True
-            if i == j:
-                if expect == "identity" and not mode.is_zero(lead[i][i] - mode.one()):
-                    bad = True
-                if mode.to_float(mode.real(lead[i][i])) <= 0:
-                    bad = True
-            if bad:
-                raise ValueError("Gram leading term is not the expected form; "
+            off_diagonal = i != j and not mode.is_zero(lead[i][j])
+            nonpositive = i == j and mode.to_float(mode.real(lead[i][i])) <= 0
+            if off_diagonal or nonpositive:
+                raise ValueError("Gram leading term is not a positive diagonal; "
                                  "projected basis and pairing are inconsistent")
     return a
 
 
 def interaction_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
-                       gamma: GammaJet | None = None,
                        through: HalfInt | None = None) -> SeriesMatrix:
     """Matrix of pairings (f_i, Q f_j) over the series field."""
     mode = fs[0].mode
     qfs = [family.apply_series(f, out_trunc=None) for f in fs]
     m = len(fs)
-    rows = [[pair_s0(fs[i], qfs[j], omega, gamma, through) for j in range(m)] for i in range(m)]
+    rows = [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
     return SeriesMatrix.from_rows(mode, rows)
 
 
@@ -250,16 +237,6 @@ def matrix_inverse_sqrt(a: SeriesMatrix, through: HalfInt | None = None) -> Seri
         power = power @ x
         out = out + power.scale_series(FormalScalarSeries.const(mode, mode.coeff(coeff), trunc))
     return out
-
-
-def effective_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
-                     gamma: GammaJet | None = None,
-                     through: HalfInt | None = None) -> SeriesMatrix:
-    """M = B C B for the normalized projected basis (leading Gram = identity)."""
-    a = gram_matrix(fs, omega, gamma, through, expect="identity")
-    c = interaction_matrix(fs, family, omega, gamma, through)
-    b = matrix_inverse_sqrt(a, through)
-    return (b @ c) @ b
 
 
 # ---------------------------------------------------------------------------
@@ -489,23 +466,23 @@ def _gen_eig_float(r, a0, tol: float, order: HalfInt):
 class EigenResult:
     """Eigenvalue series and eigenvector columns of a hermitian series pencil.
 
-    Columns are orthogonal in the Gram form with squared norms ``norms2``;
-    ``normalized`` records whether they were further scaled to unit norm
-    (always possible in float mode, in exact mode only for perfect-square
-    leading norms).
+    Columns are orthogonal in the Gram form, and their squared norms are the
+    constants ``norms2``. ``normalized`` records that every constant is 1,
+    which is always possible in float mode, and in exact mode when every
+    leading squared norm is a rational square.
     """
 
     eigenvalues: list
     vectors: list       # list of columns; each column is a list of series
-    norms2: list
+    norms2: list        # constant coefficients
     gram: SeriesMatrix
     normalized: bool
     order: HalfInt
 
 
 def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None = None,
-                              through: HalfInt | None = None, rel_tol: float = 1e-9,
-                              normalize: str = "auto") -> EigenResult:
+                              through: HalfInt | None = None,
+                              rel_tol: float = 1e-9) -> EigenResult:
     """Eigenvalue and eigenvector series of a hermitian matrix over the series field.
 
     With ``gram`` given, solves the generalized problem M v = E (gram) v; the
@@ -514,8 +491,9 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
     multiple of the leading gram; blocks are decoupled by a series congruence
     before recursing, so eigenvalues are exact through the working order.
 
-    ``normalize``: 'auto' scales columns to unit norm when the field allows
-    (always in float mode), 'never' keeps the raw orthogonal columns.
+    Each column is scaled by a scalar series so that its squared norm is the
+    constant n0 of its leading order, and then by 1/sqrt(n0) when every n0
+    has a square root in the field (always in float mode).
     """
     mode = m_matrix.mode
     m = m_matrix.size
@@ -564,33 +542,42 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
         fixed.append([e.scale(inv_phase) for e in col])
     vectors = fixed
 
+    # flatten each squared norm to its constant n0
+    flat = []
     norms2 = []
     for col in vectors:
         acc = FormalScalarSeries.zero(mode, trunc)
         for i in range(m):
             for j in range(m):
                 acc = acc + col[i].conj() * gram.entry(i, j) * col[j]
-        norms2.append(acc.truncate(trunc))
+        n0 = acc.coefficient(HI0)
+        factor = inverse_sqrt_series(acc.truncate(trunc).scale(mode.one() / n0), through=trunc)
+        flat.append([e * factor for e in col])
+        norms2.append(n0)
+    vectors = flat
 
-    normalized = False
-    if normalize == "auto":
-        scaled = []
-        ok = True
-        for col, n2 in zip(vectors, norms2):
-            try:
-                root = series_sqrt(n2, trunc)
-            except ExactSplitUnavailable:
-                ok = False
-                break
-            inv_root = root.inverse(through=trunc)
-            scaled.append([e * inv_root for e in col])
-        if ok:
-            vectors = scaled
-            norms2 = [FormalScalarSeries.const(mode, 1, trunc) for _ in vectors]
-            normalized = True
+    # unit norms when the field has every square root, else the constants stay
+    try:
+        roots = [_field_sqrt(mode, n0) for n0 in norms2]
+    except ExactSplitUnavailable:
+        normalized = False
+    else:
+        vectors = [[e.scale(mode.one() / r) for e in col] for col, r in zip(vectors, roots)]
+        norms2 = [mode.one() for _ in vectors]
+        normalized = True
 
     return EigenResult(eigenvalues=eigenvalues, vectors=vectors, norms2=norms2,
                        gram=gram, normalized=normalized, order=trunc)
+
+
+def _field_sqrt(mode, c):
+    """Square root of a coefficient; in exact mode it must be a rational square."""
+    if mode.name != "exact":
+        return complex(c) ** 0.5
+    rn, rd = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
+    if c < 0 or rn * rn != c.numerator or rd * rd != c.denominator:
+        raise ExactSplitUnavailable(f"no exact square root of {c}")
+    return Fraction(rn, rd)
 
 
 def series_sqrt(s: FormalScalarSeries, through: HalfInt | None = None) -> FormalScalarSeries:
@@ -604,14 +591,7 @@ def series_sqrt(s: FormalScalarSeries, through: HalfInt | None = None) -> Formal
     if s.is_zero():
         return s
     lead = s.coeffs[0]
-    if mode.name == "exact":
-        num, den = lead.numerator, lead.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if lead < 0 or rn * rn != num or rd * rd != den:
-            raise ExactSplitUnavailable(f"no exact square root of {lead}")
-        root_lead = Fraction(rn, rd)
-    else:
-        root_lead = complex(lead) ** 0.5
+    root_lead = _field_sqrt(mode, lead)
     if s.offset.doubled % 2 != 0:
         raise ValueError("square root of an odd leading power is outside the field")
     half_off = HalfInt(s.offset.doubled // 2)

@@ -3,14 +3,15 @@
 After the substitution x = sqrt(h) y, the weighted integral of two elements
 against exp(-2*phase/h) times the metric density becomes, order by order,
 
-    coefficient of h^t  =  sum over j + l + r + m = t + K1 + K2 of
-        integral( gamma_r[u_j, v_l](y) * omega_m(y) * exp(-<y, Lambda y>) dy )
+    coefficient of h^t  =  sum over j + l + m = t + K1 + K2 of
+        integral( <u_j, v_l>(y) * omega_m(y) * exp(-<y, Lambda y>) dy )
 
 where the omega_m collect the non-quadratic phase terms and the metric
-density, and gamma_r are the homogeneous fiber-metric jets. All moments are
-normalized by the common Gaussian factor prod sqrt(pi / lambda_nu), which
-keeps every coefficient in the base field and makes the conventionally
-normalized oscillator eigenfunctions exactly orthonormal at leading order.
+density, and <u, v> = sum_i conj(u_i) v_i is the fiber inner product, the
+identity metric of the radial parallel frame. All moments are normalized by
+the common Gaussian factor prod sqrt(pi / lambda_nu), which keeps every
+coefficient in the base field and makes the conventionally normalized
+oscillator eigenfunctions exactly orthonormal at leading order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .series_algebra import (
-    FiberPoly,
     FormalScalarSeries,
     HI0,
     HalfInt,
@@ -28,23 +28,14 @@ from .series_algebra import (
     S0Series,
     mono_degree,
 )
-from .operator_calculus import (
-    JetProblem,
-    PolyMat,
-    ScalarJet,
-    metric_density_jet,
-    pm_identity,
-    pm_is_hermitian,
-)
+from .operator_calculus import JetProblem, ScalarJet, metric_density_jet
 
 __all__ = [
     "WeightExpansion",
-    "GammaJet",
     "weight_expansion",
     "gaussian_moment",
     "moment_of_poly",
     "pair_s0",
-    "pair_fiber_polys",
 ]
 
 
@@ -193,86 +184,23 @@ def weight_expansion(phi: ScalarJet, problem: JetProblem, through) -> WeightExpa
 
 
 # ---------------------------------------------------------------------------
-# Fiber metric jets
-
-
-@dataclass(frozen=True)
-class GammaJet:
-    """Hermitian fiber-metric jets, one homogeneous matrix polynomial per half-order.
-
-    Entry r holds the degree-2r part (in the blown-up variable); r = 0 is the
-    identity for data given in the radial frame.
-    """
-
-    mode: object
-    n: int
-    rank: int
-    parts: Mapping  # HalfInt -> PolyMat, homogeneous of degree 2r
-
-    @staticmethod
-    def identity(mode, n: int, rank: int) -> "GammaJet":
-        return GammaJet(mode, n, rank, {HI0: pm_identity(mode, n, rank)})
-
-    @staticmethod
-    def from_matrix_jet(mat: PolyMat, mode, n: int, rank: int) -> "GammaJet":
-        """Split a matrix jet by homogeneous degree d into parts at r = d/2."""
-        if not pm_is_hermitian(mat):
-            raise ValueError("fiber metric jet must be hermitian")
-        degs = set()
-        for row in mat:
-            for e in row:
-                degs |= {mono_degree(a) for a in e.terms}
-        parts = {}
-        for d in sorted(degs):
-            part = tuple(tuple(e.homogeneous_component(d) for e in row) for row in mat)
-            parts[HalfInt(d)] = part
-        return GammaJet(mode, n, rank, parts)
-
-    def is_identity(self) -> bool:
-        return set(self.parts) == {HI0}
-
-    def orders(self):
-        return sorted(self.parts, key=lambda h: h.doubled)
-
-    def form(self, r: HalfInt, u: FiberPoly, v: FiberPoly) -> Poly:
-        """gamma_r[u, v]: conjugate-linear in the first slot."""
-        mat = self.parts.get(r)
-        out = Poly.zero(self.mode, self.n)
-        if mat is None:
-            return out
-        for i in range(self.rank):
-            ui = u.components[i].conj()
-            if ui.is_zero():
-                continue
-            for j in range(self.rank):
-                g = mat[i][j]
-                vj = v.components[j]
-                if g.is_zero() or vj.is_zero():
-                    continue
-                out = out + ui * g * vj
-        return out
-
-
-# ---------------------------------------------------------------------------
 # The pairing
 
 
 def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
-            gamma: GammaJet | None = None,
             through: HalfInt | None = None) -> FormalScalarSeries:
     """Hermitian pairing of two power-counted series.
 
-    Conjugate-linear in the first argument. The result's truncation order is
-    the convolution bound of the four graded factors (the two series, the
-    weight expansion, and the fiber-metric jets).
+    Conjugate-linear in the first argument. Fiber components pair directly,
+    sum_i conj(u_i) v_i: in the radial parallel frame of a metric connection
+    the fiber metric is the identity to every order. The result's truncation
+    order is the convolution bound of the three graded factors (the two
+    series and the weight expansion).
     """
     mode = u.mode
     if (u.n, u.rank) != (v.n, v.rank):
         raise ValueError("shape mismatch between pairing arguments")
-    if gamma is not None and (gamma.n != u.n or gamma.rank != u.rank):
-        raise ValueError("fiber metric shape mismatch")
     lam = omega.lam
-    gamma_eff = gamma if gamma is not None else GammaJet.identity(mode, u.n, u.rank)
 
     ord_u = min((j - u.K for j in u.coeffs), default=HI0)
     ord_v = min((j - v.K for j in v.coeffs), default=HI0)
@@ -289,28 +217,21 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     for ju, pu in u.coeffs.items():
         au = ju - u.K
         for jv, pv in v.coeffs.items():
-            av = jv - v.K
-            for r in gamma_eff.orders():
-                base = au + av + r
-                if base > trunc:
+            base = au + (jv - v.K)
+            if base > trunc:
+                continue
+            integrand = Poly.zero(mode, u.n)
+            for ui, vi in zip(pu.components, pv.components):
+                if not ui.is_zero() and not vi.is_zero():
+                    integrand = integrand + ui.conj() * vi
+            if integrand.is_zero():
+                continue
+            for m in omega.orders():
+                t = base + m
+                if t > trunc:
                     continue
-                integrand_gr = gamma_eff.form(r, pu, pv)
-                if integrand_gr.is_zero():
+                val = moment_of_poly(integrand * omega.at(m), lam)
+                if mode.is_zero(val):
                     continue
-                for m in omega.orders():
-                    t = base + m
-                    if t > trunc:
-                        continue
-                    val = moment_of_poly(integrand_gr * omega.at(m), lam)
-                    if mode.is_zero(val):
-                        continue
-                    terms[t] = terms.get(t, mode.zero()) + val
+                terms[t] = terms.get(t, mode.zero()) + val
     return FormalScalarSeries.from_terms(mode, terms, trunc)
-
-
-def pair_fiber_polys(pu: FiberPoly, pv: FiberPoly, omega: WeightExpansion,
-                     gamma: GammaJet | None = None,
-                     through: HalfInt | None = None) -> FormalScalarSeries:
-    """Pairing of two plain polynomials viewed as order-zero elements."""
-    return pair_s0(S0Series.from_fiber_poly(pu), S0Series.from_fiber_poly(pv),
-                   omega, gamma, through)

@@ -239,9 +239,6 @@ class DegenerateLevel:
     K: HalfInt
     parity: str
 
-    def member_degrees(self) -> list[int]:
-        return [m.degree for m in self.members]
-
 
 def degenerate_level(table: SpectrumTable, E0, rel_tol: float = 1e-9) -> DegenerateLevel:
     """Collect all indices at the eigenvalue E0 (exact match, or cluster in float mode).
@@ -281,13 +278,3 @@ def level_by_index(table: SpectrumTable, i: int, rel_tol: float = 1e-9) -> Degen
     if i < 0 or i >= len(levels):
         raise LevelNotFoundError(f"level index {i} out of range ({len(levels)} levels tabulated)")
     return degenerate_level(table, levels[i], rel_tol)
-
-
-def hermite_expand(basis: HermiteBasis, q: FiberPoly) -> dict:
-    """Coefficients of a fiber polynomial over the model eigenbasis."""
-    return basis.expand(q)
-
-
-def hermite_synthesize(basis: HermiteBasis, coeffs: dict) -> FiberPoly:
-    """Inverse of ``hermite_expand``."""
-    return basis.synthesize(coeffs)

@@ -44,7 +44,6 @@ __all__ = [
     "solve_eikonal",
     "conjugate_hamiltonian",
     "rescale_operator",
-    "apply_diffop",
     "metric_density_jet",
     "EikonalError",
     "ProblemValidationError",
@@ -237,14 +236,11 @@ class JetProblem:
 
     All jets are given in geodesic normal coordinates and the radial parallel
     frame: the inverse metric starts at the identity with no linear term, the
-    potential starts at sum_nu lambda_nu^2 x_nu^2, the fiber metric is the
-    identity at the base point, and the connection coefficients are
-    skew-hermitian. ``D`` is the degree through which the inputs are treated
-    as complete (the potential through D + 2).
-
-    The second-order operator defaults to the Bochner form built from the
-    metric and connection jets; ``raw_b`` / ``raw_c`` switch to raw
-    first/zeroth order coefficient jets instead.
+    potential starts at sum_nu lambda_nu^2 x_nu^2, and the connection
+    coefficients are skew-hermitian, so the fiber metric is the identity to
+    every order. ``D`` is the degree through which the inputs are treated as
+    complete (the potential through D + 2). The second-order operator is the
+    Bochner form built from the metric and connection jets.
     """
 
     mode: object
@@ -256,14 +252,10 @@ class JetProblem:
     g_inv: PolyMat
     W: PolyMat
     Gamma: tuple
-    gamma: PolyMat | None = None
-    raw_b: tuple | None = None
-    raw_c: PolyMat | None = None
     mu: tuple = ()
 
     @staticmethod
-    def create(mode, n, rank, D, lam, V=None, g_inv=None, W=None, Gamma=None,
-               gamma=None, raw_b=None, raw_c=None) -> "JetProblem":
+    def create(mode, n, rank, D, lam, V=None, g_inv=None, W=None, Gamma=None) -> "JetProblem":
         lam = tuple(mode.coeff(l) if isinstance(l, (int, Fraction, str)) else l for l in lam)
         if V is None:
             V = Poly.zero(mode, n)
@@ -278,8 +270,7 @@ class JetProblem:
             W = pm_zero(mode, n, rank)
         if Gamma is None:
             Gamma = tuple(pm_zero(mode, n, rank) for _ in range(n))
-        p = JetProblem(mode, n, rank, D, lam, V, g_inv, W, tuple(Gamma),
-                       gamma, raw_b, raw_c)
+        p = JetProblem(mode, n, rank, D, lam, V, g_inv, W, tuple(Gamma))
         p.validate()
         return p
 
@@ -328,14 +319,6 @@ class JetProblem:
         for G in self.Gamma:
             if not pm_is_zero(pm_add(G, pm_conj_transpose(G))):
                 raise ProblemValidationError("connection coefficients must be skew-hermitian")
-        if self.gamma is not None:
-            if not pm_is_hermitian(self.gamma):
-                raise ProblemValidationError("fiber metric jet must be hermitian")
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    want = mode.one() if i == j else mode.zero()
-                    if not mode.is_zero(self.gamma[i][j].coefficient(z) - want):
-                        raise ProblemValidationError("fiber metric must be the identity at the base point")
         w0 = [[self.W[i][j].coefficient(z) for j in range(self.rank)] for i in range(self.rank)]
         off = any(not mode.is_zero(w0[i][j])
                   for i in range(self.rank) for j in range(self.rank) if i != j)
@@ -376,12 +359,6 @@ class JetProblem:
 
         self.W = rotate(self.W)
         self.Gamma = tuple(rotate(G) for G in self.Gamma)
-        if self.gamma is not None:
-            self.gamma = rotate(self.gamma)
-        if self.raw_b is not None:
-            self.raw_b = tuple(rotate(B) for B in self.raw_b)
-        if self.raw_c is not None:
-            self.raw_c = rotate(self.raw_c)
 
     def metric_is_flat(self) -> bool:
         ident = pm_identity(self.mode, self.n, self.n)
@@ -603,11 +580,6 @@ class GradedDiffOp:
         return f"GradedDiffOp({len(self.terms)} terms, degrees={sorted(self.degrees())})"
 
 
-def apply_diffop(op: GradedDiffOp, q: FiberPoly) -> FiberPoly:
-    """Exact application of a graded operator to a fiber polynomial."""
-    return op.apply(q)
-
-
 # ---------------------------------------------------------------------------
 # Eikonal equation
 
@@ -684,34 +656,8 @@ def metric_density_jet(problem: JetProblem) -> Poly:
 
 
 def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
-    """The second-order operator: Bochner form from (g, Gamma), or raw data."""
+    """The second-order operator: Bochner form from (g, Gamma)."""
     mode, n, rank = problem.mode, problem.n, problem.rank
-    if problem.raw_b is not None or problem.raw_c is not None:
-        op = DiffOpJet.zero(mode, n, rank, complete=problem.D - 2)
-        for i in range(n):
-            for j in range(n):
-                gij = problem.g_inv[i][j]
-                if gij.is_zero():
-                    continue
-                beta = [0] * n
-                beta[i] += 1
-                beta[j] += 1
-                op = op + DiffOpJet(mode, n, rank,
-                                    {tuple(beta): pm_scalar(-gij, rank)},
-                                    complete=problem.D - 2)
-        if problem.raw_b is not None:
-            for j in range(n):
-                bj = problem.raw_b[j]
-                if pm_is_zero(bj):
-                    continue
-                beta = [0] * n
-                beta[j] = 1
-                op = op + DiffOpJet(mode, n, rank, {tuple(beta): bj},
-                                    complete=problem.D - 1)
-        if problem.raw_c is not None:
-            op = op + DiffOpJet.multiplication(problem.raw_c, complete=problem.D)
-        return op
-
     flat = problem.metric_is_flat()
     gcomp = None if flat else problem.D
     G = metric_density_jet(problem)

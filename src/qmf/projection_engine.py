@@ -36,7 +36,7 @@ from .series_algebra import (
     half_range,
 )
 from .operator_calculus import OperatorFamily
-from .gaussian_pairing import GammaJet, WeightExpansion, pair_s0
+from .gaussian_pairing import WeightExpansion, pair_s0
 from .harmonic_oscillator import DegenerateLevel, HermiteBasis, HermiteIndex, SpectrumTable
 
 __all__ = [
@@ -395,32 +395,29 @@ def _max_abs(mode, vecs: Mapping) -> float:
     return worst
 
 
-def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion,
-                          gamma: GammaJet | None = None,
-                          test_indices: Iterable[HermiteIndex] | None = None) -> ProjectorReport:
+def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> ProjectorReport:
     """Machine check of the projector laws.
 
     Verifies, coefficientwise through the built order: idempotency, commutation
     with the full operator family, symmetry with respect to the pairing, the
     degree bound deg <= |alpha| + 2j and parity (-1)^(|alpha| + 2j) of every
     image coefficient, and the rank certificate (the level images span every
-    projected vector and are independent).
+    projected vector and are independent). The test vectors are the level
+    members and every basis vector of degree at most 2K + 2.
     """
     engine = proj.engine
     mode = engine.mode
     basis = engine.basis
     level = engine.level
     N = proj.order
-    if test_indices is None:
-        test_indices = [idx for idx in basis.indices(level.K.doubled + 2)
-                        if idx.degree <= level.K.doubled + 2]
-    test_indices = sorted(set(test_indices) | set(level.members))
+    probes = sorted({idx for idx in basis.indices(level.K.doubled + 2)
+                     if idx.degree <= level.K.doubled + 2} | set(level.members))
 
     idem = 0.0
     comm = 0.0
     degree_ok = True
     parity_ok = True
-    for idx in test_indices:
+    for idx in probes:
         img = proj.image(idx)
         # degree bound and parity of each coefficient
         for j, vec in img.items():
@@ -458,15 +455,15 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion,
 
     # symmetry of the pairing
     sym = 0.0
-    sym_sample = test_indices[: max(4, level.m0 + 2)]
+    sym_sample = probes[: max(4, level.m0 + 2)]
     for a in sym_sample:
         for b in sym_sample:
             pa = graded_vecs_to_s0(basis, proj.image(a), N)
             hb = S0Series.from_fiber_poly(basis.fiber(b), None)
             ha = S0Series.from_fiber_poly(basis.fiber(a), None)
             pb = graded_vecs_to_s0(basis, proj.image(b), N)
-            left = pair_s0(pa, hb, omega, gamma, through=N)
-            right = pair_s0(ha, pb, omega, gamma, through=N)
+            left = pair_s0(pa, hb, omega, through=N)
+            right = pair_s0(ha, pb, omega, through=N)
             diff = left - right
             sym = max(sym, diff.max_abs_coeff(min(N, diff.truncation_order or N)))
 
@@ -475,7 +472,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion,
     f_imgs = {m: proj.image(m) for m in level.members}
     rank_res = 0.0
     members = list(level.members)
-    for idx in test_indices:
+    for idx in probes:
         target = {j: dict(vec) for j, vec in proj.image(idx).items()}
         coeffs: dict[tuple, object] = {}
         for t in half_range(HI0, N):

@@ -8,12 +8,15 @@
             -> eigenvalue series  h (E0 + sum_k h^k E_k)
             -> eigenfunction jets (inverse rescaling), degree/parity checks.
 
-The verifiers are deliberately independent of that path:
+Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
+``context``; none of them re-runs the projector, the pairing or the pencil:
 
 * ``transport_residual``    -- the recursive first-order transport equations
                                at jet level (must vanish identically);
-* ``eigen_residual``        -- the eigenvalue equation assembled order by
-                               order on the x-side jets;
+* ``eigen_residual``        -- the eigenvalue equation (Q - E) psi assembled
+                               order by order on the blown-up series;
+* ``orthonormality_report`` -- the pairing Gram of the output against the
+                               recorded diagonal constants;
 * ``rs_oracle``             -- a textbook Rayleigh-Schrodinger recursion in
                                the model eigenbasis (nondegenerate levels);
 * ``crosscheck_eigenvalue_1d`` -- a dense finite-difference eigensolver with
@@ -46,7 +49,7 @@ from .operator_calculus import (
     rescale_operator,
     solve_eikonal,
 )
-from .gaussian_pairing import GammaJet, WeightExpansion, pair_s0, weight_expansion
+from .gaussian_pairing import WeightExpansion, pair_s0, weight_expansion
 from .harmonic_oscillator import (
     DegenerateLevel,
     HermiteBasis,
@@ -58,12 +61,10 @@ from .harmonic_oscillator import (
 )
 from .projection_engine import ProjectorSeries, build_projector
 from .formal_diagonalization import (
-    SeriesMatrix,
     formal_eigendecomposition,
     gram_matrix,
     interaction_matrix,
     parity_filter,
-    series_sqrt,
 )
 
 __all__ = [
@@ -112,17 +113,13 @@ class PipelineContext:
     """Everything the verifiers need about one finished computation."""
 
     problem: JetProblem
-    phi: object
     conj: ConjugatedOperator
     family: OperatorFamily
     basis: HermiteBasis
     table: SpectrumTable
     level: DegenerateLevel
     omega: WeightExpansion
-    gamma: GammaJet | None
     projector: ProjectorSeries
-    gram: SeriesMatrix
-    interaction: SeriesMatrix
 
 
 @dataclass
@@ -204,35 +201,16 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     table = build_spectrum(mode, problem.lam, problem.mu, degree,
                            n=problem.n, rank=problem.rank)
     omega = weight_expansion(phi, problem, order)
-    gamma = None  # radial frame: constant identity fiber metric
 
     proj = build_projector(family, basis, table, level, order)
     fs = [proj.image_s0(m) for m in level.members]
 
-    a_mat = gram_matrix(fs, omega, gamma, through=order, expect="diagonal")
-    c_mat = interaction_matrix(fs, family, omega, gamma, through=order)
-    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order,
-                                      rel_tol=rel_tol, normalize="auto")
-
-    # flatten squared norms to constants when unit normalization is irrational
-    vectors = eigen.vectors
-    norms2 = eigen.norms2
-    if not eigen.normalized:
-        flat_cols = []
-        flat_norms = []
-        for col, n2 in zip(vectors, norms2):
-            n0 = n2.coefficient(HI0)
-            rel = n2.scale(mode.one() / n0)
-            factor = series_sqrt(rel).inverse(through=order)
-            flat_cols.append([e * factor for e in col])
-            flat_norms.append(n0)
-        vectors = flat_cols
-        norm2_constants = flat_norms
-    else:
-        norm2_constants = [mode.one() for _ in vectors]
+    a_mat = gram_matrix(fs, omega, through=order)
+    c_mat = interaction_matrix(fs, family, omega, through=order)
+    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order, rel_tol=rel_tol)
 
     psis = []
-    for col in vectors:
+    for col in eigen.vectors:
         psi = S0Series.zero(mode, problem.n, problem.rank, order)
         for f, c in zip(fs, col):
             psi = psi + f.scale_series(c)
@@ -253,12 +231,11 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     eigenfunctions = [unrescale(psi) for psi in psis]
     _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol)
 
-    ctx = PipelineContext(problem=problem, phi=phi, conj=conj, family=family,
-                          basis=basis, table=table, level=level, omega=omega,
-                          gamma=gamma, projector=proj, gram=a_mat, interaction=c_mat)
+    ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
+                          table=table, level=level, omega=omega, projector=proj)
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
-                           norm2_constants=norm2_constants,
+                           norm2_constants=eigen.norms2,
                            normalized=eigen.normalized, mode_name=mode.name,
                            context=ctx)
 
@@ -305,7 +282,7 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
     m = len(result.rescaled)
     for i in range(m):
         for j in range(m):
-            p = pair_s0(result.rescaled[i], result.rescaled[j], ctx.omega, ctx.gamma,
+            p = pair_s0(result.rescaled[i], result.rescaled[j], ctx.omega,
                         through=result.order)
             want = result.norm2_constants[i] if i == j else mode.zero()
             diff = p - FormalScalarSeries.const(mode, want, p.truncation_order)
@@ -425,31 +402,26 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 # Rayleigh-Schrodinger oracle (nondegenerate levels)
 
 
-def rs_oracle(problem: JetProblem, order, e0=None, level_index=None) -> FormalScalarSeries:
+def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     """Eigenvalue series by the textbook perturbation recursion (m0 = 1 only).
 
     Works entirely in the model eigenbasis with intermediate normalization
     (the level component of every correction vector is zero), so it shares no
-    code with the projector/pencil pipeline beyond the operator family. The
-    returned series is E0 + sum_{k>=1/2} h^k E_k.
+    code with the projector/pencil pipeline beyond the operator family, the
+    basis and the spectrum table of ``result.context``. That basis reaches
+    degree 2K + 4N + 2 (2K the member degree, N the order), which covers every
+    vector the recursion builds. The returned series is E0 + sum_{k>=1/2}
+    h^k E_k through the result's order.
     """
-    mode = problem.mode
-    order = HalfInt.of(order)
-    _, level = _selection_table(problem, e0, level_index)
+    ctx = result.context
+    mode = ctx.problem.mode
+    order = result.order
+    level = ctx.level
     if level.m0 != 1:
         raise DegenerateLevelError(
             f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
     member = level.members[0]
-
-    phi = solve_eikonal(problem)
-    family = rescale_operator(conjugate_hamiltonian(problem, phi))
-    if family.max_order < order:
-        deficit = order.doubled - family.max_order.doubled
-        raise InsufficientOrderError(order, family.max_order, problem.D + deficit)
-    degree = member.degree + 2 * order.doubled + 2
-    basis = HermiteBasis(mode, problem.n, problem.rank, problem.lam, problem.mu, degree)
-    table = build_spectrum(mode, problem.lam, problem.mu, degree,
-                           n=problem.n, rank=problem.rank)
+    family, basis, table = ctx.family, ctx.basis, ctx.table
     e0_val = level.E0
 
     def q_vec(j: HalfInt, vec: dict) -> dict:
@@ -507,8 +479,7 @@ def rs_oracle(problem: JetProblem, order, e0=None, level_index=None) -> FormalSc
 # Numeric cross-check (1-D scalar)
 
 
-def crosscheck_eigenvalue_1d(problem: JetProblem, result: QuasimodeResult,
-                             hbars: Sequence[float], grid: int = 4096,
+def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], grid: int = 4096,
                              decay_threshold: float = 1e-14) -> VerificationReport:
     """Dense finite-difference eigenvalues against the truncated series.
 
@@ -522,6 +493,7 @@ def crosscheck_eigenvalue_1d(problem: JetProblem, result: QuasimodeResult,
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
+    problem = result.context.problem
     if problem.n != 1 or problem.rank != 1:
         raise ValueError("the finite-difference cross-check is one-dimensional scalar only")
     if not problem.metric_is_flat() or problem.has_connection():

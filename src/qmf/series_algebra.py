@@ -107,12 +107,6 @@ class HalfInt:
     def __repr__(self) -> str:
         return f"HalfInt({self.doubled}/2)"
 
-    def floor_int(self) -> int:
-        return self.doubled // 2
-
-    def twice_int(self) -> int:
-        return self.doubled
-
     @staticmethod
     def parse(text: str) -> "HalfInt":
         """Parse '3', '3/2' or '1.5'."""
@@ -519,9 +513,6 @@ class FiberPoly:
     def scale(self, c) -> "FiberPoly":
         return FiberPoly([p.scale(c) for p in self.components])
 
-    def mul_scalar_poly(self, q: Poly) -> "FiberPoly":
-        return FiberPoly([c * q for c in self.components])
-
     def apply_matrix(self, m: Sequence[Sequence[object]]) -> "FiberPoly":
         """Left-multiply by an rank x rank constant coefficient matrix."""
         out = []
@@ -879,9 +870,6 @@ class S0Series:
 
     def at_absolute(self, t) -> FiberPoly:
         return self.at_relative(HalfInt.of(t) + self.K)
-
-    def absolute_orders(self) -> list[HalfInt]:
-        return [j - self.K for j, _ in self.items()]
 
     def with_K(self, K_new: HalfInt) -> "S0Series":
         """Re-express with a larger K (shifting indices keeps the invariant)."""

@@ -88,7 +88,7 @@ def test_ac3_projector_laws():
         spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(6))
         res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value)
         ctx = res.context
-        rep = projector_diagnostics(ctx.projector, ctx.omega, ctx.gamma)
+        rep = projector_diagnostics(ctx.projector, ctx.omega)
         tol = 0.0 if mode_name == "exact" else 1e-9
         assert rep.passed(tol), (preset, mode_name, rep)
         details.append(f"{preset}/{mode_name}: defects <= {tol}")
@@ -140,14 +140,14 @@ def test_ac6_rs_oracle_equivalence():
         spec = preset_problem(preset, order=HalfInt(4))
         res = compute_quasimodes(spec.problem, HalfInt(4), e0=spec.level_value)
         inner = res.eigenvalues[0].shift(HalfInt(-2))
-        oracle = rs_oracle(spec.problem, HalfInt(4), e0=spec.level_value)
+        oracle = rs_oracle(res)
         diff = inner - oracle
         assert diff.max_abs_coeff(HalfInt(4)) == 0.0, preset
         # float route within 1e-10
         specf = preset_problem(preset, mode_name="float", order=HalfInt(4))
         resf = compute_quasimodes(specf.problem, HalfInt(4), e0=specf.level_value)
         innerf = resf.eigenvalues[0].shift(HalfInt(-2))
-        oraclef = rs_oracle(specf.problem, HalfInt(4), e0=specf.level_value)
+        oraclef = rs_oracle(resf)
         for t in [HalfInt(d) for d in range(0, 5)]:
             assert abs(innerf.coefficient(t) - oraclef.coefficient(t)) <= 1e-10
     _report("AC6 perturbation-recursion equivalence", True, time.perf_counter() - t0, 30.0,
@@ -158,7 +158,7 @@ def test_ac7_numeric_convergence():
     t0 = time.perf_counter()
     spec = preset_problem("quartic1d", order=HalfInt(4))
     res = compute_quasimodes(spec.problem, HalfInt(4), e0=spec.level_value)
-    rep = crosscheck_eigenvalue_1d(spec.problem, res, hbars=[0.2, 0.1, 0.05], grid=4096)
+    rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05], grid=4096)
     assert rep.passed, rep.detail
     assert rep.data["slope"] >= 3.5
     _report("AC7 numeric convergence", True, time.perf_counter() - t0, 60.0,

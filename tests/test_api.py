@@ -1,0 +1,42 @@
+"""The public surface: ``qmf.__all__``, every submodule's ``__all__``, and the
+README's Python examples."""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import qmf
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = [
+    "EXACT", "float_mode", "HalfInt", "Poly", "JetProblem", "build_spectrum",
+    "compute_quasimodes", "QuasimodeResult", "VerificationReport", "transport_residual",
+    "eigen_residual", "orthonormality_report", "rs_oracle", "crosscheck_eigenvalue_1d",
+    "preset_problem", "run_command", "__version__",
+]
+
+
+def test_package_exports_the_documented_names():
+    assert sorted(qmf.__all__) == sorted(PUBLIC)
+    for name in qmf.__all__:
+        assert hasattr(qmf, name), name
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qmf.__path__)))
+def test_submodule_all_resolves(module):
+    mod = importlib.import_module(f"qmf.{module}")
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"qmf.{module}.{name}"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    namespace: dict = {}
+    for i, block in enumerate(blocks, start=1):  # in order, in one namespace
+        exec(compile(block, f"{README.name} python block {i}", "exec"), namespace)

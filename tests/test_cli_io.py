@@ -95,11 +95,11 @@ value = 6
         assert spec.problem.Gamma[0][1][0].coefficient((1,)) == F(-1, 2)
 
     def test_gamma_section(self):
+        # the fiber metric is the identity in the radial frame, so a fiber
+        # metric section is an unknown section like any other
         text = MINIMAL + "\n[gamma]\n1 1  2  1/3\n"
-        spec = parse_problem_spec(text)
-        assert spec.problem.gamma is not None
-        assert spec.problem.gamma[0][0].coefficient((2,)) == F(1, 3)
-        assert spec.problem.gamma[0][0].coefficient((0,)) == F(1)
+        with pytest.raises(SpecFileError, match=r"unknown section \[gamma\] \(line 11"):
+            parse_problem_spec(text)
 
     def test_round_trip(self):
         for preset in ("cubic1d", "witten1d:c=2", "iso2d", "rank2"):
@@ -209,6 +209,45 @@ class TestCommands:
     def test_missing_source_is_input_error(self, capsys):
         rc = run_command(["compute", "--order", "2"])
         assert rc == 1
+
+    @pytest.mark.parametrize("spec_text, extra, message", [
+        (MINIMAL.replace("order = 2", "order = 2\ndegree = abc"), [], "degree 'abc' (line 7"),
+        (MINIMAL + "\n[checks]\ntolerance = tight\n", [], "tolerance 'tight' (line 12"),
+        (MINIMAL + "\n[level]\nindex = first\n", [], "level index 'first' (line 12"),
+        (MINIMAL + "\n[metric_inverse]\nx 1  2  1\n", [], "metric index 'x' (line 12"),
+        (MINIMAL + "\n[endomorphism]\nx 1  1  1\n", [], "endomorphism index 'x' (line 12"),
+        (MINIMAL + "\n[connection]\n1 x 1  1  1\n", [], "connection index 'x' (line 12"),
+        (None, ["--preset", "cubic1d", "--order", "abc"], "order"),
+        (None, ["--preset", "cubic1d:c=x"], "preset 'cubic1d'"),
+    ])
+    def test_input_error_exits_1_with_message(self, tmp_path, capsys, spec_text, extra, message):
+        argv = ["compute", *extra]
+        if spec_text is not None:
+            path = tmp_path / "bad.spec"
+            path.write_text(spec_text)
+            argv += ["--spec", str(path)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("checks", ["transprot", "", "transport,bogus"])
+    def test_verify_rejects_unknown_or_empty_checks(self, capsys, checks):
+        rc = run_command(["verify", "--preset", "cubic1d", "--order", "2", "--checks", checks])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown check" in err
+        assert "transport,parity,orthonormality,eigen_residual,rs,projector" in err
+
+    def test_usage_error_exits_1(self, capsys):
+        rc = run_command(["compute", "--preset", "cubic1d", "--mode", "quad"])
+        assert rc == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_level_and_level_index_conflict(self, capsys):
+        rc = run_command(["compute", "--preset", "harmonic", "--order", "2",
+                          "--level", "1", "--level-index", "0"])
+        assert rc == 1
+        assert "not allowed with argument --level" in capsys.readouterr().err
 
 
 class TestResultDocument:

@@ -151,7 +151,7 @@ class TestEigendecomposition:
         d = series_mat([[{0: 4, 2: 1}, {2: 2}], [{2: 2}, {0: 1, 4: 1}]])
         c = series_mat([[{0: 12, 2: 11, 4: 1}, {2: 8, 4: 1}],
                         [{2: 8, 4: 1}, {0: 3, 2: 2, 4: 2}]])
-        res = formal_eigendecomposition(c, gram=d, through=HalfInt(6), normalize="never")
+        res = formal_eigendecomposition(c, gram=d, through=HalfInt(6))
         for e, col in zip(res.eigenvalues, res.vectors):
             for i in range(2):
                 lhs = sum((c.entry(i, j) * col[j] for j in range(2)),

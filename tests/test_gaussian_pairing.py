@@ -14,13 +14,7 @@ from qmf.series_algebra import (
     S0Series,
 )
 from qmf.operator_calculus import JetProblem, solve_eikonal
-from qmf.gaussian_pairing import (
-    GammaJet,
-    gaussian_moment,
-    pair_fiber_polys,
-    pair_s0,
-    weight_expansion,
-)
+from qmf.gaussian_pairing import gaussian_moment, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
 
 F = Fraction
@@ -96,6 +90,11 @@ def unit_fiber(p: Poly) -> FiberPoly:
     return FiberPoly.scalar(p)
 
 
+def pair_polys(pu: FiberPoly, pv: FiberPoly, omega):
+    """Pairing of two plain polynomials viewed as order-zero elements."""
+    return pair_s0(S0Series.from_fiber_poly(pu), S0Series.from_fiber_poly(pv), omega)
+
+
 class TestPairing:
     def setup_method(self):
         self.problem = make_problem()
@@ -103,7 +102,7 @@ class TestPairing:
         self.basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 8)
 
     def pair(self, pu, pv, omega=None):
-        return pair_fiber_polys(unit_fiber(pu), unit_fiber(pv), omega or self.omega)
+        return pair_polys(unit_fiber(pu), unit_fiber(pv), omega or self.omega)
 
     def test_monic_family_orthogonality_with_norms(self):
         for a in range(4):
@@ -122,7 +121,7 @@ class TestPairing:
     def test_cubic_ground_half_order_vanishes(self):
         problem = make_problem(poly1({2: 1, 3: 1}))
         omega = omega_for(problem, through=4)
-        got = pair_fiber_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
+        got = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
         assert got.coefficient(HalfInt(1)) == 0
         assert got.coefficient(HI0) == 1
 
@@ -131,19 +130,9 @@ class TestPairing:
         omega = omega_for(problem, through=4)
         u = unit_fiber(poly1({0: 1, 1: 2}))
         v = unit_fiber(poly1({1: 1, 2: 3}))
-        ab = pair_fiber_polys(u, v, omega)
-        ba = pair_fiber_polys(v, u, omega)
+        ab = pair_polys(u, v, omega)
+        ba = pair_polys(v, u, omega)
         assert ab == ba.conj()
-
-    def test_gamma_jets_enter(self):
-        # gamma = 1 + g2 x^2 on a rank-1 bundle: order-1 coefficient of
-        # (1,1) pairing picks up moment(y^2 gamma2)
-        g2 = F(1, 3)
-        gamma = GammaJet.from_matrix_jet(((poly1({0: 1, 2: g2}),),), EXACT, 1, 1)
-        got = pair_fiber_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})),
-                               self.omega, gamma=gamma)
-        assert got.coefficient(HI0) == 1
-        assert got.coefficient(HalfInt(2)) == g2 * F(1, 2)
 
     def test_s0_offsets_combine(self):
         u = S0Series(EXACT, 1, 1, HalfInt(1), {HalfInt(1): unit_fiber(poly1({1: 1}))}, None)
@@ -200,7 +189,7 @@ class TestPairing:
         problem = make_problem(poly1({2: 1, 3: F(1, 4)}), D=10)
         phi = solve_eikonal(problem)
         omega = weight_expansion(phi, problem, 4)
-        series = pair_fiber_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
+        series = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
         N = series.truncation_order
         phi_vals = np.vectorize(lambda x: float(phi.poly.eval_floats((x,)).real))
         errs = []

@@ -9,7 +9,6 @@ from qmf.operator_calculus import (
     GradedDiffOp,
     JetProblem,
     ProblemValidationError,
-    apply_diffop,
     conjugate_hamiltonian,
     metric_density_jet,
     rescale_operator,
@@ -220,39 +219,12 @@ class TestDiffOpJet:
     def test_apply_diffop_spec_examples(self):
         # (y d)(y^2) = 2 y^2
         yd = GradedDiffOp(EXACT, 1, 1, [(((F(1),),), (1,), (1,))])
-        assert apply_diffop(yd, mono_fiber((2,))) == mono_fiber((2,), 2)
+        assert yd.apply(mono_fiber((2,))) == mono_fiber((2,), 2)
 
     def test_rank_mismatch(self):
         yd = GradedDiffOp(EXACT, 1, 1, [(((F(1),),), (1,), (1,))])
         with pytest.raises(ValueError):
-            apply_diffop(yd, mono_fiber((1,), rank=2))
-
-
-class TestRawLaplaceData:
-    def test_raw_flat_matches_assembled_form(self):
-        base = scalar_problem(poly1({2: 1, 3: 1}), D=8)
-        z = Poly.zero(EXACT, 1)
-        raw = JetProblem.create(EXACT, 1, 1, 8, (1,), V=poly1({2: 1, 3: 1}),
-                                raw_b=(((z,),),), raw_c=((z,),))
-        phi = solve_eikonal(base)
-        fam_a = rescale_operator(conjugate_hamiltonian(base, phi))
-        fam_b = rescale_operator(conjugate_hamiltonian(raw, phi))
-        probe = [mono_fiber((d,)) for d in range(4)]
-        for j in fam_a.orders():
-            for q in probe:
-                assert fam_a.get(j).apply(q) == fam_b.get(j).apply(q)
-
-    def test_raw_zeroth_order_term_shifts_q1(self):
-        # a constant zeroth-order endomorphism k sits at h^2, i.e. degree 0
-        # of the second-order piece, hence inside Q_1
-        k = F(5)
-        raw_c = ((poly1({0: k}),),)
-        p = JetProblem.create(EXACT, 1, 1, 8, (1,), raw_c=raw_c)
-        phi = solve_eikonal(p)
-        fam = rescale_operator(conjugate_hamiltonian(p, phi))
-        one = mono_fiber((0,))
-        assert fam.get(HalfInt(2)).apply(one) == one.scale(k)
-        assert fam.get(HalfInt(0)).apply(one) == one  # model part unchanged
+            yd.apply(mono_fiber((1,), rank=2))
 
 
 class TestMetricDensity:

@@ -82,7 +82,7 @@ class TestCubicWell:
 
     def test_rs_oracle_matches_pipeline(self):
         res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
-        oracle = rs_oracle(cubic(), HalfInt(4), e0=1)
+        oracle = rs_oracle(res)
         inner = res.eigenvalues[0].shift(HalfInt(-2))
         assert inner.equals_through(oracle, HalfInt(4))
 
@@ -122,13 +122,14 @@ class TestQuarticWell:
         assert inner.coefficient(HalfInt(4)) == F(-21, 16)
 
     def test_rs_oracle_matches(self):
-        inner = compute_quasimodes(quartic(), HalfInt(4), e0=1).eigenvalues[0].shift(HalfInt(-2))
-        oracle = rs_oracle(quartic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
+        inner = res.eigenvalues[0].shift(HalfInt(-2))
+        oracle = rs_oracle(res)
         assert inner.equals_through(oracle, HalfInt(4))
 
     def test_fd_crosscheck_small(self):
         res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
-        rep = crosscheck_eigenvalue_1d(quartic(), res, hbars=[0.2, 0.1, 0.05], grid=1024)
+        rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05], grid=1024)
         assert rep.passed, rep.detail
         assert rep.data["slope"] >= 3.5
 
@@ -137,7 +138,7 @@ class TestQuarticWell:
         # exponentially small, i.e. decays faster than any required power
         p = witten(F(1))
         res = compute_quasimodes(p, HalfInt(4), e0=0)
-        rep = crosscheck_eigenvalue_1d(p, res, hbars=[0.2, 0.1], grid=1024)
+        rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1], grid=1024)
         assert "identically zero" in rep.detail
         assert rep.passed, rep
         assert rep.data["slope"] > rep.data["required_slope"]
@@ -209,7 +210,7 @@ class TestErrors:
 
     def test_rs_oracle_rejects_degenerate(self):
         with pytest.raises(DegenerateLevelError):
-            rs_oracle(iso2d(), HalfInt(2), e0=4)
+            rs_oracle(compute_quasimodes(iso2d(), HalfInt(2), e0=4))
 
 
 class TestLevelSelectionByIndex:
