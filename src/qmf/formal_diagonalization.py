@@ -27,7 +27,6 @@ from .series_algebra import (
     HI0,
     HalfInt,
     S0Series,
-    binomial_series,
     half_range,
     inverse_sqrt_series,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "parity_filter",
     "ExactSplitUnavailable",
     "SplitAmbiguityError",
-    "series_sqrt",
 ]
 
 
@@ -475,7 +473,6 @@ class EigenResult:
     eigenvalues: list
     vectors: list       # list of columns; each column is a list of series
     norms2: list        # constant coefficients
-    gram: SeriesMatrix
     normalized: bool
     order: HalfInt
 
@@ -567,7 +564,7 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
         normalized = True
 
     return EigenResult(eigenvalues=eigenvalues, vectors=vectors, norms2=norms2,
-                       gram=gram, normalized=normalized, order=trunc)
+                       normalized=normalized, order=trunc)
 
 
 def _field_sqrt(mode, c):
@@ -578,31 +575,6 @@ def _field_sqrt(mode, c):
     if c < 0 or rn * rn != c.numerator or rd * rd != c.denominator:
         raise ExactSplitUnavailable(f"no exact square root of {c}")
     return Fraction(rn, rd)
-
-
-def series_sqrt(s: FormalScalarSeries, through: HalfInt | None = None) -> FormalScalarSeries:
-    """Square root of a series with positive leading coefficient.
-
-    In exact mode the leading coefficient must be a perfect rational square
-    (raises ``ExactSplitUnavailable`` otherwise); the tail is the rational
-    binomial series.
-    """
-    mode = s.mode
-    if s.is_zero():
-        return s
-    lead = s.coeffs[0]
-    root_lead = _field_sqrt(mode, lead)
-    if s.offset.doubled % 2 != 0:
-        raise ValueError("square root of an odd leading power is outside the field")
-    half_off = HalfInt(s.offset.doubled // 2)
-    rel_trunc = None if s.truncation_order is None else s.truncation_order - s.offset
-    rel = FormalScalarSeries(mode, HI0, tuple(c / lead for c in s.coeffs), rel_trunc)
-    v = rel - FormalScalarSeries.const(mode, 1, rel_trunc)
-    rel_through = rel_trunc
-    if rel_through is None and through is not None:
-        rel_through = HalfInt.of(through) - half_off
-    root_rel = binomial_series(v, Fraction(1, 2), through=rel_through)
-    return root_rel.scale(root_lead).shift(half_off)
 
 
 def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode,

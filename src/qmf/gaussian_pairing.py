@@ -12,11 +12,17 @@ identity metric of the radial parallel frame. All moments are normalized by
 the common Gaussian factor prod sqrt(pi / lambda_nu), which keeps every
 coefficient in the base field and makes the conventionally normalized
 oscillator eigenfunctions exactly orthonormal at leading order.
+
+Each weight order acts as a linear functional on the fiber integrand:
+L_m(gamma) = sum_beta omega_m[beta] * M(gamma + beta), with M the normalized
+moment, so the integral above is sum_gamma <u_j, v_l>[gamma] * L_m(gamma).
+``WeightExpansion`` fills its table of L_m lazily while pairing, and no
+product polynomial integrand * omega_m is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -26,6 +32,7 @@ from .series_algebra import (
     HalfInt,
     Poly,
     S0Series,
+    mono_add,
     mono_degree,
 )
 from .operator_calculus import JetProblem, ScalarJet, metric_density_jet
@@ -34,7 +41,6 @@ __all__ = [
     "WeightExpansion",
     "weight_expansion",
     "gaussian_moment",
-    "moment_of_poly",
     "pair_s0",
 ]
 
@@ -79,18 +85,29 @@ def gaussian_moment(alpha: tuple, lam: tuple, mode) -> object:
     return out
 
 
-def moment_of_poly(p: Poly, lam: tuple) -> object:
-    """Normalized Gaussian integral of a scalar polynomial."""
-    total = p.mode.zero()
-    for alpha, c in p.terms.items():
-        m = gaussian_moment(alpha, lam, p.mode)
-        if not p.mode.is_zero(m):
-            total = total + c * m
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Weight expansion
+
+
+class _Functional(dict):
+    """gamma -> L(gamma) = sum_beta w[beta] M(gamma + beta) for one weight
+    polynomial w: the normalized Gaussian integral of y^gamma * w(y). Each
+    entry is computed on first lookup and kept."""
+
+    def __init__(self, weight: Poly, lam: tuple):
+        super().__init__()
+        self.weight = weight
+        self.lam = lam
+
+    def __missing__(self, gamma: tuple) -> object:
+        mode = self.weight.mode
+        total = mode.zero()
+        for beta, c in self.weight.terms.items():
+            mom = gaussian_moment(mono_add(gamma, beta), self.lam, mode)
+            if mom:
+                total = total + c * mom
+        self[gamma] = total
+        return total
 
 
 @dataclass(frozen=True)
@@ -99,13 +116,16 @@ class WeightExpansion:
 
     omega_0 = 1; omega_m has parity (-1)^(2m) and collects products of the
     homogeneous phase parts (degree k + 2 at half-order k/2) with the metric
-    density jets. ``complete`` bounds the orders that are exact.
+    density jets. ``complete`` bounds the orders that are exact. ``table``
+    holds the functional L_m of each order ``functional`` was asked for; it
+    belongs to this instance, so nothing outlives the weight.
     """
 
     mode: object
     lam: tuple
     omega: Mapping  # HalfInt -> Poly
     complete: HalfInt
+    table: dict = field(default_factory=dict, compare=False, repr=False)
 
     def at(self, m: HalfInt) -> Poly:
         n = len(self.lam)
@@ -113,6 +133,13 @@ class WeightExpansion:
 
     def orders(self):
         return sorted(self.omega, key=lambda h: h.doubled)
+
+    def functional(self, m: HalfInt) -> _Functional:
+        """The lazily filled table gamma -> L_m(gamma) of the order-m weight."""
+        lm = self.table.get(m)
+        if lm is None:
+            lm = self.table[m] = _Functional(self.omega[m], self.lam)
+        return lm
 
 
 def _graded_mul(a: dict, b: dict, mode, n: int, through: HalfInt) -> dict:
@@ -195,12 +222,16 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     sum_i conj(u_i) v_i: in the radial parallel frame of a metric connection
     the fiber metric is the identity to every order. The result's truncation
     order is the convolution bound of the three graded factors (the two
-    series and the weight expansion).
+    series and the weight expansion). Each fiber integrand is contracted
+    against the weight's cached functionals L_m instead of being multiplied
+    by omega_m.
     """
     mode = u.mode
     if (u.n, u.rank) != (v.n, v.rank):
         raise ValueError("shape mismatch between pairing arguments")
-    lam = omega.lam
+    # conjugation is the identity on rational coefficients
+    real_field = mode.name == "exact"
+    weights = [(m, omega.functional(m)) for m in omega.orders()]
 
     ord_u = min((j - u.K for j in u.coeffs), default=HI0)
     ord_v = min((j - v.K for j in v.coeffs), default=HI0)
@@ -218,19 +249,25 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
         au = ju - u.K
         for jv, pv in v.coeffs.items():
             base = au + (jv - v.K)
-            if base > trunc:
+            room = trunc - base
+            if room < HI0:
                 continue
-            integrand = Poly.zero(mode, u.n)
+            integrand = None
             for ui, vi in zip(pu.components, pv.components):
                 if not ui.is_zero() and not vi.is_zero():
-                    integrand = integrand + ui.conj() * vi
-            if integrand.is_zero():
+                    prod = (ui if real_field else ui.conj()) * vi
+                    integrand = prod if integrand is None else integrand + prod
+            if integrand is None or integrand.is_zero():
                 continue
-            for m in omega.orders():
+            for m, lm in weights:
+                if m > room:
+                    break
                 t = base + m
-                if t > trunc:
-                    continue
-                val = moment_of_poly(integrand * omega.at(m), lam)
+                val = mode.zero()
+                for gamma, c in integrand.terms.items():
+                    ell = lm[gamma]
+                    if ell:
+                        val = val + c * ell
                 if mode.is_zero(val):
                     continue
                 terms[t] = terms.get(t, mode.zero()) + val

@@ -456,12 +456,12 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     # symmetry of the pairing
     sym = 0.0
     sym_sample = probes[: max(4, level.m0 + 2)]
+    projected = {a: graded_vecs_to_s0(basis, proj.image(a), N) for a in sym_sample}
+    plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
     for a in sym_sample:
+        pa, ha = projected[a], plain[a]
         for b in sym_sample:
-            pa = graded_vecs_to_s0(basis, proj.image(a), N)
-            hb = S0Series.from_fiber_poly(basis.fiber(b), None)
-            ha = S0Series.from_fiber_poly(basis.fiber(a), None)
-            pb = graded_vecs_to_s0(basis, proj.image(b), N)
+            pb, hb = projected[b], plain[b]
             left = pair_s0(pa, hb, omega, through=N)
             right = pair_s0(ha, pb, omega, through=N)
             diff = left - right

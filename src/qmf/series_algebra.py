@@ -109,14 +109,8 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
-        """Parse '3', '3/2' or '1.5'."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return HalfInt.of(Fraction(int(num), int(den)))
-        if "." in text:
-            return HalfInt.of(Fraction(text).limit_denominator(2))
-        return HalfInt.of(int(text))
+        """Parse '3', '3/2' or '1.5'; any other value raises ``ValueError``."""
+        return HalfInt.of(Fraction(text))
 
 
 HI0 = HalfInt(0)

@@ -218,6 +218,8 @@ class TestCommands:
         (MINIMAL + "\n[endomorphism]\nx 1  1  1\n", [], "endomorphism index 'x' (line 12"),
         (MINIMAL + "\n[connection]\n1 x 1  1  1\n", [], "connection index 'x' (line 12"),
         (None, ["--preset", "cubic1d", "--order", "abc"], "order"),
+        (None, ["--preset", "cubic1d", "--order", "1.3"], "5/2) '1.3'"),
+        (MINIMAL.replace("order = 2", "order = 1.3"), [], "5/2) '1.3' (line 6"),
         (None, ["--preset", "cubic1d:c=x"], "preset 'cubic1d'"),
     ])
     def test_input_error_exits_1_with_message(self, tmp_path, capsys, spec_text, extra, message):

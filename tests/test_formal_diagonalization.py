@@ -10,7 +10,6 @@ from qmf.formal_diagonalization import (
     formal_eigendecomposition,
     matrix_inverse_sqrt,
     parity_filter,
-    series_sqrt,
 )
 from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
 
@@ -171,18 +170,6 @@ class TestEigendecomposition:
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
         res = formal_eigendecomposition(m)
         assert all(e.is_real() for e in res.eigenvalues)
-
-
-class TestSeriesSqrt:
-    def test_perfect_square(self):
-        s = ser({0: F(9, 4), 2: 1})
-        r = series_sqrt(s)
-        assert (r * r - s).max_abs_coeff(HalfInt(8)) == 0
-        assert r.coefficient(HI0) == F(3, 2)
-
-    def test_non_square_raises(self):
-        with pytest.raises(ExactSplitUnavailable):
-            series_sqrt(ser({0: 2}))
 
 
 class TestParityFilter:

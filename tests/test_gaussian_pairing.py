@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from qmf.series_algebra import (
 from qmf.operator_calculus import JetProblem, solve_eikonal
 from qmf.gaussian_pairing import gaussian_moment, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
+from qmf.cli_io import preset_problem
+from qmf.quasimode_pipeline import compute_quasimodes
 
 F = Fraction
 
@@ -201,3 +204,104 @@ class TestPairing:
             errs.append(abs(integral - series_val))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= float(N.as_fraction()) + 0.4
+
+
+def multiply_then_integrate(u: S0Series, v: S0Series, omega, trunc: HalfInt) -> FormalScalarSeries:
+    """Reference pairing: form every product conj(u_i) * v_i * omega_m as a
+    polynomial, then integrate it monomial by monomial with ``gaussian_moment``."""
+    mode = u.mode
+    terms: dict = {}
+    for ju, pu in u.coeffs.items():
+        for jv, pv in v.coeffs.items():
+            for ui, vi in zip(pu.components, pv.components):
+                fiber = ui.conj() * vi
+                for m in omega.orders():
+                    t = (ju - u.K) + (jv - v.K) + m
+                    if t > trunc:
+                        continue
+                    for gamma, c in (fiber * omega.at(m)).terms.items():
+                        terms[t] = terms.get(t, mode.zero()) + c * gaussian_moment(
+                            gamma, omega.lam, mode)
+    return FormalScalarSeries.from_terms(mode, terms, trunc)
+
+
+def assert_pairs_match_reference(elems, omega, through=None):
+    for u in elems:
+        for v in elems:
+            got = pair_s0(u, v, omega, through=through)
+            want = multiply_then_integrate(u, v, omega, got.truncation_order)
+            assert got == want
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_context(preset: str, order: int, mode_name: str = "exact"):
+    spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
+    return compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
+
+
+def projected_level_basis(ctx):
+    return [ctx.projector.image_s0(m) for m in ctx.level.members]
+
+
+class TestPairingOracle:
+    """pair_s0 contracts integrands against cached weight functionals; it must
+    agree with forming the product polynomials and integrating them."""
+
+    def test_curved_metric_weight(self):
+        # the density of g^11 = 1 + x^2/2 enters omega (see test_curved_metric_term)
+        g = ((poly1({0: 1, 2: F(1, 2)}),),)
+        problem = make_problem(poly1({2: 1, 3: F(1, 3)}), D=6, g_inv=g)
+        omega = omega_for(problem, through=2)
+        assert not omega.at(HalfInt(2)).is_zero()
+        basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 6)
+        elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
+                 for a in range(4)]
+        elems.append(S0Series(EXACT, 1, 1, HalfInt(1), {
+            HalfInt(1): unit_fiber(poly1({1: 1})),
+            HalfInt(2): unit_fiber(poly1({0: F(-2, 3), 1: 1, 2: F(1, 5)})),
+        }, HalfInt(3)))
+        assert_pairs_match_reference(elems, omega)
+
+    def test_rank2_fibres_with_connection(self):
+        ctx = pipeline_context("rank2", 3)
+        assert ctx.problem.rank == 2 and ctx.problem.Gamma
+        assert_pairs_match_reference(projected_level_basis(ctx), ctx.omega)
+
+    def test_iso2d_projected_level_basis(self):
+        ctx = pipeline_context("iso2d", 4)
+        assert_pairs_match_reference(projected_level_basis(ctx), ctx.omega,
+                                     through=HalfInt(8))
+
+    def test_float_within_relative_bound(self):
+        # float mode sums in a different order and no longer prunes the
+        # products integrand * omega_m: agreement to 1e-12 relative to the
+        # largest coefficient of the Gram matrix
+        ctx = pipeline_context("iso2d", 3, "float")
+        elems = projected_level_basis(ctx)
+        scale, worst = 0.0, 0.0
+        for u in elems:
+            for v in elems:
+                got = pair_s0(u, v, ctx.omega)
+                want = multiply_then_integrate(u, v, ctx.omega, got.truncation_order)
+                scale = max(scale, want.max_abs_coeff(got.truncation_order))
+                worst = max(worst, (got - want).max_abs_coeff(got.truncation_order))
+        assert scale >= 0.5
+        assert worst <= 1e-12 * scale
+
+    def test_weights_with_equal_lambda_keep_separate_tables(self):
+        omegas = {}
+        for c in (1, 2):
+            problem = preset_problem(f"cubic1d:c={c}", order=HalfInt(8)).problem
+            omegas[c] = weight_expansion(solve_eikonal(problem), problem, 4)
+        assert omegas[1].lam == omegas[2].lam
+        u = S0Series.from_fiber_poly(unit_fiber(poly1({0: 1, 1: 2, 3: -1})), HalfInt(4))
+        first = {c: pair_s0(u, u, omegas[c]) for c in (1, 2)}
+        assert first[1] != first[2]
+        assert omegas[1].table is not omegas[2].table
+        for m in set(omegas[1].table) & set(omegas[2].table):
+            assert omegas[1].table[m] is not omegas[2].table[m]
+        # interleaved calls read only their own weight's entries
+        for c in (2, 1, 2):
+            got = pair_s0(u, u, omegas[c])
+            assert got == first[c]
+            assert got == multiply_then_integrate(u, u, omegas[c], got.truncation_order)

@@ -51,6 +51,15 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt.of(F(1, 3))
 
+    def test_parse_accepts_half_integers_and_rejects_the_rest(self):
+        assert HalfInt.parse("1.5") == HalfInt(3)
+        assert HalfInt.parse("2.0") == HalfInt(4)
+        assert HalfInt.parse("5/2") == HalfInt(5)
+        assert HalfInt.parse(" 3 ") == HalfInt(6)
+        for text in ("1.3", "1/3", "0.25", "abc"):
+            with pytest.raises(ValueError):
+                HalfInt.parse(text)
+
     @given(st.integers(-50, 50), st.integers(-50, 50))
     @settings(max_examples=60, deadline=None)
     def test_total_order_consistent_with_fraction(self, a, b):
