@@ -151,13 +151,6 @@ class SeriesMatrix:
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
         return max((e.max_abs_coeff(through) for row in self.entries for e in row), default=0.0)
 
-    def support_orders(self) -> list[HalfInt]:
-        out = set()
-        for row in self.entries:
-            for e in row:
-                out |= set(e.support())
-        return sorted(out, key=lambda h: h.doubled)
-
 
 # ---------------------------------------------------------------------------
 # Level matrices

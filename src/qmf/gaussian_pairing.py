@@ -48,8 +48,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Moment primitives
 
-_MOMENT_CACHE: dict = {}
-
 
 def _half_factorial_part(k: int, lam) -> object:
     """integral y^k exp(-lam y^2) dy divided by sqrt(pi/lam): (k-1)!! / (2 lam)^(k/2)."""
@@ -70,18 +68,12 @@ def gaussian_moment(alpha: tuple, lam: tuple, mode) -> object:
     for even multi-indices, zero otherwise. The irrational common factor is
     never materialized.
     """
-    key = (tuple(alpha), tuple(lam), mode.name)
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = mode.one()
     for a, l in zip(alpha, lam):
         part = _half_factorial_part(a, l)
         if part is None:
-            out = mode.zero()
-            break
+            return mode.zero()
         out = out * part
-    _MOMENT_CACHE[key] = out
     return out
 
 

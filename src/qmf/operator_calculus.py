@@ -11,8 +11,10 @@ valued polynomial coefficients, supporting exact composition (Leibniz) and a
 formal conjugation by the exponential phase weight, implemented as the
 substitution d_i -> d_i - phi_i / h. The conjugated Hamiltonian's order-h^0
 part must cancel identically (that is the eikonal equation); the h^2 and h^1
-parts are split into graded homogeneous pieces and re-read as polynomial-
-coefficient operators in the rescaled variable.
+parts are split into graded homogeneous pieces, themselves ``DiffOpJet``s, and
+re-read as the polynomial-coefficient operators Q_j of the rescaled variable.
+Every operator of the chain, the graded family included, is applied through
+the one ``DiffOpJet.apply``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .series_algebra import (
     FiberPoly,
@@ -38,7 +40,6 @@ __all__ = [
     "ScalarJet",
     "JetProblem",
     "DiffOpJet",
-    "GradedDiffOp",
     "ConjugatedOperator",
     "OperatorFamily",
     "solve_eikonal",
@@ -212,9 +213,6 @@ class ScalarJet:
 
     poly: Poly
     complete: int
-
-    def homogeneous(self, d: int) -> Poly:
-        return self.poly.homogeneous_component(d)
 
 
 def _completeness_min(*vals):
@@ -487,27 +485,26 @@ class DiffOpJet:
             out = out + pm_apply_vec(m, dq)
         return out
 
-    def graded_pieces(self) -> dict[int, "GradedDiffOp"]:
-        """Split into homogeneous pieces keyed by degree |alpha| - |beta|."""
+    def graded_pieces(self) -> dict[int, "DiffOpJet"]:
+        """Split into homogeneous pieces keyed by degree |alpha| - |beta|.
+
+        Each coefficient C_beta is cut by monomial degree |alpha|; the piece of
+        degree d maps a homogeneous polynomial of degree k to degree k + d, and
+        the pieces sum to the operator.
+        """
+        z = Poly.zero(self.mode, self.n)
         buckets: dict[int, dict] = {}
         for beta, m in self.terms.items():
             ob = mono_degree(beta)
-            entry_terms: dict[tuple, list] = {}
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    for alpha, c in m[i][j].terms.items():
-                        entry_terms.setdefault(alpha, []).append((i, j, c))
-            for alpha, entries in entry_terms.items():
-                d = mono_degree(alpha) - ob
-                mat = [[self.mode.zero()] * self.rank for _ in range(self.rank)]
-                for i, j, c in entries:
-                    mat[i][j] = c
-                buckets.setdefault(d, {})[(alpha, beta)] = tuple(tuple(r) for r in mat)
-        out = {}
-        for d, tmap in sorted(buckets.items()):
-            terms = [(mat, alpha, beta) for (alpha, beta), mat in sorted(tmap.items())]
-            out[d] = GradedDiffOp(self.mode, self.n, self.rank, terms)
-        return out
+            for i, row in enumerate(m):
+                for j, entry in enumerate(row):
+                    for deg, part in entry.components_by_degree().items():
+                        mat = buckets.setdefault(deg - ob, {}).setdefault(
+                            beta, [[z] * self.rank for _ in range(self.rank)])
+                        mat[i][j] = part
+        return {d: DiffOpJet(self.mode, self.n, self.rank,
+                             {beta: tuple(map(tuple, mat)) for beta, mat in terms.items()})
+                for d, terms in sorted(buckets.items())}
 
     def __repr__(self) -> str:
         return f"DiffOpJet({len(self.terms)} derivative orders, complete={self.complete})"
@@ -520,64 +517,6 @@ def _sub_multi_indices(beta: tuple):
     for rest in _sub_multi_indices(beta[1:]):
         for s in range(beta[0] + 1):
             yield (s,) + rest
-
-
-class GradedDiffOp:
-    """Finite sum of terms P x^alpha d^beta with constant endomorphism matrices.
-
-    Each term carries the degree |alpha| - |beta|: applied to a homogeneous
-    polynomial of degree d it produces degree d + (term degree).
-    """
-
-    __slots__ = ("mode", "n", "rank", "terms")
-
-    def __init__(self, mode, n: int, rank: int, terms: Sequence[tuple]):
-        self.mode = mode
-        self.n = n
-        self.rank = rank
-        self.terms = [(m, tuple(a), tuple(b)) for m, a, b in terms
-                      if any(not mode.is_zero(c) for row in m for c in row)]
-
-    @staticmethod
-    def zero(mode, n, rank) -> "GradedDiffOp":
-        return GradedDiffOp(mode, n, rank, [])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set[int]:
-        return {mono_degree(a) - mono_degree(b) for _, a, b in self.terms}
-
-    def __add__(self, other: "GradedDiffOp") -> "GradedDiffOp":
-        return GradedDiffOp(self.mode, self.n, self.rank,
-                            list(self.terms) + list(other.terms))
-
-    def scale(self, c) -> "GradedDiffOp":
-        c = self.mode.coeff(c) if isinstance(c, (int, Fraction, str)) else c
-        return GradedDiffOp(self.mode, self.n, self.rank,
-                            [(tuple(tuple(x * c for x in row) for row in m), a, b)
-                             for m, a, b in self.terms])
-
-    def apply(self, q: FiberPoly) -> FiberPoly:
-        if q.rank != self.rank:
-            raise ValueError("rank mismatch")
-        out = FiberPoly.zero(self.mode, self.n, self.rank)
-        for m, alpha, beta in self.terms:
-            dq = q
-            for i, bi in enumerate(beta):
-                for _ in range(bi):
-                    dq = FiberPoly([c.diff(i) for c in dq.components])
-            if dq.is_zero():
-                continue
-            shifted = FiberPoly([
-                Poly(self.mode, self.n,
-                     {mono_add(a, alpha): c for a, c in comp.terms.items()}, _clean=True)
-                for comp in dq.components])
-            out = out + shifted.apply_matrix(m)
-        return out
-
-    def __repr__(self) -> str:
-        return f"GradedDiffOp({len(self.terms)} terms, degrees={sorted(self.degrees())})"
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +629,11 @@ class ConjugatedOperator:
 
     ``hbar2`` is the second-order operator, ``hbar1`` the transport operator
     (drift along twice the phase gradient + endomorphism + divergence term).
-    ``graded_*`` hold homogeneous pieces keyed by degree, exact through the
-    corresponding ``*_complete`` bound (None = all degrees).
+    Each is exact through its own ``complete`` graded degree.
     """
 
     hbar2: DiffOpJet
     hbar1: DiffOpJet
-    graded_hbar2: dict
-    graded_hbar1: dict
-    hbar2_complete: int | None
-    hbar1_complete: int | None
-    phi: ScalarJet
 
 
 def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOperator:
@@ -766,29 +699,21 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
                 if worst > res_tol:
                     raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
 
-    return ConjugatedOperator(
-        hbar2=hbar2,
-        hbar1=hbar1,
-        graded_hbar2=hbar2.graded_pieces(),
-        graded_hbar1=hbar1.graded_pieces(),
-        hbar2_complete=hbar2.complete,
-        hbar1_complete=hbar1.complete,
-        phi=phi,
-    )
+    return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1)
 
 
 @dataclass
 class OperatorFamily:
     """Rescaled graded family: Q = sum_j h^j Q_j on polynomials in the blown-up variable."""
 
-    ops: dict
+    ops: dict[HalfInt, DiffOpJet]
     max_order: HalfInt
     mode: object
     n: int
     rank: int
 
-    def get(self, j: HalfInt) -> GradedDiffOp:
-        return self.ops.get(j, GradedDiffOp.zero(self.mode, self.n, self.rank))
+    def get(self, j: HalfInt) -> DiffOpJet:
+        return self.ops.get(j, DiffOpJet.zero(self.mode, self.n, self.rank))
 
     def orders(self) -> list[HalfInt]:
         return sorted(self.ops, key=lambda h: h.doubled)
@@ -821,31 +746,31 @@ class OperatorFamily:
 def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:
     """Read the graded x-side pieces as operators in the rescaled variable.
 
-    A homogeneous piece of degree k conjugates through the substitution to
-    the same coefficients at half-order k/2, so Q_j is the degree-(2j-2)
-    piece of the second-order operator plus the degree-2j piece of the
-    transport operator. Only orders with both ingredients exact are kept.
+    A homogeneous piece of degree k (``DiffOpJet.graded_pieces``) conjugates
+    through the substitution to the same coefficients at half-order k/2, so
+    Q_j is the degree-(2j-2) piece of the second-order operator plus the
+    degree-2j piece of the transport operator, summed as one ``DiffOpJet``.
+    Only orders with both ingredients exact are kept.
     """
-    mode = conj.hbar2.mode
-    n, rank = conj.hbar2.n, conj.hbar2.rank
-    c2, c1 = conj.hbar2_complete, conj.hbar1_complete
+    hbar2, hbar1 = conj.hbar2, conj.hbar1
+    mode, n, rank = hbar2.mode, hbar2.n, hbar2.rank
+    graded2, graded1 = hbar2.graded_pieces(), hbar1.graded_pieces()
     cands = []
-    if c2 is not None:
-        cands.append(HalfInt(c2 + 2))
-    if c1 is not None:
-        cands.append(HalfInt(c1))
+    if hbar2.complete is not None:
+        cands.append(HalfInt(hbar2.complete + 2))
+    if hbar1.complete is not None:
+        cands.append(HalfInt(hbar1.complete))
     if cands:
         max_order = min(cands)
     else:
-        top = max([d + 2 for d in conj.graded_hbar2] + [d for d in conj.graded_hbar1] + [0])
-        max_order = HalfInt(top)
-    ops: dict[HalfInt, GradedDiffOp] = {}
+        max_order = HalfInt(max([d + 2 for d in graded2] + list(graded1) + [0]))
+    ops: dict[HalfInt, DiffOpJet] = {}
     for j in half_range(HI0, max_order):
-        piece = GradedDiffOp.zero(mode, n, rank)
-        if j.doubled - 2 in conj.graded_hbar2:
-            piece = piece + conj.graded_hbar2[j.doubled - 2]
-        if j.doubled in conj.graded_hbar1:
-            piece = piece + conj.graded_hbar1[j.doubled]
+        piece = DiffOpJet.zero(mode, n, rank)
+        if j.doubled - 2 in graded2:
+            piece = piece + graded2[j.doubled - 2]
+        if j.doubled in graded1:
+            piece = piece + graded1[j.doubled]
         if not piece.is_zero():
             ops[j] = piece
     return OperatorFamily(ops=ops, max_order=max_order, mode=mode, n=n, rank=rank)

@@ -37,7 +37,7 @@ from .series_algebra import (
 )
 from .operator_calculus import OperatorFamily
 from .gaussian_pairing import WeightExpansion, pair_s0
-from .harmonic_oscillator import DegenerateLevel, HermiteBasis, HermiteIndex, SpectrumTable
+from .harmonic_oscillator import DegenerateLevel, HermiteBasis, HermiteIndex
 
 __all__ = [
     "ProjectorSeries",
@@ -94,14 +94,13 @@ def graded_vecs_to_s0(basis: HermiteBasis, vecs: Mapping, trunc: HalfInt | None)
 class ProjectorEngine:
     """Laurent-residue evaluation of the graded resolvent expansion at one level."""
 
-    def __init__(self, family: OperatorFamily, basis: HermiteBasis,
-                 table: SpectrumTable, level: DegenerateLevel):
+    def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel):
         self.mode = basis.mode
         self.family = family
         self.basis = basis
-        self.table = table
         self.level = level
         self._q_cache: dict[tuple, HermiteVec] = {}
+        self._inv_gap: dict[HermiteIndex, object] = {}  # index -> 1 / (E0 - E)
         self._level_set = set(level.members)
 
     # -- model operator pieces in the eigenbasis
@@ -143,8 +142,10 @@ class ProjectorEngine:
                     tgt = out.setdefault(power - 1, {})
                     tgt[idx] = tgt.get(idx, mode.zero()) + c
                 else:
-                    delta = self.level.E0 - self.table.eigenvalue(idx)
-                    inv = mode.one() / delta
+                    inv = self._inv_gap.get(idx)
+                    if inv is None:
+                        inv = self._inv_gap[idx] = mode.one() / (
+                            self.level.E0 - self.basis.eigenvalue(idx))
                     factor = inv
                     for s in range(0, pmax - power + 1):
                         tgt = out.setdefault(power + s, {})
@@ -251,15 +252,15 @@ class ProjectorSeries:
         return {j: v for j, v in out.items() if v}
 
 
-def build_projector(family: OperatorFamily, basis: HermiteBasis, table: SpectrumTable,
-                    level: DegenerateLevel, order) -> ProjectorSeries:
+def build_projector(family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
+                    order) -> ProjectorSeries:
     """Projector series through the requested order for one level."""
     order = HalfInt.of(order)
     if order > family.max_order:
         raise WorkspaceDegreeError(
             f"operator family exact only through order {family.max_order}; "
             f"raise the input jet order (need operator orders through {order})")
-    engine = ProjectorEngine(family, basis, table, level)
+    engine = ProjectorEngine(family, basis, level)
     return ProjectorSeries(engine=engine, order=order)
 
 
@@ -268,8 +269,8 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, table: Spectrum
 
 
 def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
-                                 table: SpectrumTable, level: DegenerateLevel,
-                                 order, cover: Iterable[HermiteIndex]) -> dict:
+                                 level: DegenerateLevel, order,
+                                 cover: Iterable[HermiteIndex]) -> dict:
     """The same projector from a different algebra, for cross-checks.
 
     Order by order, the commutator identity [Q0, P_j] = -sum [Q_i, P_{j-i}]
@@ -294,11 +295,9 @@ def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
         bound = min(max_deg + (order - j).doubled, basis.degree)
         return [idx for idx in basis.indices(bound)]
 
-    engine = ProjectorEngine(family, basis, table, level)
+    engine = ProjectorEngine(family, basis, level)
     level_set = set(level.members)
-
-    def eig(idx):
-        return table.eigenvalue(idx)
+    eig = basis.eigenvalue
 
     def mat_mul(a: Mapping, b: Mapping) -> dict:
         out: dict[HermiteIndex, HermiteVec] = {}

@@ -54,7 +54,6 @@ from .harmonic_oscillator import (
     DegenerateLevel,
     HermiteBasis,
     LevelNotFoundError,
-    SpectrumTable,
     build_spectrum,
     degenerate_level,
     level_by_index,
@@ -116,7 +115,6 @@ class PipelineContext:
     conj: ConjugatedOperator
     family: OperatorFamily
     basis: HermiteBasis
-    table: SpectrumTable
     level: DegenerateLevel
     omega: WeightExpansion
     projector: ProjectorSeries
@@ -149,8 +147,10 @@ class QuasimodeResult:
         return self.level.K
 
 
-def _selection_table(problem: JetProblem, e0=None, level_index=None,
-                     rel_tol: float = 1e-9) -> tuple:
+def _select_level(problem: JetProblem, e0=None, level_index=None,
+                  rel_tol: float = 1e-9) -> DegenerateLevel:
+    """The model level named by ``e0`` or ``level_index``, found in a spectrum
+    table just large enough to certify it."""
     mode = problem.mode
     lam_min = min(mode.to_float(l) for l in problem.lam)
     mu_min = min(mode.to_float(m) for m in problem.mu)
@@ -159,7 +159,7 @@ def _selection_table(problem: JetProblem, e0=None, level_index=None,
         bound = int((mode.to_float(e0c) - mu_min) / (2 * lam_min)) + 1
         table = build_spectrum(mode, problem.lam, problem.mu, max(bound, 2),
                                n=problem.n, rank=problem.rank)
-        return table, degenerate_level(table, e0c, rel_tol)
+        return degenerate_level(table, e0c, rel_tol)
     if level_index is None:
         level_index = 0
     degree = 2 * (level_index + 2)
@@ -167,7 +167,7 @@ def _selection_table(problem: JetProblem, e0=None, level_index=None,
         table = build_spectrum(mode, problem.lam, problem.mu, degree,
                                n=problem.n, rank=problem.rank)
         try:
-            return table, level_by_index(table, level_index, rel_tol)
+            return level_by_index(table, level_index, rel_tol)
         except LevelNotFoundError:
             degree *= 2
             if degree > 512:
@@ -186,7 +186,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     mode = problem.mode
     order = HalfInt.of(order)
 
-    _, level = _selection_table(problem, e0, level_index, rel_tol)
+    level = _select_level(problem, e0, level_index, rel_tol)
 
     phi = solve_eikonal(problem)
     conj = conjugate_hamiltonian(problem, phi)
@@ -198,11 +198,9 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     # workspace: degrees reached are at most 2K + 2*order, plus margin
     degree = level.K.doubled + 2 * order.doubled + 2
     basis = HermiteBasis(mode, problem.n, problem.rank, problem.lam, problem.mu, degree)
-    table = build_spectrum(mode, problem.lam, problem.mu, degree,
-                           n=problem.n, rank=problem.rank)
     omega = weight_expansion(phi, problem, order)
 
-    proj = build_projector(family, basis, table, level, order)
+    proj = build_projector(family, basis, level, order)
     fs = [proj.image_s0(m) for m in level.members]
 
     a_mat = gram_matrix(fs, omega, through=order)
@@ -232,7 +230,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol)
 
     ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
-                          table=table, level=level, omega=omega, projector=proj)
+                          level=level, omega=omega, projector=proj)
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=eigen.norms2,
@@ -407,11 +405,12 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
 
     Works entirely in the model eigenbasis with intermediate normalization
     (the level component of every correction vector is zero), so it shares no
-    code with the projector/pencil pipeline beyond the operator family, the
-    basis and the spectrum table of ``result.context``. That basis reaches
-    degree 2K + 4N + 2 (2K the member degree, N the order), which covers every
-    vector the recursion builds. The returned series is E0 + sum_{k>=1/2}
-    h^k E_k through the result's order.
+    code with the projector/pencil pipeline beyond the operator family and the
+    basis of ``result.context``; the basis's ``eigenvalue`` gives every model
+    gap, and no spectrum table is read. That basis reaches degree 2K + 4N + 2
+    (2K the member degree, N the order), which covers every vector the
+    recursion builds. The returned series is E0 + sum_{k>=1/2} h^k E_k through
+    the result's order.
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -421,7 +420,7 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
         raise DegenerateLevelError(
             f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
     member = level.members[0]
-    family, basis, table = ctx.family, ctx.basis, ctx.table
+    family, basis = ctx.family, ctx.basis
     e0_val = level.E0
 
     def q_vec(j: HalfInt, vec: dict) -> dict:
@@ -465,7 +464,7 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
         for idx, c in rhs.items():
             if idx == member or mode.is_zero(c):
                 continue
-            gap = table.eigenvalue(idx) - e0_val
+            gap = basis.eigenvalue(idx) - e0_val
             if mode.is_zero(gap):
                 raise DegenerateLevelError(
                     "degeneracy met inside the recursion; the level is not isolated enough")

@@ -19,6 +19,7 @@ Every container stores its mode; mixing modes raises.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -253,7 +254,7 @@ def mono_degree(alpha: Monomial) -> int:
 
 
 def mono_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 class Poly:
@@ -396,18 +397,6 @@ class Poly:
     def conj(self) -> "Poly":
         return Poly(self.mode, self.n, {a: self.mode.conj(c) for a, c in self.terms.items()}, _clean=True)
 
-    def pow(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.const(self.mode, self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def eval_floats(self, point: Sequence[float]) -> complex:
         total = 0j
         for a, c in self.terms.items():
@@ -507,18 +496,6 @@ class FiberPoly:
     def scale(self, c) -> "FiberPoly":
         return FiberPoly([p.scale(c) for p in self.components])
 
-    def apply_matrix(self, m: Sequence[Sequence[object]]) -> "FiberPoly":
-        """Left-multiply by an rank x rank constant coefficient matrix."""
-        out = []
-        for i in range(self.rank):
-            acc = Poly.zero(self.mode, self.n)
-            for j in range(self.rank):
-                c = m[i][j]
-                if not self.mode.is_zero(c):
-                    acc = acc + self.components[j].scale(c)
-            out.append(acc)
-        return FiberPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiberPoly) and self.components == other.components
 
@@ -615,11 +592,6 @@ class FormalScalarSeries:
         if not self.coeffs or i < 0 or i >= len(self.coeffs):
             return self.mode.zero()
         return self.coeffs[i]
-
-    def known(self, exponent) -> bool:
-        if self.truncation_order is None:
-            return True
-        return HalfInt.of(exponent) <= self.truncation_order
 
     def items(self) -> Iterator[tuple[HalfInt, object]]:
         for i, c in enumerate(self.coeffs):
@@ -1019,16 +991,6 @@ class XJetSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def known(self, s: HalfInt, d: int) -> bool:
-        """Whether the coefficient at absolute exponent s and degree d is exact."""
-        if self.hbar_truncation is not None and s > self.hbar_truncation:
-            return False
-        if self.degree_truncation is not None and d > self.degree_truncation:
-            return False
-        if self.joint_truncation is not None and (s + HalfInt(d)) > self.joint_truncation:
-            return False
-        return True
 
     def degree_bound_at(self, s) -> int | None:
         """Largest degree known-exact at absolute exponent s (None = all)."""

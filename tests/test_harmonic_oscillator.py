@@ -102,6 +102,22 @@ class TestSpectrum:
                 want = sum((2 * a + 1) * l for a, l in zip(index.alpha, lam)) + mu[index.k]
                 assert e == want
 
+    @pytest.mark.parametrize("mode, lam, mu", [
+        (EXACT, (F(1), F(3, 2)), (F(0),)),
+        (EXACT, (F(2),), (F(0), F(4))),
+        (float_mode(), (0.7, 1.3), (0.25, -1.5)),
+    ], ids=["exact-n2", "exact-rank2", "float-n2-rank2"])
+    def test_basis_eigenvalue_matches_table(self, mode, lam, mu):
+        # the projector and the RS oracle read HermiteBasis.eigenvalue; it
+        # must be the spectrum table's value on every index through degree 6
+        lam = tuple(mode.coeff(l) for l in lam)
+        mu = tuple(mode.coeff(m) for m in mu)
+        table = build_spectrum(mode, lam, mu, 6)
+        basis = HermiteBasis(mode, len(lam), len(mu), lam, mu, 6)
+        assert set(basis.indices()) == set(table.entries)
+        for index in basis.indices():
+            assert basis.eigenvalue(index) == table.eigenvalue(index)
+
 
 class TestDegenerateLevel:
     def test_simple_ground(self):

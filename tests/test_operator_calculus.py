@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from qmf.cli_io import preset_problem
 from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import (
     DiffOpJet,
     EikonalError,
-    GradedDiffOp,
     JetProblem,
     ProblemValidationError,
     conjugate_hamiltonian,
@@ -118,7 +119,7 @@ class TestConjugation:
         p = scalar_problem(poly1({2: 1, 3: c}), D=8)
         phi = solve_eikonal(p)
         conj = conjugate_hamiltonian(p, phi)
-        a1 = conj.graded_hbar1[1]
+        a1 = conj.hbar1.graded_pieces()[1]
         # degree-1 transport piece c*(x^2 d + x): check on 1 and on x
         assert a1.apply(mono_fiber((0,))) == mono_fiber((1,), c)
         assert a1.apply(mono_fiber((1,))) == mono_fiber((2,), 2 * c)
@@ -142,6 +143,27 @@ class TestConjugation:
         bad_phi = ScalarJet(poly1({2: F(1, 2)}), 8)  # ignores the cubic term
         with pytest.raises(EikonalError):
             conjugate_hamiltonian(p, bad_phi)
+
+
+@pytest.mark.parametrize("preset", ["cubic1d", "iso2d", "rank2"])
+def test_graded_pieces_are_homogeneous_and_sum_to_operator(preset):
+    p = preset_problem(preset).problem
+    conj = conjugate_hamiltonian(p, solve_eikonal(p))
+    for op in (conj.hbar2, conj.hbar1):
+        pieces = op.graded_pieces()
+        total = DiffOpJet.zero(EXACT, p.n, p.rank)
+        for piece in pieces.values():
+            total = total + piece
+        assert total.terms == op.terms
+        for d, piece in pieces.items():
+            for alpha in product(range(5), repeat=p.n):
+                k = sum(alpha)
+                if k > 4:
+                    continue
+                for slot in range(p.rank):
+                    img = piece.apply(mono_fiber(alpha, rank=p.rank, k=slot))
+                    assert all(sum(beta) == k + d
+                               for comp in img.components for beta in comp.terms), (d, alpha)
 
 
 class TestRescaledFamily:
@@ -218,11 +240,13 @@ class TestDiffOpJet:
 
     def test_apply_diffop_spec_examples(self):
         # (y d)(y^2) = 2 y^2
-        yd = GradedDiffOp(EXACT, 1, 1, [(((F(1),),), (1,), (1,))])
+        y = Poly.variable(EXACT, 1, 0)
+        yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
         assert yd.apply(mono_fiber((2,))) == mono_fiber((2,), 2)
 
     def test_rank_mismatch(self):
-        yd = GradedDiffOp(EXACT, 1, 1, [(((F(1),),), (1,), (1,))])
+        y = Poly.variable(EXACT, 1, 0)
+        yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
         with pytest.raises(ValueError):
             yd.apply(mono_fiber((1,), rank=2))
 

@@ -38,13 +38,12 @@ def setup_problem(vhigher=None, D=8, lam=(1,), rank=1, W=None, E0=None, N=HalfIn
     phi = solve_eikonal(problem)
     family = rescale_operator(conjugate_hamiltonian(problem, phi))
     lvl_degree = 10
-    table_small = build_spectrum(mode, problem.lam, problem.mu, lvl_degree)
-    level = degenerate_level(table_small, E0 if E0 is not None else table_small.distinct_levels()[0])
+    table = build_spectrum(mode, problem.lam, problem.mu, lvl_degree)
+    level = degenerate_level(table, E0 if E0 is not None else table.distinct_levels()[0])
     degree = level.K.doubled + 2 * N.doubled + workspace_margin
     basis = HermiteBasis(mode, n, rank, problem.lam, problem.mu, degree)
-    table = build_spectrum(mode, problem.lam, problem.mu, degree)
     omega = weight_expansion(phi, problem, N)
-    return problem, family, basis, table, level, omega
+    return problem, family, basis, level, omega
 
 
 RANK2_W = (
@@ -77,9 +76,9 @@ def composition_sum_image(engine, j, index, budget):
     return {idx: c for idx, c in total.items() if c != 0}
 
 
-def assert_block_recursion_agrees(family, basis, table, level, N, cover):
-    proj = build_projector(family, basis, table, level, N)
-    blocks = projector_by_block_recursion(family, basis, table, level, N, cover)
+def assert_block_recursion_agrees(family, basis, level, N, cover):
+    proj = build_projector(family, basis, level, N)
+    blocks = projector_by_block_recursion(family, basis, level, N, cover)
     for j, cols in blocks.items():
         for col, vec in cols.items():
             want = proj.image(col).get(j, {})
@@ -88,8 +87,8 @@ def assert_block_recursion_agrees(family, basis, table, level, N, cover):
 
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
-        _, family, basis, table, level, _ = setup_problem()
-        engine = ProjectorEngine(family, basis, table, level)
+        _, family, basis, level, _ = setup_problem()
+        engine = ProjectorEngine(family, basis, level)
         h0 = HermiteIndex((0,), 0)
         h2 = HermiteIndex((2,), 0)
         assert engine.images(h0, HI0) == {HI0: {h0: F(1)}}
@@ -99,8 +98,8 @@ class TestChainResidues:
         # cubic well, ground level: residue at order 1/2 on the ground vector
         # equals -S Q_{1/2} h0 with S the reduced resolvent: -(c/2) y
         c = 1
-        _, family, basis, table, level, _ = setup_problem(poly1({2: 1, 3: c}))
-        engine = ProjectorEngine(family, basis, table, level)
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
+        engine = ProjectorEngine(family, basis, level)
         h0 = HermiteIndex((0,), 0)
         got = engine.images(h0, HalfInt(4))[HalfInt(1)]
         assert got == {HermiteIndex((1,), 0): F(-c, 2)}
@@ -109,8 +108,8 @@ class TestChainResidues:
         # for h outside the level the order-1/2 image is -P0 Q S h - S Q P0 h;
         # check on h1 against a hand evaluation
         c = 1
-        _, family, basis, table, level, _ = setup_problem(poly1({2: 1, 3: c}))
-        engine = ProjectorEngine(family, basis, table, level)
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
+        engine = ProjectorEngine(family, basis, level)
         h1 = HermiteIndex((1,), 0)
         got = engine.images(h1, HalfInt(4))[HalfInt(1)]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
@@ -119,17 +118,16 @@ class TestChainResidues:
         assert got.get(HermiteIndex((0,), 0)) == F(-c, 2)
 
     def test_pure_harmonic_has_no_corrections(self):
-        _, family, basis, table, level, _ = setup_problem()
-        proj = build_projector(family, basis, table, level, HalfInt(6))
+        _, family, basis, level, _ = setup_problem()
+        proj = build_projector(family, basis, level, HalfInt(6))
         img = proj.image(HermiteIndex((0,), 0))
         assert list(img) == [HI0]
 
     def test_workspace_guard(self):
         c = 1
-        _, family, basis, table, level, _ = setup_problem(poly1({2: 1, 3: c}))
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         small_basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 2)
-        small_table = build_spectrum(EXACT, (F(1),), (F(0),), 2)
-        engine = ProjectorEngine(family, small_basis, small_table, level)
+        engine = ProjectorEngine(family, small_basis, level)
         with pytest.raises(WorkspaceDegreeError):
             engine.images(HermiteIndex((2,), 0), HalfInt(4))
 
@@ -139,42 +137,42 @@ class TestProjectorLaws:
     def test_cubic_scalar_laws(self, mode_name):
         mode = EXACT if mode_name == "exact" else float_mode()
         N = HalfInt(4)  # through order 2
-        _, family, basis, table, level, omega = setup_problem(
+        _, family, basis, level, omega = setup_problem(
             poly1({2: 1, 3: 1}, mode), N=N, mode=mode, workspace_margin=2 * N.doubled)
-        proj = build_projector(family, basis, table, level, N)
+        proj = build_projector(family, basis, level, N)
         report = projector_diagnostics(proj, omega)
         tol = 0.0 if mode_name == "exact" else 1e-9
         assert report.passed(tol), report
 
     def test_degenerate_2d_level_order0(self):
-        _, family, basis, table, level, omega = setup_problem(
+        _, family, basis, level, omega = setup_problem(
             None, lam=(1, 1), E0=4, N=HalfInt(2))
-        proj = build_projector(family, basis, table, level, HalfInt(2))
+        proj = build_projector(family, basis, level, HalfInt(2))
         for m in level.members:
             assert proj.image(m) == {HI0: {m: F(1)}}
 
     def test_block_recursion_agrees_with_residues(self):
         # independent construction must match the contour route exactly
         N = HalfInt(8)
-        _, family, basis, table, level, _ = setup_problem(
+        _, family, basis, level, _ = setup_problem(
             poly1({2: 1, 3: 1}), D=12, N=N, workspace_margin=2 * N.doubled + 2)
-        assert_block_recursion_agrees(family, basis, table, level, N, basis.indices(2))
+        assert_block_recursion_agrees(family, basis, level, N, basis.indices(2))
 
     def test_block_recursion_agrees_on_rank2_mixed_level(self):
         N = HalfInt(8)
-        _, family, basis, table, level, _ = setup_problem(
+        _, family, basis, level, _ = setup_problem(
             poly1({2: 4, 3: 1}), D=12, lam=(2,), rank=2, W=RANK2_W, E0=6, N=N,
             workspace_margin=2 * N.doubled + 2)
         assert level.parity == "mixed" and level.m0 == 2
-        assert_block_recursion_agrees(family, basis, table, level, N, basis.indices(2))
+        assert_block_recursion_agrees(family, basis, level, N, basis.indices(2))
 
     def test_recursion_equals_composition_sum(self):
         # the recursion regroups the Kato sum over compositions; in exact
         # arithmetic both must give the same images, order by order
         N = HalfInt(8)
-        _, family, basis, table, level, _ = setup_problem(
+        _, family, basis, level, _ = setup_problem(
             poly1({2: 1, 3: 1}), D=12, N=N)
-        engine = ProjectorEngine(family, basis, table, level)
+        engine = ProjectorEngine(family, basis, level)
         for idx in basis.indices(2):
             images = engine.images(idx, N)
             for j in half_range(HI0, HalfInt(6)):
@@ -182,10 +180,10 @@ class TestProjectorLaws:
 
     def test_rank2_mixed_level_laws(self):
         N = HalfInt(3)
-        _, family, basis, table, level, omega = setup_problem(
+        _, family, basis, level, omega = setup_problem(
             poly1({2: 4, 3: 1}), lam=(2,), rank=2, W=RANK2_W, E0=6, N=N,
             workspace_margin=2 * N.doubled)
         assert level.parity == "mixed" and level.m0 == 2
-        proj = build_projector(family, basis, table, level, N)
+        proj = build_projector(family, basis, level, N)
         report = projector_diagnostics(proj, omega)
         assert report.passed(0.0), report

@@ -1,12 +1,16 @@
-"""Exact-mode result documents stay byte-identical to the committed references.
+"""Result documents stay faithful to the committed references.
 
 ``qmfbench/refs`` holds the ``qmf compute`` document of every exact
 benchmark case as the program first wrote it, without its ``checks`` block.
-Each one is recomputed here and written the same way: sorted keys,
-``indent=1`` and a trailing newline.
+Each one is recomputed here and must match byte for byte once written the
+same way (``reference.canonical``). The float cases of the benchmark must
+agree with the exact reference of the same rational problem within
+``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run.
+``qmfbench/reference.py`` is loaded by path and only read.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -16,12 +20,21 @@ import pytest
 
 from qmf.cli_io import run_command
 
-REFS = sorted((Path(__file__).resolve().parent.parent / "qmfbench" / "refs").glob("*-exact.json"))
+BENCH = Path(__file__).resolve().parent.parent / "qmfbench"
+REFS = sorted((BENCH / "refs").glob("*-exact.json"))
+
+_spec = importlib.util.spec_from_file_location("qmfbench_reference", BENCH / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
-def canonical(doc: dict) -> bytes:
-    body = {key: value for key, value in doc.items() if key != "checks"}
-    return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode()
+def compute_document(preset: str, order: str, mode: str, tmp_path) -> dict:
+    out = tmp_path / "doc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_command(["compute", "--preset", preset, "--order", order,
+                              "--mode", mode, "--out", str(out)])
+    assert status == 0
+    return json.loads(out.read_bytes())
 
 
 def test_references_present():
@@ -31,9 +44,12 @@ def test_references_present():
 @pytest.mark.parametrize("ref", REFS, ids=lambda path: path.stem)
 def test_exact_document_matches_reference(ref, tmp_path):
     preset, order = re.fullmatch(r"(.+)-o(\d+)-exact", ref.stem).groups()
-    out = tmp_path / "doc.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = run_command(["compute", "--preset", preset, "--order", order,
-                              "--mode", "exact", "--out", str(out)])
-    assert status == 0
-    assert canonical(json.loads(out.read_bytes())) == ref.read_bytes()
+    doc = compute_document(preset, order, "exact", tmp_path)
+    assert reference.canonical(doc) == ref.read_bytes()
+
+
+@pytest.mark.parametrize("preset, order", [("iso2d", "5"), ("quartic1d", "8")])
+def test_float_document_within_tolerance_of_exact(preset, order, tmp_path):
+    doc = compute_document(preset, order, "float", tmp_path)
+    ref = json.loads((BENCH / "refs" / f"{preset}-o{order}-exact.json").read_bytes())
+    assert reference.float_mismatch(doc, ref, reference.FLOAT_RTOL) is None

@@ -100,19 +100,11 @@ class TestPoly:
 
 
 class TestFiberPoly:
-    def test_matrix_action(self):
-        x = Poly.variable(EXACT, 1, 0)
-        v = FiberPoly([x, Poly.const(EXACT, 1, 1)])
-        m = [[F(0), F(1)], [F(1), F(0)]]
-        w = v.apply_matrix(m)
-        assert w.components[0] == Poly.const(EXACT, 1, 1)
-        assert w.components[1] == x
-
     def test_parity_mixed(self):
         x = Poly.variable(EXACT, 1, 0)
         v = FiberPoly([x, Poly.const(EXACT, 1, 1)])
         assert v.parity() == 0
-        assert FiberPoly([x, x.pow(3)]).parity() == -1
+        assert FiberPoly([x, x * x * x]).parity() == -1
 
 
 class TestFormalScalarSeries:
