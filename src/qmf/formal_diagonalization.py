@@ -6,7 +6,7 @@ matrix C = E0 * A + (higher order). Their eigenvalue series are the output of
 the whole construction. They are found from the generalized (pencil) problem
 C v = E A v, which has the eigenvalue series of the normalized matrix
 A^(-1/2) C A^(-1/2) but stays inside the rational field for unnormalized
-bases; ``matrix_inverse_sqrt`` builds that normalized matrix for tests.
+bases.
 
 The eigendecomposition splits recursively: at the first order where the
 deflated coefficient is not a scalar multiple of the leading Gram term, the
@@ -38,7 +38,6 @@ __all__ = [
     "EigenResult",
     "gram_matrix",
     "interaction_matrix",
-    "matrix_inverse_sqrt",
     "formal_eigendecomposition",
     "parity_filter",
     "ExactSplitUnavailable",
@@ -187,47 +186,6 @@ def interaction_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
     m = len(fs)
     rows = [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
     return SeriesMatrix.from_rows(mode, rows)
-
-
-def matrix_inverse_sqrt(a: SeriesMatrix, through: HalfInt | None = None) -> SeriesMatrix:
-    """B with B A B = 1, for hermitian A = 1 + (positive order).
-
-    The binomial series in X = A - 1 has rational coefficients, so B stays in
-    the base field. Rejects a non-identity leading term.
-    """
-    mode = a.mode
-    m = a.size
-    lead = a.coeff_at(HI0)
-    for i in range(m):
-        for j in range(m):
-            want = mode.one() if i == j else mode.zero()
-            if not mode.is_zero(lead[i][j] - want):
-                raise ValueError("inverse square root needs a leading identity")
-    trunc = a.truncation_order()
-    if through is not None:
-        trunc = through if trunc is None else min(trunc, through)
-    if trunc is None:
-        raise ValueError("need a truncation order for the matrix binomial series")
-    x = a - SeriesMatrix.identity(mode, m, trunc)
-    min_ord = None
-    for row in x.entries:
-        for e in row:
-            o = e.order()
-            if o is not None:
-                min_ord = o if min_ord is None else min(min_ord, o)
-    out = SeriesMatrix.identity(mode, m, trunc)
-    if min_ord is None:
-        return out
-    if min_ord <= HI0:
-        raise ValueError("perturbation must have positive order")
-    power = SeriesMatrix.identity(mode, m, trunc)
-    coeff = Fraction(1)
-    kmax = trunc.doubled // min_ord.doubled
-    for k in range(1, kmax + 1):
-        coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
-        power = power @ x
-        out = out + power.scale_series(FormalScalarSeries.const(mode, mode.coeff(coeff), trunc))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ into T_s has the same remaining budget, so T_s is truncated once, above the
 w-power 2(budget - s), and one pass per basis vector yields all orders with
 O(order^2) operator applications instead of one per composition of each order.
 
+The image at a smaller budget b is a prefix of the full one: the recursion
+for budget b runs the same operations on the w-powers it keeps, and the
+w-powers it drops only feed residues of orders above b. So a projector of
+order N applies itself to an order-j coefficient with images through N - j
+only, and keeps, per index, the image at the largest budget asked for so
+far, returning its orders <= b for any smaller budget b.
+
 A second, independent construction of the same projector -- the commutator /
 idempotency block recursion -- is provided for cross-checks.
 """
@@ -58,20 +65,22 @@ HermiteVec = dict  # HermiteIndex -> coefficient
 
 
 def _vec_add(mode, a: HermiteVec, b: HermiteVec, scale=None) -> HermiteVec:
-    out = dict(a)
+    """Add ``scale * b`` into ``a`` in place and return ``a``.
+
+    ``a`` must be the caller's own accumulator, never a cached image or
+    ``q_action`` result; entries that sum to zero are dropped.
+    """
     for idx, c in b.items():
         if scale is not None:
             c = c * scale
-        s = out.get(idx, mode.zero()) + c
-        if mode.is_zero(s):
-            out.pop(idx, None)
+        s = a.get(idx)
+        if s is not None:
+            c = s + c
+        if mode.is_zero(c):
+            a.pop(idx, None)
         else:
-            out[idx] = s
-    return out
-
-
-def _vec_scale(mode, a: HermiteVec, c) -> HermiteVec:
-    return {idx: v * c for idx, v in a.items() if not mode.is_zero(v * c)}
+            a[idx] = c
+    return a
 
 
 def graded_vecs_to_s0(basis: HermiteBasis, vecs: Mapping, trunc: HalfInt | None) -> S0Series:
@@ -140,7 +149,8 @@ class ProjectorEngine:
             for idx, c in vec.items():
                 if idx in self._level_set:
                     tgt = out.setdefault(power - 1, {})
-                    tgt[idx] = tgt.get(idx, mode.zero()) + c
+                    prev = tgt.get(idx)
+                    tgt[idx] = c if prev is None else prev + c
                 else:
                     inv = self._inv_gap.get(idx)
                     if inv is None:
@@ -150,7 +160,10 @@ class ProjectorEngine:
                     for s in range(0, pmax - power + 1):
                         tgt = out.setdefault(power + s, {})
                         val = c * factor
-                        tgt[idx] = tgt.get(idx, mode.zero()) + (val if s % 2 == 0 else -val)
+                        if s % 2:
+                            val = -val
+                        prev = tgt.get(idx)
+                        tgt[idx] = val if prev is None else prev + val
                         factor = factor * inv
         return {p: {i: c for i, c in vec.items() if not mode.is_zero(c)}
                 for p, vec in out.items()}
@@ -161,7 +174,7 @@ class ProjectorEngine:
         for power, vec in state.items():
             acc: HermiteVec = {}
             for idx, c in vec.items():
-                acc = _vec_add(mode, acc, self.q_action(j, idx), scale=c)
+                _vec_add(mode, acc, self.q_action(j, idx), scale=c)
             if acc:
                 out[power] = acc
         return out
@@ -207,13 +220,19 @@ class ProjectorSeries:
     vector as Hermite-coefficient vectors; images are computed lazily and
     cached, so the table covers whatever the caller touches. At order zero
     the action is the identity on the level members and zero elsewhere.
+
+    ``apply_graded`` needs the image of an index met at order j only through
+    order ``order - j``. The cache keeps, per index, the image at the largest
+    budget computed so far and answers a smaller budget with its prefix,
+    which is exact: the image at budget b equals the full image cut to
+    orders <= b (see the module docstring).
     """
 
     engine: ProjectorEngine
     order: HalfInt
 
     def __post_init__(self):
-        self._images: dict[HermiteIndex, dict] = {}
+        self._images: dict[HermiteIndex, tuple[HalfInt, dict]] = {}
 
     @property
     def mode(self):
@@ -228,11 +247,15 @@ class ProjectorSeries:
         return self.engine.basis
 
     def image(self, index: HermiteIndex) -> dict:
+        return self._image(index, self.order)
+
+    def _image(self, index: HermiteIndex, budget: HalfInt) -> dict:
         hit = self._images.get(index)
-        if hit is None:
-            hit = self.engine.images(index, self.order)
-            self._images[index] = hit
-        return hit
+        if hit is None or hit[0] < budget:
+            hit = self._images[index] = (budget, self.engine.images(index, budget))
+        if hit[0] == budget:
+            return hit[1]
+        return {j: vec for j, vec in hit[1].items() if j <= budget}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
         return graded_vecs_to_s0(self.basis, self.image(index), self.order)
@@ -242,12 +265,11 @@ class ProjectorSeries:
         mode = self.mode
         out: dict[HalfInt, HermiteVec] = {}
         for j, vec in vecs.items():
+            if j > self.order:
+                continue
             for idx, c in vec.items():
-                img = self.image(idx)
-                for i, ivec in img.items():
+                for i, ivec in self._image(idx, self.order - j).items():
                     t = j + i
-                    if t > self.order:
-                        continue
                     out[t] = _vec_add(mode, out.get(t, {}), ivec, scale=c)
         return {j: v for j, v in out.items() if v}
 
@@ -308,7 +330,7 @@ def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
                 if avec is None:
                     raise WorkspaceDegreeError(
                         f"block recursion needs column {mid} outside its internal cover")
-                acc = _vec_add(mode, acc, avec, scale=c)
+                _vec_add(mode, acc, avec, scale=c)
             if acc:
                 out[col] = acc
         return out
@@ -331,16 +353,15 @@ def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
             for col in cols:
                 acc: HermiteVec = {}
                 for mid, c in pj[col].items():
-                    acc = _vec_add(mode, acc, engine.q_action(i, mid), scale=c)
-                rhs[col] = _vec_add(mode, rhs[col], acc)
-                rhs[col] = _vec_add(mode, rhs[col],
-                                    _vec_scale(mode, pq.get(col, {}), -mode.one()))
+                    _vec_add(mode, acc, engine.q_action(i, mid), scale=c)
+                _vec_add(mode, rhs[col], acc)
+                _vec_add(mode, rhs[col], pq.get(col, {}), scale=-mode.one())
         # idempotency data: sum_{0<i<j} P_i P_{j-i}
         cross: dict[HermiteIndex, HermiteVec] = {col: {} for col in cols}
         for i in half_range(HalfInt(1), j - HalfInt(1)):
             prod = mat_mul(p[i], {col: p[j - i][col] for col in cols})
             for col in cols:
-                cross[col] = _vec_add(mode, cross[col], prod.get(col, {}))
+                _vec_add(mode, cross[col], prod.get(col, {}))
         pj_new: dict[HermiteIndex, HermiteVec] = {}
         for col in cols:
             e_col = eig(col)
@@ -358,7 +379,8 @@ def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
                 vec[row] = vec.get(row, mode.zero()) + (-val if both_level else val)
             pj_new[col] = {r: c for r, c in vec.items() if not mode.is_zero(c)}
         p[j] = pj_new
-    return {j: {col: vec for col, vec in colmap.items() if col in set(requested)}
+    wanted = set(requested)
+    return {j: {col: vec for col, vec in colmap.items() if col in wanted}
             for j, colmap in p.items()}
 
 
@@ -426,10 +448,9 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
                 if (midx.degree - idx.degree - j.doubled) % 2 != 0:
                     parity_ok = False
         # idempotency
-        roundtrip = proj.apply_graded(img)
-        defect: dict[HalfInt, HermiteVec] = dict(roundtrip)
+        defect = proj.apply_graded(img)
         for j, vec in img.items():
-            defect[j] = _vec_add(mode, defect.get(j, {}), _vec_scale(mode, vec, -mode.one()))
+            defect[j] = _vec_add(mode, defect.get(j, {}), vec, scale=-mode.one())
         idem = max(idem, _max_abs(mode, defect))
         # commutation with Q through the built order
         qp: dict[HalfInt, HermiteVec] = {}
@@ -440,8 +461,9 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
                     continue
                 acc: HermiteVec = {}
                 for midx, c in vec.items():
-                    acc = _vec_add(mode, acc, engine.q_action(i, midx), scale=c)
+                    _vec_add(mode, acc, engine.q_action(i, midx), scale=c)
                 qp[t] = _vec_add(mode, qp.get(t, {}), acc)
+        # qh holds cached q_action results: apply_graded only reads them
         qh: dict[HalfInt, HermiteVec] = {}
         for i in engine.family.orders():
             if i > N:
@@ -449,7 +471,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
             qh[i] = engine.q_action(i, idx)
         pq = proj.apply_graded(qh)
         for j, vec in pq.items():
-            qp[j] = _vec_add(mode, qp.get(j, {}), _vec_scale(mode, vec, -mode.one()))
+            qp[j] = _vec_add(mode, qp.get(j, {}), vec, scale=-mode.one())
         comm = max(comm, _max_abs(mode, {j: v for j, v in qp.items() if j <= N}))
 
     # symmetry of the pairing

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .series_algebra import (
@@ -36,6 +37,7 @@ from .series_algebra import (
     FormalScalarSeries,
     HI0,
     HalfInt,
+    Poly,
     S0Series,
     half_range,
     unrescale,
@@ -478,6 +480,30 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
 # Numeric cross-check (1-D scalar)
 
 
+def _float_terms(poly: Poly) -> list:
+    """The (exponent, real float coefficient) terms of a one-variable polynomial, in term order."""
+    return [(a[0], c.real if isinstance(c, complex) else float(c)) for a, c in poly.terms.items()]
+
+
+def _eval_on_grid(terms: list, xs):
+    """``poly.eval_floats((x,)).real`` at every point of the 1-D numpy grid ``xs``, bit for bit.
+
+    ``terms`` comes from ``_float_terms``. The terms are added in the same
+    order as ``eval_floats`` adds them, each as c * x**e with the scalar
+    (libm) power, since numpy's vectorised power may round differently.
+    """
+    import numpy as np
+
+    points = xs.tolist()
+    total = np.zeros(len(points))
+    for e, c in terms:
+        if e:
+            total = total + c * np.fromiter(map(pow, points, repeat(e)), float, len(points))
+        else:
+            total = total + c
+    return total
+
+
 def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], grid: int = 4096,
                              decay_threshold: float = 1e-14) -> VerificationReport:
     """Dense finite-difference eigenvalues against the truncated series.
@@ -488,6 +514,10 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     log-log slope of |E_num(h) - series(h)| over the given h values must be
     at least order + 3/2 (or, for an identically vanishing series, the error
     must be exponentially small).
+
+    V and W are converted to float once and evaluated over each whole grid
+    term by term (``_eval_on_grid``), with the same values as evaluating
+    them point by point.
     """
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
@@ -498,14 +528,8 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     if not problem.metric_is_flat() or problem.has_connection():
         raise ValueError("the finite-difference cross-check needs the flat scalar form")
     mode = problem.mode
-    v_poly = problem.V
-    w_poly = problem.W[0][0]
-
-    def v_at(x):
-        return float(v_poly.eval_floats((x,)).real)
-
-    def w_at(x):
-        return float(w_poly.eval_floats((x,)).real)
+    v_terms = _float_terms(problem.V)
+    w_terms = _float_terms(problem.W[0][0])
 
     # box size from the integrated decay of the weight
     hb_max = max(hbars)
@@ -513,10 +537,10 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     a = 0.5
     while a < 64.0:
         xs = np.linspace(0.0, a, 4001)
-        vals = np.sqrt(np.maximum([v_at(x) for x in xs], 0.0))
+        vals = np.sqrt(np.maximum(_eval_on_grid(v_terms, xs), 0.0))
         phi_a = float(np.trapezoid(vals, xs))
         xs_m = np.linspace(0.0, -a, 4001)
-        vals_m = np.sqrt(np.maximum([v_at(x) for x in xs_m], 0.0))
+        vals_m = np.sqrt(np.maximum(_eval_on_grid(v_terms, xs_m), 0.0))
         phi_ma = float(abs(np.trapezoid(vals_m, xs_m)))
         if min(phi_a, phi_ma) >= target:
             break
@@ -527,8 +551,8 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     def fd_eigenvalue(hbar: float, m: int) -> float:
         xs = np.linspace(-a, a, m + 2)[1:-1]
         dx = xs[1] - xs[0]
-        diag = 2.0 * hbar**2 / dx**2 + np.array([v_at(x) for x in xs]) \
-            + hbar * np.array([w_at(x) for x in xs])
+        diag = 2.0 * hbar**2 / dx**2 + _eval_on_grid(v_terms, xs) \
+            + hbar * _eval_on_grid(w_terms, xs)
         off = np.full(m - 1, -hbar**2 / dx**2)
         vals = eigh_tridiagonal(diag, off, select="i",
                                 select_range=(0, eig_index + 2))[0]

@@ -354,11 +354,13 @@ class Poly:
             raise ValueError("variable count mismatch")
         terms = dict(self.terms)
         for a, c in other.terms.items():
-            s = terms.get(a, self.mode.zero()) + c
-            if self.mode.is_zero(s):
+            s = terms.get(a)
+            if s is not None:
+                c = s + c
+            if self.mode.is_zero(c):
                 terms.pop(a, None)
             else:
-                terms[a] = s
+                terms[a] = c
         return Poly(self.mode, self.n, terms, _clean=True)
 
     def __neg__(self) -> "Poly":
@@ -375,8 +377,8 @@ class Poly:
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 key = mono_add(a, b)
-                s = terms.get(key, self.mode.zero()) + ca * cb
-                terms[key] = s
+                s = terms.get(key)
+                terms[key] = ca * cb if s is None else s + ca * cb
         return Poly(self.mode, self.n, terms)
 
     def scale(self, c) -> "Poly":
@@ -608,7 +610,8 @@ class FormalScalarSeries:
         trunc = _min_trunc(self.truncation_order, other.truncation_order)
         terms: dict[HalfInt, object] = dict(self.items())
         for e, c in other.items():
-            terms[e] = terms.get(e, self.mode.zero()) + c
+            s = terms.get(e)
+            terms[e] = c if s is None else s + c
         return FormalScalarSeries.from_terms(self.mode, terms, trunc)
 
     def __neg__(self) -> "FormalScalarSeries":
@@ -629,7 +632,8 @@ class FormalScalarSeries:
                 e = ea + eb
                 if trunc is not None and e > trunc:
                     continue
-                terms[e] = terms.get(e, self.mode.zero()) + ca * cb
+                s = terms.get(e)
+                terms[e] = ca * cb if s is None else s + ca * cb
         return FormalScalarSeries.from_terms(self.mode, terms, trunc)
 
     def scale(self, c) -> "FormalScalarSeries":

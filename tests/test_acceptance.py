@@ -4,6 +4,9 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the one-line
 pass/fail summary per criterion.
 """
 
+import contextlib
+import io
+import json
 import random
 import time
 from fractions import Fraction
@@ -18,7 +21,7 @@ from qmf.quasimode_pipeline import (
     rs_oracle,
     transport_residual,
 )
-from qmf.cli_io import preset_problem
+from qmf.cli_io import preset_problem, run_command
 from qmf.operator_calculus import JetProblem
 
 F = Fraction
@@ -211,3 +214,20 @@ def test_ac10_projector_cost_grows_polynomially():
     assert rep.passed and rep.max_residual == 0.0, rep
     _report("AC10 projector cost", True, time.perf_counter() - t0, 30.0,
             "cubic1d exact through order 8, transport residual exactly zero")
+
+
+def test_ac11_full_verify_is_polynomial(tmp_path):
+    # projector_diagnostics applies the projector to every image coefficient;
+    # asking for images only through the budget each coefficient leaves keeps
+    # this full verify in seconds (it took about 20 s with every image
+    # computed through the full order)
+    t0 = time.perf_counter()
+    out = tmp_path / "iso2d-o4.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_command(["verify", "--preset", "iso2d", "--order", "4", "--out", str(out)])
+    assert status == 0
+    checks = {rep["name"]: rep for rep in json.loads(out.read_text())["checks"]}
+    projector = checks["projector"]
+    assert projector["passed"] and projector["max_residual"] == 0.0, projector
+    _report("AC11 full verify cost", True, time.perf_counter() - t0, 30.0,
+            "iso2d exact through order 4, every check, projector laws at tolerance 0")

@@ -10,11 +10,75 @@ from qmf.cli_io import (
     preset_problem,
     result_document,
     run_command,
-    serialize_problem_spec,
 )
 from qmf.quasimode_pipeline import compute_quasimodes
 
 F = Fraction
+
+
+def serialize_problem_spec(spec) -> str:
+    """Spec-file text whose parse reproduces the given problem exactly.
+
+    The round-trip oracle of ``parse_problem_spec``: every section the parser
+    reads is written back out.
+    """
+    p = spec.problem
+    mode = p.mode
+    out = ["[problem]", f"n = {p.n}", f"rank = {p.rank}", f"mode = {spec.mode_name}",
+           f"order = {spec.order}", f"degree = {p.D}", "", "[lambda]"]
+
+    def fmt(c):
+        return str(c) if mode.name == "exact" else repr(mode.real(c))
+
+    for l in p.lam:
+        out.append(fmt(l))
+    rows = []
+    for alpha, c in sorted(p.V.terms.items()):
+        rows.append(" ".join(str(a) for a in alpha) + f"  {fmt(c)}")
+    if rows:
+        out += ["", "[potential]"] + rows
+    rows = []
+    for i in range(p.n):
+        for j in range(i, p.n):
+            for alpha, c in sorted(p.g_inv[i][j].terms.items()):
+                if sum(alpha) == 0 and i == j:
+                    continue
+                rows.append(f"{i + 1} {j + 1}  " + " ".join(str(a) for a in alpha) + f"  {fmt(c)}")
+    if rows:
+        out += ["", "[metric_inverse]"] + rows
+    rows = []
+    for k in range(p.rank):
+        for l in range(k, p.rank):
+            for alpha, c in sorted(p.W[k][l].terms.items()):
+                rows.append(f"{k + 1} {l + 1}  " + " ".join(str(a) for a in alpha) + f"  {fmt(c)}")
+    if rows:
+        out += ["", "[endomorphism]"] + rows
+    rows = []
+    for d in range(p.n):
+        for k in range(p.rank):
+            for l in range(k, p.rank):
+                for alpha, c in sorted(p.Gamma[d][k][l].terms.items()):
+                    if k == l and mode.is_zero(c):
+                        continue
+                    rows.append(f"{d + 1} {k + 1} {l + 1}  "
+                                + " ".join(str(a) for a in alpha) + f"  {fmt(c)}")
+    if rows:
+        out += ["", "[connection]"] + rows
+    out += ["", "[level]"]
+    if spec.level_value is not None:
+        out.append(f"value = {fmt(spec.level_value)}")
+    elif spec.level_index is not None:
+        out.append(f"index = {spec.level_index}")
+    else:
+        out.append("index = 0")
+    out += ["", "[checks]"]
+    for key in ("transport", "parity", "orthonormality", "eigen_residual", "projector"):
+        out.append(f"{key} = {'on' if spec.checks.get(key, False) else 'off'}")
+    rs = spec.checks.get("rs", "auto")
+    out.append(f"rs = {'auto' if rs == 'auto' else ('on' if rs else 'off')}")
+    out.append(f"tolerance = {spec.checks.get('tolerance', 1e-9)}")
+    return "\n".join(out) + "\n"
+
 
 MINIMAL = """
 [problem]

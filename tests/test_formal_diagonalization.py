@@ -8,12 +8,53 @@ from qmf.formal_diagonalization import (
     ExactSplitUnavailable,
     SeriesMatrix,
     formal_eigendecomposition,
-    matrix_inverse_sqrt,
     parity_filter,
 )
 from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
 
 F = Fraction
+
+
+def matrix_inverse_sqrt(a: SeriesMatrix, through: HalfInt | None = None) -> SeriesMatrix:
+    """B with B A B = 1, for hermitian A = 1 + (positive order).
+
+    The binomial series in X = A - 1 has rational coefficients, so B stays in
+    the base field. Rejects a non-identity leading term. B C B is the
+    normalized matrix that the pencil route must reproduce.
+    """
+    mode = a.mode
+    m = a.size
+    lead = a.coeff_at(HI0)
+    for i in range(m):
+        for j in range(m):
+            want = mode.one() if i == j else mode.zero()
+            if not mode.is_zero(lead[i][j] - want):
+                raise ValueError("inverse square root needs a leading identity")
+    trunc = a.truncation_order()
+    if through is not None:
+        trunc = through if trunc is None else min(trunc, through)
+    if trunc is None:
+        raise ValueError("need a truncation order for the matrix binomial series")
+    x = a - SeriesMatrix.identity(mode, m, trunc)
+    min_ord = None
+    for row in x.entries:
+        for e in row:
+            o = e.order()
+            if o is not None:
+                min_ord = o if min_ord is None else min(min_ord, o)
+    out = SeriesMatrix.identity(mode, m, trunc)
+    if min_ord is None:
+        return out
+    if min_ord <= HI0:
+        raise ValueError("perturbation must have positive order")
+    power = SeriesMatrix.identity(mode, m, trunc)
+    coeff = Fraction(1)
+    kmax = trunc.doubled // min_ord.doubled
+    for k in range(1, kmax + 1):
+        coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
+        power = power @ x
+        out = out + power.scale_series(FormalScalarSeries.const(mode, mode.coeff(coeff), trunc))
+    return out
 
 
 def ser(terms, trunc=8, mode=EXACT):

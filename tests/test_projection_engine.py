@@ -16,6 +16,8 @@ from qmf.harmonic_oscillator import (
     build_spectrum,
     degenerate_level,
 )
+from qmf.quasimode_pipeline import compute_quasimodes
+from qmf.cli_io import preset_problem
 from qmf.projection_engine import (
     ProjectorEngine,
     WorkspaceDegreeError,
@@ -187,3 +189,42 @@ class TestProjectorLaws:
         proj = build_projector(family, basis, level, N)
         report = projector_diagnostics(proj, omega)
         assert report.passed(0.0), report
+
+
+def preset_projector(preset, order, mode_name="exact"):
+    """The pipeline's projector of a preset, with an empty image cache."""
+    spec = preset_problem(preset, mode_name, order)
+    ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
+                             level_index=spec.level_index).context
+    return build_projector(ctx.family, ctx.basis, ctx.level, spec.order), ctx.omega
+
+
+class TestBudgetPrefix:
+    @pytest.mark.parametrize("preset,order,mode_name", [
+        ("cubic1d", 4, "exact"), ("rank2", 3, "exact"), ("iso2d", 3, "exact"),
+        ("rank2", 3, "float")])
+    def test_image_at_budget_is_prefix_of_full_image(self, preset, order, mode_name):
+        proj, _ = preset_projector(preset, order, mode_name)
+        engine, N = proj.engine, proj.order
+        for idx in proj.basis.indices(6):
+            full = proj.image(idx)
+            for b in half_range(HI0, N - HalfInt(1)):
+                want = {j: vec for j, vec in full.items() if j <= b}
+                assert engine.images(idx, b) == want, (idx, b)
+                assert proj._image(idx, b) == want, (idx, b)
+            assert full == engine.images(idx, N), idx
+
+    def test_diagnostics_ask_for_budgets_below_the_order(self):
+        proj, omega = preset_projector("cubic1d", 4)
+        engine, N = proj.engine, proj.order
+        budgets = []
+        full_images = engine.images
+
+        def recording_images(index, budget):
+            budgets.append(budget)
+            return full_images(index, budget)
+
+        engine.images = recording_images
+        assert projector_diagnostics(proj, omega).passed(0.0)
+        assert N in budgets
+        assert min(budgets) < N

@@ -5,9 +5,12 @@ import pytest
 from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError
+from qmf.cli_io import preset_problem
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
+    _eval_on_grid,
+    _float_terms,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -132,6 +135,22 @@ class TestQuarticWell:
         rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05], grid=1024)
         assert rep.passed, rep.detail
         assert rep.data["slope"] >= 3.5
+
+    @pytest.mark.parametrize("preset", ["quartic1d", "cubic1d", "witten1d"])
+    @pytest.mark.parametrize("mode_name", ["exact", "float"])
+    def test_grid_evaluation_matches_pointwise(self, preset, mode_name):
+        # the whole-grid evaluation of the FD crosscheck must reproduce the
+        # point-by-point loop it replaced bit for bit, negative x included
+        import numpy as np
+        problem = preset_problem(preset, mode_name, HalfInt(4)).problem
+        grids = [np.linspace(-7.3, 5.1, 2001), np.linspace(-6.0, 6.0, 1026)[1:-1],
+                 np.linspace(0.0, -4.5, 4001)]
+        for poly in (problem.V, problem.W[0][0]):
+            terms = _float_terms(poly)
+            for xs in grids:
+                want = np.array([float(poly.eval_floats((x,)).real) for x in xs])
+                got = _eval_on_grid(terms, xs)
+                assert got.tobytes() == want.tobytes(), (preset, xs[0], xs[-1])
 
     def test_fd_crosscheck_witten_smallness(self):
         # zero series and a genuine double well: the numeric eigenvalue is
