@@ -76,6 +76,7 @@ class HermiteBasis:
                              - polys[m - 1].scale(factor))
             self._one_dim.append(polys[: degree + 1])
         self._poly_cache: dict[tuple, Poly] = {}
+        self._interned: dict[HermiteIndex, HermiteIndex] = {}
 
     # -- basis elements
 
@@ -147,10 +148,12 @@ class HermiteBasis:
         return out
 
     def expand(self, q: FiberPoly) -> dict[HermiteIndex, object]:
+        """Hermite coefficients, keyed by one shared object per index (dict hits by identity)."""
         out = {}
         for k, comp in enumerate(q.components):
             for alpha, c in self.expand_scalar(comp).items():
-                out[HermiteIndex(alpha, k)] = c
+                idx = HermiteIndex(alpha, k)
+                out[self._interned.setdefault(idx, idx)] = c
         return out
 
     def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:

@@ -24,15 +24,22 @@ for budget b runs the same operations on the w-powers it keeps, and the
 w-powers it drops only feed residues of orders above b. So a projector of
 order N applies itself to an order-j coefficient with images through N - j
 only, and keeps, per index, the image at the largest budget asked for so
-far, returning its orders <= b for any smaller budget b.
+far, returning its orders <= b for any smaller budget b. The law checks of
+``projector_diagnostics`` first collect every (index, budget) they will read
+and compute each index once, at the largest of its budgets.
 
-A second, independent construction of the same projector -- the commutator /
-idempotency block recursion -- is provided for cross-checks.
+All of this runs on one integer kernel, ``HermiteVec``: integer numerators
+over one shared denominator. Q_j images and the powers of 1/(E0 - E) are kept
+as integers, sums rescale only when a new denominator raises the common lcm,
+and each finished vector is reduced by one gcd. Float mode runs the same code
+over denominator 1. Coefficients become Fractions only where images leave the
+engine (``graded_vecs_to_s0``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .series_algebra import (
@@ -51,9 +58,9 @@ __all__ = [
     "ProjectorReport",
     "build_projector",
     "projector_diagnostics",
-    "projector_by_block_recursion",
     "WorkspaceDegreeError",
     "graded_vecs_to_s0",
+    "HermiteVec",
 ]
 
 
@@ -61,33 +68,100 @@ class WorkspaceDegreeError(RuntimeError):
     """An operator action left the tabulated polynomial space; the degree bound must grow."""
 
 
-HermiteVec = dict  # HermiteIndex -> coefficient
+@dataclass(slots=True)
+class HermiteVec:
+    """Hermite coefficients as numerators over one shared denominator.
 
-
-def _vec_add(mode, a: HermiteVec, b: HermiteVec, scale=None) -> HermiteVec:
-    """Add ``scale * b`` into ``a`` in place and return ``a``.
-
-    ``a`` must be the caller's own accumulator, never a cached image or
-    ``q_action`` result; entries that sum to zero are dropped.
+    The coefficient at index i is ``num[i] / den`` with ``den`` a positive
+    integer. Exact mode keeps integer numerators, so sums and scalings are
+    integer products (the fraction-free idea of E. H. Bareiss, Math. Comp. 22
+    (1968) 565, applied to accumulation); float mode keeps complex numerators
+    over ``den == 1`` and runs the same code, the mode supplying the
+    (numerator, denominator) split. An accumulator grows ``den`` to the lcm of
+    what it takes in, rescaling its numerators only when that lcm grows;
+    ``reduce`` finishes it with one gcd over the whole vector and drops the
+    entries the mode calls zero. Every vector an engine method returns is
+    reduced, so equal vectors compare equal, and is never mutated afterwards.
     """
-    for idx, c in b.items():
-        if scale is not None:
-            c = c * scale
-        s = a.get(idx)
-        if s is not None:
-            c = s + c
-        if mode.is_zero(c):
-            a.pop(idx, None)
-        else:
-            a[idx] = c
-    return a
+
+    mode: object
+    num: dict = field(default_factory=dict)
+    den: int = 1
+
+    @classmethod
+    def of(cls, mode, coeffs: Mapping) -> "HermiteVec":
+        vec = cls(mode)
+        for idx, c in coeffs.items():
+            vec.add_entry(idx, *mode.split(c))
+        return vec.reduce()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def coeffs(self) -> dict:
+        """The coefficients as mode values (Fractions in exact mode)."""
+        join, den = self.mode.join, self.den
+        return {idx: join(n, den) for idx, n in self.num.items()}
+
+    def _grow(self, d: int) -> None:
+        """Make ``den`` a multiple of ``d``, rescaling the numerators."""
+        new = lcm(self.den, d)
+        f = new // self.den
+        num = self.num
+        for idx in num:
+            num[idx] *= f
+        self.den = new
+
+    def add(self, other: "HermiteVec", n=1, d: int = 1) -> "HermiteVec":
+        """Add ``(n / d) * other`` in place and return self."""
+        d *= other.den
+        if self.den % d:
+            self._grow(d)
+        f = n * (self.den // d)
+        num = self.num
+        get = num.get
+        for idx, m in other.num.items():
+            num[idx] = get(idx, 0) + f * m
+        return self
+
+    def add_entry(self, idx: HermiteIndex, n, d: int = 1) -> None:
+        """Add ``n / d`` at one index."""
+        if self.den % d:
+            self._grow(d)
+        self.num[idx] = self.num.get(idx, 0) + n * (self.den // d)
+
+    def reduce(self) -> "HermiteVec":
+        """Drop zero entries and divide out gcd(den, *numerators); returns self."""
+        is_zero = self.mode.is_zero
+        num = {idx: n for idx, n in self.num.items() if not is_zero(n)}
+        g = gcd(self.den, *num.values()) if self.den != 1 else 1
+        if g != 1:
+            num = {idx: n // g for idx, n in num.items()}
+        self.num, self.den = num, self.den // g
+        return self
+
+    def max_abs(self) -> float:
+        return max(map(abs, self.num.values()), default=0) / self.den
+
+
+def _slot(vecs: dict, key, mode) -> HermiteVec:
+    """The accumulator at ``key``, created empty if missing."""
+    vec = vecs.get(key)
+    if vec is None:
+        vec = vecs[key] = HermiteVec(mode)
+    return vec
+
+
+def _reduced(vecs: dict) -> dict:
+    """Reduce every accumulator and keep the nonzero ones."""
+    return {key: vec for key, vec in vecs.items() if vec.reduce()}
 
 
 def graded_vecs_to_s0(basis: HermiteBasis, vecs: Mapping, trunc: HalfInt | None) -> S0Series:
     """Assemble sum_j h^j (synthesized vec_j) into a power-counted series."""
     out = S0Series.zero(basis.mode, basis.n, basis.rank, trunc)
     for j, vec in vecs.items():
-        poly = basis.synthesize(vec)
+        poly = basis.synthesize(vec.coeffs())
         if poly.is_zero():
             continue
         piece = S0Series.from_fiber_poly(poly, None).scale_series(
@@ -109,7 +183,8 @@ class ProjectorEngine:
         self.basis = basis
         self.level = level
         self._q_cache: dict[tuple, HermiteVec] = {}
-        self._inv_gap: dict[HermiteIndex, object] = {}  # index -> 1 / (E0 - E)
+        # index -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
+        self._gap_powers: dict[HermiteIndex, list] = {}
         self._level_set = set(level.members)
 
     # -- model operator pieces in the eigenbasis
@@ -121,23 +196,34 @@ class ProjectorEngine:
             return hit
         op = self.family.get(j)
         if op.is_zero():
-            out: HermiteVec = {}
+            out = HermiteVec(self.mode)
         else:
             try:
                 fiber = self.basis.fiber(index)
                 image = op.apply(fiber)
-                out = self.basis.expand(image)
+                out = HermiteVec.of(self.mode, self.basis.expand(image))
             except ValueError as exc:
                 raise WorkspaceDegreeError(
                     f"operator action at order {j} leaves the degree-{self.basis.degree} "
                     f"workspace; enlarge the polynomial degree bound") from exc
-        out = {i: c for i, c in out.items() if not self.mode.is_zero(c)}
-        for i in out:
+        for i in out.num:
             if i.degree > self.basis.degree:
                 raise WorkspaceDegreeError(
                     f"needed degree {i.degree} exceeds workspace bound {self.basis.degree}")
         self._q_cache[key] = out
         return out
+
+    def _gap_series(self, idx: HermiteIndex, count: int) -> list:
+        """The first ``count`` pairs (a_s, b_s) of the geometric series in w of 1/(E0 - E + w)."""
+        pows = self._gap_powers.get(idx)
+        if pows is None or len(pows) < count:
+            p, q = self.mode.split(self.mode.one() / (self.level.E0 - self.basis.eigenvalue(idx)))
+            pows, a, b = [], p, q
+            for s in range(count):
+                pows.append((-a if s % 2 else a, b))
+                a, b = a * p, b * q
+            self._gap_powers[idx] = pows
+        return pows
 
     # -- Laurent states: dict[int w-power -> HermiteVec]
 
@@ -146,37 +232,24 @@ class ProjectorEngine:
         mode = self.mode
         out: dict[int, HermiteVec] = {}
         for power, vec in state.items():
-            for idx, c in vec.items():
+            den = vec.den
+            for idx, n in vec.num.items():
                 if idx in self._level_set:
-                    tgt = out.setdefault(power - 1, {})
-                    prev = tgt.get(idx)
-                    tgt[idx] = c if prev is None else prev + c
-                else:
-                    inv = self._inv_gap.get(idx)
-                    if inv is None:
-                        inv = self._inv_gap[idx] = mode.one() / (
-                            self.level.E0 - self.basis.eigenvalue(idx))
-                    factor = inv
-                    for s in range(0, pmax - power + 1):
-                        tgt = out.setdefault(power + s, {})
-                        val = c * factor
-                        if s % 2:
-                            val = -val
-                        prev = tgt.get(idx)
-                        tgt[idx] = val if prev is None else prev + val
-                        factor = factor * inv
-        return {p: {i: c for i, c in vec.items() if not mode.is_zero(c)}
-                for p, vec in out.items()}
+                    _slot(out, power - 1, mode).add_entry(idx, n, den)
+                    continue
+                count = pmax - power + 1
+                pows = self._gap_series(idx, count)
+                for s in range(count):
+                    a, b = pows[s]
+                    _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
+        return _reduced(out)
 
-    def _apply_q(self, j: HalfInt, state: dict) -> dict:
-        mode = self.mode
-        out: dict[int, HermiteVec] = {}
-        for power, vec in state.items():
-            acc: HermiteVec = {}
-            for idx, c in vec.items():
-                _vec_add(mode, acc, self.q_action(j, idx), scale=c)
-            if acc:
-                out[power] = acc
+    def _apply_q(self, j: HalfInt, state: dict, out: dict) -> dict:
+        """Add Q_j applied to every vector of ``state`` into ``out`` under the same key."""
+        for key, vec in state.items():
+            acc = _slot(out, key, self.mode)
+            for idx, n in vec.num.items():
+                acc.add(self.q_action(j, idx), n, vec.den)
         return out
 
     def images(self, index: HermiteIndex, budget: HalfInt) -> dict:
@@ -186,22 +259,16 @@ class ProjectorEngine:
         dropping w-powers above the remaining budget (they cannot reach the
         residue), and returns {j: residue of T_j} for the nonzero residues.
         """
-        mode = self.mode
         parts = [i for i in half_range(HalfInt(1), budget) if not self.family.get(i).is_zero()]
         states: dict[HalfInt, dict] = {}
         out: dict[HalfInt, HermiteVec] = {}
         for s in half_range(HI0, budget):
-            if s == HI0:
-                summed = {0: {index: mode.one()}}
-            else:
-                summed = {}
-                for i in parts:
-                    if i > s:
-                        break
-                    for power, vec in self._apply_q(i, states[s - i]).items():
-                        summed[power] = _vec_add(mode, summed.get(power, {}), vec)
-            state = self._resolvent_factor(summed, (budget - s).doubled)
-            states[s] = state
+            summed = {0: HermiteVec.of(self.mode, {index: self.mode.one()})} if s == HI0 else {}
+            for i in parts:
+                if i > s:
+                    break
+                self._apply_q(i, states[s - i], summed)
+            state = states[s] = self._resolvent_factor(_reduced(summed), (budget - s).doubled)
             residue = state.get(-1)
             if residue:
                 out[s] = residue
@@ -217,7 +284,7 @@ class ProjectorSeries:
     """Action table of the level projector, order by order.
 
     ``image(index)`` returns the graded coefficients of the projected basis
-    vector as Hermite-coefficient vectors; images are computed lazily and
+    vector as ``HermiteVec``s; images are computed lazily and
     cached, so the table covers whatever the caller touches. At order zero
     the action is the identity on the level members and zero elsewhere.
 
@@ -233,14 +300,6 @@ class ProjectorSeries:
 
     def __post_init__(self):
         self._images: dict[HermiteIndex, tuple[HalfInt, dict]] = {}
-
-    @property
-    def mode(self):
-        return self.engine.mode
-
-    @property
-    def level(self) -> DegenerateLevel:
-        return self.engine.level
 
     @property
     def basis(self) -> HermiteBasis:
@@ -262,16 +321,14 @@ class ProjectorSeries:
 
     def apply_graded(self, vecs: Mapping) -> dict:
         """Apply to sum_j h^j vec_j, truncating at the built order."""
-        mode = self.mode
         out: dict[HalfInt, HermiteVec] = {}
         for j, vec in vecs.items():
             if j > self.order:
                 continue
-            for idx, c in vec.items():
+            for idx, n in vec.num.items():
                 for i, ivec in self._image(idx, self.order - j).items():
-                    t = j + i
-                    out[t] = _vec_add(mode, out.get(t, {}), ivec, scale=c)
-        return {j: v for j, v in out.items() if v}
+                    _slot(out, j + i, self.engine.mode).add(ivec, n, vec.den)
+        return _reduced(out)
 
 
 def build_projector(family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
@@ -284,104 +341,6 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, level: Degenera
             f"raise the input jet order (need operator orders through {order})")
     engine = ProjectorEngine(family, basis, level)
     return ProjectorSeries(engine=engine, order=order)
-
-
-# ---------------------------------------------------------------------------
-# Independent second construction: commutator + idempotency recursion
-
-
-def projector_by_block_recursion(family: OperatorFamily, basis: HermiteBasis,
-                                 level: DegenerateLevel, order,
-                                 cover: Iterable[HermiteIndex]) -> dict:
-    """The same projector from a different algebra, for cross-checks.
-
-    Order by order, the commutator identity [Q0, P_j] = -sum [Q_i, P_{j-i}]
-    determines every matrix entry between distinct model eigenvalues, and
-    idempotency P = P^2 determines the rest:
-
-        level-level block:     P_j = -sum_{0<i<j} P_i P_{j-i}
-        other equal-eigenvalue blocks:  P_j = +sum_{0<i<j} P_i P_{j-i}
-
-    Returns {order -> {column index -> HermiteVec}} on the covered columns.
-    Internally the recursion works on an enlarged column set (degrees up to
-    cover degree + 2*order) so the matrix products are closed; the basis
-    degree bound must accommodate one further application of the family.
-    """
-    mode = basis.mode
-    order = HalfInt.of(order)
-    requested = sorted(set(cover))
-    max_deg = max((idx.degree for idx in requested), default=0)
-    # per-order column sets: at order j the remaining budget can raise the
-    # degree by at most (order - j).doubled, which keeps every product closed
-    def columns_at(j: HalfInt) -> list:
-        bound = min(max_deg + (order - j).doubled, basis.degree)
-        return [idx for idx in basis.indices(bound)]
-
-    engine = ProjectorEngine(family, basis, level)
-    level_set = set(level.members)
-    eig = basis.eigenvalue
-
-    def mat_mul(a: Mapping, b: Mapping) -> dict:
-        out: dict[HermiteIndex, HermiteVec] = {}
-        for col, vec in b.items():
-            acc: HermiteVec = {}
-            for mid, c in vec.items():
-                avec = a.get(mid)
-                if avec is None:
-                    raise WorkspaceDegreeError(
-                        f"block recursion needs column {mid} outside its internal cover")
-                _vec_add(mode, acc, avec, scale=c)
-            if acc:
-                out[col] = acc
-        return out
-
-    def q_matrix(i: HalfInt, cols: Iterable[HermiteIndex]) -> dict:
-        return {col: engine.q_action(i, col) for col in cols}
-
-    p: dict[HalfInt, dict] = {HI0: {col: ({col: mode.one()} if col in level_set else {})
-                                    for col in columns_at(HI0)}}
-    for j in half_range(HalfInt(1), order):
-        cols = columns_at(j)
-        rhs: dict[HermiteIndex, HermiteVec] = {col: {} for col in cols}
-        # commutator data: sum_{0<i<=j} (Q_i P_{j-i} - P_{j-i} Q_i)
-        for i in half_range(HalfInt(1), j):
-            if family.get(i).is_zero():
-                continue
-            pj = p[j - i]
-            qm = q_matrix(i, cols)
-            pq = mat_mul(pj, qm)
-            for col in cols:
-                acc: HermiteVec = {}
-                for mid, c in pj[col].items():
-                    _vec_add(mode, acc, engine.q_action(i, mid), scale=c)
-                _vec_add(mode, rhs[col], acc)
-                _vec_add(mode, rhs[col], pq.get(col, {}), scale=-mode.one())
-        # idempotency data: sum_{0<i<j} P_i P_{j-i}
-        cross: dict[HermiteIndex, HermiteVec] = {col: {} for col in cols}
-        for i in half_range(HalfInt(1), j - HalfInt(1)):
-            prod = mat_mul(p[i], {col: p[j - i][col] for col in cols})
-            for col in cols:
-                _vec_add(mode, cross[col], prod.get(col, {}))
-        pj_new: dict[HermiteIndex, HermiteVec] = {}
-        for col in cols:
-            e_col = eig(col)
-            vec: HermiteVec = {}
-            for row, val in rhs[col].items():
-                gap = eig(row) - e_col
-                if not mode.is_zero(gap):
-                    # [Q0, P_j][row, col] = (E_row - E_col) P_j[row, col] = -rhs
-                    vec[row] = -val / gap
-            for row, val in cross[col].items():
-                gap = eig(row) - e_col
-                if not mode.is_zero(gap):
-                    continue
-                both_level = row in level_set and col in level_set
-                vec[row] = vec.get(row, mode.zero()) + (-val if both_level else val)
-            pj_new[col] = {r: c for r, c in vec.items() if not mode.is_zero(c)}
-        p[j] = pj_new
-    wanted = set(requested)
-    return {j: {col: vec for col, vec in colmap.items() if col in wanted}
-            for j, colmap in p.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +367,9 @@ class ProjectorReport:
                 and self.rank_residual <= tol and self.degree_bound_ok and self.parity_ok)
 
 
-def _max_abs(mode, vecs: Mapping) -> float:
-    worst = 0.0
-    for vec in vecs.values():
-        for c in vec.values():
-            worst = max(worst, float(mode.abs(c)))
-    return worst
+def _max_abs(vecs: Iterable[HermiteVec]) -> float:
+    """Largest |coefficient| over the vectors; reduces them in place (float mode prunes)."""
+    return max((vec.reduce().max_abs() for vec in vecs), default=0.0)
 
 
 def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> ProjectorReport:
@@ -425,6 +381,11 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     image coefficient, and the rank certificate (the level images span every
     projected vector and are independent). The test vectors are the level
     members and every basis vector of degree at most 2K + 2.
+
+    Every image the laws read is computed once, before they run, at the
+    largest budget any of them asks for: N for a probe, and N - j for an
+    index met at order j in a probe's image or in Q_j of a probe (the
+    budgets at which ``apply_graded`` reads them).
     """
     engine = proj.engine
     mode = engine.mode
@@ -433,16 +394,26 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     N = proj.order
     probes = sorted({idx for idx in basis.indices(level.K.doubled + 2)
                      if idx.degree <= level.K.doubled + 2} | set(level.members))
+    orders = [i for i in engine.family.orders() if i <= N]
+    imgs = {idx: proj.image(idx) for idx in probes}
+    qh = {idx: {i: engine.q_action(i, idx) for i in orders} for idx in probes}
+    lowest: dict[HermiteIndex, HalfInt] = {}
+    for idx in probes:
+        for j, vec in (*imgs[idx].items(), *qh[idx].items()):
+            for midx in vec.num:
+                lowest[midx] = min(j, lowest.get(midx, j))
+    for midx, j in lowest.items():
+        proj._image(midx, N - j)
 
     idem = 0.0
     comm = 0.0
     degree_ok = True
     parity_ok = True
     for idx in probes:
-        img = proj.image(idx)
+        img = imgs[idx]
         # degree bound and parity of each coefficient
         for j, vec in img.items():
-            for midx, c in vec.items():
+            for midx in vec.num:
                 if midx.degree > idx.degree + j.doubled:
                     degree_ok = False
                 if (midx.degree - idx.degree - j.doubled) % 2 != 0:
@@ -450,34 +421,22 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
         # idempotency
         defect = proj.apply_graded(img)
         for j, vec in img.items():
-            defect[j] = _vec_add(mode, defect.get(j, {}), vec, scale=-mode.one())
-        idem = max(idem, _max_abs(mode, defect))
+            _slot(defect, j, mode).add(vec, -1)
+        idem = max(idem, _max_abs(defect.values()))
         # commutation with Q through the built order
         qp: dict[HalfInt, HermiteVec] = {}
         for j, vec in img.items():
-            for i in engine.family.orders():
-                t = j + i
-                if t > N:
-                    continue
-                acc: HermiteVec = {}
-                for midx, c in vec.items():
-                    _vec_add(mode, acc, engine.q_action(i, midx), scale=c)
-                qp[t] = _vec_add(mode, qp.get(t, {}), acc)
-        # qh holds cached q_action results: apply_graded only reads them
-        qh: dict[HalfInt, HermiteVec] = {}
-        for i in engine.family.orders():
-            if i > N:
-                continue
-            qh[i] = engine.q_action(i, idx)
-        pq = proj.apply_graded(qh)
-        for j, vec in pq.items():
-            qp[j] = _vec_add(mode, qp.get(j, {}), vec, scale=-mode.one())
-        comm = max(comm, _max_abs(mode, {j: v for j, v in qp.items() if j <= N}))
+            for i in orders:
+                if j + i <= N:
+                    engine._apply_q(i, {j + i: vec}, qp)
+        for j, vec in proj.apply_graded(qh[idx]).items():
+            _slot(qp, j, mode).add(vec, -1)
+        comm = max(comm, _max_abs(v for j, v in qp.items() if j <= N))
 
     # symmetry of the pairing
     sym = 0.0
     sym_sample = probes[: max(4, level.m0 + 2)]
-    projected = {a: graded_vecs_to_s0(basis, proj.image(a), N) for a in sym_sample}
+    projected = {a: graded_vecs_to_s0(basis, imgs[a], N) for a in sym_sample}
     plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
     for a in sym_sample:
         pa, ha = projected[a], plain[a]
@@ -490,35 +449,33 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
 
     # rank certificate: every projected vector is a series combination of the
     # level images, solved order by order against the level components
-    f_imgs = {m: proj.image(m) for m in level.members}
-    rank_res = 0.0
     members = list(level.members)
+    rank_res = 0.0
     for idx in probes:
-        target = {j: dict(vec) for j, vec in proj.image(idx).items()}
-        coeffs: dict[tuple, object] = {}
+        target = {j: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
         for t in half_range(HI0, N):
-            resid_t = target.get(t, {})
-            for m_i, member in enumerate(members):
-                c = resid_t.get(member, mode.zero())
-                if mode.is_zero(c):
+            resid_t = target.get(t)
+            if resid_t is None:
+                continue
+            for member in members:
+                n = resid_t.num.get(member)
+                if n is None or mode.is_zero(n):
                     continue
-                coeffs[(m_i, t)] = c
-                for j2, vec2 in f_imgs[member].items():
-                    tt = t + j2
-                    if tt > N:
-                        continue
-                    target[tt] = _vec_add(mode, target.get(tt, {}), vec2, scale=-c)
-        rank_res = max(rank_res, _max_abs(mode, {j: v for j, v in target.items() if j <= N}))
+                d = resid_t.den
+                for j2, vec2 in imgs[member].items():
+                    if t + j2 <= N:
+                        _slot(target, t + j2, mode).add(vec2, -n, d)
+        rank_res = max(rank_res, _max_abs(v for j, v in target.items() if j <= N))
 
     # independence: the leading coefficients of the level images are the
     # standard basis vectors, so the images are independent by construction;
     # certify by checking those leading entries explicitly.
     rank = 0
     for member in members:
-        lead = proj.image(member).get(HI0, {})
-        if not mode.is_zero(lead.get(member, mode.zero()) - mode.one()):
-            continue
-        rank += 1
+        lead = imgs[member].get(HI0, HermiteVec(mode))
+        n = lead.num.get(member)
+        if n is not None and mode.is_zero(n - lead.den):
+            rank += 1
 
     return ProjectorReport(
         order=N,

@@ -509,7 +509,8 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     """Dense finite-difference eigenvalues against the truncated series.
 
     Symmetric second-order differences on a Dirichlet box sized so the ground
-    weight has decayed below ``decay_threshold``; two grids (m and 2m) give a
+    weight has decayed below ``decay_threshold`` (a ValueError if V does not
+    confine it on some side within |x| < 64); two grids (m and 2m) give a
     Richardson-extrapolated eigenvalue and a convergence certificate. The
     log-log slope of |E_num(h) - series(h)| over the given h values must be
     at least order + 3/2 (or, for an identically vanishing series, the error
@@ -545,6 +546,12 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
         if min(phi_a, phi_ma) >= target:
             break
         a *= 1.5
+    else:
+        sides = " and ".join(side for side, phi in (("x > 0", phi_a), ("x < 0", phi_ma))
+                             if phi < target)
+        raise ValueError(
+            f"the finite-difference cross-check needs a confining V: on the {sides} side "
+            f"the weight does not decay below {decay_threshold:g} within |x| < 64")
     member = result.level.members[0]
     eig_index = member.alpha[0]
 

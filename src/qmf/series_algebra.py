@@ -173,6 +173,12 @@ class ExactMode:
     def to_float(self, c) -> float:
         return float(c)
 
+    def split(self, c) -> tuple:
+        return c.numerator, c.denominator
+
+    def join(self, num, den):
+        return Fraction(num, den)
+
     def __repr__(self):
         return "ExactMode()"
 
@@ -222,6 +228,12 @@ class FloatMode:
 
     def to_float(self, c) -> float:
         return c.real
+
+    def split(self, c) -> tuple:
+        return c, 1
+
+    def join(self, num, den):
+        return num / den
 
     def __repr__(self):
         return f"FloatMode(tol={self.tol})"

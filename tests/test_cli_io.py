@@ -270,6 +270,15 @@ class TestCommands:
         assert lines[0] == "hbar,error"
         assert len(lines) == 3
 
+    def test_crosscheck_on_non_confining_well_is_input_error(self, capsys):
+        # the cubic well opens to -infinity: the weight never decays on x < 0,
+        # so no Dirichlet box within the cap is valid
+        rc = run_command(["crosscheck", "--preset", "cubic1d", "--order", "2",
+                          "--hbar", "0.2,0.1,0.05", "--grid", "1024"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "needs a confining V" in err and "x < 0 side" in err and "x > 0" not in err
+
     def test_missing_source_is_input_error(self, capsys):
         rc = run_command(["compute", "--order", "2"])
         assert rc == 1

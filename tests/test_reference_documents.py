@@ -53,3 +53,20 @@ def test_float_document_within_tolerance_of_exact(preset, order, tmp_path):
     doc = compute_document(preset, order, "float", tmp_path)
     ref = json.loads((BENCH / "refs" / f"{preset}-o{order}-exact.json").read_bytes())
     assert reference.float_mismatch(doc, ref, reference.FLOAT_RTOL) is None
+
+
+def test_quartic_crosscheck_document_unchanged(tmp_path):
+    # the benchmark's crosscheck case: its box stops growing on a confining
+    # well long before the cap, so the document, check block included, is
+    # the one the program wrote before the non-confining guard existed
+    out = tmp_path / "doc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
+                              "--hbar", "0.2,0.1,0.05", "--grid", "4096", "--out", str(out)])
+    assert status == 0
+    doc = json.loads(out.read_bytes())
+    assert reference.canonical(doc) == (BENCH / "refs" / "quartic1d-o2-exact.json").read_bytes()
+    (check,) = doc["checks"]
+    assert check.pop("max_residual") == pytest.approx(0.004158530842876318, rel=1e-12)
+    assert check == {"detail": "log-log error slope 3.673 (required >= 3.5)",
+                     "name": "fd_crosscheck", "order_doubled": 4, "passed": True}
