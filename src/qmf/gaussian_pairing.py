@@ -16,14 +16,16 @@ oscillator eigenfunctions exactly orthonormal at leading order.
 Each weight order acts as a linear functional on the fiber integrand:
 L_m(gamma) = sum_beta omega_m[beta] * M(gamma + beta), with M the normalized
 moment, so the integral above is sum_gamma <u_j, v_l>[gamma] * L_m(gamma).
-``WeightExpansion`` fills its table of L_m lazily while pairing, and no
-product polynomial integrand * omega_m is ever formed.
+``WeightExpansion`` fills its table of L_m lazily while pairing, as integer
+numerators over one denominator, and no product polynomial integrand *
+omega_m is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .series_algebra import (
@@ -32,7 +34,7 @@ from .series_algebra import (
     HalfInt,
     Poly,
     S0Series,
-    mono_add,
+    grow_den,
     mono_degree,
 )
 from .operator_calculus import JetProblem, ScalarJet, metric_density_jet
@@ -81,25 +83,50 @@ def gaussian_moment(alpha: tuple, lam: tuple, mode) -> object:
 # Weight expansion
 
 
-class _Functional(dict):
+class _Functional:
     """gamma -> L(gamma) = sum_beta w[beta] M(gamma + beta) for one weight
-    polynomial w: the normalized Gaussian integral of y^gamma * w(y). Each
-    entry is computed on first lookup and kept."""
+    polynomial w: the normalized Gaussian integral of y^gamma * w(y).
 
-    def __init__(self, weight: Poly, lam: tuple):
-        super().__init__()
+    The values are kept fraction-free, as numerators ``num`` over one
+    denominator ``den`` that grows to the lcm of the entries. Each entry is
+    computed the first time an integrand needs it and kept.
+    """
+
+    def __init__(self, weight: Poly, lam: tuple, moments: dict):
         self.weight = weight
         self.lam = lam
+        self.moments = moments
+        self.num: dict[tuple, object] = {}
+        self.den = 1
 
-    def __missing__(self, gamma: tuple) -> object:
-        mode = self.weight.mode
-        total = mode.zero()
-        for beta, c in self.weight.terms.items():
-            mom = gaussian_moment(mono_add(gamma, beta), self.lam, mode)
+    def _fill(self, gamma: tuple) -> None:
+        w = self.weight
+        mode = w.mode
+        moments = self.moments
+        total = 0
+        for beta, c in w.num.items():
+            alpha = tuple(map(add, gamma, beta))
+            mom = moments.get(alpha)
+            if mom is None:
+                mom = moments[alpha] = gaussian_moment(alpha, self.lam, mode)
             if mom:
                 total = total + c * mom
-        self[gamma] = total
-        return total
+        p, q = mode.split(mode.join(total, w.den))
+        if self.den % q:
+            self.den = grow_den(self.num, self.den, q)
+        self.num[gamma] = p if q == self.den else p * (self.den // q)
+
+    def pair(self, integrand: Poly) -> object:
+        """L(integrand) = sum_gamma integrand[gamma] L(gamma), as a mode value."""
+        num = self.num
+        for gamma in integrand.num.keys() - num.keys():
+            self._fill(gamma)
+        total = 0
+        for gamma, c in integrand.num.items():
+            ell = num[gamma]
+            if ell:
+                total = total + c * ell
+        return self.weight.mode.join(total, self.den * integrand.den)
 
 
 @dataclass(frozen=True)
@@ -109,8 +136,9 @@ class WeightExpansion:
     omega_0 = 1; omega_m has parity (-1)^(2m) and collects products of the
     homogeneous phase parts (degree k + 2 at half-order k/2) with the metric
     density jets. ``complete`` bounds the orders that are exact. ``table``
-    holds the functional L_m of each order ``functional`` was asked for; it
-    belongs to this instance, so nothing outlives the weight.
+    holds the functional L_m of each order ``functional`` was asked for, and
+    ``moments`` the normalized moments they have read; both belong to this
+    instance, so nothing outlives the weight.
     """
 
     mode: object
@@ -118,6 +146,7 @@ class WeightExpansion:
     omega: Mapping  # HalfInt -> Poly
     complete: HalfInt
     table: dict = field(default_factory=dict, compare=False, repr=False)
+    moments: dict = field(default_factory=dict, compare=False, repr=False)
 
     def at(self, m: HalfInt) -> Poly:
         n = len(self.lam)
@@ -127,10 +156,10 @@ class WeightExpansion:
         return sorted(self.omega, key=lambda h: h.doubled)
 
     def functional(self, m: HalfInt) -> _Functional:
-        """The lazily filled table gamma -> L_m(gamma) of the order-m weight."""
+        """The lazily filled functional L_m of the order-m weight."""
         lm = self.table.get(m)
         if lm is None:
-            lm = self.table[m] = _Functional(self.omega[m], self.lam)
+            lm = self.table[m] = _Functional(self.omega[m], self.lam, self.moments)
         return lm
 
 
@@ -254,13 +283,10 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
             for m, lm in weights:
                 if m > room:
                     break
-                t = base + m
-                val = mode.zero()
-                for gamma, c in integrand.terms.items():
-                    ell = lm[gamma]
-                    if ell:
-                        val = val + c * ell
+                val = lm.pair(integrand)
                 if mode.is_zero(val):
                     continue
-                terms[t] = terms.get(t, mode.zero()) + val
+                t = base + m
+                s = terms.get(t)
+                terms[t] = val if s is None else s + val
     return FormalScalarSeries.from_terms(mode, terms, trunc)

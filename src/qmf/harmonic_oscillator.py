@@ -15,11 +15,12 @@ algebra works with the monic family plus the rational squared norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from .series_algebra import FiberPoly, HalfInt, Poly, mono_degree
+from .series_algebra import FiberPoly, HalfInt, Poly, grow_den, mono_degree
 
 __all__ = [
     "HermiteIndex",
@@ -39,10 +40,21 @@ class LevelNotFoundError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class HermiteIndex:
-    """Label (alpha, k) of one eigenfunction: multi-index alpha, fiber slot k (0-based)."""
+    """Label (alpha, k) of one eigenfunction: multi-index alpha, fiber slot k (0-based).
+
+    Indices key every Hermite vector, so the hash is computed once, at
+    construction; equality and ordering are those of (alpha, k).
+    """
 
     alpha: tuple
     k: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.alpha, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -121,40 +133,67 @@ class HermiteBasis:
 
     # -- change of basis
 
-    def expand_scalar(self, q: Poly) -> dict[tuple, object]:
-        """Coefficients of a scalar polynomial over the monic family.
+    def expand_scalar(self, q: Poly) -> tuple[dict, int]:
+        """Coefficients of a scalar polynomial over the monic family, as
+        numerators keyed by alpha over one denominator.
 
         Triangular elimination: the family member for alpha is monic with
         leading monomial y^alpha, so repeatedly stripping a maximal-degree
-        monomial terminates and is exact.
+        monomial terminates and is exact. It runs on numerators: the common
+        denominator grows, rescaling the remainder and the result, only when
+        a stripped coefficient times a family member needs a new factor.
         """
-        work = dict(q.terms)
+        is_zero = self.mode.is_zero
+        work = dict(q.num)
+        den = q.den
         out: dict[tuple, object] = {}
         while work:
             alpha = max(work, key=lambda a: (mono_degree(a), a))
             c = work.pop(alpha)
-            if self.mode.is_zero(c):
+            if is_zero(c):
                 continue
-            out[alpha] = out.get(alpha, self.mode.zero()) + c
+            out[alpha] = c
             tail = self.poly(alpha)
-            for beta, cb in tail.terms.items():
+            f = tail.den
+            if f != 1:
+                # (c / den) * (cb / f) is a multiple of 1 / e
+                g = gcd(c, den)
+                c, e = c // g, den // g * f
+                if den % e:
+                    grow_den(out, den, e)
+                    den = grow_den(work, den, e)
+                c *= den // e
+            for beta, cb in tail.num.items():
                 if beta == alpha:
                     continue
-                s = work.get(beta, self.mode.zero()) - c * cb
-                if self.mode.is_zero(s):
+                s = work.get(beta, 0) - c * cb
+                if is_zero(s):
                     work.pop(beta, None)
                 else:
                     work[beta] = s
-        return out
+        return out, den
+
+    def expand_num(self, q: FiberPoly) -> tuple[dict, int]:
+        """Hermite coefficients as numerators over one denominator, keyed by
+        one shared object per index (dict hits by identity)."""
+        num, den = {}, 1
+        for k, comp in enumerate(q.components):
+            if comp.is_zero():
+                continue
+            cnum, cden = self.expand_scalar(comp)
+            if den % cden:
+                den = grow_den(num, den, cden)
+            f = den // cden
+            for alpha, c in cnum.items():
+                idx = HermiteIndex(alpha, k)
+                num[self._interned.setdefault(idx, idx)] = c if f == 1 else c * f
+        return num, den
 
     def expand(self, q: FiberPoly) -> dict[HermiteIndex, object]:
-        """Hermite coefficients, keyed by one shared object per index (dict hits by identity)."""
-        out = {}
-        for k, comp in enumerate(q.components):
-            for alpha, c in self.expand_scalar(comp).items():
-                idx = HermiteIndex(alpha, k)
-                out[self._interned.setdefault(idx, idx)] = c
-        return out
+        """Hermite coefficients as mode values."""
+        num, den = self.expand_num(q)
+        join = self.mode.join
+        return {idx: join(c, den) for idx, c in num.items()}
 
     def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:
         out = FiberPoly.zero(self.mode, self.n, self.rank)

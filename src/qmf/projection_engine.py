@@ -39,7 +39,6 @@ engine (``graded_vecs_to_s0``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .series_algebra import (
@@ -47,7 +46,9 @@ from .series_algebra import (
     HI0,
     HalfInt,
     S0Series,
+    grow_den,
     half_range,
+    reduce_num,
 )
 from .operator_calculus import OperatorFamily
 from .gaussian_pairing import WeightExpansion, pair_s0
@@ -80,7 +81,8 @@ class HermiteVec:
     (numerator, denominator) split. An accumulator grows ``den`` to the lcm of
     what it takes in, rescaling its numerators only when that lcm grows;
     ``reduce`` finishes it with one gcd over the whole vector and drops the
-    entries the mode calls zero. Every vector an engine method returns is
+    entries the mode calls zero. Both steps are the kernel ``Poly`` runs on
+    (``series_algebra.grow_den`` and ``reduce_num``). Every vector an engine method returns is
     reduced, so equal vectors compare equal, and is never mutated afterwards.
     """
 
@@ -103,20 +105,11 @@ class HermiteVec:
         join, den = self.mode.join, self.den
         return {idx: join(n, den) for idx, n in self.num.items()}
 
-    def _grow(self, d: int) -> None:
-        """Make ``den`` a multiple of ``d``, rescaling the numerators."""
-        new = lcm(self.den, d)
-        f = new // self.den
-        num = self.num
-        for idx in num:
-            num[idx] *= f
-        self.den = new
-
     def add(self, other: "HermiteVec", n=1, d: int = 1) -> "HermiteVec":
         """Add ``(n / d) * other`` in place and return self."""
         d *= other.den
         if self.den % d:
-            self._grow(d)
+            self.den = grow_den(self.num, self.den, d)
         f = n * (self.den // d)
         num = self.num
         get = num.get
@@ -127,17 +120,12 @@ class HermiteVec:
     def add_entry(self, idx: HermiteIndex, n, d: int = 1) -> None:
         """Add ``n / d`` at one index."""
         if self.den % d:
-            self._grow(d)
+            self.den = grow_den(self.num, self.den, d)
         self.num[idx] = self.num.get(idx, 0) + n * (self.den // d)
 
     def reduce(self) -> "HermiteVec":
         """Drop zero entries and divide out gcd(den, *numerators); returns self."""
-        is_zero = self.mode.is_zero
-        num = {idx: n for idx, n in self.num.items() if not is_zero(n)}
-        g = gcd(self.den, *num.values()) if self.den != 1 else 1
-        if g != 1:
-            num = {idx: n // g for idx, n in num.items()}
-        self.num, self.den = num, self.den // g
+        self.num, self.den = reduce_num(self.mode, self.num, self.den)
         return self
 
     def max_abs(self) -> float:
@@ -201,7 +189,7 @@ class ProjectorEngine:
             try:
                 fiber = self.basis.fiber(index)
                 image = op.apply(fiber)
-                out = HermiteVec.of(self.mode, self.basis.expand(image))
+                out = HermiteVec(self.mode, *self.basis.expand_num(image)).reduce()
             except ValueError as exc:
                 raise WorkspaceDegreeError(
                     f"operator action at order {j} leaves the degree-{self.basis.degree} "

@@ -15,6 +15,14 @@ two (``rescale`` / ``unrescale``).
 Coefficients live in one of two interchangeable domains: exact rationals
 (``EXACT``) or complex double floats with a zero tolerance (``float_mode``).
 Every container stores its mode; mixing modes raises.
+
+``Poly`` keeps its coefficients fraction-free: numerators over one positive
+denominator, integers in exact mode and complex numbers over 1 in float
+mode, the mode supplying the (numerator, denominator) split. Arithmetic runs
+on the numerators, and each result is reduced by one gcd, so a polynomial has
+one canonical form. ``grow_den`` and ``reduce_num`` are that kernel, shared
+with the projector's Hermite vectors. ``Poly.terms`` is the read-only view
+as mode values (Fractions in exact mode), built on first read.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -155,6 +164,10 @@ class ExactMode:
     def is_zero(self, c) -> bool:
         return c == 0
 
+    def nonzero(self, num: dict) -> dict:
+        """The entries of ``num`` that are not zero (``num`` itself if all are)."""
+        return {k: c for k, c in num.items() if c} if 0 in num.values() else num
+
     def conj(self, c):
         return c
 
@@ -209,6 +222,11 @@ class FloatMode:
     def is_zero(self, c) -> bool:
         return abs(c) <= self.tol
 
+    def nonzero(self, num: dict) -> dict:
+        """The entries of ``num`` that are not zero."""
+        tol = self.tol
+        return {k: c for k, c in num.items() if abs(c) > tol}
+
     def conj(self, c):
         return c.conjugate()
 
@@ -233,7 +251,7 @@ class FloatMode:
         return c, 1
 
     def join(self, num, den):
-        return num / den
+        return num if den == 1 else num / den
 
     def __repr__(self):
         return f"FloatMode(tol={self.tol})"
@@ -269,44 +287,95 @@ def mono_add(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 
 
+def grow_den(num: dict, den: int, d: int) -> int:
+    """Rescale the numerators in ``num`` in place so that they sit over
+    lcm(den, d) instead of ``den``; return that lcm."""
+    new = lcm(den, d)
+    f = new // den
+    for key in num:
+        num[key] *= f
+    return new
+
+
+def reduce_num(mode, num: dict, den: int) -> tuple[dict, int]:
+    """Drop the numerators the mode calls zero and divide out gcd(den, *num).
+
+    The result is the canonical form: equal values give equal (num, den), and
+    the zero value is ({}, 1). Float mode never leaves den == 1. ``num`` is
+    taken over: it may be returned as it is.
+    """
+    num = mode.nonzero(num)
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: n // g for key, n in num.items()}
+            den //= g
+    return num, den
+
+
 class Poly:
     """Scalar polynomial in n variables over a coefficient mode.
 
-    Terms are a dict mapping exponent tuples to nonzero coefficients; absent
-    keys are zero. Instances are treated as immutable.
+    The coefficient of y^alpha is ``num[alpha] / den``: numerators over one
+    positive denominator, in the canonical form of ``reduce_num`` (absent
+    keys are zero). ``terms`` is the same polynomial as a dict of mode
+    values, built on first read. Instances are treated as immutable.
     """
 
-    __slots__ = ("mode", "n", "terms")
+    __slots__ = ("mode", "n", "num", "den", "_terms")
 
-    def __init__(self, mode, n: int, terms: Mapping[Monomial, object] | None = None, *, _clean: bool = False):
+    def __init__(self, mode, n: int, terms: Mapping[Monomial, object] | None = None):
+        """From a dict of mode values (Fractions or ints in exact mode)."""
+        num, den = {}, 1
+        if terms:
+            split = mode.split
+            for a, c in terms.items():
+                p, q = split(c)
+                if den % q:
+                    den = grow_den(num, den, q)
+                num[a] = p if q == den else p * (den // q)
         self.mode = mode
         self.n = n
+        self.num, self.den = reduce_num(mode, num, den)
+        self._terms = None
+
+    @classmethod
+    def _make(cls, mode, n: int, num: dict, den: int) -> "Poly":
+        """Wrap numerators that are already in canonical form."""
+        self = object.__new__(cls)
+        self.mode = mode
+        self.n = n
+        self.num = num
+        self.den = den
+        self._terms = None
+        return self
+
+    @classmethod
+    def _reduced(cls, mode, n: int, num: dict, den: int) -> "Poly":
+        return cls._make(mode, n, *reduce_num(mode, num, den))
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as mode values (Fractions in exact mode); read-only."""
+        terms = self._terms
         if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = dict(terms)
-        else:
-            self.terms = {a: c for a, c in terms.items() if not mode.is_zero(c)}
+            join, den = self.mode.join, self.den
+            terms = self._terms = {a: join(c, den) for a, c in self.num.items()}
+        return terms
 
     # -- constructors
 
     @staticmethod
     def zero(mode, n: int) -> "Poly":
-        return Poly(mode, n, None)
+        return Poly._make(mode, n, {}, 1)
 
     @staticmethod
     def const(mode, n: int, value) -> "Poly":
-        c = mode.coeff(value)
-        if mode.is_zero(c):
-            return Poly(mode, n, None)
-        return Poly(mode, n, {(0,) * n: c}, _clean=True)
+        return Poly.monomial(mode, n, (0,) * n, value)
 
     @staticmethod
     def monomial(mode, n: int, alpha: Monomial, value=1) -> "Poly":
-        c = mode.coeff(value)
-        if mode.is_zero(c):
-            return Poly(mode, n, None)
-        return Poly(mode, n, {tuple(alpha): c}, _clean=True)
+        return Poly(mode, n, {tuple(alpha): mode.coeff(value)})
 
     @staticmethod
     def variable(mode, n: int, i: int) -> "Poly":
@@ -317,46 +386,52 @@ class Poly:
     # -- queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self):
         """Total degree; -inf for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return float("-inf")
-        return max(mono_degree(a) for a in self.terms)
+        return max(map(sum, self.num))
 
     def min_degree(self):
-        if not self.terms:
+        if not self.num:
             return float("inf")
-        return min(mono_degree(a) for a in self.terms)
+        return min(map(sum, self.num))
 
     def coefficient(self, alpha: Monomial):
-        return self.terms.get(tuple(alpha), self.mode.zero())
+        c = self.num.get(tuple(alpha))
+        return self.mode.zero() if c is None else self.mode.join(c, self.den)
 
     def parity(self) -> int | None:
         """+1 if all terms have even degree, -1 if all odd, 0 mixed, None if zero."""
-        if not self.terms:
+        if not self.num:
             return None
-        pars = {mono_degree(a) % 2 for a in self.terms}
+        pars = {mono_degree(a) % 2 for a in self.num}
         if pars == {0}:
             return 1
         if pars == {1}:
             return -1
         return 0
 
+    def _keep(self, keep) -> "Poly":
+        """The terms whose exponent satisfies ``keep``."""
+        num = {a: c for a, c in self.num.items() if keep(a)}
+        if len(num) == len(self.num):
+            return self
+        return Poly._reduced(self.mode, self.n, num, self.den)
+
     def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.mode, self.n,
-                    {a: c for a, c in self.terms.items() if mono_degree(a) == d}, _clean=True)
+        return self._keep(lambda a: mono_degree(a) == d)
 
     def components_by_degree(self) -> dict[int, "Poly"]:
         out: dict[int, dict] = {}
-        for a, c in self.terms.items():
+        for a, c in self.num.items():
             out.setdefault(mono_degree(a), {})[a] = c
-        return {d: Poly(self.mode, self.n, t, _clean=True) for d, t in sorted(out.items())}
+        return {d: Poly._reduced(self.mode, self.n, num, self.den) for d, num in sorted(out.items())}
 
     def truncate_degree(self, d: int) -> "Poly":
-        return Poly(self.mode, self.n,
-                    {a: c for a, c in self.terms.items() if mono_degree(a) <= d}, _clean=True)
+        return self._keep(lambda a: mono_degree(a) <= d)
 
     # -- arithmetic
 
@@ -364,19 +439,24 @@ class Poly:
         _same_mode(self.mode, other.mode)
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a)
-            if s is not None:
-                c = s + c
-            if self.mode.is_zero(c):
-                terms.pop(a, None)
-            else:
-                terms[a] = c
-        return Poly(self.mode, self.n, terms, _clean=True)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        num, den, d = dict(self.num), self.den, other.den
+        if den % d:
+            den = grow_den(num, den, d)
+        f = den // d
+        get = num.get
+        for a, c in other.num.items():
+            if f != 1:
+                c *= f
+            s = get(a)
+            num[a] = c if s is None else s + c
+        return Poly._reduced(self.mode, self.n, num, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.mode, self.n, {a: -c for a, c in self.terms.items()}, _clean=True)
+        return Poly._make(self.mode, self.n, {a: -c for a, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -385,31 +465,37 @@ class Poly:
         _same_mode(self.mode, other.mode)
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        terms: dict[Monomial, object] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = mono_add(a, b)
-                s = terms.get(key)
-                terms[key] = ca * cb if s is None else s + ca * cb
-        return Poly(self.mode, self.n, terms)
+        add = operator.add
+        num: dict[Monomial, object] = {}
+        get = num.get
+        right = other.num.items()
+        for a, ca in self.num.items():
+            for b, cb in right:
+                key = tuple(map(add, a, b))
+                s = get(key)
+                num[key] = ca * cb if s is None else s + ca * cb
+        return Poly._reduced(self.mode, self.n, num, self.den * other.den)
 
     def scale(self, c) -> "Poly":
         if isinstance(c, (int, Fraction, str)):
             c = self.mode.coeff(c)
-        return Poly(self.mode, self.n, {a: v * c for a, v in self.terms.items()})
+        p, q = self.mode.split(c)
+        return Poly._reduced(self.mode, self.n, {a: v * p for a, v in self.num.items()},
+                             self.den * q)
 
     def diff(self, i: int) -> "Poly":
-        terms = {}
-        for a, c in self.terms.items():
-            if a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            terms[tuple(b)] = c * a[i]
-        return Poly(self.mode, self.n, terms, _clean=True)
+        num = {}
+        for a, c in self.num.items():
+            e = a[i]
+            if e:
+                b = list(a)
+                b[i] = e - 1
+                num[tuple(b)] = c * e
+        return Poly._reduced(self.mode, self.n, num, self.den)
 
     def conj(self) -> "Poly":
-        return Poly(self.mode, self.n, {a: self.mode.conj(c) for a, c in self.terms.items()}, _clean=True)
+        conj = self.mode.conj
+        return Poly._make(self.mode, self.n, {a: conj(c) for a, c in self.num.items()}, self.den)
 
     def eval_floats(self, point: Sequence[float]) -> complex:
         total = 0j
@@ -422,13 +508,14 @@ class Poly:
         return total
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+        return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "Poly(0)"
         bits = []
         for a in sorted(self.terms):
@@ -1035,6 +1122,28 @@ class XJetSeries:
         return "XJetSeries(" + ", ".join(bits) + f"; K={self.K})"
 
 
+def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[HalfInt, FiberPoly]:
+    """Move each term c y^alpha of the coefficient at index k to index
+    k + sign * |alpha|/2, on numerators. No two terms meet on one monomial of
+    one component: the target index and alpha fix k."""
+    slots: dict[int, list] = {}  # keyed by the doubled index
+    for k, p in items:
+        for ci, comp in enumerate(p.components):
+            d = comp.den
+            for alpha, c in comp.num.items():
+                j = k.doubled + sign * sum(alpha)
+                col = slots.get(j)
+                if col is None:
+                    col = slots[j] = [[{}, 1] for _ in range(rank)]
+                slot = col[ci]
+                if slot[1] % d:
+                    slot[1] = grow_den(slot[0], slot[1], d)
+                f = slot[1] // d
+                slot[0][alpha] = c if f == 1 else c * f
+    return {HalfInt(j): FiberPoly([Poly._reduced(mode, n, num, den) for num, den in col])
+            for j, col in slots.items()}
+
+
 def rescale(u: XJetSeries) -> S0Series:
     """Substitute x = sqrt(h) * y: the x-monomial x^alpha at exponent s moves
     to exponent s + |alpha|/2 with polynomial y^alpha.
@@ -1044,21 +1153,7 @@ def rescale(u: XJetSeries) -> S0Series:
     inside u's truncation bounds.
     """
     mode, n, rank = u.mode, u.n, u.rank
-    out: dict[HalfInt, dict[Monomial, list]] = {}
-    for k, p in u.items():
-        for ci, comp in enumerate(p.components):
-            for alpha, c in comp.terms.items():
-                j = k + HalfInt(mono_degree(alpha))  # k + |alpha|/2 in relative index
-                slot = out.setdefault(j, {})
-                col = slot.setdefault(alpha, [mode.zero()] * rank)
-                col[ci] = col[ci] + c
-    coeffs: dict[HalfInt, FiberPoly] = {}
-    for j, slot in out.items():
-        comps = []
-        for ci in range(rank):
-            terms = {a: cols[ci] for a, cols in slot.items() if not mode.is_zero(cols[ci])}
-            comps.append(Poly(mode, n, terms, _clean=True))
-        coeffs[j] = FiberPoly(comps)
+    coeffs = _shift_by_degree(mode, n, rank, u.items(), 1)
     # Output exactness at absolute order t: contributions come from input
     # pairs (s, d) with s + d/2 = t, d >= 0, s >= -K. The joint bound turns
     # directly into t <= J; the rectangular order bound binds at d = 0
@@ -1081,21 +1176,10 @@ def unrescale(v: S0Series) -> XJetSeries:
     index j - |alpha|/2, which the degree bound keeps nonnegative.
     """
     mode, n, rank = v.mode, v.n, v.rank
-    out: dict[HalfInt, dict[int, dict[Monomial, object]]] = {}
-    max_deg = 0
-    for j, p in v.items():
-        for ci, comp in enumerate(p.components):
-            for alpha, c in comp.terms.items():
-                d = mono_degree(alpha)
-                max_deg = max(max_deg, d)
-                k = j - HalfInt(d)
-                if k < HI0:
-                    raise S0DegreeError("input violates the degree bound; not in the rescaled space")
-                out.setdefault(k, {}).setdefault(ci, {})[alpha] = c
-    coeffs = {}
-    for k, slots in out.items():
-        comps = [Poly(mode, n, slots.get(ci, {}), _clean=True) for ci in range(rank)]
-        coeffs[k] = FiberPoly(comps)
+    coeffs = _shift_by_degree(mode, n, rank, v.items(), -1)
+    if min(coeffs, default=HI0) < HI0:
+        raise S0DegreeError("input violates the degree bound; not in the rescaled space")
+    max_deg = max((int(p.degree()) for p in coeffs.values()), default=0)
     T = v.truncation_order
     if T is None:
         return XJetSeries(mode, n, rank, v.K, coeffs,

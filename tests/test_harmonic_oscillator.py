@@ -67,6 +67,30 @@ class TestHermiteBasis:
             q = FiberPoly([Poly(EXACT, 2, terms), Poly(EXACT, 2, {(1, 1): F(2)})])
             assert b.synthesize(b.expand(q)) == q
 
+    def test_expand_synthesize_roundtrip_rational(self):
+        # rational coefficients and frequencies: the elimination's common
+        # denominator has to grow while it strips terms
+        rng = random.Random(11)
+        b = HermiteBasis(EXACT, 2, 2, (F(3, 2), F(5, 7)), (F(0), F(1, 3)), 6)
+        for _ in range(10):
+            comps = []
+            for _ in range(2):
+                terms = {(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(-9, 9), rng.randint(1, 12))
+                         for _ in range(8)}
+                comps.append(Poly(EXACT, 2, terms))
+            q = FiberPoly(comps)
+            coeffs = b.expand(q)
+            assert all(type(c) is Fraction and c for c in coeffs.values())
+            assert b.synthesize(coeffs) == q
+
+    def test_index_hash_and_order_are_those_of_the_pair(self):
+        a, b = HermiteIndex((1, 2), 0), HermiteIndex((1, 2), 0)
+        assert a == b and a is not b and hash(a) == hash(b) == hash(((1, 2), 0))
+        assert HermiteIndex((1, 2), 1) != a
+        idx = [HermiteIndex((2, 0), 1), HermiteIndex((0, 2), 0), HermiteIndex((2, 0), 0)]
+        assert sorted(idx) == sorted(idx, key=lambda i: (i.alpha, i.k))
+        assert repr(a) == "HermiteIndex(alpha=(1, 2), k=0)"
+
     def test_degree_and_parity(self):
         b = basis_1d()
         for m in range(6):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,118 @@ class TestPoly:
         m = float_mode()
         p = Poly(m, 1, {(1,): 1e-15})
         assert p.is_zero()
+
+
+# -- the fraction-free Poly kernel against a Fraction-dict reference
+
+FRACS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# real parts with exact cancellations and tiny values, imaginary parts mostly
+# zero of either sign, as the pipeline's float mode produces them
+FLOATS = st.one_of(st.integers(-4, 4).map(float), st.floats(-10, 10), st.sampled_from([1e-13, -0.0]))
+COMPLEXES = st.builds(complex, FLOATS, st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1)))
+
+
+def sparse_dicts(n, values):
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), values, max_size=6)
+
+
+def poly_pairs(values):
+    """(n, a, b): two sparse coefficient dicts in the same 1 or 2 variables."""
+    return st.integers(1, 2).flatmap(
+        lambda n: st.tuples(st.just(n), sparse_dicts(n, values), sparse_dicts(n, values)))
+
+
+def ref_clean(t, is_zero=lambda c: c == 0):
+    return {a: c for a, c in t.items() if not is_zero(c)}
+
+
+# the loops of the Fraction-valued Poly that the kernel replaced, kept here as
+# the reference; in float mode they fix the order of every complex operation
+
+def ref_add(a, b, is_zero=lambda c: c == 0):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is not None:
+            c = s + c
+        if is_zero(c):
+            out.pop(k, None)
+        else:
+            out[k] = c
+    return out
+
+
+def ref_mul(a, b, is_zero=lambda c: c == 0):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            s = out.get(key)
+            out[key] = ca * cb if s is None else s + ca * cb
+    return ref_clean(out, is_zero)
+
+
+def ref_diff(a, i):
+    return {k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i] for k, c in a.items() if k[i]}
+
+
+def ref_ops(n, a, b, c, is_zero=lambda c: c == 0):
+    """name -> (kernel result from Polys pa, pb; reference dict)."""
+    return {
+        "add": (lambda pa, pb: pa + pb, ref_add(a, b, is_zero)),
+        "sub": (lambda pa, pb: pa - pb, ref_add(a, {k: -v for k, v in b.items()}, is_zero)),
+        "neg": (lambda pa, pb: -pa, {k: -v for k, v in a.items()}),
+        "mul": (lambda pa, pb: pa * pb, ref_mul(a, b, is_zero)),
+        "diff": (lambda pa, pb: pa.diff(n - 1), ref_diff(a, n - 1)),
+        "scale": (lambda pa, pb: pa.scale(c), ref_clean({k: v * c for k, v in a.items()}, is_zero)),
+        "truncate": (lambda pa, pb: pa.truncate_degree(3),
+                     {k: v for k, v in a.items() if sum(k) <= 3}),
+    }
+
+
+def bits(t):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in t.items()}
+
+
+class TestPolyKernel:
+    @given(poly_pairs(FRACS), FRACS)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_ops_match_fraction_reference(self, nab, c):
+        n, a, b = nab
+        a, b = ref_clean(a), ref_clean(b)
+        pa, pb = Poly(EXACT, n, a), Poly(EXACT, n, b)
+        for name, (op, want) in ref_ops(n, a, b, c).items():
+            got = op(pa, pb)
+            assert got.terms == want, name
+            assert all(type(v) is Fraction for v in got.terms.values()), name
+            # reduced: one positive denominator, no zero numerator, no common factor
+            assert got.den > 0 and all(got.num.values()), name
+            assert gcd(got.den, *got.num.values()) == 1, name
+            # the kernel's result and the same polynomial built from Fractions
+            built = Poly(EXACT, n, want)
+            assert got == built and hash(got) == hash(built), name
+
+    @given(poly_pairs(COMPLEXES), COMPLEXES)
+    @settings(max_examples=150, deadline=None)
+    def test_float_ops_match_complex_loops_bit_for_bit(self, nab, c):
+        mode = float_mode()
+        n, a, b = nab
+        a, b = ref_clean(a, mode.is_zero), ref_clean(b, mode.is_zero)
+        pa, pb = Poly(mode, n, a), Poly(mode, n, b)
+        assert bits(pa.num) == bits(a)
+        for name, (op, want) in ref_ops(n, a, b, c, mode.is_zero).items():
+            got = op(pa, pb)
+            assert got.den == 1, name
+            assert bits(got.num) == bits(want), name
+            assert bits(got.terms) == bits(want), name
+
+    def test_denominators_combine_by_lcm(self):
+        y = Poly.variable(EXACT, 1, 0)
+        p = Poly(EXACT, 1, {(0,): F(1, 6), (1,): F(1, 4)}) + y.scale(F(1, 10))
+        assert (p.num, p.den) == ({(0,): 10, (1,): 21}, 60)
+        half = p.truncate_degree(0)   # 10/60 reduces to 1/6
+        assert (half.num, half.den) == ({(0,): 1}, 6)
+        assert (p - p).den == 1 and (p - p).is_zero()
 
 
 class TestFiberPoly:
