@@ -14,14 +14,17 @@ part must cancel identically (that is the eikonal equation); the h^2 and h^1
 parts are split into graded homogeneous pieces, themselves ``DiffOpJet``s, and
 re-read as the polynomial-coefficient operators Q_j of the rescaled variable.
 Every operator of the chain, the graded family included, is applied through
-the one ``DiffOpJet.apply``.
+the one ``DiffOpJet.apply``: on its first use an operator compiles itself into
+a flat stencil, and each application is one pass over the input monomials per
+output component, optionally bounded by the output degree a caller keeps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, lcm
 from typing import Mapping
 
 from .series_algebra import (
@@ -127,18 +130,6 @@ def pm_is_hermitian(a: PolyMat) -> bool:
 
 def pm_min_degree(a: PolyMat):
     return min(x.min_degree() for ra in a for x in ra)
-
-
-def pm_apply_vec(a: PolyMat, v: FiberPoly) -> FiberPoly:
-    size = len(a)
-    comps = []
-    for i in range(size):
-        acc = Poly.zero(v.mode, v.n)
-        for j in range(size):
-            if not a[i][j].is_zero() and not v.components[j].is_zero():
-                acc = acc + a[i][j] * v.components[j]
-        comps.append(acc)
-    return FiberPoly(comps)
 
 
 def pm_inverse_jet(a: PolyMat, through: int) -> PolyMat:
@@ -376,9 +367,15 @@ class DiffOpJet:
     ``complete`` bounds the graded degree through which the operator's
     homogeneous pieces are exact (None = exact at all degrees); composition
     tracks it with the convolution rule min(cA + ord B, cB + ord A).
+
+    ``apply`` runs on a stencil compiled on first use: per output fibre row,
+    the input column, beta and the coefficient terms (alpha, integer
+    numerator, |alpha|) sorted by |alpha| over one denominator for the whole
+    operator (complex numerators over 1 in float mode). Instances are treated
+    as immutable, so the stencil never goes stale.
     """
 
-    __slots__ = ("mode", "n", "rank", "terms", "complete")
+    __slots__ = ("mode", "n", "rank", "terms", "complete", "_stencil")
 
     def __init__(self, mode, n: int, rank: int, terms: Mapping[tuple, PolyMat],
                  complete: int | None = None):
@@ -387,6 +384,7 @@ class DiffOpJet:
         self.rank = rank
         self.terms = {b: m for b, m in terms.items() if not pm_is_zero(m)}
         self.complete = complete
+        self._stencil = None
 
     @staticmethod
     def zero(mode, n, rank, complete=None) -> "DiffOpJet":
@@ -471,19 +469,75 @@ class DiffOpJet:
             comp = c2 if comp is None else min(comp, c2)
         return DiffOpJet(self.mode, self.n, self.rank, terms, comp)
 
-    def apply(self, q: FiberPoly) -> FiberPoly:
+    def _compile(self) -> tuple:
+        """The stencil: (den, rows). ``rows[i]`` lists, for output component
+        i, the entries (column j, beta, nonzero (k, beta_k), terms) of
+        C_beta[i][j] d^beta, with terms (alpha, numerator, |alpha|) sorted by
+        |alpha| over the one denominator ``den`` of the whole operator."""
+        den = lcm(*(entry.den for m in self.terms.values() for row in m for entry in row))
+        rows = []
+        for i in range(self.rank):
+            row = []
+            for beta, m in self.terms.items():
+                steps = tuple((k, b) for k, b in enumerate(beta) if b)
+                for j, entry in enumerate(m[i]):
+                    if entry.num:
+                        f = den // entry.den
+                        terms = sorted(((a, c * f, sum(a)) for a, c in entry.num.items()),
+                                       key=operator.itemgetter(2))
+                        row.append((j, beta, steps, tuple(terms)))
+            rows.append(tuple(row))
+        return den, tuple(rows)
+
+    def apply(self, q: FiberPoly, through: int | None = None) -> FiberPoly:
+        """The operator applied to ``q``; with ``through``, only the terms of
+        total degree <= through (the same as truncating the full image).
+
+        Each input monomial c y^m meets each stencil term (alpha, t) of a
+        C_beta d^beta entry once: it adds c t m!/(m - beta)! at
+        y^(m - beta + alpha), skipped when some m_k < beta_k, into one
+        numerator dict per output component, reduced once at the end.
+        """
         if q.rank != self.rank:
             raise ValueError("rank mismatch")
-        out = FiberPoly.zero(self.mode, self.n, self.rank)
-        for beta, m in self.terms.items():
-            dq = q
-            for i, bi in enumerate(beta):
-                for _ in range(bi):
-                    dq = FiberPoly([c.diff(i) for c in dq.components])
-            if dq.is_zero():
-                continue
-            out = out + pm_apply_vec(m, dq)
-        return out
+        if q.n != self.n:
+            raise ValueError("variable count mismatch")
+        _same_mode(self.mode, q.mode)
+        stencil = self._stencil
+        if stencil is None:
+            stencil = self._stencil = self._compile()
+        op_den, rows = stencil
+        comps = q.components
+        q_den = lcm(*(comp.den for comp in comps))
+        add, sub = operator.add, operator.sub
+        out = []
+        for row in rows:
+            num: dict = {}
+            get = num.get
+            for j, beta, steps, terms in row:
+                comp = comps[j]
+                f = q_den // comp.den
+                for m, c in comp.num.items():
+                    for k, b in steps:
+                        mk = m[k]
+                        if mk < b:
+                            break
+                        for r in range(b):
+                            c *= mk - r
+                    else:
+                        if steps:
+                            m = tuple(map(sub, m, beta))
+                        if f != 1:
+                            c *= f
+                        room = inf if through is None else through - sum(m)
+                        for alpha, t, deg in terms:
+                            if deg > room:
+                                break
+                            key = tuple(map(add, m, alpha))
+                            s = get(key)
+                            num[key] = c * t if s is None else s + c * t
+            out.append(Poly._reduced(self.mode, self.n, num, op_den * q_den))
+        return FiberPoly(out)
 
     def graded_pieces(self) -> dict[int, "DiffOpJet"]:
         """Split into homogeneous pieces keyed by degree |alpha| - |beta|.
@@ -554,8 +608,21 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
     if not residual(2).is_zero():
         raise EikonalError("quadratic parts inconsistent: check frequencies against the potential")
 
+    # homogeneous parts by degree: g^{ij} and the phase gradient, which gains
+    # its degree-(d - 1) part once phi's degree-d part is solved
+    g_parts = [[problem.g_inv[i][j].components_by_degree() for j in range(n)] for i in range(n)]
+    grad_parts = [phi.diff(i).components_by_degree() for i in range(n)]
     for d in range(3, through + 1):
-        r = residual(d).homogeneous_component(d)
+        # degrees below d already cancel, so only the degree-d part of
+        # g^{ij} phi_i phi_j - V is formed: parts of degrees p + q + r = d
+        r = -problem.V.homogeneous_component(d)
+        for i in range(n):
+            for j in range(n):
+                for p, gp in g_parts[i][j].items():
+                    for q, gq in grad_parts[i].items():
+                        gr = grad_parts[j].get(d - p - q)
+                        if gr is not None:
+                            r = r + gp * gq * gr
         if r.is_zero():
             continue
         terms = {}
@@ -564,7 +631,12 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
             for nu, a_nu in enumerate(alpha):
                 denom = denom + problem.lam[nu] * (2 * a_nu)
             terms[alpha] = -c / denom
-        phi = phi + Poly(mode, n, terms)
+        phi_d = Poly(mode, n, terms)
+        phi = phi + phi_d
+        for i in range(n):
+            part = phi_d.diff(i)
+            if not part.is_zero():
+                grad_parts[i][d - 1] = part
 
     final = residual(through)
     if not final.is_zero():

@@ -60,7 +60,7 @@ from .harmonic_oscillator import (
     degenerate_level,
     level_by_index,
 )
-from .projection_engine import ProjectorSeries, build_projector
+from .projection_engine import HermiteVec, ProjectorSeries, build_projector
 from .formal_diagonalization import (
     formal_eigendecomposition,
     gram_matrix,
@@ -299,9 +299,8 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
 # Transport / eigenvalue residuals at jet level
 
 
-def _apply_with_bound(op: DiffOpJet, jet: FiberPoly, jet_bound: int | None):
-    """Apply an operator jet, returning (result, degree bound of validity)."""
-    out = op.apply(jet)
+def _apply_bound(op: DiffOpJet, jet: FiberPoly, jet_bound: int | None) -> int | None:
+    """Degree through which op applied to a jet known through ``jet_bound`` is exact."""
     bounds = []
     if jet_bound is not None:
         md = op.min_degree()
@@ -311,7 +310,7 @@ def _apply_with_bound(op: DiffOpJet, jet: FiberPoly, jet_bound: int | None):
         lo = jet.min_degree()
         lo = 0 if lo == float("inf") else int(lo)
         bounds.append(op.complete + lo)
-    return out, (min(bounds) if bounds else None)
+    return min(bounds) if bounds else None
 
 
 def transport_residual(result: QuasimodeResult) -> VerificationReport:
@@ -337,31 +336,30 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     for a_jet, e_series in zip(result.eigenfunctions, result.eigenvalues):
         inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
         for k in half_range(HI0, N + level.K):
-            bounds = []
+            # the degree through which every term below is exact, known
+            # before any operator is applied, so the applications stop there
             a_k = a_jet.at_relative(k)
             bound_k = a_jet.degree_bound_at(k - level.K)
-            res, b = _apply_with_bound(T_op, a_k, bound_k)
-            res = res - a_k.scale(level.E0)
-            if b is not None:
-                bounds.append(b)
-            if bound_k is not None:
-                bounds.append(bound_k)
-            if k - HalfInt(2) >= HI0:
+            bounds = [bound_k, _apply_bound(T_op, a_k, bound_k)]
+            has_prev = k - HalfInt(2) >= HI0
+            if has_prev:
                 a_prev = a_jet.at_relative(k - HalfInt(2))
-                lres, lb = _apply_with_bound(L_op, a_prev, a_jet.degree_bound_at(k - HalfInt(2) - level.K))
-                res = res + lres
-                if lb is not None:
-                    bounds.append(lb)
+                bounds.append(_apply_bound(L_op, a_prev,
+                                           a_jet.degree_bound_at(k - HalfInt(2) - level.K)))
+            e_terms = []
             for i in half_range(HalfInt(1), k):
                 ei = inner.coefficient(i)
                 if mode.is_zero(ei):
                     continue
-                a_ki = a_jet.at_relative(k - i)
-                res = res - a_ki.scale(ei)
-                bi = a_jet.degree_bound_at(k - i - level.K)
-                if bi is not None:
-                    bounds.append(bi)
+                e_terms.append((ei, a_jet.at_relative(k - i)))
+                bounds.append(a_jet.degree_bound_at(k - i - level.K))
+            bounds = [b for b in bounds if b is not None]
             check_bound = min(bounds) if bounds else None
+            res = T_op.apply(a_k, through=check_bound) - a_k.scale(level.E0)
+            if has_prev:
+                res = res + L_op.apply(a_prev, through=check_bound)
+            for ei, a_ki in e_terms:
+                res = res - a_ki.scale(ei)
             if check_bound is not None:
                 if min_degree_reached is None or check_bound < min_degree_reached:
                     min_degree_reached = check_bound
@@ -406,13 +404,17 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     """Eigenvalue series by the textbook perturbation recursion (m0 = 1 only).
 
     Works entirely in the model eigenbasis with intermediate normalization
-    (the level component of every correction vector is zero), so it shares no
-    code with the projector/pencil pipeline beyond the operator family and the
-    basis of ``result.context``; the basis's ``eigenvalue`` gives every model
-    gap, and no spectrum table is read. That basis reaches degree 2K + 4N + 2
-    (2K the member degree, N the order), which covers every vector the
-    recursion builds. The returned series is E0 + sum_{k>=1/2} h^k E_k through
-    the result's order.
+    (the level component of every correction vector is zero), so it shares
+    nothing with the projector/pencil pipeline beyond the operator family and
+    the basis of ``result.context``; the basis's ``eigenvalue`` gives every
+    model gap, and no spectrum table is read. The Q_j images of basis vectors
+    come from the projector engine's ``q_action``, which is Q_j applied to the
+    basis vector and expanded in the basis: a function of the family and the
+    basis alone, only cached. The oracle reads none of the resolvent
+    recursion, the pairing or the pencil. That basis reaches degree 2K + 4N + 2 (2K the
+    member degree, N the order), which covers every vector the recursion
+    builds. The returned series is E0 + sum_{k>=1/2} h^k E_k through the
+    result's order.
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -422,23 +424,14 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
         raise DegenerateLevelError(
             f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
     member = level.members[0]
-    family, basis = ctx.family, ctx.basis
+    basis, engine = ctx.basis, ctx.projector.engine
     e0_val = level.E0
 
     def q_vec(j: HalfInt, vec: dict) -> dict:
-        op = family.get(j)
-        out: dict = {}
-        if op.is_zero():
-            return out
+        acc = HermiteVec(mode)
         for idx, c in vec.items():
-            img = basis.expand(op.apply(basis.fiber(idx)))
-            for i2, c2 in img.items():
-                s = out.get(i2, mode.zero()) + c * c2
-                if mode.is_zero(s):
-                    out.pop(i2, None)
-                else:
-                    out[i2] = s
-        return out
+            acc.add(engine.q_action(j, idx), *mode.split(c))
+        return acc.reduce().coeffs()
 
     psi = {0: {member: mode.one()}}
     e_coeffs = {0: e0_val}

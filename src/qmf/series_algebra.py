@@ -704,14 +704,32 @@ class FormalScalarSeries:
 
     # -- arithmetic
 
+    def _nonzero(self) -> list:
+        """(index, coefficient) of the stored coefficients the mode does not call zero."""
+        is_zero = self.mode.is_zero
+        return [(i, c) for i, c in enumerate(self.coeffs) if not is_zero(c)]
+
+    def _from_slots(self, lo: int, slots: list, trunc: HalfInt | None) -> "FormalScalarSeries":
+        """The series with coefficient ``slots[i]`` at doubled exponent lo + i (None = zero)."""
+        zero = self.mode.zero()
+        return FormalScalarSeries(self.mode, HalfInt(lo), [zero if c is None else c for c in slots],
+                                  trunc)
+
     def __add__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
         trunc = _min_trunc(self.truncation_order, other.truncation_order)
-        terms: dict[HalfInt, object] = dict(self.items())
-        for e, c in other.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return FormalScalarSeries.from_terms(self.mode, terms, trunc)
+        parts = [s for s in (self, other) if s.coeffs]
+        if not parts:
+            return FormalScalarSeries.zero(self.mode, trunc)
+        lo = min(s.offset.doubled for s in parts)
+        slots: list = [None] * (max(s.offset.doubled + len(s.coeffs) for s in parts) - lo)
+        for s in parts:
+            shift = s.offset.doubled - lo
+            for i, c in s._nonzero():
+                k = i + shift
+                v = slots[k]
+                slots[k] = c if v is None else v + c
+        return self._from_slots(lo, slots, trunc)
 
     def __neg__(self) -> "FormalScalarSeries":
         return FormalScalarSeries(self.mode, self.offset, tuple(-c for c in self.coeffs), self.truncation_order)
@@ -721,19 +739,22 @@ class FormalScalarSeries:
 
     def __mul__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
-        if self.is_zero() or other.is_zero():
-            # the product is identically zero; it stays exact wherever either factor is known
-            return FormalScalarSeries.zero(self.mode, _product_trunc(self, other))
+        # a zero factor gives the zero product, exact wherever either factor is known
         trunc = _product_trunc(self, other)
-        terms: dict[HalfInt, object] = {}
-        for ea, ca in self.items():
-            for eb, cb in other.items():
-                e = ea + eb
-                if trunc is not None and e > trunc:
-                    continue
-                s = terms.get(e)
-                terms[e] = ca * cb if s is None else s + ca * cb
-        return FormalScalarSeries.from_terms(self.mode, terms, trunc)
+        lo = self.offset.doubled + other.offset.doubled
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        if trunc is not None:
+            size = min(size, trunc.doubled - lo + 1)
+        slots: list = [None] * max(size, 0)
+        right = other._nonzero()
+        for i, ca in self._nonzero():
+            for j, cb in right:
+                k = i + j
+                if k >= size:
+                    break
+                v = slots[k]
+                slots[k] = ca * cb if v is None else v + ca * cb
+        return self._from_slots(lo, slots, trunc)
 
     def scale(self, c) -> "FormalScalarSeries":
         c = c if not isinstance(c, (int, Fraction, str)) else self.mode.coeff(c)

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmf.cli_io import preset_problem
 from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
@@ -247,8 +249,127 @@ class TestDiffOpJet:
     def test_rank_mismatch(self):
         y = Poly.variable(EXACT, 1, 0)
         yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rank mismatch"):
             yd.apply(mono_fiber((1,), rank=2))
+
+    def test_variable_count_mismatch(self):
+        y = Poly.variable(EXACT, 1, 0)
+        yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
+        with pytest.raises(ValueError, match="variable count"):
+            yd.apply(mono_fiber((1, 0)))
+
+    def test_mode_mixing(self):
+        y = Poly.variable(EXACT, 1, 0)
+        yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
+        q = FiberPoly.scalar(Poly.monomial(float_mode(), 1, (2,)))
+        with pytest.raises(ValueError, match="mixing coefficient modes"):
+            yd.apply(q)
+        with pytest.raises(ValueError, match="mixing coefficient modes"):
+            DiffOpJet.zero(float_mode(), 1, 1).apply(mono_fiber((2,)))
+
+
+# -- the compiled stencil of DiffOpJet.apply against the loop it replaced
+
+
+def ref_apply_vec(a, v):
+    """Matrix of polynomials times a fiber polynomial, one product per entry."""
+    comps = []
+    for row in a:
+        acc = Poly.zero(v.mode, v.n)
+        for entry, comp in zip(row, v.components):
+            if not entry.is_zero() and not comp.is_zero():
+                acc = acc + entry * comp
+        comps.append(acc)
+    return FiberPoly(comps)
+
+
+def ref_apply(op, q):
+    """Differentiate q by each beta, then multiply by C_beta, summing over beta."""
+    out = FiberPoly.zero(op.mode, op.n, op.rank)
+    for beta, m in op.terms.items():
+        dq = q
+        for i, bi in enumerate(beta):
+            for _ in range(bi):
+                dq = FiberPoly([c.diff(i) for c in dq.components])
+        if dq.is_zero():
+            continue
+        out = out + ref_apply_vec(m, dq)
+    return out
+
+
+FRACS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def coeff_dicts(n, top):
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * n), FRACS, max_size=4)
+
+
+def jet_cases():
+    """(n, rank, operator data {beta: rank x rank coefficient dicts}, fiber data)."""
+    def for_shape(n, rank):
+        betas = [b for b in product(range(3), repeat=n) if sum(b) <= 2]
+        mat = st.lists(st.lists(coeff_dicts(n, 3), min_size=rank, max_size=rank),
+                       min_size=rank, max_size=rank)
+        return st.tuples(st.just(n), st.just(rank),
+                         st.dictionaries(st.sampled_from(betas), mat, max_size=4),
+                         st.lists(coeff_dicts(n, 4), min_size=rank, max_size=rank))
+    return st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(lambda s: for_shape(*s))
+
+
+def build_case(mode, case, value=lambda c: c):
+    n, rank, op_data, q_data = case
+    def poly(d):
+        return Poly(mode, n, {a: mode.coeff(value(c)) for a, c in d.items()})
+    op = DiffOpJet(mode, n, rank, {beta: tuple(tuple(map(poly, row)) for row in m)
+                                   for beta, m in op_data.items()})
+    return op, FiberPoly([poly(d) for d in q_data])
+
+
+def max_total_degree(q):
+    return max((sum(a) for comp in q.components for a in comp.num), default=0)
+
+
+class TestCompiledApply:
+    @given(jet_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matches_reference_loop(self, case):
+        op, q = build_case(EXACT, case)
+        assert op.apply(q) == ref_apply(op, q)
+
+    @given(jet_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_float_matches_reference_loop(self, case):
+        mode = float_mode()
+        op, q = build_case(mode, case)
+        got, want = op.apply(q), ref_apply(op, q)
+        # relative to the sum of |terms| that meet at each monomial: the
+        # image of |q| under the operator with |coefficients|, in exact arithmetic
+        aop, aq = build_case(EXACT, case, abs)
+        scale = ref_apply(aop, aq)
+        for g, w, sc in zip(got.components, want.components, scale.components):
+            bound = 1e-12 * max([float(c) for c in sc.terms.values()] + [1.0])
+            for a in set(g.num) | set(w.num):
+                assert abs(g.coefficient(a) - w.coefficient(a)) <= bound, a
+
+    @given(jet_cases(), st.sampled_from([EXACT, float_mode()]))
+    @settings(max_examples=150, deadline=None)
+    def test_through_is_truncation(self, case, mode):
+        op, q = build_case(mode, case)
+        full = op.apply(q)
+        for d in range(-2, max_total_degree(q) + 5):
+            assert op.apply(q, through=d) == full.truncate_degree(d), d
+
+    @pytest.mark.parametrize("preset", ["cubic1d", "iso2d", "rank2"])
+    def test_family_matches_reference_loop(self, preset):
+        p = preset_problem(preset).problem
+        conj = conjugate_hamiltonian(p, solve_eikonal(p))
+        fam = rescale_operator(conj)
+        ops = [conj.hbar1, conj.hbar2] + [fam.get(j) for j in fam.orders()]
+        for op in ops:
+            for alpha in product(range(4), repeat=p.n):
+                for slot in range(p.rank):
+                    q = mono_fiber(alpha, value=F(3, 7), rank=p.rank, k=slot)
+                    assert op.apply(q) == ref_apply(op, q), alpha
 
 
 class TestMetricDensity:

@@ -281,6 +281,95 @@ class TestFormalScalarSeries:
         assert lhs.equals_through(rhs, HalfInt(12))
 
 
+# -- the dense FormalScalarSeries sum and product against HalfInt-keyed dicts
+
+
+def ref_min_trunc(a, b):
+    known = [t for t in (a, b) if t is not None]
+    return min(known) if known else None
+
+
+def ref_product_trunc(a, b):
+    candidates = []
+    if a.truncation_order is not None:
+        candidates.append(a.truncation_order + (b.order() or HI0))
+    if b.truncation_order is not None:
+        candidates.append(b.truncation_order + (a.order() or HI0))
+    return min(candidates) if candidates else None
+
+
+# the loops the dense sum and product replaced, kept here as the reference; in
+# float mode they fix the order of every complex operation
+
+def ref_series_add(a, b):
+    terms = dict(a.items())
+    for e, c in b.items():
+        s = terms.get(e)
+        terms[e] = c if s is None else s + c
+    return FormalScalarSeries.from_terms(a.mode, terms, ref_min_trunc(a.truncation_order,
+                                                                      b.truncation_order))
+
+
+def ref_series_mul(a, b):
+    trunc = ref_product_trunc(a, b)
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if trunc is not None and e > trunc:
+                continue
+            s = terms.get(e)
+            terms[e] = ca * cb if s is None else s + ca * cb
+    return FormalScalarSeries.from_terms(a.mode, terms, trunc)
+
+
+def scalar_series(mode, values):
+    """Series with negative offsets, interior and edge zeros, the zero series, and
+    truncation orders that are absent, below, inside or beyond the stored range."""
+    return st.builds(
+        lambda off, cs, t: FormalScalarSeries(mode, HalfInt(off), cs,
+                                              None if t is None else HalfInt(t)),
+        st.integers(-5, 4), st.lists(values, max_size=7),
+        st.one_of(st.none(), st.integers(-8, 10)))
+
+
+def series_state(s, coeff=lambda c: c):
+    return s.offset, tuple(map(coeff, s.coeffs)), s.truncation_order
+
+
+def hex_coeff(c):
+    return c.real.hex(), c.imag.hex()
+
+
+FRACS_OR_ZERO = st.one_of(st.just(F(0)), FRACS)
+
+
+class TestDenseScalarSeries:
+    @given(scalar_series(EXACT, FRACS_OR_ZERO), scalar_series(EXACT, FRACS_OR_ZERO))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_sum_and_product_match_dict_reference(self, a, b):
+        assert series_state(a + b) == series_state(ref_series_add(a, b))
+        assert series_state(a - b) == series_state(ref_series_add(a, -b))
+        assert series_state(a * b) == series_state(ref_series_mul(a, b))
+
+    @given(scalar_series(float_mode(), COMPLEXES), scalar_series(float_mode(), COMPLEXES))
+    @settings(max_examples=200, deadline=None)
+    def test_float_sum_and_product_match_dict_reference_bit_for_bit(self, a, b):
+        for got, want in ((a + b, ref_series_add(a, b)), (a * b, ref_series_mul(a, b)),
+                          (b * a, ref_series_mul(b, a))):
+            assert series_state(got, hex_coeff) == series_state(want, hex_coeff)
+
+    def test_zero_and_disjoint_cases(self):
+        z = FormalScalarSeries.zero(EXACT, HalfInt(3))
+        a = series({-3: 2, 1: 1}, trunc=6)
+        assert series_state(z + a) == series_state(ref_series_add(z, a))
+        assert series_state(a * z) == series_state(ref_series_mul(a, z))
+        assert (a * z).truncation_order == HI0   # 3/2 + ord(a) = 3/2 - 3/2
+        # a product whose every term lies beyond the truncation order
+        b = series({4: 1}, trunc=2)
+        assert series_state(a * b) == series_state(ref_series_mul(a, b))
+
+
 class TestInverseSqrt:
     def test_identity(self):
         assert inverse_sqrt_series(series({0: 1}, trunc=6)) == series({0: 1})
