@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
+from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, worst_residual
 from .operator_calculus import JetProblem, ProblemValidationError
 from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
@@ -74,8 +75,7 @@ _LEVEL_KEYS = {"value", "index"}
 _CHECK_NAMES = ("transport", "parity", "orthonormality", "eigen_residual", "rs", "projector")
 _CHECK_KEYS = set(_CHECK_NAMES) | {"tolerance"}
 _DEFAULT_CHECKS = {"transport": True, "parity": True, "orthonormality": True,
-                   "eigen_residual": True, "rs": "auto", "projector": False,
-                   "tolerance": 1e-9}
+                   "eigen_residual": True, "rs": "auto", "projector": False}
 
 
 @dataclass
@@ -196,10 +196,15 @@ def parse_problem_spec(text: str) -> ParsedSpec:
     if mode_name not in ("exact", "float"):
         raise SpecFileError(f"mode must be 'exact' or 'float', got {mode_name!r}",
                             pk.get("mode", (None, None))[1])
-    tol = _DEFAULT_CHECKS["tolerance"]
+    mode = EXACT if mode_name == "exact" else float_mode()
     if "tolerance" in keyvals.get("checks", {}):
-        tol = _parse_as(float, "tolerance", *keyvals["checks"]["tolerance"])
-    mode = EXACT if mode_name == "exact" else float_mode(min(tol, 1e-12))
+        token, lineno = keyvals["checks"]["tolerance"]
+        rtol = _parse_as(float, "tolerance", token, lineno)
+        if not (math.isfinite(rtol) and 0 < rtol < 1):
+            raise SpecFileError(f"tolerance must be a finite number with 0 < t < 1, got {token!r}",
+                                lineno, 1)
+        if mode_name == "float":
+            mode = float_mode(rtol)
     order = _parse_order(*need("order"))
     degree = None
     if "degree" in pk:
@@ -223,67 +228,51 @@ def parse_problem_spec(text: str) -> ParsedSpec:
         c = _parse_coeff(tokens[n], mode, lineno, 1)
         v_poly = v_poly + Poly.monomial(mode, n, alpha, c)
 
-    g_inv = None
-    rows = sections.get("metric_inverse", [])
-    if rows:
-        entries = [[Poly.zero(mode, n) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            entries[i][i] = entries[i][i] + Poly.const(mode, n, 1)
-        for tokens, lineno in rows:
-            if len(tokens) != n + 3:
+    def index_rows(section: str, what: str, layout: str, bounds: tuple):
+        """(0-based indices, monomial, line) of each row of a section of
+        ``len(bounds)`` 1-based indices, n exponents and a coefficient."""
+        k = len(bounds)
+        for tokens, lineno in sections[section]:
+            if len(tokens) != k + n + 1:
                 raise SpecFileError(
-                    f"metric rows are: i j, {n} index entries, coefficient", lineno, 1)
-            i, j = (_parse_as(int, "metric index", t, lineno) - 1 for t in tokens[:2])
-            if not (0 <= i < n and 0 <= j < n):
-                raise SpecFileError("metric entry indices out of range", lineno, 1)
-            alpha = _parse_multiindex(tokens[2:2 + n], n, lineno, 1)
-            c = _parse_coeff(tokens[-1], mode, lineno, 1)
-            mono = Poly.monomial(mode, n, alpha, c)
+                    f"{what} rows are: {layout}, {n} index entries, coefficient", lineno, 1)
+            idx = [_parse_as(int, f"{what} index", t, lineno) - 1 for t in tokens[:k]]
+            if not all(0 <= i < b for i, b in zip(idx, bounds)):
+                raise SpecFileError(f"{what} indices out of range", lineno, 1)
+            yield (idx, Poly.monomial(mode, n, _parse_multiindex(tokens[k:k + n], n, lineno, 1),
+                                      _parse_coeff(tokens[-1], mode, lineno, 1)), lineno)
+
+    def zeros(size: int) -> list:
+        return [[Poly.zero(mode, n) for _ in range(size)] for _ in range(size)]
+
+    g_inv = w_mat = gamma_conn = None
+    if sections.get("metric_inverse"):
+        entries = zeros(n)
+        for i in range(n):
+            entries[i][i] = Poly.const(mode, n, 1)
+        for (i, j), mono, _ in index_rows("metric_inverse", "metric", "i j", (n, n)):
             entries[i][j] = entries[i][j] + mono
             if i != j:
                 entries[j][i] = entries[j][i] + mono
-        g_inv = tuple(tuple(r) for r in entries)
-
-    w_mat = None
-    rows = sections.get("endomorphism", [])
-    if rows:
-        entries = [[Poly.zero(mode, n) for _ in range(rank)] for _ in range(rank)]
-        for tokens, lineno in rows:
-            if len(tokens) != n + 3:
-                raise SpecFileError(
-                    f"endomorphism rows are: k l, {n} index entries, coefficient", lineno, 1)
-            k, l = (_parse_as(int, "endomorphism index", t, lineno) - 1 for t in tokens[:2])
-            if not (0 <= k < rank and 0 <= l < rank):
-                raise SpecFileError("endomorphism fiber indices out of range", lineno, 1)
-            alpha = _parse_multiindex(tokens[2:2 + n], n, lineno, 1)
-            c = _parse_coeff(tokens[-1], mode, lineno, 1)
-            entries[k][l] = entries[k][l] + Poly.monomial(mode, n, alpha, c)
+        g_inv = tuple(map(tuple, entries))
+    if sections.get("endomorphism"):
+        entries = zeros(rank)
+        for (k, l), mono, _ in index_rows("endomorphism", "endomorphism", "k l", (rank, rank)):
+            entries[k][l] = entries[k][l] + mono
             if k != l:
-                entries[l][k] = entries[l][k] + Poly.monomial(mode, n, alpha, mode.conj(c))
-        w_mat = tuple(tuple(r) for r in entries)
-
-    gamma_conn = None
-    rows = sections.get("connection", [])
-    if rows:
-        mats = [[[Poly.zero(mode, n) for _ in range(rank)] for _ in range(rank)]
-                for _ in range(n)]
-        for tokens, lineno in rows:
-            if len(tokens) != n + 4:
-                raise SpecFileError(
-                    f"connection rows are: direction, k l, {n} index entries, coefficient",
-                    lineno, 1)
-            d, k, l = (_parse_as(int, "connection index", t, lineno) - 1 for t in tokens[:3])
-            if not (0 <= d < n and 0 <= k < rank and 0 <= l < rank):
-                raise SpecFileError("connection indices out of range", lineno, 1)
-            alpha = _parse_multiindex(tokens[3:3 + n], n, lineno, 1)
-            c = _parse_coeff(tokens[-1], mode, lineno, 1)
-            mats[d][k][l] = mats[d][k][l] + Poly.monomial(mode, n, alpha, c)
+                entries[l][k] = entries[l][k] + mono.conj()
+        w_mat = tuple(map(tuple, entries))
+    if sections.get("connection"):
+        mats = [zeros(rank) for _ in range(n)]
+        for (d, k, l), mono, lineno in index_rows("connection", "connection",
+                                                  "direction, k l", (n, rank, rank)):
+            mats[d][k][l] = mats[d][k][l] + mono
             if k != l:
-                mats[d][l][k] = mats[d][l][k] + Poly.monomial(mode, n, alpha, -mode.conj(c))
-            elif not mode.is_zero(c + mode.conj(c)):
+                mats[d][l][k] = mats[d][l][k] - mono.conj()
+            elif not (mono + mono.conj()).is_zero():
                 raise SpecFileError("diagonal connection entries must be imaginary (skew)",
                                     lineno, 1)
-        gamma_conn = tuple(tuple(tuple(r) for r in m) for m in mats)
+        gamma_conn = tuple(tuple(map(tuple, m)) for m in mats)
 
     level_value = None
     level_index = None
@@ -296,7 +285,7 @@ def parse_problem_spec(text: str) -> ParsedSpec:
     if "index" in lk:
         level_index = _parse_as(int, "level index", *lk["index"])
 
-    checks = dict(_DEFAULT_CHECKS, tolerance=tol)
+    checks = dict(_DEFAULT_CHECKS)
     for key, (val, lineno) in keyvals.get("checks", {}).items():
         if key == "tolerance":
             continue
@@ -343,18 +332,13 @@ def _preset_harmonic(params, mode):
     return problem, mode.coeff(e0), None
 
 
-def _preset_cubic1d(params, mode):
-    c = Fraction(params.pop("c", "1"))
-    v = Poly(mode, 1, {(2,): mode.coeff(1), (3,): mode.coeff(c)})
-    problem = JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v)
-    return problem, mode.coeff(1), None
-
-
-def _preset_quartic1d(params, mode):
-    c = Fraction(params.pop("c", "1"))
-    v = Poly(mode, 1, {(2,): mode.coeff(1), (4,): mode.coeff(c)})
-    problem = JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v)
-    return problem, mode.coeff(1), None
+def _preset_1d(degree: int):
+    """The well x^2 + c x^degree."""
+    def preset(params, mode):
+        c = Fraction(params.pop("c", "1"))
+        v = Poly(mode, 1, {(2,): mode.coeff(1), (degree,): mode.coeff(c)})
+        return JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v), mode.coeff(1), None
+    return preset
 
 
 def _preset_witten1d(params, mode):
@@ -402,8 +386,8 @@ def _preset_rank2(params, mode):
 
 PRESETS = {
     "harmonic": _preset_harmonic,
-    "cubic1d": _preset_cubic1d,
-    "quartic1d": _preset_quartic1d,
+    "cubic1d": _preset_1d(3),
+    "quartic1d": _preset_1d(4),
     "witten1d": _preset_witten1d,
     "iso2d": _preset_iso2d,
     "rank2": _preset_rank2,
@@ -532,14 +516,13 @@ def _load_spec(args) -> ParsedSpec:
 
 def _compute(spec: ParsedSpec):
     return compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
-                              level_index=spec.level_index,
-                              rel_tol=spec.checks.get("tolerance", 1e-9))
+                              level_index=spec.level_index)
 
 
 def _run_checks(spec: ParsedSpec, result) -> list:
     reports = []
     checks = spec.checks
-    tol = checks.get("tolerance", 1e-9)
+    mode = spec.problem.mode
     if checks.get("transport", True):
         reports.append(transport_residual(result))
     if checks.get("eigen_residual", True):
@@ -547,30 +530,26 @@ def _run_checks(spec: ParsedSpec, result) -> list:
     if checks.get("orthonormality", True):
         reports.append(orthonormality_report(result))
     if checks.get("parity", True):
-        mode = spec.problem.mode
-        rep = parity_filter([e.shift(HalfInt(-2)) for e in result.eigenvalues], result.level,
-                            tol=0.0 if mode.name == "exact" else tol)
+        rep = parity_filter([e.shift(HalfInt(-2)) for e in result.eigenvalues], result.level)
         reports.append(VerificationReport(
             name="parity", passed=rep.ok, order=result.order,
             max_residual=rep.worst, detail=rep.detail))
     rs_flag = checks.get("rs", "auto")
     if rs_flag is True or (rs_flag == "auto" and result.level.m0 == 1):
         oracle = rs_oracle(result)
-        mode = spec.problem.mode
         inner = result.eigenvalues[0].shift(HalfInt(-2))
-        diff = inner - oracle
-        worst = diff.max_abs_coeff(result.order)
-        ok = worst <= (0.0 if mode.name == "exact" else 1e-10)
+        N = result.order
+        worst = worst_residual(mode, [((inner - oracle).max_abs_coeff(N),
+                                       max(inner.max_abs_coeff(N), oracle.max_abs_coeff(N)))])
         reports.append(VerificationReport(
-            name="rs_oracle", passed=ok, order=result.order, max_residual=worst,
+            name="rs_oracle", passed=mode.negligible(worst, 1), order=N,
+            max_residual=float(worst),
             detail="pipeline eigenvalue equals the perturbation recursion"))
     if checks.get("projector", False):
         ctx = result.context
         rep = projector_diagnostics(ctx.projector, ctx.omega)
-        mode = spec.problem.mode
-        ptol = 0.0 if mode.name == "exact" else tol
         reports.append(VerificationReport(
-            name="projector", passed=rep.passed(ptol), order=result.order,
+            name="projector", passed=rep.passed(), order=result.order,
             max_residual=max(rep.idempotency_defect, rep.commutation_defect,
                              rep.symmetry_defect, rep.rank_residual),
             detail=f"rank {rep.rank}/{rep.rank_expected}"))
@@ -598,6 +577,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _check_numbers(args) -> None:
+    """Reject numeric options no computation can use; parses ``--hbar``."""
+    if args.command == "spectrum" and args.degree < 0:
+        raise ValueError(f"--degree must be a nonnegative integer, got {args.degree}")
+    if args.command != "crosscheck":
+        return
+    if args.grid < 3:
+        raise ValueError(f"--grid must be an integer of at least 3, got {args.grid}")
+    try:
+        hbars = [float(t) for t in args.hbar.split(",")]
+    except ValueError:
+        raise ValueError(f"--hbar must be a comma list of numbers, got {args.hbar!r}") from None
+    if not all(math.isfinite(h) and h > 0 for h in hbars):
+        raise ValueError(f"--hbar values must be finite and positive, got {args.hbar!r}")
+    if len(set(hbars)) < 2:
+        raise ValueError(f"--hbar needs at least two distinct values to fit a slope, "
+                         f"got {args.hbar!r}")
+    args.hbar = hbars
 
 
 def _check_names(text: str):
@@ -651,6 +650,7 @@ def run_command(argv) -> int:
         return exc.code
 
     try:
+        _check_numbers(args)
         spec = _load_spec(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -684,8 +684,7 @@ def run_command(argv) -> int:
             reports = _run_checks(spec, result)
         else:  # crosscheck
             result = _compute(spec)
-            hbars = [float(t) for t in args.hbar.split(",")]
-            rep = crosscheck_eigenvalue_1d(result, hbars, grid=args.grid)
+            rep = crosscheck_eigenvalue_1d(result, args.hbar, grid=args.grid)
             reports = [rep]
             if args.csv:
                 with open(args.csv, "w", encoding="utf-8") as fh:

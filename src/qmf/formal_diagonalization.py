@@ -27,8 +27,10 @@ from .series_algebra import (
     HI0,
     HalfInt,
     S0Series,
+    _min_trunc,
     half_range,
     inverse_sqrt_series,
+    worst_residual,
 )
 from .gaussian_pairing import WeightExpansion, pair_s0
 from .harmonic_oscillator import DegenerateLevel
@@ -52,11 +54,11 @@ class ExactSplitUnavailable(ValueError):
 class SplitAmbiguityError(ValueError):
     """Float-mode eigenvalue clustering is ambiguous at the reported order."""
 
-    def __init__(self, order: HalfInt, gap: float, tol: float):
+    def __init__(self, order: HalfInt, gap: float, scale: float):
         self.order = order
         super().__init__(
             f"eigenvalue clusters separated by {gap:.3e} at order {order} are neither "
-            f"equal nor resolved at tolerance {tol:.1e}; splitting stalled")
+            f"equal nor resolved against the magnitude {scale:.3e}; splitting stalled")
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +136,19 @@ class SeriesMatrix:
                     out = e.truncation_order if out is None else min(out, e.truncation_order)
         return out
 
+    def max_abs_coeff(self, through: HalfInt | None = None) -> float:
+        return max((e.max_abs_coeff(through) for row in self.entries for e in row), default=0.0)
+
     def is_hermitian(self, through: HalfInt | None = None) -> bool:
         m = self.size
         for i in range(m):
             for j in range(m):
-                diff = self.entries[i][j] - self.entries[j][i].conj()
-                bound = through if through is not None else diff.truncation_order
-                if bound is None:
-                    if not diff.is_zero():
-                        return False
-                elif not diff.equals_through(FormalScalarSeries.zero(self.mode), bound):
+                a, b = self.entries[i][j], self.entries[j][i].conj()
+                bound = through if through is not None else \
+                    _min_trunc(a.truncation_order, b.truncation_order)
+                if not a.equals_through(b, bound):
                     return False
         return True
-
-    def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        return max((e.max_abs_coeff(through) for row in self.entries for e in row), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +161,17 @@ def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
 
     Validates a leading positive diagonal (the monic basis is orthogonal at
     leading order); a violation signals a projector or pairing inconsistency
-    upstream.
+    upstream; an off-diagonal lead must be negligible against the diagonal.
     """
     mode = fs[0].mode
     m = len(fs)
     rows = [[pair_s0(fs[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
     a = SeriesMatrix.from_rows(mode, rows)
     lead = a.coeff_at(HI0)
+    scale = max(mode.abs(lead[i][i]) for i in range(m))
     for i in range(m):
         for j in range(m):
-            off_diagonal = i != j and not mode.is_zero(lead[i][j])
+            off_diagonal = i != j and not mode.negligible(lead[i][j], scale)
             nonpositive = i == j and mode.to_float(mode.real(lead[i][i])) <= 0
             if off_diagonal or nonpositive:
                 raise ValueError("Gram leading term is not a positive diagonal; "
@@ -192,12 +193,6 @@ def interaction_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
 # Exact linear algebra on constant rational matrices
 
 
-def _mat_mul_const(a, b):
-    m = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(m)),
-                 a[0][0] * 0) for j in range(m)] for i in range(m)]
-
-
 def _char_poly(t) -> list:
     """det(nu I - T) coefficients [c_0, ..., c_m] with c_m = 1 (Faddeev-LeVerrier)."""
     m = len(t)
@@ -208,7 +203,7 @@ def _char_poly(t) -> list:
     for k in range(1, m + 1):
         for i in range(m):
             mk[i][i] = mk[i][i] + c
-        mk = _mat_mul_const(t, mk)
+        mk = _block_mul(t, mk)
         tr = sum(mk[i][i] for i in range(m))
         c = -tr / k
         coeffs[m - k] = c
@@ -216,50 +211,68 @@ def _char_poly(t) -> list:
 
 
 def _rational_roots(coeffs: list) -> list:
-    """All rational roots with multiplicity of a rational polynomial."""
+    """All rational roots with multiplicity of a rational polynomial (constant term first)."""
     roots = []
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1:
-        if work[0] == 0:
-            roots.append(Fraction(0))
-            work = _deflate(work, Fraction(0))
-            continue
-        denom = 1
-        for c in work:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in work]
-        a0, am = abs(ints[0]), abs(ints[-1])
-        found = None
-        for p in _divisors(a0):
-            for q in _divisors(am):
-                for sign in (1, -1):
-                    cand = Fraction(sign * p, q)
-                    if _poly_eval(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
+        root = _rational_root(work)
+        if root is None:
             return roots  # remaining factor has no rational root
-        roots.append(found)
-        work = _deflate(work, found)
+        while len(work) > 1 and _poly_eval(work, root) == 0:
+            roots.append(root)
+            work = _deflate(work, root)
     return roots
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _rational_root(f: list):
+    """One rational root of f, or None, in time polynomial in its bit size.
+
+    Sturm's theorem counts the distinct real roots in (lo, hi], so bisection
+    isolates each one. A rational root p/q has q dividing the leading
+    coefficient q_f of f's integer multiple, and such fractions lie 1/q_f^2
+    apart, so a root isolated closer than that is rational exactly when the
+    nearest fraction with denominator <= q_f is a root.
+    """
+    chain = _sturm_chain(f)
+    q = abs(f[-1] * math.lcm(*(c.denominator for c in f)))
+    bound = 1 + max(abs(c / f[-1]) for c in f[:-1])
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+        if count == 1 and (hi - lo) * q * q < 1:
+            cand = ((lo + hi) / 2).limit_denominator(q)
+            if _poly_eval(f, cand) == 0:
+                return cand
+        elif count:
+            mid = (lo + hi) / 2
+            if _poly_eval(f, mid) == 0:
+                return mid
+            stack += [(lo, mid), (mid, hi)]
+    return None
+
+
+def _sturm_chain(f: list) -> list:
+    """f, f' and the negated remainders of Euclid's algorithm on them."""
+    chain = [f, [i * c for i, c in enumerate(f)][1:]]
+    while True:
+        rem = list(chain[-2])
+        divisor = chain[-1]
+        while len(rem) >= len(divisor):
+            k = rem[-1] / divisor[-1]
+            for i, c in enumerate(divisor, start=len(rem) - len(divisor)):
+                rem[i] -= k * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return chain
+        chain.append([-c for c in rem])
+
+
+def _sign_changes(chain: list, x) -> int:
+    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _poly_eval(coeffs, x):
@@ -279,36 +292,34 @@ def _deflate(coeffs, root):
     return q
 
 
-def _nullspace(mat) -> list:
-    """Rational basis of the nullspace via row reduction."""
-    m = len(mat)
+def _rref(mat) -> tuple:
+    """Gauss-Jordan reduced row echelon form of a rational matrix, and its pivot columns."""
     a = [list(row) for row in mat]
-    n_cols = len(a[0])
     pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for rr in range(r, m):
-            if a[rr][c] != 0:
-                pivot = rr
-                break
+    for c in range(len(a[0])):
+        r = len(pivots)
+        pivot = next((rr for rr in range(r, len(a)) if a[rr][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
         pv = a[r][c]
         a[r] = [x / pv for x in a[r]]
-        for rr in range(m):
+        for rr in range(len(a)):
             if rr != r and a[rr][c] != 0:
                 f = a[rr][c]
                 a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == len(a):
             break
-    free = [c for c in range(n_cols) if c not in pivots]
+    return a, pivots
+
+
+def _nullspace(mat) -> list:
+    """Rational basis of the nullspace."""
+    a, pivots = _rref(mat)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
+    for fc in (c for c in range(len(a[0])) if c not in pivots):
+        v = [Fraction(0)] * len(a[0])
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             v[pc] = -a[ri][fc]
@@ -324,7 +335,7 @@ def _gen_eig_exact(r, a0):
     """
     m = len(r)
     a0_inv = _const_inverse(a0)
-    t = _mat_mul_const(a0_inv, r)
+    t = _block_mul(a0_inv, r)
     coeffs = _char_poly(t)
     roots = _rational_roots(coeffs)
     if len(roots) != m:
@@ -360,45 +371,37 @@ def _a0_orthogonalize(vectors, a0):
 
 def _const_inverse(a):
     m = len(a)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
-           for i, row in enumerate(a)]
-    for c in range(m):
-        pivot = None
-        for rr in range(c, m):
-            if aug[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for rr in range(m):
-            if rr != c and aug[rr][c] != 0:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[c])]
+    aug, pivots = _rref([list(row) + [Fraction(int(i == j)) for j in range(m)]
+                         for i, row in enumerate(a)])
+    if pivots != list(range(m)):
+        raise ValueError("singular matrix")
     return [row[m:] for row in aug]
 
 
-def _gen_eig_float(r, a0, tol: float, order: HalfInt):
-    """Clustered blocks of the constant hermitian pencil in float mode."""
+def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
+    """Clustered blocks of the constant hermitian pencil in float mode.
+
+    ``scale`` bounds the entries cancelled into ``r``; over the least
+    eigenvalue of ``a0`` it bounds their effect on the eigenvalues, which are
+    equal when their gap is negligible against it, ambiguous within 100 times.
+    """
     import numpy as np
     from scipy.linalg import eigh
 
     rm = np.array(r, dtype=complex)
     am = np.array(a0, dtype=complex)
     vals, vecs = eigh(rm, am)
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = max(scale / float(np.min(np.linalg.eigvalsh(am))), float(np.max(np.abs(vals))))
     clusters: list[list[int]] = []
     for i, v in enumerate(vals):
-        if clusters and abs(v - vals[clusters[-1][0]]) <= tol * scale:
+        if clusters and mode.negligible(v - vals[clusters[-1][0]], scale):
             clusters[-1].append(i)
         else:
             clusters.append([i])
     for a, b in zip(clusters, clusters[1:]):
         gap = abs(vals[b[0]] - vals[a[-1]])
-        if gap <= 100 * tol * scale:
-            raise SplitAmbiguityError(order, float(gap), tol)
+        if mode.negligible(gap, 100 * scale):
+            raise SplitAmbiguityError(order, float(gap), scale)
     out = []
     for cl in clusters:
         nu = complex(np.mean(vals[cl]))
@@ -429,8 +432,7 @@ class EigenResult:
 
 
 def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None = None,
-                              through: HalfInt | None = None,
-                              rel_tol: float = 1e-9) -> EigenResult:
+                              through: HalfInt | None = None) -> EigenResult:
     """Eigenvalue and eigenvector series of a hermitian matrix over the series field.
 
     With ``gram`` given, solves the generalized problem M v = E (gram) v; the
@@ -459,7 +461,7 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
     if not m_matrix.is_hermitian(trunc) or not gram.is_hermitian(trunc):
         raise ValueError("pencil must be hermitian")
 
-    pairs = _pencil_solve(m_matrix.truncate(trunc), gram.truncate(trunc), trunc, mode, rel_tol)
+    pairs = _pencil_solve(m_matrix.truncate(trunc), gram.truncate(trunc), trunc, mode)
 
     # deterministic order: sort by eigenvalue coefficient sequences
     def eig_key(pair):
@@ -483,7 +485,9 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
             fixed.append(col)
             continue
         entries = [e.coefficient(lead_order) for e in col]
-        best = max(range(len(entries)), key=lambda i: float(mode.abs(entries[i])))
+        # the first entry of largest magnitude, float magnitudes equal when close
+        mags = [mode.abs(c) for c in entries]
+        best = next(i for i, a in enumerate(mags) if mode.close(a, max(mags)))
         pivot = entries[best]
         phase = pivot / mode.abs(pivot) if not mode.is_zero(pivot) else mode.one()
         inv_phase = mode.one() / phase
@@ -528,9 +532,11 @@ def _field_sqrt(mode, c):
     return Fraction(rn, rd)
 
 
-def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode,
-                  rel_tol: float) -> list:
-    """Recursive splitting; returns [(eigenvalue series, column of series)]."""
+def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode) -> list:
+    """Recursive splitting; returns [(eigenvalue series, column of series)].
+
+    The deflated coefficient B_t - (E A)_t vanishes when each entry's two
+    terms are ``mode.close``."""
     m = b.size
     if m == 1:
         e = (b.entry(0, 0) / a.entry(0, 0)).truncate(order)
@@ -540,26 +546,28 @@ def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode,
     a0 = a.coeff_at(HI0)
     e_accum = FormalScalarSeries.zero(mode, order)
     for t in half_range(HI0, order):
-        r_t = [[b.entry(i, j).coefficient(t) - (e_accum * a.entry(i, j)).coefficient(t)
-                for j in range(m)] for i in range(m)]
-        if all(mode.is_zero(r_t[i][j]) for i in range(m) for j in range(m)):
+        terms = [[(b.entry(i, j).coefficient(t), (e_accum * a.entry(i, j)).coefficient(t))
+                  for j in range(m)] for i in range(m)]
+        if all(mode.close(x, y) for row in terms for x, y in row):
             continue
+        r_t = [[x - y for x, y in row] for row in terms]
         if mode.name == "exact":
             blocks = _gen_eig_exact(r_t, a0)
         else:
-            blocks = _gen_eig_float(r_t, a0, rel_tol, t)
+            scale = max(max(abs(x), abs(y)) for row in terms for x, y in row)
+            blocks = _gen_eig_float(r_t, a0, scale, t, mode)
         if len(blocks) == 1:
             nu = blocks[0][0]
             e_accum = e_accum + FormalScalarSeries.hbar_power(mode, t, nu, order)
             continue
-        return _split_and_recurse(b, a, order, mode, rel_tol, e_accum, t, blocks)
+        return _split_and_recurse(b, a, order, mode, e_accum, t, blocks)
 
     # no split through the working order: all eigenvalues coincide
     cols = _series_gram_schmidt(a, order, mode)
     return [(e_accum, col) for col in cols]
 
 
-def _split_and_recurse(b, a, order, mode, rel_tol, e_accum, t, blocks):
+def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
     m = b.size
     # change of basis by the constant block matrix
     u_cols = []
@@ -586,11 +594,7 @@ def _split_and_recurse(b, a, order, mode, rel_tol, e_accum, t, blocks):
 
     a0_rot = a_rot.coeff_at(HI0)
     a0_blocks = [[[a0_rot[i][j] for j in rng] for i in rng] for rng in ranges]
-    if mode.name == "exact":
-        a0_invs = [_const_inverse(blk) for blk in a0_blocks]
-    else:
-        import numpy as np
-        a0_invs = [np.linalg.inv(np.array(blk, dtype=complex)).tolist() for blk in a0_blocks]
+    a0_invs = [_const_inverse(blk) for blk in a0_blocks]
 
     # series congruence V = 1 + sum_s h^s V_s with zero diagonal blocks,
     # chosen so both a_rot and p_rot become block diagonal through the order
@@ -637,7 +641,7 @@ def _split_and_recurse(b, a, order, mode, rel_tol, e_accum, t, blocks):
     for blk, rng in enumerate(ranges):
         sub_b = SeriesMatrix.from_rows(mode, [[p_fin.entry(i, j) for j in rng] for i in rng])
         sub_a = SeriesMatrix.from_rows(mode, [[a_fin.entry(i, j) for j in rng] for i in rng])
-        for e_sub, col in _pencil_solve(sub_b, sub_a, order, mode, rel_tol):
+        for e_sub, col in _pencil_solve(sub_b, sub_a, order, mode):
             full_col = []
             for i in range(m):
                 acc = FormalScalarSeries.zero(mode, order)
@@ -687,23 +691,23 @@ class ParityReport:
     detail: str
 
 
-def parity_filter(eigenvalues: Sequence, level: DegenerateLevel, tol: float = 0.0) -> ParityReport:
+def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> ParityReport:
     """Assert the vanishing of half-integer coefficients in the eigenvalue series.
 
     Applies only to levels of uniform parity; mixed levels are exempt. A
     violation is a hard failure: the structure theory guarantees vanishing,
-    so a nonzero coefficient means an implementation bug upstream.
+    so a coefficient not negligible against its series' largest means an
+    implementation bug upstream.
     """
     if level.parity == "mixed":
         return ParityReport(checked=False, ok=True, worst=0.0, detail="mixed parity: exempt")
     worst = 0.0
     for e in eigenvalues:
-        for t, c in e.items():
-            if not t.is_integer:
-                worst = max(worst, float(e.mode.abs(c)))
-    ok = worst <= tol
-    if not ok:
+        scale = e.max_abs_coeff()
+        worst = max(worst, worst_residual(e.mode, ((float(e.mode.abs(c)), scale)
+                                                   for t, c in e.items() if not t.is_integer)))
+    if eigenvalues and not eigenvalues[0].mode.negligible(worst, 1):
         raise AssertionError(
             f"half-integer eigenvalue coefficient of size {worst} on a uniform-parity level")
     return ParityReport(checked=True, ok=True, worst=worst,
-                        detail=f"all half-integer coefficients vanish (<= {tol})")
+                        detail=f"all half-integer coefficients vanish (<= {worst})")

@@ -155,6 +155,11 @@ class WeightExpansion:
     def orders(self):
         return sorted(self.omega, key=lambda h: h.doubled)
 
+    def abs(self) -> "WeightExpansion":
+        """The expansion of the |coefficients| of each omega_m, sharing the moments."""
+        return WeightExpansion(self.mode, self.lam, {m: p.abs() for m, p in self.omega.items()},
+                               self.complete, moments=self.moments)
+
     def functional(self, m: HalfInt) -> _Functional:
         """The lazily filled functional L_m of the order-m weight."""
         lm = self.table.get(m)
@@ -219,14 +224,14 @@ def weight_expansion(phi: ScalarJet, problem: JetProblem, through) -> WeightExpa
         expo = _graded_mul(expo, g_parts, mode, n, through)
     complete = min(caps)
     omega = {k: p for k, p in expo.items() if k <= complete and not p.is_zero()}
-    # structural invariants: leading term 1, parity (-1)^(2m); in float mode
-    # wrong-parity terms are rounding noise and must stay below 1e-9 relative
+    # structural invariants: leading term 1, parity (-1)^(2m); a wrong-parity
+    # term must be negligible against the largest term of its polynomial
     assert omega.get(HI0) == Poly.const(mode, n, 1)
     for k, p in omega.items():
         want = 0 if k.is_integer else 1
-        scale = max([1.0] + [float(mode.abs(c)) for c in p.terms.values()])
+        scale = p.max_abs()
         for alpha, c in p.terms.items():
-            if mono_degree(alpha) % 2 != want and float(mode.abs(c)) > 1e-9 * scale:
+            if mono_degree(alpha) % 2 != want and not mode.negligible(c, scale):
                 raise AssertionError("weight polynomial has impossible parity")
     return WeightExpansion(mode=mode, lam=problem.lam, omega=omega, complete=complete)
 

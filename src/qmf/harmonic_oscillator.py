@@ -60,10 +60,6 @@ class HermiteIndex:
     def degree(self) -> int:
         return sum(self.alpha)
 
-    @property
-    def parity(self) -> int:
-        return 1 if self.degree % 2 == 0 else -1
-
 
 class HermiteBasis:
     """Monic eigenbasis of the model operator up to a fixed polynomial degree.
@@ -233,20 +229,12 @@ class SpectrumTable:
         return sorted(self.entries.items(),
                       key=lambda kv: (self.mode.to_float(kv[1]), kv[0]))
 
-    def distinct_levels(self, rel_tol: float = 1e-9) -> list:
-        """Distinct eigenvalues ascending (clustered by rel_tol in float mode)."""
+    def distinct_levels(self) -> list:
+        """Distinct eigenvalues ascending; float values are equal when ``mode.close``."""
         values = []
         for _, e in self.sorted_entries():
-            if not values:
+            if not values or not self.mode.close(e, values[-1]):
                 values.append(e)
-                continue
-            if self.mode.name == "exact":
-                if e != values[-1]:
-                    values.append(e)
-            else:
-                scale = max(1.0, abs(values[-1]))
-                if abs(e - values[-1]) > rel_tol * scale:
-                    values.append(e)
         return values
 
 
@@ -282,31 +270,24 @@ class DegenerateLevel:
     parity: str
 
 
-def degenerate_level(table: SpectrumTable, E0, rel_tol: float = 1e-9) -> DegenerateLevel:
-    """Collect all indices at the eigenvalue E0 (exact match, or cluster in float mode).
+def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
+    """Collect all indices at the eigenvalue E0 (equal by ``mode.close``).
 
     The enumeration degree of the table must be large enough to contain the
     whole level; this is guaranteed when degree >= (E0 - min mu) / (2 min lam).
     """
     mode = table.mode
     E0 = mode.coeff(E0) if isinstance(E0, (int, Fraction, str)) else E0
-    members = []
-    for index, e in table.entries.items():
-        if mode.name == "exact":
-            hit = e == E0
-        else:
-            hit = abs(e - E0) <= rel_tol * max(1.0, abs(E0))
-        if hit:
-            members.append(index)
+    members = [index for index, e in table.entries.items() if mode.close(e, E0)]
     if not members:
         raise LevelNotFoundError(f"E0 = {E0} not in the model spectrum (degree {table.degree})")
     # the table must not have cut the level off at its degree bound
-    lam_min = min(mode.to_float(l) for l in table.lam)
-    mu_min = min((mode.to_float(m) for m in table.mu), default=0.0)
-    needed = (mode.to_float(E0) - mu_min) / (2 * lam_min)
-    if table.degree < needed - 1e-9:
+    lam_min = min(mode.real(l) for l in table.lam)
+    needed = (mode.real(E0) - min((mode.real(m) for m in table.mu), default=0)) / (2 * lam_min)
+    if needed > table.degree and not mode.negligible(needed - table.degree, needed):
         raise LevelNotFoundError(
-            f"spectrum table degree {table.degree} too small to certify the level; need {needed:.1f}")
+            f"spectrum table degree {table.degree} too small to certify the level; "
+            f"need {float(needed):.1f}")
     members = tuple(sorted(members))
     degrees = {m.degree % 2 for m in members}
     parity = "even" if degrees == {0} else "odd" if degrees == {1} else "mixed"
@@ -314,9 +295,9 @@ def degenerate_level(table: SpectrumTable, E0, rel_tol: float = 1e-9) -> Degener
     return DegenerateLevel(E0=E0, members=members, m0=len(members), K=K, parity=parity)
 
 
-def level_by_index(table: SpectrumTable, i: int, rel_tol: float = 1e-9) -> DegenerateLevel:
+def level_by_index(table: SpectrumTable, i: int) -> DegenerateLevel:
     """The i-th distinct level, ascending from the bottom of the spectrum."""
-    levels = table.distinct_levels(rel_tol)
+    levels = table.distinct_levels()
     if i < 0 or i >= len(levels):
         raise LevelNotFoundError(f"level index {i} out of range ({len(levels)} levels tabulated)")
-    return degenerate_level(table, levels[i], rel_tol)
+    return degenerate_level(table, levels[i])

@@ -32,6 +32,7 @@ from .series_algebra import (
     HI0,
     HalfInt,
     Poly,
+    _min_trunc,
     _same_mode,
     half_range,
     mono_add,
@@ -79,11 +80,6 @@ def pm_identity(mode, n: int, size: int) -> PolyMat:
     return tuple(tuple(one if i == j else z for j in range(size)) for i in range(size))
 
 
-def pm_scalar(p: Poly, size: int) -> PolyMat:
-    z = Poly.zero(p.mode, p.n)
-    return tuple(tuple(p if i == j else z for j in range(size)) for i in range(size))
-
-
 def pm_add(a: PolyMat, b: PolyMat) -> PolyMat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -107,10 +103,6 @@ def pm_mul(a: PolyMat, b: PolyMat) -> PolyMat:
     return tuple(out)
 
 
-def pm_diff(a: PolyMat, i: int) -> PolyMat:
-    return tuple(tuple(x.diff(i) for x in ra) for ra in a)
-
-
 def pm_truncate(a: PolyMat, d: int) -> PolyMat:
     return tuple(tuple(x.truncate_degree(d) for x in ra) for ra in a)
 
@@ -122,14 +114,6 @@ def pm_is_zero(a: PolyMat) -> bool:
 def pm_conj_transpose(a: PolyMat) -> PolyMat:
     size = len(a)
     return tuple(tuple(a[j][i].conj() for j in range(size)) for i in range(size))
-
-
-def pm_is_hermitian(a: PolyMat) -> bool:
-    return pm_is_zero(pm_add(a, pm_neg(pm_conj_transpose(a))))
-
-
-def pm_min_degree(a: PolyMat):
-    return min(x.min_degree() for ra in a for x in ra)
 
 
 def pm_inverse_jet(a: PolyMat, through: int) -> PolyMat:
@@ -167,16 +151,8 @@ def poly_det(a: PolyMat, through: int | None = None) -> Poly:
     return d if through is None else d.truncate_degree(through)
 
 
-def poly_sqrt_jet(p: Poly, through: int) -> Poly:
-    """(1 + u)^(1/2) for p = 1 + u with u of positive minimal degree."""
-    return _poly_binomial(p, Fraction(1, 2), through)
-
-
-def poly_inv_sqrt_jet(p: Poly, through: int) -> Poly:
-    return _poly_binomial(p, Fraction(-1, 2), through)
-
-
-def _poly_binomial(p: Poly, expo: Fraction, through: int) -> Poly:
+def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
+    """(1 + u)^expo for p = 1 + u with u of positive minimal degree."""
     mode = p.mode
     one = Poly.const(mode, p.n, 1)
     u = (p - one).truncate_degree(through)
@@ -204,15 +180,6 @@ class ScalarJet:
 
     poly: Poly
     complete: int
-
-
-def _completeness_min(*vals):
-    out = None
-    for v in vals:
-        if v is None:
-            continue
-        out = v if out is None else min(out, v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +249,7 @@ class JetProblem:
                     raise ProblemValidationError(
                         "coordinates not normalized: quadratic cross term in the potential")
                 nu = nz[0]
-                if not mode.is_zero(c - self.lam[nu] * self.lam[nu]):
+                if not mode.close(c, self.lam[nu] * self.lam[nu]):
                     raise ProblemValidationError(
                         "coordinates not normalized: quadratic part must be sum lambda_nu^2 x_nu^2")
         for nu in range(self.n):
@@ -295,7 +262,7 @@ class JetProblem:
             for j in range(self.n):
                 e = self.g_inv[i][j]
                 want = mode.one() if i == j else mode.zero()
-                if not mode.is_zero(e.coefficient(z) - want):
+                if not mode.close(e.coefficient(z), want):
                     raise ProblemValidationError("inverse metric must be the identity at the base point")
                 for alpha, c in e.terms.items():
                     if mono_degree(alpha) == 1:
@@ -303,7 +270,7 @@ class JetProblem:
                             "inverse metric must have no linear term (normal coordinates)")
                 if not (e - self.g_inv[j][i]).is_zero():
                     raise ProblemValidationError("inverse metric must be symmetric")
-        if not pm_is_hermitian(self.W):
+        if not pm_is_zero(pm_add(self.W, pm_neg(pm_conj_transpose(self.W)))):
             raise ProblemValidationError("endomorphism field must be hermitian")
         for G in self.Gamma:
             if not pm_is_zero(pm_add(G, pm_conj_transpose(G))):
@@ -401,7 +368,9 @@ class DiffOpJet:
 
     @staticmethod
     def scalar_multiplication(p: Poly, rank: int, complete: int | None = None) -> "DiffOpJet":
-        return DiffOpJet.multiplication(pm_scalar(p, rank), complete)
+        z = Poly.zero(p.mode, p.n)
+        return DiffOpJet.multiplication(
+            tuple(tuple(p if i == j else z for j in range(rank)) for i in range(rank)), complete)
 
     @staticmethod
     def derivative(mode, n, rank, i: int) -> "DiffOpJet":
@@ -411,9 +380,8 @@ class DiffOpJet:
 
     def min_degree(self):
         """Smallest graded degree present (coefficient degree minus |beta|)."""
-        degs = [pm_min_degree(m) - mono_degree(b) for b, m in self.terms.items()
-                if pm_min_degree(m) != float("inf")]
-        return min(degs) if degs else float("inf")
+        return min((x.min_degree() - mono_degree(b) for b, m in self.terms.items()
+                    for row in m for x in row if not x.is_zero()), default=float("inf"))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -424,7 +392,7 @@ class DiffOpJet:
         for b, m in other.terms.items():
             terms[b] = pm_add(terms[b], m) if b in terms else m
         return DiffOpJet(self.mode, self.n, self.rank, terms,
-                         _completeness_min(self.complete, other.complete))
+                         _min_trunc(self.complete, other.complete))
 
     def __neg__(self) -> "DiffOpJet":
         return DiffOpJet(self.mode, self.n, self.rank,
@@ -451,7 +419,7 @@ class DiffOpJet:
                     d = nmat
                     for i, si in enumerate(sigma):
                         for _ in range(si):
-                            d = pm_diff(d, i)
+                            d = tuple(tuple(x.diff(i) for x in ra) for ra in d)
                     if pm_is_zero(d):
                         continue
                     prod = pm_mul(m, d)
@@ -560,9 +528,6 @@ class DiffOpJet:
                              {beta: tuple(map(tuple, mat)) for beta, mat in terms.items()})
                 for d, terms in sorted(buckets.items())}
 
-    def __repr__(self) -> str:
-        return f"DiffOpJet({len(self.terms)} derivative orders, complete={self.complete})"
-
 
 def _sub_multi_indices(beta: tuple):
     if not beta:
@@ -594,18 +559,26 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
         alpha[nu] = 2
         phi = phi + Poly.monomial(mode, n, tuple(alpha), problem.lam[nu] * half)
 
-    def residual(through_deg: int) -> Poly:
-        grad = [phi.diff(i) for i in range(n)]
+    def residual(through_deg: int, magnitude: bool = False) -> Poly:
+        """g^{ij} phi_i phi_j - V through the degree; with ``magnitude``, the
+        same sum on |coefficients|, which bounds what it cancels."""
+        part = Poly.abs if magnitude else (lambda p: p)
+        grad = [part(phi.diff(i)) for i in range(n)]
         acc = Poly.zero(mode, n)
         for i in range(n):
             for j in range(n):
                 gij = problem.g_inv[i][j]
                 if gij.is_zero():
                     continue
-                acc = acc + (gij * grad[i] * grad[j]).truncate_degree(through_deg)
-        return (acc - problem.V).truncate_degree(through_deg)
+                acc = acc + (part(gij) * grad[i] * grad[j]).truncate_degree(through_deg)
+        v = part(problem.V)
+        return (acc + v if magnitude else acc - v).truncate_degree(through_deg)
 
-    if not residual(2).is_zero():
+    def cancelled(through_deg: int) -> bool:
+        r = residual(through_deg)
+        return r.is_zero() or r.cancels(residual(through_deg, magnitude=True))
+
+    if not cancelled(2):
         raise EikonalError("quadratic parts inconsistent: check frequencies against the potential")
 
     # homogeneous parts by degree: g^{ij} and the phase gradient, which gains
@@ -638,14 +611,8 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
             if not part.is_zero():
                 grad_parts[i][d - 1] = part
 
-    final = residual(through)
-    if not final.is_zero():
-        # float mode: the recursion cancels exactly in infinite precision, so
-        # any leftover is rounding; judge it relative to the data scale
-        worst = max(float(mode.abs(c)) for c in final.terms.values())
-        scale = max([1.0] + [float(mode.abs(c)) for c in problem.V.terms.values()])
-        if mode.name == "exact" or worst > 1e-9 * scale:
-            raise EikonalError("eikonal recursion failed to cancel the residual jet")
+    if not cancelled(through):
+        raise EikonalError("eikonal recursion failed to cancel the residual jet")
     return ScalarJet(phi, through)
 
 
@@ -659,7 +626,7 @@ def metric_density_jet(problem: JetProblem) -> Poly:
         return Poly.const(problem.mode, problem.n, 1)
     g_lower = pm_inverse_jet(problem.g_inv, problem.D)
     det = poly_det(g_lower, problem.D)
-    return poly_sqrt_jet(det, problem.D)
+    return poly_power_jet(det, Fraction(1, 2), problem.D)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +640,8 @@ def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
     gcomp = None if flat else problem.D
     G = metric_density_jet(problem)
     inv_G = (Poly.const(mode, n, 1) if flat
-             else poly_inv_sqrt_jet(poly_det(pm_inverse_jet(problem.g_inv, problem.D),
-                                             problem.D), problem.D))
+             else poly_power_jet(poly_det(pm_inverse_jet(problem.g_inv, problem.D), problem.D),
+                                 Fraction(-1, 2), problem.D))
     acc = DiffOpJet.zero(mode, n, rank)
     for i in range(n):
         nabla_i = DiffOpJet.derivative(mode, n, rank, i)
@@ -755,23 +722,39 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
 
     residual = hbar0 + DiffOpJet.scalar_multiplication(problem.V, rank)
     check_through = residual.complete if residual.complete is not None else problem.D + 2
-    res_tol = 0.0
-    if mode.name != "exact":
-        scale = max([1.0] + [float(mode.abs(c)) for c in problem.V.terms.values()])
-        res_tol = 1e-9 * scale
+    magnitude = None
     for beta, mat in residual.terms.items():
         if mono_degree(beta) != 0:
             raise EikonalError("conjugation produced derivative terms at order h^0")
-        for row in mat:
-            for entry in row:
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
                 leftover = entry.truncate_degree(check_through)
                 if leftover.is_zero():
                     continue
-                worst = max(float(mode.abs(c)) for c in leftover.terms.values())
-                if worst > res_tol:
+                if magnitude is None:
+                    magnitude = _h0_magnitude(L, grad_phi, problem.V)
+                if not leftover.cancels(magnitude[r][c]):
                     raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
 
     return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1)
+
+
+def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly) -> list:
+    """The h^0 coefficient V + sum_{|beta| = 2} C_beta prod phi_i^beta_i of the
+    conjugated operator, entrywise on |coefficients|: what the eikonal cancels."""
+    mode, n, rank = L.mode, L.n, L.rank
+    out = [[V.abs() if r == c else Poly.zero(mode, n) for c in range(rank)] for r in range(rank)]
+    for beta, m in L.terms.items():
+        if mono_degree(beta) != 2:
+            continue
+        prod = Poly.const(mode, n, 1)
+        for i, b in enumerate(beta):
+            for _ in range(b):
+                prod = prod * grad_phi[i].abs()
+        for r in range(rank):
+            for c in range(rank):
+                out[r][c] = out[r][c] + m[r][c].abs() * prod
+    return out
 
 
 @dataclass

@@ -49,6 +49,7 @@ from .series_algebra import (
     grow_den,
     half_range,
     reduce_num,
+    worst_residual,
 )
 from .operator_calculus import OperatorFamily
 from .gaussian_pairing import WeightExpansion, pair_s0
@@ -81,7 +82,7 @@ class HermiteVec:
     (numerator, denominator) split. An accumulator grows ``den`` to the lcm of
     what it takes in, rescaling its numerators only when that lcm grows;
     ``reduce`` finishes it with one gcd over the whole vector and drops the
-    entries the mode calls zero. Both steps are the kernel ``Poly`` runs on
+    zero entries. Both steps are the kernel ``Poly`` runs on
     (``series_algebra.grow_den`` and ``reduce_num``). Every vector an engine method returns is
     reduced, so equal vectors compare equal, and is never mutated afterwards.
     """
@@ -337,8 +338,10 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, level: Degenera
 
 @dataclass
 class ProjectorReport:
-    """Coefficientwise defects of the projector laws through the built order."""
+    """Coefficientwise defects of the projector laws through the built order,
+    each relative to the two sides it compares in float mode (``mode.relative``)."""
 
+    mode: object
     order: HalfInt
     idempotency_defect: float
     commutation_defect: float
@@ -349,15 +352,16 @@ class ProjectorReport:
     degree_bound_ok: bool
     parity_ok: bool
 
-    def passed(self, tol: float = 0.0) -> bool:
-        return (self.idempotency_defect <= tol and self.commutation_defect <= tol
-                and self.symmetry_defect <= tol and self.rank == self.rank_expected
-                and self.rank_residual <= tol and self.degree_bound_ok and self.parity_ok)
+    def passed(self) -> bool:
+        laws = (self.idempotency_defect, self.commutation_defect, self.symmetry_defect,
+                self.rank_residual)
+        return (all(self.mode.negligible(d, 1) for d in laws)
+                and self.rank == self.rank_expected and self.degree_bound_ok and self.parity_ok)
 
 
 def _max_abs(vecs: Iterable[HermiteVec]) -> float:
-    """Largest |coefficient| over the vectors; reduces them in place (float mode prunes)."""
-    return max((vec.reduce().max_abs() for vec in vecs), default=0.0)
+    """Largest |coefficient| over the vectors, reduced or not."""
+    return max((vec.max_abs() for vec in vecs), default=0.0)
 
 
 def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> ProjectorReport:
@@ -393,8 +397,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     for midx, j in lowest.items():
         proj._image(midx, N - j)
 
-    idem = 0.0
-    comm = 0.0
+    idem, comm = [], []
     degree_ok = True
     parity_ok = True
     for idx in probes:
@@ -408,21 +411,24 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
                     parity_ok = False
         # idempotency
         defect = proj.apply_graded(img)
+        scale = max(_max_abs(defect.values()), _max_abs(img.values()))
         for j, vec in img.items():
             _slot(defect, j, mode).add(vec, -1)
-        idem = max(idem, _max_abs(defect.values()))
+        idem.append((_max_abs(defect.values()), scale))
         # commutation with Q through the built order
         qp: dict[HalfInt, HermiteVec] = {}
         for j, vec in img.items():
             for i in orders:
                 if j + i <= N:
                     engine._apply_q(i, {j + i: vec}, qp)
-        for j, vec in proj.apply_graded(qh[idx]).items():
+        pq = proj.apply_graded(qh[idx])
+        scale = max(_max_abs(qp.values()), _max_abs(pq.values()))
+        for j, vec in pq.items():
             _slot(qp, j, mode).add(vec, -1)
-        comm = max(comm, _max_abs(v for j, v in qp.items() if j <= N))
+        comm.append((_max_abs(v for j, v in qp.items() if j <= N), scale))
 
     # symmetry of the pairing
-    sym = 0.0
+    sym = []
     sym_sample = probes[: max(4, level.m0 + 2)]
     projected = {a: graded_vecs_to_s0(basis, imgs[a], N) for a in sym_sample}
     plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
@@ -433,14 +439,17 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
             left = pair_s0(pa, hb, omega, through=N)
             right = pair_s0(ha, pb, omega, through=N)
             diff = left - right
-            sym = max(sym, diff.max_abs_coeff(min(N, diff.truncation_order or N)))
+            through = min(N, diff.truncation_order or N)
+            sym.append((diff.max_abs_coeff(through),
+                        max(left.max_abs_coeff(through), right.max_abs_coeff(through))))
 
     # rank certificate: every projected vector is a series combination of the
     # level images, solved order by order against the level components
     members = list(level.members)
-    rank_res = 0.0
+    rank_res = []
     for idx in probes:
         target = {j: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
+        scale = _max_abs(imgs[idx].values())
         for t in half_range(HI0, N):
             resid_t = target.get(t)
             if resid_t is None:
@@ -452,8 +461,9 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
                 d = resid_t.den
                 for j2, vec2 in imgs[member].items():
                     if t + j2 <= N:
+                        scale = max(scale, abs(n) / d * vec2.max_abs())
                         _slot(target, t + j2, mode).add(vec2, -n, d)
-        rank_res = max(rank_res, _max_abs(v for j, v in target.items() if j <= N))
+        rank_res.append((_max_abs(v for j, v in target.items() if j <= N), scale))
 
     # independence: the leading coefficients of the level images are the
     # standard basis vectors, so the images are independent by construction;
@@ -462,17 +472,18 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     for member in members:
         lead = imgs[member].get(HI0, HermiteVec(mode))
         n = lead.num.get(member)
-        if n is not None and mode.is_zero(n - lead.den):
+        if n is not None and mode.negligible(n - lead.den, lead.den):
             rank += 1
 
     return ProjectorReport(
+        mode=mode,
         order=N,
-        idempotency_defect=idem,
-        commutation_defect=comm,
-        symmetry_defect=sym,
+        idempotency_defect=float(worst_residual(mode, idem)),
+        commutation_defect=float(worst_residual(mode, comm)),
+        symmetry_defect=float(worst_residual(mode, sym)),
         rank=rank,
         rank_expected=level.m0,
-        rank_residual=rank_res,
+        rank_residual=float(worst_residual(mode, rank_res)),
         degree_bound_ok=degree_ok,
         parity_ok=parity_ok,
     )

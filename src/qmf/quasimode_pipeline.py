@@ -41,6 +41,7 @@ from .series_algebra import (
     S0Series,
     half_range,
     unrescale,
+    worst_residual,
 )
 from .operator_calculus import (
     ConjugatedOperator,
@@ -99,7 +100,8 @@ class DegenerateLevelError(ValueError):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one independent check."""
+    """Outcome of one independent check; ``max_residual`` is relative to
+    the magnitudes the residual cancels in float mode (``mode.relative``)."""
 
     name: str
     passed: bool
@@ -144,13 +146,8 @@ class QuasimodeResult:
     mode_name: str
     context: PipelineContext
 
-    @property
-    def K(self) -> HalfInt:
-        return self.level.K
 
-
-def _select_level(problem: JetProblem, e0=None, level_index=None,
-                  rel_tol: float = 1e-9) -> DegenerateLevel:
+def _select_level(problem: JetProblem, e0=None, level_index=None) -> DegenerateLevel:
     """The model level named by ``e0`` or ``level_index``, found in a spectrum
     table just large enough to certify it."""
     mode = problem.mode
@@ -161,7 +158,7 @@ def _select_level(problem: JetProblem, e0=None, level_index=None,
         bound = int((mode.to_float(e0c) - mu_min) / (2 * lam_min)) + 1
         table = build_spectrum(mode, problem.lam, problem.mu, max(bound, 2),
                                n=problem.n, rank=problem.rank)
-        return degenerate_level(table, e0c, rel_tol)
+        return degenerate_level(table, e0c)
     if level_index is None:
         level_index = 0
     degree = 2 * (level_index + 2)
@@ -169,15 +166,14 @@ def _select_level(problem: JetProblem, e0=None, level_index=None,
         table = build_spectrum(mode, problem.lam, problem.mu, degree,
                                n=problem.n, rank=problem.rank)
         try:
-            return level_by_index(table, level_index, rel_tol)
+            return level_by_index(table, level_index)
         except LevelNotFoundError:
             degree *= 2
             if degree > 512:
                 raise
 
 
-def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
-                       rel_tol: float = 1e-9) -> QuasimodeResult:
+def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) -> QuasimodeResult:
     """Quasimode series for one level of the local model, through the given order.
 
     Exactly one of ``e0`` (eigenvalue of the model at the minimum) or
@@ -188,7 +184,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
     mode = problem.mode
     order = HalfInt.of(order)
 
-    level = _select_level(problem, e0, level_index, rel_tol)
+    level = _select_level(problem, e0, level_index)
 
     phi = solve_eikonal(problem)
     conj = conjugate_hamiltonian(problem, phi)
@@ -207,7 +203,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
 
     a_mat = gram_matrix(fs, omega, through=order)
     c_mat = interaction_matrix(fs, family, omega, through=order)
-    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order, rel_tol=rel_tol)
+    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order)
 
     psis = []
     for col in eigen.vectors:
@@ -225,11 +221,10 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
         if not e.is_real():
             raise AssertionError("eigenvalue series has a non-real coefficient")
 
-    parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level,
-                  tol=0.0 if mode.name == "exact" else rel_tol)
+    parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level)
 
     eigenfunctions = [unrescale(psi) for psi in psis]
-    _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol)
+    _assert_structure(eigenfunctions, level, mode)
 
     ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
                           level=level, omega=omega, projector=proj)
@@ -240,9 +235,9 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None,
                            context=ctx)
 
 
-def _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol):
-    """Offset, lowest-degree, and parity bookkeeping of the output jets."""
-    tol = 0.0 if mode.name == "exact" else rel_tol
+def _assert_structure(eigenfunctions, level, mode):
+    """Offset, lowest-degree, and parity bookkeeping of the output jets; a
+    forbidden exponent's coefficients must be negligible against the jet's."""
     for a in eigenfunctions:
         if a.K != level.K:
             raise AssertionError(f"output offset K = {a.K} differs from level K = {level.K}")
@@ -254,16 +249,14 @@ def _assert_structure(eigenfunctions, psis, level, order, mode, rel_tol):
                     f"coefficient at index {k} has degree {lo} below the bound {bound}")
         if level.parity in ("even", "odd"):
             # uniform-parity levels: the series lives on one exponent class
+            scale = max((jet.max_abs() for _, jet in a.items()), default=0.0)
             for k, jet in a.items():
                 absolute = k - level.K
                 forbidden = not absolute.is_integer if level.parity == "even" \
                     else absolute.is_integer
                 if forbidden:
-                    worst = 0.0
-                    for comp in jet.components:
-                        for c in comp.terms.values():
-                            worst = max(worst, float(mode.abs(c)))
-                    if worst > tol:
+                    worst = jet.max_abs()
+                    if not mode.negligible(worst, scale):
                         raise AssertionError(
                             f"parity violation: forbidden exponent {absolute} "
                             f"carries coefficient of size {worst}")
@@ -274,24 +267,36 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
 
     In float mode (or whenever unit-normalization was possible) the target is
     the identity; otherwise the recorded rational diagonal constants. All
-    off-diagonal entries and all order > 0 diagonal terms must vanish.
+    off-diagonal entries and all order > 0 diagonal terms must vanish, each
+    against the pairing of the |coefficients| (plus the target), which bounds
+    what the pairing sums; it is formed only for a nonzero residual.
     """
     ctx = result.context
     mode = ctx.problem.mode
-    worst = 0.0
-    m = len(result.rescaled)
+    N = result.order
+    psis = result.rescaled
+    magnitudes = None
+    residuals = []
+    m = len(psis)
     for i in range(m):
         for j in range(m):
-            p = pair_s0(result.rescaled[i], result.rescaled[j], ctx.omega,
-                        through=result.order)
+            p = pair_s0(psis[i], psis[j], ctx.omega, through=N)
             want = result.norm2_constants[i] if i == j else mode.zero()
             diff = p - FormalScalarSeries.const(mode, want, p.truncation_order)
-            worst = max(worst, diff.max_abs_coeff(result.order))
-    tol = 0.0 if mode.name == "exact" else 1e-9
+            if diff.max_abs_coeff(N):
+                if magnitudes is None:
+                    magnitudes = [psi.abs() for psi in psis], ctx.omega.abs()
+                abs_psis, abs_omega = magnitudes
+                bound = pair_s0(abs_psis[i], abs_psis[j], abs_omega, through=N)
+                residuals += [(mode.abs(c), mode.abs(bound.coefficient(t))
+                               + (mode.abs(want) if t == HI0 else 0))
+                              for t, c in diff.items() if t <= N]
+    worst = worst_residual(mode, residuals)
+    passed = mode.negligible(worst, 1)
     return VerificationReport(
-        name="orthonormality", passed=worst <= tol, order=result.order,
-        max_residual=worst,
-        detail="pairing Gram equals the recorded diagonal constants" if worst <= tol
+        name="orthonormality", passed=passed, order=result.order,
+        max_residual=float(worst),
+        detail="pairing Gram equals the recorded diagonal constants" if passed
         else "pairing Gram deviates from the expected diagonal")
 
 
@@ -323,7 +328,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     as an x-jet (T the transport operator, L the second-order piece) and
     requires it to vanish identically through the provable degree. Flat
     corrections vanish to infinite order at the base point, so jet residuals
-    must be exactly zero.
+    must be exactly zero (in float mode, against the terms summed into them).
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -331,7 +336,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     N = result.order
     T_op = ctx.conj.hbar1
     L_op = ctx.conj.hbar2
-    worst = 0.0
+    residuals = []
     min_degree_reached = None
     for a_jet, e_series in zip(result.eigenfunctions, result.eigenvalues):
         inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
@@ -355,21 +360,19 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
                 bounds.append(a_jet.degree_bound_at(k - i - level.K))
             bounds = [b for b in bounds if b is not None]
             check_bound = min(bounds) if bounds else None
-            res = T_op.apply(a_k, through=check_bound) - a_k.scale(level.E0)
+            cut = FiberPoly.truncate_degree if check_bound is not None else lambda p, d: p
+            if check_bound is not None and (min_degree_reached is None
+                                            or check_bound < min_degree_reached):
+                min_degree_reached = check_bound
+            # the terms summed into the residual, each through the check bound
+            terms = [T_op.apply(a_k, through=check_bound), -cut(a_k, check_bound).scale(level.E0)]
             if has_prev:
-                res = res + L_op.apply(a_prev, through=check_bound)
-            for ei, a_ki in e_terms:
-                res = res - a_ki.scale(ei)
-            if check_bound is not None:
-                if min_degree_reached is None or check_bound < min_degree_reached:
-                    min_degree_reached = check_bound
-                res = res.truncate_degree(check_bound)
-            for comp in res.components:
-                for c in comp.terms.values():
-                    worst = max(worst, float(mode.abs(c)))
-    tol = 0.0 if mode.name == "exact" else 1e-9
+                terms.append(L_op.apply(a_prev, through=check_bound))
+            terms += [-cut(a_ki, check_bound).scale(ei) for ei, a_ki in e_terms]
+            residuals.append((sum(terms[1:], terms[0]).max_abs(), max(t.max_abs() for t in terms)))
+    worst = worst_residual(mode, residuals)
     return VerificationReport(
-        name="transport", passed=worst <= tol, order=N, max_residual=worst,
+        name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
         detail=f"jet residual through degree {min_degree_reached}" if min_degree_reached is not None
         else "jet residual (all degrees)")
 
@@ -379,21 +382,23 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
     Computes (sum_j h^j Q_j - (E0 + sum h^k E_k)) psi coefficientwise; this
     regroups the whole construction differently from the transport recursion
-    and must also vanish through the built order.
+    and must also vanish through the built order (in float mode, against Q psi
+    and E psi).
     """
     ctx = result.context
     mode = ctx.problem.mode
-    worst = 0.0
+    N = result.order
+    residuals = []
     for psi, e_series in zip(result.rescaled, result.eigenvalues):
         inner = e_series.shift(HalfInt(-2))
-        qpsi = ctx.family.apply_series(psi, out_trunc=result.order)
+        qpsi = ctx.family.apply_series(psi, out_trunc=N)
         epsi = psi.scale_series(inner)
-        diff = qpsi - epsi
-        worst = max(worst, diff.max_abs_coeff(result.order))
-    tol = 0.0 if mode.name == "exact" else 1e-9
+        residuals.append(((qpsi - epsi).max_abs_coeff(N),
+                          max(qpsi.max_abs_coeff(N), epsi.max_abs_coeff(N))))
+    worst = worst_residual(mode, residuals)
     return VerificationReport(
-        name="eigen_residual", passed=worst <= tol, order=result.order,
-        max_residual=worst, detail="(Q - E) psi coefficientwise")
+        name="eigen_residual", passed=mode.negligible(worst, 1), order=N,
+        max_residual=float(worst), detail="(Q - E) psi coefficientwise")
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +464,11 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
         for idx, c in rhs.items():
             if idx == member or mode.is_zero(c):
                 continue
-            gap = basis.eigenvalue(idx) - e0_val
-            if mode.is_zero(gap):
+            e_idx = basis.eigenvalue(idx)
+            if mode.close(e_idx, e0_val):
                 raise DegenerateLevelError(
                     "degeneracy met inside the recursion; the level is not isolated enough")
-            psi_s[idx] = c / gap
+            psi_s[idx] = c / (e_idx - e0_val)
         psi[s] = psi_s
     terms = {HalfInt(s): c for s, c in e_coeffs.items() if not mode.is_zero(c)}
     return FormalScalarSeries.from_terms(mode, terms, order)
@@ -530,12 +535,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     target = -math.log(decay_threshold) * hb_max
     a = 0.5
     while a < 64.0:
-        xs = np.linspace(0.0, a, 4001)
-        vals = np.sqrt(np.maximum(_eval_on_grid(v_terms, xs), 0.0))
-        phi_a = float(np.trapezoid(vals, xs))
-        xs_m = np.linspace(0.0, -a, 4001)
-        vals_m = np.sqrt(np.maximum(_eval_on_grid(v_terms, xs_m), 0.0))
-        phi_ma = float(abs(np.trapezoid(vals_m, xs_m)))
+        phi_a, phi_ma = (float(abs(np.trapezoid(np.sqrt(np.maximum(_eval_on_grid(v_terms, xs), 0.0)),
+                                                xs)))
+                         for xs in (np.linspace(0.0, a, 4001), np.linspace(0.0, -a, 4001)))
         if min(phi_a, phi_ma) >= target:
             break
         a *= 1.5
@@ -547,6 +549,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
             f"the weight does not decay below {decay_threshold:g} within |x| < 64")
     member = result.level.members[0]
     eig_index = member.alpha[0]
+    if grid < eig_index + 3:
+        raise ValueError(f"a grid of {grid} points cannot resolve eigenvalue {eig_index}; "
+                         f"it needs at least {eig_index + 3}")
 
     def fd_eigenvalue(hbar: float, m: int) -> float:
         xs = np.linspace(-a, a, m + 2)[1:-1]

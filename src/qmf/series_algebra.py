@@ -13,8 +13,10 @@ together with the substitution x = sqrt(hbar) * y that identifies the last
 two (``rescale`` / ``unrescale``).
 
 Coefficients live in one of two interchangeable domains: exact rationals
-(``EXACT``) or complex double floats with a zero tolerance (``float_mode``).
-Every container stores its mode; mixing modes raises.
+(``EXACT``) or complex double floats (``float_mode``). Every container stores
+its mode; mixing modes raises. Arithmetic in either mode drops only exact
+zeros; whether a computed quantity that should vanish does is the mode's one
+decision, ``negligible(x, scale)``.
 
 ``Poly`` keeps its coefficients fraction-free: numerators over one positive
 denominator, integers in exact mode and complex numbers over 1 in float
@@ -30,7 +32,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -96,9 +98,6 @@ class HalfInt:
     def __sub__(self, other) -> "HalfInt":
         return HalfInt(self.doubled - HalfInt.of(other).doubled)
 
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).doubled - self.doubled)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.doubled)
 
@@ -140,18 +139,28 @@ def half_range(start, stop) -> Iterator[HalfInt]:
 # Coefficient modes
 
 
-class ExactMode:
-    """Exact rational coefficients (Fraction). Conjugation is the identity."""
+class _Mode:
+    def is_zero(self, c) -> bool:
+        return c == 0
+
+    def abs(self, c):
+        return abs(c)
+
+    def close(self, a, b) -> bool:
+        """Whether a - b is negligible against the larger of |a| and |b|."""
+        return self.negligible(a - b, max(self.abs(a), self.abs(b)))
+
+
+class ExactMode(_Mode):
+    """Exact rational coefficients (Fraction), which carry no rounding.
+    Conjugation is the identity."""
 
     name = "exact"
-    tol = Fraction(0)
 
     def coeff(self, value):
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
+        if isinstance(value, (int, str)):
             return Fraction(value)
         raise TypeError(f"exact mode needs rational input, got {type(value).__name__}")
 
@@ -161,12 +170,12 @@ class ExactMode:
     def one(self):
         return Fraction(1)
 
-    def is_zero(self, c) -> bool:
-        return c == 0
+    def negligible(self, x, scale) -> bool:
+        return x == 0
 
-    def nonzero(self, num: dict) -> dict:
-        """The entries of ``num`` that are not zero (``num`` itself if all are)."""
-        return {k: c for k, c in num.items() if c} if 0 in num.values() else num
+    def relative(self, x, scale):
+        """The size to report for x: ``negligible(relative(x, s), 1)`` is ``negligible(x, s)``."""
+        return x
 
     def conj(self, c):
         return c
@@ -176,9 +185,6 @@ class ExactMode:
 
     def real(self, c):
         return c
-
-    def abs(self, c):
-        return -c if c < 0 else c
 
     def to_json(self, c):
         return str(c)
@@ -196,13 +202,15 @@ class ExactMode:
         return "ExactMode()"
 
 
-class FloatMode:
-    """Complex double coefficients with an absolute zero tolerance."""
+@dataclass(frozen=True)
+class FloatMode(_Mode):
+    """Complex double coefficients. ``negligible(x, scale)`` is |x| <= rtol *
+    scale, ``scale`` bounding the magnitudes summed into x, which bound its
+    rounding error (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 4.2). ``rtol`` is the program's only tolerance."""
 
+    rtol: float = 1e-9
     name = "float"
-
-    def __init__(self, tol: float = 1e-12):
-        self.tol = tol
 
     def coeff(self, value):
         if isinstance(value, Fraction):
@@ -219,25 +227,22 @@ class FloatMode:
     def one(self):
         return 1 + 0j
 
-    def is_zero(self, c) -> bool:
-        return abs(c) <= self.tol
+    def negligible(self, x, scale) -> bool:
+        return abs(x) <= self.rtol * scale
 
-    def nonzero(self, num: dict) -> dict:
-        """The entries of ``num`` that are not zero."""
-        tol = self.tol
-        return {k: c for k, c in num.items() if abs(c) > tol}
+    def relative(self, x, scale) -> float:
+        if x == 0:
+            return 0.0
+        return abs(x) / scale if scale else inf
 
     def conj(self, c):
         return c.conjugate()
 
     def is_real(self, c) -> bool:
-        return abs(c.imag) <= self.tol
+        return self.negligible(c.imag, abs(c))
 
     def real(self, c):
         return c.real
-
-    def abs(self, c):
-        return abs(c)
 
     def to_json(self, c):
         if self.is_real(c):
@@ -253,18 +258,15 @@ class FloatMode:
     def join(self, num, den):
         return num if den == 1 else num / den
 
-    def __repr__(self):
-        return f"FloatMode(tol={self.tol})"
-
 
 EXACT = ExactMode()
-_FLOAT_DEFAULT = FloatMode()
+float_mode = FloatMode
 
 
-def float_mode(tol: float = 1e-12) -> FloatMode:
-    if tol == 1e-12:
-        return _FLOAT_DEFAULT
-    return FloatMode(tol)
+def worst_residual(mode, residuals) -> float:
+    """The largest ``mode.relative`` over (residual, scale) pairs; every
+    residual is negligible exactly when ``mode.negligible(worst, 1)``."""
+    return max((mode.relative(x, scale) for x, scale in residuals), default=0.0)
 
 
 def _same_mode(a, b):
@@ -298,13 +300,14 @@ def grow_den(num: dict, den: int, d: int) -> int:
 
 
 def reduce_num(mode, num: dict, den: int) -> tuple[dict, int]:
-    """Drop the numerators the mode calls zero and divide out gcd(den, *num).
+    """Drop the zero numerators and divide out gcd(den, *num).
 
     The result is the canonical form: equal values give equal (num, den), and
     the zero value is ({}, 1). Float mode never leaves den == 1. ``num`` is
     taken over: it may be returned as it is.
     """
-    num = mode.nonzero(num)
+    if 0 in num.values():
+        num = {k: c for k, c in num.items() if c}
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
@@ -398,6 +401,20 @@ class Poly:
         if not self.num:
             return float("inf")
         return min(map(sum, self.num))
+
+    def max_abs(self) -> float:
+        """The largest |coefficient|; 0 for the zero polynomial."""
+        return max(map(abs, self.num.values()), default=0) / self.den
+
+    def abs(self) -> "Poly":
+        return Poly._make(self.mode, self.n, {a: abs(c) for a, c in self.num.items()}, self.den)
+
+    def cancels(self, magnitude: "Poly") -> bool:
+        """Whether each coefficient is negligible against ``magnitude``'s at its
+        monomial (for a computed sum: the same sum on |coefficients|)."""
+        mode = self.mode
+        return all(mode.negligible(c, mode.abs(magnitude.coefficient(a)))
+                   for a, c in self.terms.items())
 
     def coefficient(self, alpha: Monomial):
         c = self.num.get(tuple(alpha))
@@ -583,13 +600,13 @@ class FiberPoly:
     def truncate_degree(self, d: int) -> "FiberPoly":
         return FiberPoly([c.truncate_degree(d) for c in self.components])
 
+    def max_abs(self) -> float:
+        return max(c.max_abs() for c in self.components)
+
     def __add__(self, other: "FiberPoly") -> "FiberPoly":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         return FiberPoly([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other: "FiberPoly") -> "FiberPoly":
-        return self + (-other)
 
     def __neg__(self) -> "FiberPoly":
         return FiberPoly([-c for c in self.components])
@@ -600,9 +617,6 @@ class FiberPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, FiberPoly) and self.components == other.components
 
-    def __hash__(self):
-        return hash(self.components)
-
     def __repr__(self) -> str:
         return f"FiberPoly({list(self.components)!r})"
 
@@ -611,12 +625,9 @@ class FiberPoly:
 # Scalar Laurent series in sqrt(hbar)
 
 
-def _min_trunc(a: HalfInt | None, b: HalfInt | None) -> HalfInt | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _min_trunc(a, b):
+    """The smaller of two bounds, None meaning unbounded."""
+    return b if a is None else a if b is None else min(a, b)
 
 
 class FormalScalarSeries:
@@ -698,9 +709,6 @@ class FormalScalarSeries:
         for i, c in enumerate(self.coeffs):
             if not self.mode.is_zero(c):
                 yield HalfInt(self.offset.doubled + i), c
-
-    def support(self) -> list[HalfInt]:
-        return [e for e, _ in self.items()]
 
     # -- arithmetic
 
@@ -784,9 +792,10 @@ class FormalScalarSeries:
             raise ZeroDivisionError("inverse of the zero series")
         lead = self.coeffs[0]
         rel_trunc = None if self.truncation_order is None else self.truncation_order - self.offset
-        # self = lead * h^offset * (1 + v) with ord(v) > 0
+        # self = lead * h^offset * (1 + v) with ord(v) > 0; v subtracts the
+        # computed lead/lead, not 1, so its constant term is exactly 0
         rel = FormalScalarSeries(self.mode, HI0, tuple(c / lead for c in self.coeffs), rel_trunc)
-        v = rel - FormalScalarSeries.const(self.mode, 1, rel_trunc)
+        v = rel - FormalScalarSeries.const(self.mode, rel.coeffs[0], rel_trunc)
         rel_through = None if through is None else through + self.offset
         inv_rel = binomial_series(v, Fraction(-1), through=rel_through)
         return inv_rel.scale(self.mode.one() / lead).shift(-self.offset)
@@ -794,15 +803,12 @@ class FormalScalarSeries:
     def __truediv__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self * other.inverse()
 
-    def equals_through(self, other: "FormalScalarSeries", through) -> bool:
-        through = HalfInt.of(through)
-        exps = set(self.support()) | set(other.support())
-        for e in exps:
-            if e > through:
-                continue
-            if not self.mode.is_zero(self.coefficient(e) - other.coefficient(e)):
-                return False
-        return True
+    def equals_through(self, other: "FormalScalarSeries", through=None) -> bool:
+        """Coefficients ``mode.close`` through ``through`` (None: every order)."""
+        through = None if through is None else HalfInt.of(through)
+        exps = {e for e, _ in self.items()} | {e for e, _ in other.items()}
+        return all(self.mode.close(self.coefficient(e), other.coefficient(e))
+                   for e in exps if through is None or e <= through)
 
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
         vals = [self.mode.abs(c) for e, c in self.items() if through is None or e <= through]
@@ -813,11 +819,12 @@ class FormalScalarSeries:
         for e, c in self.items():
             if through is not None and e > through:
                 continue
-            total += complex(self.mode.to_float(c) if self.mode.is_real(c) else c) * hbar ** (e.doubled / 2)
+            total += complex(c) * hbar ** (e.doubled / 2)
         return total
 
     def is_real(self) -> bool:
-        return all(self.mode.is_real(c) for _, c in self.items())
+        scale = self.max_abs_coeff()
+        return all(self.mode.negligible(c.imag, scale) for c in self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormalScalarSeries)
@@ -881,13 +888,14 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction, through: HalfInt 
 def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -> FormalScalarSeries:
     """Series r with r*r*a = 1, for a = 1 + (positive order terms).
 
-    Rejects input whose constant term differs from 1: that signals
-    un-normalized Gram data upstream.
+    Rejects input whose constant term is not 1 up to ``negligible``: that
+    signals un-normalized Gram data upstream. A float lead need not be 1
+    exactly (49 * (1/49) is not), so v subtracts the lead itself.
     """
     lead = a.coefficient(HI0)
-    if a.is_zero() or a.order() != HI0 or not a.mode.is_zero(lead - a.mode.one()):
+    if a.is_zero() or a.order() != HI0 or not a.mode.negligible(lead - 1, 1):
         raise ValueError("inverse square root needs leading coefficient 1 at order 0")
-    v = a - FormalScalarSeries.const(a.mode, 1, a.truncation_order)
+    v = a - FormalScalarSeries.const(a.mode, lead, a.truncation_order)
     return binomial_series(v, Fraction(-1, 2), through=through)
 
 
@@ -947,9 +955,6 @@ class S0Series:
             return S0Series(p.mode, p.n, p.rank, HI0, {}, truncation_order)
         K = HalfInt(int(p.degree()))
         return S0Series(p.mode, p.n, p.rank, K, {K: p}, truncation_order)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
         for j in sorted(self.coeffs, key=lambda h: h.doubled):
@@ -1038,14 +1043,14 @@ class S0Series:
                         _min_trunc(self.truncation_order, truncation_order), validate=False)
 
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        worst = 0.0
-        for j, p in self.items():
-            if through is not None and j - self.K > through:
-                continue
-            for comp in p.components:
-                for c in comp.terms.values():
-                    worst = max(worst, float(self.mode.abs(c)))
-        return worst
+        return max((p.max_abs() for j, p in self.coeffs.items()
+                    if through is None or j - self.K <= through), default=0.0)
+
+    def abs(self) -> "S0Series":
+        return S0Series(self.mode, self.n, self.rank, self.K,
+                        {j: FiberPoly([c.abs() for c in p.components])
+                         for j, p in self.coeffs.items()},
+                        self.truncation_order, validate=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, S0Series):
@@ -1112,9 +1117,6 @@ class XJetSeries:
 
     def at_absolute(self, s) -> FiberPoly:
         return self.at_relative(HalfInt.of(s) + self.K)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degree_bound_at(self, s) -> int | None:
         """Largest degree known-exact at absolute exponent s (None = all)."""

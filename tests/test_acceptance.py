@@ -92,9 +92,10 @@ def test_ac3_projector_laws():
         res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value)
         ctx = res.context
         rep = projector_diagnostics(ctx.projector, ctx.omega)
-        tol = 0.0 if mode_name == "exact" else 1e-9
-        assert rep.passed(tol), (preset, mode_name, rep)
-        details.append(f"{preset}/{mode_name}: defects <= {tol}")
+        assert rep.passed(), (preset, mode_name, rep)
+        worst = max(rep.idempotency_defect, rep.commutation_defect, rep.symmetry_defect,
+                    rep.rank_residual)
+        details.append(f"{preset}/{mode_name}: worst defect {worst}")
     _report("AC3 projector laws", True, time.perf_counter() - t0, 60.0,
             "idempotency, commutation, symmetry, rank through order 3; " + "; ".join(details))
 

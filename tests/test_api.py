@@ -2,6 +2,7 @@
 README's Python examples."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -40,3 +41,33 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for i, block in enumerate(blocks, start=1):  # in order, in one namespace
         exec(compile(block, f"{README.name} python block {i}", "exec"), namespace)
+
+
+def _public_callables():
+    """(qualified name, callable) of every public function, class and public
+    method reachable from ``qmf.__all__`` and the submodules' ``__all__``."""
+    modules = [qmf] + [importlib.import_module(f"qmf.{m.name}")
+                       for m in pkgutil.iter_modules(qmf.__path__)]
+    for mod in modules:
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj):
+                yield f"{mod.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if callable(member) and not attr.startswith("_"):
+                        yield f"{mod.__name__}.{name}.{attr}", member
+            elif callable(obj):
+                yield f"{mod.__name__}.{name}", obj
+
+
+def test_one_tolerance_the_float_modes_rtol():
+    # float zero decisions all go through mode.negligible; the only settable
+    # tolerance is FloatMode's rtol, which float_mode passes on
+    allowed = {"qmf.float_mode", "qmf.series_algebra.float_mode", "qmf.series_algebra.FloatMode"}
+    for qualname, obj in _public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        assert not {"tol", "rel_tol"} & set(params), qualname
+        assert "rtol" not in params or qualname in allowed, qualname

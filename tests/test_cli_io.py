@@ -76,7 +76,8 @@ def serialize_problem_spec(spec) -> str:
         out.append(f"{key} = {'on' if spec.checks.get(key, False) else 'off'}")
     rs = spec.checks.get("rs", "auto")
     out.append(f"rs = {'auto' if rs == 'auto' else ('on' if rs else 'off')}")
-    out.append(f"tolerance = {spec.checks.get('tolerance', 1e-9)}")
+    if mode.name == "float":
+        out.append(f"tolerance = {mode.rtol}")
     return "\n".join(out) + "\n"
 
 
@@ -90,6 +91,8 @@ order = 2
 [lambda]
 1
 """
+
+FLOAT_MINIMAL = MINIMAL.replace("mode = exact", "mode = float")
 
 CUBIC = MINIMAL + """
 [potential]
@@ -111,6 +114,12 @@ class TestParsing:
         bad = MINIMAL + "\n[potential]\n2  2\n"
         with pytest.raises(SpecFileError, match="not normalized"):
             parse_problem_spec(bad)
+
+    def test_tolerance_sets_the_float_mode_rtol(self):
+        spec = parse_problem_spec(FLOAT_MINIMAL + "\n[checks]\ntolerance = 1e-6\n")
+        assert spec.problem.mode.rtol == 1e-6
+        assert parse_problem_spec(FLOAT_MINIMAL).problem.mode.rtol == 1e-9
+        assert parse_problem_spec(MINIMAL + "\n[checks]\ntolerance = 1e-6\n").problem.mode is EXACT
 
     def test_unknown_section(self):
         with pytest.raises(SpecFileError, match="unknown section"):
@@ -294,9 +303,25 @@ class TestCommands:
         (None, ["--preset", "cubic1d", "--order", "1.3"], "5/2) '1.3'"),
         (MINIMAL.replace("order = 2", "order = 1.3"), [], "5/2) '1.3' (line 6"),
         (None, ["--preset", "cubic1d:c=x"], "preset 'cubic1d'"),
+        (FLOAT_MINIMAL + "\n[checks]\ntolerance = inf\n", [], "0 < t < 1, got 'inf' (line 12"),
+        (FLOAT_MINIMAL + "\n[checks]\ntolerance = nan\n", [], "0 < t < 1, got 'nan' (line 12"),
+        (FLOAT_MINIMAL + "\n[checks]\ntolerance = -1\n", [], "0 < t < 1, got '-1' (line 12"),
+        (FLOAT_MINIMAL + "\n[checks]\ntolerance = 0\n", [], "0 < t < 1, got '0' (line 12"),
+        (MINIMAL + "\n[checks]\ntolerance = 1\n", [], "0 < t < 1, got '1' (line 12"),
+        (None, ["crosscheck", "--preset", "quartic1d", "--order", "2", "--grid", "1"],
+         "--grid must be an integer of at least 3, got 1"),
+        (None, ["crosscheck", "--preset", "quartic1d", "--order", "2", "--hbar", "0,0.1"],
+         "--hbar values must be finite and positive, got '0,0.1'"),
+        (None, ["crosscheck", "--preset", "quartic1d", "--order", "2", "--hbar", "0.1"],
+         "--hbar needs at least two distinct values"),
+        (None, ["crosscheck", "--preset", "quartic1d", "--order", "2", "--hbar", "0.1,x"],
+         "--hbar must be a comma list of numbers"),
+        (None, ["spectrum", "--preset", "cubic1d", "--degree", "-1"],
+         "--degree must be a nonnegative integer, got -1"),
     ])
     def test_input_error_exits_1_with_message(self, tmp_path, capsys, spec_text, extra, message):
-        argv = ["compute", *extra]
+        # a case naming no command runs compute
+        argv = extra if extra[:1] in (["crosscheck"], ["spectrum"]) else ["compute", *extra]
         if spec_text is not None:
             path = tmp_path / "bad.spec"
             path.write_text(spec_text)

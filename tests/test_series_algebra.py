@@ -94,10 +94,14 @@ class TestPoly:
         assert z.degree() == float("-inf")
         assert z.parity() is None
 
-    def test_float_mode_prunes_small(self):
+    def test_float_mode_keeps_small(self):
+        # float arithmetic drops only exact zeros, as exact arithmetic does
         m = float_mode()
         p = Poly(m, 1, {(1,): 1e-15})
-        assert p.is_zero()
+        assert not p.is_zero() and p.coefficient((1,)) == 1e-15
+        assert (p + p).coefficient((1,)) == 2e-15
+        assert (p * p).coefficient((2,)) == 1e-15 * 1e-15
+        assert (p - p).is_zero()
 
 
 # -- the fraction-free Poly kernel against a Fraction-dict reference
