@@ -284,6 +284,9 @@ def parse_problem_spec(text: str) -> ParsedSpec:
         level_value = _parse_coeff(tok, mode, lineno, 1)
     if "index" in lk:
         level_index = _parse_as(int, "level index", *lk["index"])
+        if level_index < 0:
+            raise SpecFileError(f"level index must be nonnegative, got {level_index}",
+                                lk["index"][1])
 
     checks = dict(_DEFAULT_CHECKS)
     for key, (val, lineno) in keyvals.get("checks", {}).items():

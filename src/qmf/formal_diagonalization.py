@@ -159,13 +159,16 @@ def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
                 through: HalfInt | None = None) -> SeriesMatrix:
     """Pairing Gram matrix of the projected level basis.
 
-    Validates a leading positive diagonal (the monic basis is orthogonal at
-    leading order); a violation signals a projector or pairing inconsistency
-    upstream; an off-diagonal lead must be negligible against the diagonal.
+    The pairing is hermitian: each entry below the diagonal is the conjugate
+    of the one above. Validates a leading positive diagonal (the monic basis
+    is orthogonal at leading order); a violation signals a projector or
+    pairing inconsistency upstream; an off-diagonal lead must be negligible
+    against the diagonal.
     """
     mode = fs[0].mode
     m = len(fs)
-    rows = [[pair_s0(fs[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
+    pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
+    rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
     a = SeriesMatrix.from_rows(mode, rows)
     lead = a.coeff_at(HI0)
     scale = max(mode.abs(lead[i][i]) for i in range(m))

@@ -8,9 +8,10 @@ orthogonal family for the weight exp(-lambda y^2),
     p_0 = 1,  p_1 = y,  p_{m+1} = y p_m - (m / (2 lambda)) p_{m-1},
 
 whose squared norms are m! / (2 lambda)^m times the common Gaussian factor
-sqrt(pi / lambda) that the pairing module factors out globally. The
-conventionally normalized eigenfunctions are p_m / sqrt(norm); all exact-mode
-algebra works with the monic family plus the rational squared norms.
+sqrt(pi / lambda) that the pairing module factors out globally, so the
+normalized eigenfunctions are p_m / sqrt(norm). The family is an Appell
+sequence, d p_m = m p_{m-1}, so operators act on it by table algebra
+(``HermiteBasis.apply``); only ``poly`` and ``synthesize`` form monomials.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import perm, prod
+from operator import sub
 
-from .series_algebra import FiberPoly, HalfInt, Poly, grow_den, mono_degree
+from .series_algebra import FiberPoly, HalfInt, Poly, grow_den, reduce_num
 
 __all__ = [
     "HermiteIndex",
@@ -64,8 +66,8 @@ class HermiteIndex:
 class HermiteBasis:
     """Monic eigenbasis of the model operator up to a fixed polynomial degree.
 
-    Provides the basis polynomials, their rational squared norms, exact
-    change of basis to and from monomials, and the eigenvalues.
+    Provides the basis polynomials, their rational squared norms, the
+    eigenvalues, and the exact action of a ``DiffOpJet`` on each basis vector.
     """
 
     def __init__(self, mode, n: int, rank: int, lam: tuple, mu: tuple, degree: int):
@@ -84,7 +86,8 @@ class HermiteBasis:
                              - polys[m - 1].scale(factor))
             self._one_dim.append(polys[: degree + 1])
         self._poly_cache: dict[tuple, Poly] = {}
-        self._interned: dict[HermiteIndex, HermiteIndex] = {}
+        self._y_rows: dict[tuple, tuple] = {}
+        self._interned: dict[tuple, HermiteIndex] = {}
 
     # -- basis elements
 
@@ -127,69 +130,61 @@ class HermiteBasis:
                 out.append(HermiteIndex(alpha, k))
         return out
 
-    # -- change of basis
+    # -- operators on the basis
 
-    def expand_scalar(self, q: Poly) -> tuple[dict, int]:
-        """Coefficients of a scalar polynomial over the monic family, as
-        numerators keyed by alpha over one denominator.
+    def _y_row(self, nu: int, k: int, m: int) -> tuple:
+        """y^k p_m in the variable nu over the monic family, filled lazily:
+        ((i, numerator), ...) over one denominator, by the three-term
+        recurrence y p_i = p_{i+1} + i/(2 lambda) p_{i-1} (DLMF 18.9)."""
+        row = self._y_rows.get((nu, k, m))
+        if row is None:
+            row = ((m, 1),), 1
+            if k:
+                prev, den = self._y_row(nu, k - 1, m)
+                cn, cd = self.mode.split(self.mode.one() / (self.lam[nu] + self.lam[nu]))
+                num: dict = {}
+                for i, c in prev:
+                    num[i + 1] = num.get(i + 1, 0) + c * cd
+                    if i:
+                        num[i - 1] = num.get(i - 1, 0) + c * i * cn
+                num, den = reduce_num(self.mode, num, den * cd)
+                row = tuple(num.items()), den
+            self._y_rows[nu, k, m] = row
+        return row
 
-        Triangular elimination: the family member for alpha is monic with
-        leading monomial y^alpha, so repeatedly stripping a maximal-degree
-        monomial terminates and is exact. It runs on numerators: the common
-        denominator grows, rescaling the remainder and the result, only when
-        a stripped coefficient times a family member needs a new factor.
+    def apply(self, op, index: HermiteIndex) -> tuple[dict, int]:
+        """The ``DiffOpJet`` ``op`` applied to the basis vector at ``index``:
+        numerators over one denominator in the form of ``reduce_num``, keyed
+        by one shared object per index (dict hits by identity).
+
+        The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
+        stencil term t y^gamma d^beta of an entry at input column k maps
+        p_alpha to t alpha!/(alpha - beta)! prod_nu y^gamma_nu
+        p_{alpha_nu - beta_nu}: a tensor product of ``_y_row`` rows, exact,
+        with no change of basis.
         """
-        is_zero = self.mode.is_zero
-        work = dict(q.num)
-        den = q.den
-        out: dict[tuple, object] = {}
-        while work:
-            alpha = max(work, key=lambda a: (mono_degree(a), a))
-            c = work.pop(alpha)
-            if is_zero(c):
-                continue
-            out[alpha] = c
-            tail = self.poly(alpha)
-            f = tail.den
-            if f != 1:
-                # (c / den) * (cb / f) is a multiple of 1 / e
-                g = gcd(c, den)
-                c, e = c // g, den // g * f
-                if den % e:
-                    grow_den(out, den, e)
-                    den = grow_den(work, den, e)
-                c *= den // e
-            for beta, cb in tail.num.items():
-                if beta == alpha:
+        op_den, rows = op.stencil()
+        alpha = index.alpha
+        acc, den = {}, 1
+        for i, row in enumerate(rows):
+            for j, beta, steps, terms in row:
+                f = prod(perm(alpha[nu], b) for nu, b in steps) if j == index.k else 0
+                if not f:
                     continue
-                s = work.get(beta, 0) - c * cb
-                if is_zero(s):
-                    work.pop(beta, None)
-                else:
-                    work[beta] = s
-        return out, den
-
-    def expand_num(self, q: FiberPoly) -> tuple[dict, int]:
-        """Hermite coefficients as numerators over one denominator, keyed by
-        one shared object per index (dict hits by identity)."""
-        num, den = {}, 1
-        for k, comp in enumerate(q.components):
-            if comp.is_zero():
-                continue
-            cnum, cden = self.expand_scalar(comp)
-            if den % cden:
-                den = grow_den(num, den, cden)
-            f = den // cden
-            for alpha, c in cnum.items():
-                idx = HermiteIndex(alpha, k)
-                num[self._interned.setdefault(idx, idx)] = c if f == 1 else c * f
-        return num, den
-
-    def expand(self, q: FiberPoly) -> dict[HermiteIndex, object]:
-        """Hermite coefficients as mode values."""
-        num, den = self.expand_num(q)
-        join = self.mode.join
-        return {idx: join(c, den) for idx, c in num.items()}
+                base = tuple(map(sub, alpha, beta))
+                for gamma, t, _ in terms:
+                    factors = [self._y_row(nu, g, m) for nu, (g, m) in enumerate(zip(gamma, base))]
+                    d = op_den * prod(fd for _, fd in factors)
+                    if den % d:
+                        den = grow_den(acc, den, d)
+                    c = t * f * (den // d)
+                    for combo in product(*(entries for entries, _ in factors)):
+                        key = (tuple(m for m, _ in combo), i)
+                        acc[key] = acc.get(key, 0) + c * prod(n for _, n in combo)
+        num, den = reduce_num(self.mode, acc, den)
+        shared = self._interned
+        return {shared.get(key) or shared.setdefault(key, HermiteIndex(*key)): n
+                for key, n in num.items()}, den
 
     def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:
         out = FiberPoly.zero(self.mode, self.n, self.rank)

@@ -335,11 +335,11 @@ class DiffOpJet:
     homogeneous pieces are exact (None = exact at all degrees); composition
     tracks it with the convolution rule min(cA + ord B, cB + ord A).
 
-    ``apply`` runs on a stencil compiled on first use: per output fibre row,
-    the input column, beta and the coefficient terms (alpha, integer
-    numerator, |alpha|) sorted by |alpha| over one denominator for the whole
-    operator (complex numerators over 1 in float mode). Instances are treated
-    as immutable, so the stencil never goes stale.
+    ``apply`` and ``HermiteBasis.apply`` read one stencil (``stencil``),
+    compiled on first use: per output fibre row, the input column, beta and
+    the coefficient terms (alpha, integer numerator, |alpha|) sorted by |alpha|
+    over one denominator for the whole operator (complex numerators over 1 in
+    float mode). Instances are treated as immutable, so it never goes stale.
     """
 
     __slots__ = ("mode", "n", "rank", "terms", "complete", "_stencil")
@@ -437,11 +437,13 @@ class DiffOpJet:
             comp = c2 if comp is None else min(comp, c2)
         return DiffOpJet(self.mode, self.n, self.rank, terms, comp)
 
-    def _compile(self) -> tuple:
-        """The stencil: (den, rows). ``rows[i]`` lists, for output component
-        i, the entries (column j, beta, nonzero (k, beta_k), terms) of
-        C_beta[i][j] d^beta, with terms (alpha, numerator, |alpha|) sorted by
-        |alpha| over the one denominator ``den`` of the whole operator."""
+    def stencil(self) -> tuple:
+        """The compiled form (den, rows), built on first call and kept:
+        ``rows[i]`` lists, for output component i, the entries (column j, beta,
+        nonzero (k, beta_k), terms) of C_beta[i][j] d^beta, with terms (alpha,
+        numerator, |alpha|) sorted by |alpha| over the one denominator ``den``."""
+        if self._stencil is not None:
+            return self._stencil
         den = lcm(*(entry.den for m in self.terms.values() for row in m for entry in row))
         rows = []
         for i in range(self.rank):
@@ -455,7 +457,8 @@ class DiffOpJet:
                                        key=operator.itemgetter(2))
                         row.append((j, beta, steps, tuple(terms)))
             rows.append(tuple(row))
-        return den, tuple(rows)
+        self._stencil = den, tuple(rows)
+        return self._stencil
 
     def apply(self, q: FiberPoly, through: int | None = None) -> FiberPoly:
         """The operator applied to ``q``; with ``through``, only the terms of
@@ -471,10 +474,7 @@ class DiffOpJet:
         if q.n != self.n:
             raise ValueError("variable count mismatch")
         _same_mode(self.mode, q.mode)
-        stencil = self._stencil
-        if stencil is None:
-            stencil = self._stencil = self._compile()
-        op_den, rows = stencil
+        op_den, rows = self.stencil()
         comps = q.components
         q_den = lcm(*(comp.den for comp in comps))
         add, sub = operator.add, operator.sub

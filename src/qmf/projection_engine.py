@@ -179,26 +179,19 @@ class ProjectorEngine:
     # -- model operator pieces in the eigenbasis
 
     def q_action(self, j: HalfInt, index: HermiteIndex) -> HermiteVec:
+        """Q_j applied to the basis vector at ``index``, in the basis
+        (``HermiteBasis.apply``), cached per (j, index). Raises
+        ``WorkspaceDegreeError`` when the image leaves the workspace."""
         key = (j, index)
         hit = self._q_cache.get(key)
         if hit is not None:
             return hit
-        op = self.family.get(j)
-        if op.is_zero():
-            out = HermiteVec(self.mode)
-        else:
-            try:
-                fiber = self.basis.fiber(index)
-                image = op.apply(fiber)
-                out = HermiteVec(self.mode, *self.basis.expand_num(image)).reduce()
-            except ValueError as exc:
-                raise WorkspaceDegreeError(
-                    f"operator action at order {j} leaves the degree-{self.basis.degree} "
-                    f"workspace; enlarge the polynomial degree bound") from exc
-        for i in out.num:
-            if i.degree > self.basis.degree:
-                raise WorkspaceDegreeError(
-                    f"needed degree {i.degree} exceeds workspace bound {self.basis.degree}")
+        out = HermiteVec(self.mode, *self.basis.apply(self.family.get(j), index))
+        top = max((i.degree for i in out.num), default=0)
+        if top > self.basis.degree:
+            raise WorkspaceDegreeError(
+                f"operator action at order {j} reaches degree {top}, beyond the "
+                f"degree-{self.basis.degree} workspace; enlarge the polynomial degree bound")
         self._q_cache[key] = out
         return out
 

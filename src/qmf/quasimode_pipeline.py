@@ -150,6 +150,8 @@ class QuasimodeResult:
 def _select_level(problem: JetProblem, e0=None, level_index=None) -> DegenerateLevel:
     """The model level named by ``e0`` or ``level_index``, found in a spectrum
     table just large enough to certify it."""
+    if level_index is not None and level_index < 0:
+        raise LevelNotFoundError(f"level_index must be nonnegative, got {level_index}")
     mode = problem.mode
     lam_min = min(mode.to_float(l) for l in problem.lam)
     mu_min = min(mode.to_float(m) for m in problem.mu)
@@ -269,7 +271,8 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
     the identity; otherwise the recorded rational diagonal constants. All
     off-diagonal entries and all order > 0 diagonal terms must vanish, each
     against the pairing of the |coefficients| (plus the target), which bounds
-    what the pairing sums; it is formed only for a nonzero residual.
+    what the pairing sums; it is formed only for a nonzero residual. The
+    pairing is hermitian, so only the pairs i <= j are formed.
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -279,7 +282,7 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
     residuals = []
     m = len(psis)
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             p = pair_s0(psis[i], psis[j], ctx.omega, through=N)
             want = result.norm2_constants[i] if i == j else mode.zero()
             diff = p - FormalScalarSeries.const(mode, want, p.truncation_order)
@@ -409,17 +412,15 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     """Eigenvalue series by the textbook perturbation recursion (m0 = 1 only).
 
     Works entirely in the model eigenbasis with intermediate normalization
-    (the level component of every correction vector is zero), so it shares
-    nothing with the projector/pencil pipeline beyond the operator family and
-    the basis of ``result.context``; the basis's ``eigenvalue`` gives every
-    model gap, and no spectrum table is read. The Q_j images of basis vectors
-    come from the projector engine's ``q_action``, which is Q_j applied to the
-    basis vector and expanded in the basis: a function of the family and the
-    basis alone, only cached. The oracle reads none of the resolvent
-    recursion, the pairing or the pencil. That basis reaches degree 2K + 4N + 2 (2K the
-    member degree, N the order), which covers every vector the recursion
-    builds. The returned series is E0 + sum_{k>=1/2} h^k E_k through the
-    result's order.
+    (the level component of every correction vector is zero). It shares with
+    the construction the operator family, the basis of ``result.context`` and
+    the projector engine's cached Q_j images (``q_action``: the table algebra
+    of ``HermiteBasis.apply``, a function of the family and the basis alone),
+    and reads none of the resolvent recursion, the pairing or the pencil. The
+    basis's ``eigenvalue`` gives every model gap; no spectrum table is read.
+    That basis reaches degree 2K + 4N + 2 (2K the member degree, N the
+    order), which covers every vector the recursion builds. The returned
+    series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -512,7 +513,8 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     Richardson-extrapolated eigenvalue and a convergence certificate. The
     log-log slope of |E_num(h) - series(h)| over the given h values must be
     at least order + 3/2 (or, for an identically vanishing series, the error
-    must be exponentially small).
+    must be exponentially small), fitted over two or more distinct, finite,
+    positive h values (a ValueError otherwise).
 
     V and W are converted to float once and evaluated over each whole grid
     term by term (``_eval_on_grid``), with the same values as evaluating
@@ -521,6 +523,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
+    if len(set(hbars)) < 2 or not all(math.isfinite(h) and h > 0 for h in hbars):
+        raise ValueError(f"the slope fit needs at least two distinct, finite, positive "
+                         f"h values, got {list(hbars)}")
     problem = result.context.problem
     if problem.n != 1 or problem.rank != 1:
         raise ValueError("the finite-difference cross-check is one-dimensional scalar only")

@@ -296,6 +296,9 @@ class TestCommands:
         (MINIMAL.replace("order = 2", "order = 2\ndegree = abc"), [], "degree 'abc' (line 7"),
         (MINIMAL + "\n[checks]\ntolerance = tight\n", [], "tolerance 'tight' (line 12"),
         (MINIMAL + "\n[level]\nindex = first\n", [], "level index 'first' (line 12"),
+        (MINIMAL + "\n[level]\nindex = -1\n", [], "level index must be nonnegative, got -1 (line 12"),
+        (None, ["--preset", "cubic1d", "--order", "2", "--level-index", "-2"],
+         "level_index must be nonnegative, got -2"),
         (MINIMAL + "\n[metric_inverse]\nx 1  2  1\n", [], "metric index 'x' (line 12"),
         (MINIMAL + "\n[endomorphism]\nx 1  1  1\n", [], "endomorphism index 'x' (line 12"),
         (MINIMAL + "\n[connection]\n1 x 1  1  1\n", [], "connection index 'x' (line 12"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmf.cli_io import preset_problem
+from qmf.harmonic_oscillator import HermiteBasis, HermiteIndex
 from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import (
     DiffOpJet,
@@ -17,6 +18,8 @@ from qmf.operator_calculus import (
     rescale_operator,
     solve_eikonal,
 )
+
+from hermite_oracle import apply_by_elimination
 
 F = Fraction
 
@@ -370,6 +373,41 @@ class TestCompiledApply:
                 for slot in range(p.rank):
                     q = mono_fiber(alpha, value=F(3, 7), rank=p.rank, k=slot)
                     assert op.apply(q) == ref_apply(op, q), alpha
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+
+
+class TestHermiteAction:
+    """``HermiteBasis.apply`` (Appell table algebra) against the elimination oracle."""
+
+    @given(jet_cases(), st.lists(POSITIVE, min_size=2, max_size=2),
+           st.lists(st.integers(0, 4), min_size=2, max_size=2), st.integers(0, 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_elimination(self, case, lam, alpha, k):
+        n, rank = case[0], case[1]
+        index = HermiteIndex(tuple(alpha[:n]), k % rank)
+        # coefficient monomials have |gamma| <= 3n, so the image stays in the basis
+        degree = index.degree + 3 * n
+
+        def action(mode, value=lambda c: c):
+            op, _ = build_case(mode, case, value)
+            basis = HermiteBasis(mode, n, rank, tuple(map(mode.coeff, lam[:n])),
+                                 (mode.zero(),) * rank, degree)
+            num, den = basis.apply(op, index)
+            return basis, op, {i: mode.join(c, den) for i, c in num.items()}
+
+        basis, op, got = action(EXACT)
+        want = apply_by_elimination(basis, op, index)
+        assert got == want
+        # float: within rtol of the exact value, relative to the sum of the
+        # magnitudes met at each index (the action of the |coefficients|)
+        mode = float_mode(rtol=1e-12)
+        _, _, fgot = action(mode)
+        _, _, scale = action(EXACT, abs)
+        for i in set(fgot) | set(want):
+            err = abs(fgot.get(i, 0) - complex(want.get(i, 0)))
+            assert mode.negligible(err, float(scale.get(i, 0))), i
 
 
 class TestMetricDensity:

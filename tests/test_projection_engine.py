@@ -221,7 +221,7 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         small_basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 2)
         engine = ProjectorEngine(family, small_basis, level)
-        with pytest.raises(WorkspaceDegreeError):
+        with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
             engine.images(HermiteIndex((2,), 0), HalfInt(4))
 
 
@@ -394,3 +394,17 @@ class TestDiagnosticsComputeEachImageOnce:
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
         assert calls
         assert len(calls) == len(set(calls)), sorted(set(i for i in calls if calls.count(i) > 1))
+
+
+def test_float_q_action_support_equals_exact():
+    # float rounding must leave no entry where exact arithmetic cancels to zero
+    caches = {}
+    for mode_name in ("exact", "float"):
+        spec = preset_problem("iso2d", mode_name, HalfInt(5))
+        ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
+        caches[mode_name] = ctx.projector.engine._q_cache
+    exact, flt = caches["exact"], caches["float"]
+    assert exact.keys() == flt.keys()
+    for key, vec in exact.items():
+        assert set(flt[key].num) == set(vec.num), key
+    assert sum(len(v.num) for v in flt.values()) == sum(len(v.num) for v in exact.values())

@@ -136,6 +136,14 @@ class TestQuarticWell:
         assert rep.passed, rep.detail
         assert rep.data["slope"] >= 3.5
 
+    @pytest.mark.parametrize("hbars", [
+        [0.1], [0.1, 0.1], [0.1, -0.05], [0.1, 0.0], [0.1, float("nan")], [float("inf"), 0.1]])
+    def test_fd_crosscheck_rejects_bad_hbars(self, hbars):
+        # one point fits no slope, and h <= 0 has no finite-difference operator
+        res = compute_quasimodes(quartic(), HalfInt(2), e0=1)
+        with pytest.raises(ValueError, match="at least two distinct, finite, positive h values"):
+            crosscheck_eigenvalue_1d(res, hbars=hbars, grid=64)
+
     @pytest.mark.parametrize("preset", ["quartic1d", "cubic1d", "witten1d"])
     @pytest.mark.parametrize("mode_name", ["exact", "float"])
     def test_grid_evaluation_matches_pointwise(self, preset, mode_name):
@@ -237,3 +245,16 @@ class TestLevelSelectionByIndex:
         r1 = compute_quasimodes(harmonic(), HalfInt(4), level_index=1)
         r2 = compute_quasimodes(harmonic(), HalfInt(4), e0=3)
         assert r1.eigenvalues[0] == r2.eigenvalues[0]
+
+    @pytest.mark.parametrize("index", [-1, -2])
+    def test_negative_index_rejected_before_any_table(self, index, monkeypatch):
+        # the search that doubles the table degree never ends for -2 and
+        # tabulates 513 levels for -1, so the index is checked first
+        import qmf.quasimode_pipeline as pipeline
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a spectrum table was built")
+
+        monkeypatch.setattr(pipeline, "build_spectrum", no_table)
+        with pytest.raises(LevelNotFoundError, match=f"level_index must be nonnegative, got {index}"):
+            compute_quasimodes(iso2d(), HalfInt(2), level_index=index)
