@@ -384,16 +384,21 @@ def _const_inverse(a):
 def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
     """Clustered blocks of the constant hermitian pencil in float mode.
 
-    ``scale`` bounds the entries cancelled into ``r``; over the least
-    eigenvalue of ``a0`` it bounds their effect on the eigenvalues, which are
-    equal when their gap is negligible against it, ambiguous within 100 times.
+    Cholesky reduction (G. H. Golub and C. F. Van Loan, Matrix Computations,
+    4th ed., 8.7): with a0 = L L^H, L^-1 r L^-H = L^-1 (L^-1 r)^H (r being
+    hermitian) has the pencil's eigenvalues, and L^-H maps its orthonormal
+    eigenvectors to a0-orthonormal columns. ``scale`` bounds the entries
+    cancelled into ``r``; over the least eigenvalue of ``a0`` it bounds their
+    effect on the eigenvalues, which are equal when their gap is negligible
+    against it, ambiguous within 100 times.
     """
     import numpy as np
-    from scipy.linalg import eigh
 
     rm = np.array(r, dtype=complex)
     am = np.array(a0, dtype=complex)
-    vals, vecs = eigh(rm, am)
+    low = np.linalg.cholesky(am)
+    vals, w = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, rm).conj().T))
+    vecs = np.linalg.solve(low.conj().T, w)
     scale = max(scale / float(np.min(np.linalg.eigvalsh(am))), float(np.max(np.abs(vals))))
     clusters: list[list[int]] = []
     for i, v in enumerate(vals):

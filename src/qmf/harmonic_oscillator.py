@@ -108,14 +108,6 @@ class HermiteBasis:
     def fiber(self, index: HermiteIndex) -> FiberPoly:
         return FiberPoly.unit(self.poly(index.alpha), self.rank, index.k)
 
-    def norm2(self, alpha: tuple):
-        """Squared norm of the monic polynomial, Gaussian factor removed."""
-        out = self.mode.one()
-        for nu, m in enumerate(alpha):
-            for i in range(1, m + 1):
-                out = out * self.mode.coeff(i) / (self.lam[nu] + self.lam[nu])
-        return out
-
     def eigenvalue(self, index: HermiteIndex):
         e = self.mode.zero()
         for nu, a in enumerate(index.alpha):

@@ -241,7 +241,7 @@ class ProjectorEngine:
         dropping w-powers above the remaining budget (they cannot reach the
         residue), and returns {j: residue of T_j} for the nonzero residues.
         """
-        parts = [i for i in half_range(HalfInt(1), budget) if not self.family.get(i).is_zero()]
+        parts = [i for i in self.family.orders() if HI0 < i <= budget]
         states: dict[HalfInt, dict] = {}
         out: dict[HalfInt, HermiteVec] = {}
         for s in half_range(HI0, budget):

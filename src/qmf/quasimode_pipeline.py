@@ -439,12 +439,13 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
             acc.add(engine.q_action(j, idx), *mode.split(c))
         return acc.reduce().coeffs()
 
+    parts = [j.doubled for j in engine.family.orders() if j > HI0]
     psi = {0: {member: mode.one()}}
     e_coeffs = {0: e0_val}
     for s in range(1, order.doubled + 1):
         drive: dict = {}
-        for m in range(1, s + 1):
-            if s - m not in psi:
+        for m in parts:
+            if m > s or s - m not in psi:
                 continue
             contrib = q_vec(HalfInt(m), psi[s - m])
             for idx, c in contrib.items():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from qmf.cli_io import (
 from qmf.quasimode_pipeline import compute_quasimodes
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def serialize_problem_spec(spec) -> str:
@@ -351,6 +356,28 @@ class TestCommands:
                           "--level", "1", "--level-index", "0"])
         assert rc == 1
         assert "not allowed with argument --level" in capsys.readouterr().err
+
+
+# Runs one command line in a fresh interpreter and prints whether a module is loaded after it.
+_LOADED_AFTER = ("import sys; from qmf.cli_io import run_command; "
+                 "status = run_command(sys.argv[2:]); "
+                 "print(status, sys.argv[1] in sys.modules)")
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("scipy", ["compute", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
+    ("scipy", ["verify", "--preset", "iso2d", "--order", "3", "--mode", "float",
+               "--checks", "transport,eigen_residual,orthonormality,parity"]),
+    ("numpy", ["compute", "--preset", "cubic1d", "--order", "4"]),
+])
+def test_command_leaves_module_unloaded(module, argv):
+    """Float runs load numpy alone (scipy serves ``crosscheck`` only), exact runs neither."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, module, *argv], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestResultDocument:

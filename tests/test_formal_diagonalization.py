@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmf.series_algebra import EXACT, FormalScalarSeries, HI0, HalfInt, float_mode
 from qmf.formal_diagonalization import (
     ExactSplitUnavailable,
     SeriesMatrix,
+    SplitAmbiguityError,
+    _gen_eig_float,
     formal_eigendecomposition,
     parity_filter,
 )
@@ -211,6 +216,68 @@ class TestEigendecomposition:
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
         res = formal_eigendecomposition(m)
         assert all(e.is_real() for e in res.eigenvalues)
+
+
+@st.composite
+def float_pencils(draw):
+    """A hermitian r and a hermitian positive-definite a0 of size <= 4.
+
+    With a0 = B^H B and r = B^H D B for an invertible B, the pencil's
+    eigenvalues are the diagonal of D. Its steps include 0 (a repeated
+    eigenvalue), gaps well inside and outside the clustering tolerance, and
+    gaps inside the ambiguity band for some scales.
+    """
+    m = draw(st.integers(1, 4))
+    steps = st.sampled_from([0.0, 2.7e-12, 3.1e-8, 1.7e-6, 0.5, 1.3, 3.0])
+    d = np.cumsum([float(draw(st.integers(-3, 3)))] + draw(st.lists(steps, min_size=m - 1,
+                                                                       max_size=m - 1)))
+    entries = st.integers(-2, 2)
+    b = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        b[i, i] = draw(st.integers(1, 3))
+        for j in range(i):
+            b[i, j] = complex(draw(entries), draw(entries))
+    r = b.conj().T @ np.diag(d) @ b
+    return (r + r.conj().T) / 2, b.conj().T @ b
+
+
+def scipy_clusters(r, a0, scale, mode):
+    """(size, mean) of each cluster of ``_gen_eig_float``'s rules applied to
+    ``scipy.linalg.eigh(r, a0)``, or None where those rules find a split ambiguous."""
+    from scipy.linalg import eigh
+
+    vals = eigh(r, a0, eigvals_only=True)
+    scale = max(scale / float(np.min(np.linalg.eigvalsh(a0))), float(np.max(np.abs(vals))))
+    clusters = []
+    for i, v in enumerate(vals):
+        if clusters and mode.negligible(v - vals[clusters[-1][0]], scale):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    for a, b in zip(clusters, clusters[1:]):
+        if mode.negligible(abs(vals[b[0]] - vals[a[-1]]), 100 * scale):
+            return None
+    return [(len(cl), float(np.mean(vals[cl]))) for cl in clusters]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(float_pencils())
+def test_float_pencil_matches_scipy(pencil):
+    r, a0 = pencil
+    mode = float_mode()
+    scale = float(np.max(np.abs(r)))
+    want = scipy_clusters(r, a0, scale, mode)
+    if want is None:
+        with pytest.raises(SplitAmbiguityError):
+            _gen_eig_float(r.tolist(), a0.tolist(), scale, HalfInt(1), mode)
+        return
+    blocks = _gen_eig_float(r.tolist(), a0.tolist(), scale, HalfInt(1), mode)
+    assert [len(cols) for _, cols in blocks] == [size for size, _ in want]
+    top = max(abs(mean) for _, mean in want)
+    for (nu, _), (_, mean) in zip(blocks, want):
+        assert abs(nu - mean) <= 1e-13 * top
+    v = np.array([col for _, cols in blocks for col in cols]).T
+    assert np.max(np.abs(v.conj().T @ a0 @ v - np.eye(len(r)))) <= 1e-13
 
 
 class TestParityFilter:

@@ -112,8 +112,9 @@ class TestPairing:
             for b in range(4):
                 got = self.pair(self.basis.poly((a,)), self.basis.poly((b,)))
                 if a == b:
+                    # m! / (2 lam)^m at lam = 1
                     assert got == FormalScalarSeries.const(
-                        EXACT, self.basis.norm2((a,)), got.truncation_order)
+                        EXACT, F(math.factorial(a), 2 ** a), got.truncation_order)
                 else:
                     assert got.is_zero()
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
+from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, S0Series, float_mode
+from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.harmonic_oscillator import (
     HermiteBasis,
     HermiteIndex,
@@ -44,10 +45,16 @@ class TestHermiteBasis:
     def test_norm2(self):
         lam = F(2)
         b = basis_1d(lam=lam)
+        omega0 = WeightExpansion(EXACT, (lam,), {HI0: Poly.const(EXACT, 1, 1)}, HI0)
+
+        def norm2(m):
+            p = S0Series.from_fiber_poly(FiberPoly.scalar(b.poly((m,))))
+            return pair_s0(p, p, omega0).coefficient(HI0)
+
         # m! / (2 lam)^m
-        assert b.norm2((0,)) == F(1)
-        assert b.norm2((1,)) == F(1, 4)
-        assert b.norm2((3,)) == F(6, 64)
+        assert norm2(0) == F(1)
+        assert norm2(1) == F(1, 4)
+        assert norm2(3) == F(6, 64)
 
     def test_expand_examples(self):
         b = basis_1d()

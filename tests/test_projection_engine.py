@@ -408,3 +408,24 @@ def test_float_q_action_support_equals_exact():
     for key, vec in exact.items():
         assert set(flt[key].num) == set(vec.num), key
     assert sum(len(v.num) for v in flt.values()) == sum(len(v.num) for v in exact.values())
+
+
+def test_verify_applies_only_operators_of_the_family(monkeypatch):
+    # the resolvent recursion and the rs oracle skip the orders absent from
+    # the family instead of applying (and caching) a zero operator
+    engines = []
+    init = ProjectorEngine.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(ProjectorEngine, "__init__", recording_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for preset, order in (("quartic1d", "8"), ("witten1d", "9")):
+            assert run_command(["verify", "--preset", preset, "--order", order,
+                                "--checks", "all"]) == 0
+    assert engines
+    for engine in engines:
+        assert engine._q_cache
+        assert {j for j, _ in engine._q_cache} <= engine.family.ops.keys()
