@@ -714,7 +714,3 @@ def _write_json(path: str, doc: dict) -> None:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, inf, isfinite, lcm
 from typing import Mapping
 
 from .series_algebra import (
@@ -88,7 +88,8 @@ def pm_neg(a: PolyMat) -> PolyMat:
     return tuple(tuple(-x for x in ra) for ra in a)
 
 
-def pm_mul(a: PolyMat, b: PolyMat) -> PolyMat:
+def pm_mul(a: PolyMat, b: PolyMat, through: int | None = None) -> PolyMat:
+    """The matrix product; with ``through``, each entry only through that degree."""
     size = len(a)
     out = []
     for i in range(size):
@@ -97,14 +98,10 @@ def pm_mul(a: PolyMat, b: PolyMat) -> PolyMat:
             acc = Poly.zero(a[0][0].mode, a[0][0].n)
             for k in range(size):
                 if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
+                    acc = acc + a[i][k].mul(b[k][j], through)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def pm_truncate(a: PolyMat, d: int) -> PolyMat:
-    return tuple(tuple(x.truncate_degree(d) for x in ra) for ra in a)
 
 
 def pm_is_zero(a: PolyMat) -> bool:
@@ -116,46 +113,28 @@ def pm_conj_transpose(a: PolyMat) -> PolyMat:
     return tuple(tuple(a[j][i].conj() for j in range(size)) for i in range(size))
 
 
-def pm_inverse_jet(a: PolyMat, through: int) -> PolyMat:
-    """Inverse of a = I + E with E of positive minimal degree, as a jet."""
-    size = len(a)
-    mode = a[0][0].mode
-    n = a[0][0].n
-    ident = pm_identity(mode, n, size)
-    e = pm_add(a, pm_neg(ident))
-    if not all(x.is_zero() or x.min_degree() >= 1 for ra in e for x in ra):
-        raise ValueError("matrix jet must be identity plus higher-degree terms")
-    out = ident
-    power = ident
-    while True:
-        power = pm_truncate(pm_mul(power, pm_neg(e)), through)
-        if pm_is_zero(power):
-            break
-        out = pm_add(out, power)
-    return pm_truncate(out, through)
-
-
 def poly_det(a: PolyMat, through: int | None = None) -> Poly:
-    """Determinant by cofactor expansion (matrices here are tiny)."""
+    """Determinant by cofactor expansion (matrices here are tiny); with
+    ``through``, only its terms of degree <= through."""
     size = len(a)
     if size == 1:
-        d = a[0][0]
-    elif size == 2:
-        d = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    else:
-        d = Poly.zero(a[0][0].mode, a[0][0].n)
-        for j in range(size):
-            minor = tuple(tuple(row[c] for c in range(size) if c != j) for row in a[1:])
-            term = a[0][j] * poly_det(minor)
-            d = d + (term if j % 2 == 0 else -term)
-    return d if through is None else d.truncate_degree(through)
+        return a[0][0] if through is None else a[0][0].truncate_degree(through)
+    if size == 2:
+        return a[0][0].mul(a[1][1], through) - a[0][1].mul(a[1][0], through)
+    d = Poly.zero(a[0][0].mode, a[0][0].n)
+    for j in range(size):
+        minor = tuple(tuple(row[c] for c in range(size) if c != j) for row in a[1:])
+        term = a[0][j].mul(poly_det(minor, through), through)
+        d = d + (term if j % 2 == 0 else -term)
+    return d
 
 
 def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
-    """(1 + u)^expo for p = 1 + u with u of positive minimal degree."""
+    """(1 + u)^expo through degree ``through``, for p = 1 + u with u of
+    positive minimal degree."""
     mode = p.mode
     one = Poly.const(mode, p.n, 1)
-    u = (p - one).truncate_degree(through)
+    u = p - one
     if not u.is_zero() and u.min_degree() < 1:
         raise ValueError("jet must be 1 plus higher-degree terms")
     out = one
@@ -164,10 +143,20 @@ def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
     k = 1
     while not term.is_zero() and k <= through:
         coeff = coeff * (expo - (k - 1)) / k
-        term = (term * u).truncate_degree(through)
+        term = term.mul(u, through)
         out = out + term.scale(mode.coeff(coeff))
         k += 1
     return out
+
+
+def convolution_bound(ca: int | None, ord_a, cb: int | None, ord_b) -> int | None:
+    """Degree through which the product of jets A and B is exact:
+    min(c_A + ord B, c_B + ord A), where a jet is exact through c (None: at
+    every degree) and ord is its lowest degree (an infinite one counts as 0).
+    """
+    bounds = [c + (int(o) if isfinite(o) else 0)
+              for c, o in ((ca, ord_b), (cb, ord_a)) if c is not None]
+    return min(bounds, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +322,8 @@ class DiffOpJet:
 
     ``complete`` bounds the graded degree through which the operator's
     homogeneous pieces are exact (None = exact at all degrees); composition
-    tracks it with the convolution rule min(cA + ord B, cB + ord A).
+    tracks it with the convolution rule min(cA + ord B, cB + ord A)
+    (``convolution_bound``) and forms no coefficient term past it.
 
     ``apply`` and ``HermiteBasis.apply`` read one stencil (``stencil``),
     compiled on first use: per output fibre row, the input column, beta and
@@ -407,8 +397,12 @@ class DiffOpJet:
                           for b, m in self.terms.items()}, self.complete)
 
     def compose(self, other: "DiffOpJet") -> "DiffOpJet":
-        """Operator product self . other, exact Leibniz expansion."""
+        """Operator product self . other, exact Leibniz expansion; the
+        coefficient of d^key is formed only through degree complete + |key|,
+        the graded degrees through which the product is exact."""
         _same_mode(self.mode, other.mode)
+        comp = convolution_bound(self.complete, self.min_degree(),
+                                 other.complete, other.min_degree())
         terms: dict[tuple, PolyMat] = {}
         for beta, m in self.terms.items():
             for gamma_, nmat in other.terms.items():
@@ -422,19 +416,11 @@ class DiffOpJet:
                             d = tuple(tuple(x.diff(i) for x in ra) for ra in d)
                     if pm_is_zero(d):
                         continue
-                    prod = pm_mul(m, d)
+                    key = mono_add(tuple(b - s for b, s in zip(beta, sigma)), gamma_)
+                    prod = pm_mul(m, d, None if comp is None else comp + mono_degree(key))
                     if coef != 1:
                         prod = tuple(tuple(x.scale(coef) for x in row) for row in prod)
-                    key = mono_add(tuple(b - s for b, s in zip(beta, sigma)), gamma_)
                     terms[key] = pm_add(terms[key], prod) if key in terms else prod
-        ca, cb = self.complete, other.complete
-        mina, minb = self.min_degree(), other.min_degree()
-        comp = None
-        if ca is not None:
-            comp = ca + (0 if minb in (float("inf"), float("-inf")) else int(minb))
-        if cb is not None:
-            c2 = cb + (0 if mina in (float("inf"), float("-inf")) else int(mina))
-            comp = c2 if comp is None else min(comp, c2)
         return DiffOpJet(self.mode, self.n, self.rank, terms, comp)
 
     def stencil(self) -> tuple:
@@ -548,7 +534,9 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
     phi starts at (1/2) sum_nu lambda_nu x_nu^2; at each degree d >= 3 the
     unknown homogeneous part enters through the radial drift operator
     sum_nu 2 lambda_nu x_nu d_nu, which multiplies a monomial x^alpha by
-    2 <lambda, alpha> > 0 and is therefore uniquely invertible.
+    2 <lambda, alpha> > 0 and is therefore uniquely invertible. Degree 2
+    cancels by the normalization ``JetProblem.validate`` enforces, and
+    ``conjugate_hamiltonian`` checks the whole equation on the result.
     """
     mode, n = problem.mode, problem.n
     through = problem.D + 2
@@ -558,28 +546,6 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
         alpha = [0] * n
         alpha[nu] = 2
         phi = phi + Poly.monomial(mode, n, tuple(alpha), problem.lam[nu] * half)
-
-    def residual(through_deg: int, magnitude: bool = False) -> Poly:
-        """g^{ij} phi_i phi_j - V through the degree; with ``magnitude``, the
-        same sum on |coefficients|, which bounds what it cancels."""
-        part = Poly.abs if magnitude else (lambda p: p)
-        grad = [part(phi.diff(i)) for i in range(n)]
-        acc = Poly.zero(mode, n)
-        for i in range(n):
-            for j in range(n):
-                gij = problem.g_inv[i][j]
-                if gij.is_zero():
-                    continue
-                acc = acc + (part(gij) * grad[i] * grad[j]).truncate_degree(through_deg)
-        v = part(problem.V)
-        return (acc + v if magnitude else acc - v).truncate_degree(through_deg)
-
-    def cancelled(through_deg: int) -> bool:
-        r = residual(through_deg)
-        return r.is_zero() or r.cancels(residual(through_deg, magnitude=True))
-
-    if not cancelled(2):
-        raise EikonalError("quadratic parts inconsistent: check frequencies against the potential")
 
     # homogeneous parts by degree: g^{ij} and the phase gradient, which gains
     # its degree-(d - 1) part once phi's degree-d part is solved
@@ -610,9 +576,6 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
             part = phi_d.diff(i)
             if not part.is_zero():
                 grad_parts[i][d - 1] = part
-
-    if not cancelled(through):
-        raise EikonalError("eikonal recursion failed to cancel the residual jet")
     return ScalarJet(phi, through)
 
 
@@ -621,12 +584,10 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
 
 
 def metric_density_jet(problem: JetProblem) -> Poly:
-    """sqrt(det g_ij) as a jet through degree D, from the inverse-metric jet."""
+    """sqrt(det g_ij) = (det g^ij)^(-1/2) as a jet through degree D."""
     if problem.metric_is_flat():
         return Poly.const(problem.mode, problem.n, 1)
-    g_lower = pm_inverse_jet(problem.g_inv, problem.D)
-    det = poly_det(g_lower, problem.D)
-    return poly_power_jet(det, Fraction(1, 2), problem.D)
+    return poly_power_jet(poly_det(problem.g_inv, problem.D), Fraction(-1, 2), problem.D)
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +599,13 @@ def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
     mode, n, rank = problem.mode, problem.n, problem.rank
     flat = problem.metric_is_flat()
     gcomp = None if flat else problem.D
-    G = metric_density_jet(problem)
-    inv_G = (Poly.const(mode, n, 1) if flat
-             else poly_power_jet(poly_det(pm_inverse_jet(problem.g_inv, problem.D), problem.D),
-                                 Fraction(-1, 2), problem.D))
+    if flat:
+        G = inv_G = Poly.const(mode, n, 1)
+    else:
+        # det g_ij = 1 / det g^ij, so G = sqrt(det g_ij) and 1/G are its powers -1/2, 1/2
+        det = poly_det(problem.g_inv, problem.D)
+        G = poly_power_jet(det, Fraction(-1, 2), problem.D)
+        inv_G = poly_power_jet(det, Fraction(1, 2), problem.D)
     acc = DiffOpJet.zero(mode, n, rank)
     for i in range(n):
         nabla_i = DiffOpJet.derivative(mode, n, rank, i)
@@ -655,7 +619,7 @@ def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
             nabla_j = DiffOpJet.derivative(mode, n, rank, j)
             if not pm_is_zero(problem.Gamma[j]):
                 nabla_j = nabla_j + DiffOpJet.multiplication(problem.Gamma[j], complete=problem.D)
-            coeff = (G * gij).truncate_degree(problem.D) if not flat else gij
+            coeff = G.mul(gij, problem.D) if not flat else gij
             inner = inner + DiffOpJet.scalar_multiplication(
                 coeff, rank, complete=gcomp).compose(nabla_j)
         acc = acc + nabla_i.compose(inner)
@@ -732,16 +696,17 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
                 if leftover.is_zero():
                     continue
                 if magnitude is None:
-                    magnitude = _h0_magnitude(L, grad_phi, problem.V)
+                    magnitude = _h0_magnitude(L, grad_phi, problem.V, check_through)
                 if not leftover.cancels(magnitude[r][c]):
                     raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
 
     return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1)
 
 
-def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly) -> list:
+def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly, through: int) -> list:
     """The h^0 coefficient V + sum_{|beta| = 2} C_beta prod phi_i^beta_i of the
-    conjugated operator, entrywise on |coefficients|: what the eikonal cancels."""
+    conjugated operator, entrywise on |coefficients| and through degree
+    ``through`` (V's terms uncut): what the eikonal cancels."""
     mode, n, rank = L.mode, L.n, L.rank
     out = [[V.abs() if r == c else Poly.zero(mode, n) for c in range(rank)] for r in range(rank)]
     for beta, m in L.terms.items():
@@ -750,10 +715,10 @@ def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly) -> list:
         prod = Poly.const(mode, n, 1)
         for i, b in enumerate(beta):
             for _ in range(b):
-                prod = prod * grad_phi[i].abs()
+                prod = prod.mul(grad_phi[i].abs(), through)
         for r in range(rank):
             for c in range(rank):
-                out[r][c] = out[r][c] + m[r][c].abs() * prod
+                out[r][c] = out[r][c] + m[r][c].abs().mul(prod, through)
     return out
 
 

@@ -45,10 +45,10 @@ from .series_algebra import (
 )
 from .operator_calculus import (
     ConjugatedOperator,
-    DiffOpJet,
     JetProblem,
     OperatorFamily,
     conjugate_hamiltonian,
+    convolution_bound,
     rescale_operator,
     solve_eikonal,
 )
@@ -307,20 +307,6 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
 # Transport / eigenvalue residuals at jet level
 
 
-def _apply_bound(op: DiffOpJet, jet: FiberPoly, jet_bound: int | None) -> int | None:
-    """Degree through which op applied to a jet known through ``jet_bound`` is exact."""
-    bounds = []
-    if jet_bound is not None:
-        md = op.min_degree()
-        shift = 0 if md in (float("inf"), float("-inf")) else int(md)
-        bounds.append(jet_bound + shift)
-    if op.complete is not None:
-        lo = jet.min_degree()
-        lo = 0 if lo == float("inf") else int(lo)
-        bounds.append(op.complete + lo)
-    return min(bounds) if bounds else None
-
-
 def transport_residual(result: QuasimodeResult) -> VerificationReport:
     """Residual of the recursive transport equations on the output jets.
 
@@ -348,12 +334,14 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
             # before any operator is applied, so the applications stop there
             a_k = a_jet.at_relative(k)
             bound_k = a_jet.degree_bound_at(k - level.K)
-            bounds = [bound_k, _apply_bound(T_op, a_k, bound_k)]
+            bounds = [bound_k, convolution_bound(T_op.complete, T_op.min_degree(),
+                                                 bound_k, a_k.min_degree())]
             has_prev = k - HalfInt(2) >= HI0
             if has_prev:
                 a_prev = a_jet.at_relative(k - HalfInt(2))
-                bounds.append(_apply_bound(L_op, a_prev,
-                                           a_jet.degree_bound_at(k - HalfInt(2) - level.K)))
+                bounds.append(convolution_bound(
+                    L_op.complete, L_op.min_degree(),
+                    a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree()))
             e_terms = []
             for i in half_range(HalfInt(1), k):
                 ei = inner.coefficient(i)

@@ -30,6 +30,7 @@ as mode values (Fractions in exact mode), built on first read.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -478,7 +479,16 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def mul(self, other: "Poly", through: int | None = None) -> "Poly":
+        """The product; with ``through``, only its terms of total degree <=
+        through, and no term past that degree is formed (the same as
+        truncating the full product).
+
+        Bounded, the right factor is sorted by degree and each left term meets
+        only the prefix of it that fits. The sum for each product monomial
+        runs over the left terms in the same order either way, so float
+        results agree bit for bit.
+        """
         _same_mode(self.mode, other.mode)
         if self.n != other.n:
             raise ValueError("variable count mismatch")
@@ -486,12 +496,18 @@ class Poly:
         num: dict[Monomial, object] = {}
         get = num.get
         right = other.num.items()
+        if through is not None:
+            right = sorted(right, key=lambda t: sum(t[0]))
+            degrees = [sum(b) for b, _ in right]
         for a, ca in self.num.items():
-            for b, cb in right:
+            for b, cb in (right if through is None
+                          else right[:bisect_right(degrees, through - sum(a))]):
                 key = tuple(map(add, a, b))
                 s = get(key)
                 num[key] = ca * cb if s is None else s + ca * cb
         return Poly._reduced(self.mode, self.n, num, self.den * other.den)
+
+    __mul__ = mul
 
     def scale(self, c) -> "Poly":
         if isinstance(c, (int, Fraction, str)):

@@ -380,6 +380,16 @@ def test_command_leaves_module_unloaded(module, argv):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+def test_python_m_qmf_runs_the_command_line_without_warnings():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "qmf", "compute",
+                           "--preset", "cubic1d", "--order", "2"], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
 class TestResultDocument:
     def test_norm2_and_members_serialized(self):
         spec = preset_problem("iso2d", order=HalfInt(4))

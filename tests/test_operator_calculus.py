@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmf.cli_io import preset_problem
+from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.harmonic_oscillator import HermiteBasis, HermiteIndex
 from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import (
@@ -13,8 +13,11 @@ from qmf.operator_calculus import (
     EikonalError,
     JetProblem,
     ProblemValidationError,
+    ScalarJet,
     conjugate_hamiltonian,
     metric_density_jet,
+    pm_is_zero,
+    poly_det,
     rescale_operator,
     solve_eikonal,
 )
@@ -144,10 +147,63 @@ class TestConjugation:
 
     def test_eikonal_residual_rejected(self):
         p = scalar_problem(poly1({2: 1, 3: 1}), D=6)
-        from qmf.operator_calculus import ScalarJet
         bad_phi = ScalarJet(poly1({2: F(1, 2)}), 8)  # ignores the cubic term
         with pytest.raises(EikonalError):
             conjugate_hamiltonian(p, bad_phi)
+
+
+WELL_3D = """
+[problem]
+n = 3
+rank = 1
+mode = exact
+order = 2
+[lambda]
+1
+1
+1
+[potential]
+3 0 0  1
+1 1 1  1
+0 2 1  1
+0 0 4  1
+"""
+
+CURVED_WELL = """
+[problem]
+n = 2
+rank = 1
+mode = exact
+order = 3
+[lambda]
+1
+2
+[potential]
+3 0 1
+1 2 1
+[metric_inverse]
+1 1 2 0 1/3
+1 2 1 1 1/5
+2 2 0 2 1/7
+"""
+
+
+@pytest.mark.parametrize("problem", [
+    preset_problem("cubic1d").problem,
+    preset_problem("rank2").problem,   # with a connection
+    parse_problem_spec(WELL_3D).problem,
+    parse_problem_spec(CURVED_WELL).problem,
+], ids=["cubic1d", "rank2", "well3d", "curved"])
+def test_conjugation_rejects_a_phase_wrong_at_any_degree(problem):
+    """The eikonal is checked only in ``conjugate_hamiltonian``: a phase off
+    by x_1^d / 7 must fail there at every degree d the phase is exact through."""
+    phi = solve_eikonal(problem)
+    conjugate_hamiltonian(problem, phi)
+    for d in range(3, problem.D + 3):
+        alpha = (d,) + (0,) * (problem.n - 1)
+        bad = phi.poly + Poly.monomial(problem.mode, problem.n, alpha, F(1, 7))
+        with pytest.raises(EikonalError):
+            conjugate_hamiltonian(problem, ScalarJet(bad, phi.complete))
 
 
 @pytest.mark.parametrize("preset", ["cubic1d", "iso2d", "rank2"])
@@ -373,6 +429,60 @@ class TestCompiledApply:
                 for slot in range(p.rank):
                     q = mono_fiber(alpha, value=F(3, 7), rank=p.rank, k=slot)
                     assert op.apply(q) == ref_apply(op, q), alpha
+
+
+# -- degree-bounded products against the full product, cut afterwards
+
+
+def square_mats(n, size):
+    return st.lists(st.lists(coeff_dicts(n, 3), min_size=size, max_size=size),
+                    min_size=size, max_size=size)
+
+
+def poly_mat(mode, n, data):
+    return tuple(tuple(Poly(mode, n, {a: mode.coeff(c) for a, c in d.items()}) for d in row)
+                 for row in data)
+
+
+def compose_cases():
+    """(n, rank, operator data A, B, complete of A, B)."""
+    def ops(n, rank):
+        betas = [b for b in product(range(3), repeat=n) if sum(b) <= 2]
+        return st.dictionaries(st.sampled_from(betas), square_mats(n, rank), max_size=3)
+    completes = st.one_of(st.none(), st.integers(-1, 4))
+    return st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
+        lambda s: st.tuples(st.just(s[0]), st.just(s[1]), ops(*s), ops(*s), completes, completes))
+
+
+MODES = st.sampled_from([EXACT, float_mode()])
+
+
+class TestBoundedProducts:
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda s: st.tuples(st.just(s[0]), square_mats(*s))), st.integers(-2, 9), MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_det_is_the_cut_det(self, case, d, mode):
+        n, data = case
+        m = poly_mat(mode, n, data)
+        assert poly_det(m, d) == poly_det(m).truncate_degree(d)
+
+    @given(compose_cases(), MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_compose_is_the_full_product_cut_at_complete(self, case, mode):
+        n, rank, data_a, data_b, ca, cb = case
+
+        def op(data, complete):
+            return DiffOpJet(mode, n, rank, {beta: poly_mat(mode, n, m) for beta, m in data.items()},
+                             complete)
+
+        got = op(data_a, ca).compose(op(data_b, cb))
+        full = op(data_a, None).compose(op(data_b, None))
+        want = full.terms
+        if got.complete is not None:
+            cut = {key: tuple(tuple(x.truncate_degree(got.complete + sum(key)) for x in row)
+                              for row in m) for key, m in want.items()}
+            want = {key: m for key, m in cut.items() if not pm_is_zero(m)}
+        assert got.terms == want
 
 
 POSITIVE = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))

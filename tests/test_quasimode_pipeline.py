@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -49,6 +50,17 @@ def witten(c=F(1), D=10):
 def iso2d(c=F(1), D=10):
     V = Poly(EXACT, 2, {(2, 0): F(1), (0, 2): F(1), (3, 0): c, (1, 2): c})
     return JetProblem.create(EXACT, 2, 1, D, (1, 1), V=V)
+
+
+# the 3-D well V = |x|^2 + x1^3 + x1 x2 x3 + x2^2 x3 + x3^4, lambda = (1, 1, 1)
+WELL_3D = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1,
+           (3, 0, 0): 1, (1, 1, 1): 1, (0, 2, 1): 1, (0, 0, 4): 1}
+
+
+def well3d(perm=(0, 1, 2)):
+    """The 3-D well in coordinates x'_i = x_perm[i], V and lambda relabelled alike."""
+    V = Poly(EXACT, 3, {tuple(a[k] for k in perm): F(c) for a, c in WELL_3D.items()})
+    return JetProblem.create(EXACT, 3, 1, 8, tuple((1, 1, 1)[k] for k in perm), V=V)
 
 
 class TestHarmonicExactness:
@@ -258,3 +270,17 @@ class TestLevelSelectionByIndex:
         monkeypatch.setattr(pipeline, "build_spectrum", no_table)
         with pytest.raises(LevelNotFoundError, match=f"level_index must be nonnegative, got {index}"):
             compute_quasimodes(iso2d(), HalfInt(2), level_index=index)
+
+
+@pytest.mark.parametrize("perm", [p for p in permutations(range(3)) if p != (0, 1, 2)])
+def test_3d_well_coordinate_permutation(perm):
+    """Relabelling the coordinates keeps the eigenvalue series and permutes the
+    eigenfunction monomials alike."""
+    base = compute_quasimodes(well3d(), HalfInt(2), e0=3)
+    got = compute_quasimodes(well3d(perm), HalfInt(2), e0=3)
+    assert got.eigenvalues == base.eigenvalues
+    (u,), (v,) = base.eigenfunctions, got.eigenfunctions
+    assert v.coeffs.keys() == u.coeffs.keys()
+    for k, p in u.coeffs.items():
+        want = {tuple(a[i] for i in perm): c for a, c in p.components[0].terms.items()}
+        assert v.coeffs[k].components[0].terms == want, k

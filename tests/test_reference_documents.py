@@ -114,11 +114,12 @@ COEFFS = st.sampled_from(["-2", "-1", "-1/2", "-1/4", "1/4", "1/2", "1", "3/2", 
 
 
 @st.composite
-def rational_wells(draw):
-    """Spec text, less its mode, of a random rational well: n <= 2, rank <= 2,
-    cubic and quartic terms, an off-diagonal endomorphism slope at rank 2."""
-    n, rank = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    order = draw(st.integers(1, 4))
+def rational_wells(draw, dims=st.integers(1, 2), orders=st.integers(1, 4)):
+    """Spec text, less its mode, of a random rational well: n from ``dims``,
+    rank <= 2, cubic and quartic terms, an off-diagonal endomorphism slope at
+    rank 2."""
+    n, rank = draw(dims), draw(st.integers(1, 2))
+    order = draw(orders)
     lines = ["[problem]", f"n = {n}", f"rank = {rank}", f"order = {order}", "", "[lambda]",
              *(draw(LAMBDAS) for _ in range(n)), "", "[potential]"]
     monomials = [a for a in itertools.product(range(5), repeat=n) if 3 <= sum(a) <= 4]
@@ -143,6 +144,16 @@ def spec_document(text: str) -> tuple:
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(rational_wells())
 def test_float_matches_exact_on_random_rational_wells(text):
+    check_float_matches_exact(text)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rational_wells(dims=st.just(3), orders=st.integers(1, 3)))
+def test_float_matches_exact_on_random_3d_wells(text):
+    check_float_matches_exact(text)
+
+
+def check_float_matches_exact(text):
     try:
         exact, result = spec_document(text.replace("[problem]", "[problem]\nmode = exact"))
     except ExactSplitUnavailable:

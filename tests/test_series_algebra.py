@@ -117,9 +117,9 @@ def sparse_dicts(n, values):
     return st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), values, max_size=6)
 
 
-def poly_pairs(values):
-    """(n, a, b): two sparse coefficient dicts in the same 1 or 2 variables."""
-    return st.integers(1, 2).flatmap(
+def poly_pairs(values, max_n=2):
+    """(n, a, b): two sparse coefficient dicts in the same 1 to max_n variables."""
+    return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(st.just(n), sparse_dicts(n, values), sparse_dicts(n, values)))
 
 
@@ -206,6 +206,22 @@ class TestPolyKernel:
             assert got.den == 1, name
             assert bits(got.num) == bits(want), name
             assert bits(got.terms) == bits(want), name
+
+    @given(poly_pairs(FRACS, max_n=3), st.integers(-2, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_bounded_product_is_the_cut_product(self, nab, d):
+        n, a, b = nab
+        pa, pb = Poly(EXACT, n, ref_clean(a)), Poly(EXACT, n, ref_clean(b))
+        assert pa.mul(pb, d) == (pa * pb).truncate_degree(d)
+
+    @given(poly_pairs(COMPLEXES, max_n=3), st.integers(-2, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_float_bounded_product_is_the_cut_product_bit_for_bit(self, nab, d):
+        mode = float_mode()
+        n, a, b = nab
+        pa, pb = Poly(mode, n, ref_clean(a, mode.is_zero)), Poly(mode, n, ref_clean(b, mode.is_zero))
+        got, want = pa.mul(pb, d), (pa * pb).truncate_degree(d)
+        assert bits(got.num) == bits(want.num)
 
     def test_denominators_combine_by_lcm(self):
         y = Poly.variable(EXACT, 1, 0)
