@@ -32,7 +32,6 @@ from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, worst_residua
 from .operator_calculus import JetProblem, ProblemValidationError
 from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
-from .formal_diagonalization import parity_filter
 from .quasimode_pipeline import (
     VerificationReport,
     compute_quasimodes,
@@ -533,10 +532,7 @@ def _run_checks(spec: ParsedSpec, result) -> list:
     if checks.get("orthonormality", True):
         reports.append(orthonormality_report(result))
     if checks.get("parity", True):
-        rep = parity_filter([e.shift(HalfInt(-2)) for e in result.eigenvalues], result.level)
-        reports.append(VerificationReport(
-            name="parity", passed=rep.ok, order=result.order,
-            max_residual=rep.worst, detail=rep.detail))
+        reports.append(result.context.parity)
     rs_flag = checks.get("rs", "auto")
     if rs_flag is True or (rs_flag == "auto" and result.level.m0 == 1):
         oracle = rs_oracle(result)
@@ -662,7 +658,7 @@ def run_command(argv) -> int:
     try:
         if args.command == "spectrum":
             table = build_spectrum(spec.problem.mode, spec.problem.lam, spec.problem.mu,
-                                   args.degree, n=spec.problem.n, rank=spec.problem.rank)
+                                   args.degree)
             mode = spec.problem.mode
             doc = {"schema": SCHEMA_VERSION, "degree": args.degree,
                    "entries": [{"alpha": list(i.alpha), "k": i.k + 1,

@@ -30,10 +30,8 @@ from .series_algebra import (
     _min_trunc,
     half_range,
     inverse_sqrt_series,
-    worst_residual,
 )
 from .gaussian_pairing import WeightExpansion, pair_s0
-from .harmonic_oscillator import DegenerateLevel
 
 __all__ = [
     "SeriesMatrix",
@@ -41,7 +39,6 @@ __all__ = [
     "gram_matrix",
     "interaction_matrix",
     "formal_eigendecomposition",
-    "parity_filter",
     "ExactSplitUnavailable",
     "SplitAmbiguityError",
 ]
@@ -186,7 +183,7 @@ def interaction_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
                        through: HalfInt | None = None) -> SeriesMatrix:
     """Matrix of pairings (f_i, Q f_j) over the series field."""
     mode = fs[0].mode
-    qfs = [family.apply_series(f, out_trunc=None) for f in fs]
+    qfs = [family.apply_series(f, out_trunc=through) for f in fs]
     m = len(fs)
     rows = [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
     return SeriesMatrix.from_rows(mode, rows)
@@ -685,37 +682,3 @@ def _series_gram_schmidt(a: SeriesMatrix, order: HalfInt, mode) -> list:
             col = [ci - c * pi for ci, pi in zip(col, prev)]
         cols.append([c.truncate(order) for c in col])
     return cols
-
-
-# ---------------------------------------------------------------------------
-# Parity filter
-
-
-@dataclass
-class ParityReport:
-    checked: bool
-    ok: bool
-    worst: float
-    detail: str
-
-
-def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> ParityReport:
-    """Assert the vanishing of half-integer coefficients in the eigenvalue series.
-
-    Applies only to levels of uniform parity; mixed levels are exempt. A
-    violation is a hard failure: the structure theory guarantees vanishing,
-    so a coefficient not negligible against its series' largest means an
-    implementation bug upstream.
-    """
-    if level.parity == "mixed":
-        return ParityReport(checked=False, ok=True, worst=0.0, detail="mixed parity: exempt")
-    worst = 0.0
-    for e in eigenvalues:
-        scale = e.max_abs_coeff()
-        worst = max(worst, worst_residual(e.mode, ((float(e.mode.abs(c)), scale)
-                                                   for t, c in e.items() if not t.is_integer)))
-    if eigenvalues and not eigenvalues[0].mode.negligible(worst, 1):
-        raise AssertionError(
-            f"half-integer eigenvalue coefficient of size {worst} on a uniform-parity level")
-    return ParityReport(checked=True, ok=True, worst=worst,
-                        detail=f"all half-integer coefficients vanish (<= {worst})")

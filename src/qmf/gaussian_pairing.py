@@ -37,7 +37,7 @@ from .series_algebra import (
     grow_den,
     mono_degree,
 )
-from .operator_calculus import JetProblem, ScalarJet, metric_density_jet
+from .operator_calculus import JetProblem, ScalarJet
 
 __all__ = [
     "WeightExpansion",
@@ -180,13 +180,15 @@ def _graded_mul(a: dict, b: dict, mode, n: int, through: HalfInt) -> dict:
     return {k: p for k, p in out.items() if not p.is_zero()}
 
 
-def weight_expansion(phi: ScalarJet, problem: JetProblem, through) -> WeightExpansion:
+def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
+                     through) -> WeightExpansion:
     """Expand the non-Gaussian weight factors in half powers.
 
     The phase jet contributes exp(-2 sum_k h^(k/2) phi_{k+2}(y)) via the
-    truncated exponential series; the metric density jet G contributes its
-    homogeneous parts at half their degree. Orders are exact through
-    min(through, (phi completeness - 2)/2, density completeness / 2).
+    truncated exponential series; the metric density jet G (``density``, as
+    formed with the second-order operator: ``ConjugatedOperator.density``)
+    contributes its homogeneous parts at half their degree. Orders are exact
+    through min(through, (phi completeness - 2)/2, density completeness / 2).
     """
     mode, n = problem.mode, problem.n
     through = HalfInt.of(through)
@@ -214,10 +216,9 @@ def weight_expansion(phi: ScalarJet, problem: JetProblem, through) -> WeightExpa
             expo[k] = expo.get(k, Poly.zero(mode, n)) + p.scale(inv_fact)
         m += 1
     if not problem.metric_is_flat():
-        G = metric_density_jet(problem)
         caps.append(HalfInt(problem.D))
         g_parts: dict[HalfInt, Poly] = {}
-        for d, part in G.components_by_degree().items():
+        for d, part in density.components_by_degree().items():
             k = HalfInt(d)
             if k <= through:
                 g_parts[k] = part

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import perm, prod
+from math import floor, perm, prod
 from operator import sub
 
 from .series_algebra import FiberPoly, HalfInt, Poly, grow_den, reduce_num
@@ -30,6 +30,7 @@ __all__ = [
     "SpectrumTable",
     "DegenerateLevel",
     "build_spectrum",
+    "covering_degree",
     "degenerate_level",
     "level_by_index",
     "LevelNotFoundError",
@@ -70,12 +71,12 @@ class HermiteBasis:
     eigenvalues, and the exact action of a ``DiffOpJet`` on each basis vector.
     """
 
-    def __init__(self, mode, n: int, rank: int, lam: tuple, mu: tuple, degree: int):
+    def __init__(self, mode, lam: tuple, mu: tuple, degree: int):
         self.mode = mode
-        self.n = n
-        self.rank = rank
         self.lam = tuple(lam)
         self.mu = tuple(mu)
+        self.n = n = len(self.lam)
+        self.rank = len(self.mu)
         self.degree = degree
         self._one_dim: list[list[Poly]] = []
         for nu in range(n):
@@ -109,10 +110,7 @@ class HermiteBasis:
         return FiberPoly.unit(self.poly(index.alpha), self.rank, index.k)
 
     def eigenvalue(self, index: HermiteIndex):
-        e = self.mode.zero()
-        for nu, a in enumerate(index.alpha):
-            e = e + self.lam[nu] * (2 * a + 1)
-        return e + self.mu[index.k]
+        return _eigenvalue(self.mode, self.lam, self.mu, index)
 
     def indices(self, max_degree: int | None = None) -> list[HermiteIndex]:
         d = self.degree if max_degree is None else max_degree
@@ -225,20 +223,37 @@ class SpectrumTable:
         return values
 
 
-def build_spectrum(mode, lam, mu, degree: int, n: int | None = None,
-                   rank: int | None = None) -> SpectrumTable:
+def _eigenvalue(mode, lam, mu, index: HermiteIndex):
+    """E(alpha, k) = sum (2 alpha_nu + 1) lambda_nu + mu_k."""
+    return sum((l * (2 * a + 1) for l, a in zip(lam, index.alpha)), mode.zero()) + mu[index.k]
+
+
+def covering_degree(mode, lam, mu, E0) -> int:
+    """The least table degree sure to hold every index at the eigenvalue E0.
+
+    An index of degree |alpha| has E >= sum lambda + 2 |alpha| min lambda +
+    min mu, so the table of degree d holds the whole level whenever
+    E0 < sum lambda + 2 (d + 1) min lambda + min mu, that is when d + 1 > x
+    for x = (E0 - sum lambda - min mu) / (2 min lambda). In float mode an
+    index whose eigenvalue is ``mode.close`` to E0 must be inside too, so x
+    close to d + 1 counts as d + 1. The i-th distinct level has E0 at most
+    sum lambda + 2 i min lambda + min mu, so it lies in the table of degree i.
+    """
+    real = mode.real
+    x = (real(E0) - sum(map(real, lam)) - min(map(real, mu))) / (2 * min(map(real, lam)))
+    d = max(floor(x), 0)
+    return d + 1 if mode.close(x, d + 1) else d
+
+
+def build_spectrum(mode, lam, mu, degree: int) -> SpectrumTable:
     """All model eigenvalues with |alpha| <= degree, exact in the mode's field."""
-    lam = tuple(mode.coeff(l) if isinstance(l, (int, Fraction, str)) else l for l in lam)
-    mu = tuple(mode.coeff(m) if isinstance(m, (int, Fraction, str)) else m for m in mu)
-    n = len(lam) if n is None else n
-    rank = len(mu) if rank is None else rank
+    lam = tuple(map(mode.coeff, lam))
+    mu = tuple(map(mode.coeff, mu))
     entries = {}
-    for alpha in _multi_indices(n, degree):
-        base = mode.zero()
-        for nu, a in enumerate(alpha):
-            base = base + lam[nu] * (2 * a + 1)
-        for k in range(rank):
-            entries[HermiteIndex(alpha, k)] = base + mu[k]
+    for alpha in _multi_indices(len(lam), degree):
+        for k in range(len(mu)):
+            index = HermiteIndex(alpha, k)
+            entries[index] = _eigenvalue(mode, lam, mu, index)
     return SpectrumTable(mode, lam, mu, degree, entries)
 
 
@@ -260,21 +275,18 @@ class DegenerateLevel:
 def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
     """Collect all indices at the eigenvalue E0 (equal by ``mode.close``).
 
-    The enumeration degree of the table must be large enough to contain the
-    whole level; this is guaranteed when degree >= (E0 - min mu) / (2 min lam).
+    The table must hold the whole level: its degree must be at least
+    ``covering_degree`` of E0.
     """
     mode = table.mode
-    E0 = mode.coeff(E0) if isinstance(E0, (int, Fraction, str)) else E0
+    E0 = mode.coeff(E0)
+    need = covering_degree(mode, table.lam, table.mu, E0)
+    if need > table.degree:
+        raise LevelNotFoundError(
+            f"spectrum table degree {table.degree} too small to certify the level; need {need}")
     members = [index for index, e in table.entries.items() if mode.close(e, E0)]
     if not members:
-        raise LevelNotFoundError(f"E0 = {E0} not in the model spectrum (degree {table.degree})")
-    # the table must not have cut the level off at its degree bound
-    lam_min = min(mode.real(l) for l in table.lam)
-    needed = (mode.real(E0) - min((mode.real(m) for m in table.mu), default=0)) / (2 * lam_min)
-    if needed > table.degree and not mode.negligible(needed - table.degree, needed):
-        raise LevelNotFoundError(
-            f"spectrum table degree {table.degree} too small to certify the level; "
-            f"need {float(needed):.1f}")
+        raise LevelNotFoundError(f"E0 = {E0} not in the model spectrum")
     members = tuple(sorted(members))
     degrees = {m.degree % 2 for m in members}
     parity = "even" if degrees == {0} else "odd" if degrees == {1} else "mixed"

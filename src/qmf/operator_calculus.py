@@ -49,7 +49,6 @@ __all__ = [
     "solve_eikonal",
     "conjugate_hamiltonian",
     "rescale_operator",
-    "metric_density_jet",
     "EikonalError",
     "ProblemValidationError",
 ]
@@ -201,7 +200,7 @@ class JetProblem:
 
     @staticmethod
     def create(mode, n, rank, D, lam, V=None, g_inv=None, W=None, Gamma=None) -> "JetProblem":
-        lam = tuple(mode.coeff(l) if isinstance(l, (int, Fraction, str)) else l for l in lam)
+        lam = tuple(map(mode.coeff, lam))
         if V is None:
             V = Poly.zero(mode, n)
         if not any(mono_degree(a) == 2 for a in V.terms):
@@ -580,22 +579,13 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
 
 
 # ---------------------------------------------------------------------------
-# Metric density
-
-
-def metric_density_jet(problem: JetProblem) -> Poly:
-    """sqrt(det g_ij) = (det g^ij)^(-1/2) as a jet through degree D."""
-    if problem.metric_is_flat():
-        return Poly.const(problem.mode, problem.n, 1)
-    return poly_power_jet(poly_det(problem.g_inv, problem.D), Fraction(-1, 2), problem.D)
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonian assembly and conjugation
 
 
-def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
-    """The second-order operator: Bochner form from (g, Gamma)."""
+def _laplace_type_operator(problem: JetProblem) -> tuple[DiffOpJet, Poly]:
+    """The second-order operator, Bochner form from (g, Gamma), and the
+    metric density sqrt(det g_ij) = (det g^ij)^(-1/2) it is built from, as a
+    jet through degree D (1 on a flat metric)."""
     mode, n, rank = problem.mode, problem.n, problem.rank
     flat = problem.metric_is_flat()
     gcomp = None if flat else problem.D
@@ -623,7 +613,7 @@ def _laplace_type_operator(problem: JetProblem) -> DiffOpJet:
             inner = inner + DiffOpJet.scalar_multiplication(
                 coeff, rank, complete=gcomp).compose(nabla_j)
         acc = acc + nabla_i.compose(inner)
-    return DiffOpJet.scalar_multiplication(inv_G, rank, complete=gcomp).compose(acc).scale(-1)
+    return DiffOpJet.scalar_multiplication(inv_G, rank, complete=gcomp).compose(acc).scale(-1), G
 
 
 @dataclass
@@ -632,11 +622,13 @@ class ConjugatedOperator:
 
     ``hbar2`` is the second-order operator, ``hbar1`` the transport operator
     (drift along twice the phase gradient + endomorphism + divergence term).
-    Each is exact through its own ``complete`` graded degree.
+    Each is exact through its own ``complete`` graded degree. ``density`` is
+    the metric density jet sqrt(det g_ij) that ``hbar2`` was built from.
     """
 
     hbar2: DiffOpJet
     hbar1: DiffOpJet
+    density: Poly
 
 
 def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOperator:
@@ -649,7 +641,7 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
     the phase does not solve the eikonal equation and raises.
     """
     mode, n, rank = problem.mode, problem.n, problem.rank
-    L = _laplace_type_operator(problem)
+    L, density = _laplace_type_operator(problem)
     grad_phi = [phi.poly.diff(i).truncate_degree(phi.complete - 1) for i in range(n)]
     phi_complete = phi.complete - 1  # coefficient degree of the mult(phi_i) ops
 
@@ -700,7 +692,7 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
                 if not leftover.cancels(magnitude[r][c]):
                     raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
 
-    return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1)
+    return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1, density=density)
 
 
 def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly, through: int) -> list:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .series_algebra import (
-    FormalScalarSeries,
     HI0,
     HalfInt,
     S0Series,
@@ -146,17 +145,14 @@ def _reduced(vecs: dict) -> dict:
     return {key: vec for key, vec in vecs.items() if vec.reduce()}
 
 
-def graded_vecs_to_s0(basis: HermiteBasis, vecs: Mapping, trunc: HalfInt | None) -> S0Series:
-    """Assemble sum_j h^j (synthesized vec_j) into a power-counted series."""
-    out = S0Series.zero(basis.mode, basis.n, basis.rank, trunc)
-    for j, vec in vecs.items():
-        poly = basis.synthesize(vec.coeffs())
-        if poly.is_zero():
-            continue
-        piece = S0Series.from_fiber_poly(poly, None).scale_series(
-            FormalScalarSeries.hbar_power(basis.mode, j))
-        out = out + piece
-    return out.truncate(trunc)
+def graded_vecs_to_s0(basis: HermiteBasis, index: HermiteIndex, vecs: Mapping,
+                      trunc: HalfInt | None) -> S0Series:
+    """Assemble the image sum_j h^j (synthesized vec_j) of the projector at
+    ``index`` into a power-counted series with offset K = |alpha|/2: the
+    series' degree check certifies the projector's bound deg <= |alpha| + 2j."""
+    K = HalfInt(index.degree)
+    return S0Series(basis.mode, basis.n, basis.rank, K,
+                    {K + j: basis.synthesize(vec.coeffs()) for j, vec in vecs.items()}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,7 @@ class ProjectorSeries:
         return {j: vec for j, vec in hit[1].items() if j <= budget}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
-        return graded_vecs_to_s0(self.basis, self.image(index), self.order)
+        return graded_vecs_to_s0(self.basis, index, self.image(index), self.order)
 
     def apply_graded(self, vecs: Mapping) -> dict:
         """Apply to sum_j h^j vec_j, truncating at the built order."""
@@ -423,7 +419,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     # symmetry of the pairing
     sym = []
     sym_sample = probes[: max(4, level.m0 + 2)]
-    projected = {a: graded_vecs_to_s0(basis, imgs[a], N) for a in sym_sample}
+    projected = {a: graded_vecs_to_s0(basis, a, imgs[a], N) for a in sym_sample}
     plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
     for a in sym_sample:
         pa, ha = projected[a], plain[a]

@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from typing import Sequence
 
 from .series_algebra import (
-    FiberPoly,
     FormalScalarSeries,
     HI0,
     HalfInt,
     Poly,
     S0Series,
+    _min_trunc,
     half_range,
     unrescale,
     worst_residual,
@@ -58,6 +58,7 @@ from .harmonic_oscillator import (
     HermiteBasis,
     LevelNotFoundError,
     build_spectrum,
+    covering_degree,
     degenerate_level,
     level_by_index,
 )
@@ -66,7 +67,6 @@ from .formal_diagonalization import (
     formal_eigendecomposition,
     gram_matrix,
     interaction_matrix,
-    parity_filter,
 )
 
 __all__ = [
@@ -77,6 +77,7 @@ __all__ = [
     "transport_residual",
     "eigen_residual",
     "orthonormality_report",
+    "parity_filter",
     "rs_oracle",
     "crosscheck_eigenvalue_1d",
     "InsufficientOrderError",
@@ -122,6 +123,7 @@ class PipelineContext:
     level: DegenerateLevel
     omega: WeightExpansion
     projector: ProjectorSeries
+    parity: VerificationReport
 
 
 @dataclass
@@ -148,31 +150,18 @@ class QuasimodeResult:
 
 
 def _select_level(problem: JetProblem, e0=None, level_index=None) -> DegenerateLevel:
-    """The model level named by ``e0`` or ``level_index``, found in a spectrum
-    table just large enough to certify it."""
+    """The model level named by ``e0`` or ``level_index``, found in the
+    spectrum table of the least degree that holds it (``covering_degree``)."""
     if level_index is not None and level_index < 0:
         raise LevelNotFoundError(f"level_index must be nonnegative, got {level_index}")
     mode = problem.mode
-    lam_min = min(mode.to_float(l) for l in problem.lam)
-    mu_min = min(mode.to_float(m) for m in problem.mu)
     if e0 is not None:
-        e0c = mode.coeff(e0) if isinstance(e0, (int, str, Fraction)) else e0
-        bound = int((mode.to_float(e0c) - mu_min) / (2 * lam_min)) + 1
-        table = build_spectrum(mode, problem.lam, problem.mu, max(bound, 2),
-                               n=problem.n, rank=problem.rank)
-        return degenerate_level(table, e0c)
-    if level_index is None:
-        level_index = 0
-    degree = 2 * (level_index + 2)
-    while True:
-        table = build_spectrum(mode, problem.lam, problem.mu, degree,
-                               n=problem.n, rank=problem.rank)
-        try:
-            return level_by_index(table, level_index)
-        except LevelNotFoundError:
-            degree *= 2
-            if degree > 512:
-                raise
+        e0 = mode.coeff(e0)
+        degree = covering_degree(mode, problem.lam, problem.mu, e0)
+        return degenerate_level(build_spectrum(mode, problem.lam, problem.mu, degree), e0)
+    level_index = level_index or 0
+    return level_by_index(build_spectrum(mode, problem.lam, problem.mu, level_index),
+                          level_index)
 
 
 def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) -> QuasimodeResult:
@@ -197,8 +186,8 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
 
     # workspace: degrees reached are at most 2K + 2*order, plus margin
     degree = level.K.doubled + 2 * order.doubled + 2
-    basis = HermiteBasis(mode, problem.n, problem.rank, problem.lam, problem.mu, degree)
-    omega = weight_expansion(phi, problem, order)
+    basis = HermiteBasis(mode, problem.lam, problem.mu, degree)
+    omega = weight_expansion(phi, conj.density, problem, order)
 
     proj = build_projector(family, basis, level, order)
     fs = [proj.image_s0(m) for m in level.members]
@@ -223,18 +212,43 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
         if not e.is_real():
             raise AssertionError("eigenvalue series has a non-real coefficient")
 
-    parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level)
+    parity = parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level)
 
     eigenfunctions = [unrescale(psi) for psi in psis]
     _assert_structure(eigenfunctions, level, mode)
 
     ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
-                          level=level, omega=omega, projector=proj)
+                          level=level, omega=omega, projector=proj, parity=parity)
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=eigen.norms2,
                            normalized=eigen.normalized, mode_name=mode.name,
                            context=ctx)
+
+
+def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> VerificationReport:
+    """The ``parity`` check: the half-integer coefficients of the eigenvalue
+    series vanish, read through the series' lowest truncation order.
+
+    Applies only to levels of uniform parity; mixed levels are exempt. A
+    violation is a hard failure: the structure theory guarantees vanishing,
+    so a coefficient not negligible against its series' largest means an
+    implementation bug upstream.
+    """
+    order = reduce(_min_trunc, (e.truncation_order for e in eigenvalues), None)
+    if level.parity == "mixed":
+        return VerificationReport(name="parity", passed=True, order=order, max_residual=0.0,
+                                  detail="mixed parity: exempt")
+    worst = 0.0
+    for e in eigenvalues:
+        scale = e.max_abs_coeff()
+        worst = max(worst, worst_residual(e.mode, ((float(e.mode.abs(c)), scale)
+                                                   for t, c in e.items() if not t.is_integer)))
+    if eigenvalues and not eigenvalues[0].mode.negligible(worst, 1):
+        raise AssertionError(
+            f"half-integer eigenvalue coefficient of size {worst} on a uniform-parity level")
+    return VerificationReport(name="parity", passed=True, order=order, max_residual=worst,
+                              detail=f"all half-integer coefficients vanish (<= {worst})")
 
 
 def _assert_structure(eigenfunctions, level, mode):
@@ -331,41 +345,34 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
         inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
         for k in half_range(HI0, N + level.K):
             # the degree through which every term below is exact, known
-            # before any operator is applied, so the applications stop there
+            # before any operator is applied, so the applications stop there;
+            # a_{k-i} is exact to a higher degree than a_k (s + d/2 <= N)
             a_k = a_jet.at_relative(k)
             bound_k = a_jet.degree_bound_at(k - level.K)
-            bounds = [bound_k, convolution_bound(T_op.complete, T_op.min_degree(),
-                                                 bound_k, a_k.min_degree())]
+            check_bound = min(bound_k, convolution_bound(T_op.complete, T_op.min_degree(),
+                                                         bound_k, a_k.min_degree()))
             has_prev = k - HalfInt(2) >= HI0
             if has_prev:
                 a_prev = a_jet.at_relative(k - HalfInt(2))
-                bounds.append(convolution_bound(
+                check_bound = min(check_bound, convolution_bound(
                     L_op.complete, L_op.min_degree(),
                     a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree()))
-            e_terms = []
-            for i in half_range(HalfInt(1), k):
-                ei = inner.coefficient(i)
-                if mode.is_zero(ei):
-                    continue
-                e_terms.append((ei, a_jet.at_relative(k - i)))
-                bounds.append(a_jet.degree_bound_at(k - i - level.K))
-            bounds = [b for b in bounds if b is not None]
-            check_bound = min(bounds) if bounds else None
-            cut = FiberPoly.truncate_degree if check_bound is not None else lambda p, d: p
-            if check_bound is not None and (min_degree_reached is None
-                                            or check_bound < min_degree_reached):
+            if min_degree_reached is None or check_bound < min_degree_reached:
                 min_degree_reached = check_bound
             # the terms summed into the residual, each through the check bound
-            terms = [T_op.apply(a_k, through=check_bound), -cut(a_k, check_bound).scale(level.E0)]
+            terms = [T_op.apply(a_k, through=check_bound),
+                     -a_k.truncate_degree(check_bound).scale(level.E0)]
             if has_prev:
                 terms.append(L_op.apply(a_prev, through=check_bound))
-            terms += [-cut(a_ki, check_bound).scale(ei) for ei, a_ki in e_terms]
+            for i in half_range(HalfInt(1), k):
+                ei = inner.coefficient(i)
+                if not mode.is_zero(ei):
+                    terms.append(-a_jet.at_relative(k - i).truncate_degree(check_bound).scale(ei))
             residuals.append((sum(terms[1:], terms[0]).max_abs(), max(t.max_abs() for t in terms)))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
         name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
-        detail=f"jet residual through degree {min_degree_reached}" if min_degree_reached is not None
-        else "jet residual (all degrees)")
+        detail=f"jet residual through degree {min_degree_reached}")
 
 
 def eigen_residual(result: QuasimodeResult) -> VerificationReport:

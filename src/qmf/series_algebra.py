@@ -214,9 +214,11 @@ class FloatMode(_Mode):
     name = "float"
 
     def coeff(self, value):
+        if isinstance(value, complex):
+            return value
         if isinstance(value, Fraction):
             return complex(value.numerator / value.denominator)
-        if isinstance(value, (int, float, complex)):
+        if isinstance(value, (int, float)):
             return complex(value)
         if isinstance(value, str):
             return complex(Fraction(value))
@@ -510,9 +512,7 @@ class Poly:
     __mul__ = mul
 
     def scale(self, c) -> "Poly":
-        if isinstance(c, (int, Fraction, str)):
-            c = self.mode.coeff(c)
-        p, q = self.mode.split(c)
+        p, q = self.mode.split(self.mode.coeff(c))
         return Poly._reduced(self.mode, self.n, {a: v * p for a, v in self.num.items()},
                              self.den * q)
 
@@ -698,7 +698,7 @@ class FormalScalarSeries:
         lo, hi = keys[0], keys[-1]
         coeffs = [mode.zero()] * (hi.doubled - lo.doubled + 1)
         for k, v in terms.items():
-            coeffs[k.doubled - lo.doubled] = mode.coeff(v) if isinstance(v, (int, Fraction, str)) else v
+            coeffs[k.doubled - lo.doubled] = mode.coeff(v)
         return FormalScalarSeries(mode, lo, coeffs, truncation_order)
 
     @staticmethod
@@ -781,7 +781,7 @@ class FormalScalarSeries:
         return self._from_slots(lo, slots, trunc)
 
     def scale(self, c) -> "FormalScalarSeries":
-        c = c if not isinstance(c, (int, Fraction, str)) else self.mode.coeff(c)
+        c = self.mode.coeff(c)
         return FormalScalarSeries(self.mode, self.offset, tuple(v * c for v in self.coeffs), self.truncation_order)
 
     def shift(self, exponent) -> "FormalScalarSeries":
@@ -1025,7 +1025,7 @@ class S0Series:
         return self + other.scale(-1)
 
     def scale(self, c) -> "S0Series":
-        c = self.mode.coeff(c) if isinstance(c, (int, Fraction, str)) else c
+        c = self.mode.coeff(c)
         return S0Series(self.mode, self.n, self.rank, self.K,
                         {j: p.scale(c) for j, p in self.coeffs.items()},
                         self.truncation_order, validate=False)
@@ -1086,23 +1086,15 @@ class S0Series:
 class XJetSeries:
     """Series sum_k h^(k-K) a_k(x) with a_k truncated x-jets.
 
-    Three truncation bounds describe what is exact (None = complete):
-
-    * ``hbar_truncation``: absolute series exponents <= this are complete,
-    * ``degree_truncation``: monomials of degree <= this are complete,
-    * ``joint_truncation``: the pair (absolute exponent s, degree d) is
-      complete only when s + d/2 <= this. This is the bound the inverse
-      rescaling actually provides.
+    ``truncation_order`` T bounds what is exact (None = complete): the
+    degree-d monomial at absolute exponent s is exact when s + d/2 <= T, the
+    bound that the inverse rescaling provides.
     """
 
-    __slots__ = ("mode", "n", "rank", "K", "coeffs", "hbar_truncation",
-                 "degree_truncation", "joint_truncation")
+    __slots__ = ("mode", "n", "rank", "K", "coeffs", "truncation_order")
 
     def __init__(self, mode, n: int, rank: int, K: HalfInt,
-                 coeffs: Mapping[HalfInt, FiberPoly],
-                 hbar_truncation: HalfInt | None,
-                 degree_truncation: int | None,
-                 joint_truncation: HalfInt | None = None):
+                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None):
         if K < HI0:
             raise ValueError("K must be nonnegative")
         self.mode = mode
@@ -1113,16 +1105,12 @@ class XJetSeries:
         for k, p in coeffs.items():
             if k < HI0:
                 raise ValueError("coefficient indices must be nonnegative")
-            if degree_truncation is not None:
-                p = p.truncate_degree(degree_truncation)
-            if hbar_truncation is not None and k - K > hbar_truncation:
+            if truncation_order is not None and k - K > truncation_order:
                 continue
             if not p.is_zero():
                 clean[k] = p
         self.coeffs = clean
-        self.hbar_truncation = hbar_truncation
-        self.degree_truncation = degree_truncation
-        self.joint_truncation = joint_truncation
+        self.truncation_order = truncation_order
 
     def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
         for k in sorted(self.coeffs, key=lambda h: h.doubled):
@@ -1136,15 +1124,9 @@ class XJetSeries:
 
     def degree_bound_at(self, s) -> int | None:
         """Largest degree known-exact at absolute exponent s (None = all)."""
-        s = HalfInt.of(s)
-        if self.hbar_truncation is not None and s > self.hbar_truncation:
-            return -1
-        bounds = []
-        if self.degree_truncation is not None:
-            bounds.append(self.degree_truncation)
-        if self.joint_truncation is not None:
-            bounds.append((self.joint_truncation - s).doubled)
-        return min(bounds) if bounds else None
+        if self.truncation_order is None:
+            return None
+        return (self.truncation_order - HalfInt.of(s)).doubled
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, XJetSeries):
@@ -1187,45 +1169,24 @@ def rescale(u: XJetSeries) -> S0Series:
     """Substitute x = sqrt(h) * y: the x-monomial x^alpha at exponent s moves
     to exponent s + |alpha|/2 with polynomial y^alpha.
 
-    The output order-t coefficient collects finitely many input terms; it is
-    exact through the largest t for which every contributing (s, d) pair was
-    inside u's truncation bounds.
+    The output order-t coefficient collects the input pairs (s, d) with
+    s + d/2 = t, so it is exact exactly where u's bound s + d/2 <= T holds.
     """
     mode, n, rank = u.mode, u.n, u.rank
     coeffs = _shift_by_degree(mode, n, rank, u.items(), 1)
-    # Output exactness at absolute order t: contributions come from input
-    # pairs (s, d) with s + d/2 = t, d >= 0, s >= -K. The joint bound turns
-    # directly into t <= J; the rectangular order bound binds at d = 0
-    # (t <= T_h); degrees beyond D first pollute t = (D+1)/2 - K.
-    cands = []
-    if u.hbar_truncation is not None:
-        cands.append(u.hbar_truncation)
-    if u.joint_truncation is not None:
-        cands.append(u.joint_truncation)
-    if u.degree_truncation is not None:
-        cands.append(HalfInt(u.degree_truncation - u.K.doubled))
-    trunc = min(cands) if cands else None
-    return S0Series(mode, n, rank, u.K, coeffs, trunc)
+    return S0Series(mode, n, rank, u.K, coeffs, u.truncation_order)
 
 
 def unrescale(v: S0Series) -> XJetSeries:
     """Inverse substitution y = x / sqrt(h): exact on the power-counted space.
 
     The y-monomial y^alpha at relative index j returns to x^alpha at relative
-    index j - |alpha|/2, which the degree bound keeps nonnegative.
+    index j - |alpha|/2, which the degree bound keeps nonnegative. Degree d at
+    absolute exponent s came from order s + d/2, so v's truncation order is
+    the output's.
     """
     mode, n, rank = v.mode, v.n, v.rank
     coeffs = _shift_by_degree(mode, n, rank, v.items(), -1)
     if min(coeffs, default=HI0) < HI0:
         raise S0DegreeError("input violates the degree bound; not in the rescaled space")
-    max_deg = max((int(p.degree()) for p in coeffs.values()), default=0)
-    T = v.truncation_order
-    if T is None:
-        return XJetSeries(mode, n, rank, v.K, coeffs,
-                          hbar_truncation=None, degree_truncation=None,
-                          joint_truncation=None)
-    # degree d at absolute exponent s came from order s + d/2 <= T
-    D = max((T + v.K).doubled, max_deg)
-    return XJetSeries(mode, n, rank, v.K, coeffs,
-                      hbar_truncation=T, degree_truncation=D,
-                      joint_truncation=T)
+    return XJetSeries(mode, n, rank, v.K, coeffs, v.truncation_order)

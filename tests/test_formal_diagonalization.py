@@ -13,9 +13,9 @@ from qmf.formal_diagonalization import (
     SplitAmbiguityError,
     _gen_eig_float,
     formal_eigendecomposition,
-    parity_filter,
 )
 from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
+from qmf.quasimode_pipeline import parity_filter
 
 F = Fraction
 
@@ -293,7 +293,7 @@ class TestParityFilter:
 
     def test_uniform_parity_passes_on_integer_series(self):
         rep = parity_filter([ser({0: 1, 2: 3})], self.level("even"))
-        assert rep.checked and rep.ok
+        assert rep.name == "parity" and rep.passed and rep.max_residual == 0.0
 
     def test_uniform_parity_violation_raises(self):
         with pytest.raises(AssertionError):
@@ -301,4 +301,4 @@ class TestParityFilter:
 
     def test_mixed_exempt(self):
         rep = parity_filter([ser({0: 1, 1: 5})], self.level("mixed"))
-        assert not rep.checked and rep.ok
+        assert rep.passed and rep.detail == "mixed parity: exempt"

@@ -14,7 +14,7 @@ from qmf.series_algebra import (
     Poly,
     S0Series,
 )
-from qmf.operator_calculus import JetProblem, solve_eikonal
+from qmf.operator_calculus import JetProblem, conjugate_hamiltonian, solve_eikonal
 from qmf.gaussian_pairing import gaussian_moment, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
 from qmf.cli_io import preset_problem
@@ -32,7 +32,8 @@ def make_problem(vhigher=None, D=8, lam=(1,), n=1, g_inv=None):
 
 
 def omega_for(problem, through=4):
-    return weight_expansion(solve_eikonal(problem), problem, through)
+    phi = solve_eikonal(problem)
+    return weight_expansion(phi, conjugate_hamiltonian(problem, phi).density, problem, through)
 
 
 class TestGaussianMoment:
@@ -102,7 +103,7 @@ class TestPairing:
     def setup_method(self):
         self.problem = make_problem()
         self.omega = omega_for(self.problem, through=6)
-        self.basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 8)
+        self.basis = HermiteBasis(EXACT, (F(1),), (F(0),), 8)
 
     def pair(self, pu, pv, omega=None):
         return pair_polys(unit_fiber(pu), unit_fiber(pv), omega or self.omega)
@@ -150,11 +151,7 @@ class TestPairing:
         # off-diagonal endomorphism slope
         import random
 
-        from qmf.operator_calculus import (
-            JetProblem,
-            conjugate_hamiltonian,
-            rescale_operator,
-        )
+        from qmf.operator_calculus import rescale_operator
         from qmf.series_algebra import HalfInt, S0Series
 
         rng = random.Random(5)
@@ -170,8 +167,9 @@ class TestPairing:
         problem = JetProblem.create(EXACT, 1, 2, 10, (2,),
                                     V=poly1({2: 4, 3: F(1, 2)}), W=W, Gamma=(G1,))
         phi = solve_eikonal(problem)
-        family = rescale_operator(conjugate_hamiltonian(problem, phi))
-        omega = weight_expansion(phi, problem, 4)
+        conj = conjugate_hamiltonian(problem, phi)
+        family = rescale_operator(conj)
+        omega = weight_expansion(phi, conj.density, problem, 4)
         through = HalfInt(8)
         for _ in range(4):
             def rand_elem():
@@ -192,7 +190,7 @@ class TestPairing:
         # cubic scalar well; agreement to the expected remainder order
         problem = make_problem(poly1({2: 1, 3: F(1, 4)}), D=10)
         phi = solve_eikonal(problem)
-        omega = weight_expansion(phi, problem, 4)
+        omega = omega_for(problem)
         series = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
         N = series.truncation_order
         phi_vals = np.vectorize(lambda x: float(phi.poly.eval_floats((x,)).real))
@@ -254,7 +252,7 @@ class TestPairingOracle:
         problem = make_problem(poly1({2: 1, 3: F(1, 3)}), D=6, g_inv=g)
         omega = omega_for(problem, through=2)
         assert not omega.at(HalfInt(2)).is_zero()
-        basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 6)
+        basis = HermiteBasis(EXACT, (F(1),), (F(0),), 6)
         elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
                  for a in range(4)]
         elems.append(S0Series(EXACT, 1, 1, HalfInt(1), {
@@ -293,7 +291,7 @@ class TestPairingOracle:
         omegas = {}
         for c in (1, 2):
             problem = preset_problem(f"cubic1d:c={c}", order=HalfInt(8)).problem
-            omegas[c] = weight_expansion(solve_eikonal(problem), problem, 4)
+            omegas[c] = omega_for(problem)
         assert omegas[1].lam == omegas[2].lam
         u = S0Series.from_fiber_poly(unit_fiber(poly1({0: 1, 1: 2, 3: -1})), HalfInt(4))
         first = {c: pair_s0(u, u, omegas[c]) for c in (1, 2)}

@@ -22,7 +22,7 @@ F = Fraction
 
 
 def basis_1d(lam=F(1), degree=8, mu=(F(0),)):
-    return HermiteBasis(EXACT, 1, len(mu), (EXACT.coeff(lam),), tuple(EXACT.coeff(m) for m in mu), degree)
+    return HermiteBasis(EXACT, (EXACT.coeff(lam),), tuple(EXACT.coeff(m) for m in mu), degree)
 
 
 class TestHermiteBasis:
@@ -68,7 +68,7 @@ class TestHermiteBasis:
 
     def test_expand_synthesize_roundtrip_random(self):
         rng = random.Random(7)
-        b = HermiteBasis(EXACT, 2, 2, (F(1), F(2)), (F(0), F(1)), 6)
+        b = HermiteBasis(EXACT, (F(1), F(2)), (F(0), F(1)), 6)
         for _ in range(10):
             terms = {}
             for _ in range(8):
@@ -81,7 +81,7 @@ class TestHermiteBasis:
         # rational coefficients and frequencies: the elimination's common
         # denominator has to grow while it strips terms
         rng = random.Random(11)
-        b = HermiteBasis(EXACT, 2, 2, (F(3, 2), F(5, 7)), (F(0), F(1, 3)), 6)
+        b = HermiteBasis(EXACT, (F(3, 2), F(5, 7)), (F(0), F(1, 3)), 6)
         for _ in range(10):
             comps = []
             for _ in range(2):
@@ -136,8 +136,7 @@ def family_and_basis(source, mode_name, order, degree):
         problem = preset_problem(source, mode_name, order=order).problem
     family = rescale_operator(conjugate_hamiltonian(problem, solve_eikonal(problem)))
     orders = [j for j in family.orders() if j <= HalfInt(order)]
-    basis = HermiteBasis(problem.mode, problem.n, problem.rank, problem.lam, problem.mu,
-                         degree + orders[-1].doubled)
+    basis = HermiteBasis(problem.mode, problem.lam, problem.mu, degree + orders[-1].doubled)
     return family, orders, basis
 
 
@@ -201,7 +200,7 @@ class TestSpectrum:
         lam = tuple(mode.coeff(l) for l in lam)
         mu = tuple(mode.coeff(m) for m in mu)
         table = build_spectrum(mode, lam, mu, 6)
-        basis = HermiteBasis(mode, len(lam), len(mu), lam, mu, 6)
+        basis = HermiteBasis(mode, lam, mu, 6)
         assert set(basis.indices()) == set(table.entries)
         for index in basis.indices():
             assert basis.eigenvalue(index) == table.eigenvalue(index)
@@ -234,6 +233,22 @@ class TestDegenerateLevel:
         with pytest.raises(LevelNotFoundError):
             degenerate_level(t, 2)
 
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize("lam, mu", [
+        ((F(1), F(7)), (F(0), F(5))),
+        ((F(3, 2), F(5, 7)), (F(0),)),
+        ((F(2),), (F(1), F(-1, 3))),
+    ])
+    def test_certified_below_the_first_index_outside(self, mode, lam, mu):
+        # outside the table of degree d every index has
+        # E >= sum lam + 2 (d + 1) min lam + min mu, and one index has that E
+        bottom, step = sum(lam) + min(mu), 2 * min(lam)
+        for d in range(5):
+            table = build_spectrum(mode, lam, mu, d)
+            with pytest.raises(LevelNotFoundError, match="too small to certify"):
+                degenerate_level(table, mode.coeff(bottom + (d + 1) * step))
+            assert degenerate_level(table, mode.coeff(bottom + d * step)).K.doubled == d
+
     def test_level_by_index(self):
         t = build_spectrum(EXACT, (F(1),), (F(0),), 6)
         assert level_by_index(t, 0).E0 == F(1)
@@ -253,7 +268,7 @@ class TestModelOperatorEigenrelation:
         p = JetProblem.create(EXACT, 2, 1, 6, lam)
         fam = rescale_operator(conjugate_hamiltonian(p, solve_eikonal(p)))
         q0 = fam.get(HI0)
-        b = HermiteBasis(EXACT, 2, 1, lam, (F(0),), 5)
+        b = HermiteBasis(EXACT, lam, (F(0),), 5)
         t = build_spectrum(EXACT, lam, (F(0),), 5)
         for index in b.indices(4):
             h = b.fiber(index)
@@ -267,7 +282,7 @@ class TestModelOperatorEigenrelation:
         p = JetProblem.create(EXACT, 1, 2, 6, (F(1),), W=W)
         fam = rescale_operator(conjugate_hamiltonian(p, solve_eikonal(p)))
         q0 = fam.get(HI0)
-        b = HermiteBasis(EXACT, 1, 2, (F(1),), (F(0), F(2)), 5)
+        b = HermiteBasis(EXACT, (F(1),), (F(0), F(2)), 5)
         t = build_spectrum(EXACT, (F(1),), (F(0), F(2)), 5)
         for index in b.indices(4):
             h = b.fiber(index)

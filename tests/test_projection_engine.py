@@ -48,13 +48,14 @@ def setup_problem(vhigher=None, D=8, lam=(1,), rank=1, W=None, E0=None, N=HalfIn
     n = len(lam)
     problem = JetProblem.create(mode, n, rank, D, lam, V=vhigher, W=W)
     phi = solve_eikonal(problem)
-    family = rescale_operator(conjugate_hamiltonian(problem, phi))
+    conj = conjugate_hamiltonian(problem, phi)
+    family = rescale_operator(conj)
     lvl_degree = 10
     table = build_spectrum(mode, problem.lam, problem.mu, lvl_degree)
     level = degenerate_level(table, E0 if E0 is not None else table.distinct_levels()[0])
     degree = level.K.doubled + 2 * N.doubled + workspace_margin
-    basis = HermiteBasis(mode, n, rank, problem.lam, problem.mu, degree)
-    omega = weight_expansion(phi, problem, N)
+    basis = HermiteBasis(mode, problem.lam, problem.mu, degree)
+    omega = weight_expansion(phi, conj.density, problem, N)
     return problem, family, basis, level, omega
 
 
@@ -219,7 +220,7 @@ class TestChainResidues:
     def test_workspace_guard(self):
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
-        small_basis = HermiteBasis(EXACT, 1, 1, (F(1),), (F(0),), 2)
+        small_basis = HermiteBasis(EXACT, (F(1),), (F(0),), 2)
         engine = ProjectorEngine(family, small_basis, level)
         with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
             engine.images(HermiteIndex((2,), 0), HalfInt(4))

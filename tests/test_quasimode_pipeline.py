@@ -5,8 +5,8 @@ import pytest
 
 from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import JetProblem
-from qmf.harmonic_oscillator import LevelNotFoundError
-from qmf.cli_io import preset_problem
+from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
+from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
@@ -258,10 +258,22 @@ class TestLevelSelectionByIndex:
         r2 = compute_quasimodes(harmonic(), HalfInt(4), e0=3)
         assert r1.eigenvalues[0] == r2.eigenvalues[0]
 
+    @pytest.mark.parametrize("mode_name", ["exact", "float"])
+    @pytest.mark.parametrize("params", ["lam=1+7,mu=0+5", "lam=3/2+5/7", "lam=1+2"])
+    def test_table_degree_holds_the_level(self, params, mode_name):
+        # levels 0..8, named by index and by value, get the members that a
+        # degree-24 table gives; lam = 1+2 has levels of several degrees
+        problem = preset_problem(f"harmonic:n=2,{params}", mode_name).problem
+        table = build_spectrum(problem.mode, problem.lam, problem.mu, 24)
+        for i, e0 in enumerate(table.distinct_levels()[:9]):
+            want = degenerate_level(table, e0).members
+            by_index = compute_quasimodes(problem, HalfInt(1), level_index=i).level
+            by_value = compute_quasimodes(problem, HalfInt(1), e0=e0).level
+            assert by_index.members == by_value.members == want, i
+
     @pytest.mark.parametrize("index", [-1, -2])
     def test_negative_index_rejected_before_any_table(self, index, monkeypatch):
-        # the search that doubles the table degree never ends for -2 and
-        # tabulates 513 levels for -1, so the index is checked first
+        # a negative index names no level, so no table is built for it
         import qmf.quasimode_pipeline as pipeline
 
         def no_table(*args, **kwargs):
@@ -284,3 +296,47 @@ def test_3d_well_coordinate_permutation(perm):
     for k, p in u.coeffs.items():
         want = {tuple(a[i] for i in perm): c for a, c in p.components[0].terms.items()}
         assert v.coeffs[k].components[0].terms == want, k
+
+
+CURVED_WELL = """
+[problem]
+n = 2
+rank = 1
+mode = exact
+order = 3
+[lambda]
+1
+2
+[potential]
+3 0 1
+1 2 1
+[metric_inverse]
+1 1 2 0 1/3
+1 2 1 1 1/5
+2 2 0 2 1/7
+"""
+
+
+@pytest.mark.parametrize("curved", [True, False], ids=["curved", "flat"])
+def test_metric_density_formed_once(curved, monkeypatch):
+    """det g^ij and its (-1/2) power, the density, are formed once per compute,
+    with the second-order operator, and the weight expansion reads that jet."""
+    import qmf.operator_calculus as operator_calculus
+
+    spec = parse_problem_spec(CURVED_WELL)
+    problem = spec.problem if curved else iso2d()
+    calls = {"det": 0, "density": 0}
+    poly_det, poly_power_jet = operator_calculus.poly_det, operator_calculus.poly_power_jet
+
+    def counting_det(a, through=None):
+        calls["det"] += a is problem.g_inv
+        return poly_det(a, through)
+
+    def counting_power(p, expo, through):
+        calls["density"] += expo == Fraction(-1, 2)
+        return poly_power_jet(p, expo, through)
+
+    monkeypatch.setattr(operator_calculus, "poly_det", counting_det)
+    monkeypatch.setattr(operator_calculus, "poly_power_jet", counting_power)
+    compute_quasimodes(problem, spec.order)
+    assert calls == ({"det": 1, "density": 1} if curved else {"det": 0, "density": 0})

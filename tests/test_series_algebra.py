@@ -434,23 +434,20 @@ def fiber_mono(alpha, value=1, n=None, rank=1, k=0):
 class TestRescaling:
     def test_x_squared_moves_one_order_up(self):
         # x^2 at order 0 becomes y^2 at order 1
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,))},
-                       hbar_truncation=None, degree_truncation=None)
+        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,))}, None)
         v = rescale(u)
         assert v.K == HI0
         assert v.at_absolute(HalfInt(2)) == fiber_mono((2,))
         assert v.at_absolute(HI0).is_zero()
 
     def test_constant_stays(self):
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,), 7)},
-                       hbar_truncation=None, degree_truncation=None)
+        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,), 7)}, None)
         v = rescale(u)
         assert v.at_absolute(HI0) == fiber_mono((0,), 7)
 
     def test_half_order_x(self):
         # h^(1/2) x  ->  h^1 y, and the round trip returns the input
-        u = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,))},
-                       hbar_truncation=None, degree_truncation=None)
+        u = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,))}, None)
         v = rescale(u)
         assert v.at_absolute(HalfInt(2)) == fiber_mono((1,))
         assert unrescale(v) == u
@@ -462,18 +459,29 @@ class TestRescaling:
         assert u.K == HalfInt(1)
         assert u.at_absolute(HalfInt(-1)) == fiber_mono((1,))
 
+    def test_unrescale_keeps_the_one_joint_bound(self):
+        # degree d at absolute exponent s came from order s + d/2 <= T
+        T = HalfInt(5)
+        v = S0Series(EXACT, 1, 1, HalfInt(1),
+                     {HalfInt(1): fiber_mono((1,)), HalfInt(4): fiber_mono((3,), 2)}, T)
+        u = unrescale(v)
+        assert u.truncation_order == T
+        for s2 in range(-1, 12):
+            assert u.degree_bound_at(HalfInt(s2)) == (T - HalfInt(s2)).doubled
+        for k, p in u.items():
+            assert p.degree() <= u.degree_bound_at(k - u.K)
+        assert rescale(u) == v and rescale(u).truncation_order == T
+        assert unrescale(S0Series(EXACT, 1, 1, HI0, {}, None)).degree_bound_at(HI0) is None
+
     def test_degree_invariant_enforced(self):
         with pytest.raises(S0DegreeError):
             S0Series(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((2,))}, None)
 
     def test_rescale_linear(self):
-        u1 = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,), 3)},
-                        hbar_truncation=None, degree_truncation=None)
-        u2 = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,), 5)},
-                        hbar_truncation=None, degree_truncation=None)
+        u1 = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,), 3)}, None)
+        u2 = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,), 5)}, None)
         both = XJetSeries(EXACT, 1, 1, HI0,
-                          {HI0: fiber_mono((2,), 3), HalfInt(1): fiber_mono((1,), 5)},
-                          hbar_truncation=None, degree_truncation=None)
+                          {HI0: fiber_mono((2,), 3), HalfInt(1): fiber_mono((1,), 5)}, None)
         assert rescale(both) == rescale(u1) + rescale(u2)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(-5, 5)),
@@ -488,16 +496,14 @@ class TestRescaling:
             mono = fiber_mono((deg,))
             cur = coeffs.get(k, FiberPoly.zero(EXACT, 1, 1))
             coeffs[k] = cur + mono.scale(F(val))
-        u = XJetSeries(EXACT, 1, 1, HI0, coeffs,
-                       hbar_truncation=None, degree_truncation=None)
+        u = XJetSeries(EXACT, 1, 1, HI0, coeffs, None)
         assert unrescale(rescale(u)) == u
 
     def test_worked_cubic_ground_block_round_trip(self):
         # hand-rescaled check: u = 1 + h*(q2(x)) with q2 = x^2/6 maps to
         # 1 + h^2 y^2/6; independently substitute x = sqrt(h) y by hand.
         q2 = fiber_mono((2,), F(1, 6))
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,)), HalfInt(2): q2},
-                       hbar_truncation=None, degree_truncation=None)
+        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,)), HalfInt(2): q2}, None)
         v = rescale(u)
         assert v.at_absolute(HI0) == fiber_mono((0,))
         assert v.at_absolute(HalfInt(4)) == q2
