@@ -552,15 +552,19 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
     grad_parts = [phi.diff(i).components_by_degree() for i in range(n)]
     for d in range(3, through + 1):
         # degrees below d already cancel, so only the degree-d part of
-        # g^{ij} phi_i phi_j - V is formed: parts of degrees p + q + r = d
+        # g^{ij} phi_i phi_j - V is formed: parts of degrees p + q + r = d.
+        # g^{ij} is symmetric, so the (i, j, q, r) and (j, i, r, q) terms are
+        # one product, formed once and added twice (i = j pairs q with r)
         r = -problem.V.homogeneous_component(d)
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 for p, gp in g_parts[i][j].items():
                     for q, gq in grad_parts[i].items():
                         gr = grad_parts[j].get(d - p - q)
-                        if gr is not None:
-                            r = r + gp * gq * gr
+                        if gr is None or (i == j and 2 * q > d - p):
+                            continue
+                        term = gp * gq * gr
+                        r = r + term if i == j and 2 * q == d - p else r + term + term
         if r.is_zero():
             continue
         terms = {}

@@ -1,6 +1,7 @@
-"""The public surface: ``qmf.__all__``, every submodule's ``__all__``, and the
-README's Python examples."""
+"""The public surface: ``qmf.__all__``, every submodule's ``__all__``, the
+README's Python examples, and what the package imports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -12,6 +13,7 @@ import pytest
 import qmf
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = sorted(Path(qmf.__file__).resolve().parent.glob("*.py"))
 
 PUBLIC = [
     "EXACT", "float_mode", "HalfInt", "Poly", "JetProblem", "build_spectrum",
@@ -71,3 +73,21 @@ def test_one_tolerance_the_float_modes_rtol():
             continue
         assert not {"tol", "rel_tol"} & set(params), qualname
         assert "rtol" not in params or qualname in allowed, qualname
+
+
+def _imported_roots(nodes):
+    """The top-level package of every module an import statement among ``nodes`` names."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_no_scipy_and_numpy_only_lazily(path):
+    # numpy is the one runtime dependency, imported inside the functions
+    # that use it so exact runs never load it
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "scipy" not in set(_imported_roots(ast.walk(tree)))
+    assert "numpy" not in set(_imported_roots(tree.body))

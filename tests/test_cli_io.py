@@ -284,6 +284,15 @@ class TestCommands:
         assert lines[0] == "hbar,error"
         assert len(lines) == 3
 
+    def test_crosscheck_of_an_excited_level(self, capsys):
+        # the odd level E0 = 3 is eigenvalue 1 of each finite-difference matrix
+        rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
+                          "--level-index", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[pass] fd_crosscheck" in out
+        assert "log-log error slope 3.597 (required >= 3.5)" in out
+
     def test_crosscheck_on_non_confining_well_is_input_error(self, capsys):
         # the cubic well opens to -infinity: the weight never decays on x < 0,
         # so no Dirichlet box within the cap is valid
@@ -368,10 +377,11 @@ _LOADED_AFTER = ("import sys; from qmf.cli_io import run_command; "
     ("scipy", ["compute", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
     ("scipy", ["verify", "--preset", "iso2d", "--order", "3", "--mode", "float",
                "--checks", "transport,eigen_residual,orthonormality,parity"]),
+    ("scipy", ["crosscheck", "--preset", "quartic1d", "--order", "2", "--grid", "256"]),
     ("numpy", ["compute", "--preset", "cubic1d", "--order", "4"]),
 ])
 def test_command_leaves_module_unloaded(module, argv):
-    """Float runs load numpy alone (scipy serves ``crosscheck`` only), exact runs neither."""
+    """Float runs and ``crosscheck`` load numpy alone, never scipy; exact runs load neither."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, module, *argv], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=path),

@@ -1,17 +1,23 @@
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
 from qmf.cli_io import parse_problem_spec, preset_problem
+from qmf import quasimode_pipeline as qp
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
     _eval_on_grid,
     _float_terms,
+    _tridiagonal_eigenvalue,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -181,6 +187,71 @@ class TestQuarticWell:
         assert "identically zero" in rep.detail
         assert rep.passed, rep
         assert rep.data["slope"] > rep.data["required_slope"]
+
+
+EPS = float(np.finfo(float).eps)
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@st.composite
+def tridiagonals(draw):
+    m = draw(st.integers(3, 300))
+    diag, off = draw(arrays(float, m, elements=ENTRY)), draw(arrays(float, m - 1, elements=ENTRY))
+    return diag, off, draw(st.integers(0, min(4, m - 1)))
+
+
+def lapack_eigenvalue(diag, off, k):
+    # LAPACK's bisection: the full-spectrum QR driver strays up to ~10 eps max|T|
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(k, k),
+                            lapack_driver="stebz")[0]
+
+
+class TestTridiagonalEigenvalue:
+    """The crosscheck's eigensolver against LAPACK, within 4 eps max|T|."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tridiagonals())
+    def test_matches_lapack(self, case):
+        from scipy.linalg import eigh_tridiagonal
+        diag, off, k = case
+        scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+        spectrum = eigh_tridiagonal(diag, off, eigvals_only=True)
+        gap = min(abs(spectrum[k] - spectrum[j]) for j in (k - 1, k + 1) if 0 <= j < len(spectrum))
+        try:
+            got = _tridiagonal_eigenvalue(diag, off, k)
+        except ValueError:
+            # Sturm counts certify only an eigenvalue apart from its neighbours
+            assert gap <= 1e-12 * scale
+            return
+        assert abs(got - lapack_eigenvalue(diag, off, k)) <= 4 * EPS * scale
+
+    def test_benchmark_matrices(self, monkeypatch):
+        # the six matrices of the benchmark's crosscheck case (m = 4096, 8192)
+        seen = []
+
+        def recording(diag, off, k):
+            seen.append((diag, off, k, _tridiagonal_eigenvalue(diag, off, k)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(qp, "_tridiagonal_eigenvalue", recording)
+        crosscheck_eigenvalue_1d(compute_quasimodes(preset_problem("quartic1d", order=HalfInt(2))
+                                                    .problem, HalfInt(2), e0=1),
+                                 hbars=[0.2, 0.1, 0.05], grid=4096)
+        assert [(len(diag), k) for diag, _, k, _ in seen] == [(4096, 0), (8192, 0)] * 3
+        for diag, off, k, got in seen:
+            scale = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+            assert abs(got - lapack_eigenvalue(diag, off, k)) <= 4 * EPS * scale
+
+    @pytest.mark.parametrize("m", [4096, 8192])
+    @pytest.mark.parametrize("k", range(5))
+    def test_dirichlet_laplacian(self, m, k):
+        # 2c(1 - cos t) = 4c sin^2(t/2), t = (k+1) pi / (m+1), in a form
+        # that keeps its digits at the bottom of the spectrum
+        c = float((m + 1) ** 2)
+        want = 4.0 * c * np.sin((k + 1) * np.pi / (2 * (m + 1))) ** 2
+        got = _tridiagonal_eigenvalue(np.full(m, 2.0 * c), np.full(m - 1, -c), k)
+        assert abs(got - want) <= 4 * EPS * 2.0 * c
 
 
 class TestWittenSupersymmetry:
