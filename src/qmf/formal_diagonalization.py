@@ -1,18 +1,27 @@
 """Hermitian matrices over the half-power series field and their eigendecomposition.
 
-The level data produced by the projector is a Gram matrix A, whose leading
+The level data produced by the projector P is a Gram matrix A, whose leading
 term is a positive diagonal for the monic level basis, and an interaction
-matrix C = E0 * A + (higher order). Their eigenvalue series are the output of
-the whole construction. They are found from the generalized (pencil) problem
-C v = E A v, which has the eigenvalue series of the normalized matrix
-A^(-1/2) C A^(-1/2) but stays inside the rational field for unnormalized
-bases.
+matrix C = E0 * A + (higher order). Both are built in Kato-Bloch form
+(C. Bloch, Nucl. Phys. 6 (1958) 329; T. Kato, Perturbation Theory for
+Linear Operators, ch. II, sec. 2): since P is idempotent, symmetric for the
+pairing and commutes with the operator family Q,
+
+    A_ab = (P e_a, P e_b) = (e_a, P e_b),   C_ab = (P e_a, Q P e_b) = (e_a, Q P e_b),
+
+so each bare level member e_a is paired against the images. Those three laws
+are what ``projector_diagnostics`` checks. The eigenvalue series of the pencil
+are the output of the whole construction. They are found from the
+generalized (pencil) problem C v = E A v, which has the eigenvalue series of
+the normalized matrix A^(-1/2) C A^(-1/2) but stays inside the rational field
+for unnormalized bases.
 
 The eigendecomposition splits recursively: at the first order where the
 deflated coefficient is not a scalar multiple of the leading Gram term, the
 constant generalized eigenproblem fixes blocks, a series congruence
 decouples them to the working order (a Sylvester-type solve with the
-spectral gaps as denominators), and each block recurses.
+spectral gaps as denominators, built one coefficient per step), and each
+block recurses.
 """
 
 from __future__ import annotations
@@ -90,34 +99,12 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> FormalScalarSeries:
         return self.entries[i][j]
 
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(self.mode, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
-
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         return SeriesMatrix.from_rows(self.mode, [
             [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
-    def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        m = self.size
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = FormalScalarSeries.zero(self.mode)
-                for k in range(m):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix.from_rows(self.mode, rows)
-
     def scale_series(self, s: FormalScalarSeries) -> "SeriesMatrix":
         return SeriesMatrix.from_rows(self.mode, [[e * s for e in row] for row in self.entries])
-
-    def adjoint(self) -> "SeriesMatrix":
-        m = self.size
-        return SeriesMatrix.from_rows(self.mode, [
-            [self.entries[j][i].conj() for j in range(m)] for i in range(m)])
 
     def coeff_at(self, t: HalfInt) -> list:
         return [[e.coefficient(t) for e in row] for row in self.entries]
@@ -152,19 +139,23 @@ class SeriesMatrix:
 # Level matrices
 
 
-def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
+def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExpansion,
                 through: HalfInt | None = None) -> SeriesMatrix:
-    """Pairing Gram matrix of the projected level basis.
+    """Pairing Gram matrix (P e_a, P e_b) of the projected level basis.
 
-    The pairing is hermitian: each entry below the diagonal is the conjugate
-    of the one above. Validates a leading positive diagonal (the monic basis
-    is orthogonal at leading order); a violation signals a projector or
-    pairing inconsistency upstream; an off-diagonal lead must be negligible
-    against the diagonal.
+    ``es`` are the bare level members e_a and ``fs`` their images P e_a.
+    Each entry pairs a bare member against an image, by the Kato-Bloch
+    identity (P e_a, P e_b) = (e_a, P e_b), which holds because P is
+    idempotent and symmetric for the pairing: the laws that
+    ``projector_diagnostics`` checks. The pairing is hermitian: each entry
+    below the diagonal is the conjugate of the one above. Validates a leading
+    positive diagonal (the monic basis is orthogonal at leading order); a
+    violation signals a projector or pairing inconsistency upstream; an
+    off-diagonal lead must be negligible against the diagonal.
     """
     mode = fs[0].mode
     m = len(fs)
-    pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
+    pairs = {(i, j): pair_s0(es[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
     rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
     a = SeriesMatrix.from_rows(mode, rows)
     lead = a.coeff_at(HI0)
@@ -179,13 +170,18 @@ def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
     return a
 
 
-def interaction_matrix(fs: Sequence[S0Series], family, omega: WeightExpansion,
-                       through: HalfInt | None = None) -> SeriesMatrix:
-    """Matrix of pairings (f_i, Q f_j) over the series field."""
+def interaction_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], family,
+                       omega: WeightExpansion, through: HalfInt | None = None) -> SeriesMatrix:
+    """Interaction matrix (P e_a, Q P e_b) over the series field.
+
+    Pairs each bare member e_a against the image Q P e_b: since P commutes
+    with the family Q as well, (P e_a, Q P e_b) = (e_a, P Q P e_b) =
+    (e_a, Q P e_b), as for ``gram_matrix``.
+    """
     mode = fs[0].mode
     qfs = [family.apply_series(f, out_trunc=through) for f in fs]
     m = len(fs)
-    rows = [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
+    rows = [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
     return SeriesMatrix.from_rows(mode, rows)
 
 
@@ -540,8 +536,10 @@ def _field_sqrt(mode, c):
 def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode) -> list:
     """Recursive splitting; returns [(eigenvalue series, column of series)].
 
-    The deflated coefficient B_t - (E A)_t vanishes when each entry's two
-    terms are ``mode.close``."""
+    ``b`` and ``a`` are truncated at ``order``. The deflated coefficient
+    B_t - (E A)_t vanishes when each entry's two terms are ``mode.close``;
+    (E A)_t is one convolution of the eigenvalue coefficients found so far
+    with those of A."""
     m = b.size
     if m == 1:
         e = (b.entry(0, 0) / a.entry(0, 0)).truncate(order)
@@ -549,9 +547,9 @@ def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode) -> lis
         return [(e, [one])]
 
     a0 = a.coeff_at(HI0)
-    e_accum = FormalScalarSeries.zero(mode, order)
+    e_terms: list = []  # (order, coefficient) of the common eigenvalue so far
     for t in half_range(HI0, order):
-        terms = [[(b.entry(i, j).coefficient(t), (e_accum * a.entry(i, j)).coefficient(t))
+        terms = [[(b.entry(i, j).coefficient(t), _convolve(e_terms, a.entry(i, j), t, mode))
                   for j in range(m)] for i in range(m)]
         if all(mode.close(x, y) for row in terms for x, y in row):
             continue
@@ -562,61 +560,136 @@ def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode) -> lis
             scale = max(max(abs(x), abs(y)) for row in terms for x, y in row)
             blocks = _gen_eig_float(r_t, a0, scale, t, mode)
         if len(blocks) == 1:
-            nu = blocks[0][0]
-            e_accum = e_accum + FormalScalarSeries.hbar_power(mode, t, nu, order)
+            e_terms.append((t, blocks[0][0]))
             continue
+        e_accum = FormalScalarSeries.from_terms(mode, dict(e_terms), order)
         return _split_and_recurse(b, a, order, mode, e_accum, t, blocks)
 
     # no split through the working order: all eigenvalues coincide
+    e_accum = FormalScalarSeries.from_terms(mode, dict(e_terms), order)
     cols = _series_gram_schmidt(a, order, mode)
     return [(e_accum, col) for col in cols]
 
 
+def _convolve(e_terms: list, x: FormalScalarSeries, t: HalfInt, mode):
+    """Coefficient t of E x, for E the sum of c h^s over (s, c) in ``e_terms``."""
+    out = None
+    for s, c in e_terms:
+        v = x.coefficient(t - s)
+        if not mode.is_zero(v):
+            out = c * v if out is None else out + c * v
+    return mode.zero() if out is None else out
+
+
+def _lin_comb(mode, order: HalfInt, terms) -> FormalScalarSeries:
+    """The sum of c h^s x over (c, s, x) in ``terms``, truncated at ``order``:
+    constants times shifted series, formed without a series product."""
+    top = order.doubled
+    slots: dict[int, object] = {}
+    for c, s, x in terms:
+        if mode.is_zero(c):
+            continue
+        for e, v in x.items():
+            k = e.doubled + s.doubled
+            if k > top:
+                break
+            w = slots.get(k)
+            slots[k] = c * v if w is None else w + c * v
+    return FormalScalarSeries.from_terms(mode, {HalfInt(k): v for k, v in slots.items()}, order)
+
+
 def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
+    """Decouple the blocks of a split at order t, then solve each block.
+
+    The constant block matrix U rotates the pencil so that its deflated
+    order-t coefficient is block diagonal; ``_decouple`` finds the series
+    congruence V that keeps it so through the order, and each diagonal block
+    of the rotated and decoupled pencil recurses. A column of a block maps
+    back through W = U V.
+    """
     m = b.size
-    # change of basis by the constant block matrix
-    u_cols = []
-    nus = []
-    sizes = []
+    nus, ranges, u_cols = [], [], []
     for nu, cols in blocks:
         nus.append(nu)
-        sizes.append(len(cols))
+        ranges.append(range(len(u_cols), len(u_cols) + len(cols)))
         u_cols.extend(cols)
-    u = SeriesMatrix.constant(mode, [[u_cols[j][i] for j in range(m)] for i in range(m)],
-                              b.truncation_order())
-    ustar = u.adjoint()
-    p = b - a.scale_series(e_accum)
-    a_rot = (ustar @ a) @ u
-    p_rot = (ustar @ p) @ u
+    u = [[mode.coeff(u_cols[j][i]) for j in range(m)] for i in range(m)]
 
-    # block index ranges
-    starts = []
-    s = 0
-    for size in sizes:
-        starts.append(s)
-        s += size
-    ranges = [range(st, st + size) for st, size in zip(starts, sizes)]
+    def rotate(x):
+        """U^H x U, a constant congruence."""
+        return [[_lin_comb(mode, order, [(mode.conj(u[k][i]) * u[l][j], HI0, x.entry(k, l))
+                                         for k in range(m) for l in range(m)])
+                 for j in range(m)] for i in range(m)]
 
-    a0_rot = a_rot.coeff_at(HI0)
-    a0_blocks = [[[a0_rot[i][j] for j in rng] for i in rng] for rng in ranges]
+    a_rot = rotate(a)
+    p_rot = rotate(b - a.scale_series(e_accum))
+    v_terms, av, pv = _decouple(a_rot, p_rot, t, nus, ranges, order, mode)
+
+    def decoupled(xv, rng):
+        """The diagonal block of V^H X V on ``rng``, from xv = X V."""
+        return SeriesMatrix.from_rows(mode, [[_lin_comb(
+            mode, order, [(mode.one(), HI0, xv[i][j])] + [(mode.conj(vr[k][i]), r, xv[k][j])
+                                                          for r, vr in v_terms for k in range(m)])
+            for j in rng] for i in rng])
+
+    # W = U V, as (coefficient, order) terms per entry
+    w = [[[(u[i][j], HI0)] + [(sum((u[i][k] * vr[k][j] for k in range(m)), mode.zero()), r)
+                              for r, vr in v_terms]
+          for j in range(m)] for i in range(m)]
+
+    out = []
+    for rng in ranges:
+        for e_sub, col in _pencil_solve(decoupled(pv, rng), decoupled(av, rng), order, mode):
+            full_col = [_lin_comb(mode, order, [(c, r, col[cc]) for cc, j in enumerate(rng)
+                                                for c, r in w[i][j]])
+                        for i in range(m)]
+            out.append(((e_accum + e_sub).truncate(order), full_col))
+    return out
+
+
+def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
+    """Series congruence that block-diagonalizes a rotated pencil.
+
+    ``a_rot`` and ``p_rot`` (rows of series truncated at ``order``) are the
+    rotated A and P = B - E A, whose order-t deflated coefficient is
+    nus[b] * A0 on the block ``ranges[b]``. Returns (V terms, A V, P V) for
+    V = 1 + sum_s h^s V_s with zero diagonal blocks, which makes V^H A V and
+    V^H P V block diagonal through the order: each V_s solves a
+    Sylvester-type equation, with the spectral gaps as denominators, that
+    clears the off-diagonal blocks of (V^H A V)_s and (V^H P V)_(t+s).
+
+    Only A V and P V are kept. A new V_s adds the constant product X V_s,
+    shifted by h^s, to X V, and a coefficient of V^H X V is read as
+    sum_r V_r^H (X V)_(e-r). The operands are truncated at the order, so
+    every coefficient past it is zero.
+    """
+    m = len(a_rot)
+    zero = mode.zero()
+    av, pv = a_rot, p_rot
+    v_terms: list = []  # (r, V_r)
+
+    def vh_coeff(xv, i, j, e):
+        """Coefficient e of (V^H X V)[i][j], given xv = X V."""
+        if e > order:
+            return zero
+        acc = xv[i][j].coefficient(e)
+        for r, vr in v_terms:
+            for k in range(m):
+                c = vr[k][i]
+                if not mode.is_zero(c):
+                    acc = acc + mode.conj(c) * xv[k][j].coefficient(e - r)
+        return acc
+
+    a0_blocks = [[[a_rot[i][j].coefficient(HI0) for j in rng] for i in rng] for rng in ranges]
     a0_invs = [_const_inverse(blk) for blk in a0_blocks]
 
-    # series congruence V = 1 + sum_s h^s V_s with zero diagonal blocks,
-    # chosen so both a_rot and p_rot become block diagonal through the order
-    v = SeriesMatrix.identity(mode, m, b.truncation_order())
     for s_ord in half_range(HalfInt(1), order):
-        a_cur = (v.adjoint() @ a_rot) @ v
-        p_cur = (v.adjoint() @ p_rot) @ v
-        vs = [[mode.zero() for _ in range(m)] for _ in range(m)]
+        vs = [[zero] * m for _ in range(m)]
         dirty = False
         for bi in range(len(ranges)):
-            for ci in range(len(ranges)):
-                if bi >= ci:
-                    continue
-                k1 = [[a_cur.entry(i, j).coefficient(s_ord) for j in ranges[ci]]
-                      for i in ranges[bi]]
-                k2 = [[p_cur.entry(i, j).coefficient(t + s_ord) for j in ranges[ci]]
-                      for i in ranges[bi]]
+            for ci in range(bi + 1, len(ranges)):
+                k1 = [[vh_coeff(av, i, j, s_ord) for j in ranges[ci]] for i in ranges[bi]]
+                k2 = [[vh_coeff(pv, i, j, t + s_ord) for j in ranges[ci]] for i in ranges[bi]]
                 if all(mode.is_zero(x) for row in k1 for x in row) and \
                    all(mode.is_zero(x) for row in k2 for x in row):
                     continue
@@ -635,26 +708,12 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
                         vs[i][j] = x[rr][cc]
                         vs[j][i] = mode.conj(y[rr][cc])
         if dirty:
-            v = v + SeriesMatrix.constant(mode, vs, b.truncation_order()).scale_series(
-                FormalScalarSeries.hbar_power(mode, s_ord, 1, b.truncation_order()))
-
-    a_fin = (v.adjoint() @ a_rot) @ v
-    p_fin = (v.adjoint() @ p_rot) @ v
-    w = u @ v
-
-    out = []
-    for blk, rng in enumerate(ranges):
-        sub_b = SeriesMatrix.from_rows(mode, [[p_fin.entry(i, j) for j in rng] for i in rng])
-        sub_a = SeriesMatrix.from_rows(mode, [[a_fin.entry(i, j) for j in rng] for i in rng])
-        for e_sub, col in _pencil_solve(sub_b, sub_a, order, mode):
-            full_col = []
-            for i in range(m):
-                acc = FormalScalarSeries.zero(mode, order)
-                for cc, j in enumerate(rng):
-                    acc = acc + w.entry(i, j) * col[cc]
-                full_col.append(acc.truncate(order))
-            out.append(((e_accum + e_sub).truncate(order), full_col))
-    return out
+            v_terms.append((s_ord, vs))
+            av, pv = ([[_lin_comb(mode, order, [(mode.one(), HI0, xv[i][j])] +
+                                  [(vs[k][j], s_ord, x_rot[i][k]) for k in range(m)])
+                        for j in range(m)] for i in range(m)]
+                      for xv, x_rot in ((av, a_rot), (pv, p_rot)))
+    return v_terms, av, pv
 
 
 def _block_mul(a, b):

@@ -249,9 +249,9 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     sum_i conj(u_i) v_i: in the radial parallel frame of a metric connection
     the fiber metric is the identity to every order. The result's truncation
     order is the convolution bound of the three graded factors (the two
-    series and the weight expansion). Each fiber integrand is contracted
-    against the weight's cached functionals L_m instead of being multiplied
-    by omega_m.
+    series and the weight expansion). The fiber integrands that share a base
+    order are summed first, and each sum is contracted against the weight's
+    cached functionals L_m instead of being multiplied by omega_m.
     """
     mode = u.mode
     if (u.n, u.rank) != (v.n, v.rank):
@@ -271,28 +271,33 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
         cands.append(HalfInt.of(through))
     trunc = min(cands)
 
-    terms: dict[HalfInt, object] = {}
+    # the fiber integrands summed by base order, so that each weight
+    # functional reads every base order once
+    by_base: dict[HalfInt, Poly] = {}
     for ju, pu in u.coeffs.items():
         au = ju - u.K
         for jv, pv in v.coeffs.items():
             base = au + (jv - v.K)
-            room = trunc - base
-            if room < HI0:
+            if base > trunc:
                 continue
-            integrand = None
             for ui, vi in zip(pu.components, pv.components):
                 if not ui.is_zero() and not vi.is_zero():
                     prod = (ui if real_field else ui.conj()) * vi
-                    integrand = prod if integrand is None else integrand + prod
-            if integrand is None or integrand.is_zero():
+                    acc = by_base.get(base)
+                    by_base[base] = prod if acc is None else acc + prod
+
+    terms: dict[HalfInt, object] = {}
+    for base, integrand in by_base.items():
+        if integrand.is_zero():
+            continue
+        room = trunc - base
+        for m, lm in weights:
+            if m > room:
+                break
+            val = lm.pair(integrand)
+            if mode.is_zero(val):
                 continue
-            for m, lm in weights:
-                if m > room:
-                    break
-                val = lm.pair(integrand)
-                if mode.is_zero(val):
-                    continue
-                t = base + m
-                s = terms.get(t)
-                terms[t] = val if s is None else s + val
+            t = base + m
+            s = terms.get(t)
+            terms[t] = val if s is None else s + val
     return FormalScalarSeries.from_terms(mode, terms, trunc)

@@ -192,10 +192,11 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     omega = weight_expansion(phi, conj.density, problem, order)
 
     proj = build_projector(family, basis, level, order)
+    es = [S0Series.from_fiber_poly(basis.fiber(m)) for m in level.members]
     fs = [proj.image_s0(m) for m in level.members]
 
-    a_mat = gram_matrix(fs, omega, through=order)
-    c_mat = interaction_matrix(fs, family, omega, through=order)
+    a_mat = gram_matrix(es, fs, omega, through=order)
+    c_mat = interaction_matrix(es, fs, family, omega, through=order)
     eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order)
 
     psis = []

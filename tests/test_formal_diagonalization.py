@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -6,16 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmf.series_algebra import EXACT, FormalScalarSeries, HI0, HalfInt, float_mode
+from qmf import formal_diagonalization as fd
+from qmf.cli_io import preset_problem
+from qmf.series_algebra import (
+    EXACT,
+    FormalScalarSeries,
+    HI0,
+    HalfInt,
+    S0Series,
+    float_mode,
+    half_range,
+)
 from qmf.formal_diagonalization import (
     ExactSplitUnavailable,
     SeriesMatrix,
     SplitAmbiguityError,
     _gen_eig_float,
     formal_eigendecomposition,
+    gram_matrix,
+    interaction_matrix,
 )
 from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
-from qmf.quasimode_pipeline import parity_filter
+from qmf.quasimode_pipeline import compute_quasimodes, parity_filter
+
+from level_oracle import (
+    congruence,
+    image_gram_matrix,
+    image_interaction_matrix,
+    mat_add,
+    mat_mul,
+    split_and_recurse_full,
+)
 
 F = Fraction
 
@@ -57,8 +79,9 @@ def matrix_inverse_sqrt(a: SeriesMatrix, through: HalfInt | None = None) -> Seri
     kmax = trunc.doubled // min_ord.doubled
     for k in range(1, kmax + 1):
         coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
-        power = power @ x
-        out = out + power.scale_series(FormalScalarSeries.const(mode, mode.coeff(coeff), trunc))
+        power = mat_mul(power, x)
+        out = mat_add(out, power.scale_series(
+            FormalScalarSeries.const(mode, mode.coeff(coeff), trunc)))
     return out
 
 
@@ -108,7 +131,7 @@ class TestMatrixInverseSqrt:
                             [{k: v for k, v in rows[1][0].items()},
                              {0: 1, **{k: v for k, v in rows[1][1].items() if k > 0}}]])
             b = matrix_inverse_sqrt(a)
-            prod = (b @ a) @ b
+            prod = mat_mul(mat_mul(b, a), b)
             ident = SeriesMatrix.identity(EXACT, 2, HalfInt(8))
             assert (prod - ident).max_abs_coeff(HalfInt(8)) == 0
 
@@ -187,7 +210,7 @@ class TestEigendecomposition:
         ds = SeriesMatrix.from_rows(EXACT, [
             [d.entry(i, j).scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)])
         b = matrix_inverse_sqrt(ds, HalfInt(6))
-        m = (b @ cs) @ b
+        m = mat_mul(mat_mul(b, cs), b)
         plain = formal_eigendecomposition(m, through=HalfInt(6))
         for e1, e2 in zip(pencil.eigenvalues, plain.eigenvalues):
             assert e1.equals_through(e2, HalfInt(6))
@@ -216,6 +239,167 @@ class TestEigendecomposition:
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
         res = formal_eigendecomposition(m)
         assert all(e.is_real() for e in res.eigenvalues)
+
+
+@functools.lru_cache(maxsize=None)
+def level_stage(preset: str, order: int, mode_name: str = "exact"):
+    """(bare members, images, family, weight, order) of a preset's level."""
+    spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
+    ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
+                             level_index=spec.level_index).context
+    es = [S0Series.from_fiber_poly(ctx.basis.fiber(a)) for a in ctx.level.members]
+    fs = [ctx.projector.image_s0(a) for a in ctx.level.members]
+    return es, fs, ctx.family, ctx.omega, spec.order
+
+
+def kato_bloch_and_image_pairs(preset, order, mode_name="exact"):
+    """[(Kato-Bloch matrix, image-against-image matrix)] for A and C."""
+    es, fs, family, omega, n = level_stage(preset, order, mode_name)
+    return n, [(gram_matrix(es, fs, omega, n), image_gram_matrix(fs, omega, n)),
+               (interaction_matrix(es, fs, family, omega, n),
+                image_interaction_matrix(fs, family, omega, n))]
+
+
+class TestKatoBlochLevelMatrices:
+    """(e_a, P e_b) and (e_a, Q P e_b) against (P e_a, P e_b) and (P e_a, Q P e_b)."""
+
+    @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+    def test_exact_equality_through_the_order(self, preset):
+        n, pairs = kato_bloch_and_image_pairs(preset, 4)
+        for got, want in pairs:
+            assert want.max_abs_coeff(n) > 0
+            for i in range(got.size):
+                for j in range(got.size):
+                    assert got.entry(i, j).truncation_order == want.entry(i, j).truncation_order
+                    assert got.entry(i, j) == want.entry(i, j)
+
+    def test_float_relative_agreement(self):
+        # relative to the largest coefficient of the image form at each order
+        n, pairs = kato_bloch_and_image_pairs("iso2d", 5, "float")
+        for got, want in pairs:
+            size = range(got.size)
+            for t in half_range(HI0, n):
+                scale = max(abs(want.entry(i, j).coefficient(t)) for i in size for j in size)
+                worst = max(abs(got.entry(i, j).coefficient(t) - want.entry(i, j).coefficient(t))
+                            for i in size for j in size)
+                assert worst <= 1e-12 * scale
+
+
+def spy_decouple(monkeypatch) -> list:
+    """Record (arguments, result) of every ``_decouple`` call."""
+    calls = []
+    real = fd._decouple
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(fd, "_decouple", recording)
+    return calls
+
+
+def assert_decoupled(args, out):
+    """V^H A V and V^H P V are block diagonal through the order, and the kept
+    A V and P V are the full products there."""
+    a_rot, p_rot, _, _, ranges, order, mode = args
+    v_terms, av, pv = out
+    m = len(a_rot)
+    v = SeriesMatrix.identity(mode, m, order)
+    for r, vr in v_terms:
+        v = mat_add(v, SeriesMatrix.constant(mode, vr, order).scale_series(
+            FormalScalarSeries.hbar_power(mode, r, 1, order)))
+    block = {i: b for b, rng in enumerate(ranges) for i in rng}
+    for x_rot, xv in ((a_rot, av), (p_rot, pv)):
+        x = SeriesMatrix.from_rows(mode, x_rot)
+        full = mat_mul(x, v)
+        congruent = congruence(v, x)
+        for i in range(m):
+            for j in range(m):
+                assert full.entry(i, j).equals_through(xv[i][j], order)
+                if block[i] != block[j]:
+                    assert congruent.entry(i, j).max_abs_coeff(order) == 0
+
+
+def assert_same_decomposition(got, want):
+    assert got.order == want.order and got.norms2 == want.norms2
+    for e1, e2 in zip(got.eigenvalues, want.eigenvalues, strict=True):
+        assert e1 == e2 and e1.truncation_order == e2.truncation_order
+    for c1, c2 in zip(got.vectors, want.vectors, strict=True):
+        for x, y in zip(c1, c2, strict=True):
+            assert x == y and x.truncation_order == y.truncation_order
+
+
+def truncated_split_pencil():
+    """An exact 3x3 pencil (C, A) truncated at h^(3/2) whose split comes at
+    order 1, into blocks of sizes 1 and 2.
+
+    C = 2 A + h R + h^(3/2) C3, with R = diag(0, 1, 1) at A0 = 1. The
+    congruence runs through s = 3/2, but reads P at t + s up to 5/2, past
+    the operands' truncation order. A1's off-diagonal blocks make V_(1/2)
+    nonzero, so that sum_r V_r^H (P V)_(t+s-r) reads known coefficients
+    there.
+    """
+    a1 = [[0, 1, -2], [1, 0, 1], [-2, 1, 0]]
+    a2 = [[1, F(1, 2), 1], [F(1, 2), 2, 0], [1, 0, -1]]
+    a3 = [[0, 3, 1], [3, 1, F(-1, 3)], [1, F(-1, 3), 2]]
+    c3 = [[1, -1, 2], [-1, 0, 1], [2, 1, 3]]
+    r = [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
+    trunc = 3
+    a = series_mat([[{0: int(i == j), 1: a1[i][j], 2: a2[i][j], 3: a3[i][j]}
+                     for j in range(3)] for i in range(3)], trunc)
+    c = series_mat([[{0: 2 * int(i == j), 1: 2 * a1[i][j], 2: 2 * a2[i][j] + r[i][j],
+                      3: 2 * a3[i][j] + c3[i][j]} for j in range(3)] for i in range(3)], trunc)
+    return c, a
+
+
+class TestSeriesCongruence:
+    """The congruence built one coefficient per step against the full
+    recomputation of V^H A V and V^H P V at every step."""
+
+    @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+    def test_level_pencil(self, preset, monkeypatch):
+        es, fs, family, omega, n = level_stage(preset, 4)
+        a = gram_matrix(es, fs, omega, n)
+        c = interaction_matrix(es, fs, family, omega, n)
+        calls = spy_decouple(monkeypatch)
+        got = formal_eigendecomposition(c, gram=a, through=n)
+        assert calls
+        for args, out in calls:
+            assert_decoupled(args, out)
+        monkeypatch.setattr(fd, "_split_and_recurse", split_and_recurse_full)
+        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through=n))
+
+    def test_rank2_congruence_is_not_trivial(self, monkeypatch):
+        # iso2d's split is block diagonal already; rank2's needs V_s at every s
+        es, fs, family, omega, n = level_stage("rank2", 4)
+        calls = spy_decouple(monkeypatch)
+        formal_eigendecomposition(interaction_matrix(es, fs, family, omega, n),
+                                  gram=gram_matrix(es, fs, omega, n), through=n)
+        (args, (v_terms, _, _)), = calls
+        assert args[2] == HalfInt(1)
+        assert [r for r, _ in v_terms] == list(half_range(HalfInt(1), n))
+
+    def test_operands_truncated_below_t_plus_s(self, monkeypatch):
+        c, a = truncated_split_pencil()
+        calls = spy_decouple(monkeypatch)
+        got = formal_eigendecomposition(c, gram=a, through=HalfInt(6))
+        for args, out in calls:
+            assert_decoupled(args, out)
+        # the first split; its size-2 block splits again
+        args, out = calls[0]
+        assert args[2] == HalfInt(2) and args[5] == HalfInt(3)
+        assert [r for r, _ in out[0]][:1] == [HalfInt(1)]
+        assert sorted(e.coefficient(HalfInt(2)) for e in got.eigenvalues) == [0, 1, 1]
+        for e, col in zip(got.eigenvalues, got.vectors):
+            for i in range(3):
+                lhs = sum((c.entry(i, j) * col[j] for j in range(3)),
+                          FormalScalarSeries.zero(EXACT))
+                rhs = sum((a.entry(i, j) * col[j] for j in range(3)),
+                          FormalScalarSeries.zero(EXACT)) * e
+                assert (lhs - rhs).max_abs_coeff(HalfInt(3)) == 0
+        monkeypatch.setattr(fd, "_split_and_recurse", split_and_recurse_full)
+        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through=HalfInt(6)))
 
 
 @st.composite

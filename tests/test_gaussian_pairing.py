@@ -15,7 +15,7 @@ from qmf.series_algebra import (
     S0Series,
 )
 from qmf.operator_calculus import JetProblem, conjugate_hamiltonian, solve_eikonal
-from qmf.gaussian_pairing import gaussian_moment, pair_s0, weight_expansion
+from qmf.gaussian_pairing import _Functional, gaussian_moment, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
 from qmf.cli_io import preset_problem
 from qmf.quasimode_pipeline import compute_quasimodes
@@ -304,3 +304,30 @@ class TestPairingOracle:
             got = pair_s0(u, u, omegas[c])
             assert got == first[c]
             assert got == multiply_then_integrate(u, u, omegas[c], got.truncation_order)
+
+
+@pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+def test_each_total_order_contracted_once(preset, monkeypatch):
+    """pair_s0 sums the fiber integrands that share a base order au + av and
+    applies each weight functional L_m to that sum once."""
+    ctx = pipeline_context(preset, 3)
+    u, v = projected_level_basis(ctx)
+    calls = []
+    real = _Functional.pair
+
+    def counting(self, integrand):
+        calls.append(self)
+        return real(self, integrand)
+
+    monkeypatch.setattr(_Functional, "pair", counting)
+    got = pair_s0(u, v, ctx.omega)
+    trunc = got.truncation_order
+    # base orders with a fiber component that both sides carry
+    bases = {(ju - u.K) + (jv - v.K) for ju, pu in u.coeffs.items() for jv, pv in v.coeffs.items()
+             if any(not a.is_zero() and not b.is_zero()
+                    for a, b in zip(pu.components, pv.components))}
+    per_base = [(b, m) for b in bases for m in ctx.omega.orders() if b + m <= trunc]
+    per_pair = [m for ju in u.coeffs for jv in v.coeffs for m in ctx.omega.orders()
+                if (ju - u.K) + (jv - v.K) + m <= trunc]
+    assert len(calls) == len(per_base) < len(per_pair)
+    assert got == multiply_then_integrate(u, v, ctx.omega, trunc)
