@@ -3,9 +3,9 @@
 For the confining quartic well the truncated series evaluated at finite h
 must approach the true bottom eigenvalue with an error of order
 h^(order + 3/2) or better; here the order-2 truncation gives slope ~4 on a
-log-log plot. The numeric side is a dense symmetric finite-difference
-discretization with Dirichlet walls placed where the ground weight has
-decayed below 1e-14, Richardson-extrapolated over two grids.
+log-log plot. The numeric side is a Galerkin solve in the sine basis of a
+Dirichlet box whose walls sit where the ground weight has decayed below
+1e-14; the basis doubles from 64 functions until two sizes agree to 1e-9.
 """
 
 from qmf import HalfInt, compute_quasimodes, crosscheck_eigenvalue_1d

@@ -5,7 +5,7 @@ series and eigenfunction jet series of a conjugated Schrodinger operator
 hbar^2 L + hbar W + V on a vector bundle, seeded by a degenerate level of the
 local harmonic oscillator, and verifies the output against independent
 oracles (transport equations, Rayleigh-Schrodinger recursion, and a 1-D
-finite-difference eigensolver).
+spectral eigensolver).
 """
 
 from .series_algebra import EXACT, HalfInt, Poly, float_mode

@@ -223,6 +223,27 @@ def _rational_roots(coeffs: list) -> list:
 def _rational_root(f: list):
     """One rational root of f, or None, in time polynomial in its bit size.
 
+    A linear f has the root -c0/c1. A quadratic's roots are rational exactly
+    when its discriminant is the square of a fraction, that is, when the
+    reduced discriminant's numerator and denominator are perfect squares.
+    Higher degrees go to ``_sturm_root``.
+    """
+    if len(f) == 2:
+        return -f[0] / f[1]
+    if len(f) > 3:
+        return _sturm_root(f)
+    disc = f[1] * f[1] - 4 * f[0] * f[2]
+    if disc < 0:
+        return None
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        return None
+    return (Fraction(rn, rd) - f[1]) / (2 * f[2])
+
+
+def _sturm_root(f: list):
+    """One rational root of f, or None, by bisection on Sturm counts.
+
     Sturm's theorem counts the distinct real roots in (lo, hi], so bisection
     isolates each one. A rational root p/q has q dividing the leading
     coefficient q_f of f's integer multiple, and such fractions lie 1/q_f^2

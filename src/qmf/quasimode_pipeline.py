@@ -19,11 +19,10 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
                                recorded diagonal constants;
 * ``rs_oracle``             -- a textbook Rayleigh-Schrodinger recursion in
                                the model eigenbasis (nondegenerate levels);
-* ``crosscheck_eigenvalue_1d`` -- finite-difference eigenvalues (shift-invert
-                               Lanczos on the tridiagonal matrix, certified by
-                               Sturm counts) with Richardson control, fitting
-                               the error's decay order against the truncated
-                               series.
+* ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
+                               (a Galerkin solve in a sine basis, certified by
+                               two basis sizes), fitting the error's decay
+                               order against the truncated series.
 """
 
 from __future__ import annotations
@@ -502,162 +501,39 @@ def _eval_on_grid(terms: list, xs):
     return total
 
 
-def _odd_even_factor(diag, off):
-    """Odd-even (cyclic) reduction of the symmetric tridiagonal matrix ``(diag, off)``.
+def _sine_galerkin_eigenvalue(v_terms: list, w_terms: list, a: float, hbar: float, size: int,
+                              k: int) -> float:
+    """The k-th eigenvalue of -h^2 d^2/dx^2 + V + h W in ``size`` Dirichlet sines of [-a, a].
 
-    Each level eliminates the even-indexed unknowns, whose block is the
-    diagonal of 1x1 pivots, and leaves their Schur complement, again
-    tridiagonal, on the odd-indexed ones. Returns the levels, which
-    ``_odd_even_solve`` reuses, and the number of negative pivots: by
-    Sylvester's law of inertia, the number of negative eigenvalues.
+    The sines sin(j pi (x + a) / 2a) / sqrt(a), j = 1..size, diagonalise the
+    kinetic term with eigenvalues h^2 (j pi / 2a)^2. Their potential matrix
+    is the quadrature sum_x S_jx (V + h W)(x) S_kx over the 2 size interior
+    points of the box's uniform grid, with S the rows of the orthonormal
+    DST-I matrix of that size; V and W come from ``_eval_on_grid``.
     """
     import numpy as np
 
-    levels, negatives = [], 0
-    while len(diag):
-        kept = len(diag) // 2
-        inv = 1.0 / diag[0::2]
-        left, right = off[0::2], off[1::2]
-        left_ratio, right_ratio = left * inv[:kept], right * inv[1:len(right) + 1]
-        negatives += int(np.count_nonzero(inv < 0))
-        levels.append((inv, left, right, left_ratio, right_ratio))
-        diag = diag[1::2] - left * left_ratio
-        diag[:len(right)] -= right * right_ratio
-        off = -right_ratio[:kept - 1] * left[1:]
-    return levels, negatives
-
-
-def _odd_even_solve(levels, rhs):
-    """Solve (T - shift I) x = rhs with the levels ``_odd_even_factor`` returned for it."""
-    import numpy as np
-
-    eliminated = []
-    for _, _, _, left_ratio, right_ratio in levels:
-        eliminated.append(rhs[0::2])
-        rhs = rhs[1::2] - left_ratio * rhs[0::2][:len(left_ratio)]
-        rhs[:len(right_ratio)] -= right_ratio * eliminated[-1][1:len(right_ratio) + 1]
-    x = rhs
-    for (inv, left, right, _, _), known in zip(reversed(levels), reversed(eliminated)):
-        known = known.copy()
-        known[:len(x)] -= left * x
-        known[1:len(right) + 1] -= right * x[:len(right)]
-        merged = np.empty(len(known) + len(x))
-        merged[0::2], merged[1::2] = known * inv, x
-        x = merged
-    return x
-
-
-def _count_below(diag, off, shift: float) -> int:
-    """The number of eigenvalues of ``(diag, off)`` below ``shift`` (a Sturm count).
-
-    The negative pivots of the sequential LDL^T recurrence, whose computed
-    count is the exact count of a matrix whose off-diagonals differ from T's
-    by a few eps relatively (Kahan); a pivot below ``pivmin`` in size is
-    taken as -pivmin, as in LAPACK's bisection. Odd-even reduction is not
-    used here: at an indefinite shift a tiny pivot's fill cancels at a later
-    level and can lose the count.
-    """
-    import numpy as np
-
-    squares = (off * off).tolist()
-    pivmin = float(np.finfo(float).tiny) * max([1.0, *squares])
-    count, pivot = 0, 1.0
-    for a, b2 in zip((diag - shift).tolist(), [0.0, *squares]):
-        pivot = a - b2 / pivot
-        if pivot < pivmin:
-            if pivot > -pivmin:
-                pivot = -pivmin
-            count += 1
-    return count
-
-
-def _tridiagonal_eigenvalue(diag, off, k: int) -> float:
-    """The k-th smallest eigenvalue of the symmetric tridiagonal matrix ``(diag, off)``.
-
-    Shift-invert Lanczos with full reorthogonalisation: a shift sigma below
-    the Gershgorin lower bound makes T - sigma I positive definite (its
-    odd-even reduction has no negative pivot), and Ritz pairs of the
-    inverse converge from the bottom of the spectrum. Once the k-th one's
-    residual, mapped to lambda, is below eps ||T||, lambda is the Rayleigh
-    quotient of T at its Ritz vector. A shift so near the bottom eigenvalue
-    that the inverse keeps too few digits of eigenvalue k moves once, to as
-    far below the bottom eigenvalue as eigenvalue k lies above it; an
-    invariant subspace restarts the recurrence from a fresh direction. The
-    result is certified by Sturm counts: exactly k eigenvalues below
-    lambda - tol and k + 1 below lambda + tol. While more than k lie below,
-    the Krylov space grows (Ritz values are checked again once it has
-    doubled); any other count, or 512 steps without one, raises a ValueError.
-    """
-    import numpy as np
-
-    m, eps = len(diag), float(np.finfo(float).eps)
-    radius = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
-    norm = float(np.max(np.abs(diag) + radius)) or 1.0    # any scale for T = 0
-    tol = 64 * eps * norm
-    steps = min(m, 512)
-    shifts = [float(np.min(diag - radius)) - tol]
-    for sigma in shifts:
-        levels, negatives = _odd_even_factor(diag - sigma, off)
-        if negatives:
-            break
-        rng = np.random.default_rng(0)
-        basis = np.empty((min(m, 32), m))
-        basis[0] = rng.standard_normal(m)
-        basis[0] /= np.linalg.norm(basis[0])
-        alphas, betas, check_at = [], [], k + 1
-        for size in range(1, steps + 1):
-            w = _odd_even_solve(levels, basis[size - 1])
-            alphas.append(float(basis[size - 1] @ w))
-            floor = m * eps * float(np.linalg.norm(w))
-            for _ in range(2):
-                w -= (basis[:size] @ w) @ basis[:size]
-            beta = float(np.linalg.norm(w))
-            if size >= check_at:
-                theta, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
-                                             + np.diag(betas, -1))
-                if beta * abs(vecs[-1, -1 - k]) <= eps * norm * theta[-1 - k] ** 2:
-                    y = vecs[:, -1 - k] @ basis[:size]
-                    ty = diag * y
-                    ty[:-1] += off * y[1:]
-                    ty[1:] += off * y[:-1]
-                    lam = math.fsum((y * ty).tolist()) / math.fsum((y * y).tolist())
-                    bottom = sigma + 1.0 / theta[-1]
-                    # solves keep theta_k to eps theta_0, which costs lambda
-                    # eps (lam - sigma)^2 / (bottom - sigma): at most eps ||T||
-                    if len(shifts) == 1 and (lam - sigma) ** 2 > norm * (bottom - sigma):
-                        shifts.append(2.0 * bottom - lam)
-                        break
-                    below = (_count_below(diag, off, lam - tol),
-                             _count_below(diag, off, lam + tol))
-                    if below == (k, k + 1):
-                        return lam
-                    if below[0] <= k:
-                        break
-                    check_at = min(2 * size, steps)
-            if size < steps:
-                if beta <= floor:
-                    w = rng.standard_normal(m)
-                    for _ in range(2):
-                        w -= (basis[:size] @ w) @ basis[:size]
-                    beta = 0.0
-                betas.append(beta)
-                if size == len(basis):
-                    basis = np.concatenate((basis, np.empty_like(basis)))[:steps]
-                basis[size] = w / np.linalg.norm(w)
-    raise ValueError(f"eigenvalue {k} of the {m}x{m} finite-difference matrix is not certified: "
-                     f"it lies within {tol:.3g} of another, or {steps} Lanczos steps did not "
-                     f"isolate it")
+    points = 2 * size
+    xs = np.linspace(-a, a, points + 2)[1:-1]
+    j = np.arange(1, size + 1)
+    s = math.sqrt(2.0 / (points + 1)) * np.sin(np.outer(j, np.arange(1, points + 1))
+                                               * (np.pi / (points + 1)))
+    h = (s * (_eval_on_grid(v_terms, xs) + hbar * _eval_on_grid(w_terms, xs))) @ s.T
+    h[np.diag_indices(size)] += (hbar * np.pi / (2.0 * a) * j) ** 2
+    return float(np.linalg.eigvalsh(h)[k])
 
 
 def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], grid: int = 4096,
                              decay_threshold: float = 1e-14) -> VerificationReport:
-    """Finite-difference eigenvalues against the truncated series.
+    """Numerical eigenvalues of the 1-D operator against the truncated series.
 
-    Symmetric second-order differences on a Dirichlet box [-a, a] (reported
+    A Galerkin solve in the Dirichlet sine basis of a box [-a, a] (reported
     as ``data["box"]``) sized so the ground weight has decayed below
     ``decay_threshold`` (a ValueError if V does not confine it on some side
-    within |x| < 64); two grids (m and 2m) give a Richardson-extrapolated
-    eigenvalue and a convergence certificate. The log-log slope of
+    within |x| < 64). The basis starts at 64 sines and doubles until two
+    sizes agree within 1e-9 max(|E|, h); E is taken at the larger one, which
+    ``data["sizes"]`` records for each h (None where no two sizes up to
+    ``grid`` agree, which fails the check). The log-log slope of
     |E_num(h) - series(h)| over the given h values must be at least
     order + 3/2 (or, for an identically vanishing series, the error must be
     exponentially small), fitted over two or more distinct, finite, positive
@@ -665,9 +541,7 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
 
     V and W are converted to float once and evaluated over each whole grid
     term by term (``_eval_on_grid``), with the same values as evaluating
-    them point by point. The level's eigenvalue of each tridiagonal matrix
-    comes from shift-invert Lanczos on its odd-even reduction, certified by
-    Sturm counts (``_tridiagonal_eigenvalue``).
+    them point by point; ``_sine_galerkin_eigenvalue`` solves each size.
     """
     import numpy as np
 
@@ -676,9 +550,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
                          f"h values, got {list(hbars)}")
     problem = result.context.problem
     if problem.n != 1 or problem.rank != 1:
-        raise ValueError("the finite-difference cross-check is one-dimensional scalar only")
+        raise ValueError("the numerical cross-check is one-dimensional scalar only")
     if not problem.metric_is_flat() or problem.has_connection():
-        raise ValueError("the finite-difference cross-check needs the flat scalar form")
+        raise ValueError("the numerical cross-check needs the flat scalar form")
     mode = problem.mode
     v_terms = _float_terms(problem.V)
     w_terms = _float_terms(problem.W[0][0])
@@ -698,38 +572,35 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
         sides = " and ".join(side for side, phi in (("x > 0", phi_a), ("x < 0", phi_ma))
                              if phi < target)
         raise ValueError(
-            f"the finite-difference cross-check needs a confining V: on the {sides} side "
+            f"the numerical cross-check needs a confining V: on the {sides} side "
             f"the weight does not decay below {decay_threshold:g} within |x| < 64")
     member = result.level.members[0]
     eig_index = member.alpha[0]
     if grid < eig_index + 3:
-        raise ValueError(f"a grid of {grid} points cannot resolve eigenvalue {eig_index}; "
+        raise ValueError(f"a basis of {grid} sines cannot resolve eigenvalue {eig_index}; "
                          f"it needs at least {eig_index + 3}")
 
-    def fd_eigenvalue(hbar: float, m: int) -> float:
-        xs = np.linspace(-a, a, m + 2)[1:-1]
-        dx = xs[1] - xs[0]
-        diag = 2.0 * hbar**2 / dx**2 + _eval_on_grid(v_terms, xs) \
-            + hbar * _eval_on_grid(w_terms, xs)
-        off = np.full(m - 1, -hbar**2 / dx**2)
-        return _tridiagonal_eigenvalue(diag, off, eig_index)
+    def certified_eigenvalue(hbar: float):
+        """E at the first basis size agreeing with the size before it, and that size (or None)."""
+        size = min(max(64, eig_index + 3), grid)
+        e = _sine_galerkin_eigenvalue(v_terms, w_terms, a, hbar, size, eig_index)
+        while size < grid:
+            size, coarse = min(2 * size, grid), e
+            e = _sine_galerkin_eigenvalue(v_terms, w_terms, a, hbar, size, eig_index)
+            if abs(e - coarse) <= 1e-9 * max(abs(e), hbar):
+                return e, size
+        return e, None
 
     series = result.eigenvalues[0]
-
-    def one_hbar(hb: float):
-        e1 = fd_eigenvalue(hb, grid)
-        e2 = fd_eigenvalue(hb, 2 * grid)
-        extrap = (4.0 * e2 - e1) / 3.0
-        ok = abs(extrap - e2) <= 1e-3 * max(abs(extrap), hb)
-        series_val = series.evaluate(hb, through=result.order + HalfInt(2)).real
-        return abs(extrap - series_val), ok
-
-    results = [one_hbar(hb) for hb in hbars]
-    errors = [r[0] for r in results]
-    richardson_ok = all(r[1] for r in results)
+    errors, sizes = [], []
+    for hb in hbars:
+        e, size = certified_eigenvalue(hb)
+        errors.append(abs(e - series.evaluate(hb, through=result.order + HalfInt(2)).real))
+        sizes.append(size)
+    certified = None not in sizes
 
     trivial = all(mode.is_zero(c) for _, c in series.items())
-    data = {"hbars": list(hbars), "errors": errors, "box": a}
+    data = {"hbars": list(hbars), "errors": errors, "box": a, "sizes": sizes}
     want = float(result.order.as_fraction()) + 1.5
     clamped = [max(e, 1e-300) for e in errors]
     slope = float(np.polyfit(np.log(hbars), np.log(clamped), 1)[0])
@@ -739,7 +610,7 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
         # an identically vanishing series means the true eigenvalue is below
         # every power: demand super-power decay and smallness at the bottom
         smallest = min(errors)
-        passed = richardson_ok and smallest <= 1e-6 and (slope >= want or max(errors) <= 1e-10)
+        passed = certified and smallest <= 1e-6 and (slope >= want or max(errors) <= 1e-10)
         return VerificationReport(
             name="fd_crosscheck", passed=passed, order=result.order,
             max_residual=max(errors),
@@ -747,6 +618,6 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
                    f"smallest error {smallest:.2e}",
             data=data)
     return VerificationReport(
-        name="fd_crosscheck", passed=richardson_ok and slope >= want,
+        name="fd_crosscheck", passed=certified and slope >= want,
         order=result.order, max_residual=max(errors),
         detail=f"log-log error slope {slope:.3f} (required >= {want})", data=data)

@@ -285,13 +285,23 @@ class TestCommands:
         assert len(lines) == 3
 
     def test_crosscheck_of_an_excited_level(self, capsys):
-        # the odd level E0 = 3 is eigenvalue 1 of each finite-difference matrix
+        # the odd level E0 = 3 is eigenvalue 1 of each sine-basis matrix
         rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
                           "--level-index", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "[pass] fd_crosscheck" in out
         assert "log-log error slope 3.597 (required >= 3.5)" in out
+
+    def test_crosscheck_of_a_higher_level_at_small_hbar(self, capsys):
+        # level E0 = 7 is not yet asymptotic at the default h = 0.2 (slope
+        # 3.477 fails); from h = 0.05 down its series has the predicted rate
+        rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
+                          "--level-index", "3", "--hbar", "0.05,0.025,0.0125"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[pass] fd_crosscheck" in out
+        assert "log-log error slope 3.751 (required >= 3.5)" in out
 
     def test_crosscheck_on_non_confining_well_is_input_error(self, capsys):
         # the cubic well opens to -infinity: the weight never decays on x < 0,

@@ -241,6 +241,56 @@ class TestEigendecomposition:
         assert all(e.is_real() for e in res.eigenvalues)
 
 
+def recorded_root_factors(monkeypatch, preset: str, order: int) -> list:
+    """Every polynomial ``_rational_root`` is given while a preset's level splits."""
+    seen = []
+    real = fd._rational_root
+
+    def recording(f):
+        seen.append(list(f))
+        return real(f)
+
+    monkeypatch.setattr(fd, "_rational_root", recording)
+    spec = preset_problem(preset, order=HalfInt(2 * order))
+    compute_quasimodes(spec.problem, spec.order, e0=spec.level_value, level_index=spec.level_index)
+    monkeypatch.undo()
+    return seen
+
+
+class TestClosedFormRoots:
+    """Linear and quadratic factors are solved in closed form, higher ones by bisection."""
+
+    @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+    def test_same_roots_as_bisection(self, preset, monkeypatch):
+        factors = recorded_root_factors(monkeypatch, preset, 4)
+        assert {len(f) for f in factors} == {2, 3}
+        for f in factors:
+            got = fd._rational_roots(f)
+            monkeypatch.setattr(fd, "_rational_root", fd._sturm_root)
+            want = fd._rational_roots(f)
+            monkeypatch.undo()
+            assert got and sorted(got) == sorted(want)
+
+    @pytest.mark.parametrize("coeffs, roots", [
+        ([F(1, 2), F(1)], [F(-1, 2)]),
+        ([F(175, 12), F(25, 3), F(1)], [F(-35, 6), F(-5, 2)]),
+        ([F(9, 4), F(-3), F(1)], [F(3, 2), F(3, 2)]),
+        ([F(-1), F(-1), F(1)], []),        # discriminant 5
+        ([F(-1, 3), F(0), F(1)], []),      # discriminant 4/3: only the numerator is a square
+        ([F(1), F(0), F(1)], []),          # no real root
+        ([F(1), F(1, 2), F(-5, 2), F(1)], [F(-1, 2), F(1), F(2)]),
+        ([F(-2), F(0), F(0), F(1)], []),
+    ])
+    def test_small_factors(self, coeffs, roots):
+        assert sorted(fd._rational_roots(coeffs)) == roots
+
+    def test_irrational_quadratic_split_raises(self):
+        # the order-1 block [[3/2, 3/4], [3/4, 0]] has discriminant 9/2
+        m = series_mat([[{0: 1, 2: F(3, 2)}, {2: F(3, 4)}], [{2: F(3, 4)}, {0: 1}]])
+        with pytest.raises(ExactSplitUnavailable):
+            formal_eigendecomposition(m)
+
+
 @functools.lru_cache(maxsize=None)
 def level_stage(preset: str, order: int, mode_name: str = "exact"):
     """(bare members, images, family, weight, order) of a preset's level."""

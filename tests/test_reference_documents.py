@@ -83,11 +83,11 @@ def test_quartic_crosscheck_document_unchanged(tmp_path, monkeypatch):
     assert reference.canonical(doc) == (BENCH / "refs" / "quartic1d-o2-exact.json").read_bytes()
     (report,) = reports
     assert report.data["box"] == 3.796875
-    # the finite-difference eigenvalues are fixed only up to rounding,
-    # eps ||T|| at m = 8192, about 7e-9 of this residual (a box 1.5x larger
-    # moves it by 8e-9), so the pin holds no solver's last digits
+    # the sine-basis eigenvalues are fixed only up to rounding, eps ||H||
+    # with ||H|| about 200 at this box, near 1e-11 of this residual, so the
+    # pin holds no solver's last digits
     (check,) = doc["checks"]
-    assert check.pop("max_residual") == pytest.approx(0.004158530842876318, rel=1e-8)
+    assert check.pop("max_residual") == pytest.approx(0.004158530873381416, rel=1e-9)
     assert check == {"detail": "log-log error slope 3.673 (required >= 3.5)",
                      "name": "fd_crosscheck", "order_doubled": 4, "passed": True}
 
