@@ -16,7 +16,7 @@ sequence, d p_m = m p_{m-1}, so operators act on it by table algebra
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, perm, prod
@@ -45,19 +45,12 @@ class LevelNotFoundError(ValueError):
 class HermiteIndex:
     """Label (alpha, k) of one eigenfunction: multi-index alpha, fiber slot k (0-based).
 
-    Indices key every Hermite vector, so the hash is computed once, at
-    construction; equality and ordering are those of (alpha, k).
+    Equality, hash and ordering are those of (alpha, k). Inside the projector
+    engine an index is an integer position of its basis (``HermiteBasis.position``).
     """
 
     alpha: tuple
     k: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.alpha, self.k)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def degree(self) -> int:
@@ -67,8 +60,14 @@ class HermiteIndex:
 class HermiteBasis:
     """Monic eigenbasis of the model operator up to a fixed polynomial degree.
 
-    Provides the basis polynomials, their rational squared norms, the
-    eigenvalues, and the exact action of a ``DiffOpJet`` on each basis vector.
+    Provides the basis polynomials, the eigenvalues, and the exact action of
+    a ``DiffOpJet`` on each basis vector.
+
+    Each (alpha, k) met gets an integer position, in order of first use
+    (``position``); ``index_at``, ``degree_at`` and ``eigenvalue_at`` list its
+    ``HermiteIndex``, degree |alpha| and eigenvalue by position. ``apply``
+    takes and returns positions, so the projector engine keys its vectors and
+    caches by plain ints.
     """
 
     def __init__(self, mode, lam: tuple, mu: tuple, degree: int):
@@ -88,7 +87,10 @@ class HermiteBasis:
             self._one_dim.append(polys[: degree + 1])
         self._poly_cache: dict[tuple, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
-        self._interned: dict[tuple, HermiteIndex] = {}
+        self._positions: dict[tuple, int] = {}
+        self.index_at: list[HermiteIndex] = []
+        self.degree_at: list[int] = []
+        self.eigenvalue_at: list = []
 
     # -- basis elements
 
@@ -109,8 +111,19 @@ class HermiteBasis:
     def fiber(self, index: HermiteIndex) -> FiberPoly:
         return FiberPoly.unit(self.poly(index.alpha), self.rank, index.k)
 
-    def eigenvalue(self, index: HermiteIndex):
-        return _eigenvalue(self.mode, self.lam, self.mu, index)
+    def position(self, index: HermiteIndex) -> int:
+        """The integer position of ``index``, assigned on first use."""
+        return self._position((index.alpha, index.k))
+
+    def _position(self, key: tuple) -> int:
+        pos = self._positions.get(key)
+        if pos is None:
+            pos = self._positions[key] = len(self.index_at)
+            index = HermiteIndex(*key)
+            self.index_at.append(index)
+            self.degree_at.append(index.degree)
+            self.eigenvalue_at.append(_eigenvalue(self.mode, self.lam, self.mu, index))
+        return pos
 
     def indices(self, max_degree: int | None = None) -> list[HermiteIndex]:
         d = self.degree if max_degree is None else max_degree
@@ -142,10 +155,10 @@ class HermiteBasis:
             self._y_rows[nu, k, m] = row
         return row
 
-    def apply(self, op, index: HermiteIndex) -> tuple[dict, int]:
-        """The ``DiffOpJet`` ``op`` applied to the basis vector at ``index``:
-        numerators over one denominator in the form of ``reduce_num``, keyed
-        by one shared object per index (dict hits by identity).
+    def apply(self, op, pos: int) -> tuple[dict, int]:
+        """The ``DiffOpJet`` ``op`` applied to the basis vector at position
+        ``pos``: numerators over one denominator in the form of
+        ``reduce_num``, keyed by position.
 
         The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
         stencil term t y^gamma d^beta of an entry at input column k maps
@@ -154,6 +167,7 @@ class HermiteBasis:
         with no change of basis.
         """
         op_den, rows = op.stencil()
+        index = self.index_at[pos]
         alpha = index.alpha
         acc, den = {}, 1
         for i, row in enumerate(rows):
@@ -172,9 +186,8 @@ class HermiteBasis:
                         key = (tuple(m for m, _ in combo), i)
                         acc[key] = acc.get(key, 0) + c * prod(n for _, n in combo)
         num, den = reduce_num(self.mode, acc, den)
-        shared = self._interned
-        return {shared.get(key) or shared.setdefault(key, HermiteIndex(*key)): n
-                for key, n in num.items()}, den
+        position = self._position
+        return {position(key): n for key, n in num.items()}, den
 
     def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:
         out = FiberPoly.zero(self.mode, self.n, self.rank)

@@ -14,10 +14,25 @@ Its order-s part, applied to a basis vector e, obeys the recursion
 
     T_0 = G0 e,    T_s = G0 sum_{0 < i <= s} Q_i T_{s-i},
 
-so the order-j image of e is the w^(-1) residue of T_j. Every chain summed
-into T_s has the same remaining budget, so T_s is truncated once, above the
-w-power 2(budget - s), and one pass per basis vector yields all orders with
-O(order^2) operator applications instead of one per composition of each order.
+so the order-j image of e is the w^(-1) residue of T_j. One pass per basis
+vector yields all orders with O(order^2) operator applications instead of one
+per composition of each order.
+
+Every chain summed into T_s has the same R = 2(budget - s) half-orders left,
+so T_s is truncated once, componentwise. A component at w-power p needs at
+least p + 1 later steps that end on the level, since G0 lowers the power only
+there (by one) and never lowers it elsewhere; each step applies some Q_i with
+i >= 1/2 and costs 2i half-orders. Q_i changes polynomial degree parity by 2i,
+so on a level of uniform parity a component of the level's degree parity
+re-enters the level at most floor(R/2) times (each re-entry costs an even
+number of half-orders), one of the other parity at most floor((R + 1)/2)
+times (the first costs an odd number), and on a mixed level at most R times.
+With L that count, the component keeps the powers p <= L - 1. A dropped term
+never flows into a kept one: the path joining them would let the kept one
+re-enter the level more often than its own bound allows. So every kept slot
+sums the same contributions in the same order as without the truncation, and
+the images are the same, bit for bit in float mode. ``q_action`` checks the
+parity rule on every image it caches.
 
 The image at a smaller budget b is a prefix of the full one: the recursion
 for budget b runs the same operations on the w-powers it keeps, and the
@@ -28,8 +43,9 @@ far, returning its orders <= b for any smaller budget b. The law checks of
 ``projector_diagnostics`` first collect every (index, budget) they will read
 and compute each index once, at the largest of its budgets.
 
-All of this runs on one integer kernel, ``HermiteVec``: integer numerators
-over one shared denominator. Q_j images and the powers of 1/(E0 - E) are kept
+All of this runs on one integer kernel, ``HermiteVec``: integer numerators,
+keyed by basis position (``HermiteBasis.position``), over one shared
+denominator. Q_j images and the powers of 1/(E0 - E) are kept
 as integers, sums rescale only when a new denominator raises the common lcm,
 and each finished vector is reduced by one gcd. Float mode runs the same code
 over denominator 1. Coefficients become Fractions only where images leave the
@@ -60,6 +76,7 @@ __all__ = [
     "build_projector",
     "projector_diagnostics",
     "WorkspaceDegreeError",
+    "ParityRuleError",
     "graded_vecs_to_s0",
     "HermiteVec",
 ]
@@ -69,11 +86,16 @@ class WorkspaceDegreeError(RuntimeError):
     """An operator action left the tabulated polynomial space; the degree bound must grow."""
 
 
+class ParityRuleError(RuntimeError):
+    """Q_j moved a basis vector to a degree of the wrong parity; the resolvent
+    recursion's truncation relies on that parity rule."""
+
+
 @dataclass(slots=True)
 class HermiteVec:
     """Hermite coefficients as numerators over one shared denominator.
 
-    The coefficient at index i is ``num[i] / den`` with ``den`` a positive
+    The coefficient at basis position i is ``num[i] / den`` with ``den`` a positive
     integer. Exact mode keeps integer numerators, so sums and scalings are
     integer products (the fraction-free idea of E. H. Bareiss, Math. Comp. 22
     (1968) 565, applied to accumulation); float mode keeps complex numerators
@@ -117,8 +139,8 @@ class HermiteVec:
             num[idx] = get(idx, 0) + f * m
         return self
 
-    def add_entry(self, idx: HermiteIndex, n, d: int = 1) -> None:
-        """Add ``n / d`` at one index."""
+    def add_entry(self, idx: int, n, d: int = 1) -> None:
+        """Add ``n / d`` at one position."""
         if self.den % d:
             self.den = grow_den(self.num, self.den, d)
         self.num[idx] = self.num.get(idx, 0) + n * (self.den // d)
@@ -151,8 +173,13 @@ def graded_vecs_to_s0(basis: HermiteBasis, index: HermiteIndex, vecs: Mapping,
     ``index`` into a power-counted series with offset K = |alpha|/2: the
     series' degree check certifies the projector's bound deg <= |alpha| + 2j."""
     K = HalfInt(index.degree)
+    index_at = basis.index_at
+
+    def synthesized(vec: HermiteVec):
+        return basis.synthesize({index_at[p]: c for p, c in vec.coeffs().items()})
+
     return S0Series(basis.mode, basis.n, basis.rank, K,
-                    {K + j: basis.synthesize(vec.coeffs()) for j, vec in vecs.items()}, trunc)
+                    {K + j: synthesized(vec) for j, vec in vecs.items()}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -167,35 +194,48 @@ class ProjectorEngine:
         self.family = family
         self.basis = basis
         self.level = level
+        # (j.doubled, position) -> Q_j applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
-        # index -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
-        self._gap_powers: dict[HermiteIndex, list] = {}
-        self._level_set = set(level.members)
+        # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
+        self._gap_powers: dict[int, list] = {}
+        self._level_set = {basis.position(m) for m in level.members}
+        # degree parity of the level (None when mixed): it sets the truncation
+        self._parity = {"even": 0, "odd": 1}.get(level.parity)
 
     # -- model operator pieces in the eigenbasis
 
-    def q_action(self, j: HalfInt, index: HermiteIndex) -> HermiteVec:
-        """Q_j applied to the basis vector at ``index``, in the basis
-        (``HermiteBasis.apply``), cached per (j, index). Raises
-        ``WorkspaceDegreeError`` when the image leaves the workspace."""
-        key = (j, index)
+    def q_action(self, j: HalfInt, pos: int) -> HermiteVec:
+        """Q_j applied to the basis vector at position ``pos``, in the basis
+        (``HermiteBasis.apply``), cached per (j, pos). Raises
+        ``WorkspaceDegreeError`` when the image leaves the workspace and
+        ``ParityRuleError`` when an entry's degree differs from deg + 2j by
+        an odd number."""
+        key = (j.doubled, pos)
         hit = self._q_cache.get(key)
         if hit is not None:
             return hit
-        out = HermiteVec(self.mode, *self.basis.apply(self.family.get(j), index))
-        top = max((i.degree for i in out.num), default=0)
+        out = HermiteVec(self.mode, *self.basis.apply(self.family.get(j), pos))
+        degree_at = self.basis.degree_at
+        degrees = [degree_at[i] for i in out.num]
+        top = max(degrees, default=0)
         if top > self.basis.degree:
             raise WorkspaceDegreeError(
                 f"operator action at order {j} reaches degree {top}, beyond the "
                 f"degree-{self.basis.degree} workspace; enlarge the polynomial degree bound")
+        shift = degree_at[pos] + j.doubled
+        if any((d - shift) % 2 for d in degrees):
+            raise ParityRuleError(
+                f"operator at order {j} maps {self.basis.index_at[pos]} to a degree of parity "
+                f"other than {shift % 2}; Q_j must change degree parity by 2j")
         self._q_cache[key] = out
         return out
 
-    def _gap_series(self, idx: HermiteIndex, count: int) -> list:
+    def _gap_series(self, idx: int, count: int) -> list:
         """The first ``count`` pairs (a_s, b_s) of the geometric series in w of 1/(E0 - E + w)."""
         pows = self._gap_powers.get(idx)
         if pows is None or len(pows) < count:
-            p, q = self.mode.split(self.mode.one() / (self.level.E0 - self.basis.eigenvalue(idx)))
+            gap = self.level.E0 - self.basis.eigenvalue_at[idx]
+            p, q = self.mode.split(self.mode.one() / gap)
             pows, a, b = [], p, q
             for s in range(count):
                 pows.append((-a if s % 2 else a, b))
@@ -205,17 +245,29 @@ class ProjectorEngine:
 
     # -- Laurent states: dict[int w-power -> HermiteVec]
 
-    def _resolvent_factor(self, state: dict, pmax: int) -> dict:
-        """Multiply a Laurent state by G0(E0 + w), componentwise in the basis."""
+    def _resolvent_factor(self, state: dict, remaining: int) -> dict:
+        """Multiply a Laurent state by G0(E0 + w), componentwise in the basis,
+        keeping at each position the w-powers p <= L - 1 that can still reach
+        the residue with ``remaining`` half-orders left (module docstring)."""
         mode = self.mode
+        level_set, degree_at = self._level_set, self.basis.degree_at
+        # L, indexed by the parity of (degree - level degree)
+        if self._parity is None:
+            bound, parity = (remaining, remaining), 0
+        else:
+            bound, parity = (remaining // 2, (remaining + 1) // 2), self._parity
         out: dict[int, HermiteVec] = {}
         for power, vec in state.items():
             den = vec.den
             for idx, n in vec.num.items():
-                if idx in self._level_set:
-                    _slot(out, power - 1, mode).add_entry(idx, n, den)
+                top = bound[(degree_at[idx] ^ parity) & 1]
+                if idx in level_set:
+                    if power <= top:
+                        _slot(out, power - 1, mode).add_entry(idx, n, den)
                     continue
-                count = pmax - power + 1
+                count = top - power
+                if count <= 0:
+                    continue
                 pows = self._gap_series(idx, count)
                 for s in range(count):
                     a, b = pows[s]
@@ -224,24 +276,28 @@ class ProjectorEngine:
 
     def _apply_q(self, j: HalfInt, state: dict, out: dict) -> dict:
         """Add Q_j applied to every vector of ``state`` into ``out`` under the same key."""
+        cache, jd = self._q_cache, j.doubled
         for key, vec in state.items():
             acc = _slot(out, key, self.mode)
             for idx, n in vec.num.items():
-                acc.add(self.q_action(j, idx), n, vec.den)
+                qv = cache.get((jd, idx))
+                acc.add(qv if qv is not None else self.q_action(j, idx), n, vec.den)
         return out
 
-    def images(self, index: HermiteIndex, budget: HalfInt) -> dict:
-        """The order-j coefficients, 0 <= j <= budget, of the projected basis vector.
+    def images(self, pos: int, budget: HalfInt) -> dict:
+        """The order-j coefficients, 0 <= j <= budget, of the projected basis
+        vector at position ``pos``.
 
         Runs the graded recursion T_s = G0 sum_i Q_i T_{s-i} from T_0 = G0 e,
-        dropping w-powers above the remaining budget (they cannot reach the
-        residue), and returns {j: residue of T_j} for the nonzero residues.
+        dropping the w-powers that cannot reach the residue within the
+        remaining budget, and returns {j: residue of T_j} for the nonzero
+        residues.
         """
         parts = [i for i in self.family.orders() if HI0 < i <= budget]
         states: dict[HalfInt, dict] = {}
         out: dict[HalfInt, HermiteVec] = {}
         for s in half_range(HI0, budget):
-            summed = {0: HermiteVec.of(self.mode, {index: self.mode.one()})} if s == HI0 else {}
+            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == HI0 else {}
             for i in parts:
                 if i > s:
                     break
@@ -261,8 +317,8 @@ class ProjectorEngine:
 class ProjectorSeries:
     """Action table of the level projector, order by order.
 
-    ``image(index)`` returns the graded coefficients of the projected basis
-    vector as ``HermiteVec``s; images are computed lazily and
+    ``image(pos)`` returns the graded coefficients of the projected basis
+    vector at a basis position as ``HermiteVec``s; images are computed lazily and
     cached, so the table covers whatever the caller touches. At order zero
     the action is the identity on the level members and zero elsewhere.
 
@@ -277,25 +333,26 @@ class ProjectorSeries:
     order: HalfInt
 
     def __post_init__(self):
-        self._images: dict[HermiteIndex, tuple[HalfInt, dict]] = {}
+        self._images: dict[int, tuple[HalfInt, dict]] = {}
 
     @property
     def basis(self) -> HermiteBasis:
         return self.engine.basis
 
-    def image(self, index: HermiteIndex) -> dict:
-        return self._image(index, self.order)
+    def image(self, pos: int) -> dict:
+        return self._image(pos, self.order)
 
-    def _image(self, index: HermiteIndex, budget: HalfInt) -> dict:
-        hit = self._images.get(index)
+    def _image(self, pos: int, budget: HalfInt) -> dict:
+        hit = self._images.get(pos)
         if hit is None or hit[0] < budget:
-            hit = self._images[index] = (budget, self.engine.images(index, budget))
+            hit = self._images[pos] = (budget, self.engine.images(pos, budget))
         if hit[0] == budget:
             return hit[1]
         return {j: vec for j, vec in hit[1].items() if j <= budget}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
-        return graded_vecs_to_s0(self.basis, index, self.image(index), self.order)
+        return graded_vecs_to_s0(self.basis, index, self.image(self.basis.position(index)),
+                                 self.order)
 
     def apply_graded(self, vecs: Mapping) -> dict:
         """Apply to sum_j h^j vec_j, truncating at the built order."""
@@ -375,10 +432,12 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     N = proj.order
     probes = sorted({idx for idx in basis.indices(level.K.doubled + 2)
                      if idx.degree <= level.K.doubled + 2} | set(level.members))
+    pos = {idx: basis.position(idx) for idx in probes}
+    degree_at = basis.degree_at
     orders = [i for i in engine.family.orders() if i <= N]
-    imgs = {idx: proj.image(idx) for idx in probes}
-    qh = {idx: {i: engine.q_action(i, idx) for i in orders} for idx in probes}
-    lowest: dict[HermiteIndex, HalfInt] = {}
+    imgs = {idx: proj.image(pos[idx]) for idx in probes}
+    qh = {idx: {i: engine.q_action(i, pos[idx]) for i in orders} for idx in probes}
+    lowest: dict[int, HalfInt] = {}
     for idx in probes:
         for j, vec in (*imgs[idx].items(), *qh[idx].items()):
             for midx in vec.num:
@@ -394,9 +453,9 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
         # degree bound and parity of each coefficient
         for j, vec in img.items():
             for midx in vec.num:
-                if midx.degree > idx.degree + j.doubled:
+                if degree_at[midx] > idx.degree + j.doubled:
                     degree_ok = False
-                if (midx.degree - idx.degree - j.doubled) % 2 != 0:
+                if (degree_at[midx] - idx.degree - j.doubled) % 2 != 0:
                     parity_ok = False
         # idempotency
         defect = proj.apply_graded(img)
@@ -444,7 +503,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
             if resid_t is None:
                 continue
             for member in members:
-                n = resid_t.num.get(member)
+                n = resid_t.num.get(pos[member])
                 if n is None or mode.is_zero(n):
                     continue
                 d = resid_t.den
@@ -460,7 +519,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
     rank = 0
     for member in members:
         lead = imgs[member].get(HI0, HermiteVec(mode))
-        n = lead.num.get(member)
+        n = lead.num.get(pos[member])
         if n is not None and mode.negligible(n - lead.den, lead.den):
             rank += 1
 

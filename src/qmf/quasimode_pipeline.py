@@ -413,8 +413,9 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     the construction the operator family, the basis of ``result.context`` and
     the projector engine's cached Q_j images (``q_action``: the table algebra
     of ``HermiteBasis.apply``, a function of the family and the basis alone),
-    and reads none of the resolvent recursion, the pairing or the pencil. The
-    basis's ``eigenvalue`` gives every model gap; no spectrum table is read.
+    and reads none of the resolvent recursion, the pairing or the pencil. It
+    keys vectors by basis position, as the engine does, and the basis's
+    ``eigenvalue_at`` gives every model gap; no spectrum table is read.
     That basis reaches degree 2K + 4N + 2 (2K the member degree, N the
     order), which covers every vector the recursion builds. The returned
     series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
@@ -426,8 +427,8 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     if level.m0 != 1:
         raise DegenerateLevelError(
             f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
-    member = level.members[0]
     basis, engine = ctx.basis, ctx.projector.engine
+    member = basis.position(level.members[0])
     e0_val = level.E0
 
     def q_vec(j: HalfInt, vec: dict) -> dict:
@@ -463,7 +464,7 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
         for idx, c in rhs.items():
             if idx == member or mode.is_zero(c):
                 continue
-            e_idx = basis.eigenvalue(idx)
+            e_idx = basis.eigenvalue_at[idx]
             if mode.close(e_idx, e0_val):
                 raise DegenerateLevelError(
                     "degeneracy met inside the recursion; the level is not isolated enough")

@@ -152,14 +152,15 @@ def test_apply_matches_elimination_on_families(source, order, degree):
     ffamily, _, fbasis = family_and_basis(source, "float", order, degree)
     for j in orders:
         for index in basis.indices(degree):
-            num, den = basis.apply(family.get(j), index)
-            got = {i: F(n, den) for i, n in num.items()}
+            num, den = basis.apply(family.get(j), basis.position(index))
+            got = {basis.index_at[i]: F(n, den) for i, n in num.items()}
             assert got == apply_by_elimination(basis, family.get(j), index), (j, index)
-            fnum, fden = fbasis.apply(ffamily.get(j), index)
-            assert fden == 1 and set(fnum) == set(got), (j, index)
+            fnum, fden = fbasis.apply(ffamily.get(j), fbasis.position(index))
+            fgot = {fbasis.index_at[i]: n for i, n in fnum.items()}
+            assert fden == 1 and set(fgot) == set(got), (j, index)
             scale = max(map(abs, got.values()), default=0)
             for i, c in got.items():
-                assert abs(fnum[i] - complex(c)) <= 1e-14 * scale, (j, index, i)
+                assert abs(fgot[i] - complex(c)) <= 1e-14 * scale, (j, index, i)
 
 
 class TestSpectrum:
@@ -195,7 +196,7 @@ class TestSpectrum:
         (float_mode(), (0.7, 1.3), (0.25, -1.5)),
     ], ids=["exact-n2", "exact-rank2", "float-n2-rank2"])
     def test_basis_eigenvalue_matches_table(self, mode, lam, mu):
-        # the projector and the RS oracle read HermiteBasis.eigenvalue; it
+        # the projector and the RS oracle read HermiteBasis.eigenvalue_at; it
         # must be the spectrum table's value on every index through degree 6
         lam = tuple(mode.coeff(l) for l in lam)
         mu = tuple(mode.coeff(m) for m in mu)
@@ -203,7 +204,7 @@ class TestSpectrum:
         basis = HermiteBasis(mode, lam, mu, 6)
         assert set(basis.indices()) == set(table.entries)
         for index in basis.indices():
-            assert basis.eigenvalue(index) == table.eigenvalue(index)
+            assert basis.eigenvalue_at[basis.position(index)] == table.eigenvalue(index)
 
 
 class TestDegenerateLevel:

@@ -503,8 +503,8 @@ class TestHermiteAction:
             op, _ = build_case(mode, case, value)
             basis = HermiteBasis(mode, tuple(map(mode.coeff, lam[:n])), (mode.zero(),) * rank,
                                  degree)
-            num, den = basis.apply(op, index)
-            return basis, op, {i: mode.join(c, den) for i, c in num.items()}
+            num, den = basis.apply(op, basis.position(index))
+            return basis, op, {basis.index_at[i]: mode.join(c, den) for i, c in num.items()}
 
         basis, op, got = action(EXACT)
         want = apply_by_elimination(basis, op, index)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 from fractions import Fraction
 from math import gcd
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qmf.series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, half_range
 from qmf.operator_calculus import (
+    DiffOpJet,
     JetProblem,
     conjugate_hamiltonian,
     rescale_operator,
@@ -26,8 +28,11 @@ from qmf.quasimode_pipeline import compute_quasimodes
 from qmf.cli_io import preset_problem, run_command
 from qmf.projection_engine import (
     HermiteVec,
+    ParityRuleError,
     ProjectorEngine,
     WorkspaceDegreeError,
+    _reduced,
+    _slot,
     build_projector,
     projector_diagnostics,
 )
@@ -74,12 +79,13 @@ def compositions(n):
             yield [first] + rest
 
 
-def composition_sum_image(engine, j, index, budget):
-    """Order-j image as the residue sum of single chains G0 Q_{j_1} G0 ... Q_{j_k} G0."""
+def composition_sum_image(engine, j, pos, budget):
+    """Order-j image at a basis position as the residue sum of single chains
+    G0 Q_{j_1} G0 ... Q_{j_k} G0."""
     total = {}
     for comp in compositions(j.doubled):
         spent = 0
-        state = engine._resolvent_factor({0: vec({index: F(1)})}, budget.doubled)
+        state = engine._resolvent_factor({0: vec({pos: F(1)})}, budget.doubled)
         for part in reversed(comp):
             spent += part
             state = engine._resolvent_factor(engine._apply_q(HalfInt(part), state, {}),
@@ -99,7 +105,8 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
         level-level block:     P_j = -sum_{0<i<j} P_i P_{j-i}
         other equal-eigenvalue blocks:  P_j = +sum_{0<i<j} P_i P_{j-i}
 
-    Returns {order -> {column index -> HermiteVec}} on the covered columns.
+    Columns and rows are basis positions. Returns {order -> {column position
+    -> HermiteVec}} on the covered columns.
     Internally the recursion works on an enlarged column set (degrees up to
     cover degree + 2*order) so the matrix products are closed; the basis
     degree bound must accommodate one further application of the family.
@@ -107,26 +114,27 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
     mode = basis.mode
     order = HalfInt.of(order)
     requested = sorted(set(cover))
-    max_deg = max((idx.degree for idx in requested), default=0)
+    max_deg = max((basis.degree_at[col] for col in requested), default=0)
     # per-order column sets: at order j the remaining budget can raise the
     # degree by at most (order - j).doubled, which keeps every product closed
     def columns_at(j: HalfInt) -> list:
         bound = min(max_deg + (order - j).doubled, basis.degree)
-        return basis.indices(bound)
+        return [basis.position(idx) for idx in basis.indices(bound)]
 
     engine = ProjectorEngine(family, basis, level)
-    level_set = set(level.members)
-    eig = basis.eigenvalue
+    level_set = {basis.position(m) for m in level.members}
+    eig = basis.eigenvalue_at.__getitem__
 
     def mat_mul(a: Mapping, b: Mapping) -> dict:
-        out: dict[HermiteIndex, HermiteVec] = {}
+        out: dict[int, HermiteVec] = {}
         for col, vec in b.items():
             acc = out[col] = HermiteVec(mode)
             for mid, n in vec.num.items():
                 avec = a.get(mid)
                 if avec is None:
                     raise WorkspaceDegreeError(
-                        f"block recursion needs column {mid} outside its internal cover")
+                        f"block recursion needs column {basis.index_at[mid]} outside its "
+                        f"internal cover")
                 acc.add(avec, n, vec.den)
         return {col: vec for col, vec in out.items() if vec.reduce()}
 
@@ -149,7 +157,7 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
         for i in half_range(HalfInt(1), j - HalfInt(1)):
             for col, vec in mat_mul(p[i], {col: p[j - i][col] for col in cols}).items():
                 cross[col].add(vec)
-        pj_new: dict[HermiteIndex, HermiteVec] = {}
+        pj_new: dict[int, HermiteVec] = {}
         for col in cols:
             e_col = eig(col)
             vec = HermiteVec(mode)
@@ -172,19 +180,20 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
 
 def assert_block_recursion_agrees(family, basis, level, N, cover):
     proj = build_projector(family, basis, level, N)
-    blocks = projector_by_block_recursion(family, basis, level, N, cover)
+    blocks = projector_by_block_recursion(family, basis, level, N,
+                                          [basis.position(idx) for idx in cover])
     for j, cols in blocks.items():
         for col, cvec in cols.items():
             want = proj.image(col).get(j, HermiteVec(EXACT))
-            assert cvec == want, (j, col)
+            assert cvec == want, (j, basis.index_at[col])
 
 
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
         _, family, basis, level, _ = setup_problem()
         engine = ProjectorEngine(family, basis, level)
-        h0 = HermiteIndex((0,), 0)
-        h2 = HermiteIndex((2,), 0)
+        h0 = basis.position(HermiteIndex((0,), 0))
+        h2 = basis.position(HermiteIndex((2,), 0))
         assert engine.images(h0, HI0) == {HI0: vec({h0: F(1)})}
         assert engine.images(h2, HI0) == {}
 
@@ -194,9 +203,9 @@ class TestChainResidues:
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         engine = ProjectorEngine(family, basis, level)
-        h0 = HermiteIndex((0,), 0)
+        h0 = basis.position(HermiteIndex((0,), 0))
         got = engine.images(h0, HalfInt(4))[HalfInt(1)]
-        assert got == vec({HermiteIndex((1,), 0): F(-c, 2)})
+        assert got == vec({basis.position(HermiteIndex((1,), 0)): F(-c, 2)})
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
         # for h outside the level the order-1/2 image is -P0 Q S h - S Q P0 h;
@@ -204,17 +213,17 @@ class TestChainResidues:
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         engine = ProjectorEngine(family, basis, level)
-        h1 = HermiteIndex((1,), 0)
+        h1 = basis.position(HermiteIndex((1,), 0))
         got = engine.images(h1, HalfInt(4))[HalfInt(1)]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
-        assert got.coeffs().get(HermiteIndex((0,), 0)) == F(-c, 2)
+        assert got.coeffs().get(basis.position(HermiteIndex((0,), 0))) == F(-c, 2)
 
     def test_pure_harmonic_has_no_corrections(self):
         _, family, basis, level, _ = setup_problem()
         proj = build_projector(family, basis, level, HalfInt(6))
-        img = proj.image(HermiteIndex((0,), 0))
+        img = proj.image(basis.position(HermiteIndex((0,), 0)))
         assert list(img) == [HI0]
 
     def test_workspace_guard(self):
@@ -223,7 +232,7 @@ class TestChainResidues:
         small_basis = HermiteBasis(EXACT, (F(1),), (F(0),), 2)
         engine = ProjectorEngine(family, small_basis, level)
         with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
-            engine.images(HermiteIndex((2,), 0), HalfInt(4))
+            engine.images(small_basis.position(HermiteIndex((2,), 0)), HalfInt(4))
 
 
 class TestProjectorLaws:
@@ -241,7 +250,7 @@ class TestProjectorLaws:
         _, family, basis, level, omega = setup_problem(
             None, lam=(1, 1), E0=4, N=HalfInt(2))
         proj = build_projector(family, basis, level, HalfInt(2))
-        for m in level.members:
+        for m in map(basis.position, level.members):
             assert proj.image(m) == {HI0: vec({m: F(1)})}
 
     def test_block_recursion_agrees_with_residues(self):
@@ -267,10 +276,11 @@ class TestProjectorLaws:
             poly1({2: 1, 3: 1}), D=12, N=N)
         engine = ProjectorEngine(family, basis, level)
         for idx in basis.indices(2):
-            images = engine.images(idx, N)
+            pos = basis.position(idx)
+            images = engine.images(pos, N)
             for j in half_range(HI0, HalfInt(6)):
                 got = images[j].coeffs() if j in images else {}
-                assert got == composition_sum_image(engine, j, idx, N), (j, idx)
+                assert got == composition_sum_image(engine, j, pos, N), (j, idx)
 
     def test_rank2_mixed_level_laws(self):
         N = HalfInt(3)
@@ -283,7 +293,7 @@ class TestProjectorLaws:
         assert report.passed(), report
 
 
-INDICES = st.builds(HermiteIndex, st.tuples(st.integers(0, 5)), st.integers(0, 1))
+INDICES = st.integers(0, 11)
 FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=36)
 SPARSE = st.dictionaries(INDICES, FRACTIONS, max_size=6)
 COMPLEXES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -355,12 +365,13 @@ class TestBudgetPrefix:
         proj, _ = preset_projector(preset, order, mode_name)
         engine, N = proj.engine, proj.order
         for idx in proj.basis.indices(6):
-            full = proj.image(idx)
+            pos = proj.basis.position(idx)
+            full = proj.image(pos)
             for b in half_range(HI0, N - HalfInt(1)):
                 want = {j: vec for j, vec in full.items() if j <= b}
-                assert engine.images(idx, b) == want, (idx, b)
-                assert proj._image(idx, b) == want, (idx, b)
-            assert full == engine.images(idx, N), idx
+                assert engine.images(pos, b) == want, (idx, b)
+                assert proj._image(pos, b) == want, (idx, b)
+            assert full == engine.images(pos, N), idx
 
     def test_diagnostics_ask_for_budgets_below_the_order(self):
         proj, omega = preset_projector("cubic1d", 4)
@@ -399,16 +410,19 @@ class TestDiagnosticsComputeEachImageOnce:
 
 def test_float_q_action_support_equals_exact():
     # float rounding must leave no entry where exact arithmetic cancels to zero
+    # (positions are each basis's own, so both caches are read as indices)
     caches = {}
     for mode_name in ("exact", "float"):
         spec = preset_problem("iso2d", mode_name, HalfInt(5))
         ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
-        caches[mode_name] = ctx.projector.engine._q_cache
+        index_at = ctx.basis.index_at
+        caches[mode_name] = {(j, index_at[pos]): {index_at[i] for i in vec.num}
+                             for (j, pos), vec in ctx.projector.engine._q_cache.items()}
     exact, flt = caches["exact"], caches["float"]
     assert exact.keys() == flt.keys()
-    for key, vec in exact.items():
-        assert set(flt[key].num) == set(vec.num), key
-    assert sum(len(v.num) for v in flt.values()) == sum(len(v.num) for v in exact.values())
+    for key, support in exact.items():
+        assert flt[key] == support, key
+    assert sum(map(len, flt.values())) == sum(map(len, exact.values()))
 
 
 def test_verify_applies_only_operators_of_the_family(monkeypatch):
@@ -429,4 +443,87 @@ def test_verify_applies_only_operators_of_the_family(monkeypatch):
     assert engines
     for engine in engines:
         assert engine._q_cache
-        assert {j for j, _ in engine._q_cache} <= engine.family.ops.keys()
+        assert {HalfInt(j) for j, _ in engine._q_cache} <= engine.family.ops.keys()
+
+
+class UntruncatedEngine(ProjectorEngine):
+    """The recursion before the parity truncation: every component keeps the
+    w-powers up to the remaining half-orders, 2(budget - s), the level members
+    all of theirs. The oracle of the truncated ``_resolvent_factor``."""
+
+    def _resolvent_factor(self, state: dict, pmax: int) -> dict:
+        mode = self.mode
+        out: dict[int, HermiteVec] = {}
+        for power, vec in state.items():
+            den = vec.den
+            for idx, n in vec.num.items():
+                if idx in self._level_set:
+                    _slot(out, power - 1, mode).add_entry(idx, n, den)
+                    continue
+                count = pmax - power + 1
+                pows = self._gap_series(idx, count)
+                for s in range(count):
+                    a, b = pows[s]
+                    _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
+        return _reduced(out)
+
+
+def _bits(images: dict) -> dict:
+    """Float images as the hex of every numerator's parts."""
+    return {j: (vec.den, {i: (n.real.hex(), n.imag.hex()) for i, n in vec.num.items()})
+            for j, vec in images.items()}
+
+
+class TestParityTruncation:
+    @pytest.mark.parametrize("preset,order,mode_name", [
+        ("cubic1d", 6, "exact"), ("quartic1d", 8, "exact"), ("witten1d", 9, "exact"),
+        ("iso2d", 4, "exact"), ("rank2", 4, "exact"), ("iso2d", 5, "float")])
+    def test_images_equal_the_untruncated_recursion(self, preset, order, mode_name):
+        # exact images equal; float ones bit for bit, on the level members and
+        # every probe of projector_diagnostics (degree <= 2K + 2)
+        proj, _ = preset_projector(preset, order, mode_name)
+        engine, basis, level, N = proj.engine, proj.basis, proj.engine.level, proj.order
+        oracle = UntruncatedEngine(engine.family, basis, level)
+        probes = set(basis.indices(level.K.doubled + 2)) | set(level.members)
+        for idx in sorted(probes):
+            pos = basis.position(idx)
+            got, want = engine.images(pos, N), oracle.images(pos, N)
+            if mode_name == "float":
+                got, want = _bits(got), _bits(want)
+            assert got == want, idx
+
+    def test_truncation_drops_powers(self):
+        # the truncated recursion carries fewer (w-power, index) entries
+        proj, _ = preset_projector("cubic1d", 6)
+        engine = proj.engine
+        oracle = UntruncatedEngine(engine.family, proj.basis, engine.level)
+        pos = proj.basis.position(engine.level.members[0])
+        entries = {}
+        for eng in (engine, oracle):
+            counts = entries[eng] = []
+            factor = eng._resolvent_factor
+
+            def counting(state, remaining, factor=factor, counts=counts):
+                out = factor(state, remaining)
+                counts.append(sum(len(v.num) for v in out.values()))
+                return out
+
+            eng._resolvent_factor = counting
+            eng.images(pos, proj.order)
+        assert sum(entries[engine]) < sum(entries[oracle])
+
+    def test_guard_rejects_a_degree_preserving_half_order_term(self):
+        # y d keeps the degree of p_m; at order 1/2 it breaks the parity rule
+        # the truncation relies on, and q_action must refuse it
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
+        y = Poly.monomial(EXACT, 1, (1,), 1)
+        half = HalfInt(1)
+        bad = dataclasses.replace(
+            family, ops={**family.ops, half: family.get(half) + DiffOpJet(EXACT, 1, 1,
+                                                                           {(1,): ((y,),)})})
+        engine = ProjectorEngine(bad, basis, level)
+        with pytest.raises(ParityRuleError, match="parity"):
+            engine.images(basis.position(level.members[0]), HalfInt(4))
+        # the unmodified family passes the same guard
+        assert ProjectorEngine(family, basis, level).images(
+            basis.position(level.members[0]), HalfInt(4))
