@@ -4,7 +4,9 @@ The spec file is a line-oriented sectioned format: ``[section]`` headers,
 ``key = value`` pairs, and whitespace-separated data rows. Exact coefficients
 are written as integers or fraction strings ``p/q``; decimal literals are
 accepted in float mode only. Unknown sections or keys are rejected with the
-offending line and column.
+offending line and column. The file describes the problem only: its
+``[checks]`` section holds just ``tolerance``, the float mode's relative
+tolerance. Which checks run is chosen by ``verify --checks`` alone.
 
 Commands (exit 0 success, 1 input error, 2 check failure):
 
@@ -12,7 +14,7 @@ Commands (exit 0 success, 1 input error, 2 check failure):
                    [--level E0 | --level-index i] [--out out.json]
     qmf verify     ... --checks all | transport,parity,...
     qmf spectrum   ... --degree D
-    qmf crosscheck ... --hbar 0.2,0.1,0.05 --grid 4096 [--csv pts.csv]
+    qmf crosscheck ... [--hbar 0.2,0.1,0.05] --grid 4096 [--csv pts.csv]
 
 Result documents are JSON with schema 1: half-integer exponents appear as
 doubled integers, exact coefficients as fraction strings, so exact-mode
@@ -25,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, worst_residual
@@ -71,22 +73,18 @@ _KNOWN_SECTIONS = {"problem", "lambda", "potential", "metric_inverse",
                    "endomorphism", "connection", "level", "checks"}
 _PROBLEM_KEYS = {"n", "rank", "mode", "order", "degree"}
 _LEVEL_KEYS = {"value", "index"}
+_CHECK_KEYS = {"tolerance"}
 _CHECK_NAMES = ("transport", "parity", "orthonormality", "eigen_residual", "rs", "projector")
-_CHECK_KEYS = set(_CHECK_NAMES) | {"tolerance"}
-_DEFAULT_CHECKS = {"transport": True, "parity": True, "orthonormality": True,
-                   "eigen_residual": True, "rs": "auto", "projector": False}
 
 
 @dataclass
 class ParsedSpec:
-    """A validated problem plus the run directives carried by the file."""
+    """A validated problem plus the order and level the file names."""
 
     problem: JetProblem
-    mode_name: str
     order: HalfInt
     level_value: object | None
     level_index: int | None
-    checks: dict = field(default_factory=dict)
 
 
 def _parse_coeff(token: str, mode, line: int, col: int):
@@ -287,19 +285,6 @@ def parse_problem_spec(text: str) -> ParsedSpec:
             raise SpecFileError(f"level index must be nonnegative, got {level_index}",
                                 lk["index"][1])
 
-    checks = dict(_DEFAULT_CHECKS)
-    for key, (val, lineno) in keyvals.get("checks", {}).items():
-        if key == "tolerance":
-            continue
-        if key == "rs":
-            if val not in ("on", "off", "auto"):
-                raise SpecFileError("rs check must be on, off, or auto", lineno)
-            checks[key] = {"on": True, "off": False, "auto": "auto"}[val]
-        else:
-            if val not in ("on", "off", "true", "false"):
-                raise SpecFileError(f"check {key} must be on or off", lineno)
-            checks[key] = val in ("on", "true")
-
     try:
         problem = JetProblem.create(
             mode, n, rank, degree, lam,
@@ -308,8 +293,8 @@ def parse_problem_spec(text: str) -> ParsedSpec:
     except ProblemValidationError as exc:
         raise SpecFileError(str(exc)) from exc
 
-    return ParsedSpec(problem=problem, mode_name=mode_name, order=order,
-                      level_value=level_value, level_index=level_index, checks=checks)
+    return ParsedSpec(problem=problem, order=order,
+                      level_value=level_value, level_index=level_index)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +406,7 @@ def preset_problem(spec: str, mode_name: str = "exact",
         problem = JetProblem.create(mode, problem.n, problem.rank, order.doubled + 4,
                                     problem.lam, V=problem.V, g_inv=problem.g_inv,
                                     W=problem.W, Gamma=problem.Gamma)
-    return ParsedSpec(problem=problem, mode_name=mode_name, order=order,
-                      level_value=e0, level_index=index, checks=dict(_DEFAULT_CHECKS))
+    return ParsedSpec(problem=problem, order=order, level_value=e0, level_index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +423,7 @@ def result_document(spec: ParsedSpec, result, reports=None) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": _version()},
-        "mode": spec.mode_name,
+        "mode": mode.name,
         "order_doubled": result.order.doubled,
         "problem": {
             "n": spec.problem.n,
@@ -500,7 +484,7 @@ def _load_spec(args) -> ParsedSpec:
     elif getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = parse_problem_spec(fh.read())
-        if args.mode and args.mode != spec.mode_name:
+        if args.mode and args.mode != spec.problem.mode.name:
             raise SpecFileError("--mode conflicts with the spec file's mode; edit the file")
         if args.order:
             spec.order = _parse_order(args.order)
@@ -521,20 +505,22 @@ def _compute(spec: ParsedSpec):
                               level_index=spec.level_index)
 
 
-def _run_checks(spec: ParsedSpec, result) -> list:
+def _run_checks(result, names) -> list:
+    """The reports of the named checks, in report order. ``"all"`` names
+    every check that applies: rs only on a simple level."""
+    if names == "all":
+        names = set(_CHECK_NAMES) - ({"rs"} if result.level.m0 > 1 else set())
     reports = []
-    checks = spec.checks
-    mode = spec.problem.mode
-    if checks.get("transport", True):
+    mode = result.context.problem.mode
+    if "transport" in names:
         reports.append(transport_residual(result))
-    if checks.get("eigen_residual", True):
+    if "eigen_residual" in names:
         reports.append(eigen_residual(result))
-    if checks.get("orthonormality", True):
+    if "orthonormality" in names:
         reports.append(orthonormality_report(result))
-    if checks.get("parity", True):
+    if "parity" in names:
         reports.append(result.context.parity)
-    rs_flag = checks.get("rs", "auto")
-    if rs_flag is True or (rs_flag == "auto" and result.level.m0 == 1):
+    if "rs" in names:
         oracle = rs_oracle(result)
         inner = result.eigenvalues[0].shift(HalfInt(-2))
         N = result.order
@@ -544,7 +530,7 @@ def _run_checks(spec: ParsedSpec, result) -> list:
             name="rs_oracle", passed=mode.negligible(worst, 1), order=N,
             max_residual=float(worst),
             detail="pipeline eigenvalue equals the perturbation recursion"))
-    if checks.get("projector", False):
+    if "projector" in names:
         ctx = result.context
         rep = projector_diagnostics(ctx.projector, ctx.omega)
         reports.append(VerificationReport(
@@ -586,6 +572,8 @@ def _check_numbers(args) -> None:
         return
     if args.grid < 3:
         raise ValueError(f"--grid must be an integer of at least 3, got {args.grid}")
+    if args.hbar is None:
+        return
     try:
         hbars = [float(t) for t in args.hbar.split(",")]
     except ValueError:
@@ -633,13 +621,15 @@ def run_command(argv) -> int:
     p_verify = sub.add_parser("verify", help="compute and run verification checks")
     common(p_verify)
     p_verify.add_argument("--checks", default="all", type=_check_names,
-                          help="all or a comma list: " + ",".join(_CHECK_NAMES))
+                          help="all (every check that applies; rs on simple levels only) "
+                               "or a comma list: " + ",".join(_CHECK_NAMES))
     p_spec = sub.add_parser("spectrum", help="tabulate the model spectrum")
     common(p_spec)
     p_spec.add_argument("--degree", type=int, default=6)
     p_cross = sub.add_parser("crosscheck", help="numerical (sine-basis) eigenvalue comparison")
     common(p_cross)
-    p_cross.add_argument("--hbar", default="0.2,0.1,0.05")
+    p_cross.add_argument("--hbar", help="comma list of h values "
+                                        "(default 0.2,0.1,0.05 over 2k+1 at the k-th level)")
     p_cross.add_argument("--grid", type=int, default=4096,
                          help="largest sine-basis size the doubling may reach")
     p_cross.add_argument("--csv", help="write (hbar, error) pairs here")
@@ -675,13 +665,8 @@ def run_command(argv) -> int:
             result = _compute(spec)
             reports = []
         elif args.command == "verify":
-            if args.checks == "all":
-                spec.checks["projector"] = True
-            else:
-                for key in _CHECK_NAMES:
-                    spec.checks[key] = key in args.checks
             result = _compute(spec)
-            reports = _run_checks(spec, result)
+            reports = _run_checks(result, args.checks)
         else:  # crosscheck
             result = _compute(spec)
             rep = crosscheck_eigenvalue_1d(result, args.hbar, grid=args.grid)

@@ -146,7 +146,6 @@ class QuasimodeResult:
     rescaled: list            # S0Series (the blown-up eigenvectors)
     norm2_constants: list
     normalized: bool
-    mode_name: str
     context: PipelineContext
 
 
@@ -224,8 +223,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=eigen.norms2,
-                           normalized=eigen.normalized, mode_name=mode.name,
-                           context=ctx)
+                           normalized=eigen.normalized, context=ctx)
 
 
 def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> VerificationReport:
@@ -413,9 +411,10 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     the construction the operator family, the basis of ``result.context`` and
     the projector engine's cached Q_j images (``q_action``: the table algebra
     of ``HermiteBasis.apply``, a function of the family and the basis alone),
-    and reads none of the resolvent recursion, the pairing or the pencil. It
-    keys vectors by basis position, as the engine does, and the basis's
-    ``eigenvalue_at`` gives every model gap; no spectrum table is read.
+    and reads none of the resolvent recursion, the pairing or the pencil. Its
+    vectors are the engine's integer-numerator ``HermiteVec``s, keyed by basis
+    position and summed by ``_apply_q``, and the basis's ``eigenvalue_at``
+    gives every model gap; no spectrum table is read.
     That basis reaches degree 2K + 4N + 2 (2K the member degree, N the
     order), which covers every vector the recursion builds. The returned
     series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
@@ -430,52 +429,42 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     basis, engine = ctx.basis, ctx.projector.engine
     member = basis.position(level.members[0])
     e0_val = level.E0
-
-    def q_vec(j: HalfInt, vec: dict) -> dict:
-        acc = HermiteVec(mode)
-        for idx, c in vec.items():
-            acc.add(engine.q_action(j, idx), *mode.split(c))
-        return acc.reduce().coeffs()
-
-    parts = [j.doubled for j in engine.family.orders() if j > HI0]
-    psi = {0: {member: mode.one()}}
+    parts = [j for j in engine.family.orders() if j > HI0]
+    psi = {0: HermiteVec.of(mode, {member: mode.one()})}
     e_coeffs = {0: e0_val}
     for s in range(1, order.doubled + 1):
-        drive: dict = {}
-        for m in parts:
-            if m > s or s - m not in psi:
-                continue
-            contrib = q_vec(HalfInt(m), psi[s - m])
-            for idx, c in contrib.items():
-                drive[idx] = drive.get(idx, mode.zero()) + c
-        e_s = drive.get(member, mode.zero())
-        e_coeffs[s] = e_s
-        rhs: dict = {}
-        for idx, c in drive.items():
-            rhs[idx] = rhs.get(idx, mode.zero()) - c
+        drive = HermiteVec(mode)
+        for j in parts:
+            if j.doubled <= s:
+                engine._apply_q(j, {0: psi[s - j.doubled]}, {0: drive})
+        # psi_t has no member component for t >= 1 (intermediate
+        # normalization), so the member entry of the drive is E_s
         for t in range(1, s):
-            if mode.is_zero(e_coeffs.get(t, mode.zero())) or (s - t) not in psi:
-                continue
-            for idx, c in psi[s - t].items():
-                rhs[idx] = rhs.get(idx, mode.zero()) + e_coeffs[t] * c
-        # (Q0 - E0) psi_s = rhs, so componentwise (E_idx - E0) psi_idx = rhs_idx;
-        # the member component is dropped (intermediate normalization)
-        psi_s: dict = {}
-        for idx, c in rhs.items():
-            if idx == member or mode.is_zero(c):
+            if not mode.is_zero(e_coeffs[t]):
+                drive.add(psi[s - t], *mode.split(-e_coeffs[t]))
+        drive.reduce()
+        e_coeffs[s] = mode.join(drive.num.get(member, 0), drive.den)
+        # (Q0 - E0) psi_s = -drive, so componentwise psi_idx = drive_idx / (E0 - E_idx)
+        psi_s = HermiteVec(mode)
+        for idx, n in drive.num.items():
+            if idx == member:
                 continue
             e_idx = basis.eigenvalue_at[idx]
             if mode.close(e_idx, e0_val):
                 raise DegenerateLevelError(
                     "degeneracy met inside the recursion; the level is not isolated enough")
-            psi_s[idx] = c / (e_idx - e0_val)
-        psi[s] = psi_s
+            gn, gd = mode.split(1 / (e0_val - e_idx))
+            psi_s.add_entry(idx, n * gn, drive.den * gd)
+        psi[s] = psi_s.reduce()
     terms = {HalfInt(s): c for s, c in e_coeffs.items() if not mode.is_zero(c)}
     return FormalScalarSeries.from_terms(mode, terms, order)
 
 
 # ---------------------------------------------------------------------------
 # Numeric cross-check (1-D scalar)
+
+DECAY_THRESHOLD = 1e-14   # ground weight at the box's walls
+DEFAULT_HBARS = (0.2, 0.1, 0.05)   # at the bottom level; over 2k+1 at the k-th
 
 
 def _float_terms(poly: Poly) -> list:
@@ -524,13 +513,17 @@ def _sine_galerkin_eigenvalue(v_terms: list, w_terms: list, a: float, hbar: floa
     return float(np.linalg.eigvalsh(h)[k])
 
 
-def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], grid: int = 4096,
-                             decay_threshold: float = 1e-14) -> VerificationReport:
+def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | None = None,
+                             grid: int = 4096) -> VerificationReport:
     """Numerical eigenvalues of the 1-D operator against the truncated series.
+
+    Without ``hbars``, the h values are ``DEFAULT_HBARS`` divided by 2k + 1
+    at the level of the member's k: the k-th series is asymptotic only once
+    h (2k + 1) is small.
 
     A Galerkin solve in the Dirichlet sine basis of a box [-a, a] (reported
     as ``data["box"]``) sized so the ground weight has decayed below
-    ``decay_threshold`` (a ValueError if V does not confine it on some side
+    ``DECAY_THRESHOLD`` (a ValueError if V does not confine it on some side
     within |x| < 64). The basis starts at 64 sines and doubles until two
     sizes agree within 1e-9 max(|E|, h); E is taken at the larger one, which
     ``data["sizes"]`` records for each h (None where no two sizes up to
@@ -546,6 +539,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
     """
     import numpy as np
 
+    eig_index = result.level.members[0].alpha[0]
+    if hbars is None:
+        hbars = [h / (2 * eig_index + 1) for h in DEFAULT_HBARS]
     if len(set(hbars)) < 2 or not all(math.isfinite(h) and h > 0 for h in hbars):
         raise ValueError(f"the slope fit needs at least two distinct, finite, positive "
                          f"h values, got {list(hbars)}")
@@ -560,7 +556,7 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
 
     # box size from the integrated decay of the weight
     hb_max = max(hbars)
-    target = -math.log(decay_threshold) * hb_max
+    target = -math.log(DECAY_THRESHOLD) * hb_max
     a = 0.5
     while a < 64.0:
         phi_a, phi_ma = (float(abs(np.trapezoid(np.sqrt(np.maximum(_eval_on_grid(v_terms, xs), 0.0)),
@@ -574,9 +570,7 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float], gr
                              if phi < target)
         raise ValueError(
             f"the numerical cross-check needs a confining V: on the {sides} side "
-            f"the weight does not decay below {decay_threshold:g} within |x| < 64")
-    member = result.level.members[0]
-    eig_index = member.alpha[0]
+            f"the weight does not decay below {DECAY_THRESHOLD:g} within |x| < 64")
     if grid < eig_index + 3:
         raise ValueError(f"a basis of {grid} sines cannot resolve eigenvalue {eig_index}; "
                          f"it needs at least {eig_index + 3}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -29,7 +31,7 @@ def serialize_problem_spec(spec) -> str:
     """
     p = spec.problem
     mode = p.mode
-    out = ["[problem]", f"n = {p.n}", f"rank = {p.rank}", f"mode = {spec.mode_name}",
+    out = ["[problem]", f"n = {p.n}", f"rank = {p.rank}", f"mode = {mode.name}",
            f"order = {spec.order}", f"degree = {p.D}", "", "[lambda]"]
 
     def fmt(c):
@@ -76,13 +78,8 @@ def serialize_problem_spec(spec) -> str:
         out.append(f"index = {spec.level_index}")
     else:
         out.append("index = 0")
-    out += ["", "[checks]"]
-    for key in ("transport", "parity", "orthonormality", "eigen_residual", "projector"):
-        out.append(f"{key} = {'on' if spec.checks.get(key, False) else 'off'}")
-    rs = spec.checks.get("rs", "auto")
-    out.append(f"rs = {'auto' if rs == 'auto' else ('on' if rs else 'off')}")
     if mode.name == "float":
-        out.append(f"tolerance = {mode.rtol}")
+        out += ["", "[checks]", f"tolerance = {mode.rtol}"]
     return "\n".join(out) + "\n"
 
 
@@ -105,6 +102,24 @@ CUBIC = MINIMAL + """
 
 [level]
 value = 1
+"""
+
+# the iso2d preset's well: its level at 4 is doubly degenerate
+ISO2D = """
+[problem]
+n = 2
+rank = 1
+order = 2
+
+[lambda]
+1 1
+
+[potential]
+3 0  1
+1 2  1
+
+[level]
+value = 4
 """
 
 
@@ -133,6 +148,15 @@ class TestParsing:
     def test_unknown_key_with_location(self):
         with pytest.raises(SpecFileError, match="line 4"):
             parse_problem_spec("[problem]\nn = 1\nrank = 1\nbogus = 3\norder = 1\n[lambda]\n1\n")
+
+    @pytest.mark.parametrize("key", ["transport", "parity", "orthonormality",
+                                     "eigen_residual", "rs", "projector"])
+    def test_check_switches_are_unknown_keys(self, key):
+        # the command line alone chooses checks: ``verify --checks``
+        text = MINIMAL + f"\n[checks]\ntolerance = 1e-6\n{key} = off\n"
+        message = rf"unknown key '{key}' in \[checks\] \(line 13, col 1\)"
+        with pytest.raises(SpecFileError, match=message):
+            parse_problem_spec(text)
 
     def test_decimal_rejected_in_exact_mode(self):
         with pytest.raises(SpecFileError, match="float mode"):
@@ -253,6 +277,25 @@ class TestCommands:
         assert "[pass] transport" in out
         assert "[pass] projector" in out
 
+    @pytest.mark.parametrize("spec_text, names", [
+        (CUBIC, ["transport", "eigen_residual", "orthonormality", "parity", "rs_oracle",
+                 "projector"]),
+        (ISO2D, ["transport", "eigen_residual", "orthonormality", "parity", "projector"]),
+    ])
+    def test_verify_spec_runs_every_check_that_applies(self, tmp_path, spec_text, names):
+        # rs applies to a simple level only
+        path, out = tmp_path / "well.spec", tmp_path / "doc.json"
+        path.write_text(spec_text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["verify", "--spec", str(path), "--out", str(out)]) == 0
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] == names
+
+    def test_rs_on_a_degenerate_level_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "iso2d.spec"
+        path.write_text(ISO2D)
+        assert run_command(["verify", "--spec", str(path), "--checks", "rs"]) == 1
+        assert "level at 4 has multiplicity 2" in capsys.readouterr().err
+
     def test_verify_subset(self, capsys):
         rc = run_command(["verify", "--preset", "cubic1d", "--order", "2",
                           "--checks", "parity"])
@@ -284,18 +327,21 @@ class TestCommands:
         assert lines[0] == "hbar,error"
         assert len(lines) == 3
 
-    def test_crosscheck_of_an_excited_level(self, capsys):
-        # the odd level E0 = 3 is eigenvalue 1 of each sine-basis matrix
+    @pytest.mark.parametrize("index, slope", [(1, "3.794"), (3, "3.834")])
+    def test_crosscheck_of_an_excited_level(self, capsys, index, slope):
+        # level k is eigenvalue k of each sine-basis matrix; the default h
+        # values are 0.2, 0.1, 0.05 over 2k + 1 (at h = 0.2, 0.1, 0.05 level
+        # 3 fails with slope 3.477: not yet asymptotic)
         rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
-                          "--level-index", "1"])
+                          "--level-index", str(index)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "[pass] fd_crosscheck" in out
-        assert "log-log error slope 3.597 (required >= 3.5)" in out
+        assert f"log-log error slope {slope} (required >= 3.5)" in out
 
     def test_crosscheck_of_a_higher_level_at_small_hbar(self, capsys):
-        # level E0 = 7 is not yet asymptotic at the default h = 0.2 (slope
-        # 3.477 fails); from h = 0.05 down its series has the predicted rate
+        # an explicit --hbar is used as given: from h = 0.05 down level
+        # E0 = 7 has the predicted rate
         rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
                           "--level-index", "3", "--hbar", "0.05,0.025,0.0125"])
         assert rc == 0
