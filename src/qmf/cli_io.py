@@ -531,13 +531,7 @@ def _run_checks(result, names) -> list:
             max_residual=float(worst),
             detail="pipeline eigenvalue equals the perturbation recursion"))
     if "projector" in names:
-        ctx = result.context
-        rep = projector_diagnostics(ctx.projector, ctx.omega)
-        reports.append(VerificationReport(
-            name="projector", passed=rep.passed(), order=result.order,
-            max_residual=max(rep.idempotency_defect, rep.commutation_defect,
-                             rep.symmetry_defect, rep.rank_residual),
-            detail=f"rank {rep.rank}/{rep.rank_expected}"))
+        reports.append(projector_diagnostics(result.context.projector, result.context.omega))
     return reports
 
 

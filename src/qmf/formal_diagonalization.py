@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .series_algebra import (
@@ -113,12 +114,7 @@ class SeriesMatrix:
         return SeriesMatrix.from_rows(self.mode, [[e.truncate(t) for e in row] for row in self.entries])
 
     def truncation_order(self) -> HalfInt | None:
-        out = None
-        for row in self.entries:
-            for e in row:
-                if e.truncation_order is not None:
-                    out = e.truncation_order if out is None else min(out, e.truncation_order)
-        return out
+        return reduce(_min_trunc, (e.truncation_order for row in self.entries for e in row), None)
 
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
         return max((e.max_abs_coeff(through) for row in self.entries for e in row), default=0.0)
@@ -469,13 +465,10 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
     """
     mode = m_matrix.mode
     m = m_matrix.size
-    trunc = m_matrix.truncation_order()
-    if gram is not None:
-        gt = gram.truncation_order()
-        trunc = gt if trunc is None else (trunc if gt is None else min(trunc, gt))
     if through is not None:
         through = HalfInt.of(through)
-        trunc = through if trunc is None else min(trunc, through)
+    trunc = reduce(_min_trunc, (m_matrix.truncation_order(),
+                                None if gram is None else gram.truncation_order(), through))
     if trunc is None:
         raise ValueError("need a truncation order for the eigendecomposition")
     if gram is None:
@@ -498,11 +491,7 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
     # phase convention: largest-magnitude leading entry real positive
     fixed = []
     for col in vectors:
-        lead_order = None
-        for e in col:
-            o = e.order()
-            if o is not None and (lead_order is None or o < lead_order):
-                lead_order = o
+        lead_order = min((e.order() for e in col if not e.is_zero()), default=None)
         if lead_order is None:
             fixed.append(col)
             continue

@@ -34,6 +34,8 @@ from .series_algebra import (
     HalfInt,
     Poly,
     S0Series,
+    _min_trunc,
+    convolution_bound,
     grow_den,
     mono_degree,
 )
@@ -260,16 +262,10 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     real_field = mode.name == "exact"
     weights = [(m, omega.functional(m)) for m in omega.orders()]
 
-    ord_u = min((j - u.K for j in u.coeffs), default=HI0)
-    ord_v = min((j - v.K for j in v.coeffs), default=HI0)
-    cands = [omega.complete + ord_u + ord_v]
-    if u.truncation_order is not None:
-        cands.append(u.truncation_order + ord_v)
-    if v.truncation_order is not None:
-        cands.append(v.truncation_order + ord_u)
+    trunc = convolution_bound((u.truncation_order, u.order()), (v.truncation_order, v.order()),
+                              (omega.complete, HI0))
     if through is not None:
-        cands.append(HalfInt.of(through))
-    trunc = min(cands)
+        trunc = _min_trunc(trunc, HalfInt.of(through))
 
     # the fiber integrands summed by base order, so that each weight
     # functional reads every base order once

@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, isfinite, lcm
+from math import comb, inf, lcm
 from typing import Mapping
 
 from .series_algebra import (
@@ -32,8 +32,10 @@ from .series_algebra import (
     HI0,
     HalfInt,
     Poly,
+    S0Series,
     _min_trunc,
     _same_mode,
+    convolution_bound,
     half_range,
     mono_add,
     mono_degree,
@@ -146,16 +148,6 @@ def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
         out = out + term.scale(mode.coeff(coeff))
         k += 1
     return out
-
-
-def convolution_bound(ca: int | None, ord_a, cb: int | None, ord_b) -> int | None:
-    """Degree through which the product of jets A and B is exact:
-    min(c_A + ord B, c_B + ord A), where a jet is exact through c (None: at
-    every degree) and ord is its lowest degree (an infinite one counts as 0).
-    """
-    bounds = [c + (int(o) if isfinite(o) else 0)
-              for c, o in ((ca, ord_b), (cb, ord_a)) if c is not None]
-    return min(bounds, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +392,8 @@ class DiffOpJet:
         coefficient of d^key is formed only through degree complete + |key|,
         the graded degrees through which the product is exact."""
         _same_mode(self.mode, other.mode)
-        comp = convolution_bound(self.complete, self.min_degree(),
-                                 other.complete, other.min_degree())
+        comp = convolution_bound((self.complete, self.min_degree()),
+                                 (other.complete, other.min_degree()))
         terms: dict[tuple, PolyMat] = {}
         for beta, m in self.terms.items():
             for gamma_, nmat in other.terms.items():
@@ -736,14 +728,9 @@ class OperatorFamily:
 
     def apply_series(self, u, out_trunc=None):
         """Apply the whole family to a power-counted series, tracking truncation."""
-        from .series_algebra import S0Series
-
-        cands = [self.max_order + min((j - u.K for j in u.coeffs), default=HI0)]
-        if u.truncation_order is not None:
-            cands.append(u.truncation_order)
+        trunc = convolution_bound((self.max_order, HI0), (u.truncation_order, u.order()))
         if out_trunc is not None:
-            cands.append(HalfInt.of(out_trunc))
-        trunc = min(cands)
+            trunc = _min_trunc(trunc, HalfInt.of(out_trunc))
         coeffs: dict[HalfInt, FiberPoly] = {}
         for j_op in self.orders():
             op = self.ops[j_op]
@@ -771,15 +758,11 @@ def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:
     hbar2, hbar1 = conj.hbar2, conj.hbar1
     mode, n, rank = hbar2.mode, hbar2.n, hbar2.rank
     graded2, graded1 = hbar2.graded_pieces(), hbar1.graded_pieces()
-    cands = []
-    if hbar2.complete is not None:
-        cands.append(HalfInt(hbar2.complete + 2))
-    if hbar1.complete is not None:
-        cands.append(HalfInt(hbar1.complete))
-    if cands:
-        max_order = min(cands)
-    else:
-        max_order = HalfInt(max([d + 2 for d in graded2] + list(graded1) + [0]))
+    complete = _min_trunc(None if hbar2.complete is None else hbar2.complete + 2,
+                          hbar1.complete)
+    if complete is None:
+        complete = max([d + 2 for d in graded2] + list(graded1) + [0])
+    max_order = HalfInt(complete)
     ops: dict[HalfInt, DiffOpJet] = {}
     for j in half_range(HI0, max_order):
         piece = DiffOpJet.zero(mode, n, rank)

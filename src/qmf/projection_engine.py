@@ -72,7 +72,7 @@ from .harmonic_oscillator import DegenerateLevel, HermiteBasis, HermiteIndex
 
 __all__ = [
     "ProjectorSeries",
-    "ProjectorReport",
+    "VerificationReport",
     "build_projector",
     "projector_diagnostics",
     "WorkspaceDegreeError",
@@ -383,26 +383,16 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, level: Degenera
 
 
 @dataclass
-class ProjectorReport:
-    """Coefficientwise defects of the projector laws through the built order,
-    each relative to the two sides it compares in float mode (``mode.relative``)."""
+class VerificationReport:
+    """Outcome of one independent check; ``max_residual`` is relative to
+    the magnitudes the residual cancels in float mode (``mode.relative``)."""
 
-    mode: object
-    order: HalfInt
-    idempotency_defect: float
-    commutation_defect: float
-    symmetry_defect: float
-    rank: int
-    rank_expected: int
-    rank_residual: float
-    degree_bound_ok: bool
-    parity_ok: bool
-
-    def passed(self) -> bool:
-        laws = (self.idempotency_defect, self.commutation_defect, self.symmetry_defect,
-                self.rank_residual)
-        return (all(self.mode.negligible(d, 1) for d in laws)
-                and self.rank == self.rank_expected and self.degree_bound_ok and self.parity_ok)
+    name: str
+    passed: bool
+    order: HalfInt | None
+    max_residual: float
+    detail: str = ""
+    data: dict = field(default_factory=dict)
 
 
 def _max_abs(vecs: Iterable[HermiteVec]) -> float:
@@ -410,8 +400,8 @@ def _max_abs(vecs: Iterable[HermiteVec]) -> float:
     return max((vec.max_abs() for vec in vecs), default=0.0)
 
 
-def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> ProjectorReport:
-    """Machine check of the projector laws.
+def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> VerificationReport:
+    """The ``projector`` check: a machine check of the projector laws.
 
     Verifies, coefficientwise through the built order: idempotency, commutation
     with the full operator family, symmetry with respect to the pairing, the
@@ -523,15 +513,12 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Proj
         if n is not None and mode.negligible(n - lead.den, lead.den):
             rank += 1
 
-    return ProjectorReport(
-        mode=mode,
-        order=N,
-        idempotency_defect=float(worst_residual(mode, idem)),
-        commutation_defect=float(worst_residual(mode, comm)),
-        symmetry_defect=float(worst_residual(mode, sym)),
-        rank=rank,
-        rank_expected=level.m0,
-        rank_residual=float(worst_residual(mode, rank_res)),
-        degree_bound_ok=degree_ok,
-        parity_ok=parity_ok,
-    )
+    defects = {name: float(worst_residual(mode, pairs))
+               for name, pairs in (("idempotency_defect", idem), ("commutation_defect", comm),
+                                   ("symmetry_defect", sym), ("rank_residual", rank_res))}
+    worst = max(defects.values())
+    return VerificationReport(
+        name="projector",
+        passed=(mode.negligible(worst, 1) and rank == level.m0 and degree_ok and parity_ok),
+        order=N, max_residual=worst, detail=f"rank {rank}/{level.m0}",
+        data={**defects, "rank": rank, "degree_bound_ok": degree_ok, "parity_ok": parity_ok})

@@ -28,9 +28,8 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from typing import Sequence
 
 from .series_algebra import (
@@ -40,6 +39,7 @@ from .series_algebra import (
     Poly,
     S0Series,
     _min_trunc,
+    convolution_bound,
     half_range,
     unrescale,
     worst_residual,
@@ -49,7 +49,6 @@ from .operator_calculus import (
     JetProblem,
     OperatorFamily,
     conjugate_hamiltonian,
-    convolution_bound,
     rescale_operator,
     solve_eikonal,
 )
@@ -63,7 +62,7 @@ from .harmonic_oscillator import (
     degenerate_level,
     level_by_index,
 )
-from .projection_engine import HermiteVec, ProjectorSeries, build_projector
+from .projection_engine import HermiteVec, ProjectorSeries, VerificationReport, build_projector
 from .formal_diagonalization import (
     formal_eigendecomposition,
     gram_matrix,
@@ -98,19 +97,6 @@ class InsufficientOrderError(ValueError):
 
 class DegenerateLevelError(ValueError):
     """An operation requiring a simple level met a degenerate one."""
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one independent check; ``max_residual`` is relative to
-    the magnitudes the residual cancels in float mode (``mode.relative``)."""
-
-    name: str
-    passed: bool
-    order: HalfInt | None
-    max_residual: float
-    detail: str = ""
-    data: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -167,13 +153,18 @@ def _select_level(problem: JetProblem, e0=None, level_index=None) -> DegenerateL
 def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) -> QuasimodeResult:
     """Quasimode series for one level of the local model, through the given order.
 
-    Exactly one of ``e0`` (eigenvalue of the model at the minimum) or
+    At most one of ``e0`` (eigenvalue of the model at the minimum) or
     ``level_index`` (position in the sorted spectrum, 0 = bottom) selects the
-    level; ``e0`` defaults to the bottom level. Raises if the level is not in
+    level; with neither, the bottom level. Raises ``ValueError`` for a
+    negative order or for both selectors, and raises if the level is not in
     the model spectrum or the input jets are too short for the order.
     """
     mode = problem.mode
     order = HalfInt.of(order)
+    if order < HI0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    if e0 is not None and level_index is not None:
+        raise ValueError("give e0 or level_index, not both")
 
     level = _select_level(problem, e0, level_index)
 
@@ -349,16 +340,15 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
             # a_{k-i} is exact to a higher degree than a_k (s + d/2 <= N)
             a_k = a_jet.at_relative(k)
             bound_k = a_jet.degree_bound_at(k - level.K)
-            check_bound = min(bound_k, convolution_bound(T_op.complete, T_op.min_degree(),
-                                                         bound_k, a_k.min_degree()))
+            check_bound = _min_trunc(bound_k, convolution_bound(
+                (T_op.complete, T_op.min_degree()), (bound_k, a_k.min_degree())))
             has_prev = k - HalfInt(2) >= HI0
             if has_prev:
                 a_prev = a_jet.at_relative(k - HalfInt(2))
-                check_bound = min(check_bound, convolution_bound(
-                    L_op.complete, L_op.min_degree(),
-                    a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree()))
-            if min_degree_reached is None or check_bound < min_degree_reached:
-                min_degree_reached = check_bound
+                check_bound = _min_trunc(check_bound, convolution_bound(
+                    (L_op.complete, L_op.min_degree()),
+                    (a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree())))
+            min_degree_reached = _min_trunc(min_degree_reached, check_bound)
             # the terms summed into the residual, each through the check bound
             terms = [T_op.apply(a_k, through=check_bound),
                      -a_k.truncate_degree(check_bound).scale(level.E0)]
@@ -467,39 +457,25 @@ DECAY_THRESHOLD = 1e-14   # ground weight at the box's walls
 DEFAULT_HBARS = (0.2, 0.1, 0.05)   # at the bottom level; over 2k+1 at the k-th
 
 
-def _float_terms(poly: Poly) -> list:
-    """The (exponent, real float coefficient) terms of a one-variable polynomial, in term order."""
-    return [(a[0], c.real if isinstance(c, complex) else float(c)) for a, c in poly.terms.items()]
-
-
-def _eval_on_grid(terms: list, xs):
-    """``poly.eval_floats((x,)).real`` at every point of the 1-D numpy grid ``xs``, bit for bit.
-
-    ``terms`` comes from ``_float_terms``. The terms are added in the same
-    order as ``eval_floats`` adds them, each as c * x**e with the scalar
-    (libm) power, since numpy's vectorised power may round differently.
-    """
+def _real_polynomial(poly: Poly):
+    """A one-variable ``Poly`` as a ``numpy.polynomial.Polynomial`` of its
+    real float coefficients."""
     import numpy as np
 
-    points = xs.tolist()
-    total = np.zeros(len(points))
-    for e, c in terms:
-        if e:
-            total = total + c * np.fromiter(map(pow, points, repeat(e)), float, len(points))
-        else:
-            total = total + c
-    return total
+    coef = np.zeros(max((a[0] for a in poly.terms), default=0) + 1)
+    for (e,), c in poly.terms.items():
+        coef[e] = c.real if isinstance(c, complex) else float(c)
+    return np.polynomial.Polynomial(coef)
 
 
-def _sine_galerkin_eigenvalue(v_terms: list, w_terms: list, a: float, hbar: float, size: int,
-                              k: int) -> float:
+def _sine_galerkin_eigenvalue(v, w, a: float, hbar: float, size: int, k: int) -> float:
     """The k-th eigenvalue of -h^2 d^2/dx^2 + V + h W in ``size`` Dirichlet sines of [-a, a].
 
     The sines sin(j pi (x + a) / 2a) / sqrt(a), j = 1..size, diagonalise the
     kinetic term with eigenvalues h^2 (j pi / 2a)^2. Their potential matrix
     is the quadrature sum_x S_jx (V + h W)(x) S_kx over the 2 size interior
     points of the box's uniform grid, with S the rows of the orthonormal
-    DST-I matrix of that size; V and W come from ``_eval_on_grid``.
+    DST-I matrix of that size; V and W are ``_real_polynomial``s.
     """
     import numpy as np
 
@@ -508,7 +484,7 @@ def _sine_galerkin_eigenvalue(v_terms: list, w_terms: list, a: float, hbar: floa
     j = np.arange(1, size + 1)
     s = math.sqrt(2.0 / (points + 1)) * np.sin(np.outer(j, np.arange(1, points + 1))
                                                * (np.pi / (points + 1)))
-    h = (s * (_eval_on_grid(v_terms, xs) + hbar * _eval_on_grid(w_terms, xs))) @ s.T
+    h = (s * (v(xs) + hbar * w(xs))) @ s.T
     h[np.diag_indices(size)] += (hbar * np.pi / (2.0 * a) * j) ** 2
     return float(np.linalg.eigvalsh(h)[k])
 
@@ -533,9 +509,9 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     exponentially small), fitted over two or more distinct, finite, positive
     h values (a ValueError otherwise).
 
-    V and W are converted to float once and evaluated over each whole grid
-    term by term (``_eval_on_grid``), with the same values as evaluating
-    them point by point; ``_sine_galerkin_eigenvalue`` solves each size.
+    V and W are converted once to numpy polynomials of their real float
+    coefficients (``_real_polynomial``), which the box search and
+    ``_sine_galerkin_eigenvalue`` evaluate over each whole grid.
     """
     import numpy as np
 
@@ -551,16 +527,14 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     if not problem.metric_is_flat() or problem.has_connection():
         raise ValueError("the numerical cross-check needs the flat scalar form")
     mode = problem.mode
-    v_terms = _float_terms(problem.V)
-    w_terms = _float_terms(problem.W[0][0])
+    v, w = _real_polynomial(problem.V), _real_polynomial(problem.W[0][0])
 
     # box size from the integrated decay of the weight
     hb_max = max(hbars)
     target = -math.log(DECAY_THRESHOLD) * hb_max
     a = 0.5
     while a < 64.0:
-        phi_a, phi_ma = (float(abs(np.trapezoid(np.sqrt(np.maximum(_eval_on_grid(v_terms, xs), 0.0)),
-                                                xs)))
+        phi_a, phi_ma = (float(abs(np.trapezoid(np.sqrt(np.maximum(v(xs), 0.0)), xs)))
                          for xs in (np.linspace(0.0, a, 4001), np.linspace(0.0, -a, 4001)))
         if min(phi_a, phi_ma) >= target:
             break
@@ -578,10 +552,10 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     def certified_eigenvalue(hbar: float):
         """E at the first basis size agreeing with the size before it, and that size (or None)."""
         size = min(max(64, eig_index + 3), grid)
-        e = _sine_galerkin_eigenvalue(v_terms, w_terms, a, hbar, size, eig_index)
+        e = _sine_galerkin_eigenvalue(v, w, a, hbar, size, eig_index)
         while size < grid:
             size, coarse = min(2 * size, grid), e
-            e = _sine_galerkin_eigenvalue(v_terms, w_terms, a, hbar, size, eig_index)
+            e = _sine_galerkin_eigenvalue(v, w, a, hbar, size, eig_index)
             if abs(e - coarse) <= 1e-9 * max(abs(e), hbar):
                 return e, size
         return e, None

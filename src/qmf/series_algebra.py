@@ -10,7 +10,16 @@ Everything downstream manipulates four kinds of objects built here:
   orders (``XJetSeries``),
 
 together with the substitution x = sqrt(hbar) * y that identifies the last
-two (``rescale`` / ``unrescale``).
+two (``rescale`` / ``unrescale``). Those two share one graded container: a
+sum of h^(j-K) times a fiber polynomial, with its lowest exponent ``order()``.
+
+Every truncated object is exact through a bound, None meaning at every
+order, and the rules that combine bounds are stated here once: a sum is
+exact through the smaller bound (``_min_trunc``), and a product of any
+number of factors through ``convolution_bound``, the min over the bounded
+factors of the bound plus the other factors' lowest orders. The series
+products below, the pairing, the graded family's action and operator-jet
+composition all take their bound from it.
 
 Coefficients live in one of two interchangeable domains: exact rationals
 (``EXACT``) or complex double floats (``float_mode``). Every container stores
@@ -638,12 +647,35 @@ class FiberPoly:
 
 
 # ---------------------------------------------------------------------------
-# Scalar Laurent series in sqrt(hbar)
+# Truncation bounds (None: exact at every order)
 
 
 def _min_trunc(a, b):
     """The smaller of two bounds, None meaning unbounded."""
     return b if a is None else a if b is None else min(a, b)
+
+
+def convolution_bound(*factors):
+    """The order through which a product is exact, from each factor's
+    (bound, lowest order) pair.
+
+    A product coefficient at order e reads each factor at e less the other
+    factors' lowest orders, so the product is exact through the min, over the
+    bounded factors, of the bound plus the other factors' lowest orders. A
+    bound of None means exact at every order; a zero factor's lowest order
+    (None or inf) counts as 0. None when no factor is bounded.
+    """
+    lows = [0 if o is None or o == inf else o for _, o in factors]
+    total = sum(lows)
+    out = None
+    for (bound, _), low in zip(factors, lows):
+        if bound is not None:
+            out = _min_trunc(out, bound + (total - low))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar Laurent series in sqrt(hbar)
 
 
 class FormalScalarSeries:
@@ -764,7 +796,8 @@ class FormalScalarSeries:
     def __mul__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
         # a zero factor gives the zero product, exact wherever either factor is known
-        trunc = _product_trunc(self, other)
+        trunc = convolution_bound((self.truncation_order, self.order()),
+                                  (other.truncation_order, other.order()))
         lo = self.offset.doubled + other.offset.doubled
         size = len(self.coeffs) + len(other.coeffs) - 1
         if trunc is not None:
@@ -854,25 +887,6 @@ class FormalScalarSeries:
         return "Series(" + " + ".join(bits) + t + ")"
 
 
-def _product_trunc(a: FormalScalarSeries, b: FormalScalarSeries) -> HalfInt | None:
-    """Largest exponent of a*b computable from the known parts of a and b.
-
-    A coefficient of the product at exponent e needs a at e - ord(b) and
-    beyond, so e is exact only up to min(T_a + ord(b), T_b + ord(a)).
-    For series known exactly (T = None) the other bound applies alone.
-    """
-    candidates = []
-    if a.truncation_order is not None:
-        ob = b.order()
-        candidates.append(a.truncation_order + (ob if ob is not None else HI0))
-    if b.truncation_order is not None:
-        oa = a.order()
-        candidates.append(b.truncation_order + (oa if oa is not None else HI0))
-    if not candidates:
-        return None
-    return min(candidates)
-
-
 def binomial_series(v: FormalScalarSeries, exponent: Fraction, through: HalfInt | None = None) -> "FormalScalarSeries":
     """(1 + v)^exponent as a series, for v of strictly positive order.
 
@@ -923,20 +937,20 @@ class S0DegreeError(ValueError):
     """A coefficient polynomial exceeds the degree bound deg P_j <= 2j."""
 
 
-class S0Series:
-    """Series sum_j h^(j-K) P_j(y) with deg P_j <= 2j.
+class _GradedSeries:
+    """Series sum_j h^(j-K) P_j with fiber polynomials P_j, the storage shared
+    by the power-counted and the x-jet series.
 
-    ``coeffs`` maps the nonnegative half-integer j to the fiber polynomial
-    P_j; the absolute series exponent of P_j is j - K. ``truncation_order``
-    bounds the absolute exponents that are exact. The degree invariant is
-    validated at construction.
+    ``coeffs`` maps the nonnegative half-integer j to P_j, whose absolute
+    series exponent is j - K. ``truncation_order`` bounds the absolute
+    exponents that are exact (None: every one); zero coefficients and those
+    past it are dropped at construction.
     """
 
     __slots__ = ("mode", "n", "rank", "K", "coeffs", "truncation_order")
 
     def __init__(self, mode, n: int, rank: int, K: HalfInt,
-                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None,
-                 *, validate: bool = True):
+                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None):
         if K < HI0:
             raise ValueError("K must be nonnegative")
         self.mode = mode
@@ -945,20 +959,55 @@ class S0Series:
         self.K = K
         clean: dict[HalfInt, FiberPoly] = {}
         for j, p in coeffs.items():
-            if p.is_zero():
-                continue
-            if truncation_order is not None and j - K > truncation_order:
+            if p.is_zero() or truncation_order is not None and j - K > truncation_order:
                 continue
             if j < HI0:
                 raise ValueError("coefficient indices must be nonnegative")
             clean[j] = p
+        self.coeffs = clean
+        self.truncation_order = truncation_order
+
+    def order(self) -> HalfInt | None:
+        """The lowest absolute exponent present; None for the zero series."""
+        return min(self.coeffs) - self.K if self.coeffs else None
+
+    def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
+        for j in sorted(self.coeffs, key=lambda h: h.doubled):
+            yield j, self.coeffs[j]
+
+    def at_relative(self, j: HalfInt) -> FiberPoly:
+        return self.coeffs.get(j, FiberPoly.zero(self.mode, self.n, self.rank))
+
+    def at_absolute(self, t) -> FiberPoly:
+        return self.at_relative(HalfInt.of(t) + self.K)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.n, self.rank) == (other.n, other.rank)
+                and {j - self.K: p for j, p in self.coeffs.items()}
+                == {j - other.K: p for j, p in other.coeffs.items()})
+
+    def __repr__(self) -> str:
+        bits = [f"h^{j - self.K}:{p!r}" for j, p in self.items()]
+        return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={self.K})"
+
+
+class S0Series(_GradedSeries):
+    """Series sum_j h^(j-K) P_j(y) with deg P_j <= 2j, validated at
+    construction unless ``validate`` is off."""
+
+    __slots__ = ()
+
+    def __init__(self, mode, n: int, rank: int, K: HalfInt,
+                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None,
+                 *, validate: bool = True):
+        super().__init__(mode, n, rank, K, coeffs, truncation_order)
         if validate:
-            for j, p in clean.items():
+            for j, p in self.coeffs.items():
                 if p.degree() > j.doubled:  # deg <= 2j, and 2j == j.doubled
                     raise S0DegreeError(
                         f"degree {p.degree()} at order index {j} exceeds bound {j.doubled}")
-        self.coeffs = clean
-        self.truncation_order = truncation_order
 
     @staticmethod
     def zero(mode, n: int, rank: int, truncation_order: HalfInt | None = None) -> "S0Series":
@@ -971,16 +1020,6 @@ class S0Series:
             return S0Series(p.mode, p.n, p.rank, HI0, {}, truncation_order)
         K = HalfInt(int(p.degree()))
         return S0Series(p.mode, p.n, p.rank, K, {K: p}, truncation_order)
-
-    def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
-        for j in sorted(self.coeffs, key=lambda h: h.doubled):
-            yield j, self.coeffs[j]
-
-    def at_relative(self, j: HalfInt) -> FiberPoly:
-        return self.coeffs.get(j, FiberPoly.zero(self.mode, self.n, self.rank))
-
-    def at_absolute(self, t) -> FiberPoly:
-        return self.at_relative(HalfInt.of(t) + self.K)
 
     def with_K(self, K_new: HalfInt) -> "S0Series":
         """Re-express with a larger K (shifting indices keeps the invariant)."""
@@ -1033,17 +1072,12 @@ class S0Series:
     def scale_series(self, s: FormalScalarSeries) -> "S0Series":
         """Multiply by a scalar series (exponents must keep the result in the space)."""
         _same_mode(self.mode, s.mode)
+        trunc = convolution_bound((self.truncation_order, self.order()),
+                                  (s.truncation_order, s.order()))
         if s.is_zero():
-            return S0Series.zero(self.mode, self.n, self.rank, self.truncation_order)
+            return S0Series.zero(self.mode, self.n, self.rank, trunc)
         neg = min(HI0, s.order())
         K = self.K - neg  # raising K absorbs negative exponents of s
-        trunc_candidates = []
-        if self.truncation_order is not None:
-            trunc_candidates.append(self.truncation_order + s.order())
-        if s.truncation_order is not None:
-            lead = min((j - self.K for j in self.coeffs), default=HI0)
-            trunc_candidates.append(s.truncation_order + lead)
-        trunc = min(trunc_candidates) if trunc_candidates else None
         coeffs: dict[HalfInt, FiberPoly] = {}
         for j, p in self.coeffs.items():
             for e, c in s.items():
@@ -1068,22 +1102,12 @@ class S0Series:
                          for j, p in self.coeffs.items()},
                         self.truncation_order, validate=False)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, S0Series):
-            return NotImplemented
-        K = max(self.K, other.K)
-        return self.with_K(K).coeffs == other.with_K(K).coeffs
-
-    def __repr__(self) -> str:
-        bits = [f"h^{j - self.K}:{p!r}" for j, p in self.items()]
-        return "S0Series(" + ", ".join(bits) + f"; K={self.K})"
-
 
 # ---------------------------------------------------------------------------
 # Taylor jets in x with half-integer series orders
 
 
-class XJetSeries:
+class XJetSeries(_GradedSeries):
     """Series sum_k h^(k-K) a_k(x) with a_k truncated x-jets.
 
     ``truncation_order`` T bounds what is exact (None = complete): the
@@ -1091,56 +1115,13 @@ class XJetSeries:
     bound that the inverse rescaling provides.
     """
 
-    __slots__ = ("mode", "n", "rank", "K", "coeffs", "truncation_order")
-
-    def __init__(self, mode, n: int, rank: int, K: HalfInt,
-                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None):
-        if K < HI0:
-            raise ValueError("K must be nonnegative")
-        self.mode = mode
-        self.n = n
-        self.rank = rank
-        self.K = K
-        clean = {}
-        for k, p in coeffs.items():
-            if k < HI0:
-                raise ValueError("coefficient indices must be nonnegative")
-            if truncation_order is not None and k - K > truncation_order:
-                continue
-            if not p.is_zero():
-                clean[k] = p
-        self.coeffs = clean
-        self.truncation_order = truncation_order
-
-    def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
-        for k in sorted(self.coeffs, key=lambda h: h.doubled):
-            yield k, self.coeffs[k]
-
-    def at_relative(self, k: HalfInt) -> FiberPoly:
-        return self.coeffs.get(k, FiberPoly.zero(self.mode, self.n, self.rank))
-
-    def at_absolute(self, s) -> FiberPoly:
-        return self.at_relative(HalfInt.of(s) + self.K)
+    __slots__ = ()
 
     def degree_bound_at(self, s) -> int | None:
         """Largest degree known-exact at absolute exponent s (None = all)."""
         if self.truncation_order is None:
             return None
         return (self.truncation_order - HalfInt.of(s)).doubled
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XJetSeries):
-            return NotImplemented
-        if (self.n, self.rank) != (other.n, other.rank):
-            return False
-        K = max(self.K, other.K)
-        d = K - self.K
-        do = K - other.K
-        return {k + d: p for k, p in self.coeffs.items()} == {k + do: p for k, p in other.coeffs.items()}
-
-    def __repr__(self) -> str:
-        bits = [f"h^{k - self.K}:{p!r}" for k, p in self.items()]
-        return "XJetSeries(" + ", ".join(bits) + f"; K={self.K})"
 
 
 def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[HalfInt, FiberPoly]:

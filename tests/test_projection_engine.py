@@ -244,7 +244,7 @@ class TestProjectorLaws:
             poly1({2: 1, 3: 1}, mode), N=N, mode=mode, workspace_margin=2 * N.doubled)
         proj = build_projector(family, basis, level, N)
         report = projector_diagnostics(proj, omega)
-        assert report.passed(), report
+        assert report.passed, report
 
     def test_degenerate_2d_level_order0(self):
         _, family, basis, level, omega = setup_problem(
@@ -290,7 +290,7 @@ class TestProjectorLaws:
         assert level.parity == "mixed" and level.m0 == 2
         proj = build_projector(family, basis, level, N)
         report = projector_diagnostics(proj, omega)
-        assert report.passed(), report
+        assert report.passed, report
 
 
 INDICES = st.integers(0, 11)
@@ -384,7 +384,7 @@ class TestBudgetPrefix:
             return full_images(index, budget)
 
         engine.images = recording_images
-        assert projector_diagnostics(proj, omega).passed()
+        assert projector_diagnostics(proj, omega).passed
         assert N in budgets
         assert min(budgets) < N
 

@@ -11,8 +11,7 @@ from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
-    _eval_on_grid,
-    _float_terms,
+    _real_polynomial,
     _sine_galerkin_eigenvalue,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
@@ -161,18 +160,20 @@ class TestQuarticWell:
     @pytest.mark.parametrize("preset", ["quartic1d", "cubic1d", "witten1d"])
     @pytest.mark.parametrize("mode_name", ["exact", "float"])
     def test_grid_evaluation_matches_pointwise(self, preset, mode_name):
-        # the whole-grid evaluation of the crosscheck must reproduce the
-        # point-by-point loop it replaced bit for bit, negative x included
+        # the crosscheck's whole-grid evaluation agrees with evaluating the
+        # polynomial point by point, negative x included, to rounding: within
+        # 1e-13 of the sum of the terms' magnitudes at each point
         import numpy as np
         problem = preset_problem(preset, mode_name, HalfInt(4)).problem
         grids = [np.linspace(-7.3, 5.1, 2001), np.linspace(-6.0, 6.0, 1026)[1:-1],
                  np.linspace(0.0, -4.5, 4001)]
         for poly in (problem.V, problem.W[0][0]):
-            terms = _float_terms(poly)
+            p = _real_polynomial(poly)
             for xs in grids:
                 want = np.array([float(poly.eval_floats((x,)).real) for x in xs])
-                got = _eval_on_grid(terms, xs)
-                assert got.tobytes() == want.tobytes(), (preset, xs[0], xs[-1])
+                size = np.array([sum(abs(complex(c)) * abs(x) ** a[0] for a, c in poly.terms.items())
+                                 for x in xs])
+                assert np.all(np.abs(p(xs) - want) <= 1e-13 * size), (preset, xs[0], xs[-1])
 
     def test_fd_crosscheck_witten_smallness(self):
         # zero series and a genuine double well: the numeric eigenvalue is
@@ -188,8 +189,10 @@ class TestQuarticWell:
     def test_sine_galerkin_harmonic_levels(self, k):
         # V = x^2 (lambda = 1, W = 0) has the levels h (2k + 1); the box is
         # the one the crosscheck picks for h = 0.1
+        from numpy.polynomial import Polynomial
         hbar = 0.1
-        got = _sine_galerkin_eigenvalue([(2, 1.0)], [], 3.796875, hbar, 64, k)
+        got = _sine_galerkin_eigenvalue(Polynomial([0.0, 0.0, 1.0]), Polynomial([0.0]),
+                                        3.796875, hbar, 64, k)
         assert abs(got - hbar * (2 * k + 1)) <= 1e-12 * hbar * (2 * k + 1)
 
     @pytest.mark.parametrize("index", range(3))
@@ -286,6 +289,15 @@ class TestErrors:
     def test_rs_oracle_rejects_degenerate(self):
         with pytest.raises(DegenerateLevelError):
             rs_oracle(compute_quasimodes(iso2d(), HalfInt(2), e0=4))
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            compute_quasimodes(harmonic(), -1, e0=1)
+
+    def test_both_level_selectors(self):
+        # e0 = 1 is level 0, so neither selector may silently win
+        with pytest.raises(ValueError, match="e0 or level_index, not both"):
+            compute_quasimodes(harmonic(), HalfInt(2), e0=1, level_index=0)
 
 
 class TestLevelSelectionByIndex:

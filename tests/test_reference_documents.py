@@ -3,7 +3,8 @@
 ``qmfbench/refs`` holds the ``qmf compute`` document of every exact
 benchmark case as the program first wrote it, without its ``checks`` block.
 Each one is recomputed here and must match byte for byte once written the
-same way (``reference.canonical``). The float cases of the benchmark must
+same way (``reference.canonical``); ``tests/refs`` does the same for two
+spec files, a curved metric and a connection. The float cases of the benchmark must
 agree with the exact reference of the same rational problem within
 ``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run,
 and so must float documents of other presets and of random rational wells,
@@ -27,9 +28,11 @@ from qmf import cli_io
 from qmf.cli_io import parse_problem_spec, result_document, run_command
 from qmf.formal_diagonalization import ExactSplitUnavailable
 from qmf.quasimode_pipeline import compute_quasimodes, crosscheck_eigenvalue_1d
+from test_quasimode_pipeline import CURVED_WELL
 
 BENCH = Path(__file__).resolve().parent.parent / "qmfbench"
 REFS = sorted((BENCH / "refs").glob("*-exact.json"))
+SPEC_REFS = Path(__file__).resolve().parent / "refs"
 
 _spec = importlib.util.spec_from_file_location("qmfbench_reference", BENCH / "reference.py")
 reference = importlib.util.module_from_spec(_spec)
@@ -37,10 +40,13 @@ _spec.loader.exec_module(reference)
 
 
 def compute_document(preset: str, order: str, mode: str, tmp_path) -> dict:
+    return run_compute(["--preset", preset, "--order", order, "--mode", mode], tmp_path)
+
+
+def run_compute(args: list, tmp_path) -> dict:
     out = tmp_path / "doc.json"
     with contextlib.redirect_stdout(io.StringIO()):
-        status = run_command(["compute", "--preset", preset, "--order", order,
-                              "--mode", mode, "--out", str(out)])
+        status = run_command(["compute", *args, "--out", str(out)])
     assert status == 0
     return json.loads(out.read_bytes())
 
@@ -54,6 +60,46 @@ def test_exact_document_matches_reference(ref, tmp_path):
     preset, order = re.fullmatch(r"(.+)-o(\d+)-exact", ref.stem).groups()
     doc = compute_document(preset, order, "exact", tmp_path)
     assert reference.canonical(doc) == ref.read_bytes()
+
+
+RANK2_CONNECTION = """
+[problem]
+n = 2
+rank = 2
+mode = exact
+order = 4
+
+[lambda]
+1
+2
+
+[potential]
+3 0  1
+1 2  1/2
+
+[endomorphism]
+1 2  1 0  1
+2 2  0 0  3
+
+[connection]
+1 1 2  0 1  1/2
+2 1 2  1 0  1/3
+
+[level]
+index = 1
+"""
+
+
+@pytest.mark.parametrize("name, text", [("curved2d-o3", CURVED_WELL),
+                                        ("rank2-connection-o4", RANK2_CONNECTION)])
+def test_spec_document_matches_reference(name, text, tmp_path):
+    # the benchmark's references are all flat and connection-free; a curved
+    # metric and a connection give the operator jets finite truncation
+    # bounds, so these two pin every product bound that has finite operands
+    spec = tmp_path / "problem.spec"
+    spec.write_text(text)
+    doc = run_compute(["--spec", str(spec)], tmp_path)
+    assert reference.canonical(doc) == (SPEC_REFS / f"{name}-exact.json").read_bytes()
 
 
 @pytest.mark.parametrize("preset, order", [("iso2d", "5"), ("quartic1d", "8")])

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmf.gaussian_pairing import WeightExpansion, pair_s0
+from qmf.operator_calculus import DiffOpJet, OperatorFamily
 from qmf.series_algebra import (
     EXACT,
     FiberPoly,
@@ -531,3 +533,182 @@ class TestS0Series:
         m = a.minimal_K()
         assert m.K == HI0
         assert m == a
+
+    def test_order_is_the_lowest_absolute_exponent(self):
+        a = S0Series(EXACT, 1, 1, HalfInt(3), {HalfInt(2): fiber_mono((0,)),
+                                               HalfInt(5): fiber_mono((1,))}, None)
+        assert a.order() == HalfInt(-1)
+        assert S0Series.zero(EXACT, 1, 1).order() is None
+
+
+# -- the product bound: exact through the returned order, and no further.
+# Each factor is known through its bound; the true factor may differ from the
+# stored one at any order past it. Changing every bounded factor there must
+# leave the product unchanged through the returned order, and when no factor
+# is zero, changing the factor that sets the bound must move the next order.
+# Exact mode, n = rank = 1; a factor's absolute exponents are doubled ints.
+
+BIG_K = 20  # a doubled offset under which every drawn exponent and degree fits
+
+BOUNDS = st.one_of(st.none(), st.integers(-3, 6))
+SMALL = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def s0_terms(draw):
+    """{doubled absolute exponent: {degree: coefficient}} for y-polynomials."""
+    out = {}
+    for t, d, c in draw(st.lists(st.tuples(st.integers(-2, 5), st.integers(0, 3), SMALL),
+                                 max_size=4)):
+        out.setdefault(t, {})[d] = c
+    return out
+
+
+def ypoly(terms: dict) -> Poly:
+    """The polynomial with coefficient c at y^d for each d: c of ``terms``."""
+    return Poly(EXACT, 1, {(d,): F(c) for d, c in terms.items()})
+
+
+def s0(terms: dict, bound=None) -> S0Series:
+    coeffs = {HalfInt(t + BIG_K): FiberPoly([ypoly(p)]) for t, p in terms.items()}
+    return S0Series(EXACT, 1, 1, HalfInt(BIG_K), coeffs,
+                    None if bound is None else HalfInt(bound)).minimal_K()
+
+
+def s0_stored(u: S0Series) -> dict:
+    """The terms of ``s0`` that ``u`` stores."""
+    return {(j - u.K).doubled: {a[0]: c for a, c in p.components[0].terms.items()}
+            for j, p in u.coeffs.items()}
+
+
+def scalar(terms: dict, bound=None) -> FormalScalarSeries:
+    return FormalScalarSeries.from_terms(EXACT, {HalfInt(t): F(c) for t, c in terms.items()},
+                                         None if bound is None else HalfInt(bound))
+
+
+def past(bound, extra: dict) -> dict:
+    """``extra``'s terms moved past ``bound``: doubled exponent bound + 1 + t."""
+    return {} if bound is None else {bound + 1 + t: c for t, c in extra.items()}
+
+
+def s0_through(u: S0Series, t: HalfInt) -> dict:
+    return {j - u.K: p for j, p in u.coeffs.items() if j - u.K <= t}
+
+
+def s0_at(u: S0Series, t: HalfInt) -> FiberPoly:
+    return u.at_absolute(t) if t + u.K >= HI0 else FiberPoly.zero(EXACT, 1, 1)
+
+
+EXTRA_S0 = st.dictionaries(st.integers(0, 3), st.dictionaries(st.integers(0, 2), SMALL,
+                                                              min_size=1), max_size=2)
+EXTRA_SCALAR = st.dictionaries(st.integers(0, 3), SMALL, max_size=2)
+EXTRA_Q = st.dictionaries(st.integers(0, 1), SMALL, min_size=1)
+ONE = {0: 1}
+
+
+class TestProductBound:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(s0_terms(), BOUNDS, st.dictionaries(st.integers(-3, 4), SMALL, max_size=4), BOUNDS,
+           EXTRA_S0, EXTRA_SCALAR)
+    def test_scale_series(self, u_terms, tu, s_terms, ts, du, ds):
+        u, s = s0(u_terms, tu), scalar(s_terms, ts)
+        got = u.scale_series(s)
+        bound = got.truncation_order
+        if bound is None:
+            assert tu is None and ts is None
+            return
+        u_full, s_full = s0_stored(u), {e.doubled: c for e, c in s.items()}
+
+        def product(u_terms, s_terms):
+            return s0(u_terms).scale_series(scalar(s_terms))
+
+        # sound: the stored terms are all that the product reads through the bound
+        changed = product({**u_full, **past(tu, du)}, {**s_full, **past(ts, ds)})
+        assert s0_through(changed, bound) == s0_through(got, bound)
+        # tight: one change past a bound moves the product's next order
+        if u.order() is None or s.is_zero():
+            return
+        exact = product(u_full, s_full)
+        nxt = bound + HalfInt(1)
+        moved = [s0_at(product({**u_full, **past(tu, {0: ONE})}, s_full), nxt),
+                 s0_at(product(u_full, {**s_full, **past(ts, ONE)}), nxt)]
+        assert any(m != s0_at(exact, nxt) for m in moved)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s0_terms(), BOUNDS, s0_terms(), BOUNDS, st.integers(0, 4),
+           st.dictionaries(st.integers(1, 4), st.dictionaries(st.integers(0, 4), SMALL,
+                                                              min_size=1), max_size=2),
+           EXTRA_S0, EXTRA_S0, EXTRA_S0)
+    def test_pair_s0(self, u_terms, tu, v_terms, tv, tw, w_terms, du, dv, dw):
+        lam = (F(1),)
+
+        def weight(terms, complete):
+            # omega_0 = 1 and the drawn orders through ``complete`` (doubled)
+            omega = {HI0: Poly.const(EXACT, 1, 1)}
+            for m, p in terms.items():
+                if m <= complete:
+                    omega[HalfInt(m)] = ypoly(p)
+            return WeightExpansion(EXACT, lam, omega, HalfInt(complete))
+
+        def pairing(u_terms, v_terms, w_terms, complete=40):
+            return pair_s0(s0(u_terms), s0(v_terms), weight(w_terms, complete))
+
+        u, v = s0(u_terms, tu), s0(v_terms, tv)
+        got = pair_s0(u, v, weight(w_terms, tw))
+        bound = got.truncation_order
+        u_full, v_full = s0_stored(u), s0_stored(v)
+        w_full = {m: p for m, p in w_terms.items() if m <= tw}
+        changed = pairing({**u_full, **past(tu, du)}, {**v_full, **past(tv, dv)},
+                          {**w_full, **past(tw, dw)})
+        assert changed.equals_through(got, bound)
+        if u.order() is None or v.order() is None:
+            return
+        # each change pairs against the others' leading terms: a Gaussian
+        # integral of a square, which does not vanish
+        exact = pairing(u_full, v_full, w_full)
+        nxt = bound + HalfInt(1)
+        lead_u, lead_v = u_full[u.order().doubled], v_full[v.order().doubled]
+        lead_uv = ypoly(lead_u) * ypoly(lead_v)
+        moved = [pairing({**u_full, **past(tu, {0: lead_v})}, v_full, w_full),
+                 pairing(u_full, {**v_full, **past(tv, {0: lead_u})}, w_full),
+                 pairing(u_full, v_full, {**w_full, **past(tw, {0: {
+                     a[0]: c for a, c in lead_uv.terms.items()}})})]
+        assert any(m.coefficient(nxt) != exact.coefficient(nxt) for m in moved)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s0_terms(), BOUNDS, st.integers(0, 4), SMALL,
+           st.dictionaries(st.integers(1, 4), EXTRA_Q, max_size=2), EXTRA_S0,
+           st.dictionaries(st.integers(0, 3), EXTRA_Q, max_size=2))
+    def test_apply_series(self, u_terms, tu, top, c0, q_terms, du, dq):
+        y = Poly.variable(EXACT, 1, 0)
+
+        def op(p: dict) -> DiffOpJet:
+            # Q_j for j >= 1/2 multiplies by a polynomial of degree <= 1 <= 2j,
+            # which keeps Q_j u power-counted
+            return DiffOpJet.multiplication(((ypoly(p),),))
+
+        def family(terms, max_order):
+            # Q_0 = c0 + y d/dy, and the drawn orders through ``max_order`` (doubled)
+            ops = {HI0: op({0: c0}) + DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})}
+            for j, p in terms.items():
+                if j <= max_order:
+                    ops[HalfInt(j)] = op(p)
+            return OperatorFamily(ops, HalfInt(max_order), EXACT, 1, 1)
+
+        def applied(u_terms, q_terms, max_order=40):
+            return family(q_terms, max_order).apply_series(s0(u_terms))
+
+        u = s0(u_terms, tu)
+        got = family(q_terms, top).apply_series(u)
+        bound = got.truncation_order
+        u_full = s0_stored(u)
+        q_full = {j: p for j, p in q_terms.items() if j <= top}
+        changed = applied({**u_full, **past(tu, du)}, {**q_full, **past(top, dq)})
+        assert s0_through(changed, bound) == s0_through(got, bound)
+        if u.order() is None:
+            return
+        exact = applied(u_full, q_full)
+        nxt = bound + HalfInt(1)
+        moved = [applied({**u_full, **past(tu, {0: ONE})}, q_full),  # Q_0 1 = c0
+                 applied(u_full, {**q_full, **past(top, {0: ONE})})]
+        assert any(s0_at(m, nxt) != s0_at(exact, nxt) for m in moved)
