@@ -3,9 +3,10 @@
 For the confining quartic well the truncated series evaluated at finite h
 must approach the true bottom eigenvalue with an error of order
 h^(order + 3/2) or better; here the order-2 truncation gives slope ~4 on a
-log-log plot. The numeric side is a Galerkin solve in the sine basis of a
-Dirichlet box whose walls sit where the ground weight has decayed below
-1e-14; the basis doubles from 64 functions until two sizes agree to 1e-9.
+log-log plot. The numeric side is a Rayleigh-Ritz solve in the Hermite
+functions of the model oscillator, where every matrix element of the
+polynomial potential is exact; the basis doubles from 32 functions until two
+sizes agree to 1e-9.
 """
 
 from qmf import HalfInt, compute_quasimodes, crosscheck_eigenvalue_1d

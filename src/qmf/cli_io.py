@@ -620,12 +620,12 @@ def run_command(argv) -> int:
     p_spec = sub.add_parser("spectrum", help="tabulate the model spectrum")
     common(p_spec)
     p_spec.add_argument("--degree", type=int, default=6)
-    p_cross = sub.add_parser("crosscheck", help="numerical (sine-basis) eigenvalue comparison")
+    p_cross = sub.add_parser("crosscheck", help="numerical (Hermite-basis) eigenvalue comparison")
     common(p_cross)
     p_cross.add_argument("--hbar", help="comma list of h values "
                                         "(default 0.2,0.1,0.05 over 2k+1 at the k-th level)")
     p_cross.add_argument("--grid", type=int, default=4096,
-                         help="largest sine-basis size the doubling may reach")
+                         help="largest Hermite-basis size the doubling may reach")
     p_cross.add_argument("--csv", help="write (hbar, error) pairs here")
 
     try:

@@ -20,7 +20,8 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
 * ``rs_oracle``             -- a textbook Rayleigh-Schrodinger recursion in
                                the model eigenbasis (nondegenerate levels);
 * ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
-                               (a Galerkin solve in a sine basis, certified by
+                               (a Rayleigh-Ritz solve in the model
+                               oscillator's Hermite functions, certified by
                                two basis sizes), fitting the error's decay
                                order against the truncated series.
 """
@@ -36,7 +37,6 @@ from .series_algebra import (
     FormalScalarSeries,
     HI0,
     HalfInt,
-    Poly,
     S0Series,
     _min_trunc,
     convolution_bound,
@@ -323,6 +323,8 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     requires it to vanish identically through the provable degree. Flat
     corrections vanish to infinite order at the base point, so jet residuals
     must be exactly zero (in float mode, against the terms summed into them).
+    ``data["degrees"]`` lists, for k = 0, 1/2, ..., N + K, the degree through
+    which order k was checked (the smallest over the quasimodes).
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -331,10 +333,11 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     T_op = ctx.conj.hbar1
     L_op = ctx.conj.hbar2
     residuals = []
-    min_degree_reached = None
+    orders = list(half_range(HI0, N + level.K))
+    degrees = [None] * len(orders)
     for a_jet, e_series in zip(result.eigenfunctions, result.eigenvalues):
         inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
-        for k in half_range(HI0, N + level.K):
+        for k in orders:
             # the degree through which every term below is exact, known
             # before any operator is applied, so the applications stop there;
             # a_{k-i} is exact to a higher degree than a_k (s + d/2 <= N)
@@ -348,7 +351,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
                 check_bound = _min_trunc(check_bound, convolution_bound(
                     (L_op.complete, L_op.min_degree()),
                     (a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree())))
-            min_degree_reached = _min_trunc(min_degree_reached, check_bound)
+            degrees[k.doubled] = _min_trunc(degrees[k.doubled], check_bound)
             # the terms summed into the residual, each through the check bound
             terms = [T_op.apply(a_k, through=check_bound),
                      -a_k.truncate_degree(check_bound).scale(level.E0)]
@@ -362,7 +365,9 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     worst = worst_residual(mode, residuals)
     return VerificationReport(
         name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
-        detail=f"jet residual through degree {min_degree_reached}")
+        detail=f"jet residual through degree {degrees[0]} at order 0, "
+               f"{degrees[-1]} at order {orders[-1]}",
+        data={"degrees": degrees})
 
 
 def eigen_residual(result: QuasimodeResult) -> VerificationReport:
@@ -453,39 +458,32 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
 # ---------------------------------------------------------------------------
 # Numeric cross-check (1-D scalar)
 
-DECAY_THRESHOLD = 1e-14   # ground weight at the box's walls
 DEFAULT_HBARS = (0.2, 0.1, 0.05)   # at the bottom level; over 2k+1 at the k-th
 
 
-def _real_polynomial(poly: Poly):
-    """A one-variable ``Poly`` as a ``numpy.polynomial.Polynomial`` of its
-    real float coefficients."""
-    import numpy as np
+def _hermite_ritz_eigenvalue(coef, lam: float, hbar: float, size: int, k: int) -> float:
+    """The k-th eigenvalue of -h^2 d^2/dx^2 + P in the first ``size`` Hermite
+    functions of the model oscillator -h^2 d^2/dx^2 + lam^2 x^2.
 
-    coef = np.zeros(max((a[0] for a in poly.terms), default=0) + 1)
-    for (e,), c in poly.terms.items():
-        coef[e] = c.real if isinstance(c, complex) else float(c)
-    return np.polynomial.Polynomial(coef)
-
-
-def _sine_galerkin_eigenvalue(v, w, a: float, hbar: float, size: int, k: int) -> float:
-    """The k-th eigenvalue of -h^2 d^2/dx^2 + V + h W in ``size`` Dirichlet sines of [-a, a].
-
-    The sines sin(j pi (x + a) / 2a) / sqrt(a), j = 1..size, diagonalise the
-    kinetic term with eigenvalues h^2 (j pi / 2a)^2. Their potential matrix
-    is the quadrature sum_x S_jx (V + h W)(x) S_kx over the 2 size interior
-    points of the box's uniform grid, with S the rows of the orthonormal
-    DST-I matrix of that size; V and W are ``_real_polynomial``s.
+    ``coef`` lists P's power coefficients. The model part is the diagonal
+    h lam (2j + 1) and x is sqrt(h / 2 lam) (a + a^dagger), a tridiagonal
+    matrix; x^d between the first ``size`` functions only reaches the first
+    size + d // 2, so P - lam^2 x^2, formed by Horner's rule in
+    size + deg P // 2 + 1 functions and cut to ``size``, is exact.
     """
     import numpy as np
 
-    points = 2 * size
-    xs = np.linspace(-a, a, points + 2)[1:-1]
-    j = np.arange(1, size + 1)
-    s = math.sqrt(2.0 / (points + 1)) * np.sin(np.outer(j, np.arange(1, points + 1))
-                                               * (np.pi / (points + 1)))
-    h = (s * (v(xs) + hbar * w(xs))) @ s.T
-    h[np.diag_indices(size)] += (hbar * np.pi / (2.0 * a) * j) ** 2
+    coef = np.array(coef, dtype=float)
+    coef[2] -= lam * lam
+    m = size + (len(coef) - 1) // 2 + 1
+    off = np.sqrt(np.arange(1, m) * (hbar / (2.0 * lam)))
+    x = np.diag(off, 1) + np.diag(off, -1)
+    p = np.zeros((m, m))
+    for c in coef[::-1]:
+        p = x @ p
+        p[np.diag_indices(m)] += c
+    h = p[:size, :size]
+    h[np.diag_indices(size)] += hbar * lam * (2 * np.arange(size) + 1)
     return float(np.linalg.eigvalsh(h)[k])
 
 
@@ -497,21 +495,20 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     at the level of the member's k: the k-th series is asymptotic only once
     h (2k + 1) is small.
 
-    A Galerkin solve in the Dirichlet sine basis of a box [-a, a] (reported
-    as ``data["box"]``) sized so the ground weight has decayed below
-    ``DECAY_THRESHOLD`` (a ValueError if V does not confine it on some side
-    within |x| < 64). The basis starts at 64 sines and doubles until two
-    sizes agree within 1e-9 max(|E|, h); E is taken at the larger one, which
-    ``data["sizes"]`` records for each h (None where no two sizes up to
-    ``grid`` agree, which fails the check). The log-log slope of
-    |E_num(h) - series(h)| over the given h values must be at least
-    order + 3/2 (or, for an identically vanishing series, the error must be
-    exponentially small), fitted over two or more distinct, finite, positive
-    h values (a ValueError otherwise).
-
-    V and W are converted once to numpy polynomials of their real float
-    coefficients (``_real_polynomial``), which the box search and
-    ``_sine_galerkin_eigenvalue`` evaluate over each whole grid.
+    A Rayleigh-Ritz solve in the model oscillator's Hermite functions
+    (``_hermite_ritz_eigenvalue``); Ritz values are upper bounds that fall as
+    the basis grows. V must confine: its top term of even degree with a
+    positive coefficient, W of lower degree (a ValueError otherwise). The
+    basis starts at 32 functions and doubles until two sizes agree within
+    1e-9 max(|E|, h); E is taken at the larger one, which ``data["sizes"]``
+    records for each h (None where no two sizes up to ``grid`` agree, which
+    fails the check). Errors |E_num(h) - series(h)| at or below
+    1e-12 max(|E|, h) are rounding; the log-log slope over the others must be
+    at least order + 3/2 (or, for an identically vanishing series, the error
+    must be exponentially small). With fewer than two errors above rounding,
+    ``data["slope"]`` is None and every error must be at most 1e-6. The h
+    values must be two or more, distinct, finite and positive (a ValueError
+    otherwise).
     """
     import numpy as np
 
@@ -527,66 +524,64 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     if not problem.metric_is_flat() or problem.has_connection():
         raise ValueError("the numerical cross-check needs the flat scalar form")
     mode = problem.mode
-    v, w = _real_polynomial(problem.V), _real_polynomial(problem.W[0][0])
-
-    # box size from the integrated decay of the weight
-    hb_max = max(hbars)
-    target = -math.log(DECAY_THRESHOLD) * hb_max
-    a = 0.5
-    while a < 64.0:
-        phi_a, phi_ma = (float(abs(np.trapezoid(np.sqrt(np.maximum(v(xs), 0.0)), xs)))
-                         for xs in (np.linspace(0.0, a, 4001), np.linspace(0.0, -a, 4001)))
-        if min(phi_a, phi_ma) >= target:
-            break
-        a *= 1.5
-    else:
-        sides = " and ".join(side for side, phi in (("x > 0", phi_a), ("x < 0", phi_ma))
-                             if phi < target)
-        raise ValueError(
-            f"the numerical cross-check needs a confining V: on the {sides} side "
-            f"the weight does not decay below {DECAY_THRESHOLD:g} within |x| < 64")
+    V, W = problem.V, problem.W[0][0]
+    deg = V.degree()
+    v, w = (np.array([complex(p.coefficient((d,))).real for d in range(deg + 1)]) for p in (V, W))
+    if deg % 2 or v[deg] <= 0 or W.degree() >= deg:
+        raise ValueError(f"the numerical cross-check needs a confining V: its top term "
+                         f"{v[deg]:g} x^{deg} must have even degree and a positive coefficient, "
+                         f"and W a lower degree than V")
     if grid < eig_index + 3:
-        raise ValueError(f"a basis of {grid} sines cannot resolve eigenvalue {eig_index}; "
+        raise ValueError(f"a basis of {grid} functions cannot resolve eigenvalue {eig_index}; "
                          f"it needs at least {eig_index + 3}")
+    lam = complex(problem.lam[0]).real
 
     def certified_eigenvalue(hbar: float):
         """E at the first basis size agreeing with the size before it, and that size (or None)."""
-        size = min(max(64, eig_index + 3), grid)
-        e = _sine_galerkin_eigenvalue(v, w, a, hbar, size, eig_index)
+        coef = v + hbar * w
+        size = min(max(32, eig_index + 3), grid)
+        e = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index)
         while size < grid:
-            size, coarse = min(2 * size, grid), e
-            e = _sine_galerkin_eigenvalue(v, w, a, hbar, size, eig_index)
+            # a well elsewhere holds levels below e only where V + h W <= e;
+            # the j-th function turns at x^2 = (2j + 1) h / lam, so the next
+            # size reaches twice that far in x^2
+            roots = (np.polynomial.Polynomial(coef) - e).roots()
+            reach = max((r.real ** 2 for r in roots if abs(r.imag) <= 1e-6 * abs(r)), default=0)
+            size, coarse = min(max(2 * size, math.ceil(lam * reach / hbar)), grid), e
+            e = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index)
             if abs(e - coarse) <= 1e-9 * max(abs(e), hbar):
                 return e, size
         return e, None
 
     series = result.eigenvalues[0]
-    errors, sizes = [], []
+    errors, sizes, fit = [], [], []
     for hb in hbars:
         e, size = certified_eigenvalue(hb)
         errors.append(abs(e - series.evaluate(hb, through=result.order + HalfInt(2)).real))
         sizes.append(size)
+        if errors[-1] > 1e-12 * max(abs(e), hb):
+            fit.append((hb, errors[-1]))
     certified = None not in sizes
 
-    trivial = all(mode.is_zero(c) for _, c in series.items())
-    data = {"hbars": list(hbars), "errors": errors, "box": a, "sizes": sizes}
     want = float(result.order.as_fraction()) + 1.5
-    clamped = [max(e, 1e-300) for e in errors]
-    slope = float(np.polyfit(np.log(hbars), np.log(clamped), 1)[0])
-    data["slope"] = slope
-    data["required_slope"] = want
-    if trivial:
+    slope = (float(np.polyfit(*np.log(fit).T, 1)[0])
+             if len({hb for hb, _ in fit}) >= 2 else None)
+    data = {"hbars": list(hbars), "errors": errors, "sizes": sizes,
+            "slope": slope, "required_slope": want}
+    trivial = all(mode.is_zero(c) for _, c in series.items())
+    if slope is None:
+        passed = certified and max(errors) <= 1e-6
+        detail = (f"fewer than two errors above rounding, no slope fitted; "
+                  f"largest error {max(errors):.2e}")
+    elif trivial:
         # an identically vanishing series means the true eigenvalue is below
         # every power: demand super-power decay and smallness at the bottom
-        smallest = min(errors)
-        passed = certified and smallest <= 1e-6 and (slope >= want or max(errors) <= 1e-10)
-        return VerificationReport(
-            name="fd_crosscheck", passed=passed, order=result.order,
-            max_residual=max(errors),
-            detail=f"series is identically zero; decay slope {slope:.2f}, "
-                   f"smallest error {smallest:.2e}",
-            data=data)
-    return VerificationReport(
-        name="fd_crosscheck", passed=certified and slope >= want,
-        order=result.order, max_residual=max(errors),
-        detail=f"log-log error slope {slope:.3f} (required >= {want})", data=data)
+        passed = certified and min(errors) <= 1e-6 and (slope >= want or max(errors) <= 1e-10)
+        detail = f"decay slope {slope:.2f}, smallest error {min(errors):.2e}"
+    else:
+        passed = certified and slope >= want
+        detail = f"log-log error slope {slope:.3f} (required >= {want})"
+    if trivial:
+        detail = "series is identically zero; " + detail
+    return VerificationReport(name="crosscheck", passed=passed, order=result.order,
+                              max_residual=max(errors), detail=detail, data=data)

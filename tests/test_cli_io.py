@@ -329,15 +329,39 @@ class TestCommands:
 
     @pytest.mark.parametrize("index, slope", [(1, "3.794"), (3, "3.834")])
     def test_crosscheck_of_an_excited_level(self, capsys, index, slope):
-        # level k is eigenvalue k of each sine-basis matrix; the default h
+        # level k is eigenvalue k of each Ritz matrix; the default h
         # values are 0.2, 0.1, 0.05 over 2k + 1 (at h = 0.2, 0.1, 0.05 level
         # 3 fails with slope 3.477: not yet asymptotic)
         rc = run_command(["crosscheck", "--preset", "quartic1d", "--order", "2",
                           "--level-index", str(index)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "[pass] fd_crosscheck" in out
+        assert "[pass] crosscheck" in out
         assert f"log-log error slope {slope} (required >= 3.5)" in out
+
+    @pytest.mark.parametrize("argv, status, text", [
+        (["quartic1d", "--order", "8"], 2, "log-log error slope 9.435 (required >= 9.5)"),
+        (["quartic1d", "--order", "8", "--mode", "float"], 2,
+         "log-log error slope 9.435 (required >= 9.5)"),
+        (["witten1d", "--order", "4", "--hbar", "0.2,0.1"], 0,
+         "series is identically zero; decay slope 10.58, smallest error 5.04e-08"),
+        (["quartic1d", "--order", "2", "--level-index", "2"], 0, "log-log error slope 3.823"),
+        (["quartic1d", "--order", "2", "--level-index", "6"], 0, "log-log error slope 3.844"),
+        (["witten1d", "--order", "4", "--level-index", "1"], 0, "log-log error slope 7.717"),
+        (["witten1d", "--order", "4"], 0, "series is identically zero; decay slope 10.58,"),
+        *[(argv, 0, "fewer than two errors above rounding, no slope fitted")
+          for argv in (["harmonic", "--order", "2"],
+                       ["harmonic", "--order", "2", "--level-index", "2"],
+                       ["harmonic:mu=1/2", "--order", "2"], ["harmonic:lam=2", "--order", "2"],
+                       ["witten1d", "--order", "4", "--hbar", "0.1,0.05,0.025"])],
+    ])
+    def test_crosscheck_verdict(self, capsys, argv, status, text):
+        # order 8 is not yet asymptotic at the default h. The witten well's
+        # ground level has an identically vanishing series: at the default h
+        # its error at h = 0.05 is rounding, left out of the slope fit, and
+        # below h = 0.1 every error is. An exact series leaves only rounding.
+        assert run_command(["crosscheck", "--preset", *argv]) == status
+        assert text in capsys.readouterr().out
 
     def test_crosscheck_of_a_higher_level_at_small_hbar(self, capsys):
         # an explicit --hbar is used as given: from h = 0.05 down level
@@ -346,17 +370,24 @@ class TestCommands:
                           "--level-index", "3", "--hbar", "0.05,0.025,0.0125"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "[pass] fd_crosscheck" in out
+        assert "[pass] crosscheck" in out
         assert "log-log error slope 3.751 (required >= 3.5)" in out
 
-    def test_crosscheck_on_non_confining_well_is_input_error(self, capsys):
-        # the cubic well opens to -infinity: the weight never decays on x < 0,
-        # so no Dirichlet box within the cap is valid
-        rc = run_command(["crosscheck", "--preset", "cubic1d", "--order", "2",
-                          "--hbar", "0.2,0.1,0.05", "--grid", "1024"])
+    @pytest.mark.parametrize("argv, spec_text", [
+        (["--preset", "cubic1d"], None), (["--preset", "quartic1d:c=-1"], None),
+        ([], MINIMAL + "\n[endomorphism]\n1 1  2  1\n")])
+    def test_crosscheck_on_non_confining_well_is_input_error(self, tmp_path, capsys,
+                                                              argv, spec_text):
+        # an odd or negative top term leaves V unbounded below, and a W as
+        # steep as V could undo V's growth at some h, so both are refused
+        if spec_text is not None:
+            path = tmp_path / "w.spec"
+            path.write_text(spec_text)
+            argv = ["--spec", str(path)]
+        rc = run_command(["crosscheck", *argv, "--order", "2", "--hbar", "0.2,0.1,0.05"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "needs a confining V" in err and "x < 0 side" in err and "x > 0" not in err
+        assert capsys.readouterr().err.startswith(
+            "error: the numerical cross-check needs a confining V")
 
     def test_missing_source_is_input_error(self, capsys):
         rc = run_command(["compute", "--order", "2"])

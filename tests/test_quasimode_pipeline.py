@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,8 +12,7 @@ from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
-    _real_polynomial,
-    _sine_galerkin_eigenvalue,
+    _hermite_ritz_eigenvalue,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -107,6 +107,14 @@ class TestCubicWell:
         rep = transport_residual(res)
         assert rep.passed and rep.max_residual == 0.0
 
+    def test_transport_reports_the_degree_checked_at_each_order(self):
+        # at order 4 the jet of order k is exact through degree 2(4 - k), and
+        # so is its transport residual
+        spec = preset_problem("cubic1d", order=HalfInt(8))
+        rep = transport_residual(compute_quasimodes(spec.problem, HalfInt(8), e0=1))
+        assert rep.data["degrees"] == list(range(8, -1, -1))
+        assert rep.detail == "jet residual through degree 8 at order 0, 0 at order 4"
+
     def test_eigen_residual_zero(self):
         res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
         rep = eigen_residual(res)
@@ -157,24 +165,6 @@ class TestQuarticWell:
         with pytest.raises(ValueError, match="at least two distinct, finite, positive h values"):
             crosscheck_eigenvalue_1d(res, hbars=hbars, grid=64)
 
-    @pytest.mark.parametrize("preset", ["quartic1d", "cubic1d", "witten1d"])
-    @pytest.mark.parametrize("mode_name", ["exact", "float"])
-    def test_grid_evaluation_matches_pointwise(self, preset, mode_name):
-        # the crosscheck's whole-grid evaluation agrees with evaluating the
-        # polynomial point by point, negative x included, to rounding: within
-        # 1e-13 of the sum of the terms' magnitudes at each point
-        import numpy as np
-        problem = preset_problem(preset, mode_name, HalfInt(4)).problem
-        grids = [np.linspace(-7.3, 5.1, 2001), np.linspace(-6.0, 6.0, 1026)[1:-1],
-                 np.linspace(0.0, -4.5, 4001)]
-        for poly in (problem.V, problem.W[0][0]):
-            p = _real_polynomial(poly)
-            for xs in grids:
-                want = np.array([float(poly.eval_floats((x,)).real) for x in xs])
-                size = np.array([sum(abs(complex(c)) * abs(x) ** a[0] for a, c in poly.terms.items())
-                                 for x in xs])
-                assert np.all(np.abs(p(xs) - want) <= 1e-13 * size), (preset, xs[0], xs[-1])
-
     def test_fd_crosscheck_witten_smallness(self):
         # zero series and a genuine double well: the numeric eigenvalue is
         # exponentially small, i.e. decays faster than any required power
@@ -185,15 +175,17 @@ class TestQuarticWell:
         assert rep.passed, rep
         assert rep.data["slope"] > rep.data["required_slope"]
 
+    @pytest.mark.parametrize("lam, w", [(1.0, 0.0), (1.0, 0.5), (1.0, -3.0), (2.0, 1.5)])
     @pytest.mark.parametrize("k", range(4))
-    def test_sine_galerkin_harmonic_levels(self, k):
-        # V = x^2 (lambda = 1, W = 0) has the levels h (2k + 1); the box is
-        # the one the crosscheck picks for h = 0.1
-        from numpy.polynomial import Polynomial
+    def test_hermite_ritz_is_exact_on_a_rescaled_oscillator(self, lam, w, k):
+        # V = lam^2 x^2 with W = w x^2 is -h^2 d^2 + (lam^2 + h w) x^2, with
+        # levels h sqrt(lam^2 + h w) (2k + 1); x^2 is exact in the model
+        # basis and the squeezed eigenfunctions' coefficients decay
+        # geometrically, so 32 functions give the levels to rounding
         hbar = 0.1
-        got = _sine_galerkin_eigenvalue(Polynomial([0.0, 0.0, 1.0]), Polynomial([0.0]),
-                                        3.796875, hbar, 64, k)
-        assert abs(got - hbar * (2 * k + 1)) <= 1e-12 * hbar * (2 * k + 1)
+        got = _hermite_ritz_eigenvalue([0.0, 0.0, lam * lam + hbar * w], lam, hbar, 32, k)
+        want = hbar * math.sqrt(lam * lam + hbar * w) * (2 * k + 1)
+        assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("index", range(3))
     def test_mutated_series_fails_the_crosscheck(self, index):
@@ -208,13 +200,13 @@ class TestQuarticWell:
                                        hbars=[0.2, 0.1, 0.05])
         assert crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05]).passed
         assert not rep.passed, rep.detail
-        assert rep.data["sizes"] == [128, 128, 128]
+        assert rep.data["sizes"] == [64, 64, 64]
 
     @pytest.mark.parametrize("grid, sizes", [
-        (4096, [128, 256]), (256, [128, 256]), (128, [128, None]), (64, [None, None])])
+        (4096, [64, 64]), (128, [64, 64]), (64, [64, 64]), (33, [33, 33]), (32, [None, None])])
     def test_basis_doubles_up_to_the_cap(self, grid, sizes):
-        # in the box h = 0.2 picks, 64 and 128 sines differ by 6e-8 relative at
-        # h = 0.025 and 128 and 256 agree; a cap of 64 leaves no second size
+        # 32 and 64 model functions agree at h = 0.2 and 0.025; the cap
+        # clips the doubling, and a cap of 32 leaves no second size
         res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
         rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.025], grid=grid)
         assert rep.data["sizes"] == sizes
@@ -236,6 +228,24 @@ class TestWittenSupersymmetry:
             assert jet.degree() == 0
         rep = transport_residual(res)
         assert rep.passed and rep.max_residual == 0.0
+
+    def test_crosscheck_reaches_the_other_well(self):
+        # V = (x + x^2/2)^2 vanishes again at x = -2, where the levels are
+        # h (2k + 2): level 1 (E0 = 2) has a tunnelling partner there. At
+        # h = 1/30, 32 and 64 model functions do not reach x = -2 and agree
+        # on a value above the pair's lower member, which the model basis
+        # first holds at 128 functions; the crosscheck must take the latter
+        hbar = 1 / 30
+        coef = [-hbar, -hbar, 1.0, 1.0, 0.25]
+        e32, e64, e128, e1024 = (_hermite_ritz_eigenvalue(coef, 1.0, hbar, size, 1)
+                                 for size in (32, 64, 128, 1024))
+        assert abs(e32 - e64) <= 1e-9 * e64 and e64 - e1024 > 1e-8
+        assert abs(e128 - e1024) <= 1e-12 * e1024
+        res = compute_quasimodes(witten(), HalfInt(4), e0=2)
+        rep = crosscheck_eigenvalue_1d(res, hbars=[hbar, hbar / 2])
+        series = res.eigenvalues[0].evaluate(hbar, through=HalfInt(6)).real
+        assert rep.data["errors"][0] == pytest.approx(abs(e1024 - series), rel=1e-6)
+        assert rep.passed, rep.detail
 
 
 class TestDegenerate2D:

@@ -110,9 +110,8 @@ def test_float_document_within_tolerance_of_exact(preset, order, tmp_path):
 
 
 def test_quartic_crosscheck_document_unchanged(tmp_path, monkeypatch):
-    # the benchmark's crosscheck case: its box stops growing on a confining
-    # well long before the cap, so the document, check block included, is
-    # the one the program wrote before the non-confining guard existed
+    # the benchmark's crosscheck case: the document body is the benchmark's
+    # reference, and the basis stops doubling long before the cap
     reports = []
 
     def recording(*args, **kwargs):
@@ -128,14 +127,14 @@ def test_quartic_crosscheck_document_unchanged(tmp_path, monkeypatch):
     doc = json.loads(out.read_bytes())
     assert reference.canonical(doc) == (BENCH / "refs" / "quartic1d-o2-exact.json").read_bytes()
     (report,) = reports
-    assert report.data["box"] == 3.796875
-    # the sine-basis eigenvalues are fixed only up to rounding, eps ||H||
-    # with ||H|| about 200 at this box, near 1e-11 of this residual, so the
-    # pin holds no solver's last digits
+    assert report.data["sizes"] == [64, 64, 64]
+    # the Ritz values are fixed only up to rounding, eps ||H|| with ||H||
+    # some hundreds at 64 functions, near 1e-11 of this residual, so the pin
+    # holds no solver's last digits
     (check,) = doc["checks"]
     assert check.pop("max_residual") == pytest.approx(0.004158530873381416, rel=1e-9)
     assert check == {"detail": "log-log error slope 3.673 (required >= 3.5)",
-                     "name": "fd_crosscheck", "order_doubled": 4, "passed": True}
+                     "name": "crosscheck", "order_doubled": 4, "passed": True}
 
 
 # -- float mode against exact mode on the same rational problem
