@@ -44,7 +44,6 @@ from .series_algebra import (
 from .gaussian_pairing import WeightExpansion, pair_s0
 
 __all__ = [
-    "SeriesMatrix",
     "EigenResult",
     "gram_matrix",
     "interaction_matrix",
@@ -69,75 +68,13 @@ class SplitAmbiguityError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Series matrices
-
-
-@dataclass(frozen=True)
-class SeriesMatrix:
-    """Square matrix of scalar half-power series."""
-
-    mode: object
-    entries: tuple  # tuple[tuple[FormalScalarSeries, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @staticmethod
-    def from_rows(mode, rows: Sequence[Sequence[FormalScalarSeries]]) -> "SeriesMatrix":
-        return SeriesMatrix(mode, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def constant(mode, mat: Sequence[Sequence[object]], trunc: HalfInt | None = None) -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(
-            mode, [[FormalScalarSeries.const(mode, c, trunc) for c in row] for row in mat])
-
-    @staticmethod
-    def identity(mode, m: int, trunc: HalfInt | None = None) -> "SeriesMatrix":
-        return SeriesMatrix.constant(
-            mode, [[1 if i == j else 0 for j in range(m)] for i in range(m)], trunc)
-
-    def entry(self, i: int, j: int) -> FormalScalarSeries:
-        return self.entries[i][j]
-
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(self.mode, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
-
-    def scale_series(self, s: FormalScalarSeries) -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(self.mode, [[e * s for e in row] for row in self.entries])
-
-    def coeff_at(self, t: HalfInt) -> list:
-        return [[e.coefficient(t) for e in row] for row in self.entries]
-
-    def truncate(self, t: HalfInt | None) -> "SeriesMatrix":
-        return SeriesMatrix.from_rows(self.mode, [[e.truncate(t) for e in row] for row in self.entries])
-
-    def truncation_order(self) -> HalfInt | None:
-        return reduce(_min_trunc, (e.truncation_order for row in self.entries for e in row), None)
-
-    def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        return max((e.max_abs_coeff(through) for row in self.entries for e in row), default=0.0)
-
-    def is_hermitian(self, through: HalfInt | None = None) -> bool:
-        m = self.size
-        for i in range(m):
-            for j in range(m):
-                a, b = self.entries[i][j], self.entries[j][i].conj()
-                bound = through if through is not None else \
-                    _min_trunc(a.truncation_order, b.truncation_order)
-                if not a.equals_through(b, bound):
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
 # Level matrices
 
 
 def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExpansion,
-                through: HalfInt | None = None) -> SeriesMatrix:
-    """Pairing Gram matrix (P e_a, P e_b) of the projected level basis.
+                through: HalfInt | None = None) -> list:
+    """Pairing Gram matrix (P e_a, P e_b) of the projected level basis, as rows
+    of scalar series.
 
     ``es`` are the bare level members e_a and ``fs`` their images P e_a.
     Each entry pairs a bare member against an image, by the Kato-Bloch
@@ -153,8 +90,7 @@ def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExp
     m = len(fs)
     pairs = {(i, j): pair_s0(es[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
     rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
-    a = SeriesMatrix.from_rows(mode, rows)
-    lead = a.coeff_at(HI0)
+    lead = [[e.coefficient(HI0) for e in row] for row in rows]
     scale = max(mode.abs(lead[i][i]) for i in range(m))
     for i in range(m):
         for j in range(m):
@@ -163,22 +99,20 @@ def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExp
             if off_diagonal or nonpositive:
                 raise ValueError("Gram leading term is not a positive diagonal; "
                                  "projected basis and pairing are inconsistent")
-    return a
+    return rows
 
 
 def interaction_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], family,
-                       omega: WeightExpansion, through: HalfInt | None = None) -> SeriesMatrix:
+                       omega: WeightExpansion, through: HalfInt | None = None) -> list:
     """Interaction matrix (P e_a, Q P e_b) over the series field.
 
     Pairs each bare member e_a against the image Q P e_b: since P commutes
     with the family Q as well, (P e_a, Q P e_b) = (e_a, P Q P e_b) =
     (e_a, Q P e_b), as for ``gram_matrix``.
     """
-    mode = fs[0].mode
     qfs = [family.apply_series(f, out_trunc=through) for f in fs]
     m = len(fs)
-    rows = [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
-    return SeriesMatrix.from_rows(mode, rows)
+    return [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,37 +380,38 @@ class EigenResult:
     vectors: list       # list of columns; each column is a list of series
     norms2: list        # constant coefficients
     normalized: bool
-    order: HalfInt
 
 
-def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None = None,
-                              through: HalfInt | None = None) -> EigenResult:
-    """Eigenvalue and eigenvector series of a hermitian matrix over the series field.
+def _is_hermitian(x: list, through: HalfInt) -> bool:
+    """Whether the series matrix ``x`` equals its conjugate transpose through ``through``."""
+    return all(x[i][j].equals_through(x[j][i].conj(), through)
+               for i in range(len(x)) for j in range(len(x)))
 
-    With ``gram`` given, solves the generalized problem M v = E (gram) v; the
-    leading gram coefficient must be hermitian positive definite. Splitting
-    follows the first order whose deflated coefficient is not a scalar
-    multiple of the leading gram; blocks are decoupled by a series congruence
-    before recursing, so eigenvalues are exact through the working order.
+
+def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> EigenResult:
+    """Eigenvalue and eigenvector series of a hermitian pencil over the series field.
+
+    Solves the generalized problem M v = E (gram) v through the smaller of
+    ``through`` and the entries' truncation orders; M and gram are rows of
+    scalar series, and the leading gram coefficient must be hermitian
+    positive definite. Splitting follows the first order whose deflated
+    coefficient is not a scalar multiple of the leading gram; blocks are
+    decoupled by a series congruence before recursing, so eigenvalues are
+    exact through the working order.
 
     Each column is scaled by a scalar series so that its squared norm is the
     constant n0 of its leading order, and then by 1/sqrt(n0) when every n0
     has a square root in the field (always in float mode).
     """
-    mode = m_matrix.mode
-    m = m_matrix.size
-    if through is not None:
-        through = HalfInt.of(through)
-    trunc = reduce(_min_trunc, (m_matrix.truncation_order(),
-                                None if gram is None else gram.truncation_order(), through))
-    if trunc is None:
-        raise ValueError("need a truncation order for the eigendecomposition")
-    if gram is None:
-        gram = SeriesMatrix.identity(mode, m, trunc)
-    if not m_matrix.is_hermitian(trunc) or not gram.is_hermitian(trunc):
+    mode = m_matrix[0][0].mode
+    m = len(m_matrix)
+    trunc = reduce(_min_trunc, (e.truncation_order for x in (m_matrix, gram)
+                                for row in x for e in row), through)
+    if not _is_hermitian(m_matrix, trunc) or not _is_hermitian(gram, trunc):
         raise ValueError("pencil must be hermitian")
 
-    pairs = _pencil_solve(m_matrix.truncate(trunc), gram.truncate(trunc), trunc, mode)
+    b, a = ([[e.truncate(trunc) for e in row] for row in x] for x in (m_matrix, gram))
+    pairs = _pencil_solve(b, a, trunc, mode)
 
     # deterministic order: sort by eigenvalue coefficient sequences
     def eig_key(pair):
@@ -512,7 +447,7 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
         acc = FormalScalarSeries.zero(mode, trunc)
         for i in range(m):
             for j in range(m):
-                acc = acc + col[i].conj() * gram.entry(i, j) * col[j]
+                acc = acc + col[i].conj() * gram[i][j] * col[j]
         n0 = acc.coefficient(HI0)
         factor = inverse_sqrt_series(acc.truncate(trunc).scale(mode.one() / n0), through=trunc)
         flat.append([e * factor for e in col])
@@ -530,7 +465,7 @@ def formal_eigendecomposition(m_matrix: SeriesMatrix, gram: SeriesMatrix | None 
         normalized = True
 
     return EigenResult(eigenvalues=eigenvalues, vectors=vectors, norms2=norms2,
-                       normalized=normalized, order=trunc)
+                       normalized=normalized)
 
 
 def _field_sqrt(mode, c):
@@ -543,23 +478,23 @@ def _field_sqrt(mode, c):
     return Fraction(rn, rd)
 
 
-def _pencil_solve(b: SeriesMatrix, a: SeriesMatrix, order: HalfInt, mode) -> list:
+def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
     """Recursive splitting; returns [(eigenvalue series, column of series)].
 
-    ``b`` and ``a`` are truncated at ``order``. The deflated coefficient
+    ``b`` and ``a`` are rows of series truncated at ``order``. The deflated coefficient
     B_t - (E A)_t vanishes when each entry's two terms are ``mode.close``;
     (E A)_t is one convolution of the eigenvalue coefficients found so far
     with those of A."""
-    m = b.size
+    m = len(b)
     if m == 1:
-        e = (b.entry(0, 0) / a.entry(0, 0)).truncate(order)
+        e = (b[0][0] / a[0][0]).truncate(order)
         one = FormalScalarSeries.const(mode, 1, order)
         return [(e, [one])]
 
-    a0 = a.coeff_at(HI0)
+    a0 = [[e.coefficient(HI0) for e in row] for row in a]
     e_terms: list = []  # (order, coefficient) of the common eigenvalue so far
     for t in half_range(HI0, order):
-        terms = [[(b.entry(i, j).coefficient(t), _convolve(e_terms, a.entry(i, j), t, mode))
+        terms = [[(b[i][j].coefficient(t), _convolve(e_terms, a[i][j], t, mode))
                   for j in range(m)] for i in range(m)]
         if all(mode.close(x, y) for row in terms for x, y in row):
             continue
@@ -617,7 +552,7 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
     of the rotated and decoupled pencil recurses. A column of a block maps
     back through W = U V.
     """
-    m = b.size
+    m = len(b)
     nus, ranges, u_cols = [], [], []
     for nu, cols in blocks:
         nus.append(nu)
@@ -627,20 +562,20 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
 
     def rotate(x):
         """U^H x U, a constant congruence."""
-        return [[_lin_comb(mode, order, [(mode.conj(u[k][i]) * u[l][j], HI0, x.entry(k, l))
+        return [[_lin_comb(mode, order, [(mode.conj(u[k][i]) * u[l][j], HI0, x[k][l])
                                          for k in range(m) for l in range(m)])
                  for j in range(m)] for i in range(m)]
 
     a_rot = rotate(a)
-    p_rot = rotate(b - a.scale_series(e_accum))
+    p_rot = rotate([[x - y * e_accum for x, y in zip(rb, ra)] for rb, ra in zip(b, a)])
     v_terms, av, pv = _decouple(a_rot, p_rot, t, nus, ranges, order, mode)
 
     def decoupled(xv, rng):
         """The diagonal block of V^H X V on ``rng``, from xv = X V."""
-        return SeriesMatrix.from_rows(mode, [[_lin_comb(
+        return [[_lin_comb(
             mode, order, [(mode.one(), HI0, xv[i][j])] + [(mode.conj(vr[k][i]), r, xv[k][j])
                                                           for r, vr in v_terms for k in range(m)])
-            for j in rng] for i in rng])
+            for j in rng] for i in rng]
 
     # W = U V, as (coefficient, order) terms per entry
     w = [[[(u[i][j], HI0)] + [(sum((u[i][k] * vr[k][j] for k in range(m)), mode.zero()), r)
@@ -734,9 +669,9 @@ def _block_mul(a, b):
              for j in range(cols)] for i in range(rows)]
 
 
-def _series_gram_schmidt(a: SeriesMatrix, order: HalfInt, mode) -> list:
+def _series_gram_schmidt(a: list, order: HalfInt, mode) -> list:
     """A-orthogonal columns from the identity basis, lexicographic pivoting."""
-    m = a.size
+    m = len(a)
     cols = []
     for k in range(m):
         col = [FormalScalarSeries.const(mode, 1 if i == k else 0, order) for i in range(m)]
@@ -745,8 +680,8 @@ def _series_gram_schmidt(a: SeriesMatrix, order: HalfInt, mode) -> list:
             den = FormalScalarSeries.zero(mode, order)
             for i in range(m):
                 for j in range(m):
-                    num = num + prev[i].conj() * a.entry(i, j) * col[j]
-                    den = den + prev[i].conj() * a.entry(i, j) * prev[j]
+                    num = num + prev[i].conj() * a[i][j] * col[j]
+                    den = den + prev[i].conj() * a[i][j] * prev[j]
             c = num / den
             col = [ci - c * pi for ci, pi in zip(col, prev)]
         cols.append([c.truncate(order) for c in col])

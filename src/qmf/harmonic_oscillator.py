@@ -227,11 +227,21 @@ class SpectrumTable:
         return sorted(self.entries.items(),
                       key=lambda kv: (self.mode.to_float(kv[1]), kv[0]))
 
+    def at_level(self, index: HermiteIndex, E0) -> bool:
+        """Whether the eigenvalue at ``index`` is E0: their difference is
+        negligible against |E0| and the magnitudes summed into the eigenvalue,
+        sum (2 alpha_nu + 1) |lambda_nu| + |mu_k|, so that a float eigenvalue
+        that cancels to rounding (0.1 + 0.2 - 0.3) is the level at 0."""
+        mode = self.mode
+        size = sum(mode.abs(l) * (2 * a + 1) for l, a in zip(self.lam, index.alpha))
+        size += mode.abs(self.mu[index.k])
+        return mode.negligible(self.entries[index] - E0, max(size, mode.abs(E0)))
+
     def distinct_levels(self) -> list:
-        """Distinct eigenvalues ascending; float values are equal when ``mode.close``."""
+        """Distinct eigenvalues ascending; float values are equal by ``at_level``."""
         values = []
-        for _, e in self.sorted_entries():
-            if not values or not self.mode.close(e, values[-1]):
+        for index, e in self.sorted_entries():
+            if not values or not self.at_level(index, values[-1]):
                 values.append(e)
         return values
 
@@ -286,7 +296,7 @@ class DegenerateLevel:
 
 
 def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
-    """Collect all indices at the eigenvalue E0 (equal by ``mode.close``).
+    """Collect all indices at the eigenvalue E0 (equal by ``SpectrumTable.at_level``).
 
     The table must hold the whole level: its degree must be at least
     ``covering_degree`` of E0.
@@ -297,7 +307,7 @@ def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
     if need > table.degree:
         raise LevelNotFoundError(
             f"spectrum table degree {table.degree} too small to certify the level; need {need}")
-    members = [index for index, e in table.entries.items() if mode.close(e, E0)]
+    members = [index for index in table.entries if table.at_level(index, E0)]
     if not members:
         raise LevelNotFoundError(f"E0 = {E0} not in the model spectrum")
     members = tuple(sorted(members))

@@ -387,6 +387,14 @@ class DiffOpJet:
                          {b: tuple(tuple(x.scale(c) for x in row) for row in m)
                           for b, m in self.terms.items()}, self.complete)
 
+    def abs(self) -> "DiffOpJet":
+        """The operator with every coefficient replaced by its |value|: applied
+        to |q| it bounds the magnitudes that ``apply`` sums into each output
+        coefficient."""
+        return DiffOpJet(self.mode, self.n, self.rank,
+                         {b: tuple(tuple(x.abs() for x in row) for row in m)
+                          for b, m in self.terms.items()}, self.complete)
+
     def compose(self, other: "DiffOpJet") -> "DiffOpJet":
         """Operator product self . other, exact Leibniz expansion; the
         coefficient of d^key is formed only through degree complete + |key|,

@@ -39,7 +39,9 @@ for budget b runs the same operations on the w-powers it keeps, and the
 w-powers it drops only feed residues of orders above b. So a projector of
 order N applies itself to an order-j coefficient with images through N - j
 only, and keeps, per index, the image at the largest budget asked for so
-far, returning its orders <= b for any smaller budget b. The law checks of
+far, returning its orders <= b for any smaller budget b. One class,
+``ProjectorSeries``, holds the recursion and all three caches: the Q_j
+images, the powers of 1/(E0 - E) and the images per index. The law checks of
 ``projector_diagnostics`` first collect every (index, budget) they will read
 and compute each index once, at the largest of its budgets.
 
@@ -49,7 +51,7 @@ denominator. Q_j images and the powers of 1/(E0 - E) are kept
 as integers, sums rescale only when a new denominator raises the common lcm,
 and each finished vector is reduced by one gcd. Float mode runs the same code
 over denominator 1. Coefficients become Fractions only where images leave the
-engine (``graded_vecs_to_s0``).
+projector (``graded_vecs_to_s0``).
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class HermiteVec:
     what it takes in, rescaling its numerators only when that lcm grows;
     ``reduce`` finishes it with one gcd over the whole vector and drops the
     zero entries. Both steps are the kernel ``Poly`` runs on
-    (``series_algebra.grow_den`` and ``reduce_num``). Every vector an engine method returns is
-    reduced, so equal vectors compare equal, and is never mutated afterwards.
+    (``series_algebra.grow_den`` and ``reduce_num``). Every vector a projector method returns
+    is reduced, so equal vectors compare equal, and is never mutated afterwards.
     """
 
     mode: object
@@ -183,21 +185,38 @@ def graded_vecs_to_s0(basis: HermiteBasis, index: HermiteIndex, vecs: Mapping,
 
 
 # ---------------------------------------------------------------------------
-# The resolvent engine
+# The projector series
 
 
-class ProjectorEngine:
-    """Laurent-residue evaluation of the graded resolvent expansion at one level."""
+class ProjectorSeries:
+    """The level projector through ``order``, by Laurent residues of the
+    graded resolvent expansion at one level.
 
-    def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel):
+    ``image(pos)`` returns the graded coefficients of the projected basis
+    vector at a basis position as ``HermiteVec``s; images are computed lazily
+    and cached, so the table covers whatever the caller touches. At order
+    zero the action is the identity on the level members and zero elsewhere.
+
+    ``apply_graded`` needs the image of an index met at order j only through
+    order ``order - j``. The cache keeps, per index, the image at the largest
+    budget computed so far and answers a smaller budget with its prefix,
+    which is exact: the image at budget b equals the full image cut to
+    orders <= b (see the module docstring).
+    """
+
+    def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
+                 order: HalfInt):
         self.mode = basis.mode
         self.family = family
         self.basis = basis
         self.level = level
+        self.order = order
         # (j.doubled, position) -> Q_j applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
         # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
         self._gap_powers: dict[int, list] = {}
+        # position -> (budget, images through that budget)
+        self._images: dict[int, tuple[HalfInt, dict]] = {}
         self._level_set = {basis.position(m) for m in level.members}
         # degree parity of the level (None when mixed): it sets the truncation
         self._parity = {"even": 0, "odd": 1}.get(level.parity)
@@ -308,36 +327,7 @@ class ProjectorEngine:
                 out[s] = residue
         return out
 
-
-# ---------------------------------------------------------------------------
-# Projector series
-
-
-@dataclass
-class ProjectorSeries:
-    """Action table of the level projector, order by order.
-
-    ``image(pos)`` returns the graded coefficients of the projected basis
-    vector at a basis position as ``HermiteVec``s; images are computed lazily and
-    cached, so the table covers whatever the caller touches. At order zero
-    the action is the identity on the level members and zero elsewhere.
-
-    ``apply_graded`` needs the image of an index met at order j only through
-    order ``order - j``. The cache keeps, per index, the image at the largest
-    budget computed so far and answers a smaller budget with its prefix,
-    which is exact: the image at budget b equals the full image cut to
-    orders <= b (see the module docstring).
-    """
-
-    engine: ProjectorEngine
-    order: HalfInt
-
-    def __post_init__(self):
-        self._images: dict[int, tuple[HalfInt, dict]] = {}
-
-    @property
-    def basis(self) -> HermiteBasis:
-        return self.engine.basis
+    # -- the action table
 
     def image(self, pos: int) -> dict:
         return self._image(pos, self.order)
@@ -345,7 +335,7 @@ class ProjectorSeries:
     def _image(self, pos: int, budget: HalfInt) -> dict:
         hit = self._images.get(pos)
         if hit is None or hit[0] < budget:
-            hit = self._images[pos] = (budget, self.engine.images(pos, budget))
+            hit = self._images[pos] = (budget, self.images(pos, budget))
         if hit[0] == budget:
             return hit[1]
         return {j: vec for j, vec in hit[1].items() if j <= budget}
@@ -362,7 +352,7 @@ class ProjectorSeries:
                 continue
             for idx, n in vec.num.items():
                 for i, ivec in self._image(idx, self.order - j).items():
-                    _slot(out, j + i, self.engine.mode).add(ivec, n, vec.den)
+                    _slot(out, j + i, self.mode).add(ivec, n, vec.den)
         return _reduced(out)
 
 
@@ -374,8 +364,7 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, level: Degenera
         raise WorkspaceDegreeError(
             f"operator family exact only through order {family.max_order}; "
             f"raise the input jet order (need operator orders through {order})")
-    engine = ProjectorEngine(family, basis, level)
-    return ProjectorSeries(engine=engine, order=order)
+    return ProjectorSeries(family, basis, level, order)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +403,20 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     largest budget any of them asks for: N for a probe, and N - j for an
     index met at order j in a probe's image or in Q_j of a probe (the
     budgets at which ``apply_graded`` reads them).
+
+    In float mode each defect is judged against the vectors it cancels; a
+    commutation defect that is not negligible against Q P e and P Q e, which
+    are cancelled sums themselves, is judged again against the largest term
+    summed into either.
     """
-    engine = proj.engine
-    mode = engine.mode
-    basis = engine.basis
-    level = engine.level
-    N = proj.order
+    mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order
     probes = sorted({idx for idx in basis.indices(level.K.doubled + 2)
                      if idx.degree <= level.K.doubled + 2} | set(level.members))
     pos = {idx: basis.position(idx) for idx in probes}
     degree_at = basis.degree_at
-    orders = [i for i in engine.family.orders() if i <= N]
+    orders = [i for i in proj.family.orders() if i <= N]
     imgs = {idx: proj.image(pos[idx]) for idx in probes}
-    qh = {idx: {i: engine.q_action(i, pos[idx]) for i in orders} for idx in probes}
+    qh = {idx: {i: proj.q_action(i, pos[idx]) for i in orders} for idx in probes}
     lowest: dict[int, HalfInt] = {}
     for idx in probes:
         for j, vec in (*imgs[idx].items(), *qh[idx].items()):
@@ -458,12 +448,25 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
         for j, vec in img.items():
             for i in orders:
                 if j + i <= N:
-                    engine._apply_q(i, {j + i: vec}, qp)
+                    proj._apply_q(i, {j + i: vec}, qp)
         pq = proj.apply_graded(qh[idx])
         scale = max(_max_abs(qp.values()), _max_abs(pq.values()))
         for j, vec in pq.items():
             _slot(qp, j, mode).add(vec, -1)
-        comm.append((_max_abs(v for j, v in qp.items() if j <= N), scale))
+        defect = _max_abs(v for j, v in qp.items() if j <= N)
+        if not mode.negligible(defect, scale):
+            # Q P e and P Q e are cancelled sums themselves: judge against the
+            # largest term summed into either, as the rank certificate does
+            for j, vec in img.items():
+                for midx, n in vec.num.items():
+                    for i in orders:
+                        if j + i <= N:
+                            scale = max(scale, abs(n) / vec.den * proj.q_action(i, midx).max_abs())
+            for i, vec in qh[idx].items():
+                for midx, n in vec.num.items():
+                    image = proj._image(midx, N - i)
+                    scale = max(scale, abs(n) / vec.den * _max_abs(image.values()))
+        comm.append((defect, scale))
 
     # symmetry of the pairing
     sym = []

@@ -46,6 +46,7 @@ from .series_algebra import (
 )
 from .operator_calculus import (
     ConjugatedOperator,
+    DiffOpJet,
     JetProblem,
     OperatorFamily,
     conjugate_hamiltonian,
@@ -322,7 +323,9 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     as an x-jet (T the transport operator, L the second-order piece) and
     requires it to vanish identically through the provable degree. Flat
     corrections vanish to infinite order at the base point, so jet residuals
-    must be exactly zero (in float mode, against the terms summed into them).
+    must be exactly zero (in float mode, negligible against the terms summed
+    into them or, failing that, against the same sum on |coefficients|: the
+    terms are cancelled sums themselves, T a_k above all).
     ``data["degrees"]`` lists, for k = 0, 1/2, ..., N + K, the degree through
     which order k was checked (the smallest over the quasimodes).
     """
@@ -332,6 +335,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     N = result.order
     T_op = ctx.conj.hbar1
     L_op = ctx.conj.hbar2
+    abs_ops = None
     residuals = []
     orders = list(half_range(HI0, N + level.K))
     degrees = [None] * len(orders)
@@ -352,22 +356,40 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
                     (L_op.complete, L_op.min_degree()),
                     (a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree())))
             degrees[k.doubled] = _min_trunc(degrees[k.doubled], check_bound)
-            # the terms summed into the residual, each through the check bound
-            terms = [T_op.apply(a_k, through=check_bound),
-                     -a_k.truncate_degree(check_bound).scale(level.E0)]
+            # the terms summed into the residual, (operator or scalar, jet)
+            parts = [(T_op, a_k), (-level.E0, a_k)]
             if has_prev:
-                terms.append(L_op.apply(a_prev, through=check_bound))
+                parts.append((L_op, a_prev))
             for i in half_range(HalfInt(1), k):
                 ei = inner.coefficient(i)
                 if not mode.is_zero(ei):
-                    terms.append(-a_jet.at_relative(k - i).truncate_degree(check_bound).scale(ei))
-            residuals.append((sum(terms[1:], terms[0]).max_abs(), max(t.max_abs() for t in terms)))
+                    parts.append((-ei, a_jet.at_relative(k - i)))
+            terms = _transport_terms(parts, check_bound)
+            residual = sum(terms[1:], terms[0]).max_abs()
+            scale = max(t.max_abs() for t in terms)
+            if not mode.negligible(residual, scale):
+                # the terms are cancelled sums themselves (T a_k above all), so
+                # judge the residual against the same sum on |coefficients|
+                if abs_ops is None:
+                    abs_ops = {T_op: T_op.abs(), L_op: L_op.abs()}
+                magnitudes = _transport_terms(
+                    [(abs_ops[x] if isinstance(x, DiffOpJet) else mode.abs(x), q.abs())
+                     for x, q in parts], check_bound)
+                scale = max(scale, sum(magnitudes[1:], magnitudes[0]).max_abs())
+            residuals.append((residual, scale))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
         name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
         detail=f"jet residual through degree {degrees[0]} at order 0, "
                f"{degrees[-1]} at order {orders[-1]}",
         data={"degrees": degrees})
+
+
+def _transport_terms(parts, through: int | None) -> list:
+    """x q through degree ``through`` for each (x, q) of ``parts``, x an
+    operator applied to the jet q or a scalar scaling it."""
+    return [x.apply(q, through=through) if isinstance(x, DiffOpJet)
+            else q.truncate_degree(through).scale(x) for x, q in parts]
 
 
 def eigen_residual(result: QuasimodeResult) -> VerificationReport:
@@ -404,12 +426,12 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     Works entirely in the model eigenbasis with intermediate normalization
     (the level component of every correction vector is zero). It shares with
     the construction the operator family, the basis of ``result.context`` and
-    the projector engine's cached Q_j images (``q_action``: the table algebra
-    of ``HermiteBasis.apply``, a function of the family and the basis alone),
-    and reads none of the resolvent recursion, the pairing or the pencil. Its
-    vectors are the engine's integer-numerator ``HermiteVec``s, keyed by basis
-    position and summed by ``_apply_q``, and the basis's ``eigenvalue_at``
-    gives every model gap; no spectrum table is read.
+    the projector's cached Q_j images (``ProjectorSeries.q_action``: the table
+    algebra of ``HermiteBasis.apply``, a function of the family and the basis
+    alone), and reads none of the resolvent recursion, the pairing or the
+    pencil. Its vectors are the projector's integer-numerator ``HermiteVec``s,
+    keyed by basis position and summed by ``_apply_q``, and the basis's
+    ``eigenvalue_at`` gives every model gap; no spectrum table is read.
     That basis reaches degree 2K + 4N + 2 (2K the member degree, N the
     order), which covers every vector the recursion builds. The returned
     series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
@@ -421,17 +443,17 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     if level.m0 != 1:
         raise DegenerateLevelError(
             f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
-    basis, engine = ctx.basis, ctx.projector.engine
+    basis, proj = ctx.basis, ctx.projector
     member = basis.position(level.members[0])
     e0_val = level.E0
-    parts = [j for j in engine.family.orders() if j > HI0]
+    parts = [j for j in ctx.family.orders() if j > HI0]
     psi = {0: HermiteVec.of(mode, {member: mode.one()})}
     e_coeffs = {0: e0_val}
     for s in range(1, order.doubled + 1):
         drive = HermiteVec(mode)
         for j in parts:
             if j.doubled <= s:
-                engine._apply_q(j, {0: psi[s - j.doubled]}, {0: drive})
+                proj._apply_q(j, {0: psi[s - j.doubled]}, {0: drive})
         # psi_t has no member component for t >= 1 (intermediate
         # normalization), so the member entry of the drive is E_s
         for t in range(1, s):

@@ -628,6 +628,9 @@ class FiberPoly:
     def max_abs(self) -> float:
         return max(c.max_abs() for c in self.components)
 
+    def abs(self) -> "FiberPoly":
+        return FiberPoly([c.abs() for c in self.components])
+
     def __add__(self, other: "FiberPoly") -> "FiberPoly":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
@@ -1098,8 +1101,7 @@ class S0Series(_GradedSeries):
 
     def abs(self) -> "S0Series":
         return S0Series(self.mode, self.n, self.rank, self.K,
-                        {j: FiberPoly([c.abs() for c in p.components])
-                         for j, p in self.coeffs.items()},
+                        {j: p.abs() for j, p in self.coeffs.items()},
                         self.truncation_order, validate=False)
 
 

@@ -8,53 +8,73 @@ recompute the full products V^H A V and V^H P V at every step of the
 congruence.
 """
 
-from qmf.formal_diagonalization import (
-    SeriesMatrix,
-    _block_mul,
-    _const_inverse,
-)
+from qmf.formal_diagonalization import _block_mul, _const_inverse
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
 from qmf.series_algebra import FormalScalarSeries, HI0, HalfInt, half_range
 
-
-def mat_add(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
-    return SeriesMatrix.from_rows(x.mode, [[a + b for a, b in zip(rx, ry)]
-                                           for rx, ry in zip(x.entries, y.entries)])
+# A series matrix is a list of rows of ``FormalScalarSeries``, as in the program.
 
 
-def mat_mul(x: SeriesMatrix, y: SeriesMatrix) -> SeriesMatrix:
+def constant(mode, mat, trunc=None) -> list:
+    """The series matrix with constant entries ``mat``."""
+    return [[FormalScalarSeries.const(mode, c, trunc) for c in row] for row in mat]
+
+
+def identity(mode, m: int, trunc=None) -> list:
+    return constant(mode, [[int(i == j) for j in range(m)] for i in range(m)], trunc)
+
+
+def coeff_at(x: list, t: HalfInt) -> list:
+    """The constant matrix of the coefficients at order t."""
+    return [[e.coefficient(t) for e in row] for row in x]
+
+
+def max_abs_coeff(x: list, through=None) -> float:
+    return max(e.max_abs_coeff(through) for row in x for e in row)
+
+
+def mat_add(x: list, y: list) -> list:
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def mat_sub(x: list, y: list) -> list:
+    return [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def mat_scale(x: list, s: FormalScalarSeries) -> list:
+    """Every entry times the scalar series s."""
+    return [[e * s for e in row] for row in x]
+
+
+def mat_mul(x: list, y: list) -> list:
     """The series matrix product, entry by entry."""
-    m = x.size
-    return SeriesMatrix.from_rows(x.mode, [[
-        sum((x.entry(i, k) * y.entry(k, j) for k in range(m)), FormalScalarSeries.zero(x.mode))
-        for j in range(m)] for i in range(m)])
+    m = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(m)), FormalScalarSeries.zero(x[0][0].mode))
+             for j in range(m)] for i in range(m)]
 
 
-def adjoint(x: SeriesMatrix) -> SeriesMatrix:
-    m = x.size
-    return SeriesMatrix.from_rows(x.mode, [[x.entry(j, i).conj() for j in range(m)]
-                                           for i in range(m)])
+def adjoint(x: list) -> list:
+    m = len(x)
+    return [[x[j][i].conj() for j in range(m)] for i in range(m)]
 
 
-def congruence(v: SeriesMatrix, x: SeriesMatrix) -> SeriesMatrix:
+def congruence(v: list, x: list) -> list:
     """V^H X V."""
     return mat_mul(mat_mul(adjoint(v), x), v)
 
 
-def image_gram_matrix(fs, omega, through=None) -> SeriesMatrix:
+def image_gram_matrix(fs, omega, through=None) -> list:
     """(P e_a, P e_b), each image paired against each image."""
     m = len(fs)
-    return SeriesMatrix.from_rows(fs[0].mode, [[pair_s0(fs[i], fs[j], omega, through)
-                                                for j in range(m)] for i in range(m)])
+    return [[pair_s0(fs[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
 
 
-def image_interaction_matrix(fs, family, omega, through=None) -> SeriesMatrix:
+def image_interaction_matrix(fs, family, omega, through=None) -> list:
     """(P e_a, Q P e_b), each image paired against each image of Q."""
     qfs = [family.apply_series(f, out_trunc=through) for f in fs]
     m = len(fs)
-    return SeriesMatrix.from_rows(fs[0].mode, [[pair_s0(fs[i], qfs[j], omega, through)
-                                                for j in range(m)] for i in range(m)])
+    return [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
 
 
 def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
@@ -64,26 +84,26 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
     the one coefficient of each that it needs; the blocks recurse through
     the program's ``_pencil_solve``.
     """
-    m = b.size
+    m = len(b)
     u_cols, nus, sizes = [], [], []
     for nu, cols in blocks:
         nus.append(nu)
         sizes.append(len(cols))
         u_cols.extend(cols)
-    trunc = b.truncation_order()
-    u = SeriesMatrix.constant(mode, [[u_cols[j][i] for j in range(m)] for i in range(m)], trunc)
+    trunc = min(e.truncation_order for row in b for e in row)
+    u = constant(mode, [[u_cols[j][i] for j in range(m)] for i in range(m)], trunc)
     a_rot = congruence(u, a)
-    p_rot = congruence(u, b - a.scale_series(e_accum))
+    p_rot = congruence(u, mat_sub(b, mat_scale(a, e_accum)))
 
     ranges, start = [], 0
     for size in sizes:
         ranges.append(range(start, start + size))
         start += size
-    a0_rot = a_rot.coeff_at(HI0)
+    a0_rot = coeff_at(a_rot, HI0)
     a0_blocks = [[[a0_rot[i][j] for j in rng] for i in rng] for rng in ranges]
     a0_invs = [_const_inverse(blk) for blk in a0_blocks]
 
-    v = SeriesMatrix.identity(mode, m, trunc)
+    v = identity(mode, m, trunc)
     for s_ord in half_range(HalfInt(1), order):
         a_cur = congruence(v, a_rot)
         p_cur = congruence(v, p_rot)
@@ -91,9 +111,8 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
         dirty = False
         for bi in range(len(ranges)):
             for ci in range(bi + 1, len(ranges)):
-                k1 = [[a_cur.entry(i, j).coefficient(s_ord) for j in ranges[ci]]
-                      for i in ranges[bi]]
-                k2 = [[p_cur.entry(i, j).coefficient(t + s_ord) for j in ranges[ci]]
+                k1 = [[a_cur[i][j].coefficient(s_ord) for j in ranges[ci]] for i in ranges[bi]]
+                k2 = [[p_cur[i][j].coefficient(t + s_ord) for j in ranges[ci]]
                       for i in ranges[bi]]
                 if all(mode.is_zero(x) for row in k1 + k2 for x in row):
                     continue
@@ -110,22 +129,22 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
                         vs[i][j] = x[rr][cc]
                         vs[j][i] = mode.conj(y[rr][cc])
         if dirty:
-            v = mat_add(v, SeriesMatrix.constant(mode, vs, trunc).scale_series(
-                FormalScalarSeries.hbar_power(mode, s_ord, 1, trunc)))
+            v = mat_add(v, mat_scale(constant(mode, vs, trunc),
+                                     FormalScalarSeries.hbar_power(mode, s_ord, 1, trunc)))
 
     a_fin = congruence(v, a_rot)
     p_fin = congruence(v, p_rot)
     w = mat_mul(u, v)
     out = []
     for rng in ranges:
-        sub_b = SeriesMatrix.from_rows(mode, [[p_fin.entry(i, j) for j in rng] for i in rng])
-        sub_a = SeriesMatrix.from_rows(mode, [[a_fin.entry(i, j) for j in rng] for i in rng])
+        sub_b = [[p_fin[i][j] for j in rng] for i in rng]
+        sub_a = [[a_fin[i][j] for j in rng] for i in rng]
         for e_sub, col in fd._pencil_solve(sub_b, sub_a, order, mode):
             full_col = []
             for i in range(m):
                 acc = FormalScalarSeries.zero(mode, order)
                 for cc, j in enumerate(rng):
-                    acc = acc + w.entry(i, j) * col[cc]
+                    acc = acc + w[i][j] * col[cc]
                 full_col.append(acc.truncate(order))
             out.append(((e_accum + e_sub).truncate(order), full_col))
     return out

@@ -20,7 +20,6 @@ from qmf.series_algebra import (
 )
 from qmf.formal_diagonalization import (
     ExactSplitUnavailable,
-    SeriesMatrix,
     SplitAmbiguityError,
     _gen_eig_float,
     formal_eigendecomposition,
@@ -31,57 +30,64 @@ from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
 from qmf.quasimode_pipeline import compute_quasimodes, parity_filter
 
 from level_oracle import (
+    coeff_at,
     congruence,
+    constant,
+    identity,
     image_gram_matrix,
     image_interaction_matrix,
     mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
+    max_abs_coeff,
     split_and_recurse_full,
 )
 
 F = Fraction
 
 
-def matrix_inverse_sqrt(a: SeriesMatrix, through: HalfInt | None = None) -> SeriesMatrix:
+def matrix_inverse_sqrt(a: list, through: HalfInt | None = None) -> list:
     """B with B A B = 1, for hermitian A = 1 + (positive order).
 
     The binomial series in X = A - 1 has rational coefficients, so B stays in
     the base field. Rejects a non-identity leading term. B C B is the
     normalized matrix that the pencil route must reproduce.
     """
-    mode = a.mode
-    m = a.size
-    lead = a.coeff_at(HI0)
+    mode = a[0][0].mode
+    m = len(a)
+    lead = coeff_at(a, HI0)
     for i in range(m):
         for j in range(m):
             want = mode.one() if i == j else mode.zero()
             if not mode.is_zero(lead[i][j] - want):
                 raise ValueError("inverse square root needs a leading identity")
-    trunc = a.truncation_order()
+    trunc = min((e.truncation_order for row in a for e in row if e.truncation_order is not None),
+                default=None)
     if through is not None:
         trunc = through if trunc is None else min(trunc, through)
     if trunc is None:
         raise ValueError("need a truncation order for the matrix binomial series")
-    x = a - SeriesMatrix.identity(mode, m, trunc)
+    x = mat_sub(a, identity(mode, m, trunc))
     min_ord = None
-    for row in x.entries:
+    for row in x:
         for e in row:
             o = e.order()
             if o is not None:
                 min_ord = o if min_ord is None else min(min_ord, o)
-    out = SeriesMatrix.identity(mode, m, trunc)
+    out = identity(mode, m, trunc)
     if min_ord is None:
         return out
     if min_ord <= HI0:
         raise ValueError("perturbation must have positive order")
-    power = SeriesMatrix.identity(mode, m, trunc)
+    power = identity(mode, m, trunc)
     coeff = Fraction(1)
     kmax = trunc.doubled // min_ord.doubled
     for k in range(1, kmax + 1):
         coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
         power = mat_mul(power, x)
-        out = mat_add(out, power.scale_series(
-            FormalScalarSeries.const(mode, mode.coeff(coeff), trunc)))
+        out = mat_add(out, mat_scale(
+            power, FormalScalarSeries.const(mode, mode.coeff(coeff), trunc)))
     return out
 
 
@@ -92,28 +98,32 @@ def ser(terms, trunc=8, mode=EXACT):
 
 
 def series_mat(rows, trunc=8, mode=EXACT):
-    return SeriesMatrix.from_rows(
-        mode, [[ser(e, trunc, mode) if isinstance(e, dict) else
-                FormalScalarSeries.const(mode, F(e), HalfInt(trunc)) for e in row]
-               for row in rows])
+    return [[ser(e, trunc, mode) if isinstance(e, dict) else
+             FormalScalarSeries.const(mode, F(e), HalfInt(trunc)) for e in row]
+            for row in rows]
+
+
+def plain_eigendecomposition(m, through=HalfInt(8)):
+    """Eigenvalues and vectors of M itself: the pencil with the identity Gram."""
+    return formal_eigendecomposition(m, identity(m[0][0].mode, len(m), through), through)
 
 
 class TestMatrixInverseSqrt:
     def test_identity(self):
-        a = SeriesMatrix.identity(EXACT, 2, HalfInt(8))
+        a = identity(EXACT, 2, HalfInt(8))
         b = matrix_inverse_sqrt(a)
-        assert b.coeff_at(HI0) == [[1, 0], [0, 1]]
-        assert {e for row in b.entries for entry in row for e, _ in entry.items()} == {HI0}
+        assert coeff_at(b, HI0) == [[1, 0], [0, 1]]
+        assert {e for row in b for entry in row for e, _ in entry.items()} == {HI0}
 
     def test_diagonal_matches_scalar_binomial(self):
         a = series_mat([[{0: 1, 2: 2}, 0], [0, {0: 1}]])
         b = matrix_inverse_sqrt(a)
         # (1 + 2h)^(-1/2) = 1 - h + (3/2) h^2 - (5/2) h^3 ...
-        e = b.entry(0, 0)
+        e = b[0][0]
         assert e.coefficient(HalfInt(2)) == F(-1)
         assert e.coefficient(HalfInt(4)) == F(3, 2)
         assert e.coefficient(HalfInt(6)) == F(-5, 2)
-        assert b.entry(1, 1) == ser({0: 1}, None)
+        assert b[1][1] == ser({0: 1}, None)
 
     def test_bab_is_identity_random(self):
         rng = random.Random(11)
@@ -132,8 +142,8 @@ class TestMatrixInverseSqrt:
                              {0: 1, **{k: v for k, v in rows[1][1].items() if k > 0}}]])
             b = matrix_inverse_sqrt(a)
             prod = mat_mul(mat_mul(b, a), b)
-            ident = SeriesMatrix.identity(EXACT, 2, HalfInt(8))
-            assert (prod - ident).max_abs_coeff(HalfInt(8)) == 0
+            ident = identity(EXACT, 2, HalfInt(8))
+            assert max_abs_coeff(mat_sub(prod, ident), HalfInt(8)) == 0
 
     def test_rejects_non_identity_leading(self):
         a = series_mat([[2, 0], [0, 1]])
@@ -144,7 +154,7 @@ class TestMatrixInverseSqrt:
 class TestEigendecomposition:
     def test_scalar_multiple_of_identity(self):
         m = series_mat([[{0: 3}, 0], [0, {0: 3}]])
-        res = formal_eigendecomposition(m)
+        res = plain_eigendecomposition(m)
         assert [e.coefficient(HI0) for e in res.eigenvalues] == [3, 3]
         lead = [[col[i].coefficient(HI0) for col in res.vectors] for i in range(2)]
         assert lead == [[1, 0], [0, 1]]
@@ -152,35 +162,35 @@ class TestEigendecomposition:
     def test_offdiagonal_split(self):
         # E0*1 + h*[[0,1],[1,0]] -> E0 +/- h with vectors (1, -1), (1, 1)
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
-        res = formal_eigendecomposition(m)
+        res = plain_eigendecomposition(m)
         vals = [(e.coefficient(HI0), e.coefficient(HalfInt(2))) for e in res.eigenvalues]
         assert vals == [(5, -1), (5, 1)]
         for e, col in zip(res.eigenvalues, res.vectors):
             # residual M v - E v vanishes through the order
             for i in range(2):
-                resid = (m.entry(i, 0) * col[0] + m.entry(i, 1) * col[1]) - e * col[i]
+                resid = (m[i][0] * col[0] + m[i][1] * col[1]) - e * col[i]
                 assert resid.max_abs_coeff(HalfInt(8)) == 0
 
     def test_two_stage_recursion(self):
         # scalar at order 1 then a rational split at order 2
         m = series_mat([[{0: 2, 2: 1, 4: 3}, {4: 1}], [{4: 1}, {0: 2, 2: 1, 4: 3}]])
-        res = formal_eigendecomposition(m, through=HalfInt(6))
+        res = plain_eigendecomposition(m, through=HalfInt(6))
         vals = [e.coefficient(HalfInt(4)) for e in res.eigenvalues]
         assert sorted(vals) == [2, 4]
         for e, col in zip(res.eigenvalues, res.vectors):
             for i in range(2):
-                resid = (m.entry(i, 0) * col[0] + m.entry(i, 1) * col[1]) - e * col[i]
+                resid = (m[i][0] * col[0] + m[i][1] * col[1]) - e * col[i]
                 assert resid.max_abs_coeff(HalfInt(6)) == 0
 
     def test_exact_mode_irrational_split_raises(self):
         m = series_mat([[{0: 1, 2: 0}, {2: 1}], [{2: 1}, {0: 1, 2: 1}]])
         with pytest.raises(ExactSplitUnavailable):
-            formal_eigendecomposition(m)
+            plain_eigendecomposition(m)
 
     def test_float_mode_irrational_split(self):
         fm = float_mode()
         m = series_mat([[{0: 1, 2: 0}, {2: 1}], [{2: 1}, {0: 1, 2: 1}]], mode=fm)
-        res = formal_eigendecomposition(m)
+        res = plain_eigendecomposition(m)
         import math
 
         vals = sorted(v.coefficient(HalfInt(2)).real for v in res.eigenvalues)
@@ -205,13 +215,11 @@ class TestEigendecomposition:
         pencil = formal_eigendecomposition(c, gram=d, through=HalfInt(6))
         # normalized route: scale by D0^(-1/2) = diag(1/2, 1) exactly
         s = [[F(1, 2), 0], [0, F(1)]]
-        cs = SeriesMatrix.from_rows(EXACT, [
-            [c.entry(i, j).scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)])
-        ds = SeriesMatrix.from_rows(EXACT, [
-            [d.entry(i, j).scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)])
+        cs = [[c[i][j].scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)]
+        ds = [[d[i][j].scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)]
         b = matrix_inverse_sqrt(ds, HalfInt(6))
         m = mat_mul(mat_mul(b, cs), b)
-        plain = formal_eigendecomposition(m, through=HalfInt(6))
+        plain = plain_eigendecomposition(m, through=HalfInt(6))
         for e1, e2 in zip(pencil.eigenvalues, plain.eigenvalues):
             assert e1.equals_through(e2, HalfInt(6))
 
@@ -222,9 +230,9 @@ class TestEigendecomposition:
         res = formal_eigendecomposition(c, gram=d, through=HalfInt(6))
         for e, col in zip(res.eigenvalues, res.vectors):
             for i in range(2):
-                lhs = sum((c.entry(i, j) * col[j] for j in range(2)),
+                lhs = sum((c[i][j] * col[j] for j in range(2)),
                           FormalScalarSeries.zero(EXACT))
-                rhs = sum((d.entry(i, j) * col[j] for j in range(2)),
+                rhs = sum((d[i][j] * col[j] for j in range(2)),
                           FormalScalarSeries.zero(EXACT)) * e
                 assert (lhs - rhs).max_abs_coeff(HalfInt(6)) == 0
         # cross gram-orthogonality
@@ -232,12 +240,12 @@ class TestEigendecomposition:
         ip = FormalScalarSeries.zero(EXACT)
         for i in range(2):
             for j in range(2):
-                ip = ip + c0[i].conj() * d.entry(i, j) * c1[j]
+                ip = ip + c0[i].conj() * d[i][j] * c1[j]
         assert ip.max_abs_coeff(HalfInt(6)) == 0
 
     def test_eigenvalues_real(self):
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
-        res = formal_eigendecomposition(m)
+        res = plain_eigendecomposition(m)
         assert all(e.is_real() for e in res.eigenvalues)
 
 
@@ -288,7 +296,7 @@ class TestClosedFormRoots:
         # the order-1 block [[3/2, 3/4], [3/4, 0]] has discriminant 9/2
         m = series_mat([[{0: 1, 2: F(3, 2)}, {2: F(3, 4)}], [{2: F(3, 4)}, {0: 1}]])
         with pytest.raises(ExactSplitUnavailable):
-            formal_eigendecomposition(m)
+            plain_eigendecomposition(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,20 +325,20 @@ class TestKatoBlochLevelMatrices:
     def test_exact_equality_through_the_order(self, preset):
         n, pairs = kato_bloch_and_image_pairs(preset, 4)
         for got, want in pairs:
-            assert want.max_abs_coeff(n) > 0
-            for i in range(got.size):
-                for j in range(got.size):
-                    assert got.entry(i, j).truncation_order == want.entry(i, j).truncation_order
-                    assert got.entry(i, j) == want.entry(i, j)
+            assert max_abs_coeff(want, n) > 0
+            for i in range(len(got)):
+                for j in range(len(got)):
+                    assert got[i][j].truncation_order == want[i][j].truncation_order
+                    assert got[i][j] == want[i][j]
 
     def test_float_relative_agreement(self):
         # relative to the largest coefficient of the image form at each order
         n, pairs = kato_bloch_and_image_pairs("iso2d", 5, "float")
         for got, want in pairs:
-            size = range(got.size)
+            size = range(len(got))
             for t in half_range(HI0, n):
-                scale = max(abs(want.entry(i, j).coefficient(t)) for i in size for j in size)
-                worst = max(abs(got.entry(i, j).coefficient(t) - want.entry(i, j).coefficient(t))
+                scale = max(abs(want[i][j].coefficient(t)) for i in size for j in size)
+                worst = max(abs(got[i][j].coefficient(t) - want[i][j].coefficient(t))
                             for i in size for j in size)
                 assert worst <= 1e-12 * scale
 
@@ -355,24 +363,23 @@ def assert_decoupled(args, out):
     a_rot, p_rot, _, _, ranges, order, mode = args
     v_terms, av, pv = out
     m = len(a_rot)
-    v = SeriesMatrix.identity(mode, m, order)
+    v = identity(mode, m, order)
     for r, vr in v_terms:
-        v = mat_add(v, SeriesMatrix.constant(mode, vr, order).scale_series(
-            FormalScalarSeries.hbar_power(mode, r, 1, order)))
+        v = mat_add(v, mat_scale(constant(mode, vr, order),
+                                 FormalScalarSeries.hbar_power(mode, r, 1, order)))
     block = {i: b for b, rng in enumerate(ranges) for i in rng}
-    for x_rot, xv in ((a_rot, av), (p_rot, pv)):
-        x = SeriesMatrix.from_rows(mode, x_rot)
+    for x, xv in ((a_rot, av), (p_rot, pv)):
         full = mat_mul(x, v)
         congruent = congruence(v, x)
         for i in range(m):
             for j in range(m):
-                assert full.entry(i, j).equals_through(xv[i][j], order)
+                assert full[i][j].equals_through(xv[i][j], order)
                 if block[i] != block[j]:
-                    assert congruent.entry(i, j).max_abs_coeff(order) == 0
+                    assert congruent[i][j].max_abs_coeff(order) == 0
 
 
 def assert_same_decomposition(got, want):
-    assert got.order == want.order and got.norms2 == want.norms2
+    assert got.norms2 == want.norms2
     for e1, e2 in zip(got.eigenvalues, want.eigenvalues, strict=True):
         assert e1 == e2 and e1.truncation_order == e2.truncation_order
     for c1, c2 in zip(got.vectors, want.vectors, strict=True):
@@ -443,9 +450,9 @@ class TestSeriesCongruence:
         assert sorted(e.coefficient(HalfInt(2)) for e in got.eigenvalues) == [0, 1, 1]
         for e, col in zip(got.eigenvalues, got.vectors):
             for i in range(3):
-                lhs = sum((c.entry(i, j) * col[j] for j in range(3)),
+                lhs = sum((c[i][j] * col[j] for j in range(3)),
                           FormalScalarSeries.zero(EXACT))
-                rhs = sum((a.entry(i, j) * col[j] for j in range(3)),
+                rhs = sum((a[i][j] * col[j] for j in range(3)),
                           FormalScalarSeries.zero(EXACT)) * e
                 assert (lhs - rhs).max_abs_coeff(HalfInt(3)) == 0
         monkeypatch.setattr(fd, "_split_and_recurse", split_and_recurse_full)

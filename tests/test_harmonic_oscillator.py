@@ -261,6 +261,20 @@ class TestDegenerateLevel:
         lvl = degenerate_level(t, 4.0)
         assert lvl.m0 == 2
 
+    def test_float_level_at_zero_by_value(self):
+        # 0.1 + 0.2 - 0.3 rounds to 5.55e-17: the level at 0 holds that index,
+        # judged against the magnitudes 0.1 + 0.2 + 0.3 summed into it
+        m = float_mode()
+        t = build_spectrum(m, (0.1, 0.2), (-0.3,), 2)
+        ground = HermiteIndex((0, 0), 0)
+        assert t.eigenvalue(ground) != 0 and abs(t.eigenvalue(ground)) < 1e-16
+        assert degenerate_level(t, 0).members == (ground,)
+        assert level_by_index(t, 0).members == (ground,)
+        assert t.distinct_levels()[0] == t.eigenvalue(ground)
+        # a gap of 1e-6 against magnitudes of order 1 is still a different level
+        with pytest.raises(LevelNotFoundError):
+            degenerate_level(t, 1e-6)
+
 
 class TestModelOperatorEigenrelation:
     def test_q0_diagonal_on_basis(self):

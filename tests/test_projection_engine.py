@@ -29,7 +29,7 @@ from qmf.cli_io import preset_problem, run_command
 from qmf.projection_engine import (
     HermiteVec,
     ParityRuleError,
-    ProjectorEngine,
+    ProjectorSeries,
     WorkspaceDegreeError,
     _reduced,
     _slot,
@@ -79,17 +79,17 @@ def compositions(n):
             yield [first] + rest
 
 
-def composition_sum_image(engine, j, pos, budget):
+def composition_sum_image(proj, j, pos, budget):
     """Order-j image at a basis position as the residue sum of single chains
     G0 Q_{j_1} G0 ... Q_{j_k} G0."""
     total = {}
     for comp in compositions(j.doubled):
         spent = 0
-        state = engine._resolvent_factor({0: vec({pos: F(1)})}, budget.doubled)
+        state = proj._resolvent_factor({0: vec({pos: F(1)})}, budget.doubled)
         for part in reversed(comp):
             spent += part
-            state = engine._resolvent_factor(engine._apply_q(HalfInt(part), state, {}),
-                                             budget.doubled - spent)
+            state = proj._resolvent_factor(proj._apply_q(HalfInt(part), state, {}),
+                                           budget.doubled - spent)
         for idx, c in state.get(-1, vec({})).coeffs().items():
             total[idx] = total.get(idx, 0) + c
     return {idx: c for idx, c in total.items() if c != 0}
@@ -121,7 +121,7 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
         bound = min(max_deg + (order - j).doubled, basis.degree)
         return [basis.position(idx) for idx in basis.indices(bound)]
 
-    engine = ProjectorEngine(family, basis, level)
+    proj = ProjectorSeries(family, basis, level, order)
     level_set = {basis.position(m) for m in level.members}
     eig = basis.eigenvalue_at.__getitem__
 
@@ -149,8 +149,8 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
             if family.get(i).is_zero():
                 continue
             pj = p[j - i]
-            engine._apply_q(i, {col: pj[col] for col in cols}, rhs)
-            for col, vec in mat_mul(pj, {col: engine.q_action(i, col) for col in cols}).items():
+            proj._apply_q(i, {col: pj[col] for col in cols}, rhs)
+            for col, vec in mat_mul(pj, {col: proj.q_action(i, col) for col in cols}).items():
                 rhs[col].add(vec, -1)
         # idempotency data: sum_{0<i<j} P_i P_{j-i}
         cross = {col: HermiteVec(mode) for col in cols}
@@ -191,20 +191,20 @@ def assert_block_recursion_agrees(family, basis, level, N, cover):
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
         _, family, basis, level, _ = setup_problem()
-        engine = ProjectorEngine(family, basis, level)
+        proj = build_projector(family, basis, level, HalfInt(4))
         h0 = basis.position(HermiteIndex((0,), 0))
         h2 = basis.position(HermiteIndex((2,), 0))
-        assert engine.images(h0, HI0) == {HI0: vec({h0: F(1)})}
-        assert engine.images(h2, HI0) == {}
+        assert proj.images(h0, HI0) == {HI0: vec({h0: F(1)})}
+        assert proj.images(h2, HI0) == {}
 
     def test_first_order_reduced_resolvent_formula(self):
         # cubic well, ground level: residue at order 1/2 on the ground vector
         # equals -S Q_{1/2} h0 with S the reduced resolvent: -(c/2) y
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
-        engine = ProjectorEngine(family, basis, level)
+        proj = build_projector(family, basis, level, HalfInt(4))
         h0 = basis.position(HermiteIndex((0,), 0))
-        got = engine.images(h0, HalfInt(4))[HalfInt(1)]
+        got = proj.images(h0, HalfInt(4))[HalfInt(1)]
         assert got == vec({basis.position(HermiteIndex((1,), 0)): F(-c, 2)})
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
@@ -212,9 +212,9 @@ class TestChainResidues:
         # check on h1 against a hand evaluation
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
-        engine = ProjectorEngine(family, basis, level)
+        proj = build_projector(family, basis, level, HalfInt(4))
         h1 = basis.position(HermiteIndex((1,), 0))
-        got = engine.images(h1, HalfInt(4))[HalfInt(1)]
+        got = proj.images(h1, HalfInt(4))[HalfInt(1)]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
@@ -230,9 +230,9 @@ class TestChainResidues:
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         small_basis = HermiteBasis(EXACT, (F(1),), (F(0),), 2)
-        engine = ProjectorEngine(family, small_basis, level)
+        proj = build_projector(family, small_basis, level, HalfInt(4))
         with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
-            engine.images(small_basis.position(HermiteIndex((2,), 0)), HalfInt(4))
+            proj.images(small_basis.position(HermiteIndex((2,), 0)), HalfInt(4))
 
 
 class TestProjectorLaws:
@@ -274,13 +274,13 @@ class TestProjectorLaws:
         N = HalfInt(8)
         _, family, basis, level, _ = setup_problem(
             poly1({2: 1, 3: 1}), D=12, N=N)
-        engine = ProjectorEngine(family, basis, level)
+        proj = build_projector(family, basis, level, N)
         for idx in basis.indices(2):
             pos = basis.position(idx)
-            images = engine.images(pos, N)
+            images = proj.images(pos, N)
             for j in half_range(HI0, HalfInt(6)):
                 got = images[j].coeffs() if j in images else {}
-                assert got == composition_sum_image(engine, j, pos, N), (j, idx)
+                assert got == composition_sum_image(proj, j, pos, N), (j, idx)
 
     def test_rank2_mixed_level_laws(self):
         N = HalfInt(3)
@@ -363,27 +363,27 @@ class TestBudgetPrefix:
         ("rank2", 3, "float")])
     def test_image_at_budget_is_prefix_of_full_image(self, preset, order, mode_name):
         proj, _ = preset_projector(preset, order, mode_name)
-        engine, N = proj.engine, proj.order
+        N = proj.order
         for idx in proj.basis.indices(6):
             pos = proj.basis.position(idx)
             full = proj.image(pos)
             for b in half_range(HI0, N - HalfInt(1)):
                 want = {j: vec for j, vec in full.items() if j <= b}
-                assert engine.images(pos, b) == want, (idx, b)
+                assert proj.images(pos, b) == want, (idx, b)
                 assert proj._image(pos, b) == want, (idx, b)
-            assert full == engine.images(pos, N), idx
+            assert full == proj.images(pos, N), idx
 
     def test_diagnostics_ask_for_budgets_below_the_order(self):
         proj, omega = preset_projector("cubic1d", 4)
-        engine, N = proj.engine, proj.order
+        N = proj.order
         budgets = []
-        full_images = engine.images
+        full_images = proj.images
 
         def recording_images(index, budget):
             budgets.append(budget)
             return full_images(index, budget)
 
-        engine.images = recording_images
+        proj.images = recording_images
         assert projector_diagnostics(proj, omega).passed
         assert N in budgets
         assert min(budgets) < N
@@ -395,13 +395,13 @@ class TestDiagnosticsComputeEachImageOnce:
         # projector_diagnostics collects every (index, budget) its laws read
         # and computes each index once, at the largest budget, before they run
         calls = []
-        images = ProjectorEngine.images
+        images = ProjectorSeries.images
 
         def counting_images(self, index, budget):
             calls.append(index)
             return images(self, index, budget)
 
-        monkeypatch.setattr(ProjectorEngine, "images", counting_images)
+        monkeypatch.setattr(ProjectorSeries, "images", counting_images)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
         assert calls
@@ -417,7 +417,7 @@ def test_float_q_action_support_equals_exact():
         ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
         index_at = ctx.basis.index_at
         caches[mode_name] = {(j, index_at[pos]): {index_at[i] for i in vec.num}
-                             for (j, pos), vec in ctx.projector.engine._q_cache.items()}
+                             for (j, pos), vec in ctx.projector._q_cache.items()}
     exact, flt = caches["exact"], caches["float"]
     assert exact.keys() == flt.keys()
     for key, support in exact.items():
@@ -428,25 +428,25 @@ def test_float_q_action_support_equals_exact():
 def test_verify_applies_only_operators_of_the_family(monkeypatch):
     # the resolvent recursion and the rs oracle skip the orders absent from
     # the family instead of applying (and caching) a zero operator
-    engines = []
-    init = ProjectorEngine.__init__
+    projectors = []
+    init = ProjectorSeries.__init__
 
     def recording_init(self, *args):
         init(self, *args)
-        engines.append(self)
+        projectors.append(self)
 
-    monkeypatch.setattr(ProjectorEngine, "__init__", recording_init)
+    monkeypatch.setattr(ProjectorSeries, "__init__", recording_init)
     with contextlib.redirect_stdout(io.StringIO()):
         for preset, order in (("quartic1d", "8"), ("witten1d", "9")):
             assert run_command(["verify", "--preset", preset, "--order", order,
                                 "--checks", "all"]) == 0
-    assert engines
-    for engine in engines:
-        assert engine._q_cache
-        assert {HalfInt(j) for j, _ in engine._q_cache} <= engine.family.ops.keys()
+    assert projectors
+    for proj in projectors:
+        assert proj._q_cache
+        assert {HalfInt(j) for j, _ in proj._q_cache} <= proj.family.ops.keys()
 
 
-class UntruncatedEngine(ProjectorEngine):
+class UntruncatedEngine(ProjectorSeries):
     """The recursion before the parity truncation: every component keeps the
     w-powers up to the remaining half-orders, 2(budget - s), the level members
     all of theirs. The oracle of the truncated ``_resolvent_factor``."""
@@ -482,12 +482,12 @@ class TestParityTruncation:
         # exact images equal; float ones bit for bit, on the level members and
         # every probe of projector_diagnostics (degree <= 2K + 2)
         proj, _ = preset_projector(preset, order, mode_name)
-        engine, basis, level, N = proj.engine, proj.basis, proj.engine.level, proj.order
-        oracle = UntruncatedEngine(engine.family, basis, level)
+        basis, level, N = proj.basis, proj.level, proj.order
+        oracle = UntruncatedEngine(proj.family, basis, level, N)
         probes = set(basis.indices(level.K.doubled + 2)) | set(level.members)
         for idx in sorted(probes):
             pos = basis.position(idx)
-            got, want = engine.images(pos, N), oracle.images(pos, N)
+            got, want = proj.images(pos, N), oracle.images(pos, N)
             if mode_name == "float":
                 got, want = _bits(got), _bits(want)
             assert got == want, idx
@@ -495,11 +495,10 @@ class TestParityTruncation:
     def test_truncation_drops_powers(self):
         # the truncated recursion carries fewer (w-power, index) entries
         proj, _ = preset_projector("cubic1d", 6)
-        engine = proj.engine
-        oracle = UntruncatedEngine(engine.family, proj.basis, engine.level)
-        pos = proj.basis.position(engine.level.members[0])
+        oracle = UntruncatedEngine(proj.family, proj.basis, proj.level, proj.order)
+        pos = proj.basis.position(proj.level.members[0])
         entries = {}
-        for eng in (engine, oracle):
+        for eng in (proj, oracle):
             counts = entries[eng] = []
             factor = eng._resolvent_factor
 
@@ -510,7 +509,7 @@ class TestParityTruncation:
 
             eng._resolvent_factor = counting
             eng.images(pos, proj.order)
-        assert sum(entries[engine]) < sum(entries[oracle])
+        assert sum(entries[proj]) < sum(entries[oracle])
 
     def test_guard_rejects_a_degree_preserving_half_order_term(self):
         # y d keeps the degree of p_m; at order 1/2 it breaks the parity rule
@@ -521,9 +520,36 @@ class TestParityTruncation:
         bad = dataclasses.replace(
             family, ops={**family.ops, half: family.get(half) + DiffOpJet(EXACT, 1, 1,
                                                                            {(1,): ((y,),)})})
-        engine = ProjectorEngine(bad, basis, level)
+        proj = build_projector(bad, basis, level, HalfInt(4))
         with pytest.raises(ParityRuleError, match="parity"):
-            engine.images(basis.position(level.members[0]), HalfInt(4))
+            proj.images(basis.position(level.members[0]), HalfInt(4))
         # the unmodified family passes the same guard
-        assert ProjectorEngine(family, basis, level).images(
+        assert build_projector(family, basis, level, HalfInt(4)).images(
             basis.position(level.members[0]), HalfInt(4))
+
+
+class TestFloatCommutation:
+    """Q P e and P Q e are cancelled sums themselves; the commutation law is
+    judged against the largest term summed into either."""
+
+    @pytest.mark.parametrize("preset", ["witten1d:c=1/3", "witten1d:c=1/5"])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_witten_zero_mode_passes(self, preset, order):
+        # exact mode has commutation defect 0; float rounds it to rounding
+        proj, omega = preset_projector(preset, order, "float")
+        report = projector_diagnostics(proj, omega)
+        assert report.passed, report
+        assert report.data["commutation_defect"] <= 1e-13
+
+    def test_perturbed_float_image_still_fails(self):
+        # one image coefficient of a level member off by a relative 1e-6
+        proj, omega = preset_projector("witten1d:c=1/3", 4, "float")
+        pos = proj.basis.position(proj.level.members[0])
+        img = dict(proj.image(pos))
+        j = max(img)
+        vec = img[j]
+        img[j] = HermiteVec(vec.mode, {i: n * (1 + 1e-6) for i, n in vec.num.items()}, vec.den)
+        proj._images[pos] = (proj.order, img)
+        report = projector_diagnostics(proj, omega)
+        assert not report.passed
+        assert report.data["commutation_defect"] > 1e-8

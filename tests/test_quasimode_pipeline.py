@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -8,7 +11,7 @@ import pytest
 from qmf.series_algebra import EXACT, HI0, FormalScalarSeries, HalfInt, Poly, float_mode
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
-from qmf.cli_io import parse_problem_spec, preset_problem
+from qmf.cli_io import parse_problem_spec, preset_problem, run_command
 from qmf.quasimode_pipeline import (
     DegenerateLevelError,
     InsufficientOrderError,
@@ -398,3 +401,110 @@ def test_metric_density_formed_once(curved, monkeypatch):
     monkeypatch.setattr(operator_calculus, "poly_power_jet", counting_power)
     compute_quasimodes(problem, spec.order)
     assert calls == ({"det": 1, "density": 1} if curved else {"det": 0, "density": 0})
+
+
+# Float problems whose transport terms are cancelled sums: the 2-D well's
+# ground level sits at 0.1 + 0.2 - 0.3, and the rank-2 problem's at
+# lambda + mu_1 = 0. FLOAT_2D has no [level] section, so the level is chosen
+# on the command line.
+FLOAT_2D = """
+[problem]
+n = 2
+rank = 1
+mode = float
+order = 2
+[lambda]
+0.1
+0.2
+[potential]
+3 0  1
+0 4  1
+[endomorphism]
+1 1  0 0  -0.3
+"""
+
+RANK2_WELL = """
+[problem]
+n = 1
+rank = 2
+mode = {mode}
+order = 3
+[lambda]
+1
+[potential]
+3  1
+[endomorphism]
+{endomorphism}
+[level]
+index = 0
+"""
+# W = [[-1 + x/4, -x/4], [-x/4, 1 + x/4]], diagonal at the minimum
+DIAGONAL_W = "1 1 0 -1\n2 2 0 1\n1 1 1 1/4\n2 2 1 1/4\n1 2 1 -1/4"
+# W = [[x/2, 1], [1, 0]]: the same problem before W(0) is diagonalized
+ROTATED_W = "1 2 0 1\n1 1 1 1/2"
+
+
+def verify_document(tmp_path, spec_text: str, *args: str) -> tuple:
+    """(exit status, result document) of ``verify --checks all`` on a spec."""
+    path, out = tmp_path / "problem.spec", tmp_path / "doc.json"
+    path.write_text(spec_text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_command(["verify", "--spec", str(path), "--checks", "all", *args,
+                              "--out", str(out)])
+    return status, json.loads(out.read_text()) if status == 0 else None
+
+
+class TestFloatChecksOnCancelledTerms:
+    """Float checks judge a residual against the magnitudes summed into it,
+    not against terms that are themselves cancelled to rounding."""
+
+    @pytest.mark.parametrize("spec_text, args", [
+        (FLOAT_2D, ("--level-index", "0")),
+        (FLOAT_2D, ("--level", "0")),
+        (RANK2_WELL.format(mode="float", endomorphism=DIAGONAL_W), ()),
+        (RANK2_WELL.format(mode="float", endomorphism=ROTATED_W), ()),
+    ], ids=["2d-by-index", "2d-by-value", "rank2", "rank2-rotated"])
+    def test_every_check_passes(self, tmp_path, spec_text, args):
+        status, doc = verify_document(tmp_path, spec_text, *args)
+        assert status == 0
+        assert [c["name"] for c in doc["checks"] if c["passed"]] == [
+            "transport", "eigen_residual", "orthonormality", "parity", "rs_oracle", "projector"]
+
+    def test_level_by_value_is_the_level_by_index(self, tmp_path):
+        by_value = verify_document(tmp_path, FLOAT_2D, "--level", "0")[1]["level"]
+        by_index = verify_document(tmp_path, FLOAT_2D, "--level-index", "0")[1]["level"]
+        assert by_value["members"] == by_index["members"] == [{"alpha": [0, 0], "k": 1}]
+
+    def test_mutated_float_series_fails_transport(self):
+        spec = parse_problem_spec(RANK2_WELL.format(mode="float", endomorphism=DIAGONAL_W))
+        res = compute_quasimodes(spec.problem, spec.order, level_index=0)
+        assert transport_residual(res).passed
+        (e,) = res.eigenvalues
+        terms = dict(e.items())
+        terms[max(terms)] += 1e-6
+        mutated = FormalScalarSeries.from_terms(e.mode, terms, e.truncation_order)
+        rep = transport_residual(dataclasses.replace(res, eigenvalues=[mutated]))
+        assert not rep.passed and rep.max_residual > 1e-8
+
+    def test_rotated_fiber_matches_the_exact_diagonal_problem(self, monkeypatch):
+        # the float-only rotation of an off-diagonal W(0) into its eigenbasis
+        calls = []
+        rotate = JetProblem._diagonalize_fiber
+
+        def recording(problem):
+            calls.append(problem)
+            rotate(problem)
+
+        monkeypatch.setattr(JetProblem, "_diagonalize_fiber", recording)
+        spec = parse_problem_spec(RANK2_WELL.format(mode="float", endomorphism=ROTATED_W))
+        assert len(calls) == 1
+        got = compute_quasimodes(spec.problem, spec.order, level_index=0).eigenvalues[0]
+        spec = parse_problem_spec(RANK2_WELL.format(mode="exact", endomorphism=DIAGONAL_W))
+        want = compute_quasimodes(spec.problem, spec.order, level_index=0).eigenvalues[0]
+        assert [want.coefficient(HalfInt(d)) for d in (4, 6)] == [F(-115, 128),
+                                                                 F(-478195, 196608)]
+        scale = want.max_abs_coeff()
+        assert got.truncation_order == want.truncation_order
+        for d in range(want.truncation_order.doubled + 1):
+            t = HalfInt(d)
+            assert abs(got.coefficient(t) - float(want.coefficient(t))) <= 1e-9 * scale, t
