@@ -21,7 +21,9 @@ deflated coefficient is not a scalar multiple of the leading Gram term, the
 constant generalized eigenproblem fixes blocks, a series congruence
 decouples them to the working order (a Sylvester-type solve with the
 spectral gaps as denominators, built one coefficient per step), and each
-block recurses.
+block recurses. Each leaf, a 1x1 block or a block whose eigenvalues never
+split, scales its columns to the constant squared norm of their leading
+order; the congruence keeps that norm when a column maps back.
 """
 
 from __future__ import annotations
@@ -399,29 +401,28 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> E
     decoupled by a series congruence before recursing, so eigenvalues are
     exact through the working order.
 
-    Each column is scaled by a scalar series so that its squared norm is the
-    constant n0 of its leading order, and then by 1/sqrt(n0) when every n0
+    Each column arrives from its leaf of the recursion already scaled by a
+    scalar series so that its squared norm is the constant n0 of its leading
+    order (``_unit_column``); it is then scaled by 1/sqrt(n0) when every n0
     has a square root in the field (always in float mode).
     """
     mode = m_matrix[0][0].mode
-    m = len(m_matrix)
     trunc = reduce(_min_trunc, (e.truncation_order for x in (m_matrix, gram)
                                 for row in x for e in row), through)
     if not _is_hermitian(m_matrix, trunc) or not _is_hermitian(gram, trunc):
         raise ValueError("pencil must be hermitian")
 
     b, a = ([[e.truncate(trunc) for e in row] for row in x] for x in (m_matrix, gram))
-    pairs = _pencil_solve(b, a, trunc, mode)
+    solved = _pencil_solve(b, a, trunc, mode)
 
     # deterministic order: sort by eigenvalue coefficient sequences
-    def eig_key(pair):
-        e = pair[0]
+    def eig_key(triple):
+        e = triple[0]
         return tuple((t.doubled, round(mode.to_float(mode.real(e.coefficient(t))), 12))
                      for t in half_range(HI0, trunc))
 
-    pairs.sort(key=eig_key)
-    eigenvalues = [p[0] for p in pairs]
-    vectors = [p[1] for p in pairs]
+    solved.sort(key=eig_key)
+    eigenvalues, vectors, norms2 = map(list, zip(*solved))
 
     # phase convention: largest-magnitude leading entry real positive
     fixed = []
@@ -439,20 +440,6 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> E
         inv_phase = mode.one() / phase
         fixed.append([e.scale(inv_phase) for e in col])
     vectors = fixed
-
-    # flatten each squared norm to its constant n0
-    flat = []
-    norms2 = []
-    for col in vectors:
-        acc = FormalScalarSeries.zero(mode, trunc)
-        for i in range(m):
-            for j in range(m):
-                acc = acc + col[i].conj() * gram[i][j] * col[j]
-        n0 = acc.coefficient(HI0)
-        factor = inverse_sqrt_series(acc.truncate(trunc).scale(mode.one() / n0), through=trunc)
-        flat.append([e * factor for e in col])
-        norms2.append(n0)
-    vectors = flat
 
     # unit norms when the field has every square root, else the constants stay
     try:
@@ -479,7 +466,8 @@ def _field_sqrt(mode, c):
 
 
 def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
-    """Recursive splitting; returns [(eigenvalue series, column of series)].
+    """Recursive splitting; returns [(eigenvalue series, column of series, n0)],
+    each column scaled at its leaf to the constant squared norm n0.
 
     ``b`` and ``a`` are rows of series truncated at ``order``. The deflated coefficient
     B_t - (E A)_t vanishes when each entry's two terms are ``mode.close``;
@@ -489,7 +477,7 @@ def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
     if m == 1:
         e = (b[0][0] / a[0][0]).truncate(order)
         one = FormalScalarSeries.const(mode, 1, order)
-        return [(e, [one])]
+        return [(e, *_unit_column([one], a[0][0], order, mode))]
 
     a0 = [[e.coefficient(HI0) for e in row] for row in a]
     e_terms: list = []  # (order, coefficient) of the common eigenvalue so far
@@ -512,8 +500,7 @@ def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
 
     # no split through the working order: all eigenvalues coincide
     e_accum = FormalScalarSeries.from_terms(mode, dict(e_terms), order)
-    cols = _series_gram_schmidt(a, order, mode)
-    return [(e_accum, col) for col in cols]
+    return [(e_accum, col, n0) for col, n0 in _series_gram_schmidt(a, order, mode)]
 
 
 def _convolve(e_terms: list, x: FormalScalarSeries, t: HalfInt, mode):
@@ -584,11 +571,11 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
 
     out = []
     for rng in ranges:
-        for e_sub, col in _pencil_solve(decoupled(pv, rng), decoupled(av, rng), order, mode):
+        for e_sub, col, n0 in _pencil_solve(decoupled(pv, rng), decoupled(av, rng), order, mode):
             full_col = [_lin_comb(mode, order, [(c, r, col[cc]) for cc, j in enumerate(rng)
                                                 for c, r in w[i][j]])
                         for i in range(m)]
-            out.append(((e_accum + e_sub).truncate(order), full_col))
+            out.append(((e_accum + e_sub).truncate(order), full_col, n0))
     return out
 
 
@@ -669,20 +656,34 @@ def _block_mul(a, b):
              for j in range(cols)] for i in range(rows)]
 
 
+def _form(u: list, a: list, v: list, order: HalfInt, mode) -> FormalScalarSeries:
+    """The hermitian form u^H a v of two columns of series."""
+    acc = FormalScalarSeries.zero(mode, order)
+    for i in range(len(a)):
+        for j in range(len(a)):
+            acc = acc + u[i].conj() * a[i][j] * v[j]
+    return acc
+
+
+def _unit_column(col: list, norm2: FormalScalarSeries, order: HalfInt, mode) -> tuple:
+    """``col`` scaled by a scalar series so that its squared norm ``norm2``
+    becomes the constant n0 of its leading order; returns (column, n0)."""
+    n0 = norm2.coefficient(HI0)
+    factor = inverse_sqrt_series(norm2.truncate(order).scale(mode.one() / n0), through=order)
+    return [e * factor for e in col], n0
+
+
 def _series_gram_schmidt(a: list, order: HalfInt, mode) -> list:
-    """A-orthogonal columns from the identity basis, lexicographic pivoting."""
+    """A-orthogonal columns from the identity basis, lexicographic pivoting,
+    as [(column, n0)] scaled by ``_unit_column``."""
     m = len(a)
-    cols = []
+    cols, norms = [], []
     for k in range(m):
         col = [FormalScalarSeries.const(mode, 1 if i == k else 0, order) for i in range(m)]
-        for prev in cols:
-            num = FormalScalarSeries.zero(mode, order)
-            den = FormalScalarSeries.zero(mode, order)
-            for i in range(m):
-                for j in range(m):
-                    num = num + prev[i].conj() * a[i][j] * col[j]
-                    den = den + prev[i].conj() * a[i][j] * prev[j]
-            c = num / den
+        for prev, norm in zip(cols, norms):
+            c = _form(prev, a, col, order, mode) / norm
             col = [ci - c * pi for ci, pi in zip(col, prev)]
-        cols.append([c.truncate(order) for c in col])
-    return cols
+        col = [c.truncate(order) for c in col]
+        cols.append(col)
+        norms.append(_form(col, a, col, order, mode))
+    return [_unit_column(col, norm, order, mode) for col, norm in zip(cols, norms)]

@@ -298,8 +298,10 @@ class DegenerateLevel:
 def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
     """Collect all indices at the eigenvalue E0 (equal by ``SpectrumTable.at_level``).
 
-    The table must hold the whole level: its degree must be at least
-    ``covering_degree`` of E0.
+    The level records the table's eigenvalue of its first entry in
+    ``sorted_entries`` order, the value ``distinct_levels`` reports, so a
+    float level named by value or by index is the same level. The table must
+    hold the whole level: its degree must be at least ``covering_degree`` of E0.
     """
     mode = table.mode
     E0 = mode.coeff(E0)
@@ -307,9 +309,10 @@ def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
     if need > table.degree:
         raise LevelNotFoundError(
             f"spectrum table degree {table.degree} too small to certify the level; need {need}")
-    members = [index for index in table.entries if table.at_level(index, E0)]
+    members = [index for index, _ in table.sorted_entries() if table.at_level(index, E0)]
     if not members:
         raise LevelNotFoundError(f"E0 = {E0} not in the model spectrum")
+    E0 = table.entries[members[0]]
     members = tuple(sorted(members))
     degrees = {m.degree % 2 for m in members}
     parity = "even" if degrees == {0} else "odd" if degrees == {1} else "mixed"

@@ -51,7 +51,7 @@ denominator. Q_j images and the powers of 1/(E0 - E) are kept
 as integers, sums rescale only when a new denominator raises the common lcm,
 and each finished vector is reduced by one gcd. Float mode runs the same code
 over denominator 1. Coefficients become Fractions only where images leave the
-projector (``graded_vecs_to_s0``).
+projector (``ProjectorSeries.image_s0``).
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ __all__ = [
     "VerificationReport",
     "build_projector",
     "projector_diagnostics",
+    "workspace_degree",
     "WorkspaceDegreeError",
     "ParityRuleError",
-    "graded_vecs_to_s0",
     "HermiteVec",
 ]
 
@@ -167,21 +167,6 @@ def _slot(vecs: dict, key, mode) -> HermiteVec:
 def _reduced(vecs: dict) -> dict:
     """Reduce every accumulator and keep the nonzero ones."""
     return {key: vec for key, vec in vecs.items() if vec.reduce()}
-
-
-def graded_vecs_to_s0(basis: HermiteBasis, index: HermiteIndex, vecs: Mapping,
-                      trunc: HalfInt | None) -> S0Series:
-    """Assemble the image sum_j h^j (synthesized vec_j) of the projector at
-    ``index`` into a power-counted series with offset K = |alpha|/2: the
-    series' degree check certifies the projector's bound deg <= |alpha| + 2j."""
-    K = HalfInt(index.degree)
-    index_at = basis.index_at
-
-    def synthesized(vec: HermiteVec):
-        return basis.synthesize({index_at[p]: c for p, c in vec.coeffs().items()})
-
-    return S0Series(basis.mode, basis.n, basis.rank, K,
-                    {K + j: synthesized(vec) for j, vec in vecs.items()}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +326,15 @@ class ProjectorSeries:
         return {j: vec for j, vec in hit[1].items() if j <= budget}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
-        return graded_vecs_to_s0(self.basis, index, self.image(self.basis.position(index)),
-                                 self.order)
+        """The image sum_j h^j P_j of ``index`` as a power-counted series with
+        offset K = |alpha|/2: the series' degree check certifies the
+        projector's bound deg <= |alpha| + 2j."""
+        basis = self.basis
+        K = HalfInt(index.degree)
+        index_at = basis.index_at
+        coeffs = {K + j: basis.synthesize({index_at[p]: c for p, c in vec.coeffs().items()})
+                  for j, vec in self.image(basis.position(index)).items()}
+        return S0Series(basis.mode, basis.n, basis.rank, K, coeffs, self.order)
 
     def apply_graded(self, vecs: Mapping) -> dict:
         """Apply to sum_j h^j vec_j, truncating at the built order."""
@@ -354,6 +346,18 @@ class ProjectorSeries:
                 for i, ivec in self._image(idx, self.order - j).items():
                     _slot(out, j + i, self.mode).add(ivec, n, vec.den)
         return _reduced(out)
+
+
+def workspace_degree(level: DegenerateLevel, order: HalfInt) -> int:
+    """The polynomial degree that the projector check reaches through ``order``.
+
+    Its probes are the level members and every basis vector of degree at
+    most 2K + 2, ``workspace_degree(level, HI0)``. By the law
+    deg <= |alpha| + 2j, their images, their Q_j images and the images of
+    those reach at most 2K + 2 + 2N, so a basis of this degree holds every
+    vector the pipeline, the check and ``rs_oracle`` build.
+    """
+    return level.K.doubled + 2 + order.doubled
 
 
 def build_projector(family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
@@ -410,8 +414,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     summed into either.
     """
     mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order
-    probes = sorted({idx for idx in basis.indices(level.K.doubled + 2)
-                     if idx.degree <= level.K.doubled + 2} | set(level.members))
+    probes = sorted(set(basis.indices(workspace_degree(level, HI0))) | set(level.members))
     pos = {idx: basis.position(idx) for idx in probes}
     degree_at = basis.degree_at
     orders = [i for i in proj.family.orders() if i <= N]
@@ -471,7 +474,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     # symmetry of the pairing
     sym = []
     sym_sample = probes[: max(4, level.m0 + 2)]
-    projected = {a: graded_vecs_to_s0(basis, a, imgs[a], N) for a in sym_sample}
+    projected = {a: proj.image_s0(a) for a in sym_sample}
     plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
     for a in sym_sample:
         pa, ha = projected[a], plain[a]

@@ -63,7 +63,13 @@ from .harmonic_oscillator import (
     degenerate_level,
     level_by_index,
 )
-from .projection_engine import HermiteVec, ProjectorSeries, VerificationReport, build_projector
+from .projection_engine import (
+    HermiteVec,
+    ProjectorSeries,
+    VerificationReport,
+    build_projector,
+    workspace_degree,
+)
 from .formal_diagonalization import (
     formal_eigendecomposition,
     gram_matrix,
@@ -176,9 +182,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
         deficit = order.doubled - family.max_order.doubled
         raise InsufficientOrderError(order, family.max_order, problem.D + deficit)
 
-    # workspace: degrees reached are at most 2K + 2*order, plus margin
-    degree = level.K.doubled + 2 * order.doubled + 2
-    basis = HermiteBasis(mode, problem.lam, problem.mu, degree)
+    basis = HermiteBasis(mode, problem.lam, problem.mu, workspace_degree(level, order))
     omega = weight_expansion(phi, conj.density, problem, order)
 
     proj = build_projector(family, basis, level, order)
@@ -194,18 +198,15 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
         psi = S0Series.zero(mode, problem.n, problem.rank, order)
         for f, c in zip(fs, col):
             psi = psi + f.scale_series(c)
-        # canonical representation: the offset of the whole level
-        psi = psi.truncate(order).minimal_K()
-        if psi.K > level.K:
-            raise AssertionError("eigenvector escapes the level's power-counting offset")
-        psis.append(psi.with_K(level.K))
+        # the offset of the whole level; the degree check rejects an escape
+        psis.append(psi.truncate(order).with_K(level.K))
 
-    eigenvalues = [e.truncate(order).shift(HalfInt(2)) for e in eigen.eigenvalues]
-    for e in eigenvalues:
+    inner = [e.truncate(order) for e in eigen.eigenvalues]
+    for e in inner:
         if not e.is_real():
             raise AssertionError("eigenvalue series has a non-real coefficient")
-
-    parity = parity_filter([e.shift(HalfInt(-2)) for e in eigenvalues], level)
+    parity = parity_filter(inner, level)
+    eigenvalues = [e.shift(HalfInt(2)) for e in inner]
 
     eigenfunctions = [unrescale(psi) for psi in psis]
     _assert_structure(eigenfunctions, level, mode)
@@ -244,11 +245,9 @@ def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> Verification
 
 
 def _assert_structure(eigenfunctions, level, mode):
-    """Offset, lowest-degree, and parity bookkeeping of the output jets; a
+    """Lowest-degree and parity bookkeeping of the output jets; a
     forbidden exponent's coefficients must be negligible against the jet's."""
     for a in eigenfunctions:
-        if a.K != level.K:
-            raise AssertionError(f"output offset K = {a.K} differs from level K = {level.K}")
         for k, jet in a.items():
             lo = jet.min_degree()
             bound = max((level.K - k).doubled, 0)
@@ -432,8 +431,9 @@ def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
     pencil. Its vectors are the projector's integer-numerator ``HermiteVec``s,
     keyed by basis position and summed by ``_apply_q``, and the basis's
     ``eigenvalue_at`` gives every model gap; no spectrum table is read.
-    That basis reaches degree 2K + 4N + 2 (2K the member degree, N the
-    order), which covers every vector the recursion builds. The returned
+    That basis reaches degree 2K + 2N + 2 (``workspace_degree``: 2K the
+    member degree, N the order), and the recursion's psi_s has degree at
+    most 2K + 2s, so it covers every vector the recursion builds. The returned
     series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
     """
     ctx = result.context

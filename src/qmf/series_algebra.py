@@ -133,8 +133,6 @@ class HalfInt:
 
 
 HI0 = HalfInt(0)
-HI_HALF = HalfInt(1)
-HI1 = HalfInt(2)
 
 
 def half_range(start, stop) -> Iterator[HalfInt]:
@@ -636,9 +634,6 @@ class FiberPoly:
             raise ValueError("rank mismatch")
         return FiberPoly([a + b for a, b in zip(self.components, other.components)])
 
-    def __neg__(self) -> "FiberPoly":
-        return FiberPoly([-c for c in self.components])
-
     def scale(self, c) -> "FiberPoly":
         return FiberPoly([p.scale(c) for p in self.components])
 
@@ -1025,31 +1020,12 @@ class S0Series(_GradedSeries):
         return S0Series(p.mode, p.n, p.rank, K, {K: p}, truncation_order)
 
     def with_K(self, K_new: HalfInt) -> "S0Series":
-        """Re-express with a larger K (shifting indices keeps the invariant)."""
-        if K_new < self.K:
-            raise ValueError("can only raise K")
+        """Re-express at the offset K_new. Raising K keeps the degree bound;
+        a lowered K is checked, so a term that escapes it raises."""
         d = K_new - self.K
         return S0Series(self.mode, self.n, self.rank, K_new,
                         {j + d: p for j, p in self.coeffs.items()},
-                        self.truncation_order, validate=False)
-
-    def minimal_K(self) -> "S0Series":
-        """Re-express with the smallest K under which the degree bound holds.
-
-        A term of degree d at absolute exponent t needs an index j = t + K
-        with 2j >= d and j >= 0, so K.doubled >= max(d, 0) - t.doubled.
-        """
-        need = 0
-        for j, p in self.items():
-            t = j - self.K
-            d = p.degree()
-            d = 0 if d == float("-inf") else int(d)
-            need = max(need, d - t.doubled, -t.doubled)
-        K_new = HalfInt(max(0, need))
-        shift = K_new - self.K
-        return S0Series(self.mode, self.n, self.rank, K_new,
-                        {j + shift: p for j, p in self.coeffs.items()},
-                        self.truncation_order)
+                        self.truncation_order, validate=d < HI0)
 
     def __add__(self, other: "S0Series") -> "S0Series":
         _same_mode(self.mode, other.mode)

@@ -139,12 +139,12 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
     for rng in ranges:
         sub_b = [[p_fin[i][j] for j in rng] for i in rng]
         sub_a = [[a_fin[i][j] for j in rng] for i in rng]
-        for e_sub, col in fd._pencil_solve(sub_b, sub_a, order, mode):
+        for e_sub, col, n0 in fd._pencil_solve(sub_b, sub_a, order, mode):
             full_col = []
             for i in range(m):
                 acc = FormalScalarSeries.zero(mode, order)
                 for cc, j in enumerate(rng):
                     acc = acc + w[i][j] * col[cc]
                 full_col.append(acc.truncate(order))
-            out.append(((e_accum + e_sub).truncate(order), full_col))
+            out.append(((e_accum + e_sub).truncate(order), full_col, n0))
     return out

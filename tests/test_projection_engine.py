@@ -364,6 +364,10 @@ class TestBudgetPrefix:
     def test_image_at_budget_is_prefix_of_full_image(self, preset, order, mode_name):
         proj, _ = preset_projector(preset, order, mode_name)
         N = proj.order
+        # indices up to degree 6 lie past the pipeline's workspace reach: a
+        # basis of degree 6 + 2N holds their images
+        basis = HermiteBasis(proj.mode, proj.basis.lam, proj.basis.mu, 6 + N.doubled)
+        proj = build_projector(proj.family, basis, proj.level, N)
         for idx in proj.basis.indices(6):
             pos = proj.basis.position(idx)
             full = proj.image(pos)
@@ -387,6 +391,28 @@ class TestBudgetPrefix:
         assert projector_diagnostics(proj, omega).passed
         assert N in budgets
         assert min(budgets) < N
+
+
+class TestWorkspaceReach:
+    """The pipeline's workspace is the reach of the projector check's probes,
+    so ``WorkspaceDegreeError`` guards its edge."""
+
+    @pytest.mark.parametrize("preset,order", [("cubic1d", 4), ("iso2d", 3), ("rank2", 3)])
+    def test_workspace_is_the_probes_reach(self, preset, order):
+        spec = preset_problem(preset, "exact", order)
+        ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
+                                 level_index=spec.level_index).context
+        assert ctx.basis.degree == ctx.level.K.doubled + spec.order.doubled + 2
+
+    @pytest.mark.parametrize("preset,order", [("cubic1d", 4), ("iso2d", 3), ("rank2", 3)])
+    def test_one_degree_narrower_raises(self, preset, order):
+        proj, omega = preset_projector(preset, order)
+        assert projector_diagnostics(proj, omega).passed
+        basis = proj.basis
+        narrow = HermiteBasis(proj.mode, basis.lam, basis.mu, basis.degree - 1)
+        with pytest.raises(WorkspaceDegreeError):
+            projector_diagnostics(build_projector(proj.family, narrow, proj.level, proj.order),
+                                  omega)
 
 
 class TestDiagnosticsComputeEachImageOnce:

@@ -475,6 +475,15 @@ class TestFloatChecksOnCancelledTerms:
         by_index = verify_document(tmp_path, FLOAT_2D, "--level-index", "0")[1]["level"]
         assert by_value["members"] == by_index["members"] == [{"alpha": [0, 0], "k": 1}]
 
+    def test_level_by_value_and_by_index_write_one_document(self, tmp_path):
+        # both record the table's eigenvalue 0.1 + 0.2 - 0.3, not the value 0
+        # named on the command line, and so run the same resolvent
+        docs = []
+        for args in (("--level", "0"), ("--level-index", "0")):
+            assert verify_document(tmp_path, FLOAT_2D, *args)[0] == 0
+            docs.append((tmp_path / "doc.json").read_bytes())
+        assert docs[0] == docs[1]
+
     def test_mutated_float_series_fails_transport(self):
         spec = parse_problem_spec(RANK2_WELL.format(mode="float", endomorphism=DIAGONAL_W))
         res = compute_quasimodes(spec.problem, spec.order, level_index=0)

@@ -528,11 +528,15 @@ class TestS0Series:
         assert b.K == HalfInt(1)
         assert b.at_absolute(HalfInt(-1)) == fiber_mono((0,))
 
-    def test_minimal_K(self):
+    def test_with_K_lowers_K_under_the_degree_check(self):
         a = S0Series(EXACT, 1, 1, HalfInt(2), {HalfInt(2): fiber_mono((0,))}, None)
-        m = a.minimal_K()
+        m = a.with_K(HI0)
         assert m.K == HI0
         assert m == a
+        b = S0Series(EXACT, 1, 1, HalfInt(2), {HalfInt(2): fiber_mono((2,))}, None)
+        assert b.with_K(HalfInt(4)) == b
+        with pytest.raises(S0DegreeError):
+            b.with_K(HalfInt(1))
 
     def test_order_is_the_lowest_absolute_exponent(self):
         a = S0Series(EXACT, 1, 1, HalfInt(3), {HalfInt(2): fiber_mono((0,)),
@@ -570,9 +574,12 @@ def ypoly(terms: dict) -> Poly:
 
 
 def s0(terms: dict, bound=None) -> S0Series:
+    """The series at the least offset K its kept terms allow: degree d at
+    doubled exponent t needs K.doubled >= d - t."""
     coeffs = {HalfInt(t + BIG_K): FiberPoly([ypoly(p)]) for t, p in terms.items()}
+    K = max([0] + [max(p) - t for t, p in terms.items() if bound is None or t <= bound])
     return S0Series(EXACT, 1, 1, HalfInt(BIG_K), coeffs,
-                    None if bound is None else HalfInt(bound)).minimal_K()
+                    None if bound is None else HalfInt(bound)).with_K(HalfInt(K))
 
 
 def s0_stored(u: S0Series) -> dict:
