@@ -316,7 +316,7 @@ def _preset_harmonic(params, mode):
                         for l in range(rank)) for k in range(rank))
     problem = JetProblem.create(mode, n, rank, 8, [mode.coeff(l) for l in lams], W=w)
     e0 = sum(lams) + mus[0]
-    return problem, mode.coeff(e0), None
+    return problem, mode.coeff(e0)
 
 
 def _preset_1d(degree: int):
@@ -324,7 +324,7 @@ def _preset_1d(degree: int):
     def preset(params, mode):
         c = Fraction(params.pop("c", "1"))
         v = Poly(mode, 1, {(2,): mode.coeff(1), (degree,): mode.coeff(c)})
-        return JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v), mode.coeff(1), None
+        return JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v), mode.coeff(1)
     return preset
 
 
@@ -335,7 +335,7 @@ def _preset_witten1d(params, mode):
     v = dphi * dphi
     w = ((Poly(mode, 1, {(0,): mode.coeff(-1), (1,): mode.coeff(-c)}),),)
     problem = JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v, W=w)
-    return problem, mode.coeff(0), None
+    return problem, mode.coeff(0)
 
 
 def _preset_iso2d(params, mode):
@@ -343,7 +343,7 @@ def _preset_iso2d(params, mode):
     v = Poly(mode, 2, {(2, 0): mode.coeff(1), (0, 2): mode.coeff(1),
                        (3, 0): mode.coeff(c), (1, 2): mode.coeff(c)})
     problem = JetProblem.create(mode, 2, 1, 10, (mode.coeff(1), mode.coeff(1)), V=v)
-    return problem, mode.coeff(4), None
+    return problem, mode.coeff(4)
 
 
 def _preset_rank2(params, mode):
@@ -368,7 +368,7 @@ def _preset_rank2(params, mode):
         )
         gam = (gmat,)
     problem = JetProblem.create(mode, 1, 2, 12, (mode.coeff(2),), V=v, W=w, Gamma=gam)
-    return problem, mode.coeff(6), None
+    return problem, mode.coeff(6)
 
 
 PRESETS = {
@@ -396,7 +396,7 @@ def preset_problem(spec: str, mode_name: str = "exact",
             params[key.strip()] = val.strip()
     mode = EXACT if mode_name == "exact" else float_mode()
     try:
-        problem, e0, index = PRESETS[name](params, mode)
+        problem, e0 = PRESETS[name](params, mode)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad parameters for preset {name!r}: {exc}") from None
     if params:
@@ -406,7 +406,7 @@ def preset_problem(spec: str, mode_name: str = "exact",
         problem = JetProblem.create(mode, problem.n, problem.rank, order.doubled + 4,
                                     problem.lam, V=problem.V, g_inv=problem.g_inv,
                                     W=problem.W, Gamma=problem.Gamma)
-    return ParsedSpec(problem=problem, order=order, level_value=e0, level_index=index)
+    return ParsedSpec(problem=problem, order=order, level_value=e0, level_index=None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ omega_m is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add
 from typing import Mapping
 
@@ -36,6 +35,7 @@ from .series_algebra import (
     S0Series,
     _min_trunc,
     convolution_bound,
+    euler_recurrence,
     grow_den,
     mono_degree,
 )
@@ -186,37 +186,21 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
                      through) -> WeightExpansion:
     """Expand the non-Gaussian weight factors in half powers.
 
-    The phase jet contributes exp(-2 sum_k h^(k/2) phi_{k+2}(y)) via the
-    truncated exponential series; the metric density jet G (``density``, as
-    formed with the second-order operator: ``ConjugatedOperator.density``)
-    contributes its homogeneous parts at half their degree. Orders are exact
-    through min(through, (phi completeness - 2)/2, density completeness / 2).
+    The phase jet contributes exp(S), S = -2 sum_k h^(k/2) phi_{k+2}(y), by
+    ``euler_recurrence`` over doubled orders; the metric density jet G
+    (``density``, as formed with the second-order operator:
+    ``ConjugatedOperator.density``) contributes its homogeneous parts at half
+    their degree. Orders are exact through min(through, (phi completeness -
+    2)/2, density completeness / 2).
     """
     mode, n = problem.mode, problem.n
     through = HalfInt.of(through)
     caps = [through, HalfInt(phi.complete - 2)]
-    # exponent series S = sum_{k>=1} h^(k/2) * (-2 phi_{k+2})
-    s: dict[HalfInt, Poly] = {}
-    for d, part in phi.poly.components_by_degree().items():
-        if d <= 2:
-            continue
-        k = HalfInt(d - 2)  # half-order (d-2)/2
-        if k > through:
-            continue
-        s[k] = part.scale(-2)
-    expo: dict[HalfInt, Poly] = {HI0: Poly.const(mode, n, 1)}
-    power: dict[HalfInt, Poly] = {HI0: Poly.const(mode, n, 1)}
-    fact = Fraction(1)
-    m = 1
-    while s and m * min(k.doubled for k in s) <= through.doubled:
-        power = _graded_mul(power, s, mode, n, through)
-        if not power:
-            break
-        fact = fact * m
-        inv_fact = mode.coeff(Fraction(1, int(fact)))
-        for k, p in power.items():
-            expo[k] = expo.get(k, Poly.zero(mode, n)) + p.scale(inv_fact)
-        m += 1
+    # S's part at doubled order d - 2 is -2 times phi's degree-d part
+    s = {d - 2: part.scale(-2) for d, part in phi.poly.components_by_degree().items()
+         if 2 < d <= through.doubled + 2}
+    expo = {HalfInt(k): p for k, p in
+            euler_recurrence(s, through.doubled, Poly.const(mode, n, 1), Poly.scale).items()}
     if not problem.metric_is_flat():
         caps.append(HalfInt(problem.D))
         g_parts: dict[HalfInt, Poly] = {}

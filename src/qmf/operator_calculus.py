@@ -36,6 +36,7 @@ from .series_algebra import (
     _min_trunc,
     _same_mode,
     convolution_bound,
+    euler_recurrence,
     half_range,
     mono_add,
     mono_degree,
@@ -132,22 +133,14 @@ def poly_det(a: PolyMat, through: int | None = None) -> Poly:
 
 def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
     """(1 + u)^expo through degree ``through``, for p = 1 + u with u of
-    positive minimal degree."""
-    mode = p.mode
-    one = Poly.const(mode, p.n, 1)
+    positive minimal degree, by ``euler_recurrence`` over u's homogeneous
+    parts."""
+    one = Poly.const(p.mode, p.n, 1)
     u = p - one
     if not u.is_zero() and u.min_degree() < 1:
         raise ValueError("jet must be 1 plus higher-degree terms")
-    out = one
-    term = one
-    coeff = Fraction(1)
-    k = 1
-    while not term.is_zero() and k <= through:
-        coeff = coeff * (expo - (k - 1)) / k
-        term = term.mul(u, through)
-        out = out + term.scale(mode.coeff(coeff))
-        k += 1
-    return out
+    parts = euler_recurrence(u.components_by_degree(), through, one, Poly.scale, expo)
+    return sum(parts.values(), Poly.zero(p.mode, p.n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The public surface: ``qmf.__all__``, every submodule's ``__all__``, the
-README's Python examples, and what the package imports."""
+README's Python examples, what the package imports, and the names the
+benchmark's span recorder wraps (``qmfbench/spans.py``, loaded by path and
+only read)."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -13,6 +16,7 @@ import pytest
 import qmf
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SPANS = Path(__file__).resolve().parent.parent / "qmfbench" / "spans.py"
 SOURCES = sorted(Path(qmf.__file__).resolve().parent.glob("*.py"))
 
 PUBLIC = [
@@ -91,3 +95,14 @@ def test_module_imports_no_scipy_and_numpy_only_lazily(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert "scipy" not in set(_imported_roots(ast.walk(tree)))
     assert "numpy" not in set(_imported_roots(tree.body))
+
+
+def test_every_span_site_resolves():
+    # a renamed or moved name would leave its benchmark metric missing
+    spec = importlib.util.spec_from_file_location("qmfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, sites in spans.SITES.items():
+        for module_name, path in sites:
+            owner, attr = spans.site_owner(module_name, path)
+            assert owner is not None and hasattr(owner, attr), (name, module_name, path)

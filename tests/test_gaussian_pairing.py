@@ -1,9 +1,12 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmf.series_algebra import (
     EXACT,
@@ -14,7 +17,7 @@ from qmf.series_algebra import (
     Poly,
     S0Series,
 )
-from qmf.operator_calculus import JetProblem, conjugate_hamiltonian, solve_eikonal
+from qmf.operator_calculus import JetProblem, ScalarJet, conjugate_hamiltonian, solve_eikonal
 from qmf.gaussian_pairing import _Functional, gaussian_moment, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
 from qmf.cli_io import preset_problem
@@ -88,6 +91,54 @@ class TestWeightExpansion:
         g = ((poly1({0: 1, 2: a}),),)
         w = omega_for(make_problem(None, D=6, g_inv=g), through=2)
         assert w.at(HalfInt(2)).coefficient((2,)) == -a / 2
+
+
+def ref_exp_weight(phi: ScalarJet, n: int, through: HalfInt) -> dict:
+    """exp(S) as sum_m S^m / m!, S = -2 sum_{d>2} h^((d-2)/2) phi_d, one
+    graded product per power."""
+    one = Poly.const(EXACT, n, 1)
+    s = {HalfInt(d - 2): part.scale(-2) for d, part in phi.poly.components_by_degree().items()
+         if d > 2 and HalfInt(d - 2) <= through}
+    expo, power, m = {HI0: one}, {HI0: one}, 1
+    while power:
+        nxt = {}
+        for (ka, pa), (kb, pb) in itertools.product(power.items(), s.items()):
+            if ka + kb <= through:
+                nxt[ka + kb] = nxt.get(ka + kb, Poly.zero(EXACT, n)) + pa * pb
+        power = {k: p for k, p in nxt.items() if not p.is_zero()}
+        for k, p in power.items():
+            expo[k] = expo.get(k, Poly.zero(EXACT, n)) + p.scale(F(1, math.factorial(m)))
+        m += 1
+    return expo
+
+
+@st.composite
+def anharmonic_phases(draw):
+    """A phase sum_nu lam_nu y_nu^2 / 2 plus random parts of degree 3 to 6 in
+    one or two variables, exact through its top degree, with its flat problem."""
+    n = draw(st.integers(1, 2))
+    lam = draw(st.lists(st.sampled_from([F(1), F(2), F(1, 2)]), min_size=n, max_size=n))
+    monomials = [a for a in itertools.product(range(7), repeat=n) if 3 <= sum(a) <= 6]
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs, min_size=1, max_size=6))
+    for nu in range(n):
+        alpha = tuple(2 * (i == nu) for i in range(n))
+        terms[alpha] = lam[nu] / 2
+    complete = draw(st.integers(4, 8))
+    problem = JetProblem.create(EXACT, n, 1, complete, lam)
+    return ScalarJet(Poly(EXACT, n, terms), complete), problem
+
+
+class TestWeightExpansionOracle:
+    @given(anharmonic_phases(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_exponential_matches_power_sum(self, case, through):
+        phi, problem = case
+        through = HalfInt(through)
+        w = weight_expansion(phi, Poly.const(EXACT, problem.n, 1), problem, through)
+        assert w.complete == min(through, HalfInt(phi.complete - 2))
+        ref = ref_exp_weight(phi, problem.n, through)
+        assert w.omega == {k: p for k, p in ref.items() if k <= w.complete and not p.is_zero()}
 
 
 def unit_fiber(p: Poly) -> FiberPoly:

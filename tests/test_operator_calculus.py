@@ -17,6 +17,7 @@ from qmf.operator_calculus import (
     conjugate_hamiltonian,
     pm_is_zero,
     poly_det,
+    poly_power_jet,
     rescale_operator,
     solve_eikonal,
 )
@@ -549,6 +550,40 @@ class TestMetricDensity:
         Gf = density_jet(pf)
         for d in range(7):
             assert abs(Gf.coefficient((d,)) - float(Ge.coefficient((d,)))) < 1e-12
+
+
+def ref_poly_power_jet(p, expo, through):
+    """(1 + u)^expo as sum_k binom(expo, k) u^k, one product per power."""
+    one = Poly.const(p.mode, p.n, 1)
+    u = p - one
+    out = term = one
+    coeff = F(1)
+    for k in range(1, through + 1):
+        coeff = coeff * (expo - (k - 1)) / k
+        term = term.mul(u, through)
+        out = out + term.scale(p.mode.coeff(coeff))
+    return out
+
+
+@st.composite
+def unit_jets(draw):
+    """1 + u in one or two variables, u of minimal degree >= 1, and a degree bound."""
+    n = draw(st.integers(1, 2))
+    monomials = [a for a in product(range(5), repeat=n) if 1 <= sum(a) <= 4]
+    u = draw(st.dictionaries(st.sampled_from(monomials), FRACS, max_size=5))
+    return Poly(EXACT, n, {(0,) * n: F(1), **u}), draw(st.integers(0, 6))
+
+
+class TestPolyPowerJet:
+    @given(unit_jets(), st.sampled_from([F(1, 2), F(-1, 2), F(-1)]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_power_sum(self, case, expo):
+        p, through = case
+        assert poly_power_jet(p, expo, through) == ref_poly_power_jet(p, expo, through)
+
+    def test_rejects_a_constant_perturbation(self):
+        with pytest.raises(ValueError):
+            poly_power_jet(poly1({0: 2, 1: 1}), F(-1, 2), 4)
 
 
 class TestValidation:

@@ -3,8 +3,8 @@
 ``qmfbench/refs`` holds the ``qmf compute`` document of every exact
 benchmark case as the program first wrote it, without its ``checks`` block.
 Each one is recomputed here and must match byte for byte once written the
-same way (``reference.canonical``); ``tests/refs`` does the same for two
-spec files, a curved metric and a connection. The float cases of the benchmark must
+same way (``reference.canonical``); ``tests/refs`` does the same for spec
+files: a curved metric at orders 3 and 6, and a connection. The float cases of the benchmark must
 agree with the exact reference of the same rational problem within
 ``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run,
 and so must float documents of other presets and of random rational wells,
@@ -91,11 +91,15 @@ index = 1
 
 
 @pytest.mark.parametrize("name, text", [("curved2d-o3", CURVED_WELL),
+                                        ("curved2d-o6", CURVED_WELL.replace("order = 3",
+                                                                            "order = 6")),
                                         ("rank2-connection-o4", RANK2_CONNECTION)])
 def test_spec_document_matches_reference(name, text, tmp_path):
     # the benchmark's references are all flat and connection-free; a curved
     # metric and a connection give the operator jets finite truncation
-    # bounds, so these two pin every product bound that has finite operands
+    # bounds, so these pin every product bound that has finite operands. The
+    # curved well at order 6 takes the metric density, the weight exponential
+    # and the Gram series' inverse square root to depth.
     spec = tmp_path / "problem.spec"
     spec.write_text(text)
     doc = run_compute(["--spec", str(spec)], tmp_path)

@@ -18,6 +18,7 @@ from qmf.series_algebra import (
     S0Series,
     XJetSeries,
     float_mode,
+    binomial_series,
     half_range,
     inverse_sqrt_series,
     rescale,
@@ -423,9 +424,70 @@ class TestInverseSqrt:
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_defect_zero_randomized(self, tail):
-        a = FormalScalarSeries(EXACT, HI0, [F(1)] + [F(v) for v in tail], HalfInt(10))
+        # a.inverse() and inverse_sqrt_series(a) both come from binomial_series
+        a = FormalScalarSeries(EXACT, HI0, [F(1)] + [F(v) for v in tail], HalfInt(24))
         r = inverse_sqrt_series(a)
-        assert (r * r * a).equals_through(series({0: 1}), HalfInt(10))
+        assert (r * r * a).truncation_order == HalfInt(24)
+        assert (r * r * a).equals_through(series({0: 1}), HalfInt(24))
+        assert (a.inverse() * a).equals_through(series({0: 1}), HalfInt(24))
+
+
+# -- the binomial series against the k-fold power sum it replaced
+
+
+def ref_binomial(v, exponent, through=None):
+    """(1 + v)^exponent as sum_k binom(exponent, k) v^k, one product per power."""
+    trunc = min(t for t in (v.truncation_order, through) if t is not None)
+    out = term = FormalScalarSeries.const(v.mode, 1, trunc)
+    coeff = F(1)
+    for k in range(1, trunc.doubled // v.order().doubled + 1):
+        coeff = coeff * (exponent - (k - 1)) / k
+        term = term * v
+        out = out + term.scale(v.mode.coeff(coeff))
+    return out
+
+
+EXPONENTS = st.sampled_from([F(-1), F(-1, 2), F(1, 2), F(3)])
+
+
+@st.composite
+def perturbations(draw, mode=EXACT, values=FRACS_OR_ZERO):
+    """v of order 1/2 to 3/2, exact through a bound or everywhere, and a
+    ``through`` wherever v has no bound."""
+    offset = draw(st.integers(1, 3))
+    coeffs = [draw(FRACS.filter(bool))] + draw(st.lists(values, max_size=6))
+    trunc = draw(st.one_of(st.none(), st.integers(offset, 14)))
+    through = draw(st.integers(0, 14) if trunc is None else st.one_of(st.none(), st.integers(0, 14)))
+    v = FormalScalarSeries(mode, HalfInt(offset), [mode.coeff(c) for c in coeffs],
+                           None if trunc is None else HalfInt(trunc))
+    return v, None if through is None else HalfInt(through)
+
+
+class TestBinomialSeries:
+    @given(perturbations(), EXPONENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_matches_power_sum(self, case, exponent):
+        v, through = case
+        got = binomial_series(v, exponent, through)
+        assert series_state(got) == series_state(ref_binomial(v, exponent, through))
+
+    def test_float_within_tolerance_of_exact(self):
+        v = series({1: F(1, 3), 2: F(-2, 5), 3: F(1, 7)}, trunc=20)
+        vf = FormalScalarSeries(float_mode(), v.offset, [complex(c) for c in v.coeffs],
+                                v.truncation_order)
+        for exponent in (F(-1), F(-1, 2), F(1, 2), F(3)):
+            want, got = binomial_series(v, exponent), binomial_series(vf, exponent)
+            # judged against the largest coefficient: at exponent 3 the
+            # recurrence cancels to rounding residue past (1 + v)^3's degree
+            scale = want.max_abs_coeff()
+            assert got.truncation_order == want.truncation_order
+            assert all(float_mode().negligible(got.coefficient(e) - complex(want.coefficient(e)),
+                                               scale) for e in half_range(0, 10)), exponent
+
+    def test_zero_perturbation(self):
+        z = FormalScalarSeries.zero(EXACT, HalfInt(5))
+        assert binomial_series(z, F(-1, 2)) == series({0: 1})
+        assert binomial_series(z, F(-1, 2)).truncation_order == HalfInt(5)
 
 
 def fiber_mono(alpha, value=1, n=None, rank=1, k=0):
