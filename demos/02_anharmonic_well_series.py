@@ -7,9 +7,10 @@ eigenvalue series
     quartic:  E(h) = h (1 + (3/4) c h - (21/16) c^2 h^2 + ...)
 
 whose leading corrections are classical second-order sums over oscillator
-matrix elements. The pipeline obtains them through the spectral projector
-and the series pencil; the independent Rayleigh-Schrodinger recursion must
-reproduce every coefficient exactly.
+matrix elements. The pipeline obtains them through Bloch's wave operator
+and the series pencil; Kato's residue eigenvalue (Q P e)_m / (P e)_m, read
+from the spectral projector's Laurent residues, must reproduce every
+coefficient exactly.
 """
 
 from qmf import HalfInt, compute_quasimodes, rs_oracle
@@ -24,7 +25,7 @@ for preset in ("cubic1d:c=1", "quartic1d:c=1"):
     print(f"{preset}:")
     print(f"  pipeline:   E(h) = {energy}")
     oracle = rs_oracle(result)
-    print(f"  recursion:  E(h) = h * ({oracle})")
+    print(f"  residue:    E(h) = h * ({oracle})")
     inner = energy.shift(HalfInt(-2))
     diff = inner - oracle
     print(f"  agreement through order {spec.order}: "

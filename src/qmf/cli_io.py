@@ -529,7 +529,7 @@ def _run_checks(result, names) -> list:
         reports.append(VerificationReport(
             name="rs_oracle", passed=mode.negligible(worst, 1), order=N,
             max_residual=float(worst),
-            detail="pipeline eigenvalue equals the perturbation recursion"))
+            detail="pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"))
     if "projector" in names:
         reports.append(projector_diagnostics(result.context.projector, result.context.omega))
     return reports

@@ -1,17 +1,12 @@
 """Hermitian matrices over the half-power series field and their eigendecomposition.
 
-The level data produced by the projector P is a Gram matrix A, whose leading
-term is a positive diagonal for the monic level basis, and an interaction
-matrix C = E0 * A + (higher order). Both are built in Kato-Bloch form
-(C. Bloch, Nucl. Phys. 6 (1958) 329; T. Kato, Perturbation Theory for
-Linear Operators, ch. II, sec. 2): since P is idempotent, symmetric for the
-pairing and commutes with the operator family Q,
-
-    A_ab = (P e_a, P e_b) = (e_a, P e_b),   C_ab = (P e_a, Q P e_b) = (e_a, Q P e_b),
-
-so each bare level member e_a is paired against the images. Those three laws
-are what ``projector_diagnostics`` checks. The eigenvalue series of the pencil
-are the output of the whole construction. They are found from the
+The level data on a basis f_a of the perturbed level's span, here Bloch's
+wave-operator images f_a = Omega e_a (C. Bloch, Nucl. Phys. 6 (1958) 329;
+I. Lindgren, J. Phys. B 7 (1974) 2441), is a Gram matrix A_ab = (f_a, f_b),
+whose leading term is a positive diagonal for the monic level basis, and an
+interaction matrix C_ab = (f_a, Q f_b). Since Q Omega = Omega H_eff, C is the
+series product A H_eff and needs no pairing. The eigenvalue series of the
+pencil are the output of the whole construction. They are found from the
 generalized (pencil) problem C v = E A v, which has the eigenvalue series of
 the normalized matrix A^(-1/2) C A^(-1/2) but stays inside the rational field
 for unnormalized bases.
@@ -32,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .series_algebra import (
@@ -73,24 +69,20 @@ class SplitAmbiguityError(ValueError):
 # Level matrices
 
 
-def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExpansion,
+def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
                 through: HalfInt | None = None) -> list:
-    """Pairing Gram matrix (P e_a, P e_b) of the projected level basis, as rows
-    of scalar series.
+    """Pairing Gram matrix (f_a, f_b) of the level basis, as rows of scalar
+    series.
 
-    ``es`` are the bare level members e_a and ``fs`` their images P e_a.
-    Each entry pairs a bare member against an image, by the Kato-Bloch
-    identity (P e_a, P e_b) = (e_a, P e_b), which holds because P is
-    idempotent and symmetric for the pairing: the laws that
-    ``projector_diagnostics`` checks. The pairing is hermitian: each entry
-    below the diagonal is the conjugate of the one above. Validates a leading
-    positive diagonal (the monic basis is orthogonal at leading order); a
-    violation signals a projector or pairing inconsistency upstream; an
-    off-diagonal lead must be negligible against the diagonal.
+    The pairing is hermitian: only the entries on and above the diagonal are
+    paired, and each one below is the conjugate of its mirror. Validates a
+    leading positive diagonal (the monic basis is orthogonal at leading
+    order); a violation signals a basis or pairing inconsistency upstream;
+    an off-diagonal lead must be negligible against the diagonal.
     """
     mode = fs[0].mode
     m = len(fs)
-    pairs = {(i, j): pair_s0(es[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
+    pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
     rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
     lead = [[e.coefficient(HI0) for e in row] for row in rows]
     scale = max(mode.abs(lead[i][i]) for i in range(m))
@@ -104,17 +96,16 @@ def gram_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], omega: WeightExp
     return rows
 
 
-def interaction_matrix(es: Sequence[S0Series], fs: Sequence[S0Series], family,
-                       omega: WeightExpansion, through: HalfInt | None = None) -> list:
-    """Interaction matrix (P e_a, Q P e_b) over the series field.
+def interaction_matrix(gram: list, h_eff: list) -> list:
+    """Interaction matrix (f_a, Q f_b) = (A H_eff)_ab over the series field.
 
-    Pairs each bare member e_a against the image Q P e_b: since P commutes
-    with the family Q as well, (P e_a, Q P e_b) = (e_a, P Q P e_b) =
-    (e_a, Q P e_b), as for ``gram_matrix``.
+    For the wave-operator basis Q f_b = sum_c f_c H_eff[c][b], so the pairing
+    of f_a with Q f_b is the series product of the Gram rows ``gram`` with the
+    columns of ``h_eff``.
     """
-    qfs = [family.apply_series(f, out_trunc=through) for f in fs]
-    m = len(fs)
-    return [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
+    m = len(gram)
+    return [[reduce(add, (gram[i][k] * h_eff[k][j] for k in range(m))) for j in range(m)]
+            for i in range(m)]
 
 
 # ---------------------------------------------------------------------------

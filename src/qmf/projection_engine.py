@@ -1,4 +1,16 @@
-"""Spectral projection onto one model level, order by order in sqrt(h).
+"""The perturbed level, order by order in sqrt(h): Bloch's wave operator,
+which builds it, and the spectral projector, which checks it.
+
+C. Bloch's wave operator Omega (Nucl. Phys. 6 (1958) 329; I. Lindgren,
+J. Phys. B 7 (1974) 2441 for a degenerate model space) spans the perturbed
+level. With P0 the model level's projector, S = (E0 - Q0)^(-1) off the level
+and the intermediate normalization P0 Omega = P0,
+
+    Omega_0 = P0,   Omega_s = S [sum_{0<j<=s} Q_j Omega_{s-j} - sum_{0<t<s} Omega_{s-t} H_t],
+    H_t = P0 sum_{0<j<=t} Q_j Omega_{t-j},
+
+and H_eff = E0 + sum_t h^t H_t satisfies Q Omega = Omega H_eff. The recursion
+carries no Laurent powers; at m0 = 1 it is the Rayleigh-Schrodinger one.
 
 The projector is the contour integral of the perturbed resolvent around the
 chosen level. In the eigenbasis of the model operator the resolvent factor
@@ -43,7 +55,9 @@ far, returning its orders <= b for any smaller budget b. One class,
 ``ProjectorSeries``, holds the recursion and all three caches: the Q_j
 images, the powers of 1/(E0 - E) and the images per index. The law checks of
 ``projector_diagnostics`` first collect every (index, budget) they will read
-and compute each index once, at the largest of its budgets.
+and compute each index once, at the largest of its budgets. Only the checks
+read the projector's images; the wave operator reads the same Q_j cache, so
+the checks reuse the Q_j images that the construction filled.
 
 All of this runs on one integer kernel, ``HermiteVec``: integer numerators,
 keyed by basis position (``HermiteBasis.position``), over one shared
@@ -51,7 +65,7 @@ denominator. Q_j images and the powers of 1/(E0 - E) are kept
 as integers, sums rescale only when a new denominator raises the common lcm,
 and each finished vector is reduced by one gcd. Float mode runs the same code
 over denominator 1. Coefficients become Fractions only where images leave the
-projector (``ProjectorSeries.image_s0``).
+projector or the wave operator (``ProjectorSeries.as_s0``).
 """
 
 from __future__ import annotations
@@ -60,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .series_algebra import (
+    FormalScalarSeries,
     HI0,
     HalfInt,
     S0Series,
@@ -175,7 +190,8 @@ def _reduced(vecs: dict) -> dict:
 
 class ProjectorSeries:
     """The level projector through ``order``, by Laurent residues of the
-    graded resolvent expansion at one level.
+    graded resolvent expansion at one level, and Bloch's wave operator
+    (``wave_operator``) on the same Q_j cache.
 
     ``image(pos)`` returns the graded coefficients of the projected basis
     vector at a basis position as ``HermiteVec``s; images are computed lazily
@@ -326,15 +342,66 @@ class ProjectorSeries:
         return {j: vec for j, vec in hit[1].items() if j <= budget}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
-        """The image sum_j h^j P_j of ``index`` as a power-counted series with
-        offset K = |alpha|/2: the series' degree check certifies the
-        projector's bound deg <= |alpha| + 2j."""
+        """The image sum_j h^j P_j of ``index`` as a power-counted series
+        (``as_s0``)."""
+        return self.as_s0(index, self.image(self.basis.position(index)))
+
+    def as_s0(self, index: HermiteIndex, vecs: Mapping) -> S0Series:
+        """sum_j h^j vecs[j], a graded vector grown from ``index``, as a
+        power-counted series with offset K = |alpha|/2: the series' degree
+        check certifies the bound deg <= |alpha| + 2j."""
         basis = self.basis
         K = HalfInt(index.degree)
         index_at = basis.index_at
         coeffs = {K + j: basis.synthesize({index_at[p]: c for p, c in vec.coeffs().items()})
-                  for j, vec in self.image(basis.position(index)).items()}
+                  for j, vec in vecs.items()}
         return S0Series(basis.mode, basis.n, basis.rank, K, coeffs, self.order)
+
+    # -- Bloch's wave operator
+
+    def wave_operator(self) -> tuple[list, list]:
+        """Bloch's wave operator on the level through the built order (module
+        docstring): ([{s: Omega_s e_a}] per member a, H_eff as rows of scalar
+        series). Omega_s e_a has degree at most |alpha| + 2s."""
+        mode, N = self.mode, self.order
+        members = [self.basis.position(m) for m in self.level.members]
+        level_set = self._level_set
+        parts = [j for j in self.family.orders() if HI0 < j <= N]
+        waves = [{HI0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
+        h: dict[HalfInt, list] = {}
+        for s in half_range(HalfInt(1), N):
+            drives = {b: HermiteVec(mode) for b in range(len(members))}
+            for b, om in enumerate(waves):
+                for j in parts:
+                    if j > s:
+                        break
+                    prev = om.get(s - j)
+                    if prev is not None:
+                        self._apply_q(j, {b: prev}, drives)
+            h_s = [[mode.zero()] * len(members) for _ in members]
+            for b, drive in drives.items():
+                # the level block of the drive is H_s: Omega_(s-t), t < s, has none
+                for a, pos in enumerate(members):
+                    h_s[a][b] = mode.join(drive.num.get(pos, 0), drive.den)
+                for t, h_t in h.items():
+                    for a, om in enumerate(waves):
+                        c = h_t[a][b]
+                        if not mode.is_zero(c) and s - t in om:
+                            drive.add(om[s - t], *mode.split(-c))
+                # S = (E0 - Q0)^(-1) off the level
+                out = HermiteVec(mode)
+                for idx, n in drive.num.items():
+                    if idx not in level_set:
+                        g, d = self._gap_series(idx, 1)[0]
+                        out.add_entry(idx, n * g, drive.den * d)
+                if out.reduce():
+                    waves[b][s] = out
+            h[s] = h_s
+        h_eff = [[FormalScalarSeries.from_terms(
+            mode, {HI0: self.level.E0 if a == b else mode.zero(),
+                   **{t: h_t[a][b] for t, h_t in h.items()}}, N)
+            for b in range(len(members))] for a in range(len(members))]
+        return waves, h_eff
 
     def apply_graded(self, vecs: Mapping) -> dict:
         """Apply to sum_j h^j vec_j, truncating at the built order."""
@@ -355,7 +422,8 @@ def workspace_degree(level: DegenerateLevel, order: HalfInt) -> int:
     most 2K + 2, ``workspace_degree(level, HI0)``. By the law
     deg <= |alpha| + 2j, their images, their Q_j images and the images of
     those reach at most 2K + 2 + 2N, so a basis of this degree holds every
-    vector the pipeline, the check and ``rs_oracle`` build.
+    vector the pipeline (the wave operator, deg <= |alpha| + 2s), the check
+    and ``rs_oracle`` build.
     """
     return level.K.doubled + 2 + order.doubled
 

@@ -3,13 +3,14 @@
 ``compute_quasimodes`` runs the full construction for one model level:
 
     problem -> phase -> conjugated operator -> rescaled family
-            -> projector images of the level basis
-            -> Gram / interaction matrices -> pencil eigendecomposition
+            -> Bloch's wave operator: level basis Omega e_a and H_eff
+            -> Gram matrix A, interaction matrix A H_eff
+            -> pencil eigendecomposition
             -> eigenvalue series  h (E0 + sum_k h^k E_k)
             -> eigenfunction jets (inverse rescaling), degree/parity checks.
 
 Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
-``context``; none of them re-runs the projector, the pairing or the pencil:
+``context``; none of them re-runs the wave operator, the pairing or the pencil:
 
 * ``transport_residual``    -- the recursive first-order transport equations
                                at jet level (must vanish identically);
@@ -17,8 +18,9 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
                                order by order on the blown-up series;
 * ``orthonormality_report`` -- the pairing Gram of the output against the
                                recorded diagonal constants;
-* ``rs_oracle``             -- a textbook Rayleigh-Schrodinger recursion in
-                               the model eigenbasis (nondegenerate levels);
+* ``rs_oracle``             -- Kato's residue eigenvalue (Q P e)_m / (P e)_m
+                               from the projector's Laurent-residue image
+                               (nondegenerate levels);
 * ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
                                (a Rayleigh-Ritz solve in the model
                                oscillator's Hermite functions, certified by
@@ -64,7 +66,6 @@ from .harmonic_oscillator import (
     level_by_index,
 )
 from .projection_engine import (
-    HermiteVec,
     ProjectorSeries,
     VerificationReport,
     build_projector,
@@ -186,11 +187,11 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     omega = weight_expansion(phi, conj.density, problem, order)
 
     proj = build_projector(family, basis, level, order)
-    es = [S0Series.from_fiber_poly(basis.fiber(m)) for m in level.members]
-    fs = [proj.image_s0(m) for m in level.members]
+    waves, h_eff = proj.wave_operator()
+    fs = [proj.as_s0(m, vecs) for m, vecs in zip(level.members, waves)]
 
-    a_mat = gram_matrix(es, fs, omega, through=order)
-    c_mat = interaction_matrix(es, fs, family, omega, through=order)
+    a_mat = gram_matrix(fs, omega, through=order)
+    c_mat = interaction_matrix(a_mat, h_eff)
     eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order)
 
     psis = []
@@ -416,65 +417,47 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Rayleigh-Schrodinger oracle (nondegenerate levels)
+# Residue eigenvalue oracle (nondegenerate levels)
 
 
 def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
-    """Eigenvalue series by the textbook perturbation recursion (m0 = 1 only).
+    """Eigenvalue series E0 + sum_{k>=1/2} h^k E_k by Kato's residue formula
+    (m0 = 1 only), through the result's order.
 
-    Works entirely in the model eigenbasis with intermediate normalization
-    (the level component of every correction vector is zero). It shares with
-    the construction the operator family, the basis of ``result.context`` and
-    the projector's cached Q_j images (``ProjectorSeries.q_action``: the table
-    algebra of ``HermiteBasis.apply``, a function of the family and the basis
-    alone), and reads none of the resolvent recursion, the pairing or the
-    pencil. Its vectors are the projector's integer-numerator ``HermiteVec``s,
-    keyed by basis position and summed by ``_apply_q``, and the basis's
-    ``eigenvalue_at`` gives every model gap; no spectrum table is read.
-    That basis reaches degree 2K + 2N + 2 (``workspace_degree``: 2K the
-    member degree, N the order), and the recursion's psi_s has degree at
-    most 2K + 2s, so it covers every vector the recursion builds. The returned
-    series is E0 + sum_{k>=1/2} h^k E_k through the result's order.
+    On a simple level P e is the eigenvector, so E = (Q P e)_m / (P e)_m at
+    the member m (T. Kato, Perturbation Theory for Linear Operators, ch. II,
+    sec. 2). P e is the projector's Laurent-residue image
+    (``ProjectorSeries.image``), which the construction never forms. The
+    oracle shares with it the operator family, the basis and the cached Q_j
+    images (``ProjectorSeries.q_action``), and reads none of the wave
+    operator, the pairing or the pencil.
     """
     ctx = result.context
     mode = ctx.problem.mode
-    order = result.order
+    N = result.order
     level = ctx.level
     if level.m0 != 1:
         raise DegenerateLevelError(
-            f"level at {level.E0} has multiplicity {level.m0}; the recursion needs a simple level")
-    basis, proj = ctx.basis, ctx.projector
-    member = basis.position(level.members[0])
-    e0_val = level.E0
-    parts = [j for j in ctx.family.orders() if j > HI0]
-    psi = {0: HermiteVec.of(mode, {member: mode.one()})}
-    e_coeffs = {0: e0_val}
-    for s in range(1, order.doubled + 1):
-        drive = HermiteVec(mode)
-        for j in parts:
-            if j.doubled <= s:
-                proj._apply_q(j, {0: psi[s - j.doubled]}, {0: drive})
-        # psi_t has no member component for t >= 1 (intermediate
-        # normalization), so the member entry of the drive is E_s
-        for t in range(1, s):
-            if not mode.is_zero(e_coeffs[t]):
-                drive.add(psi[s - t], *mode.split(-e_coeffs[t]))
-        drive.reduce()
-        e_coeffs[s] = mode.join(drive.num.get(member, 0), drive.den)
-        # (Q0 - E0) psi_s = -drive, so componentwise psi_idx = drive_idx / (E0 - E_idx)
-        psi_s = HermiteVec(mode)
-        for idx, n in drive.num.items():
-            if idx == member:
-                continue
-            e_idx = basis.eigenvalue_at[idx]
-            if mode.close(e_idx, e0_val):
-                raise DegenerateLevelError(
-                    "degeneracy met inside the recursion; the level is not isolated enough")
-            gn, gd = mode.split(1 / (e0_val - e_idx))
-            psi_s.add_entry(idx, n * gn, drive.den * gd)
-        psi[s] = psi_s.reduce()
-    terms = {HalfInt(s): c for s, c in e_coeffs.items() if not mode.is_zero(c)}
-    return FormalScalarSeries.from_terms(mode, terms, order)
+            f"level at {level.E0} has multiplicity {level.m0}; the residue eigenvalue needs "
+            f"a simple level")
+    proj = ctx.projector
+    member = proj.basis.position(level.members[0])
+    image = proj.image(member)
+    # Q0 is E0 at the member, so only the Q_i with i > 0 are applied, and
+    # only their member entries are read
+    qp: dict[HalfInt, object] = {}
+    for j, vec in image.items():
+        for i in ctx.family.orders():
+            if HI0 < i and i + j <= N:
+                for idx, n in vec.num.items():
+                    q = proj.q_action(i, idx)
+                    c = q.num.get(member)
+                    if c is not None:
+                        qp[i + j] = qp.get(i + j, 0) + mode.join(n * c, vec.den * q.den)
+    p_e = FormalScalarSeries.from_terms(
+        mode, {j: mode.join(vec.num.get(member, 0), vec.den) for j, vec in image.items()}, N)
+    return (FormalScalarSeries.from_terms(mode, qp, N) / p_e).truncate(N) + \
+        FormalScalarSeries.const(mode, level.E0, N)
 
 
 # ---------------------------------------------------------------------------

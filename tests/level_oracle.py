@@ -1,17 +1,19 @@
 """The level stage the long way round.
 
-The program pairs each bare level member against the projector images
-(``gram_matrix``, ``interaction_matrix``) and decouples a split pencil with a
-series congruence built one coefficient per step (``_decouple``). These
-tests keep the direct forms as their oracles: pair image against image, and
-recompute the full products V^H A V and V^H P V at every step of the
-congruence.
+The program builds the level basis by Bloch's wave operator, pairs image
+against image for the Gram matrix (``gram_matrix``), forms the interaction
+matrix as the series product A H_eff (``interaction_matrix``) and decouples a
+split pencil with a series congruence built one coefficient per step
+(``_decouple``). These tests keep the other forms as their oracles: the
+projector's residue images P e_a with the Kato-Bloch matrices (e_a, P e_b)
+and (e_a, Q P e_b), each image paired against each image of Q, and the full
+products V^H A V and V^H P V recomputed at every step of the congruence.
 """
 
 from qmf.formal_diagonalization import _block_mul, _const_inverse
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
-from qmf.series_algebra import FormalScalarSeries, HI0, HalfInt, half_range
+from qmf.series_algebra import FormalScalarSeries, HI0, HalfInt, S0Series, half_range
 
 # A series matrix is a list of rows of ``FormalScalarSeries``, as in the program.
 
@@ -64,17 +66,46 @@ def congruence(v: list, x: list) -> list:
     return mat_mul(mat_mul(adjoint(v), x), v)
 
 
-def image_gram_matrix(fs, omega, through=None) -> list:
-    """(P e_a, P e_b), each image paired against each image."""
+def kato_bloch_gram_matrix(es, fs, omega, through=None) -> list:
+    """(e_a, P e_b): each bare member e_a paired against each residue image,
+    which is (P e_a, P e_b) because P is idempotent and symmetric."""
     m = len(fs)
-    return [[pair_s0(fs[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
+    return [[pair_s0(es[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
+
+
+def kato_bloch_interaction_matrix(es, fs, family, omega, through=None) -> list:
+    """(e_a, Q P e_b), which is (P e_a, Q P e_b) because P also commutes with Q."""
+    qfs = [family.apply_series(f, out_trunc=through) for f in fs]
+    m = len(fs)
+    return [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
 
 
 def image_interaction_matrix(fs, family, omega, through=None) -> list:
-    """(P e_a, Q P e_b), each image paired against each image of Q."""
+    """(f_a, Q f_b), each image paired against each image of Q."""
     qfs = [family.apply_series(f, out_trunc=through) for f in fs]
     m = len(fs)
     return [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
+
+
+def residue_level(ctx, order) -> tuple:
+    """(eigenvalues, rescaled eigenvectors, squared norms) of the level built
+    from the residue images P e_a with the Kato-Bloch matrices, assembled as
+    ``compute_quasimodes`` assembles its own."""
+    mode, level = ctx.problem.mode, ctx.level
+    proj = ctx.projector
+    es = [S0Series.from_fiber_poly(ctx.basis.fiber(a)) for a in level.members]
+    fs = [proj.image_s0(a) for a in level.members]
+    eigen = fd.formal_eigendecomposition(
+        kato_bloch_interaction_matrix(es, fs, ctx.family, ctx.omega, order),
+        gram=kato_bloch_gram_matrix(es, fs, ctx.omega, order), through=order)
+    psis = []
+    for col in eigen.vectors:
+        psi = S0Series.zero(mode, ctx.problem.n, ctx.problem.rank, order)
+        for f, c in zip(fs, col):
+            psi = psi + f.scale_series(c)
+        psis.append(psi.truncate(order).with_K(level.K))
+    eigenvalues = [e.truncate(order).shift(HalfInt(2)) for e in eigen.eigenvalues]
+    return eigenvalues, psis, eigen.norms2
 
 
 def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):

@@ -34,8 +34,9 @@ from level_oracle import (
     congruence,
     constant,
     identity,
-    image_gram_matrix,
     image_interaction_matrix,
+    kato_bloch_gram_matrix,
+    kato_bloch_interaction_matrix,
     mat_add,
     mat_mul,
     mat_scale,
@@ -300,30 +301,48 @@ class TestClosedFormRoots:
 
 
 @functools.lru_cache(maxsize=None)
-def level_stage(preset: str, order: int, mode_name: str = "exact"):
-    """(bare members, images, family, weight, order) of a preset's level."""
+def level_context(preset: str, order: int, mode_name: str = "exact"):
+    """The pipeline context of a preset's level, and the order."""
     spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
     ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
                              level_index=spec.level_index).context
+    return ctx, spec.order
+
+
+def wave_level(preset: str, order: int) -> tuple:
+    """(context, wave-operator images Omega e_a as series, H_eff, order)."""
+    ctx, n = level_context(preset, order)
+    waves, h_eff = ctx.projector.wave_operator()
+    fs = [ctx.projector.as_s0(a, w) for a, w in zip(ctx.level.members, waves)]
+    return ctx, fs, h_eff, n
+
+
+def level_pencil(preset: str, order: int) -> tuple:
+    """(C, A, order): the program's level pencil, on the wave-operator basis."""
+    ctx, fs, h_eff, n = wave_level(preset, order)
+    a = gram_matrix(fs, ctx.omega, n)
+    return interaction_matrix(a, h_eff), a, n
+
+
+def residue_and_kato_bloch_pairs(preset, order, mode_name="exact"):
+    """[(program's matrix, Kato-Bloch matrix)] for A and C on the residue
+    images P e_a: the Gram pairs image against image, C the images against
+    the images of Q."""
+    ctx, n = level_context(preset, order, mode_name)
     es = [S0Series.from_fiber_poly(ctx.basis.fiber(a)) for a in ctx.level.members]
     fs = [ctx.projector.image_s0(a) for a in ctx.level.members]
-    return es, fs, ctx.family, ctx.omega, spec.order
-
-
-def kato_bloch_and_image_pairs(preset, order, mode_name="exact"):
-    """[(Kato-Bloch matrix, image-against-image matrix)] for A and C."""
-    es, fs, family, omega, n = level_stage(preset, order, mode_name)
-    return n, [(gram_matrix(es, fs, omega, n), image_gram_matrix(fs, omega, n)),
-               (interaction_matrix(es, fs, family, omega, n),
-                image_interaction_matrix(fs, family, omega, n))]
+    return n, [(gram_matrix(fs, ctx.omega, n), kato_bloch_gram_matrix(es, fs, ctx.omega, n)),
+               (image_interaction_matrix(fs, ctx.family, ctx.omega, n),
+                kato_bloch_interaction_matrix(es, fs, ctx.family, ctx.omega, n))]
 
 
 class TestKatoBlochLevelMatrices:
-    """(e_a, P e_b) and (e_a, Q P e_b) against (P e_a, P e_b) and (P e_a, Q P e_b)."""
+    """(P e_a, P e_b) and (P e_a, Q P e_b) against (e_a, P e_b) and (e_a, Q P e_b)
+    on the residue images."""
 
     @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
     def test_exact_equality_through_the_order(self, preset):
-        n, pairs = kato_bloch_and_image_pairs(preset, 4)
+        n, pairs = residue_and_kato_bloch_pairs(preset, 4)
         for got, want in pairs:
             assert max_abs_coeff(want, n) > 0
             for i in range(len(got)):
@@ -332,8 +351,8 @@ class TestKatoBlochLevelMatrices:
                     assert got[i][j] == want[i][j]
 
     def test_float_relative_agreement(self):
-        # relative to the largest coefficient of the image form at each order
-        n, pairs = kato_bloch_and_image_pairs("iso2d", 5, "float")
+        # relative to the largest coefficient of the Kato-Bloch form at each order
+        n, pairs = residue_and_kato_bloch_pairs("iso2d", 5, "float")
         for got, want in pairs:
             size = range(len(got))
             for t in half_range(HI0, n):
@@ -341,6 +360,21 @@ class TestKatoBlochLevelMatrices:
                 worst = max(abs(got[i][j].coefficient(t) - want[i][j].coefficient(t))
                             for i in size for j in size)
                 assert worst <= 1e-12 * scale
+
+
+class TestWaveOperatorLevelMatrices:
+    """C = A H_eff against each wave-operator image paired with each image of Q."""
+
+    @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+    def test_series_product_equals_the_pairing(self, preset):
+        ctx, fs, _, n = wave_level(preset, 4)
+        c, _, _ = level_pencil(preset, 4)
+        want = image_interaction_matrix(fs, ctx.family, ctx.omega, n)
+        assert max_abs_coeff(want, n) > 0
+        for i in range(len(c)):
+            for j in range(len(c)):
+                assert c[i][j].truncation_order == want[i][j].truncation_order
+                assert c[i][j] == want[i][j]
 
 
 def spy_decouple(monkeypatch) -> list:
@@ -416,9 +450,7 @@ class TestSeriesCongruence:
 
     @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
     def test_level_pencil(self, preset, monkeypatch):
-        es, fs, family, omega, n = level_stage(preset, 4)
-        a = gram_matrix(es, fs, omega, n)
-        c = interaction_matrix(es, fs, family, omega, n)
+        c, a, n = level_pencil(preset, 4)
         calls = spy_decouple(monkeypatch)
         got = formal_eigendecomposition(c, gram=a, through=n)
         assert calls
@@ -429,10 +461,9 @@ class TestSeriesCongruence:
 
     def test_rank2_congruence_is_not_trivial(self, monkeypatch):
         # iso2d's split is block diagonal already; rank2's needs V_s at every s
-        es, fs, family, omega, n = level_stage("rank2", 4)
+        c, a, n = level_pencil("rank2", 4)
         calls = spy_decouple(monkeypatch)
-        formal_eigendecomposition(interaction_matrix(es, fs, family, omega, n),
-                                  gram=gram_matrix(es, fs, omega, n), through=n)
+        formal_eigendecomposition(c, gram=a, through=n)
         (args, (v_terms, _, _)), = calls
         assert args[2] == HalfInt(1)
         assert [r for r, _ in v_terms] == list(half_range(HalfInt(1), n))

@@ -579,3 +579,48 @@ class TestFloatCommutation:
         report = projector_diagnostics(proj, omega)
         assert not report.passed
         assert report.data["commutation_defect"] > 1e-8
+
+
+class TestWaveOperator:
+    """Bloch's wave operator: Q Omega = Omega H_eff, P0 Omega = P0 (intermediate
+    normalization) and P Omega = Omega under the residue projector."""
+
+    CASES = [("cubic1d", 6), ("quartic1d", 6), ("iso2d", 4), ("rank2", 3), ("rank2", 4)]
+
+    @pytest.mark.parametrize("preset,order", CASES)
+    def test_intertwines_the_family_with_h_eff(self, preset, order):
+        # Q applied by the operator calculus (``apply_series``), not the
+        # Hermite table the recursion reads
+        proj, _ = preset_projector(preset, order)
+        N, members = proj.order, proj.level.members
+        waves, h_eff = proj.wave_operator()
+        fs = [proj.as_s0(a, w) for a, w in zip(members, waves)]
+        for b, fb in enumerate(fs):
+            q_omega = proj.family.apply_series(fb, out_trunc=N)
+            omega_h = fs[0].scale_series(h_eff[0][b])
+            for a in range(1, len(fs)):
+                omega_h = omega_h + fs[a].scale_series(h_eff[a][b])
+            assert (q_omega - fb.scale(proj.level.E0)).max_abs_coeff(N) > 0
+            assert (q_omega - omega_h).max_abs_coeff(N) == 0
+
+    @pytest.mark.parametrize("preset,order", CASES)
+    def test_intermediate_normalization(self, preset, order):
+        proj, _ = preset_projector(preset, order)
+        members = {proj.basis.position(a) for a in proj.level.members}
+        waves, h_eff = proj.wave_operator()
+        assert [w[HI0] for w in waves] == [vec({proj.basis.position(a): 1})
+                                          for a in proj.level.members]
+        for w in waves:
+            assert max(w) > HI0
+            assert all(not members & vec_s.num.keys() for s, vec_s in w.items() if s > HI0)
+        for a, row in enumerate(h_eff):
+            for b, e in enumerate(row):
+                assert e.truncation_order == proj.order
+                assert e.coefficient(HI0) == (proj.level.E0 if a == b else 0)
+
+    @pytest.mark.parametrize("preset,order", CASES)
+    def test_residue_projector_fixes_the_wave_images(self, preset, order):
+        proj, _ = preset_projector(preset, order)
+        waves, _ = proj.wave_operator()
+        for w in waves:
+            assert proj.apply_graded(w) == w

@@ -517,3 +517,56 @@ class TestFloatChecksOnCancelledTerms:
         for d in range(want.truncation_order.doubled + 1):
             t = HalfInt(d)
             assert abs(got.coefficient(t) - float(want.coefficient(t))) <= 1e-9 * scale, t
+
+
+
+class TestBlochRoute:
+    """The level built by Bloch's wave operator against the level built from
+    the projector's residue images with the Kato-Bloch matrices."""
+
+    @pytest.mark.parametrize("preset,order", [
+        ("cubic1d", 12), ("quartic1d", 12), ("iso2d", 6), ("rank2", 4), ("rank2", 6),
+        ("well3d", 4)])
+    def test_same_result_as_the_residue_route(self, preset, order):
+        from level_oracle import residue_level
+
+        if preset == "well3d":
+            res = compute_quasimodes(well3d(), HalfInt(2 * order), e0=3)
+        else:
+            spec = preset_problem(preset, order=HalfInt(2 * order))
+            res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
+                                     level_index=spec.level_index)
+        eigenvalues, rescaled, norms2 = residue_level(res.context, res.order)
+        assert res.eigenvalues == eigenvalues
+        assert res.rescaled == rescaled
+        assert res.norm2_constants == norms2
+
+    def test_changed_h_eff_coefficient_fails_the_rs_check(self, monkeypatch):
+        # the rs check reads the residue route, not the wave operator: a
+        # changed H_t reaches every caller of ``wave_operator``, and the check
+        # still fails
+        from qmf.cli_io import _run_checks
+        from qmf.projection_engine import ProjectorSeries
+
+        spec = preset_problem("cubic1d", order=HalfInt(8))
+        res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        (report,) = _run_checks(res, {"rs"})
+        assert report.passed and report.name == "rs_oracle"
+
+        wave_operator = ProjectorSeries.wave_operator
+
+        def mutated(self):
+            waves, h_eff = wave_operator(self)
+            e = h_eff[0][0]
+            terms = dict(e.items())
+            terms[HalfInt(4)] += F(1, 1000)
+            h_eff[0][0] = FormalScalarSeries.from_terms(e.mode, terms, e.truncation_order)
+            return waves, h_eff
+
+        monkeypatch.setattr(ProjectorSeries, "wave_operator", mutated)
+        bad = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        got, want = (r.eigenvalues[0].shift(HalfInt(-2)) for r in (bad, res))
+        assert got.coefficient(HalfInt(4)) == want.coefficient(HalfInt(4)) + F(1, 1000)
+        assert rs_oracle(bad) == rs_oracle(res)
+        (report,) = _run_checks(bad, {"rs"})
+        assert not report.passed
