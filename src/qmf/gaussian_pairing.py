@@ -237,13 +237,16 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     order is the convolution bound of the three graded factors (the two
     series and the weight expansion). The fiber integrands that share a base
     order are summed first, and each sum is contracted against the weight's
-    cached functionals L_m instead of being multiplied by omega_m.
+    cached functionals L_m instead of being multiplied by omega_m. When u is
+    v, the integrands of the orders (j, l) and (l, j) are conjugate: each
+    mirrored pair's product is formed once and added with its conjugate.
     """
     mode = u.mode
     if (u.n, u.rank) != (v.n, v.rank):
         raise ValueError("shape mismatch between pairing arguments")
     # conjugation is the identity on rational coefficients
     real_field = mode.name == "exact"
+    hermitian = u is v
     weights = [(m, omega.functional(m)) for m in omega.orders()]
 
     trunc = convolution_bound((u.truncation_order, u.order()), (v.truncation_order, v.order()),
@@ -252,19 +255,28 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
         trunc = _min_trunc(trunc, HalfInt.of(through))
 
     # the fiber integrands summed by base order, so that each weight
-    # functional reads every base order once
+    # functional reads every base order once; with u is v, the products of
+    # the pairs j < l, summed apart and added with their conjugate
     by_base: dict[HalfInt, Poly] = {}
+    mirrored: dict[HalfInt, Poly] = {}
     for ju, pu in u.coeffs.items():
         au = ju - u.K
         for jv, pv in v.coeffs.items():
+            if hermitian and jv < ju:
+                continue
             base = au + (jv - v.K)
             if base > trunc:
                 continue
+            sums = mirrored if hermitian and jv != ju else by_base
             for ui, vi in zip(pu.components, pv.components):
                 if not ui.is_zero() and not vi.is_zero():
                     prod = (ui if real_field else ui.conj()) * vi
-                    acc = by_base.get(base)
-                    by_base[base] = prod if acc is None else acc + prod
+                    acc = sums.get(base)
+                    sums[base] = prod if acc is None else acc + prod
+    for base, integrand in mirrored.items():
+        twice = integrand + (integrand if real_field else integrand.conj())
+        acc = by_base.get(base)
+        by_base[base] = twice if acc is None else acc + twice
 
     terms: dict[HalfInt, object] = {}
     for base, integrand in by_base.items():

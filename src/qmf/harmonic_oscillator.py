@@ -22,7 +22,7 @@ from itertools import product
 from math import floor, perm, prod
 from operator import sub
 
-from .series_algebra import FiberPoly, HalfInt, Poly, grow_den, reduce_num
+from .series_algebra import FiberPoly, HalfInt, Poly, reduce_num
 
 __all__ = [
     "HermiteIndex",
@@ -87,6 +87,7 @@ class HermiteBasis:
             self._one_dim.append(polys[: degree + 1])
         self._poly_cache: dict[tuple, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
+        self._half_inverse = [mode.split(mode.one() / (l + l)) for l in self.lam]
         self._positions: dict[tuple, int] = {}
         self.index_at: list[HermiteIndex] = []
         self.degree_at: list[int] = []
@@ -137,21 +138,20 @@ class HermiteBasis:
 
     def _y_row(self, nu: int, k: int, m: int) -> tuple:
         """y^k p_m in the variable nu over the monic family, filled lazily:
-        ((i, numerator), ...) over one denominator, by the three-term
-        recurrence y p_i = p_{i+1} + i/(2 lambda) p_{i-1} (DLMF 18.9)."""
+        ((i, numerator), ...) over d_nu^k, where c_nu / d_nu is 1/(2 lambda_nu)
+        in lowest terms, by the three-term recurrence y p_i = p_{i+1} +
+        i/(2 lambda) p_{i-1} (DLMF 18.9)."""
         row = self._y_rows.get((nu, k, m))
         if row is None:
-            row = ((m, 1),), 1
+            row = ((m, 1),)
             if k:
-                prev, den = self._y_row(nu, k - 1, m)
-                cn, cd = self.mode.split(self.mode.one() / (self.lam[nu] + self.lam[nu]))
+                cn, cd = self._half_inverse[nu]
                 num: dict = {}
-                for i, c in prev:
+                for i, c in self._y_row(nu, k - 1, m):
                     num[i + 1] = num.get(i + 1, 0) + c * cd
                     if i:
                         num[i - 1] = num.get(i - 1, 0) + c * i * cn
-                num, den = reduce_num(self.mode, num, den * cd)
-                row = tuple(num.items()), den
+                row = tuple(num.items())
             self._y_rows[nu, k, m] = row
         return row
 
@@ -163,31 +163,52 @@ class HermiteBasis:
         The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
         stencil term t y^gamma d^beta of an entry at input column k maps
         p_alpha to t alpha!/(alpha - beta)! prod_nu y^gamma_nu
-        p_{alpha_nu - beta_nu}: a tensor product of ``_y_row`` rows, exact,
-        with no change of basis.
+        p_{alpha_nu - beta_nu}, exact, with no change of basis. The terms of
+        an entry are summed by sum factorization (S. A. Orszag, J. Comput.
+        Phys. 37 (1980) 70): grouped by gamma-prefix, they are contracted
+        from the last dimension inward, so each one-dimensional ``_y_row``
+        product is formed once per prefix, not once per term. Every row of
+        dimension nu and power g sits over d_nu^g; it is scaled to d_nu^G_nu,
+        G_nu the largest gamma_nu in the operator (``tops``), so the whole image
+        sits over one denominator.
         """
-        op_den, rows = op.stencil()
+        op_den, tops, rows = _hermite_tree(op)
         index = self.index_at[pos]
-        alpha = index.alpha
-        acc, den = {}, 1
+        alpha, k = index.alpha, index.k
+        acc: dict = {}
+        get = acc.get
         for i, row in enumerate(rows):
-            for j, beta, steps, terms in row:
-                f = prod(perm(alpha[nu], b) for nu, b in steps) if j == index.k else 0
+            for j, beta, steps, tree in row:
+                f = prod(perm(alpha[nu], b) for nu, b in steps) if j == k else 0
                 if not f:
                     continue
                 base = tuple(map(sub, alpha, beta))
-                for gamma, t, _ in terms:
-                    factors = [self._y_row(nu, g, m) for nu, (g, m) in enumerate(zip(gamma, base))]
-                    d = op_den * prod(fd for _, fd in factors)
-                    if den % d:
-                        den = grow_den(acc, den, d)
-                    c = t * f * (den // d)
-                    for combo in product(*(entries for entries, _ in factors)):
-                        key = (tuple(m for m, _ in combo), i)
-                        acc[key] = acc.get(key, 0) + c * prod(n for _, n in combo)
+                for key, c in self._contract(tree, 0, base, tops).items():
+                    key = (key, i)
+                    acc[key] = get(key, 0) + c * f
+        den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
         num, den = reduce_num(self.mode, acc, den)
         position = self._position
         return {position(key): n for key, n in num.items()}, den
+
+    def _contract(self, tree, nu: int, base: tuple, tops: tuple) -> dict:
+        """The sum over the gamma-prefix tree ``tree`` of dimension nu of
+        t prod_{mu >= nu} y^gamma_mu p_{base_mu}, over prod_{mu >= nu}
+        d_mu^tops_mu: numerators keyed by the tuple of the indices m_mu."""
+        cd, top, m0 = self._half_inverse[nu][1], tops[nu], base[nu]
+        last = nu == len(base) - 1
+        out: dict = {}
+        get = out.get
+        for g, child in tree:
+            # a leaf holds the term's numerator t
+            inner = (((), child),) if last else self._contract(child, nu + 1, base, tops).items()
+            scale = cd ** (top - g)
+            for m, y in self._y_row(nu, g, m0):
+                c = y * scale
+                for key, s in inner:
+                    key = (m, *key)
+                    out[key] = get(key, 0) + c * s
+        return out
 
     def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:
         out = FiberPoly.zero(self.mode, self.n, self.rank)
@@ -196,6 +217,37 @@ class HermiteBasis:
                 continue
             out = out + self.fiber(index).scale(c)
         return out
+
+
+def _hermite_tree(op) -> tuple:
+    """(den, tops, rows) for ``HermiteBasis.apply``, derived once from
+    ``op.stencil()`` and kept on the operator: each entry (column j, beta,
+    nonzero (k, beta_k), terms) becomes (j, beta, steps, tree), its terms
+    grouped by gamma-prefix (``_prefix_tree``), and ``tops[nu]`` is the
+    largest gamma_nu of any term."""
+    if op._hermite_tree is None:
+        den, rows = op.stencil()
+        tops = [0] * op.n
+        out = []
+        for row in rows:
+            entries = []
+            for j, beta, steps, terms in row:
+                tops = list(map(max, tops, *(g for g, _, _ in terms)))
+                entries.append((j, beta, steps, _prefix_tree([(g, t) for g, t, _ in terms])))
+            out.append(tuple(entries))
+        op._hermite_tree = den, tuple(tops), tuple(out)
+    return op._hermite_tree
+
+
+def _prefix_tree(terms: list) -> tuple:
+    """The terms (gamma, t) grouped by gamma_0, each group by gamma_1, and so
+    on: ((g, subtree), ...) down to ((g, t), ...) in the last variable."""
+    if len(terms[0][0]) == 1:
+        return tuple((g[0], t) for g, t in terms)
+    groups: dict = {}
+    for g, t in terms:
+        groups.setdefault(g[0], []).append((g[1:], t))
+    return tuple((g, _prefix_tree(group)) for g, group in groups.items())
 
 
 def _multi_indices(n: int, max_degree: int) -> list[tuple]:

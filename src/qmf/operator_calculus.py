@@ -313,10 +313,12 @@ class DiffOpJet:
     compiled on first use: per output fibre row, the input column, beta and
     the coefficient terms (alpha, integer numerator, |alpha|) sorted by |alpha|
     over one denominator for the whole operator (complex numerators over 1 in
-    float mode). Instances are treated as immutable, so it never goes stale.
+    float mode). Instances are treated as immutable, so it never goes stale;
+    ``_hermite_tree`` likewise keeps what ``HermiteBasis.apply`` derives
+    from the stencil.
     """
 
-    __slots__ = ("mode", "n", "rank", "terms", "complete", "_stencil")
+    __slots__ = ("mode", "n", "rank", "terms", "complete", "_stencil", "_hermite_tree")
 
     def __init__(self, mode, n: int, rank: int, terms: Mapping[tuple, PolyMat],
                  complete: int | None = None):
@@ -326,6 +328,7 @@ class DiffOpJet:
         self.terms = {b: m for b, m in terms.items() if not pm_is_zero(m)}
         self.complete = complete
         self._stencil = None
+        self._hermite_tree = None
 
     @staticmethod
     def zero(mode, n, rank, complete=None) -> "DiffOpJet":

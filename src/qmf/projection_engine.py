@@ -469,7 +469,10 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     degree bound deg <= |alpha| + 2j and parity (-1)^(|alpha| + 2j) of every
     image coefficient, and the rank certificate (the level images span every
     projected vector and are independent). The test vectors are the level
-    members and every basis vector of degree at most 2K + 2.
+    members and every basis vector of degree at most 2K + 2. The symmetry
+    law (P a, b) = (a, P b) pairs each (P a, b) of the first few probes once
+    and reads (a, P b) as the conjugate of (P b, a), as ``pair_s0`` is
+    hermitian.
 
     Every image the laws read is computed once, before they run, at the
     largest budget any of them asks for: N for a probe, and N - j for an
@@ -539,17 +542,16 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
                     scale = max(scale, abs(n) / vec.den * _max_abs(image.values()))
         comm.append((defect, scale))
 
-    # symmetry of the pairing
+    # symmetry of the pairing: (a, P b) is the conjugate of (P b, a), as the
+    # pairing is hermitian, so each (P a, b) is formed once
     sym = []
     sym_sample = probes[: max(4, level.m0 + 2)]
-    projected = {a: proj.image_s0(a) for a in sym_sample}
-    plain = {a: S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample}
-    for a in sym_sample:
-        pa, ha = projected[a], plain[a]
-        for b in sym_sample:
-            pb, hb = projected[b], plain[b]
-            left = pair_s0(pa, hb, omega, through=N)
-            right = pair_s0(ha, pb, omega, through=N)
+    projected = [proj.image_s0(a) for a in sym_sample]
+    plain = [S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample]
+    pairs = [[pair_s0(pa, hb, omega, through=N) for hb in plain] for pa in projected]
+    for a, row in enumerate(pairs):
+        for b in range(a, len(row)):
+            left, right = row[b], pairs[b][a].conj()
             diff = left - right
             through = min(N, diff.truncation_order or N)
             sym.append((diff.max_abs_coeff(through),

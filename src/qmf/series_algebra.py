@@ -537,16 +537,6 @@ class Poly:
         conj = self.mode.conj
         return Poly._make(self.mode, self.n, {a: conj(c) for a, c in self.num.items()}, self.den)
 
-    def eval_floats(self, point: Sequence[float]) -> complex:
-        total = 0j
-        for a, c in self.terms.items():
-            v = c if isinstance(c, complex) else complex(float(c))
-            for xi, ei in zip(point, a):
-                if ei:
-                    v = v * xi**ei
-            total += v
-        return total
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
                 and self.num == other.num)
@@ -730,10 +720,6 @@ class FormalScalarSeries:
         for k, v in terms.items():
             coeffs[k.doubled - lo.doubled] = mode.coeff(v)
         return FormalScalarSeries(mode, lo, coeffs, truncation_order)
-
-    @staticmethod
-    def hbar_power(mode, exponent, value=1, truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, HalfInt.of(exponent), (mode.coeff(value),), truncation_order)
 
     # -- queries
 
@@ -994,9 +980,6 @@ class _GradedSeries:
 
     def at_relative(self, j: HalfInt) -> FiberPoly:
         return self.coeffs.get(j, FiberPoly.zero(self.mode, self.n, self.rank))
-
-    def at_absolute(self, t) -> FiberPoly:
-        return self.at_relative(HalfInt.of(t) + self.K)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -161,7 +161,7 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
                         vs[j][i] = mode.conj(y[rr][cc])
         if dirty:
             v = mat_add(v, mat_scale(constant(mode, vs, trunc),
-                                     FormalScalarSeries.hbar_power(mode, s_ord, 1, trunc)))
+                                     FormalScalarSeries.from_terms(mode, {s_ord: 1}, trunc)))
 
     a_fin = congruence(v, a_rot)
     p_fin = congruence(v, p_rot)

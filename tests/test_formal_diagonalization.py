@@ -400,7 +400,7 @@ def assert_decoupled(args, out):
     v = identity(mode, m, order)
     for r, vr in v_terms:
         v = mat_add(v, mat_scale(constant(mode, vr, order),
-                                 FormalScalarSeries.hbar_power(mode, r, 1, order)))
+                                 FormalScalarSeries.from_terms(mode, {r: 1}, order)))
     block = {i: b for b, rng in enumerate(ranges) for i in rng}
     for x, xv in ((a_rot, av), (p_rot, pv)):
         full = mat_mul(x, v)

@@ -244,12 +244,13 @@ class TestPairing:
         omega = omega_for(problem)
         series = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
         N = series.truncation_order
-        phi_vals = np.vectorize(lambda x: float(phi.poly.eval_floats((x,)).real))
+        phi_coeffs = [(a, float(c)) for (a,), c in phi.poly.terms.items()]
         errs = []
         hs = [0.02, 0.01, 0.005]
         for h in hs:
             xs = np.linspace(-0.9, 0.9, 20001)
-            integral = np.trapezoid(np.exp(-2 * phi_vals(xs) / h), xs) / math.sqrt(h)
+            phi_vals = sum(c * xs**a for a, c in phi_coeffs)
+            integral = np.trapezoid(np.exp(-2 * phi_vals / h), xs) / math.sqrt(h)
             series_val = math.sqrt(math.pi) * series.evaluate(h, through=N).real
             errs.append(abs(integral - series_val))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -293,23 +294,29 @@ def projected_level_basis(ctx):
     return [ctx.projector.image_s0(m) for m in ctx.level.members]
 
 
+def curved_metric_elements():
+    """Elements and weight of a 1-D well whose metric density, of
+    g^11 = 1 + x^2/2, enters omega (see test_curved_metric_term)."""
+    g = ((poly1({0: 1, 2: F(1, 2)}),),)
+    problem = make_problem(poly1({2: 1, 3: F(1, 3)}), D=6, g_inv=g)
+    omega = omega_for(problem, through=2)
+    basis = HermiteBasis(EXACT, (F(1),), (F(0),), 6)
+    elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
+             for a in range(4)]
+    elems.append(S0Series(EXACT, 1, 1, HalfInt(1), {
+        HalfInt(1): unit_fiber(poly1({1: 1})),
+        HalfInt(2): unit_fiber(poly1({0: F(-2, 3), 1: 1, 2: F(1, 5)})),
+    }, HalfInt(3)))
+    return elems, omega
+
+
 class TestPairingOracle:
     """pair_s0 contracts integrands against cached weight functionals; it must
     agree with forming the product polynomials and integrating them."""
 
     def test_curved_metric_weight(self):
-        # the density of g^11 = 1 + x^2/2 enters omega (see test_curved_metric_term)
-        g = ((poly1({0: 1, 2: F(1, 2)}),),)
-        problem = make_problem(poly1({2: 1, 3: F(1, 3)}), D=6, g_inv=g)
-        omega = omega_for(problem, through=2)
+        elems, omega = curved_metric_elements()
         assert not omega.at(HalfInt(2)).is_zero()
-        basis = HermiteBasis(EXACT, (F(1),), (F(0),), 6)
-        elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
-                 for a in range(4)]
-        elems.append(S0Series(EXACT, 1, 1, HalfInt(1), {
-            HalfInt(1): unit_fiber(poly1({1: 1})),
-            HalfInt(2): unit_fiber(poly1({0: F(-2, 3), 1: 1, 2: F(1, 5)})),
-        }, HalfInt(3)))
         assert_pairs_match_reference(elems, omega)
 
     def test_rank2_fibres_with_connection(self):
@@ -382,3 +389,70 @@ def test_each_total_order_contracted_once(preset, monkeypatch):
                 if (ju - u.K) + (jv - v.K) + m <= trunc]
     assert len(calls) == len(per_base) < len(per_pair)
     assert got == multiply_then_integrate(u, v, ctx.omega, trunc)
+
+
+def level_elements(case: str):
+    """Elements and weight for the hermitian pairing tests: the wave-operator
+    level basis and the projected level images of a preset, or the
+    curved-metric elements."""
+    if case == "curved":
+        return curved_metric_elements()
+    preset, order, mode_name = case.split("-")
+    ctx = pipeline_context(preset, int(order), mode_name)
+    waves, _ = ctx.projector.wave_operator()
+    level_basis = [ctx.projector.as_s0(m, vecs) for m, vecs in zip(ctx.level.members, waves)]
+    return level_basis + projected_level_basis(ctx), ctx.omega
+
+
+HERMITIAN_CASES = ["iso2d-4-exact", "rank2-3-exact", "curved", "iso2d-4-float", "rank2-3-float"]
+
+
+def assert_pairings_agree(got, want, scale):
+    if got.mode.name == "exact":
+        assert got == want
+    else:
+        assert got.truncation_order == want.truncation_order
+        assert (got - want).max_abs_coeff(got.truncation_order) <= 1e-12 * scale
+
+
+def gram_scale(elems, omega) -> float:
+    """The largest coefficient of the elements' Gram matrix."""
+    return max(pair_s0(u, v, omega).max_abs_coeff(None) for u in elems for v in elems)
+
+
+@pytest.mark.parametrize("case", HERMITIAN_CASES)
+def test_pairing_with_itself_forms_each_mirrored_product_once(case, monkeypatch):
+    """pair_s0(u, u) forms the conjugate integrands of the orders (j, l) and
+    (l, j) once, and equals the pairing of u with a copy of itself: exactly in
+    exact mode, within 1e-12 of the Gram's largest coefficient in float mode."""
+    elems, omega = level_elements(case)
+    scale = gram_scale(elems, omega)
+    products = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for u in elems:
+        copy = S0Series(u.mode, u.n, u.rank, u.K, dict(u.coeffs), u.truncation_order)
+        products.clear()
+        got = pair_s0(u, u, omega)
+        once = len(products)
+        products.clear()
+        want = pair_s0(u, copy, omega)
+        assert_pairings_agree(got, want, scale)
+        if len(u.coeffs) > 1:
+            assert once < len(products)
+
+
+@pytest.mark.parametrize("case", HERMITIAN_CASES)
+def test_pairing_is_hermitian(case):
+    """(u, v) is the conjugate of (v, u): the projector's symmetry law reads
+    (a, P b) as the conjugate of (P b, a)."""
+    elems, omega = level_elements(case)
+    scale = gram_scale(elems, omega)
+    for u in elems:
+        for v in elems:
+            assert_pairings_agree(pair_s0(u, v, omega), pair_s0(v, u, omega).conj(), scale)

@@ -114,7 +114,7 @@ WELL_3D = """
 n = 3
 rank = 1
 mode = {mode}
-order = 2
+order = {order}
 
 [lambda]
 1
@@ -131,7 +131,7 @@ order = 2
 
 def family_and_basis(source, mode_name, order, degree):
     if source == "well3d":
-        problem = parse_problem_spec(WELL_3D.format(mode=mode_name)).problem
+        problem = parse_problem_spec(WELL_3D.format(mode=mode_name, order=order)).problem
     else:
         problem = preset_problem(source, mode_name, order=order).problem
     family = rescale_operator(conjugate_hamiltonian(problem, solve_eikonal(problem)))
@@ -140,14 +140,23 @@ def family_and_basis(source, mode_name, order, degree):
     return family, orders, basis
 
 
+# a float image may keep rounding where the exact entry cancels
+ROUNDED_SUPPORT = {("well3d", 4)}
+
+
 @pytest.mark.parametrize("source, order, degree", [
     ("cubic1d", 6, 8), ("iso2d", 4, 8), ("rank2", 4, 8), ("witten1d", 6, 8),
-    ("quartic1d", 8, 18), ("well3d", 2, 6)])
+    ("quartic1d", 8, 18), ("well3d", 2, 6), ("well3d", 4, 8), ("iso2d", 8, 12)])
 def test_apply_matches_elimination_on_families(source, order, degree):
     """Q_j on every basis vector through ``degree``, j through the order:
-    exactly the eliminated image in exact mode; in float mode the same
-    support, each coefficient within 1e-14 of the vector's largest. quartic1d
-    runs through its o8 workspace degree, 2K + 2N + 2 = 18."""
+    exactly the eliminated image in exact mode; in float mode each
+    coefficient within 1e-14 of the vector's largest, on the same support
+    except in ``ROUNDED_SUPPORT``. On well3d o4 an entry that cancels in
+    exact arithmetic leaves rounding in float (about 1e-16 of the largest,
+    with the term-by-term loop as well), so there a missing entry is read as
+    zero. quartic1d runs through its o8 workspace degree, 2K + 2N + 2 = 18;
+    well3d o4 and iso2d o8 reach the depths where the sum factorization
+    groups many gamma-prefixes."""
     family, orders, basis = family_and_basis(source, "exact", order, degree)
     ffamily, _, fbasis = family_and_basis(source, "float", order, degree)
     for j in orders:
@@ -157,10 +166,12 @@ def test_apply_matches_elimination_on_families(source, order, degree):
             assert got == apply_by_elimination(basis, family.get(j), index), (j, index)
             fnum, fden = fbasis.apply(ffamily.get(j), fbasis.position(index))
             fgot = {fbasis.index_at[i]: n for i, n in fnum.items()}
-            assert fden == 1 and set(fgot) == set(got), (j, index)
+            assert fden == 1
+            if (source, order) not in ROUNDED_SUPPORT:
+                assert set(fgot) == set(got), (j, index)
             scale = max(map(abs, got.values()), default=0)
-            for i, c in got.items():
-                assert abs(fgot[i] - complex(c)) <= 1e-14 * scale, (j, index, i)
+            for i in got.keys() | fgot.keys():
+                assert abs(fgot.get(i, 0) - complex(got.get(i, 0))) <= 1e-14 * scale, (j, index, i)
 
 
 class TestSpectrum:

@@ -4,7 +4,8 @@
 benchmark case as the program first wrote it, without its ``checks`` block.
 Each one is recomputed here and must match byte for byte once written the
 same way (``reference.canonical``); ``tests/refs`` does the same for spec
-files: a curved metric at orders 3 and 6, and a connection. The float cases of the benchmark must
+files: a curved metric at orders 3 and 6, a connection, and a 3-D well at
+order 4. The float cases of the benchmark must
 agree with the exact reference of the same rational problem within
 ``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run,
 and so must float documents of other presets and of random rational wells,
@@ -25,9 +26,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmf import cli_io
-from qmf.cli_io import parse_problem_spec, result_document, run_command
+from qmf.cli_io import parse_problem_spec, preset_problem, result_document, run_command
 from qmf.formal_diagonalization import ExactSplitUnavailable
+from qmf.projection_engine import ProjectorSeries
 from qmf.quasimode_pipeline import compute_quasimodes, crosscheck_eigenvalue_1d
+from qmf.series_algebra import HalfInt
+from test_operator_calculus import WELL_3D
 from test_quasimode_pipeline import CURVED_WELL
 
 BENCH = Path(__file__).resolve().parent.parent / "qmfbench"
@@ -93,13 +97,16 @@ index = 1
 @pytest.mark.parametrize("name, text", [("curved2d-o3", CURVED_WELL),
                                         ("curved2d-o6", CURVED_WELL.replace("order = 3",
                                                                             "order = 6")),
-                                        ("rank2-connection-o4", RANK2_CONNECTION)])
+                                        ("rank2-connection-o4", RANK2_CONNECTION),
+                                        ("well3d-o4", WELL_3D.replace("order = 2",
+                                                                      "order = 4"))])
 def test_spec_document_matches_reference(name, text, tmp_path):
     # the benchmark's references are all flat and connection-free; a curved
     # metric and a connection give the operator jets finite truncation
     # bounds, so these pin every product bound that has finite operands. The
     # curved well at order 6 takes the metric density, the weight exponential
-    # and the Gram series' inverse square root to depth.
+    # and the Gram series' inverse square root to depth. The 3-D well pins
+    # n = 3, where Q_j is summed over the most gamma-prefixes.
     spec = tmp_path / "problem.spec"
     spec.write_text(text)
     doc = run_compute(["--spec", str(spec)], tmp_path)
@@ -169,6 +176,68 @@ def test_float_document_matches_exact_computed_here(preset, order, tmp_path):
     exact = compute_document(preset, order, "exact", tmp_path)
     doc = compute_document(preset, order, "float", tmp_path)
     assert reference.float_mismatch(doc, exact, reference.FLOAT_RTOL) is None
+
+
+# the multiple of the unit roundoff 2^-53 within which the README states float
+# mode keeps the level basis it synthesizes in monomials
+SYNTHESIS_ROUNDOFFS = 64
+
+
+def level_basis_at_depth(preset: str, mode_name: str) -> tuple:
+    """The level basis Omega e_a of a preset's bottom level at order 24: the
+    wave operator's Hermite coefficients per member and their monomial form."""
+    spec = preset_problem(preset, mode_name, order=HalfInt(48))
+    result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+    proj = result.context.projector
+    waves, _ = proj.wave_operator()
+    return proj.basis, waves, [proj.as_s0(m, om) for m, om in zip(result.level.members, waves)]
+
+
+def synthesis_roundoffs(exact: tuple, flt: tuple) -> float:
+    """The largest |float - exact| over the monomial coefficients of the level
+    basis, in units of 2^-53 times the magnitudes sum_m |c_m t_m| that
+    synthesizing its exact Hermite coefficients c_m sums into each one (t_m
+    the monomial coefficients of the monic p_m)."""
+    basis, waves, exact_fs = exact
+    worst = 0.0
+    for om, e, f in zip(waves, exact_fs, flt[2]):
+        for s, vec in om.items():
+            magnitudes: dict = {}
+            for pos, c in vec.coeffs().items():
+                index = basis.index_at[pos]
+                for gamma, t in basis.poly(index.alpha).terms.items():
+                    key = (index.k, gamma)
+                    magnitudes[key] = magnitudes.get(key, 0.0) + abs(float(c * t))
+            for k, (ec, fc) in enumerate(zip(e.at_relative(s + e.K).components,
+                                             f.at_relative(s + f.K).components)):
+                for gamma in ec.terms.keys() | fc.terms.keys():
+                    err = abs(fc.terms.get(gamma, 0) - float(ec.terms.get(gamma, 0)))
+                    worst = max(worst, err / (magnitudes.get((k, gamma), 0.0) * 2.0 ** -53))
+    return worst
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["float", "perturbed"])
+@pytest.mark.parametrize("preset", ["quartic1d", "cubic1d"])
+def test_float_level_basis_within_roundoff_of_its_magnitudes(preset, perturbed, monkeypatch):
+    # per coefficient, float loses 1e-9 near order 20 in 1-D: the monic
+    # Hermite polynomials alternate in sign, so a small monomial coefficient
+    # is a sum of large terms. Against those terms it keeps a few roundoffs
+    # at every order; one Hermite coefficient of Omega off by 1e-10 is far
+    # outside that
+    exact = level_basis_at_depth(preset, "exact")
+    if perturbed:
+        wave_operator = ProjectorSeries.wave_operator
+
+        def off_by_1e10(proj):
+            waves, h_eff = wave_operator(proj)
+            vec = waves[0][max(waves[0])]
+            pos = max(vec.num, key=proj.basis.degree_at.__getitem__)
+            vec.num[pos] *= 1 + 1e-10
+            return waves, h_eff
+
+        monkeypatch.setattr(ProjectorSeries, "wave_operator", off_by_1e10)
+    roundoffs = synthesis_roundoffs(exact, level_basis_at_depth(preset, "float"))
+    assert (roundoffs > SYNTHESIS_ROUNDOFFS) == perturbed
 
 
 LAMBDAS = st.sampled_from(["1", "2", "1/2", "3/2"])
