@@ -16,14 +16,18 @@ oscillator eigenfunctions exactly orthonormal at leading order.
 Each weight order acts as a linear functional on the fiber integrand:
 L_m(gamma) = sum_beta omega_m[beta] * M(gamma + beta), with M the normalized
 moment, so the integral above is sum_gamma <u_j, v_l>[gamma] * L_m(gamma).
-``WeightExpansion`` fills its table of L_m lazily while pairing, as integer
-numerators over one denominator, and no product polynomial integrand *
-omega_m is ever formed.
+``WeightExpansion`` fills its table of L_m lazily while pairing, each
+entry contracted from integer moment rows (one per dimension, exponent and
+weight), and no product polynomial integrand * omega_m is ever formed. The
+integrands, too, are accumulated as integer numerators over one denominator,
+in place: the fraction-free accumulation of ``Poly`` and ``HermiteVec``
+(E. H. Bareiss, Math. Comp. 22 (1968) 565).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from operator import add
 from typing import Mapping
 
@@ -39,46 +43,14 @@ from .series_algebra import (
     grow_den,
     mono_degree,
 )
+from .harmonic_oscillator import _prefix_tree
 from .operator_calculus import JetProblem, ScalarJet
 
 __all__ = [
     "WeightExpansion",
     "weight_expansion",
-    "gaussian_moment",
     "pair_s0",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Moment primitives
-
-
-def _half_factorial_part(k: int, lam) -> object:
-    """integral y^k exp(-lam y^2) dy divided by sqrt(pi/lam): (k-1)!! / (2 lam)^(k/2)."""
-    if k % 2 == 1:
-        return None
-    num = 1
-    for i in range(k - 1, 0, -2):
-        num *= i
-    denom = (lam + lam) ** (k // 2)
-    return num / denom
-
-
-def gaussian_moment(alpha: tuple, lam: tuple, mode) -> object:
-    """Normalized Gaussian moment of y^alpha for the diagonal quadratic weight.
-
-    Returns integral(y^alpha exp(-<y, Lambda y>) dy) / prod(sqrt(pi/lambda)):
-    the product over nu of (alpha_nu - 1)!! / (2 lambda_nu)^(alpha_nu / 2)
-    for even multi-indices, zero otherwise. The irrational common factor is
-    never materialized.
-    """
-    out = mode.one()
-    for a, l in zip(alpha, lam):
-        part = _half_factorial_part(a, l)
-        if part is None:
-            return mode.zero()
-        out = out * part
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +61,55 @@ class _Functional:
     """gamma -> L(gamma) = sum_beta w[beta] M(gamma + beta) for one weight
     polynomial w: the normalized Gaussian integral of y^gamma * w(y).
 
-    The values are kept fraction-free, as numerators ``num`` over one
-    denominator ``den`` that grows to the lcm of the entries. Each entry is
-    computed the first time an integrand needs it and kept.
+    The normalized moment factors over dimensions, M(alpha) = prod_nu
+    (alpha_nu - 1)!! (c_nu / d_nu)^(alpha_nu / 2), c_nu / d_nu = 1/(2 lambda_nu)
+    in lowest terms, and vanishes unless every alpha_nu is even. So L(gamma)
+    is the weight's beta-prefix tree contracted against one integer moment
+    row per dimension (``_row``), over w.den prod_nu d_nu^e_nu. The values are
+    kept fraction-free, as numerators ``num`` over one denominator ``den``
+    that grows to the lcm of the entries. Each entry is computed the first
+    time an integrand needs it and kept.
     """
 
     def __init__(self, weight: Poly, lam: tuple, moments: dict):
+        mode = weight.mode
         self.weight = weight
-        self.lam = lam
         self.moments = moments
+        self.half = [mode.split(mode.one() / (l + l)) for l in lam]
+        self.tree = _prefix_tree(list(weight.num.items()))
+        self.tops = [max(col) for col in zip(*weight.num)]
         self.num: dict[tuple, object] = {}
         self.den = 1
 
+    def _row(self, nu: int, g: int, top: int) -> list:
+        """The moments of dimension nu at the exponents g + b, b <= top, kept in
+        the shared ``moments``: entry b is (g+b-1)!! c^k d^(e-k) with k = (g+b)/2
+        and e = floor((g+top)/2), zero for odd g + b, so that over d^e it is
+        the one-dimensional moment. Each entry is the one two before it times
+        (g+b-1) c / d, and d divides that product exactly."""
+        key = (nu, g, top)
+        row = self.moments.get(key)
+        if row is None:
+            c, d = self.half[nu]
+            row = self.moments[key] = [0] * (top + 1)
+            b, k = g % 2, (g + 1) // 2  # the first entry with g + b even
+            if b <= top:
+                x = c ** k * d ** ((g + top) // 2 - k)
+                for i in range(2 * k - 1, 0, -2):
+                    x *= i
+                row[b] = x
+                for b in range(b + 2, top + 1, 2):
+                    x *= (g + b - 1) * c
+                    if d != 1:  # float mode keeps d == 1, and // is not defined on complex
+                        x //= d
+                    row[b] = x
+        return row
+
     def _fill(self, gamma: tuple) -> None:
-        w = self.weight
-        mode = w.mode
-        moments = self.moments
-        total = 0
-        for beta, c in w.num.items():
-            alpha = tuple(map(add, gamma, beta))
-            mom = moments.get(alpha)
-            if mom is None:
-                mom = moments[alpha] = gaussian_moment(alpha, self.lam, mode)
-            if mom:
-                total = total + c * mom
-        p, q = mode.split(mode.join(total, w.den))
+        rows = [self._row(nu, g, top) for nu, (g, top) in enumerate(zip(gamma, self.tops))]
+        p = _contract(self.tree, rows, 0)
+        q = self.weight.den * prod(d ** ((g + top) // 2)
+                                   for (_, d), g, top in zip(self.half, gamma, self.tops))
         if self.den % q:
             self.den = grow_den(self.num, self.den, q)
         self.num[gamma] = p if q == self.den else p * (self.den // q)
@@ -131,6 +127,17 @@ class _Functional:
         return self.weight.mode.join(total, self.den * integrand.den)
 
 
+def _contract(tree: tuple, rows: list, nu: int):
+    """The sum over the prefix tree of dimension nu of t prod_{mu >= nu} rows[mu][beta_mu]."""
+    row, last = rows[nu], nu == len(rows) - 1
+    total = 0
+    for b, child in tree:  # a leaf holds the term's numerator t
+        x = row[b]
+        if x:
+            total += x * (child if last else _contract(child, rows, nu + 1))
+    return total
+
+
 @dataclass(frozen=True)
 class WeightExpansion:
     """Polynomials omega_m with exp(-2*higher phase) * density = sum h^m omega_m.
@@ -139,8 +146,8 @@ class WeightExpansion:
     homogeneous phase parts (degree k + 2 at half-order k/2) with the metric
     density jets. ``complete`` bounds the orders that are exact. ``table``
     holds the functional L_m of each order ``functional`` was asked for, and
-    ``moments`` the normalized moments they have read; both belong to this
-    instance, so nothing outlives the weight.
+    ``moments`` the moment rows they have read, keyed (nu, g, top); both
+    belong to this instance, so nothing outlives the weight.
     """
 
     mode: object
@@ -236,10 +243,12 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     the fiber metric is the identity to every order. The result's truncation
     order is the convolution bound of the three graded factors (the two
     series and the weight expansion). The fiber integrands that share a base
-    order are summed first, and each sum is contracted against the weight's
-    cached functionals L_m instead of being multiplied by omega_m. When u is
-    v, the integrands of the orders (j, l) and (l, j) are conjugate: each
-    mirrored pair's product is formed once and added with its conjugate.
+    order are accumulated in place into one set of numerators over one
+    denominator (``_add_product``), reduced once, and contracted against the
+    weight's cached functionals L_m instead of being multiplied by omega_m.
+    When u is v, the integrands of the orders (j, l) and (l, j) are
+    conjugate: each mirrored pair's product is formed once and added
+    together with its conjugate.
     """
     mode = u.mode
     if (u.n, u.rank) != (v.n, v.rank):
@@ -254,11 +263,9 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     if through is not None:
         trunc = _min_trunc(trunc, HalfInt.of(through))
 
-    # the fiber integrands summed by base order, so that each weight
-    # functional reads every base order once; with u is v, the products of
-    # the pairs j < l, summed apart and added with their conjugate
-    by_base: dict[HalfInt, Poly] = {}
-    mirrored: dict[HalfInt, Poly] = {}
+    # the fiber integrands summed by base order, as [numerators, denominator],
+    # so that each weight functional reads every base order once
+    by_base: dict[HalfInt, list] = {}
     for ju, pu in u.coeffs.items():
         au = ju - u.K
         for jv, pv in v.coeffs.items():
@@ -267,19 +274,16 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
             base = au + (jv - v.K)
             if base > trunc:
                 continue
-            sums = mirrored if hermitian and jv != ju else by_base
+            acc = by_base.get(base)
+            if acc is None:
+                acc = by_base[base] = [{}, 1]
             for ui, vi in zip(pu.components, pv.components):
-                if not ui.is_zero() and not vi.is_zero():
-                    prod = (ui if real_field else ui.conj()) * vi
-                    acc = sums.get(base)
-                    sums[base] = prod if acc is None else acc + prod
-    for base, integrand in mirrored.items():
-        twice = integrand + (integrand if real_field else integrand.conj())
-        acc = by_base.get(base)
-        by_base[base] = twice if acc is None else acc + twice
+                if ui.num and vi.num:
+                    acc[1] = _add_product(*acc, ui, vi, real_field, hermitian and jv != ju)
 
     terms: dict[HalfInt, object] = {}
-    for base, integrand in by_base.items():
+    for base, (num, den) in by_base.items():
+        integrand = Poly._reduced(mode, u.n, num, den)
         if integrand.is_zero():
             continue
         room = trunc - base
@@ -293,3 +297,31 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
             s = terms.get(t)
             terms[t] = val if s is None else s + val
     return FormalScalarSeries.from_terms(mode, terms, trunc)
+
+
+def _add_product(num: dict, den: int, ui: Poly, vi: Poly, real_field: bool,
+                 mirrored: bool) -> int:
+    """Add conj(ui) * vi, and with ``mirrored`` its conjugate too, in place to
+    the numerators ``num`` over ``den``; return their denominator, grown to
+    the lcm (as ``series_algebra.accumulate`` does)."""
+    d = ui.den * vi.den
+    if den % d:
+        den = grow_den(num, den, d)
+    f = den // d
+    if mirrored and real_field:
+        f *= 2  # a rational product is its own conjugate
+    get = num.get
+    right = vi.num.items()
+    for a, ca in ui.num.items():
+        if not real_field:
+            ca = ca.conjugate()
+        if f != 1:
+            ca *= f
+        for b, cb in right:
+            key = tuple(map(add, a, b))
+            c = ca * cb
+            if mirrored and not real_field:
+                c += c.conjugate()
+            s = get(key)
+            num[key] = c if s is None else s + c
+    return den

@@ -22,7 +22,7 @@ from itertools import product
 from math import floor, perm, prod
 from operator import sub
 
-from .series_algebra import FiberPoly, HalfInt, Poly, reduce_num
+from .series_algebra import FiberPoly, HalfInt, Poly, accumulate, reduce_num
 
 __all__ = [
     "HermiteIndex",
@@ -210,13 +210,18 @@ class HermiteBasis:
                     out[key] = get(key, 0) + c * s
         return out
 
-    def synthesize(self, coeffs: dict[HermiteIndex, object]) -> FiberPoly:
-        out = FiberPoly.zero(self.mode, self.n, self.rank)
-        for index, c in coeffs.items():
-            if self.mode.is_zero(c):
-                continue
-            out = out + self.fiber(index).scale(c)
-        return out
+    def synthesize(self, num: dict, den: int) -> FiberPoly:
+        """The fiber polynomial sum_pos (num[pos] / den) p_alpha e_k of
+        numerators keyed by position over one denominator (a ``HermiteVec``'s):
+        each basis polynomial's numerators are added in place into one set per
+        component (``accumulate``), and each component is reduced once."""
+        slots = [[{}, 1] for _ in range(self.rank)]
+        for pos, c in num.items():
+            index = self.index_at[pos]
+            p = self.poly(index.alpha)
+            slot = slots[index.k]
+            slot[1] = accumulate(*slot, p.num, c, den * p.den)
+        return FiberPoly([Poly._reduced(self.mode, self.n, acc, d) for acc, d in slots])
 
 
 def _hermite_tree(op) -> tuple:

@@ -78,6 +78,7 @@ from .series_algebra import (
     HI0,
     HalfInt,
     S0Series,
+    accumulate,
     grow_den,
     half_range,
     reduce_num,
@@ -121,7 +122,8 @@ class HermiteVec:
     what it takes in, rescaling its numerators only when that lcm grows;
     ``reduce`` finishes it with one gcd over the whole vector and drops the
     zero entries. Both steps are the kernel ``Poly`` runs on
-    (``series_algebra.grow_den`` and ``reduce_num``). Every vector a projector method returns
+    (``series_algebra.grow_den`` and ``reduce_num``), and ``add`` is its
+    ``accumulate``. Every vector a projector method returns
     is reduced, so equal vectors compare equal, and is never mutated afterwards.
     """
 
@@ -146,14 +148,7 @@ class HermiteVec:
 
     def add(self, other: "HermiteVec", n=1, d: int = 1) -> "HermiteVec":
         """Add ``(n / d) * other`` in place and return self."""
-        d *= other.den
-        if self.den % d:
-            self.den = grow_den(self.num, self.den, d)
-        f = n * (self.den // d)
-        num = self.num
-        get = num.get
-        for idx, m in other.num.items():
-            num[idx] = get(idx, 0) + f * m
+        self.den = accumulate(self.num, self.den, other.num, n, d * other.den)
         return self
 
     def add_entry(self, idx: int, n, d: int = 1) -> None:
@@ -352,9 +347,7 @@ class ProjectorSeries:
         check certifies the bound deg <= |alpha| + 2j."""
         basis = self.basis
         K = HalfInt(index.degree)
-        index_at = basis.index_at
-        coeffs = {K + j: basis.synthesize({index_at[p]: c for p, c in vec.coeffs().items()})
-                  for j, vec in vecs.items()}
+        coeffs = {K + j: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
         return S0Series(basis.mode, basis.n, basis.rank, K, coeffs, self.order)
 
     # -- Bloch's wave operator

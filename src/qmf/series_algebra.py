@@ -309,6 +309,18 @@ def grow_den(num: dict, den: int, d: int) -> int:
     return new
 
 
+def accumulate(acc: dict, den: int, num: dict, n, d: int) -> int:
+    """Add (n / d) times the numerators ``num`` in place to the numerators
+    ``acc`` over ``den``; return their denominator, grown to lcm(den, d)."""
+    if den % d:
+        den = grow_den(acc, den, d)
+    f = n * (den // d)
+    get = acc.get
+    for key, m in num.items():
+        acc[key] = get(key, 0) + m * f
+    return den
+
+
 def reduce_num(mode, num: dict, den: int) -> tuple[dict, int]:
     """Drop the zero numerators and divide out gcd(den, *num).
 
@@ -1051,23 +1063,34 @@ class S0Series(_GradedSeries):
                         self.truncation_order, validate=False)
 
     def scale_series(self, s: FormalScalarSeries) -> "S0Series":
-        """Multiply by a scalar series (exponents must keep the result in the space)."""
-        _same_mode(self.mode, s.mode)
+        """Multiply by a scalar series (exponents must keep the result in the space).
+
+        Each target coefficient is accumulated in place, as numerators over
+        one denominator per component (``accumulate``, as ``_shift_by_degree``
+        does), and reduced once."""
+        mode = self.mode
+        _same_mode(mode, s.mode)
         trunc = convolution_bound((self.truncation_order, self.order()),
                                   (s.truncation_order, s.order()))
         if s.is_zero():
-            return S0Series.zero(self.mode, self.n, self.rank, trunc)
+            return S0Series.zero(mode, self.n, self.rank, trunc)
         neg = min(HI0, s.order())
         K = self.K - neg  # raising K absorbs negative exponents of s
-        coeffs: dict[HalfInt, FiberPoly] = {}
+        factors = [(e - neg, *mode.split(c)) for e, c in s.items()]
+        slots: dict[HalfInt, list] = {}
         for j, p in self.coeffs.items():
-            for e, c in s.items():
-                jj = j + e - neg
+            for e, cp, cq in factors:
+                jj = j + e
                 if trunc is not None and jj - K > trunc:
                     continue
-                add = p.scale(c)
-                coeffs[jj] = coeffs.get(jj, FiberPoly.zero(self.mode, self.n, self.rank)) + add
-        return S0Series(self.mode, self.n, self.rank, K, coeffs, trunc)
+                col = slots.get(jj)
+                if col is None:
+                    col = slots[jj] = [[{}, 1] for _ in range(self.rank)]
+                for comp, slot in zip(p.components, col):
+                    slot[1] = accumulate(*slot, comp.num, cp, comp.den * cq)
+        coeffs = {jj: FiberPoly([Poly._reduced(mode, self.n, acc, d) for acc, d in col])
+                  for jj, col in slots.items()}
+        return S0Series(mode, self.n, self.rank, K, coeffs, trunc)
 
     def truncate(self, truncation_order: HalfInt | None) -> "S0Series":
         return S0Series(self.mode, self.n, self.rank, self.K, self.coeffs,

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,11 @@ from qmf.series_algebra import (
     HalfInt,
     Poly,
     S0Series,
+    float_mode,
 )
 from qmf.operator_calculus import JetProblem, ScalarJet, conjugate_hamiltonian, solve_eikonal
-from qmf.gaussian_pairing import _Functional, gaussian_moment, pair_s0, weight_expansion
+from qmf import gaussian_pairing
+from qmf.gaussian_pairing import _Functional, _add_product, pair_s0, weight_expansion
 from qmf.harmonic_oscillator import HermiteBasis
 from qmf.cli_io import preset_problem
 from qmf.quasimode_pipeline import compute_quasimodes
@@ -37,6 +41,34 @@ def make_problem(vhigher=None, D=8, lam=(1,), n=1, g_inv=None):
 def omega_for(problem, through=4):
     phi = solve_eikonal(problem)
     return weight_expansion(phi, conjugate_hamiltonian(problem, phi).density, problem, through)
+
+
+def _half_factorial_part(k: int, lam) -> object:
+    """integral y^k exp(-lam y^2) dy divided by sqrt(pi/lam): (k-1)!! / (2 lam)^(k/2)."""
+    if k % 2 == 1:
+        return None
+    num = 1
+    for i in range(k - 1, 0, -2):
+        num *= i
+    denom = (lam + lam) ** (k // 2)
+    return num / denom
+
+
+def gaussian_moment(alpha: tuple, lam: tuple, mode) -> object:
+    """Normalized Gaussian moment of y^alpha for the diagonal quadratic weight,
+    the oracle of the pairing's moment rows.
+
+    Returns integral(y^alpha exp(-<y, Lambda y>) dy) / prod(sqrt(pi/lambda)):
+    the product over nu of (alpha_nu - 1)!! / (2 lambda_nu)^(alpha_nu / 2)
+    for even multi-indices, zero otherwise.
+    """
+    out = mode.one()
+    for a, l in zip(alpha, lam):
+        part = _half_factorial_part(a, l)
+        if part is None:
+            return mode.zero()
+        out = out * part
+    return out
 
 
 class TestGaussianMoment:
@@ -63,6 +95,56 @@ class TestGaussianMoment:
         w1 = np.trapezoid(ys**4 * np.exp(-lam[0] * ys**2), ys) / math.sqrt(math.pi / lam[0])
         w2 = np.trapezoid(ys**2 * np.exp(-lam[1] * ys**2), ys) / math.sqrt(math.pi / lam[1])
         assert val.real == pytest.approx(w1 * w2, rel=1e-8)
+
+
+# 1/(2 lambda) = 1/3, 3/4 and 1/10: an odd d, a c other than 1, and a d with
+# both 2 and 5; every preset has 1/2 or 1/4
+MOMENT_LAMS = [(F(3, 2),), (F(2, 3),), (F(5),), (F(3, 2), F(2, 3)), (F(5), F(3, 2), F(2, 3))]
+
+
+def moment_weight(mode, n: int) -> Poly:
+    """A weight with odd and even exponents up to 3 in each variable."""
+    terms = {beta: mode.coeff(F(1 + sum(beta), 2 + i))
+             for i, beta in enumerate(itertools.product(range(4), repeat=n)) if sum(beta) <= 4}
+    return Poly(mode, n, terms)
+
+
+@pytest.mark.parametrize("mode_name", ["exact", "float"])
+@pytest.mark.parametrize("lam", MOMENT_LAMS, ids=lambda lam: ",".join(map(str, lam)))
+def test_moment_rows_match_the_oracle(lam, mode_name):
+    """Each moment row over d^e holds the one-dimensional moments of the
+    exponents g + b, and the functional contracted from the rows is
+    sum_beta w[beta] M(gamma + beta): exactly in exact mode, within a few
+    ulps of the summed magnitudes in float mode."""
+    mode = EXACT if mode_name == "exact" else float_mode()
+    n = len(lam)
+    lam = tuple(map(mode.coeff, lam))
+    weight = moment_weight(mode, n)
+    lm = _Functional(weight, lam, {})
+    ulps = 8 * sys.float_info.epsilon
+
+    def agree(got, want, scale):
+        if mode is EXACT:
+            assert got == want
+        else:
+            assert abs(got - want) <= ulps * scale
+
+    for nu, top in enumerate(lm.tops):
+        d = lm.half[nu][1]
+        for g in range(13):
+            row = lm._row(nu, g, top)
+            assert len(row) == top + 1
+            for b, x in enumerate(row):
+                want = gaussian_moment((g + b,), (lam[nu],), mode)
+                agree(mode.join(x, d ** ((g + top) // 2)), want, abs(want))
+    gammas = itertools.product(range(13), repeat=n) if n < 3 else \
+        itertools.product(range(13), range(0, 13, 3), range(1, 13, 4))
+    for gamma in gammas:
+        parts = [(c, gaussian_moment(tuple(map(operator.add, gamma, beta)), lam, mode))
+                 for beta, c in weight.terms.items()]
+        want = sum((c * mom for c, mom in parts), mode.zero())
+        got = lm.pair(Poly.monomial(mode, n, gamma))
+        agree(got, want, sum(abs(c * mom) for c, mom in parts))
 
 
 class TestWeightExpansion:
@@ -394,17 +476,25 @@ def test_each_total_order_contracted_once(preset, monkeypatch):
 def level_elements(case: str):
     """Elements and weight for the hermitian pairing tests: the wave-operator
     level basis and the projected level images of a preset, or the
-    curved-metric elements."""
+    curved-metric elements. In the "complex" cases the float elements' order-j
+    coefficients are multiplied by 1 + (i + 1)j for their i-th order, so that
+    no pairing integrand is real."""
     if case == "curved":
         return curved_metric_elements()
     preset, order, mode_name = case.split("-")
-    ctx = pipeline_context(preset, int(order), mode_name)
+    ctx = pipeline_context(preset, int(order), "float" if mode_name == "complex" else mode_name)
     waves, _ = ctx.projector.wave_operator()
     level_basis = [ctx.projector.as_s0(m, vecs) for m, vecs in zip(ctx.level.members, waves)]
-    return level_basis + projected_level_basis(ctx), ctx.omega
+    elems = level_basis + projected_level_basis(ctx)
+    if mode_name == "complex":
+        elems = [S0Series(u.mode, u.n, u.rank, u.K,
+                          {j: p.scale(complex(1, i + 1)) for i, (j, p) in enumerate(u.items())},
+                          u.truncation_order) for u in elems]
+    return elems, ctx.omega
 
 
-HERMITIAN_CASES = ["iso2d-4-exact", "rank2-3-exact", "curved", "iso2d-4-float", "rank2-3-float"]
+HERMITIAN_CASES = ["iso2d-4-exact", "rank2-3-exact", "curved", "iso2d-4-float", "rank2-3-float",
+                   "rank2-3-complex"]
 
 
 def assert_pairings_agree(got, want, scale):
@@ -423,18 +513,18 @@ def gram_scale(elems, omega) -> float:
 @pytest.mark.parametrize("case", HERMITIAN_CASES)
 def test_pairing_with_itself_forms_each_mirrored_product_once(case, monkeypatch):
     """pair_s0(u, u) forms the conjugate integrands of the orders (j, l) and
-    (l, j) once, and equals the pairing of u with a copy of itself: exactly in
+    (l, j) once (counted as the calls of the product kernel ``_add_product``),
+    and equals the pairing of u with a copy of itself: exactly in
     exact mode, within 1e-12 of the Gram's largest coefficient in float mode."""
     elems, omega = level_elements(case)
     scale = gram_scale(elems, omega)
     products = []
-    mul = Poly.__mul__
 
-    def counting(self, other):
+    def counting(*args):
         products.append(1)
-        return mul(self, other)
+        return _add_product(*args)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(gaussian_pairing, "_add_product", counting)
     for u in elems:
         copy = S0Series(u.mode, u.n, u.rank, u.K, dict(u.coeffs), u.truncation_order)
         products.clear()

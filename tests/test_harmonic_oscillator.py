@@ -15,6 +15,7 @@ from qmf.harmonic_oscillator import (
 )
 from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.operator_calculus import JetProblem, conjugate_hamiltonian, rescale_operator, solve_eikonal
+from qmf.projection_engine import HermiteVec
 
 from hermite_oracle import apply_by_elimination, expand
 
@@ -23,6 +24,13 @@ F = Fraction
 
 def basis_1d(lam=F(1), degree=8, mu=(F(0),)):
     return HermiteBasis(EXACT, (EXACT.coeff(lam),), tuple(EXACT.coeff(m) for m in mu), degree)
+
+
+def synthesize(b: HermiteBasis, coeffs: dict) -> FiberPoly:
+    """``b.synthesize`` of coefficients keyed by ``HermiteIndex``, passed as the
+    numerators and denominator of the ``HermiteVec`` keyed by position."""
+    vec = HermiteVec.of(b.mode, {b.position(i): c for i, c in coeffs.items()})
+    return b.synthesize(vec.num, vec.den)
 
 
 class TestHermiteBasis:
@@ -75,7 +83,7 @@ class TestHermiteBasis:
                 a = (rng.randint(0, 3), rng.randint(0, 3))
                 terms[a] = F(rng.randint(-5, 5))
             q = FiberPoly([Poly(EXACT, 2, terms), Poly(EXACT, 2, {(1, 1): F(2)})])
-            assert b.synthesize(expand(b, q)) == q
+            assert synthesize(b, expand(b, q)) == q
 
     def test_expand_synthesize_roundtrip_rational(self):
         # rational coefficients and frequencies: the elimination's common
@@ -91,7 +99,7 @@ class TestHermiteBasis:
             q = FiberPoly(comps)
             coeffs = expand(b, q)
             assert all(type(c) is Fraction and c for c in coeffs.values())
-            assert b.synthesize(coeffs) == q
+            assert synthesize(b, coeffs) == q
 
     def test_index_hash_and_order_are_those_of_the_pair(self):
         a, b = HermiteIndex((1, 2), 0), HermiteIndex((1, 2), 0)

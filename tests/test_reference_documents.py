@@ -5,7 +5,8 @@ benchmark case as the program first wrote it, without its ``checks`` block.
 Each one is recomputed here and must match byte for byte once written the
 same way (``reference.canonical``); ``tests/refs`` does the same for spec
 files: a curved metric at orders 3 and 6, a connection, and a 3-D well at
-order 4. The float cases of the benchmark must
+order 4, and the whole ``qmf verify`` document, checks included, of a 2-D
+well with unequal rational frequencies. The float cases of the benchmark must
 agree with the exact reference of the same rational problem within
 ``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run,
 and so must float documents of other presets and of random rational wells,
@@ -111,6 +112,41 @@ def test_spec_document_matches_reference(name, text, tmp_path):
     spec.write_text(text)
     doc = run_compute(["--spec", str(spec)], tmp_path)
     assert reference.canonical(doc) == (SPEC_REFS / f"{name}-exact.json").read_bytes()
+
+
+ANISO_WELL = """
+[problem]
+n = 2
+rank = 1
+mode = exact
+order = 4
+
+[lambda]
+3/2
+2/3
+
+[potential]
+3 0  1
+1 2  1/2
+0 3  1/3
+2 1  1/5
+
+[level]
+index = 2
+"""
+
+
+def test_verify_document_with_unequal_frequencies_matches_reference(tmp_path):
+    # every preset has 1/(2 lambda) in {1/2, 1/4}; lambda = (3/2, 2/3) gives 1/3
+    # and 3/4, Gaussian moments with an odd denominator and a numerator other
+    # than 1. The whole document of every check is pinned, as written.
+    spec = tmp_path / "problem.spec"
+    spec.write_text(ANISO_WELL)
+    out = tmp_path / "doc.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = run_command(["verify", "--checks", "all", "--spec", str(spec), "--out", str(out)])
+    assert status == 0
+    assert out.read_bytes() == (SPEC_REFS / "aniso2d-verify-o4-exact.json").read_bytes()
 
 
 @pytest.mark.parametrize("preset, order", [("iso2d", "5"), ("quartic1d", "8")])
