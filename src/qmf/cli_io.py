@@ -24,6 +24,7 @@ output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -593,8 +594,9 @@ def _check_names(text: str):
     return names
 
 
-def run_command(argv) -> int:
-    """Dispatch a command line; returns the process exit status."""
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line grammar, built on first use and kept for the process."""
     parser = _Parser(
         prog=TOOL_NAME,
         description="formal quasimode expansions near a potential minimum")
@@ -627,9 +629,13 @@ def run_command(argv) -> int:
     p_cross.add_argument("--grid", type=int, default=4096,
                          help="largest Hermite-basis size the doubling may reach")
     p_cross.add_argument("--csv", help="write (hbar, error) pairs here")
+    return parser
 
+
+def run_command(argv) -> int:
+    """Dispatch a command line; returns the process exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # a usage error (status 1) or --help (status 0)
         return exc.code
 

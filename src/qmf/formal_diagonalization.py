@@ -36,8 +36,12 @@ from .series_algebra import (
     HalfInt,
     S0Series,
     _min_trunc,
+    adjoint_solve,
+    cholesky,
     half_range,
+    hermitian_eigh,
     inverse_sqrt_series,
+    lower_solve,
 )
 from .gaussian_pairing import WeightExpansion, pair_s0
 
@@ -324,19 +328,18 @@ def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
     Cholesky reduction (G. H. Golub and C. F. Van Loan, Matrix Computations,
     4th ed., 8.7): with a0 = L L^H, L^-1 r L^-H = L^-1 (L^-1 r)^H (r being
     hermitian) has the pencil's eigenvalues, and L^-H maps its orthonormal
-    eigenvectors to a0-orthonormal columns. ``scale`` bounds the entries
-    cancelled into ``r``; over the least eigenvalue of ``a0`` it bounds their
-    effect on the eigenvalues, which are equal when their gap is negligible
-    against it, ambiguous within 100 times.
+    eigenvectors to a0-orthonormal columns. The eigendecompositions, of that
+    matrix and of ``a0``, are ``hermitian_eigh``'s Jacobi sweeps. ``scale``
+    bounds the entries cancelled into ``r``; over the least eigenvalue of
+    ``a0`` it bounds their effect on the eigenvalues, which are equal when
+    their gap is negligible against it, ambiguous within 100 times.
     """
-    import numpy as np
-
-    rm = np.array(r, dtype=complex)
-    am = np.array(a0, dtype=complex)
-    low = np.linalg.cholesky(am)
-    vals, w = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, rm).conj().T))
-    vecs = np.linalg.solve(low.conj().T, w)
-    scale = max(scale / float(np.min(np.linalg.eigvalsh(am))), float(np.max(np.abs(vals))))
+    low = cholesky(a0)
+    y = lower_solve(low, list(zip(*r)))  # the columns of L^-1 r
+    c = lower_solve(low, [[x.conjugate() for x in row] for row in zip(*y)])
+    vals, w = hermitian_eigh(list(zip(*c)))
+    vecs = adjoint_solve(low, w)
+    scale = max(scale / hermitian_eigh(a0)[0][0], max(abs(v) for v in vals))
     clusters: list[list[int]] = []
     for i, v in enumerate(vals):
         if clusters and mode.negligible(v - vals[clusters[-1][0]], scale):
@@ -347,12 +350,8 @@ def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
         gap = abs(vals[b[0]] - vals[a[-1]])
         if mode.negligible(gap, 100 * scale):
             raise SplitAmbiguityError(order, float(gap), scale)
-    out = []
-    for cl in clusters:
-        nu = complex(np.mean(vals[cl]))
-        cols = [[complex(vecs[i, j]) for i in range(len(r))] for j in cl]
-        out.append((nu, cols))
-    return out
+    return [(complex(sum(vals[i] for i in cl) / len(cl)), [vecs[i] for i in cl])
+            for cl in clusters]
 
 
 # ---------------------------------------------------------------------------

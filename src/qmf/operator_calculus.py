@@ -38,6 +38,7 @@ from .series_algebra import (
     convolution_bound,
     euler_recurrence,
     half_range,
+    hermitian_eigh,
     mono_add,
     mono_degree,
 )
@@ -265,12 +266,9 @@ class JetProblem:
         self.mu = mu
 
     def _diagonalize_fiber(self) -> None:
-        import numpy as np
-
         z = (0,) * self.n
-        w0 = np.array([[self.W[i][j].coefficient(z) for j in range(self.rank)]
-                       for i in range(self.rank)], dtype=complex)
-        _, u = np.linalg.eigh(w0)
+        _, u = hermitian_eigh([[self.W[i][j].coefficient(z) for j in range(self.rank)]
+                               for i in range(self.rank)])
 
         def rotate(m: PolyMat) -> PolyMat:
             out = []
@@ -280,7 +278,7 @@ class JetProblem:
                     acc = Poly.zero(self.mode, self.n)
                     for a in range(self.rank):
                         for b in range(self.rank):
-                            coef = complex(np.conj(u[a, i]) * u[b, j])
+                            coef = u[i][a].conjugate() * u[j][b]
                             acc = acc + m[a][b].scale(coef)
                     row.append(acc)
                 out.append(tuple(row))

@@ -335,6 +335,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     N = result.order
     T_op = ctx.conj.hbar1
     L_op = ctx.conj.hbar2
+    t_low, l_low = T_op.min_degree(), L_op.min_degree()
     abs_ops = None
     residuals = []
     orders = list(half_range(HI0, N + level.K))
@@ -348,12 +349,12 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
             a_k = a_jet.at_relative(k)
             bound_k = a_jet.degree_bound_at(k - level.K)
             check_bound = _min_trunc(bound_k, convolution_bound(
-                (T_op.complete, T_op.min_degree()), (bound_k, a_k.min_degree())))
+                (T_op.complete, t_low), (bound_k, a_k.min_degree())))
             has_prev = k - HalfInt(2) >= HI0
             if has_prev:
                 a_prev = a_jet.at_relative(k - HalfInt(2))
                 check_bound = _min_trunc(check_bound, convolution_bound(
-                    (L_op.complete, L_op.min_degree()),
+                    (L_op.complete, l_low),
                     (a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree())))
             degrees[k.doubled] = _min_trunc(degrees[k.doubled], check_bound)
             # the terms summed into the residual, (operator or scalar, jet)

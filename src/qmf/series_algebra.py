@@ -42,7 +42,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import copysign, gcd, hypot, inf, lcm, sqrt
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -942,6 +942,99 @@ def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -
         raise ValueError("inverse square root needs leading coefficient 1 at order 0")
     v = a - FormalScalarSeries.const(a.mode, lead, a.truncation_order)
     return binomial_series(v, Fraction(-1, 2), through=through)
+
+
+# ---------------------------------------------------------------------------
+# Small dense hermitian matrices in float mode: rows (or columns) of complex
+
+
+def hermitian_eigh(h) -> tuple[list, list]:
+    """Ascending eigenvalues of the hermitian matrix ``h`` and orthonormal
+    eigenvector columns, by cyclic Jacobi with complex rotations (G. H. Golub
+    and C. F. Van Loan, Matrix Computations, 4th ed., 8.5).
+
+    The (p, q) rotation is the real symmetric Schur rotation of |a_pq|,
+    conjugated by the phase a_pq/|a_pq|, and zeroes a_pq. An entry negligible
+    against |a_pp| + |a_qq|, or subnormal, is not rotated on: its phase loses
+    accuracy near underflow. Sweeps stop once the off-diagonal norm is below
+    rounding in the matrix norm, which bounds the eigenvalue errors (J. Demmel
+    and K. Veselic, SIAM J. Matrix Anal. Appl. 13 (1992) 1204). Each column's
+    last entry of modulus above 2^-26 is made real positive, the sign of an
+    exact null vector in echelon form, whose last nonzero entry is 1.
+    """
+    m = len(h)
+    a = [[complex(x) for x in row] for row in h]
+    v = [[complex(i == j) for j in range(m)] for i in range(m)]
+    norm = hypot(*(abs(x) for row in a for x in row))
+    for _ in range(64):  # a cap only: the sweeps converge quadratically
+        off = hypot(*(abs(a[p][q]) for p in range(m) for q in range(m) if p != q))
+        if off <= 2 ** -52 * norm:
+            break
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq, app, aqq = a[p][q], a[p][p].real, a[q][q].real
+                r = abs(apq)
+                if r <= 2 ** -60 * (abs(app) + abs(aqq)) or r < 2 ** -1022:
+                    continue
+                theta = (aqq - app) / (2 * r)
+                t = copysign(1.0, theta) / (abs(theta) + hypot(theta, 1.0))
+                c = 1 / sqrt(1 + t * t)
+                sp = t * c * apq / r
+                sq = sp.conjugate()
+                a[p][p], a[q][q] = complex(app - t * r), complex(aqq + t * r)
+                a[p][q] = a[q][p] = 0j
+                for k in range(m):
+                    if k != p and k != q:
+                        x, y = a[k][p], a[k][q]
+                        a[k][p], a[k][q] = c * x - sq * y, sp * x + c * y
+                        a[p][k], a[q][k] = a[k][p].conjugate(), a[k][q].conjugate()
+                    x, y = v[k][p], v[k][q]
+                    v[k][p], v[k][q] = c * x - sq * y, sp * x + c * y
+    order = sorted(range(m), key=lambda i: a[i][i].real)
+    cols = []
+    for i in order:
+        col = [row[i] for row in v]
+        last = next(x for x in reversed(col) if abs(x) > 2 ** -26)
+        cols.append([x * last.conjugate() / abs(last) for x in col])
+    return [a[i][i].real for i in order], cols
+
+
+def cholesky(a) -> list:
+    """Lower triangular L, real positive diagonal, with L L^H = ``a`` (rows)."""
+    m = len(a)
+    low = [[0j] * m for _ in range(m)]
+    for j in range(m):
+        d = a[j][j].real - sum(abs(x) ** 2 for x in low[j][:j])
+        if not d > 0:
+            raise ValueError("matrix is not positive definite")
+        low[j][j] = complex(sqrt(d))
+        for i in range(j + 1, m):
+            low[i][j] = (a[i][j] - sum(low[i][k] * low[j][k].conjugate()
+                                       for k in range(j))) / low[j][j]
+    return low
+
+
+def lower_solve(low, cols) -> list:
+    """L^-1 applied to each column, for L lower triangular."""
+    out = []
+    for b in cols:
+        x: list = []
+        for i, row in enumerate(low):
+            x.append((b[i] - sum(row[k] * x[k] for k in range(i))) / row[i])
+        out.append(x)
+    return out
+
+
+def adjoint_solve(low, cols) -> list:
+    """L^-H applied to each column, for L lower triangular with a real diagonal."""
+    m = len(low)
+    out = []
+    for b in cols:
+        x = [0j] * m
+        for i in reversed(range(m)):
+            x[i] = (b[i] - sum(low[k][i].conjugate() * x[k] for k in range(i + 1, m))) / low[i][i]
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qmf import cli_io
 from qmf.series_algebra import EXACT, HalfInt, Poly
 from qmf.cli_io import (
     SpecFileError,
@@ -18,6 +19,7 @@ from qmf.cli_io import (
     run_command,
 )
 from qmf.quasimode_pipeline import compute_quasimodes
+from test_quasimode_pipeline import RANK2_WELL, ROTATED_W
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -447,6 +449,18 @@ class TestCommands:
         assert rc == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_one_parser_serves_every_call(self, capsys):
+        assert run_command(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+        parser = cli_io._parser()
+        assert run_command(["verify", "--preset", "cubic1d", "--order", "2",
+                            "--checks", "parity"]) == 0
+        assert run_command(["compute", "--preset", "cubic1d", "--mode", "quad"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert run_command(["compute", "--preset", "cubic1d", "--order", "2"]) == 0
+        assert "[pass]" not in capsys.readouterr().out
+        assert cli_io._parser() is parser
+
     def test_level_and_level_index_conflict(self, capsys):
         rc = run_command(["compute", "--preset", "harmonic", "--order", "2",
                           "--level", "1", "--level-index", "0"])
@@ -466,9 +480,19 @@ _LOADED_AFTER = ("import sys; from qmf.cli_io import run_command; "
                "--checks", "transport,eigen_residual,orthonormality,parity"]),
     ("scipy", ["crosscheck", "--preset", "quartic1d", "--order", "2", "--grid", "256"]),
     ("numpy", ["compute", "--preset", "cubic1d", "--order", "4"]),
+    # float runs whose 2-fold level splits through the pencil
+    ("numpy", ["compute", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
+    ("numpy", ["verify", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
+    ("numpy", ["verify", "--preset", "rank2", "--order", "3", "--mode", "float"]),
+    # off-diagonal W(0), rotated into its eigenbasis in float mode
+    ("numpy", ["verify", "--spec", "{rotated}"]),
 ])
-def test_command_leaves_module_unloaded(module, argv):
-    """Float runs and ``crosscheck`` load numpy alone, never scipy; exact runs load neither."""
+def test_command_leaves_module_unloaded(module, argv, tmp_path):
+    """Only ``crosscheck`` loads numpy, for its Hermite-basis solve and slope
+    fit; no command loads scipy."""
+    spec = tmp_path / "rotated.spec"
+    spec.write_text(RANK2_WELL.format(mode="float", endomorphism=ROTATED_W))
+    argv = [a.format(rotated=spec) for a in argv]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, module, *argv], cwd=ROOT,
                           env=dict(os.environ, PYTHONPATH=path),

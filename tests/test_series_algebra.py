@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,12 @@ from qmf.series_algebra import (
     S0DegreeError,
     S0Series,
     XJetSeries,
+    adjoint_solve,
+    cholesky,
     float_mode,
     binomial_series,
+    hermitian_eigh,
+    lower_solve,
     half_range,
     inverse_sqrt_series,
     rescale,
@@ -786,3 +791,66 @@ class TestProductBound:
         moved = [applied({**u_full, **past(tu, {0: ONE})}, q_full),  # Q_0 1 = c0
                  applied(u_full, {**q_full, **past(top, {0: ONE})})]
         assert any(s0_at(m, nxt) != s0_at(exact, nxt) for m in moved)
+
+
+def hermitian_case(rng, m: int, kind: str) -> np.ndarray:
+    """A seeded m x m hermitian matrix of the given kind."""
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "ties":
+        u, _ = np.linalg.qr(gauss(m, m))
+        h = u @ np.diag(rng.integers(-2, 3, size=m).astype(float)) @ u.conj().T
+    elif kind == "diagonal":
+        h = np.diag(rng.normal(size=m)).astype(complex)
+    elif kind == "spread":
+        h = gauss(m, m) * 10.0 ** rng.uniform(-12, 3, size=(m, m))
+    elif kind == "underflow":
+        # tied diagonal entries, zeros among them, whose rotations would be
+        # the largest; one entry of unit size makes the sweeps run
+        h = np.diag(rng.integers(-1, 2, size=m).astype(float)) + np.triu(
+            gauss(m, m) * 10.0 ** rng.uniform(-320, -290, size=(m, m)), 1)
+        h[0, -1] += 1
+    else:
+        h = gauss(m, m)
+    return (h + h.conj().T) / 2
+
+
+KINDS = ["generic", "ties", "diagonal", "spread", "underflow"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_hermitian_eigh_matches_numpy(m, kind):
+    """Jacobi's eigenvalues against LAPACK's; its columns orthonormal and
+    eigenvectors, to 1e-13 relative to the largest eigenvalue modulus."""
+    rng = np.random.default_rng([m, KINDS.index(kind)])
+    for _ in range(40):
+        h = hermitian_case(rng, m, kind)
+        vals, cols = hermitian_eigh(h.tolist())
+        v = np.array(cols).T
+        want = np.linalg.eigh(h).eigenvalues
+        top = np.max(np.abs(want))
+        assert np.max(np.abs(np.array(vals) - want)) <= 1e-13 * top
+        assert np.max(np.abs(v.conj().T @ v - np.eye(m))) <= 1e-13
+        assert np.max(np.abs(h @ v - v * vals)) <= 1e-13 * top
+        for col in cols:
+            last = next(x for x in reversed(col) if abs(x) > 2 ** -26)
+            assert last.imag == 0 < last.real
+
+
+def test_cholesky_and_triangular_solves():
+    rng = np.random.default_rng(7)
+    for m in range(1, 7):
+        x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = x @ x.conj().T + np.eye(m)
+        low = np.array(cholesky(a.tolist()))
+        assert not np.triu(low, 1).any()
+        assert np.max(np.abs(low @ low.conj().T - a)) <= 1e-13 * np.max(np.abs(a))
+        b = rng.normal(size=(m, 2)) + 0j
+        assert np.allclose(np.array(lower_solve(low.tolist(), b.T.tolist())).T,
+                           np.linalg.solve(low, b), rtol=1e-12, atol=0)
+        assert np.allclose(np.array(adjoint_solve(low.tolist(), b.T.tolist())).T,
+                           np.linalg.solve(low.conj().T, b), rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        cholesky([[1, 2], [2, 1]])
