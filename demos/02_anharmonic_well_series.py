@@ -8,9 +8,9 @@ eigenvalue series
 
 whose leading corrections are classical second-order sums over oscillator
 matrix elements. The pipeline obtains them through Bloch's wave operator
-and the series pencil; Kato's residue eigenvalue (Q P e)_m / (P e)_m, read
-from the spectral projector's Laurent residues, must reproduce every
-coefficient exactly.
+and the series pencil. The rs check reads the spectral projector's Laurent
+residues instead: Kato's residue eigenvalue (Q P e)_m / (P e)_m must equal
+the pipeline's series coefficient for coefficient, so its residual is 0.
 """
 
 from qmf import HalfInt, compute_quasimodes, rs_oracle
@@ -24,9 +24,7 @@ for preset in ("cubic1d:c=1", "quartic1d:c=1"):
     (energy,) = result.eigenvalues
     print(f"{preset}:")
     print(f"  pipeline:   E(h) = {energy}")
-    oracle = rs_oracle(result)
-    print(f"  residue:    E(h) = h * ({oracle})")
-    inner = energy.shift(HalfInt(-2))
-    diff = inner - oracle
-    print(f"  agreement through order {spec.order}: "
-          f"max coefficient difference = {diff.max_abs_coeff(spec.order)}\n")
+    report = rs_oracle(result)
+    print(f"  rs check through order {spec.order}: "
+          f"{'pass' if report.passed else 'FAIL'}, residual {report.max_residual} "
+          f"({report.detail})\n")

@@ -31,12 +31,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode, worst_residual
+from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
 from .operator_calculus import JetProblem, ProblemValidationError
 from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
 from .quasimode_pipeline import (
-    VerificationReport,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -507,12 +506,10 @@ def _compute(spec: ParsedSpec):
 
 
 def _run_checks(result, names) -> list:
-    """The reports of the named checks, in report order. ``"all"`` names
-    every check that applies: rs only on a simple level."""
+    """The reports of the named checks, in report order; ``"all"`` names every check."""
     if names == "all":
-        names = set(_CHECK_NAMES) - ({"rs"} if result.level.m0 > 1 else set())
+        names = _CHECK_NAMES
     reports = []
-    mode = result.context.problem.mode
     if "transport" in names:
         reports.append(transport_residual(result))
     if "eigen_residual" in names:
@@ -522,15 +519,7 @@ def _run_checks(result, names) -> list:
     if "parity" in names:
         reports.append(result.context.parity)
     if "rs" in names:
-        oracle = rs_oracle(result)
-        inner = result.eigenvalues[0].shift(HalfInt(-2))
-        N = result.order
-        worst = worst_residual(mode, [((inner - oracle).max_abs_coeff(N),
-                                       max(inner.max_abs_coeff(N), oracle.max_abs_coeff(N)))])
-        reports.append(VerificationReport(
-            name="rs_oracle", passed=mode.negligible(worst, 1), order=N,
-            max_residual=float(worst),
-            detail="pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"))
+        reports.append(rs_oracle(result))
     if "projector" in names:
         reports.append(projector_diagnostics(result.context.projector, result.context.omega))
     return reports
@@ -617,8 +606,7 @@ def _parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="compute and run verification checks")
     common(p_verify)
     p_verify.add_argument("--checks", default="all", type=_check_names,
-                          help="all (every check that applies; rs on simple levels only) "
-                               "or a comma list: " + ",".join(_CHECK_NAMES))
+                          help="all (every check) or a comma list: " + ",".join(_CHECK_NAMES))
     p_spec = sub.add_parser("spectrum", help="tabulate the model spectrum")
     common(p_spec)
     p_spec.add_argument("--degree", type=int, default=6)

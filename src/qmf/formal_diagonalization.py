@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
 from typing import Sequence
 
 from .series_algebra import (
@@ -42,6 +41,7 @@ from .series_algebra import (
     hermitian_eigh,
     inverse_sqrt_series,
     lower_solve,
+    matmul,
 )
 from .gaussian_pairing import WeightExpansion, pair_s0
 
@@ -107,9 +107,7 @@ def interaction_matrix(gram: list, h_eff: list) -> list:
     of f_a with Q f_b is the series product of the Gram rows ``gram`` with the
     columns of ``h_eff``.
     """
-    m = len(gram)
-    return [[reduce(add, (gram[i][k] * h_eff[k][j] for k in range(m))) for j in range(m)]
-            for i in range(m)]
+    return matmul(gram, h_eff)
 
 
 # ---------------------------------------------------------------------------

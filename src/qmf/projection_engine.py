@@ -46,18 +46,11 @@ sums the same contributions in the same order as without the truncation, and
 the images are the same, bit for bit in float mode. ``q_action`` checks the
 parity rule on every image it caches.
 
-The image at a smaller budget b is a prefix of the full one: the recursion
-for budget b runs the same operations on the w-powers it keeps, and the
-w-powers it drops only feed residues of orders above b. So a projector of
-order N applies itself to an order-j coefficient with images through N - j
-only, and keeps, per index, the image at the largest budget asked for so
-far, returning its orders <= b for any smaller budget b. One class,
-``ProjectorSeries``, holds the recursion and all three caches: the Q_j
-images, the powers of 1/(E0 - E) and the images per index. The law checks of
-``projector_diagnostics`` first collect every (index, budget) they will read
-and compute each index once, at the largest of its budgets. Only the checks
-read the projector's images; the wave operator reads the same Q_j cache, so
-the checks reuse the Q_j images that the construction filled.
+One class, ``ProjectorSeries``, holds both recursions and their caches: the
+Q_j images, the powers of 1/(E0 - E) and the images per index. Only the
+checks read the projector's images (``projector_diagnostics`` its probes,
+``rs_oracle`` the level members); the wave operator reads the same Q_j
+cache, so the checks reuse the Q_j images that the construction filled.
 
 All of this runs on one integer kernel, ``HermiteVec``: integer numerators,
 keyed by basis position (``HermiteBasis.position``), over one shared
@@ -192,12 +185,6 @@ class ProjectorSeries:
     vector at a basis position as ``HermiteVec``s; images are computed lazily
     and cached, so the table covers whatever the caller touches. At order
     zero the action is the identity on the level members and zero elsewhere.
-
-    ``apply_graded`` needs the image of an index met at order j only through
-    order ``order - j``. The cache keeps, per index, the image at the largest
-    budget computed so far and answers a smaller budget with its prefix,
-    which is exact: the image at budget b equals the full image cut to
-    orders <= b (see the module docstring).
     """
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
@@ -211,8 +198,8 @@ class ProjectorSeries:
         self._q_cache: dict[tuple, HermiteVec] = {}
         # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
         self._gap_powers: dict[int, list] = {}
-        # position -> (budget, images through that budget)
-        self._images: dict[int, tuple[HalfInt, dict]] = {}
+        # position -> images through the built order
+        self._images: dict[int, dict] = {}
         self._level_set = {basis.position(m) for m in level.members}
         # degree parity of the level (None when mixed): it sets the truncation
         self._parity = {"even": 0, "odd": 1}.get(level.parity)
@@ -326,15 +313,10 @@ class ProjectorSeries:
     # -- the action table
 
     def image(self, pos: int) -> dict:
-        return self._image(pos, self.order)
-
-    def _image(self, pos: int, budget: HalfInt) -> dict:
         hit = self._images.get(pos)
-        if hit is None or hit[0] < budget:
-            hit = self._images[pos] = (budget, self.images(pos, budget))
-        if hit[0] == budget:
-            return hit[1]
-        return {j: vec for j, vec in hit[1].items() if j <= budget}
+        if hit is None:
+            hit = self._images[pos] = self.images(pos, self.order)
+        return hit
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
         """The image sum_j h^j P_j of ``index`` as a power-counted series
@@ -396,27 +378,16 @@ class ProjectorSeries:
             for b in range(len(members))] for a in range(len(members))]
         return waves, h_eff
 
-    def apply_graded(self, vecs: Mapping) -> dict:
-        """Apply to sum_j h^j vec_j, truncating at the built order."""
-        out: dict[HalfInt, HermiteVec] = {}
-        for j, vec in vecs.items():
-            if j > self.order:
-                continue
-            for idx, n in vec.num.items():
-                for i, ivec in self._image(idx, self.order - j).items():
-                    _slot(out, j + i, self.mode).add(ivec, n, vec.den)
-        return _reduced(out)
-
 
 def workspace_degree(level: DegenerateLevel, order: HalfInt) -> int:
     """The polynomial degree that the projector check reaches through ``order``.
 
     Its probes are the level members and every basis vector of degree at
-    most 2K + 2, ``workspace_degree(level, HI0)``. By the law
-    deg <= |alpha| + 2j, their images, their Q_j images and the images of
-    those reach at most 2K + 2 + 2N, so a basis of this degree holds every
-    vector the pipeline (the wave operator, deg <= |alpha| + 2s), the check
-    and ``rs_oracle`` build.
+    most 2K + 2, ``workspace_degree(level, HI0)``. Each step of the resolvent
+    recursion raises the degree by at most 2i with Q_i, so the images of the
+    probes, and every vector summed into them, reach at most 2K + 2 + 2N, and
+    a basis of this degree holds every vector the pipeline (the wave
+    operator, deg <= |alpha| + 2s), the check and ``rs_oracle`` build.
     """
     return level.K.doubled + 2 + order.doubled
 
@@ -455,85 +426,37 @@ def _max_abs(vecs: Iterable[HermiteVec]) -> float:
 
 
 def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> VerificationReport:
-    """The ``projector`` check: a machine check of the projector laws.
+    """The ``projector`` check: the projector laws that bear on the output.
 
-    Verifies, coefficientwise through the built order: idempotency, commutation
-    with the full operator family, symmetry with respect to the pairing, the
-    degree bound deg <= |alpha| + 2j and parity (-1)^(|alpha| + 2j) of every
-    image coefficient, and the rank certificate (the level images span every
-    projected vector and are independent). The test vectors are the level
-    members and every basis vector of degree at most 2K + 2. The symmetry
-    law (P a, b) = (a, P b) pairs each (P a, b) of the first few probes once
-    and reads (a, P b) as the conjugate of (P b, a), as ``pair_s0`` is
-    hermitian.
+    Verifies, coefficientwise through the built order: symmetry with respect
+    to the pairing, the degree bound deg <= |alpha| + 2j and parity
+    (-1)^(|alpha| + 2j) of every image coefficient, and the rank certificate
+    (the level images span every projected vector and are independent). The
+    test vectors are the level members and every basis vector of degree at
+    most 2K + 2. The symmetry law (P a, b) = (a, P b) pairs each (P a, b) of
+    the first few probes once and reads (a, P b) as the conjugate of
+    (P b, a), as ``pair_s0`` is hermitian.
 
-    Every image the laws read is computed once, before they run, at the
-    largest budget any of them asks for: N for a probe, and N - j for an
-    index met at order j in a probe's image or in Q_j of a probe (the
-    budgets at which ``apply_graded`` reads them).
-
-    In float mode each defect is judged against the vectors it cancels; a
-    commutation defect that is not negligible against Q P e and P Q e, which
-    are cancelled sums themselves, is judged again against the largest term
-    summed into either.
+    In float mode each defect is judged against the magnitudes summed into
+    it: a nonzero symmetry defect against the pairings of the |coefficients|
+    of both sides, as ``orthonormality_report`` judges the Gram.
     """
     mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order
     probes = sorted(set(basis.indices(workspace_degree(level, HI0))) | set(level.members))
     pos = {idx: basis.position(idx) for idx in probes}
     degree_at = basis.degree_at
-    orders = [i for i in proj.family.orders() if i <= N]
     imgs = {idx: proj.image(pos[idx]) for idx in probes}
-    qh = {idx: {i: proj.q_action(i, pos[idx]) for i in orders} for idx in probes}
-    lowest: dict[int, HalfInt] = {}
-    for idx in probes:
-        for j, vec in (*imgs[idx].items(), *qh[idx].items()):
-            for midx in vec.num:
-                lowest[midx] = min(j, lowest.get(midx, j))
-    for midx, j in lowest.items():
-        proj._image(midx, N - j)
 
-    idem, comm = [], []
+    # degree bound and parity of each coefficient
     degree_ok = True
     parity_ok = True
     for idx in probes:
-        img = imgs[idx]
-        # degree bound and parity of each coefficient
-        for j, vec in img.items():
+        for j, vec in imgs[idx].items():
             for midx in vec.num:
                 if degree_at[midx] > idx.degree + j.doubled:
                     degree_ok = False
                 if (degree_at[midx] - idx.degree - j.doubled) % 2 != 0:
                     parity_ok = False
-        # idempotency
-        defect = proj.apply_graded(img)
-        scale = max(_max_abs(defect.values()), _max_abs(img.values()))
-        for j, vec in img.items():
-            _slot(defect, j, mode).add(vec, -1)
-        idem.append((_max_abs(defect.values()), scale))
-        # commutation with Q through the built order
-        qp: dict[HalfInt, HermiteVec] = {}
-        for j, vec in img.items():
-            for i in orders:
-                if j + i <= N:
-                    proj._apply_q(i, {j + i: vec}, qp)
-        pq = proj.apply_graded(qh[idx])
-        scale = max(_max_abs(qp.values()), _max_abs(pq.values()))
-        for j, vec in pq.items():
-            _slot(qp, j, mode).add(vec, -1)
-        defect = _max_abs(v for j, v in qp.items() if j <= N)
-        if not mode.negligible(defect, scale):
-            # Q P e and P Q e are cancelled sums themselves: judge against the
-            # largest term summed into either, as the rank certificate does
-            for j, vec in img.items():
-                for midx, n in vec.num.items():
-                    for i in orders:
-                        if j + i <= N:
-                            scale = max(scale, abs(n) / vec.den * proj.q_action(i, midx).max_abs())
-            for i, vec in qh[idx].items():
-                for midx, n in vec.num.items():
-                    image = proj._image(midx, N - i)
-                    scale = max(scale, abs(n) / vec.den * _max_abs(image.values()))
-        comm.append((defect, scale))
 
     # symmetry of the pairing: (a, P b) is the conjugate of (P b, a), as the
     # pairing is hermitian, so each (P a, b) is formed once
@@ -542,13 +465,21 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     projected = [proj.image_s0(a) for a in sym_sample]
     plain = [S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample]
     pairs = [[pair_s0(pa, hb, omega, through=N) for hb in plain] for pa in projected]
+    magnitudes = None
     for a, row in enumerate(pairs):
         for b in range(a, len(row)):
-            left, right = row[b], pairs[b][a].conj()
-            diff = left - right
-            through = min(N, diff.truncation_order or N)
-            sym.append((diff.max_abs_coeff(through),
-                        max(left.max_abs_coeff(through), right.max_abs_coeff(through))))
+            diff = row[b] - pairs[b][a].conj()
+            if not diff.max_abs_coeff(N):
+                continue
+            # both sides can be cancelled sums, one of them exactly 0
+            if magnitudes is None:
+                magnitudes = ([p.abs() for p in projected], [h.abs() for h in plain],
+                              omega.abs())
+            abs_p, abs_h, abs_omega = magnitudes
+            bound = (pair_s0(abs_p[a], abs_h[b], abs_omega, through=N)
+                     + pair_s0(abs_p[b], abs_h[a], abs_omega, through=N))
+            sym += [(mode.abs(c), mode.abs(bound.coefficient(t)))
+                    for t, c in diff.items() if t <= N]
 
     # rank certificate: every projected vector is a series combination of the
     # level images, solved order by order against the level components
@@ -583,8 +514,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
             rank += 1
 
     defects = {name: float(worst_residual(mode, pairs))
-               for name, pairs in (("idempotency_defect", idem), ("commutation_defect", comm),
-                                   ("symmetry_defect", sym), ("rank_residual", rank_res))}
+               for name, pairs in (("symmetry_defect", sym), ("rank_residual", rank_res))}
     worst = max(defects.values())
     return VerificationReport(
         name="projector",

@@ -18,9 +18,9 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
                                order by order on the blown-up series;
 * ``orthonormality_report`` -- the pairing Gram of the output against the
                                recorded diagonal constants;
-* ``rs_oracle``             -- Kato's residue eigenvalue (Q P e)_m / (P e)_m
-                               from the projector's Laurent-residue image
-                               (nondegenerate levels);
+* ``rs_oracle``             -- the construction's H_eff and eigenvalues
+                               against the projector's Laurent-residue images
+                               of the level members (any level);
 * ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
                                (a Rayleigh-Ritz solve in the model
                                oscillator's Hermite functions, certified by
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .series_algebra import (
@@ -43,6 +44,7 @@ from .series_algebra import (
     _min_trunc,
     convolution_bound,
     half_range,
+    matmul,
     unrescale,
     worst_residual,
 )
@@ -89,7 +91,6 @@ __all__ = [
     "rs_oracle",
     "crosscheck_eigenvalue_1d",
     "InsufficientOrderError",
-    "DegenerateLevelError",
 ]
 
 
@@ -103,10 +104,6 @@ class InsufficientOrderError(ValueError):
             f"the input jet order must be at least D = {required_D}")
 
 
-class DegenerateLevelError(ValueError):
-    """An operation requiring a simple level met a degenerate one."""
-
-
 @dataclass
 class PipelineContext:
     """Everything the verifiers need about one finished computation."""
@@ -118,6 +115,7 @@ class PipelineContext:
     level: DegenerateLevel
     omega: WeightExpansion
     projector: ProjectorSeries
+    h_eff: list               # Bloch's H_eff, rows of scalar series
     parity: VerificationReport
 
 
@@ -213,7 +211,8 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     _assert_structure(eigenfunctions, level, mode)
 
     ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
-                          level=level, omega=omega, projector=proj, parity=parity)
+                          level=level, omega=omega, projector=proj, h_eff=h_eff,
+                          parity=parity)
     return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=eigen.norms2,
@@ -418,47 +417,103 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Residue eigenvalue oracle (nondegenerate levels)
+# Residue oracle
 
 
-def rs_oracle(result: QuasimodeResult) -> FormalScalarSeries:
-    """Eigenvalue series E0 + sum_{k>=1/2} h^k E_k by Kato's residue formula
-    (m0 = 1 only), through the result's order.
-
-    On a simple level P e is the eigenvector, so E = (Q P e)_m / (P e)_m at
-    the member m (T. Kato, Perturbation Theory for Linear Operators, ch. II,
-    sec. 2). P e is the projector's Laurent-residue image
-    (``ProjectorSeries.image``), which the construction never forms. The
-    oracle shares with it the operator family, the basis and the cached Q_j
-    images (``ProjectorSeries.q_action``), and reads none of the wave
-    operator, the pairing or the pencil.
-    """
-    ctx = result.context
-    mode = ctx.problem.mode
-    N = result.order
-    level = ctx.level
-    if level.m0 != 1:
-        raise DegenerateLevelError(
-            f"level at {level.E0} has multiplicity {level.m0}; the residue eigenvalue needs "
-            f"a simple level")
-    proj = ctx.projector
-    member = proj.basis.position(level.members[0])
-    image = proj.image(member)
-    # Q0 is E0 at the member, so only the Q_i with i > 0 are applied, and
-    # only their member entries are read
-    qp: dict[HalfInt, object] = {}
-    for j, vec in image.items():
-        for i in ctx.family.orders():
-            if HI0 < i and i + j <= N:
+def _member_block(proj: ProjectorSeries, N: HalfInt, term) -> tuple[list, list]:
+    """X_ab = (P e_b)_a and Y_ab = ((Q - Q0) P e_b)_a at the level members a
+    and b, as rows of {order: value}, P e_b the Laurent-residue image. A value
+    sums ``term(n, d)`` over the products n / d that form it: their values, or
+    with |n / d| the magnitudes summed into the entry."""
+    members = [proj.basis.position(m) for m in proj.level.members]
+    parts = [i for i in proj.family.orders() if HI0 < i <= N]
+    x = [[{} for _ in members] for _ in members]
+    y = [[{} for _ in members] for _ in members]
+    for b, pos in enumerate(members):
+        for j, vec in proj.image(pos).items():
+            for a, at in enumerate(members):
+                if at in vec.num:
+                    x[a][b][j] = term(vec.num[at], vec.den)
+            # Q0 is E0 at the members, so only the Q_i with i > 0 are applied
+            for i in parts:
+                if i + j > N:
+                    break
                 for idx, n in vec.num.items():
                     q = proj.q_action(i, idx)
-                    c = q.num.get(member)
-                    if c is not None:
-                        qp[i + j] = qp.get(i + j, 0) + mode.join(n * c, vec.den * q.den)
-    p_e = FormalScalarSeries.from_terms(
-        mode, {j: mode.join(vec.num.get(member, 0), vec.den) for j, vec in image.items()}, N)
-    return (FormalScalarSeries.from_terms(mode, qp, N) / p_e).truncate(N) + \
-        FormalScalarSeries.const(mode, level.E0, N)
+                    for a, at in enumerate(members):
+                        c = q.num.get(at)
+                        if c is not None:
+                            row = y[a][b]
+                            row[i + j] = row.get(i + j, 0) + term(n * c, vec.den * q.den)
+    return x, y
+
+
+def _rs_sides(h: list, x: list, y: list, eigs: list, e0) -> list:
+    """(left, right) of each comparison of ``rs_oracle``: (H_eff - E0) X and Y
+    entrywise, then tr(H_eff^p) and sum_k E_k^p for p = 1..m0."""
+    m = len(h)
+    shift = FormalScalarSeries.const(x[0][0].mode, e0, x[0][0].truncation_order)
+    moved = [[e - shift if a == b else e for b, e in enumerate(row)] for a, row in enumerate(h)]
+    hx = matmul(moved, x)
+    sides = [(hx[a][b], y[a][b]) for a in range(m) for b in range(m)]
+    power, eig_power = h, eigs
+    for _ in range(m):
+        sides.append((reduce(add, (power[k][k] for k in range(m))), reduce(add, eig_power)))
+        power, eig_power = matmul(power, h), [e * f for e, f in zip(eig_power, eigs)]
+    return sides
+
+
+def rs_oracle(result: QuasimodeResult) -> VerificationReport:
+    """The ``rs_oracle`` check: the construction's H_eff and eigenvalues
+    against the projector's Laurent-residue images, on any level.
+
+    P e_b is the projector's image of the member e_b (``ProjectorSeries.image``),
+    which the construction never forms. It lies in the span of the wave images
+    Omega e_c, whose member entries are delta_ac (intermediate normalization),
+    so P e_b = sum_c Omega e_c X_cb with X_ab = (P e_b)_a; and Q Omega =
+    Omega H_eff gives Y_ab = (Q P e_b)_a = (H_eff X)_ab, so H_eff is the
+    residue route's Y X^(-1). The check verifies Y = H_eff X entrywise and
+    tr(H_eff^p) = sum_k E_k^p for p = 1..m0, which fixes the multiset of the
+    output eigenvalues (Newton's identities); neither needs X^(-1). At m0 = 1
+    the two say E = (Q P e)_m / (P e)_m, Kato's residue eigenvalue (T. Kato,
+    Perturbation Theory for Linear Operators, ch. II, sec. 2).
+
+    X and Y share with the construction the operator family, the basis and
+    the cached Q_j images (``ProjectorSeries.q_action``), and read none of the
+    wave operator, the pairing or the pencil. A nonzero residual is judged,
+    coefficientwise, against the same comparison on |coefficients|.
+    ``data`` holds the worst residual of each comparison.
+    """
+    ctx = result.context
+    mode, N, level, proj = ctx.problem.mode, result.order, ctx.level, ctx.projector
+
+    def series(rows):
+        return [[FormalScalarSeries.from_terms(mode, terms, N) for terms in row] for row in rows]
+
+    def absolute(e):
+        return FormalScalarSeries.from_terms(mode, {t: mode.abs(c) for t, c in e.items()}, N)
+
+    eigs = [e.shift(HalfInt(-2)) for e in result.eigenvalues]
+    x, y = map(series, _member_block(proj, N, mode.join))
+    diffs = [left - right for left, right in _rs_sides(ctx.h_eff, x, y, eigs, level.E0)]
+    residuals = [[] for _ in diffs]
+    if any(d.max_abs_coeff(N) for d in diffs):
+        ax, ay = map(series, _member_block(proj, N, lambda n, d: mode.abs(mode.join(n, d))))
+        sides = _rs_sides([list(map(absolute, row)) for row in ctx.h_eff], ax, ay,
+                          list(map(absolute, eigs)), mode.abs(level.E0))
+        residuals = [[(mode.abs(c), mode.abs((left + right).coefficient(t)))
+                      for t, c in d.items() if t <= N] for d, (left, right) in zip(diffs, sides)]
+    split = level.m0 * level.m0
+    data = {name: float(worst_residual(mode, (r for part in parts for r in part)))
+            for name, parts in (("intertwining", residuals[:split]),
+                                ("power_sums", residuals[split:]))}
+    worst = max(data.values())
+    return VerificationReport(
+        name="rs_oracle", passed=mode.negligible(worst, 1), order=N, max_residual=worst,
+        detail="pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
+        if level.m0 == 1 else f"pipeline H_eff X equals the residue block (Q P e_b)_a; "
+                              f"eigenvalue power sums equal tr H_eff^p, p <= {level.m0}",
+        data=data)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import copysign, gcd, hypot, inf, lcm, sqrt
 from typing import Iterator, Mapping, Sequence
 
@@ -997,6 +998,13 @@ def hermitian_eigh(h) -> tuple[list, list]:
         last = next(x for x in reversed(col) if abs(x) > 2 ** -26)
         cols.append([x * last.conjugate() / abs(last) for x in col])
     return [a[i][i].real for i in order], cols
+
+
+def matmul(a: list, b: list) -> list:
+    """The product of two square matrices, as rows of series or scalars."""
+    m = len(a)
+    return [[reduce(operator.add, (a[i][k] * b[k][j] for k in range(m))) for j in range(m)]
+            for i in range(m)]
 
 
 def cholesky(a) -> list:

@@ -282,21 +282,39 @@ class TestCommands:
     @pytest.mark.parametrize("spec_text, names", [
         (CUBIC, ["transport", "eigen_residual", "orthonormality", "parity", "rs_oracle",
                  "projector"]),
-        (ISO2D, ["transport", "eigen_residual", "orthonormality", "parity", "projector"]),
+        (ISO2D, ["transport", "eigen_residual", "orthonormality", "parity", "rs_oracle",
+                 "projector"]),
     ])
     def test_verify_spec_runs_every_check_that_applies(self, tmp_path, spec_text, names):
-        # rs applies to a simple level only
+        # every check applies on a simple and on a degenerate level
         path, out = tmp_path / "well.spec", tmp_path / "doc.json"
         path.write_text(spec_text)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["verify", "--spec", str(path), "--out", str(out)]) == 0
         assert [c["name"] for c in json.loads(out.read_text())["checks"]] == names
 
-    def test_rs_on_a_degenerate_level_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "iso2d.spec"
+    def test_rs_on_a_degenerate_level_passes(self, tmp_path):
+        path, out = tmp_path / "iso2d.spec", tmp_path / "doc.json"
         path.write_text(ISO2D)
-        assert run_command(["verify", "--spec", str(path), "--checks", "rs"]) == 1
-        assert "level at 4 has multiplicity 2" in capsys.readouterr().err
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["verify", "--spec", str(path), "--checks", "rs",
+                                "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["level"]["m0"] == 2
+        (check,) = doc["checks"]
+        assert check["name"] == "rs_oracle" and check["passed"]
+        assert check["max_residual"] == 0.0
+
+    @pytest.mark.parametrize("level", range(4))
+    @pytest.mark.parametrize("preset", ["witten1d:c=1", "witten1d:c=1/3", "witten1d:c=2",
+                                        "cubic1d", "quartic1d"])
+    def test_float_verify_all_passes_on_the_low_levels(self, preset, level):
+        # each float check judges a residual against the magnitudes summed
+        # into it; on the excited witten1d levels one side of the projector's
+        # symmetry law rounds to exactly 0 and the other does not
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["verify", "--preset", preset, "--order", "4", "--mode", "float",
+                                "--level-index", str(level), "--checks", "all"]) == 0
 
     def test_verify_subset(self, capsys):
         rc = run_command(["verify", "--preset", "cubic1d", "--order", "2",

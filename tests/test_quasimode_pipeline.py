@@ -13,9 +13,9 @@ from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
 from qmf.cli_io import parse_problem_spec, preset_problem, run_command
 from qmf.quasimode_pipeline import (
-    DegenerateLevelError,
     InsufficientOrderError,
     _hermite_ritz_eigenvalue,
+    _member_block,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -100,10 +100,9 @@ class TestCubicWell:
             assert inner.coefficient(HalfInt(2)) == F(-11, 16) * c * c
 
     def test_rs_oracle_matches_pipeline(self):
-        res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
-        oracle = rs_oracle(res)
-        inner = res.eigenvalues[0].shift(HalfInt(-2))
-        assert inner.equals_through(oracle, HalfInt(4))
+        rep = rs_oracle(compute_quasimodes(cubic(), HalfInt(4), e0=1))
+        assert rep.passed and rep.max_residual == 0.0
+        assert rep.detail == "pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
 
     def test_transport_residual_zero(self):
         res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
@@ -149,10 +148,8 @@ class TestQuarticWell:
         assert inner.coefficient(HalfInt(4)) == F(-21, 16)
 
     def test_rs_oracle_matches(self):
-        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
-        inner = res.eigenvalues[0].shift(HalfInt(-2))
-        oracle = rs_oracle(res)
-        assert inner.equals_through(oracle, HalfInt(4))
+        rep = rs_oracle(compute_quasimodes(quartic(), HalfInt(4), e0=1))
+        assert rep.passed and rep.max_residual == 0.0
 
     def test_fd_crosscheck_small(self):
         res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
@@ -299,9 +296,10 @@ class TestErrors:
             compute_quasimodes(cubic(D=4), HalfInt(8), e0=1)
         assert ei.value.required_D >= 8
 
-    def test_rs_oracle_rejects_degenerate(self):
-        with pytest.raises(DegenerateLevelError):
-            rs_oracle(compute_quasimodes(iso2d(), HalfInt(2), e0=4))
+    def test_rs_oracle_covers_a_degenerate_level(self):
+        rep = rs_oracle(compute_quasimodes(iso2d(), HalfInt(2), e0=4))
+        assert rep.passed and rep.max_residual == 0.0
+        assert rep.data == {"intertwining": 0.0, "power_sums": 0.0}
 
     def test_negative_order(self):
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
@@ -542,9 +540,9 @@ class TestBlochRoute:
         assert res.norm2_constants == norms2
 
     def test_changed_h_eff_coefficient_fails_the_rs_check(self, monkeypatch):
-        # the rs check reads the residue route, not the wave operator: a
-        # changed H_t reaches every caller of ``wave_operator``, and the check
-        # still fails
+        # the residue side of the rs check, X and Y, reads the residue route,
+        # not the wave operator: a changed H_t reaches every caller of
+        # ``wave_operator`` and leaves X and Y as they were, so the check fails
         from qmf.cli_io import _run_checks
         from qmf.projection_engine import ProjectorSeries
 
@@ -567,6 +565,49 @@ class TestBlochRoute:
         bad = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         got, want = (r.eigenvalues[0].shift(HalfInt(-2)) for r in (bad, res))
         assert got.coefficient(HalfInt(4)) == want.coefficient(HalfInt(4)) + F(1, 1000)
-        assert rs_oracle(bad) == rs_oracle(res)
+        assert (_member_block(bad.context.projector, bad.order, EXACT.join)
+                == _member_block(res.context.projector, res.order, EXACT.join))
         (report,) = _run_checks(bad, {"rs"})
         assert not report.passed
+        # the output eigenvalue is H_eff's, so only Y = H_eff X sees the change
+        assert report.data["intertwining"] >= 0.001 and report.data["power_sums"] == 0.0
+
+    @pytest.mark.parametrize("preset,mode_name", [("iso2d", "exact"), ("rank2", "exact"),
+                                                  ("rank2", "float")])
+    def test_shifted_h_eff_fails_the_rs_check_on_a_degenerate_level(
+            self, monkeypatch, preset, mode_name):
+        # H_eff + h^2/1000 I keeps the pencil hermitian, so compute finishes
+        # with every eigenvalue moved by h^2/1000, and only rs sees it
+        from qmf.projection_engine import ProjectorSeries
+
+        spec = preset_problem(preset, mode_name, order=HalfInt(8))
+        wave_operator = ProjectorSeries.wave_operator
+
+        def shifted(self):
+            waves, h_eff = wave_operator(self)
+            for a, row in enumerate(h_eff):
+                terms = dict(row[a].items())
+                terms[HalfInt(4)] = terms.get(HalfInt(4), 0) + self.mode.coeff(F(1, 1000))
+                row[a] = FormalScalarSeries.from_terms(self.mode, terms, row[a].truncation_order)
+            return waves, h_eff
+
+        res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        assert res.level.m0 == 2 and rs_oracle(res).passed
+        monkeypatch.setattr(ProjectorSeries, "wave_operator", shifted)
+        report = rs_oracle(compute_quasimodes(spec.problem, spec.order, e0=spec.level_value))
+        assert not report.passed
+        assert report.data["intertwining"] > 1e-6 and report.data["power_sums"] < 1e-12
+
+    def test_a_changed_eigenvalue_fails_the_power_sums(self):
+        # H_eff is the construction's, so only tr(H_eff^p) = sum_k E_k^p
+        # sees an output eigenvalue that H_eff does not have
+        spec = preset_problem("iso2d", order=HalfInt(8))
+        res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        e = res.eigenvalues[1]
+        terms = dict(e.items())
+        terms[HalfInt(6)] += F(1, 1000)
+        bad = dataclasses.replace(res, eigenvalues=[
+            res.eigenvalues[0], FormalScalarSeries.from_terms(EXACT, terms, e.truncation_order)])
+        report = rs_oracle(bad)
+        assert not report.passed
+        assert report.data["intertwining"] == 0.0 and report.data["power_sums"] > 0
