@@ -294,6 +294,11 @@ class ProjectorSeries:
         dropping the w-powers that cannot reach the residue within the
         remaining budget, and returns {j: residue of T_j} for the nonzero
         residues.
+
+        ``image`` always asks for the built order. A smaller budget serves
+        the tests' graded apply behind the idempotency and commutation laws:
+        an index met at order j there needs its image only through order
+        N - j, which keeps it inside the workspace.
         """
         parts = [i for i in self.family.orders() if HI0 < i <= budget]
         states: dict[HalfInt, dict] = {}

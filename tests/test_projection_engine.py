@@ -556,7 +556,15 @@ class TestFloatSymmetry:
         assert report.passed, report
         assert report.data["symmetry_defect"] <= 1e-15
 
-    @pytest.mark.parametrize("preset,level", [("witten1d:c=1/3", 0), ("witten1d:c=1", 1)])
+    @pytest.mark.parametrize("preset", ["witten1d:c=1/3", "witten1d:c=1/5"])
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_witten_zero_mode_passes(self, preset, order):
+        proj, omega = preset_projector(preset, order, "float", 0)
+        report = projector_diagnostics(proj, omega)
+        assert report.passed, report
+        assert report.data["symmetry_defect"] <= 1e-15
+
+    @pytest.mark.parametrize("preset,level",[("witten1d:c=1/3", 0), ("witten1d:c=1", 1)])
     def test_perturbed_float_image_still_fails(self, preset, level):
         # one image coefficient of a level member off by a relative 1e-6
         proj, omega = preset_projector(preset, 4, "float", level)
