@@ -414,7 +414,7 @@ def preset_problem(spec: str, mode_name: str = "exact",
 
 
 def _series_json(series, mode):
-    return [[t.doubled, mode.to_json(c)] for t, c in series.items()]
+    return [[t, mode.to_json(c)] for t, c in series.items2()]
 
 
 def result_document(spec: ParsedSpec, result, reports=None) -> dict:
@@ -446,12 +446,12 @@ def result_document(spec: ParsedSpec, result, reports=None) -> dict:
     }
     for a, n2 in zip(result.eigenfunctions, result.norm2_constants):
         terms = []
-        for k, jet in a.items():
+        for k, jet in a.items2():
             for alpha in sorted({al for comp in jet.components for al in comp.terms}):
                 col = [mode.to_json(comp.coefficient(alpha)) for comp in jet.components]
-                terms.append([k.doubled, list(alpha), col])
+                terms.append([k, list(alpha), col])
         doc["eigenfunctions"].append({
-            "K_doubled": a.K.doubled,
+            "K_doubled": a.K2,
             "norm2_constant": mode.to_json(n2),
             "normalized": result.normalized,
             "terms": terms,

@@ -373,9 +373,10 @@ class EigenResult:
 
 
 def _is_hermitian(x: list, through: HalfInt) -> bool:
-    """Whether the series matrix ``x`` equals its conjugate transpose through ``through``."""
+    """Whether the series matrix ``x`` equals its conjugate transpose through
+    ``through``; the pairs i <= j decide it, (j, i) being their mirror."""
     return all(x[i][j].equals_through(x[j][i].conj(), through)
-               for i in range(len(x)) for j in range(len(x)))
+               for i in range(len(x)) for j in range(i, len(x)))
 
 
 def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> EigenResult:
@@ -495,7 +496,7 @@ def _convolve(e_terms: list, x: FormalScalarSeries, t: HalfInt, mode):
     """Coefficient t of E x, for E the sum of c h^s over (s, c) in ``e_terms``."""
     out = None
     for s, c in e_terms:
-        v = x.coefficient(t - s)
+        v = x.at2(t.doubled - s.doubled)
         if not mode.is_zero(v):
             out = c * v if out is None else out + c * v
     return mode.zero() if out is None else out
@@ -509,13 +510,13 @@ def _lin_comb(mode, order: HalfInt, terms) -> FormalScalarSeries:
     for c, s, x in terms:
         if mode.is_zero(c):
             continue
-        for e, v in x.items():
-            k = e.doubled + s.doubled
+        for e, v in x.items2():
+            k = e + s.doubled
             if k > top:
                 break
             w = slots.get(k)
             slots[k] = c * v if w is None else w + c * v
-    return FormalScalarSeries.from_terms(mode, {HalfInt(k): v for k, v in slots.items()}, order)
+    return FormalScalarSeries.from_terms2(mode, slots, top)
 
 
 def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):

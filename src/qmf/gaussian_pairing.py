@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from operator import add
 from typing import Mapping
 
 from .series_algebra import (
@@ -37,13 +36,15 @@ from .series_algebra import (
     HalfInt,
     Poly,
     S0Series,
+    _doubled,
     _min_trunc,
+    check_degree,
     convolution_bound,
     euler_recurrence,
     grow_den,
-    mono_degree,
+    unpack,
 )
-from .harmonic_oscillator import _prefix_tree
+from .harmonic_oscillator import _field_tops, _prefix_tree
 from .operator_calculus import JetProblem, ScalarJet
 
 __all__ = [
@@ -67,8 +68,8 @@ class _Functional:
     is the weight's beta-prefix tree contracted against one integer moment
     row per dimension (``_row``), over w.den prod_nu d_nu^e_nu. The values are
     kept fraction-free, as numerators ``num`` over one denominator ``den``
-    that grows to the lcm of the entries. Each entry is computed the first
-    time an integrand needs it and kept.
+    that grows to the lcm of the entries, keyed by packed gamma. Each entry
+    is computed the first time an integrand needs it and kept.
     """
 
     def __init__(self, weight: Poly, lam: tuple, moments: dict):
@@ -76,9 +77,9 @@ class _Functional:
         self.weight = weight
         self.moments = moments
         self.half = [mode.split(mode.one() / (l + l)) for l in lam]
-        self.tree = _prefix_tree(list(weight.num.items()))
-        self.tops = [max(col) for col in zip(*weight.num)]
-        self.num: dict[tuple, object] = {}
+        self.tree = _prefix_tree(list(weight.num.items()), weight.n)
+        self.tops = _field_tops(weight.num, weight.n)
+        self.num: dict[int, object] = {}
         self.den = 1
 
     def _row(self, nu: int, g: int, top: int) -> list:
@@ -105,14 +106,15 @@ class _Functional:
                     row[b] = x
         return row
 
-    def _fill(self, gamma: tuple) -> None:
+    def _fill(self, key: int) -> None:
+        gamma = unpack(key, self.weight.n)
         rows = [self._row(nu, g, top) for nu, (g, top) in enumerate(zip(gamma, self.tops))]
         p = _contract(self.tree, rows, 0)
         q = self.weight.den * prod(d ** ((g + top) // 2)
                                    for (_, d), g, top in zip(self.half, gamma, self.tops))
         if self.den % q:
             self.den = grow_den(self.num, self.den, q)
-        self.num[gamma] = p if q == self.den else p * (self.den // q)
+        self.num[key] = p if q == self.den else p * (self.den // q)
 
     def pair(self, integrand: Poly) -> object:
         """L(integrand) = sum_gamma integrand[gamma] L(gamma), as a mode value."""
@@ -225,7 +227,7 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
         want = 0 if k.is_integer else 1
         scale = p.max_abs()
         for alpha, c in p.terms.items():
-            if mono_degree(alpha) % 2 != want and not mode.negligible(c, scale):
+            if sum(alpha) % 2 != want and not mode.negligible(c, scale):
                 raise AssertionError("weight polynomial has impossible parity")
     return WeightExpansion(mode=mode, lam=problem.lam, omega=omega, complete=complete)
 
@@ -256,22 +258,22 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     # conjugation is the identity on rational coefficients
     real_field = mode.name == "exact"
     hermitian = u is v
-    weights = [(m, omega.functional(m)) for m in omega.orders()]
+    weights = [(m.doubled, omega.functional(m)) for m in omega.orders()]
 
-    trunc = convolution_bound((u.truncation_order, u.order()), (v.truncation_order, v.order()),
-                              (omega.complete, HI0))
-    if through is not None:
-        trunc = _min_trunc(trunc, HalfInt.of(through))
+    # orders are doubled ints from here on
+    trunc = convolution_bound((u.trunc2, u.order2()), (v.trunc2, v.order2()),
+                              (omega.complete.doubled, 0))
+    trunc = _min_trunc(trunc, _doubled(through))
 
     # the fiber integrands summed by base order, as [numerators, denominator],
     # so that each weight functional reads every base order once
-    by_base: dict[HalfInt, list] = {}
-    for ju, pu in u.coeffs.items():
-        au = ju - u.K
-        for jv, pv in v.coeffs.items():
+    by_base: dict[int, list] = {}
+    for ju, pu in u.coeffs2.items():
+        au = ju - u.K2
+        for jv, pv in v.coeffs2.items():
             if hermitian and jv < ju:
                 continue
-            base = au + (jv - v.K)
+            base = au + (jv - v.K2)
             if base > trunc:
                 continue
             acc = by_base.get(base)
@@ -281,7 +283,7 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
                 if ui.num and vi.num:
                     acc[1] = _add_product(*acc, ui, vi, real_field, hermitian and jv != ju)
 
-    terms: dict[HalfInt, object] = {}
+    terms: dict[int, object] = {}
     for base, (num, den) in by_base.items():
         integrand = Poly._reduced(mode, u.n, num, den)
         if integrand.is_zero():
@@ -296,14 +298,16 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
             t = base + m
             s = terms.get(t)
             terms[t] = val if s is None else s + val
-    return FormalScalarSeries.from_terms(mode, terms, trunc)
+    return FormalScalarSeries.from_terms2(mode, terms, trunc)
 
 
 def _add_product(num: dict, den: int, ui: Poly, vi: Poly, real_field: bool,
                  mirrored: bool) -> int:
     """Add conj(ui) * vi, and with ``mirrored`` its conjugate too, in place to
     the numerators ``num`` over ``den``; return their denominator, grown to
-    the lcm (as ``series_algebra.accumulate`` does)."""
+    the lcm (as ``series_algebra.accumulate`` does). A product key is the
+    sum of the packed keys."""
+    check_degree(ui.degree() + vi.degree())
     d = ui.den * vi.den
     if den % d:
         den = grow_den(num, den, d)
@@ -318,7 +322,7 @@ def _add_product(num: dict, den: int, ui: Poly, vi: Poly, real_field: bool,
         if f != 1:
             ca *= f
         for b, cb in right:
-            key = tuple(map(add, a, b))
+            key = a + b
             c = ca * cb
             if mirrored and not real_field:
                 c += c.conjugate()

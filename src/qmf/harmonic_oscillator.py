@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, perm, prod
-from operator import sub
 
-from .series_algebra import FiberPoly, HalfInt, Poly, accumulate, reduce_num
+from .series_algebra import (
+    EXPONENT_BITS, MAX_DEGREE, FiberPoly, HalfInt, Poly, accumulate, check_degree,
+    pack, reduce_num, unpack)
 
 __all__ = [
     "HermiteIndex",
@@ -67,7 +68,7 @@ class HermiteBasis:
     (``position``); ``index_at``, ``degree_at`` and ``eigenvalue_at`` list its
     ``HermiteIndex``, degree |alpha| and eigenvalue by position. ``apply``
     takes and returns positions, so the projector engine keys its vectors and
-    caches by plain ints.
+    caches by plain ints. Inside, an index is the int pack(alpha) * rank + k.
     """
 
     def __init__(self, mode, lam: tuple, mu: tuple, degree: int):
@@ -85,10 +86,12 @@ class HermiteBasis:
                 polys.append(Poly.variable(mode, n, nu) * polys[m]
                              - polys[m - 1].scale(factor))
             self._one_dim.append(polys[: degree + 1])
-        self._poly_cache: dict[tuple, Poly] = {}
+        self._poly_cache: dict[int, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
         self._half_inverse = [mode.split(mode.one() / (l + l)) for l in self.lam]
-        self._positions: dict[tuple, int] = {}
+        self._units = [pack(tuple(int(i == nu) for i in range(n))) for nu in range(n)]
+        self._positions: dict[int, int] = {}
+        self._key_at: list[int] = []
         self.index_at: list[HermiteIndex] = []
         self.degree_at: list[int] = []
         self.eigenvalue_at: list = []
@@ -97,16 +100,19 @@ class HermiteBasis:
 
     def poly(self, alpha: tuple) -> Poly:
         """The scalar product polynomial for the multi-index alpha."""
-        alpha = tuple(alpha)
-        if max(alpha, default=0) > self.degree or sum(alpha) > self.degree:
+        if sum(alpha) > self.degree:
             raise ValueError(f"degree {sum(alpha)} exceeds the basis bound {self.degree}")
-        cached = self._poly_cache.get(alpha)
+        return self._poly(pack(alpha))
+
+    def _poly(self, key: int) -> Poly:
+        """``poly`` of the packed multi-index ``key``."""
+        cached = self._poly_cache.get(key)
         if cached is None:
             cached = Poly.const(self.mode, self.n, 1)
-            for nu, m in enumerate(alpha):
+            for nu, m in enumerate(unpack(key, self.n)):
                 if m:
                     cached = cached * self._one_dim[nu][m]
-            self._poly_cache[alpha] = cached
+            self._poly_cache[key] = cached
         return cached
 
     def fiber(self, index: HermiteIndex) -> FiberPoly:
@@ -114,13 +120,15 @@ class HermiteBasis:
 
     def position(self, index: HermiteIndex) -> int:
         """The integer position of ``index``, assigned on first use."""
-        return self._position((index.alpha, index.k))
+        return self._position(pack(index.alpha) * self.rank + index.k)
 
-    def _position(self, key: tuple) -> int:
+    def _position(self, key: int) -> int:
         pos = self._positions.get(key)
         if pos is None:
             pos = self._positions[key] = len(self.index_at)
-            index = HermiteIndex(*key)
+            alpha, k = divmod(key, self.rank)
+            index = HermiteIndex(unpack(alpha, self.n), k)
+            self._key_at.append(key)
             self.index_at.append(index)
             self.degree_at.append(index.degree)
             self.eigenvalue_at.append(_eigenvalue(self.mode, self.lam, self.mu, index))
@@ -173,40 +181,43 @@ class HermiteBasis:
         sits over one denominator.
         """
         op_den, tops, rows = _hermite_tree(op)
-        index = self.index_at[pos]
-        alpha, k = index.alpha, index.k
+        check_degree(self.degree + sum(tops))
+        alpha, k = divmod(self._key_at[pos], self.rank)
+        rank = self.rank
         acc: dict = {}
         get = acc.get
         for i, row in enumerate(rows):
             for j, beta, steps, tree in row:
-                f = prod(perm(alpha[nu], b) for nu, b in steps) if j == k else 0
+                f = prod(perm(alpha >> sh & MAX_DEGREE, b) for sh, b in steps) if j == k else 0
                 if not f:
                     continue
-                base = tuple(map(sub, alpha, beta))
-                for key, c in self._contract(tree, 0, base, tops).items():
-                    key = (key, i)
+                for key, c in self._contract(tree, 0, alpha - beta, tops).items():
+                    key = key * rank + i
                     acc[key] = get(key, 0) + c * f
         den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
         num, den = reduce_num(self.mode, acc, den)
         position = self._position
         return {position(key): n for key, n in num.items()}, den
 
-    def _contract(self, tree, nu: int, base: tuple, tops: tuple) -> dict:
+    def _contract(self, tree, nu: int, base: int, tops: tuple) -> dict:
         """The sum over the gamma-prefix tree ``tree`` of dimension nu of
         t prod_{mu >= nu} y^gamma_mu p_{base_mu}, over prod_{mu >= nu}
-        d_mu^tops_mu: numerators keyed by the tuple of the indices m_mu."""
-        cd, top, m0 = self._half_inverse[nu][1], tops[nu], base[nu]
-        last = nu == len(base) - 1
+        d_mu^tops_mu: numerators keyed by the packed indices m_mu, mu >= nu
+        (``base`` is packed too)."""
+        cd, top, unit = self._half_inverse[nu][1], tops[nu], self._units[nu]
+        m0 = base >> EXPONENT_BITS * (self.n - 1 - nu) & MAX_DEGREE
+        last = nu == self.n - 1
         out: dict = {}
         get = out.get
         for g, child in tree:
             # a leaf holds the term's numerator t
-            inner = (((), child),) if last else self._contract(child, nu + 1, base, tops).items()
+            inner = ((0, child),) if last else self._contract(child, nu + 1, base, tops).items()
             scale = cd ** (top - g)
             for m, y in self._y_row(nu, g, m0):
                 c = y * scale
+                m *= unit
                 for key, s in inner:
-                    key = (m, *key)
+                    key += m
                     out[key] = get(key, 0) + c * s
         return out
 
@@ -217,42 +228,45 @@ class HermiteBasis:
         component (``accumulate``), and each component is reduced once."""
         slots = [[{}, 1] for _ in range(self.rank)]
         for pos, c in num.items():
-            index = self.index_at[pos]
-            p = self.poly(index.alpha)
-            slot = slots[index.k]
+            alpha, k = divmod(self._key_at[pos], self.rank)
+            p = self._poly(alpha)
+            slot = slots[k]
             slot[1] = accumulate(*slot, p.num, c, den * p.den)
         return FiberPoly([Poly._reduced(self.mode, self.n, acc, d) for acc, d in slots])
 
 
 def _hermite_tree(op) -> tuple:
     """(den, tops, rows) for ``HermiteBasis.apply``, derived once from
-    ``op.stencil()`` and kept on the operator: each entry (column j, beta,
-    nonzero (k, beta_k), terms) becomes (j, beta, steps, tree), its terms
-    grouped by gamma-prefix (``_prefix_tree``), and ``tops[nu]`` is the
-    largest gamma_nu of any term."""
+    ``op.stencil()`` and kept on the operator: each entry (column j, packed
+    beta, steps, terms) becomes (j, beta, steps, tree), its terms grouped by
+    gamma-prefix (``_prefix_tree``), and ``tops[nu]`` is the largest
+    gamma_nu of any term."""
     if op._hermite_tree is None:
-        den, rows = op.stencil()
-        tops = [0] * op.n
-        out = []
-        for row in rows:
-            entries = []
-            for j, beta, steps, terms in row:
-                tops = list(map(max, tops, *(g for g, _, _ in terms)))
-                entries.append((j, beta, steps, _prefix_tree([(g, t) for g, t, _ in terms])))
-            out.append(tuple(entries))
-        op._hermite_tree = den, tuple(tops), tuple(out)
+        den, _, rows = op.stencil()
+        out = tuple(tuple((j, beta, steps, _prefix_tree([(g, t) for g, t, _ in terms], op.n))
+                          for j, beta, steps, terms in row) for row in rows)
+        gammas = [g for row in rows for *_, terms in row for g, _, _ in terms]
+        op._hermite_tree = den, _field_tops(gammas, op.n), out
     return op._hermite_tree
 
 
-def _prefix_tree(terms: list) -> tuple:
-    """The terms (gamma, t) grouped by gamma_0, each group by gamma_1, and so
-    on: ((g, subtree), ...) down to ((g, t), ...) in the last variable."""
-    if len(terms[0][0]) == 1:
-        return tuple((g[0], t) for g, t in terms)
+def _prefix_tree(terms: list, n: int, nu: int = 0) -> tuple:
+    """The terms (packed gamma, t) grouped by gamma_nu, each group by
+    gamma_(nu+1), and so on: ((g, subtree), ...) down to ((g, t), ...) in the
+    last variable."""
+    shift = EXPONENT_BITS * (n - 1 - nu)
+    if nu == n - 1:
+        return tuple((g >> shift & MAX_DEGREE, t) for g, t in terms)
     groups: dict = {}
     for g, t in terms:
-        groups.setdefault(g[0], []).append((g[1:], t))
-    return tuple((g, _prefix_tree(group)) for g, group in groups.items())
+        groups.setdefault(g >> shift & MAX_DEGREE, []).append((g, t))
+    return tuple((g, _prefix_tree(group, n, nu + 1)) for g, group in groups.items())
+
+
+def _field_tops(keys: list, n: int) -> tuple:
+    """The largest exponent of each variable over the packed ``keys``."""
+    return tuple(max((k >> EXPONENT_BITS * (n - 1 - nu) & MAX_DEGREE for k in keys), default=0)
+                 for nu in range(n))
 
 
 def _multi_indices(n: int, max_degree: int) -> list[tuple]:

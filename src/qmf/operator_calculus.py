@@ -28,19 +28,24 @@ from math import comb, inf, lcm
 from typing import Mapping
 
 from .series_algebra import (
+    EXPONENT_BITS,
+    MAX_DEGREE,
     FiberPoly,
     HI0,
     HalfInt,
     Poly,
     S0Series,
+    _doubled,
+    _fiber_polys,
     _min_trunc,
     _same_mode,
+    accumulate,
+    check_degree,
     convolution_bound,
     euler_recurrence,
     half_range,
     hermitian_eigh,
-    mono_add,
-    mono_degree,
+    pack,
 )
 
 __all__ = [
@@ -189,7 +194,7 @@ class JetProblem:
         lam = tuple(map(mode.coeff, lam))
         if V is None:
             V = Poly.zero(mode, n)
-        if not any(mono_degree(a) == 2 for a in V.terms):
+        if not any(sum(a) == 2 for a in V.terms):
             for nu in range(n):
                 alpha = [0] * n
                 alpha[nu] = 2
@@ -214,7 +219,7 @@ class JetProblem:
             if mode.to_float(l) <= 0:
                 raise ProblemValidationError("degenerate minimum: every frequency must be positive")
         for alpha, c in self.V.terms.items():
-            d = mono_degree(alpha)
+            d = sum(alpha)
             if d < 2:
                 raise ProblemValidationError("potential must vanish to second order at the minimum")
             if d == 2:
@@ -239,7 +244,7 @@ class JetProblem:
                 if not mode.close(e.coefficient(z), want):
                     raise ProblemValidationError("inverse metric must be the identity at the base point")
                 for alpha, c in e.terms.items():
-                    if mono_degree(alpha) == 1:
+                    if sum(alpha) == 1:
                         raise ProblemValidationError(
                             "inverse metric must have no linear term (normal coordinates)")
                 if not (e - self.g_inv[j][i]).is_zero():
@@ -355,7 +360,7 @@ class DiffOpJet:
 
     def min_degree(self):
         """Smallest graded degree present (coefficient degree minus |beta|)."""
-        return min((x.min_degree() - mono_degree(b) for b, m in self.terms.items()
+        return min((x.min_degree() - sum(b) for b, m in self.terms.items()
                     for row in m for x in row if not x.is_zero()), default=float("inf"))
 
     def is_zero(self) -> bool:
@@ -409,34 +414,38 @@ class DiffOpJet:
                             d = tuple(tuple(x.diff(i) for x in ra) for ra in d)
                     if pm_is_zero(d):
                         continue
-                    key = mono_add(tuple(b - s for b, s in zip(beta, sigma)), gamma_)
-                    prod = pm_mul(m, d, None if comp is None else comp + mono_degree(key))
+                    key = tuple(b - s + g for b, s, g in zip(beta, sigma, gamma_))
+                    prod = pm_mul(m, d, None if comp is None else comp + sum(key))
                     if coef != 1:
                         prod = tuple(tuple(x.scale(coef) for x in row) for row in prod)
                     terms[key] = pm_add(terms[key], prod) if key in terms else prod
         return DiffOpJet(self.mode, self.n, self.rank, terms, comp)
 
     def stencil(self) -> tuple:
-        """The compiled form (den, rows), built on first call and kept:
-        ``rows[i]`` lists, for output component i, the entries (column j, beta,
-        nonzero (k, beta_k), terms) of C_beta[i][j] d^beta, with terms (alpha,
-        numerator, |alpha|) sorted by |alpha| over the one denominator ``den``."""
+        """The compiled form (den, top, rows), built on first call and kept:
+        ``rows[i]`` lists, for output component i, the entries (column j,
+        packed beta, nonzero (field shift of k, beta_k), terms) of
+        C_beta[i][j] d^beta, with terms (packed alpha, numerator, |alpha|)
+        sorted by |alpha| over the one denominator ``den``; ``top`` is the
+        largest |alpha|."""
         if self._stencil is not None:
             return self._stencil
         den = lcm(*(entry.den for m in self.terms.values() for row in m for entry in row))
+        shift = self.n * EXPONENT_BITS
         rows = []
         for i in range(self.rank):
             row = []
             for beta, m in self.terms.items():
-                steps = tuple((k, b) for k, b in enumerate(beta) if b)
+                steps = tuple((EXPONENT_BITS * (self.n - 1 - k), b) for k, b in enumerate(beta) if b)
                 for j, entry in enumerate(m[i]):
                     if entry.num:
                         f = den // entry.den
-                        terms = sorted(((a, c * f, sum(a)) for a, c in entry.num.items()),
+                        terms = sorted(((a, c * f, a >> shift) for a, c in entry.num.items()),
                                        key=operator.itemgetter(2))
-                        row.append((j, beta, steps, tuple(terms)))
+                        row.append((j, pack(beta), steps, tuple(terms)))
             rows.append(tuple(row))
-        self._stencil = den, tuple(rows)
+        top = max((t[-1][2] for row in rows for *_, t in row), default=0)
+        self._stencil = den, top, tuple(rows)
         return self._stencil
 
     def apply(self, q: FiberPoly, through: int | None = None) -> FiberPoly:
@@ -445,18 +454,20 @@ class DiffOpJet:
 
         Each input monomial c y^m meets each stencil term (alpha, t) of a
         C_beta d^beta entry once: it adds c t m!/(m - beta)! at
-        y^(m - beta + alpha), skipped when some m_k < beta_k, into one
-        numerator dict per output component, reduced once at the end.
+        y^(m - beta + alpha), packed key m - beta + alpha, skipped when some
+        field m_k < beta_k, into one numerator dict per output component,
+        reduced once at the end.
         """
         if q.rank != self.rank:
             raise ValueError("rank mismatch")
         if q.n != self.n:
             raise ValueError("variable count mismatch")
         _same_mode(self.mode, q.mode)
-        op_den, rows = self.stencil()
+        op_den, top, rows = self.stencil()
         comps = q.components
         q_den = lcm(*(comp.den for comp in comps))
-        add, sub = operator.add, operator.sub
+        shift = self.n * EXPONENT_BITS
+        check_degree(q.degree() + top if through is None else min(q.degree() + top, through))
         out = []
         for row in rows:
             num: dict = {}
@@ -465,22 +476,21 @@ class DiffOpJet:
                 comp = comps[j]
                 f = q_den // comp.den
                 for m, c in comp.num.items():
-                    for k, b in steps:
-                        mk = m[k]
+                    for sh, b in steps:
+                        mk = m >> sh & MAX_DEGREE
                         if mk < b:
                             break
                         for r in range(b):
                             c *= mk - r
                     else:
-                        if steps:
-                            m = tuple(map(sub, m, beta))
+                        m -= beta  # the degree field drops by |beta| with the exponents
                         if f != 1:
                             c *= f
-                        room = inf if through is None else through - sum(m)
+                        room = inf if through is None else through - (m >> shift)
                         for alpha, t, deg in terms:
                             if deg > room:
                                 break
-                            key = tuple(map(add, m, alpha))
+                            key = m + alpha
                             s = get(key)
                             num[key] = c * t if s is None else s + c * t
             out.append(Poly._reduced(self.mode, self.n, num, op_den * q_den))
@@ -496,7 +506,7 @@ class DiffOpJet:
         z = Poly.zero(self.mode, self.n)
         buckets: dict[int, dict] = {}
         for beta, m in self.terms.items():
-            ob = mono_degree(beta)
+            ob = sum(beta)
             for i, row in enumerate(m):
                 for j, entry in enumerate(row):
                     for deg, part in entry.components_by_degree().items():
@@ -543,13 +553,14 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
     # homogeneous parts by degree: g^{ij} and the phase gradient, which gains
     # its degree-(d - 1) part once phi's degree-d part is solved
     g_parts = [[problem.g_inv[i][j].components_by_degree() for j in range(n)] for i in range(n)]
+    v_parts = problem.V.components_by_degree()
     grad_parts = [phi.diff(i).components_by_degree() for i in range(n)]
     for d in range(3, through + 1):
         # degrees below d already cancel, so only the degree-d part of
         # g^{ij} phi_i phi_j - V is formed: parts of degrees p + q + r = d.
         # g^{ij} is symmetric, so the (i, j, q, r) and (j, i, r, q) terms are
         # one product, formed once and added twice (i = j pairs q with r)
-        r = -problem.V.homogeneous_component(d)
+        r = -v_parts.get(d, Poly.zero(mode, n))
         for i in range(n):
             for j in range(i, n):
                 for p, gp in g_parts[i][j].items():
@@ -661,7 +672,7 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
                         new[key] = new[key] + piece if key in new else piece
                 factors = new
         # the coefficient of d^beta holds graded degrees up to L.complete + |beta|
-        head_complete = None if L.complete is None else L.complete + mono_degree(beta)
+        head_complete = None if L.complete is None else L.complete + sum(beta)
         head = DiffOpJet.multiplication(m, complete=head_complete)
         for power, op in factors.items():
             piece = head.compose(op)
@@ -678,7 +689,7 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
     check_through = residual.complete if residual.complete is not None else problem.D + 2
     magnitude = None
     for beta, mat in residual.terms.items():
-        if mono_degree(beta) != 0:
+        if sum(beta) != 0:
             raise EikonalError("conjugation produced derivative terms at order h^0")
         for r, row in enumerate(mat):
             for c, entry in enumerate(row):
@@ -700,7 +711,7 @@ def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly, through: int) -> list:
     mode, n, rank = L.mode, L.n, L.rank
     out = [[V.abs() if r == c else Poly.zero(mode, n) for c in range(rank)] for r in range(rank)]
     for beta, m in L.terms.items():
-        if mono_degree(beta) != 2:
+        if sum(beta) != 2:
             continue
         prod = Poly.const(mode, n, 1)
         for i, b in enumerate(beta):
@@ -729,23 +740,26 @@ class OperatorFamily:
         return sorted(self.ops, key=lambda h: h.doubled)
 
     def apply_series(self, u, out_trunc=None):
-        """Apply the whole family to a power-counted series, tracking truncation."""
-        trunc = convolution_bound((self.max_order, HI0), (u.truncation_order, u.order()))
-        if out_trunc is not None:
-            trunc = _min_trunc(trunc, HalfInt.of(out_trunc))
-        coeffs: dict[HalfInt, FiberPoly] = {}
+        """Apply the whole family to a power-counted series, tracking
+        truncation. Each target coefficient is accumulated in place, as
+        numerators over one denominator per component (``accumulate``), and
+        reduced once, as ``S0Series.scale_series`` does."""
+        trunc = convolution_bound((self.max_order.doubled, 0), (u.trunc2, u.order2()))
+        trunc = _min_trunc(trunc, _doubled(out_trunc))
+        slots: dict[int, list] = {}
         for j_op in self.orders():
             op = self.ops[j_op]
-            for j_u, p in u.coeffs.items():
-                target = j_u + j_op
-                if target - u.K > trunc:
+            for j_u, p in u.coeffs2.items():
+                target = j_u + j_op.doubled
+                if target - u.K2 > trunc:
                     continue
-                res = op.apply(p)
-                if res.is_zero():
-                    continue
-                coeffs[target] = coeffs.get(
-                    target, FiberPoly.zero(self.mode, self.n, self.rank)) + res
-        return S0Series(self.mode, self.n, self.rank, u.K, coeffs, trunc)
+                col = slots.get(target)
+                if col is None:
+                    col = slots[target] = [[{}, 1] for _ in range(self.rank)]
+                for comp, slot in zip(op.apply(p).components, col):
+                    slot[1] = accumulate(*slot, comp.num, 1, comp.den)
+        return S0Series(self.mode, self.n, self.rank, u.K2,
+                        _fiber_polys(self.mode, self.n, slots), trunc)
 
 
 def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:

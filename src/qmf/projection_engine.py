@@ -73,7 +73,6 @@ from .series_algebra import (
     S0Series,
     accumulate,
     grow_den,
-    half_range,
     reduce_num,
     worst_residual,
 )
@@ -196,6 +195,7 @@ class ProjectorSeries:
         self.order = order
         # (j.doubled, position) -> Q_j applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
+        self._orders = {j.doubled: j for j in family.orders()}
         # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
         self._gap_powers: dict[int, list] = {}
         # position -> images through the built order
@@ -276,14 +276,16 @@ class ProjectorSeries:
                     _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
         return _reduced(out)
 
-    def _apply_q(self, j: HalfInt, state: dict, out: dict) -> dict:
-        """Add Q_j applied to every vector of ``state`` into ``out`` under the same key."""
-        cache, jd = self._q_cache, j.doubled
+    def _apply_q(self, jd: int, state: dict, out: dict) -> dict:
+        """Add Q_j, j = jd / 2, applied to every vector of ``state`` into
+        ``out`` under the same key."""
+        cache = self._q_cache
         for key, vec in state.items():
             acc = _slot(out, key, self.mode)
             for idx, n in vec.num.items():
                 qv = cache.get((jd, idx))
-                acc.add(qv if qv is not None else self.q_action(j, idx), n, vec.den)
+                acc.add(qv if qv is not None else self.q_action(self._orders[jd], idx), n,
+                        vec.den)
         return out
 
     def images(self, pos: int, budget: HalfInt) -> dict:
@@ -300,19 +302,20 @@ class ProjectorSeries:
         an index met at order j there needs its image only through order
         N - j, which keeps it inside the workspace.
         """
-        parts = [i for i in self.family.orders() if HI0 < i <= budget]
-        states: dict[HalfInt, dict] = {}
+        top = HalfInt.of(budget).doubled
+        parts = [i.doubled for i in self.family.orders() if 0 < i.doubled <= top]
+        states: dict[int, dict] = {}
         out: dict[HalfInt, HermiteVec] = {}
-        for s in half_range(HI0, budget):
-            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == HI0 else {}
+        for s in range(top + 1):
+            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
             for i in parts:
                 if i > s:
                     break
                 self._apply_q(i, states[s - i], summed)
-            state = states[s] = self._resolvent_factor(_reduced(summed), (budget - s).doubled)
+            state = states[s] = self._resolvent_factor(_reduced(summed), top - s)
             residue = state.get(-1)
             if residue:
-                out[s] = residue
+                out[HalfInt(s)] = residue
         return out
 
     # -- the action table
@@ -332,10 +335,9 @@ class ProjectorSeries:
         """sum_j h^j vecs[j], a graded vector grown from ``index``, as a
         power-counted series with offset K = |alpha|/2: the series' degree
         check certifies the bound deg <= |alpha| + 2j."""
-        basis = self.basis
-        K = HalfInt(index.degree)
-        coeffs = {K + j: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
-        return S0Series(basis.mode, basis.n, basis.rank, K, coeffs, self.order)
+        basis, K2 = self.basis, index.degree
+        coeffs = {K2 + j.doubled: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
+        return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, self.order.doubled)
 
     # -- Bloch's wave operator
 
@@ -343,13 +345,13 @@ class ProjectorSeries:
         """Bloch's wave operator on the level through the built order (module
         docstring): ([{s: Omega_s e_a}] per member a, H_eff as rows of scalar
         series). Omega_s e_a has degree at most |alpha| + 2s."""
-        mode, N = self.mode, self.order
+        mode, N = self.mode, self.order.doubled  # orders are doubled ints here
         members = [self.basis.position(m) for m in self.level.members]
         level_set = self._level_set
-        parts = [j for j in self.family.orders() if HI0 < j <= N]
-        waves = [{HI0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
-        h: dict[HalfInt, list] = {}
-        for s in half_range(HalfInt(1), N):
+        parts = [j.doubled for j in self.family.orders() if 0 < j.doubled <= N]
+        waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
+        h: dict[int, list] = {}
+        for s in range(1, N + 1):
             drives = {b: HermiteVec(mode) for b in range(len(members))}
             for b, om in enumerate(waves):
                 for j in parts:
@@ -377,11 +379,11 @@ class ProjectorSeries:
                 if out.reduce():
                     waves[b][s] = out
             h[s] = h_s
-        h_eff = [[FormalScalarSeries.from_terms(
-            mode, {HI0: self.level.E0 if a == b else mode.zero(),
+        h_eff = [[FormalScalarSeries.from_terms2(
+            mode, {0: self.level.E0 if a == b else mode.zero(),
                    **{t: h_t[a][b] for t, h_t in h.items()}}, N)
             for b in range(len(members))] for a in range(len(members))]
-        return waves, h_eff
+        return [{HalfInt(s): vec for s, vec in om.items()} for om in waves], h_eff
 
 
 def workspace_degree(level: DegenerateLevel, order: HalfInt) -> int:
@@ -491,9 +493,10 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     members = list(level.members)
     rank_res = []
     for idx in probes:
-        target = {j: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
+        # keyed by the doubled order
+        target = {j.doubled: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
         scale = _max_abs(imgs[idx].values())
-        for t in half_range(HI0, N):
+        for t in range(N.doubled + 1):
             resid_t = target.get(t)
             if resid_t is None:
                 continue
@@ -503,10 +506,10 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
                     continue
                 d = resid_t.den
                 for j2, vec2 in imgs[member].items():
-                    if t + j2 <= N:
+                    if t + j2.doubled <= N.doubled:
                         scale = max(scale, abs(n) / d * vec2.max_abs())
-                        _slot(target, t + j2, mode).add(vec2, -n, d)
-        rank_res.append((_max_abs(v for j, v in target.items() if j <= N), scale))
+                        _slot(target, t + j2.doubled, mode).add(vec2, -n, d)
+        rank_res.append((_max_abs(v for j, v in target.items() if j <= N.doubled), scale))
 
     # independence: the leading coefficients of the level images are the
     # standard basis vectors, so the images are independent by construction;

@@ -43,7 +43,6 @@ from .series_algebra import (
     S0Series,
     _min_trunc,
     convolution_bound,
-    half_range,
     matmul,
     unrescale,
     worst_residual,
@@ -236,7 +235,7 @@ def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> Verification
     for e in eigenvalues:
         scale = e.max_abs_coeff()
         worst = max(worst, worst_residual(e.mode, ((float(e.mode.abs(c)), scale)
-                                                   for t, c in e.items() if not t.is_integer)))
+                                                   for t, c in e.items2() if t % 2)))
     if eigenvalues and not eigenvalues[0].mode.negligible(worst, 1):
         raise AssertionError(
             f"half-integer eigenvalue coefficient of size {worst} on a uniform-parity level")
@@ -247,25 +246,24 @@ def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> Verification
 def _assert_structure(eigenfunctions, level, mode):
     """Lowest-degree and parity bookkeeping of the output jets; a
     forbidden exponent's coefficients must be negligible against the jet's."""
+    K2 = level.K.doubled
     for a in eigenfunctions:
-        for k, jet in a.items():
+        for k, jet in a.items2():
             lo = jet.min_degree()
-            bound = max((level.K - k).doubled, 0)
+            bound = max(K2 - k, 0)
             if lo < bound:
                 raise AssertionError(
-                    f"coefficient at index {k} has degree {lo} below the bound {bound}")
+                    f"coefficient at index {HalfInt(k)} has degree {lo} below the bound {bound}")
         if level.parity in ("even", "odd"):
             # uniform-parity levels: the series lives on one exponent class
-            scale = max((jet.max_abs() for _, jet in a.items()), default=0.0)
-            for k, jet in a.items():
-                absolute = k - level.K
-                forbidden = not absolute.is_integer if level.parity == "even" \
-                    else absolute.is_integer
-                if forbidden:
+            scale = max((jet.max_abs() for _, jet in a.items2()), default=0.0)
+            for k, jet in a.items2():
+                # an odd doubled exponent is a half-integer
+                if (k - K2) % 2 == (level.parity == "even"):
                     worst = jet.max_abs()
                     if not mode.negligible(worst, scale):
                         raise AssertionError(
-                            f"parity violation: forbidden exponent {absolute} "
+                            f"parity violation: forbidden exponent {HalfInt(k - K2)} "
                             f"carries coefficient of size {worst}")
 
 
@@ -296,9 +294,9 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
                     magnitudes = [psi.abs() for psi in psis], ctx.omega.abs()
                 abs_psis, abs_omega = magnitudes
                 bound = pair_s0(abs_psis[i], abs_psis[j], abs_omega, through=N)
-                residuals += [(mode.abs(c), mode.abs(bound.coefficient(t))
-                               + (mode.abs(want) if t == HI0 else 0))
-                              for t, c in diff.items() if t <= N]
+                residuals += [(mode.abs(c), mode.abs(bound.at2(t))
+                               + (mode.abs(want) if t == 0 else 0))
+                              for t, c in diff.items2() if t <= N.doubled]
     worst = worst_residual(mode, residuals)
     passed = mode.negligible(worst, 1)
     return VerificationReport(
@@ -337,33 +335,34 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     t_low, l_low = T_op.min_degree(), L_op.min_degree()
     abs_ops = None
     residuals = []
-    orders = list(half_range(HI0, N + level.K))
-    degrees = [None] * len(orders)
+    K2 = level.K.doubled  # orders are doubled ints here
+    top = N.doubled + K2
+    degrees = [None] * (top + 1)
     for a_jet, e_series in zip(result.eigenfunctions, result.eigenvalues):
         inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
-        for k in orders:
+        for k in range(top + 1):
             # the degree through which every term below is exact, known
             # before any operator is applied, so the applications stop there;
             # a_{k-i} is exact to a higher degree than a_k (s + d/2 <= N)
-            a_k = a_jet.at_relative(k)
-            bound_k = a_jet.degree_bound_at(k - level.K)
+            a_k = a_jet.at2(k)
+            bound_k = a_jet.degree_bound_at2(k - K2)
             check_bound = _min_trunc(bound_k, convolution_bound(
                 (T_op.complete, t_low), (bound_k, a_k.min_degree())))
-            has_prev = k - HalfInt(2) >= HI0
+            has_prev = k >= 2
             if has_prev:
-                a_prev = a_jet.at_relative(k - HalfInt(2))
+                a_prev = a_jet.at2(k - 2)
                 check_bound = _min_trunc(check_bound, convolution_bound(
                     (L_op.complete, l_low),
-                    (a_jet.degree_bound_at(k - HalfInt(2) - level.K), a_prev.min_degree())))
-            degrees[k.doubled] = _min_trunc(degrees[k.doubled], check_bound)
+                    (a_jet.degree_bound_at2(k - 2 - K2), a_prev.min_degree())))
+            degrees[k] = _min_trunc(degrees[k], check_bound)
             # the terms summed into the residual, (operator or scalar, jet)
             parts = [(T_op, a_k), (-level.E0, a_k)]
             if has_prev:
                 parts.append((L_op, a_prev))
-            for i in half_range(HalfInt(1), k):
-                ei = inner.coefficient(i)
+            for i in range(1, k + 1):
+                ei = inner.at2(i)
                 if not mode.is_zero(ei):
-                    parts.append((-ei, a_jet.at_relative(k - i)))
+                    parts.append((-ei, a_jet.at2(k - i)))
             terms = _transport_terms(parts, check_bound)
             residual = sum(terms[1:], terms[0]).max_abs()
             scale = max(t.max_abs() for t in terms)
@@ -381,7 +380,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     return VerificationReport(
         name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
         detail=f"jet residual through degree {degrees[0]} at order 0, "
-               f"{degrees[-1]} at order {orders[-1]}",
+               f"{degrees[-1]} at order {HalfInt(top)}",
         data={"degrees": degrees})
 
 
@@ -422,7 +421,7 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
 def _member_block(proj: ProjectorSeries, N: HalfInt, term) -> tuple[list, list]:
     """X_ab = (P e_b)_a and Y_ab = ((Q - Q0) P e_b)_a at the level members a
-    and b, as rows of {order: value}, P e_b the Laurent-residue image. A value
+    and b, as rows of {doubled order: value}, P e_b the Laurent-residue image. A value
     sums ``term(n, d)`` over the products n / d that form it: their values, or
     with |n / d| the magnitudes summed into the entry."""
     members = [proj.basis.position(m) for m in proj.level.members]
@@ -431,12 +430,14 @@ def _member_block(proj: ProjectorSeries, N: HalfInt, term) -> tuple[list, list]:
     y = [[{} for _ in members] for _ in members]
     for b, pos in enumerate(members):
         for j, vec in proj.image(pos).items():
+            j = j.doubled  # the rows are keyed by doubled order
             for a, at in enumerate(members):
                 if at in vec.num:
                     x[a][b][j] = term(vec.num[at], vec.den)
             # Q0 is E0 at the members, so only the Q_i with i > 0 are applied
             for i in parts:
-                if i + j > N:
+                t = i.doubled + j
+                if t > N.doubled:
                     break
                 for idx, n in vec.num.items():
                     q = proj.q_action(i, idx)
@@ -444,7 +445,7 @@ def _member_block(proj: ProjectorSeries, N: HalfInt, term) -> tuple[list, list]:
                         c = q.num.get(at)
                         if c is not None:
                             row = y[a][b]
-                            row[i + j] = row.get(i + j, 0) + term(n * c, vec.den * q.den)
+                            row[t] = row.get(t, 0) + term(n * c, vec.den * q.den)
     return x, y
 
 
@@ -488,10 +489,12 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     mode, N, level, proj = ctx.problem.mode, result.order, ctx.level, ctx.projector
 
     def series(rows):
-        return [[FormalScalarSeries.from_terms(mode, terms, N) for terms in row] for row in rows]
+        return [[FormalScalarSeries.from_terms2(mode, terms, N.doubled) for terms in row]
+                for row in rows]
 
     def absolute(e):
-        return FormalScalarSeries.from_terms(mode, {t: mode.abs(c) for t, c in e.items()}, N)
+        return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()},
+                                              N.doubled)
 
     eigs = [e.shift(HalfInt(-2)) for e in result.eigenvalues]
     x, y = map(series, _member_block(proj, N, mode.join))
@@ -501,8 +504,9 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
         ax, ay = map(series, _member_block(proj, N, lambda n, d: mode.abs(mode.join(n, d))))
         sides = _rs_sides([list(map(absolute, row)) for row in ctx.h_eff], ax, ay,
                           list(map(absolute, eigs)), mode.abs(level.E0))
-        residuals = [[(mode.abs(c), mode.abs((left + right).coefficient(t)))
-                      for t, c in d.items() if t <= N] for d, (left, right) in zip(diffs, sides)]
+        residuals = [[(mode.abs(c), mode.abs((left + right).at2(t)))
+                      for t, c in d.items2() if t <= N.doubled]
+                     for d, (left, right) in zip(diffs, sides)]
     split = level.m0 * level.m0
     data = {name: float(worst_residual(mode, (r for part in parts for r in part)))
             for name, parts in (("intertwining", residuals[:split]),

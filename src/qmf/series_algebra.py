@@ -34,6 +34,15 @@ on the numerators, and each result is reduced by one gcd, so a polynomial has
 one canonical form. ``grow_den`` and ``reduce_num`` are that kernel, shared
 with the projector's Hermite vectors. ``Poly.terms`` is the read-only view
 as mode values (Fractions in exact mode), built on first read.
+
+Inside the engine exponents are plain ints. A monomial y^alpha is one packed
+key (``pack``): the total degree in the top field, then alpha_0 .. alpha_(n-1)
+in fields of ``EXPONENT_BITS`` bits, so a monomial product is an integer sum
+and keys sort by degree first (M. Monagan and R. Pearce, CASC 2007). A series
+order j is its doubled int, in attributes and methods named with a trailing
+2 (``trunc2``, ``items2``). Tuples and ``HalfInt`` remain at the edge: the
+constructors, ``Poly.terms``/``coefficient`` and the series'
+``items``/``coefficient``/``order``.
 """
 
 from __future__ import annotations
@@ -291,13 +300,29 @@ def _same_mode(a, b):
 
 Monomial = tuple  # tuple[int, ...]
 
+EXPONENT_BITS = 12
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # the field mask: no field exceeds it
 
-def mono_degree(alpha: Monomial) -> int:
-    return sum(alpha)
+
+def check_degree(d) -> None:
+    """Raise unless a packed key of total degree d fits its fields: every
+    exponent is at most the degree, so none then spills into the next."""
+    if d > MAX_DEGREE:
+        raise ValueError(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
 
 
-def mono_add(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(operator.add, a, b))
+def pack(alpha: Monomial) -> int:
+    """The packed key of y^alpha (module docstring): the degree, shifted up
+    past one field per exponent."""
+    if min(alpha, default=0) < 0:
+        raise ValueError(f"negative exponent in {tuple(alpha)}")
+    check_degree(sum(alpha))
+    return reduce(lambda key, e: key << EXPONENT_BITS | e, alpha, sum(alpha))
+
+
+def unpack(key: int, n: int) -> Monomial:
+    return tuple([key >> s & MAX_DEGREE
+                  for s in range(EXPONENT_BITS * (n - 1), -1, -EXPONENT_BITS)])
 
 
 def grow_den(num: dict, den: int, d: int) -> int:
@@ -342,10 +367,11 @@ def reduce_num(mode, num: dict, den: int) -> tuple[dict, int]:
 class Poly:
     """Scalar polynomial in n variables over a coefficient mode.
 
-    The coefficient of y^alpha is ``num[alpha] / den``: numerators over one
-    positive denominator, in the canonical form of ``reduce_num`` (absent
-    keys are zero). ``terms`` is the same polynomial as a dict of mode
-    values, built on first read. Instances are treated as immutable.
+    The coefficient of y^alpha is ``num[pack(alpha)] / den``: numerators over
+    one positive denominator, keyed by packed monomial, in the canonical form
+    of ``reduce_num`` (absent keys are zero). ``terms`` is the same
+    polynomial as a dict of mode values keyed by exponent tuple, built on
+    first read. Instances are treated as immutable.
     """
 
     __slots__ = ("mode", "n", "num", "den", "_terms")
@@ -359,7 +385,7 @@ class Poly:
                 p, q = split(c)
                 if den % q:
                     den = grow_den(num, den, q)
-                num[a] = p if q == den else p * (den // q)
+                num[pack(a)] = p if q == den else p * (den // q)
         self.mode = mode
         self.n = n
         self.num, self.den = reduce_num(mode, num, den)
@@ -382,11 +408,12 @@ class Poly:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as mode values (Fractions in exact mode); read-only."""
+        """The coefficients as mode values (Fractions in exact mode), keyed
+        by exponent tuple; read-only."""
         terms = self._terms
         if terms is None:
-            join, den = self.mode.join, self.den
-            terms = self._terms = {a: join(c, den) for a, c in self.num.items()}
+            join, den, n = self.mode.join, self.den, self.n
+            terms = self._terms = {unpack(k, n): join(c, den) for k, c in self.num.items()}
         return terms
 
     # -- constructors
@@ -415,15 +442,16 @@ class Poly:
         return not self.num
 
     def degree(self):
-        """Total degree; -inf for the zero polynomial."""
+        """Total degree; -inf for the zero polynomial. The top field of a key
+        is its degree, so the largest key has the largest degree."""
         if not self.num:
             return float("-inf")
-        return max(map(sum, self.num))
+        return max(self.num) >> self.n * EXPONENT_BITS
 
     def min_degree(self):
         if not self.num:
             return float("inf")
-        return min(map(sum, self.num))
+        return min(self.num) >> self.n * EXPONENT_BITS
 
     def max_abs(self) -> float:
         """The largest |coefficient|; 0 for the zero polynomial."""
@@ -435,19 +463,20 @@ class Poly:
     def cancels(self, magnitude: "Poly") -> bool:
         """Whether each coefficient is negligible against ``magnitude``'s at its
         monomial (for a computed sum: the same sum on |coefficients|)."""
-        mode = self.mode
-        return all(mode.negligible(c, mode.abs(magnitude.coefficient(a)))
-                   for a, c in self.terms.items())
+        mode, join, get = self.mode, self.mode.join, magnitude.num.get
+        return all(mode.negligible(join(c, self.den), mode.abs(join(get(a, 0), magnitude.den)))
+                   for a, c in self.num.items())
 
     def coefficient(self, alpha: Monomial):
-        c = self.num.get(tuple(alpha))
+        c = self.num.get(pack(alpha))
         return self.mode.zero() if c is None else self.mode.join(c, self.den)
 
     def parity(self) -> int | None:
         """+1 if all terms have even degree, -1 if all odd, 0 mixed, None if zero."""
         if not self.num:
             return None
-        pars = {mono_degree(a) % 2 for a in self.num}
+        shift = self.n * EXPONENT_BITS
+        pars = {a >> shift & 1 for a in self.num}
         if pars == {0}:
             return 1
         if pars == {1}:
@@ -455,23 +484,23 @@ class Poly:
         return 0
 
     def _keep(self, keep) -> "Poly":
-        """The terms whose exponent satisfies ``keep``."""
+        """The terms whose packed key satisfies ``keep``."""
         num = {a: c for a, c in self.num.items() if keep(a)}
         if len(num) == len(self.num):
             return self
         return Poly._reduced(self.mode, self.n, num, self.den)
 
-    def homogeneous_component(self, d: int) -> "Poly":
-        return self._keep(lambda a: mono_degree(a) == d)
-
     def components_by_degree(self) -> dict[int, "Poly"]:
+        shift = self.n * EXPONENT_BITS
         out: dict[int, dict] = {}
         for a, c in self.num.items():
-            out.setdefault(mono_degree(a), {})[a] = c
+            out.setdefault(a >> shift, {})[a] = c
         return {d: Poly._reduced(self.mode, self.n, num, self.den) for d, num in sorted(out.items())}
 
     def truncate_degree(self, d: int) -> "Poly":
-        return self._keep(lambda a: mono_degree(a) <= d)
+        # the keys of degree <= d are exactly those below the first of degree d + 1
+        past = d + 1 << self.n * EXPONENT_BITS
+        return self._keep(lambda a: a < past)
 
     # -- arithmetic
 
@@ -504,27 +533,31 @@ class Poly:
     def mul(self, other: "Poly", through: int | None = None) -> "Poly":
         """The product; with ``through``, only its terms of total degree <=
         through, and no term past that degree is formed (the same as
-        truncating the full product).
+        truncating the full product). A product key is the sum of the keys.
 
-        Bounded, the right factor is sorted by degree and each left term meets
-        only the prefix of it that fits. The sum for each product monomial
-        runs over the left terms in the same order either way, so float
-        results agree bit for bit.
+        Bounded, the right factor is sorted stably by degree and each left
+        term meets only the prefix of it that fits. The sum for each product
+        monomial runs over the left terms in the same order either way, so
+        float results agree bit for bit.
         """
         _same_mode(self.mode, other.mode)
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        add = operator.add
-        num: dict[Monomial, object] = {}
+        if not self.num or not other.num:
+            return Poly.zero(self.mode, self.n)
+        shift = self.n * EXPONENT_BITS
+        top = (max(self.num) >> shift) + (max(other.num) >> shift)  # the largest product degree
+        check_degree(top if through is None else min(top, through))
+        num: dict[int, object] = {}
         get = num.get
         right = other.num.items()
         if through is not None:
-            right = sorted(right, key=lambda t: sum(t[0]))
-            degrees = [sum(b) for b, _ in right]
+            right = sorted(right, key=lambda t: t[0] >> shift)
+            degrees = [b >> shift for b, _ in right]
         for a, ca in self.num.items():
             for b, cb in (right if through is None
-                          else right[:bisect_right(degrees, through - sum(a))]):
-                key = tuple(map(add, a, b))
+                          else right[:bisect_right(degrees, through - (a >> shift))]):
+                key = a + b
                 s = get(key)
                 num[key] = ca * cb if s is None else s + ca * cb
         return Poly._reduced(self.mode, self.n, num, self.den * other.den)
@@ -537,13 +570,13 @@ class Poly:
                              self.den * q)
 
     def diff(self, i: int) -> "Poly":
+        shift = EXPONENT_BITS * (self.n - 1 - i)  # the field of y_i
+        unit = 1 << self.n * EXPONENT_BITS | 1 << shift  # the key of y_i
         num = {}
         for a, c in self.num.items():
-            e = a[i]
+            e = a >> shift & MAX_DEGREE
             if e:
-                b = list(a)
-                b[i] = e - 1
-                num[tuple(b)] = c * e
+                num[a - unit] = c * e
         return Poly._reduced(self.mode, self.n, num, self.den)
 
     def conj(self) -> "Poly":
@@ -679,60 +712,77 @@ def convolution_bound(*factors):
 # Scalar Laurent series in sqrt(hbar)
 
 
+def _doubled(h) -> int | None:
+    """The doubled int of a half-integer exponent or bound; None stays None."""
+    return None if h is None else HalfInt.of(h).doubled
+
+
+def _half(d: int | None) -> HalfInt | None:
+    return None if d is None else HalfInt(d)
+
+
 class FormalScalarSeries:
     """Laurent series in the half-power variable with scalar coefficients.
 
-    ``offset`` is the exponent of the first stored coefficient and ``coeffs``
-    holds consecutive half-integer steps from there. ``truncation_order`` is
-    the largest exponent guaranteed exact (None means the series is exact at
-    every order, e.g. it came from a polynomial identity). Stored coefficients
+    ``offset2`` is the doubled exponent of the first stored coefficient and
+    ``coeffs`` holds consecutive half-integer steps from there. ``trunc2`` is
+    the doubled largest exponent guaranteed exact (None means the series is
+    exact at every order, e.g. it came from a polynomial identity);
+    ``truncation_order`` is the same as a ``HalfInt``. Stored coefficients
     beyond the truncation order are dropped; absent ones below it are zero.
     """
 
-    __slots__ = ("mode", "offset", "coeffs", "truncation_order")
+    __slots__ = ("mode", "offset2", "coeffs", "trunc2")
 
-    def __init__(self, mode, offset: HalfInt, coeffs: Sequence, truncation_order: HalfInt | None):
+    def __init__(self, mode, offset2: int, coeffs: Sequence, trunc2: int | None):
         self.mode = mode
         coeffs = list(coeffs)
         # drop leading zeros, advancing the offset
         while coeffs and mode.is_zero(coeffs[0]):
             coeffs.pop(0)
-            offset = offset + HalfInt(1)
+            offset2 += 1
         # drop anything beyond the truncation order
-        if truncation_order is not None and coeffs:
-            keep = truncation_order.doubled - offset.doubled + 1
+        if trunc2 is not None and coeffs:
+            keep = trunc2 - offset2 + 1
             if keep <= 0:
                 coeffs = []
             elif keep < len(coeffs):
                 coeffs = coeffs[:keep]
         while coeffs and mode.is_zero(coeffs[-1]):
             coeffs.pop()
-        if not coeffs:
-            offset = HI0
-        self.offset = offset
+        self.offset2 = offset2 if coeffs else 0
         self.coeffs = tuple(coeffs)
-        self.truncation_order = truncation_order
+        self.trunc2 = trunc2
+
+    @property
+    def truncation_order(self) -> HalfInt | None:
+        return _half(self.trunc2)
 
     # -- constructors
 
     @staticmethod
     def zero(mode, truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, HI0, (), truncation_order)
+        return FormalScalarSeries(mode, 0, (), _doubled(truncation_order))
 
     @staticmethod
     def const(mode, value, truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, HI0, (mode.coeff(value),), truncation_order)
+        return FormalScalarSeries(mode, 0, (mode.coeff(value),), _doubled(truncation_order))
 
     @staticmethod
     def from_terms(mode, terms: Mapping[HalfInt, object], truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
+        return FormalScalarSeries.from_terms2(
+            mode, {HalfInt.of(k).doubled: v for k, v in terms.items()}, _doubled(truncation_order))
+
+    @staticmethod
+    def from_terms2(mode, terms: Mapping[int, object], trunc2: int | None) -> "FormalScalarSeries":
+        """The series with coefficient ``terms[d]`` at each doubled exponent d."""
         if not terms:
-            return FormalScalarSeries.zero(mode, truncation_order)
-        keys = sorted(terms, key=lambda h: h.doubled)
-        lo, hi = keys[0], keys[-1]
-        coeffs = [mode.zero()] * (hi.doubled - lo.doubled + 1)
+            return FormalScalarSeries(mode, 0, (), trunc2)
+        lo = min(terms)
+        coeffs = [mode.zero()] * (max(terms) - lo + 1)
         for k, v in terms.items():
-            coeffs[k.doubled - lo.doubled] = mode.coeff(v)
-        return FormalScalarSeries(mode, lo, coeffs, truncation_order)
+            coeffs[k - lo] = mode.coeff(v)
+        return FormalScalarSeries(mode, lo, coeffs, trunc2)
 
     # -- queries
 
@@ -741,19 +791,30 @@ class FormalScalarSeries:
 
     def order(self) -> HalfInt | None:
         """Exponent of the leading nonzero coefficient; None for the zero series."""
-        return self.offset if self.coeffs else None
+        return _half(self.order2())
+
+    def order2(self) -> int | None:
+        return self.offset2 if self.coeffs else None
 
     def coefficient(self, exponent) -> object:
-        e = HalfInt.of(exponent)
-        i = e.doubled - self.offset.doubled
-        if not self.coeffs or i < 0 or i >= len(self.coeffs):
+        return self.at2(HalfInt.of(exponent).doubled)
+
+    def at2(self, d: int) -> object:
+        """The coefficient at the doubled exponent d."""
+        i = d - self.offset2
+        if i < 0 or i >= len(self.coeffs):
             return self.mode.zero()
         return self.coeffs[i]
 
     def items(self) -> Iterator[tuple[HalfInt, object]]:
+        for d, c in self.items2():
+            yield HalfInt(d), c
+
+    def items2(self) -> Iterator[tuple[int, object]]:
+        """(doubled exponent, coefficient) of the nonzero coefficients."""
         for i, c in enumerate(self.coeffs):
             if not self.mode.is_zero(c):
-                yield HalfInt(self.offset.doubled + i), c
+                yield self.offset2 + i, c
 
     # -- arithmetic
 
@@ -762,22 +823,21 @@ class FormalScalarSeries:
         is_zero = self.mode.is_zero
         return [(i, c) for i, c in enumerate(self.coeffs) if not is_zero(c)]
 
-    def _from_slots(self, lo: int, slots: list, trunc: HalfInt | None) -> "FormalScalarSeries":
+    def _from_slots(self, lo: int, slots: list, trunc2: int | None) -> "FormalScalarSeries":
         """The series with coefficient ``slots[i]`` at doubled exponent lo + i (None = zero)."""
         zero = self.mode.zero()
-        return FormalScalarSeries(self.mode, HalfInt(lo), [zero if c is None else c for c in slots],
-                                  trunc)
+        return FormalScalarSeries(self.mode, lo, [zero if c is None else c for c in slots], trunc2)
 
     def __add__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
-        trunc = _min_trunc(self.truncation_order, other.truncation_order)
+        trunc = _min_trunc(self.trunc2, other.trunc2)
         parts = [s for s in (self, other) if s.coeffs]
         if not parts:
-            return FormalScalarSeries.zero(self.mode, trunc)
-        lo = min(s.offset.doubled for s in parts)
-        slots: list = [None] * (max(s.offset.doubled + len(s.coeffs) for s in parts) - lo)
+            return FormalScalarSeries(self.mode, 0, (), trunc)
+        lo = min(s.offset2 for s in parts)
+        slots: list = [None] * (max(s.offset2 + len(s.coeffs) for s in parts) - lo)
         for s in parts:
-            shift = s.offset.doubled - lo
+            shift = s.offset2 - lo
             for i, c in s._nonzero():
                 k = i + shift
                 v = slots[k]
@@ -785,7 +845,8 @@ class FormalScalarSeries:
         return self._from_slots(lo, slots, trunc)
 
     def __neg__(self) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset, tuple(-c for c in self.coeffs), self.truncation_order)
+        return FormalScalarSeries(self.mode, self.offset2, tuple(-c for c in self.coeffs),
+                                  self.trunc2)
 
     def __sub__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self + (-other)
@@ -793,12 +854,11 @@ class FormalScalarSeries:
     def __mul__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
         # a zero factor gives the zero product, exact wherever either factor is known
-        trunc = convolution_bound((self.truncation_order, self.order()),
-                                  (other.truncation_order, other.order()))
-        lo = self.offset.doubled + other.offset.doubled
+        trunc = convolution_bound((self.trunc2, self.order2()), (other.trunc2, other.order2()))
+        lo = self.offset2 + other.offset2
         size = len(self.coeffs) + len(other.coeffs) - 1
         if trunc is not None:
-            size = min(size, trunc.doubled - lo + 1)
+            size = min(size, trunc - lo + 1)
         slots: list = [None] * max(size, 0)
         right = other._nonzero()
         for i, ca in self._nonzero():
@@ -812,21 +872,22 @@ class FormalScalarSeries:
 
     def scale(self, c) -> "FormalScalarSeries":
         c = self.mode.coeff(c)
-        return FormalScalarSeries(self.mode, self.offset, tuple(v * c for v in self.coeffs), self.truncation_order)
+        return FormalScalarSeries(self.mode, self.offset2, tuple(v * c for v in self.coeffs),
+                                  self.trunc2)
 
     def shift(self, exponent) -> "FormalScalarSeries":
         """Multiply by the half-power variable to the given exponent."""
-        e = HalfInt.of(exponent)
-        trunc = None if self.truncation_order is None else self.truncation_order + e
-        return FormalScalarSeries(self.mode, self.offset + e, self.coeffs, trunc)
+        e = HalfInt.of(exponent).doubled
+        trunc = None if self.trunc2 is None else self.trunc2 + e
+        return FormalScalarSeries(self.mode, self.offset2 + e, self.coeffs, trunc)
 
     def truncate(self, truncation_order: HalfInt | None) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset, self.coeffs,
-                                  _min_trunc(self.truncation_order, truncation_order))
+        return FormalScalarSeries(self.mode, self.offset2, self.coeffs,
+                                  _min_trunc(self.trunc2, _doubled(truncation_order)))
 
     def conj(self) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset,
-                                  tuple(self.mode.conj(c) for c in self.coeffs), self.truncation_order)
+        return FormalScalarSeries(self.mode, self.offset2,
+                                  tuple(self.mode.conj(c) for c in self.coeffs), self.trunc2)
 
     def inverse(self, through: HalfInt | None = None) -> "FormalScalarSeries":
         """Multiplicative inverse; the leading coefficient must be invertible.
@@ -836,36 +897,38 @@ class FormalScalarSeries:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
-        lead = self.coeffs[0]
-        rel_trunc = None if self.truncation_order is None else self.truncation_order - self.offset
+        lead, lo = self.coeffs[0], self.offset2
+        rel_trunc = None if self.trunc2 is None else self.trunc2 - lo
         # self = lead * h^offset * (1 + v) with ord(v) > 0; v subtracts the
         # computed lead/lead, not 1, so its constant term is exactly 0
-        rel = FormalScalarSeries(self.mode, HI0, tuple(c / lead for c in self.coeffs), rel_trunc)
-        v = rel - FormalScalarSeries.const(self.mode, rel.coeffs[0], rel_trunc)
-        rel_through = None if through is None else through + self.offset
+        rel = FormalScalarSeries(self.mode, 0, tuple(c / lead for c in self.coeffs), rel_trunc)
+        v = rel - FormalScalarSeries(self.mode, 0, rel.coeffs[:1], rel_trunc)
+        rel_through = None if through is None else HalfInt(_doubled(through) + lo)
         inv_rel = binomial_series(v, Fraction(-1), through=rel_through)
-        return inv_rel.scale(self.mode.one() / lead).shift(-self.offset)
+        return inv_rel.scale(self.mode.one() / lead).shift(HalfInt(-lo))
 
     def __truediv__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self * other.inverse()
 
     def equals_through(self, other: "FormalScalarSeries", through=None) -> bool:
         """Coefficients ``mode.close`` through ``through`` (None: every order)."""
-        through = None if through is None else HalfInt.of(through)
-        exps = {e for e, _ in self.items()} | {e for e, _ in other.items()}
-        return all(self.mode.close(self.coefficient(e), other.coefficient(e))
+        through = _doubled(through)
+        exps = {e for e, _ in self.items2()} | {e for e, _ in other.items2()}
+        return all(self.mode.close(self.at2(e), other.at2(e))
                    for e in exps if through is None or e <= through)
 
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        vals = [self.mode.abs(c) for e, c in self.items() if through is None or e <= through]
+        through = _doubled(through)
+        vals = [self.mode.abs(c) for e, c in self.items2() if through is None or e <= through]
         return max((float(v) for v in vals), default=0.0)
 
     def evaluate(self, hbar: float, through: HalfInt | None = None) -> complex:
+        through = _doubled(through)
         total = 0j
-        for e, c in self.items():
+        for e, c in self.items2():
             if through is not None and e > through:
                 continue
-            total += complex(c) * hbar ** (e.doubled / 2)
+            total += complex(c) * hbar ** (e / 2)
         return total
 
     def is_real(self) -> bool:
@@ -874,13 +937,13 @@ class FormalScalarSeries:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormalScalarSeries)
-                and dict(self.items()) == dict(other.items()))
+                and dict(self.items2()) == dict(other.items2()))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Series(0)"
         bits = [f"({c})*h^{e}" for e, c in self.items()]
-        t = "" if self.truncation_order is None else f" + O(h^{self.truncation_order + HalfInt(1)})"
+        t = "" if self.trunc2 is None else f" + O(h^{HalfInt(self.trunc2 + 2)})"
         return "Series(" + " + ".join(bits) + t + ")"
 
 
@@ -919,16 +982,16 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction, through: HalfInt 
     domain of v. It is exact through v's truncation order; ``through`` lowers
     that bound, and is required when v is exact at all orders.
     """
-    if not v.is_zero() and (v.order() is None or v.order() <= HI0):
+    if not v.is_zero() and v.order2() <= 0:
         raise ValueError("binomial series needs a perturbation of positive order")
-    trunc = _min_trunc(v.truncation_order, through)
+    trunc = _min_trunc(v.trunc2, _doubled(through))
     if trunc is None:
         if v.is_zero():
             return FormalScalarSeries.const(v.mode, 1)
         raise ValueError("binomial series of an untruncated series needs an explicit order")
-    parts = euler_recurrence({e.doubled: c for e, c in v.items()}, trunc.doubled, v.mode.one(),
+    parts = euler_recurrence(dict(v.items2()), trunc, v.mode.one(),
                              lambda c, w: c * v.mode.coeff(w), exponent)
-    return FormalScalarSeries.from_terms(v.mode, {HalfInt(k): c for k, c in parts.items()}, trunc)
+    return FormalScalarSeries.from_terms2(v.mode, parts, trunc)
 
 
 def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -> FormalScalarSeries:
@@ -938,10 +1001,10 @@ def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -
     signals un-normalized Gram data upstream. A float lead need not be 1
     exactly (49 * (1/49) is not), so v subtracts the lead itself.
     """
-    lead = a.coefficient(HI0)
-    if a.is_zero() or a.order() != HI0 or not a.mode.negligible(lead - 1, 1):
+    lead = a.at2(0)
+    if a.order2() != 0 or not a.mode.negligible(lead - 1, 1):
         raise ValueError("inverse square root needs leading coefficient 1 at order 0")
-    v = a - FormalScalarSeries.const(a.mode, lead, a.truncation_order)
+    v = a - FormalScalarSeries(a.mode, 0, (lead,), a.trunc2)
     return binomial_series(v, Fraction(-1, 2), through=through)
 
 
@@ -1057,52 +1120,76 @@ class _GradedSeries:
     """Series sum_j h^(j-K) P_j with fiber polynomials P_j, the storage shared
     by the power-counted and the x-jet series.
 
-    ``coeffs`` maps the nonnegative half-integer j to P_j, whose absolute
-    series exponent is j - K. ``truncation_order`` bounds the absolute
-    exponents that are exact (None: every one); zero coefficients and those
-    past it are dropped at construction.
+    ``coeffs2`` maps the doubled nonnegative half-integer j to P_j, whose
+    absolute series exponent is j - K; ``K2`` and ``trunc2`` are K and the
+    truncation order doubled (``K``, ``truncation_order``, ``items`` and
+    ``coeffs`` give them as ``HalfInt``). The truncation order bounds the absolute exponents
+    that are exact (None: every one); zero coefficients and those past it are
+    dropped at construction.
     """
 
-    __slots__ = ("mode", "n", "rank", "K", "coeffs", "truncation_order")
+    __slots__ = ("mode", "n", "rank", "K2", "coeffs2", "trunc2")
 
-    def __init__(self, mode, n: int, rank: int, K: HalfInt,
-                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None):
-        if K < HI0:
+    def __init__(self, mode, n: int, rank: int, K2: int, coeffs2: Mapping[int, FiberPoly],
+                 trunc2: int | None):
+        if K2 < 0:
             raise ValueError("K must be nonnegative")
         self.mode = mode
         self.n = n
         self.rank = rank
-        self.K = K
-        clean: dict[HalfInt, FiberPoly] = {}
-        for j, p in coeffs.items():
-            if p.is_zero() or truncation_order is not None and j - K > truncation_order:
+        self.K2 = K2
+        clean: dict[int, FiberPoly] = {}
+        for j, p in coeffs2.items():
+            if p.is_zero() or trunc2 is not None and j - K2 > trunc2:
                 continue
-            if j < HI0:
+            if j < 0:
                 raise ValueError("coefficient indices must be nonnegative")
             clean[j] = p
-        self.coeffs = clean
-        self.truncation_order = truncation_order
+        self.coeffs2 = clean
+        self.trunc2 = trunc2
+
+    @property
+    def K(self) -> HalfInt:
+        return HalfInt(self.K2)
+
+    @property
+    def truncation_order(self) -> HalfInt | None:
+        return _half(self.trunc2)
+
+    @property
+    def coeffs(self) -> dict[HalfInt, FiberPoly]:
+        """The coefficients keyed by the ``HalfInt`` index j."""
+        return dict(self.items())
 
     def order(self) -> HalfInt | None:
         """The lowest absolute exponent present; None for the zero series."""
-        return min(self.coeffs) - self.K if self.coeffs else None
+        return _half(self.order2())
+
+    def order2(self) -> int | None:
+        return min(self.coeffs2) - self.K2 if self.coeffs2 else None
 
     def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
-        for j in sorted(self.coeffs, key=lambda h: h.doubled):
-            yield j, self.coeffs[j]
+        for j, p in self.items2():
+            yield HalfInt(j), p
 
-    def at_relative(self, j: HalfInt) -> FiberPoly:
-        return self.coeffs.get(j, FiberPoly.zero(self.mode, self.n, self.rank))
+    def items2(self) -> Iterator[tuple[int, FiberPoly]]:
+        """(doubled index, coefficient), ascending."""
+        for j in sorted(self.coeffs2):
+            yield j, self.coeffs2[j]
+
+    def at2(self, j: int) -> FiberPoly:
+        """The coefficient at the doubled index j."""
+        return self.coeffs2.get(j) or FiberPoly.zero(self.mode, self.n, self.rank)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return ((self.n, self.rank) == (other.n, other.rank)
-                and {j - self.K: p for j, p in self.coeffs.items()}
-                == {j - other.K: p for j, p in other.coeffs.items()})
+                and {j - self.K2: p for j, p in self.coeffs2.items()}
+                == {j - other.K2: p for j, p in other.coeffs2.items()})
 
     def __repr__(self) -> str:
-        bits = [f"h^{j - self.K}:{p!r}" for j, p in self.items()]
+        bits = [f"h^{HalfInt(j - self.K2)}:{p!r}" for j, p in self.items2()]
         return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={self.K})"
 
 
@@ -1112,56 +1199,53 @@ class S0Series(_GradedSeries):
 
     __slots__ = ()
 
-    def __init__(self, mode, n: int, rank: int, K: HalfInt,
-                 coeffs: Mapping[HalfInt, FiberPoly], truncation_order: HalfInt | None,
-                 *, validate: bool = True):
-        super().__init__(mode, n, rank, K, coeffs, truncation_order)
-        if validate:
-            for j, p in self.coeffs.items():
-                if p.degree() > j.doubled:  # deg <= 2j, and 2j == j.doubled
-                    raise S0DegreeError(
-                        f"degree {p.degree()} at order index {j} exceeds bound {j.doubled}")
+    def __init__(self, mode, n: int, rank: int, K2: int, coeffs2: Mapping[int, FiberPoly],
+                 trunc2: int | None, validate: bool = True):
+        super().__init__(mode, n, rank, K2, coeffs2, trunc2)
+        for j, p in self.coeffs2.items() if validate else ():
+            if p.degree() > j:  # deg <= 2j, and j is doubled
+                raise S0DegreeError(
+                    f"degree {p.degree()} at order index {HalfInt(j)} exceeds bound {j}")
 
     @staticmethod
     def zero(mode, n: int, rank: int, truncation_order: HalfInt | None = None) -> "S0Series":
-        return S0Series(mode, n, rank, HI0, {}, truncation_order)
+        return S0Series(mode, n, rank, 0, {}, _doubled(truncation_order))
 
     @staticmethod
     def from_fiber_poly(p: FiberPoly, truncation_order: HalfInt | None = None) -> "S0Series":
         """A plain polynomial viewed at absolute order zero (K = degree / 2)."""
-        if p.is_zero():
-            return S0Series(p.mode, p.n, p.rank, HI0, {}, truncation_order)
-        K = HalfInt(int(p.degree()))
-        return S0Series(p.mode, p.n, p.rank, K, {K: p}, truncation_order)
+        K2 = 0 if p.is_zero() else int(p.degree())
+        return S0Series(p.mode, p.n, p.rank, K2, {K2: p}, _doubled(truncation_order))
 
     def with_K(self, K_new: HalfInt) -> "S0Series":
         """Re-express at the offset K_new. Raising K keeps the degree bound;
         a lowered K is checked, so a term that escapes it raises."""
-        d = K_new - self.K
-        return S0Series(self.mode, self.n, self.rank, K_new,
-                        {j + d: p for j, p in self.coeffs.items()},
-                        self.truncation_order, validate=d < HI0)
+        return self._rebased(_doubled(K_new))
+
+    def _rebased(self, K2: int) -> "S0Series":
+        d = K2 - self.K2
+        return S0Series(self.mode, self.n, self.rank, K2,
+                        {j + d: p for j, p in self.coeffs2.items()}, self.trunc2, d < 0)
 
     def __add__(self, other: "S0Series") -> "S0Series":
         _same_mode(self.mode, other.mode)
         if (self.n, self.rank) != (other.n, other.rank):
             raise ValueError("shape mismatch")
-        K = max(self.K, other.K)
-        a, b = self.with_K(K), other.with_K(K)
-        coeffs = dict(a.coeffs)
-        for j, p in b.coeffs.items():
-            coeffs[j] = coeffs.get(j, FiberPoly.zero(self.mode, self.n, self.rank)) + p
-        return S0Series(self.mode, self.n, self.rank, K, coeffs,
-                        _min_trunc(self.truncation_order, other.truncation_order), validate=False)
+        K2 = max(self.K2, other.K2)
+        a, b = self._rebased(K2), other._rebased(K2)
+        coeffs = dict(a.coeffs2)
+        for j, p in b.coeffs2.items():
+            coeffs[j] = coeffs[j] + p if j in coeffs else p
+        return S0Series(self.mode, self.n, self.rank, K2, coeffs,
+                        _min_trunc(self.trunc2, other.trunc2), False)
 
     def __sub__(self, other: "S0Series") -> "S0Series":
         return self + other.scale(-1)
 
     def scale(self, c) -> "S0Series":
         c = self.mode.coeff(c)
-        return S0Series(self.mode, self.n, self.rank, self.K,
-                        {j: p.scale(c) for j, p in self.coeffs.items()},
-                        self.truncation_order, validate=False)
+        return S0Series(self.mode, self.n, self.rank, self.K2,
+                        {j: p.scale(c) for j, p in self.coeffs2.items()}, self.trunc2, False)
 
     def scale_series(self, s: FormalScalarSeries) -> "S0Series":
         """Multiply by a scalar series (exponents must keep the result in the space).
@@ -1171,15 +1255,14 @@ class S0Series(_GradedSeries):
         does), and reduced once."""
         mode = self.mode
         _same_mode(mode, s.mode)
-        trunc = convolution_bound((self.truncation_order, self.order()),
-                                  (s.truncation_order, s.order()))
+        trunc = convolution_bound((self.trunc2, self.order2()), (s.trunc2, s.order2()))
         if s.is_zero():
-            return S0Series.zero(mode, self.n, self.rank, trunc)
-        neg = min(HI0, s.order())
-        K = self.K - neg  # raising K absorbs negative exponents of s
-        factors = [(e - neg, *mode.split(c)) for e, c in s.items()]
-        slots: dict[HalfInt, list] = {}
-        for j, p in self.coeffs.items():
+            return S0Series(mode, self.n, self.rank, 0, {}, trunc)
+        neg = min(0, s.order2())
+        K = self.K2 - neg  # raising K absorbs negative exponents of s
+        factors = [(e - neg, *mode.split(c)) for e, c in s.items2()]
+        slots: dict[int, list] = {}
+        for j, p in self.coeffs2.items():
             for e, cp, cq in factors:
                 jj = j + e
                 if trunc is not None and jj - K > trunc:
@@ -1189,22 +1272,27 @@ class S0Series(_GradedSeries):
                     col = slots[jj] = [[{}, 1] for _ in range(self.rank)]
                 for comp, slot in zip(p.components, col):
                     slot[1] = accumulate(*slot, comp.num, cp, comp.den * cq)
-        coeffs = {jj: FiberPoly([Poly._reduced(mode, self.n, acc, d) for acc, d in col])
-                  for jj, col in slots.items()}
-        return S0Series(mode, self.n, self.rank, K, coeffs, trunc)
+        return S0Series(mode, self.n, self.rank, K, _fiber_polys(mode, self.n, slots), trunc)
 
     def truncate(self, truncation_order: HalfInt | None) -> "S0Series":
-        return S0Series(self.mode, self.n, self.rank, self.K, self.coeffs,
-                        _min_trunc(self.truncation_order, truncation_order), validate=False)
+        return S0Series(self.mode, self.n, self.rank, self.K2, self.coeffs2,
+                        _min_trunc(self.trunc2, _doubled(truncation_order)), False)
 
     def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        return max((p.max_abs() for j, p in self.coeffs.items()
-                    if through is None or j - self.K <= through), default=0.0)
+        through = _doubled(through)
+        return max((p.max_abs() for j, p in self.coeffs2.items()
+                    if through is None or j - self.K2 <= through), default=0.0)
 
     def abs(self) -> "S0Series":
-        return S0Series(self.mode, self.n, self.rank, self.K,
-                        {j: p.abs() for j, p in self.coeffs.items()},
-                        self.truncation_order, validate=False)
+        return S0Series(self.mode, self.n, self.rank, self.K2,
+                        {j: p.abs() for j, p in self.coeffs2.items()}, self.trunc2, False)
+
+
+def _fiber_polys(mode, n: int, slots: dict) -> dict:
+    """Reduce each column of [numerators, denominator] accumulators, one per
+    fibre component, into a ``FiberPoly`` under the same key."""
+    return {j: FiberPoly([Poly._reduced(mode, n, num, den) for num, den in col])
+            for j, col in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1221,23 +1309,22 @@ class XJetSeries(_GradedSeries):
 
     __slots__ = ()
 
-    def degree_bound_at(self, s) -> int | None:
-        """Largest degree known-exact at absolute exponent s (None = all)."""
-        if self.truncation_order is None:
-            return None
-        return (self.truncation_order - HalfInt.of(s)).doubled
+    def degree_bound_at2(self, s2: int) -> int | None:
+        """Largest degree known-exact at the doubled absolute exponent s2 (None = all)."""
+        return None if self.trunc2 is None else self.trunc2 - s2
 
 
-def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[HalfInt, FiberPoly]:
-    """Move each term c y^alpha of the coefficient at index k to index
-    k + sign * |alpha|/2, on numerators. No two terms meet on one monomial of
+def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[int, FiberPoly]:
+    """Move each term c y^alpha of the coefficient at doubled index k to
+    k + sign * |alpha|, on numerators. No two terms meet on one monomial of
     one component: the target index and alpha fix k."""
-    slots: dict[int, list] = {}  # keyed by the doubled index
+    shift = n * EXPONENT_BITS
+    slots: dict[int, list] = {}
     for k, p in items:
         for ci, comp in enumerate(p.components):
             d = comp.den
             for alpha, c in comp.num.items():
-                j = k.doubled + sign * sum(alpha)
+                j = k + sign * (alpha >> shift)
                 col = slots.get(j)
                 if col is None:
                     col = slots[j] = [[{}, 1] for _ in range(rank)]
@@ -1246,8 +1333,7 @@ def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[HalfInt,
                     slot[1] = grow_den(slot[0], slot[1], d)
                 f = slot[1] // d
                 slot[0][alpha] = c if f == 1 else c * f
-    return {HalfInt(j): FiberPoly([Poly._reduced(mode, n, num, den) for num, den in col])
-            for j, col in slots.items()}
+    return _fiber_polys(mode, n, slots)
 
 
 def rescale(u: XJetSeries) -> S0Series:
@@ -1257,9 +1343,8 @@ def rescale(u: XJetSeries) -> S0Series:
     The output order-t coefficient collects the input pairs (s, d) with
     s + d/2 = t, so it is exact exactly where u's bound s + d/2 <= T holds.
     """
-    mode, n, rank = u.mode, u.n, u.rank
-    coeffs = _shift_by_degree(mode, n, rank, u.items(), 1)
-    return S0Series(mode, n, rank, u.K, coeffs, u.truncation_order)
+    coeffs = _shift_by_degree(u.mode, u.n, u.rank, u.items2(), 1)
+    return S0Series(u.mode, u.n, u.rank, u.K2, coeffs, u.trunc2)
 
 
 def unrescale(v: S0Series) -> XJetSeries:
@@ -1270,8 +1355,7 @@ def unrescale(v: S0Series) -> XJetSeries:
     absolute exponent s came from order s + d/2, so v's truncation order is
     the output's.
     """
-    mode, n, rank = v.mode, v.n, v.rank
-    coeffs = _shift_by_degree(mode, n, rank, v.items(), -1)
-    if min(coeffs, default=HI0) < HI0:
+    coeffs = _shift_by_degree(v.mode, v.n, v.rank, v.items2(), -1)
+    if min(coeffs, default=0) < 0:
         raise S0DegreeError("input violates the degree bound; not in the rescaled space")
-    return XJetSeries(mode, n, rank, v.K, coeffs, v.truncation_order)
+    return XJetSeries(v.mode, v.n, v.rank, v.K2, coeffs, v.trunc2)

@@ -9,7 +9,7 @@ synthesize the basis polynomial, apply the operator to its monomials
 from math import gcd
 
 from qmf.harmonic_oscillator import HermiteIndex
-from qmf.series_algebra import grow_den, mono_degree
+from qmf.series_algebra import grow_den, unpack
 
 
 def expand_scalar(basis, q) -> tuple[dict, int]:
@@ -27,10 +27,11 @@ def expand_scalar(basis, q) -> tuple[dict, int]:
     den = q.den
     out: dict[tuple, object] = {}
     while work:
-        alpha = max(work, key=lambda a: (mono_degree(a), a))
-        c = work.pop(alpha)
+        key = max(work)  # packed keys sort by degree, then by alpha
+        c = work.pop(key)
         if is_zero(c):
             continue
+        alpha = unpack(key, q.n)
         out[alpha] = c
         tail = basis.poly(alpha)
         f = tail.den
@@ -43,7 +44,7 @@ def expand_scalar(basis, q) -> tuple[dict, int]:
                 den = grow_den(work, den, e)
             c *= den // e
         for beta, cb in tail.num.items():
-            if beta == alpha:
+            if beta == key:
                 continue
             s = work.get(beta, 0) - c * cb
             if is_zero(s):

@@ -273,7 +273,7 @@ class TestPairing:
         assert ab == ba.conj()
 
     def test_s0_offsets_combine(self):
-        u = S0Series(EXACT, 1, 1, HalfInt(1), {HalfInt(1): unit_fiber(poly1({1: 1}))}, None)
+        u = S0Series(EXACT, 1, 1, 1, {1: unit_fiber(poly1({1: 1}))}, None)
         got = pair_s0(u, u, self.omega)
         # <y, y> = 1/2 at absolute order 0 (offsets -1/2 each cancel the +1)
         assert got.coefficient(HI0) == F(1, 2)
@@ -385,10 +385,10 @@ def curved_metric_elements():
     basis = HermiteBasis(EXACT, (F(1),), (F(0),), 6)
     elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
              for a in range(4)]
-    elems.append(S0Series(EXACT, 1, 1, HalfInt(1), {
-        HalfInt(1): unit_fiber(poly1({1: 1})),
-        HalfInt(2): unit_fiber(poly1({0: F(-2, 3), 1: 1, 2: F(1, 5)})),
-    }, HalfInt(3)))
+    elems.append(S0Series(EXACT, 1, 1, 1, {
+        1: unit_fiber(poly1({1: 1})),
+        2: unit_fiber(poly1({0: F(-2, 3), 1: 1, 2: F(1, 5)})),
+    }, 3))
     return elems, omega
 
 
@@ -487,9 +487,9 @@ def level_elements(case: str):
     level_basis = [ctx.projector.as_s0(m, vecs) for m, vecs in zip(ctx.level.members, waves)]
     elems = level_basis + projected_level_basis(ctx)
     if mode_name == "complex":
-        elems = [S0Series(u.mode, u.n, u.rank, u.K,
-                          {j: p.scale(complex(1, i + 1)) for i, (j, p) in enumerate(u.items())},
-                          u.truncation_order) for u in elems]
+        elems = [S0Series(u.mode, u.n, u.rank, u.K2,
+                          {j: p.scale(complex(1, i + 1)) for i, (j, p) in enumerate(u.items2())},
+                          u.trunc2) for u in elems]
     return elems, ctx.omega
 
 
@@ -526,7 +526,7 @@ def test_pairing_with_itself_forms_each_mirrored_product_once(case, monkeypatch)
 
     monkeypatch.setattr(gaussian_pairing, "_add_product", counting)
     for u in elems:
-        copy = S0Series(u.mode, u.n, u.rank, u.K, dict(u.coeffs), u.truncation_order)
+        copy = S0Series(u.mode, u.n, u.rank, u.K2, dict(u.coeffs2), u.trunc2)
         products.clear()
         got = pair_s0(u, u, omega)
         once = len(products)

@@ -89,7 +89,7 @@ def composition_sum_image(proj, j, pos, budget):
         state = proj._resolvent_factor({0: vec({pos: F(1)})}, budget.doubled)
         for part in reversed(comp):
             spent += part
-            state = proj._resolvent_factor(proj._apply_q(HalfInt(part), state, {}),
+            state = proj._resolvent_factor(proj._apply_q(part, state, {}),
                                            budget.doubled - spent)
         for idx, c in state.get(-1, vec({})).coeffs().items():
             total[idx] = total.get(idx, 0) + c
@@ -150,7 +150,7 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
             if family.get(i).is_zero():
                 continue
             pj = p[j - i]
-            proj._apply_q(i, {col: pj[col] for col in cols}, rhs)
+            proj._apply_q(i.doubled, {col: pj[col] for col in cols}, rhs)
             for col, vec in mat_mul(pj, {col: proj.q_action(i, col) for col in cols}).items():
                 rhs[col].add(vec, -1)
         # idempotency data: sum_{0<i<j} P_i P_{j-i}
@@ -621,7 +621,7 @@ class TestIdempotencyAndCommutation:
             for j, vec in img.items():
                 for i in orders:
                     if j + i <= N:
-                        proj._apply_q(i, {j + i: vec}, qp)
+                        proj._apply_q(i.doubled, {j + i: vec}, qp)
             qe = {i: proj.q_action(i, pos) for i in orders}
             assert _reduced(qp) == graded_apply(proj, qe, cache), idx
 

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from qmf.series_algebra import EXACT, HI0, FormalScalarSeries, HalfInt, Poly, float_mode
+from qmf.gaussian_pairing import pair_s0
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
 from qmf.cli_io import parse_problem_spec, preset_problem, run_command
@@ -78,7 +79,7 @@ class TestHarmonicExactness:
         (a,) = res.eigenfunctions
         assert a.K == HI0
         assert list(a.coeffs) == [HI0]
-        jet = a.at_relative(HI0)
+        jet = a.at2(0)
         assert jet.degree() == 0
 
     def test_excited_level(self):
@@ -354,7 +355,7 @@ def test_3d_well_coordinate_permutation(perm):
     assert v.coeffs.keys() == u.coeffs.keys()
     for k, p in u.coeffs.items():
         want = {tuple(a[i] for i in perm): c for a, c in p.components[0].terms.items()}
-        assert v.coeffs[k].components[0].terms == want, k
+        assert v.at2(k.doubled).components[0].terms == want, k
 
 
 CURVED_WELL = """
@@ -611,3 +612,65 @@ class TestBlochRoute:
         report = rs_oracle(bad)
         assert not report.passed
         assert report.data["intertwining"] == 0.0 and report.data["power_sums"] > 0
+
+
+class TestHalfIntBudget:
+    """Series orders are doubled ints inside the kernels: ``pair_s0``,
+    ``ProjectorSeries.wave_operator`` and ``S0Series.scale_series`` build a
+    ``HalfInt`` at most for each coefficient they return, plus a few."""
+
+    SLACK = 4
+
+    @pytest.fixture(scope="class")
+    def level(self):
+        """The iso2d o4 level: its wave-operator basis, H_eff and weight."""
+        spec = preset_problem("iso2d", order=HalfInt(4))
+        ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
+        waves, h_eff = ctx.projector.wave_operator()
+        fs = [ctx.projector.as_s0(m, w) for m, w in zip(ctx.level.members, waves)]
+        return ctx, fs, h_eff
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of ``HalfInt``s constructed since the fixture ran."""
+        count = [0]
+        real = HalfInt.__init__
+
+        def counting(self, *args):
+            count[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(HalfInt, "__init__", counting)
+        return count
+
+    @staticmethod
+    def terms(series) -> int:
+        return sum(1 for _ in series.items())
+
+    def test_pairing(self, level, built):
+        ctx, fs, _ = level
+        for u in fs:
+            for v in fs:
+                built[0] = 0
+                got = pair_s0(u, v, ctx.omega)
+                spent = built[0]
+                assert spent <= self.terms(got) + self.SLACK
+
+    def test_wave_operator(self, level, built):
+        ctx, _, _ = level
+        proj = ctx.projector
+        fresh = type(proj)(proj.family, proj.basis, proj.level, proj.order)
+        built[0] = 0
+        waves, h_eff = fresh.wave_operator()
+        spent = built[0]
+        returned = sum(map(len, waves)) + sum(self.terms(e) for row in h_eff for e in row)
+        assert spent <= returned + self.SLACK
+
+    def test_scale_series(self, level, built):
+        _, fs, h_eff = level
+        for f in fs:
+            for row in h_eff:
+                built[0] = 0
+                got = f.scale_series(row[0])
+                spent = built[0]
+                assert spent <= self.terms(got) + self.SLACK

@@ -244,8 +244,8 @@ def synthesis_roundoffs(exact: tuple, flt: tuple) -> float:
                 for gamma, t in basis.poly(index.alpha).terms.items():
                     key = (index.k, gamma)
                     magnitudes[key] = magnitudes.get(key, 0.0) + abs(float(c * t))
-            for k, (ec, fc) in enumerate(zip(e.at_relative(s + e.K).components,
-                                             f.at_relative(s + f.K).components)):
+            for k, (ec, fc) in enumerate(zip(e.at2((s + e.K).doubled).components,
+                                             f.at2((s + f.K).doubled).components)):
                 for gamma in ec.terms.keys() | fc.terms.keys():
                     err = abs(fc.terms.get(gamma, 0) - float(ec.terms.get(gamma, 0)))
                     worst = max(worst, err / (magnitudes.get((k, gamma), 0.0) * 2.0 ** -53))

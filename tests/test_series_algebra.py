@@ -10,6 +10,7 @@ from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.operator_calculus import DiffOpJet, OperatorFamily
 from qmf.series_algebra import (
     EXACT,
+    MAX_DEGREE,
     FiberPoly,
     FormalScalarSeries,
     HI0,
@@ -26,7 +27,9 @@ from qmf.series_algebra import (
     lower_solve,
     half_range,
     inverse_sqrt_series,
+    pack,
     rescale,
+    unpack,
     unrescale,
 )
 
@@ -183,6 +186,11 @@ def bits(t):
     return {k: (c.real.hex(), c.imag.hex()) for k, c in t.items()}
 
 
+def packed(t):
+    """A dict keyed by exponent tuple, keyed by packed monomial instead."""
+    return {pack(k): c for k, c in t.items()}
+
+
 class TestPolyKernel:
     @given(poly_pairs(FRACS), FRACS)
     @settings(max_examples=150, deadline=None)
@@ -208,11 +216,11 @@ class TestPolyKernel:
         n, a, b = nab
         a, b = ref_clean(a, mode.is_zero), ref_clean(b, mode.is_zero)
         pa, pb = Poly(mode, n, a), Poly(mode, n, b)
-        assert bits(pa.num) == bits(a)
+        assert bits(pa.num) == bits(packed(a))
         for name, (op, want) in ref_ops(n, a, b, c, mode.is_zero).items():
             got = op(pa, pb)
             assert got.den == 1, name
-            assert bits(got.num) == bits(want), name
+            assert bits(got.num) == bits(packed(want)), name
             assert bits(got.terms) == bits(want), name
 
     @given(poly_pairs(FRACS, max_n=3), st.integers(-2, 12))
@@ -234,10 +242,63 @@ class TestPolyKernel:
     def test_denominators_combine_by_lcm(self):
         y = Poly.variable(EXACT, 1, 0)
         p = Poly(EXACT, 1, {(0,): F(1, 6), (1,): F(1, 4)}) + y.scale(F(1, 10))
-        assert (p.num, p.den) == ({(0,): 10, (1,): 21}, 60)
+        assert (p.num, p.den) == (packed({(0,): 10, (1,): 21}), 60)
         half = p.truncate_degree(0)   # 10/60 reduces to 1/6
-        assert (half.num, half.den) == ({(0,): 1}, 6)
+        assert (half.num, half.den) == (packed({(0,): 1}), 6)
         assert (p - p).den == 1 and (p - p).is_zero()
+
+
+class TestPackedKeys:
+    """``Poly.num`` is keyed by packed monomials: the degree in the top field,
+    each exponent in a field of ``EXPONENT_BITS`` bits. Tuples stay at the
+    edge (``Poly(mode, n, terms)``, ``terms``, ``coefficient``)."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.tuples(*[st.integers(0, 9)] * n), FRACS.filter(bool),
+                                    min_size=1, max_size=8))))
+    @settings(max_examples=100, deadline=None)
+    def test_terms_round_trip(self, case):
+        n, terms = case
+        p = Poly(EXACT, n, terms)
+        assert p.terms == terms
+        assert all(p.coefficient(a) == c for a, c in terms.items())
+        assert p.coefficient((10,) * n) == 0
+        assert {unpack(k, n) for k in p.num} == terms.keys()
+        assert (p.degree(), p.min_degree()) == (max(map(sum, terms)), min(map(sum, terms)))
+
+    @given(poly_pairs(FRACS, max_n=3))
+    @settings(max_examples=100, deadline=None)
+    def test_product_keys_are_the_tuple_sums(self, nab):
+        n, a, b = nab
+        for x in a:
+            for y in b:
+                assert pack(x) + pack(y) == pack(tuple(u + v for u, v in zip(x, y)))
+        got = Poly(EXACT, n, ref_clean(a)) * Poly(EXACT, n, ref_clean(b))
+        assert got.terms == ref_mul(ref_clean(a), ref_clean(b))
+
+    def test_keys_sort_by_degree_then_exponents(self):
+        alphas = [(0, 3, 1), (2, 0, 0), (1, 1, 0), (0, 0, 2), (4, 0, 0), (0, 0, 0)]
+        assert sorted(alphas, key=pack) == sorted(alphas, key=lambda a: (sum(a), a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degree_past_the_field_raises_and_never_spills(self, n):
+        top = (MAX_DEGREE,) + (0,) * (n - 1)
+        for alpha in (top, top[::-1]):  # the largest exponent in the first or last field
+            assert unpack(pack(alpha), n) == alpha
+            assert Poly.monomial(EXACT, n, alpha).terms == {alpha: 1}
+        over = (MAX_DEGREE + 1,) + (0,) * (n - 1)
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1}"):
+            Poly.monomial(EXACT, n, over)
+        # a product past the field raises instead of carrying into the next one
+        y = Poly.variable(EXACT, n, n - 1)
+        big = Poly.monomial(EXACT, n, (0,) * (n - 1) + (MAX_DEGREE,))
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1}"):
+            big * y
+        assert big.mul(y, through=MAX_DEGREE).is_zero()
+        op = DiffOpJet.scalar_multiplication(y, 1)
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1}"):
+            op.apply(FiberPoly([big]))
+        assert (big.diff(n - 1) * y).terms == {(0,) * (n - 1) + (MAX_DEGREE,): MAX_DEGREE}
 
 
 class TestFiberPoly:
@@ -301,7 +362,7 @@ class TestFormalScalarSeries:
     @settings(max_examples=60, deadline=None)
     def test_mul_associative_commutative(self, xs, ys, zs):
         def mk(vals):
-            return FormalScalarSeries(EXACT, HI0, [F(v) for v in vals], HalfInt(12))
+            return FormalScalarSeries(EXACT, 0, [F(v) for v in vals], 12)
         a, b, c = mk(xs), mk(ys), mk(zs)
         assert a * b == b * a
         lhs = (a * b) * c
@@ -355,14 +416,13 @@ def scalar_series(mode, values):
     """Series with negative offsets, interior and edge zeros, the zero series, and
     truncation orders that are absent, below, inside or beyond the stored range."""
     return st.builds(
-        lambda off, cs, t: FormalScalarSeries(mode, HalfInt(off), cs,
-                                              None if t is None else HalfInt(t)),
+        lambda off, cs, t: FormalScalarSeries(mode, off, cs, t),
         st.integers(-5, 4), st.lists(values, max_size=7),
         st.one_of(st.none(), st.integers(-8, 10)))
 
 
 def series_state(s, coeff=lambda c: c):
-    return s.offset, tuple(map(coeff, s.coeffs)), s.truncation_order
+    return s.offset2, tuple(map(coeff, s.coeffs)), s.trunc2
 
 
 def hex_coeff(c):
@@ -430,7 +490,7 @@ class TestInverseSqrt:
     @settings(max_examples=40, deadline=None)
     def test_defect_zero_randomized(self, tail):
         # a.inverse() and inverse_sqrt_series(a) both come from binomial_series
-        a = FormalScalarSeries(EXACT, HI0, [F(1)] + [F(v) for v in tail], HalfInt(24))
+        a = FormalScalarSeries(EXACT, 0, [F(1)] + [F(v) for v in tail], 24)
         r = inverse_sqrt_series(a)
         assert (r * r * a).truncation_order == HalfInt(24)
         assert (r * r * a).equals_through(series({0: 1}), HalfInt(24))
@@ -463,8 +523,7 @@ def perturbations(draw, mode=EXACT, values=FRACS_OR_ZERO):
     coeffs = [draw(FRACS.filter(bool))] + draw(st.lists(values, max_size=6))
     trunc = draw(st.one_of(st.none(), st.integers(offset, 14)))
     through = draw(st.integers(0, 14) if trunc is None else st.one_of(st.none(), st.integers(0, 14)))
-    v = FormalScalarSeries(mode, HalfInt(offset), [mode.coeff(c) for c in coeffs],
-                           None if trunc is None else HalfInt(trunc))
+    v = FormalScalarSeries(mode, offset, [mode.coeff(c) for c in coeffs], trunc)
     return v, None if through is None else HalfInt(through)
 
 
@@ -478,8 +537,8 @@ class TestBinomialSeries:
 
     def test_float_within_tolerance_of_exact(self):
         v = series({1: F(1, 3), 2: F(-2, 5), 3: F(1, 7)}, trunc=20)
-        vf = FormalScalarSeries(float_mode(), v.offset, [complex(c) for c in v.coeffs],
-                                v.truncation_order)
+        vf = FormalScalarSeries(float_mode(), v.offset2, [complex(c) for c in v.coeffs],
+                                v.trunc2)
         for exponent in (F(-1), F(-1, 2), F(1, 2), F(3)):
             want, got = binomial_series(v, exponent), binomial_series(vf, exponent)
             # judged against the largest coefficient: at exponent 3 the
@@ -502,33 +561,33 @@ def fiber_mono(alpha, value=1, n=None, rank=1, k=0):
 
 def at_absolute(u, t: HalfInt) -> FiberPoly:
     """The coefficient of the series at the absolute exponent t."""
-    return u.at_relative(t + u.K)
+    return u.at2((t + u.K).doubled)
 
 
 class TestRescaling:
     def test_x_squared_moves_one_order_up(self):
         # x^2 at order 0 becomes y^2 at order 1
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,))}, None)
+        u = XJetSeries(EXACT, 1, 1, 0, {0: fiber_mono((2,))}, None)
         v = rescale(u)
         assert v.K == HI0
         assert at_absolute(v, HalfInt(2)) == fiber_mono((2,))
         assert at_absolute(v, HI0).is_zero()
 
     def test_constant_stays(self):
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,), 7)}, None)
+        u = XJetSeries(EXACT, 1, 1, 0, {0: fiber_mono((0,), 7)}, None)
         v = rescale(u)
         assert at_absolute(v, HI0) == fiber_mono((0,), 7)
 
     def test_half_order_x(self):
         # h^(1/2) x  ->  h^1 y, and the round trip returns the input
-        u = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,))}, None)
+        u = XJetSeries(EXACT, 1, 1, 0, {1: fiber_mono((1,))}, None)
         v = rescale(u)
         assert at_absolute(v, HalfInt(2)) == fiber_mono((1,))
         assert unrescale(v) == u
 
     def test_unrescale_single_monomial_with_offset(self):
         # y at index 1/2 with K = 1/2 (absolute order 0) -> x at absolute -1/2
-        v = S0Series(EXACT, 1, 1, HalfInt(1), {HalfInt(1): fiber_mono((1,))}, None)
+        v = S0Series(EXACT, 1, 1, 1, {1: fiber_mono((1,))}, None)
         u = unrescale(v)
         assert u.K == HalfInt(1)
         assert at_absolute(u, HalfInt(-1)) == fiber_mono((1,))
@@ -536,26 +595,26 @@ class TestRescaling:
     def test_unrescale_keeps_the_one_joint_bound(self):
         # degree d at absolute exponent s came from order s + d/2 <= T
         T = HalfInt(5)
-        v = S0Series(EXACT, 1, 1, HalfInt(1),
-                     {HalfInt(1): fiber_mono((1,)), HalfInt(4): fiber_mono((3,), 2)}, T)
+        v = S0Series(EXACT, 1, 1, 1,
+                     {1: fiber_mono((1,)), 4: fiber_mono((3,), 2)}, T.doubled)
         u = unrescale(v)
         assert u.truncation_order == T
         for s2 in range(-1, 12):
-            assert u.degree_bound_at(HalfInt(s2)) == (T - HalfInt(s2)).doubled
+            assert u.degree_bound_at2(s2) == (T - HalfInt(s2)).doubled
         for k, p in u.items():
-            assert p.degree() <= u.degree_bound_at(k - u.K)
+            assert p.degree() <= u.degree_bound_at2((k - u.K).doubled)
         assert rescale(u) == v and rescale(u).truncation_order == T
-        assert unrescale(S0Series(EXACT, 1, 1, HI0, {}, None)).degree_bound_at(HI0) is None
+        assert unrescale(S0Series(EXACT, 1, 1, 0, {}, None)).degree_bound_at2(0) is None
 
     def test_degree_invariant_enforced(self):
         with pytest.raises(S0DegreeError):
-            S0Series(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((2,))}, None)
+            S0Series(EXACT, 1, 1, 0, {1: fiber_mono((2,))}, None)
 
     def test_rescale_linear(self):
-        u1 = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((2,), 3)}, None)
-        u2 = XJetSeries(EXACT, 1, 1, HI0, {HalfInt(1): fiber_mono((1,), 5)}, None)
-        both = XJetSeries(EXACT, 1, 1, HI0,
-                          {HI0: fiber_mono((2,), 3), HalfInt(1): fiber_mono((1,), 5)}, None)
+        u1 = XJetSeries(EXACT, 1, 1, 0, {0: fiber_mono((2,), 3)}, None)
+        u2 = XJetSeries(EXACT, 1, 1, 0, {1: fiber_mono((1,), 5)}, None)
+        both = XJetSeries(EXACT, 1, 1, 0,
+                          {0: fiber_mono((2,), 3), 1: fiber_mono((1,), 5)}, None)
         assert rescale(both) == rescale(u1) + rescale(u2)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(-5, 5)),
@@ -566,18 +625,17 @@ class TestRescaling:
         for k2, deg, val in raw:
             if val == 0:
                 continue
-            k = HalfInt(k2)
             mono = fiber_mono((deg,))
-            cur = coeffs.get(k, FiberPoly.zero(EXACT, 1, 1))
-            coeffs[k] = cur + mono.scale(F(val))
-        u = XJetSeries(EXACT, 1, 1, HI0, coeffs, None)
+            cur = coeffs.get(k2, FiberPoly.zero(EXACT, 1, 1))
+            coeffs[k2] = cur + mono.scale(F(val))
+        u = XJetSeries(EXACT, 1, 1, 0, coeffs, None)
         assert unrescale(rescale(u)) == u
 
     def test_worked_cubic_ground_block_round_trip(self):
         # hand-rescaled check: u = 1 + h*(q2(x)) with q2 = x^2/6 maps to
         # 1 + h^2 y^2/6; independently substitute x = sqrt(h) y by hand.
         q2 = fiber_mono((2,), F(1, 6))
-        u = XJetSeries(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,)), HalfInt(2): q2}, None)
+        u = XJetSeries(EXACT, 1, 1, 0, {0: fiber_mono((0,)), 2: q2}, None)
         v = rescale(u)
         assert at_absolute(v, HI0) == fiber_mono((0,))
         assert at_absolute(v, HalfInt(4)) == q2
@@ -586,33 +644,32 @@ class TestRescaling:
 
 class TestS0Series:
     def test_add_aligns_offsets(self):
-        a = S0Series(EXACT, 1, 1, HalfInt(1), {HalfInt(1): fiber_mono((1,))}, None)
-        b = S0Series(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,), 2)}, None)
+        a = S0Series(EXACT, 1, 1, 1, {1: fiber_mono((1,))}, None)
+        b = S0Series(EXACT, 1, 1, 0, {0: fiber_mono((0,), 2)}, None)
         c = a + b
         assert c.K == HalfInt(1)
         assert at_absolute(c, HI0) == fiber_mono((1,)) + fiber_mono((0,), 2)
         assert at_absolute(c, HalfInt(-1)).is_zero()
 
     def test_scale_series_by_laurent_raises_K(self):
-        a = S0Series(EXACT, 1, 1, HI0, {HI0: fiber_mono((0,))}, None)
+        a = S0Series(EXACT, 1, 1, 0, {0: fiber_mono((0,))}, None)
         s = FormalScalarSeries.from_terms(EXACT, {HalfInt(-1): F(1)})
         b = a.scale_series(s)
         assert b.K == HalfInt(1)
         assert at_absolute(b, HalfInt(-1)) == fiber_mono((0,))
 
     def test_with_K_lowers_K_under_the_degree_check(self):
-        a = S0Series(EXACT, 1, 1, HalfInt(2), {HalfInt(2): fiber_mono((0,))}, None)
+        a = S0Series(EXACT, 1, 1, 2, {2: fiber_mono((0,))}, None)
         m = a.with_K(HI0)
         assert m.K == HI0
         assert m == a
-        b = S0Series(EXACT, 1, 1, HalfInt(2), {HalfInt(2): fiber_mono((2,))}, None)
+        b = S0Series(EXACT, 1, 1, 2, {2: fiber_mono((2,))}, None)
         assert b.with_K(HalfInt(4)) == b
         with pytest.raises(S0DegreeError):
             b.with_K(HalfInt(1))
 
     def test_order_is_the_lowest_absolute_exponent(self):
-        a = S0Series(EXACT, 1, 1, HalfInt(3), {HalfInt(2): fiber_mono((0,)),
-                                               HalfInt(5): fiber_mono((1,))}, None)
+        a = S0Series(EXACT, 1, 1, 3, {2: fiber_mono((0,)), 5: fiber_mono((1,))}, None)
         assert a.order() == HalfInt(-1)
         assert S0Series.zero(EXACT, 1, 1).order() is None
 
@@ -648,10 +705,9 @@ def ypoly(terms: dict) -> Poly:
 def s0(terms: dict, bound=None) -> S0Series:
     """The series at the least offset K its kept terms allow: degree d at
     doubled exponent t needs K.doubled >= d - t."""
-    coeffs = {HalfInt(t + BIG_K): FiberPoly([ypoly(p)]) for t, p in terms.items()}
+    coeffs = {t + BIG_K: FiberPoly([ypoly(p)]) for t, p in terms.items()}
     K = max([0] + [max(p) - t for t, p in terms.items() if bound is None or t <= bound])
-    return S0Series(EXACT, 1, 1, HalfInt(BIG_K), coeffs,
-                    None if bound is None else HalfInt(bound)).with_K(HalfInt(K))
+    return S0Series(EXACT, 1, 1, BIG_K, coeffs, bound).with_K(HalfInt(K))
 
 
 def s0_stored(u: S0Series) -> dict:
