@@ -28,5 +28,5 @@ print("\nThe quasimode itself is the constant section times the scalar series")
 print("that normalizes it against the Gaussian weight:")
 spec = preset_problem("witten1d:c=1", order=HalfInt(6))
 result = compute_quasimodes(spec.problem, spec.order, e0=Fraction(0))
-for k, jet in result.eigenfunctions[0].items():
-    print(f"  h^{k} * {jet.components[0].coefficient((0,))}")
+for k, jet in result.eigenfunctions[0].items2():  # k is the doubled index
+    print(f"  h^{HalfInt(k)} * {jet.components[0].coefficient((0,))}")

@@ -18,7 +18,7 @@ spec = preset_problem("iso2d:c=1", order=HalfInt(8))
 result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 lvl = result.level
 print(f"level E0 = {lvl.E0}: multiplicity {lvl.m0}, parity {lvl.parity}, "
-      f"offset exponent -K = -{lvl.K}")
+      f"offset exponent -K = -{HalfInt(lvl.K2)}")
 for i, e in enumerate(result.eigenvalues, start=1):
     print(f"  E_{i}(h) = {e}")
 
@@ -26,7 +26,7 @@ print("\nParity theorem in action: an odd level, so the eigenvalue series")
 print("carry only integer powers, and the eigenfunction jets only live on")
 print("the half-integer exponent class:")
 for a in result.eigenfunctions:
-    exponents = sorted((k - a.K).doubled for k in a.coeffs)
+    exponents = sorted(k - a.K2 for k in a.coeffs2)
     print(f"  doubled exponents present: {exponents}")
 
 rep = orthonormality_report(result)

@@ -21,8 +21,8 @@ print(f"level E0 = {lvl.E0}: members {[(m.alpha, m.k + 1) for m in lvl.members]}
 for i, e in enumerate(result.eigenvalues, start=1):
     print(f"  E_{i}(h) = {e}")
 
-half = HalfInt(3)  # absolute exponent 3/2 = h * h^(1/2)
-gap = result.eigenvalues[1].coefficient(half) - result.eigenvalues[0].coefficient(half)
+half = 3  # doubled absolute exponent 3/2 = h * h^(1/2)
+gap = result.eigenvalues[1].at2(half) - result.eigenvalues[0].at2(half)
 print(f"\nhalf-integer splitting at h^(3/2): gap = {gap}")
 
 print("independent residual checks:")

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series_algebra import EXACT, HI0, HalfInt, Poly, float_mode
+from .series_algebra import EXACT, HalfInt, Poly, float_mode
 from .operator_calculus import JetProblem, ProblemValidationError
 from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
@@ -111,7 +111,7 @@ def _parse_as(cast, what: str, token: str, line: int | None, col: int | None = 1
 
 def _parse_order(token: str, line: int | None = None) -> HalfInt:
     order = _parse_as(HalfInt.parse, "order (an integer or half-integer like 5/2)", token, line)
-    if order < HI0:
+    if order.doubled < 0:
         raise SpecFileError("order must be nonnegative", line)
     return order
 
@@ -128,11 +128,13 @@ def _parse_multiindex(tokens, n, line, col):
     return alpha
 
 
-def parse_problem_spec(text: str) -> ParsedSpec:
+def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
     """Parse and validate a problem-spec document.
 
-    Raises ``SpecFileError`` with line/column on syntax problems and with the
-    violated structural requirement's message on semantic problems.
+    ``order``, when given, replaces the file's order (the ``--order`` option),
+    and the default input-jet degree follows it. Raises ``SpecFileError``
+    with line/column on syntax problems and with the violated structural
+    requirement's message on semantic problems.
     """
     sections: dict[str, list] = {}
     keyvals: dict[str, dict] = {}
@@ -202,7 +204,8 @@ def parse_problem_spec(text: str) -> ParsedSpec:
                                 lineno, 1)
         if mode_name == "float":
             mode = float_mode(rtol)
-    order = _parse_order(*need("order"))
+    file_order = _parse_order(*need("order"))
+    order = file_order if order is None else order
     degree = None
     if "degree" in pk:
         degree = _parse_as(int, "degree", *pk["degree"])
@@ -424,7 +427,7 @@ def result_document(spec: ParsedSpec, result, reports=None) -> dict:
         "schema": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": _version()},
         "mode": mode.name,
-        "order_doubled": result.order.doubled,
+        "order_doubled": result.order2,
         "problem": {
             "n": spec.problem.n,
             "rank": spec.problem.rank,
@@ -435,7 +438,7 @@ def result_document(spec: ParsedSpec, result, reports=None) -> dict:
         "level": {
             "E0": mode.to_json(lvl.E0),
             "m0": lvl.m0,
-            "K_doubled": lvl.K.doubled,
+            "K_doubled": lvl.K2,
             "parity": lvl.parity,
             "members": [{"alpha": list(m.alpha), "k": m.k + 1} for m in lvl.members],
         },
@@ -460,7 +463,7 @@ def result_document(spec: ParsedSpec, result, reports=None) -> dict:
         doc["checks"].append({
             "name": rep.name,
             "passed": bool(rep.passed),
-            "order_doubled": rep.order.doubled if rep.order is not None else None,
+            "order_doubled": rep.order2,
             "max_residual": float(rep.max_residual),
             "detail": rep.detail,
         })
@@ -483,11 +486,9 @@ def _load_spec(args) -> ParsedSpec:
                               order=_parse_order(args.order) if args.order else HalfInt(6))
     elif getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = parse_problem_spec(fh.read())
+            spec = parse_problem_spec(fh.read(), _parse_order(args.order) if args.order else None)
         if args.mode and args.mode != spec.problem.mode.name:
             raise SpecFileError("--mode conflicts with the spec file's mode; edit the file")
-        if args.order:
-            spec.order = _parse_order(args.order)
     else:
         raise SpecFileError("one of --spec or --preset is required")
     if getattr(args, "level", None) is not None:
@@ -530,9 +531,9 @@ def _print_summary(spec: ParsedSpec, result, reports, out=None):
     lvl = result.level
     mode = spec.problem.mode
     print(f"level E0 = {mode.to_json(lvl.E0)}  multiplicity {lvl.m0}  "
-          f"offset 2K = {lvl.K.doubled}  parity {lvl.parity}", file=out)
+          f"offset 2K = {lvl.K2}  parity {lvl.parity}", file=out)
     for i, e in enumerate(result.eigenvalues, start=1):
-        bits = [f"h^{t} * {mode.to_json(c)}" for t, c in e.items()]
+        bits = [f"h^{HalfInt(t)} * {mode.to_json(c)}" for t, c in e.items2()]
         print(f"  E_{i} = " + (" + ".join(bits) if bits else "0"), file=out)
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

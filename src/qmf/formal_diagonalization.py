@@ -31,13 +31,11 @@ from typing import Sequence
 
 from .series_algebra import (
     FormalScalarSeries,
-    HI0,
     HalfInt,
     S0Series,
     _min_trunc,
     adjoint_solve,
     cholesky,
-    half_range,
     hermitian_eigh,
     inverse_sqrt_series,
     lower_solve,
@@ -62,10 +60,10 @@ class ExactSplitUnavailable(ValueError):
 class SplitAmbiguityError(ValueError):
     """Float-mode eigenvalue clustering is ambiguous at the reported order."""
 
-    def __init__(self, order: HalfInt, gap: float, scale: float):
-        self.order = order
+    def __init__(self, order2: int, gap: float, scale: float):
+        self.order2 = order2
         super().__init__(
-            f"eigenvalue clusters separated by {gap:.3e} at order {order} are neither "
+            f"eigenvalue clusters separated by {gap:.3e} at order {HalfInt(order2)} are neither "
             f"equal nor resolved against the magnitude {scale:.3e}; splitting stalled")
 
 
@@ -74,7 +72,7 @@ class SplitAmbiguityError(ValueError):
 
 
 def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
-                through: HalfInt | None = None) -> list:
+                through2: int | None = None) -> list:
     """Pairing Gram matrix (f_a, f_b) of the level basis, as rows of scalar
     series.
 
@@ -86,9 +84,10 @@ def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
     """
     mode = fs[0].mode
     m = len(fs)
-    pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through) for i in range(m) for j in range(i, m)}
+    pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through2)
+             for i in range(m) for j in range(i, m)}
     rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
-    lead = [[e.coefficient(HI0) for e in row] for row in rows]
+    lead = [[e.at2(0) for e in row] for row in rows]
     scale = max(mode.abs(lead[i][i]) for i in range(m))
     for i in range(m):
         for j in range(m):
@@ -320,7 +319,7 @@ def _const_inverse(a):
     return [row[m:] for row in aug]
 
 
-def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
+def _gen_eig_float(r, a0, scale: float, order2: int, mode):
     """Clustered blocks of the constant hermitian pencil in float mode.
 
     Cholesky reduction (G. H. Golub and C. F. Van Loan, Matrix Computations,
@@ -347,7 +346,7 @@ def _gen_eig_float(r, a0, scale: float, order: HalfInt, mode):
     for a, b in zip(clusters, clusters[1:]):
         gap = abs(vals[b[0]] - vals[a[-1]])
         if mode.negligible(gap, 100 * scale):
-            raise SplitAmbiguityError(order, float(gap), scale)
+            raise SplitAmbiguityError(order2, float(gap), scale)
     return [(complex(sum(vals[i] for i in cl) / len(cl)), [vecs[i] for i in cl])
             for cl in clusters]
 
@@ -372,18 +371,18 @@ class EigenResult:
     normalized: bool
 
 
-def _is_hermitian(x: list, through: HalfInt) -> bool:
+def _is_hermitian(x: list, through2: int) -> bool:
     """Whether the series matrix ``x`` equals its conjugate transpose through
-    ``through``; the pairs i <= j decide it, (j, i) being their mirror."""
-    return all(x[i][j].equals_through(x[j][i].conj(), through)
+    the doubled ``through2``; the pairs i <= j decide it, (j, i) being their mirror."""
+    return all(x[i][j].equals_through(x[j][i].conj(), through2)
                for i in range(len(x)) for j in range(i, len(x)))
 
 
-def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> EigenResult:
+def formal_eigendecomposition(m_matrix: list, gram: list, through2: int) -> EigenResult:
     """Eigenvalue and eigenvector series of a hermitian pencil over the series field.
 
     Solves the generalized problem M v = E (gram) v through the smaller of
-    ``through`` and the entries' truncation orders; M and gram are rows of
+    the doubled ``through2`` and the entries' truncation orders; M and gram are rows of
     scalar series, and the leading gram coefficient must be hermitian
     positive definite. Splitting follows the first order whose deflated
     coefficient is not a scalar multiple of the leading gram; blocks are
@@ -396,19 +395,19 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> E
     has a square root in the field (always in float mode).
     """
     mode = m_matrix[0][0].mode
-    trunc = reduce(_min_trunc, (e.truncation_order for x in (m_matrix, gram)
-                                for row in x for e in row), through)
+    trunc = reduce(_min_trunc, (e.trunc2 for x in (m_matrix, gram)
+                                for row in x for e in row), through2)
     if not _is_hermitian(m_matrix, trunc) or not _is_hermitian(gram, trunc):
         raise ValueError("pencil must be hermitian")
 
-    b, a = ([[e.truncate(trunc) for e in row] for row in x] for x in (m_matrix, gram))
+    b, a = ([[e.truncate2(trunc) for e in row] for row in x] for x in (m_matrix, gram))
     solved = _pencil_solve(b, a, trunc, mode)
 
     # deterministic order: sort by eigenvalue coefficient sequences
     def eig_key(triple):
         e = triple[0]
-        return tuple((t.doubled, round(mode.to_float(mode.real(e.coefficient(t))), 12))
-                     for t in half_range(HI0, trunc))
+        return tuple((t, round(mode.to_float(mode.real(e.at2(t))), 12))
+                     for t in range(trunc + 1))
 
     solved.sort(key=eig_key)
     eigenvalues, vectors, norms2 = map(list, zip(*solved))
@@ -416,11 +415,11 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through: HalfInt) -> E
     # phase convention: largest-magnitude leading entry real positive
     fixed = []
     for col in vectors:
-        lead_order = min((e.order() for e in col if not e.is_zero()), default=None)
+        lead_order = min((e.order2() for e in col if not e.is_zero()), default=None)
         if lead_order is None:
             fixed.append(col)
             continue
-        entries = [e.coefficient(lead_order) for e in col]
+        entries = [e.at2(lead_order) for e in col]
         # the first entry of largest magnitude, float magnitudes equal when close
         mags = [mode.abs(c) for c in entries]
         best = next(i for i, a in enumerate(mags) if mode.close(a, max(mags)))
@@ -454,9 +453,10 @@ def _field_sqrt(mode, c):
     return Fraction(rn, rd)
 
 
-def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
+def _pencil_solve(b: list, a: list, order: int, mode) -> list:
     """Recursive splitting; returns [(eigenvalue series, column of series, n0)],
-    each column scaled at its leaf to the constant squared norm n0.
+    each column scaled at its leaf to the constant squared norm n0. Orders
+    are doubled ints, here and in the helpers below.
 
     ``b`` and ``a`` are rows of series truncated at ``order``. The deflated coefficient
     B_t - (E A)_t vanishes when each entry's two terms are ``mode.close``;
@@ -464,14 +464,14 @@ def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
     with those of A."""
     m = len(b)
     if m == 1:
-        e = (b[0][0] / a[0][0]).truncate(order)
+        e = (b[0][0] / a[0][0]).truncate2(order)
         one = FormalScalarSeries.const(mode, 1, order)
         return [(e, *_unit_column([one], a[0][0], order, mode))]
 
-    a0 = [[e.coefficient(HI0) for e in row] for row in a]
+    a0 = [[e.at2(0) for e in row] for row in a]
     e_terms: list = []  # (order, coefficient) of the common eigenvalue so far
-    for t in half_range(HI0, order):
-        terms = [[(b[i][j].coefficient(t), _convolve(e_terms, a[i][j], t, mode))
+    for t in range(order + 1):
+        terms = [[(b[i][j].at2(t), _convolve(e_terms, a[i][j], t, mode))
                   for j in range(m)] for i in range(m)]
         if all(mode.close(x, y) for row in terms for x, y in row):
             continue
@@ -484,39 +484,38 @@ def _pencil_solve(b: list, a: list, order: HalfInt, mode) -> list:
         if len(blocks) == 1:
             e_terms.append((t, blocks[0][0]))
             continue
-        e_accum = FormalScalarSeries.from_terms(mode, dict(e_terms), order)
+        e_accum = FormalScalarSeries.from_terms2(mode, dict(e_terms), order)
         return _split_and_recurse(b, a, order, mode, e_accum, t, blocks)
 
     # no split through the working order: all eigenvalues coincide
-    e_accum = FormalScalarSeries.from_terms(mode, dict(e_terms), order)
+    e_accum = FormalScalarSeries.from_terms2(mode, dict(e_terms), order)
     return [(e_accum, col, n0) for col, n0 in _series_gram_schmidt(a, order, mode)]
 
 
-def _convolve(e_terms: list, x: FormalScalarSeries, t: HalfInt, mode):
+def _convolve(e_terms: list, x: FormalScalarSeries, t: int, mode):
     """Coefficient t of E x, for E the sum of c h^s over (s, c) in ``e_terms``."""
     out = None
     for s, c in e_terms:
-        v = x.at2(t.doubled - s.doubled)
+        v = x.at2(t - s)
         if not mode.is_zero(v):
             out = c * v if out is None else out + c * v
     return mode.zero() if out is None else out
 
 
-def _lin_comb(mode, order: HalfInt, terms) -> FormalScalarSeries:
+def _lin_comb(mode, order: int, terms) -> FormalScalarSeries:
     """The sum of c h^s x over (c, s, x) in ``terms``, truncated at ``order``:
     constants times shifted series, formed without a series product."""
-    top = order.doubled
     slots: dict[int, object] = {}
     for c, s, x in terms:
         if mode.is_zero(c):
             continue
         for e, v in x.items2():
-            k = e + s.doubled
-            if k > top:
+            k = e + s
+            if k > order:
                 break
             w = slots.get(k)
             slots[k] = c * v if w is None else w + c * v
-    return FormalScalarSeries.from_terms2(mode, slots, top)
+    return FormalScalarSeries.from_terms2(mode, slots, order)
 
 
 def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
@@ -538,7 +537,7 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
 
     def rotate(x):
         """U^H x U, a constant congruence."""
-        return [[_lin_comb(mode, order, [(mode.conj(u[k][i]) * u[l][j], HI0, x[k][l])
+        return [[_lin_comb(mode, order, [(mode.conj(u[k][i]) * u[l][j], 0, x[k][l])
                                          for k in range(m) for l in range(m)])
                  for j in range(m)] for i in range(m)]
 
@@ -549,12 +548,12 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
     def decoupled(xv, rng):
         """The diagonal block of V^H X V on ``rng``, from xv = X V."""
         return [[_lin_comb(
-            mode, order, [(mode.one(), HI0, xv[i][j])] + [(mode.conj(vr[k][i]), r, xv[k][j])
+            mode, order, [(mode.one(), 0, xv[i][j])] + [(mode.conj(vr[k][i]), r, xv[k][j])
                                                           for r, vr in v_terms for k in range(m)])
             for j in rng] for i in rng]
 
     # W = U V, as (coefficient, order) terms per entry
-    w = [[[(u[i][j], HI0)] + [(sum((u[i][k] * vr[k][j] for k in range(m)), mode.zero()), r)
+    w = [[[(u[i][j], 0)] + [(sum((u[i][k] * vr[k][j] for k in range(m)), mode.zero()), r)
                               for r, vr in v_terms]
           for j in range(m)] for i in range(m)]
 
@@ -564,7 +563,7 @@ def _split_and_recurse(b, a, order, mode, e_accum, t, blocks):
             full_col = [_lin_comb(mode, order, [(c, r, col[cc]) for cc, j in enumerate(rng)
                                                 for c, r in w[i][j]])
                         for i in range(m)]
-            out.append(((e_accum + e_sub).truncate(order), full_col, n0))
+            out.append(((e_accum + e_sub).truncate2(order), full_col, n0))
     return out
 
 
@@ -593,18 +592,18 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
         """Coefficient e of (V^H X V)[i][j], given xv = X V."""
         if e > order:
             return zero
-        acc = xv[i][j].coefficient(e)
+        acc = xv[i][j].at2(e)
         for r, vr in v_terms:
             for k in range(m):
                 c = vr[k][i]
                 if not mode.is_zero(c):
-                    acc = acc + mode.conj(c) * xv[k][j].coefficient(e - r)
+                    acc = acc + mode.conj(c) * xv[k][j].at2(e - r)
         return acc
 
-    a0_blocks = [[[a_rot[i][j].coefficient(HI0) for j in rng] for i in rng] for rng in ranges]
+    a0_blocks = [[[a_rot[i][j].at2(0) for j in rng] for i in rng] for rng in ranges]
     a0_invs = [_const_inverse(blk) for blk in a0_blocks]
 
-    for s_ord in half_range(HalfInt(1), order):
+    for s_ord in range(1, order + 1):
         vs = [[zero] * m for _ in range(m)]
         dirty = False
         for bi in range(len(ranges)):
@@ -630,7 +629,7 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
                         vs[j][i] = mode.conj(y[rr][cc])
         if dirty:
             v_terms.append((s_ord, vs))
-            av, pv = ([[_lin_comb(mode, order, [(mode.one(), HI0, xv[i][j])] +
+            av, pv = ([[_lin_comb(mode, order, [(mode.one(), 0, xv[i][j])] +
                                   [(vs[k][j], s_ord, x_rot[i][k]) for k in range(m)])
                         for j in range(m)] for i in range(m)]
                       for xv, x_rot in ((av, a_rot), (pv, p_rot)))
@@ -645,7 +644,7 @@ def _block_mul(a, b):
              for j in range(cols)] for i in range(rows)]
 
 
-def _form(u: list, a: list, v: list, order: HalfInt, mode) -> FormalScalarSeries:
+def _form(u: list, a: list, v: list, order: int, mode) -> FormalScalarSeries:
     """The hermitian form u^H a v of two columns of series."""
     acc = FormalScalarSeries.zero(mode, order)
     for i in range(len(a)):
@@ -654,15 +653,15 @@ def _form(u: list, a: list, v: list, order: HalfInt, mode) -> FormalScalarSeries
     return acc
 
 
-def _unit_column(col: list, norm2: FormalScalarSeries, order: HalfInt, mode) -> tuple:
+def _unit_column(col: list, norm2: FormalScalarSeries, order: int, mode) -> tuple:
     """``col`` scaled by a scalar series so that its squared norm ``norm2``
     becomes the constant n0 of its leading order; returns (column, n0)."""
-    n0 = norm2.coefficient(HI0)
-    factor = inverse_sqrt_series(norm2.truncate(order).scale(mode.one() / n0), through=order)
+    n0 = norm2.at2(0)
+    factor = inverse_sqrt_series(norm2.truncate2(order).scale(mode.one() / n0), through2=order)
     return [e * factor for e in col], n0
 
 
-def _series_gram_schmidt(a: list, order: HalfInt, mode) -> list:
+def _series_gram_schmidt(a: list, order: int, mode) -> list:
     """A-orthogonal columns from the identity basis, lexicographic pivoting,
     as [(column, n0)] scaled by ``_unit_column``."""
     m = len(a)
@@ -672,7 +671,7 @@ def _series_gram_schmidt(a: list, order: HalfInt, mode) -> list:
         for prev, norm in zip(cols, norms):
             c = _form(prev, a, col, order, mode) / norm
             col = [ci - c * pi for ci, pi in zip(col, prev)]
-        col = [c.truncate(order) for c in col]
+        col = [c.truncate2(order) for c in col]
         cols.append(col)
         norms.append(_form(col, a, col, order, mode))
     return [_unit_column(col, norm, order, mode) for col, norm in zip(cols, norms)]

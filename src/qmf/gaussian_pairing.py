@@ -32,11 +32,8 @@ from typing import Mapping
 
 from .series_algebra import (
     FormalScalarSeries,
-    HI0,
-    HalfInt,
     Poly,
     S0Series,
-    _doubled,
     _min_trunc,
     check_degree,
     convolution_bound,
@@ -146,7 +143,8 @@ class WeightExpansion:
 
     omega_0 = 1; omega_m has parity (-1)^(2m) and collects products of the
     homogeneous phase parts (degree k + 2 at half-order k/2) with the metric
-    density jets. ``complete`` bounds the orders that are exact. ``table``
+    density jets. ``omega2`` keys omega_m by the doubled order 2m, and
+    ``complete2`` is the doubled order through which they are exact. ``table``
     holds the functional L_m of each order ``functional`` was asked for, and
     ``moments`` the moment rows they have read, keyed (nu, g, top); both
     belong to this instance, so nothing outlives the weight.
@@ -154,33 +152,29 @@ class WeightExpansion:
 
     mode: object
     lam: tuple
-    omega: Mapping  # HalfInt -> Poly
-    complete: HalfInt
+    omega2: Mapping  # doubled order -> Poly
+    complete2: int
     table: dict = field(default_factory=dict, compare=False, repr=False)
     moments: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def at(self, m: HalfInt) -> Poly:
-        n = len(self.lam)
-        return self.omega.get(m, Poly.zero(self.mode, n))
-
-    def orders(self):
-        return sorted(self.omega, key=lambda h: h.doubled)
+    def orders2(self) -> list[int]:
+        return sorted(self.omega2)
 
     def abs(self) -> "WeightExpansion":
         """The expansion of the |coefficients| of each omega_m, sharing the moments."""
-        return WeightExpansion(self.mode, self.lam, {m: p.abs() for m, p in self.omega.items()},
-                               self.complete, moments=self.moments)
+        return WeightExpansion(self.mode, self.lam, {m: p.abs() for m, p in self.omega2.items()},
+                               self.complete2, moments=self.moments)
 
-    def functional(self, m: HalfInt) -> _Functional:
-        """The lazily filled functional L_m of the order-m weight."""
-        lm = self.table.get(m)
+    def functional(self, m2: int) -> _Functional:
+        """The lazily filled functional L_m of the weight at doubled order m2."""
+        lm = self.table.get(m2)
         if lm is None:
-            lm = self.table[m] = _Functional(self.omega[m], self.lam, self.moments)
+            lm = self.table[m2] = _Functional(self.omega2[m2], self.lam, self.moments)
         return lm
 
 
-def _graded_mul(a: dict, b: dict, mode, n: int, through: HalfInt) -> dict:
-    out: dict[HalfInt, Poly] = {}
+def _graded_mul(a: dict, b: dict, mode, n: int, through: int) -> dict:
+    out: dict[int, Poly] = {}
     for ka, pa in a.items():
         for kb, pb in b.items():
             k = ka + kb
@@ -192,44 +186,40 @@ def _graded_mul(a: dict, b: dict, mode, n: int, through: HalfInt) -> dict:
 
 
 def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
-                     through) -> WeightExpansion:
-    """Expand the non-Gaussian weight factors in half powers.
+                     through2: int) -> WeightExpansion:
+    """Expand the non-Gaussian weight factors in half powers, keyed by
+    doubled order.
 
     The phase jet contributes exp(S), S = -2 sum_k h^(k/2) phi_{k+2}(y), by
     ``euler_recurrence`` over doubled orders; the metric density jet G
     (``density``, as formed with the second-order operator:
     ``ConjugatedOperator.density``) contributes its homogeneous parts at half
-    their degree. Orders are exact through min(through, (phi completeness -
+    their degree. Orders are exact through min(through2 / 2, (phi completeness -
     2)/2, density completeness / 2).
     """
     mode, n = problem.mode, problem.n
-    through = HalfInt.of(through)
-    caps = [through, HalfInt(phi.complete - 2)]
+    caps = [through2, phi.complete - 2]
     # S's part at doubled order d - 2 is -2 times phi's degree-d part
     s = {d - 2: part.scale(-2) for d, part in phi.poly.components_by_degree().items()
-         if 2 < d <= through.doubled + 2}
-    expo = {HalfInt(k): p for k, p in
-            euler_recurrence(s, through.doubled, Poly.const(mode, n, 1), Poly.scale).items()}
+         if 2 < d <= through2 + 2}
+    expo = euler_recurrence(s, through2, Poly.const(mode, n, 1), Poly.scale)
     if not problem.metric_is_flat():
-        caps.append(HalfInt(problem.D))
-        g_parts: dict[HalfInt, Poly] = {}
-        for d, part in density.components_by_degree().items():
-            k = HalfInt(d)
-            if k <= through:
-                g_parts[k] = part
-        expo = _graded_mul(expo, g_parts, mode, n, through)
+        caps.append(problem.D)
+        g_parts = {d: part for d, part in density.components_by_degree().items()
+                   if d <= through2}
+        expo = _graded_mul(expo, g_parts, mode, n, through2)
     complete = min(caps)
     omega = {k: p for k, p in expo.items() if k <= complete and not p.is_zero()}
     # structural invariants: leading term 1, parity (-1)^(2m); a wrong-parity
     # term must be negligible against the largest term of its polynomial
-    assert omega.get(HI0) == Poly.const(mode, n, 1)
+    assert omega.get(0) == Poly.const(mode, n, 1)
     for k, p in omega.items():
-        want = 0 if k.is_integer else 1
+        want = k % 2
         scale = p.max_abs()
         for alpha, c in p.terms.items():
             if sum(alpha) % 2 != want and not mode.negligible(c, scale):
                 raise AssertionError("weight polynomial has impossible parity")
-    return WeightExpansion(mode=mode, lam=problem.lam, omega=omega, complete=complete)
+    return WeightExpansion(mode=mode, lam=problem.lam, omega2=omega, complete2=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +227,7 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
 
 
 def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
-            through: HalfInt | None = None) -> FormalScalarSeries:
+            through2: int | None = None) -> FormalScalarSeries:
     """Hermitian pairing of two power-counted series.
 
     Conjugate-linear in the first argument. Fiber components pair directly,
@@ -258,12 +248,11 @@ def pair_s0(u: S0Series, v: S0Series, omega: WeightExpansion,
     # conjugation is the identity on rational coefficients
     real_field = mode.name == "exact"
     hermitian = u is v
-    weights = [(m.doubled, omega.functional(m)) for m in omega.orders()]
+    weights = [(m, omega.functional(m)) for m in omega.orders2()]
 
-    # orders are doubled ints from here on
     trunc = convolution_bound((u.trunc2, u.order2()), (v.trunc2, v.order2()),
-                              (omega.complete.doubled, 0))
-    trunc = _min_trunc(trunc, _doubled(through))
+                              (omega.complete2, 0))
+    trunc = _min_trunc(trunc, through2)
 
     # the fiber integrands summed by base order, as [numerators, denominator],
     # so that each weight functional reads every base order once

@@ -22,7 +22,7 @@ from itertools import product
 from math import floor, perm, prod
 
 from .series_algebra import (
-    EXPONENT_BITS, MAX_DEGREE, FiberPoly, HalfInt, Poly, accumulate, check_degree,
+    EXPONENT_BITS, MAX_DEGREE, FiberPoly, Poly, accumulate, check_degree,
     pack, reduce_num, unpack)
 
 __all__ = [
@@ -291,9 +291,6 @@ class SpectrumTable:
     degree: int
     entries: dict  # HermiteIndex -> eigenvalue
 
-    def eigenvalue(self, index: HermiteIndex):
-        return self.entries[index]
-
     def sorted_entries(self) -> list:
         return sorted(self.entries.items(),
                       key=lambda kv: (self.mode.to_float(kv[1]), kv[0]))
@@ -355,14 +352,15 @@ def build_spectrum(mode, lam, mu, degree: int) -> SpectrumTable:
 class DegenerateLevel:
     """One eigenvalue with its full index set.
 
-    K is half the maximal |alpha| over the members; parity is 'even' or
-    'odd' when every member degree has that parity, else 'mixed'.
+    K is half the maximal |alpha| over the members, ``K2`` = 2K that maximum;
+    parity is 'even' or 'odd' when every member degree has that parity, else
+    'mixed'.
     """
 
     E0: object
     members: tuple          # HermiteIndex, sorted
     m0: int
-    K: HalfInt
+    K2: int
     parity: str
 
 
@@ -387,8 +385,8 @@ def degenerate_level(table: SpectrumTable, E0) -> DegenerateLevel:
     members = tuple(sorted(members))
     degrees = {m.degree % 2 for m in members}
     parity = "even" if degrees == {0} else "odd" if degrees == {1} else "mixed"
-    K = HalfInt(max(m.degree for m in members))
-    return DegenerateLevel(E0=E0, members=members, m0=len(members), K=K, parity=parity)
+    K2 = max(m.degree for m in members)
+    return DegenerateLevel(E0=E0, members=members, m0=len(members), K2=K2, parity=parity)
 
 
 def level_by_index(table: SpectrumTable, i: int) -> DegenerateLevel:

@@ -31,11 +31,8 @@ from .series_algebra import (
     EXPONENT_BITS,
     MAX_DEGREE,
     FiberPoly,
-    HI0,
-    HalfInt,
     Poly,
     S0Series,
-    _doubled,
     _fiber_polys,
     _min_trunc,
     _same_mode,
@@ -43,7 +40,6 @@ from .series_algebra import (
     check_degree,
     convolution_bound,
     euler_recurrence,
-    half_range,
     hermitian_eigh,
     pack,
 )
@@ -373,13 +369,6 @@ class DiffOpJet:
             terms[b] = pm_add(terms[b], m) if b in terms else m
         return DiffOpJet(self.mode, self.n, self.rank, terms,
                          _min_trunc(self.complete, other.complete))
-
-    def __neg__(self) -> "DiffOpJet":
-        return DiffOpJet(self.mode, self.n, self.rank,
-                         {b: pm_neg(m) for b, m in self.terms.items()}, self.complete)
-
-    def __sub__(self, other: "DiffOpJet") -> "DiffOpJet":
-        return self + (-other)
 
     def scale(self, c) -> "DiffOpJet":
         return DiffOpJet(self.mode, self.n, self.rank,
@@ -725,32 +714,33 @@ def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly, through: int) -> list:
 
 @dataclass
 class OperatorFamily:
-    """Rescaled graded family: Q = sum_j h^j Q_j on polynomials in the blown-up variable."""
+    """Rescaled graded family: Q = sum_j h^j Q_j on polynomials in the blown-up
+    variable, keyed by the doubled order 2j and exact through ``max_order2``."""
 
-    ops: dict[HalfInt, DiffOpJet]
-    max_order: HalfInt
+    ops2: dict[int, DiffOpJet]
+    max_order2: int
     mode: object
     n: int
     rank: int
 
-    def get(self, j: HalfInt) -> DiffOpJet:
-        return self.ops.get(j, DiffOpJet.zero(self.mode, self.n, self.rank))
+    def get2(self, j: int) -> DiffOpJet:
+        return self.ops2.get(j, DiffOpJet.zero(self.mode, self.n, self.rank))
 
-    def orders(self) -> list[HalfInt]:
-        return sorted(self.ops, key=lambda h: h.doubled)
+    def orders2(self) -> list[int]:
+        return sorted(self.ops2)
 
-    def apply_series(self, u, out_trunc=None):
+    def apply_series(self, u, out_trunc2=None):
         """Apply the whole family to a power-counted series, tracking
         truncation. Each target coefficient is accumulated in place, as
         numerators over one denominator per component (``accumulate``), and
         reduced once, as ``S0Series.scale_series`` does."""
-        trunc = convolution_bound((self.max_order.doubled, 0), (u.trunc2, u.order2()))
-        trunc = _min_trunc(trunc, _doubled(out_trunc))
+        trunc = convolution_bound((self.max_order2, 0), (u.trunc2, u.order2()))
+        trunc = _min_trunc(trunc, out_trunc2)
         slots: dict[int, list] = {}
-        for j_op in self.orders():
-            op = self.ops[j_op]
+        for j_op in self.orders2():
+            op = self.ops2[j_op]
             for j_u, p in u.coeffs2.items():
-                target = j_u + j_op.doubled
+                target = j_u + j_op
                 if target - u.K2 > trunc:
                     continue
                 col = slots.get(target)
@@ -778,14 +768,13 @@ def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:
                           hbar1.complete)
     if complete is None:
         complete = max([d + 2 for d in graded2] + list(graded1) + [0])
-    max_order = HalfInt(complete)
-    ops: dict[HalfInt, DiffOpJet] = {}
-    for j in half_range(HI0, max_order):
+    ops: dict[int, DiffOpJet] = {}
+    for j in range(complete + 1):  # doubled orders
         piece = DiffOpJet.zero(mode, n, rank)
-        if j.doubled - 2 in graded2:
-            piece = piece + graded2[j.doubled - 2]
-        if j.doubled in graded1:
-            piece = piece + graded1[j.doubled]
+        if j - 2 in graded2:
+            piece = piece + graded2[j - 2]
+        if j in graded1:
+            piece = piece + graded1[j]
         if not piece.is_zero():
             ops[j] = piece
-    return OperatorFamily(ops=ops, max_order=max_order, mode=mode, n=n, rank=rank)
+    return OperatorFamily(ops2=ops, max_order2=complete, mode=mode, n=n, rank=rank)

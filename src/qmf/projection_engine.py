@@ -68,7 +68,6 @@ from typing import Iterable, Mapping
 
 from .series_algebra import (
     FormalScalarSeries,
-    HI0,
     HalfInt,
     S0Series,
     accumulate,
@@ -133,11 +132,6 @@ class HermiteVec:
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    def coeffs(self) -> dict:
-        """The coefficients as mode values (Fractions in exact mode)."""
-        join, den = self.mode.join, self.den
-        return {idx: join(n, den) for idx, n in self.num.items()}
-
     def add(self, other: "HermiteVec", n=1, d: int = 1) -> "HermiteVec":
         """Add ``(n / d) * other`` in place and return self."""
         self.den = accumulate(self.num, self.den, other.num, n, d * other.den)
@@ -176,26 +170,26 @@ def _reduced(vecs: dict) -> dict:
 
 
 class ProjectorSeries:
-    """The level projector through ``order``, by Laurent residues of the
-    graded resolvent expansion at one level, and Bloch's wave operator
-    (``wave_operator``) on the same Q_j cache.
+    """The level projector through the doubled order ``order2``, by Laurent
+    residues of the graded resolvent expansion at one level, and Bloch's wave
+    operator (``wave_operator2``) on the same Q_j cache.
 
-    ``image(pos)`` returns the graded coefficients of the projected basis
-    vector at a basis position as ``HermiteVec``s; images are computed lazily
-    and cached, so the table covers whatever the caller touches. At order
-    zero the action is the identity on the level members and zero elsewhere.
+    ``image2(pos)`` returns the graded coefficients of the projected basis
+    vector at a basis position as ``HermiteVec``s keyed by doubled order;
+    images are computed lazily and cached, so the table covers whatever the
+    caller touches. At order zero the action is the identity on the level
+    members and zero elsewhere.
     """
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
-                 order: HalfInt):
+                 order2: int):
         self.mode = basis.mode
         self.family = family
         self.basis = basis
         self.level = level
-        self.order = order
-        # (j.doubled, position) -> Q_j applied to the basis vector there
+        self.order2 = order2
+        # (2j, position) -> Q_j applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
-        self._orders = {j.doubled: j for j in family.orders()}
         # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
         self._gap_powers: dict[int, list] = {}
         # position -> images through the built order
@@ -206,29 +200,29 @@ class ProjectorSeries:
 
     # -- model operator pieces in the eigenbasis
 
-    def q_action(self, j: HalfInt, pos: int) -> HermiteVec:
-        """Q_j applied to the basis vector at position ``pos``, in the basis
-        (``HermiteBasis.apply``), cached per (j, pos). Raises
+    def q_action(self, j2: int, pos: int) -> HermiteVec:
+        """Q_j, j2 = 2j, applied to the basis vector at position ``pos``, in
+        the basis (``HermiteBasis.apply``), cached per (j2, pos). Raises
         ``WorkspaceDegreeError`` when the image leaves the workspace and
         ``ParityRuleError`` when an entry's degree differs from deg + 2j by
         an odd number."""
-        key = (j.doubled, pos)
+        key = (j2, pos)
         hit = self._q_cache.get(key)
         if hit is not None:
             return hit
-        out = HermiteVec(self.mode, *self.basis.apply(self.family.get(j), pos))
+        out = HermiteVec(self.mode, *self.basis.apply(self.family.get2(j2), pos))
         degree_at = self.basis.degree_at
         degrees = [degree_at[i] for i in out.num]
         top = max(degrees, default=0)
         if top > self.basis.degree:
             raise WorkspaceDegreeError(
-                f"operator action at order {j} reaches degree {top}, beyond the "
+                f"operator action at order {HalfInt(j2)} reaches degree {top}, beyond the "
                 f"degree-{self.basis.degree} workspace; enlarge the polynomial degree bound")
-        shift = degree_at[pos] + j.doubled
+        shift = degree_at[pos] + j2
         if any((d - shift) % 2 for d in degrees):
             raise ParityRuleError(
-                f"operator at order {j} maps {self.basis.index_at[pos]} to a degree of parity "
-                f"other than {shift % 2}; Q_j must change degree parity by 2j")
+                f"operator at order {HalfInt(j2)} maps {self.basis.index_at[pos]} to a degree of "
+                f"parity other than {shift % 2}; Q_j must change degree parity by 2j")
         self._q_cache[key] = out
         return out
 
@@ -276,79 +270,77 @@ class ProjectorSeries:
                     _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
         return _reduced(out)
 
-    def _apply_q(self, jd: int, state: dict, out: dict) -> dict:
-        """Add Q_j, j = jd / 2, applied to every vector of ``state`` into
+    def _apply_q(self, j2: int, state: dict, out: dict) -> dict:
+        """Add Q_j, j2 = 2j, applied to every vector of ``state`` into
         ``out`` under the same key."""
         cache = self._q_cache
         for key, vec in state.items():
             acc = _slot(out, key, self.mode)
             for idx, n in vec.num.items():
-                qv = cache.get((jd, idx))
-                acc.add(qv if qv is not None else self.q_action(self._orders[jd], idx), n,
-                        vec.den)
+                qv = cache.get((j2, idx))
+                acc.add(qv if qv is not None else self.q_action(j2, idx), n, vec.den)
         return out
 
-    def images(self, pos: int, budget: HalfInt) -> dict:
-        """The order-j coefficients, 0 <= j <= budget, of the projected basis
-        vector at position ``pos``.
+    def images2(self, pos: int, budget2: int) -> dict:
+        """The order-j coefficients, 0 <= 2j <= budget2, of the projected
+        basis vector at position ``pos``, keyed by the doubled order 2j.
 
         Runs the graded recursion T_s = G0 sum_i Q_i T_{s-i} from T_0 = G0 e,
         dropping the w-powers that cannot reach the residue within the
-        remaining budget, and returns {j: residue of T_j} for the nonzero
+        remaining budget, and returns {2j: residue of T_j} for the nonzero
         residues.
 
-        ``image`` always asks for the built order. A smaller budget serves
+        ``image2`` always asks for the built order. A smaller budget serves
         the tests' graded apply behind the idempotency and commutation laws:
         an index met at order j there needs its image only through order
         N - j, which keeps it inside the workspace.
         """
-        top = HalfInt.of(budget).doubled
-        parts = [i.doubled for i in self.family.orders() if 0 < i.doubled <= top]
+        parts = [i for i in self.family.orders2() if 0 < i <= budget2]
         states: dict[int, dict] = {}
-        out: dict[HalfInt, HermiteVec] = {}
-        for s in range(top + 1):
+        out: dict[int, HermiteVec] = {}
+        for s in range(budget2 + 1):
             summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
             for i in parts:
                 if i > s:
                     break
                 self._apply_q(i, states[s - i], summed)
-            state = states[s] = self._resolvent_factor(_reduced(summed), top - s)
+            state = states[s] = self._resolvent_factor(_reduced(summed), budget2 - s)
             residue = state.get(-1)
             if residue:
-                out[HalfInt(s)] = residue
+                out[s] = residue
         return out
 
     # -- the action table
 
-    def image(self, pos: int) -> dict:
+    def image2(self, pos: int) -> dict:
         hit = self._images.get(pos)
         if hit is None:
-            hit = self._images[pos] = self.images(pos, self.order)
+            hit = self._images[pos] = self.images2(pos, self.order2)
         return hit
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
         """The image sum_j h^j P_j of ``index`` as a power-counted series
         (``as_s0``)."""
-        return self.as_s0(index, self.image(self.basis.position(index)))
+        return self.as_s0(index, self.image2(self.basis.position(index)))
 
     def as_s0(self, index: HermiteIndex, vecs: Mapping) -> S0Series:
-        """sum_j h^j vecs[j], a graded vector grown from ``index``, as a
-        power-counted series with offset K = |alpha|/2: the series' degree
-        check certifies the bound deg <= |alpha| + 2j."""
+        """sum_j h^j vecs[2j], a graded vector grown from ``index`` and keyed
+        by doubled order, as a power-counted series with offset K = |alpha|/2:
+        the series' degree check certifies the bound deg <= |alpha| + 2j."""
         basis, K2 = self.basis, index.degree
-        coeffs = {K2 + j.doubled: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
-        return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, self.order.doubled)
+        coeffs = {K2 + j: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
+        return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, self.order2)
 
     # -- Bloch's wave operator
 
-    def wave_operator(self) -> tuple[list, list]:
+    def wave_operator2(self) -> tuple[list, list]:
         """Bloch's wave operator on the level through the built order (module
-        docstring): ([{s: Omega_s e_a}] per member a, H_eff as rows of scalar
+        docstring): ([{2s: Omega_s e_a}] per member a, H_eff as rows of scalar
         series). Omega_s e_a has degree at most |alpha| + 2s."""
-        mode, N = self.mode, self.order.doubled  # orders are doubled ints here
+        mode, N = self.mode, self.order2
         members = [self.basis.position(m) for m in self.level.members]
         level_set = self._level_set
-        parts = [j.doubled for j in self.family.orders() if 0 < j.doubled <= N]
+        parts = [j for j in self.family.orders2() if 0 < j <= N]
         waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
         h: dict[int, list] = {}
         for s in range(1, N + 1):
@@ -383,31 +375,31 @@ class ProjectorSeries:
             mode, {0: self.level.E0 if a == b else mode.zero(),
                    **{t: h_t[a][b] for t, h_t in h.items()}}, N)
             for b in range(len(members))] for a in range(len(members))]
-        return [{HalfInt(s): vec for s, vec in om.items()} for om in waves], h_eff
+        return waves, h_eff
 
 
-def workspace_degree(level: DegenerateLevel, order: HalfInt) -> int:
-    """The polynomial degree that the projector check reaches through ``order``.
+def workspace_degree(level: DegenerateLevel, order2: int) -> int:
+    """The polynomial degree that the projector check reaches through the
+    doubled order ``order2``.
 
     Its probes are the level members and every basis vector of degree at
-    most 2K + 2, ``workspace_degree(level, HI0)``. Each step of the resolvent
+    most 2K + 2, ``workspace_degree(level, 0)``. Each step of the resolvent
     recursion raises the degree by at most 2i with Q_i, so the images of the
     probes, and every vector summed into them, reach at most 2K + 2 + 2N, and
     a basis of this degree holds every vector the pipeline (the wave
     operator, deg <= |alpha| + 2s), the check and ``rs_oracle`` build.
     """
-    return level.K.doubled + 2 + order.doubled
+    return level.K2 + 2 + order2
 
 
 def build_projector(family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
-                    order) -> ProjectorSeries:
-    """Projector series through the requested order for one level."""
-    order = HalfInt.of(order)
-    if order > family.max_order:
+                    order2: int) -> ProjectorSeries:
+    """Projector series through the requested doubled order for one level."""
+    if order2 > family.max_order2:
         raise WorkspaceDegreeError(
-            f"operator family exact only through order {family.max_order}; "
-            f"raise the input jet order (need operator orders through {order})")
-    return ProjectorSeries(family, basis, level, order)
+            f"operator family exact only through order {HalfInt(family.max_order2)}; "
+            f"raise the input jet order (need operator orders through {HalfInt(order2)})")
+    return ProjectorSeries(family, basis, level, order2)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +413,7 @@ class VerificationReport:
 
     name: str
     passed: bool
-    order: HalfInt | None
+    order2: int | None      # the doubled order checked through
     max_residual: float
     detail: str = ""
     data: dict = field(default_factory=dict)
@@ -448,11 +440,11 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     it: a nonzero symmetry defect against the pairings of the |coefficients|
     of both sides, as ``orthonormality_report`` judges the Gram.
     """
-    mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order
-    probes = sorted(set(basis.indices(workspace_degree(level, HI0))) | set(level.members))
+    mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order2
+    probes = sorted(set(basis.indices(workspace_degree(level, 0))) | set(level.members))
     pos = {idx: basis.position(idx) for idx in probes}
     degree_at = basis.degree_at
-    imgs = {idx: proj.image(pos[idx]) for idx in probes}
+    imgs = {idx: proj.image2(pos[idx]) for idx in probes}
 
     # degree bound and parity of each coefficient
     degree_ok = True
@@ -460,9 +452,9 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     for idx in probes:
         for j, vec in imgs[idx].items():
             for midx in vec.num:
-                if degree_at[midx] > idx.degree + j.doubled:
+                if degree_at[midx] > idx.degree + j:
                     degree_ok = False
-                if (degree_at[midx] - idx.degree - j.doubled) % 2 != 0:
+                if (degree_at[midx] - idx.degree - j) % 2 != 0:
                     parity_ok = False
 
     # symmetry of the pairing: (a, P b) is the conjugate of (P b, a), as the
@@ -471,7 +463,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     sym_sample = probes[: max(4, level.m0 + 2)]
     projected = [proj.image_s0(a) for a in sym_sample]
     plain = [S0Series.from_fiber_poly(basis.fiber(a), None) for a in sym_sample]
-    pairs = [[pair_s0(pa, hb, omega, through=N) for hb in plain] for pa in projected]
+    pairs = [[pair_s0(pa, hb, omega, through2=N) for hb in plain] for pa in projected]
     magnitudes = None
     for a, row in enumerate(pairs):
         for b in range(a, len(row)):
@@ -483,20 +475,19 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
                 magnitudes = ([p.abs() for p in projected], [h.abs() for h in plain],
                               omega.abs())
             abs_p, abs_h, abs_omega = magnitudes
-            bound = (pair_s0(abs_p[a], abs_h[b], abs_omega, through=N)
-                     + pair_s0(abs_p[b], abs_h[a], abs_omega, through=N))
-            sym += [(mode.abs(c), mode.abs(bound.coefficient(t)))
-                    for t, c in diff.items() if t <= N]
+            bound = (pair_s0(abs_p[a], abs_h[b], abs_omega, through2=N)
+                     + pair_s0(abs_p[b], abs_h[a], abs_omega, through2=N))
+            sym += [(mode.abs(c), mode.abs(bound.at2(t)))
+                    for t, c in diff.items2() if t <= N]
 
     # rank certificate: every projected vector is a series combination of the
     # level images, solved order by order against the level components
     members = list(level.members)
     rank_res = []
     for idx in probes:
-        # keyed by the doubled order
-        target = {j.doubled: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
+        target = {j: HermiteVec(mode, dict(v.num), v.den) for j, v in imgs[idx].items()}
         scale = _max_abs(imgs[idx].values())
-        for t in range(N.doubled + 1):
+        for t in range(N + 1):
             resid_t = target.get(t)
             if resid_t is None:
                 continue
@@ -506,17 +497,17 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
                     continue
                 d = resid_t.den
                 for j2, vec2 in imgs[member].items():
-                    if t + j2.doubled <= N.doubled:
+                    if t + j2 <= N:
                         scale = max(scale, abs(n) / d * vec2.max_abs())
-                        _slot(target, t + j2.doubled, mode).add(vec2, -n, d)
-        rank_res.append((_max_abs(v for j, v in target.items() if j <= N.doubled), scale))
+                        _slot(target, t + j2, mode).add(vec2, -n, d)
+        rank_res.append((_max_abs(v for j, v in target.items() if j <= N), scale))
 
     # independence: the leading coefficients of the level images are the
     # standard basis vectors, so the images are independent by construction;
     # certify by checking those leading entries explicitly.
     rank = 0
     for member in members:
-        lead = imgs[member].get(HI0, HermiteVec(mode))
+        lead = imgs[member].get(0, HermiteVec(mode))
         n = lead.num.get(pos[member])
         if n is not None and mode.negligible(n - lead.den, lead.den):
             rank += 1
@@ -527,5 +518,5 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     return VerificationReport(
         name="projector",
         passed=(mode.negligible(worst, 1) and rank == level.m0 and degree_ok and parity_ok),
-        order=N, max_residual=worst, detail=f"rank {rank}/{level.m0}",
+        order2=N, max_residual=worst, detail=f"rank {rank}/{level.m0}",
         data={**defects, "rank": rank, "degree_bound_ok": degree_ok, "parity_ok": parity_ok})

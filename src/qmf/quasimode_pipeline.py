@@ -38,7 +38,6 @@ from typing import Sequence
 
 from .series_algebra import (
     FormalScalarSeries,
-    HI0,
     HalfInt,
     S0Series,
     _min_trunc,
@@ -96,10 +95,11 @@ __all__ = [
 class InsufficientOrderError(ValueError):
     """The input jets cannot support the requested series order."""
 
-    def __init__(self, requested: HalfInt, available: HalfInt, required_D: int):
+    def __init__(self, requested2: int, available2: int, required_D: int):
         self.required_D = required_D
         super().__init__(
-            f"operator family exact only through order {available} < requested {requested}; "
+            f"operator family exact only through order {HalfInt(available2)} < "
+            f"requested {HalfInt(requested2)}; "
             f"the input jet order must be at least D = {required_D}")
 
 
@@ -131,7 +131,7 @@ class QuasimodeResult:
     """
 
     level: DegenerateLevel
-    order: HalfInt
+    order2: int               # the doubled order N
     eigenvalues: list
     eigenfunctions: list      # XJetSeries
     rescaled: list            # S0Series (the blown-up eigenvectors)
@@ -162,12 +162,14 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     ``level_index`` (position in the sorted spectrum, 0 = bottom) selects the
     level; with neither, the bottom level. Raises ``ValueError`` for a
     negative order or for both selectors, and raises if the level is not in
-    the model spectrum or the input jets are too short for the order.
+    the model spectrum or the input jets are too short for the order. The
+    order is a ``HalfInt``, an int or a ``Fraction``; the result holds it
+    doubled (``order2``), as every series holds its orders.
     """
     mode = problem.mode
-    order = HalfInt.of(order)
-    if order < HI0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    order = HalfInt.of(order).doubled  # doubled from here on
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {HalfInt(order)}")
     if e0 is not None and level_index is not None:
         raise ValueError("give e0 or level_index, not both")
 
@@ -176,20 +178,20 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     phi = solve_eikonal(problem)
     conj = conjugate_hamiltonian(problem, phi)
     family = rescale_operator(conj)
-    if family.max_order < order:
-        deficit = order.doubled - family.max_order.doubled
-        raise InsufficientOrderError(order, family.max_order, problem.D + deficit)
+    if family.max_order2 < order:
+        raise InsufficientOrderError(order, family.max_order2,
+                                     problem.D + order - family.max_order2)
 
     basis = HermiteBasis(mode, problem.lam, problem.mu, workspace_degree(level, order))
     omega = weight_expansion(phi, conj.density, problem, order)
 
     proj = build_projector(family, basis, level, order)
-    waves, h_eff = proj.wave_operator()
+    waves, h_eff = proj.wave_operator2()
     fs = [proj.as_s0(m, vecs) for m, vecs in zip(level.members, waves)]
 
-    a_mat = gram_matrix(fs, omega, through=order)
+    a_mat = gram_matrix(fs, omega, through2=order)
     c_mat = interaction_matrix(a_mat, h_eff)
-    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through=order)
+    eigen = formal_eigendecomposition(c_mat, gram=a_mat, through2=order)
 
     psis = []
     for col in eigen.vectors:
@@ -197,14 +199,14 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
         for f, c in zip(fs, col):
             psi = psi + f.scale_series(c)
         # the offset of the whole level; the degree check rejects an escape
-        psis.append(psi.truncate(order).with_K(level.K))
+        psis.append(psi.truncate2(order).with_K2(level.K2))
 
-    inner = [e.truncate(order) for e in eigen.eigenvalues]
+    inner = [e.truncate2(order) for e in eigen.eigenvalues]
     for e in inner:
         if not e.is_real():
             raise AssertionError("eigenvalue series has a non-real coefficient")
     parity = parity_filter(inner, level)
-    eigenvalues = [e.shift(HalfInt(2)) for e in inner]
+    eigenvalues = [e.shift2(2) for e in inner]
 
     eigenfunctions = [unrescale(psi) for psi in psis]
     _assert_structure(eigenfunctions, level, mode)
@@ -212,7 +214,7 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
     ctx = PipelineContext(problem=problem, conj=conj, family=family, basis=basis,
                           level=level, omega=omega, projector=proj, h_eff=h_eff,
                           parity=parity)
-    return QuasimodeResult(level=level, order=order, eigenvalues=eigenvalues,
+    return QuasimodeResult(level=level, order2=order, eigenvalues=eigenvalues,
                            eigenfunctions=eigenfunctions, rescaled=psis,
                            norm2_constants=eigen.norms2,
                            normalized=eigen.normalized, context=ctx)
@@ -227,9 +229,9 @@ def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> Verification
     so a coefficient not negligible against its series' largest means an
     implementation bug upstream.
     """
-    order = reduce(_min_trunc, (e.truncation_order for e in eigenvalues), None)
+    order = reduce(_min_trunc, (e.trunc2 for e in eigenvalues), None)
     if level.parity == "mixed":
-        return VerificationReport(name="parity", passed=True, order=order, max_residual=0.0,
+        return VerificationReport(name="parity", passed=True, order2=order, max_residual=0.0,
                                   detail="mixed parity: exempt")
     worst = 0.0
     for e in eigenvalues:
@@ -239,14 +241,14 @@ def parity_filter(eigenvalues: Sequence, level: DegenerateLevel) -> Verification
     if eigenvalues and not eigenvalues[0].mode.negligible(worst, 1):
         raise AssertionError(
             f"half-integer eigenvalue coefficient of size {worst} on a uniform-parity level")
-    return VerificationReport(name="parity", passed=True, order=order, max_residual=worst,
+    return VerificationReport(name="parity", passed=True, order2=order, max_residual=worst,
                               detail=f"all half-integer coefficients vanish (<= {worst})")
 
 
 def _assert_structure(eigenfunctions, level, mode):
     """Lowest-degree and parity bookkeeping of the output jets; a
     forbidden exponent's coefficients must be negligible against the jet's."""
-    K2 = level.K.doubled
+    K2 = level.K2
     for a in eigenfunctions:
         for k, jet in a.items2():
             lo = jet.min_degree()
@@ -279,28 +281,28 @@ def orthonormality_report(result: QuasimodeResult) -> VerificationReport:
     """
     ctx = result.context
     mode = ctx.problem.mode
-    N = result.order
+    N = result.order2
     psis = result.rescaled
     magnitudes = None
     residuals = []
     m = len(psis)
     for i in range(m):
         for j in range(i, m):
-            p = pair_s0(psis[i], psis[j], ctx.omega, through=N)
+            p = pair_s0(psis[i], psis[j], ctx.omega, through2=N)
             want = result.norm2_constants[i] if i == j else mode.zero()
-            diff = p - FormalScalarSeries.const(mode, want, p.truncation_order)
+            diff = p - FormalScalarSeries.const(mode, want, p.trunc2)
             if diff.max_abs_coeff(N):
                 if magnitudes is None:
                     magnitudes = [psi.abs() for psi in psis], ctx.omega.abs()
                 abs_psis, abs_omega = magnitudes
-                bound = pair_s0(abs_psis[i], abs_psis[j], abs_omega, through=N)
+                bound = pair_s0(abs_psis[i], abs_psis[j], abs_omega, through2=N)
                 residuals += [(mode.abs(c), mode.abs(bound.at2(t))
                                + (mode.abs(want) if t == 0 else 0))
-                              for t, c in diff.items2() if t <= N.doubled]
+                              for t, c in diff.items2() if t <= N]
     worst = worst_residual(mode, residuals)
     passed = mode.negligible(worst, 1)
     return VerificationReport(
-        name="orthonormality", passed=passed, order=result.order,
+        name="orthonormality", passed=passed, order2=N,
         max_residual=float(worst),
         detail="pairing Gram equals the recorded diagonal constants" if passed
         else "pairing Gram deviates from the expected diagonal")
@@ -329,17 +331,17 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     ctx = result.context
     mode = ctx.problem.mode
     level = ctx.level
-    N = result.order
+    N = result.order2
     T_op = ctx.conj.hbar1
     L_op = ctx.conj.hbar2
     t_low, l_low = T_op.min_degree(), L_op.min_degree()
     abs_ops = None
     residuals = []
-    K2 = level.K.doubled  # orders are doubled ints here
-    top = N.doubled + K2
+    K2 = level.K2
+    top = N + K2
     degrees = [None] * (top + 1)
     for a_jet, e_series in zip(result.eigenfunctions, result.eigenvalues):
-        inner = e_series.shift(HalfInt(-2))  # E0 + sum h^i E_i
+        inner = e_series.shift2(-2)  # E0 + sum h^i E_i
         for k in range(top + 1):
             # the degree through which every term below is exact, known
             # before any operator is applied, so the applications stop there;
@@ -378,7 +380,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
             residuals.append((residual, scale))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
-        name="transport", passed=mode.negligible(worst, 1), order=N, max_residual=float(worst),
+        name="transport", passed=mode.negligible(worst, 1), order2=N, max_residual=float(worst),
         detail=f"jet residual through degree {degrees[0]} at order 0, "
                f"{degrees[-1]} at order {HalfInt(top)}",
         data={"degrees": degrees})
@@ -401,17 +403,17 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
     """
     ctx = result.context
     mode = ctx.problem.mode
-    N = result.order
+    N = result.order2
     residuals = []
     for psi, e_series in zip(result.rescaled, result.eigenvalues):
-        inner = e_series.shift(HalfInt(-2))
-        qpsi = ctx.family.apply_series(psi, out_trunc=N)
+        inner = e_series.shift2(-2)
+        qpsi = ctx.family.apply_series(psi, out_trunc2=N)
         epsi = psi.scale_series(inner)
         residuals.append(((qpsi - epsi).max_abs_coeff(N),
                           max(qpsi.max_abs_coeff(N), epsi.max_abs_coeff(N))))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
-        name="eigen_residual", passed=mode.negligible(worst, 1), order=N,
+        name="eigen_residual", passed=mode.negligible(worst, 1), order2=N,
         max_residual=float(worst), detail="(Q - E) psi coefficientwise")
 
 
@@ -419,25 +421,24 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 # Residue oracle
 
 
-def _member_block(proj: ProjectorSeries, N: HalfInt, term) -> tuple[list, list]:
+def _member_block(proj: ProjectorSeries, N: int, term) -> tuple[list, list]:
     """X_ab = (P e_b)_a and Y_ab = ((Q - Q0) P e_b)_a at the level members a
     and b, as rows of {doubled order: value}, P e_b the Laurent-residue image. A value
     sums ``term(n, d)`` over the products n / d that form it: their values, or
     with |n / d| the magnitudes summed into the entry."""
     members = [proj.basis.position(m) for m in proj.level.members]
-    parts = [i for i in proj.family.orders() if HI0 < i <= N]
+    parts = [i for i in proj.family.orders2() if 0 < i <= N]
     x = [[{} for _ in members] for _ in members]
     y = [[{} for _ in members] for _ in members]
     for b, pos in enumerate(members):
-        for j, vec in proj.image(pos).items():
-            j = j.doubled  # the rows are keyed by doubled order
+        for j, vec in proj.image2(pos).items():
             for a, at in enumerate(members):
                 if at in vec.num:
                     x[a][b][j] = term(vec.num[at], vec.den)
             # Q0 is E0 at the members, so only the Q_i with i > 0 are applied
             for i in parts:
-                t = i.doubled + j
-                if t > N.doubled:
+                t = i + j
+                if t > N:
                     break
                 for idx, n in vec.num.items():
                     q = proj.q_action(i, idx)
@@ -453,7 +454,7 @@ def _rs_sides(h: list, x: list, y: list, eigs: list, e0) -> list:
     """(left, right) of each comparison of ``rs_oracle``: (H_eff - E0) X and Y
     entrywise, then tr(H_eff^p) and sum_k E_k^p for p = 1..m0."""
     m = len(h)
-    shift = FormalScalarSeries.const(x[0][0].mode, e0, x[0][0].truncation_order)
+    shift = FormalScalarSeries.const(x[0][0].mode, e0, x[0][0].trunc2)
     moved = [[e - shift if a == b else e for b, e in enumerate(row)] for a, row in enumerate(h)]
     hx = matmul(moved, x)
     sides = [(hx[a][b], y[a][b]) for a in range(m) for b in range(m)]
@@ -468,7 +469,7 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     """The ``rs_oracle`` check: the construction's H_eff and eigenvalues
     against the projector's Laurent-residue images, on any level.
 
-    P e_b is the projector's image of the member e_b (``ProjectorSeries.image``),
+    P e_b is the projector's image of the member e_b (``ProjectorSeries.image2``),
     which the construction never forms. It lies in the span of the wave images
     Omega e_c, whose member entries are delta_ac (intermediate normalization),
     so P e_b = sum_c Omega e_c X_cb with X_ab = (P e_b)_a; and Q Omega =
@@ -486,17 +487,16 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     ``data`` holds the worst residual of each comparison.
     """
     ctx = result.context
-    mode, N, level, proj = ctx.problem.mode, result.order, ctx.level, ctx.projector
+    mode, N, level, proj = ctx.problem.mode, result.order2, ctx.level, ctx.projector
 
     def series(rows):
-        return [[FormalScalarSeries.from_terms2(mode, terms, N.doubled) for terms in row]
+        return [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row]
                 for row in rows]
 
     def absolute(e):
-        return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()},
-                                              N.doubled)
+        return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()}, N)
 
-    eigs = [e.shift(HalfInt(-2)) for e in result.eigenvalues]
+    eigs = [e.shift2(-2) for e in result.eigenvalues]
     x, y = map(series, _member_block(proj, N, mode.join))
     diffs = [left - right for left, right in _rs_sides(ctx.h_eff, x, y, eigs, level.E0)]
     residuals = [[] for _ in diffs]
@@ -505,7 +505,7 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
         sides = _rs_sides([list(map(absolute, row)) for row in ctx.h_eff], ax, ay,
                           list(map(absolute, eigs)), mode.abs(level.E0))
         residuals = [[(mode.abs(c), mode.abs((left + right).at2(t)))
-                      for t, c in d.items2() if t <= N.doubled]
+                      for t, c in d.items2() if t <= N]
                      for d, (left, right) in zip(diffs, sides)]
     split = level.m0 * level.m0
     data = {name: float(worst_residual(mode, (r for part in parts for r in part)))
@@ -513,7 +513,7 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
                                 ("power_sums", residuals[split:]))}
     worst = max(data.values())
     return VerificationReport(
-        name="rs_oracle", passed=mode.negligible(worst, 1), order=N, max_residual=worst,
+        name="rs_oracle", passed=mode.negligible(worst, 1), order2=N, max_residual=worst,
         detail="pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
         if level.m0 == 1 else f"pipeline H_eff X equals the residue block (Q P e_b)_a; "
                               f"eigenvalue power sums equal tr H_eff^p, p <= {level.m0}",
@@ -622,18 +622,18 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     errors, sizes, fit = [], [], []
     for hb in hbars:
         e, size = certified_eigenvalue(hb)
-        errors.append(abs(e - series.evaluate(hb, through=result.order + HalfInt(2)).real))
+        errors.append(abs(e - series.evaluate(hb, through2=result.order2 + 2).real))
         sizes.append(size)
         if errors[-1] > 1e-12 * max(abs(e), hb):
             fit.append((hb, errors[-1]))
     certified = None not in sizes
 
-    want = float(result.order.as_fraction()) + 1.5
+    want = result.order2 / 2 + 1.5
     slope = (float(np.polyfit(*np.log(fit).T, 1)[0])
              if len({hb for hb, _ in fit}) >= 2 else None)
     data = {"hbars": list(hbars), "errors": errors, "sizes": sizes,
             "slope": slope, "required_slope": want}
-    trivial = all(mode.is_zero(c) for _, c in series.items())
+    trivial = all(mode.is_zero(c) for _, c in series.items2())
     if slope is None:
         passed = certified and max(errors) <= 1e-6
         detail = (f"fewer than two errors above rounding, no slope fitted; "
@@ -648,5 +648,5 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
         detail = f"log-log error slope {slope:.3f} (required >= {want})"
     if trivial:
         detail = "series is identically zero; " + detail
-    return VerificationReport(name="crosscheck", passed=passed, order=result.order,
+    return VerificationReport(name="crosscheck", passed=passed, order2=result.order2,
                               max_residual=max(errors), detail=detail, data=data)

@@ -9,9 +9,9 @@ Everything downstream manipulates four kinds of objects built here:
 * truncated Taylor jets in the base variable carrying half-integer series
   orders (``XJetSeries``),
 
-together with the substitution x = sqrt(hbar) * y that identifies the last
-two (``rescale`` / ``unrescale``). Those two share one graded container: a
-sum of h^(j-K) times a fiber polynomial, with its lowest exponent ``order()``.
+together with the substitution y = x / sqrt(hbar) that maps the third onto
+the fourth (``unrescale``). Those two share one graded container: a sum of
+h^(j-K) times a fiber polynomial, with its lowest exponent ``order2()``.
 
 Every truncated object is exact through a bound, None meaning at every
 order, and the rules that combine bounds are stated here once: a sum is
@@ -39,10 +39,9 @@ Inside the engine exponents are plain ints. A monomial y^alpha is one packed
 key (``pack``): the total degree in the top field, then alpha_0 .. alpha_(n-1)
 in fields of ``EXPONENT_BITS`` bits, so a monomial product is an integer sum
 and keys sort by degree first (M. Monagan and R. Pearce, CASC 2007). A series
-order j is its doubled int, in attributes and methods named with a trailing
-2 (``trunc2``, ``items2``). Tuples and ``HalfInt`` remain at the edge: the
-constructors, ``Poly.terms``/``coefficient`` and the series'
-``items``/``coefficient``/``order``.
+order j is its doubled int 2j, in every module, in attributes, arguments and
+methods named with a trailing 2 (``trunc2``, ``items2``, ``shift2``).
+``HalfInt`` only parses an order given from outside and prints one.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "HalfInt",
-    "HI0",
-    "half_range",
     "ExactMode",
     "FloatMode",
     "EXACT",
@@ -68,7 +65,6 @@ __all__ = [
     "FormalScalarSeries",
     "S0Series",
     "XJetSeries",
-    "rescale",
     "unrescale",
     "inverse_sqrt_series",
     "binomial_series",
@@ -84,8 +80,9 @@ __all__ = [
 class HalfInt:
     """An element of (1/2) * Z, stored as twice its value.
 
-    Used for every series exponent: orders in sqrt(hbar) are naturally
-    half-integers, and storing ``doubled`` keeps hashing and ordering exact.
+    The public form of a series order: it parses an order given to
+    ``compute_quasimodes``, ``preset_problem`` or the command line, and prints
+    one ('3', '5/2'). Inside the package an order is the int ``doubled``.
     """
 
     doubled: int
@@ -107,27 +104,6 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.doubled % 2 == 0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.doubled + HalfInt.of(other).doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.doubled - HalfInt.of(other).doubled)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            raise TypeError("HalfInt may only be scaled by an int")
-        return HalfInt(self.doubled * k)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if self.is_integer:
             return str(self.doubled // 2)
@@ -140,17 +116,6 @@ class HalfInt:
     def parse(text: str) -> "HalfInt":
         """Parse '3', '3/2' or '1.5'; any other value raises ``ValueError``."""
         return HalfInt.of(Fraction(text))
-
-
-HI0 = HalfInt(0)
-
-
-def half_range(start, stop) -> Iterator[HalfInt]:
-    """Half-integer steps from start to stop inclusive."""
-    a = HalfInt.of(start).doubled
-    b = HalfInt.of(stop).doubled
-    for d in range(a, b + 1):
-        yield HalfInt(d)
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +436,6 @@ class Poly:
         c = self.num.get(pack(alpha))
         return self.mode.zero() if c is None else self.mode.join(c, self.den)
 
-    def parity(self) -> int | None:
-        """+1 if all terms have even degree, -1 if all odd, 0 mixed, None if zero."""
-        if not self.num:
-            return None
-        shift = self.n * EXPONENT_BITS
-        pars = {a >> shift & 1 for a in self.num}
-        if pars == {0}:
-            return 1
-        if pars == {1}:
-            return -1
-        return 0
-
     def _keep(self, keep) -> "Poly":
         """The terms whose packed key satisfies ``keep``."""
         num = {a: c for a, c in self.num.items() if keep(a)}
@@ -587,9 +540,6 @@ class Poly:
         return (isinstance(other, Poly) and self.n == other.n and self.den == other.den
                 and self.num == other.num)
 
-    def __hash__(self):
-        return hash((self.n, self.den, frozenset(self.num.items())))
-
     def __repr__(self) -> str:
         if not self.num:
             return "Poly(0)"
@@ -603,8 +553,7 @@ class Poly:
 class FiberPoly:
     """Polynomial with values in the fiber: one scalar ``Poly`` per component.
 
-    The zero polynomial has degree -inf. Parity is the common parity of all
-    components (0 when mixed, None when zero).
+    The zero polynomial has degree -inf.
     """
 
     __slots__ = ("rank", "components")
@@ -629,10 +578,6 @@ class FiberPoly:
         return FiberPoly([z] * rank)
 
     @staticmethod
-    def scalar(p: Poly) -> "FiberPoly":
-        return FiberPoly([p])
-
-    @staticmethod
     def unit(p: Poly, rank: int, k: int) -> "FiberPoly":
         """p times the k-th (0-based) fiber basis vector."""
         comps = [Poly.zero(p.mode, p.n)] * rank
@@ -647,14 +592,6 @@ class FiberPoly:
 
     def min_degree(self):
         return min(c.min_degree() for c in self.components)
-
-    def parity(self) -> int | None:
-        pars = {c.parity() for c in self.components} - {None}
-        if not pars:
-            return None
-        if len(pars) > 1:
-            return 0
-        return pars.pop()
 
     def truncate_degree(self, d: int) -> "FiberPoly":
         return FiberPoly([c.truncate_degree(d) for c in self.components])
@@ -696,10 +633,13 @@ def convolution_bound(*factors):
     A product coefficient at order e reads each factor at e less the other
     factors' lowest orders, so the product is exact through the min, over the
     bounded factors, of the bound plus the other factors' lowest orders. A
-    bound of None means exact at every order; a zero factor's lowest order
-    (None or inf) counts as 0. None when no factor is bounded.
+    bound of None means exact at every order. A zero factor's lowest order
+    (None or inf) counts as 0, or as its bound plus one step when that is
+    lower: the factor's first unknown term may lie there. None when no factor
+    is bounded.
     """
-    lows = [0 if o is None or o == inf else o for _, o in factors]
+    lows = [o if o is not None and o != inf else 0 if b is None else min(0, b + 1)
+            for b, o in factors]
     total = sum(lows)
     out = None
     for (bound, _), low in zip(factors, lows):
@@ -712,24 +652,15 @@ def convolution_bound(*factors):
 # Scalar Laurent series in sqrt(hbar)
 
 
-def _doubled(h) -> int | None:
-    """The doubled int of a half-integer exponent or bound; None stays None."""
-    return None if h is None else HalfInt.of(h).doubled
-
-
-def _half(d: int | None) -> HalfInt | None:
-    return None if d is None else HalfInt(d)
-
-
 class FormalScalarSeries:
     """Laurent series in the half-power variable with scalar coefficients.
 
     ``offset2`` is the doubled exponent of the first stored coefficient and
     ``coeffs`` holds consecutive half-integer steps from there. ``trunc2`` is
     the doubled largest exponent guaranteed exact (None means the series is
-    exact at every order, e.g. it came from a polynomial identity);
-    ``truncation_order`` is the same as a ``HalfInt``. Stored coefficients
-    beyond the truncation order are dropped; absent ones below it are zero.
+    exact at every order, e.g. it came from a polynomial identity). Stored
+    coefficients beyond the truncation order are dropped; absent ones below
+    it are zero.
     """
 
     __slots__ = ("mode", "offset2", "coeffs", "trunc2")
@@ -754,24 +685,15 @@ class FormalScalarSeries:
         self.coeffs = tuple(coeffs)
         self.trunc2 = trunc2
 
-    @property
-    def truncation_order(self) -> HalfInt | None:
-        return _half(self.trunc2)
-
     # -- constructors
 
     @staticmethod
-    def zero(mode, truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, 0, (), _doubled(truncation_order))
+    def zero(mode, trunc2: int | None = None) -> "FormalScalarSeries":
+        return FormalScalarSeries(mode, 0, (), trunc2)
 
     @staticmethod
-    def const(mode, value, truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, 0, (mode.coeff(value),), _doubled(truncation_order))
-
-    @staticmethod
-    def from_terms(mode, terms: Mapping[HalfInt, object], truncation_order: HalfInt | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries.from_terms2(
-            mode, {HalfInt.of(k).doubled: v for k, v in terms.items()}, _doubled(truncation_order))
+    def const(mode, value, trunc2: int | None = None) -> "FormalScalarSeries":
+        return FormalScalarSeries(mode, 0, (mode.coeff(value),), trunc2)
 
     @staticmethod
     def from_terms2(mode, terms: Mapping[int, object], trunc2: int | None) -> "FormalScalarSeries":
@@ -789,15 +711,9 @@ class FormalScalarSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def order(self) -> HalfInt | None:
-        """Exponent of the leading nonzero coefficient; None for the zero series."""
-        return _half(self.order2())
-
     def order2(self) -> int | None:
+        """Doubled exponent of the leading nonzero coefficient; None for the zero series."""
         return self.offset2 if self.coeffs else None
-
-    def coefficient(self, exponent) -> object:
-        return self.at2(HalfInt.of(exponent).doubled)
 
     def at2(self, d: int) -> object:
         """The coefficient at the doubled exponent d."""
@@ -805,10 +721,6 @@ class FormalScalarSeries:
         if i < 0 or i >= len(self.coeffs):
             return self.mode.zero()
         return self.coeffs[i]
-
-    def items(self) -> Iterator[tuple[HalfInt, object]]:
-        for d, c in self.items2():
-            yield HalfInt(d), c
 
     def items2(self) -> Iterator[tuple[int, object]]:
         """(doubled exponent, coefficient) of the nonzero coefficients."""
@@ -875,25 +787,24 @@ class FormalScalarSeries:
         return FormalScalarSeries(self.mode, self.offset2, tuple(v * c for v in self.coeffs),
                                   self.trunc2)
 
-    def shift(self, exponent) -> "FormalScalarSeries":
-        """Multiply by the half-power variable to the given exponent."""
-        e = HalfInt.of(exponent).doubled
+    def shift2(self, e: int) -> "FormalScalarSeries":
+        """Multiply by the half-power variable to the doubled exponent e."""
         trunc = None if self.trunc2 is None else self.trunc2 + e
         return FormalScalarSeries(self.mode, self.offset2 + e, self.coeffs, trunc)
 
-    def truncate(self, truncation_order: HalfInt | None) -> "FormalScalarSeries":
+    def truncate2(self, trunc2: int | None) -> "FormalScalarSeries":
         return FormalScalarSeries(self.mode, self.offset2, self.coeffs,
-                                  _min_trunc(self.trunc2, _doubled(truncation_order)))
+                                  _min_trunc(self.trunc2, trunc2))
 
     def conj(self) -> "FormalScalarSeries":
         return FormalScalarSeries(self.mode, self.offset2,
                                   tuple(self.mode.conj(c) for c in self.coeffs), self.trunc2)
 
-    def inverse(self, through: HalfInt | None = None) -> "FormalScalarSeries":
+    def inverse(self, through2: int | None = None) -> "FormalScalarSeries":
         """Multiplicative inverse; the leading coefficient must be invertible.
 
-        ``through`` (absolute exponent bound on the result) is required when
-        the series is exact at all orders but not a monomial.
+        ``through2`` (doubled absolute exponent bound on the result) is
+        required when the series is exact at all orders but not a monomial.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
@@ -903,30 +814,27 @@ class FormalScalarSeries:
         # computed lead/lead, not 1, so its constant term is exactly 0
         rel = FormalScalarSeries(self.mode, 0, tuple(c / lead for c in self.coeffs), rel_trunc)
         v = rel - FormalScalarSeries(self.mode, 0, rel.coeffs[:1], rel_trunc)
-        rel_through = None if through is None else HalfInt(_doubled(through) + lo)
-        inv_rel = binomial_series(v, Fraction(-1), through=rel_through)
-        return inv_rel.scale(self.mode.one() / lead).shift(HalfInt(-lo))
+        rel_through = None if through2 is None else through2 + lo
+        inv_rel = binomial_series(v, Fraction(-1), through2=rel_through)
+        return inv_rel.scale(self.mode.one() / lead).shift2(-lo)
 
     def __truediv__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self * other.inverse()
 
-    def equals_through(self, other: "FormalScalarSeries", through=None) -> bool:
-        """Coefficients ``mode.close`` through ``through`` (None: every order)."""
-        through = _doubled(through)
+    def equals_through(self, other: "FormalScalarSeries", through2: int | None = None) -> bool:
+        """Coefficients ``mode.close`` through the doubled ``through2`` (None: every order)."""
         exps = {e for e, _ in self.items2()} | {e for e, _ in other.items2()}
         return all(self.mode.close(self.at2(e), other.at2(e))
-                   for e in exps if through is None or e <= through)
+                   for e in exps if through2 is None or e <= through2)
 
-    def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        through = _doubled(through)
-        vals = [self.mode.abs(c) for e, c in self.items2() if through is None or e <= through]
+    def max_abs_coeff(self, through2: int | None = None) -> float:
+        vals = [self.mode.abs(c) for e, c in self.items2() if through2 is None or e <= through2]
         return max((float(v) for v in vals), default=0.0)
 
-    def evaluate(self, hbar: float, through: HalfInt | None = None) -> complex:
-        through = _doubled(through)
+    def evaluate(self, hbar: float, through2: int | None = None) -> complex:
         total = 0j
         for e, c in self.items2():
-            if through is not None and e > through:
+            if through2 is not None and e > through2:
                 continue
             total += complex(c) * hbar ** (e / 2)
         return total
@@ -942,7 +850,7 @@ class FormalScalarSeries:
     def __repr__(self) -> str:
         if self.is_zero():
             return "Series(0)"
-        bits = [f"({c})*h^{e}" for e, c in self.items()]
+        bits = [f"({c})*h^{HalfInt(e)}" for e, c in self.items2()]
         t = "" if self.trunc2 is None else f" + O(h^{HalfInt(self.trunc2 + 2)})"
         return "Series(" + " + ".join(bits) + t + ")"
 
@@ -974,17 +882,19 @@ def euler_recurrence(parts: Mapping[int, object], top: int, one, scale,
     return g
 
 
-def binomial_series(v: FormalScalarSeries, exponent: Fraction, through: HalfInt | None = None) -> "FormalScalarSeries":
+def binomial_series(v: FormalScalarSeries, exponent: Fraction,
+                    through2: int | None = None) -> "FormalScalarSeries":
     """(1 + v)^exponent as a series, for v of strictly positive order, by
     ``euler_recurrence`` over doubled exponents.
 
     The weights are exact rationals, so the result stays in the coefficient
-    domain of v. It is exact through v's truncation order; ``through`` lowers
-    that bound, and is required when v is exact at all orders.
+    domain of v. It is exact through v's truncation order; the doubled
+    ``through2`` lowers that bound, and is required when v is exact at all
+    orders.
     """
     if not v.is_zero() and v.order2() <= 0:
         raise ValueError("binomial series needs a perturbation of positive order")
-    trunc = _min_trunc(v.trunc2, _doubled(through))
+    trunc = _min_trunc(v.trunc2, through2)
     if trunc is None:
         if v.is_zero():
             return FormalScalarSeries.const(v.mode, 1)
@@ -994,7 +904,7 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction, through: HalfInt 
     return FormalScalarSeries.from_terms2(v.mode, parts, trunc)
 
 
-def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -> FormalScalarSeries:
+def inverse_sqrt_series(a: FormalScalarSeries, through2: int | None = None) -> FormalScalarSeries:
     """Series r with r*r*a = 1, for a = 1 + (positive order terms).
 
     Rejects input whose constant term is not 1 up to ``negligible``: that
@@ -1005,7 +915,7 @@ def inverse_sqrt_series(a: FormalScalarSeries, through: HalfInt | None = None) -
     if a.order2() != 0 or not a.mode.negligible(lead - 1, 1):
         raise ValueError("inverse square root needs leading coefficient 1 at order 0")
     v = a - FormalScalarSeries(a.mode, 0, (lead,), a.trunc2)
-    return binomial_series(v, Fraction(-1, 2), through=through)
+    return binomial_series(v, Fraction(-1, 2), through2=through2)
 
 
 # ---------------------------------------------------------------------------
@@ -1122,10 +1032,9 @@ class _GradedSeries:
 
     ``coeffs2`` maps the doubled nonnegative half-integer j to P_j, whose
     absolute series exponent is j - K; ``K2`` and ``trunc2`` are K and the
-    truncation order doubled (``K``, ``truncation_order``, ``items`` and
-    ``coeffs`` give them as ``HalfInt``). The truncation order bounds the absolute exponents
-    that are exact (None: every one); zero coefficients and those past it are
-    dropped at construction.
+    truncation order doubled. The truncation order bounds the absolute
+    exponents that are exact (None: every one); zero coefficients and those
+    past it are dropped at construction.
     """
 
     __slots__ = ("mode", "n", "rank", "K2", "coeffs2", "trunc2")
@@ -1149,26 +1058,20 @@ class _GradedSeries:
         self.trunc2 = trunc2
 
     @property
-    def K(self) -> HalfInt:
-        return HalfInt(self.K2)
-
-    @property
-    def truncation_order(self) -> HalfInt | None:
-        return _half(self.trunc2)
-
-    @property
     def coeffs(self) -> dict[HalfInt, FiberPoly]:
-        """The coefficients keyed by the ``HalfInt`` index j."""
+        """The coefficients keyed by the ``HalfInt`` index j. Only the
+        benchmark's span counters (``qmfbench/spans.py``) read it; it leaves
+        when the benchmark is next refreshed."""
         return dict(self.items())
 
-    def order(self) -> HalfInt | None:
-        """The lowest absolute exponent present; None for the zero series."""
-        return _half(self.order2())
-
     def order2(self) -> int | None:
+        """The doubled lowest absolute exponent present; None for the zero series."""
         return min(self.coeffs2) - self.K2 if self.coeffs2 else None
 
     def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
+        """(``HalfInt`` index, coefficient), ascending. Only the benchmark's
+        span counters (``qmfbench/spans.py``) read it; it leaves when the
+        benchmark is next refreshed."""
         for j, p in self.items2():
             yield HalfInt(j), p
 
@@ -1190,7 +1093,7 @@ class _GradedSeries:
 
     def __repr__(self) -> str:
         bits = [f"h^{HalfInt(j - self.K2)}:{p!r}" for j, p in self.items2()]
-        return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={self.K})"
+        return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={HalfInt(self.K2)})"
 
 
 class S0Series(_GradedSeries):
@@ -1208,21 +1111,18 @@ class S0Series(_GradedSeries):
                     f"degree {p.degree()} at order index {HalfInt(j)} exceeds bound {j}")
 
     @staticmethod
-    def zero(mode, n: int, rank: int, truncation_order: HalfInt | None = None) -> "S0Series":
-        return S0Series(mode, n, rank, 0, {}, _doubled(truncation_order))
+    def zero(mode, n: int, rank: int, trunc2: int | None = None) -> "S0Series":
+        return S0Series(mode, n, rank, 0, {}, trunc2)
 
     @staticmethod
-    def from_fiber_poly(p: FiberPoly, truncation_order: HalfInt | None = None) -> "S0Series":
+    def from_fiber_poly(p: FiberPoly, trunc2: int | None = None) -> "S0Series":
         """A plain polynomial viewed at absolute order zero (K = degree / 2)."""
         K2 = 0 if p.is_zero() else int(p.degree())
-        return S0Series(p.mode, p.n, p.rank, K2, {K2: p}, _doubled(truncation_order))
+        return S0Series(p.mode, p.n, p.rank, K2, {K2: p}, trunc2)
 
-    def with_K(self, K_new: HalfInt) -> "S0Series":
-        """Re-express at the offset K_new. Raising K keeps the degree bound;
-        a lowered K is checked, so a term that escapes it raises."""
-        return self._rebased(_doubled(K_new))
-
-    def _rebased(self, K2: int) -> "S0Series":
+    def with_K2(self, K2: int) -> "S0Series":
+        """Re-express at the doubled offset K2. Raising K keeps the degree
+        bound; a lowered K is checked, so a term that escapes it raises."""
         d = K2 - self.K2
         return S0Series(self.mode, self.n, self.rank, K2,
                         {j + d: p for j, p in self.coeffs2.items()}, self.trunc2, d < 0)
@@ -1232,7 +1132,7 @@ class S0Series(_GradedSeries):
         if (self.n, self.rank) != (other.n, other.rank):
             raise ValueError("shape mismatch")
         K2 = max(self.K2, other.K2)
-        a, b = self._rebased(K2), other._rebased(K2)
+        a, b = self.with_K2(K2), other.with_K2(K2)
         coeffs = dict(a.coeffs2)
         for j, p in b.coeffs2.items():
             coeffs[j] = coeffs[j] + p if j in coeffs else p
@@ -1274,14 +1174,13 @@ class S0Series(_GradedSeries):
                     slot[1] = accumulate(*slot, comp.num, cp, comp.den * cq)
         return S0Series(mode, self.n, self.rank, K, _fiber_polys(mode, self.n, slots), trunc)
 
-    def truncate(self, truncation_order: HalfInt | None) -> "S0Series":
+    def truncate2(self, trunc2: int | None) -> "S0Series":
         return S0Series(self.mode, self.n, self.rank, self.K2, self.coeffs2,
-                        _min_trunc(self.trunc2, _doubled(truncation_order)), False)
+                        _min_trunc(self.trunc2, trunc2), False)
 
-    def max_abs_coeff(self, through: HalfInt | None = None) -> float:
-        through = _doubled(through)
+    def max_abs_coeff(self, through2: int | None = None) -> float:
         return max((p.max_abs() for j, p in self.coeffs2.items()
-                    if through is None or j - self.K2 <= through), default=0.0)
+                    if through2 is None or j - self.K2 <= through2), default=0.0)
 
     def abs(self) -> "S0Series":
         return S0Series(self.mode, self.n, self.rank, self.K2,
@@ -1302,9 +1201,9 @@ def _fiber_polys(mode, n: int, slots: dict) -> dict:
 class XJetSeries(_GradedSeries):
     """Series sum_k h^(k-K) a_k(x) with a_k truncated x-jets.
 
-    ``truncation_order`` T bounds what is exact (None = complete): the
-    degree-d monomial at absolute exponent s is exact when s + d/2 <= T, the
-    bound that the inverse rescaling provides.
+    The truncation order T (``trunc2`` = 2T) bounds what is exact (None =
+    complete): the degree-d monomial at absolute exponent s is exact when
+    s + d/2 <= T, the bound that the inverse rescaling provides.
     """
 
     __slots__ = ()
@@ -1334,17 +1233,6 @@ def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[int, Fib
                 f = slot[1] // d
                 slot[0][alpha] = c if f == 1 else c * f
     return _fiber_polys(mode, n, slots)
-
-
-def rescale(u: XJetSeries) -> S0Series:
-    """Substitute x = sqrt(h) * y: the x-monomial x^alpha at exponent s moves
-    to exponent s + |alpha|/2 with polynomial y^alpha.
-
-    The output order-t coefficient collects the input pairs (s, d) with
-    s + d/2 = t, so it is exact exactly where u's bound s + d/2 <= T holds.
-    """
-    coeffs = _shift_by_degree(u.mode, u.n, u.rank, u.items2(), 1)
-    return S0Series(u.mode, u.n, u.rank, u.K2, coeffs, u.trunc2)
 
 
 def unrescale(v: S0Series) -> XJetSeries:

@@ -13,9 +13,10 @@ products V^H A V and V^H P V recomputed at every step of the congruence.
 from qmf.formal_diagonalization import _block_mul, _const_inverse
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
-from qmf.series_algebra import FormalScalarSeries, HI0, HalfInt, S0Series, half_range
+from qmf.series_algebra import FormalScalarSeries, S0Series
 
-# A series matrix is a list of rows of ``FormalScalarSeries``, as in the program.
+# A series matrix is a list of rows of ``FormalScalarSeries``, as in the
+# program, and an order is its doubled int.
 
 
 def constant(mode, mat, trunc=None) -> list:
@@ -27,13 +28,13 @@ def identity(mode, m: int, trunc=None) -> list:
     return constant(mode, [[int(i == j) for j in range(m)] for i in range(m)], trunc)
 
 
-def coeff_at(x: list, t: HalfInt) -> list:
-    """The constant matrix of the coefficients at order t."""
-    return [[e.coefficient(t) for e in row] for row in x]
+def coeff_at(x: list, t: int) -> list:
+    """The constant matrix of the coefficients at doubled order t."""
+    return [[e.at2(t) for e in row] for row in x]
 
 
-def max_abs_coeff(x: list, through=None) -> float:
-    return max(e.max_abs_coeff(through) for row in x for e in row)
+def max_abs_coeff(x: list, through2=None) -> float:
+    return max(e.max_abs_coeff(through2) for row in x for e in row)
 
 
 def mat_add(x: list, y: list) -> list:
@@ -66,25 +67,25 @@ def congruence(v: list, x: list) -> list:
     return mat_mul(mat_mul(adjoint(v), x), v)
 
 
-def kato_bloch_gram_matrix(es, fs, omega, through=None) -> list:
+def kato_bloch_gram_matrix(es, fs, omega, through2=None) -> list:
     """(e_a, P e_b): each bare member e_a paired against each residue image,
     which is (P e_a, P e_b) because P is idempotent and symmetric."""
     m = len(fs)
-    return [[pair_s0(es[i], fs[j], omega, through) for j in range(m)] for i in range(m)]
+    return [[pair_s0(es[i], fs[j], omega, through2) for j in range(m)] for i in range(m)]
 
 
-def kato_bloch_interaction_matrix(es, fs, family, omega, through=None) -> list:
+def kato_bloch_interaction_matrix(es, fs, family, omega, through2=None) -> list:
     """(e_a, Q P e_b), which is (P e_a, Q P e_b) because P also commutes with Q."""
-    qfs = [family.apply_series(f, out_trunc=through) for f in fs]
+    qfs = [family.apply_series(f, out_trunc2=through2) for f in fs]
     m = len(fs)
-    return [[pair_s0(es[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
+    return [[pair_s0(es[i], qfs[j], omega, through2) for j in range(m)] for i in range(m)]
 
 
-def image_interaction_matrix(fs, family, omega, through=None) -> list:
+def image_interaction_matrix(fs, family, omega, through2=None) -> list:
     """(f_a, Q f_b), each image paired against each image of Q."""
-    qfs = [family.apply_series(f, out_trunc=through) for f in fs]
+    qfs = [family.apply_series(f, out_trunc2=through2) for f in fs]
     m = len(fs)
-    return [[pair_s0(fs[i], qfs[j], omega, through) for j in range(m)] for i in range(m)]
+    return [[pair_s0(fs[i], qfs[j], omega, through2) for j in range(m)] for i in range(m)]
 
 
 def residue_level(ctx, order) -> tuple:
@@ -97,14 +98,14 @@ def residue_level(ctx, order) -> tuple:
     fs = [proj.image_s0(a) for a in level.members]
     eigen = fd.formal_eigendecomposition(
         kato_bloch_interaction_matrix(es, fs, ctx.family, ctx.omega, order),
-        gram=kato_bloch_gram_matrix(es, fs, ctx.omega, order), through=order)
+        gram=kato_bloch_gram_matrix(es, fs, ctx.omega, order), through2=order)
     psis = []
     for col in eigen.vectors:
         psi = S0Series.zero(mode, ctx.problem.n, ctx.problem.rank, order)
         for f, c in zip(fs, col):
             psi = psi + f.scale_series(c)
-        psis.append(psi.truncate(order).with_K(level.K))
-    eigenvalues = [e.truncate(order).shift(HalfInt(2)) for e in eigen.eigenvalues]
+        psis.append(psi.truncate2(order).with_K2(level.K2))
+    eigenvalues = [e.truncate2(order).shift2(2) for e in eigen.eigenvalues]
     return eigenvalues, psis, eigen.norms2
 
 
@@ -121,7 +122,7 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
         nus.append(nu)
         sizes.append(len(cols))
         u_cols.extend(cols)
-    trunc = min(e.truncation_order for row in b for e in row)
+    trunc = min(e.trunc2 for row in b for e in row)
     u = constant(mode, [[u_cols[j][i] for j in range(m)] for i in range(m)], trunc)
     a_rot = congruence(u, a)
     p_rot = congruence(u, mat_sub(b, mat_scale(a, e_accum)))
@@ -130,20 +131,20 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
     for size in sizes:
         ranges.append(range(start, start + size))
         start += size
-    a0_rot = coeff_at(a_rot, HI0)
+    a0_rot = coeff_at(a_rot, 0)
     a0_blocks = [[[a0_rot[i][j] for j in rng] for i in rng] for rng in ranges]
     a0_invs = [_const_inverse(blk) for blk in a0_blocks]
 
     v = identity(mode, m, trunc)
-    for s_ord in half_range(HalfInt(1), order):
+    for s_ord in range(1, order + 1):
         a_cur = congruence(v, a_rot)
         p_cur = congruence(v, p_rot)
         vs = [[mode.zero() for _ in range(m)] for _ in range(m)]
         dirty = False
         for bi in range(len(ranges)):
             for ci in range(bi + 1, len(ranges)):
-                k1 = [[a_cur[i][j].coefficient(s_ord) for j in ranges[ci]] for i in ranges[bi]]
-                k2 = [[p_cur[i][j].coefficient(t + s_ord) for j in ranges[ci]]
+                k1 = [[a_cur[i][j].at2(s_ord) for j in ranges[ci]] for i in ranges[bi]]
+                k2 = [[p_cur[i][j].at2(t + s_ord) for j in ranges[ci]]
                       for i in ranges[bi]]
                 if all(mode.is_zero(x) for row in k1 + k2 for x in row):
                     continue
@@ -161,7 +162,7 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
                         vs[j][i] = mode.conj(y[rr][cc])
         if dirty:
             v = mat_add(v, mat_scale(constant(mode, vs, trunc),
-                                     FormalScalarSeries.from_terms(mode, {s_ord: 1}, trunc)))
+                                     FormalScalarSeries.from_terms2(mode, {s_ord: 1}, trunc)))
 
     a_fin = congruence(v, a_rot)
     p_fin = congruence(v, p_rot)
@@ -176,6 +177,6 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
                 acc = FormalScalarSeries.zero(mode, order)
                 for cc, j in enumerate(rng):
                     acc = acc + w[i][j] * col[cc]
-                full_col.append(acc.truncate(order))
-            out.append(((e_accum + e_sub).truncate(order), full_col, n0))
+                full_col.append(acc.truncate2(order))
+            out.append(((e_accum + e_sub).truncate2(order), full_col, n0))
     return out

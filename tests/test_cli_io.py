@@ -293,6 +293,30 @@ class TestCommands:
             assert run_command(["verify", "--spec", str(path), "--out", str(out)]) == 0
         assert [c["name"] for c in json.loads(out.read_text())["checks"]] == names
 
+    @staticmethod
+    def spec_document(tmp_path, text, *args) -> bytes:
+        path, out = tmp_path / "well.spec", tmp_path / "doc.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["compute", "--spec", str(path), *args, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_order_option_sets_the_default_degree(self, tmp_path):
+        # CUBIC names order 2, whose default jet degree 8 reaches order 4 only
+        in_file = self.spec_document(tmp_path, CUBIC.replace("order = 2", "order = 5"))
+        override = self.spec_document(tmp_path, CUBIC, "--order", "5")
+        assert override == in_file
+        assert json.loads(override)["problem"]["D"] == 14
+
+    def test_order_option_keeps_an_explicit_degree(self, tmp_path):
+        text = CUBIC.replace("order = 2", "order = 2\ndegree = 20")
+        doc = json.loads(self.spec_document(tmp_path, text, "--order", "5"))
+        assert (doc["problem"]["D"], doc["order_doubled"]) == (20, 10)
+
+    def test_spec_without_order_option_keeps_its_default_degree(self, tmp_path):
+        doc = json.loads(self.spec_document(tmp_path, CUBIC))
+        assert (doc["problem"]["D"], doc["order_doubled"]) == (8, 4)
+
     def test_rs_on_a_degenerate_level_passes(self, tmp_path):
         path, out = tmp_path / "iso2d.spec", tmp_path / "doc.json"
         path.write_text(ISO2D)
@@ -329,7 +353,7 @@ class TestCommands:
         from qmf.quasimode_pipeline import VerificationReport
 
         def fake_transport(result):
-            return VerificationReport(name="transport", passed=False, order=None,
+            return VerificationReport(name="transport", passed=False, order2=None,
                                       max_residual=1.0, detail="forced failure")
 
         monkeypatch.setattr(cli_io, "transport_residual", fake_transport)

@@ -12,11 +12,9 @@ from qmf.cli_io import preset_problem
 from qmf.series_algebra import (
     EXACT,
     FormalScalarSeries,
-    HI0,
     HalfInt,
     S0Series,
     float_mode,
-    half_range,
 )
 from qmf.formal_diagonalization import (
     ExactSplitUnavailable,
@@ -48,7 +46,7 @@ from level_oracle import (
 F = Fraction
 
 
-def matrix_inverse_sqrt(a: list, through: HalfInt | None = None) -> list:
+def matrix_inverse_sqrt(a: list, through: int | None = None) -> list:
     """B with B A B = 1, for hermitian A = 1 + (positive order).
 
     The binomial series in X = A - 1 has rational coefficients, so B stays in
@@ -57,14 +55,13 @@ def matrix_inverse_sqrt(a: list, through: HalfInt | None = None) -> list:
     """
     mode = a[0][0].mode
     m = len(a)
-    lead = coeff_at(a, HI0)
+    lead = coeff_at(a, 0)
     for i in range(m):
         for j in range(m):
             want = mode.one() if i == j else mode.zero()
             if not mode.is_zero(lead[i][j] - want):
                 raise ValueError("inverse square root needs a leading identity")
-    trunc = min((e.truncation_order for row in a for e in row if e.truncation_order is not None),
-                default=None)
+    trunc = min((e.trunc2 for row in a for e in row if e.trunc2 is not None), default=None)
     if through is not None:
         trunc = through if trunc is None else min(trunc, through)
     if trunc is None:
@@ -73,17 +70,17 @@ def matrix_inverse_sqrt(a: list, through: HalfInt | None = None) -> list:
     min_ord = None
     for row in x:
         for e in row:
-            o = e.order()
+            o = e.order2()
             if o is not None:
                 min_ord = o if min_ord is None else min(min_ord, o)
     out = identity(mode, m, trunc)
     if min_ord is None:
         return out
-    if min_ord <= HI0:
+    if min_ord <= 0:
         raise ValueError("perturbation must have positive order")
     power = identity(mode, m, trunc)
     coeff = Fraction(1)
-    kmax = trunc.doubled // min_ord.doubled
+    kmax = trunc // min_ord
     for k in range(1, kmax + 1):
         coeff = coeff * (Fraction(-1, 2) - (k - 1)) / k
         power = mat_mul(power, x)
@@ -93,37 +90,36 @@ def matrix_inverse_sqrt(a: list, through: HalfInt | None = None) -> list:
 
 
 def ser(terms, trunc=8, mode=EXACT):
-    return FormalScalarSeries.from_terms(
-        mode, {HalfInt(d): mode.coeff(F(v)) for d, v in terms.items()},
-        None if trunc is None else HalfInt(trunc))
+    return FormalScalarSeries.from_terms2(
+        mode, {d: mode.coeff(F(v)) for d, v in terms.items()}, trunc)
 
 
 def series_mat(rows, trunc=8, mode=EXACT):
     return [[ser(e, trunc, mode) if isinstance(e, dict) else
-             FormalScalarSeries.const(mode, F(e), HalfInt(trunc)) for e in row]
+             FormalScalarSeries.const(mode, F(e), trunc) for e in row]
             for row in rows]
 
 
-def plain_eigendecomposition(m, through=HalfInt(8)):
+def plain_eigendecomposition(m, through=8):
     """Eigenvalues and vectors of M itself: the pencil with the identity Gram."""
     return formal_eigendecomposition(m, identity(m[0][0].mode, len(m), through), through)
 
 
 class TestMatrixInverseSqrt:
     def test_identity(self):
-        a = identity(EXACT, 2, HalfInt(8))
+        a = identity(EXACT, 2, 8)
         b = matrix_inverse_sqrt(a)
-        assert coeff_at(b, HI0) == [[1, 0], [0, 1]]
-        assert {e for row in b for entry in row for e, _ in entry.items()} == {HI0}
+        assert coeff_at(b, 0) == [[1, 0], [0, 1]]
+        assert {e for row in b for entry in row for e, _ in entry.items2()} == {0}
 
     def test_diagonal_matches_scalar_binomial(self):
         a = series_mat([[{0: 1, 2: 2}, 0], [0, {0: 1}]])
         b = matrix_inverse_sqrt(a)
         # (1 + 2h)^(-1/2) = 1 - h + (3/2) h^2 - (5/2) h^3 ...
         e = b[0][0]
-        assert e.coefficient(HalfInt(2)) == F(-1)
-        assert e.coefficient(HalfInt(4)) == F(3, 2)
-        assert e.coefficient(HalfInt(6)) == F(-5, 2)
+        assert e.at2(2) == F(-1)
+        assert e.at2(4) == F(3, 2)
+        assert e.at2(6) == F(-5, 2)
         assert b[1][1] == ser({0: 1}, None)
 
     def test_bab_is_identity_random(self):
@@ -143,8 +139,8 @@ class TestMatrixInverseSqrt:
                              {0: 1, **{k: v for k, v in rows[1][1].items() if k > 0}}]])
             b = matrix_inverse_sqrt(a)
             prod = mat_mul(mat_mul(b, a), b)
-            ident = identity(EXACT, 2, HalfInt(8))
-            assert max_abs_coeff(mat_sub(prod, ident), HalfInt(8)) == 0
+            ident = identity(EXACT, 2, 8)
+            assert max_abs_coeff(mat_sub(prod, ident), 8) == 0
 
     def test_rejects_non_identity_leading(self):
         a = series_mat([[2, 0], [0, 1]])
@@ -156,32 +152,32 @@ class TestEigendecomposition:
     def test_scalar_multiple_of_identity(self):
         m = series_mat([[{0: 3}, 0], [0, {0: 3}]])
         res = plain_eigendecomposition(m)
-        assert [e.coefficient(HI0) for e in res.eigenvalues] == [3, 3]
-        lead = [[col[i].coefficient(HI0) for col in res.vectors] for i in range(2)]
+        assert [e.at2(0) for e in res.eigenvalues] == [3, 3]
+        lead = [[col[i].at2(0) for col in res.vectors] for i in range(2)]
         assert lead == [[1, 0], [0, 1]]
 
     def test_offdiagonal_split(self):
         # E0*1 + h*[[0,1],[1,0]] -> E0 +/- h with vectors (1, -1), (1, 1)
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
         res = plain_eigendecomposition(m)
-        vals = [(e.coefficient(HI0), e.coefficient(HalfInt(2))) for e in res.eigenvalues]
+        vals = [(e.at2(0), e.at2(2)) for e in res.eigenvalues]
         assert vals == [(5, -1), (5, 1)]
         for e, col in zip(res.eigenvalues, res.vectors):
             # residual M v - E v vanishes through the order
             for i in range(2):
                 resid = (m[i][0] * col[0] + m[i][1] * col[1]) - e * col[i]
-                assert resid.max_abs_coeff(HalfInt(8)) == 0
+                assert resid.max_abs_coeff(8) == 0
 
     def test_two_stage_recursion(self):
         # scalar at order 1 then a rational split at order 2
         m = series_mat([[{0: 2, 2: 1, 4: 3}, {4: 1}], [{4: 1}, {0: 2, 2: 1, 4: 3}]])
-        res = plain_eigendecomposition(m, through=HalfInt(6))
-        vals = [e.coefficient(HalfInt(4)) for e in res.eigenvalues]
+        res = plain_eigendecomposition(m, through=6)
+        vals = [e.at2(4) for e in res.eigenvalues]
         assert sorted(vals) == [2, 4]
         for e, col in zip(res.eigenvalues, res.vectors):
             for i in range(2):
                 resid = (m[i][0] * col[0] + m[i][1] * col[1]) - e * col[i]
-                assert resid.max_abs_coeff(HalfInt(6)) == 0
+                assert resid.max_abs_coeff(6) == 0
 
     def test_exact_mode_irrational_split_raises(self):
         m = series_mat([[{0: 1, 2: 0}, {2: 1}], [{2: 1}, {0: 1, 2: 1}]])
@@ -194,7 +190,7 @@ class TestEigendecomposition:
         res = plain_eigendecomposition(m)
         import math
 
-        vals = sorted(v.coefficient(HalfInt(2)).real for v in res.eigenvalues)
+        vals = sorted(v.at2(2).real for v in res.eigenvalues)
         golden = [(1 - math.sqrt(5)) / 2, (1 + math.sqrt(5)) / 2]
         assert vals == pytest.approx(golden, abs=1e-12)
         # orthonormal columns
@@ -203,8 +199,8 @@ class TestEigendecomposition:
                 ip = sum((a.conj() * b for a, b in zip(ci, cj)),
                          FormalScalarSeries.zero(fm))
                 want = 1.0 if i == j else 0.0
-                assert abs(ip.coefficient(HI0) - want) < 1e-12
-                assert ip.max_abs_coeff(HalfInt(8)) == pytest.approx(want, abs=1e-9)
+                assert abs(ip.at2(0) - want) < 1e-12
+                assert ip.max_abs_coeff(8) == pytest.approx(want, abs=1e-9)
 
     def test_pencil_route_matches_normalized_route(self):
         # gram D with perfect-square leading diagonal: the pencil (C, D) must
@@ -213,36 +209,36 @@ class TestEigendecomposition:
         d = series_mat([[{0: 4, 2: 1}, {2: 2}], [{2: 2}, {0: 1, 4: 1}]])
         c = series_mat([[{0: 12, 2: 11, 4: 1}, {2: 8, 4: 1}],
                         [{2: 8, 4: 1}, {0: 3, 2: 2, 4: 2}]])
-        pencil = formal_eigendecomposition(c, gram=d, through=HalfInt(6))
+        pencil = formal_eigendecomposition(c, gram=d, through2=6)
         # normalized route: scale by D0^(-1/2) = diag(1/2, 1) exactly
         s = [[F(1, 2), 0], [0, F(1)]]
         cs = [[c[i][j].scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)]
         ds = [[d[i][j].scale(s[i][i] * s[j][j]) for j in range(2)] for i in range(2)]
-        b = matrix_inverse_sqrt(ds, HalfInt(6))
+        b = matrix_inverse_sqrt(ds, 6)
         m = mat_mul(mat_mul(b, cs), b)
-        plain = plain_eigendecomposition(m, through=HalfInt(6))
+        plain = plain_eigendecomposition(m, through=6)
         for e1, e2 in zip(pencil.eigenvalues, plain.eigenvalues):
-            assert e1.equals_through(e2, HalfInt(6))
+            assert e1.equals_through(e2, 6)
 
     def test_pencil_residual_and_gram_orthogonality(self):
         d = series_mat([[{0: 4, 2: 1}, {2: 2}], [{2: 2}, {0: 1, 4: 1}]])
         c = series_mat([[{0: 12, 2: 11, 4: 1}, {2: 8, 4: 1}],
                         [{2: 8, 4: 1}, {0: 3, 2: 2, 4: 2}]])
-        res = formal_eigendecomposition(c, gram=d, through=HalfInt(6))
+        res = formal_eigendecomposition(c, gram=d, through2=6)
         for e, col in zip(res.eigenvalues, res.vectors):
             for i in range(2):
                 lhs = sum((c[i][j] * col[j] for j in range(2)),
                           FormalScalarSeries.zero(EXACT))
                 rhs = sum((d[i][j] * col[j] for j in range(2)),
                           FormalScalarSeries.zero(EXACT)) * e
-                assert (lhs - rhs).max_abs_coeff(HalfInt(6)) == 0
+                assert (lhs - rhs).max_abs_coeff(6) == 0
         # cross gram-orthogonality
         c0, c1 = res.vectors
         ip = FormalScalarSeries.zero(EXACT)
         for i in range(2):
             for j in range(2):
                 ip = ip + c0[i].conj() * d[i][j] * c1[j]
-        assert ip.max_abs_coeff(HalfInt(6)) == 0
+        assert ip.max_abs_coeff(6) == 0
 
     def test_eigenvalues_real(self):
         m = series_mat([[{0: 5}, {2: 1}], [{2: 1}, {0: 5}]])
@@ -306,13 +302,13 @@ def level_context(preset: str, order: int, mode_name: str = "exact"):
     spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
     ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
                              level_index=spec.level_index).context
-    return ctx, spec.order
+    return ctx, spec.order.doubled
 
 
 def wave_level(preset: str, order: int) -> tuple:
     """(context, wave-operator images Omega e_a as series, H_eff, order)."""
     ctx, n = level_context(preset, order)
-    waves, h_eff = ctx.projector.wave_operator()
+    waves, h_eff = ctx.projector.wave_operator2()
     fs = [ctx.projector.as_s0(a, w) for a, w in zip(ctx.level.members, waves)]
     return ctx, fs, h_eff, n
 
@@ -347,7 +343,7 @@ class TestKatoBlochLevelMatrices:
             assert max_abs_coeff(want, n) > 0
             for i in range(len(got)):
                 for j in range(len(got)):
-                    assert got[i][j].truncation_order == want[i][j].truncation_order
+                    assert got[i][j].trunc2 == want[i][j].trunc2
                     assert got[i][j] == want[i][j]
 
     def test_float_relative_agreement(self):
@@ -355,9 +351,9 @@ class TestKatoBlochLevelMatrices:
         n, pairs = residue_and_kato_bloch_pairs("iso2d", 5, "float")
         for got, want in pairs:
             size = range(len(got))
-            for t in half_range(HI0, n):
-                scale = max(abs(want[i][j].coefficient(t)) for i in size for j in size)
-                worst = max(abs(got[i][j].coefficient(t) - want[i][j].coefficient(t))
+            for t in range(n + 1):
+                scale = max(abs(want[i][j].at2(t)) for i in size for j in size)
+                worst = max(abs(got[i][j].at2(t) - want[i][j].at2(t))
                             for i in size for j in size)
                 assert worst <= 1e-12 * scale
 
@@ -373,7 +369,7 @@ class TestWaveOperatorLevelMatrices:
         assert max_abs_coeff(want, n) > 0
         for i in range(len(c)):
             for j in range(len(c)):
-                assert c[i][j].truncation_order == want[i][j].truncation_order
+                assert c[i][j].trunc2 == want[i][j].trunc2
                 assert c[i][j] == want[i][j]
 
 
@@ -400,7 +396,7 @@ def assert_decoupled(args, out):
     v = identity(mode, m, order)
     for r, vr in v_terms:
         v = mat_add(v, mat_scale(constant(mode, vr, order),
-                                 FormalScalarSeries.from_terms(mode, {r: 1}, order)))
+                                 FormalScalarSeries.from_terms2(mode, {r: 1}, order)))
     block = {i: b for b, rng in enumerate(ranges) for i in rng}
     for x, xv in ((a_rot, av), (p_rot, pv)):
         full = mat_mul(x, v)
@@ -415,10 +411,10 @@ def assert_decoupled(args, out):
 def assert_same_decomposition(got, want):
     assert got.norms2 == want.norms2
     for e1, e2 in zip(got.eigenvalues, want.eigenvalues, strict=True):
-        assert e1 == e2 and e1.truncation_order == e2.truncation_order
+        assert e1 == e2 and e1.trunc2 == e2.trunc2
     for c1, c2 in zip(got.vectors, want.vectors, strict=True):
         for x, y in zip(c1, c2, strict=True):
-            assert x == y and x.truncation_order == y.truncation_order
+            assert x == y and x.trunc2 == y.trunc2
 
 
 def truncated_split_pencil():
@@ -452,42 +448,42 @@ class TestSeriesCongruence:
     def test_level_pencil(self, preset, monkeypatch):
         c, a, n = level_pencil(preset, 4)
         calls = spy_decouple(monkeypatch)
-        got = formal_eigendecomposition(c, gram=a, through=n)
+        got = formal_eigendecomposition(c, gram=a, through2=n)
         assert calls
         for args, out in calls:
             assert_decoupled(args, out)
         monkeypatch.setattr(fd, "_split_and_recurse", split_and_recurse_full)
-        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through=n))
+        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through2=n))
 
     def test_rank2_congruence_is_not_trivial(self, monkeypatch):
         # iso2d's split is block diagonal already; rank2's needs V_s at every s
         c, a, n = level_pencil("rank2", 4)
         calls = spy_decouple(monkeypatch)
-        formal_eigendecomposition(c, gram=a, through=n)
+        formal_eigendecomposition(c, gram=a, through2=n)
         (args, (v_terms, _, _)), = calls
-        assert args[2] == HalfInt(1)
-        assert [r for r, _ in v_terms] == list(half_range(HalfInt(1), n))
+        assert args[2] == 1
+        assert [r for r, _ in v_terms] == list(range(1, n + 1))
 
     def test_operands_truncated_below_t_plus_s(self, monkeypatch):
         c, a = truncated_split_pencil()
         calls = spy_decouple(monkeypatch)
-        got = formal_eigendecomposition(c, gram=a, through=HalfInt(6))
+        got = formal_eigendecomposition(c, gram=a, through2=6)
         for args, out in calls:
             assert_decoupled(args, out)
         # the first split; its size-2 block splits again
         args, out = calls[0]
-        assert args[2] == HalfInt(2) and args[5] == HalfInt(3)
-        assert [r for r, _ in out[0]][:1] == [HalfInt(1)]
-        assert sorted(e.coefficient(HalfInt(2)) for e in got.eigenvalues) == [0, 1, 1]
+        assert args[2] == 2 and args[5] == 3
+        assert [r for r, _ in out[0]][:1] == [1]
+        assert sorted(e.at2(2) for e in got.eigenvalues) == [0, 1, 1]
         for e, col in zip(got.eigenvalues, got.vectors):
             for i in range(3):
                 lhs = sum((c[i][j] * col[j] for j in range(3)),
                           FormalScalarSeries.zero(EXACT))
                 rhs = sum((a[i][j] * col[j] for j in range(3)),
                           FormalScalarSeries.zero(EXACT)) * e
-                assert (lhs - rhs).max_abs_coeff(HalfInt(3)) == 0
+                assert (lhs - rhs).max_abs_coeff(3) == 0
         monkeypatch.setattr(fd, "_split_and_recurse", split_and_recurse_full)
-        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through=HalfInt(6)))
+        assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through2=6))
 
 
 @st.composite
@@ -541,9 +537,9 @@ def test_float_pencil_matches_scipy(pencil):
     want = scipy_clusters(r, a0, scale, mode)
     if want is None:
         with pytest.raises(SplitAmbiguityError):
-            _gen_eig_float(r.tolist(), a0.tolist(), scale, HalfInt(1), mode)
+            _gen_eig_float(r.tolist(), a0.tolist(), scale, 1, mode)
         return
-    blocks = _gen_eig_float(r.tolist(), a0.tolist(), scale, HalfInt(1), mode)
+    blocks = _gen_eig_float(r.tolist(), a0.tolist(), scale, 1, mode)
     assert [len(cols) for _, cols in blocks] == [size for size, _ in want]
     top = max(abs(mean) for _, mean in want)
     for (nu, _), (_, mean) in zip(blocks, want):
@@ -560,8 +556,8 @@ class TestParityFilter:
             members = (HermiteIndex((0,), 0),)
         else:
             members = (HermiteIndex((1,), 0),)
-        K = HalfInt(max(m.degree for m in members))
-        return DegenerateLevel(E0=F(1), members=members, m0=len(members), K=K, parity=parity)
+        K2 = max(m.degree for m in members)
+        return DegenerateLevel(E0=F(1), members=members, m0=len(members), K2=K2, parity=parity)
 
     def test_uniform_parity_passes_on_integer_series(self):
         rep = parity_filter([ser({0: 1, 2: 3})], self.level("even"))

@@ -14,7 +14,6 @@ from qmf.series_algebra import (
     EXACT,
     FiberPoly,
     FormalScalarSeries,
-    HI0,
     HalfInt,
     Poly,
     S0Series,
@@ -38,9 +37,9 @@ def make_problem(vhigher=None, D=8, lam=(1,), n=1, g_inv=None):
     return JetProblem.create(EXACT, n, 1, D, lam, V=vhigher, g_inv=g_inv)
 
 
-def omega_for(problem, through=4):
+def omega_for(problem, through2=8):
     phi = solve_eikonal(problem)
-    return weight_expansion(phi, conjugate_hamiltonian(problem, phi).density, problem, through)
+    return weight_expansion(phi, conjugate_hamiltonian(problem, phi).density, problem, through2)
 
 
 def _half_factorial_part(k: int, lam) -> object:
@@ -150,38 +149,36 @@ def test_moment_rows_match_the_oracle(lam, mode_name):
 class TestWeightExpansion:
     def test_harmonic_trivial(self):
         w = omega_for(make_problem())
-        assert w.orders() == [HI0]
-        assert w.at(HI0) == poly1({0: 1})
+        assert w.orders2() == [0]
+        assert w.omega2[0] == poly1({0: 1})
 
     def test_cubic_half_order(self):
         # -2 * phase cubic part = -(c/3) y^3 at half order
         c = 1
         w = omega_for(make_problem(poly1({2: 1, 3: c})))
-        assert w.at(HalfInt(1)) == poly1({3: F(-c, 3)})
+        assert w.omega2[1] == poly1({3: F(-c, 3)})
 
     def test_parity(self):
-        w = omega_for(make_problem(poly1({2: 1, 3: 1, 4: F(1, 5)})), through=3)
-        for m in w.orders():
-            p = w.at(m)
-            if p.is_zero():
-                continue
-            assert p.parity() == (1 if m.is_integer else -1)
+        w = omega_for(make_problem(poly1({2: 1, 3: 1, 4: F(1, 5)})), through2=6)
+        for m, p in w.omega2.items():
+            # omega_m has the parity (-1)^(2m) of its doubled order
+            assert {sum(a) % 2 for a in p.terms} == {m % 2}
 
     def test_curved_metric_term(self):
         # g^11 = 1 + a x^2: density = 1 - (a/2) y^2 + ... enters omega_1
         a = F(1, 2)
         g = ((poly1({0: 1, 2: a}),),)
-        w = omega_for(make_problem(None, D=6, g_inv=g), through=2)
-        assert w.at(HalfInt(2)).coefficient((2,)) == -a / 2
+        w = omega_for(make_problem(None, D=6, g_inv=g), through2=4)
+        assert w.omega2[2].coefficient((2,)) == -a / 2
 
 
-def ref_exp_weight(phi: ScalarJet, n: int, through: HalfInt) -> dict:
+def ref_exp_weight(phi: ScalarJet, n: int, through: int) -> dict:
     """exp(S) as sum_m S^m / m!, S = -2 sum_{d>2} h^((d-2)/2) phi_d, one
-    graded product per power."""
+    graded product per power, keyed by doubled order."""
     one = Poly.const(EXACT, n, 1)
-    s = {HalfInt(d - 2): part.scale(-2) for d, part in phi.poly.components_by_degree().items()
-         if d > 2 and HalfInt(d - 2) <= through}
-    expo, power, m = {HI0: one}, {HI0: one}, 1
+    s = {d - 2: part.scale(-2) for d, part in phi.poly.components_by_degree().items()
+         if 2 < d <= through + 2}
+    expo, power, m = {0: one}, {0: one}, 1
     while power:
         nxt = {}
         for (ka, pa), (kb, pb) in itertools.product(power.items(), s.items()):
@@ -216,15 +213,14 @@ class TestWeightExpansionOracle:
     @settings(max_examples=60, deadline=None)
     def test_exponential_matches_power_sum(self, case, through):
         phi, problem = case
-        through = HalfInt(through)
         w = weight_expansion(phi, Poly.const(EXACT, problem.n, 1), problem, through)
-        assert w.complete == min(through, HalfInt(phi.complete - 2))
+        assert w.complete2 == min(through, phi.complete - 2)
         ref = ref_exp_weight(phi, problem.n, through)
-        assert w.omega == {k: p for k, p in ref.items() if k <= w.complete and not p.is_zero()}
+        assert w.omega2 == {k: p for k, p in ref.items() if k <= w.complete2 and not p.is_zero()}
 
 
 def unit_fiber(p: Poly) -> FiberPoly:
-    return FiberPoly.scalar(p)
+    return FiberPoly([p])
 
 
 def pair_polys(pu: FiberPoly, pv: FiberPoly, omega):
@@ -235,7 +231,7 @@ def pair_polys(pu: FiberPoly, pv: FiberPoly, omega):
 class TestPairing:
     def setup_method(self):
         self.problem = make_problem()
-        self.omega = omega_for(self.problem, through=6)
+        self.omega = omega_for(self.problem, through2=12)
         self.basis = HermiteBasis(EXACT, (F(1),), (F(0),), 8)
 
     def pair(self, pu, pv, omega=None):
@@ -248,7 +244,7 @@ class TestPairing:
                 if a == b:
                     # m! / (2 lam)^m at lam = 1
                     assert got == FormalScalarSeries.const(
-                        EXACT, F(math.factorial(a), 2 ** a), got.truncation_order)
+                        EXACT, F(math.factorial(a), 2 ** a), got.trunc2)
                 else:
                     assert got.is_zero()
 
@@ -258,14 +254,14 @@ class TestPairing:
 
     def test_cubic_ground_half_order_vanishes(self):
         problem = make_problem(poly1({2: 1, 3: 1}))
-        omega = omega_for(problem, through=4)
+        omega = omega_for(problem, through2=8)
         got = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
-        assert got.coefficient(HalfInt(1)) == 0
-        assert got.coefficient(HI0) == 1
+        assert got.at2(1) == 0
+        assert got.at2(0) == 1
 
     def test_hermitian(self):
         problem = make_problem(poly1({2: 1, 3: 1}))
-        omega = omega_for(problem, through=4)
+        omega = omega_for(problem, through2=8)
         u = unit_fiber(poly1({0: 1, 1: 2}))
         v = unit_fiber(poly1({1: 1, 2: 3}))
         ab = pair_polys(u, v, omega)
@@ -276,7 +272,7 @@ class TestPairing:
         u = S0Series(EXACT, 1, 1, 1, {1: unit_fiber(poly1({1: 1}))}, None)
         got = pair_s0(u, u, self.omega)
         # <y, y> = 1/2 at absolute order 0 (offsets -1/2 each cancel the +1)
-        assert got.coefficient(HI0) == F(1, 2)
+        assert got.at2(0) == F(1, 2)
 
     def test_operator_symmetry_randomized(self):
         # (Q u, v) = (u, Q v) coefficientwise: ties the conjugated operator
@@ -285,8 +281,6 @@ class TestPairing:
         import random
 
         from qmf.operator_calculus import rescale_operator
-        from qmf.series_algebra import HalfInt, S0Series
-
         rng = random.Random(5)
         z = Poly.zero(EXACT, 1)
         W = (
@@ -302,21 +296,21 @@ class TestPairing:
         phi = solve_eikonal(problem)
         conj = conjugate_hamiltonian(problem, phi)
         family = rescale_operator(conj)
-        omega = weight_expansion(phi, conj.density, problem, 4)
-        through = HalfInt(8)
+        omega = weight_expansion(phi, conj.density, problem, 8)
+        through = 8
         for _ in range(4):
             def rand_elem():
                 comps = []
                 for _ in range(2):
                     terms = {(d,): F(rng.randint(-3, 3)) for d in range(0, 4)}
                     comps.append(Poly(EXACT, 1, terms))
-                return S0Series.from_fiber_poly(FiberPoly(comps), HalfInt(8))
+                return S0Series.from_fiber_poly(FiberPoly(comps), 8)
             u, v = rand_elem(), rand_elem()
-            qu = family.apply_series(u, out_trunc=through)
-            qv = family.apply_series(v, out_trunc=through)
-            left = pair_s0(qu, v, omega, through=HalfInt(4))
-            right = pair_s0(u, qv, omega, through=HalfInt(4))
-            assert (left - right).max_abs_coeff(HalfInt(4)) == 0
+            qu = family.apply_series(u, out_trunc2=through)
+            qv = family.apply_series(v, out_trunc2=through)
+            left = pair_s0(qu, v, omega, through2=4)
+            right = pair_s0(u, qv, omega, through2=4)
+            assert (left - right).max_abs_coeff(4) == 0
 
     def test_quadrature_consistency_small_hbar(self):
         # box integral of exp(-2 phase(x)/h)/sqrt(h) against the series,
@@ -325,7 +319,7 @@ class TestPairing:
         phi = solve_eikonal(problem)
         omega = omega_for(problem)
         series = pair_polys(unit_fiber(poly1({0: 1})), unit_fiber(poly1({0: 1})), omega)
-        N = series.truncation_order
+        N = series.trunc2
         phi_coeffs = [(a, float(c)) for (a,), c in phi.poly.terms.items()]
         errs = []
         hs = [0.02, 0.01, 0.005]
@@ -333,36 +327,36 @@ class TestPairing:
             xs = np.linspace(-0.9, 0.9, 20001)
             phi_vals = sum(c * xs**a for a, c in phi_coeffs)
             integral = np.trapezoid(np.exp(-2 * phi_vals / h), xs) / math.sqrt(h)
-            series_val = math.sqrt(math.pi) * series.evaluate(h, through=N).real
+            series_val = math.sqrt(math.pi) * series.evaluate(h, through2=N).real
             errs.append(abs(integral - series_val))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert slope >= float(N.as_fraction()) + 0.4
+        assert slope >= N / 2 + 0.4
 
 
-def multiply_then_integrate(u: S0Series, v: S0Series, omega, trunc: HalfInt) -> FormalScalarSeries:
+def multiply_then_integrate(u: S0Series, v: S0Series, omega, trunc: int) -> FormalScalarSeries:
     """Reference pairing: form every product conj(u_i) * v_i * omega_m as a
     polynomial, then integrate it monomial by monomial with ``gaussian_moment``."""
     mode = u.mode
     terms: dict = {}
-    for ju, pu in u.coeffs.items():
-        for jv, pv in v.coeffs.items():
+    for ju, pu in u.coeffs2.items():
+        for jv, pv in v.coeffs2.items():
             for ui, vi in zip(pu.components, pv.components):
                 fiber = ui.conj() * vi
-                for m in omega.orders():
-                    t = (ju - u.K) + (jv - v.K) + m
+                for m, wm in omega.omega2.items():
+                    t = (ju - u.K2) + (jv - v.K2) + m
                     if t > trunc:
                         continue
-                    for gamma, c in (fiber * omega.at(m)).terms.items():
+                    for gamma, c in (fiber * wm).terms.items():
                         terms[t] = terms.get(t, mode.zero()) + c * gaussian_moment(
                             gamma, omega.lam, mode)
-    return FormalScalarSeries.from_terms(mode, terms, trunc)
+    return FormalScalarSeries.from_terms2(mode, terms, trunc)
 
 
-def assert_pairs_match_reference(elems, omega, through=None):
+def assert_pairs_match_reference(elems, omega, through2=None):
     for u in elems:
         for v in elems:
-            got = pair_s0(u, v, omega, through=through)
-            want = multiply_then_integrate(u, v, omega, got.truncation_order)
+            got = pair_s0(u, v, omega, through2=through2)
+            want = multiply_then_integrate(u, v, omega, got.trunc2)
             assert got == want
 
 
@@ -381,9 +375,9 @@ def curved_metric_elements():
     g^11 = 1 + x^2/2, enters omega (see test_curved_metric_term)."""
     g = ((poly1({0: 1, 2: F(1, 2)}),),)
     problem = make_problem(poly1({2: 1, 3: F(1, 3)}), D=6, g_inv=g)
-    omega = omega_for(problem, through=2)
+    omega = omega_for(problem, through2=4)
     basis = HermiteBasis(EXACT, (F(1),), (F(0),), 6)
-    elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), HalfInt(4))
+    elems = [S0Series.from_fiber_poly(unit_fiber(basis.poly((a,))), 4)
              for a in range(4)]
     elems.append(S0Series(EXACT, 1, 1, 1, {
         1: unit_fiber(poly1({1: 1})),
@@ -398,7 +392,7 @@ class TestPairingOracle:
 
     def test_curved_metric_weight(self):
         elems, omega = curved_metric_elements()
-        assert not omega.at(HalfInt(2)).is_zero()
+        assert not omega.omega2[2].is_zero()
         assert_pairs_match_reference(elems, omega)
 
     def test_rank2_fibres_with_connection(self):
@@ -408,8 +402,7 @@ class TestPairingOracle:
 
     def test_iso2d_projected_level_basis(self):
         ctx = pipeline_context("iso2d", 4)
-        assert_pairs_match_reference(projected_level_basis(ctx), ctx.omega,
-                                     through=HalfInt(8))
+        assert_pairs_match_reference(projected_level_basis(ctx), ctx.omega, through2=8)
 
     def test_float_within_relative_bound(self):
         # float mode sums in a different order and no longer prunes the
@@ -421,9 +414,9 @@ class TestPairingOracle:
         for u in elems:
             for v in elems:
                 got = pair_s0(u, v, ctx.omega)
-                want = multiply_then_integrate(u, v, ctx.omega, got.truncation_order)
-                scale = max(scale, want.max_abs_coeff(got.truncation_order))
-                worst = max(worst, (got - want).max_abs_coeff(got.truncation_order))
+                want = multiply_then_integrate(u, v, ctx.omega, got.trunc2)
+                scale = max(scale, want.max_abs_coeff(got.trunc2))
+                worst = max(worst, (got - want).max_abs_coeff(got.trunc2))
         assert scale >= 0.5
         assert worst <= 1e-12 * scale
 
@@ -433,7 +426,7 @@ class TestPairingOracle:
             problem = preset_problem(f"cubic1d:c={c}", order=HalfInt(8)).problem
             omegas[c] = omega_for(problem)
         assert omegas[1].lam == omegas[2].lam
-        u = S0Series.from_fiber_poly(unit_fiber(poly1({0: 1, 1: 2, 3: -1})), HalfInt(4))
+        u = S0Series.from_fiber_poly(unit_fiber(poly1({0: 1, 1: 2, 3: -1})), 4)
         first = {c: pair_s0(u, u, omegas[c]) for c in (1, 2)}
         assert first[1] != first[2]
         assert omegas[1].table is not omegas[2].table
@@ -443,7 +436,7 @@ class TestPairingOracle:
         for c in (2, 1, 2):
             got = pair_s0(u, u, omegas[c])
             assert got == first[c]
-            assert got == multiply_then_integrate(u, u, omegas[c], got.truncation_order)
+            assert got == multiply_then_integrate(u, u, omegas[c], got.trunc2)
 
 
 @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
@@ -461,14 +454,15 @@ def test_each_total_order_contracted_once(preset, monkeypatch):
 
     monkeypatch.setattr(_Functional, "pair", counting)
     got = pair_s0(u, v, ctx.omega)
-    trunc = got.truncation_order
+    trunc = got.trunc2
     # base orders with a fiber component that both sides carry
-    bases = {(ju - u.K) + (jv - v.K) for ju, pu in u.coeffs.items() for jv, pv in v.coeffs.items()
+    bases = {(ju - u.K2) + (jv - v.K2) for ju, pu in u.coeffs2.items()
+             for jv, pv in v.coeffs2.items()
              if any(not a.is_zero() and not b.is_zero()
                     for a, b in zip(pu.components, pv.components))}
-    per_base = [(b, m) for b in bases for m in ctx.omega.orders() if b + m <= trunc]
-    per_pair = [m for ju in u.coeffs for jv in v.coeffs for m in ctx.omega.orders()
-                if (ju - u.K) + (jv - v.K) + m <= trunc]
+    per_base = [(b, m) for b in bases for m in ctx.omega.orders2() if b + m <= trunc]
+    per_pair = [m for ju in u.coeffs2 for jv in v.coeffs2 for m in ctx.omega.orders2()
+                if (ju - u.K2) + (jv - v.K2) + m <= trunc]
     assert len(calls) == len(per_base) < len(per_pair)
     assert got == multiply_then_integrate(u, v, ctx.omega, trunc)
 
@@ -483,7 +477,7 @@ def level_elements(case: str):
         return curved_metric_elements()
     preset, order, mode_name = case.split("-")
     ctx = pipeline_context(preset, int(order), "float" if mode_name == "complex" else mode_name)
-    waves, _ = ctx.projector.wave_operator()
+    waves, _ = ctx.projector.wave_operator2()
     level_basis = [ctx.projector.as_s0(m, vecs) for m, vecs in zip(ctx.level.members, waves)]
     elems = level_basis + projected_level_basis(ctx)
     if mode_name == "complex":
@@ -501,8 +495,8 @@ def assert_pairings_agree(got, want, scale):
     if got.mode.name == "exact":
         assert got == want
     else:
-        assert got.truncation_order == want.truncation_order
-        assert (got - want).max_abs_coeff(got.truncation_order) <= 1e-12 * scale
+        assert got.trunc2 == want.trunc2
+        assert (got - want).max_abs_coeff(got.trunc2) <= 1e-12 * scale
 
 
 def gram_scale(elems, omega) -> float:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, S0Series, float_mode
+from qmf.series_algebra import EXACT, FiberPoly, Poly, S0Series, float_mode
 from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.harmonic_oscillator import (
     HermiteBasis,
@@ -53,11 +53,11 @@ class TestHermiteBasis:
     def test_norm2(self):
         lam = F(2)
         b = basis_1d(lam=lam)
-        omega0 = WeightExpansion(EXACT, (lam,), {HI0: Poly.const(EXACT, 1, 1)}, HI0)
+        omega0 = WeightExpansion(EXACT, (lam,), {0: Poly.const(EXACT, 1, 1)}, 0)
 
         def norm2(m):
-            p = S0Series.from_fiber_poly(FiberPoly.scalar(b.poly((m,))))
-            return pair_s0(p, p, omega0).coefficient(HI0)
+            p = S0Series.from_fiber_poly(FiberPoly([b.poly((m,))]))
+            return pair_s0(p, p, omega0).at2(0)
 
         # m! / (2 lam)^m
         assert norm2(0) == F(1)
@@ -66,11 +66,11 @@ class TestHermiteBasis:
 
     def test_expand_examples(self):
         b = basis_1d()
-        one = FiberPoly.scalar(Poly.const(EXACT, 1, 1))
+        one = FiberPoly([Poly.const(EXACT, 1, 1)])
         assert expand(b, one) == {HermiteIndex((0,), 0): F(1)}
-        y = FiberPoly.scalar(Poly.variable(EXACT, 1, 0))
+        y = FiberPoly([Poly.variable(EXACT, 1, 0)])
         assert expand(b, y) == {HermiteIndex((1,), 0): F(1)}
-        ysq = FiberPoly.scalar(Poly.monomial(EXACT, 1, (2,)))
+        ysq = FiberPoly([Poly.monomial(EXACT, 1, (2,))])
         assert expand(b, ysq) == {HermiteIndex((2,), 0): F(1),
                                   HermiteIndex((0,), 0): F(1, 2)}
 
@@ -114,7 +114,7 @@ class TestHermiteBasis:
         for m in range(6):
             p = b.poly((m,))
             assert p.degree() == m
-            assert p.parity() == (1 if m % 2 == 0 else -1)
+            assert {sum(a) % 2 for a in p.terms} == {m % 2}
 
 
 WELL_3D = """
@@ -143,8 +143,8 @@ def family_and_basis(source, mode_name, order, degree):
     else:
         problem = preset_problem(source, mode_name, order=order).problem
     family = rescale_operator(conjugate_hamiltonian(problem, solve_eikonal(problem)))
-    orders = [j for j in family.orders() if j <= HalfInt(order)]
-    basis = HermiteBasis(problem.mode, problem.lam, problem.mu, degree + orders[-1].doubled)
+    orders = [j for j in family.orders2() if j <= 2 * order]
+    basis = HermiteBasis(problem.mode, problem.lam, problem.mu, degree + orders[-1])
     return family, orders, basis
 
 
@@ -169,10 +169,10 @@ def test_apply_matches_elimination_on_families(source, order, degree):
     ffamily, _, fbasis = family_and_basis(source, "float", order, degree)
     for j in orders:
         for index in basis.indices(degree):
-            num, den = basis.apply(family.get(j), basis.position(index))
+            num, den = basis.apply(family.get2(j), basis.position(index))
             got = {basis.index_at[i]: F(n, den) for i, n in num.items()}
-            assert got == apply_by_elimination(basis, family.get(j), index), (j, index)
-            fnum, fden = fbasis.apply(ffamily.get(j), fbasis.position(index))
+            assert got == apply_by_elimination(basis, family.get2(j), index), (j, index)
+            fnum, fden = fbasis.apply(ffamily.get2(j), fbasis.position(index))
             fgot = {fbasis.index_at[i]: n for i, n in fnum.items()}
             assert fden == 1
             if (source, order) not in ROUNDED_SUPPORT:
@@ -185,17 +185,17 @@ def test_apply_matches_elimination_on_families(source, order, degree):
 class TestSpectrum:
     def test_formula_1d(self):
         t = build_spectrum(EXACT, (F(1),), (F(0),), 4)
-        assert t.eigenvalue(HermiteIndex((0,), 0)) == F(1)
-        assert t.eigenvalue(HermiteIndex((1,), 0)) == F(3)
-        assert t.eigenvalue(HermiteIndex((2,), 0)) == F(5)
+        assert t.entries[HermiteIndex((0,), 0)] == F(1)
+        assert t.entries[HermiteIndex((1,), 0)] == F(3)
+        assert t.entries[HermiteIndex((2,), 0)] == F(5)
 
     def test_formula_2d_rank1_with_shift(self):
         t = build_spectrum(EXACT, (F(1), F(2)), (F(-3),), 4)
-        assert t.eigenvalue(HermiteIndex((0, 0), 0)) == F(0)
+        assert t.entries[HermiteIndex((0, 0), 0)] == F(0)
 
     def test_witten_ground_zero(self):
         t = build_spectrum(EXACT, (F(1),), (F(-1),), 4)
-        assert t.eigenvalue(HermiteIndex((0,), 0)) == F(0)
+        assert t.entries[HermiteIndex((0,), 0)] == F(0)
 
     def test_randomized_rational_formula(self):
         rng = random.Random(3)
@@ -223,21 +223,21 @@ class TestSpectrum:
         basis = HermiteBasis(mode, lam, mu, 6)
         assert set(basis.indices()) == set(table.entries)
         for index in basis.indices():
-            assert basis.eigenvalue_at[basis.position(index)] == table.eigenvalue(index)
+            assert basis.eigenvalue_at[basis.position(index)] == table.entries[index]
 
 
 class TestDegenerateLevel:
     def test_simple_ground(self):
         t = build_spectrum(EXACT, (F(1),), (F(0),), 6)
         lvl = degenerate_level(t, 1)
-        assert lvl.m0 == 1 and lvl.K == HI0 and lvl.parity == "even"
+        assert lvl.m0 == 1 and lvl.K2 == 0 and lvl.parity == "even"
         assert lvl.members == (HermiteIndex((0,), 0),)
 
     def test_isotropic_first_excited(self):
         t = build_spectrum(EXACT, (F(1), F(1)), (F(0),), 6)
         lvl = degenerate_level(t, 4)
         assert lvl.m0 == 2
-        assert lvl.K == HalfInt(1)
+        assert lvl.K2 == 1
         assert lvl.parity == "odd"
         assert set(lvl.members) == {HermiteIndex((1, 0), 0), HermiteIndex((0, 1), 0)}
 
@@ -267,7 +267,7 @@ class TestDegenerateLevel:
             table = build_spectrum(mode, lam, mu, d)
             with pytest.raises(LevelNotFoundError, match="too small to certify"):
                 degenerate_level(table, mode.coeff(bottom + (d + 1) * step))
-            assert degenerate_level(table, mode.coeff(bottom + d * step)).K.doubled == d
+            assert degenerate_level(table, mode.coeff(bottom + d * step)).K2 == d
 
     def test_level_by_index(self):
         t = build_spectrum(EXACT, (F(1),), (F(0),), 6)
@@ -286,10 +286,10 @@ class TestDegenerateLevel:
         m = float_mode()
         t = build_spectrum(m, (0.1, 0.2), (-0.3,), 2)
         ground = HermiteIndex((0, 0), 0)
-        assert t.eigenvalue(ground) != 0 and abs(t.eigenvalue(ground)) < 1e-16
+        assert t.entries[ground] != 0 and abs(t.entries[ground]) < 1e-16
         assert degenerate_level(t, 0).members == (ground,)
         assert level_by_index(t, 0).members == (ground,)
-        assert t.distinct_levels()[0] == t.eigenvalue(ground)
+        assert t.distinct_levels()[0] == t.entries[ground]
         # a gap of 1e-6 against magnitudes of order 1 is still a different level
         with pytest.raises(LevelNotFoundError):
             degenerate_level(t, 1e-6)
@@ -301,12 +301,12 @@ class TestModelOperatorEigenrelation:
         lam = (F(1), F(2))
         p = JetProblem.create(EXACT, 2, 1, 6, lam)
         fam = rescale_operator(conjugate_hamiltonian(p, solve_eikonal(p)))
-        q0 = fam.get(HI0)
+        q0 = fam.get2(0)
         b = HermiteBasis(EXACT, lam, (F(0),), 5)
         t = build_spectrum(EXACT, lam, (F(0),), 5)
         for index in b.indices(4):
             h = b.fiber(index)
-            assert q0.apply(h) == h.scale(t.eigenvalue(index))
+            assert q0.apply(h) == h.scale(t.entries[index])
 
     def test_q0_with_rank2_shift(self):
         W = (
@@ -315,9 +315,9 @@ class TestModelOperatorEigenrelation:
         )
         p = JetProblem.create(EXACT, 1, 2, 6, (F(1),), W=W)
         fam = rescale_operator(conjugate_hamiltonian(p, solve_eikonal(p)))
-        q0 = fam.get(HI0)
+        q0 = fam.get2(0)
         b = HermiteBasis(EXACT, (F(1),), (F(0), F(2)), 5)
         t = build_spectrum(EXACT, (F(1),), (F(0), F(2)), 5)
         for index in b.indices(4):
             h = b.fiber(index)
-            assert q0.apply(h) == h.scale(t.eigenvalue(index))
+            assert q0.apply(h) == h.scale(t.entries[index])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmf.cli_io import parse_problem_spec, preset_problem
 from qmf.harmonic_oscillator import HermiteBasis, HermiteIndex
-from qmf.series_algebra import EXACT, FiberPoly, HI0, HalfInt, Poly, float_mode
+from qmf.series_algebra import EXACT, FiberPoly, Poly, float_mode
 from qmf.operator_calculus import (
     DiffOpJet,
     EikonalError,
@@ -236,21 +236,21 @@ class TestRescaledFamily:
     def test_harmonic_q0_and_vanishing_tail(self):
         p = scalar_problem(None)
         fam = self.q0_of(p)
-        q0 = fam.get(HI0)
+        q0 = fam.get2(0)
         # Q0 = -d^2 + 2y d + 1 on scalars with unit frequency
         assert q0.apply(mono_fiber((0,))) == mono_fiber((0,))
         assert q0.apply(mono_fiber((1,))) == mono_fiber((1,), 3)
         q2 = q0.apply(mono_fiber((2,)))
         assert q2 == mono_fiber((2,), 5) + mono_fiber((0,), -2)
-        for j in fam.orders():
-            if j != HI0:
-                assert fam.get(j).is_zero()
+        for j in fam.orders2():
+            if j != 0:
+                assert fam.get2(j).is_zero()
 
     def test_cubic_half_order_piece(self):
         c = F(1)
         p = scalar_problem(poly1({2: 1, 3: c}), D=8)
         fam = self.q0_of(p)
-        q_half = fam.get(HalfInt(1))
+        q_half = fam.get2(1)
         # c (y^2 d + y) in the blown-up variable
         assert q_half.apply(mono_fiber((0,))) == mono_fiber((1,), c)
         assert q_half.apply(mono_fiber((1,))) == mono_fiber((2,), 2 * c)
@@ -262,7 +262,7 @@ class TestRescaledFamily:
         )
         p = JetProblem.create(EXACT, 1, 2, 6, (1,), W=W)
         fam = self.q0_of(p)
-        q0 = fam.get(HI0)
+        q0 = fam.get2(0)
         e1 = mono_fiber((0,), rank=2, k=0)
         e2 = mono_fiber((0,), rank=2, k=1)
         assert q0.apply(e1) == e1.scale(3)   # 1 + mu_1
@@ -272,19 +272,19 @@ class TestRescaledFamily:
         # output degrees of Q_j on a monomial lie in {d + 2j - 2, d + 2j}
         p = scalar_problem(poly1({2: 1, 3: 1, 4: F(1, 3)}), D=8)
         fam = self.q0_of(p)
-        for j in fam.orders():
-            op = fam.get(j)
+        for j in fam.orders2():
+            op = fam.get2(j)
             for d in range(0, 4):
                 img = op.apply(mono_fiber((d,)))
                 degs = {m for m, c in enumerate([img.components[0].coefficient((m,))
                                                  for m in range(0, 12)]) if c != 0}
-                allowed = {d + j.doubled - 2, d + j.doubled}
+                allowed = {d + j - 2, d + j}
                 assert degs <= allowed
 
     def test_max_order_scales_with_D(self):
         p = scalar_problem(poly1({2: 1, 3: 1}), D=8)
         fam = self.q0_of(p)
-        assert fam.max_order >= HalfInt(8)  # j <= D/2 = 4
+        assert fam.max_order2 >= 8  # j <= D/2 = 4
 
 
 class TestDiffOpJet:
@@ -296,8 +296,7 @@ class TestDiffOpJet:
         q = mono_fiber((3,))
         assert dx.apply(q) == d.apply(x.apply(q))
         xd = x.compose(d)
-        comm = dx - xd
-        assert comm.apply(q) == q
+        assert dx.apply(q) == xd.apply(q) + q
 
     def test_apply_diffop_spec_examples(self):
         # (y d)(y^2) = 2 y^2
@@ -320,7 +319,7 @@ class TestDiffOpJet:
     def test_mode_mixing(self):
         y = Poly.variable(EXACT, 1, 0)
         yd = DiffOpJet(EXACT, 1, 1, {(1,): ((y,),)})
-        q = FiberPoly.scalar(Poly.monomial(float_mode(), 1, (2,)))
+        q = FiberPoly([Poly.monomial(float_mode(), 1, (2,))])
         with pytest.raises(ValueError, match="mixing coefficient modes"):
             yd.apply(q)
         with pytest.raises(ValueError, match="mixing coefficient modes"):
@@ -423,7 +422,7 @@ class TestCompiledApply:
         p = preset_problem(preset).problem
         conj = conjugate_hamiltonian(p, solve_eikonal(p))
         fam = rescale_operator(conj)
-        ops = [conj.hbar1, conj.hbar2] + [fam.get(j) for j in fam.orders()]
+        ops = [conj.hbar1, conj.hbar2] + [fam.get2(j) for j in fam.orders2()]
         for op in ops:
             for alpha in product(range(4), repeat=p.n):
                 for slot in range(p.rank):
