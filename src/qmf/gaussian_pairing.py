@@ -202,7 +202,7 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
     # S's part at doubled order d - 2 is -2 times phi's degree-d part
     s = {d - 2: part.scale(-2) for d, part in phi.poly.components_by_degree().items()
          if 2 < d <= through2 + 2}
-    expo = euler_recurrence(s, through2, Poly.const(mode, n, 1), Poly.scale)
+    expo = euler_recurrence(s, through2, Poly.const(mode, n, 1), Poly.weighted_sum)
     if not problem.metric_is_flat():
         caps.append(problem.D)
         g_parts = {d: part for d, part in density.components_by_degree().items()

@@ -141,7 +141,7 @@ def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
     u = p - one
     if not u.is_zero() and u.min_degree() < 1:
         raise ValueError("jet must be 1 plus higher-degree terms")
-    parts = euler_recurrence(u.components_by_degree(), through, one, Poly.scale, expo)
+    parts = euler_recurrence(u.components_by_degree(), through, one, Poly.weighted_sum, expo)
     return sum(parts.values(), Poly.zero(p.mode, p.n))
 
 

@@ -13,57 +13,53 @@ and H_eff = E0 + sum_t h^t H_t satisfies Q Omega = Omega H_eff. The recursion
 carries no Laurent powers; at m0 = 1 it is the Rayleigh-Schrodinger one.
 
 The projector is the contour integral of the perturbed resolvent around the
-chosen level. In the eigenbasis of the model operator the resolvent factor
-G0(z) acts diagonally: it multiplies the component at eigenvalue E by
-1/(z - E). Writing z = E0 + w, level components contribute a pole factor 1/w
-and the rest expand as geometric series in w; the contour integral is then
-the exact w^(-1) coefficient (a Laurent-series residue, no numerical contour
-needed).
-
-The resolvent expansion G0 + G0 Q G0 + G0 Q G0 Q G0 + ... is graded by order
-(T. Kato, Perturbation Theory for Linear Operators, ch. II, sections 1-2).
-Its order-s part, applied to a basis vector e, obeys the recursion
+chosen level. In the eigenbasis of the model operator G0(E0 + w) multiplies
+the component at eigenvalue E by 1/(g + w), g = E0 - E: a pole 1/w on the
+level, a power series in w elsewhere. The contour integral is the exact
+w^(-1) coefficient, a Laurent residue. The resolvent expansion is graded by
+order (T. Kato, Perturbation Theory for Linear Operators, ch. II, 1-2); its
+order-s part, applied to a basis vector e, obeys
 
     T_0 = G0 e,    T_s = G0 sum_{0 < i <= s} Q_i T_{s-i},
 
-so the order-j image of e is the w^(-1) residue of T_j. One pass per basis
-vector yields all orders with O(order^2) operator applications instead of one
-per composition of each order.
+so the order-j image of e is the w^(-1) residue of T_j, at O(order^2)
+operator applications per basis vector. A state holds one vector per
+w-power. A step reads each Q_i image once per position, adds it into one
+accumulator per w-power, then applies G0 per position: a level member moves
+down one power; elsewhere (g + w) x = r is solved power by power,
+x_p = (r_p - x_(p-1)) / g, in O(L) for L kept powers.
 
-Every chain summed into T_s has the same R = 2(budget - s) half-orders left,
-so T_s is truncated once, componentwise. A component at w-power p needs at
-least p + 1 later steps that end on the level, since G0 lowers the power only
-there (by one) and never lowers it elsewhere; each step applies some Q_i with
-i >= 1/2 and costs 2i half-orders. Q_i changes polynomial degree parity by 2i,
-so on a level of uniform parity a component of the level's degree parity
-re-enters the level at most floor(R/2) times (each re-entry costs an even
-number of half-orders), one of the other parity at most floor((R + 1)/2)
-times (the first costs an odd number), and on a mixed level at most R times.
-With L that count, the component keeps the powers p <= L - 1. A dropped term
+Every chain summed into T_s has R = 2(budget - s) half-orders left, so T_s
+is truncated once, per position. A component at w-power p needs at least
+p + 1 later steps that end on the level, since G0 lowers the power only
+there; each step applies some Q_i, i >= 1/2, for 2i half-orders. Q_i changes
+degree parity by 2i, so on a level of uniform parity a component of the
+level's parity re-enters the level at most floor(R/2) times, one of the
+other parity at most floor((R + 1)/2) times, and on a mixed level R times.
+With L that count, a position keeps the powers p <= L - 1. A dropped term
 never flows into a kept one: the path joining them would let the kept one
-re-enter the level more often than its own bound allows. So every kept slot
-sums the same contributions in the same order as without the truncation, and
-the images are the same, bit for bit in float mode. ``q_action`` checks the
-parity rule on every image it caches.
+re-enter the level more often than its own bound allows, and x_p reads r
+only at powers up to p. So each kept entry is summed from the same terms, in
+the same order (ascending powers and positions), as without the truncation:
+the images do not change, bit for bit in float mode. ``q_action`` checks
+the parity rule on every image it caches.
 
-One class, ``ProjectorSeries``, holds both recursions and their caches: the
-Q_j images, the powers of 1/(E0 - E) and the images per index. Only the
-checks read the projector's images (``projector_diagnostics`` its probes,
-``rs_oracle`` the level members); the wave operator reads the same Q_j
-cache, so the checks reuse the Q_j images that the construction filled.
-
-All of this runs on one integer kernel, ``HermiteVec``: integer numerators,
-keyed by basis position (``HermiteBasis.position``), over one shared
-denominator. Q_j images and the powers of 1/(E0 - E) are kept
-as integers, sums rescale only when a new denominator raises the common lcm,
-and each finished vector is reduced by one gcd. Float mode runs the same code
-over denominator 1. Coefficients become Fractions only where images leave the
-projector or the wave operator (``ProjectorSeries.as_s0``).
+``ProjectorSeries`` holds both recursions and their caches. Only the checks
+read the projector's images (``projector_diagnostics`` its probes,
+``rs_oracle`` the level members); the wave operator fills the same Q_j and
+gap caches. Vectors are integer numerators keyed by basis position
+(``HermiteBasis.position``) over one denominator (``HermiteVec``): sums
+rescale only when a new denominator raises the lcm, and each finished vector
+is reduced by one gcd. Float mode runs the same code over denominator 1.
+Coefficients become Fractions only where images leave the projector or the
+wave operator (``ProjectorSeries.as_s0``).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Mapping
 
 from .series_algebra import (
@@ -102,20 +98,13 @@ class ParityRuleError(RuntimeError):
 
 @dataclass(slots=True)
 class HermiteVec:
-    """Hermite coefficients as numerators over one shared denominator.
-
-    The coefficient at basis position i is ``num[i] / den`` with ``den`` a positive
-    integer. Exact mode keeps integer numerators, so sums and scalings are
-    integer products (the fraction-free idea of E. H. Bareiss, Math. Comp. 22
-    (1968) 565, applied to accumulation); float mode keeps complex numerators
-    over ``den == 1`` and runs the same code, the mode supplying the
-    (numerator, denominator) split. An accumulator grows ``den`` to the lcm of
-    what it takes in, rescaling its numerators only when that lcm grows;
-    ``reduce`` finishes it with one gcd over the whole vector and drops the
-    zero entries. Both steps are the kernel ``Poly`` runs on
-    (``series_algebra.grow_den`` and ``reduce_num``), and ``add`` is its
-    ``accumulate``. Every vector a projector method returns
-    is reduced, so equal vectors compare equal, and is never mutated afterwards.
+    """Hermite coefficients ``num[i] / den`` at basis positions i, ``den`` a
+    positive integer: integers in exact mode, complex numbers over 1 in float
+    mode (the mode's split; E. H. Bareiss's fraction-free idea, Math. Comp.
+    22 (1968) 565). ``add`` and ``add_entry`` grow ``den`` to the lcm of what
+    they take in; ``reduce`` drops zero entries and divides out one gcd.
+    Every vector a projector method returns is reduced, so equal vectors
+    compare equal, and is never mutated afterwards.
     """
 
     mode: object
@@ -152,19 +141,6 @@ class HermiteVec:
         return max(map(abs, self.num.values()), default=0) / self.den
 
 
-def _slot(vecs: dict, key, mode) -> HermiteVec:
-    """The accumulator at ``key``, created empty if missing."""
-    vec = vecs.get(key)
-    if vec is None:
-        vec = vecs[key] = HermiteVec(mode)
-    return vec
-
-
-def _reduced(vecs: dict) -> dict:
-    """Reduce every accumulator and keep the nonzero ones."""
-    return {key: vec for key, vec in vecs.items() if vec.reduce()}
-
-
 # ---------------------------------------------------------------------------
 # The projector series
 
@@ -175,10 +151,11 @@ class ProjectorSeries:
     operator (``wave_operator2``) on the same Q_j cache.
 
     ``image2(pos)`` returns the graded coefficients of the projected basis
-    vector at a basis position as ``HermiteVec``s keyed by doubled order;
-    images are computed lazily and cached, so the table covers whatever the
-    caller touches. At order zero the action is the identity on the level
-    members and zero elsewhere.
+    vector at a basis position as ``HermiteVec``s keyed by doubled order. At
+    order zero the action is the identity on the level members and zero
+    elsewhere. Three caches, filled on first use: the Q_j image of each
+    position (``q_action``), 1/(E0 - E) at each position (``_gap``), and the
+    images of each position (``image2``).
     """
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
@@ -190,8 +167,8 @@ class ProjectorSeries:
         self.order2 = order2
         # (2j, position) -> Q_j applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
-        # position -> [(a_s, b_s)] with a_s / b_s = (-1)^s / (E0 - E)^(s+1)
-        self._gap_powers: dict[int, list] = {}
+        # position -> (u, v) with u / v = 1 / (E0 - E)
+        self._gaps: dict[int, tuple] = {}
         # position -> images through the built order
         self._images: dict[int, dict] = {}
         self._level_set = {basis.position(m) for m in level.members}
@@ -226,69 +203,55 @@ class ProjectorSeries:
         self._q_cache[key] = out
         return out
 
-    def _gap_series(self, idx: int, count: int) -> list:
-        """The first ``count`` pairs (a_s, b_s) of the geometric series in w of 1/(E0 - E + w)."""
-        pows = self._gap_powers.get(idx)
-        if pows is None or len(pows) < count:
-            gap = self.level.E0 - self.basis.eigenvalue_at[idx]
-            p, q = self.mode.split(self.mode.one() / gap)
-            pows, a, b = [], p, q
-            for s in range(count):
-                pows.append((-a if s % 2 else a, b))
-                a, b = a * p, b * q
-            self._gap_powers[idx] = pows
-        return pows
+    def _gap(self, pos: int) -> tuple:
+        """(u, v) with u / v = 1 / (E0 - E) at ``pos``, the mode's split; cached."""
+        hit = self._gaps.get(pos)
+        if hit is None:
+            gap = self.level.E0 - self.basis.eigenvalue_at[pos]
+            hit = self._gaps[pos] = self.mode.split(self.mode.one() / gap)
+        return hit
 
-    # -- Laurent states: dict[int w-power -> HermiteVec]
+    # -- the residue recursion; a state is {w-power: HermiteVec}
 
-    def _resolvent_factor(self, state: dict, remaining: int) -> dict:
-        """Multiply a Laurent state by G0(E0 + w), componentwise in the basis,
-        keeping at each position the w-powers p <= L - 1 that can still reach
-        the residue with ``remaining`` half-orders left (module docstring)."""
-        mode = self.mode
-        level_set, degree_at = self._level_set, self.basis.degree_at
-        # L, indexed by the parity of (degree - level degree)
-        if self._parity is None:
-            bound, parity = (remaining, remaining), 0
-        else:
-            bound, parity = (remaining // 2, (remaining + 1) // 2), self._parity
-        out: dict[int, HermiteVec] = {}
-        for power, vec in state.items():
-            den = vec.den
-            for idx, n in vec.num.items():
-                top = bound[(degree_at[idx] ^ parity) & 1]
-                if idx in level_set:
-                    if power <= top:
-                        _slot(out, power - 1, mode).add_entry(idx, n, den)
-                    continue
-                count = top - power
-                if count <= 0:
-                    continue
-                pows = self._gap_series(idx, count)
-                for s in range(count):
-                    a, b = pows[s]
-                    _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
-        return _reduced(out)
+    def _power_bounds(self, remaining: int) -> tuple:
+        """L (module docstring) by the parity of degree minus the level's."""
+        return (remaining,) * 2 if self._parity is None else (remaining // 2, (remaining + 1) // 2)
 
-    def _apply_q(self, j2: int, state: dict, out: dict) -> dict:
-        """Add Q_j, j2 = 2j, applied to every vector of ``state`` into
-        ``out`` under the same key."""
-        cache = self._q_cache
-        for key, vec in state.items():
-            acc = _slot(out, key, self.mode)
-            for idx, n in vec.num.items():
-                qv = cache.get((j2, idx))
-                acc.add(qv if qv is not None else self.q_action(j2, idx), n, vec.den)
-        return out
+    def _resolve(self, acc: dict, remaining: int) -> dict:
+        """The state G0(E0 + w) acc, {w-power: HermiteVec} like ``acc``, keeping
+        the w-powers p <= L - 1 at each position (module docstring), reduced."""
+        rows: dict[int, dict] = defaultdict(dict)
+        for power, vec in acc.items():
+            for pos, n in vec.num.items():
+                if n:
+                    rows[pos][power] = n
+        parity, bounds = self._parity or 0, self._power_bounds(remaining)
+        level_set, degree_at, gaps = self._level_set, self.basis.degree_at, self._gaps
+        out: dict[int, HermiteVec] = defaultdict(lambda: HermiteVec(self.mode))
+        for pos in sorted(rows):
+            row, top = rows[pos], bounds[(degree_at[pos] ^ parity) & 1]
+            if pos in level_set:
+                for p, n in row.items():
+                    if p <= top:
+                        out[p - 1].add_entry(pos, n, acc[p].den)
+                continue
+            u, v = gaps.get(pos) or self._gap(pos)
+            y, dy = 0, 1
+            for p in range(min(row), top):
+                # x_p = (r_p - x_(p-1)) u / v, x_(p-1) = y / dy and r_p = n / dp
+                n, dp = (row[p], acc[p].den) if p in row else (0, dy)
+                m = dy if dy == dp else lcm(dp, dy)
+                y = ((n if m == dp else n * (m // dp)) - (y if m == dy else y * (m // dy))) * u
+                dy = m * v
+                if y:
+                    out[p].add_entry(pos, y, dy)
+        return {p: vec.reduce() for p, vec in sorted(out.items())}
 
     def images2(self, pos: int, budget2: int) -> dict:
         """The order-j coefficients, 0 <= 2j <= budget2, of the projected
-        basis vector at position ``pos``, keyed by the doubled order 2j.
-
-        Runs the graded recursion T_s = G0 sum_i Q_i T_{s-i} from T_0 = G0 e,
-        dropping the w-powers that cannot reach the residue within the
-        remaining budget, and returns {2j: residue of T_j} for the nonzero
-        residues.
+        basis vector at position ``pos``, keyed by the doubled order 2j: the
+        nonzero residues of T_j (module docstring), with the w-powers that
+        cannot reach the residue within the remaining budget dropped.
 
         ``image2`` always asks for the built order. A smaller budget serves
         the tests' graded apply behind the idempotency and commutation laws:
@@ -299,15 +262,27 @@ class ProjectorSeries:
         states: dict[int, dict] = {}
         out: dict[int, HermiteVec] = {}
         for s in range(budget2 + 1):
-            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
-            for i in parts:
-                if i > s:
-                    break
-                self._apply_q(i, states[s - i], summed)
-            state = states[s] = self._resolvent_factor(_reduced(summed), budget2 - s)
-            residue = state.get(-1)
-            if residue:
-                out[s] = residue
+            acc = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
+            for i in (i for i in parts if i <= s):
+                qs: dict[int, HermiteVec] = {}
+                for power, vec in states[s - i].items():
+                    # the loop of ``accumulate``, with one Q_i read per position
+                    slot = acc.get(power) or acc.setdefault(power, HermiteVec(self.mode))
+                    a, da, get = slot.num, slot.den, slot.num.get
+                    for at, n in vec.num.items():
+                        qv = qs.get(at)
+                        if qv is None:
+                            qv = qs[at] = self.q_action(i, at)
+                        d = vec.den * qv.den
+                        if da % d:
+                            da = grow_den(a, da, d)
+                        f = n * (da // d)
+                        for key, m in qv.num.items():
+                            a[key] = get(key, 0) + m * f
+                    slot.den = da
+            state = states[s] = self._resolve(acc, budget2 - s)
+            if -1 in state:
+                out[s] = state[-1]
         return out
 
     # -- the action table
@@ -350,8 +325,8 @@ class ProjectorSeries:
                     if j > s:
                         break
                     prev = om.get(s - j)
-                    if prev is not None:
-                        self._apply_q(j, {b: prev}, drives)
+                    for idx, n in prev.num.items() if prev is not None else ():
+                        drives[b].add(self.q_action(j, idx), n, prev.den)
             h_s = [[mode.zero()] * len(members) for _ in members]
             for b, drive in drives.items():
                 # the level block of the drive is H_s: Omega_(s-t), t < s, has none
@@ -366,8 +341,8 @@ class ProjectorSeries:
                 out = HermiteVec(mode)
                 for idx, n in drive.num.items():
                     if idx not in level_set:
-                        g, d = self._gap_series(idx, 1)[0]
-                        out.add_entry(idx, n * g, drive.den * d)
+                        u, v = self._gap(idx)
+                        out.add_entry(idx, n * u, drive.den * v)
                 if out.reduce():
                     waves[b][s] = out
             h[s] = h_s
@@ -499,7 +474,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
                 for j2, vec2 in imgs[member].items():
                     if t + j2 <= N:
                         scale = max(scale, abs(n) / d * vec2.max_abs())
-                        _slot(target, t + j2, mode).add(vec2, -n, d)
+                        target.setdefault(t + j2, HermiteVec(mode)).add(vec2, -n, d)
         rank_res.append((_max_abs(v for j, v in target.items() if j <= N), scale))
 
     # independence: the leading coefficients of the level images are the

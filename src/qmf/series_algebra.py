@@ -133,6 +133,14 @@ class _Mode:
         """Whether a - b is negligible against the larger of |a| and |b|."""
         return self.negligible(a - b, max(self.abs(a), self.abs(b)))
 
+    def weighted_sum(self, terms: list, den: int):
+        """sum W a b / den over the (W, a, b) of ``terms``, W integers, joined once."""
+        acc, d = {0: 0}, 1
+        for w, a, b in terms:
+            (na, da), (nb, db) = self.split(a), self.split(b)
+            d = accumulate(acc, d, {0: na * nb}, w, da * db)
+        return self.join(acc[0], d * den)
+
 
 class ExactMode(_Mode):
     """Exact rational coefficients (Fraction), which carry no rounding.
@@ -522,6 +530,17 @@ class Poly:
         return Poly._reduced(self.mode, self.n, {a: v * p for a, v in self.num.items()},
                              self.den * q)
 
+    @staticmethod
+    def weighted_sum(terms: list, den: int) -> "Poly":
+        """sum W a b / den over the (W, a, b) of ``terms``, W integers
+        (``euler_recurrence``): the products accumulate over one denominator."""
+        acc, d = {}, 1
+        for w, a, b in terms:
+            prod = a.mul(b)
+            d = accumulate(acc, d, prod.num, w, prod.den)
+        mode = terms[0][1].mode
+        return Poly._reduced(mode, terms[0][1].n, acc, d).scale(mode.join(1, den))
+
     def diff(self, i: int) -> "Poly":
         shift = EXPONENT_BITS * (self.n - 1 - i)  # the field of y_i
         unit = 1 << self.n * EXPONENT_BITS | 1 << shift  # the key of y_i
@@ -763,6 +782,13 @@ class FormalScalarSeries:
     def __sub__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self + (-other)
 
+    def _over_lcm(self) -> tuple[list, int]:
+        """(index, numerator) of the nonzero coefficients over their lcm, and the lcm."""
+        split = self.mode.split
+        terms = [(i, *split(c)) for i, c in self._nonzero()]
+        den = lcm(*(d for _, _, d in terms))
+        return [(i, n if d == den else n * (den // d)) for i, n, d in terms], den
+
     def __mul__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
         # a zero factor gives the zero product, exact wherever either factor is known
@@ -771,16 +797,18 @@ class FormalScalarSeries:
         size = len(self.coeffs) + len(other.coeffs) - 1
         if trunc is not None:
             size = min(size, trunc - lo + 1)
+        # integer numerators over the two lcms; each output normalized once
         slots: list = [None] * max(size, 0)
-        right = other._nonzero()
-        for i, ca in self._nonzero():
+        (left, da), (right, db) = self._over_lcm(), other._over_lcm()
+        for i, ca in left:
             for j, cb in right:
                 k = i + j
                 if k >= size:
                     break
                 v = slots[k]
                 slots[k] = ca * cb if v is None else v + ca * cb
-        return self._from_slots(lo, slots, trunc)
+        join, den = self.mode.join, da * db
+        return self._from_slots(lo, [v if v is None else join(v, den) for v in slots], trunc)
 
     def scale(self, c) -> "FormalScalarSeries":
         c = self.mode.coeff(c)
@@ -855,7 +883,7 @@ class FormalScalarSeries:
         return "Series(" + " + ".join(bits) + t + ")"
 
 
-def euler_recurrence(parts: Mapping[int, object], top: int, one, scale,
+def euler_recurrence(parts: Mapping[int, object], top: int, one, weighted_sum,
                      exponent: Fraction | None = None) -> dict:
     """The graded parts g_0 .. g_top of (1 + a)^exponent, or of exp(a) when
     ``exponent`` is None, for a = sum_j parts[j], every grade j positive.
@@ -863,22 +891,22 @@ def euler_recurrence(parts: Mapping[int, object], top: int, one, scale,
     J. C. P. Miller's recurrence for powers (D. E. Knuth, TAOCP vol. 2, 4.7):
     with E the Euler operator (k times the grade-k part), (1 + a)^e solves
     (1 + a) E g = e (E a) g and exp(a) solves E g = (E a) g, so g_0 = ``one``
-    and g_k = sum_{0<j<=k} w(j, k) a_j g_(k-j), with w = ((e + 1) j - k)/k or
-    j/k: O(top^2) part products where the k-fold powers take O(top^3). It
-    holds on any grading whose E is a derivation, such as scalars over
-    doubled exponents or homogeneous polynomials over degree. ``scale(x, w)``
-    multiplies a part by the rational w. Grades no product reaches are absent.
+    and g_k = sum_{0<j<=k} W a_j g_(k-j) / (q k), with e = p/q and the
+    integer weight W = (p + q) j - q k (for exp, W = j over k):
+    O(top^2) part products where the k-fold powers take O(top^3). It holds
+    on any grading whose E is a derivation, such as scalars over doubled
+    exponents or homogeneous polynomials over degree. ``weighted_sum(terms,
+    q k)`` sums a grade's (W, a_j, g_(k-j)), normalizing once. Grades no
+    product reaches are absent.
     """
+    p, q = (1, 0) if exponent is None else (exponent.numerator + exponent.denominator,
+                                            exponent.denominator)
     g = {0: one}
     for k in range(1, top + 1):
-        acc = None
-        for j, aj in parts.items():
-            if j <= k and k - j in g:
-                w = Fraction(j if exponent is None else (exponent + 1) * j - k, k)
-                term = scale(aj * g[k - j], w)
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            g[k] = acc
+        terms = [(p * j - q * k, aj, g[k - j]) for j, aj in parts.items()
+                 if j <= k and k - j in g]
+        if terms:
+            g[k] = weighted_sum(terms, max(q, 1) * k)
     return g
 
 
@@ -887,10 +915,8 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction,
     """(1 + v)^exponent as a series, for v of strictly positive order, by
     ``euler_recurrence`` over doubled exponents.
 
-    The weights are exact rationals, so the result stays in the coefficient
-    domain of v. It is exact through v's truncation order; the doubled
-    ``through2`` lowers that bound, and is required when v is exact at all
-    orders.
+    It is exact through v's truncation order; the doubled ``through2``
+    lowers that bound, and is required when v is exact at all orders.
     """
     if not v.is_zero() and v.order2() <= 0:
         raise ValueError("binomial series needs a perturbation of positive order")
@@ -899,8 +925,7 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction,
         if v.is_zero():
             return FormalScalarSeries.const(v.mode, 1)
         raise ValueError("binomial series of an untruncated series needs an explicit order")
-    parts = euler_recurrence(dict(v.items2()), trunc, v.mode.one(),
-                             lambda c, w: c * v.mode.coeff(w), exponent)
+    parts = euler_recurrence(dict(v.items2()), trunc, v.mode.one(), v.mode.weighted_sum, exponent)
     return FormalScalarSeries.from_terms2(v.mode, parts, trunc)
 
 

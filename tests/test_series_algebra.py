@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_series_oracle as per_term
 from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.operator_calculus import DiffOpJet, OperatorFamily
 from qmf.series_algebra import (
@@ -535,6 +536,75 @@ class TestBinomialSeries:
         z = FormalScalarSeries.zero(EXACT, 5)
         assert binomial_series(z, F(-1, 2)) == series({0: 1})
         assert binomial_series(z, F(-1, 2)).trunc2 == 5
+
+
+def outcome(f, *args):
+    """The state of f(*args), or the type of the error it raises."""
+    try:
+        return series_state(f(*args))
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err)
+
+
+NONZERO_SERIES = scalar_series(EXACT, FRACS_OR_ZERO).filter(lambda a: not a.is_zero())
+THROUGH = st.one_of(st.none(), st.integers(-4, 14))
+
+
+class TestPerTermReference:
+    """The integer-numerator kernels equal the per-term Fraction code they
+    replaced (``scalar_series_oracle``) exactly, and bit for bit in float
+    products."""
+
+    @given(scalar_series(EXACT, FRACS_OR_ZERO), scalar_series(EXACT, FRACS_OR_ZERO))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_product(self, a, b):
+        assert series_state(a * b) == series_state(per_term.product(a, b))
+
+    @given(scalar_series(float_mode(), COMPLEXES), scalar_series(float_mode(), COMPLEXES))
+    @settings(max_examples=200, deadline=None)
+    def test_float_product_bit_for_bit(self, a, b):
+        got, want = a * b, per_term.product(a, b)
+        assert series_state(got, hex_coeff) == series_state(want, hex_coeff)
+
+    @given(perturbations(), EXPONENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_binomial(self, case, exponent):
+        v, through = case
+        assert (series_state(binomial_series(v, exponent, through))
+                == series_state(per_term.binomial_series(v, exponent, through)))
+
+    @given(NONZERO_SERIES, THROUGH)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_inverse(self, a, through):
+        assert outcome(a.inverse, through) == outcome(per_term.inverse, a, through)
+
+    @given(perturbations(), st.one_of(st.none(), st.integers(0, 14)))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_inverse_sqrt(self, case, through):
+        v, _ = case
+        a = v + FormalScalarSeries.const(EXACT, 1)
+        assert (outcome(inverse_sqrt_series, a, through)
+                == outcome(per_term.inverse_sqrt_series, a, through))
+
+    def test_zero_series(self):
+        z = FormalScalarSeries.zero(EXACT, 6)
+        one = series({0: 1, 3: F(2, 3)}, trunc=6)
+        assert series_state(z * one) == series_state(per_term.product(z, one))
+        for exponent in (F(-1), F(-1, 2), F(1, 2), F(3)):
+            assert (series_state(binomial_series(z, exponent))
+                    == series_state(per_term.binomial_series(z, exponent)))
+
+    def test_float_inverse_sqrt_at_doubled_order_200(self):
+        # the weights are integers over q k, so nothing grows like k!: the
+        # float series stays finite and within 1e-12 of the rounded exact one
+        exact = series({0: 1, 1: F(1, 3), 2: F(-1, 5), 3: F(1, 7)}, trunc=200)
+        flt = FormalScalarSeries(float_mode(), 0, [complex(c) for c in exact.coeffs], 200)
+        want, got = inverse_sqrt_series(exact), inverse_sqrt_series(flt)
+        assert got.trunc2 == want.trunc2 == 200
+        for e in range(201):
+            c, w = got.at2(e), complex(want.at2(e))
+            assert np.isfinite(c.real) and np.isfinite(c.imag)
+            assert abs(c - w) <= 1e-12 * max(1.0, abs(w)), e
 
 
 def fiber_mono(alpha, value=1, n=None, rank=1, k=0):
