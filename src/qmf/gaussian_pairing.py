@@ -173,16 +173,13 @@ class WeightExpansion:
         return lm
 
 
-def _graded_mul(a: dict, b: dict, mode, n: int, through: int) -> dict:
-    out: dict[int, Poly] = {}
+def _graded_mul(a: dict, b: dict, through: int) -> dict:
+    grades: dict[int, list] = {}
     for ka, pa in a.items():
         for kb, pb in b.items():
-            k = ka + kb
-            if k > through:
-                continue
-            prod = pa * pb
-            out[k] = out.get(k, Poly.zero(mode, n)) + prod
-    return {k: p for k, p in out.items() if not p.is_zero()}
+            if ka + kb <= through:
+                grades.setdefault(ka + kb, []).append((1, pa, pb))
+    return {k: p for k, terms in grades.items() if not (p := Poly.weighted_sum(terms, 1)).is_zero()}
 
 
 def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
@@ -191,7 +188,8 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
     doubled order.
 
     The phase jet contributes exp(S), S = -2 sum_k h^(k/2) phi_{k+2}(y), by
-    ``euler_recurrence`` over doubled orders; the metric density jet G
+    ``euler_recurrence`` over doubled orders, each grade's products summed in
+    place and reduced once (``Poly.weighted_sum``); the metric density jet G
     (``density``, as formed with the second-order operator:
     ``ConjugatedOperator.density``) contributes its homogeneous parts at half
     their degree. Orders are exact through min(through2 / 2, (phi completeness -
@@ -207,7 +205,7 @@ def weight_expansion(phi: ScalarJet, density: Poly, problem: JetProblem,
         caps.append(problem.D)
         g_parts = {d: part for d, part in density.components_by_degree().items()
                    if d <= through2}
-        expo = _graded_mul(expo, g_parts, mode, n, through2)
+        expo = _graded_mul(expo, g_parts, through2)
     complete = min(caps)
     omega = {k: p for k, p in expo.items() if k <= complete and not p.is_zero()}
     # structural invariants: leading term 1, parity (-1)^(2m); a wrong-parity

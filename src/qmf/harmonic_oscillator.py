@@ -78,14 +78,8 @@ class HermiteBasis:
         self.n = n = len(self.lam)
         self.rank = len(self.mu)
         self.degree = degree
-        self._one_dim: list[list[Poly]] = []
-        for nu in range(n):
-            polys = [Poly.const(mode, n, 1), Poly.variable(mode, n, nu)]
-            for m in range(1, degree):
-                factor = mode.coeff(Fraction(m)) / (self.lam[nu] + self.lam[nu])
-                polys.append(Poly.variable(mode, n, nu) * polys[m]
-                             - polys[m - 1].scale(factor))
-            self._one_dim.append(polys[: degree + 1])
+        # p_0, p_1, ... in each variable, extended on first use (``_poly``)
+        self._one_dim = [[Poly.const(mode, n, 1), Poly.variable(mode, n, nu)] for nu in range(n)]
         self._poly_cache: dict[int, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
         self._half_inverse = [mode.split(mode.one() / (l + l)) for l in self.lam]
@@ -110,8 +104,13 @@ class HermiteBasis:
         if cached is None:
             cached = Poly.const(self.mode, self.n, 1)
             for nu, m in enumerate(unpack(key, self.n)):
+                polys = self._one_dim[nu]
+                while len(polys) <= m:  # p_(k+1) = y p_k - (k / (2 lambda)) p_(k-1)
+                    k = len(polys) - 1
+                    polys.append(polys[1] * polys[k] - polys[k - 1].scale(
+                        self.mode.coeff(Fraction(k)) / (self.lam[nu] + self.lam[nu])))
                 if m:
-                    cached = cached * self._one_dim[nu][m]
+                    cached = cached * polys[m]
             self._poly_cache[key] = cached
         return cached
 

@@ -8,15 +8,18 @@ The chain implemented here goes
 
 ``DiffOpJet`` is the workhorse: a differential operator with endomorphism-
 valued polynomial coefficients, supporting exact composition (Leibniz) and a
-formal conjugation by the exponential phase weight, implemented as the
-substitution d_i -> d_i - phi_i / h. The conjugated Hamiltonian's order-h^0
-part must cancel identically (that is the eikonal equation); the h^2 and h^1
-parts are split into graded homogeneous pieces, themselves ``DiffOpJet``s, and
-re-read as the polynomial-coefficient operators Q_j of the rescaled variable.
-Every operator of the chain, the graded family included, is applied through
-the one ``DiffOpJet.apply``: on its first use an operator compiles itself into
-a flat stencil, and each application is one pass over the input monomials per
-output component, optionally bounded by the output degree a caller keeps.
+formal conjugation by the exponential phase weight, the substitution
+d_i -> d_i - phi_i / h, in closed form for a second-order operator. The
+conjugated Hamiltonian's order-h^0 part must cancel identically (that is the
+eikonal equation); the h^2 and h^1 parts are split into graded homogeneous
+pieces, themselves ``DiffOpJet``s, and re-read as the polynomial-coefficient
+operators Q_j of the rescaled variable. Every operator of the chain, the
+graded family included, is applied through the one ``DiffOpJet.apply_into``:
+on its first use an operator compiles itself into a flat stencil, and each
+application is one pass over the input monomials per output component, added
+in place into the caller's accumulators, optionally bounded by the output
+degree a caller keeps. Products of polynomials are summed in place
+likewise (``accumulate_product``, ``pm_products``), each result reduced once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lcm
+from functools import reduce
+from math import comb, inf, lcm, prod
 from typing import Mapping
 
 from .series_algebra import (
@@ -32,14 +36,15 @@ from .series_algebra import (
     MAX_DEGREE,
     FiberPoly,
     Poly,
-    S0Series,
-    _fiber_polys,
     _min_trunc,
     _same_mode,
     accumulate,
+    accumulate_product,
     check_degree,
     convolution_bound,
     euler_recurrence,
+    graded_sum,
+    grow_den,
     hermitian_eigh,
     pack,
 )
@@ -78,10 +83,14 @@ def pm_zero(mode, n: int, size: int) -> PolyMat:
     return tuple(tuple(z for _ in range(size)) for _ in range(size))
 
 
+def pm_scalar(p: Poly, size: int) -> PolyMat:
+    """p times the identity matrix."""
+    z = Poly.zero(p.mode, p.n)
+    return tuple(tuple(p if i == j else z for j in range(size)) for i in range(size))
+
+
 def pm_identity(mode, n: int, size: int) -> PolyMat:
-    one = Poly.const(mode, n, 1)
-    z = Poly.zero(mode, n)
-    return tuple(tuple(one if i == j else z for j in range(size)) for i in range(size))
+    return pm_scalar(Poly.const(mode, n, 1), size)
 
 
 def pm_add(a: PolyMat, b: PolyMat) -> PolyMat:
@@ -92,20 +101,22 @@ def pm_neg(a: PolyMat) -> PolyMat:
     return tuple(tuple(-x for x in ra) for ra in a)
 
 
-def pm_mul(a: PolyMat, b: PolyMat, through: int | None = None) -> PolyMat:
-    """The matrix product; with ``through``, each entry only through that degree."""
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = Poly.zero(a[0][0].mode, a[0][0].n)
-            for k in range(size):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k].mul(b[k][j], through)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def pm_products(parts: list, mode, n: int, size: int) -> dict:
+    """sum w A B by key over the (key, A, B, w, through) of ``parts``, A and B
+    square matrices of polynomials, each entry only through degree
+    ``through``: one accumulator per entry (``accumulate_product``), reduced
+    once."""
+    slots: dict = {}
+    for key, a, b, w, through in parts:
+        rows = slots.get(key)
+        if rows is None:
+            rows = slots[key] = [[[{}, 1] for _ in range(size)] for _ in range(size)]
+        for a_row, row in zip(a, rows):
+            for j, slot in enumerate(row):
+                for a_ik, b_row in zip(a_row, b):
+                    slot[1] = accumulate_product(*slot, a_ik, b_row[j], w, 1, through)
+    return {key: tuple(tuple(Poly._reduced(mode, n, *slot) for slot in row) for row in rows)
+            for key, rows in slots.items()}
 
 
 def pm_is_zero(a: PolyMat) -> bool:
@@ -123,14 +134,12 @@ def poly_det(a: PolyMat, through: int | None = None) -> Poly:
     size = len(a)
     if size == 1:
         return a[0][0] if through is None else a[0][0].truncate_degree(through)
-    if size == 2:
-        return a[0][0].mul(a[1][1], through) - a[0][1].mul(a[1][0], through)
-    d = Poly.zero(a[0][0].mode, a[0][0].n)
+    num, den = {}, 1
     for j in range(size):
         minor = tuple(tuple(row[c] for c in range(size) if c != j) for row in a[1:])
-        term = a[0][j].mul(poly_det(minor, through), through)
-        d = d + (term if j % 2 == 0 else -term)
-    return d
+        den = accumulate_product(num, den, a[0][j], poly_det(minor, through), (-1) ** j, 1,
+                                 through)
+    return Poly._reduced(a[0][0].mode, a[0][0].n, num, den)
 
 
 def poly_power_jet(p: Poly, expo: Fraction, through: int) -> Poly:
@@ -272,18 +281,10 @@ class JetProblem:
                                for i in range(self.rank)])
 
         def rotate(m: PolyMat) -> PolyMat:
-            out = []
-            for i in range(self.rank):
-                row = []
-                for j in range(self.rank):
-                    acc = Poly.zero(self.mode, self.n)
-                    for a in range(self.rank):
-                        for b in range(self.rank):
-                            coef = u[i][a].conjugate() * u[j][b]
-                            acc = acc + m[a][b].scale(coef)
-                    row.append(acc)
-                out.append(tuple(row))
-            return tuple(out)
+            return tuple(tuple(reduce(operator.add, (
+                m[a][b].scale(u[i][a].conjugate() * u[j][b])
+                for a in range(self.rank) for b in range(self.rank)))
+                for j in range(self.rank)) for i in range(self.rank))
 
         self.W = rotate(self.W)
         self.Gamma = tuple(rotate(G) for G in self.Gamma)
@@ -308,7 +309,7 @@ class DiffOpJet:
     tracks it with the convolution rule min(cA + ord B, cB + ord A)
     (``convolution_bound``) and forms no coefficient term past it.
 
-    ``apply`` and ``HermiteBasis.apply`` read one stencil (``stencil``),
+    ``apply_into`` and ``HermiteBasis.apply`` read one stencil (``stencil``),
     compiled on first use: per output fibre row, the input column, beta and
     the coefficient terms (alpha, integer numerator, |alpha|) sorted by |alpha|
     over one denominator for the whole operator (complex numerators over 1 in
@@ -334,19 +335,13 @@ class DiffOpJet:
         return DiffOpJet(mode, n, rank, {}, complete)
 
     @staticmethod
-    def identity(mode, n, rank) -> "DiffOpJet":
-        return DiffOpJet(mode, n, rank, {(0,) * n: pm_identity(mode, n, rank)})
-
-    @staticmethod
     def multiplication(m: PolyMat, complete: int | None = None) -> "DiffOpJet":
         p = m[0][0]
         return DiffOpJet(p.mode, p.n, len(m), {(0,) * p.n: m}, complete)
 
     @staticmethod
     def scalar_multiplication(p: Poly, rank: int, complete: int | None = None) -> "DiffOpJet":
-        z = Poly.zero(p.mode, p.n)
-        return DiffOpJet.multiplication(
-            tuple(tuple(p if i == j else z for j in range(rank)) for i in range(rank)), complete)
+        return DiffOpJet.multiplication(pm_scalar(p, rank), complete)
 
     @staticmethod
     def derivative(mode, n, rank, i: int) -> "DiffOpJet":
@@ -390,13 +385,10 @@ class DiffOpJet:
         _same_mode(self.mode, other.mode)
         comp = convolution_bound((self.complete, self.min_degree()),
                                  (other.complete, other.min_degree()))
-        terms: dict[tuple, PolyMat] = {}
+        parts = []
         for beta, m in self.terms.items():
             for gamma_, nmat in other.terms.items():
                 for sigma in _sub_multi_indices(beta):
-                    coef = 1
-                    for bi, si in zip(beta, sigma):
-                        coef *= comb(bi, si)
                     d = nmat
                     for i, si in enumerate(sigma):
                         for _ in range(si):
@@ -404,11 +396,10 @@ class DiffOpJet:
                     if pm_is_zero(d):
                         continue
                     key = tuple(b - s + g for b, s, g in zip(beta, sigma, gamma_))
-                    prod = pm_mul(m, d, None if comp is None else comp + sum(key))
-                    if coef != 1:
-                        prod = tuple(tuple(x.scale(coef) for x in row) for row in prod)
-                    terms[key] = pm_add(terms[key], prod) if key in terms else prod
-        return DiffOpJet(self.mode, self.n, self.rank, terms, comp)
+                    parts.append((key, m, d, prod(map(comb, beta, sigma)),
+                                  None if comp is None else comp + sum(key)))
+        return DiffOpJet(self.mode, self.n, self.rank,
+                         pm_products(parts, self.mode, self.n, self.rank), comp)
 
     def stencil(self) -> tuple:
         """The compiled form (den, top, rows), built on first call and kept:
@@ -439,13 +430,21 @@ class DiffOpJet:
 
     def apply(self, q: FiberPoly, through: int | None = None) -> FiberPoly:
         """The operator applied to ``q``; with ``through``, only the terms of
-        total degree <= through (the same as truncating the full image).
+        total degree <= through (the same as truncating the full image)."""
+        slots = [[{}, 1] for _ in range(self.rank)]
+        self.apply_into(q, slots, 1, 1, through)
+        return FiberPoly([Poly._reduced(self.mode, self.n, num, den) for num, den in slots])
+
+    def apply_into(self, q: FiberPoly, slots: list, n, d: int, through: int | None = None) -> None:
+        """Add (n / d) times the image of ``q`` in place to ``slots``, one
+        [numerators, denominator] accumulator per output component, as
+        ``accumulate`` adds; with ``through``, no term of total degree past it
+        is formed.
 
         Each input monomial c y^m meets each stencil term (alpha, t) of a
         C_beta d^beta entry once: it adds c t m!/(m - beta)! at
         y^(m - beta + alpha), packed key m - beta + alpha, skipped when some
-        field m_k < beta_k, into one numerator dict per output component,
-        reduced once at the end.
+        field m_k < beta_k.
         """
         if q.rank != self.rank:
             raise ValueError("rank mismatch")
@@ -457,13 +456,16 @@ class DiffOpJet:
         q_den = lcm(*(comp.den for comp in comps))
         shift = self.n * EXPONENT_BITS
         check_degree(q.degree() + top if through is None else min(q.degree() + top, through))
-        out = []
-        for row in rows:
-            num: dict = {}
+        d *= op_den * q_den
+        for row, slot in zip(rows, slots):
+            num, den = slot
+            if den % d:
+                den = slot[1] = grow_den(num, den, d)
+            g = n * (den // d)
             get = num.get
             for j, beta, steps, terms in row:
                 comp = comps[j]
-                f = q_den // comp.den
+                f = q_den // comp.den * g
                 for m, c in comp.num.items():
                     for sh, b in steps:
                         mk = m >> sh & MAX_DEGREE
@@ -482,8 +484,6 @@ class DiffOpJet:
                             key = m + alpha
                             s = get(key)
                             num[key] = c * t if s is None else s + c * t
-            out.append(Poly._reduced(self.mode, self.n, num, op_den * q_den))
-        return FiberPoly(out)
 
     def graded_pieces(self) -> dict[int, "DiffOpJet"]:
         """Split into homogeneous pieces keyed by degree |alpha| - |beta|.
@@ -529,27 +529,32 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
     2 <lambda, alpha> > 0 and is therefore uniquely invertible. Degree 2
     cancels by the normalization ``JetProblem.validate`` enforces, and
     ``conjugate_hamiltonian`` checks the whole equation on the result.
+
+    Each degree's residual g^{ij} phi_i phi_j - V_d is one accumulator
+    (``accumulate_product``), reduced once; so is phi.
     """
     mode, n = problem.mode, problem.n
     through = problem.D + 2
-    phi = Poly.zero(mode, n)
     half = mode.coeff(Fraction(1, 2))
-    for nu in range(n):
-        alpha = [0] * n
-        alpha[nu] = 2
-        phi = phi + Poly.monomial(mode, n, tuple(alpha), problem.lam[nu] * half)
+    phi = Poly(mode, n, {tuple(2 * (i == nu) for i in range(n)): problem.lam[nu] * half
+                         for nu in range(n)})
+    phi_num, phi_den = dict(phi.num), phi.den
 
     # homogeneous parts by degree: g^{ij} and the phase gradient, which gains
     # its degree-(d - 1) part once phi's degree-d part is solved
     g_parts = [[problem.g_inv[i][j].components_by_degree() for j in range(n)] for i in range(n)]
     v_parts = problem.V.components_by_degree()
-    grad_parts = [phi.diff(i).components_by_degree() for i in range(n)]
+    grad_parts = [{1: phi.diff(i)} for i in range(n)]
     for d in range(3, through + 1):
         # degrees below d already cancel, so only the degree-d part of
         # g^{ij} phi_i phi_j - V is formed: parts of degrees p + q + r = d.
         # g^{ij} is symmetric, so the (i, j, q, r) and (j, i, r, q) terms are
-        # one product, formed once and added twice (i = j pairs q with r)
-        r = -v_parts.get(d, Poly.zero(mode, n))
+        # one product, added with weight 2 (i = j pairs q with r); a constant
+        # part of g^{ij} enters as a weight
+        acc, den = {}, 1
+        v = v_parts.get(d)
+        if v is not None:
+            den = accumulate(acc, den, v.num, -1, v.den)
         for i in range(n):
             for j in range(i, n):
                 for p, gp in g_parts[i][j].items():
@@ -557,23 +562,24 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
                         gr = grad_parts[j].get(d - p - q)
                         if gr is None or (i == j and 2 * q > d - p):
                             continue
-                        term = gp * gq * gr
-                        r = r + term if i == j and 2 * q == d - p else r + term + term
+                        w = 1 if i == j and 2 * q == d - p else 2
+                        if p:
+                            den = accumulate_product(acc, den, gp.mul(gq), gr, w, 1)
+                        else:
+                            den = accumulate_product(acc, den, gq, gr, w * gp.num[0], gp.den)
+        r = Poly._reduced(mode, n, acc, den)
         if r.is_zero():
             continue
-        terms = {}
-        for alpha, c in r.terms.items():
-            denom = mode.zero()
-            for nu, a_nu in enumerate(alpha):
-                denom = denom + problem.lam[nu] * (2 * a_nu)
-            terms[alpha] = -c / denom
-        phi_d = Poly(mode, n, terms)
-        phi = phi + phi_d
+        # the drift multiplies x^alpha by sum_nu 2 lambda_nu alpha_nu
+        drift = [sum((lam * (2 * a) for lam, a in zip(problem.lam, alpha)), mode.zero())
+                 for alpha in r.terms]
+        phi_d = Poly(mode, n, {alpha: -c / e for (alpha, c), e in zip(r.terms.items(), drift)})
+        phi_den = accumulate(phi_num, phi_den, phi_d.num, 1, phi_d.den)
         for i in range(n):
             part = phi_d.diff(i)
             if not part.is_zero():
                 grad_parts[i][d - 1] = part
-    return ScalarJet(phi, through)
+    return ScalarJet(Poly._reduced(mode, n, phi_num, phi_den), through)
 
 
 # ---------------------------------------------------------------------------
@@ -632,84 +638,76 @@ class ConjugatedOperator:
 def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOperator:
     """Conjugate h^2 L + h W + V by the exponential weight of the phase.
 
-    Implemented as the substitution d_i -> d_i - phi_i / h inside the
-    second-order operator: the 1/h^0 coefficient is L itself, the 1/h
-    coefficient joins W as the order-h transport operator, and the 1/h^2
-    coefficient must cancel the potential exactly -- a nonzero residual means
-    the phase does not solve the eikonal equation and raises.
+    The substitution d_i -> d_i - phi_i / h in L = sum_beta C_beta d^beta,
+    whose |beta| <= 2, in closed form: with beta = e_i + e_j,
+
+        h^2: L itself,
+        h^1: - sum_{|beta| = 2} C_beta (phi_j d_i + phi_i d_j + phi_ij)
+             - sum_{|beta| = 1} C_beta phi_i  + W  (the transport operator),
+        h^0: sum_{|beta| = 2} C_beta phi_i phi_j,
+
+    and the h^0 coefficient must cancel the potential exactly -- a nonzero
+    residual means the phase does not solve the eikonal equation and raises.
+    Each beta's part is exact through the convolution bound of C_beta and
+    its phase factor, as ``DiffOpJet.compose`` bounds the product, and is
+    formed only through it (``pm_products``).
     """
     mode, n, rank = problem.mode, problem.n, problem.rank
     L, density = _laplace_type_operator(problem)
-    grad_phi = [phi.poly.diff(i).truncate_degree(phi.complete - 1) for i in range(n)]
-    phi_complete = phi.complete - 1  # coefficient degree of the mult(phi_i) ops
-
-    by_power: dict[int, DiffOpJet] = {}
+    grad = [phi.poly.diff(i).truncate_degree(phi.complete - 1) for i in range(n)]
+    zero = (0,) * n
+    parts = []  # (key, C, F, weight, through) of the h^1 coefficients, F diagonal
+    second = []  # (i, j, C_beta) of the |beta| = 2 terms
+    complete1 = check_through = None
     for beta, m in L.terms.items():
-        factors: dict[int, DiffOpJet] = {0: DiffOpJet.identity(mode, n, rank)}
-        for i, bi in enumerate(beta):
-            for _ in range(bi):
-                x_op = {
-                    0: DiffOpJet.derivative(mode, n, rank, i),
-                    1: DiffOpJet.scalar_multiplication(-grad_phi[i], rank,
-                                                       complete=phi_complete),
-                }
-                new: dict[int, DiffOpJet] = {}
-                for pa, opa in factors.items():
-                    for pb, opb in x_op.items():
-                        key = pa + pb
-                        piece = opa.compose(opb)
-                        new[key] = new[key] + piece if key in new else piece
-                factors = new
-        # the coefficient of d^beta holds graded degrees up to L.complete + |beta|
-        head_complete = None if L.complete is None else L.complete + sum(beta)
-        head = DiffOpJet.multiplication(m, complete=head_complete)
-        for power, op in factors.items():
-            piece = head.compose(op)
-            by_power[power] = by_power[power] + piece if power in by_power else piece
-
-    hbar2 = by_power.get(0, DiffOpJet.zero(mode, n, rank))
-    hbar1 = by_power.get(1, DiffOpJet.zero(mode, n, rank))
-    hbar0 = by_power.get(2, DiffOpJet.zero(mode, n, rank))
-
-    if not pm_is_zero(problem.W):
-        hbar1 = hbar1 + DiffOpJet.multiplication(problem.W, complete=problem.D)
-
-    residual = hbar0 + DiffOpJet.scalar_multiplication(problem.V, rank)
-    check_through = residual.complete if residual.complete is not None else problem.D + 2
-    magnitude = None
-    for beta, mat in residual.terms.items():
-        if sum(beta) != 0:
-            raise EikonalError("conjugation produced derivative terms at order h^0")
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                leftover = entry.truncate_degree(check_through)
-                if leftover.is_zero():
-                    continue
-                if magnitude is None:
-                    magnitude = _h0_magnitude(L, grad_phi, problem.V, check_through)
-                if not leftover.cancels(magnitude[r][c]):
-                    raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
-
-    return ConjugatedOperator(hbar2=hbar2, hbar1=hbar1, density=density)
-
-
-def _h0_magnitude(L: DiffOpJet, grad_phi: list, V: Poly, through: int) -> list:
-    """The h^0 coefficient V + sum_{|beta| = 2} C_beta prod phi_i^beta_i of the
-    conjugated operator, entrywise on |coefficients| and through degree
-    ``through`` (V's terms uncut): what the eikonal cancels."""
-    mode, n, rank = L.mode, L.n, L.rank
-    out = [[V.abs() if r == c else Poly.zero(mode, n) for c in range(rank)] for r in range(rank)]
-    for beta, m in L.terms.items():
-        if sum(beta) != 2:
+        axes = [k for k, b in enumerate(beta) for _ in range(b)]
+        if not axes:
             continue
-        prod = Poly.const(mode, n, 1)
-        for i, b in enumerate(beta):
-            for _ in range(b):
-                prod = prod.mul(grad_phi[i].abs(), through)
-        for r in range(rank):
-            for c in range(rank):
-                out[r][c] = out[r][c] + m[r][c].abs().mul(prod, through)
-    return out
+        i, j = axes[0], axes[-1]  # beta = e_i + e_j (i <= j) or e_i
+        units = [tuple(int(k == a) for k in range(n)) for a in (i, j)]
+        factor = ([(units[0], grad[j]), (zero, grad[j].diff(i)), (units[1], grad[i])]
+                  if len(axes) == 2 else [(zero, grad[i])])
+        factor = [(key, f) for key, f in factor if not f.is_zero()]
+        head = (None if L.complete is None else L.complete + len(axes),
+                DiffOpJet.multiplication(m).min_degree())
+        bound = convolution_bound(head, (phi.complete - len(axes),
+                                         min(f.min_degree() - sum(key) for key, f in factor)))
+        complete1 = _min_trunc(complete1, bound)
+        parts += [(key, m, pm_scalar(f, rank), -1, None if bound is None else bound + sum(key))
+                  for key, f in factor]
+        if len(axes) == 2:
+            second.append((i, j, m))
+            lows = grad[i].min_degree(), grad[j].min_degree()
+            check_through = _min_trunc(check_through, convolution_bound(head, (
+                convolution_bound((phi.complete - 1, lows[0]), (phi.complete - 1, lows[1])),
+                sum(lows))))
+    if not pm_is_zero(problem.W):
+        parts.append((zero, problem.W, pm_identity(mode, n, rank), 1, None))
+        complete1 = _min_trunc(complete1, problem.D)
+    hbar1 = DiffOpJet(mode, n, rank, pm_products(parts, mode, n, rank), complete1)
+
+    # h^0 is exact through the smallest bound of its parts
+    through = problem.D + 2 if check_through is None else check_through
+    residual = _h0_coefficient(second, grad, problem.V, rank, through)
+    if not pm_is_zero(residual):
+        # judged against the same sum on |coefficients|
+        magnitude = _h0_coefficient(
+            [(i, j, tuple(tuple(x.abs() for x in m_row) for m_row in m)) for i, j, m in second],
+            [g.abs() for g in grad], problem.V.abs(), rank, through)
+        if not all(x.cancels(size) for row, m_row in zip(residual, magnitude)
+                   for x, size in zip(row, m_row)):
+            raise EikonalError("eikonal residual nonzero: phase inconsistent with potential")
+    return ConjugatedOperator(hbar2=L, hbar1=hbar1, density=density)
+
+
+def _h0_coefficient(second: list, grad: list, V: Poly, rank: int, through: int) -> PolyMat:
+    """V + sum C_beta phi_i phi_j over the (i, j, C_beta) of ``second``
+    through degree ``through``: the h^0 coefficient of the conjugated
+    operator plus the potential, which the eikonal cancels."""
+    parts = [((), m, pm_scalar(grad[i].mul(grad[j], through), rank), 1, through)
+             for i, j, m in second]
+    parts.append(((), pm_scalar(V, rank), pm_identity(V.mode, V.n, rank), 1, through))
+    return pm_products(parts, V.mode, V.n, rank)[()]
 
 
 @dataclass
@@ -731,25 +729,11 @@ class OperatorFamily:
 
     def apply_series(self, u, out_trunc2=None):
         """Apply the whole family to a power-counted series, tracking
-        truncation. Each target coefficient is accumulated in place, as
-        numerators over one denominator per component (``accumulate``), and
-        reduced once, as ``S0Series.scale_series`` does."""
+        truncation. Each target coefficient is summed in place
+        (``graded_sum``), as ``S0Series.scale_series`` does."""
         trunc = convolution_bound((self.max_order2, 0), (u.trunc2, u.order2()))
-        trunc = _min_trunc(trunc, out_trunc2)
-        slots: dict[int, list] = {}
-        for j_op in self.orders2():
-            op = self.ops2[j_op]
-            for j_u, p in u.coeffs2.items():
-                target = j_u + j_op
-                if target - u.K2 > trunc:
-                    continue
-                col = slots.get(target)
-                if col is None:
-                    col = slots[target] = [[{}, 1] for _ in range(self.rank)]
-                for comp, slot in zip(op.apply(p).components, col):
-                    slot[1] = accumulate(*slot, comp.num, 1, comp.den)
-        return S0Series(self.mode, self.n, self.rank, u.K2,
-                        _fiber_polys(self.mode, self.n, slots), trunc)
+        return graded_sum(u, [(j, op.apply_into, 1, 1) for j, op in sorted(self.ops2.items())],
+                          u.K2, _min_trunc(trunc, out_trunc2))
 
 
 def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:

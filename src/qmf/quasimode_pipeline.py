@@ -37,18 +37,20 @@ from operator import add
 from typing import Sequence
 
 from .series_algebra import (
+    FiberPoly,
     FormalScalarSeries,
     HalfInt,
+    Poly,
     S0Series,
     _min_trunc,
     convolution_bound,
     matmul,
+    scale_into,
     unrescale,
     worst_residual,
 )
 from .operator_calculus import (
     ConjugatedOperator,
-    DiffOpJet,
     JetProblem,
     OperatorFamily,
     conjugate_hamiltonian,
@@ -324,9 +326,12 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     corrections vanish to infinite order at the base point, so jet residuals
     must be exactly zero (in float mode, negligible against the terms summed
     into them or, failing that, against the same sum on |coefficients|: the
-    terms are cancelled sums themselves, T a_k above all).
-    ``data["degrees"]`` lists, for k = 0, 1/2, ..., N + K, the degree through
-    which order k was checked (the smallest over the quasimodes).
+    terms are cancelled sums themselves, T a_k above all). The operator
+    images and the scalar parts are summed in place (``_jet_sum``); the size
+    of the terms, which only float mode reads, is formed only for a nonzero
+    residual. ``data["degrees"]`` lists, for k = 0, 1/2, ..., N + K, the
+    degree through which order k was checked (the smallest over the
+    quasimodes).
     """
     ctx = result.context
     mode = ctx.problem.mode
@@ -350,33 +355,33 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
             bound_k = a_jet.degree_bound_at2(k - K2)
             check_bound = _min_trunc(bound_k, convolution_bound(
                 (T_op.complete, t_low), (bound_k, a_k.min_degree())))
-            has_prev = k >= 2
-            if has_prev:
+            ops = [(T_op, a_k)]
+            if k >= 2:
                 a_prev = a_jet.at2(k - 2)
                 check_bound = _min_trunc(check_bound, convolution_bound(
                     (L_op.complete, l_low),
                     (a_jet.degree_bound_at2(k - 2 - K2), a_prev.min_degree())))
+                ops.append((L_op, a_prev))
             degrees[k] = _min_trunc(degrees[k], check_bound)
-            # the terms summed into the residual, (operator or scalar, jet)
-            parts = [(T_op, a_k), (-level.E0, a_k)]
-            if has_prev:
-                parts.append((L_op, a_prev))
-            for i in range(1, k + 1):
-                ei = inner.at2(i)
-                if not mode.is_zero(ei):
-                    parts.append((-ei, a_jet.at2(k - i)))
-            terms = _transport_terms(parts, check_bound)
-            residual = sum(terms[1:], terms[0]).max_abs()
-            scale = max(t.max_abs() for t in terms)
+            # the scalar parts, (scalar, jet through the bound)
+            scalars = [(-level.E0, a_k)] + [(-e, a_jet.at2(k - i))
+                                            for i, e in inner.items2() if 0 < i <= k]
+            scalars = [(x, q.truncate_degree(check_bound)) for x, q in scalars]
+            images = [op.apply(q, through=check_bound) for op, q in ops]
+            residual = _jet_sum(images, scalars).max_abs()
+            scale = 0.0
+            if residual:
+                scale = max([t.max_abs() for t in images]
+                            + [mode.abs(x) * q.max_abs() for x, q in scalars])
             if not mode.negligible(residual, scale):
                 # the terms are cancelled sums themselves (T a_k above all), so
                 # judge the residual against the same sum on |coefficients|
                 if abs_ops is None:
                     abs_ops = {T_op: T_op.abs(), L_op: L_op.abs()}
-                magnitudes = _transport_terms(
-                    [(abs_ops[x] if isinstance(x, DiffOpJet) else mode.abs(x), q.abs())
-                     for x, q in parts], check_bound)
-                scale = max(scale, sum(magnitudes[1:], magnitudes[0]).max_abs())
+                magnitude = _jet_sum(
+                    [abs_ops[op].apply(q.abs(), through=check_bound) for op, q in ops],
+                    [(mode.abs(x), q.abs()) for x, q in scalars])
+                scale = max(scale, magnitude.max_abs())
             residuals.append((residual, scale))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
@@ -386,31 +391,38 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
         data={"degrees": degrees})
 
 
-def _transport_terms(parts, through: int | None) -> list:
-    """x q through degree ``through`` for each (x, q) of ``parts``, x an
-    operator applied to the jet q or a scalar scaling it."""
-    return [x.apply(q, through=through) if isinstance(x, DiffOpJet)
-            else q.truncate_degree(through).scale(x) for x, q in parts]
+def _jet_sum(images: list, scalars: list) -> FiberPoly:
+    """The sum of the jets ``images`` and of x q for each (x, q) of
+    ``scalars``, accumulated in place per component and reduced once."""
+    mode, n = images[0].mode, images[0].n
+    slots = [[{}, 1] for _ in range(images[0].rank)]
+    for img in images:
+        scale_into(img, slots, 1, 1)
+    for x, q in scalars:
+        scale_into(q, slots, *mode.split(x))
+    return FiberPoly([Poly._reduced(mode, n, *slot) for slot in slots])
 
 
 def eigen_residual(result: QuasimodeResult) -> VerificationReport:
     """Direct residual of the eigenvalue equation, assembled on the blown-up side.
 
-    Computes (sum_j h^j Q_j - (E0 + sum h^k E_k)) psi coefficientwise; this
-    regroups the whole construction differently from the transport recursion
-    and must also vanish through the built order (in float mode, against Q psi
-    and E psi).
+    Computes (sum_j h^j Q_j - (E0 + sum h^k E_k)) psi coefficientwise, Q psi
+    and E psi each summed in place (``OperatorFamily.apply_series``,
+    ``S0Series.scale_series``) and their difference too; this regroups the
+    whole construction differently from the transport recursion and must also
+    vanish through the built order (in float mode, against Q psi and E psi).
     """
     ctx = result.context
     mode = ctx.problem.mode
     N = result.order2
     residuals = []
     for psi, e_series in zip(result.rescaled, result.eigenvalues):
-        inner = e_series.shift2(-2)
         qpsi = ctx.family.apply_series(psi, out_trunc2=N)
-        epsi = psi.scale_series(inner)
-        residuals.append(((qpsi - epsi).max_abs_coeff(N),
-                          max(qpsi.max_abs_coeff(N), epsi.max_abs_coeff(N))))
+        epsi = psi.scale_series(e_series.shift2(-2))
+        residual = (qpsi - epsi).max_abs_coeff(N)
+        # the size of the terms, which only float mode reads
+        scale = max(qpsi.max_abs_coeff(N), epsi.max_abs_coeff(N)) if residual else 0.0
+        residuals.append((residual, scale))
     worst = worst_residual(mode, residuals)
     return VerificationReport(
         name="eigen_residual", passed=mode.negligible(worst, 1), order2=N,

@@ -320,6 +320,40 @@ def accumulate(acc: dict, den: int, num: dict, n, d: int) -> int:
     return den
 
 
+def accumulate_product(acc: dict, den: int, a: "Poly", b: "Poly", n, d: int,
+                       through: int | None = None) -> int:
+    """Add (n / d) a b in place to the numerators ``acc`` over ``den``, as
+    ``accumulate`` adds (n / d) num, and return their denominator; with
+    ``through``, form no term of total degree past it (the same as
+    truncating the full product). A product key is the sum of the keys.
+    Bounded, b is sorted stably by degree and each term of a meets only the
+    prefix of it that fits; each product monomial sums over a's terms in the
+    same order either way, so float results agree bit for bit."""
+    if not n or not a.num or not b.num:
+        return den
+    shift = a.n * EXPONENT_BITS
+    top = (max(a.num) >> shift) + (max(b.num) >> shift)  # the largest product degree
+    check_degree(top if through is None else min(top, through))
+    d *= a.den * b.den
+    if den % d:
+        den = grow_den(acc, den, d)
+    f = n * (den // d)
+    get = acc.get
+    right = b.num.items()
+    if through is not None:
+        right = sorted(right, key=lambda t: t[0] >> shift)
+        degrees = [k >> shift for k, _ in right]
+    for ka, ca in a.num.items():
+        if f != 1:
+            ca *= f
+        for kb, cb in (right if through is None
+                       else right[:bisect_right(degrees, through - (ka >> shift))]):
+            key = ka + kb
+            s = get(key)
+            acc[key] = ca * cb if s is None else s + ca * cb
+    return den
+
+
 def reduce_num(mode, num: dict, den: int) -> tuple[dict, int]:
     """Drop the zero numerators and divide out gcd(den, *num).
 
@@ -444,13 +478,6 @@ class Poly:
         c = self.num.get(pack(alpha))
         return self.mode.zero() if c is None else self.mode.join(c, self.den)
 
-    def _keep(self, keep) -> "Poly":
-        """The terms whose packed key satisfies ``keep``."""
-        num = {a: c for a, c in self.num.items() if keep(a)}
-        if len(num) == len(self.num):
-            return self
-        return Poly._reduced(self.mode, self.n, num, self.den)
-
     def components_by_degree(self) -> dict[int, "Poly"]:
         shift = self.n * EXPONENT_BITS
         out: dict[int, dict] = {}
@@ -461,7 +488,8 @@ class Poly:
     def truncate_degree(self, d: int) -> "Poly":
         # the keys of degree <= d are exactly those below the first of degree d + 1
         past = d + 1 << self.n * EXPONENT_BITS
-        return self._keep(lambda a: a < past)
+        num = {a: c for a, c in self.num.items() if a < past}
+        return self if len(num) == len(self.num) else Poly._reduced(self.mode, self.n, num, self.den)
 
     # -- arithmetic
 
@@ -493,35 +521,13 @@ class Poly:
 
     def mul(self, other: "Poly", through: int | None = None) -> "Poly":
         """The product; with ``through``, only its terms of total degree <=
-        through, and no term past that degree is formed (the same as
-        truncating the full product). A product key is the sum of the keys.
-
-        Bounded, the right factor is sorted stably by degree and each left
-        term meets only the prefix of it that fits. The sum for each product
-        monomial runs over the left terms in the same order either way, so
-        float results agree bit for bit.
-        """
+        through (``accumulate_product``)."""
         _same_mode(self.mode, other.mode)
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        if not self.num or not other.num:
-            return Poly.zero(self.mode, self.n)
-        shift = self.n * EXPONENT_BITS
-        top = (max(self.num) >> shift) + (max(other.num) >> shift)  # the largest product degree
-        check_degree(top if through is None else min(top, through))
-        num: dict[int, object] = {}
-        get = num.get
-        right = other.num.items()
-        if through is not None:
-            right = sorted(right, key=lambda t: t[0] >> shift)
-            degrees = [b >> shift for b, _ in right]
-        for a, ca in self.num.items():
-            for b, cb in (right if through is None
-                          else right[:bisect_right(degrees, through - (a >> shift))]):
-                key = a + b
-                s = get(key)
-                num[key] = ca * cb if s is None else s + ca * cb
-        return Poly._reduced(self.mode, self.n, num, self.den * other.den)
+        num: dict = {}
+        den = accumulate_product(num, 1, self, other, 1, 1, through)
+        return Poly._reduced(self.mode, self.n, num, den)
 
     __mul__ = mul
 
@@ -533,13 +539,14 @@ class Poly:
     @staticmethod
     def weighted_sum(terms: list, den: int) -> "Poly":
         """sum W a b / den over the (W, a, b) of ``terms``, W integers
-        (``euler_recurrence``): the products accumulate over one denominator."""
+        (``euler_recurrence``): the products accumulate in place
+        (``accumulate_product``) and are reduced once."""
+        mode = terms[0][1].mode
+        p, q = mode.split(mode.join(1, den))
         acc, d = {}, 1
         for w, a, b in terms:
-            prod = a.mul(b)
-            d = accumulate(acc, d, prod.num, w, prod.den)
-        mode = terms[0][1].mode
-        return Poly._reduced(mode, terms[0][1].n, acc, d).scale(mode.join(1, den))
+            d = accumulate_product(acc, d, a, b, w * p, q)
+        return Poly._reduced(mode, terms[0][1].n, acc, d)
 
     def diff(self, i: int) -> "Poly":
         shift = EXPONENT_BITS * (self.n - 1 - i)  # the field of y_i
@@ -1165,7 +1172,11 @@ class S0Series(_GradedSeries):
                         _min_trunc(self.trunc2, other.trunc2), False)
 
     def __sub__(self, other: "S0Series") -> "S0Series":
-        return self + other.scale(-1)
+        """Each coefficient of the difference is one sum, reduced once: a
+        negated polynomial needs no reduction."""
+        negated = {j: FiberPoly([-c for c in p.components]) for j, p in other.coeffs2.items()}
+        return self + S0Series(self.mode, other.n, other.rank, other.K2, negated, other.trunc2,
+                               False)
 
     def scale(self, c) -> "S0Series":
         c = self.mode.coeff(c)
@@ -1173,31 +1184,14 @@ class S0Series(_GradedSeries):
                         {j: p.scale(c) for j, p in self.coeffs2.items()}, self.trunc2, False)
 
     def scale_series(self, s: FormalScalarSeries) -> "S0Series":
-        """Multiply by a scalar series (exponents must keep the result in the space).
-
-        Each target coefficient is accumulated in place, as numerators over
-        one denominator per component (``accumulate``, as ``_shift_by_degree``
-        does), and reduced once."""
+        """Multiply by a scalar series (exponents must keep the result in the
+        space), each target coefficient summed in place (``graded_sum``)."""
         mode = self.mode
         _same_mode(mode, s.mode)
         trunc = convolution_bound((self.trunc2, self.order2()), (s.trunc2, s.order2()))
-        if s.is_zero():
-            return S0Series(mode, self.n, self.rank, 0, {}, trunc)
-        neg = min(0, s.order2())
-        K = self.K2 - neg  # raising K absorbs negative exponents of s
-        factors = [(e - neg, *mode.split(c)) for e, c in s.items2()]
-        slots: dict[int, list] = {}
-        for j, p in self.coeffs2.items():
-            for e, cp, cq in factors:
-                jj = j + e
-                if trunc is not None and jj - K > trunc:
-                    continue
-                col = slots.get(jj)
-                if col is None:
-                    col = slots[jj] = [[{}, 1] for _ in range(self.rank)]
-                for comp, slot in zip(p.components, col):
-                    slot[1] = accumulate(*slot, comp.num, cp, comp.den * cq)
-        return S0Series(mode, self.n, self.rank, K, _fiber_polys(mode, self.n, slots), trunc)
+        neg = min(0, s.order2() or 0)  # raising K absorbs negative exponents of s
+        return graded_sum(self, [(e - neg, scale_into, *mode.split(c)) for e, c in s.items2()],
+                          self.K2 - neg, trunc)
 
     def truncate2(self, trunc2: int | None) -> "S0Series":
         return S0Series(self.mode, self.n, self.rank, self.K2, self.coeffs2,
@@ -1217,6 +1211,34 @@ def _fiber_polys(mode, n: int, slots: dict) -> dict:
     fibre component, into a ``FiberPoly`` under the same key."""
     return {j: FiberPoly([Poly._reduced(mode, n, num, den) for num, den in col])
             for j, col in slots.items()}
+
+
+def scale_into(p: FiberPoly, slots: list, n, d: int) -> None:
+    """Add (n / d) p in place to ``slots``, one [numerators, denominator]
+    accumulator per component (``accumulate``)."""
+    for comp, slot in zip(p.components, slots):
+        slot[1] = accumulate(*slot, comp.num, n, comp.den * d)
+
+
+def graded_sum(u: S0Series, terms: list, K2: int, trunc2: int | None) -> S0Series:
+    """The series at the doubled offset K2 whose coefficient at index j sums
+    ``add_into(u_k, ., n, d)`` over the (shift, add_into, n, d) of ``terms``
+    with k + shift = j, through ``trunc2``: each coefficient is accumulated
+    in place, one [numerators, denominator] per component (``scale_into``,
+    ``DiffOpJet.apply_into``), and reduced once."""
+    slots: dict[int, list] = {}
+    # u's coefficients outermost: with the terms outermost, each accumulator
+    # regrows its denominator (``grow_den``) far more often
+    for k, p in u.coeffs2.items():
+        for shift, add_into, n, d in terms:
+            j = k + shift
+            if trunc2 is not None and j - K2 > trunc2:
+                continue
+            col = slots.get(j)
+            if col is None:
+                col = slots[j] = [[{}, 1] for _ in range(u.rank)]
+            add_into(p, col, n, d)
+    return S0Series(u.mode, u.n, u.rank, K2, _fiber_polys(u.mode, u.n, slots), trunc2)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,28 @@ class TestHermiteBasis:
         assert b.poly((2,)) == Poly(EXACT, 1, {(2,): F(1), (0,): F(-1, 2)})
         assert b.poly((3,)) == Poly(EXACT, 1, {(3,): F(1), (1,): F(-3, 2)})
 
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    def test_poly_is_the_three_term_recurrence_at_every_index(self, mode):
+        # the one-dimensional table is built on first use, in any order of
+        # reads: every alpha up to the degree, highest first, against
+        # p_(m+1) = y p_m - (m / (2 lambda)) p_(m-1) in each variable
+        lam = (mode.coeff(F(3, 2)), mode.coeff(F(2, 3)))
+        degree = 6
+        b = HermiteBasis(mode, lam, (mode.zero(),), degree)
+        table = []
+        for nu, lam_nu in enumerate(lam):
+            y = Poly.variable(mode, 2, nu)
+            p = [Poly.const(mode, 2, 1), y]
+            for m in range(1, degree):
+                p.append(y * p[m] - p[m - 1].scale(mode.coeff(F(m)) / (lam_nu + lam_nu)))
+            table.append(p)
+        indices = [i.alpha for i in b.indices()]
+        for alpha in sorted(indices, key=sum, reverse=True):
+            assert b.poly(alpha) == table[0][alpha[0]] * table[1][alpha[1]], alpha
+        for alpha in [(degree + 1, 0), (0, degree + 1), (4, 3)]:
+            with pytest.raises(ValueError):
+                b.poly(alpha)
+
     def test_hermite_ode_eigenrelation(self):
         # -p'' + 2 lam y p' = 2 m lam p for every family member
         lam = F(3, 2)

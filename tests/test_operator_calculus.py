@@ -383,6 +383,9 @@ def build_case(mode, case, value=lambda c: c):
     return op, FiberPoly([poly(d) for d in q_data])
 
 
+MODES = st.sampled_from([EXACT, float_mode()])
+
+
 def max_total_degree(q):
     return max((comp.degree() for comp in q.components if not comp.is_zero()), default=0)
 
@@ -416,6 +419,24 @@ class TestCompiledApply:
         full = op.apply(q)
         for d in range(-2, max_total_degree(q) + 5):
             assert op.apply(q, through=d) == full.truncate_degree(d), d
+
+    @given(jet_cases(), MODES, st.one_of(st.none(), st.integers(-2, 9)))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_into_fresh_slots_is_apply(self, case, mode, through):
+        op, q = build_case(mode, case)
+        slots = [[{}, 1] for _ in range(op.rank)]
+        op.apply_into(q, slots, 1, 1, through)
+        assert FiberPoly([Poly._reduced(mode, op.n, *slot) for slot in slots]) == op.apply(q, through)
+
+    @given(jet_cases(), st.integers(-5, 5), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_apply_into_adds_the_weighted_image(self, case, w, d):
+        op, q = build_case(EXACT, case)
+        # the accumulators already hold q itself
+        slots = [[dict(comp.num), comp.den] for comp in q.components]
+        op.apply_into(q, slots, w, d)
+        got = FiberPoly([Poly._reduced(EXACT, op.n, *slot) for slot in slots])
+        assert got == q + op.apply(q).scale(F(w, d))
 
     @pytest.mark.parametrize("preset", ["cubic1d", "iso2d", "rank2"])
     def test_family_matches_reference_loop(self, preset):
@@ -451,9 +472,6 @@ def compose_cases():
     completes = st.one_of(st.none(), st.integers(-1, 4))
     return st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
         lambda s: st.tuples(st.just(s[0]), st.just(s[1]), ops(*s), ops(*s), completes, completes))
-
-
-MODES = st.sampled_from([EXACT, float_mode()])
 
 
 class TestBoundedProducts:

@@ -8,7 +8,8 @@ from itertools import permutations
 
 import pytest
 
-from qmf.series_algebra import EXACT, FormalScalarSeries, HalfInt, Poly, float_mode
+from qmf.series_algebra import (
+    EXACT, FiberPoly, FormalScalarSeries, HalfInt, Poly, S0Series, float_mode, unrescale)
 from qmf.gaussian_pairing import pair_s0
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
@@ -671,3 +672,98 @@ class TestHalfIntBudget:
             for row in h_eff:
                 f.scale_series(row[0])
         assert built[0] == 0
+
+
+class TestReductionBudget:
+    """The front end and the residual checks sum each result in place and
+    reduce it once (``accumulate_product``, ``DiffOpJet.apply_into``): the
+    calls of ``reduce_num`` per stage stay within these counts, where forming
+    a ``Poly`` for every term summed took 2 to 5 times as many."""
+
+    BUDGET = {  # stage -> calls on (cubic1d o6, iso2d o4), both exact
+        "solve_eikonal": (54, 48),
+        "conjugate_hamiltonian": (17, 29),
+        "weight_expansion": (45, 32),
+        "transport_residual": (58, 76),
+        "eigen_residual": (39, 54),
+    }
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["cubic1d-o6", "iso2d-o4"])
+    def test_reductions_per_stage(self, case, monkeypatch):
+        import qmf.quasimode_pipeline as pipeline
+        import qmf.series_algebra as series_algebra
+
+        calls = {"total": 0}
+        reduce_num = series_algebra.reduce_num
+
+        def counting(*args):
+            calls["total"] += 1
+            return reduce_num(*args)
+
+        def staged(name, stage):
+            def run(*args, **kwargs):
+                before = calls["total"]
+                out = stage(*args, **kwargs)
+                calls[name] = calls.get(name, 0) + calls["total"] - before
+                return out
+            return run
+
+        monkeypatch.setattr(series_algebra, "reduce_num", counting)
+        for name in ("solve_eikonal", "conjugate_hamiltonian", "weight_expansion"):
+            monkeypatch.setattr(pipeline, name, staged(name, getattr(pipeline, name)))
+        preset, order = [("cubic1d", 6), ("iso2d", 4)][case]
+        spec = preset_problem(preset, order=HalfInt(2 * order))
+        result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        for check in (transport_residual, eigen_residual):
+            assert staged(check.__name__, check)(result).passed
+        for name, budget in self.BUDGET.items():
+            assert calls[name] <= budget[case], name
+
+
+def perturbed(result, what: str):
+    """The result with one coefficient x 1001/1000: the first eigenvalue
+    coefficient past the leading one, or the highest-degree term of the
+    second coefficient of the first rescaled eigenfunction (and its
+    un-rescaled jets)."""
+    mode = result.context.problem.mode
+    factor = mode.coeff(F(1001, 1000))
+    if what == "eigenvalue":
+        e = result.eigenvalues[0]
+        terms = dict(e.items2())
+        t = sorted(terms)[1]
+        terms[t] *= factor
+        return dataclasses.replace(result, eigenvalues=[
+            FormalScalarSeries.from_terms2(mode, terms, e.trunc2), *result.eigenvalues[1:]])
+    psi = result.rescaled[0]
+    j = sorted(psi.coeffs2)[1]
+    comp = psi.coeffs2[j].components[0]
+    alpha = max(comp.terms, key=sum)
+    comp = Poly(mode, comp.n, {**comp.terms, alpha: comp.terms[alpha] * factor})
+    p = FiberPoly([comp, *psi.coeffs2[j].components[1:]])
+    psi = S0Series(mode, psi.n, psi.rank, psi.K2, {**psi.coeffs2, j: p}, psi.trunc2)
+    return dataclasses.replace(result, rescaled=[psi, *result.rescaled[1:]],
+                               eigenfunctions=[unrescale(psi), *result.eigenfunctions[1:]])
+
+
+class TestChecksOnPerturbedResults:
+    """``transport`` and ``eigen_residual`` form the size of their terms only
+    for a nonzero residual: they still pass on the results as computed and
+    fail on one coefficient off by 1/1000."""
+
+    @pytest.fixture(scope="class", params=[("cubic1d", 6, "exact"), ("iso2d", 4, "exact"),
+                                           ("iso2d", 5, "float")],
+                    ids=lambda p: f"{p[0]}-o{p[1]}-{p[2]}")
+    def result(self, request):
+        preset, order, mode = request.param
+        spec = preset_problem(preset, mode, order=HalfInt(2 * order))
+        return compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+
+    @pytest.mark.parametrize("check", [transport_residual, eigen_residual])
+    def test_passes_as_computed(self, result, check):
+        assert check(result).passed
+
+    @pytest.mark.parametrize("what", ["eigenvalue", "eigenfunction"])
+    @pytest.mark.parametrize("check", [transport_residual, eigen_residual])
+    def test_fails_on_one_coefficient_off(self, result, check, what):
+        report = check(perturbed(result, what))
+        assert not report.passed and report.max_residual > 0

@@ -11,6 +11,7 @@ from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.operator_calculus import DiffOpJet, OperatorFamily
 from qmf.series_algebra import (
     EXACT,
+    EXPONENT_BITS,
     MAX_DEGREE,
     FiberPoly,
     FormalScalarSeries,
@@ -19,6 +20,8 @@ from qmf.series_algebra import (
     S0DegreeError,
     S0Series,
     XJetSeries,
+    accumulate,
+    accumulate_product,
     adjoint_solve,
     cholesky,
     float_mode,
@@ -223,6 +226,35 @@ class TestPolyKernel:
         pa, pb = Poly(mode, n, ref_clean(a, mode.is_zero)), Poly(mode, n, ref_clean(b, mode.is_zero))
         got, want = pa.mul(pb, d), (pa * pb).truncate_degree(d)
         assert bits(got.num) == bits(want.num)
+
+    @given(poly_pairs(FRACS, max_n=3), sparse_dicts(1, FRACS), st.integers(-5, 5),
+           st.integers(1, 12), st.one_of(st.none(), st.integers(-2, 12)))
+    @settings(max_examples=150, deadline=None)
+    def test_accumulate_product_is_product_then_accumulate(self, nab, start, w, d, through):
+        # (w / d) a b added in place to an accumulator that already holds c
+        n, a, b = nab
+        pa, pb = Poly(EXACT, n, ref_clean(a)), Poly(EXACT, n, ref_clean(b))
+        # (e,) * n: the monomial (y_0 ... y_(n-1))^e
+        c = Poly(EXACT, n, {k * n: v for k, v in ref_clean(start).items()})
+        acc, den = dict(c.num), c.den
+        den = accumulate_product(acc, den, pa, pb, w, d, through)
+        prod = pa.mul(pb) if through is None else (pa * pb).truncate_degree(through)
+        want, want_den = dict(c.num), c.den
+        want_den = accumulate(want, want_den, prod.num, w, d * prod.den)
+        assert Poly._reduced(EXACT, n, acc, den) == Poly._reduced(EXACT, n, want, want_den)
+
+    @given(poly_pairs(COMPLEXES, max_n=3), st.integers(-2, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_float_accumulated_product_is_the_reference_loop_bit_for_bit(self, nab, d):
+        mode = float_mode()
+        n, a, b = nab
+        a, b = ref_clean(a, mode.is_zero), ref_clean(b, mode.is_zero)
+        acc = {}
+        assert accumulate_product(acc, 1, Poly(mode, n, a), Poly(mode, n, b), 1, 1) == 1
+        assert bits(ref_clean(acc, mode.is_zero)) == bits(packed(ref_mul(a, b, mode.is_zero)))
+        cut = {}
+        accumulate_product(cut, 1, Poly(mode, n, a), Poly(mode, n, b), 1, 1, d)
+        assert bits(cut) == bits({k: c for k, c in acc.items() if k >> n * EXPONENT_BITS <= d})
 
     def test_denominators_combine_by_lcm(self):
         y = Poly.variable(EXACT, 1, 0)
