@@ -123,7 +123,7 @@ def _char_poly(t) -> list:
     for k in range(1, m + 1):
         for i in range(m):
             mk[i][i] = mk[i][i] + c
-        mk = _block_mul(t, mk)
+        mk = matmul(t, mk)
         tr = sum(mk[i][i] for i in range(m))
         c = -tr / k
         coeffs[m - k] = c
@@ -276,7 +276,7 @@ def _gen_eig_exact(r, a0):
     """
     m = len(r)
     a0_inv = _const_inverse(a0)
-    t = _block_mul(a0_inv, r)
+    t = matmul(a0_inv, r)
     coeffs = _char_poly(t)
     roots = _rational_roots(coeffs)
     if len(roots) != m:
@@ -617,12 +617,12 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
                 gap = nus[bi] - nus[ci]
                 rhs = [[nus[ci] * k1[r][c] - k2[r][c] for c in range(len(k1[0]))]
                        for r in range(len(k1))]
-                x = _block_mul(a0_invs[bi], rhs)
+                x = matmul(a0_invs[bi], rhs)
                 x = [[e / gap for e in row] for row in x]
                 # Y = (-K1 - A0_b X) A0_c^{-1},  V_s^{(cb)} = Y^dagger
-                tmp = _block_mul(a0_blocks[bi], x)
+                tmp = matmul(a0_blocks[bi], x)
                 y = [[-k1[r][c] - tmp[r][c] for c in range(len(k1[0]))] for r in range(len(k1))]
-                y = _block_mul(y, a0_invs[ci])
+                y = matmul(y, a0_invs[ci])
                 for rr, i in enumerate(ranges[bi]):
                     for cc, j in enumerate(ranges[ci]):
                         vs[i][j] = x[rr][cc]
@@ -634,14 +634,6 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
                         for j in range(m)] for i in range(m)]
                       for xv, x_rot in ((av, a_rot), (pv, p_rot)))
     return v_terms, av, pv
-
-
-def _block_mul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), a[0][0] * 0)
-             for j in range(cols)] for i in range(rows)]
 
 
 def _form(u: list, a: list, v: list, order: int, mode) -> FormalScalarSeries:

@@ -7,19 +7,20 @@ The chain implemented here goes
                 --rescale_operator-->  graded family {Q_j}
 
 ``DiffOpJet`` is the workhorse: a differential operator with endomorphism-
-valued polynomial coefficients, supporting exact composition (Leibniz) and a
+valued polynomial coefficients. The front end forms each operator in closed
+form: the Bochner operator from the metric and connection jets, and its
 formal conjugation by the exponential phase weight, the substitution
-d_i -> d_i - phi_i / h, in closed form for a second-order operator. The
-conjugated Hamiltonian's order-h^0 part must cancel identically (that is the
-eikonal equation); the h^2 and h^1 parts are split into graded homogeneous
-pieces, themselves ``DiffOpJet``s, and re-read as the polynomial-coefficient
-operators Q_j of the rescaled variable. Every operator of the chain, the
-graded family included, is applied through the one ``DiffOpJet.apply_into``:
-on its first use an operator compiles itself into a flat stencil, and each
-application is one pass over the input monomials per output component, added
-in place into the caller's accumulators, optionally bounded by the output
-degree a caller keeps. Products of polynomials are summed in place
-likewise (``accumulate_product``, ``pm_products``), each result reduced once.
+d_i -> d_i - phi_i / h. The conjugated Hamiltonian's order-h^0 part must
+cancel identically (that is the eikonal equation); the h^2 and h^1 parts are
+split into graded homogeneous pieces, themselves ``DiffOpJet``s, and re-read as
+the polynomial-coefficient operators Q_j of the rescaled variable. Every
+operator of the chain, the graded family included, is applied through the
+one ``DiffOpJet.apply_into``: on its first use an operator compiles itself
+into a flat stencil, and each application is one pass over the input
+monomials per output component, added in place into the caller's
+accumulators, optionally bounded by the output degree a caller keeps.
+Products of polynomials are summed in place likewise
+(``accumulate_product``, ``pm_products``), each result reduced once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, inf, lcm, prod
+from math import inf, lcm
 from typing import Mapping
 
 from .series_algebra import (
@@ -304,10 +305,9 @@ class JetProblem:
 class DiffOpJet:
     """Operator sum_beta C_beta(x) d^beta with endomorphism polynomial coefficients.
 
-    ``complete`` bounds the graded degree through which the operator's
-    homogeneous pieces are exact (None = exact at all degrees); composition
-    tracks it with the convolution rule min(cA + ord B, cB + ord A)
-    (``convolution_bound``) and forms no coefficient term past it.
+    ``complete`` bounds the graded degree (coefficient degree minus |beta|)
+    through which the operator's homogeneous pieces are exact (None = exact
+    at all degrees); the front end forms no coefficient term past it.
 
     ``apply_into`` and ``HermiteBasis.apply`` read one stencil (``stencil``),
     compiled on first use: per output fibre row, the input column, beta and
@@ -334,21 +334,6 @@ class DiffOpJet:
     def zero(mode, n, rank, complete=None) -> "DiffOpJet":
         return DiffOpJet(mode, n, rank, {}, complete)
 
-    @staticmethod
-    def multiplication(m: PolyMat, complete: int | None = None) -> "DiffOpJet":
-        p = m[0][0]
-        return DiffOpJet(p.mode, p.n, len(m), {(0,) * p.n: m}, complete)
-
-    @staticmethod
-    def scalar_multiplication(p: Poly, rank: int, complete: int | None = None) -> "DiffOpJet":
-        return DiffOpJet.multiplication(pm_scalar(p, rank), complete)
-
-    @staticmethod
-    def derivative(mode, n, rank, i: int) -> "DiffOpJet":
-        beta = [0] * n
-        beta[i] = 1
-        return DiffOpJet(mode, n, rank, {tuple(beta): pm_identity(mode, n, rank)})
-
     def min_degree(self):
         """Smallest graded degree present (coefficient degree minus |beta|)."""
         return min((x.min_degree() - sum(b) for b, m in self.terms.items()
@@ -365,11 +350,6 @@ class DiffOpJet:
         return DiffOpJet(self.mode, self.n, self.rank, terms,
                          _min_trunc(self.complete, other.complete))
 
-    def scale(self, c) -> "DiffOpJet":
-        return DiffOpJet(self.mode, self.n, self.rank,
-                         {b: tuple(tuple(x.scale(c) for x in row) for row in m)
-                          for b, m in self.terms.items()}, self.complete)
-
     def abs(self) -> "DiffOpJet":
         """The operator with every coefficient replaced by its |value|: applied
         to |q| it bounds the magnitudes that ``apply`` sums into each output
@@ -377,29 +357,6 @@ class DiffOpJet:
         return DiffOpJet(self.mode, self.n, self.rank,
                          {b: tuple(tuple(x.abs() for x in row) for row in m)
                           for b, m in self.terms.items()}, self.complete)
-
-    def compose(self, other: "DiffOpJet") -> "DiffOpJet":
-        """Operator product self . other, exact Leibniz expansion; the
-        coefficient of d^key is formed only through degree complete + |key|,
-        the graded degrees through which the product is exact."""
-        _same_mode(self.mode, other.mode)
-        comp = convolution_bound((self.complete, self.min_degree()),
-                                 (other.complete, other.min_degree()))
-        parts = []
-        for beta, m in self.terms.items():
-            for gamma_, nmat in other.terms.items():
-                for sigma in _sub_multi_indices(beta):
-                    d = nmat
-                    for i, si in enumerate(sigma):
-                        for _ in range(si):
-                            d = tuple(tuple(x.diff(i) for x in ra) for ra in d)
-                    if pm_is_zero(d):
-                        continue
-                    key = tuple(b - s + g for b, s, g in zip(beta, sigma, gamma_))
-                    parts.append((key, m, d, prod(map(comb, beta, sigma)),
-                                  None if comp is None else comp + sum(key)))
-        return DiffOpJet(self.mode, self.n, self.rank,
-                         pm_products(parts, self.mode, self.n, self.rank), comp)
 
     def stencil(self) -> tuple:
         """The compiled form (den, top, rows), built on first call and kept:
@@ -507,15 +464,6 @@ class DiffOpJet:
                 for d, terms in sorted(buckets.items())}
 
 
-def _sub_multi_indices(beta: tuple):
-    if not beta:
-        yield ()
-        return
-    for rest in _sub_multi_indices(beta[1:]):
-        for s in range(beta[0] + 1):
-            yield (s,) + rest
-
-
 # ---------------------------------------------------------------------------
 # Eikonal equation
 
@@ -587,37 +535,76 @@ def solve_eikonal(problem: JetProblem) -> ScalarJet:
 
 
 def _laplace_type_operator(problem: JetProblem) -> tuple[DiffOpJet, Poly]:
-    """The second-order operator, Bochner form from (g, Gamma), and the
-    metric density sqrt(det g_ij) = (det g^ij)^(-1/2) it is built from, as a
-    jet through degree D (1 on a flat metric)."""
-    mode, n, rank = problem.mode, problem.n, problem.rank
-    flat = problem.metric_is_flat()
-    gcomp = None if flat else problem.D
-    if flat:
-        G = inv_G = Poly.const(mode, n, 1)
+    """The second-order operator and the metric density G = sqrt(det g_ij) =
+    (det g^ij)^(-1/2) it is built from, as a jet through degree D (1 on a
+    flat metric).
+
+    The operator is the Bochner Laplacian of (g, Gamma),
+    L = -(1/G) sum_ij (d_i + Gamma_i) G g^ij (d_j + Gamma_j), in closed form
+    (Berline, Getzler and Vergne, Heat Kernels and Dirac Operators, Prop.
+    2.5), one ``pm_products`` sum. With C_beta the coefficient of d^beta and
+    the raised connection Gamma^i = sum_j g^ij Gamma_j,
+
+        C_{e_i + e_j}: -g^ij  (i != j: both orders, -2 g^ij),
+        C_{e_k}: -(1/G) sum_i d_i(G g^ik) - 2 Gamma^k,
+        C_0: -(1/G) sum_i d_i(G Gamma^i) - sum_i Gamma_i Gamma^i.
+
+    Each C_beta is formed only through complete + |beta|, ``complete`` the
+    graded degree (coefficient degree minus |beta|) through which L is
+    exact. The jets g^ij, Gamma_i and G are exact through degree D, and g^ij,
+    G and 1/G start at degree 0, so a product of them is exact through D and
+    a derivative of one through D - 1:
+
+    - flat metric, no connection: C_{2 e_i} = -1 and nothing else, None;
+    - flat metric with a connection: C_{e_k} = -2 Gamma_k is exact through D
+      and C_0 = -sum_i (d_i Gamma_i + Gamma_i Gamma_i) through D - 1, D - 1;
+    - curved metric: C_{e_i + e_j} is exact through D, graded D - 2, and
+      C_{e_k} through D - 1, graded D - 2, whatever C_0 is: D - 2 with or
+      without a connection.
+    """
+    mode, n, rank, D = problem.mode, problem.n, problem.rank, problem.D
+    g, Gamma = problem.g_inv, problem.Gamma
+    one = pm_identity(mode, n, rank)
+    connected = [j for j in range(n) if not pm_is_zero(Gamma[j])]
+    if problem.metric_is_flat():
+        complete = D - 1 if connected else None
+        G, inv_G, Gg = Poly.const(mode, n, 1), one, g
     else:
+        complete = D - 2
         # det g_ij = 1 / det g^ij, so G = sqrt(det g_ij) and 1/G are its powers -1/2, 1/2
-        det = poly_det(problem.g_inv, problem.D)
-        G = poly_power_jet(det, Fraction(-1, 2), problem.D)
-        inv_G = poly_power_jet(det, Fraction(1, 2), problem.D)
-    acc = DiffOpJet.zero(mode, n, rank)
+        det = poly_det(g, D)
+        G = poly_power_jet(det, Fraction(-1, 2), D)
+        inv_G = pm_scalar(poly_power_jet(det, Fraction(1, 2), D), rank)
+        Gg = [[G.mul(gij, D) for gij in row] for row in g]
+    # Gamma^i and G Gamma^i, keyed (0, i) and (top, i), through D; on a flat
+    # metric they are one
+    metrics = (g,) if Gg is g else (g, Gg)
+    top = len(metrics) - 1
+    raised = pm_products([((w, i), pm_scalar(m[i][j], rank), Gamma[j], 1, D)
+                          for w, m in enumerate(metrics) for i in range(n) for j in connected
+                          if not m[i][j].is_zero()], mode, n, rank)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    zero = (0,) * n
+
+    def through(order: int) -> int | None:
+        return None if complete is None else complete + order
+
+    parts = []  # (key, A, B, weight, through) of the C_beta
     for i in range(n):
-        nabla_i = DiffOpJet.derivative(mode, n, rank, i)
-        if not pm_is_zero(problem.Gamma[i]):
-            nabla_i = nabla_i + DiffOpJet.multiplication(problem.Gamma[i], complete=problem.D)
-        inner = DiffOpJet.zero(mode, n, rank)
-        for j in range(n):
-            gij = problem.g_inv[i][j]
-            if gij.is_zero():
-                continue
-            nabla_j = DiffOpJet.derivative(mode, n, rank, j)
-            if not pm_is_zero(problem.Gamma[j]):
-                nabla_j = nabla_j + DiffOpJet.multiplication(problem.Gamma[j], complete=problem.D)
-            coeff = G.mul(gij, problem.D) if not flat else gij
-            inner = inner + DiffOpJet.scalar_multiplication(
-                coeff, rank, complete=gcomp).compose(nabla_j)
-        acc = acc + nabla_i.compose(inner)
-    return DiffOpJet.scalar_multiplication(inv_G, rank, complete=gcomp).compose(acc).scale(-1), G
+        for k in range(n):
+            if not g[i][k].is_zero():
+                key = tuple(a + b for a, b in zip(units[i], units[k]))
+                parts.append((key, pm_scalar(g[i][k], rank), one, -1, through(2)))
+            d = Gg[i][k].diff(i)
+            if not d.is_zero():
+                parts.append((units[k], inv_G, pm_scalar(d, rank), -1, through(1)))
+        if (0, i) in raised:
+            parts += [(units[i], raised[0, i], one, -2, through(1)),
+                      (zero, Gamma[i], raised[0, i], -1, through(0))]
+        if (top, i) in raised:
+            d = tuple(tuple(x.diff(i) for x in row) for row in raised[top, i])
+            parts.append((zero, inv_G, d, -1, through(0)))
+    return DiffOpJet(mode, n, rank, pm_products(parts, mode, n, rank), complete), G
 
 
 @dataclass
@@ -649,8 +636,8 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
     and the h^0 coefficient must cancel the potential exactly -- a nonzero
     residual means the phase does not solve the eikonal equation and raises.
     Each beta's part is exact through the convolution bound of C_beta and
-    its phase factor, as ``DiffOpJet.compose`` bounds the product, and is
-    formed only through it (``pm_products``).
+    its phase factor (``convolution_bound``), and is formed only through it
+    (``pm_products``).
     """
     mode, n, rank = problem.mode, problem.n, problem.rank
     L, density = _laplace_type_operator(problem)
@@ -669,7 +656,7 @@ def conjugate_hamiltonian(problem: JetProblem, phi: ScalarJet) -> ConjugatedOper
                   if len(axes) == 2 else [(zero, grad[i])])
         factor = [(key, f) for key, f in factor if not f.is_zero()]
         head = (None if L.complete is None else L.complete + len(axes),
-                DiffOpJet.multiplication(m).min_degree())
+                min((x.min_degree() for row in m for x in row if not x.is_zero()), default=inf))
         bound = convolution_bound(head, (phi.complete - len(axes),
                                          min(f.min_degree() - sum(key) for key, f in factor)))
         complete1 = _min_trunc(complete1, bound)

@@ -29,7 +29,7 @@ accumulator per w-power, then applies G0 per position: a level member moves
 down one power; elsewhere (g + w) x = r is solved power by power,
 x_p = (r_p - x_(p-1)) / g, in O(L) for L kept powers.
 
-Every chain summed into T_s has R = 2(budget - s) half-orders left, so T_s
+Every chain summed into T_s has R = 2(order - s) half-orders left, so T_s
 is truncated once, per position. A component at w-power p needs at least
 p + 1 later steps that end on the level, since G0 lowers the power only
 there; each step applies some Q_i, i >= 1/2, for 2i half-orders. Q_i changes
@@ -247,21 +247,16 @@ class ProjectorSeries:
                     out[p].add_entry(pos, y, dy)
         return {p: vec.reduce() for p, vec in sorted(out.items())}
 
-    def images2(self, pos: int, budget2: int) -> dict:
-        """The order-j coefficients, 0 <= 2j <= budget2, of the projected
-        basis vector at position ``pos``, keyed by the doubled order 2j: the
+    def images2(self, pos: int) -> dict:
+        """The order-j coefficients, 0 <= 2j <= N = ``order2``, of the
+        projected basis vector at position ``pos``, keyed by 2j: the
         nonzero residues of T_j (module docstring), with the w-powers that
-        cannot reach the residue within the remaining budget dropped.
-
-        ``image2`` always asks for the built order. A smaller budget serves
-        the tests' graded apply behind the idempotency and commutation laws:
-        an index met at order j there needs its image only through order
-        N - j, which keeps it inside the workspace.
-        """
-        parts = [i for i in self.family.orders2() if 0 < i <= budget2]
+        cannot reach the residue within the remaining orders dropped."""
+        N = self.order2
+        parts = [i for i in self.family.orders2() if 0 < i <= N]
         states: dict[int, dict] = {}
         out: dict[int, HermiteVec] = {}
-        for s in range(budget2 + 1):
+        for s in range(N + 1):
             acc = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
             for i in (i for i in parts if i <= s):
                 qs: dict[int, HermiteVec] = {}
@@ -280,7 +275,7 @@ class ProjectorSeries:
                         for key, m in qv.num.items():
                             a[key] = get(key, 0) + m * f
                     slot.den = da
-            state = states[s] = self._resolve(acc, budget2 - s)
+            state = states[s] = self._resolve(acc, N - s)
             if -1 in state:
                 out[s] = state[-1]
         return out
@@ -290,7 +285,7 @@ class ProjectorSeries:
     def image2(self, pos: int) -> dict:
         hit = self._images.get(pos)
         if hit is None:
-            hit = self._images[pos] = self.images2(pos, self.order2)
+            hit = self._images[pos] = self.images2(pos)
         return hit
 
     def image_s0(self, index: HermiteIndex) -> S0Series:

@@ -18,8 +18,8 @@ order, and the rules that combine bounds are stated here once: a sum is
 exact through the smaller bound (``_min_trunc``), and a product of any
 number of factors through ``convolution_bound``, the min over the bounded
 factors of the bound plus the other factors' lowest orders. The series
-products below, the pairing, the graded family's action and operator-jet
-composition all take their bound from it.
+products below, the pairing, the graded family's action and the conjugated
+operator's coefficients all take their bound from it.
 
 Coefficients live in one of two interchangeable domains: exact rationals
 (``EXACT``) or complex double floats (``float_mode``). Every container stores
@@ -1006,10 +1006,11 @@ def hermitian_eigh(h) -> tuple[list, list]:
 
 
 def matmul(a: list, b: list) -> list:
-    """The product of two square matrices, as rows of series or scalars."""
-    m = len(a)
-    return [[reduce(operator.add, (a[i][k] * b[k][j] for k in range(m))) for j in range(m)]
-            for i in range(m)]
+    """The product of an r x k and a k x c matrix (k >= 1), as rows of
+    series or scalars."""
+    cols = range(len(b[0]))
+    return [[reduce(operator.add, (a_ik * b_k[j] for a_ik, b_k in zip(row, b))) for j in cols]
+            for row in a]
 
 
 def cholesky(a) -> list:
@@ -1260,28 +1261,6 @@ class XJetSeries(_GradedSeries):
         return None if self.trunc2 is None else self.trunc2 - s2
 
 
-def _shift_by_degree(mode, n: int, rank: int, items, sign: int) -> dict[int, FiberPoly]:
-    """Move each term c y^alpha of the coefficient at doubled index k to
-    k + sign * |alpha|, on numerators. No two terms meet on one monomial of
-    one component: the target index and alpha fix k."""
-    shift = n * EXPONENT_BITS
-    slots: dict[int, list] = {}
-    for k, p in items:
-        for ci, comp in enumerate(p.components):
-            d = comp.den
-            for alpha, c in comp.num.items():
-                j = k + sign * (alpha >> shift)
-                col = slots.get(j)
-                if col is None:
-                    col = slots[j] = [[{}, 1] for _ in range(rank)]
-                slot = col[ci]
-                if slot[1] % d:
-                    slot[1] = grow_den(slot[0], slot[1], d)
-                f = slot[1] // d
-                slot[0][alpha] = c if f == 1 else c * f
-    return _fiber_polys(mode, n, slots)
-
-
 def unrescale(v: S0Series) -> XJetSeries:
     """Inverse substitution y = x / sqrt(h): exact on the power-counted space.
 
@@ -1290,7 +1269,25 @@ def unrescale(v: S0Series) -> XJetSeries:
     absolute exponent s came from order s + d/2, so v's truncation order is
     the output's.
     """
-    coeffs = _shift_by_degree(v.mode, v.n, v.rank, v.items2(), -1)
+    # each term c y^alpha at doubled index k moves to k - |alpha|, on
+    # numerators; no two terms meet on one monomial of one component, as the
+    # target index and alpha fix k
+    shift = v.n * EXPONENT_BITS
+    slots: dict[int, list] = {}
+    for k, p in v.items2():
+        for ci, comp in enumerate(p.components):
+            d = comp.den
+            for alpha, c in comp.num.items():
+                j = k - (alpha >> shift)
+                col = slots.get(j)
+                if col is None:
+                    col = slots[j] = [[{}, 1] for _ in range(v.rank)]
+                slot = col[ci]
+                if slot[1] % d:
+                    slot[1] = grow_den(slot[0], slot[1], d)
+                f = slot[1] // d
+                slot[0][alpha] = c if f == 1 else c * f
+    coeffs = _fiber_polys(v.mode, v.n, slots)
     if min(coeffs, default=0) < 0:
         raise S0DegreeError("input violates the degree bound; not in the rescaled space")
     return XJetSeries(v.mode, v.n, v.rank, v.K2, coeffs, v.trunc2)

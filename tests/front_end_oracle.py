@@ -1,29 +1,124 @@
-"""The front end's long way round: the phase by one product per term, and
-the conjugation by expanding each factor d_i - phi_i / h.
+"""The front end's long way round: the phase by one product per term, the
+second-order operator and the conjugation by composing operators.
 
-The program forms each degree's eikonal residual and each conjugated
-coefficient as one in-place sum, the conjugation in closed form
-(``solve_eikonal``, ``conjugate_hamiltonian``). These tests keep the
-expansions those replaced as their oracles: the phase with a ``Poly`` built
-for every product g^{ij} phi_i phi_j, the conjugated operator by composing
-the factors (d_i - phi_i / h) of each d^beta of the second-order operator,
-and the magnitude that judges a float eikonal residual by the same product
-on |coefficients|.
+The program forms each degree's eikonal residual and each operator
+coefficient as one in-place sum, the Bochner operator and the conjugation in
+closed form (``solve_eikonal``, ``_laplace_type_operator``,
+``conjugate_hamiltonian``). These tests keep the expansions those replaced as
+their oracles: the phase with a ``Poly`` built for every product
+g^{ij} phi_i phi_j, the Bochner operator
+-(1/G) sum_ij (d_i + Gamma_i) G g^ij (d_j + Gamma_j) by Leibniz composition
+(``compose``), the conjugated operator by composing the factors
+(d_i - phi_i / h) of each d^beta of the second-order operator, and the
+magnitude that judges a float eikonal residual by the same product on
+|coefficients|.
 """
 
 from fractions import Fraction
+from math import comb, prod
 
 from qmf.operator_calculus import (
     ConjugatedOperator,
     DiffOpJet,
     EikonalError,
     JetProblem,
+    PolyMat,
     ScalarJet,
-    _laplace_type_operator,
     pm_identity,
     pm_is_zero,
+    pm_neg,
+    pm_products,
+    pm_scalar,
+    poly_det,
+    poly_power_jet,
 )
-from qmf.series_algebra import Poly
+from qmf.series_algebra import Poly, _same_mode, convolution_bound
+
+
+def multiplication(m: PolyMat, complete: int | None = None) -> DiffOpJet:
+    """The operator of multiplication by the matrix ``m``."""
+    p = m[0][0]
+    return DiffOpJet(p.mode, p.n, len(m), {(0,) * p.n: m}, complete)
+
+
+def scalar_multiplication(p: Poly, rank: int, complete: int | None = None) -> DiffOpJet:
+    return multiplication(pm_scalar(p, rank), complete)
+
+
+def derivative(mode, n: int, rank: int, i: int) -> DiffOpJet:
+    """d_i on sections of rank ``rank``."""
+    return DiffOpJet(mode, n, rank, {tuple(int(k == i) for k in range(n)):
+                                     pm_identity(mode, n, rank)})
+
+
+def sub_multi_indices(beta: tuple):
+    """Every sigma <= beta componentwise."""
+    if not beta:
+        yield ()
+        return
+    for rest in sub_multi_indices(beta[1:]):
+        for s in range(beta[0] + 1):
+            yield (s,) + rest
+
+
+def compose(a: DiffOpJet, b: DiffOpJet) -> DiffOpJet:
+    """The operator product a . b, exact Leibniz expansion
+    C_beta d^beta . D_gamma d^gamma = sum_sigma binom(beta, sigma)
+    C_beta (d^sigma D_gamma) d^(beta - sigma + gamma). The product is exact
+    through the convolution bound min(cA + ord B, cB + ord A)
+    (``convolution_bound``), and the coefficient of d^key is formed only
+    through that bound + |key|."""
+    _same_mode(a.mode, b.mode)
+    comp = convolution_bound((a.complete, a.min_degree()), (b.complete, b.min_degree()))
+    parts = []
+    for beta, m in a.terms.items():
+        for gamma, nmat in b.terms.items():
+            for sigma in sub_multi_indices(beta):
+                d = nmat
+                for i, si in enumerate(sigma):
+                    for _ in range(si):
+                        d = tuple(tuple(x.diff(i) for x in row) for row in d)
+                if pm_is_zero(d):
+                    continue
+                key = tuple(x - s + g for x, s, g in zip(beta, sigma, gamma))
+                parts.append((key, m, d, prod(map(comb, beta, sigma)),
+                              None if comp is None else comp + sum(key)))
+    return DiffOpJet(a.mode, a.n, a.rank, pm_products(parts, a.mode, a.n, a.rank), comp)
+
+
+def laplace_by_composition(problem: JetProblem) -> tuple[DiffOpJet, Poly]:
+    """``_laplace_type_operator`` as the composition
+    -(1/G) sum_i nabla_i . (sum_j G g^ij nabla_j), nabla_i = d_i + Gamma_i:
+    n^2 Leibniz products and a final one by 1/G, each with its convolution
+    bound."""
+    mode, n, rank, D = problem.mode, problem.n, problem.rank, problem.D
+    flat = problem.metric_is_flat()
+    gcomp = None if flat else D
+    if flat:
+        G = inv_G = Poly.const(mode, n, 1)
+    else:
+        det = poly_det(problem.g_inv, D)
+        G = poly_power_jet(det, Fraction(-1, 2), D)
+        inv_G = poly_power_jet(det, Fraction(1, 2), D)
+
+    def nabla(i: int) -> DiffOpJet:
+        op = derivative(mode, n, rank, i)
+        if not pm_is_zero(problem.Gamma[i]):
+            op = op + multiplication(problem.Gamma[i], complete=D)
+        return op
+
+    acc = DiffOpJet.zero(mode, n, rank)
+    for i in range(n):
+        inner = DiffOpJet.zero(mode, n, rank)
+        for j in range(n):
+            gij = problem.g_inv[i][j]
+            if gij.is_zero():
+                continue
+            coeff = gij if flat else G.mul(gij, D)
+            inner = inner + compose(scalar_multiplication(coeff, rank, complete=gcomp), nabla(j))
+        acc = acc + compose(nabla(i), inner)
+    L = compose(scalar_multiplication(inv_G, rank, complete=gcomp), acc)
+    return DiffOpJet(mode, n, rank, {b: pm_neg(m) for b, m in L.terms.items()}, L.complete), G
 
 
 def eikonal_by_terms(problem: JetProblem) -> ScalarJet:
@@ -78,35 +173,35 @@ def eikonal_by_terms(problem: JetProblem) -> ScalarJet:
 def conjugate_by_factors(problem: JetProblem, phi: ScalarJet) -> ConjugatedOperator:
     """``conjugate_hamiltonian`` by expanding the product of the factors
     d_i - phi_i / h of each d^beta in powers of 1/h, each product composed
-    (``DiffOpJet.compose``), and checking the h^0 coefficient against the
-    potential."""
+    (``compose``), the operator itself built by composition
+    (``laplace_by_composition``), and checking the h^0 coefficient against
+    the potential."""
     mode, n, rank = problem.mode, problem.n, problem.rank
-    L, density = _laplace_type_operator(problem)
+    L, density = laplace_by_composition(problem)
     grad_phi = [phi.poly.diff(i).truncate_degree(phi.complete - 1) for i in range(n)]
     phi_complete = phi.complete - 1  # coefficient degree of the mult(phi_i) ops
 
     by_power: dict[int, DiffOpJet] = {}
     for beta, m in L.terms.items():
-        factors: dict[int, DiffOpJet] = {0: DiffOpJet.multiplication(pm_identity(mode, n, rank))}
+        factors: dict[int, DiffOpJet] = {0: multiplication(pm_identity(mode, n, rank))}
         for i, bi in enumerate(beta):
             for _ in range(bi):
                 x_op = {
-                    0: DiffOpJet.derivative(mode, n, rank, i),
-                    1: DiffOpJet.scalar_multiplication(-grad_phi[i], rank,
-                                                       complete=phi_complete),
+                    0: derivative(mode, n, rank, i),
+                    1: scalar_multiplication(-grad_phi[i], rank, complete=phi_complete),
                 }
                 new: dict[int, DiffOpJet] = {}
                 for pa, opa in factors.items():
                     for pb, opb in x_op.items():
                         key = pa + pb
-                        piece = opa.compose(opb)
+                        piece = compose(opa, opb)
                         new[key] = new[key] + piece if key in new else piece
                 factors = new
         # the coefficient of d^beta holds graded degrees up to L.complete + |beta|
         head_complete = None if L.complete is None else L.complete + sum(beta)
-        head = DiffOpJet.multiplication(m, complete=head_complete)
+        head = multiplication(m, complete=head_complete)
         for power, op in factors.items():
-            piece = head.compose(op)
+            piece = compose(head, op)
             by_power[power] = by_power[power] + piece if power in by_power else piece
 
     hbar2 = by_power.get(0, DiffOpJet.zero(mode, n, rank))
@@ -114,9 +209,9 @@ def conjugate_by_factors(problem: JetProblem, phi: ScalarJet) -> ConjugatedOpera
     hbar0 = by_power.get(2, DiffOpJet.zero(mode, n, rank))
 
     if not pm_is_zero(problem.W):
-        hbar1 = hbar1 + DiffOpJet.multiplication(problem.W, complete=problem.D)
+        hbar1 = hbar1 + multiplication(problem.W, complete=problem.D)
 
-    residual = hbar0 + DiffOpJet.scalar_multiplication(problem.V, rank)
+    residual = hbar0 + scalar_multiplication(problem.V, rank)
     check_through = residual.complete if residual.complete is not None else problem.D + 2
     magnitude = None
     for beta, mat in residual.terms.items():

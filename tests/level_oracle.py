@@ -10,10 +10,10 @@ and (e_a, Q P e_b), each image paired against each image of Q, and the full
 products V^H A V and V^H P V recomputed at every step of the congruence.
 """
 
-from qmf.formal_diagonalization import _block_mul, _const_inverse
+from qmf.formal_diagonalization import _const_inverse
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
-from qmf.series_algebra import FormalScalarSeries, S0Series
+from qmf.series_algebra import FormalScalarSeries, S0Series, matmul
 
 # A series matrix is a list of rows of ``FormalScalarSeries``, as in the
 # program, and an order is its doubled int.
@@ -152,10 +152,10 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
                 gap = nus[bi] - nus[ci]
                 rhs = [[nus[ci] * k1[r][c] - k2[r][c] for c in range(len(k1[0]))]
                        for r in range(len(k1))]
-                x = [[e / gap for e in row] for row in _block_mul(a0_invs[bi], rhs)]
-                tmp = _block_mul(a0_blocks[bi], x)
-                y = _block_mul([[-k1[r][c] - tmp[r][c] for c in range(len(k1[0]))]
-                                for r in range(len(k1))], a0_invs[ci])
+                x = [[e / gap for e in row] for row in matmul(a0_invs[bi], rhs)]
+                tmp = matmul(a0_blocks[bi], x)
+                y = matmul([[-k1[r][c] - tmp[r][c] for c in range(len(k1[0]))]
+                            for r in range(len(k1))], a0_invs[ci])
                 for rr, i in enumerate(ranges[bi]):
                     for cc, j in enumerate(ranges[ci]):
                         vs[i][j] = x[rr][cc]

@@ -125,17 +125,18 @@ class ResidueOracle(ProjectorSeries):
                     _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
         return _reduced(out)
 
-    def images2(self, pos: int, budget2: int) -> dict:
-        parts = [i for i in self.family.orders2() if 0 < i <= budget2]
+    def images2(self, pos: int) -> dict:
+        N = self.order2
+        parts = [i for i in self.family.orders2() if 0 < i <= N]
         states = self.states = {}
         out: dict[int, HermiteVec] = {}
-        for s in range(budget2 + 1):
+        for s in range(N + 1):
             summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
             for i in parts:
                 if i > s:
                     break
                 apply_q(self, i, states[s - i], summed)
-            state = states[s] = self._resolvent_factor(_reduced(summed), budget2 - s)
+            state = states[s] = self._resolvent_factor(_reduced(summed), N - s)
             residue = state.get(-1)
             if residue:
                 out[s] = residue
@@ -289,11 +290,11 @@ def assert_block_recursion_agrees(family, basis, level, N, cover):
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
         _, family, basis, level, _ = setup_problem()
-        proj = build_projector(family, basis, level, 4)
+        proj = build_projector(family, basis, level, 0)
         h0 = basis.position(HermiteIndex((0,), 0))
         h2 = basis.position(HermiteIndex((2,), 0))
-        assert proj.images2(h0, 0) == {0: vec({h0: F(1)})}
-        assert proj.images2(h2, 0) == {}
+        assert proj.images2(h0) == {0: vec({h0: F(1)})}
+        assert proj.images2(h2) == {}
 
     def test_first_order_reduced_resolvent_formula(self):
         # cubic well, ground level: residue at order 1/2 on the ground vector
@@ -302,7 +303,7 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
         h0 = basis.position(HermiteIndex((0,), 0))
-        got = proj.images2(h0, 4)[1]
+        got = proj.images2(h0)[1]
         assert got == vec({basis.position(HermiteIndex((1,), 0)): F(-c, 2)})
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
@@ -312,7 +313,7 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
         h1 = basis.position(HermiteIndex((1,), 0))
-        got = proj.images2(h1, 4)[1]
+        got = proj.images2(h1)[1]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
@@ -330,7 +331,7 @@ class TestChainResidues:
         small_basis = HermiteBasis(EXACT, (F(1),), (F(0),), 2)
         proj = build_projector(family, small_basis, level, 4)
         with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
-            proj.images2(small_basis.position(HermiteIndex((2,), 0)), 4)
+            proj.images2(small_basis.position(HermiteIndex((2,), 0)))
 
 
 class TestProjectorLaws:
@@ -375,7 +376,7 @@ class TestProjectorLaws:
         proj = build_projector(family, basis, level, N)
         for idx in basis.indices(2):
             pos = basis.position(idx)
-            images = proj.images2(pos, N)
+            images = proj.images2(pos)
             for j in range(7):
                 got = vec_coeffs(images[j]) if j in images else {}
                 assert got == composition_sum_image(proj, j, pos, N), (j, idx)
@@ -467,13 +468,14 @@ class TestBudgetPrefix:
         # basis of degree 6 + 2N holds their images
         basis = HermiteBasis(proj.mode, proj.basis.lam, proj.basis.mu, 6 + N)
         proj = build_projector(proj.family, basis, proj.level, N)
+        below = [at_order(proj, b) for b in range(N)]
         for idx in proj.basis.indices(6):
             pos = proj.basis.position(idx)
             full = proj.image2(pos)
-            for b in range(N):
+            for b, at_b in enumerate(below):
                 want = {j: vec for j, vec in full.items() if j <= b}
-                assert proj.images2(pos, b) == want, (idx, b)
-            assert full == proj.images2(pos, N), idx
+                assert at_b.image2(pos) == want, (idx, b)
+            assert full == proj.images2(pos), idx
 
 
 class TestWorkspaceReach:
@@ -506,9 +508,9 @@ class TestDiagnosticsComputeEachImageOnce:
         calls = []
         images = ProjectorSeries.images2
 
-        def counting_images(self, index, budget):
+        def counting_images(self, index):
             calls.append(index)
-            return images(self, index, budget)
+            return images(self, index)
 
         monkeypatch.setattr(ProjectorSeries, "images2", counting_images)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -557,7 +559,7 @@ def test_verify_applies_only_operators_of_the_family(monkeypatch):
 
 class UntruncatedEngine(ResidueOracle):
     """The oracle before the parity truncation: every component keeps the
-    w-powers up to the remaining half-orders, 2(budget - s), the level members
+    w-powers up to the remaining half-orders, 2(order - s), the level members
     all of theirs."""
 
     def _resolvent_factor(self, state: dict, pmax: int) -> dict:
@@ -627,8 +629,8 @@ class TestParityTruncation:
         untruncated = UntruncatedEngine(proj.family, basis, level, N)
         for idx in _probes(proj):
             pos = basis.position(idx)
-            got = proj.images2(pos, N)
-            assert got == oracle.images2(pos, N) == untruncated.images2(pos, N), idx
+            got = proj.images2(pos)
+            assert got == oracle.images2(pos) == untruncated.images2(pos), idx
 
     @pytest.mark.parametrize("preset,order", PARITY_CASES)
     def test_float_truncation_is_bit_for_bit(self, preset, order):
@@ -641,9 +643,9 @@ class TestParityTruncation:
         oracle = ResidueOracle(proj.family, basis, level, N)
         for idx in _probes(proj):
             pos = basis.position(idx)
-            got = proj.images2(pos, N)
-            assert _bits(got) == _bits(lifted.images2(pos, N)), idx
-            want = oracle.images2(pos, N)
+            got = proj.images2(pos)
+            assert _bits(got) == _bits(lifted.images2(pos)), idx
+            want = oracle.images2(pos)
             assert got.keys() == want.keys(), idx
             for j, vec in want.items():
                 scale = vec.max_abs()
@@ -665,9 +667,9 @@ class TestParityTruncation:
                 return states[-1]
 
             proj._resolve = recording
-            proj.images2(pos, proj.order2)
+            proj.images2(pos)
             del proj._resolve
-            oracle.images2(pos, proj.order2)
+            oracle.images2(pos)
             assert states == [oracle.states[s] for s in sorted(oracle.states)]
 
     def test_truncation_drops_powers(self):
@@ -686,7 +688,7 @@ class TestParityTruncation:
                 return state
 
             eng._resolve = counting
-            eng.images2(pos, proj.order2)
+            eng.images2(pos)
         assert sum(entries[proj]) < sum(entries[lifted])
 
     @pytest.mark.parametrize("preset,order,reads", [("cubic1d", 6, 203), ("rank2", 4, 132),
@@ -704,8 +706,8 @@ class TestParityTruncation:
             pos = proj.basis.position(member)
             proj._q_cache = cache = CountingDict(proj._q_cache)
             oracle._q_cache = per_entry = CountingDict(oracle._q_cache)
-            proj.images2(pos, N)
-            oracle.images2(pos, N)
+            proj.images2(pos)
+            oracle.images2(pos)
             positions = {s: {i for vec in state.values() for i in vec.num}
                          for s, state in oracle.states.items()}
             triples = sum(len(positions[s - i]) for s in range(N + 1) for i in parts if i <= s)
@@ -724,10 +726,10 @@ class TestParityTruncation:
                                                                               {(1,): ((y,),)})})
         proj = build_projector(bad, basis, level, 4)
         with pytest.raises(ParityRuleError, match="parity"):
-            proj.images2(basis.position(level.members[0]), 4)
+            proj.images2(basis.position(level.members[0]))
         # the unmodified family passes the same guard
         assert build_projector(family, basis, level, 4).images2(
-            basis.position(level.members[0]), 4)
+            basis.position(level.members[0]))
 
 
 WITTEN_EXCITED = [(f"witten1d:c={c}", order, level)
@@ -769,19 +771,29 @@ class TestFloatSymmetry:
         assert report.data["symmetry_defect"] > 1e-9
 
 
+def at_order(proj: ProjectorSeries, order2: int) -> ProjectorSeries:
+    """The projector of ``proj``'s level at the doubled order ``order2``, on
+    ``proj``'s Q_j and gap caches: its images are the recursion run at that
+    order."""
+    out = type(proj)(proj.family, proj.basis, proj.level, order2)
+    out._q_cache, out._gaps = proj._q_cache, proj._gaps
+    return out
+
+
 def graded_apply(proj: ProjectorSeries, vecs: Mapping, cache: dict) -> dict:
     """P applied to sum_j h^j vecs[j] through the built order: an index met at
     order j needs its image only through order N - j, which keeps every image
-    inside the workspace. ``cache`` keeps the images per (position, budget)."""
+    inside the workspace. ``cache`` keeps the projector at each order N - j
+    (``at_order``), and with it its images."""
     out: dict = {}
     for j, vec in vecs.items():
         if j > proj.order2:
             continue
+        at = cache.get(j)
+        if at is None:
+            at = cache[j] = proj if j == 0 else at_order(proj, proj.order2 - j)
         for idx, n in vec.num.items():
-            key = (idx, proj.order2 - j)
-            if key not in cache:
-                cache[key] = proj.images2(*key)
-            for i, ivec in cache[key].items():
+            for i, ivec in at.image2(idx).items():
                 _slot(out, j + i, proj.mode).add(ivec, n, vec.den)
     return _reduced(out)
 

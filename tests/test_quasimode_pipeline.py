@@ -682,7 +682,7 @@ class TestReductionBudget:
 
     BUDGET = {  # stage -> calls on (cubic1d o6, iso2d o4), both exact
         "solve_eikonal": (54, 48),
-        "conjugate_hamiltonian": (17, 29),
+        "conjugate_hamiltonian": (13, 22),
         "weight_expansion": (45, 32),
         "transport_residual": (58, 76),
         "eigen_residual": (39, 54),

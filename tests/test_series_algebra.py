@@ -312,7 +312,7 @@ class TestPackedKeys:
         with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1}"):
             big * y
         assert big.mul(y, through=MAX_DEGREE).is_zero()
-        op = DiffOpJet.scalar_multiplication(y, 1)
+        op = DiffOpJet(EXACT, n, 1, {(0,) * n: ((y,),)})
         with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1}"):
             op.apply(FiberPoly([big]))
         assert (big.diff(n - 1) * y).terms == {(0,) * (n - 1) + (MAX_DEGREE,): MAX_DEGREE}
@@ -916,7 +916,7 @@ class TestProductBound:
         def op(p: dict) -> DiffOpJet:
             # Q_j for j >= 1/2 multiplies by a polynomial of degree <= 1 <= 2j,
             # which keeps Q_j u power-counted
-            return DiffOpJet.multiplication(((ypoly(p),),))
+            return DiffOpJet(EXACT, 1, 1, {(0,): ((ypoly(p),),)})
 
         def family(terms, max_order):
             # Q_0 = c0 + y d/dy, and the drawn orders through ``max_order`` (doubled)
