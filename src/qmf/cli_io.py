@@ -304,14 +304,18 @@ def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
 # Presets
 
 
+def _preset_fraction(params, key: str, default: str) -> Fraction:
+    return _parse_as(Fraction, key, params.pop(key, default), None)
+
+
 def _preset_harmonic(params, mode):
-    n = int(params.pop("n", 1))
+    n = _parse_as(int, "n", params.pop("n", "1"), None)
     lam = params.pop("lam", "1")
-    lams = [Fraction(t) for t in lam.split("+")]
+    lams = [_parse_as(Fraction, "lam", t, None) for t in lam.split("+")]
     if len(lams) == 1:
         lams = lams * n
     mus = params.pop("mu", None)
-    mus = [Fraction(t) for t in mus.split("+")] if mus else [Fraction(0)]
+    mus = [_parse_as(Fraction, "mu", t, None) for t in mus.split("+")] if mus else [Fraction(0)]
     rank = len(mus)
     w = None
     if any(m != 0 for m in mus):
@@ -325,14 +329,14 @@ def _preset_harmonic(params, mode):
 def _preset_1d(degree: int):
     """The well x^2 + c x^degree."""
     def preset(params, mode):
-        c = Fraction(params.pop("c", "1"))
+        c = _preset_fraction(params, "c", "1")
         v = Poly(mode, 1, {(2,): mode.coeff(1), (degree,): mode.coeff(c)})
         return JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v), mode.coeff(1)
     return preset
 
 
 def _preset_witten1d(params, mode):
-    c = Fraction(params.pop("c", "1"))
+    c = _preset_fraction(params, "c", "1")
     # phase x^2/2 + c x^3/6: potential (phase')^2, endomorphism -phase''
     dphi = Poly(mode, 1, {(1,): mode.coeff(1), (2,): mode.coeff(c / 2)})
     v = dphi * dphi
@@ -342,7 +346,7 @@ def _preset_witten1d(params, mode):
 
 
 def _preset_iso2d(params, mode):
-    c = Fraction(params.pop("c", "1"))
+    c = _preset_fraction(params, "c", "1")
     v = Poly(mode, 2, {(2, 0): mode.coeff(1), (0, 2): mode.coeff(1),
                        (3, 0): mode.coeff(c), (1, 2): mode.coeff(c)})
     problem = JetProblem.create(mode, 2, 1, 10, (mode.coeff(1), mode.coeff(1)), V=v)
@@ -354,9 +358,9 @@ def _preset_rank2(params, mode):
     # (2*1+1)*2 + 0 = 2 + 4; the off-diagonal endomorphism slope couples the
     # members at half order with a rational gap, the connection exercises the
     # bundle machinery
-    c = Fraction(params.pop("c", "1/2"))
-    w_slope = Fraction(params.pop("w", "1"))
-    g_slope = Fraction(params.pop("g", "1/2"))
+    c = _preset_fraction(params, "c", "1/2")
+    w_slope = _preset_fraction(params, "w", "1")
+    g_slope = _preset_fraction(params, "g", "1/2")
     v = Poly(mode, 1, {(2,): mode.coeff(4), (3,): mode.coeff(c)})
     z = Poly.zero(mode, 1)
     w = (

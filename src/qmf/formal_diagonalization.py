@@ -34,11 +34,8 @@ from .series_algebra import (
     HalfInt,
     S0Series,
     _min_trunc,
-    adjoint_solve,
-    cholesky,
     hermitian_eigh,
     inverse_sqrt_series,
-    lower_solve,
     matmul,
 )
 from .gaussian_pairing import WeightExpansion, pair_s0
@@ -77,26 +74,14 @@ def gram_matrix(fs: Sequence[S0Series], omega: WeightExpansion,
     series.
 
     The pairing is hermitian: only the entries on and above the diagonal are
-    paired, and each one below is the conjugate of its mirror. Validates a
-    leading positive diagonal (the monic basis is orthogonal at leading
-    order); a violation signals a basis or pairing inconsistency upstream;
-    an off-diagonal lead must be negligible against the diagonal.
+    paired, and each one below is the conjugate of its mirror. The monic
+    basis is orthogonal at leading order, so the leading term is the positive
+    diagonal that ``formal_eigendecomposition`` requires.
     """
-    mode = fs[0].mode
     m = len(fs)
     pairs = {(i, j): pair_s0(fs[i], fs[j], omega, through2)
              for i in range(m) for j in range(i, m)}
-    rows = [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
-    lead = [[e.at2(0) for e in row] for row in rows]
-    scale = max(mode.abs(lead[i][i]) for i in range(m))
-    for i in range(m):
-        for j in range(m):
-            off_diagonal = i != j and not mode.negligible(lead[i][j], scale)
-            nonpositive = i == j and mode.to_float(mode.real(lead[i][i])) <= 0
-            if off_diagonal or nonpositive:
-                raise ValueError("Gram leading term is not a positive diagonal; "
-                                 "projected basis and pairing are inconsistent")
-    return rows
+    return [[pairs[i, j] if i <= j else pairs[j, i].conj() for j in range(m)] for i in range(m)]
 
 
 def interaction_matrix(gram: list, h_eff: list) -> list:
@@ -268,37 +253,33 @@ def _nullspace(mat) -> list:
     return basis
 
 
-def _gen_eig_exact(r, a0):
-    """Blocks of the constant hermitian pencil (R, A0) over the rationals.
+def _gen_eig_exact(r, d):
+    """Blocks of the constant hermitian pencil (R, diag(d)) over the rationals.
 
     Returns [(nu, columns)] sorted by nu; raises if the characteristic
     polynomial has an irrational root.
     """
     m = len(r)
-    a0_inv = _const_inverse(a0)
-    t = matmul(a0_inv, r)
-    coeffs = _char_poly(t)
+    coeffs = _char_poly([[x / di for x in row] for row, di in zip(r, d)])
     roots = _rational_roots(coeffs)
     if len(roots) != m:
         raise ExactSplitUnavailable(
             "spectral split has irrational eigenvalues; rerun in float mode")
     out = []
     for nu in sorted(set(roots)):
-        shifted = [[r[i][j] - nu * a0[i][j] for j in range(m)] for i in range(m)]
+        shifted = [[r[i][j] - (nu * d[i] if i == j else 0) for j in range(m)] for i in range(m)]
         basis = _nullspace(shifted)
         if len(basis) != roots.count(nu):
             raise ExactSplitUnavailable("eigenspace dimension mismatch in exact split")
-        basis = _a0_orthogonalize(basis, a0)
-        out.append((nu, basis))
+        out.append((nu, _d_orthogonalize(basis, d)))
     return out
 
 
-def _a0_orthogonalize(vectors, a0):
-    """Gram-Schmidt in the A0 inner product, without normalization."""
-    m = len(a0)
+def _d_orthogonalize(vectors, d):
+    """Gram-Schmidt in the diag(d) inner product, without normalization."""
 
     def ip(u, v):
-        return sum(u[i] * a0[i][j] * v[j] for i in range(m) for j in range(m))
+        return sum(ui * di * vi for ui, di, vi in zip(u, d, v))
 
     out = []
     for v in vectors:
@@ -310,33 +291,23 @@ def _a0_orthogonalize(vectors, a0):
     return out
 
 
-def _const_inverse(a):
-    m = len(a)
-    aug, pivots = _rref([list(row) + [Fraction(int(i == j)) for j in range(m)]
-                         for i, row in enumerate(a)])
-    if pivots != list(range(m)):
-        raise ValueError("singular matrix")
-    return [row[m:] for row in aug]
+def _gen_eig_float(r, d, scale: float, order2: int, mode):
+    """Clustered blocks of the constant hermitian pencil (r, diag(d)) in float mode.
 
-
-def _gen_eig_float(r, a0, scale: float, order2: int, mode):
-    """Clustered blocks of the constant hermitian pencil in float mode.
-
-    Cholesky reduction (G. H. Golub and C. F. Van Loan, Matrix Computations,
-    4th ed., 8.7): with a0 = L L^H, L^-1 r L^-H = L^-1 (L^-1 r)^H (r being
-    hermitian) has the pencil's eigenvalues, and L^-H maps its orthonormal
-    eigenvectors to a0-orthonormal columns. The eigendecompositions, of that
-    matrix and of ``a0``, are ``hermitian_eigh``'s Jacobi sweeps. ``scale``
-    bounds the entries cancelled into ``r``; over the least eigenvalue of
-    ``a0`` it bounds their effect on the eigenvalues, which are equal when
-    their gap is negligible against it, ambiguous within 100 times.
+    Diagonal scaling: with l = sqrt(d), the hermitian matrix
+    M[j][i] = conj(r[i][j] / l_i) / l_j has the pencil's eigenvalues, and
+    dividing row i of its orthonormal eigenvectors (``hermitian_eigh``'s
+    Jacobi sweeps) by l_i gives diag(d)-orthonormal columns. ``scale`` bounds
+    the entries cancelled into ``r``; over min(d) it bounds their effect on
+    the eigenvalues, which are equal when their gap is negligible against
+    it, ambiguous within 100 times.
     """
-    low = cholesky(a0)
-    y = lower_solve(low, list(zip(*r)))  # the columns of L^-1 r
-    c = lower_solve(low, [[x.conjugate() for x in row] for row in zip(*y)])
-    vals, w = hermitian_eigh(list(zip(*c)))
-    vecs = adjoint_solve(low, w)
-    scale = max(scale / hermitian_eigh(a0)[0][0], max(abs(v) for v in vals))
+    m = len(r)
+    low = [complex(math.sqrt(di.real)) for di in d]
+    vals, w = hermitian_eigh([[(r[i][j] / low[i]).conjugate() / low[j] for i in range(m)]
+                              for j in range(m)])
+    vecs = [[x / li for x, li in zip(col, low)] for col in w]
+    scale = max(scale / min(di.real for di in d), max(abs(v) for v in vals))
     clusters: list[list[int]] = []
     for i, v in enumerate(vals):
         if clusters and mode.negligible(v - vals[clusters[-1][0]], scale):
@@ -383,10 +354,11 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through2: int) -> Eige
 
     Solves the generalized problem M v = E (gram) v through the smaller of
     the doubled ``through2`` and the entries' truncation orders; M and gram are rows of
-    scalar series, and the leading gram coefficient must be hermitian
-    positive definite. Splitting follows the first order whose deflated
-    coefficient is not a scalar multiple of the leading gram; blocks are
-    decoupled by a series congruence before recursing, so eigenvalues are
+    scalar series, and the leading gram coefficient must be a positive
+    diagonal (in float mode, off-diagonal entries negligible against it), as
+    it is for the monic level basis. Splitting follows the first order whose
+    deflated coefficient is not a scalar multiple of the leading gram; blocks
+    are decoupled by a series congruence before recursing, so eigenvalues are
     exact through the working order.
 
     Each column arrives from its leaf of the recursion already scaled by a
@@ -399,6 +371,12 @@ def formal_eigendecomposition(m_matrix: list, gram: list, through2: int) -> Eige
                                 for row in x for e in row), through2)
     if not _is_hermitian(m_matrix, trunc) or not _is_hermitian(gram, trunc):
         raise ValueError("pencil must be hermitian")
+    lead = [[e.at2(0) for e in row] for row in gram]
+    scale = max(mode.abs(row[i]) for i, row in enumerate(lead))
+    if any(mode.to_float(mode.real(row[i])) <= 0 or
+           any(j != i and not mode.negligible(x, scale) for j, x in enumerate(row))
+           for i, row in enumerate(lead)):
+        raise ValueError("leading Gram term is not a positive diagonal")
 
     b, a = ([[e.truncate2(trunc) for e in row] for row in x] for x in (m_matrix, gram))
     solved = _pencil_solve(b, a, trunc, mode)
@@ -468,7 +446,7 @@ def _pencil_solve(b: list, a: list, order: int, mode) -> list:
         one = FormalScalarSeries.const(mode, 1, order)
         return [(e, *_unit_column([one], a[0][0], order, mode))]
 
-    a0 = [[e.at2(0) for e in row] for row in a]
+    d = [row[i].at2(0) for i, row in enumerate(a)]  # the leading Gram, a diagonal
     e_terms: list = []  # (order, coefficient) of the common eigenvalue so far
     for t in range(order + 1):
         terms = [[(b[i][j].at2(t), _convolve(e_terms, a[i][j], t, mode))
@@ -477,10 +455,10 @@ def _pencil_solve(b: list, a: list, order: int, mode) -> list:
             continue
         r_t = [[x - y for x, y in row] for row in terms]
         if mode.name == "exact":
-            blocks = _gen_eig_exact(r_t, a0)
+            blocks = _gen_eig_exact(r_t, d)
         else:
             scale = max(max(abs(x), abs(y)) for row in terms for x, y in row)
-            blocks = _gen_eig_float(r_t, a0, scale, t, mode)
+            blocks = _gen_eig_float(r_t, d, scale, t, mode)
         if len(blocks) == 1:
             e_terms.append((t, blocks[0][0]))
             continue
@@ -576,7 +554,9 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
     V = 1 + sum_s h^s V_s with zero diagonal blocks, which makes V^H A V and
     V^H P V block diagonal through the order: each V_s solves a
     Sylvester-type equation, with the spectral gaps as denominators, that
-    clears the off-diagonal blocks of (V^H A V)_s and (V^H P V)_(t+s).
+    clears the off-diagonal blocks of (V^H A V)_s and (V^H P V)_(t+s). The
+    rotated leading Gram A0 is diagonal (in float mode, to rounding), so
+    each entry of V_s is solved on its own.
 
     Only A V and P V are kept. A new V_s adds the constant product X V_s,
     shifted by h^s, to X V, and a coefficient of V^H X V is read as
@@ -584,7 +564,7 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
     every coefficient past it is zero.
     """
     m = len(a_rot)
-    zero = mode.zero()
+    zero, one = mode.zero(), mode.one()
     av, pv = a_rot, p_rot
     v_terms: list = []  # (r, V_r)
 
@@ -600,33 +580,25 @@ def _decouple(a_rot, p_rot, t, nus, ranges, order, mode):
                     acc = acc + mode.conj(c) * xv[k][j].at2(e - r)
         return acc
 
-    a0_blocks = [[[a_rot[i][j].at2(0) for j in rng] for i in rng] for rng in ranges]
-    a0_invs = [_const_inverse(blk) for blk in a0_blocks]
+    d = [row[i].at2(0) for i, row in enumerate(a_rot)]  # the leading Gram, a diagonal
 
     for s_ord in range(1, order + 1):
         vs = [[zero] * m for _ in range(m)]
         dirty = False
         for bi in range(len(ranges)):
             for ci in range(bi + 1, len(ranges)):
-                k1 = [[vh_coeff(av, i, j, s_ord) for j in ranges[ci]] for i in ranges[bi]]
-                k2 = [[vh_coeff(pv, i, j, t + s_ord) for j in ranges[ci]] for i in ranges[bi]]
-                if all(mode.is_zero(x) for row in k1 for x in row) and \
-                   all(mode.is_zero(x) for row in k2 for x in row):
-                    continue
-                dirty = True
                 gap = nus[bi] - nus[ci]
-                rhs = [[nus[ci] * k1[r][c] - k2[r][c] for c in range(len(k1[0]))]
-                       for r in range(len(k1))]
-                x = matmul(a0_invs[bi], rhs)
-                x = [[e / gap for e in row] for row in x]
-                # Y = (-K1 - A0_b X) A0_c^{-1},  V_s^{(cb)} = Y^dagger
-                tmp = matmul(a0_blocks[bi], x)
-                y = [[-k1[r][c] - tmp[r][c] for c in range(len(k1[0]))] for r in range(len(k1))]
-                y = matmul(y, a0_invs[ci])
-                for rr, i in enumerate(ranges[bi]):
-                    for cc, j in enumerate(ranges[ci]):
-                        vs[i][j] = x[rr][cc]
-                        vs[j][i] = mode.conj(y[rr][cc])
+                for i in ranges[bi]:
+                    for j in ranges[ci]:
+                        k1, k2 = vh_coeff(av, i, j, s_ord), vh_coeff(pv, i, j, t + s_ord)
+                        if mode.is_zero(k1) and mode.is_zero(k2):
+                            continue
+                        dirty = True
+                        # X = A0_b^-1 (nu_c K1 - K2) / gap, and V_s on the
+                        # mirrored block is Y^H for Y = (-K1 - A0_b X) A0_c^-1
+                        x = (one / d[i]) * (nus[ci] * k1 - k2) / gap
+                        vs[i][j] = x
+                        vs[j][i] = mode.conj((-k1 - d[i] * x) * (one / d[j]))
         if dirty:
             v_terms.append((s_ord, vs))
             av, pv = ([[_lin_comb(mode, order, [(mode.one(), 0, xv[i][j])] +

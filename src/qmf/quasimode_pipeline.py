@@ -363,14 +363,15 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
                     (a_jet.degree_bound_at2(k - 2 - K2), a_prev.min_degree())))
                 ops.append((L_op, a_prev))
             degrees[k] = _min_trunc(degrees[k], check_bound)
-            # the scalar parts, (scalar, jet through the bound)
+            # the scalar parts (scalar, jet); the sum skips the jets' terms past
+            # the bound, and only a nonzero residual's size cuts them there
             scalars = [(-level.E0, a_k)] + [(-e, a_jet.at2(k - i))
                                             for i, e in inner.items2() if 0 < i <= k]
-            scalars = [(x, q.truncate_degree(check_bound)) for x, q in scalars]
             images = [op.apply(q, through=check_bound) for op, q in ops]
-            residual = _jet_sum(images, scalars).max_abs()
+            residual = _jet_sum(images, scalars, check_bound).max_abs()
             scale = 0.0
             if residual:
+                scalars = [(x, q.truncate_degree(check_bound)) for x, q in scalars]
                 scale = max([t.max_abs() for t in images]
                             + [mode.abs(x) * q.max_abs() for x, q in scalars])
             if not mode.negligible(residual, scale):
@@ -380,7 +381,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
                     abs_ops = {T_op: T_op.abs(), L_op: L_op.abs()}
                 magnitude = _jet_sum(
                     [abs_ops[op].apply(q.abs(), through=check_bound) for op, q in ops],
-                    [(mode.abs(x), q.abs()) for x, q in scalars])
+                    [(mode.abs(x), q.abs()) for x, q in scalars], check_bound)
                 scale = max(scale, magnitude.max_abs())
             residuals.append((residual, scale))
     worst = worst_residual(mode, residuals)
@@ -391,15 +392,16 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
         data={"degrees": degrees})
 
 
-def _jet_sum(images: list, scalars: list) -> FiberPoly:
+def _jet_sum(images: list, scalars: list, through: int) -> FiberPoly:
     """The sum of the jets ``images`` and of x q for each (x, q) of
-    ``scalars``, accumulated in place per component and reduced once."""
+    ``scalars``, the terms of q past degree ``through`` skipped, accumulated
+    in place per component and reduced once."""
     mode, n = images[0].mode, images[0].n
     slots = [[{}, 1] for _ in range(images[0].rank)]
     for img in images:
         scale_into(img, slots, 1, 1)
     for x, q in scalars:
-        scale_into(q, slots, *mode.split(x))
+        scale_into(q, slots, *mode.split(x), through=through)
     return FiberPoly([Poly._reduced(mode, n, *slot) for slot in slots])
 
 

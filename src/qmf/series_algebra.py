@@ -951,7 +951,8 @@ def inverse_sqrt_series(a: FormalScalarSeries, through2: int | None = None) -> F
 
 
 # ---------------------------------------------------------------------------
-# Small dense hermitian matrices in float mode: rows (or columns) of complex
+# Small dense matrices, as rows: float mode's hermitian eigensolver, and the
+# product of series or scalar matrices
 
 
 def hermitian_eigh(h) -> tuple[list, list]:
@@ -1011,44 +1012,6 @@ def matmul(a: list, b: list) -> list:
     cols = range(len(b[0]))
     return [[reduce(operator.add, (a_ik * b_k[j] for a_ik, b_k in zip(row, b))) for j in cols]
             for row in a]
-
-
-def cholesky(a) -> list:
-    """Lower triangular L, real positive diagonal, with L L^H = ``a`` (rows)."""
-    m = len(a)
-    low = [[0j] * m for _ in range(m)]
-    for j in range(m):
-        d = a[j][j].real - sum(abs(x) ** 2 for x in low[j][:j])
-        if not d > 0:
-            raise ValueError("matrix is not positive definite")
-        low[j][j] = complex(sqrt(d))
-        for i in range(j + 1, m):
-            low[i][j] = (a[i][j] - sum(low[i][k] * low[j][k].conjugate()
-                                       for k in range(j))) / low[j][j]
-    return low
-
-
-def lower_solve(low, cols) -> list:
-    """L^-1 applied to each column, for L lower triangular."""
-    out = []
-    for b in cols:
-        x: list = []
-        for i, row in enumerate(low):
-            x.append((b[i] - sum(row[k] * x[k] for k in range(i))) / row[i])
-        out.append(x)
-    return out
-
-
-def adjoint_solve(low, cols) -> list:
-    """L^-H applied to each column, for L lower triangular with a real diagonal."""
-    m = len(low)
-    out = []
-    for b in cols:
-        x = [0j] * m
-        for i in reversed(range(m)):
-            x[i] = (b[i] - sum(low[k][i].conjugate() * x[k] for k in range(i + 1, m))) / low[i][i]
-        out.append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1214,11 +1177,15 @@ def _fiber_polys(mode, n: int, slots: dict) -> dict:
             for j, col in slots.items()}
 
 
-def scale_into(p: FiberPoly, slots: list, n, d: int) -> None:
+def scale_into(p: FiberPoly, slots: list, n, d: int, through: int | None = None) -> None:
     """Add (n / d) p in place to ``slots``, one [numerators, denominator]
-    accumulator per component (``accumulate``)."""
+    accumulator per component (``accumulate``); with ``through``, p's terms
+    past that degree are skipped."""
+    # the keys of degree <= through are exactly those below the first of degree through + 1
+    past = None if through is None else through + 1 << p.n * EXPONENT_BITS
     for comp, slot in zip(p.components, slots):
-        slot[1] = accumulate(*slot, comp.num, n, comp.den * d)
+        num = comp.num if past is None else {a: c for a, c in comp.num.items() if a < past}
+        slot[1] = accumulate(*slot, num, n, comp.den * d)
 
 
 def graded_sum(u: S0Series, terms: list, K2: int, trunc2: int | None) -> S0Series:

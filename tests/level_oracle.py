@@ -10,7 +10,8 @@ and (e_a, Q P e_b), each image paired against each image of Q, and the full
 products V^H A V and V^H P V recomputed at every step of the congruence.
 """
 
-from qmf.formal_diagonalization import _const_inverse
+from fractions import Fraction
+
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
 from qmf.series_algebra import FormalScalarSeries, S0Series, matmul
@@ -65,6 +66,15 @@ def adjoint(x: list) -> list:
 def congruence(v: list, x: list) -> list:
     """V^H X V."""
     return mat_mul(mat_mul(adjoint(v), x), v)
+
+
+def const_inverse(a: list) -> list:
+    """The inverse of a constant invertible matrix, by Gauss-Jordan elimination."""
+    m = len(a)
+    aug, pivots = fd._rref([list(row) + [Fraction(int(i == j)) for j in range(m)]
+                            for i, row in enumerate(a)])
+    assert pivots == list(range(m)), "singular matrix"
+    return [row[m:] for row in aug]
 
 
 def kato_bloch_gram_matrix(es, fs, omega, through2=None) -> list:
@@ -133,7 +143,7 @@ def split_and_recurse_full(b, a, order, mode, e_accum, t, blocks):
         start += size
     a0_rot = coeff_at(a_rot, 0)
     a0_blocks = [[[a0_rot[i][j] for j in rng] for i in rng] for rng in ranges]
-    a0_invs = [_const_inverse(blk) for blk in a0_blocks]
+    a0_invs = [const_inverse(blk) for blk in a0_blocks]
 
     v = identity(mode, m, trunc)
     for s_ord in range(1, order + 1):

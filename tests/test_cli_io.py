@@ -451,6 +451,10 @@ class TestCommands:
         (None, ["--preset", "cubic1d", "--order", "1.3"], "5/2) '1.3'"),
         (MINIMAL.replace("order = 2", "order = 1.3"), [], "5/2) '1.3' (line 6"),
         (None, ["--preset", "cubic1d:c=x"], "preset 'cubic1d'"),
+        (None, ["--preset", "iso2d:c=1/0"], "preset 'iso2d': cannot parse c '1/0'"),
+        (None, ["--preset", "harmonic:lam=1+1/0"], "preset 'harmonic': cannot parse lam '1/0'"),
+        (None, ["--preset", "rank2:w=1/0"], "preset 'rank2': cannot parse w '1/0'"),
+        (None, ["--preset", "harmonic:n=two"], "preset 'harmonic': cannot parse n 'two'"),
         (FLOAT_MINIMAL + "\n[checks]\ntolerance = inf\n", [], "0 < t < 1, got 'inf' (line 12"),
         (FLOAT_MINIMAL + "\n[checks]\ntolerance = nan\n", [], "0 < t < 1, got 'nan' (line 12"),
         (FLOAT_MINIMAL + "\n[checks]\ntolerance = -1\n", [], "0 < t < 1, got '-1' (line 12"),

@@ -245,6 +245,24 @@ class TestEigendecomposition:
         res = plain_eigendecomposition(m)
         assert all(e.is_real() for e in res.eigenvalues)
 
+    @pytest.mark.parametrize("mode, lead", [
+        (EXACT, [[1, F(1, 10**30)], [F(1, 10**30), 2]]),
+        (float_mode(), [[1, F(1, 10**6)], [F(1, 10**6), 2]]),
+        (EXACT, [[1, 0], [0, 0]]),
+        (float_mode(), [[-1, 0], [0, 2]]),
+    ], ids=["exact-off-diagonal", "float-off-diagonal", "zero-diagonal", "negative-diagonal"])
+    def test_rejects_a_leading_gram_off_the_positive_diagonal(self, mode, lead):
+        # the splits read the leading Gram as its diagonal; exact mode allows
+        # no off-diagonal entry at all, float mode only a negligible one
+        gram = series_mat([[{0: x, 2: 1} for x in row] for row in lead], mode=mode)
+        with pytest.raises(ValueError, match="not a positive diagonal"):
+            formal_eigendecomposition(gram, gram, 8)
+
+    def test_accepts_a_negligible_float_off_diagonal(self):
+        gram = series_mat([[{0: 1}, {0: F(1, 10**12)}], [{0: F(1, 10**12)}, {0: 2}]],
+                          mode=float_mode())
+        formal_eigendecomposition(gram, gram, 8)
+
 
 def recorded_root_factors(monkeypatch, preset: str, order: int) -> list:
     """Every polynomial ``_rational_root`` is given while a preset's level splits."""
@@ -444,9 +462,11 @@ class TestSeriesCongruence:
     """The congruence built one coefficient per step against the full
     recomputation of V^H A V and V^H P V at every step."""
 
-    @pytest.mark.parametrize("preset", ["iso2d", "rank2"])
+    @pytest.mark.parametrize("preset", ["iso2d", "rank2", "mixed-split"])
     def test_level_pencil(self, preset, monkeypatch):
-        c, a, n = level_pencil(preset, 4)
+        # the mixed split rotates A0 = diag(1, 2, 3) to unequal diagonals
+        c, a, n = (*mixed_split_pencil(EXACT), 6) if preset == "mixed-split" else \
+            level_pencil(preset, 4)
         calls = spy_decouple(monkeypatch)
         got = formal_eigendecomposition(c, gram=a, through2=n)
         assert calls
@@ -486,27 +506,84 @@ class TestSeriesCongruence:
         assert_same_decomposition(got, formal_eigendecomposition(c, gram=a, through2=6))
 
 
+def mixed_split_pencil(mode):
+    """A 3x3 pencil (C, A) at A0 = diag(1, 2, 3) whose split at order 1 mixes
+    the coordinates, and whose size-2 block splits again at order 2.
+
+    C = 2 A + h R + h^2 S. R's generalized eigenvectors (1, 1, 1) and
+    (-2, 1, 0) at nu = 1, and (1, 1, -1) at nu = -1, are A0-orthogonal, and
+    the eigenspace of 1 holds no coordinate vector. A1 and S couple the
+    blocks, so both splits need a congruence at every order.
+    """
+    d = [1, 2, 3]
+    r = [[F(2, 3), F(-2, 3), 1], [F(-2, 3), F(2, 3), 2], [1, 2, 0]]
+    a1 = [[2, 0, -2], [0, 0, 2], [-2, 2, 0]]
+    s2 = [[-1, -1, 2], [-1, 2, -1], [2, -1, -2]]
+    a = series_mat([[{0: d[i] * (i == j), 2: a1[i][j]} for j in range(3)] for i in range(3)],
+                   6, mode)
+    c = series_mat([[{0: 2 * d[i] * (i == j), 2: 2 * a1[i][j] + r[i][j], 4: s2[i][j]}
+                     for j in range(3)] for i in range(3)], 6, mode)
+    return c, a
+
+
+def test_float_split_off_the_coordinates_matches_exact(monkeypatch):
+    # the rotated leading Gram of a float block is the identity only up to
+    # rounding; the split reads its diagonal, and its eigenvalue and
+    # eigenvector series stay within 1e-12 of exact
+    exact = formal_eigendecomposition(*mixed_split_pencil(EXACT), 6)
+    splits, decouples = [], spy_decouple(monkeypatch)
+    real = fd._gen_eig_float
+
+    def recording(*args):
+        splits.append(real(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(fd, "_gen_eig_float", recording)
+    got = formal_eigendecomposition(*mixed_split_pencil(float_mode()), 6)
+    first = next(blocks for blocks in splits if len(blocks) > 1)
+    assert [len(cols) for _, cols in first] == [1, 2]
+    for _, cols in first:
+        assert all(sum(abs(x) > 1e-12 for x in col) >= 2 for col in cols)
+    assert [[len(rng) for rng in args[4]] for args, _ in decouples] == [[1, 2], [1, 1]]
+    assert all([r for r, _ in v_terms] == [2, 4, 6] for _, (v_terms, _, _) in decouples)
+    # the float columns are unit-normalized, the exact ones of squared norm n0
+    pairs = list(zip(exact.eigenvalues, got.eigenvalues, [1] * 3, strict=True))
+    pairs += [(e, f, n0) for col, fcol, n0 in zip(exact.vectors, got.vectors, exact.norms2,
+                                                  strict=True)
+              for e, f in zip(col, fcol, strict=True)]
+    for e, f, n0 in pairs:
+        unit = float(n0) ** -0.5
+        top = max(abs(float(c)) for _, c in e.items2()) * unit
+        for t in range(7):
+            want = float(e.at2(t)) * unit
+            assert abs(f.at2(t) - want) <= 1e-12 * (abs(want) or top)
+
+
 @st.composite
 def float_pencils(draw):
-    """A hermitian r and a hermitian positive-definite a0 of size <= 4.
+    """A hermitian r and a positive diagonal a0 of size <= 4, the leading
+    Gram of every level pencil.
 
-    With a0 = B^H B and r = B^H D B for an invertible B, the pencil's
-    eigenvalues are the diagonal of D. Its steps include 0 (a repeated
-    eigenvalue), gaps well inside and outside the clustering tolerance, and
-    gaps inside the ambiguity band for some scales.
+    With S = a0^(1/2) and U unitary, r = S U diag(D) U^H S has the pencil's
+    eigenvalues D, and U mixes the coordinates. Its steps include 0 (a
+    repeated eigenvalue), gaps well inside and outside the clustering
+    tolerance, and gaps inside the ambiguity band for some scales.
     """
     m = draw(st.integers(1, 4))
     steps = st.sampled_from([0.0, 2.7e-12, 3.1e-8, 1.7e-6, 0.5, 1.3, 3.0])
     d = np.cumsum([float(draw(st.integers(-3, 3)))] + draw(st.lists(steps, min_size=m - 1,
                                                                        max_size=m - 1)))
+    a0 = np.diag([draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])) for _ in range(m)]) + 0j
     entries = st.integers(-2, 2)
     b = np.zeros((m, m), dtype=complex)
     for i in range(m):
         b[i, i] = draw(st.integers(1, 3))
         for j in range(i):
             b[i, j] = complex(draw(entries), draw(entries))
-    r = b.conj().T @ np.diag(d) @ b
-    return (r + r.conj().T) / 2, b.conj().T @ b
+    u = np.linalg.qr(b)[0]
+    s = np.sqrt(a0)
+    r = s @ u @ np.diag(d) @ u.conj().T @ s
+    return (r + r.conj().T) / 2, a0
 
 
 def scipy_clusters(r, a0, scale, mode):
@@ -535,11 +612,12 @@ def test_float_pencil_matches_scipy(pencil):
     mode = float_mode()
     scale = float(np.max(np.abs(r)))
     want = scipy_clusters(r, a0, scale, mode)
+    d = np.diag(a0).tolist()
     if want is None:
         with pytest.raises(SplitAmbiguityError):
-            _gen_eig_float(r.tolist(), a0.tolist(), scale, 1, mode)
+            _gen_eig_float(r.tolist(), d, scale, 1, mode)
         return
-    blocks = _gen_eig_float(r.tolist(), a0.tolist(), scale, 1, mode)
+    blocks = _gen_eig_float(r.tolist(), d, scale, 1, mode)
     assert [len(cols) for _, cols in blocks] == [size for size, _ in want]
     top = max(abs(mean) for _, mean in want)
     for (nu, _), (_, mean) in zip(blocks, want):

@@ -684,7 +684,7 @@ class TestReductionBudget:
         "solve_eikonal": (54, 48),
         "conjugate_hamiltonian": (13, 22),
         "weight_expansion": (45, 32),
-        "transport_residual": (58, 76),
+        "transport_residual": (37, 56),
         "eigen_residual": (39, 54),
     }
 

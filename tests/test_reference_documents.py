@@ -6,11 +6,13 @@ Each one is recomputed here and must match byte for byte once written the
 same way (``reference.canonical``); ``tests/refs`` does the same for spec
 files: a curved metric at orders 3 and 6, a connection, and a 3-D well at
 order 4, and the whole ``qmf verify`` document, checks included, of a 2-D
-well with unequal rational frequencies. The float cases of the benchmark must
-agree with the exact reference of the same rational problem within
-``reference.FLOAT_RTOL``, the gate the benchmark applies to every float run,
-and so must float documents of other presets and of random rational wells,
-against exact documents computed here. ``qmfbench/reference.py`` is loaded
+well with unequal rational frequencies. A float document of the 3-D well's
+level at 5, which only float mode can split, must stay within 1e-12 of its
+reference. The float cases of the benchmark must agree with the exact
+reference of the same rational problem within ``reference.FLOAT_RTOL``, the
+gate the benchmark applies to every float run, and so must float documents
+of other presets and of random rational wells, against exact documents
+computed here. ``qmfbench/reference.py`` is loaded
 by path and only read.
 """
 
@@ -148,6 +150,18 @@ def test_verify_document_with_unequal_frequencies_matches_reference(tmp_path):
         status = run_command(["verify", "--checks", "all", "--spec", str(spec), "--out", str(out)])
     assert status == 0
     assert out.read_bytes() == (SPEC_REFS / "aniso2d-verify-o4-exact.json").read_bytes()
+
+
+def test_irrational_split_float_document_matches_reference(tmp_path):
+    # the 3-D well's 3-fold level at 5 splits at order 1 on irrational
+    # eigenvalues, so exact mode stops there; the float document, as the
+    # program first wrote it, pins the float split end to end
+    spec = tmp_path / "problem.spec"
+    spec.write_text(WELL_3D.replace("mode = exact", "mode = float")
+                    .replace("order = 2", "order = 4") + "[level]\nvalue = 5\n")
+    doc = run_compute(["--spec", str(spec)], tmp_path)
+    ref = json.loads((SPEC_REFS / "well3d-e5-o4-float.json").read_bytes())
+    assert reference.float_mismatch(doc, ref, 1e-12) is None
 
 
 @pytest.mark.parametrize("preset, order", [("iso2d", "5"), ("quartic1d", "8")])

@@ -22,12 +22,9 @@ from qmf.series_algebra import (
     XJetSeries,
     accumulate,
     accumulate_product,
-    adjoint_solve,
-    cholesky,
     float_mode,
     binomial_series,
     hermitian_eigh,
-    lower_solve,
     inverse_sqrt_series,
     pack,
     unpack,
@@ -989,20 +986,3 @@ def test_hermitian_eigh_matches_numpy(m, kind):
         for col in cols:
             last = next(x for x in reversed(col) if abs(x) > 2 ** -26)
             assert last.imag == 0 < last.real
-
-
-def test_cholesky_and_triangular_solves():
-    rng = np.random.default_rng(7)
-    for m in range(1, 7):
-        x = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        a = x @ x.conj().T + np.eye(m)
-        low = np.array(cholesky(a.tolist()))
-        assert not np.triu(low, 1).any()
-        assert np.max(np.abs(low @ low.conj().T - a)) <= 1e-13 * np.max(np.abs(a))
-        b = rng.normal(size=(m, 2)) + 0j
-        assert np.allclose(np.array(lower_solve(low.tolist(), b.T.tolist())).T,
-                           np.linalg.solve(low, b), rtol=1e-12, atol=0)
-        assert np.allclose(np.array(adjoint_solve(low.tolist(), b.T.tolist())).T,
-                           np.linalg.solve(low.conj().T, b), rtol=1e-12, atol=0)
-    with pytest.raises(ValueError, match="not positive definite"):
-        cholesky([[1, 2], [2, 1]])
