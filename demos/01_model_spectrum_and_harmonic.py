@@ -9,7 +9,7 @@ order. This script tabulates a small spectrum and demonstrates that exactness.
 
 from fractions import Fraction
 
-from qmf import EXACT, HalfInt, JetProblem, build_spectrum, compute_quasimodes
+from qmf import EXACT, JetProblem, build_spectrum, compute_quasimodes
 
 F = Fraction
 
@@ -22,7 +22,7 @@ for index, energy in table.sorted_entries():
 
 print("\nAnisotropic harmonic well in two dimensions, bottom level, order 4:")
 problem = JetProblem.create(EXACT, 2, 1, 10, (F(1), F(2)))
-result = compute_quasimodes(problem, HalfInt(8), level_index=0)
+result = compute_quasimodes(problem, 4, level_index=0)
 (energy,) = result.eigenvalues
 print(f"  E(h) = {energy}   (a single exact term: no corrections ever appear)")
 (mode,) = result.eigenfunctions

@@ -13,13 +13,13 @@ residues instead: Kato's residue eigenvalue (Q P e)_m / (P e)_m must equal
 the pipeline's series coefficient for coefficient, so its residual is 0.
 """
 
-from qmf import HalfInt, compute_quasimodes, rs_oracle
+from qmf import compute_quasimodes, rs_oracle
 from qmf.cli_io import preset_problem
 
 print(__doc__)
 
 for preset in ("cubic1d:c=1", "quartic1d:c=1"):
-    spec = preset_problem(preset, order=HalfInt(8))
+    spec = preset_problem(preset, order=4)
     result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
     (energy,) = result.eigenvalues
     print(f"{preset}:")

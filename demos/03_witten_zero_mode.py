@@ -10,13 +10,13 @@ sign error anywhere breaks it.
 
 from fractions import Fraction
 
-from qmf import HalfInt, compute_quasimodes, transport_residual
+from qmf import compute_quasimodes, transport_residual
 from qmf.cli_io import preset_problem
 
 print(__doc__)
 
 for c in ("1/2", "1", "2"):
-    spec = preset_problem(f"witten1d:c={c}", order=HalfInt(8))
+    spec = preset_problem(f"witten1d:c={c}", order=4)
     result = compute_quasimodes(spec.problem, spec.order, e0=Fraction(0))
     (energy,) = result.eigenvalues
     report = transport_residual(result)
@@ -26,7 +26,7 @@ for c in ("1/2", "1", "2"):
 
 print("\nThe quasimode itself is the constant section times the scalar series")
 print("that normalizes it against the Gaussian weight:")
-spec = preset_problem("witten1d:c=1", order=HalfInt(6))
+spec = preset_problem("witten1d:c=1", order=3)
 result = compute_quasimodes(spec.problem, spec.order, e0=Fraction(0))
 for k, jet in result.eigenfunctions[0].items2():  # k is the doubled index
-    print(f"  h^{HalfInt(k)} * {jet.components[0].coefficient((0,))}")
+    print(f"  h^{Fraction(k, 2)} * {jet.components[0].coefficient((0,))}")

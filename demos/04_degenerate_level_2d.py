@@ -9,16 +9,18 @@ quasimodes come out asymptotically orthonormal with half-integer leading
 offset h^(-1/2).
 """
 
-from qmf import HalfInt, compute_quasimodes, orthonormality_report
+from fractions import Fraction
+
+from qmf import compute_quasimodes, orthonormality_report
 from qmf.cli_io import preset_problem
 
 print(__doc__)
 
-spec = preset_problem("iso2d:c=1", order=HalfInt(8))
+spec = preset_problem("iso2d:c=1", order=4)
 result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 lvl = result.level
 print(f"level E0 = {lvl.E0}: multiplicity {lvl.m0}, parity {lvl.parity}, "
-      f"offset exponent -K = -{HalfInt(lvl.K2)}")
+      f"offset exponent -K = -{Fraction(lvl.K2, 2)}")
 for i, e in enumerate(result.eigenvalues, start=1):
     print(f"  E_{i}(h) = {e}")
 

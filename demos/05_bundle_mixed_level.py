@@ -8,12 +8,14 @@ driven by the linear off-diagonal endomorphism slope (a connection
 coefficient rides along to exercise the covariant machinery).
 """
 
-from qmf import HalfInt, compute_quasimodes, eigen_residual, transport_residual
+from fractions import Fraction
+
+from qmf import compute_quasimodes, eigen_residual, transport_residual
 from qmf.cli_io import preset_problem
 
 print(__doc__)
 
-spec = preset_problem("rank2", order=HalfInt(7))
+spec = preset_problem("rank2", order=Fraction(7, 2))
 result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 lvl = result.level
 print(f"level E0 = {lvl.E0}: members {[(m.alpha, m.k + 1) for m in lvl.members]}, "

@@ -9,12 +9,12 @@ polynomial potential is exact; the basis doubles from 32 functions until two
 sizes agree to 1e-9.
 """
 
-from qmf import HalfInt, compute_quasimodes, crosscheck_eigenvalue_1d
+from qmf import compute_quasimodes, crosscheck_eigenvalue_1d
 from qmf.cli_io import preset_problem
 
 print(__doc__)
 
-spec = preset_problem("quartic1d:c=1", order=HalfInt(4))
+spec = preset_problem("quartic1d:c=1", order=2)
 result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 (energy,) = result.eigenvalues
 print(f"series: E(h) = {energy}\n")

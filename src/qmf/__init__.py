@@ -9,7 +9,7 @@ against the projector's Laurent residues on any level, and a 1-D
 Rayleigh-Ritz solve in the model oscillator's Hermite functions).
 """
 
-from .series_algebra import EXACT, HalfInt, Poly, float_mode
+from .series_algebra import EXACT, Poly, float_mode
 from .operator_calculus import JetProblem
 from .harmonic_oscillator import build_spectrum
 from .quasimode_pipeline import (
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EXACT",
     "float_mode",
-    "HalfInt",
     "Poly",
     "JetProblem",
     "build_spectrum",

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series_algebra import EXACT, HalfInt, Poly, float_mode
+from .series_algebra import EXACT, Poly, doubled_order, float_mode
 from .operator_calculus import JetProblem, ProblemValidationError
 from .harmonic_oscillator import build_spectrum
 from .projection_engine import projector_diagnostics
@@ -79,10 +79,10 @@ _CHECK_NAMES = ("transport", "parity", "orthonormality", "eigen_residual", "rs",
 
 @dataclass
 class ParsedSpec:
-    """A validated problem plus the order and level the file names."""
+    """A validated problem plus the order (a ``Fraction``) and level the file names."""
 
     problem: JetProblem
-    order: HalfInt
+    order: Fraction
     level_value: object | None
     level_index: int | None
 
@@ -109,11 +109,12 @@ def _parse_as(cast, what: str, token: str, line: int | None, col: int | None = 1
         raise SpecFileError(f"cannot parse {what} {token!r}", line, col) from None
 
 
-def _parse_order(token: str, line: int | None = None) -> HalfInt:
-    order = _parse_as(HalfInt.parse, "order (an integer or half-integer like 5/2)", token, line)
-    if order.doubled < 0:
+def _parse_order(token: str, line: int | None = None) -> Fraction:
+    order2 = _parse_as(lambda t: doubled_order(Fraction(t)),
+                       "order (an integer or half-integer like 5/2)", token, line)
+    if order2 < 0:
         raise SpecFileError("order must be nonnegative", line)
-    return order
+    return Fraction(order2, 2)
 
 
 def _parse_multiindex(tokens, n, line, col):
@@ -128,7 +129,7 @@ def _parse_multiindex(tokens, n, line, col):
     return alpha
 
 
-def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
+def parse_problem_spec(text: str, order: int | Fraction | None = None) -> ParsedSpec:
     """Parse and validate a problem-spec document.
 
     ``order``, when given, replaces the file's order (the ``--order`` option),
@@ -205,7 +206,7 @@ def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
         if mode_name == "float":
             mode = float_mode(rtol)
     file_order = _parse_order(*need("order"))
-    order = file_order if order is None else order
+    order2 = doubled_order(file_order if order is None else order)
     degree = None
     if "degree" in pk:
         degree = _parse_as(int, "degree", *pk["degree"])
@@ -218,7 +219,7 @@ def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
         raise SpecFileError(f"[lambda] must list exactly n = {n} frequencies, got {len(lam)}")
 
     if degree is None:
-        degree = 2 * ((order.doubled + 1) // 2) + 4
+        degree = 2 * ((order2 + 1) // 2) + 4
 
     v_poly = Poly.zero(mode, n)
     for tokens, lineno in sections.get("potential", []):
@@ -296,7 +297,7 @@ def parse_problem_spec(text: str, order: HalfInt | None = None) -> ParsedSpec:
     except ProblemValidationError as exc:
         raise SpecFileError(str(exc)) from exc
 
-    return ParsedSpec(problem=problem, order=order,
+    return ParsedSpec(problem=problem, order=Fraction(order2, 2),
                       level_value=level_value, level_index=level_index)
 
 
@@ -389,7 +390,7 @@ PRESETS = {
 
 
 def preset_problem(spec: str, mode_name: str = "exact",
-                   order=HalfInt(6)) -> ParsedSpec:
+                   order: int | Fraction = 6) -> ParsedSpec:
     """Expand 'name' or 'name:key=val,key=val' into a validated problem."""
     name, _, tail = spec.partition(":")
     if name not in PRESETS:
@@ -408,12 +409,12 @@ def preset_problem(spec: str, mode_name: str = "exact",
         raise SpecFileError(f"bad parameters for preset {name!r}: {exc}") from None
     if params:
         raise SpecFileError(f"unknown preset parameters: {', '.join(sorted(params))}")
-    order = HalfInt.of(order)
-    if problem.D < order.doubled + 2:
-        problem = JetProblem.create(mode, problem.n, problem.rank, order.doubled + 4,
+    order2 = doubled_order(order)
+    if problem.D < order2 + 2:
+        problem = JetProblem.create(mode, problem.n, problem.rank, order2 + 4,
                                     problem.lam, V=problem.V, g_inv=problem.g_inv,
                                     W=problem.W, Gamma=problem.Gamma)
-    return ParsedSpec(problem=problem, order=order, level_value=e0, level_index=None)
+    return ParsedSpec(problem=problem, order=Fraction(order2, 2), level_value=e0, level_index=None)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +488,7 @@ def _version() -> str:
 def _load_spec(args) -> ParsedSpec:
     if getattr(args, "preset", None):
         spec = preset_problem(args.preset, mode_name=args.mode or "exact",
-                              order=_parse_order(args.order) if args.order else HalfInt(6))
+                              order=_parse_order(args.order) if args.order else 6)
     elif getattr(args, "spec", None):
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = parse_problem_spec(fh.read(), _parse_order(args.order) if args.order else None)
@@ -537,7 +538,7 @@ def _print_summary(spec: ParsedSpec, result, reports, out=None):
     print(f"level E0 = {mode.to_json(lvl.E0)}  multiplicity {lvl.m0}  "
           f"offset 2K = {lvl.K2}  parity {lvl.parity}", file=out)
     for i, e in enumerate(result.eigenvalues, start=1):
-        bits = [f"h^{HalfInt(t)} * {mode.to_json(c)}" for t, c in e.items2()]
+        bits = [f"h^{Fraction(t, 2)} * {mode.to_json(c)}" for t, c in e.items2()]
         print(f"  E_{i} = " + (" + ".join(bits) if bits else "0"), file=out)
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

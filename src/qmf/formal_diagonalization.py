@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .series_algebra import (
     FormalScalarSeries,
-    HalfInt,
     S0Series,
     _min_trunc,
     hermitian_eigh,
@@ -60,8 +59,8 @@ class SplitAmbiguityError(ValueError):
     def __init__(self, order2: int, gap: float, scale: float):
         self.order2 = order2
         super().__init__(
-            f"eigenvalue clusters separated by {gap:.3e} at order {HalfInt(order2)} are neither "
-            f"equal nor resolved against the magnitude {scale:.3e}; splitting stalled")
+            f"eigenvalue clusters separated by {gap:.3e} at order {Fraction(order2, 2)} are "
+            f"neither equal nor resolved against the magnitude {scale:.3e}; splitting stalled")
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
 from .series_algebra import (
     FormalScalarSeries,
-    HalfInt,
     S0Series,
     accumulate,
     grow_den,
@@ -193,13 +193,14 @@ class ProjectorSeries:
         top = max(degrees, default=0)
         if top > self.basis.degree:
             raise WorkspaceDegreeError(
-                f"operator action at order {HalfInt(j2)} reaches degree {top}, beyond the "
-                f"degree-{self.basis.degree} workspace; enlarge the polynomial degree bound")
+                f"operator action at order {Fraction(j2, 2)} reaches degree {top}, beyond the "
+                f"degree-{self.basis.degree} workspace; build the Hermite basis at degree "
+                f"{max(top, workspace_degree(self.level, self.order2))} or more")
         shift = degree_at[pos] + j2
         if any((d - shift) % 2 for d in degrees):
             raise ParityRuleError(
-                f"operator at order {HalfInt(j2)} maps {self.basis.index_at[pos]} to a degree of "
-                f"parity other than {shift % 2}; Q_j must change degree parity by 2j")
+                f"operator at order {Fraction(j2, 2)} maps {self.basis.index_at[pos]} to a "
+                f"degree of parity other than {shift % 2}; Q_j must change degree parity by 2j")
         self._q_cache[key] = out
         return out
 
@@ -367,8 +368,8 @@ def build_projector(family: OperatorFamily, basis: HermiteBasis, level: Degenera
     """Projector series through the requested doubled order for one level."""
     if order2 > family.max_order2:
         raise WorkspaceDegreeError(
-            f"operator family exact only through order {HalfInt(family.max_order2)}; "
-            f"raise the input jet order (need operator orders through {HalfInt(order2)})")
+            f"operator family exact only through order {Fraction(family.max_order2, 2)}; "
+            f"raise the input jet order (need operator orders through {Fraction(order2, 2)})")
     return ProjectorSeries(family, basis, level, order2)
 
 

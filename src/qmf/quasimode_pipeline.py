@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from operator import add
 from typing import Sequence
@@ -39,11 +40,11 @@ from typing import Sequence
 from .series_algebra import (
     FiberPoly,
     FormalScalarSeries,
-    HalfInt,
     Poly,
     S0Series,
     _min_trunc,
     convolution_bound,
+    doubled_order,
     matmul,
     scale_into,
     unrescale,
@@ -100,8 +101,8 @@ class InsufficientOrderError(ValueError):
     def __init__(self, requested2: int, available2: int, required_D: int):
         self.required_D = required_D
         super().__init__(
-            f"operator family exact only through order {HalfInt(available2)} < "
-            f"requested {HalfInt(requested2)}; "
+            f"operator family exact only through order {Fraction(available2, 2)} < "
+            f"requested {Fraction(requested2, 2)}; "
             f"the input jet order must be at least D = {required_D}")
 
 
@@ -162,16 +163,16 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
 
     At most one of ``e0`` (eigenvalue of the model at the minimum) or
     ``level_index`` (position in the sorted spectrum, 0 = bottom) selects the
-    level; with neither, the bottom level. Raises ``ValueError`` for a
-    negative order or for both selectors, and raises if the level is not in
-    the model spectrum or the input jets are too short for the order. The
-    order is a ``HalfInt``, an int or a ``Fraction``; the result holds it
-    doubled (``order2``), as every series holds its orders.
+    level; with neither, the bottom level. The order is an int or a
+    ``Fraction`` with denominator 1 or 2 (``doubled_order``), held doubled in
+    the result (``order2``) as every series holds its orders. Raises
+    ``ValueError`` for a negative order or for both selectors, and raises if
+    the level is not in the model spectrum or the input jets are too short.
     """
     mode = problem.mode
-    order = HalfInt.of(order).doubled  # doubled from here on
+    order = doubled_order(order)  # doubled from here on
     if order < 0:
-        raise ValueError(f"order must be nonnegative, got {HalfInt(order)}")
+        raise ValueError(f"order must be nonnegative, got {Fraction(order, 2)}")
     if e0 is not None and level_index is not None:
         raise ValueError("give e0 or level_index, not both")
 
@@ -257,7 +258,8 @@ def _assert_structure(eigenfunctions, level, mode):
             bound = max(K2 - k, 0)
             if lo < bound:
                 raise AssertionError(
-                    f"coefficient at index {HalfInt(k)} has degree {lo} below the bound {bound}")
+                    f"coefficient at index {Fraction(k, 2)} has degree {lo} below the "
+                    f"bound {bound}")
         if level.parity in ("even", "odd"):
             # uniform-parity levels: the series lives on one exponent class
             scale = max((jet.max_abs() for _, jet in a.items2()), default=0.0)
@@ -267,7 +269,7 @@ def _assert_structure(eigenfunctions, level, mode):
                     worst = jet.max_abs()
                     if not mode.negligible(worst, scale):
                         raise AssertionError(
-                            f"parity violation: forbidden exponent {HalfInt(k - K2)} "
+                            f"parity violation: forbidden exponent {Fraction(k - K2, 2)} "
                             f"carries coefficient of size {worst}")
 
 
@@ -388,7 +390,7 @@ def transport_residual(result: QuasimodeResult) -> VerificationReport:
     return VerificationReport(
         name="transport", passed=mode.negligible(worst, 1), order2=N, max_residual=float(worst),
         detail=f"jet residual through degree {degrees[0]} at order 0, "
-               f"{degrees[-1]} at order {HalfInt(top)}",
+               f"{degrees[-1]} at order {Fraction(top, 2)}",
         data={"degrees": degrees})
 
 

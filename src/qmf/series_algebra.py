@@ -41,7 +41,8 @@ in fields of ``EXPONENT_BITS`` bits, so a monomial product is an integer sum
 and keys sort by degree first (M. Monagan and R. Pearce, CASC 2007). A series
 order j is its doubled int 2j, in every module, in attributes, arguments and
 methods named with a trailing 2 (``trunc2``, ``items2``, ``shift2``).
-``HalfInt`` only parses an order given from outside and prints one.
+An order given from outside enters through ``doubled_order`` and is printed
+as ``Fraction(2j, 2)``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from math import copysign, gcd, hypot, inf, lcm, sqrt
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
-    "HalfInt",
+    "doubled_order",
     "ExactMode",
     "FloatMode",
     "EXACT",
@@ -73,49 +74,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Half integers
+# Orders given from outside
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An element of (1/2) * Z, stored as twice its value.
-
-    The public form of a series order: it parses an order given to
-    ``compute_quasimodes``, ``preset_problem`` or the command line, and prints
-    one ('3', '5/2'). Inside the package an order is the int ``doubled``.
-    """
-
-    doubled: int
-
-    @staticmethod
-    def of(value) -> "HalfInt":
-        """Coerce an int, HalfInt, or Fraction with denominator 1 or 2."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        if isinstance(value, Fraction):
-            if value.denominator in (1, 2):
-                return HalfInt(int(value * 2))
-            raise ValueError(f"not a half-integer: {value}")
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.doubled}/2)"
-
-    @staticmethod
-    def parse(text: str) -> "HalfInt":
-        """Parse '3', '3/2' or '1.5'; any other value raises ``ValueError``."""
-        return HalfInt.of(Fraction(text))
+def doubled_order(value) -> int:
+    """The doubled int 2j of an order j given as an int or as a ``Fraction``
+    with denominator 1 or 2. A bool, a float or any other type is not an
+    order. An order prints as ``Fraction(2j, 2)``: '3', '5/2'."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return 2 * value
+    if isinstance(value, Fraction):
+        if value.denominator in (1, 2):
+            return int(value * 2)
+        raise ValueError(f"not a half-integer: {value}")
+    raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +857,8 @@ class FormalScalarSeries:
     def __repr__(self) -> str:
         if self.is_zero():
             return "Series(0)"
-        bits = [f"({c})*h^{HalfInt(e)}" for e, c in self.items2()]
-        t = "" if self.trunc2 is None else f" + O(h^{HalfInt(self.trunc2 + 2)})"
+        bits = [f"({c})*h^{Fraction(e, 2)}" for e, c in self.items2()]
+        t = "" if self.trunc2 is None else f" + O(h^{Fraction(self.trunc2 + 2, 2)})"
         return "Series(" + " + ".join(bits) + t + ")"
 
 
@@ -1054,8 +1026,8 @@ class _GradedSeries:
         self.trunc2 = trunc2
 
     @property
-    def coeffs(self) -> dict[HalfInt, FiberPoly]:
-        """The coefficients keyed by the ``HalfInt`` index j. Only the
+    def coeffs(self) -> dict[Fraction, FiberPoly]:
+        """The coefficients keyed by the ``Fraction`` index j. Only the
         benchmark's span counters (``qmfbench/spans.py``) read it; it leaves
         when the benchmark is next refreshed."""
         return dict(self.items())
@@ -1064,12 +1036,12 @@ class _GradedSeries:
         """The doubled lowest absolute exponent present; None for the zero series."""
         return min(self.coeffs2) - self.K2 if self.coeffs2 else None
 
-    def items(self) -> Iterator[tuple[HalfInt, FiberPoly]]:
-        """(``HalfInt`` index, coefficient), ascending. Only the benchmark's
+    def items(self) -> Iterator[tuple[Fraction, FiberPoly]]:
+        """(``Fraction`` index, coefficient), ascending. Only the benchmark's
         span counters (``qmfbench/spans.py``) read it; it leaves when the
         benchmark is next refreshed."""
         for j, p in self.items2():
-            yield HalfInt(j), p
+            yield Fraction(j, 2), p
 
     def items2(self) -> Iterator[tuple[int, FiberPoly]]:
         """(doubled index, coefficient), ascending."""
@@ -1088,8 +1060,8 @@ class _GradedSeries:
                 == {j - other.K2: p for j, p in other.coeffs2.items()})
 
     def __repr__(self) -> str:
-        bits = [f"h^{HalfInt(j - self.K2)}:{p!r}" for j, p in self.items2()]
-        return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={HalfInt(self.K2)})"
+        bits = [f"h^{Fraction(j - self.K2, 2)}:{p!r}" for j, p in self.items2()]
+        return f"{type(self).__name__}(" + ", ".join(bits) + f"; K={Fraction(self.K2, 2)})"
 
 
 class S0Series(_GradedSeries):
@@ -1104,7 +1076,7 @@ class S0Series(_GradedSeries):
         for j, p in self.coeffs2.items() if validate else ():
             if p.degree() > j:  # deg <= 2j, and j is doubled
                 raise S0DegreeError(
-                    f"degree {p.degree()} at order index {HalfInt(j)} exceeds bound {j}")
+                    f"degree {p.degree()} at order index {Fraction(j, 2)} exceeds bound {j}")
 
     @staticmethod
     def zero(mode, n: int, rank: int, trunc2: int | None = None) -> "S0Series":

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from qmf.series_algebra import EXACT, HalfInt
+from qmf.series_algebra import EXACT
 from qmf.harmonic_oscillator import build_spectrum
 from qmf.projection_engine import projector_diagnostics
 from qmf.quasimode_pipeline import (
@@ -57,7 +57,7 @@ def test_ac1_harmonic_exactness():
             w = tuple(tuple(Poly.const(EXACT, n, mu[i]) if i == j else Poly.zero(EXACT, n)
                             for j in range(rank)) for i in range(rank))
         problem = JetProblem.create(EXACT, n, rank, 10, lam, W=w)
-        res = compute_quasimodes(problem, HalfInt(8), level_index=0)
+        res = compute_quasimodes(problem, 4, level_index=0)
         for e_series, lvl_e0 in [(e, res.level.E0) for e in res.eigenvalues]:
             items = list(e_series.items2())
             if EXACT.is_zero(lvl_e0):
@@ -73,8 +73,8 @@ def test_ac2_witten_supersymmetry():
     t0 = time.perf_counter()
     worst = 0.0
     for c in ("1/2", "1", "2"):
-        spec = preset_problem(f"witten1d:c={c}", order=HalfInt(8))
-        res = compute_quasimodes(spec.problem, HalfInt(8), e0=spec.level_value)
+        spec = preset_problem(f"witten1d:c={c}", order=4)
+        res = compute_quasimodes(spec.problem, 4, e0=spec.level_value)
         assert all(e.is_zero() for e in res.eigenvalues)
         rep = transport_residual(res)
         worst = max(worst, rep.max_residual)
@@ -88,8 +88,8 @@ def test_ac3_projector_laws():
     details = []
     for preset, mode_name in [("cubic1d", "exact"), ("rank2", "exact"),
                               ("cubic1d", "float"), ("rank2", "float")]:
-        spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(6))
-        res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value)
+        spec = preset_problem(preset, mode_name=mode_name, order=3)
+        res = compute_quasimodes(spec.problem, 3, e0=spec.level_value)
         ctx = res.context
         rep = projector_diagnostics(ctx.projector, ctx.omega)
         assert rep.passed, (preset, mode_name, rep)
@@ -102,8 +102,8 @@ def test_ac3_projector_laws():
 def test_ac4_transport_oracle_every_preset():
     t0 = time.perf_counter()
     for preset in ALL_PRESETS:
-        spec = preset_problem(preset, order=HalfInt(6))
-        res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value,
+        spec = preset_problem(preset, order=3)
+        res = compute_quasimodes(spec.problem, 3, e0=spec.level_value,
                                  level_index=spec.level_index)
         rep = transport_residual(res)
         assert rep.passed and rep.max_residual == 0.0, (preset, rep)
@@ -114,8 +114,8 @@ def test_ac4_transport_oracle_every_preset():
 def test_ac5_parity_theorem():
     t0 = time.perf_counter()
     # cubic scalar ground state: even level, eigenvalues in integer powers
-    spec = preset_problem("cubic1d", order=HalfInt(8))
-    res = compute_quasimodes(spec.problem, HalfInt(8), e0=spec.level_value)
+    spec = preset_problem("cubic1d", order=4)
+    res = compute_quasimodes(spec.problem, 4, e0=spec.level_value)
     for e in res.eigenvalues:
         for t, _ in e.items2():
             assert t % 2 == 0
@@ -123,8 +123,8 @@ def test_ac5_parity_theorem():
         for k in a.coeffs2:
             assert (k - a.K2) % 2 == 0
     # isotropic 2-D odd level
-    spec = preset_problem("iso2d", order=HalfInt(8))
-    res = compute_quasimodes(spec.problem, HalfInt(8), e0=spec.level_value)
+    spec = preset_problem("iso2d", order=4)
+    res = compute_quasimodes(spec.problem, 4, e0=spec.level_value)
     assert res.level.parity == "odd"
     for e in res.eigenvalues:
         for t, _ in e.items2():
@@ -140,13 +140,13 @@ def test_ac5_parity_theorem():
 def test_ac6_rs_oracle_equivalence():
     t0 = time.perf_counter()
     for preset in ("cubic1d", "quartic1d", "iso2d", "rank2"):
-        spec = preset_problem(preset, order=HalfInt(4))
-        res = compute_quasimodes(spec.problem, HalfInt(4), e0=spec.level_value)
+        spec = preset_problem(preset, order=2)
+        res = compute_quasimodes(spec.problem, 2, e0=spec.level_value)
         rep = rs_oracle(res)
         assert rep.passed and rep.max_residual == 0.0, (preset, rep)
         # float route within 1e-10 of the magnitudes summed into each residual
-        specf = preset_problem(preset, mode_name="float", order=HalfInt(4))
-        resf = compute_quasimodes(specf.problem, HalfInt(4), e0=specf.level_value)
+        specf = preset_problem(preset, mode_name="float", order=2)
+        resf = compute_quasimodes(specf.problem, 2, e0=specf.level_value)
         rep = rs_oracle(resf)
         assert rep.passed and rep.max_residual <= 1e-10, (preset, rep)
     _report("AC6 perturbation-recursion equivalence", True, time.perf_counter() - t0, 30.0,
@@ -156,8 +156,8 @@ def test_ac6_rs_oracle_equivalence():
 
 def test_ac7_numeric_convergence():
     t0 = time.perf_counter()
-    spec = preset_problem("quartic1d", order=HalfInt(4))
-    res = compute_quasimodes(spec.problem, HalfInt(4), e0=spec.level_value)
+    spec = preset_problem("quartic1d", order=2)
+    res = compute_quasimodes(spec.problem, 2, e0=spec.level_value)
     rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05], grid=4096)
     assert rep.passed, rep.detail
     assert rep.data["slope"] >= 3.5
@@ -167,14 +167,14 @@ def test_ac7_numeric_convergence():
 
 def test_ac8_asymptotic_orthonormality():
     t0 = time.perf_counter()
-    spec = preset_problem("iso2d", order=HalfInt(6))
-    res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value)
+    spec = preset_problem("iso2d", order=3)
+    res = compute_quasimodes(spec.problem, 3, e0=spec.level_value)
     assert res.level.m0 == 2
     rep = orthonormality_report(res)
     assert rep.passed and rep.max_residual == 0.0
     # float mode: literal unit diagonal
-    specf = preset_problem("iso2d", mode_name="float", order=HalfInt(6))
-    resf = compute_quasimodes(specf.problem, HalfInt(6), e0=specf.level_value)
+    specf = preset_problem("iso2d", mode_name="float", order=3)
+    resf = compute_quasimodes(specf.problem, 3, e0=specf.level_value)
     assert resf.normalized
     repf = orthonormality_report(resf)
     assert repf.passed
@@ -185,8 +185,8 @@ def test_ac8_asymptotic_orthonormality():
 def test_ac9_degree_offset_bookkeeping():
     t0 = time.perf_counter()
     for preset in ALL_PRESETS:
-        spec = preset_problem(preset, order=HalfInt(6))
-        res = compute_quasimodes(spec.problem, HalfInt(6), e0=spec.level_value,
+        spec = preset_problem(preset, order=3)
+        res = compute_quasimodes(spec.problem, 3, e0=spec.level_value,
                                  level_index=spec.level_index)
         lvl = res.level
         assert lvl.K2 == max(m.degree for m in lvl.members)
@@ -204,7 +204,7 @@ def test_ac10_projector_cost_grows_polynomially():
     # compositions it replaced (2^(2j-1) chains at order j) takes minutes on
     # this case, so a return to exponential cost overruns the budget
     t0 = time.perf_counter()
-    order = HalfInt.of(8)
+    order = 8
     spec = preset_problem("cubic1d", order=order)
     res = compute_quasimodes(spec.problem, order, e0=spec.level_value)
     rep = transport_residual(res)

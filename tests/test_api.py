@@ -20,7 +20,7 @@ SPANS = Path(__file__).resolve().parent.parent / "qmfbench" / "spans.py"
 SOURCES = sorted(Path(qmf.__file__).resolve().parent.glob("*.py"))
 
 PUBLIC = [
-    "EXACT", "float_mode", "HalfInt", "Poly", "JetProblem", "build_spectrum",
+    "EXACT", "float_mode", "Poly", "JetProblem", "build_spectrum",
     "compute_quasimodes", "QuasimodeResult", "VerificationReport", "transport_residual",
     "eigen_residual", "orthonormality_report", "rs_oracle", "crosscheck_eigenvalue_1d",
     "preset_problem", "run_command", "__version__",

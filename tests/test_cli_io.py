@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qmf import cli_io
-from qmf.series_algebra import EXACT, HalfInt, Poly
+from qmf.series_algebra import EXACT, Poly
 from qmf.cli_io import (
     SpecFileError,
     parse_problem_spec,
@@ -130,7 +130,7 @@ class TestParsing:
         spec = parse_problem_spec(MINIMAL)
         assert spec.problem.n == 1
         assert spec.problem.V.coefficient((2,)) == F(1)
-        assert spec.order == HalfInt(4)
+        assert spec.order == 2
 
     def test_unnormalized_quadratic_rejected(self):
         bad = MINIMAL + "\n[potential]\n2  2\n"
@@ -207,7 +207,7 @@ value = 6
 
     def test_round_trip(self):
         for preset in ("cubic1d", "witten1d:c=2", "iso2d", "rank2"):
-            spec = preset_problem(preset, order=HalfInt(4))
+            spec = preset_problem(preset, order=2)
             text = serialize_problem_spec(spec)
             back = parse_problem_spec(text)
             assert back.problem == spec.problem
@@ -235,7 +235,7 @@ class TestPresets:
 
     def test_rank2_level_is_mixed(self):
         spec = preset_problem("rank2")
-        res = compute_quasimodes(spec.problem, HalfInt(2), e0=spec.level_value)
+        res = compute_quasimodes(spec.problem, 1, e0=spec.level_value)
         assert res.level.parity == "mixed"
         assert res.level.m0 == 2
 
@@ -559,7 +559,7 @@ def test_python_m_qmf_runs_the_command_line_without_warnings():
 
 class TestResultDocument:
     def test_norm2_and_members_serialized(self):
-        spec = preset_problem("iso2d", order=HalfInt(4))
+        spec = preset_problem("iso2d", order=2)
         res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         doc = result_document(spec, res, [])
         assert doc["level"]["m0"] == 2

@@ -12,8 +12,8 @@ from qmf.cli_io import preset_problem
 from qmf.series_algebra import (
     EXACT,
     FormalScalarSeries,
-    HalfInt,
     S0Series,
+    doubled_order,
     float_mode,
 )
 from qmf.formal_diagonalization import (
@@ -274,7 +274,7 @@ def recorded_root_factors(monkeypatch, preset: str, order: int) -> list:
         return real(f)
 
     monkeypatch.setattr(fd, "_rational_root", recording)
-    spec = preset_problem(preset, order=HalfInt(2 * order))
+    spec = preset_problem(preset, order=order)
     compute_quasimodes(spec.problem, spec.order, e0=spec.level_value, level_index=spec.level_index)
     monkeypatch.undo()
     return seen
@@ -317,10 +317,10 @@ class TestClosedFormRoots:
 @functools.lru_cache(maxsize=None)
 def level_context(preset: str, order: int, mode_name: str = "exact"):
     """The pipeline context of a preset's level, and the order."""
-    spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
+    spec = preset_problem(preset, mode_name=mode_name, order=order)
     ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
                              level_index=spec.level_index).context
-    return ctx, spec.order.doubled
+    return ctx, doubled_order(spec.order)
 
 
 def wave_level(preset: str, order: int) -> tuple:

@@ -14,7 +14,6 @@ from qmf.series_algebra import (
     EXACT,
     FiberPoly,
     FormalScalarSeries,
-    HalfInt,
     Poly,
     S0Series,
     float_mode,
@@ -362,7 +361,7 @@ def assert_pairs_match_reference(elems, omega, through2=None):
 
 @functools.lru_cache(maxsize=None)
 def pipeline_context(preset: str, order: int, mode_name: str = "exact"):
-    spec = preset_problem(preset, mode_name=mode_name, order=HalfInt(2 * order))
+    spec = preset_problem(preset, mode_name=mode_name, order=order)
     return compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
 
 
@@ -423,7 +422,7 @@ class TestPairingOracle:
     def test_weights_with_equal_lambda_keep_separate_tables(self):
         omegas = {}
         for c in (1, 2):
-            problem = preset_problem(f"cubic1d:c={c}", order=HalfInt(8)).problem
+            problem = preset_problem(f"cubic1d:c={c}", order=4).problem
             omegas[c] = omega_for(problem)
         assert omegas[1].lam == omegas[2].lam
         u = S0Series.from_fiber_poly(unit_fiber(poly1({0: 1, 1: 2, 3: -1})), 4)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmf.series_algebra import EXACT, HalfInt, Poly, float_mode
+from qmf.series_algebra import EXACT, Poly, doubled_order, float_mode
 from qmf.operator_calculus import (
     DiffOpJet,
     JetProblem,
@@ -330,8 +330,18 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         small_basis = HermiteBasis(EXACT, (F(1),), (F(0),), 2)
         proj = build_projector(family, small_basis, level, 4)
-        with pytest.raises(WorkspaceDegreeError, match="enlarge the polynomial degree bound"):
+        # the ground level at order 2 needs workspace_degree = 0 + 2 + 4
+        with pytest.raises(WorkspaceDegreeError,
+                           match="build the Hermite basis at degree 6 or more"):
             proj.images2(small_basis.position(HermiteIndex((2,), 0)))
+
+    def test_family_order_guard(self):
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
+        past = family.max_order2 + 1
+        with pytest.raises(WorkspaceDegreeError, match=(
+                f"exact only through order {F(family.max_order2, 2)}; raise the input jet "
+                fr"order \(need operator orders through {F(past, 2)}\)")):
+            build_projector(family, basis, level, past)
 
 
 class TestProjectorLaws:
@@ -454,7 +464,7 @@ def preset_projector(preset, order, mode_name="exact", level_index=None):
     e0 = spec.level_value if level_index is None else None
     ctx = compute_quasimodes(spec.problem, spec.order, e0=e0,
                              level_index=level_index).context
-    return build_projector(ctx.family, ctx.basis, ctx.level, spec.order.doubled), ctx.omega
+    return build_projector(ctx.family, ctx.basis, ctx.level, doubled_order(spec.order)), ctx.omega
 
 
 class TestBudgetPrefix:
@@ -487,7 +497,7 @@ class TestWorkspaceReach:
         spec = preset_problem(preset, "exact", order)
         ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
                                  level_index=spec.level_index).context
-        assert ctx.basis.degree == ctx.level.K2 + spec.order.doubled + 2
+        assert ctx.basis.degree == ctx.level.K2 + doubled_order(spec.order) + 2
 
     @pytest.mark.parametrize("preset,order", [("cubic1d", 4), ("iso2d", 3), ("rank2", 3)])
     def test_one_degree_narrower_raises(self, preset, order):
@@ -524,7 +534,7 @@ def test_float_q_action_support_equals_exact():
     # (positions are each basis's own, so both caches are read as indices)
     caches = {}
     for mode_name in ("exact", "float"):
-        spec = preset_problem("iso2d", mode_name, HalfInt(5))
+        spec = preset_problem("iso2d", mode_name, Fraction(5, 2))
         ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
         index_at = ctx.basis.index_at
         caches[mode_name] = {(j, index_at[pos]): {index_at[i] for i in vec.num}

@@ -9,8 +9,7 @@ from itertools import permutations
 import pytest
 
 from qmf.series_algebra import (
-    EXACT, FiberPoly, FormalScalarSeries, HalfInt, Poly, S0Series, float_mode, unrescale)
-from qmf.gaussian_pairing import pair_s0
+    EXACT, FiberPoly, FormalScalarSeries, Poly, S0Series, float_mode, unrescale)
 from qmf.operator_calculus import JetProblem
 from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenerate_level
 from qmf.cli_io import parse_problem_spec, preset_problem, run_command
@@ -71,12 +70,12 @@ def well3d(perm=(0, 1, 2)):
 
 class TestHarmonicExactness:
     def test_eigenvalue_is_exactly_h(self):
-        res = compute_quasimodes(harmonic(), HalfInt(8), e0=1)
+        res = compute_quasimodes(harmonic(), 4, e0=1)
         (e,) = res.eigenvalues
         assert list(e.items2()) == [(2, F(1))]
 
     def test_eigenfunction_is_constant(self):
-        res = compute_quasimodes(harmonic(), HalfInt(8), e0=1)
+        res = compute_quasimodes(harmonic(), 4, e0=1)
         (a,) = res.eigenfunctions
         assert a.K2 == 0
         assert list(a.coeffs2) == [0]
@@ -84,7 +83,7 @@ class TestHarmonicExactness:
         assert jet.degree() == 0
 
     def test_excited_level(self):
-        res = compute_quasimodes(harmonic(), HalfInt(6), e0=3)
+        res = compute_quasimodes(harmonic(), 3, e0=3)
         (e,) = res.eigenvalues
         assert list(e.items2()) == [(2, F(3))]
         assert res.level.K2 == 1
@@ -94,7 +93,7 @@ class TestCubicWell:
     def test_ground_energy_anchor(self):
         # ladder-operator second order sum: E = h (1 - (11/16) c^2 h + ...)
         for c in (1, 2):
-            res = compute_quasimodes(cubic(c), HalfInt(4), e0=1)
+            res = compute_quasimodes(cubic(c), 2, e0=1)
             (e,) = res.eigenvalues
             inner = e.shift2(-2)
             assert inner.at2(0) == 1
@@ -102,30 +101,30 @@ class TestCubicWell:
             assert inner.at2(2) == F(-11, 16) * c * c
 
     def test_rs_oracle_matches_pipeline(self):
-        rep = rs_oracle(compute_quasimodes(cubic(), HalfInt(4), e0=1))
+        rep = rs_oracle(compute_quasimodes(cubic(), 2, e0=1))
         assert rep.passed and rep.max_residual == 0.0
         assert rep.detail == "pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
 
     def test_transport_residual_zero(self):
-        res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(cubic(), 2, e0=1)
         rep = transport_residual(res)
         assert rep.passed and rep.max_residual == 0.0
 
     def test_transport_reports_the_degree_checked_at_each_order(self):
         # at order 4 the jet of order k is exact through degree 2(4 - k), and
         # so is its transport residual
-        spec = preset_problem("cubic1d", order=HalfInt(8))
-        rep = transport_residual(compute_quasimodes(spec.problem, HalfInt(8), e0=1))
+        spec = preset_problem("cubic1d", order=4)
+        rep = transport_residual(compute_quasimodes(spec.problem, 4, e0=1))
         assert rep.data["degrees"] == list(range(8, -1, -1))
         assert rep.detail == "jet residual through degree 8 at order 0, 0 at order 4"
 
     def test_eigen_residual_zero(self):
-        res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(cubic(), 2, e0=1)
         rep = eigen_residual(res)
         assert rep.passed and rep.max_residual == 0.0
 
     def test_orthonormality_constants(self):
-        res = compute_quasimodes(cubic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(cubic(), 2, e0=1)
         rep = orthonormality_report(res)
         assert rep.passed
         assert res.norm2_constants == [F(1)]  # ground member is monic with norm 1
@@ -133,8 +132,8 @@ class TestCubicWell:
     def test_float_mode_agrees(self):
         fm = float_mode()
         pf = JetProblem.create(fm, 1, 1, 10, (1.0,), V=poly1({2: 1, 3: 1}, fm))
-        res_f = compute_quasimodes(pf, HalfInt(4), e0=1.0)
-        res_e = compute_quasimodes(cubic(), HalfInt(4), e0=1)
+        res_f = compute_quasimodes(pf, 2, e0=1.0)
+        res_e = compute_quasimodes(cubic(), 2, e0=1)
         ef = res_f.eigenvalues[0]
         ee = res_e.eigenvalues[0]
         for t in range(2, 7):
@@ -144,17 +143,17 @@ class TestCubicWell:
 class TestQuarticWell:
     def test_ground_energy_anchor(self):
         # E = h (1 + (3/4) c h - (21/16) c^2 h^2 + ...)
-        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(quartic(), 2, e0=1)
         inner = res.eigenvalues[0].shift2(-2)
         assert inner.at2(2) == F(3, 4)
         assert inner.at2(4) == F(-21, 16)
 
     def test_rs_oracle_matches(self):
-        rep = rs_oracle(compute_quasimodes(quartic(), HalfInt(4), e0=1))
+        rep = rs_oracle(compute_quasimodes(quartic(), 2, e0=1))
         assert rep.passed and rep.max_residual == 0.0
 
     def test_fd_crosscheck_small(self):
-        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(quartic(), 2, e0=1)
         rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1, 0.05], grid=1024)
         assert rep.passed, rep.detail
         assert rep.data["slope"] >= 3.5
@@ -163,7 +162,7 @@ class TestQuarticWell:
         [0.1], [0.1, 0.1], [0.1, -0.05], [0.1, 0.0], [0.1, float("nan")], [float("inf"), 0.1]])
     def test_fd_crosscheck_rejects_bad_hbars(self, hbars):
         # one point fits no slope, and h <= 0 has no operator to solve
-        res = compute_quasimodes(quartic(), HalfInt(2), e0=1)
+        res = compute_quasimodes(quartic(), 1, e0=1)
         with pytest.raises(ValueError, match="at least two distinct, finite, positive h values"):
             crosscheck_eigenvalue_1d(res, hbars=hbars, grid=64)
 
@@ -171,7 +170,7 @@ class TestQuarticWell:
         # zero series and a genuine double well: the numeric eigenvalue is
         # exponentially small, i.e. decays faster than any required power
         p = witten(F(1))
-        res = compute_quasimodes(p, HalfInt(4), e0=0)
+        res = compute_quasimodes(p, 2, e0=0)
         rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.1], grid=1024)
         assert "identically zero" in rep.detail
         assert rep.passed, rep
@@ -192,7 +191,7 @@ class TestQuarticWell:
     @pytest.mark.parametrize("index", range(3))
     def test_mutated_series_fails_the_crosscheck(self, index):
         # the level's series h + 3/4 h^2 - 21/16 h^3 with one coefficient off by 1/2
-        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(quartic(), 2, e0=1)
         (e,) = res.eigenvalues
         terms = dict(e.items2())
         assert len(terms) == 3
@@ -209,7 +208,7 @@ class TestQuarticWell:
     def test_basis_doubles_up_to_the_cap(self, grid, sizes):
         # 32 and 64 model functions agree at h = 0.2 and 0.025; the cap
         # clips the doubling, and a cap of 32 leaves no second size
-        res = compute_quasimodes(quartic(), HalfInt(4), e0=1)
+        res = compute_quasimodes(quartic(), 2, e0=1)
         rep = crosscheck_eigenvalue_1d(res, hbars=[0.2, 0.025], grid=grid)
         assert rep.data["sizes"] == sizes
         assert rep.data["slope"] >= rep.data["required_slope"]
@@ -219,7 +218,7 @@ class TestQuarticWell:
 class TestWittenSupersymmetry:
     @pytest.mark.parametrize("c", [F(1, 2), F(1), F(2)])
     def test_zero_energy_and_constant_mode(self, c):
-        res = compute_quasimodes(witten(c), HalfInt(8), e0=0)
+        res = compute_quasimodes(witten(c), 4, e0=0)
         (e,) = res.eigenvalues
         assert e.is_zero()
         # the quasimode is the exact kernel section: a scalar series times
@@ -243,7 +242,7 @@ class TestWittenSupersymmetry:
                                  for size in (32, 64, 128, 1024))
         assert abs(e32 - e64) <= 1e-9 * e64 and e64 - e1024 > 1e-8
         assert abs(e128 - e1024) <= 1e-12 * e1024
-        res = compute_quasimodes(witten(), HalfInt(4), e0=2)
+        res = compute_quasimodes(witten(), 2, e0=2)
         rep = crosscheck_eigenvalue_1d(res, hbars=[hbar, hbar / 2])
         series = res.eigenvalues[0].evaluate(hbar, through2=6).real
         assert rep.data["errors"][0] == pytest.approx(abs(e1024 - series), rel=1e-6)
@@ -252,37 +251,37 @@ class TestWittenSupersymmetry:
 
 class TestDegenerate2D:
     def test_level_structure(self):
-        res = compute_quasimodes(iso2d(), HalfInt(6), e0=4)
+        res = compute_quasimodes(iso2d(), 3, e0=4)
         assert res.level.m0 == 2
         assert res.level.K2 == 1
         assert res.level.parity == "odd"
 
     def test_parity_no_integer_terms_in_eigenfunctions(self):
-        res = compute_quasimodes(iso2d(), HalfInt(6), e0=4)
+        res = compute_quasimodes(iso2d(), 3, e0=4)
         for a in res.eigenfunctions:
             for k in a.coeffs2:
                 assert (k - a.K2) % 2  # a half-integer absolute exponent
 
     def test_eigenvalues_real_integer_orders(self):
-        res = compute_quasimodes(iso2d(), HalfInt(6), e0=4)
+        res = compute_quasimodes(iso2d(), 3, e0=4)
         for e in res.eigenvalues:
             assert e.is_real()
             for t, _ in e.items2():
                 assert t % 2 == 0  # h * (integer series)
 
     def test_orthonormality(self):
-        res = compute_quasimodes(iso2d(), HalfInt(6), e0=4)
+        res = compute_quasimodes(iso2d(), 3, e0=4)
         rep = orthonormality_report(res)
         assert rep.passed
         assert res.norm2_constants == [F(1, 2), F(1, 2)]
 
     def test_split_happens(self):
-        res = compute_quasimodes(iso2d(), HalfInt(6), e0=4)
+        res = compute_quasimodes(iso2d(), 3, e0=4)
         e1, e2 = [e.shift2(-2) for e in res.eigenvalues]
         assert not e1.equals_through(e2, 6)
 
     def test_residuals(self):
-        res = compute_quasimodes(iso2d(), HalfInt(4), e0=4)
+        res = compute_quasimodes(iso2d(), 2, e0=4)
         assert transport_residual(res).max_residual == 0.0
         assert eigen_residual(res).max_residual == 0.0
 
@@ -290,15 +289,15 @@ class TestDegenerate2D:
 class TestErrors:
     def test_level_not_in_spectrum(self):
         with pytest.raises(LevelNotFoundError):
-            compute_quasimodes(harmonic(), HalfInt(4), e0=2)
+            compute_quasimodes(harmonic(), 2, e0=2)
 
     def test_insufficient_jets(self):
         with pytest.raises(InsufficientOrderError) as ei:
-            compute_quasimodes(cubic(D=4), HalfInt(8), e0=1)
+            compute_quasimodes(cubic(D=4), 4, e0=1)
         assert ei.value.required_D >= 8
 
     def test_rs_oracle_covers_a_degenerate_level(self):
-        rep = rs_oracle(compute_quasimodes(iso2d(), HalfInt(2), e0=4))
+        rep = rs_oracle(compute_quasimodes(iso2d(), 1, e0=4))
         assert rep.passed and rep.max_residual == 0.0
         assert rep.data == {"intertwining": 0.0, "power_sums": 0.0}
 
@@ -306,16 +305,31 @@ class TestErrors:
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
             compute_quasimodes(harmonic(), -1, e0=1)
 
+    def test_order_is_an_int_or_a_half_integer_fraction(self):
+        assert compute_quasimodes(harmonic(), 3, e0=1).order2 == 6
+        assert compute_quasimodes(harmonic(), Fraction(5, 2), e0=1).order2 == 5
+        assert compute_quasimodes(harmonic(), Fraction(4, 2), e0=1).order2 == 4
+        with pytest.raises(ValueError, match="not a half-integer: 1/3"):
+            compute_quasimodes(harmonic(), Fraction(1, 3), e0=1)
+
+    @pytest.mark.parametrize("order", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_order_of_another_type(self, order):
+        # a bool is an int to Python, but True is not order 1
+        with pytest.raises(TypeError, match=f"cannot interpret {order!r} as a half-integer"):
+            compute_quasimodes(harmonic(), order, e0=1)
+        with pytest.raises(TypeError, match=f"cannot interpret {order!r} as a half-integer"):
+            preset_problem("cubic1d", order=order)
+
     def test_both_level_selectors(self):
         # e0 = 1 is level 0, so neither selector may silently win
         with pytest.raises(ValueError, match="e0 or level_index, not both"):
-            compute_quasimodes(harmonic(), HalfInt(2), e0=1, level_index=0)
+            compute_quasimodes(harmonic(), 1, e0=1, level_index=0)
 
 
 class TestLevelSelectionByIndex:
     def test_index_matches_value(self):
-        r1 = compute_quasimodes(harmonic(), HalfInt(4), level_index=1)
-        r2 = compute_quasimodes(harmonic(), HalfInt(4), e0=3)
+        r1 = compute_quasimodes(harmonic(), 2, level_index=1)
+        r2 = compute_quasimodes(harmonic(), 2, e0=3)
         assert r1.eigenvalues[0] == r2.eigenvalues[0]
 
     @pytest.mark.parametrize("mode_name", ["exact", "float"])
@@ -327,8 +341,8 @@ class TestLevelSelectionByIndex:
         table = build_spectrum(problem.mode, problem.lam, problem.mu, 24)
         for i, e0 in enumerate(table.distinct_levels()[:9]):
             want = degenerate_level(table, e0).members
-            by_index = compute_quasimodes(problem, HalfInt(1), level_index=i).level
-            by_value = compute_quasimodes(problem, HalfInt(1), e0=e0).level
+            by_index = compute_quasimodes(problem, Fraction(1, 2), level_index=i).level
+            by_value = compute_quasimodes(problem, Fraction(1, 2), e0=e0).level
             assert by_index.members == by_value.members == want, i
 
     @pytest.mark.parametrize("index", [-1, -2])
@@ -341,15 +355,15 @@ class TestLevelSelectionByIndex:
 
         monkeypatch.setattr(pipeline, "build_spectrum", no_table)
         with pytest.raises(LevelNotFoundError, match=f"level_index must be nonnegative, got {index}"):
-            compute_quasimodes(iso2d(), HalfInt(2), level_index=index)
+            compute_quasimodes(iso2d(), 1, level_index=index)
 
 
 @pytest.mark.parametrize("perm", [p for p in permutations(range(3)) if p != (0, 1, 2)])
 def test_3d_well_coordinate_permutation(perm):
     """Relabelling the coordinates keeps the eigenvalue series and permutes the
     eigenfunction monomials alike."""
-    base = compute_quasimodes(well3d(), HalfInt(2), e0=3)
-    got = compute_quasimodes(well3d(perm), HalfInt(2), e0=3)
+    base = compute_quasimodes(well3d(), 1, e0=3)
+    got = compute_quasimodes(well3d(perm), 1, e0=3)
     assert got.eigenvalues == base.eigenvalues
     (u,), (v,) = base.eigenfunctions, got.eigenfunctions
     assert v.coeffs2.keys() == u.coeffs2.keys()
@@ -529,9 +543,9 @@ class TestBlochRoute:
         from level_oracle import residue_level
 
         if preset == "well3d":
-            res = compute_quasimodes(well3d(), HalfInt(2 * order), e0=3)
+            res = compute_quasimodes(well3d(), order, e0=3)
         else:
-            spec = preset_problem(preset, order=HalfInt(2 * order))
+            spec = preset_problem(preset, order=order)
             res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
                                      level_index=spec.level_index)
         eigenvalues, rescaled, norms2 = residue_level(res.context, res.order2)
@@ -546,7 +560,7 @@ class TestBlochRoute:
         from qmf.cli_io import _run_checks
         from qmf.projection_engine import ProjectorSeries
 
-        spec = preset_problem("cubic1d", order=HalfInt(8))
+        spec = preset_problem("cubic1d", order=4)
         res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         (report,) = _run_checks(res, {"rs"})
         assert report.passed and report.name == "rs_oracle"
@@ -580,7 +594,7 @@ class TestBlochRoute:
         # with every eigenvalue moved by h^2/1000, and only rs sees it
         from qmf.projection_engine import ProjectorSeries
 
-        spec = preset_problem(preset, mode_name, order=HalfInt(8))
+        spec = preset_problem(preset, mode_name, order=4)
         wave_operator = ProjectorSeries.wave_operator2
 
         def shifted(self):
@@ -601,7 +615,7 @@ class TestBlochRoute:
     def test_a_changed_eigenvalue_fails_the_power_sums(self):
         # H_eff is the construction's, so only tr(H_eff^p) = sum_k E_k^p
         # sees an output eigenvalue that H_eff does not have
-        spec = preset_problem("iso2d", order=HalfInt(8))
+        spec = preset_problem("iso2d", order=4)
         res = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         e = res.eigenvalues[1]
         terms = dict(e.items2())
@@ -611,67 +625,6 @@ class TestBlochRoute:
         report = rs_oracle(bad)
         assert not report.passed
         assert report.data["intertwining"] == 0.0 and report.data["power_sums"] > 0
-
-
-class TestHalfIntBudget:
-    """Series orders are doubled ints in every module: ``HalfInt`` only
-    parses an order given from outside and prints one, so computing a level,
-    and the kernels it runs, build none."""
-
-    @pytest.fixture(scope="class")
-    def level(self):
-        """The iso2d o4 level: its wave-operator basis, H_eff and weight."""
-        spec = preset_problem("iso2d", order=HalfInt(4))
-        ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
-        waves, h_eff = ctx.projector.wave_operator2()
-        fs = [ctx.projector.as_s0(m, w) for m, w in zip(ctx.level.members, waves)]
-        return ctx, fs, h_eff
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The number of ``HalfInt``s constructed since the fixture ran."""
-        count = [0]
-        real = HalfInt.__init__
-
-        def counting(self, *args):
-            count[0] += 1
-            real(self, *args)
-
-        monkeypatch.setattr(HalfInt, "__init__", counting)
-        return count
-
-    @pytest.mark.parametrize("preset,order,mode_name", [
-        ("iso2d", 4, "exact"), ("rank2", 4, "exact"), ("iso2d", 5, "float"),
-        ("cubic1d", 6, "exact")])
-    def test_compute_quasimodes(self, preset, order, mode_name, built):
-        spec = preset_problem(preset, mode_name, order=HalfInt(2 * order))
-        built[0] = 0
-        compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
-        assert built[0] == 0
-
-    def test_pairing(self, level, built):
-        ctx, fs, _ = level
-        built[0] = 0
-        for u in fs:
-            for v in fs:
-                pair_s0(u, v, ctx.omega)
-        assert built[0] == 0
-
-    def test_wave_operator(self, level, built):
-        ctx, _, _ = level
-        proj = ctx.projector
-        fresh = type(proj)(proj.family, proj.basis, proj.level, proj.order2)
-        built[0] = 0
-        fresh.wave_operator2()
-        assert built[0] == 0
-
-    def test_scale_series(self, level, built):
-        _, fs, h_eff = level
-        built[0] = 0
-        for f in fs:
-            for row in h_eff:
-                f.scale_series(row[0])
-        assert built[0] == 0
 
 
 class TestReductionBudget:
@@ -712,7 +665,7 @@ class TestReductionBudget:
         for name in ("solve_eikonal", "conjugate_hamiltonian", "weight_expansion"):
             monkeypatch.setattr(pipeline, name, staged(name, getattr(pipeline, name)))
         preset, order = [("cubic1d", 6), ("iso2d", 4)][case]
-        spec = preset_problem(preset, order=HalfInt(2 * order))
+        spec = preset_problem(preset, order=order)
         result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         for check in (transport_residual, eigen_residual):
             assert staged(check.__name__, check)(result).passed
@@ -755,7 +708,7 @@ class TestChecksOnPerturbedResults:
                     ids=lambda p: f"{p[0]}-o{p[1]}-{p[2]}")
     def result(self, request):
         preset, order, mode = request.param
-        spec = preset_problem(preset, mode, order=HalfInt(2 * order))
+        spec = preset_problem(preset, mode, order=order)
         return compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
 
     @pytest.mark.parametrize("check", [transport_residual, eigen_residual])

@@ -34,7 +34,6 @@ from qmf.cli_io import parse_problem_spec, preset_problem, result_document, run_
 from qmf.formal_diagonalization import ExactSplitUnavailable
 from qmf.projection_engine import ProjectorSeries
 from qmf.quasimode_pipeline import compute_quasimodes, crosscheck_eigenvalue_1d
-from qmf.series_algebra import HalfInt
 from test_operator_calculus import WELL_3D
 from test_quasimode_pipeline import CURVED_WELL
 
@@ -237,7 +236,7 @@ SYNTHESIS_ROUNDOFFS = 64
 def level_basis_at_depth(preset: str, mode_name: str) -> tuple:
     """The level basis Omega e_a of a preset's bottom level at order 24: the
     wave operator's Hermite coefficients per member and their monomial form."""
-    spec = preset_problem(preset, mode_name, order=HalfInt(48))
+    spec = preset_problem(preset, mode_name, order=24)
     result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
     proj = result.context.projector
     waves, _ = proj.wave_operator2()

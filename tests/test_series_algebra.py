@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_series_oracle as per_term
+from qmf.cli_io import SpecFileError, _parse_order
 from qmf.gaussian_pairing import WeightExpansion, pair_s0
 from qmf.operator_calculus import DiffOpJet, OperatorFamily
 from qmf.series_algebra import (
@@ -15,7 +16,6 @@ from qmf.series_algebra import (
     MAX_DEGREE,
     FiberPoly,
     FormalScalarSeries,
-    HalfInt,
     Poly,
     S0DegreeError,
     S0Series,
@@ -24,6 +24,7 @@ from qmf.series_algebra import (
     accumulate_product,
     float_mode,
     binomial_series,
+    doubled_order,
     hermitian_eigh,
     inverse_sqrt_series,
     pack,
@@ -38,37 +39,31 @@ def series(terms, trunc=None):
     return FormalScalarSeries.from_terms2(EXACT, {d: F(v) for d, v in terms.items()}, trunc)
 
 
-class TestHalfInt:
-    def test_order(self):
-        a, b = HalfInt(3), HalfInt(4)  # 3/2 and 2
-        assert a < b and b > a and a == HalfInt(3)
-        assert not a.is_integer and b.is_integer
+class TestDoubledOrder:
+    def test_ints_and_half_integer_fractions(self):
+        assert doubled_order(3) == 6
+        assert doubled_order(F(5, 2)) == 5
+        assert doubled_order(F(4, 2)) == 4
+        assert doubled_order(-1) == -2
 
-    def test_parse_and_str(self):
-        assert HalfInt.parse("3/2") == HalfInt(3)
-        assert HalfInt.parse("2") == HalfInt(4)
-        assert HalfInt.parse("1.5") == HalfInt(3)
-        assert str(HalfInt(3)) == "3/2"
-        assert str(HalfInt(4)) == "2"
+    def test_rejects_non_half(self):
+        with pytest.raises(ValueError, match="not a half-integer: 1/3"):
+            doubled_order(F(1, 3))
 
-    def test_of_rejects_non_half(self):
-        with pytest.raises(ValueError):
-            HalfInt.of(F(1, 3))
+    @pytest.mark.parametrize("value", [True, False, 2.5, "3", None])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError, match="as a half-integer"):
+            doubled_order(value)
 
     def test_parse_accepts_half_integers_and_rejects_the_rest(self):
-        assert HalfInt.parse("1.5") == HalfInt(3)
-        assert HalfInt.parse("2.0") == HalfInt(4)
-        assert HalfInt.parse("5/2") == HalfInt(5)
-        assert HalfInt.parse(" 3 ") == HalfInt(6)
+        assert _parse_order("3/2") == F(3, 2)
+        assert _parse_order("1.5") == F(3, 2)
+        assert _parse_order("2.0") == 2
+        assert _parse_order("5/2") == F(5, 2)
+        assert _parse_order(" 3 ") == 3
         for text in ("1.3", "1/3", "0.25", "abc"):
-            with pytest.raises(ValueError):
-                HalfInt.parse(text)
-
-    @given(st.integers(-50, 50), st.integers(-50, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_total_order_consistent_with_fraction(self, a, b):
-        ha, hb = HalfInt(a), HalfInt(b)
-        assert (ha < hb) == (F(a, 2) < F(b, 2))
+            with pytest.raises(SpecFileError, match="cannot parse order"):
+                _parse_order(text)
 
 
 class TestPoly:
