@@ -4,11 +4,14 @@ iso2d o4 and rank2 o4, exact.
 
 This is mutation analysis (R. A. DeMillo, R. J. Lipton and F. G. Sayward,
 "Hints on test data selection", IEEE Computer 11 (1978) 34). Transport fails
-on every construction defect; rs and the projector's symmetry law are the
-only checks that see a defect in the residue route; symmetry is the only
-check besides transport that sees a wrong operator family; orthonormality
-and parity fail no row. On rank2 every construction defect stops ``compute``
-at the pencil's hermiticity check. ``pytest -s`` prints the table.
+on every defect of the eigenvalues or the eigenfunctions; rs and the
+projector's symmetry law are the only checks that see a defect in the
+residue route; symmetry is the only check besides transport that sees a
+wrong operator family, and the only one that sees a wrong weight;
+orthonormality fails only on a wrong Gram, and a half-integer eigenvalue
+coefficient on a level of uniform parity stops ``compute`` at the parity
+filter. On rank2 every defect put in before the pencil stops ``compute`` at
+the pencil's hermiticity check. ``pytest -s`` prints the table.
 """
 
 import dataclasses
@@ -18,14 +21,21 @@ import pytest
 
 import qmf.quasimode_pipeline as pipeline
 from qmf.cli_io import _run_checks, preset_problem
+from qmf.gaussian_pairing import WeightExpansion
 from qmf.operator_calculus import DiffOpJet
 from qmf.projection_engine import HermiteVec, ProjectorSeries
-from qmf.series_algebra import FormalScalarSeries
+from qmf.series_algebra import FiberPoly, FormalScalarSeries, Poly, XJetSeries, grow_den
 
 OFF = Fraction(1001, 1000)
 PROBLEMS = [("cubic1d", 6), ("iso2d", 4), ("rank2", 4)]
 COLUMNS = ("transport", "eigen_residual", "orthonormality", "parity", "rs_oracle", "projector")
 PENCIL = "stops at the pencil"
+PARITY = "stops at the parity filter"
+
+
+def bump(e: FormalScalarSeries, at2: int) -> FormalScalarSeries:
+    """``e`` + 1/1000 at the doubled order ``at2``."""
+    return e + FormalScalarSeries.from_terms2(e.mode, {at2: e.mode.coeff(OFF - 1)}, e.trunc2)
 
 
 def scaled(vec: HermiteVec) -> HermiteVec:
@@ -73,9 +83,7 @@ def h_eff(monkeypatch):
 
     def wave_operator2(self):
         waves, h = real(self)
-        bump = FormalScalarSeries.from_terms2(self.mode, {4: self.mode.coeff(OFF - 1)},
-                                              self.order2)
-        h[0][0] = h[0][0] + bump
+        h[0][0] = bump(h[0][0], 4)
         return waves, h
 
     monkeypatch.setattr(ProjectorSeries, "wave_operator2", wave_operator2)
@@ -138,6 +146,72 @@ def bloch(self, bump_at=None):
     return waves, h_eff
 
 
+def gram(monkeypatch):
+    real = pipeline.gram_matrix
+
+    def gram_matrix(fs, omega, through2):
+        a = real(fs, omega, through2=through2)
+        a[0][0] = bump(a[0][0], 4)
+        return a
+
+    monkeypatch.setattr(pipeline, "gram_matrix", gram_matrix)
+
+
+def weight(monkeypatch):
+    # L_1(1), the order-h weight functional at the constant integrand, filled
+    # ahead and scaled once per functional (the weight and its magnitudes)
+    real = WeightExpansion.functional
+
+    def functional(self, m2):
+        lm = real(self, m2)
+        if m2 == 2 and 0 not in lm.num:
+            lm._fill(0)
+            lm.den = grow_den(lm.num, lm.den, lm.den * OFF.denominator)
+            lm.num[0] = lm.num[0] // OFF.denominator * OFF.numerator
+        return lm
+
+    monkeypatch.setattr(WeightExpansion, "functional", functional)
+
+
+def eigenvalue(at2: int):
+    """The pencil's first eigenvalue + 1/1000 at the doubled order ``at2``."""
+    def inject(monkeypatch):
+        real = pipeline.formal_eigendecomposition
+
+        def formal_eigendecomposition(c_mat, gram, through2):
+            eig = real(c_mat, gram=gram, through2=through2)
+            eig.eigenvalues[0] = bump(eig.eigenvalues[0], at2)
+            return eig
+
+        monkeypatch.setattr(pipeline, "formal_eigendecomposition", formal_eigendecomposition)
+    return inject
+
+
+def exponent(monkeypatch):
+    # the first eigenfunction's top-degree term of its first jet moves up one
+    # power of h
+    real = pipeline.unrescale
+    done = []
+
+    def unrescale(v):
+        out = real(v)
+        if done:
+            return out
+        done.append(out)
+        coeffs = dict(out.coeffs2)
+        k = min(coeffs)
+        head, *rest = coeffs[k].components
+        terms = dict(head.terms)
+        alpha = max(terms, key=sum)
+        moved = Poly.monomial(out.mode, out.n, alpha, terms.pop(alpha))
+        coeffs[k] = FiberPoly([Poly(out.mode, out.n, terms), *rest])
+        up = coeffs.get(k + 2) or FiberPoly.zero(out.mode, out.n, out.rank)
+        coeffs[k + 2] = FiberPoly([up.components[0] + moved, *up.components[1:]])
+        return XJetSeries(out.mode, out.n, out.rank, out.K2, coeffs, out.trunc2)
+
+    monkeypatch.setattr(pipeline, "unrescale", unrescale)
+
+
 def gap(result):
     # one position's 1/(E0 - E) x 1001/1000 after compute: the residue route only
     proj = result.context.projector
@@ -149,18 +223,32 @@ def gap(result):
 
 
 P, F = "pass", "FAIL"
-# defect, injected before compute, after it, and the verdicts on cubic1d and
-# iso2d (transport, eigen_residual, orthonormality, parity, rs, the failed
-# projector laws); on rank2 every defect put in before compute stops it at
-# the pencil
+
+
+def on(both, rank2=PENCIL) -> dict:
+    """The verdicts (transport, eigen_residual, orthonormality, parity, rs,
+    the failed projector laws) on cubic1d and iso2d, and on rank2."""
+    return {"cubic1d": both, "iso2d": both, "rank2": rank2}
+
+
+# defect, injected before compute, after it, and the verdicts
 ROWS = [
-    ("no defect", None, None, (P,) * len(COLUMNS)),
-    ("Q_1 table x 1001/1000 in q_action", q_table, None, (F, F, P, P, P, "symmetry")),
-    ("rescaled family's Q_1 x 1001/1000", family, None, (F, P, P, P, P, "symmetry")),
-    ("H_eff + h^2/1000 at [0][0]", h_eff, None, (F, F, P, P, F, P)),
-    ("Omega_2 e_0 + 1 at one entry, after the recursion", wave_after, None, (F, F, P, P, P, P)),
-    ("Omega_2 e_0 + 1 at one entry, inside the recursion", wave_inside, None, (F, F, P, P, F, P)),
-    ("one position's 1/(E0 - E) x 1001/1000 after compute", None, gap, (P, P, P, P, F, "symmetry")),
+    ("no defect", None, None, on((P,) * len(COLUMNS), (P,) * len(COLUMNS))),
+    ("Q_1 table x 1001/1000 in q_action", q_table, None, on((F, F, P, P, P, "symmetry"))),
+    ("rescaled family's Q_1 x 1001/1000", family, None, on((F, P, P, P, P, "symmetry"))),
+    ("H_eff + h^2/1000 at [0][0]", h_eff, None, on((F, F, P, P, F, P))),
+    ("Omega_2 e_0 + 1 at one entry, after the recursion", wave_after, None,
+     on((F, F, P, P, P, P))),
+    ("Omega_2 e_0 + 1 at one entry, inside the recursion", wave_inside, None,
+     on((F, F, P, P, F, P))),
+    ("one position's 1/(E0 - E) x 1001/1000 after compute", None, gap,
+     on((P, P, P, P, F, "symmetry"), (P, P, P, P, F, "symmetry"))),
+    ("Gram A[0][0] + h^2/1000", gram, None, on((P, P, F, P, P, P))),
+    ("weight functional L_1(1) x 1001/1000", weight, None, on((P, P, P, P, P, "symmetry"))),
+    ("first eigenvalue + h^2/1000", eigenvalue(4), None,
+     on((F, F, P, P, F, P), (F, F, P, P, F, P))),
+    ("first eigenvalue + h^(3/2)/1000", eigenvalue(3), None, on(PARITY, (F, F, P, P, F, P))),
+    ("one un-rescaling exponent + 1", exponent, None, on((F, P, P, P, P, P), (F, P, P, P, P, P))),
 ]
 
 
@@ -176,7 +264,8 @@ def failed_laws(report, m0: int) -> str:
 
 
 def verdicts(preset: str, order: int, before, after) -> tuple | str:
-    """Every check's verdict on the preset with the defect in, or ``PENCIL``."""
+    """Every check's verdict on the preset with the defect in, or where
+    ``compute`` stops (``PENCIL``, ``PARITY``)."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         if before is not None:
             before(monkeypatch)
@@ -186,6 +275,9 @@ def verdicts(preset: str, order: int, before, after) -> tuple | str:
         except ValueError as exc:
             assert str(exc) == "pencil must be hermitian"
             return PENCIL
+        except AssertionError as exc:
+            assert str(exc).startswith("half-integer eigenvalue coefficient")
+            return PARITY
         if after is not None:
             after(result)
         reports = {rep.name: rep for rep in _run_checks(result, "all")}
@@ -200,11 +292,11 @@ def test_each_check_catches_its_rows():
     lines = ["| defect | problem | " + " | ".join(COLUMNS) + " |",
              "| --- " * (len(COLUMNS) + 2) + "|"]
     for (name, preset), v in got.items():
-        cells = [PENCIL] + [""] * (len(COLUMNS) - 1) if v == PENCIL else list(v)
+        cells = [v] + [""] * (len(COLUMNS) - 1) if isinstance(v, str) else list(v)
         lines.append(f"| {name} | {preset} | " + " | ".join(cells) + " |")
     print("\n" + "\n".join(lines))
-    want = {(name, preset): PENCIL if preset == "rank2" and before is not None else verdict
-            for name, before, _, verdict in ROWS for preset, _ in PROBLEMS}
+    want = {(name, preset): verdict[preset]
+            for name, *_, verdict in ROWS for preset, _ in PROBLEMS}
     assert got == want
 
 
