@@ -8,9 +8,10 @@ eigenvalue series
 
 whose leading corrections are classical second-order sums over oscillator
 matrix elements. The pipeline obtains them through Bloch's wave operator
-and the series pencil. The rs check reads the spectral projector's Laurent
-residues instead: Kato's residue eigenvalue (Q P e)_m / (P e)_m must equal
-the pipeline's series coefficient for coefficient, so its residual is 0.
+and the series pencil. The rs check runs the same recursion on the adjoint
+of the operator under the Gaussian weight instead: its effective
+Hamiltonian must be the conjugate of the pipeline's, coefficient for
+coefficient, so its residual is 0.
 """
 
 from qmf import compute_quasimodes, rs_oracle

@@ -16,10 +16,11 @@ sequence, d p_m = m p_{m-1}, so operators act on it by table algebra
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import floor, perm, prod
+from math import factorial, floor, perm, prod
 
 from .series_algebra import (
     EXPONENT_BITS, MAX_DEGREE, FiberPoly, Poly, accumulate, check_degree,
@@ -83,6 +84,9 @@ class HermiteBasis:
         self._poly_cache: dict[int, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
         self._half_inverse = [mode.split(mode.one() / (l + l)) for l in self.lam]
+        self._double = [mode.split(l + l) for l in self.lam]
+        self._raises: dict[int, int] = {}
+        self._raise_den = prod(t * t for _, t in self._double)
         self._units = [pack(tuple(int(i == nu) for i in range(n))) for nu in range(n)]
         self._positions: dict[int, int] = {}
         self._key_at: list[int] = []
@@ -162,10 +166,23 @@ class HermiteBasis:
             self._y_rows[nu, k, m] = row
         return row
 
-    def apply(self, op, pos: int) -> tuple[dict, int]:
+    def norm2(self, pos: int) -> tuple:
+        """N_m = prod_nu m_nu! / (2 lambda_nu)^m_nu, the squared norm of the
+        basis vector at ``pos`` without the common Gaussian factor, split as
+        the mode splits: (numerator, denominator)."""
+        num = den = 1
+        alpha = self._key_at[pos] // self.rank
+        for nu, (cn, cd) in enumerate(self._half_inverse):
+            m = alpha >> EXPONENT_BITS * (self.n - 1 - nu) & MAX_DEGREE
+            num *= factorial(m) * cn ** m
+            den *= cd ** m
+        return num, den
+
+    def apply(self, op, pos: int, through: int | None = None) -> tuple[dict, int]:
         """The ``DiffOpJet`` ``op`` applied to the basis vector at position
         ``pos``: numerators over one denominator in the form of
-        ``reduce_num``, keyed by position.
+        ``reduce_num``, keyed by position; with ``through``, only the entries
+        of degree <= through, and no partial sum past it is formed.
 
         The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
         stencil term t y^gamma d^beta of an entry at input column k maps
@@ -190,7 +207,7 @@ class HermiteBasis:
                 f = prod(perm(alpha >> sh & MAX_DEGREE, b) for sh, b in steps) if j == k else 0
                 if not f:
                     continue
-                for key, c in self._contract(tree, 0, alpha - beta, tops).items():
+                for key, c in self._contract(tree, 0, alpha - beta, tops, through).items():
                     key = key * rank + i
                     acc[key] = get(key, 0) + c * f
         den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
@@ -198,24 +215,80 @@ class HermiteBasis:
         position = self._position
         return {position(key): n for key, n in num.items()}, den
 
-    def _contract(self, tree, nu: int, base: int, tops: tuple) -> dict:
+    def apply_adjoint(self, op, pos: int, through: int | None = None) -> tuple[dict, int]:
+        """The adjoint of the ``DiffOpJet`` ``op`` under the Gaussian weight
+        exp(-sum_nu lambda_nu y_nu^2) and the identity fibre metric, applied
+        to the basis vector at position ``pos``, in the form of ``apply``.
+
+        Against the weight, d_nu integrates by parts to -D_nu with
+        D_nu = d_nu - 2 lambda_nu y_nu, so the adjoint of C_beta d^beta is
+        (-1)^|beta| D^beta o C_beta^H. On the monic family D_nu is a raising
+        operator, D_nu p_m = -2 lambda_nu p_(m+1) (the recurrence of
+        ``_y_row`` and d p_m = m p_(m-1)), so the adjoint maps p_alpha e_k to
+        prod_nu (2 lambda_nu)^beta_nu times C_beta^H p_alpha e_k with every
+        index m raised to m + beta: the stencil of ``apply`` read with its
+        rows and columns swapped, conjugated (the y rows are real), and no
+        derivative taken. With ``through``, only the entries of degree
+        <= through are formed.
+        """
+        op_den, tops, rows = _hermite_tree(op)
+        check_degree(self.degree + sum(tops) + 2 * self.n)
+        alpha, k = divmod(self._key_at[pos], self.rank)
+        shift, rank = self.n * EXPONENT_BITS, self.rank
+        acc: dict = {}
+        get = acc.get
+        for j, beta, _, tree in rows[k]:
+            # (C_beta^H)[j][k] is conj(C_beta[k][j]), row k's entry at column j
+            f = self._raises.get(beta) or self._raise_factor(beta)
+            room = None if through is None else through - (beta >> shift)
+            for key, c in self._contract(tree, 0, alpha, tops, room).items():
+                key = (key + beta) * rank + j
+                acc[key] = get(key, 0) + c * f
+        if self.mode.name != "exact":
+            acc = {key: c.conjugate() for key, c in acc.items()}
+        den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
+        num, den = reduce_num(self.mode, acc, den * self._raise_den)
+        position = self._position
+        return {position(key): n for key, n in num.items()}, den
+
+    def _raise_factor(self, beta: int) -> int:
+        """prod_nu (2 lambda_nu)^beta_nu for the packed beta of a second-order
+        operator (beta_nu <= 2), over the denominator prod_nu t_nu^2
+        (``_raise_den``), s_nu / t_nu = 2 lambda_nu; cached."""
+        exps = unpack(beta, self.n)
+        if max(exps) > 2:
+            raise ValueError(f"d^{exps} is past second order")
+        f = self._raises[beta] = prod(s ** b * t ** (2 - b) for (s, t), b in zip(self._double, exps))
+        return f
+
+    def _contract(self, tree, nu: int, base: int, tops: tuple, through: int | None) -> dict:
         """The sum over the gamma-prefix tree ``tree`` of dimension nu of
         t prod_{mu >= nu} y^gamma_mu p_{base_mu}, over prod_{mu >= nu}
         d_mu^tops_mu: numerators keyed by the packed indices m_mu, mu >= nu
-        (``base`` is packed too)."""
+        (``base`` is packed too), whose degree field is sum_{mu >= nu} m_mu.
+        With ``through``, only the keys of degree <= through: the inner keys
+        sorted by degree, each m_nu meets only the prefix that fits."""
         cd, top, unit = self._half_inverse[nu][1], tops[nu], self._units[nu]
         m0 = base >> EXPONENT_BITS * (self.n - 1 - nu) & MAX_DEGREE
         last = nu == self.n - 1
         out: dict = {}
         get = out.get
         for g, child in tree:
-            # a leaf holds the term's numerator t
-            inner = ((0, child),) if last else self._contract(child, nu + 1, base, tops).items()
+            if last:
+                # a leaf holds the term's numerator t
+                inner, degrees = ((0, child),), (0,)
+            else:
+                inner = self._contract(child, nu + 1, base, tops, through).items()
+                if through is not None:
+                    # packed keys sort by their degree field first
+                    inner = sorted(inner)
+                    degrees = [key >> EXPONENT_BITS * self.n for key, _ in inner]
             scale = cd ** (top - g)
             for m, y in self._y_row(nu, g, m0):
                 c = y * scale
+                part = inner if through is None else inner[:bisect_right(degrees, through - m)]
                 m *= unit
-                for key, s in inner:
+                for key, s in part:
                     key += m
                     out[key] = get(key, 0) + c * s
         return out

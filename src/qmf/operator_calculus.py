@@ -62,6 +62,7 @@ __all__ = [
     "rescale_operator",
     "EikonalError",
     "ProblemValidationError",
+    "InsufficientOrderError",
 ]
 
 
@@ -71,6 +72,21 @@ class ProblemValidationError(ValueError):
 
 class EikonalError(ValueError):
     """The phase jet does not (or cannot) satisfy the eikonal equation."""
+
+
+class InsufficientOrderError(ValueError):
+    """The input jets cannot support the requested series order: the
+    operator family is exact only through a lower one. Each further degree
+    of the input jets adds one doubled order; ``required_D``, when the
+    caller knows the jet order D, is the least D that suffices."""
+
+    def __init__(self, requested2: int, available2: int, required_D: int | None = None):
+        self.required_D = required_D
+        need = (f"at least D = {required_D}" if required_D is not None
+                else f"{requested2 - available2} higher")
+        super().__init__(
+            f"operator family exact only through order {Fraction(available2, 2)} < "
+            f"requested {Fraction(requested2, 2)}; the input jet order must be {need}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +725,8 @@ class OperatorFamily:
     rank: int
 
     def get2(self, j: int) -> DiffOpJet:
-        return self.ops2.get(j, DiffOpJet.zero(self.mode, self.n, self.rank))
+        op = self.ops2.get(j)
+        return DiffOpJet.zero(self.mode, self.n, self.rank) if op is None else op
 
     def orders2(self) -> list[int]:
         return sorted(self.ops2)

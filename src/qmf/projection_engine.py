@@ -1,5 +1,6 @@
-"""The perturbed level, order by order in sqrt(h): Bloch's wave operator,
-which builds it, and the spectral projector, which checks it.
+"""The perturbed level, order by order in sqrt(h): one Bloch recursion, run
+on the rescaled family Q to build the level and on its Gaussian adjoint to
+check it.
 
 C. Bloch's wave operator Omega (Nucl. Phys. 6 (1958) 329; I. Lindgren,
 J. Phys. B 7 (1974) 2441 for a degenerate model space) spans the perturbed
@@ -12,55 +13,46 @@ and the intermediate normalization P0 Omega = P0,
 and H_eff = E0 + sum_t h^t H_t satisfies Q Omega = Omega H_eff. The recursion
 carries no Laurent powers; at m0 = 1 it is the Rayleigh-Schrodinger one.
 
-The projector is the contour integral of the perturbed resolvent around the
-chosen level. In the eigenbasis of the model operator G0(E0 + w) multiplies
-the component at eigenvalue E by 1/(g + w), g = E0 - E: a pole 1/w on the
-level, a power series in w elsewhere. The contour integral is the exact
-w^(-1) coefficient, a Laurent residue. The resolvent expansion is graded by
-order (T. Kato, Perturbation Theory for Linear Operators, ch. II, 1-2); its
-order-s part, applied to a basis vector e, obeys
+The monic Hermite basis is orthogonal under the Gaussian pairing
+<u, v>_G = sum_m conj(u_m) v_m N_m, N_m = prod_nu m_nu! / (2 lambda_nu)^m_nu
+(``HermiteBasis.norm2``), and Q0 is symmetric there. The same recursion on
+the adjoint family Q_j^dagger (``OperatorFamily.adjoint2``) gives left
+vectors v_c and H^dagger with Q^dagger V = V H^dagger, so
+<v_c, Q f>_G = sum_d conj(H^dagger_dc) <v_d, f>_G. With the overlap
+M_ca = <v_c, Omega e_a>_G, invertible as M_0 = diag(N_a),
 
-    T_0 = G0 e,    T_s = G0 sum_{0 < i <= s} Q_i T_{s-i},
+    M H_eff = (H^dagger)^H M,    P e_b = sum_{a,c} Omega e_a (M^(-1))_ac conj(v_c)_b N_b,
 
-so the order-j image of e is the w^(-1) residue of T_j, at O(order^2)
-operator applications per basis vector. A state holds one vector per
-w-power. A step reads each Q_i image once per position, adds it into one
-accumulator per w-power, then applies G0 per position: a level member moves
-down one power; elsewhere (g + w) x = r is solved power by power,
-x_p = (r_p - x_(p-1)) / g, in O(L) for L kept powers.
+and P is the level's spectral projector: its range is Omega's and its kernel
+the common kernel of the <v_c, .>_G, as for the contour integral of the
+resolvent (T. Kato, Perturbation Theory for Linear Operators, ch. II, 1-2).
+Only the checks read M, H^dagger and P: ``rs_oracle`` the first identity,
+``projector_diagnostics`` the images of its probes.
 
-Every chain summed into T_s has R = 2(order - s) half-orders left, so T_s
-is truncated once, per position. A component at w-power p needs at least
-p + 1 later steps that end on the level, since G0 lowers the power only
-there; each step applies some Q_i, i >= 1/2, for 2i half-orders. Q_i changes
-degree parity by 2i, so on a level of uniform parity a component of the
-level's parity re-enters the level at most floor(R/2) times, one of the
-other parity at most floor((R + 1)/2) times, and on a mixed level R times.
-With L that count, a position keeps the powers p <= L - 1. A dropped term
-never flows into a kept one: the path joining them would let the kept one
-re-enter the level more often than its own bound allows, and x_p reads r
-only at powers up to p. So each kept entry is summed from the same terms, in
-the same order (ascending powers and positions), as without the truncation:
-the images do not change, bit for bit in float mode. ``q_action`` checks
-the parity rule on every image it caches.
+A matrix entry of Q_j is nonzero only where Q_j raises degree by at most
+2j, so Q_j^dagger lowers degree by at most 2j. On a basis of degree D, a
+component of v_c at doubled order s and degree above D - s can therefore
+never come back, within the built order N, to degree D - N or below: the
+left recursion drops it, and forms each Q_j^dagger image, which can raise
+degree by 2j + 4, only through degree D - 2j (``adjoint_action``). What it
+keeps is exact for M, since Omega stays within degree 2K + N, and for the
+image of every basis vector of degree at most D - N. The pipeline's basis
+has D = 2K + 2 + N (``workspace_degree``), so that holds the probes of
+``projector_diagnostics``, of degree at most 2K + 2.
 
-``ProjectorSeries`` holds both recursions and their caches. Only the checks
-read the projector's images (``projector_diagnostics`` its probes,
-``rs_oracle`` the level members); the wave operator fills the same Q_j and
-gap caches. Vectors are integer numerators keyed by basis position
-(``HermiteBasis.position``) over one denominator (``HermiteVec``): sums
-rescale only when a new denominator raises the lcm, and each finished vector
-is reduced by one gcd. Float mode runs the same code over denominator 1.
-Coefficients become Fractions only where images leave the projector or the
-wave operator (``ProjectorSeries.as_s0``).
+``ProjectorSeries`` holds both recursions and their caches. Vectors are
+integer numerators keyed by basis position (``HermiteBasis.position``) over
+one denominator (``HermiteVec``): sums rescale only when a new denominator
+raises the lcm, and each finished vector is reduced by one gcd. Float mode
+runs the same code over denominator 1. Coefficients become Fractions only
+where vectors leave the engine (``ProjectorSeries.as_s0``) and in the
+m0 x m0 series M and its inverse.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping
 
 from .series_algebra import (
@@ -68,10 +60,11 @@ from .series_algebra import (
     S0Series,
     accumulate,
     grow_den,
+    matmul,
     reduce_num,
     worst_residual,
 )
-from .operator_calculus import OperatorFamily
+from .operator_calculus import InsufficientOrderError, OperatorFamily
 from .gaussian_pairing import WeightExpansion, pair_s0
 from .harmonic_oscillator import DegenerateLevel, HermiteBasis, HermiteIndex
 
@@ -82,18 +75,13 @@ __all__ = [
     "projector_diagnostics",
     "workspace_degree",
     "WorkspaceDegreeError",
-    "ParityRuleError",
     "HermiteVec",
 ]
 
 
 class WorkspaceDegreeError(RuntimeError):
-    """An operator action left the tabulated polynomial space; the degree bound must grow."""
-
-
-class ParityRuleError(RuntimeError):
-    """Q_j moved a basis vector to a degree of the wrong parity; the resolvent
-    recursion's truncation relies on that parity rule."""
+    """An operator action left the tabulated polynomial space: the Hermite
+    basis must be built at a higher degree."""
 
 
 @dataclass(slots=True)
@@ -142,20 +130,23 @@ class HermiteVec:
 
 
 # ---------------------------------------------------------------------------
-# The projector series
+# The wave operators and the projector
 
 
 class ProjectorSeries:
-    """The level projector through the doubled order ``order2``, by Laurent
-    residues of the graded resolvent expansion at one level, and Bloch's wave
-    operator (``wave_operator2``) on the same Q_j cache.
+    """The level's two wave operators and its projector through the doubled
+    order ``order2`` (module docstring).
 
-    ``image2(pos)`` returns the graded coefficients of the projected basis
-    vector at a basis position as ``HermiteVec``s keyed by doubled order. At
-    order zero the action is the identity on the level members and zero
-    elsewhere. Three caches, filled on first use: the Q_j image of each
-    position (``q_action``), 1/(E0 - E) at each position (``_gap``), and the
-    images of each position (``image2``).
+    ``wave_operator2`` builds the level, Omega e_a and H_eff, on Q;
+    ``left_wave_operator2`` the left vectors v_c and H^dagger on the adjoint
+    family; ``overlap2`` pairs them (M); ``image2(pos)`` returns the graded
+    coefficients of the projected basis vector at a basis position as
+    ``HermiteVec``s keyed by doubled order. The images read the wave images
+    that ``wave_operator2`` returned last, the construction's. Caches, filled
+    on first use: the Q_j and Q_j^dagger images of each position
+    (``q_action``, ``adjoint_action``), 1/(E0 - E) at each position
+    (``_gap``), which both recursions share, N_m at each position, the left
+    recursion, M, M^(-1) and the images of each position.
     """
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
@@ -165,44 +156,51 @@ class ProjectorSeries:
         self.basis = basis
         self.level = level
         self.order2 = order2
-        # (2j, position) -> Q_j applied to the basis vector there
+        # (2j, position) -> Q_j, and Q_j^dagger through its reach, applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
-        # position -> (u, v) with u / v = 1 / (E0 - E)
+        self._adjoint_cache: dict[tuple, HermiteVec] = {}
+        # position -> (u, v) with u / v = 1 / (E0 - E), and N_m split
         self._gaps: dict[int, tuple] = {}
+        self._norms: dict[int, tuple] = {}
+        self._waves: list | None = None
+        self._left: tuple | None = None
+        self._overlap: list | None = None
+        self._inverse: list | None = None
         # position -> images through the built order
         self._images: dict[int, dict] = {}
         self._level_set = {basis.position(m) for m in level.members}
-        # degree parity of the level (None when mixed): it sets the truncation
-        self._parity = {"even": 0, "odd": 1}.get(level.parity)
 
     # -- model operator pieces in the eigenbasis
 
     def q_action(self, j2: int, pos: int) -> HermiteVec:
         """Q_j, j2 = 2j, applied to the basis vector at position ``pos``, in
         the basis (``HermiteBasis.apply``), cached per (j2, pos). Raises
-        ``WorkspaceDegreeError`` when the image leaves the workspace and
-        ``ParityRuleError`` when an entry's degree differs from deg + 2j by
-        an odd number."""
+        ``WorkspaceDegreeError`` when the image leaves the workspace."""
         key = (j2, pos)
         hit = self._q_cache.get(key)
         if hit is not None:
             return hit
         out = HermiteVec(self.mode, *self.basis.apply(self.family.get2(j2), pos))
         degree_at = self.basis.degree_at
-        degrees = [degree_at[i] for i in out.num]
-        top = max(degrees, default=0)
+        top = max((degree_at[i] for i in out.num), default=0)
         if top > self.basis.degree:
             raise WorkspaceDegreeError(
                 f"operator action at order {Fraction(j2, 2)} reaches degree {top}, beyond the "
                 f"degree-{self.basis.degree} workspace; build the Hermite basis at degree "
                 f"{max(top, workspace_degree(self.level, self.order2))} or more")
-        shift = degree_at[pos] + j2
-        if any((d - shift) % 2 for d in degrees):
-            raise ParityRuleError(
-                f"operator at order {Fraction(j2, 2)} maps {self.basis.index_at[pos]} to a "
-                f"degree of parity other than {shift % 2}; Q_j must change degree parity by 2j")
         self._q_cache[key] = out
         return out
+
+    def adjoint_action(self, j2: int, pos: int) -> HermiteVec:
+        """Q_j^dagger, j2 = 2j, applied to the basis vector at position
+        ``pos`` through degree D - 2j, D the basis degree: all that the
+        orders it feeds keep (module docstring); cached per (j2, pos)."""
+        key = (j2, pos)
+        hit = self._adjoint_cache.get(key)
+        if hit is None:
+            hit = self._adjoint_cache[key] = HermiteVec(self.mode, *self.basis.apply_adjoint(
+                self.family.get2(j2), pos, through=self.basis.degree - j2))
+        return hit
 
     def _gap(self, pos: int) -> tuple:
         """(u, v) with u / v = 1 / (E0 - E) at ``pos``, the mode's split; cached."""
@@ -212,81 +210,175 @@ class ProjectorSeries:
             hit = self._gaps[pos] = self.mode.split(self.mode.one() / gap)
         return hit
 
-    # -- the residue recursion; a state is {w-power: HermiteVec}
+    def _norm(self, pos: int) -> tuple:
+        hit = self._norms.get(pos)
+        if hit is None:
+            hit = self._norms[pos] = self.basis.norm2(pos)
+        return hit
 
-    def _power_bounds(self, remaining: int) -> tuple:
-        """L (module docstring) by the parity of degree minus the level's."""
-        return (remaining,) * 2 if self._parity is None else (remaining // 2, (remaining + 1) // 2)
+    # -- Bloch's recursion
 
-    def _resolve(self, acc: dict, remaining: int) -> dict:
-        """The state G0(E0 + w) acc, {w-power: HermiteVec} like ``acc``, keeping
-        the w-powers p <= L - 1 at each position (module docstring), reduced."""
-        rows: dict[int, dict] = defaultdict(dict)
-        for power, vec in acc.items():
-            for pos, n in vec.num.items():
-                if n:
-                    rows[pos][power] = n
-        parity, bounds = self._parity or 0, self._power_bounds(remaining)
-        level_set, degree_at, gaps = self._level_set, self.basis.degree_at, self._gaps
-        out: dict[int, HermiteVec] = defaultdict(lambda: HermiteVec(self.mode))
-        for pos in sorted(rows):
-            row, top = rows[pos], bounds[(degree_at[pos] ^ parity) & 1]
-            if pos in level_set:
-                for p, n in row.items():
-                    if p <= top:
-                        out[p - 1].add_entry(pos, n, acc[p].den)
-                continue
-            u, v = gaps.get(pos) or self._gap(pos)
-            y, dy = 0, 1
-            for p in range(min(row), top):
-                # x_p = (r_p - x_(p-1)) u / v, x_(p-1) = y / dy and r_p = n / dp
-                n, dp = (row[p], acc[p].den) if p in row else (0, dy)
-                m = dy if dy == dp else lcm(dp, dy)
-                y = ((n if m == dp else n * (m // dp)) - (y if m == dy else y * (m // dy))) * u
-                dy = m * v
-                if y:
-                    out[p].add_entry(pos, y, dy)
-        return {p: vec.reduce() for p, vec in sorted(out.items())}
+    def _bloch(self, action, reach: int | None = None) -> tuple[list, list]:
+        """Bloch's recursion (module docstring) with Q_j applied by
+        ``action``: ([{2s: vector}] per member, H as rows of scalar series).
+        With ``reach``, the vector of order s keeps only degrees <= reach - s."""
+        mode, N = self.mode, self.order2
+        members = [self.basis.position(m) for m in self.level.members]
+        level_set, degree_at = self._level_set, self.basis.degree_at
+        parts = [j for j in self.family.orders2() if 0 < j <= N]
+        waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
+        h: dict[int, list] = {}
+        for s in range(1, N + 1):
+            top = None if reach is None else reach - s
+            drives = {b: HermiteVec(mode) for b in range(len(members))}
+            for b, om in enumerate(waves):
+                for j in parts:
+                    if j > s:
+                        break
+                    prev = om.get(s - j)
+                    for idx, n in prev.num.items() if prev is not None else ():
+                        drives[b].add(action(j, idx), n, prev.den)
+            h_s = [[mode.zero()] * len(members) for _ in members]
+            for b, drive in drives.items():
+                # the level block of the drive is H_s: Omega_(s-t), t < s, has none
+                for a, pos in enumerate(members):
+                    h_s[a][b] = mode.join(drive.num.get(pos, 0), drive.den)
+                for t, h_t in h.items():
+                    for a, om in enumerate(waves):
+                        c = h_t[a][b]
+                        if not mode.is_zero(c) and s - t in om:
+                            drive.add(om[s - t], *mode.split(-c))
+                # S = (E0 - Q0)^(-1) off the level
+                out = HermiteVec(mode)
+                for idx, n in drive.num.items():
+                    if idx not in level_set and (top is None or degree_at[idx] <= top):
+                        u, v = self._gap(idx)
+                        out.add_entry(idx, n * u, drive.den * v)
+                if out.reduce():
+                    waves[b][s] = out
+            h[s] = h_s
+        h_eff = [[FormalScalarSeries.from_terms2(
+            mode, {0: self.level.E0 if a == b else mode.zero(),
+                   **{t: h_t[a][b] for t, h_t in h.items()}}, N)
+            for b in range(len(members))] for a in range(len(members))]
+        return waves, h_eff
 
-    def images2(self, pos: int) -> dict:
-        """The order-j coefficients, 0 <= 2j <= N = ``order2``, of the
-        projected basis vector at position ``pos``, keyed by 2j: the
-        nonzero residues of T_j (module docstring), with the w-powers that
-        cannot reach the residue within the remaining orders dropped."""
-        N = self.order2
-        parts = [i for i in self.family.orders2() if 0 < i <= N]
-        states: dict[int, dict] = {}
-        out: dict[int, HermiteVec] = {}
-        for s in range(N + 1):
-            acc = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
-            for i in (i for i in parts if i <= s):
-                qs: dict[int, HermiteVec] = {}
-                for power, vec in states[s - i].items():
-                    # the loop of ``accumulate``, with one Q_i read per position
-                    slot = acc.get(power) or acc.setdefault(power, HermiteVec(self.mode))
-                    a, da, get = slot.num, slot.den, slot.num.get
-                    for at, n in vec.num.items():
-                        qv = qs.get(at)
-                        if qv is None:
-                            qv = qs[at] = self.q_action(i, at)
-                        d = vec.den * qv.den
-                        if da % d:
-                            da = grow_den(a, da, d)
-                        f = n * (da // d)
-                        for key, m in qv.num.items():
-                            a[key] = get(key, 0) + m * f
-                    slot.den = da
-            state = states[s] = self._resolve(acc, N - s)
-            if -1 in state:
-                out[s] = state[-1]
-        return out
+    def wave_operator2(self) -> tuple[list, list]:
+        """Bloch's wave operator on the level through the built order (module
+        docstring): ([{2s: Omega_s e_a}] per member a, H_eff as rows of scalar
+        series). Omega_s e_a has degree at most |alpha| + 2s."""
+        waves, h_eff = self._bloch(self.q_action)
+        self._waves = waves
+        return waves, h_eff
 
-    # -- the action table
+    def left_wave_operator2(self) -> tuple[list, list]:
+        """The left wave operator, Bloch's recursion on the adjoint family
+        (module docstring), run once: ([{2s: v_c,s}] per member c, H^dagger
+        as rows of scalar series), v_c,s kept through degree D - 2s, D the
+        basis degree."""
+        if self._left is None:
+            self._left = self._bloch(self.adjoint_action, self.basis.degree)
+        return self._left
+
+    def _right(self) -> list:
+        """The wave images, as ``wave_operator2`` returned them last."""
+        if self._waves is None:
+            self._waves = self.wave_operator2()[0]
+        return self._waves
+
+    # -- the projector
+
+    def overlap2(self, size=None) -> list:
+        """M_ca = <v_c, Omega e_a>_G through the built order, as rows of scalar
+        series, built once; with ``size`` (``mode.abs``), the same sums over
+        the sizes of their terms. Each entry's terms are summed as integer
+        numerators over one denominator."""
+        if size is None and self._overlap is not None:
+            return self._overlap
+        mode, N, conj = self.mode, self.order2, self.mode.conj
+        lefts, _ = self.left_wave_operator2()
+        rows = []
+        for left in lefts:
+            row = []
+            for wave in self._right():
+                acc, den = {}, 1
+                for s, v in left.items():
+                    for t, w in wave.items():
+                        if s + t > N:
+                            continue
+                        for pos, a in v.num.items():
+                            b = w.num.get(pos)
+                            if b is None:
+                                continue
+                            n, d = self._norm(pos)
+                            d *= v.den * w.den
+                            if den % d:
+                                den = grow_den(acc, den, d)
+                            x = conj(a) * b * n * (den // d)
+                            acc[s + t] = acc.get(s + t, 0) + (x if size is None else size(x))
+                row.append(FormalScalarSeries.from_terms2(
+                    mode, {t: mode.join(x, den) for t, x in acc.items()}, N))
+            rows.append(row)
+        if size is None:
+            self._overlap = rows
+        return rows
+
+    def _inverse_overlap(self) -> list:
+        """M^(-1) = sum_k R^k D^(-1), D = M_0 = diag(N_a) and R = -D^(-1)(M - D)
+        of order >= 1, so the sum ends within the built order; built once."""
+        if self._inverse is None:
+            mode, N = self.mode, self.order2
+            m = self.overlap2()
+            size = range(len(m))
+            inv_d = [mode.one() / m[a][a].at2(0) for a in size]
+            r = [[FormalScalarSeries.from_terms2(
+                mode, {t: -c * inv_d[a] for t, c in m[a][c2].items2() if t}, N)
+                for c2 in size] for a in size]
+            term = [[FormalScalarSeries.const(mode, inv_d[a] if a == c else 0, N) for c in size]
+                    for a in size]
+            total = term
+            while any(not e.is_zero() for row in term for e in row):
+                term = [[e.truncate2(N) for e in row] for row in matmul(r, term)]
+                total = [[x + y for x, y in zip(row, add)] for row, add in zip(total, term)]
+            self._inverse = total
+        return self._inverse
 
     def image2(self, pos: int) -> dict:
+        """The order-j coefficients, 0 <= 2j <= N = ``order2``, of the
+        projected basis vector at position ``pos``, keyed by 2j:
+        P e_b = sum_{a,c} Omega e_a (M^(-1))_ac conj(v_c)_b N_b (module
+        docstring); cached. The left vectors hold every degree up to D - N,
+        D the basis degree, at every order, so a position of higher degree
+        raises ``WorkspaceDegreeError``."""
         hit = self._images.get(pos)
-        if hit is None:
-            hit = self._images[pos] = self.images2(pos)
+        if hit is not None:
+            return hit
+        mode, N = self.mode, self.order2
+        degree = self.basis.degree_at[pos]
+        if degree > self.basis.degree - N:
+            raise WorkspaceDegreeError(
+                f"the projected {self.basis.index_at[pos]} needs the Hermite basis at degree "
+                f"{degree + N} or more, beyond the degree-{self.basis.degree} workspace")
+        lefts, _ = self.left_wave_operator2()
+        norm = mode.join(*self._norm(pos))
+        # conj(v_c)_b N_b, a scalar series per member c
+        w = [FormalScalarSeries.from_terms2(
+            mode, {s: mode.conj(mode.join(v.num[pos], v.den)) * norm
+                   for s, v in left.items() if pos in v.num}, N) for left in lefts]
+        out: dict[int, HermiteVec] = {}
+        for wave, row in zip(self._right(), self._inverse_overlap()):
+            k = FormalScalarSeries.zero(mode, N)
+            for x, y in zip(row, w):
+                k = k + x * y
+            for r, c in k.items2():
+                n, d = mode.split(c)
+                for s, vec in wave.items():
+                    if r + s <= N:
+                        slot = out.get(r + s)
+                        if slot is None:
+                            slot = out[r + s] = HermiteVec(mode)
+                        slot.add(vec, n, d)
+        hit = self._images[pos] = {t: out[t] for t in sorted(out) if out[t].reduce()}
         return hit
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
@@ -302,74 +394,27 @@ class ProjectorSeries:
         coeffs = {K2 + j: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
         return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, self.order2)
 
-    # -- Bloch's wave operator
-
-    def wave_operator2(self) -> tuple[list, list]:
-        """Bloch's wave operator on the level through the built order (module
-        docstring): ([{2s: Omega_s e_a}] per member a, H_eff as rows of scalar
-        series). Omega_s e_a has degree at most |alpha| + 2s."""
-        mode, N = self.mode, self.order2
-        members = [self.basis.position(m) for m in self.level.members]
-        level_set = self._level_set
-        parts = [j for j in self.family.orders2() if 0 < j <= N]
-        waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
-        h: dict[int, list] = {}
-        for s in range(1, N + 1):
-            drives = {b: HermiteVec(mode) for b in range(len(members))}
-            for b, om in enumerate(waves):
-                for j in parts:
-                    if j > s:
-                        break
-                    prev = om.get(s - j)
-                    for idx, n in prev.num.items() if prev is not None else ():
-                        drives[b].add(self.q_action(j, idx), n, prev.den)
-            h_s = [[mode.zero()] * len(members) for _ in members]
-            for b, drive in drives.items():
-                # the level block of the drive is H_s: Omega_(s-t), t < s, has none
-                for a, pos in enumerate(members):
-                    h_s[a][b] = mode.join(drive.num.get(pos, 0), drive.den)
-                for t, h_t in h.items():
-                    for a, om in enumerate(waves):
-                        c = h_t[a][b]
-                        if not mode.is_zero(c) and s - t in om:
-                            drive.add(om[s - t], *mode.split(-c))
-                # S = (E0 - Q0)^(-1) off the level
-                out = HermiteVec(mode)
-                for idx, n in drive.num.items():
-                    if idx not in level_set:
-                        u, v = self._gap(idx)
-                        out.add_entry(idx, n * u, drive.den * v)
-                if out.reduce():
-                    waves[b][s] = out
-            h[s] = h_s
-        h_eff = [[FormalScalarSeries.from_terms2(
-            mode, {0: self.level.E0 if a == b else mode.zero(),
-                   **{t: h_t[a][b] for t, h_t in h.items()}}, N)
-            for b in range(len(members))] for a in range(len(members))]
-        return waves, h_eff
-
 
 def workspace_degree(level: DegenerateLevel, order2: int) -> int:
-    """The polynomial degree that the projector check reaches through the
-    doubled order ``order2``.
+    """The polynomial degree 2K + 2 + N of the pipeline's basis, N =
+    ``order2``.
 
-    Its probes are the level members and every basis vector of degree at
-    most 2K + 2, ``workspace_degree(level, 0)``. Each step of the resolvent
-    recursion raises the degree by at most 2i with Q_i, so the images of the
-    probes, and every vector summed into them, reach at most 2K + 2 + 2N, and
-    a basis of this degree holds every vector the pipeline (the wave
-    operator, deg <= |alpha| + 2s), the check and ``rs_oracle`` build.
+    The projector check's probes are the level members and every basis
+    vector of degree at most 2K + 2, ``workspace_degree(level, 0)``, and the
+    image of a basis vector of degree d needs a basis of degree d + N
+    (``ProjectorSeries.image2``). The wave operator's Omega_s e_a have degree
+    at most 2K + s, so a basis of this degree holds every vector the
+    pipeline and the checks build.
     """
     return level.K2 + 2 + order2
 
 
 def build_projector(family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
                     order2: int) -> ProjectorSeries:
-    """Projector series through the requested doubled order for one level."""
+    """Projector series through the requested doubled order for one level;
+    raises ``InsufficientOrderError`` past the family's exact orders."""
     if order2 > family.max_order2:
-        raise WorkspaceDegreeError(
-            f"operator family exact only through order {Fraction(family.max_order2, 2)}; "
-            f"raise the input jet order (need operator orders through {Fraction(order2, 2)})")
+        raise InsufficientOrderError(order2, family.max_order2)
     return ProjectorSeries(family, basis, level, order2)
 
 

@@ -19,8 +19,10 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
 * ``orthonormality_report`` -- the pairing Gram of the output against the
                                recorded diagonal constants;
 * ``rs_oracle``             -- the construction's H_eff and eigenvalues
-                               against the projector's Laurent-residue images
-                               of the level members (any level);
+                               against the left wave operator, Bloch's
+                               recursion on the Gaussian adjoint family:
+                               M H_eff = (H^dagger)^H M and the eigenvalue
+                               power sums (any level);
 * ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
                                (a Rayleigh-Ritz solve in the model
                                oscillator's Hermite functions, certified by
@@ -52,6 +54,7 @@ from .series_algebra import (
 )
 from .operator_calculus import (
     ConjugatedOperator,
+    InsufficientOrderError,
     JetProblem,
     OperatorFamily,
     conjugate_hamiltonian,
@@ -93,17 +96,6 @@ __all__ = [
     "crosscheck_eigenvalue_1d",
     "InsufficientOrderError",
 ]
-
-
-class InsufficientOrderError(ValueError):
-    """The input jets cannot support the requested series order."""
-
-    def __init__(self, requested2: int, available2: int, required_D: int):
-        self.required_D = required_D
-        super().__init__(
-            f"operator family exact only through order {Fraction(available2, 2)} < "
-            f"requested {Fraction(requested2, 2)}; "
-            f"the input jet order must be at least D = {required_D}")
 
 
 @dataclass
@@ -434,92 +426,94 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Residue oracle
+# Left wave operator oracle
 
 
-def _member_block(proj: ProjectorSeries, N: int, term) -> tuple[list, list]:
-    """X_ab = (P e_b)_a and Y_ab = ((Q - Q0) P e_b)_a at the level members a
-    and b, as rows of {doubled order: value}, P e_b the Laurent-residue image. A value
-    sums ``term(n, d)`` over the products n / d that form it: their values, or
-    with |n / d| the magnitudes summed into the entry."""
+def _level_sizes(proj: ProjectorSeries, vectors: list, action) -> list:
+    """The magnitudes summed into H - E0 of Bloch's recursion (``vectors``,
+    with Q_j applied by ``action``): H_s[a][b] is the level entry a of
+    sum_j Q_j V_(s-j) e_b, so its size is sum_j sum_i |(Q_j e_i)_a| |V_(s-j) e_b|_i,
+    as rows of scalar series."""
+    mode, N = proj.mode, proj.order2
     members = [proj.basis.position(m) for m in proj.level.members]
-    parts = [i for i in proj.family.orders2() if 0 < i <= N]
-    x = [[{} for _ in members] for _ in members]
-    y = [[{} for _ in members] for _ in members]
-    for b, pos in enumerate(members):
-        for j, vec in proj.image2(pos).items():
-            for a, at in enumerate(members):
-                if at in vec.num:
-                    x[a][b][j] = term(vec.num[at], vec.den)
-            # Q0 is E0 at the members, so only the Q_i with i > 0 are applied
-            for i in parts:
-                t = i + j
-                if t > N:
+    parts = [j for j in proj.family.orders2() if 0 < j <= N]
+    rows = [[{} for _ in members] for _ in members]
+    for b, vec_b in enumerate(vectors):
+        for s_prev, vec in vec_b.items():
+            for j in parts:
+                if s_prev + j > N:
                     break
                 for idx, n in vec.num.items():
-                    q = proj.q_action(i, idx)
+                    q = action(j, idx)
                     for a, at in enumerate(members):
                         c = q.num.get(at)
                         if c is not None:
-                            row = y[a][b]
-                            row[t] = row.get(t, 0) + term(n * c, vec.den * q.den)
-    return x, y
+                            row = rows[a][b]
+                            row[s_prev + j] = (row.get(s_prev + j, 0)
+                                               + mode.abs(mode.join(n * c, vec.den * q.den)))
+    return [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row] for row in rows]
 
 
-def _rs_sides(h: list, x: list, y: list, eigs: list, e0) -> list:
-    """(left, right) of each comparison of ``rs_oracle``: (H_eff - E0) X and Y
-    entrywise, then tr(H_eff^p) and sum_k E_k^p for p = 1..m0."""
-    m = len(h)
-    shift = FormalScalarSeries.const(x[0][0].mode, e0, x[0][0].trunc2)
-    moved = [[e - shift if a == b else e for b, e in enumerate(row)] for a, row in enumerate(h)]
-    hx = matmul(moved, x)
-    sides = [(hx[a][b], y[a][b]) for a in range(m) for b in range(m)]
+def _rs_sides(m: list, moved: list, moved_dag: list, h: list, eigs: list) -> list:
+    """(left, right) of each comparison of ``rs_oracle``: M (H_eff - E0) and
+    (H^dagger - E0)^H M entrywise, then tr(H_eff^p) and sum_k E_k^p for
+    p = 1..m0."""
+    size = range(len(h))
+    left = matmul(m, moved)
+    right = matmul([[moved_dag[c][a].conj() for c in size] for a in size], m)
+    sides = [(left[c][a], right[c][a]) for c in size for a in size]
     power, eig_power = h, eigs
-    for _ in range(m):
-        sides.append((reduce(add, (power[k][k] for k in range(m))), reduce(add, eig_power)))
+    for _ in size:
+        sides.append((reduce(add, (power[k][k] for k in size)), reduce(add, eig_power)))
         power, eig_power = matmul(power, h), [e * f for e, f in zip(eig_power, eigs)]
     return sides
 
 
 def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     """The ``rs_oracle`` check: the construction's H_eff and eigenvalues
-    against the projector's Laurent-residue images, on any level.
+    against the left wave operator, on any level.
 
-    P e_b is the projector's image of the member e_b (``ProjectorSeries.image2``),
-    which the construction never forms. It lies in the span of the wave images
-    Omega e_c, whose member entries are delta_ac (intermediate normalization),
-    so P e_b = sum_c Omega e_c X_cb with X_ab = (P e_b)_a; and Q Omega =
-    Omega H_eff gives Y_ab = (Q P e_b)_a = (H_eff X)_ab, so H_eff is the
-    residue route's Y X^(-1). The check verifies Y = H_eff X entrywise and
-    tr(H_eff^p) = sum_k E_k^p for p = 1..m0, which fixes the multiset of the
-    output eigenvalues (Newton's identities); neither needs X^(-1). At m0 = 1
-    the two say E = (Q P e)_m / (P e)_m, Kato's residue eigenvalue (T. Kato,
-    Perturbation Theory for Linear Operators, ch. II, sec. 2).
+    The left wave operator is Bloch's recursion run on the Gaussian adjoint
+    of the operator family (``ProjectorSeries.left_wave_operator2``), which
+    the construction never forms: its vectors v_c and H^dagger satisfy
+    Q^dagger V = V H^dagger. With the overlap M_ca = <v_c, Omega e_a>_G
+    (``ProjectorSeries.overlap2``), Q Omega = Omega H_eff gives
+    M H_eff = (H^dagger)^H M, which sets the construction's H_eff against
+    one built from a separately formed operator. The check verifies it
+    entrywise, with E0 taken off both H's, and tr(H_eff^p) = sum_k E_k^p
+    for p = 1..m0, which fixes the multiset of the output eigenvalues
+    (Newton's identities); neither needs M^(-1). At m0 = 1 the first says
+    that H_eff is the conjugate of H^dagger.
 
-    X and Y share with the construction the operator family, the basis and
-    the cached Q_j images (``ProjectorSeries.q_action``), and read none of the
-    wave operator, the pairing or the pencil. A nonzero residual is judged,
-    coefficientwise, against the same comparison on |coefficients|.
-    ``data`` holds the worst residual of each comparison.
+    The two recursions share the basis and the gaps 1/(E0 - E), and the
+    check reads the construction's wave images through M, and none of the
+    pairing or the pencil. A nonzero residual is judged, coefficientwise,
+    against the same comparison on |coefficients|. ``data`` holds the worst
+    residual of each comparison.
     """
     ctx = result.context
     mode, N, level, proj = ctx.problem.mode, result.order2, ctx.level, ctx.projector
 
-    def series(rows):
-        return [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row]
-                for row in rows]
+    def moved(h):
+        shift = FormalScalarSeries.const(mode, level.E0, N)
+        return [[e - shift if a == b else e for b, e in enumerate(row)] for a, row in enumerate(h)]
 
     def absolute(e):
         return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()}, N)
 
+    lefts, h_dag = proj.left_wave_operator2()
     eigs = [e.shift2(-2) for e in result.eigenvalues]
-    x, y = map(series, _member_block(proj, N, mode.join))
-    diffs = [left - right for left, right in _rs_sides(ctx.h_eff, x, y, eigs, level.E0)]
+    m = proj.overlap2()
+    diffs = [left - right for left, right
+             in _rs_sides(m, moved(ctx.h_eff), moved(h_dag), ctx.h_eff, eigs)]
     residuals = [[] for _ in diffs]
     if any(d.max_abs_coeff(N) for d in diffs):
-        ax, ay = map(series, _member_block(proj, N, lambda n, d: mode.abs(mode.join(n, d))))
-        sides = _rs_sides([list(map(absolute, row)) for row in ctx.h_eff], ax, ay,
-                          list(map(absolute, eigs)), mode.abs(level.E0))
+        # either H can be a cancelled sum, one of them exactly 0
+        sides = _rs_sides(proj.overlap2(mode.abs),
+                          _level_sizes(proj, proj._right(), proj.q_action),
+                          _level_sizes(proj, lefts, proj.adjoint_action),
+                          [list(map(absolute, row)) for row in ctx.h_eff],
+                          list(map(absolute, eigs)))
         residuals = [[(mode.abs(c), mode.abs((left + right).at2(t)))
                       for t, c in d.items2() if t <= N]
                      for d, (left, right) in zip(diffs, sides)]
@@ -530,9 +524,10 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     worst = max(data.values())
     return VerificationReport(
         name="rs_oracle", passed=mode.negligible(worst, 1), order2=N, max_residual=worst,
-        detail="pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
-        if level.m0 == 1 else f"pipeline H_eff X equals the residue block (Q P e_b)_a; "
-                              f"eigenvalue power sums equal tr H_eff^p, p <= {level.m0}",
+        detail="pipeline eigenvalue equals the left wave operator's: M H_eff = conj(H^dagger) M"
+        if level.m0 == 1 else f"pipeline M H_eff equals the left wave operator's "
+                              f"(H^dagger)^H M; eigenvalue power sums equal tr H_eff^p, "
+                              f"p <= {level.m0}",
         data=data)
 
 

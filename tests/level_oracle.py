@@ -15,6 +15,7 @@ from fractions import Fraction
 from qmf import formal_diagonalization as fd
 from qmf.gaussian_pairing import pair_s0
 from qmf.series_algebra import FormalScalarSeries, S0Series, matmul
+from residue_oracle import residue_images_s0
 
 # A series matrix is a list of rows of ``FormalScalarSeries``, as in the
 # program, and an order is its doubled int.
@@ -103,9 +104,8 @@ def residue_level(ctx, order) -> tuple:
     from the residue images P e_a with the Kato-Bloch matrices, assembled as
     ``compute_quasimodes`` assembles its own."""
     mode, level = ctx.problem.mode, ctx.level
-    proj = ctx.projector
     es = [S0Series.from_fiber_poly(ctx.basis.fiber(a)) for a in level.members]
-    fs = [proj.image_s0(a) for a in level.members]
+    fs = residue_images_s0(ctx)
     eigen = fd.formal_eigendecomposition(
         kato_bloch_interaction_matrix(es, fs, ctx.family, ctx.omega, order),
         gram=kato_bloch_gram_matrix(es, fs, ctx.omega, order), through2=order)

@@ -27,6 +27,7 @@ from qmf.formal_diagonalization import (
 from qmf.harmonic_oscillator import DegenerateLevel, HermiteIndex
 from qmf.quasimode_pipeline import compute_quasimodes, parity_filter
 
+from residue_oracle import residue_images_s0
 from level_oracle import (
     coeff_at,
     congruence,
@@ -344,7 +345,7 @@ def residue_and_kato_bloch_pairs(preset, order, mode_name="exact"):
     the images of Q."""
     ctx, n = level_context(preset, order, mode_name)
     es = [S0Series.from_fiber_poly(ctx.basis.fiber(a)) for a in ctx.level.members]
-    fs = [ctx.projector.image_s0(a) for a in ctx.level.members]
+    fs = residue_images_s0(ctx)
     return n, [(gram_matrix(fs, ctx.omega, n), kato_bloch_gram_matrix(es, fs, ctx.omega, n)),
                (image_interaction_matrix(fs, ctx.family, ctx.omega, n),
                 kato_bloch_interaction_matrix(es, fs, ctx.family, ctx.omega, n))]

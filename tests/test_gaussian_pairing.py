@@ -24,6 +24,7 @@ from qmf.gaussian_pairing import _Functional, _add_product, pair_s0, weight_expa
 from qmf.harmonic_oscillator import HermiteBasis
 from qmf.cli_io import preset_problem
 from qmf.quasimode_pipeline import compute_quasimodes
+from residue_oracle import residue_images_s0
 
 F = Fraction
 
@@ -366,7 +367,7 @@ def pipeline_context(preset: str, order: int, mode_name: str = "exact"):
 
 
 def projected_level_basis(ctx):
-    return [ctx.projector.image_s0(m) for m in ctx.level.members]
+    return residue_images_s0(ctx)
 
 
 def curved_metric_elements():

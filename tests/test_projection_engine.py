@@ -33,13 +33,14 @@ from qmf.quasimode_pipeline import (
 from qmf.cli_io import parse_problem_spec, preset_problem, run_command
 from qmf.projection_engine import (
     HermiteVec,
-    ParityRuleError,
     ProjectorSeries,
     WorkspaceDegreeError,
     build_projector,
     projector_diagnostics,
     workspace_degree,
 )
+from qmf.operator_calculus import InsufficientOrderError
+from residue_oracle import ResidueOracle, _reduced, _slot, apply_q
 
 F = Fraction
 
@@ -51,96 +52,6 @@ def vec(coeffs, mode=EXACT):
 def vec_coeffs(v: HermiteVec) -> dict:
     """The coefficients as mode values (Fractions in exact mode)."""
     return {idx: v.mode.join(n, v.den) for idx, n in v.num.items()}
-
-
-def _slot(vecs: dict, key, mode) -> HermiteVec:
-    """The accumulator at ``key``, created empty if missing."""
-    vec = vecs.get(key)
-    if vec is None:
-        vec = vecs[key] = HermiteVec(mode)
-    return vec
-
-
-def _reduced(vecs: dict) -> dict:
-    """Reduce every accumulator and keep the nonzero ones."""
-    return {key: vec for key, vec in vecs.items() if vec.reduce()}
-
-
-def apply_q(proj, j2: int, state: dict, out: dict) -> dict:
-    """Add Q_j, j2 = 2j, applied to every vector of ``state`` into ``out``
-    under the same key."""
-    for key, vec in state.items():
-        acc = _slot(out, key, proj.mode)
-        for idx, n in vec.num.items():
-            acc.add(proj.q_action(j2, idx), n, vec.den)
-    return out
-
-
-class ResidueOracle(ProjectorSeries):
-    """The per-entry residue recursion, the oracle of ``images2``: it reads
-    the Q_i image once per (w-power, position) entry of a state, and G0
-    expands 1/(g + w) from every input power as a geometric series, O(L^2)
-    per position, under the same parity truncation. ``states`` keeps the
-    last call's states, {w-power: HermiteVec} per step."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._gap_powers: dict[int, list] = {}
-        self.states: dict[int, dict] = {}
-
-    def _gap_series(self, idx: int, count: int) -> list:
-        """The first ``count`` pairs (a_s, b_s) of the geometric series in w
-        of 1/(E0 - E + w): a_s / b_s = (-1)^s / (E0 - E)^(s+1)."""
-        pows = self._gap_powers.get(idx)
-        if pows is None or len(pows) < count:
-            gap = self.level.E0 - self.basis.eigenvalue_at[idx]
-            p, q = self.mode.split(self.mode.one() / gap)
-            pows, a, b = [], p, q
-            for s in range(count):
-                pows.append((-a if s % 2 else a, b))
-                a, b = a * p, b * q
-            self._gap_powers[idx] = pows
-        return pows
-
-    def _resolvent_factor(self, state: dict, remaining: int) -> dict:
-        """Multiply a Laurent state by G0(E0 + w), componentwise, keeping at
-        each position the w-powers p <= L - 1 (``_power_bounds``)."""
-        mode, degree_at = self.mode, self.basis.degree_at
-        bound, parity = self._power_bounds(remaining), self._parity or 0
-        out: dict[int, HermiteVec] = {}
-        for power, vec in state.items():
-            den = vec.den
-            for idx, n in vec.num.items():
-                top = bound[(degree_at[idx] ^ parity) & 1]
-                if idx in self._level_set:
-                    if power <= top:
-                        _slot(out, power - 1, mode).add_entry(idx, n, den)
-                    continue
-                count = top - power
-                if count <= 0:
-                    continue
-                pows = self._gap_series(idx, count)
-                for s in range(count):
-                    a, b = pows[s]
-                    _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
-        return _reduced(out)
-
-    def images2(self, pos: int) -> dict:
-        N = self.order2
-        parts = [i for i in self.family.orders2() if 0 < i <= N]
-        states = self.states = {}
-        out: dict[int, HermiteVec] = {}
-        for s in range(N + 1):
-            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
-            for i in parts:
-                if i > s:
-                    break
-                apply_q(self, i, states[s - i], summed)
-            state = states[s] = self._resolvent_factor(_reduced(summed), N - s)
-            residue = state.get(-1)
-            if residue:
-                out[s] = residue
-        return out
 
 
 def poly1(coeffs, mode=EXACT):
@@ -293,8 +204,8 @@ class TestChainResidues:
         proj = build_projector(family, basis, level, 0)
         h0 = basis.position(HermiteIndex((0,), 0))
         h2 = basis.position(HermiteIndex((2,), 0))
-        assert proj.images2(h0) == {0: vec({h0: F(1)})}
-        assert proj.images2(h2) == {}
+        assert proj.image2(h0) == {0: vec({h0: F(1)})}
+        assert proj.image2(h2) == {}
 
     def test_first_order_reduced_resolvent_formula(self):
         # cubic well, ground level: residue at order 1/2 on the ground vector
@@ -303,7 +214,7 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
         h0 = basis.position(HermiteIndex((0,), 0))
-        got = proj.images2(h0)[1]
+        got = proj.image2(h0)[1]
         assert got == vec({basis.position(HermiteIndex((1,), 0)): F(-c, 2)})
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
@@ -313,7 +224,7 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
         h1 = basis.position(HermiteIndex((1,), 0))
-        got = proj.images2(h1)[1]
+        got = proj.image2(h1)[1]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
@@ -333,15 +244,27 @@ class TestChainResidues:
         # the ground level at order 2 needs workspace_degree = 0 + 2 + 4
         with pytest.raises(WorkspaceDegreeError,
                            match="build the Hermite basis at degree 6 or more"):
-            proj.images2(small_basis.position(HermiteIndex((2,), 0)))
+            proj.wave_operator2()
+
+    def test_a_probe_past_the_left_reach_raises(self):
+        # the left vectors hold degree D - N at every order, D the basis degree
+        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
+        proj = build_projector(family, basis, level, 4)
+        top = basis.degree - 4
+        assert proj.image2(basis.position(HermiteIndex((top,), 0)))
+        with pytest.raises(WorkspaceDegreeError, match=(
+                f"needs the Hermite basis at degree {basis.degree + 1} or more")):
+            proj.image2(basis.position(HermiteIndex((top + 1,), 0)))
 
     def test_family_order_guard(self):
+        # the condition compute_quasimodes reports, with the same error type
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
         past = family.max_order2 + 1
-        with pytest.raises(WorkspaceDegreeError, match=(
-                f"exact only through order {F(family.max_order2, 2)}; raise the input jet "
-                fr"order \(need operator orders through {F(past, 2)}\)")):
+        with pytest.raises(InsufficientOrderError, match=(
+                f"exact only through order {F(family.max_order2, 2)} < requested {F(past, 2)}; "
+                "the input jet order must be 1 higher")) as info:
             build_projector(family, basis, level, past)
+        assert isinstance(info.value, ValueError) and info.value.required_D is None
 
 
 class TestProjectorLaws:
@@ -377,16 +300,17 @@ class TestProjectorLaws:
         assert level.parity == "mixed" and level.m0 == 2
         assert_block_recursion_agrees(family, basis, level, N, basis.indices(2))
 
-    def test_recursion_equals_composition_sum(self):
-        # the recursion regroups the Kato sum over compositions; in exact
-        # arithmetic both must give the same images, order by order
+    def test_images_equal_the_composition_sum(self):
+        # the Kato sum over compositions of the residue recursion; in exact
+        # arithmetic the two wave operators give the same images, order by
+        # order
         N = 8
         _, family, basis, level, _ = setup_problem(
             poly1({2: 1, 3: 1}), D=12, N=N)
         proj = build_projector(family, basis, level, N)
         for idx in basis.indices(2):
             pos = basis.position(idx)
-            images = proj.images2(pos)
+            images = proj.image2(pos)
             for j in range(7):
                 got = vec_coeffs(images[j]) if j in images else {}
                 assert got == composition_sum_image(proj, j, pos, N), (j, idx)
@@ -475,7 +399,7 @@ class TestBudgetPrefix:
         proj, _ = preset_projector(preset, order, mode_name)
         N = proj.order2
         # indices up to degree 6 lie past the pipeline's workspace reach: a
-        # basis of degree 6 + 2N holds their images
+        # basis of degree 6 + N holds their images
         basis = HermiteBasis(proj.mode, proj.basis.lam, proj.basis.mu, 6 + N)
         proj = build_projector(proj.family, basis, proj.level, N)
         below = [at_order(proj, b) for b in range(N)]
@@ -485,7 +409,6 @@ class TestBudgetPrefix:
             for b, at_b in enumerate(below):
                 want = {j: vec for j, vec in full.items() if j <= b}
                 assert at_b.image2(pos) == want, (idx, b)
-            assert full == proj.images2(pos), idx
 
 
 class TestWorkspaceReach:
@@ -510,23 +433,32 @@ class TestWorkspaceReach:
                                   omega)
 
 
-class TestDiagnosticsComputeEachImageOnce:
+class TestDiagnosticsBuildEachPieceOnce:
     @pytest.mark.parametrize("preset,order", [("cubic1d", "4"), ("rank2", "3"), ("iso2d", "3")])
-    def test_full_verify_calls_images_once_per_index(self, preset, order, monkeypatch):
-        # projector_diagnostics and rs_oracle read each image through the
-        # built order from one cache
-        calls = []
-        images = ProjectorSeries.images2
+    def test_full_verify_runs_each_recursion_once(self, preset, order, monkeypatch):
+        # compute runs the wave operator and the checks the left recursion,
+        # once each; rs_oracle and projector_diagnostics share M, and each
+        # image is formed once
+        runs, inverses = [], []
+        bloch, inverse = ProjectorSeries._bloch, ProjectorSeries._inverse_overlap
 
-        def counting_images(self, index):
-            calls.append(index)
-            return images(self, index)
+        def counting_bloch(self, action, *args):
+            runs.append(action.__name__)
+            return bloch(self, action, *args)
 
-        monkeypatch.setattr(ProjectorSeries, "images2", counting_images)
+        def counting_inverse(self):
+            if self._inverse is None:
+                inverses.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(ProjectorSeries, "_bloch", counting_bloch)
+        monkeypatch.setattr(ProjectorSeries, "_inverse_overlap", counting_inverse)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
-        assert calls
-        assert len(calls) == len(set(calls)), sorted(set(i for i in calls if calls.count(i) > 1))
+        assert sorted(runs) == ["adjoint_action", "q_action"]
+        (proj,) = inverses
+        assert proj._overlap is not None
+        assert sorted(proj._images) == sorted({proj.basis.position(i) for i in _probes(proj)})
 
 
 def test_float_q_action_support_equals_exact():
@@ -547,8 +479,8 @@ def test_float_q_action_support_equals_exact():
 
 
 def test_verify_applies_only_operators_of_the_family(monkeypatch):
-    # the resolvent recursion and the rs oracle skip the orders absent from
-    # the family instead of applying (and caching) a zero operator
+    # both recursions skip the orders absent from the family instead of
+    # applying (and caching) a zero operator
     projectors = []
     init = ProjectorSeries.__init__
 
@@ -563,8 +495,9 @@ def test_verify_applies_only_operators_of_the_family(monkeypatch):
                                 "--checks", "all"]) == 0
     assert projectors
     for proj in projectors:
-        assert proj._q_cache
+        assert proj._q_cache and proj._adjoint_cache
         assert {j for j, _ in proj._q_cache} <= proj.family.ops2.keys()
+        assert {j for j, _ in proj._adjoint_cache} <= proj.family.ops2.keys()
 
 
 class UntruncatedEngine(ResidueOracle):
@@ -589,157 +522,94 @@ class UntruncatedEngine(ResidueOracle):
         return _reduced(out)
 
 
-class LiftedEngine(ProjectorSeries):
-    """``images2``'s kernel with the parity truncation lifted: every
-    position keeps the w-powers up to the remaining half-orders."""
-
-    def _power_bounds(self, remaining: int) -> tuple:
-        return remaining + 1, remaining + 1
-
-
-class CountingDict(dict):
-    """A dict that counts its reads."""
-
-    reads = 0
-
-    def get(self, *args):
-        self.reads += 1
-        return super().get(*args)
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-
-def _bits(images: dict) -> dict:
-    """Float images as the hex of every numerator's parts."""
-    return {j: (vec.den, {i: (n.real.hex(), n.imag.hex()) for i, n in vec.num.items()})
-            for j, vec in images.items()}
-
-
 def _probes(proj) -> list:
     """The level members and every probe of ``projector_diagnostics``."""
     basis, level = proj.basis, proj.level
     return sorted(set(basis.indices(workspace_degree(level, 0))) | set(level.members))
 
 
-PARITY_CASES = [("cubic1d", 6), ("quartic1d", 8), ("witten1d", 9), ("iso2d", 4), ("rank2", 4),
-                ("iso2d", 5)]
+def spec_projector(text: str):
+    spec = parse_problem_spec(text)
+    ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
+                             level_index=spec.level_index).context
+    return ctx.projector
 
 
-class TestParityTruncation:
-    @pytest.mark.parametrize("preset,order", PARITY_CASES)
+def reference_spec(name: str, mode_name: str = "exact") -> str:
+    """The text of one ``tests/refs`` spec, in either mode."""
+    from test_reference_documents import ANISO_WELL, CURVED_WELL, RANK2_CONNECTION, WELL_3D
+
+    text = {"curved2d-o3": CURVED_WELL,
+            "curved2d-o6": CURVED_WELL.replace("order = 3", "order = 6"),
+            "rank2-connection-o4": RANK2_CONNECTION,
+            "well3d-o4": WELL_3D.replace("order = 2", "order = 4"),
+            "aniso2d-o4": ANISO_WELL}[name]
+    return text.replace("mode = exact", f"mode = {mode_name}")
+
+
+# the benchmark's verify cases (iso2d and rank2: their 2-fold levels) and
+# witten1d's one-term family
+PRESET_CASES = [("cubic1d", 4), ("cubic1d", 6), ("quartic1d", 8), ("witten1d", 9),
+                ("rank2", 3), ("rank2", 4), ("iso2d", 4), ("iso2d", 5)]
+SPEC_CASES = ["curved2d-o3", "rank2-connection-o4", "well3d-o4", "aniso2d-o4"]
+
+
+def assert_images_equal_the_oracle(proj, exact: bool):
+    """On every probe of ``projector_diagnostics``, the images equal the
+    residue oracle's: exactly, or in float mode within 1e-12 of each
+    order's largest coefficient."""
+    oracle = ResidueOracle(proj.family, proj.basis, proj.level, proj.order2)
+    for idx in _probes(proj):
+        pos = proj.basis.position(idx)
+        got, want = proj.image2(pos), oracle.images2(pos)
+        if exact:
+            assert got == want, idx
+            continue
+        assert got.keys() == want.keys(), idx
+        for j, vec in want.items():
+            scale = vec.max_abs()
+            assert got[j].num.keys() == vec.num.keys(), (idx, j)
+            assert all(abs(got[j].num[i] - n) <= 1e-12 * scale for i, n in vec.num.items())
+
+
+class TestLeftRoute:
+    """The images P e_b = Omega M^(-1) <v, e_b>_G of the two wave operators
+    equal the residue oracle's on every probe."""
+
+    @pytest.mark.parametrize("preset,order", PRESET_CASES)
     def test_images_equal_the_oracle(self, preset, order):
-        # on the level members and every probe of projector_diagnostics, the
-        # kernel and the per-entry recursion give equal images, and so does
-        # the recursion without the parity truncation
+        # and the oracle's parity truncation drops nothing that counts
         proj, _ = preset_projector(preset, order)
-        basis, level, N = proj.basis, proj.level, proj.order2
-        oracle = ResidueOracle(proj.family, basis, level, N)
-        untruncated = UntruncatedEngine(proj.family, basis, level, N)
+        assert_images_equal_the_oracle(proj, exact=True)
+        untruncated = UntruncatedEngine(proj.family, proj.basis, proj.level, proj.order2)
         for idx in _probes(proj):
-            pos = basis.position(idx)
-            got = proj.images2(pos)
-            assert got == oracle.images2(pos) == untruncated.images2(pos), idx
+            pos = proj.basis.position(idx)
+            assert proj.image2(pos) == untruncated.images2(pos), idx
 
-    @pytest.mark.parametrize("preset,order", PARITY_CASES)
-    def test_float_truncation_is_bit_for_bit(self, preset, order):
-        # the truncation drops only terms that never reach a kept slot, so in
-        # float mode it leaves every image bit for bit as it was; the images
-        # agree with the per-power oracle to rounding
-        proj, _ = preset_projector(preset, order, "float")
-        basis, level, N = proj.basis, proj.level, proj.order2
-        lifted = LiftedEngine(proj.family, basis, level, N)
-        oracle = ResidueOracle(proj.family, basis, level, N)
-        for idx in _probes(proj):
-            pos = basis.position(idx)
-            got = proj.images2(pos)
-            assert _bits(got) == _bits(lifted.images2(pos)), idx
-            want = oracle.images2(pos)
-            assert got.keys() == want.keys(), idx
-            for j, vec in want.items():
-                scale = vec.max_abs()
-                assert got[j].num.keys() == vec.num.keys()
-                assert all(abs(got[j].num[i] - n) <= 1e-12 * scale for i, n in vec.num.items())
+    @pytest.mark.parametrize("preset,order", PRESET_CASES)
+    def test_float_images_within_rounding_of_the_oracle(self, preset, order):
+        assert_images_equal_the_oracle(preset_projector(preset, order, "float")[0], exact=False)
 
-    @pytest.mark.parametrize("preset,order", PARITY_CASES[:5])
-    def test_every_state_equals_the_oracle(self, preset, order):
-        # each step's state, w-power by w-power, is the oracle's reduced vector
-        proj, _ = preset_projector(preset, order)
-        oracle = ResidueOracle(proj.family, proj.basis, proj.level, proj.order2)
-        for member in proj.level.members:
-            pos = proj.basis.position(member)
-            states = []
-            resolve = proj._resolve
+    @pytest.mark.parametrize("mode_name", ["exact", "float"])
+    @pytest.mark.parametrize("name", SPEC_CASES)
+    def test_reference_specs(self, name, mode_name):
+        proj = spec_projector(reference_spec(name, mode_name))
+        assert_images_equal_the_oracle(proj, exact=mode_name == "exact")
 
-            def recording(acc, remaining):
-                states.append(resolve(acc, remaining))
-                return states[-1]
-
-            proj._resolve = recording
-            proj.images2(pos)
-            del proj._resolve
-            oracle.images2(pos)
-            assert states == [oracle.states[s] for s in sorted(oracle.states)]
-
-    def test_truncation_drops_powers(self):
-        # the truncated recursion keeps fewer (position, w-power) entries
-        proj, _ = preset_projector("cubic1d", 6)
-        lifted = LiftedEngine(proj.family, proj.basis, proj.level, proj.order2)
-        pos = proj.basis.position(proj.level.members[0])
-        entries = {}
-        for eng in (proj, lifted):
-            counts = entries[eng] = []
-            resolve = eng._resolve
-
-            def counting(acc, remaining, resolve=resolve, counts=counts):
-                state = resolve(acc, remaining)
-                counts.append(sum(len(vec.num) for vec in state.values()))
-                return state
-
-            eng._resolve = counting
-            eng.images2(pos)
-        assert sum(entries[proj]) < sum(entries[lifted])
-
-    @pytest.mark.parametrize("preset,order,reads", [("cubic1d", 6, 203), ("rank2", 4, 132),
-                                                    ("iso2d", 4, 120)])
-    def test_one_q_read_per_step_part_and_position(self, preset, order, reads):
-        # images2 reads the Q_i image of a position once per step that
-        # applies Q_i to it, whatever w-powers the position carries; the
-        # per-entry oracle reads it once per w-power
-        proj, _ = preset_projector(preset, order)
-        N = proj.order2
-        oracle = ResidueOracle(proj.family, proj.basis, proj.level, N)
-        parts = [i for i in proj.family.orders2() if 0 < i <= N]
-        counts = []
-        for member in proj.level.members:
-            pos = proj.basis.position(member)
-            proj._q_cache = cache = CountingDict(proj._q_cache)
-            oracle._q_cache = per_entry = CountingDict(oracle._q_cache)
-            proj.images2(pos)
-            oracle.images2(pos)
-            positions = {s: {i for vec in state.values() for i in vec.num}
-                         for s, state in oracle.states.items()}
-            triples = sum(len(positions[s - i]) for s in range(N + 1) for i in parts if i <= s)
-            assert cache.reads == triples < per_entry.reads
-            counts.append(cache.reads)
-        assert counts[0] == reads
-
-    def test_guard_rejects_a_degree_preserving_half_order_term(self):
+    def test_a_parity_breaking_term_fails_the_parity_law(self):
         # y d keeps the degree of p_m; at order 1/2 it breaks the parity rule
-        # the truncation relies on, and q_action must refuse it
-        _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
+        # (Q_j changes degree parity by 2j), and the projector check's parity
+        # law sees it in the images
+        _, family, basis, level, omega = setup_problem(poly1({2: 1, 3: 1}), N=4,
+                                                       workspace_margin=2)
         y = Poly.monomial(EXACT, 1, (1,), 1)
         half = 1
         bad = dataclasses.replace(
             family, ops2={**family.ops2, half: family.get2(half) + DiffOpJet(EXACT, 1, 1,
                                                                               {(1,): ((y,),)})})
-        proj = build_projector(bad, basis, level, 4)
-        with pytest.raises(ParityRuleError, match="parity"):
-            proj.images2(basis.position(level.members[0]))
-        # the unmodified family passes the same guard
-        assert build_projector(family, basis, level, 4).images2(
-            basis.position(level.members[0]))
+        report = projector_diagnostics(build_projector(bad, basis, level, 4), omega)
+        assert not report.data["parity_ok"] and not report.passed
+        assert projector_diagnostics(build_projector(family, basis, level, 4), omega).passed
 
 
 WITTEN_EXCITED = [(f"witten1d:c={c}", order, level)
@@ -808,16 +678,9 @@ def graded_apply(proj: ProjectorSeries, vecs: Mapping, cache: dict) -> dict:
     return _reduced(out)
 
 
-def spec_projector(text: str):
-    spec = parse_problem_spec(text)
-    ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value,
-                             level_index=spec.level_index).context
-    return ctx.projector
-
-
 class TestIdempotencyAndCommutation:
     """P P = P and Q P = P Q, coefficientwise at zero tolerance, on every probe
-    of ``projector_diagnostics``: laws of the residue route that no output
+    of ``projector_diagnostics``: laws of the projector that no output
     reads, so they are held here rather than in ``verify``."""
 
     @staticmethod
@@ -845,26 +708,20 @@ class TestIdempotencyAndCommutation:
     @pytest.mark.parametrize("name", ["curved2d-o3", "curved2d-o6", "rank2-connection-o4",
                                       "well3d-o4", "aniso2d-o4"])
     def test_reference_specs(self, name):
-        from test_reference_documents import ANISO_WELL, CURVED_WELL, RANK2_CONNECTION, WELL_3D
-
-        text = {"curved2d-o3": CURVED_WELL,
-                "curved2d-o6": CURVED_WELL.replace("order = 3", "order = 6"),
-                "rank2-connection-o4": RANK2_CONNECTION,
-                "well3d-o4": WELL_3D.replace("order = 2", "order = 4"),
-                "aniso2d-o4": ANISO_WELL}[name]
-        self.assert_laws(spec_projector(text))
+        self.assert_laws(spec_projector(reference_spec(name)))
 
     @pytest.mark.parametrize("preset,order", [("cubic1d", 6), ("iso2d", 4)])
-    def test_a_residue_route_defect_breaks_them(self, preset, order):
-        # one position's gap off by 1001/1000 inside the residue recursion
-        # only: the wave operator has run, so the construction and the checks
-        # that read it stand, while rs and the projector laws read the images
+    def test_a_left_recursion_defect_breaks_them(self, preset, order):
+        # one position's gap off by 1001/1000 inside the left recursion only:
+        # the wave operator has run, so the construction and the checks that
+        # read it stand, while rs and the projector laws read the left vectors
         spec = preset_problem(preset, "exact", order)
         result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         proj = result.context.projector
         first = min(i for i in proj.family.orders2() if i > 0)
         member = proj.basis.position(proj.level.members[0])
-        pos = next(i for i in proj.q_action(first, member).num if i not in proj._level_set)
+        pos = next(i for i in proj.adjoint_action(first, member).num
+                   if i not in proj._level_set)
         u, v = proj._gap(pos)
         proj._gaps[pos] = (u * 1001, v * 1000)
         assert transport_residual(result).passed
@@ -878,7 +735,7 @@ class TestIdempotencyAndCommutation:
 
 class TestWaveOperator:
     """Bloch's wave operator: Q Omega = Omega H_eff, P0 Omega = P0 (intermediate
-    normalization) and P Omega = Omega under the residue projector."""
+    normalization) and P Omega = Omega under the projector."""
 
     CASES = [("cubic1d", 6), ("quartic1d", 6), ("iso2d", 4), ("rank2", 3), ("rank2", 4)]
 

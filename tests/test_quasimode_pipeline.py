@@ -16,7 +16,6 @@ from qmf.cli_io import parse_problem_spec, preset_problem, run_command
 from qmf.quasimode_pipeline import (
     InsufficientOrderError,
     _hermite_ritz_eigenvalue,
-    _member_block,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -103,7 +102,8 @@ class TestCubicWell:
     def test_rs_oracle_matches_pipeline(self):
         rep = rs_oracle(compute_quasimodes(cubic(), 2, e0=1))
         assert rep.passed and rep.max_residual == 0.0
-        assert rep.detail == "pipeline eigenvalue equals the residue eigenvalue (Q P e)_m / (P e)_m"
+        assert rep.detail == ("pipeline eigenvalue equals the left wave operator's: "
+                              "M H_eff = conj(H^dagger) M")
 
     def test_transport_residual_zero(self):
         res = compute_quasimodes(cubic(), 2, e0=1)
@@ -554,9 +554,10 @@ class TestBlochRoute:
         assert res.norm2_constants == norms2
 
     def test_changed_h_eff_coefficient_fails_the_rs_check(self, monkeypatch):
-        # the residue side of the rs check, X and Y, reads the residue route,
-        # not the wave operator: a changed H_t reaches every caller of
-        # ``wave_operator2`` and leaves X and Y as they were, so the check fails
+        # the left side of the rs check, M and H^dagger, reads the left
+        # recursion and the wave images, not H_eff: a changed H_t reaches
+        # every caller of ``wave_operator2`` and leaves M and H^dagger as they
+        # were, so the check fails
         from qmf.cli_io import _run_checks
         from qmf.projection_engine import ProjectorSeries
 
@@ -579,8 +580,9 @@ class TestBlochRoute:
         bad = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         got, want = (r.eigenvalues[0].shift2(-2) for r in (bad, res))
         assert got.at2(4) == want.at2(4) + F(1, 1000)
-        assert (_member_block(bad.context.projector, bad.order2, EXACT.join)
-                == _member_block(res.context.projector, res.order2, EXACT.join))
+        left = [(r.context.projector.overlap2(), r.context.projector.left_wave_operator2()[1])
+                for r in (bad, res)]
+        assert left[0] == left[1]
         (report,) = _run_checks(bad, {"rs"})
         assert not report.passed
         # the output eigenvalue is H_eff's, so only Y = H_eff X sees the change
