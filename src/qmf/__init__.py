@@ -5,8 +5,8 @@ series and eigenfunction jet series of a conjugated Schrodinger operator
 hbar^2 L + hbar W + V on a vector bundle, seeded by a degenerate level of the
 local harmonic oscillator, and verifies the output against independent
 oracles (transport equations, the effective Hamiltonian and eigenvalues
-against the projector's Laurent residues on any level, and a 1-D
-Rayleigh-Ritz solve in the model oscillator's Hermite functions).
+against Bloch's wave operator on the Gaussian adjoint on any level, and a
+1-D Rayleigh-Ritz solve in the model oscillator's Hermite functions).
 """
 
 from .series_algebra import EXACT, Poly, float_mode

@@ -84,9 +84,11 @@ class HermiteBasis:
         self._poly_cache: dict[int, Poly] = {}
         self._y_rows: dict[tuple, tuple] = {}
         self._half_inverse = [mode.split(mode.one() / (l + l)) for l in self.lam]
-        self._double = [mode.split(l + l) for l in self.lam]
-        self._raises: dict[int, int] = {}
-        self._raise_den = prod(t * t for _, t in self._double)
+        double = [mode.split(l + l) for l in self.lam]  # prod (2 lambda)^beta, |beta| <= 2
+        self._raises = {pack(beta): prod(s ** b * t ** (2 - b) for (s, t), b in zip(double, beta))
+                        for beta in _multi_indices(n, 2)}
+        self._raise_den = prod(t * t for _, t in double)
+        self._norms: dict[int, tuple] = {}
         self._units = [pack(tuple(int(i == nu) for i in range(n))) for nu in range(n)]
         self._positions: dict[int, int] = {}
         self._key_at: list[int] = []
@@ -168,21 +170,19 @@ class HermiteBasis:
 
     def norm2(self, pos: int) -> tuple:
         """N_m = prod_nu m_nu! / (2 lambda_nu)^m_nu, the squared norm of the
-        basis vector at ``pos`` without the common Gaussian factor, split as
-        the mode splits: (numerator, denominator)."""
-        num = den = 1
-        alpha = self._key_at[pos] // self.rank
-        for nu, (cn, cd) in enumerate(self._half_inverse):
-            m = alpha >> EXPONENT_BITS * (self.n - 1 - nu) & MAX_DEGREE
-            num *= factorial(m) * cn ** m
-            den *= cd ** m
-        return num, den
+        basis vector at ``pos`` (module docstring), split; cached."""
+        hit = self._norms.get(pos)
+        if hit is None:
+            alpha = unpack(self._key_at[pos] // self.rank, self.n)
+            hit = self._norms[pos] = (
+                prod(factorial(m) * c ** m for (c, _), m in zip(self._half_inverse, alpha)),
+                prod(d ** m for (_, d), m in zip(self._half_inverse, alpha)))
+        return hit
 
-    def apply(self, op, pos: int, through: int | None = None) -> tuple[dict, int]:
+    def apply(self, op, pos: int) -> tuple[dict, int]:
         """The ``DiffOpJet`` ``op`` applied to the basis vector at position
         ``pos``: numerators over one denominator in the form of
-        ``reduce_num``, keyed by position; with ``through``, only the entries
-        of degree <= through, and no partial sum past it is formed.
+        ``reduce_num``, keyed by position.
 
         The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
         stencil term t y^gamma d^beta of an entry at input column k maps
@@ -207,7 +207,7 @@ class HermiteBasis:
                 f = prod(perm(alpha >> sh & MAX_DEGREE, b) for sh, b in steps) if j == k else 0
                 if not f:
                     continue
-                for key, c in self._contract(tree, 0, alpha - beta, tops, through).items():
+                for key, c in self._contract(tree, 0, alpha - beta, tops).items():
                     key = key * rank + i
                     acc[key] = get(key, 0) + c * f
         den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
@@ -216,30 +216,20 @@ class HermiteBasis:
         return {position(key): n for key, n in num.items()}, den
 
     def apply_adjoint(self, op, pos: int, through: int | None = None) -> tuple[dict, int]:
-        """The adjoint of the ``DiffOpJet`` ``op`` under the Gaussian weight
-        exp(-sum_nu lambda_nu y_nu^2) and the identity fibre metric, applied
-        to the basis vector at position ``pos``, in the form of ``apply``.
-
-        Against the weight, d_nu integrates by parts to -D_nu with
-        D_nu = d_nu - 2 lambda_nu y_nu, so the adjoint of C_beta d^beta is
-        (-1)^|beta| D^beta o C_beta^H. On the monic family D_nu is a raising
-        operator, D_nu p_m = -2 lambda_nu p_(m+1) (the recurrence of
-        ``_y_row`` and d p_m = m p_(m-1)), so the adjoint maps p_alpha e_k to
-        prod_nu (2 lambda_nu)^beta_nu times C_beta^H p_alpha e_k with every
-        index m raised to m + beta: the stencil of ``apply`` read with its
-        rows and columns swapped, conjugated (the y rows are real), and no
-        derivative taken. With ``through``, only the entries of degree
-        <= through are formed.
-        """
+        """``apply`` for the adjoint of ``op`` under the weight exp(-sum_nu
+        lambda_nu y_nu^2), forming no entry past degree ``through``. By parts,
+        d_nu becomes -(d_nu - 2 lambda_nu y_nu), which maps p_m to 2 lambda_nu
+        p_(m+1) (``_y_row``): C_beta d^beta turns into C_beta^H times
+        prod_nu (2 lambda_nu)^beta_nu with every index m raised by beta."""
         op_den, tops, rows = _hermite_tree(op)
-        check_degree(self.degree + sum(tops) + 2 * self.n)
+        check_degree(self.degree + sum(tops) + 2)
         alpha, k = divmod(self._key_at[pos], self.rank)
         shift, rank = self.n * EXPONENT_BITS, self.rank
         acc: dict = {}
         get = acc.get
         for j, beta, _, tree in rows[k]:
             # (C_beta^H)[j][k] is conj(C_beta[k][j]), row k's entry at column j
-            f = self._raises.get(beta) or self._raise_factor(beta)
+            f = self._raises[beta]
             room = None if through is None else through - (beta >> shift)
             for key, c in self._contract(tree, 0, alpha, tops, room).items():
                 key = (key + beta) * rank + j
@@ -251,23 +241,12 @@ class HermiteBasis:
         position = self._position
         return {position(key): n for key, n in num.items()}, den
 
-    def _raise_factor(self, beta: int) -> int:
-        """prod_nu (2 lambda_nu)^beta_nu for the packed beta of a second-order
-        operator (beta_nu <= 2), over the denominator prod_nu t_nu^2
-        (``_raise_den``), s_nu / t_nu = 2 lambda_nu; cached."""
-        exps = unpack(beta, self.n)
-        if max(exps) > 2:
-            raise ValueError(f"d^{exps} is past second order")
-        f = self._raises[beta] = prod(s ** b * t ** (2 - b) for (s, t), b in zip(self._double, exps))
-        return f
-
-    def _contract(self, tree, nu: int, base: int, tops: tuple, through: int | None) -> dict:
+    def _contract(self, tree, nu: int, base: int, tops: tuple, through=None) -> dict:
         """The sum over the gamma-prefix tree ``tree`` of dimension nu of
         t prod_{mu >= nu} y^gamma_mu p_{base_mu}, over prod_{mu >= nu}
         d_mu^tops_mu: numerators keyed by the packed indices m_mu, mu >= nu
-        (``base`` is packed too), whose degree field is sum_{mu >= nu} m_mu.
-        With ``through``, only the keys of degree <= through: the inner keys
-        sorted by degree, each m_nu meets only the prefix that fits."""
+        (``base`` is packed too); with ``through``, only those of degree
+        <= through, each m_nu meeting the prefix of the inner keys that fits."""
         cd, top, unit = self._half_inverse[nu][1], tops[nu], self._units[nu]
         m0 = base >> EXPONENT_BITS * (self.n - 1 - nu) & MAX_DEGREE
         last = nu == self.n - 1

@@ -75,18 +75,15 @@ class EikonalError(ValueError):
 
 
 class InsufficientOrderError(ValueError):
-    """The input jets cannot support the requested series order: the
-    operator family is exact only through a lower one. Each further degree
-    of the input jets adds one doubled order; ``required_D``, when the
-    caller knows the jet order D, is the least D that suffices."""
+    """The input jets are too short for the order asked: each of their degrees
+    adds one doubled order; ``required_D``, when known, is the least that does."""
 
     def __init__(self, requested2: int, available2: int, required_D: int | None = None):
         self.required_D = required_D
-        need = (f"at least D = {required_D}" if required_D is not None
-                else f"{requested2 - available2} higher")
+        need = f"at least D = {required_D}" if required_D else f"{requested2 - available2} higher"
         super().__init__(
-            f"operator family exact only through order {Fraction(available2, 2)} < "
-            f"requested {Fraction(requested2, 2)}; the input jet order must be {need}")
+            f"operator family exact only through order {Fraction(available2, 2)} < requested "
+            f"{Fraction(requested2, 2)}; the input jet order must be {need}")
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +722,7 @@ class OperatorFamily:
     rank: int
 
     def get2(self, j: int) -> DiffOpJet:
-        op = self.ops2.get(j)
-        return DiffOpJet.zero(self.mode, self.n, self.rank) if op is None else op
+        return self.ops2.get(j) or DiffOpJet.zero(self.mode, self.n, self.rank)
 
     def orders2(self) -> list[int]:
         return sorted(self.ops2)

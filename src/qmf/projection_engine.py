@@ -13,40 +13,29 @@ and the intermediate normalization P0 Omega = P0,
 and H_eff = E0 + sum_t h^t H_t satisfies Q Omega = Omega H_eff. The recursion
 carries no Laurent powers; at m0 = 1 it is the Rayleigh-Schrodinger one.
 
-The monic Hermite basis is orthogonal under the Gaussian pairing
-<u, v>_G = sum_m conj(u_m) v_m N_m, N_m = prod_nu m_nu! / (2 lambda_nu)^m_nu
-(``HermiteBasis.norm2``), and Q0 is symmetric there. The same recursion on
-the adjoint family Q_j^dagger (``OperatorFamily.adjoint2``) gives left
-vectors v_c and H^dagger with Q^dagger V = V H^dagger, so
-<v_c, Q f>_G = sum_d conj(H^dagger_dc) <v_d, f>_G. With the overlap
-M_ca = <v_c, Omega e_a>_G, invertible as M_0 = diag(N_a),
+The same recursion on the adjoint Q^dagger under the Gaussian pairing
+<u, v>_G = sum_m conj(u_m) v_m N_m of the monic Hermite basis
+(``HermiteBasis.apply_adjoint``, ``norm2``) gives left vectors v_c and
+H^dagger. With M_ca = <v_c, Omega e_a>_G, of order 0 diag(N_a),
 
     M H_eff = (H^dagger)^H M,    P e_b = sum_{a,c} Omega e_a (M^(-1))_ac conj(v_c)_b N_b,
 
-and P is the level's spectral projector: its range is Omega's and its kernel
-the common kernel of the <v_c, .>_G, as for the contour integral of the
-resolvent (T. Kato, Perturbation Theory for Linear Operators, ch. II, 1-2).
-Only the checks read M, H^dagger and P: ``rs_oracle`` the first identity,
-``projector_diagnostics`` the images of its probes.
+P the level's spectral projector, Kato's contour integral of the resolvent
+(T. Kato, Perturbation Theory for Linear Operators, ch. II): its range is
+Omega's, its kernel that of every <v_c, .>_G. Only the checks read them.
 
-A matrix entry of Q_j is nonzero only where Q_j raises degree by at most
-2j, so Q_j^dagger lowers degree by at most 2j. On a basis of degree D, a
-component of v_c at doubled order s and degree above D - s can therefore
-never come back, within the built order N, to degree D - N or below: the
-left recursion drops it, and forms each Q_j^dagger image, which can raise
-degree by 2j + 4, only through degree D - 2j (``adjoint_action``). What it
-keeps is exact for M, since Omega stays within degree 2K + N, and for the
-image of every basis vector of degree at most D - N. The pipeline's basis
-has D = 2K + 2 + N (``workspace_degree``), so that holds the probes of
-``projector_diagnostics``, of degree at most 2K + 2.
+Q_j raises degree by at most 2j, so Q_j^dagger lowers it by at most 2j. On
+a basis of degree D, a component of v_c at doubled order s and degree above
+D - s cannot come back within the built order N to degree D - N: the left
+recursion drops it and forms each Q_j^dagger image only through degree
+D - 2j. The rest is exact for M (Omega has degree <= 2K + N) and for the
+image of every basis vector of degree <= D - N; the pipeline's basis has
+D = 2K + 2 + N (``workspace_degree``), for probes of degree <= 2K + 2.
 
-``ProjectorSeries`` holds both recursions and their caches. Vectors are
-integer numerators keyed by basis position (``HermiteBasis.position``) over
-one denominator (``HermiteVec``): sums rescale only when a new denominator
-raises the lcm, and each finished vector is reduced by one gcd. Float mode
-runs the same code over denominator 1. Coefficients become Fractions only
-where vectors leave the engine (``ProjectorSeries.as_s0``) and in the
-m0 x m0 series M and its inverse.
+Vectors are integer numerators keyed by basis position over one denominator
+(``HermiteVec``): sums rescale only when a new denominator raises the lcm,
+and each finished vector is reduced by one gcd. Float mode runs the same
+code over denominator 1.
 """
 
 from __future__ import annotations
@@ -60,7 +49,6 @@ from .series_algebra import (
     S0Series,
     accumulate,
     grow_den,
-    matmul,
     reduce_num,
     worst_residual,
 )
@@ -135,19 +123,11 @@ class HermiteVec:
 
 class ProjectorSeries:
     """The level's two wave operators and its projector through the doubled
-    order ``order2`` (module docstring).
-
-    ``wave_operator2`` builds the level, Omega e_a and H_eff, on Q;
-    ``left_wave_operator2`` the left vectors v_c and H^dagger on the adjoint
-    family; ``overlap2`` pairs them (M); ``image2(pos)`` returns the graded
-    coefficients of the projected basis vector at a basis position as
-    ``HermiteVec``s keyed by doubled order. The images read the wave images
-    that ``wave_operator2`` returned last, the construction's. Caches, filled
-    on first use: the Q_j and Q_j^dagger images of each position
-    (``q_action``, ``adjoint_action``), 1/(E0 - E) at each position
-    (``_gap``), which both recursions share, N_m at each position, the left
-    recursion, M, M^(-1) and the images of each position.
-    """
+    order ``order2`` (module docstring), each built once: ``wave_operator2``,
+    ``left_wave_operator2``, ``overlap2`` (M) and ``image2``, which reads the
+    wave images that ``wave_operator2`` returned last. The Q_j and
+    Q_j^dagger images of each position (``q_action``, ``adjoint_action``)
+    and 1/(E0 - E) (``_gap``) are cached too."""
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
                  order2: int):
@@ -156,16 +136,13 @@ class ProjectorSeries:
         self.basis = basis
         self.level = level
         self.order2 = order2
-        # (2j, position) -> Q_j, and Q_j^dagger through its reach, applied to the basis vector there
+        # (2j, position) -> Q_j, and Q_j^dagger, applied to the basis vector there
         self._q_cache: dict[tuple, HermiteVec] = {}
         self._adjoint_cache: dict[tuple, HermiteVec] = {}
-        # position -> (u, v) with u / v = 1 / (E0 - E), and N_m split
+        # position -> (u, v) with u / v = 1 / (E0 - E)
         self._gaps: dict[int, tuple] = {}
-        self._norms: dict[int, tuple] = {}
-        self._waves: list | None = None
-        self._left: tuple | None = None
-        self._overlap: list | None = None
-        self._inverse: list | None = None
+        # the wave images, the left recursion and M, once built
+        self._waves = self._left = self._overlap = None
         # position -> images through the built order
         self._images: dict[int, dict] = {}
         self._level_set = {basis.position(m) for m in level.members}
@@ -192,9 +169,8 @@ class ProjectorSeries:
         return out
 
     def adjoint_action(self, j2: int, pos: int) -> HermiteVec:
-        """Q_j^dagger, j2 = 2j, applied to the basis vector at position
-        ``pos`` through degree D - 2j, D the basis degree: all that the
-        orders it feeds keep (module docstring); cached per (j2, pos)."""
+        """Q_j^dagger, j2 = 2j, on the basis vector at position ``pos``
+        through degree D - 2j, D the basis degree; cached per (j2, pos)."""
         key = (j2, pos)
         hit = self._adjoint_cache.get(key)
         if hit is None:
@@ -210,13 +186,7 @@ class ProjectorSeries:
             hit = self._gaps[pos] = self.mode.split(self.mode.one() / gap)
         return hit
 
-    def _norm(self, pos: int) -> tuple:
-        hit = self._norms.get(pos)
-        if hit is None:
-            hit = self._norms[pos] = self.basis.norm2(pos)
-        return hit
-
-    # -- Bloch's recursion
+    # -- Bloch's recursion, on Q and on Q^dagger
 
     def _bloch(self, action, reach: int | None = None) -> tuple[list, list]:
         """Bloch's recursion (module docstring) with Q_j applied by
@@ -230,19 +200,15 @@ class ProjectorSeries:
         h: dict[int, list] = {}
         for s in range(1, N + 1):
             top = None if reach is None else reach - s
-            drives = {b: HermiteVec(mode) for b in range(len(members))}
-            for b, om in enumerate(waves):
-                for j in parts:
-                    if j > s:
-                        break
-                    prev = om.get(s - j)
-                    for idx, n in prev.num.items() if prev is not None else ():
-                        drives[b].add(action(j, idx), n, prev.den)
-            h_s = [[mode.zero()] * len(members) for _ in members]
-            for b, drive in drives.items():
-                # the level block of the drive is H_s: Omega_(s-t), t < s, has none
-                for a, pos in enumerate(members):
-                    h_s[a][b] = mode.join(drive.num.get(pos, 0), drive.den)
+            drives = [HermiteVec(mode) for _ in members]
+            for drive, om in zip(drives, waves):
+                for prev, j in ((om[s - j], j) for j in parts if j <= s and s - j in om):
+                    for idx, n in prev.num.items():
+                        drive.add(action(j, idx), n, prev.den)
+            # the level block of the drive is H_s: Omega_(s-t), t < s, has none
+            h_s = [[mode.join(drive.num.get(pos, 0), drive.den) for drive in drives]
+                   for pos in members]
+            for b, drive in enumerate(drives):
                 for t, h_t in h.items():
                     for a, om in enumerate(waves):
                         c = h_t[a][b]
@@ -272,112 +238,70 @@ class ProjectorSeries:
         return waves, h_eff
 
     def left_wave_operator2(self) -> tuple[list, list]:
-        """The left wave operator, Bloch's recursion on the adjoint family
-        (module docstring), run once: ([{2s: v_c,s}] per member c, H^dagger
-        as rows of scalar series), v_c,s kept through degree D - 2s, D the
-        basis degree."""
+        """Bloch's recursion on the adjoint family: ([{2s: v_c,s}] per member
+        c, H^dagger as rows of scalar series), v_c,s through degree D - 2s."""
         if self._left is None:
             self._left = self._bloch(self.adjoint_action, self.basis.degree)
         return self._left
-
-    def _right(self) -> list:
-        """The wave images, as ``wave_operator2`` returned them last."""
-        if self._waves is None:
-            self._waves = self.wave_operator2()[0]
-        return self._waves
 
     # -- the projector
 
     def overlap2(self, size=None) -> list:
         """M_ca = <v_c, Omega e_a>_G through the built order, as rows of scalar
-        series, built once; with ``size`` (``mode.abs``), the same sums over
-        the sizes of their terms. Each entry's terms are summed as integer
-        numerators over one denominator."""
+        series; with ``size`` (``mode.abs``), the sums of the sizes of its
+        terms. Each entry's terms are summed over one denominator."""
         if size is None and self._overlap is not None:
             return self._overlap
-        mode, N, conj = self.mode, self.order2, self.mode.conj
-        lefts, _ = self.left_wave_operator2()
-        rows = []
-        for left in lefts:
-            row = []
-            for wave in self._right():
+        mode, conj, norm2 = self.mode, self.mode.conj, self.basis.norm2
+        waves = self._waves = self._waves or self.wave_operator2()[0]
+        rows = [[{} for _ in waves] for _ in self.left_wave_operator2()[0]]
+        for row, left in zip(rows, self._left[0]):
+            for terms, wave in zip(row, waves):
                 acc, den = {}, 1
                 for s, v in left.items():
                     for t, w in wave.items():
-                        if s + t > N:
-                            continue
-                        for pos, a in v.num.items():
-                            b = w.num.get(pos)
-                            if b is None:
-                                continue
-                            n, d = self._norm(pos)
+                        for pos in v.num.keys() & w.num.keys() if s + t <= self.order2 else ():
+                            n, d = norm2(pos)
                             d *= v.den * w.den
                             if den % d:
                                 den = grow_den(acc, den, d)
-                            x = conj(a) * b * n * (den // d)
+                            x = conj(v.num[pos]) * w.num[pos] * n * (den // d)
                             acc[s + t] = acc.get(s + t, 0) + (x if size is None else size(x))
-                row.append(FormalScalarSeries.from_terms2(
-                    mode, {t: mode.join(x, den) for t, x in acc.items()}, N))
-            rows.append(row)
+                terms.update((t, mode.join(x, den)) for t, x in acc.items())
+        rows = [[FormalScalarSeries.from_terms2(mode, terms, self.order2) for terms in row]
+                for row in rows]
         if size is None:
             self._overlap = rows
         return rows
 
-    def _inverse_overlap(self) -> list:
-        """M^(-1) = sum_k R^k D^(-1), D = M_0 = diag(N_a) and R = -D^(-1)(M - D)
-        of order >= 1, so the sum ends within the built order; built once."""
-        if self._inverse is None:
-            mode, N = self.mode, self.order2
-            m = self.overlap2()
-            size = range(len(m))
-            inv_d = [mode.one() / m[a][a].at2(0) for a in size]
-            r = [[FormalScalarSeries.from_terms2(
-                mode, {t: -c * inv_d[a] for t, c in m[a][c2].items2() if t}, N)
-                for c2 in size] for a in size]
-            term = [[FormalScalarSeries.const(mode, inv_d[a] if a == c else 0, N) for c in size]
-                    for a in size]
-            total = term
-            while any(not e.is_zero() for row in term for e in row):
-                term = [[e.truncate2(N) for e in row] for row in matmul(r, term)]
-                total = [[x + y for x, y in zip(row, add)] for row, add in zip(total, term)]
-            self._inverse = total
-        return self._inverse
-
     def image2(self, pos: int) -> dict:
-        """The order-j coefficients, 0 <= 2j <= N = ``order2``, of the
-        projected basis vector at position ``pos``, keyed by 2j:
-        P e_b = sum_{a,c} Omega e_a (M^(-1))_ac conj(v_c)_b N_b (module
-        docstring); cached. The left vectors hold every degree up to D - N,
-        D the basis degree, at every order, so a position of higher degree
-        raises ``WorkspaceDegreeError``."""
+        """The order-j coefficients, 2j <= N = ``order2``, of P e_b, e_b at
+        position ``pos``, keyed by 2j and cached: sum_a Omega e_a k_a with
+        M k = <v, e_b>_G = conj(v)_b N_b, solved order by order on the
+        diagonal M_0. Past degree D - N (D the basis degree) it raises."""
         hit = self._images.get(pos)
         if hit is not None:
             return hit
-        mode, N = self.mode, self.order2
-        degree = self.basis.degree_at[pos]
-        if degree > self.basis.degree - N:
-            raise WorkspaceDegreeError(
-                f"the projected {self.basis.index_at[pos]} needs the Hermite basis at degree "
-                f"{degree + N} or more, beyond the degree-{self.basis.degree} workspace")
-        lefts, _ = self.left_wave_operator2()
-        norm = mode.join(*self._norm(pos))
-        # conj(v_c)_b N_b, a scalar series per member c
-        w = [FormalScalarSeries.from_terms2(
-            mode, {s: mode.conj(mode.join(v.num[pos], v.den)) * norm
-                   for s, v in left.items() if pos in v.num}, N) for left in lefts]
+        mode, N, basis = self.mode, self.order2, self.basis
+        if basis.degree_at[pos] > basis.degree - N:
+            raise WorkspaceDegreeError(f"the projected {basis.index_at[pos]} needs the Hermite "
+                                       f"basis at degree {basis.degree_at[pos] + N} or more")
+        lefts, m = self.left_wave_operator2()[0], self.overlap2()
+        norm = mode.join(*basis.norm2(pos))
+        k = [[] for _ in lefts]
+        for t in range(N + 1):
+            for c, left in enumerate(lefts):
+                x = mode.conj(mode.join(left[t].num[pos], left[t].den)) * norm if (
+                    t in left and pos in left[t].num) else mode.zero()
+                x -= sum(row.at2(s) * k[a][t - s]
+                         for a, row in enumerate(m[c]) for s in range(1, t + 1))
+                k[c].append(x / m[c][c].at2(0))
         out: dict[int, HermiteVec] = {}
-        for wave, row in zip(self._right(), self._inverse_overlap()):
-            k = FormalScalarSeries.zero(mode, N)
-            for x, y in zip(row, w):
-                k = k + x * y
-            for r, c in k.items2():
-                n, d = mode.split(c)
-                for s, vec in wave.items():
+        for wave, k_a in zip(self._waves, k):
+            for r, x in enumerate(k_a):
+                for s, vec in wave.items() if not mode.is_zero(x) else ():
                     if r + s <= N:
-                        slot = out.get(r + s)
-                        if slot is None:
-                            slot = out[r + s] = HermiteVec(mode)
-                        slot.add(vec, n, d)
+                        out.setdefault(r + s, HermiteVec(mode)).add(vec, *mode.split(x))
         hit = self._images[pos] = {t: out[t] for t in sorted(out) if out[t].reduce()}
         return hit
 
@@ -396,16 +320,9 @@ class ProjectorSeries:
 
 
 def workspace_degree(level: DegenerateLevel, order2: int) -> int:
-    """The polynomial degree 2K + 2 + N of the pipeline's basis, N =
-    ``order2``.
-
-    The projector check's probes are the level members and every basis
-    vector of degree at most 2K + 2, ``workspace_degree(level, 0)``, and the
+    """The degree 2K + 2 + N of the pipeline's basis, N = ``order2``: the
     image of a basis vector of degree d needs a basis of degree d + N
-    (``ProjectorSeries.image2``). The wave operator's Omega_s e_a have degree
-    at most 2K + s, so a basis of this degree holds every vector the
-    pipeline and the checks build.
-    """
+    (``ProjectorSeries.image2``), and the probes have degree <= 2K + 2."""
     return level.K2 + 2 + order2
 
 
@@ -462,16 +379,11 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     degree_at = basis.degree_at
     imgs = {idx: proj.image2(pos[idx]) for idx in probes}
 
-    # degree bound and parity of each coefficient
-    degree_ok = True
-    parity_ok = True
-    for idx in probes:
-        for j, vec in imgs[idx].items():
-            for midx in vec.num:
-                if degree_at[midx] > idx.degree + j:
-                    degree_ok = False
-                if (degree_at[midx] - idx.degree - j) % 2 != 0:
-                    parity_ok = False
+    # degree bound and parity of each coefficient: its degree past |alpha| + 2j
+    excess = [degree_at[m] - idx.degree - j
+              for idx in probes for j, vec in imgs[idx].items() for m in vec.num]
+    degree_ok = all(d <= 0 for d in excess)
+    parity_ok = all(d % 2 == 0 for d in excess)
 
     # symmetry of the pairing: (a, P b) is the conjugate of (P b, a), as the
     # pairing is hermitian, so each (P a, b) is formed once

@@ -19,10 +19,8 @@ Each verifier takes the ``QuasimodeResult`` and reads what it needs from its
 * ``orthonormality_report`` -- the pairing Gram of the output against the
                                recorded diagonal constants;
 * ``rs_oracle``             -- the construction's H_eff and eigenvalues
-                               against the left wave operator, Bloch's
-                               recursion on the Gaussian adjoint family:
-                               M H_eff = (H^dagger)^H M and the eigenvalue
-                               power sums (any level);
+                               against Bloch's recursion on the Gaussian
+                               adjoint family (any level);
 * ``crosscheck_eigenvalue_1d`` -- numerical eigenvalues of the 1-D operator
                                (a Rayleigh-Ritz solve in the model
                                oscillator's Hermite functions, certified by
@@ -430,34 +428,27 @@ def eigen_residual(result: QuasimodeResult) -> VerificationReport:
 
 
 def _level_sizes(proj: ProjectorSeries, vectors: list, action) -> list:
-    """The magnitudes summed into H - E0 of Bloch's recursion (``vectors``,
-    with Q_j applied by ``action``): H_s[a][b] is the level entry a of
-    sum_j Q_j V_(s-j) e_b, so its size is sum_j sum_i |(Q_j e_i)_a| |V_(s-j) e_b|_i,
-    as rows of scalar series."""
+    """The sizes of the terms summed into H - E0 by Bloch's recursion on
+    ``vectors`` with Q_j applied by ``action``: H_s[a][b], the level entry
+    a of sum_j Q_j V_(s-j) e_b, sums |(Q_j e_i)_a (V_(s-j) e_b)_i|."""
     mode, N = proj.mode, proj.order2
     members = [proj.basis.position(m) for m in proj.level.members]
-    parts = [j for j in proj.family.orders2() if 0 < j <= N]
     rows = [[{} for _ in members] for _ in members]
     for b, vec_b in enumerate(vectors):
-        for s_prev, vec in vec_b.items():
-            for j in parts:
-                if s_prev + j > N:
-                    break
-                for idx, n in vec.num.items():
-                    q = action(j, idx)
-                    for a, at in enumerate(members):
-                        c = q.num.get(at)
-                        if c is not None:
-                            row = rows[a][b]
-                            row[s_prev + j] = (row.get(s_prev + j, 0)
-                                               + mode.abs(mode.join(n * c, vec.den * q.den)))
+        for s, vec in vec_b.items():
+            for j, idx in ((j, i) for j in proj.family.orders2() if 0 < j <= N - s
+                           for i in vec.num):
+                q = action(j, idx)
+                for terms, at in ((rows[a][b], at) for a, at in enumerate(members)
+                                  if at in q.num):
+                    x = mode.abs(mode.join(vec.num[idx] * q.num[at], vec.den * q.den))
+                    terms[s + j] = terms.get(s + j, 0) + x
     return [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row] for row in rows]
 
 
 def _rs_sides(m: list, moved: list, moved_dag: list, h: list, eigs: list) -> list:
     """(left, right) of each comparison of ``rs_oracle``: M (H_eff - E0) and
-    (H^dagger - E0)^H M entrywise, then tr(H_eff^p) and sum_k E_k^p for
-    p = 1..m0."""
+    (H^dagger - E0)^H M entrywise, then tr(H_eff^p) and sum_k E_k^p, p <= m0."""
     size = range(len(h))
     left = matmul(m, moved)
     right = matmul([[moved_dag[c][a].conj() for c in size] for a in size], m)
@@ -473,23 +464,17 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     """The ``rs_oracle`` check: the construction's H_eff and eigenvalues
     against the left wave operator, on any level.
 
-    The left wave operator is Bloch's recursion run on the Gaussian adjoint
-    of the operator family (``ProjectorSeries.left_wave_operator2``), which
-    the construction never forms: its vectors v_c and H^dagger satisfy
-    Q^dagger V = V H^dagger. With the overlap M_ca = <v_c, Omega e_a>_G
-    (``ProjectorSeries.overlap2``), Q Omega = Omega H_eff gives
-    M H_eff = (H^dagger)^H M, which sets the construction's H_eff against
-    one built from a separately formed operator. The check verifies it
-    entrywise, with E0 taken off both H's, and tr(H_eff^p) = sum_k E_k^p
-    for p = 1..m0, which fixes the multiset of the output eigenvalues
-    (Newton's identities); neither needs M^(-1). At m0 = 1 the first says
-    that H_eff is the conjugate of H^dagger.
-
-    The two recursions share the basis and the gaps 1/(E0 - E), and the
-    check reads the construction's wave images through M, and none of the
-    pairing or the pencil. A nonzero residual is judged, coefficientwise,
-    against the same comparison on |coefficients|. ``data`` holds the worst
-    residual of each comparison.
+    Bloch's recursion on the Gaussian adjoint of the operator family, which
+    the construction never forms, gives v_c and H^dagger
+    (``ProjectorSeries.left_wave_operator2``); with the overlap
+    M_ca = <v_c, Omega e_a>_G, Q Omega = Omega H_eff gives
+    M H_eff = (H^dagger)^H M. The check verifies it entrywise, E0 taken off
+    both H's, and tr(H_eff^p) = sum_k E_k^p for p = 1..m0, which fixes the
+    output eigenvalues (Newton's identities); it reads none of the pairing
+    or the pencil. A nonzero residual is judged, coefficientwise, against
+    the same comparison on the sizes of the terms (either H can be a
+    cancelled sum, the other exactly 0). ``data`` holds the worst residual
+    of each comparison.
     """
     ctx = result.context
     mode, N, level, proj = ctx.problem.mode, result.order2, ctx.level, ctx.projector
@@ -503,14 +488,12 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
 
     lefts, h_dag = proj.left_wave_operator2()
     eigs = [e.shift2(-2) for e in result.eigenvalues]
-    m = proj.overlap2()
     diffs = [left - right for left, right
-             in _rs_sides(m, moved(ctx.h_eff), moved(h_dag), ctx.h_eff, eigs)]
+             in _rs_sides(proj.overlap2(), moved(ctx.h_eff), moved(h_dag), ctx.h_eff, eigs)]
     residuals = [[] for _ in diffs]
     if any(d.max_abs_coeff(N) for d in diffs):
-        # either H can be a cancelled sum, one of them exactly 0
         sides = _rs_sides(proj.overlap2(mode.abs),
-                          _level_sizes(proj, proj._right(), proj.q_action),
+                          _level_sizes(proj, proj._waves, proj.q_action),
                           _level_sizes(proj, lefts, proj.adjoint_action),
                           [list(map(absolute, row)) for row in ctx.h_eff],
                           list(map(absolute, eigs)))
@@ -525,9 +508,8 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     return VerificationReport(
         name="rs_oracle", passed=mode.negligible(worst, 1), order2=N, max_residual=worst,
         detail="pipeline eigenvalue equals the left wave operator's: M H_eff = conj(H^dagger) M"
-        if level.m0 == 1 else f"pipeline M H_eff equals the left wave operator's "
-                              f"(H^dagger)^H M; eigenvalue power sums equal tr H_eff^p, "
-                              f"p <= {level.m0}",
+        if level.m0 == 1 else "pipeline M H_eff equals the left wave operator's (H^dagger)^H M; "
+                              f"eigenvalue power sums equal tr H_eff^p, p <= {level.m0}",
         data=data)
 
 

@@ -439,25 +439,24 @@ class TestDiagnosticsBuildEachPieceOnce:
         # compute runs the wave operator and the checks the left recursion,
         # once each; rs_oracle and projector_diagnostics share M, and each
         # image is formed once
-        runs, inverses = [], []
-        bloch, inverse = ProjectorSeries._bloch, ProjectorSeries._inverse_overlap
+        runs, overlaps = [], []
+        bloch, overlap = ProjectorSeries._bloch, ProjectorSeries.overlap2
 
         def counting_bloch(self, action, *args):
             runs.append(action.__name__)
             return bloch(self, action, *args)
 
-        def counting_inverse(self):
-            if self._inverse is None:
-                inverses.append(self)
-            return inverse(self)
+        def counting_overlap(self, size=None):
+            if size is None and self._overlap is None:
+                overlaps.append(self)
+            return overlap(self, size)
 
         monkeypatch.setattr(ProjectorSeries, "_bloch", counting_bloch)
-        monkeypatch.setattr(ProjectorSeries, "_inverse_overlap", counting_inverse)
+        monkeypatch.setattr(ProjectorSeries, "overlap2", counting_overlap)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
         assert sorted(runs) == ["adjoint_action", "q_action"]
-        (proj,) = inverses
-        assert proj._overlap is not None
+        (proj,) = overlaps
         assert sorted(proj._images) == sorted({proj.basis.position(i) for i in _probes(proj)})
 
 
