@@ -27,8 +27,8 @@ Omega's, its kernel that of every <v_c, .>_G. Only the checks read them.
 Q_j raises degree by at most 2j, so Q_j^dagger lowers it by at most 2j. On
 a basis of degree D, a component of v_c at doubled order s and degree above
 D - s cannot come back within the built order N to degree D - N: the left
-recursion drops it and forms each Q_j^dagger image only through degree
-D - 2j. The rest is exact for M (Omega has degree <= 2K + N) and for the
+recursion drops it and forms each Q_j^dagger image only through the degree
+the order it feeds keeps. The rest is exact for M (Omega has degree <= 2K + N) and for the
 image of every basis vector of degree <= D - N; the pipeline's basis has
 D = 2K + 2 + N (``workspace_degree``), for probes of degree <= 2K + 2.
 
@@ -136,9 +136,9 @@ class ProjectorSeries:
         self.basis = basis
         self.level = level
         self.order2 = order2
-        # (2j, position) -> Q_j, and Q_j^dagger, applied to the basis vector there
+        # (2j, position) -> Q_j, and (d, Q_j^dagger through degree d), of that vector
         self._q_cache: dict[tuple, HermiteVec] = {}
-        self._adjoint_cache: dict[tuple, HermiteVec] = {}
+        self._adjoint_cache: dict[tuple, tuple] = {}
         # position -> (u, v) with u / v = 1 / (E0 - E)
         self._gaps: dict[int, tuple] = {}
         # the wave images, the left recursion and M, once built
@@ -168,15 +168,14 @@ class ProjectorSeries:
         self._q_cache[key] = out
         return out
 
-    def adjoint_action(self, j2: int, pos: int) -> HermiteVec:
-        """Q_j^dagger, j2 = 2j, on the basis vector at position ``pos``
-        through degree D - 2j, D the basis degree; cached per (j2, pos)."""
-        key = (j2, pos)
-        hit = self._adjoint_cache.get(key)
-        if hit is None:
-            hit = self._adjoint_cache[key] = HermiteVec(self.mode, *self.basis.apply_adjoint(
-                self.family.get2(j2), pos, through=self.basis.degree - j2))
-        return hit
+    def adjoint_action(self, j2: int, pos: int, through: int) -> HermiteVec:
+        """Q_j^dagger, j2 = 2j, on the basis vector at ``pos`` at least through
+        degree ``through``; cached per (j2, pos) through the largest asked."""
+        hit = self._adjoint_cache.get((j2, pos))
+        if hit is None or hit[0] < through:
+            hit = self._adjoint_cache[j2, pos] = through, HermiteVec(
+                self.mode, *self.basis.apply_adjoint(self.family.get2(j2), pos, through))
+        return hit[1]
 
     def _gap(self, pos: int) -> tuple:
         """(u, v) with u / v = 1 / (E0 - E) at ``pos``, the mode's split; cached."""
@@ -189,9 +188,10 @@ class ProjectorSeries:
     # -- Bloch's recursion, on Q and on Q^dagger
 
     def _bloch(self, action, reach: int | None = None) -> tuple[list, list]:
-        """Bloch's recursion (module docstring) with Q_j applied by
-        ``action``: ([{2s: vector}] per member, H as rows of scalar series).
-        With ``reach``, the vector of order s keeps only degrees <= reach - s."""
+        """Bloch's recursion (module docstring) with Q_j applied by ``action(j2,
+        pos, top)``: ([{2s: vector}] per member, H as rows of scalar series).
+        With ``reach``, the vector of order s keeps only the degrees
+        <= top = reach - s, and its drive needs no image past them."""
         mode, N = self.mode, self.order2
         members = [self.basis.position(m) for m in self.level.members]
         level_set, degree_at = self._level_set, self.basis.degree_at
@@ -204,7 +204,7 @@ class ProjectorSeries:
             for drive, om in zip(drives, waves):
                 for prev, j in ((om[s - j], j) for j in parts if j <= s and s - j in om):
                     for idx, n in prev.num.items():
-                        drive.add(action(j, idx), n, prev.den)
+                        drive.add(action(j, idx, top), n, prev.den)
             # the level block of the drive is H_s: Omega_(s-t), t < s, has none
             h_s = [[mode.join(drive.num.get(pos, 0), drive.den) for drive in drives]
                    for pos in members]
@@ -233,7 +233,7 @@ class ProjectorSeries:
         """Bloch's wave operator on the level through the built order (module
         docstring): ([{2s: Omega_s e_a}] per member a, H_eff as rows of scalar
         series). Omega_s e_a has degree at most |alpha| + 2s."""
-        waves, h_eff = self._bloch(self.q_action)
+        waves, h_eff = self._bloch(lambda j2, pos, _: self.q_action(j2, pos))
         self._waves = waves
         return waves, h_eff
 

@@ -486,7 +486,7 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     def absolute(e):
         return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()}, N)
 
-    lefts, h_dag = proj.left_wave_operator2()
+    (lefts, h_dag), K2 = proj.left_wave_operator2(), level.K2
     eigs = [e.shift2(-2) for e in result.eigenvalues]
     diffs = [left - right for left, right
              in _rs_sides(proj.overlap2(), moved(ctx.h_eff), moved(h_dag), ctx.h_eff, eigs)]
@@ -494,7 +494,7 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
     if any(d.max_abs_coeff(N) for d in diffs):
         sides = _rs_sides(proj.overlap2(mode.abs),
                           _level_sizes(proj, proj._waves, proj.q_action),
-                          _level_sizes(proj, lefts, proj.adjoint_action),
+                          _level_sizes(proj, lefts, lambda j, i: proj.adjoint_action(j, i, K2)),
                           [list(map(absolute, row)) for row in ctx.h_eff],
                           list(map(absolute, eigs)))
         residuals = [[(mode.abs(c), mode.abs((left + right).at2(t)))

@@ -219,7 +219,8 @@ def gap(result):
     proj = result.context.projector
     first = min(i for i in proj.family.orders2() if i > 0)
     member = proj.basis.position(proj.level.members[0])
-    pos = next(i for i in proj.adjoint_action(first, member).num if i not in proj._level_set)
+    pos = next(i for i in proj.adjoint_action(first, member, proj.basis.degree - first).num
+               if i not in proj._level_set)
     u, v = proj._gap(pos)
     proj._gaps[pos] = (u * OFF.numerator, v * OFF.denominator)
 

@@ -442,9 +442,9 @@ class TestDiagnosticsBuildEachPieceOnce:
         runs, overlaps = [], []
         bloch, overlap = ProjectorSeries._bloch, ProjectorSeries.overlap2
 
-        def counting_bloch(self, action, *args):
-            runs.append(action.__name__)
-            return bloch(self, action, *args)
+        def counting_bloch(self, action, *reach):
+            runs.append("left" if reach else "right")
+            return bloch(self, action, *reach)
 
         def counting_overlap(self, size=None):
             if size is None and self._overlap is None:
@@ -455,7 +455,7 @@ class TestDiagnosticsBuildEachPieceOnce:
         monkeypatch.setattr(ProjectorSeries, "overlap2", counting_overlap)
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
-        assert sorted(runs) == ["adjoint_action", "q_action"]
+        assert sorted(runs) == ["left", "right"]
         (proj,) = overlaps
         assert sorted(proj._images) == sorted({proj.basis.position(i) for i in _probes(proj)})
 
@@ -719,7 +719,7 @@ class TestIdempotencyAndCommutation:
         proj = result.context.projector
         first = min(i for i in proj.family.orders2() if i > 0)
         member = proj.basis.position(proj.level.members[0])
-        pos = next(i for i in proj.adjoint_action(first, member).num
+        pos = next(i for i in proj.adjoint_action(first, member, proj.basis.degree - first).num
                    if i not in proj._level_set)
         u, v = proj._gap(pos)
         proj._gaps[pos] = (u * 1001, v * 1000)

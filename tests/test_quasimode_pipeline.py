@@ -675,6 +675,33 @@ class TestReductionBudget:
             assert calls[name] <= budget[case], name
 
 
+class TestCheckApplicationBudget:
+    """``verify --checks all`` after ``compute``: the checks apply no Q_j
+    (the wave operator's images are cached) and form each Q_j^dagger image
+    of the left recursion once; the calls of ``HermiteBasis.apply`` and
+    ``apply_adjoint`` stay within these counts."""
+
+    BUDGET = {"apply": (0, 0), "apply_adjoint": (107, 256)}  # (cubic1d o6, iso2d o4)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["cubic1d-o6", "iso2d-o4"])
+    def test_basis_applications_after_compute(self, case, monkeypatch):
+        from qmf.cli_io import _run_checks
+        from qmf.harmonic_oscillator import HermiteBasis
+
+        preset, order = [("cubic1d", 6), ("iso2d", 4)][case]
+        spec = preset_problem(preset, order=order)
+        result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
+        calls = dict.fromkeys(self.BUDGET, 0)
+        for name in calls:
+            def counting(*args, name=name, real=getattr(HermiteBasis, name), **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(HermiteBasis, name, counting)
+        assert all(report.passed for report in _run_checks(result, "all"))
+        for name, budget in self.BUDGET.items():
+            assert calls[name] <= budget[case], (name, calls[name])
+
+
 def perturbed(result, what: str):
     """The result with one coefficient x 1001/1000: the first eigenvalue
     coefficient past the leading one, or the highest-degree term of the
