@@ -27,10 +27,11 @@ Omega's, its kernel that of every <v_c, .>_G. Only the checks read them.
 Q_j raises degree by at most 2j, so Q_j^dagger lowers it by at most 2j. On
 a basis of degree D, a component of v_c at doubled order s and degree above
 D - s cannot come back within the built order N to degree D - N: the left
-recursion drops it and forms each Q_j^dagger image only through the degree
-the order it feeds keeps. The rest is exact for M (Omega has degree <= 2K + N) and for the
-image of every basis vector of degree <= D - N; the pipeline's basis has
-D = 2K + 2 + N (``workspace_degree``), for probes of degree <= 2K + 2.
+recursion drops it, and forms each Q_j^dagger image only through the degree
+that the order it first feeds keeps. The rest is exact for M (Omega has
+degree <= 2K + N) and for the image of every basis vector of degree
+<= D - N; the pipeline's basis has D = 2K + 2 + N (``workspace_degree``),
+for probes of degree <= 2K + 2.
 
 Vectors are integer numerators keyed by basis position over one denominator
 (``HermiteVec``): sums rescale only when a new denominator raises the lcm,
@@ -125,9 +126,8 @@ class ProjectorSeries:
     """The level's two wave operators and its projector through the doubled
     order ``order2`` (module docstring), each built once: ``wave_operator2``,
     ``left_wave_operator2``, ``overlap2`` (M) and ``image2``, which reads the
-    wave images that ``wave_operator2`` returned last. The Q_j and
-    Q_j^dagger images of each position (``q_action``, ``adjoint_action``)
-    and 1/(E0 - E) (``_gap``) are cached too."""
+    wave images ``wave_operator2`` returned last; the Q_j and Q_j^dagger images
+    (``q_action``, ``adjoint_action``) and 1/(E0 - E) are cached by position."""
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
                  order2: int):
