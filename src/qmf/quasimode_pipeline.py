@@ -436,13 +436,12 @@ def _level_sizes(proj: ProjectorSeries, vectors: list, action) -> list:
     rows = [[{} for _ in members] for _ in members]
     for b, vec_b in enumerate(vectors):
         for s, vec in vec_b.items():
-            for j, idx in ((j, i) for j in proj.family.orders2() if 0 < j <= N - s
-                           for i in vec.num):
-                q = action(j, idx)
-                for terms, at in ((rows[a][b], at) for a, at in enumerate(members)
-                                  if at in q.num):
-                    x = mode.abs(mode.join(vec.num[idx] * q.num[at], vec.den * q.den))
-                    terms[s + j] = terms.get(s + j, 0) + x
+            for j in (j for j in proj.family.orders2() if 0 < j <= N - s):
+                for idx, n in vec.num.items():
+                    q = action(j, idx)
+                    for a in (a for a, at in enumerate(members) if at in q.num):
+                        x = mode.abs(mode.join(n * q.num[members[a]], vec.den * q.den))
+                        rows[a][b][s + j] = rows[a][b].get(s + j, 0) + x
     return [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row] for row in rows]
 
 

@@ -595,6 +595,18 @@ class TestLeftRoute:
         proj = spec_projector(reference_spec(name, mode_name))
         assert_images_equal_the_oracle(proj, exact=mode_name == "exact")
 
+    def test_an_adjoint_image_asked_further_is_formed_again(self):
+        # the cache keeps each Q_j^dagger image through the largest degree
+        # asked, so a later, wider request is never served a cut image
+        proj, _ = preset_projector("iso2d", 4)
+        j2, pos = 1, proj.basis.position(proj.level.members[0])
+        full = HermiteVec(proj.mode, *proj.basis.apply_adjoint(proj.family.get2(j2), pos))
+        cut = proj.adjoint_action(j2, pos, 3)
+        assert cut and all(proj.basis.degree_at[i] <= 3 for i in cut.num)
+        assert proj.adjoint_action(j2, pos, 2) is cut
+        wide = proj.adjoint_action(j2, pos, proj.basis.degree)
+        assert wide == full != cut
+
     def test_a_parity_breaking_term_fails_the_parity_law(self):
         # y d keeps the degree of p_m; at order 1/2 it breaks the parity rule
         # (Q_j changes degree parity by 2j), and the projector check's parity
