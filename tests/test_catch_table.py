@@ -5,9 +5,10 @@ iso2d o4 and rank2 o4, exact.
 This is mutation analysis (R. A. DeMillo, R. J. Lipton and F. G. Sayward,
 "Hints on test data selection", IEEE Computer 11 (1978) 34). Transport fails
 on every defect of the eigenvalues or the eigenfunctions; rs and the
-projector's symmetry law are the only checks that see a defect in the
-residue route; symmetry is the only check besides transport that sees a
-wrong operator family, and the only one that sees a wrong weight;
+projector's symmetry law are the only checks that see a defect in the left
+recursion (Bloch's recursion on the Gaussian adjoint, which only the checks
+run); symmetry is the only check besides transport that sees a wrong
+operator family, and the only one that sees a wrong weight;
 orthonormality fails only on a wrong Gram, and a half-integer eigenvalue
 coefficient on a level of uniform parity stops ``compute`` at the parity
 filter. On rank2 every defect put in before the pencil stops ``compute`` at
