@@ -150,7 +150,7 @@ def test_ac6_rs_oracle_equivalence():
         rep = rs_oracle(resf)
         assert rep.passed and rep.max_residual <= 1e-10, (preset, rep)
     _report("AC6 perturbation-recursion equivalence", True, time.perf_counter() - t0, 30.0,
-            "H_eff and the eigenvalues through h^2 agree with the residue images on simple "
+            "H_eff and the eigenvalues through h^2 agree with the left wave operator on simple "
             "and degenerate levels, exactly (exact) / within 1e-10 relative (float)")
 
 
