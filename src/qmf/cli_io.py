@@ -670,13 +670,12 @@ def run_command(argv) -> int:
                     fh.write("hbar,error\n")
                     for hb, err in zip(rep.data["hbars"], rep.data["errors"]):
                         fh.write(f"{hb},{err}\n")
-    except ValueError as exc:
+        _print_summary(spec, result, reports)
+        if args.out:
+            _write_json(args.out, result_document(spec, result, reports))
+    except (ValueError, OSError) as exc:  # OSError: an --out or --csv path not writable
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    _print_summary(spec, result, reports)
-    if args.out:
-        _write_json(args.out, result_document(spec, result, reports))
     if any(not rep.passed for rep in reports):
         return 2
     return 0

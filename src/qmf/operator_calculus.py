@@ -232,6 +232,9 @@ class JetProblem:
         mode = self.mode
         if self.n < 1 or self.rank < 1:
             raise ProblemValidationError("dimension and rank must be positive")
+        if self.D < 0:
+            raise ProblemValidationError(
+                f"input jet degree D must be a nonnegative integer, got {self.D}")
         if len(self.lam) != self.n:
             raise ProblemValidationError("need one frequency per dimension")
         for l in self.lam:

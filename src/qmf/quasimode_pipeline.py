@@ -482,9 +482,6 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
         shift = FormalScalarSeries.const(mode, level.E0, N)
         return [[e - shift if a == b else e for b, e in enumerate(row)] for a, row in enumerate(h)]
 
-    def absolute(e):
-        return FormalScalarSeries.from_terms2(mode, {t: mode.abs(c) for t, c in e.items2()}, N)
-
     (lefts, h_dag), K2 = proj.left_wave_operator2(), level.K2
     eigs = [e.shift2(-2) for e in result.eigenvalues]
     diffs = [left - right for left, right
@@ -494,8 +491,8 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
         sides = _rs_sides(proj.overlap2(mode.abs),
                           _level_sizes(proj, proj._waves, proj.q_action),
                           _level_sizes(proj, lefts, lambda j, i: proj.adjoint_action(j, i, K2)),
-                          [list(map(absolute, row)) for row in ctx.h_eff],
-                          list(map(absolute, eigs)))
+                          [[e.abs() for e in row] for row in ctx.h_eff],
+                          [e.abs() for e in eigs])
         residuals = [[(mode.abs(c), mode.abs((left + right).at2(t)))
                       for t, c in d.items2() if t <= N]
                      for d, (left, right) in zip(diffs, sides)]

@@ -41,8 +41,10 @@ in fields of ``EXPONENT_BITS`` bits, so a monomial product is an integer sum
 and keys sort by degree first (M. Monagan and R. Pearce, CASC 2007). A series
 order j is its doubled int 2j, in every module, in attributes, arguments and
 methods named with a trailing 2 (``trunc2``, ``items2``, ``shift2``).
-An order given from outside enters through ``doubled_order`` and is printed
-as ``Fraction(2j, 2)``.
+Every graded series, the scalar one and the graded container alike, holds
+its coefficients in a dict keyed by doubled order (``coeffs2``), nothing
+stored for an absent order. An order given from outside enters through
+``doubled_order`` and is printed as ``Fraction(2j, 2)``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import copysign, gcd, hypot, inf, lcm, sqrt
-from typing import Iterator, Mapping, Sequence
+from typing import ItemsView, Iterator, Mapping, Sequence
 
 __all__ = [
     "doubled_order",
@@ -653,159 +655,120 @@ def convolution_bound(*factors):
 class FormalScalarSeries:
     """Laurent series in the half-power variable with scalar coefficients.
 
-    ``offset2`` is the doubled exponent of the first stored coefficient and
-    ``coeffs`` holds consecutive half-integer steps from there. ``trunc2`` is
-    the doubled largest exponent guaranteed exact (None means the series is
-    exact at every order, e.g. it came from a polynomial identity). Stored
-    coefficients beyond the truncation order are dropped; absent ones below
-    it are zero.
+    ``coeffs2`` maps each doubled exponent, ascending, to a nonzero
+    coefficient; absent exponents are zero. ``trunc2`` is the doubled largest
+    exponent guaranteed exact (None means the series is exact at every order,
+    e.g. it came from a polynomial identity), and no key lies past it. The
+    constructor puts any mapping in that form without coercing its values;
+    ``from_terms2`` coerces them with ``mode.coeff``.
     """
 
-    __slots__ = ("mode", "offset2", "coeffs", "trunc2")
+    __slots__ = ("mode", "coeffs2", "trunc2")
 
-    def __init__(self, mode, offset2: int, coeffs: Sequence, trunc2: int | None):
+    def __init__(self, mode, coeffs2: Mapping[int, object], trunc2: int | None):
+        is_zero = mode.is_zero
         self.mode = mode
-        coeffs = list(coeffs)
-        # drop leading zeros, advancing the offset
-        while coeffs and mode.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            offset2 += 1
-        # drop anything beyond the truncation order
-        if trunc2 is not None and coeffs:
-            keep = trunc2 - offset2 + 1
-            if keep <= 0:
-                coeffs = []
-            elif keep < len(coeffs):
-                coeffs = coeffs[:keep]
-        while coeffs and mode.is_zero(coeffs[-1]):
-            coeffs.pop()
-        self.offset2 = offset2 if coeffs else 0
-        self.coeffs = tuple(coeffs)
+        self.coeffs2 = {d: c for d, c in sorted(coeffs2.items())
+                        if not is_zero(c) and (trunc2 is None or d <= trunc2)}
         self.trunc2 = trunc2
 
     # -- constructors
 
     @staticmethod
     def zero(mode, trunc2: int | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, 0, (), trunc2)
+        return FormalScalarSeries(mode, {}, trunc2)
 
     @staticmethod
     def const(mode, value, trunc2: int | None = None) -> "FormalScalarSeries":
-        return FormalScalarSeries(mode, 0, (mode.coeff(value),), trunc2)
+        return FormalScalarSeries(mode, {0: mode.coeff(value)}, trunc2)
 
     @staticmethod
     def from_terms2(mode, terms: Mapping[int, object], trunc2: int | None) -> "FormalScalarSeries":
         """The series with coefficient ``terms[d]`` at each doubled exponent d."""
-        if not terms:
-            return FormalScalarSeries(mode, 0, (), trunc2)
-        lo = min(terms)
-        coeffs = [mode.zero()] * (max(terms) - lo + 1)
-        for k, v in terms.items():
-            coeffs[k - lo] = mode.coeff(v)
-        return FormalScalarSeries(mode, lo, coeffs, trunc2)
+        return FormalScalarSeries(mode, {d: mode.coeff(v) for d, v in terms.items()}, trunc2)
+
+    def _map(self, f) -> "FormalScalarSeries":
+        """The series with f applied to every coefficient."""
+        return FormalScalarSeries(self.mode, {d: f(c) for d, c in self.coeffs2.items()},
+                                  self.trunc2)
 
     # -- queries
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.coeffs2
 
     def order2(self) -> int | None:
         """Doubled exponent of the leading nonzero coefficient; None for the zero series."""
-        return self.offset2 if self.coeffs else None
+        return next(iter(self.coeffs2), None)
 
     def at2(self, d: int) -> object:
         """The coefficient at the doubled exponent d."""
-        i = d - self.offset2
-        if i < 0 or i >= len(self.coeffs):
-            return self.mode.zero()
-        return self.coeffs[i]
+        c = self.coeffs2.get(d)
+        return self.mode.zero() if c is None else c
 
-    def items2(self) -> Iterator[tuple[int, object]]:
-        """(doubled exponent, coefficient) of the nonzero coefficients."""
-        for i, c in enumerate(self.coeffs):
-            if not self.mode.is_zero(c):
-                yield self.offset2 + i, c
+    def items2(self) -> ItemsView[int, object]:
+        """(doubled exponent, coefficient) of the nonzero coefficients, ascending."""
+        return self.coeffs2.items()
 
     # -- arithmetic
 
-    def _nonzero(self) -> list:
-        """(index, coefficient) of the stored coefficients the mode does not call zero."""
-        is_zero = self.mode.is_zero
-        return [(i, c) for i, c in enumerate(self.coeffs) if not is_zero(c)]
-
-    def _from_slots(self, lo: int, slots: list, trunc2: int | None) -> "FormalScalarSeries":
-        """The series with coefficient ``slots[i]`` at doubled exponent lo + i (None = zero)."""
-        zero = self.mode.zero()
-        return FormalScalarSeries(self.mode, lo, [zero if c is None else c for c in slots], trunc2)
-
     def __add__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
-        trunc = _min_trunc(self.trunc2, other.trunc2)
-        parts = [s for s in (self, other) if s.coeffs]
-        if not parts:
-            return FormalScalarSeries(self.mode, 0, (), trunc)
-        lo = min(s.offset2 for s in parts)
-        slots: list = [None] * (max(s.offset2 + len(s.coeffs) for s in parts) - lo)
-        for s in parts:
-            shift = s.offset2 - lo
-            for i, c in s._nonzero():
-                k = i + shift
-                v = slots[k]
-                slots[k] = c if v is None else v + c
-        return self._from_slots(lo, slots, trunc)
+        out = dict(self.coeffs2)
+        for d, c in other.coeffs2.items():
+            v = out.get(d)
+            out[d] = c if v is None else v + c
+        return FormalScalarSeries(self.mode, out, _min_trunc(self.trunc2, other.trunc2))
 
     def __neg__(self) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset2, tuple(-c for c in self.coeffs),
-                                  self.trunc2)
+        return self._map(operator.neg)
 
     def __sub__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         return self + (-other)
 
     def _over_lcm(self) -> tuple[list, int]:
-        """(index, numerator) of the nonzero coefficients over their lcm, and the lcm."""
+        """(doubled exponent, numerator) of the coefficients over their lcm, and the lcm."""
         split = self.mode.split
-        terms = [(i, *split(c)) for i, c in self._nonzero()]
-        den = lcm(*(d for _, _, d in terms))
-        return [(i, n if d == den else n * (den // d)) for i, n, d in terms], den
+        terms = [(d, *split(c)) for d, c in self.coeffs2.items()]
+        den = lcm(*(q for _, _, q in terms))
+        return [(d, n if q == den else n * (den // q)) for d, n, q in terms], den
 
     def __mul__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
         _same_mode(self.mode, other.mode)
         # a zero factor gives the zero product, exact wherever either factor is known
         trunc = convolution_bound((self.trunc2, self.order2()), (other.trunc2, other.order2()))
-        lo = self.offset2 + other.offset2
-        size = len(self.coeffs) + len(other.coeffs) - 1
-        if trunc is not None:
-            size = min(size, trunc - lo + 1)
         # integer numerators over the two lcms; each output normalized once
-        slots: list = [None] * max(size, 0)
+        out: dict = {}
         (left, da), (right, db) = self._over_lcm(), other._over_lcm()
         for i, ca in left:
             for j, cb in right:
                 k = i + j
-                if k >= size:
+                if trunc is not None and k > trunc:
                     break
-                v = slots[k]
-                slots[k] = ca * cb if v is None else v + ca * cb
+                v = out.get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
         join, den = self.mode.join, da * db
-        return self._from_slots(lo, [v if v is None else join(v, den) for v in slots], trunc)
+        return FormalScalarSeries(self.mode, {k: join(v, den) for k, v in out.items()}, trunc)
 
     def scale(self, c) -> "FormalScalarSeries":
         c = self.mode.coeff(c)
-        return FormalScalarSeries(self.mode, self.offset2, tuple(v * c for v in self.coeffs),
-                                  self.trunc2)
+        return self._map(lambda v: v * c)
 
     def shift2(self, e: int) -> "FormalScalarSeries":
         """Multiply by the half-power variable to the doubled exponent e."""
         trunc = None if self.trunc2 is None else self.trunc2 + e
-        return FormalScalarSeries(self.mode, self.offset2 + e, self.coeffs, trunc)
+        return FormalScalarSeries(self.mode, {d + e: c for d, c in self.coeffs2.items()}, trunc)
 
     def truncate2(self, trunc2: int | None) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset2, self.coeffs,
-                                  _min_trunc(self.trunc2, trunc2))
+        return FormalScalarSeries(self.mode, self.coeffs2, _min_trunc(self.trunc2, trunc2))
 
     def conj(self) -> "FormalScalarSeries":
-        return FormalScalarSeries(self.mode, self.offset2,
-                                  tuple(self.mode.conj(c) for c in self.coeffs), self.trunc2)
+        return self._map(self.mode.conj)
+
+    def abs(self) -> "FormalScalarSeries":
+        """The series of the |coefficients|, as mode values."""
+        mode = self.mode
+        return self._map(lambda c: mode.coeff(mode.abs(c)))
 
     def inverse(self, through2: int | None = None) -> "FormalScalarSeries":
         """Multiplicative inverse; the leading coefficient must be invertible.
@@ -815,14 +778,14 @@ class FormalScalarSeries:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
-        lead, lo = self.coeffs[0], self.offset2
-        rel_trunc = None if self.trunc2 is None else self.trunc2 - lo
-        # self = lead * h^offset * (1 + v) with ord(v) > 0; v subtracts the
-        # computed lead/lead, not 1, so its constant term is exactly 0
-        rel = FormalScalarSeries(self.mode, 0, tuple(c / lead for c in self.coeffs), rel_trunc)
-        v = rel - FormalScalarSeries(self.mode, 0, rel.coeffs[:1], rel_trunc)
-        rel_through = None if through2 is None else through2 + lo
-        inv_rel = binomial_series(v, Fraction(-1), through2=rel_through)
+        lo = self.order2()
+        lead = self.coeffs2[lo]
+        # self = lead * h^lo * (1 + v) with ord(v) > 0: v leaves out the
+        # constant key, so its constant term is exactly 0
+        v = FormalScalarSeries(self.mode, {d - lo: c / lead for d, c in self.coeffs2.items()
+                                           if d != lo},
+                               None if self.trunc2 is None else self.trunc2 - lo)
+        inv_rel = binomial_series(v, Fraction(-1), None if through2 is None else through2 + lo)
         return inv_rel.scale(self.mode.one() / lead).shift2(-lo)
 
     def __truediv__(self, other: "FormalScalarSeries") -> "FormalScalarSeries":
@@ -848,11 +811,10 @@ class FormalScalarSeries:
 
     def is_real(self) -> bool:
         scale = self.max_abs_coeff()
-        return all(self.mode.negligible(c.imag, scale) for c in self.coeffs)
+        return all(self.mode.negligible(c.imag, scale) for c in self.coeffs2.values())
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FormalScalarSeries)
-                and dict(self.items2()) == dict(other.items2()))
+        return isinstance(other, FormalScalarSeries) and self.coeffs2 == other.coeffs2
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -904,7 +866,7 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction,
         if v.is_zero():
             return FormalScalarSeries.const(v.mode, 1)
         raise ValueError("binomial series of an untruncated series needs an explicit order")
-    parts = euler_recurrence(dict(v.items2()), trunc, v.mode.one(), v.mode.weighted_sum, exponent)
+    parts = euler_recurrence(v.coeffs2, trunc, v.mode.one(), v.mode.weighted_sum, exponent)
     return FormalScalarSeries.from_terms2(v.mode, parts, trunc)
 
 
@@ -913,12 +875,11 @@ def inverse_sqrt_series(a: FormalScalarSeries, through2: int | None = None) -> F
 
     Rejects input whose constant term is not 1 up to ``negligible``: that
     signals un-normalized Gram data upstream. A float lead need not be 1
-    exactly (49 * (1/49) is not), so v subtracts the lead itself.
+    exactly (49 * (1/49) is not), so v leaves out the constant key.
     """
-    lead = a.at2(0)
-    if a.order2() != 0 or not a.mode.negligible(lead - 1, 1):
+    if a.order2() != 0 or not a.mode.negligible(a.at2(0) - 1, 1):
         raise ValueError("inverse square root needs leading coefficient 1 at order 0")
-    v = a - FormalScalarSeries(a.mode, 0, (lead,), a.trunc2)
+    v = FormalScalarSeries(a.mode, {d: c for d, c in a.coeffs2.items() if d}, a.trunc2)
     return binomial_series(v, Fraction(-1, 2), through2=through2)
 
 

@@ -4,7 +4,9 @@
 the coefficient denominators, and Miller's recurrence (``euler_recurrence``)
 sums integer weights over one denominator per grade. These tests keep the
 per-term form as their reference: every product and every weight is a mode
-value, so each term is normalized on its own.
+value, so each term is normalized on its own. They read a series only
+through ``items2()``, ``order2()`` and ``at2()``, and build one only through
+``from_terms2`` and ``const``.
 """
 
 from fractions import Fraction
@@ -15,24 +17,15 @@ from qmf.series_algebra import FormalScalarSeries, _min_trunc, convolution_bound
 def product(a: FormalScalarSeries, b: FormalScalarSeries) -> FormalScalarSeries:
     """a * b, one mode-value product per pair of coefficients."""
     trunc = convolution_bound((a.trunc2, a.order2()), (b.trunc2, b.order2()))
-    lo = a.offset2 + b.offset2
-    size = len(a.coeffs) + len(b.coeffs) - 1
-    if trunc is not None:
-        size = min(size, trunc - lo + 1)
-    slots: list = [None] * max(size, 0)
-    is_zero = a.mode.is_zero
-    right = [(j, c) for j, c in enumerate(b.coeffs) if not is_zero(c)]
-    for i, ca in enumerate(a.coeffs):
-        if is_zero(ca):
-            continue
-        for j, cb in right:
-            k = i + j
-            if k >= size:
-                break
-            v = slots[k]
-            slots[k] = ca * cb if v is None else v + ca * cb
-    zero = a.mode.zero()
-    return FormalScalarSeries(a.mode, lo, [zero if c is None else c for c in slots], trunc)
+    terms: dict = {}
+    for ea, ca in a.items2():
+        for eb, cb in b.items2():
+            e = ea + eb
+            if trunc is not None and e > trunc:
+                continue
+            v = terms.get(e)
+            terms[e] = ca * cb if v is None else v + ca * cb
+    return FormalScalarSeries.from_terms2(a.mode, terms, trunc)
 
 
 def euler_recurrence(parts: dict, top: int, mode, exponent: Fraction) -> dict:
@@ -62,16 +55,18 @@ def binomial_series(v: FormalScalarSeries, exponent: Fraction, through2=None):
 
 
 def inverse(a: FormalScalarSeries, through2=None) -> FormalScalarSeries:
-    """1 / a: lead * h^offset * (1 + v), inverted as (1 + v)^(-1)."""
-    lead, lo = a.coeffs[0], a.offset2
+    """1 / a: lead * h^lo * (1 + v), inverted as (1 + v)^(-1)."""
+    lo = a.order2()
+    lead = a.at2(lo)
     rel_trunc = None if a.trunc2 is None else a.trunc2 - lo
-    rel = FormalScalarSeries(a.mode, 0, tuple(c / lead for c in a.coeffs), rel_trunc)
-    v = rel - FormalScalarSeries(a.mode, 0, rel.coeffs[:1], rel_trunc)
+    rel = FormalScalarSeries.from_terms2(a.mode, {e - lo: c / lead for e, c in a.items2()},
+                                         rel_trunc)
+    v = rel - FormalScalarSeries.const(a.mode, rel.at2(0), rel_trunc)
     inv_rel = binomial_series(v, Fraction(-1), None if through2 is None else through2 + lo)
     return inv_rel.scale(a.mode.one() / lead).shift2(-lo)
 
 
 def inverse_sqrt_series(a: FormalScalarSeries, through2=None) -> FormalScalarSeries:
     """a^(-1/2) for a = 1 + (terms of positive order)."""
-    v = a - FormalScalarSeries(a.mode, 0, (a.at2(0),), a.trunc2)
+    v = a - FormalScalarSeries.const(a.mode, a.at2(0), a.trunc2)
     return binomial_series(v, Fraction(-1, 2), through2)

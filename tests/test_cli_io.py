@@ -433,6 +433,18 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(
             "error: the numerical cross-check needs a confining V")
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--preset", "cubic1d", "--order", "2", "--out"],
+        ["verify", "--preset", "cubic1d", "--order", "2", "--out"],
+        ["spectrum", "--preset", "harmonic", "--degree", "2", "--out"],
+        ["crosscheck", "--preset", "quartic1d", "--order", "2", "--csv"],
+    ], ids=["compute", "verify", "spectrum", "crosscheck"])
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.txt"
+        assert run_command([*argv, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.parent.exists()
+
     def test_missing_source_is_input_error(self, capsys):
         rc = run_command(["compute", "--order", "2"])
         assert rc == 1
@@ -470,10 +482,13 @@ class TestCommands:
          "--hbar must be a comma list of numbers"),
         (None, ["spectrum", "--preset", "cubic1d", "--degree", "-1"],
          "--degree must be a nonnegative integer, got -1"),
+        (CUBIC.replace("order = 2", "order = 2\ndegree = -3"), ["verify"],
+         "input jet degree D must be a nonnegative integer, got -3"),
     ])
     def test_input_error_exits_1_with_message(self, tmp_path, capsys, spec_text, extra, message):
         # a case naming no command runs compute
-        argv = extra if extra[:1] in (["crosscheck"], ["spectrum"]) else ["compute", *extra]
+        named = extra[:1] in (["crosscheck"], ["spectrum"], ["verify"])
+        argv = extra if named else ["compute", *extra]
         if spec_text is not None:
             path = tmp_path / "bad.spec"
             path.write_text(spec_text)

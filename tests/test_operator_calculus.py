@@ -91,6 +91,15 @@ class TestEikonal:
         with pytest.raises(ProblemValidationError):
             JetProblem.create(EXACT, 1, 1, 4, (0,))
 
+    @pytest.mark.parametrize("mode", [EXACT, float_mode()], ids=["exact", "float"])
+    @pytest.mark.parametrize("D", [-1, -2, -5])
+    def test_rejects_negative_input_degree(self, mode, D):
+        with pytest.raises(ProblemValidationError, match=f"input jet degree D .* got {D}$"):
+            JetProblem.create(mode, 1, 1, D, (1,))
+
+    def test_input_degree_zero_is_accepted(self):
+        assert JetProblem.create(EXACT, 1, 1, 0, (1,)).D == 0
+
     def test_rejects_unnormalized_quadratic(self):
         with pytest.raises(ProblemValidationError):
             JetProblem.create(EXACT, 1, 1, 4, (1,), V=poly1({2: 2}))

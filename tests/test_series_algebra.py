@@ -357,13 +357,20 @@ class TestFormalScalarSeries:
         a = series({0: 1}).shift2(-1)
         assert a.order2() == -1
 
+    def test_abs_keeps_mode_values_and_bound(self):
+        a = series({-1: F(-2, 3), 2: 5}, trunc=4)
+        assert a.abs() == series({-1: F(2, 3), 2: 5}) and a.abs().trunc2 == 4
+        f = FormalScalarSeries.from_terms2(float_mode(), {0: 3 - 4j, 1: -1}, None).abs()
+        assert list(f.items2()) == [(0, 5 + 0j), (1, 1 + 0j)]
+        assert all(type(c) is complex for _, c in f.items2())
+
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5),
            st.lists(st.integers(-4, 4), min_size=1, max_size=5),
            st.lists(st.integers(-4, 4), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_mul_associative_commutative(self, xs, ys, zs):
         def mk(vals):
-            return FormalScalarSeries(EXACT, 0, [F(v) for v in vals], 12)
+            return FormalScalarSeries(EXACT, dict(enumerate(map(F, vals))), 12)
         a, b, c = mk(xs), mk(ys), mk(zs)
         assert a * b == b * a
         lhs = (a * b) * c
@@ -371,7 +378,7 @@ class TestFormalScalarSeries:
         assert lhs.equals_through(rhs, 12)
 
 
-# -- the dense FormalScalarSeries sum and product against dicts keyed by doubled exponent
+# -- the FormalScalarSeries sum and product against the term-by-term dict loops
 
 
 def ref_min_trunc(a, b):
@@ -396,8 +403,8 @@ def ref_product_trunc(a, b):
     return min(candidates) if candidates else None
 
 
-# the loops the dense sum and product replaced, kept here as the reference; in
-# float mode they fix the order of every complex operation
+# the loops of the sum and product, kept here as the reference; in float mode
+# they fix the order of every complex operation
 
 def ref_series_add(a, b):
     terms = dict(a.items2())
@@ -420,17 +427,31 @@ def ref_series_mul(a, b):
     return FormalScalarSeries.from_terms2(a.mode, terms, trunc)
 
 
+def raw_terms(values):
+    """Dicts keyed by doubled exponent, negative ones included, in any key
+    order, with zero values among them."""
+    return st.dictionaries(st.integers(-5, 10), values, max_size=7)
+
+
+TRUNCS = st.one_of(st.none(), st.integers(-8, 10))
+
+
 def scalar_series(mode, values):
-    """Series with negative offsets, interior and edge zeros, the zero series, and
-    truncation orders that are absent, below, inside or beyond the stored range."""
-    return st.builds(
-        lambda off, cs, t: FormalScalarSeries(mode, off, cs, t),
-        st.integers(-5, 4), st.lists(values, max_size=7),
-        st.one_of(st.none(), st.integers(-8, 10)))
+    """Series from raw dicts: the zero series, and truncation orders that are
+    absent, below, inside or beyond the drawn keys."""
+    return st.builds(lambda terms, t: FormalScalarSeries(mode, terms, t), raw_terms(values), TRUNCS)
+
+
+def assert_canonical(s):
+    """Keys ascending, no zero coefficient, no key past the bound."""
+    keys = list(s.coeffs2)
+    assert keys == sorted(keys)
+    assert not any(s.mode.is_zero(c) for c in s.coeffs2.values())
+    assert s.trunc2 is None or all(k <= s.trunc2 for k in keys)
 
 
 def series_state(s, coeff=lambda c: c):
-    return s.offset2, tuple(map(coeff, s.coeffs)), s.trunc2
+    return tuple((e, coeff(c)) for e, c in s.items2()), s.trunc2
 
 
 def hex_coeff(c):
@@ -440,10 +461,22 @@ def hex_coeff(c):
 FRACS_OR_ZERO = st.one_of(st.just(F(0)), FRACS)
 
 
-class TestDenseScalarSeries:
+class TestScalarSeriesStorage:
+    @given(raw_terms(FRACS_OR_ZERO), TRUNCS)
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_keeps_the_nonzero_terms_through_the_bound(self, terms, trunc):
+        s = FormalScalarSeries(EXACT, terms, trunc)
+        assert_canonical(s)
+        assert s.coeffs2 == {e: c for e, c in terms.items()
+                             if c != 0 and (trunc is None or e <= trunc)}
+        assert s.order2() == min(s.coeffs2, default=None)
+        assert all(s.at2(e) == 0 for e in range(-8, 12) if e not in s.coeffs2)
+
     @given(scalar_series(EXACT, FRACS_OR_ZERO), scalar_series(EXACT, FRACS_OR_ZERO))
     @settings(max_examples=200, deadline=None)
     def test_exact_sum_and_product_match_dict_reference(self, a, b):
+        for s in (a, b, a + b, a - b, a * b):
+            assert_canonical(s)
         assert series_state(a + b) == series_state(ref_series_add(a, b))
         assert series_state(a - b) == series_state(ref_series_add(a, -b))
         assert series_state(a * b) == series_state(ref_series_mul(a, b))
@@ -453,6 +486,7 @@ class TestDenseScalarSeries:
     def test_float_sum_and_product_match_dict_reference_bit_for_bit(self, a, b):
         for got, want in ((a + b, ref_series_add(a, b)), (a * b, ref_series_mul(a, b)),
                           (b * a, ref_series_mul(b, a))):
+            assert_canonical(got)
             assert series_state(got, hex_coeff) == series_state(want, hex_coeff)
 
     def test_zero_and_disjoint_cases(self):
@@ -498,7 +532,7 @@ class TestInverseSqrt:
     @settings(max_examples=40, deadline=None)
     def test_defect_zero_randomized(self, tail):
         # a.inverse() and inverse_sqrt_series(a) both come from binomial_series
-        a = FormalScalarSeries(EXACT, 0, [F(1)] + [F(v) for v in tail], 24)
+        a = FormalScalarSeries(EXACT, dict(enumerate(map(F, [1] + tail))), 24)
         r = inverse_sqrt_series(a)
         assert (r * r * a).trunc2 == 24
         assert (r * r * a).equals_through(series({0: 1}), 24)
@@ -531,7 +565,8 @@ def perturbations(draw, mode=EXACT, values=FRACS_OR_ZERO):
     coeffs = [draw(FRACS.filter(bool))] + draw(st.lists(values, max_size=6))
     trunc = draw(st.one_of(st.none(), st.integers(offset, 14)))
     through = draw(st.integers(0, 14) if trunc is None else st.one_of(st.none(), st.integers(0, 14)))
-    v = FormalScalarSeries(mode, offset, [mode.coeff(c) for c in coeffs], trunc)
+    v = FormalScalarSeries(mode, {offset + i: mode.coeff(c) for i, c in enumerate(coeffs)},
+                           trunc)
     return v, through
 
 
@@ -545,8 +580,7 @@ class TestBinomialSeries:
 
     def test_float_within_tolerance_of_exact(self):
         v = series({1: F(1, 3), 2: F(-2, 5), 3: F(1, 7)}, trunc=20)
-        vf = FormalScalarSeries(float_mode(), v.offset2, [complex(c) for c in v.coeffs],
-                                v.trunc2)
+        vf = FormalScalarSeries(float_mode(), {e: complex(c) for e, c in v.items2()}, v.trunc2)
         for exponent in (F(-1), F(-1, 2), F(1, 2), F(3)):
             want, got = binomial_series(v, exponent), binomial_series(vf, exponent)
             # judged against the largest coefficient: at exponent 3 the
@@ -622,7 +656,7 @@ class TestPerTermReference:
         # the weights are integers over q k, so nothing grows like k!: the
         # float series stays finite and within 1e-12 of the rounded exact one
         exact = series({0: 1, 1: F(1, 3), 2: F(-1, 5), 3: F(1, 7)}, trunc=200)
-        flt = FormalScalarSeries(float_mode(), 0, [complex(c) for c in exact.coeffs], 200)
+        flt = FormalScalarSeries(float_mode(), {e: complex(c) for e, c in exact.items2()}, 200)
         want, got = inverse_sqrt_series(exact), inverse_sqrt_series(flt)
         assert got.trunc2 == want.trunc2 == 200
         for e in range(201):
