@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .series_algebra import (
@@ -515,30 +515,132 @@ def rs_oracle(result: QuasimodeResult) -> VerificationReport:
 DEFAULT_HBARS = (0.2, 0.1, 0.05)   # at the bottom level; over 2k+1 at the k-th
 
 
-def _hermite_ritz_eigenvalue(coef, lam: float, hbar: float, size: int, k: int) -> float:
+def _band_inertia(rows: list, sigma: float, tiny: float) -> tuple:
+    """The number of negative pivots of H - sigma = L D L^T, ``rows[i]`` holding
+    H[i][i..i+b], and per row D[i] and its nonzero (s, L[i+s][i]); a pivot within
+    ``tiny`` of 0 is ``tiny``. By Sylvester's law of inertia the count is that of
+    the eigenvalues below sigma (Martin & Wilkinson, Numer. Math. 9 (1967) 279)."""
+    b = len(rows[0]) - 1
+    # the nonzero diagonals' multiples of their gcd hold every fill-in too
+    g = math.gcd(*(t for t in range(1, b + 1) if any(r[t] for r in rows)))
+    offs = range(g, b + 1, g) if g else ()
+    pairs = [(s, t, t - s) for j, s in enumerate(offs) for t in offs[j:]]
+    work = [[r[0] - sigma, *r[1:]] for r in rows] + [[0.0] * (b + 1) for _ in range(b)]
+    neg, factors = 0, []
+    for i, r in enumerate(work[:len(rows)]):
+        d = r[0] if abs(r[0]) > tiny else tiny
+        neg += d < 0
+        for s, t, u in pairs:
+            work[i + s][u] -= r[s] * r[t] / d
+        factors.append((d, [(s, r[s] / d) for s in offs if r[s]]))
+    return neg, factors
+
+
+def _band_solve(factors: list, v: list) -> list:
+    """(L D L^T)^-1 v for the factors of ``_band_inertia``."""
+    z = list(v)
+    for i, (_, ls) in enumerate(factors):
+        for s, f in ls if z[i] else ():
+            z[i + s] -= f * z[i]
+    for i in range(len(z) - 1, -1, -1):
+        z[i] /= factors[i][0]
+        for s, f in factors[i][1]:
+            z[i] -= f * z[i + s]
+    return z
+
+
+def _band_eigenpair(rows: list, k: int, sigma: float, vec: list) -> tuple:
+    """The k-th eigenvalue and a unit eigenvector of the symmetric band matrix
+    ``rows[i] = H[i][i..i+b]``, from ``vec`` and a first shift just above
+    ``sigma``: each shift's count (``_band_inertia``) narrows a bisection bracket,
+    and up to two solves with its factors give the Rayleigh quotient rho and the
+    residual r. The next shift is rho - (2 r + tol) if the count exceeded k, else
+    rho + (2 r + tol), or the bracket's midpoint if rho left it. Counts k at or
+    below rho - r and k + 1 above rho + r certify rho's eigenvalue as the k-th;
+    rho is returned so with r <= tol = 1e-13 max |H|, or inside a bracket below
+    4 tol (a cluster no count splits)."""
+    n = len(rows)
+    scale = max(max(map(abs, r)) for r in rows)
+    tol, bound = 1e-13 * scale, 2 * len(rows[0]) * scale   # past Gershgorin's bound
+    seen, sigma = [(-bound, 0), (bound, n)], sigma + tol
+    for _ in range(200):
+        neg, factors = _band_inertia(rows, sigma, 2.2e-16 * scale)
+        seen.append((sigma, neg))
+        for _ in range(2):
+            y = _band_solve(factors, vec)
+            norm = math.hypot(*y)
+            shift = sum(map(mul, vec, y)) / (norm * norm)
+            res = math.dist(vec, [shift * c for c in y]) / norm
+            vec = [a / norm for a in y]
+            if res <= tol:
+                break
+        rho = sigma + shift
+        lo = max(s for s, c in seen if c <= k)
+        hi = min(s for s, c in seen if c > k)
+        if lo - tol <= rho <= hi + tol and (hi - lo <= 4 * tol or res <= tol and any(
+                c == k and s <= rho - res for s, c in seen) and any(
+                c == k + 1 and s > rho + res for s, c in seen)):
+            return rho, vec
+        if not lo - tol < rho < hi + tol:
+            sigma, vec = (lo + hi) / 2, [1.0] * n
+        else:
+            sigma = rho - 2 * res - tol if neg > k else rho + 2 * res + tol
+    raise ArithmeticError(f"eigenvalue {k} of a {n}-row band matrix did not converge")
+
+
+def _hermite_ritz_eigenvalue(coef, lam: float, hbar: float, size: int, k: int,
+                             start: tuple | None = None) -> tuple:
     """The k-th eigenvalue of -h^2 d^2/dx^2 + P in the first ``size`` Hermite
-    functions of the model oscillator -h^2 d^2/dx^2 + lam^2 x^2.
+    functions of the model oscillator -h^2 d^2/dx^2 + lam^2 x^2, and its
+    eigenvector (last function first): the pair a larger basis takes as ``start``.
 
     ``coef`` lists P's power coefficients. The model part is the diagonal
     h lam (2j + 1) and x is sqrt(h / 2 lam) (a + a^dagger), a tridiagonal
     matrix; x^d between the first ``size`` functions only reaches the first
-    size + d // 2, so P - lam^2 x^2, formed by Horner's rule in
-    size + deg P // 2 + 1 functions and cut to ``size``, is exact.
+    size + d // 2, so P - lam^2 x^2, formed by Horner's rule on the diagonals
+    of its band (half-bandwidth deg P) in size + deg P // 2 + 1 functions and
+    cut to ``size``, is exact. ``_band_eigenpair`` factors it from the last
+    function up, where the high functions' rows keep the pivots large, from
+    ``start`` (its vector padded; a smaller basis's Ritz value lies above) or
+    from H[k][k] and the k-th function.
     """
-    import numpy as np
-
-    coef = np.array(coef, dtype=float)
+    coef = list(coef)
     coef[2] -= lam * lam
-    m = size + (len(coef) - 1) // 2 + 1
-    off = np.sqrt(np.arange(1, m) * (hbar / (2.0 * lam)))
-    x = np.diag(off, 1) + np.diag(off, -1)
-    p = np.zeros((m, m))
-    for c in coef[::-1]:
-        p = x @ p
-        p[np.diag_indices(m)] += c
-    h = p[:size, :size]
-    h[np.diag_indices(size)] += hbar * lam * (2 * np.arange(size) + 1)
-    return float(np.linalg.eigvalsh(h)[k])
+    m = size + (len(coef) + 1) // 2
+    off = [math.sqrt(j * hbar / (2.0 * lam)) for j in range(1, m)]
+    below, above, zero = [0.0, *off], [*off, 0.0], [0.0] * m
+    p = [[coef[-1]] * m]
+    for c in reversed(coef[:-1]):
+        # (x p)[j][j+t] = x[j][j-1] p[j-1][j+t] + x[j][j+1] p[j+1][j+t]; zero stays zero
+        p += [zero, zero]
+        p = [zero if p[t + 1] is zero and p[abs(t - 1)] is zero else
+             [a * u + b * w for a, u, b, w in zip(below, [0.0, *p[t + 1]], above,
+                                                  [*p[t - 1][1:], 0.0] if t else p[1])]
+             for t in range(len(p) - 1)]
+        p[0] = [a + c for a in p[0]] if c else p[0]
+    p[0] = [a + hbar * lam * (2 * j + 1) for j, a in enumerate(p[0])]
+    rows = [list(r) for r in zip(*((d[size - 1 - t::-1] if t < size else []) + [0.0] * t
+                                   for t, d in enumerate(p)))]
+    e, vec = start or (p[0][k], [float(j == size - 1 - k) for j in range(size)])
+    return _band_eigenpair(rows, k, e, [0.0] * (size - len(vec)) + vec)
+
+
+def _real_roots(coef: list) -> list:
+    """The real roots of the polynomial with power coefficients ``coef``:
+    Durand-Kerner from R (0.4 + 0.9i)^j, R the Cauchy bound, until no root
+    moves by 1e-14 R; a root with |imag| <= 1e-6 |r| counts as real."""
+    monic = [c / coef[-1] for c in coef[-2::-1]]
+    radius = 1 + max(map(abs, monic))
+    z = [radius * (0.4 + 0.9j) ** j for j in range(len(monic))]
+    for _ in range(1000):
+        step = 0.0
+        for i, r in enumerate(z):
+            q = math.prod(r - s for j, s in enumerate(z) if j != i)
+            z[i] = r - reduce(lambda p, c: p * r + c, monic, 1) / q if q else r
+            step = max(step, abs(z[i] - r))
+        if step <= 1e-14 * radius:
+            break
+    return [r.real for r in z if abs(r.imag) <= 1e-6 * abs(r)]
 
 
 def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | None = None,
@@ -550,9 +652,13 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     h (2k + 1) is small.
 
     A Rayleigh-Ritz solve in the model oscillator's Hermite functions
-    (``_hermite_ritz_eigenvalue``); Ritz values are upper bounds that fall as
-    the basis grows. V must confine: its top term of even degree with a
-    positive coefficient, W of lower degree (a ValueError otherwise). The
+    (``_hermite_ritz_eigenvalue``) in pure Python: a band of half-width deg V
+    built by Horner's rule on its diagonals, inverse iteration on banded
+    L D L^T factors whose negative-pivot count certifies the eigenvalue's index
+    (Sylvester's inertia; Martin & Wilkinson, Numer. Math. 9 (1967) 279), each
+    larger basis started from the smaller one's eigenpair. Ritz values are upper
+    bounds that fall as the basis grows. V must confine: its top term of even
+    degree with a positive coefficient, W of lower degree (a ValueError otherwise). The
     basis starts at 32 functions and doubles until two sizes agree within
     1e-9 max(|E|, h); E is taken at the larger one, which ``data["sizes"]``
     records for each h (None where no two sizes up to ``grid`` agree, which
@@ -564,8 +670,6 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     values must be two or more, distinct, finite and positive (a ValueError
     otherwise).
     """
-    import numpy as np
-
     eig_index = result.level.members[0].alpha[0]
     if hbars is None:
         hbars = [h / (2 * eig_index + 1) for h in DEFAULT_HBARS]
@@ -580,7 +684,7 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     mode = problem.mode
     V, W = problem.V, problem.W[0][0]
     deg = V.degree()
-    v, w = (np.array([complex(p.coefficient((d,))).real for d in range(deg + 1)]) for p in (V, W))
+    v, w = ([complex(p.coefficient((d,))).real for d in range(deg + 1)] for p in (V, W))
     if deg % 2 or v[deg] <= 0 or W.degree() >= deg:
         raise ValueError(f"the numerical cross-check needs a confining V: its top term "
                          f"{v[deg]:g} x^{deg} must have even degree and a positive coefficient, "
@@ -592,17 +696,16 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
 
     def certified_eigenvalue(hbar: float):
         """E at the first basis size agreeing with the size before it, and that size (or None)."""
-        coef = v + hbar * w
+        coef = [a + hbar * b for a, b in zip(v, w)]
         size = min(max(32, eig_index + 3), grid)
-        e = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index)
+        e, vec = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index)
         while size < grid:
             # a well elsewhere holds levels below e only where V + h W <= e;
             # the j-th function turns at x^2 = (2j + 1) h / lam, so the next
             # size reaches twice that far in x^2
-            roots = (np.polynomial.Polynomial(coef) - e).roots()
-            reach = max((r.real ** 2 for r in roots if abs(r.imag) <= 1e-6 * abs(r)), default=0)
+            reach = max((r * r for r in _real_roots([coef[0] - e, *coef[1:]])), default=0)
             size, coarse = min(max(2 * size, math.ceil(lam * reach / hbar)), grid), e
-            e = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index)
+            e, vec = _hermite_ritz_eigenvalue(coef, lam, hbar, size, eig_index, (e, vec))
             if abs(e - coarse) <= 1e-9 * max(abs(e), hbar):
                 return e, size
         return e, None
@@ -618,8 +721,12 @@ def crosscheck_eigenvalue_1d(result: QuasimodeResult, hbars: Sequence[float] | N
     certified = None not in sizes
 
     want = result.order2 / 2 + 1.5
-    slope = (float(np.polyfit(*np.log(fit).T, 1)[0])
-             if len({hb for hb, _ in fit}) >= 2 else None)
+    slope = None
+    if len({hb for hb, _ in fit}) >= 2:   # the least-squares slope of log error on log h
+        xs, ys = zip(*((math.log(hb), math.log(err)) for hb, err in fit))
+        mean = sum(xs) / len(xs)
+        dx = [x - mean for x in xs]
+        slope = sum(map(mul, dx, ys)) / sum(map(mul, dx, dx))
     data = {"hbars": list(hbars), "errors": errors, "sizes": sizes,
             "slope": slope, "required_slope": want}
     trivial = all(mode.is_zero(c) for _, c in series.items2())

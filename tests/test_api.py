@@ -89,12 +89,11 @@ def _imported_roots(nodes):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_module_imports_no_scipy_and_numpy_only_lazily(path):
-    # numpy is the one runtime dependency, imported inside the functions
-    # that use it so exact runs never load it
+def test_module_imports_no_numpy_or_scipy(path):
+    # the package has no runtime dependency: no import anywhere in the module,
+    # inside functions included, names numpy or scipy
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert "scipy" not in set(_imported_roots(ast.walk(tree)))
-    assert "numpy" not in set(_imported_roots(tree.body))
+    assert not {"numpy", "scipy"} & set(_imported_roots(ast.walk(tree)))
 
 
 def test_every_span_site_resolves():

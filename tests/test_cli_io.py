@@ -541,6 +541,9 @@ _LOADED_AFTER = ("import sys; from qmf.cli_io import run_command; "
                "--checks", "transport,eigen_residual,orthonormality,parity"]),
     ("scipy", ["crosscheck", "--preset", "quartic1d", "--order", "2", "--grid", "256"]),
     ("numpy", ["compute", "--preset", "cubic1d", "--order", "4"]),
+    ("numpy", ["crosscheck", "--preset", "quartic1d", "--order", "2", "--grid", "256"]),
+    # a Hermite basis grown past 128 functions to the other well
+    ("numpy", ["crosscheck", "--preset", "witten1d", "--order", "4", "--level-index", "1"]),
     # float runs whose 2-fold level splits through the pencil
     ("numpy", ["compute", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
     ("numpy", ["verify", "--preset", "iso2d", "--order", "3", "--mode", "float"]),
@@ -549,8 +552,7 @@ _LOADED_AFTER = ("import sys; from qmf.cli_io import run_command; "
     ("numpy", ["verify", "--spec", "{rotated}"]),
 ])
 def test_command_leaves_module_unloaded(module, argv, tmp_path):
-    """Only ``crosscheck`` loads numpy, for its Hermite-basis solve and slope
-    fit; no command loads scipy."""
+    """No command loads numpy or scipy."""
     spec = tmp_path / "rotated.spec"
     spec.write_text(RANK2_WELL.format(mode="float", endomorphism=ROTATED_W))
     argv = [a.format(rotated=spec) for a in argv]

@@ -4,8 +4,10 @@ import io
 import json
 import math
 from fractions import Fraction
+import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from qmf.series_algebra import (
@@ -15,7 +17,11 @@ from qmf.harmonic_oscillator import LevelNotFoundError, build_spectrum, degenera
 from qmf.cli_io import parse_problem_spec, preset_problem, run_command
 from qmf.quasimode_pipeline import (
     InsufficientOrderError,
+    _band_eigenpair,
+    _band_inertia,
+    _band_solve,
     _hermite_ritz_eigenvalue,
+    _real_roots,
     compute_quasimodes,
     crosscheck_eigenvalue_1d,
     eigen_residual,
@@ -184,7 +190,7 @@ class TestQuarticWell:
         # basis and the squeezed eigenfunctions' coefficients decay
         # geometrically, so 32 functions give the levels to rounding
         hbar = 0.1
-        got = _hermite_ritz_eigenvalue([0.0, 0.0, lam * lam + hbar * w], lam, hbar, 32, k)
+        got, _ = _hermite_ritz_eigenvalue([0.0, 0.0, lam * lam + hbar * w], lam, hbar, 32, k)
         want = hbar * math.sqrt(lam * lam + hbar * w) * (2 * k + 1)
         assert abs(got - want) <= 1e-12 * want
 
@@ -238,7 +244,7 @@ class TestWittenSupersymmetry:
         # first holds at 128 functions; the crosscheck must take the latter
         hbar = 1 / 30
         coef = [-hbar, -hbar, 1.0, 1.0, 0.25]
-        e32, e64, e128, e1024 = (_hermite_ritz_eigenvalue(coef, 1.0, hbar, size, 1)
+        e32, e64, e128, e1024 = (_hermite_ritz_eigenvalue(coef, 1.0, hbar, size, 1)[0]
                                  for size in (32, 64, 128, 1024))
         assert abs(e32 - e64) <= 1e-9 * e64 and e64 - e1024 > 1e-8
         assert abs(e128 - e1024) <= 1e-12 * e1024
@@ -247,6 +253,127 @@ class TestWittenSupersymmetry:
         series = res.eigenvalues[0].evaluate(hbar, through2=6).real
         assert rep.data["errors"][0] == pytest.approx(abs(e1024 - series), rel=1e-6)
         assert rep.passed, rep.detail
+
+
+def dense_hermite_matrix(coef, lam, hbar, size):
+    """The Hermite-basis matrix of ``_hermite_ritz_eigenvalue``, built densely
+    with numpy: the oracle's reference."""
+    coef = np.array(coef, dtype=float)
+    coef[2] -= lam * lam
+    m = size + (len(coef) - 1) // 2 + 1
+    off = np.sqrt(np.arange(1, m) * (hbar / (2.0 * lam)))
+    x = np.diag(off, 1) + np.diag(off, -1)
+    p = np.zeros((m, m))
+    for c in coef[::-1]:
+        p = x @ p
+        p[np.diag_indices(m)] += c
+    h = p[:size, :size]
+    h[np.diag_indices(size)] += hbar * lam * (2 * np.arange(size) + 1)
+    return h
+
+
+def _random_wells(count=20, seed=39):
+    """Confining V = lam^2 x^2 + ... of degree 4, 6 and 8 plus h W, W of degree
+    2; every fourth one even."""
+    rng = random.Random(seed)
+    for i in range(count):
+        deg, lam = (4, 6, 8)[i % 3], rng.choice((0.5, 1.0, 2.0))
+        hbar = rng.choice((0.2, 0.1, 0.05))
+        v = [0.0, 0.0, lam * lam, *(rng.uniform(-1, 1) for _ in range(3, deg)),
+             rng.uniform(0.1, 1)]
+        coef = [a + hbar * rng.uniform(-1, 1) * (j < 3) for j, a in enumerate(v)]
+        if i % 4 == 0:
+            coef = [a * (j % 2 == 0) for j, a in enumerate(coef)]
+        yield pytest.param(coef, lam, hbar, (32, 64, 128, 256), id=f"random{i}-deg{deg}")
+
+
+class TestBandRitzSolver:
+    @pytest.mark.parametrize("coef, lam, hbar, sizes", [
+        pytest.param([0.0, 0.0, 1.0, 0.0, 1.0], 1.0, 0.1, (32, 64, 128, 256), id="quartic"),
+        # witten1d's tunnelling pair at levels 1 and 2
+        pytest.param([-1 / 30, -1 / 30, 1.0, 1.0, 0.25], 1.0, 1 / 30, (32, 64, 128, 256, 1024),
+                     id="witten-pair"),
+        pytest.param([0.0, 0.0, 4.0 + 0.1 * 1.5], 2.0, 0.1, (32, 64, 128, 256), id="oscillator"),
+        # odd diagonals only up to 1 or to 3 of 6: the factors fill the others
+        pytest.param([-0.1, -0.1, 1.0, 0.0, 1.0], 1.0, 0.1, (32, 64, 128, 256), id="linear-W"),
+        pytest.param([0.0, 0.3, 1.0, 0.2, 0.0, 0.0, 1.0], 1.0, 0.1, (32, 64, 128, 256),
+                     id="sparse-sextic"),
+        *_random_wells(),
+    ])
+    def test_matches_eigvalsh(self, coef, lam, hbar, sizes):
+        # cold from H[k][k] (for an even V and k = 1 the hazard of the next
+        # test) and warm from the smaller size's pair
+        pairs = [None] * 6
+        for size in sizes:
+            h = dense_hermite_matrix(coef, lam, hbar, size)
+            want, tol = np.linalg.eigvalsh(h)[:6], 1e-13 * abs(h).max()
+            for k, pair in enumerate(pairs):
+                cold = _hermite_ritz_eigenvalue(coef, lam, hbar, size, k)
+                warm = _hermite_ritz_eigenvalue(coef, lam, hbar, size, k, pair) if pair else cold
+                assert abs(cold[0] - want[k]) <= tol and abs(warm[0] - want[k]) <= tol, (size, k)
+                pairs[k] = warm
+
+    def test_shift_on_a_diagonal_entry(self):
+        # for an even V the odd rows couple only to each other, so at
+        # sigma = H[1][1] the first odd pivot from the top is exactly 0; taken
+        # as tiny it keeps the count, but its growth spoils the solve. From the
+        # last row up, the solver's order, every pivot stays large
+        size = 32
+        h = dense_hermite_matrix([0.0, 0.0, 1.0, 0.0, 1.0], 1.0, 0.1, size)
+        sigma, tiny = h[1][1], 2.2e-16 * abs(h).max()   # the solver's tiny
+        below = int(np.sum(np.linalg.eigvalsh(h) < sigma))
+        exact = np.linalg.solve(h - sigma * np.eye(size), np.ones(size))
+        solves = []
+        for m in (h, h[::-1, ::-1]):
+            rows = [[m[i][i + t] if i + t < size else 0.0 for t in range(5)] for i in range(size)]
+            neg, factors = _band_inertia(rows, sigma, tiny)
+            assert neg == below
+            solves.append(np.array(_band_solve(factors, [1.0] * size)))
+            assert np.all(np.isfinite(solves[-1]))
+        top_down, bottom_up = solves
+        assert min(abs(d) for d, _ in factors) > 1e-3
+        assert np.allclose(bottom_up[::-1], exact, rtol=1e-12, atol=0)
+        assert not np.allclose(top_down, exact, rtol=1e-8, atol=0)
+        e, vec = _band_eigenpair(rows, 1, sigma, [float(i == size - 2) for i in range(size)])
+        values, vectors = np.linalg.eigh(h)
+        assert abs(e - values[1]) <= 1e-13 * abs(h).max()
+        assert abs(abs(np.dot(vec[::-1], vectors[:, 1])) - 1) <= 1e-12
+        # the same from the Hermite build, which orders the rows the same way
+        e, vec = _hermite_ritz_eigenvalue([0.0, 0.0, 1.0, 0.0, 1.0], 1.0, 0.1, size, 1)
+        assert abs(abs(np.dot(vec[::-1], vectors[:, 1])) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("k, want", [(0, 1.0), (1, 1.0), (2, 3.0), (3, 3.0)])
+    def test_double_eigenvalue(self, k, want):
+        # two equal blocks [[2, -1], [-1, 2]] on rows (0, 2) and (1, 3): no
+        # count separates a double eigenvalue, so a bracket around it narrower
+        # than 4 tol certifies it
+        rows = [[2.0, 0.0, -1.0], [2.0, 0.0, -1.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+        e, _ = _band_eigenpair(rows, k, 2.5, [1.0, 0.5, -0.3, 0.2])
+        assert abs(e - want) <= 1e-12
+
+    def test_warm_start_takes_one_factorization(self, monkeypatch):
+        # the smaller basis's Ritz value lies just above this one's, so the
+        # first count settles the upper side and the padded vector converges
+        import qmf.quasimode_pipeline as pipeline
+        counts, factor = [], pipeline._band_inertia
+        monkeypatch.setattr(pipeline, "_band_inertia", lambda *a: counts.append(a) or factor(*a))
+        coef = [0.0, 0.0, 1.0, 0.0, 1.0]
+        pair = _hermite_ritz_eigenvalue(coef, 1.0, 0.1, 32, 0)
+        counts.clear()
+        _hermite_ritz_eigenvalue(coef, 1.0, 0.1, 64, 0, pair)
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("coef", [
+        [2.0, -1.0, -1.0, -1.0, 1.0],   # (x - 1)(x + 2)(x^2 + 1) up to sign
+        [-1 / 30 - 0.065, -1 / 30, 1.0, 1.0, 0.25],   # witten1d's level-1 reach
+        [-0.2236, 0.0, 1.0, 0.0, 1.0],
+        [-0.5, 0.3, 1.2, -0.7, 0.1, 0.2, 0.3],
+    ])
+    def test_real_roots_match_numpy(self, coef):
+        roots = np.polynomial.Polynomial(coef).roots()
+        want = sorted(r.real for r in roots if abs(r.imag) <= 1e-6 * abs(r))
+        got = sorted(_real_roots(coef))
+        assert len(got) == len(want) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestDegenerate2D:

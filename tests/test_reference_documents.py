@@ -21,7 +21,10 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,6 +199,26 @@ def test_quartic_crosscheck_document_unchanged(tmp_path, monkeypatch):
     assert check.pop("max_residual") == pytest.approx(0.004158530873381416, rel=1e-9)
     assert check == {"detail": "log-log error slope 3.673 (required >= 3.5)",
                      "name": "crosscheck", "order_doubled": 4, "passed": True}
+
+
+def test_crosscheck_document_without_numpy(tmp_path):
+    # the benchmark's crosscheck command, in a fresh interpreter that cannot
+    # import numpy, exits 0 and writes the document an in-process run writes
+    argv = ["crosscheck", "--preset", "quartic1d", "--order", "2",
+            "--hbar", "0.2,0.1,0.05", "--grid", "4096", "--out"]
+    blocked, here = tmp_path / "blocked.json", tmp_path / "here.json"
+    code = ("import sys; sys.modules['numpy'] = None; from qmf.cli_io import run_command; "
+            "sys.exit(run_command(sys.argv[1:]))")
+    path = os.pathsep.join(filter(None, [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv, str(blocked)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command([*argv, str(here)]) == 0
+    assert blocked.read_bytes() == here.read_bytes()
+    assert (reference.canonical(json.loads(blocked.read_bytes()))
+            == (BENCH / "refs" / "quartic1d-o2-exact.json").read_bytes())
 
 
 # -- float mode against exact mode on the same rational problem
