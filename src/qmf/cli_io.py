@@ -309,7 +309,7 @@ def _preset_fraction(params, key: str, default: str) -> Fraction:
     return _parse_as(Fraction, key, params.pop(key, default), None)
 
 
-def _preset_harmonic(params, mode):
+def _preset_harmonic(params, mode, D):
     n = _parse_as(int, "n", params.pop("n", "1"), None)
     lam = params.pop("lam", "1")
     lams = [_parse_as(Fraction, "lam", t, None) for t in lam.split("+")]
@@ -322,39 +322,39 @@ def _preset_harmonic(params, mode):
     if any(m != 0 for m in mus):
         w = tuple(tuple(Poly.const(mode, n, mus[k]) if k == l else Poly.zero(mode, n)
                         for l in range(rank)) for k in range(rank))
-    problem = JetProblem.create(mode, n, rank, 8, [mode.coeff(l) for l in lams], W=w)
+    problem = JetProblem.create(mode, n, rank, D, [mode.coeff(l) for l in lams], W=w)
     e0 = sum(lams) + mus[0]
     return problem, mode.coeff(e0)
 
 
 def _preset_1d(degree: int):
     """The well x^2 + c x^degree."""
-    def preset(params, mode):
+    def preset(params, mode, D):
         c = _preset_fraction(params, "c", "1")
         v = Poly(mode, 1, {(2,): mode.coeff(1), (degree,): mode.coeff(c)})
-        return JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v), mode.coeff(1)
+        return JetProblem.create(mode, 1, 1, D, (mode.coeff(1),), V=v), mode.coeff(1)
     return preset
 
 
-def _preset_witten1d(params, mode):
+def _preset_witten1d(params, mode, D):
     c = _preset_fraction(params, "c", "1")
     # phase x^2/2 + c x^3/6: potential (phase')^2, endomorphism -phase''
     dphi = Poly(mode, 1, {(1,): mode.coeff(1), (2,): mode.coeff(c / 2)})
     v = dphi * dphi
     w = ((Poly(mode, 1, {(0,): mode.coeff(-1), (1,): mode.coeff(-c)}),),)
-    problem = JetProblem.create(mode, 1, 1, 12, (mode.coeff(1),), V=v, W=w)
+    problem = JetProblem.create(mode, 1, 1, D, (mode.coeff(1),), V=v, W=w)
     return problem, mode.coeff(0)
 
 
-def _preset_iso2d(params, mode):
+def _preset_iso2d(params, mode, D):
     c = _preset_fraction(params, "c", "1")
     v = Poly(mode, 2, {(2, 0): mode.coeff(1), (0, 2): mode.coeff(1),
                        (3, 0): mode.coeff(c), (1, 2): mode.coeff(c)})
-    problem = JetProblem.create(mode, 2, 1, 10, (mode.coeff(1), mode.coeff(1)), V=v)
+    problem = JetProblem.create(mode, 2, 1, D, (mode.coeff(1), mode.coeff(1)), V=v)
     return problem, mode.coeff(4)
 
 
-def _preset_rank2(params, mode):
+def _preset_rank2(params, mode, D):
     # frequency 2 well with a mixed-parity degenerate level at 6:
     # (2*1+1)*2 + 0 = 2 + 4; the off-diagonal endomorphism slope couples the
     # members at half order with a rational gap, the connection exercises the
@@ -375,23 +375,25 @@ def _preset_rank2(params, mode):
             (Poly(mode, 1, {(1,): mode.coeff(-g_slope)}), z),
         )
         gam = (gmat,)
-    problem = JetProblem.create(mode, 1, 2, 12, (mode.coeff(2),), V=v, W=w, Gamma=gam)
+    problem = JetProblem.create(mode, 1, 2, D, (mode.coeff(2),), V=v, W=w, Gamma=gam)
     return problem, mode.coeff(6)
 
 
+# name -> (builder, its default jet degree D)
 PRESETS = {
-    "harmonic": _preset_harmonic,
-    "cubic1d": _preset_1d(3),
-    "quartic1d": _preset_1d(4),
-    "witten1d": _preset_witten1d,
-    "iso2d": _preset_iso2d,
-    "rank2": _preset_rank2,
+    "harmonic": (_preset_harmonic, 8),
+    "cubic1d": (_preset_1d(3), 12),
+    "quartic1d": (_preset_1d(4), 12),
+    "witten1d": (_preset_witten1d, 12),
+    "iso2d": (_preset_iso2d, 10),
+    "rank2": (_preset_rank2, 12),
 }
 
 
 def preset_problem(spec: str, mode_name: str = "exact",
                    order: int | Fraction = 6) -> ParsedSpec:
-    """Expand 'name' or 'name:key=val,key=val' into a validated problem."""
+    """Expand 'name' or 'name:key=val,key=val' into a validated problem, its
+    jet degree the preset's default D, or order2 + 4 when D < order2 + 2."""
     name, _, tail = spec.partition(":")
     if name not in PRESETS:
         raise SpecFileError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
@@ -403,17 +405,14 @@ def preset_problem(spec: str, mode_name: str = "exact",
                 raise SpecFileError(f"preset parameter {item!r} is not key=value")
             params[key.strip()] = val.strip()
     mode = EXACT if mode_name == "exact" else float_mode()
+    build, D = PRESETS[name]
+    order2 = doubled_order(order)
     try:
-        problem, e0 = PRESETS[name](params, mode)
+        problem, e0 = build(params, mode, D if D >= order2 + 2 else order2 + 4)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad parameters for preset {name!r}: {exc}") from None
     if params:
         raise SpecFileError(f"unknown preset parameters: {', '.join(sorted(params))}")
-    order2 = doubled_order(order)
-    if problem.D < order2 + 2:
-        problem = JetProblem.create(mode, problem.n, problem.rank, order2 + 4,
-                                    problem.lam, V=problem.V, g_inv=problem.g_inv,
-                                    W=problem.W, Gamma=problem.Gamma)
     return ParsedSpec(problem=problem, order=Fraction(order2, 2), level_value=e0, level_index=None)
 
 

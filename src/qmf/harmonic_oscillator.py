@@ -48,7 +48,7 @@ class HermiteIndex:
     """Label (alpha, k) of one eigenfunction: multi-index alpha, fiber slot k (0-based).
 
     Equality, hash and ordering are those of (alpha, k). Inside the projector
-    engine an index is an integer position of its basis (``HermiteBasis.position``).
+    engine an index is its packed key (``HermiteBasis.key``).
     """
 
     alpha: tuple
@@ -65,11 +65,10 @@ class HermiteBasis:
     Provides the basis polynomials, the eigenvalues, and the exact action of
     a ``DiffOpJet`` on each basis vector.
 
-    Each (alpha, k) met gets an integer position, in order of first use
-    (``position``); ``index_at``, ``degree_at`` and ``eigenvalue_at`` list its
-    ``HermiteIndex``, degree |alpha| and eigenvalue by position. ``apply``
-    takes and returns positions, so the projector engine keys its vectors and
-    caches by plain ints. Inside, an index is the int pack(alpha) * rank + k.
+    A basis vector (alpha, k) is named by its key pack(alpha) * rank + k
+    (``key``, ``index``), so the projector engine keys its vectors and caches
+    by plain ints, and ``apply`` takes and returns keys. Packed keys sort by
+    degree first, so the keys of degree <= d are those below ``past(d)``.
     """
 
     def __init__(self, mode, lam: tuple, mu: tuple, degree: int):
@@ -90,11 +89,6 @@ class HermiteBasis:
         self._raise_den = prod(t * t for _, t in double)
         self._norms: dict[int, tuple] = {}
         self._units = [pack(tuple(int(i == nu) for i in range(n))) for nu in range(n)]
-        self._positions: dict[int, int] = {}
-        self._key_at: list[int] = []
-        self.index_at: list[HermiteIndex] = []
-        self.degree_at: list[int] = []
-        self.eigenvalue_at: list = []
 
     # -- basis elements
 
@@ -123,21 +117,20 @@ class HermiteBasis:
     def fiber(self, index: HermiteIndex) -> FiberPoly:
         return FiberPoly.unit(self.poly(index.alpha), self.rank, index.k)
 
-    def position(self, index: HermiteIndex) -> int:
-        """The integer position of ``index``, assigned on first use."""
-        return self._position(pack(index.alpha) * self.rank + index.k)
+    def key(self, index: HermiteIndex) -> int:
+        """The key pack(alpha) * rank + k that names ``index``."""
+        return pack(index.alpha) * self.rank + index.k
 
-    def _position(self, key: int) -> int:
-        pos = self._positions.get(key)
-        if pos is None:
-            pos = self._positions[key] = len(self.index_at)
-            alpha, k = divmod(key, self.rank)
-            index = HermiteIndex(unpack(alpha, self.n), k)
-            self._key_at.append(key)
-            self.index_at.append(index)
-            self.degree_at.append(index.degree)
-            self.eigenvalue_at.append(_eigenvalue(self.mode, self.lam, self.mu, index))
-        return pos
+    def index(self, key: int) -> HermiteIndex:
+        alpha, k = divmod(key, self.rank)
+        return HermiteIndex(unpack(alpha, self.n), k)
+
+    def past(self, d: int) -> int:
+        """The least key of degree above d: the keys of degree <= d lie below it."""
+        return (d + 1 << self.n * EXPONENT_BITS) * self.rank
+
+    def eigenvalue(self, key: int):
+        return _eigenvalue(self.mode, self.lam, self.mu, self.index(key))
 
     def indices(self, max_degree: int | None = None) -> list[HermiteIndex]:
         d = self.degree if max_degree is None else max_degree
@@ -168,21 +161,21 @@ class HermiteBasis:
             self._y_rows[nu, k, m] = row
         return row
 
-    def norm2(self, pos: int) -> tuple:
+    def norm2(self, key: int) -> tuple:
         """N_m = prod_nu m_nu! / (2 lambda_nu)^m_nu, the squared norm of the
-        basis vector at ``pos`` (module docstring), split; cached."""
-        hit = self._norms.get(pos)
+        basis vector ``key`` (module docstring), split; cached."""
+        hit = self._norms.get(key)
         if hit is None:
-            alpha = unpack(self._key_at[pos] // self.rank, self.n)
-            hit = self._norms[pos] = (
+            alpha = unpack(key // self.rank, self.n)
+            hit = self._norms[key] = (
                 prod(factorial(m) * c ** m for (c, _), m in zip(self._half_inverse, alpha)),
                 prod(d ** m for (_, d), m in zip(self._half_inverse, alpha)))
         return hit
 
-    def apply(self, op, pos: int) -> tuple[dict, int]:
-        """The ``DiffOpJet`` ``op`` applied to the basis vector at position
-        ``pos``: numerators over one denominator in the form of
-        ``reduce_num``, keyed by position.
+    def apply(self, op, key: int) -> tuple[dict, int]:
+        """The ``DiffOpJet`` ``op`` applied to the basis vector ``key``:
+        numerators over one denominator in the form of ``reduce_num``, keyed
+        by basis key.
 
         The monic family is an Appell sequence, d p_m = m p_{m-1}, so the
         stencil term t y^gamma d^beta of an entry at input column k maps
@@ -198,7 +191,7 @@ class HermiteBasis:
         """
         op_den, tops, rows = _hermite_tree(op)
         check_degree(self.degree + sum(tops))
-        alpha, k = divmod(self._key_at[pos], self.rank)
+        alpha, k = divmod(key, self.rank)
         rank = self.rank
         acc: dict = {}
         get = acc.get
@@ -207,15 +200,13 @@ class HermiteBasis:
                 f = prod(perm(alpha >> sh & MAX_DEGREE, b) for sh, b in steps) if j == k else 0
                 if not f:
                     continue
-                for key, c in self._contract(tree, 0, alpha - beta, tops).items():
-                    key = key * rank + i
-                    acc[key] = get(key, 0) + c * f
+                for m, c in self._contract(tree, 0, alpha - beta, tops).items():
+                    m = m * rank + i
+                    acc[m] = get(m, 0) + c * f
         den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
-        num, den = reduce_num(self.mode, acc, den)
-        position = self._position
-        return {position(key): n for key, n in num.items()}, den
+        return reduce_num(self.mode, acc, den)
 
-    def apply_adjoint(self, op, pos: int, through: int | None = None) -> tuple[dict, int]:
+    def apply_adjoint(self, op, key: int, through: int | None = None) -> tuple[dict, int]:
         """``apply`` for the adjoint of ``op`` under the weight exp(-sum_nu
         lambda_nu y_nu^2), forming no entry past degree ``through``. By parts,
         d_nu becomes -(d_nu - 2 lambda_nu y_nu), which maps p_m to 2 lambda_nu
@@ -223,7 +214,7 @@ class HermiteBasis:
         prod_nu (2 lambda_nu)^beta_nu with every index m raised by beta."""
         op_den, tops, rows = _hermite_tree(op)
         check_degree(self.degree + sum(tops) + 2)
-        alpha, k = divmod(self._key_at[pos], self.rank)
+        alpha, k = divmod(key, self.rank)
         shift, rank = self.n * EXPONENT_BITS, self.rank
         acc: dict = {}
         get = acc.get
@@ -231,15 +222,13 @@ class HermiteBasis:
             # (C_beta^H)[j][k] is conj(C_beta[k][j]), row k's entry at column j
             f = self._raises[beta]
             room = None if through is None else through - (beta >> shift)
-            for key, c in self._contract(tree, 0, alpha, tops, room).items():
-                key = (key + beta) * rank + j
-                acc[key] = get(key, 0) + c * f
+            for m, c in self._contract(tree, 0, alpha, tops, room).items():
+                m = (m + beta) * rank + j
+                acc[m] = get(m, 0) + c * f
         if self.mode.name != "exact":
-            acc = {key: c.conjugate() for key, c in acc.items()}
+            acc = {m: c.conjugate() for m, c in acc.items()}
         den = op_den * prod(cd ** g for (_, cd), g in zip(self._half_inverse, tops))
-        num, den = reduce_num(self.mode, acc, den * self._raise_den)
-        position = self._position
-        return {position(key): n for key, n in num.items()}, den
+        return reduce_num(self.mode, acc, den * self._raise_den)
 
     def _contract(self, tree, nu: int, base: int, tops: tuple, through=None) -> dict:
         """The sum over the gamma-prefix tree ``tree`` of dimension nu of
@@ -273,13 +262,13 @@ class HermiteBasis:
         return out
 
     def synthesize(self, num: dict, den: int) -> FiberPoly:
-        """The fiber polynomial sum_pos (num[pos] / den) p_alpha e_k of
-        numerators keyed by position over one denominator (a ``HermiteVec``'s):
+        """The fiber polynomial sum_key (num[key] / den) p_alpha e_k of
+        numerators keyed by basis key over one denominator (a ``HermiteVec``'s):
         each basis polynomial's numerators are added in place into one set per
         component (``accumulate``), and each component is reduced once."""
         slots = [[{}, 1] for _ in range(self.rank)]
-        for pos, c in num.items():
-            alpha, k = divmod(self._key_at[pos], self.rank)
+        for key, c in num.items():
+            alpha, k = divmod(key, self.rank)
             p = self._poly(alpha)
             slot = slots[k]
             slot[1] = accumulate(*slot, p.num, c, den * p.den)

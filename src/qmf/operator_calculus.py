@@ -11,9 +11,9 @@ valued polynomial coefficients. The front end forms each operator in closed
 form: the Bochner operator from the metric and connection jets, and its
 formal conjugation by the exponential phase weight, the substitution
 d_i -> d_i - phi_i / h. The conjugated Hamiltonian's order-h^0 part must
-cancel identically (that is the eikonal equation); the h^2 and h^1 parts are
-split into graded homogeneous pieces, themselves ``DiffOpJet``s, and re-read as
-the polynomial-coefficient operators Q_j of the rescaled variable. Every
+cancel identically (that is the eikonal equation); each coefficient part of
+the h^2 and h^1 operators goes by its graded degree to one of the
+polynomial-coefficient operators Q_j of the rescaled variable. Every
 operator of the chain, the graded family included, is applied through the
 one ``DiffOpJet.apply_into``: on its first use an operator compiles itself
 into a flat stencil, and each application is one pass over the input
@@ -458,27 +458,6 @@ class DiffOpJet:
                             s = get(key)
                             num[key] = c * t if s is None else s + c * t
 
-    def graded_pieces(self) -> dict[int, "DiffOpJet"]:
-        """Split into homogeneous pieces keyed by degree |alpha| - |beta|.
-
-        Each coefficient C_beta is cut by monomial degree |alpha|; the piece of
-        degree d maps a homogeneous polynomial of degree k to degree k + d, and
-        the pieces sum to the operator.
-        """
-        z = Poly.zero(self.mode, self.n)
-        buckets: dict[int, dict] = {}
-        for beta, m in self.terms.items():
-            ob = sum(beta)
-            for i, row in enumerate(m):
-                for j, entry in enumerate(row):
-                    for deg, part in entry.components_by_degree().items():
-                        mat = buckets.setdefault(deg - ob, {}).setdefault(
-                            beta, [[z] * self.rank for _ in range(self.rank)])
-                        mat[i][j] = part
-        return {d: DiffOpJet(self.mode, self.n, self.rank,
-                             {beta: tuple(map(tuple, mat)) for beta, mat in terms.items()})
-                for d, terms in sorted(buckets.items())}
-
 
 # ---------------------------------------------------------------------------
 # Eikonal equation
@@ -742,26 +721,34 @@ class OperatorFamily:
 def rescale_operator(conj: ConjugatedOperator) -> OperatorFamily:
     """Read the graded x-side pieces as operators in the rescaled variable.
 
-    A homogeneous piece of degree k (``DiffOpJet.graded_pieces``) conjugates
-    through the substitution to the same coefficients at half-order k/2, so
-    Q_j is the degree-(2j-2) piece of the second-order operator plus the
-    degree-2j piece of the transport operator, summed as one ``DiffOpJet``.
-    Only orders with both ingredients exact are kept.
+    A homogeneous piece of graded degree k (coefficient degree minus |beta|)
+    conjugates through the substitution to the same coefficients at
+    half-order k/2, so Q_j is the degree-(2j-2) piece of the second-order
+    operator plus the degree-2j piece of the transport operator. Each
+    coefficient part goes straight to its doubled order, the second-order
+    operator's first, and the parts that meet in one entry are added. Only
+    orders with both ingredients exact are kept.
     """
     hbar2, hbar1 = conj.hbar2, conj.hbar1
     mode, n, rank = hbar2.mode, hbar2.n, hbar2.rank
-    graded2, graded1 = hbar2.graded_pieces(), hbar1.graded_pieces()
+    zero = Poly.zero(mode, n)
+    # doubled order -> beta -> rank x rank entries
+    parts: dict[int, dict] = {}
+    for lift, op in ((2, hbar2), (0, hbar1)):
+        for beta, m in op.terms.items():
+            for i, row in enumerate(m):
+                for k, entry in enumerate(row):
+                    for deg, part in entry.components_by_degree().items():
+                        mat = parts.setdefault(deg - sum(beta) + lift, {}).setdefault(
+                            beta, [[zero] * rank for _ in range(rank)])
+                        mat[i][k] = mat[i][k] + part
     complete = _min_trunc(None if hbar2.complete is None else hbar2.complete + 2,
                           hbar1.complete)
     if complete is None:
-        complete = max([d + 2 for d in graded2] + list(graded1) + [0])
+        complete = max([*parts, 0])
     ops: dict[int, DiffOpJet] = {}
-    for j in range(complete + 1):  # doubled orders
-        piece = DiffOpJet.zero(mode, n, rank)
-        if j - 2 in graded2:
-            piece = piece + graded2[j - 2]
-        if j in graded1:
-            piece = piece + graded1[j]
-        if not piece.is_zero():
-            ops[j] = piece
+    for j, terms in sorted(parts.items()):
+        op = DiffOpJet(mode, n, rank, {b: tuple(map(tuple, mat)) for b, mat in terms.items()})
+        if 0 <= j <= complete and not op.is_zero():
+            ops[j] = op
     return OperatorFamily(ops2=ops, max_order2=complete, mode=mode, n=n, rank=rank)

@@ -33,7 +33,7 @@ degree <= 2K + N) and for the image of every basis vector of degree
 <= D - N; the pipeline's basis has D = 2K + 2 + N (``workspace_degree``),
 for probes of degree <= 2K + 2.
 
-Vectors are integer numerators keyed by basis position over one denominator
+Vectors are integer numerators keyed by basis key over one denominator
 (``HermiteVec``): sums rescale only when a new denominator raises the lcm,
 and each finished vector is reduced by one gcd. Float mode runs the same
 code over denominator 1.
@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .series_algebra import (
+    EXPONENT_BITS,
     FormalScalarSeries,
     S0Series,
     accumulate,
@@ -75,7 +76,7 @@ class WorkspaceDegreeError(RuntimeError):
 
 @dataclass(slots=True)
 class HermiteVec:
-    """Hermite coefficients ``num[i] / den`` at basis positions i, ``den`` a
+    """Hermite coefficients ``num[i] / den`` at basis keys i, ``den`` a
     positive integer: integers in exact mode, complex numbers over 1 in float
     mode (the mode's split; E. H. Bareiss's fraction-free idea, Math. Comp.
     22 (1968) 565). ``add`` and ``add_entry`` grow ``den`` to the lcm of what
@@ -104,7 +105,7 @@ class HermiteVec:
         return self
 
     def add_entry(self, idx: int, n, d: int = 1) -> None:
-        """Add ``n / d`` at one position."""
+        """Add ``n / d`` at one basis key."""
         if self.den % d:
             self.den = grow_den(self.num, self.den, d)
         self.num[idx] = self.num.get(idx, 0) + n * (self.den // d)
@@ -127,7 +128,9 @@ class ProjectorSeries:
     order ``order2`` (module docstring), each built once: ``wave_operator2``,
     ``left_wave_operator2``, ``overlap2`` (M) and ``image2``, which reads the
     wave images ``wave_operator2`` returned last; the Q_j and Q_j^dagger images
-    (``q_action``, ``adjoint_action``) and 1/(E0 - E) are cached by position."""
+    (``q_action``, ``adjoint_action``) and 1/(E0 - E) are cached by basis key.
+    ``combine`` sums wave images against series coefficients, for ``image2``
+    and for the pipeline's eigenfunctions."""
 
     def __init__(self, family: OperatorFamily, basis: HermiteBasis, level: DegenerateLevel,
                  order2: int):
@@ -136,78 +139,77 @@ class ProjectorSeries:
         self.basis = basis
         self.level = level
         self.order2 = order2
-        # (2j, position) -> Q_j, and (d, Q_j^dagger through degree d), of that vector
+        # (2j, key) -> Q_j, and (d, Q_j^dagger through degree d), of that vector
         self._q_cache: dict[tuple, HermiteVec] = {}
         self._adjoint_cache: dict[tuple, tuple] = {}
-        # position -> (u, v) with u / v = 1 / (E0 - E)
+        # key -> (u, v) with u / v = 1 / (E0 - E)
         self._gaps: dict[int, tuple] = {}
         # the wave images, the left recursion and M, once built
         self._waves = self._left = self._overlap = None
-        # position -> images through the built order
+        # key -> images through the built order
         self._images: dict[int, dict] = {}
-        self._level_set = {basis.position(m) for m in level.members}
+        self._level_set = {basis.key(m) for m in level.members}
 
     # -- model operator pieces in the eigenbasis
 
-    def q_action(self, j2: int, pos: int) -> HermiteVec:
-        """Q_j, j2 = 2j, applied to the basis vector at position ``pos``, in
-        the basis (``HermiteBasis.apply``), cached per (j2, pos). Raises
+    def q_action(self, j2: int, key: int) -> HermiteVec:
+        """Q_j, j2 = 2j, applied to the basis vector ``key``, in the basis
+        (``HermiteBasis.apply``), cached per (j2, key). Raises
         ``WorkspaceDegreeError`` when the image leaves the workspace."""
-        key = (j2, pos)
-        hit = self._q_cache.get(key)
+        hit = self._q_cache.get((j2, key))
         if hit is not None:
             return hit
-        out = HermiteVec(self.mode, *self.basis.apply(self.family.get2(j2), pos))
-        degree_at = self.basis.degree_at
-        top = max((degree_at[i] for i in out.num), default=0)
-        if top > self.basis.degree:
+        out = HermiteVec(self.mode, *self.basis.apply(self.family.get2(j2), key))
+        if out and max(out.num) >= self.basis.past(self.basis.degree):
+            top = self.basis.index(max(out.num)).degree
             raise WorkspaceDegreeError(
                 f"operator action at order {Fraction(j2, 2)} reaches degree {top}, beyond the "
                 f"degree-{self.basis.degree} workspace; build the Hermite basis at degree "
                 f"{max(top, workspace_degree(self.level, self.order2))} or more")
-        self._q_cache[key] = out
+        self._q_cache[j2, key] = out
         return out
 
-    def adjoint_action(self, j2: int, pos: int, through: int) -> HermiteVec:
-        """Q_j^dagger, j2 = 2j, on the basis vector at ``pos`` at least through
-        degree ``through``; cached per (j2, pos) through the largest asked."""
-        hit = self._adjoint_cache.get((j2, pos))
+    def adjoint_action(self, j2: int, key: int, through: int) -> HermiteVec:
+        """Q_j^dagger, j2 = 2j, on the basis vector ``key`` at least through
+        degree ``through``; cached per (j2, key) through the largest asked."""
+        hit = self._adjoint_cache.get((j2, key))
         if hit is None or hit[0] < through:
-            hit = self._adjoint_cache[j2, pos] = through, HermiteVec(
-                self.mode, *self.basis.apply_adjoint(self.family.get2(j2), pos, through))
+            hit = self._adjoint_cache[j2, key] = through, HermiteVec(
+                self.mode, *self.basis.apply_adjoint(self.family.get2(j2), key, through))
         return hit[1]
 
-    def _gap(self, pos: int) -> tuple:
-        """(u, v) with u / v = 1 / (E0 - E) at ``pos``, the mode's split; cached."""
-        hit = self._gaps.get(pos)
+    def _gap(self, key: int) -> tuple:
+        """(u, v) with u / v = 1 / (E0 - E) at ``key``, the mode's split; cached."""
+        hit = self._gaps.get(key)
         if hit is None:
-            gap = self.level.E0 - self.basis.eigenvalue_at[pos]
-            hit = self._gaps[pos] = self.mode.split(self.mode.one() / gap)
+            gap = self.level.E0 - self.basis.eigenvalue(key)
+            hit = self._gaps[key] = self.mode.split(self.mode.one() / gap)
         return hit
 
     # -- Bloch's recursion, on Q and on Q^dagger
 
     def _bloch(self, action, reach: int | None = None) -> tuple[list, list]:
         """Bloch's recursion (module docstring) with Q_j applied by ``action(j2,
-        pos, top)``: ([{2s: vector}] per member, H as rows of scalar series).
+        key, top)``: ([{2s: vector}] per member, H as rows of scalar series).
         With ``reach``, the vector of order s keeps only the degrees
-        <= top = reach - s, and its drive needs no image past them."""
-        mode, N = self.mode, self.order2
-        members = [self.basis.position(m) for m in self.level.members]
-        level_set, degree_at = self._level_set, self.basis.degree_at
+        <= top = reach - s, the keys below ``past(top)``, and its drive needs
+        no image past them."""
+        mode, N, level_set = self.mode, self.order2, self._level_set
+        members = [self.basis.key(m) for m in self.level.members]
         parts = [j for j in self.family.orders2() if 0 < j <= N]
-        waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
+        waves = [{0: HermiteVec.of(mode, {key: mode.one()})} for key in members]
         h: dict[int, list] = {}
         for s in range(1, N + 1):
             top = None if reach is None else reach - s
+            past = None if reach is None else self.basis.past(top)
             drives = [HermiteVec(mode) for _ in members]
             for drive, om in zip(drives, waves):
                 for prev, j in ((om[s - j], j) for j in parts if j <= s and s - j in om):
                     for idx, n in prev.num.items():
                         drive.add(action(j, idx, top), n, prev.den)
             # the level block of the drive is H_s: Omega_(s-t), t < s, has none
-            h_s = [[mode.join(drive.num.get(pos, 0), drive.den) for drive in drives]
-                   for pos in members]
+            h_s = [[mode.join(drive.num.get(key, 0), drive.den) for drive in drives]
+                   for key in members]
             for b, drive in enumerate(drives):
                 for t, h_t in h.items():
                     for a, om in enumerate(waves):
@@ -217,7 +219,7 @@ class ProjectorSeries:
                 # S = (E0 - Q0)^(-1) off the level
                 out = HermiteVec(mode)
                 for idx, n in drive.num.items():
-                    if idx not in level_set and (top is None or degree_at[idx] <= top):
+                    if idx not in level_set and (past is None or idx < past):
                         u, v = self._gap(idx)
                         out.add_entry(idx, n * u, drive.den * v)
                 if out.reduce():
@@ -233,7 +235,7 @@ class ProjectorSeries:
         """Bloch's wave operator on the level through the built order (module
         docstring): ([{2s: Omega_s e_a}] per member a, H_eff as rows of scalar
         series). Omega_s e_a has degree at most |alpha| + 2s."""
-        waves, h_eff = self._bloch(lambda j2, pos, _: self.q_action(j2, pos))
+        waves, h_eff = self._bloch(lambda j2, key, _: self.q_action(j2, key))
         self._waves = waves
         return waves, h_eff
 
@@ -249,10 +251,11 @@ class ProjectorSeries:
     def overlap2(self, size=None) -> list:
         """M_ca = <v_c, Omega e_a>_G through the built order, as rows of scalar
         series; with ``size`` (``mode.abs``), the sums of the sizes of its
-        terms. Each entry's terms are summed over one denominator."""
+        terms. Each entry's terms are summed over one denominator, in the
+        order of the left vector's entries."""
         if size is None and self._overlap is not None:
             return self._overlap
-        mode, conj, norm2 = self.mode, self.mode.conj, self.basis.norm2
+        mode, conj, norm2, N = self.mode, self.mode.conj, self.basis.norm2, self.order2
         waves = self._waves = self._waves or self.wave_operator2()[0]
         rows = [[{} for _ in waves] for _ in self.left_wave_operator2()[0]]
         for row, left in zip(rows, self._left[0]):
@@ -260,63 +263,73 @@ class ProjectorSeries:
                 acc, den = {}, 1
                 for s, v in left.items():
                     for t, w in wave.items():
-                        for pos in v.num.keys() & w.num.keys() if s + t <= self.order2 else ():
-                            n, d = norm2(pos)
+                        for key in filter(w.num.__contains__, v.num) if s + t <= N else ():
+                            n, d = norm2(key)
                             d *= v.den * w.den
                             if den % d:
                                 den = grow_den(acc, den, d)
-                            x = conj(v.num[pos]) * w.num[pos] * n * (den // d)
+                            x = conj(v.num[key]) * w.num[key] * n * (den // d)
                             acc[s + t] = acc.get(s + t, 0) + (x if size is None else size(x))
                 terms.update((t, mode.join(x, den)) for t, x in acc.items())
-        rows = [[FormalScalarSeries.from_terms2(mode, terms, self.order2) for terms in row]
-                for row in rows]
+        rows = [[FormalScalarSeries.from_terms2(mode, terms, N) for terms in row] for row in rows]
         if size is None:
             self._overlap = rows
         return rows
 
-    def image2(self, pos: int) -> dict:
-        """The order-j coefficients, 2j <= N = ``order2``, of P e_b, e_b at
-        position ``pos``, keyed by 2j and cached: sum_a Omega e_a k_a with
-        M k = <v, e_b>_G = conj(v)_b N_b, solved order by order on the
-        diagonal M_0. Past degree D - N (D the basis degree) it raises."""
-        hit = self._images.get(pos)
+    def image2(self, key: int) -> dict:
+        """The order-j coefficients, 2j <= N = ``order2``, of P e_b, e_b the
+        basis vector ``key``, keyed by 2j and cached: sum_a Omega e_a k_a
+        (``combine``) with M k = <v, e_b>_G = conj(v)_b N_b, solved order by
+        order on the diagonal M_0. Past degree D - N (D the basis degree) it
+        raises."""
+        hit = self._images.get(key)
         if hit is not None:
             return hit
         mode, N, basis = self.mode, self.order2, self.basis
-        if basis.degree_at[pos] > basis.degree - N:
-            raise WorkspaceDegreeError(f"the projected {basis.index_at[pos]} needs the Hermite "
-                                       f"basis at degree {basis.degree_at[pos] + N} or more")
+        if key >= basis.past(basis.degree - N):
+            index = basis.index(key)
+            raise WorkspaceDegreeError(f"the projected {index} needs the Hermite "
+                                       f"basis at degree {index.degree + N} or more")
         lefts, m = self.left_wave_operator2()[0], self.overlap2()
-        norm = mode.join(*basis.norm2(pos))
+        norm = mode.join(*basis.norm2(key))
         k = [[] for _ in lefts]
         for t in range(N + 1):
             for c, left in enumerate(lefts):
-                x = mode.conj(mode.join(left[t].num[pos], left[t].den)) * norm if (
-                    t in left and pos in left[t].num) else mode.zero()
+                x = mode.conj(mode.join(left[t].num[key], left[t].den)) * norm if (
+                    t in left and key in left[t].num) else mode.zero()
                 x -= sum(row.at2(s) * k[a][t - s]
                          for a, row in enumerate(m[c]) for s in range(1, t + 1))
                 k[c].append(x / m[c][c].at2(0))
+        hit = self._images[key] = self.combine(self._waves, [dict(enumerate(k_a)) for k_a in k])
+        return hit
+
+    def combine(self, waves: list, coeffs: list) -> dict:
+        """sum_a Omega e_a c_a through the built order, from the wave images
+        ``waves`` ([{2s: Omega_s e_a}] per member a) and the scalar series
+        ``coeffs`` ({2r: c_a,r} per member a): the reduced nonzero vectors
+        keyed by doubled order, ascending."""
+        mode, N = self.mode, self.order2
         out: dict[int, HermiteVec] = {}
-        for wave, k_a in zip(self._waves, k):
-            for r, x in enumerate(k_a):
+        for wave, c_a in zip(waves, coeffs):
+            for r, x in c_a.items():
                 for s, vec in wave.items() if not mode.is_zero(x) else ():
                     if r + s <= N:
                         out.setdefault(r + s, HermiteVec(mode)).add(vec, *mode.split(x))
-        hit = self._images[pos] = {t: out[t] for t in sorted(out) if out[t].reduce()}
-        return hit
+        return {t: out[t] for t in sorted(out) if out[t].reduce()}
 
     def image_s0(self, index: HermiteIndex) -> S0Series:
         """The image sum_j h^j P_j of ``index`` as a power-counted series
-        (``as_s0``)."""
-        return self.as_s0(index, self.image2(self.basis.position(index)))
+        (``as_s0``) with offset K = |alpha|/2, through the built order."""
+        return self.as_s0(self.image2(self.basis.key(index)), index.degree, self.order2)
 
-    def as_s0(self, index: HermiteIndex, vecs: Mapping) -> S0Series:
-        """sum_j h^j vecs[2j], a graded vector grown from ``index`` and keyed
-        by doubled order, as a power-counted series with offset K = |alpha|/2:
-        the series' degree check certifies the bound deg <= |alpha| + 2j."""
-        basis, K2 = self.basis, index.degree
+    def as_s0(self, vecs: Mapping, K2: int, trunc2: int) -> S0Series:
+        """sum_j h^j vecs[2j], vectors keyed by doubled order, as a
+        power-counted series with the doubled offset K2, exact through
+        ``trunc2``: the series' degree check certifies the bound
+        deg <= K2 + 2j."""
+        basis = self.basis
         coeffs = {K2 + j: basis.synthesize(vec.num, vec.den) for j, vec in vecs.items()}
-        return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, self.order2)
+        return S0Series(basis.mode, basis.n, basis.rank, K2, coeffs, trunc2)
 
 
 def workspace_degree(level: DegenerateLevel, order2: int) -> int:
@@ -375,12 +388,13 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     """
     mode, basis, level, N = proj.mode, proj.basis, proj.level, proj.order2
     probes = sorted(set(basis.indices(workspace_degree(level, 0))) | set(level.members))
-    pos = {idx: basis.position(idx) for idx in probes}
-    degree_at = basis.degree_at
-    imgs = {idx: proj.image2(pos[idx]) for idx in probes}
+    keys = {idx: basis.key(idx) for idx in probes}
+    imgs = {idx: proj.image2(keys[idx]) for idx in probes}
 
-    # degree bound and parity of each coefficient: its degree past |alpha| + 2j
-    excess = [degree_at[m] - idx.degree - j
+    # degree bound and parity of each coefficient: its degree past |alpha| + 2j,
+    # the top field of its key
+    shift, rank = basis.n * EXPONENT_BITS, basis.rank
+    excess = [(m // rank >> shift) - idx.degree - j
               for idx in probes for j, vec in imgs[idx].items() for m in vec.num]
     degree_ok = all(d <= 0 for d in excess)
     parity_ok = all(d % 2 == 0 for d in excess)
@@ -420,7 +434,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
             if resid_t is None:
                 continue
             for member in members:
-                n = resid_t.num.get(pos[member])
+                n = resid_t.num.get(keys[member])
                 if n is None or mode.is_zero(n):
                     continue
                 d = resid_t.den
@@ -436,7 +450,7 @@ def projector_diagnostics(proj: ProjectorSeries, omega: WeightExpansion) -> Veri
     rank = 0
     for member in members:
         lead = imgs[member].get(0, HermiteVec(mode))
-        n = lead.num.get(pos[member])
+        n = lead.num.get(keys[member])
         if n is not None and mode.negligible(n - lead.den, lead.den):
             rank += 1
 

@@ -41,7 +41,6 @@ from .series_algebra import (
     FiberPoly,
     FormalScalarSeries,
     Poly,
-    S0Series,
     _min_trunc,
     convolution_bound,
     doubled_order,
@@ -180,19 +179,18 @@ def compute_quasimodes(problem: JetProblem, order, e0=None, level_index=None) ->
 
     proj = build_projector(family, basis, level, order)
     waves, h_eff = proj.wave_operator2()
-    fs = [proj.as_s0(m, vecs) for m, vecs in zip(level.members, waves)]
+    fs = [proj.as_s0(vecs, m.degree, order) for m, vecs in zip(level.members, waves)]
 
     a_mat = gram_matrix(fs, omega, through2=order)
     c_mat = interaction_matrix(a_mat, h_eff)
     eigen = formal_eigendecomposition(c_mat, gram=a_mat, through2=order)
 
-    psis = []
-    for col in eigen.vectors:
-        psi = S0Series.zero(mode, problem.n, problem.rank, order)
-        for f, c in zip(fs, col):
-            psi = psi + f.scale_series(c)
-        # the offset of the whole level; the degree check rejects an escape
-        psis.append(psi.truncate2(order).with_K2(level.K2))
+    # each eigenfunction sum_a Omega e_a c_a at the offset of the whole level,
+    # exact through the order and its coefficients' bounds; the degree check
+    # rejects an escape
+    psis = [proj.as_s0(proj.combine(waves, [c.coeffs2 for c in col]), level.K2,
+                       reduce(_min_trunc, (c.trunc2 for c in col), order))
+            for col in eigen.vectors]
 
     inner = [e.truncate2(order) for e in eigen.eigenvalues]
     for e in inner:
@@ -432,7 +430,7 @@ def _level_sizes(proj: ProjectorSeries, vectors: list, action) -> list:
     ``vectors`` with Q_j applied by ``action``: H_s[a][b], the level entry
     a of sum_j Q_j V_(s-j) e_b, sums |(Q_j e_i)_a (V_(s-j) e_b)_i|."""
     mode, N = proj.mode, proj.order2
-    members = [proj.basis.position(m) for m in proj.level.members]
+    members = [proj.basis.key(m) for m in proj.level.members]
     rows = [[{} for _ in members] for _ in members]
     for b, vec_b in enumerate(vectors):
         for s, vec in vec_b.items():

@@ -41,15 +41,15 @@ class ResidueOracle(ProjectorSeries):
     """The residue recursion on the program's Q_j table (``q_action``).
 
     A state holds one vector per w-power; the Q_i image is read once per
-    (w-power, position) entry, and G0 expands 1/(g + w) from every input
-    power as a geometric series, O(L^2) per position for L kept powers.
+    (w-power, basis key) entry, and G0 expands 1/(g + w) from every input
+    power as a geometric series, O(L^2) per basis vector for L kept powers.
 
     A component at w-power p needs at least p + 1 later steps that end on
     the level to reach the residue, each applying some Q_i for 2i
     half-orders. Q_i changes degree parity by 2i, so with R half-orders left
     a component of the level's parity re-enters a level of uniform parity at
     most floor(R/2) times, one of the other parity floor((R + 1)/2) times,
-    and on a mixed level R times: each position keeps the powers p <= L - 1
+    and on a mixed level R times: each basis vector keeps the powers p <= L - 1
     for L that count (``_power_bounds``). ``states`` keeps the last call's
     states, {w-power: HermiteVec} per step."""
 
@@ -68,7 +68,7 @@ class ResidueOracle(ProjectorSeries):
         of 1/(E0 - E + w): a_s / b_s = (-1)^s / (E0 - E)^(s+1)."""
         pows = self._gap_powers.get(idx)
         if pows is None or len(pows) < count:
-            gap = self.level.E0 - self.basis.eigenvalue_at[idx]
+            gap = self.level.E0 - self.basis.eigenvalue(idx)
             p, q = self.mode.split(self.mode.one() / gap)
             pows, a, b = [], p, q
             for s in range(count):
@@ -79,14 +79,14 @@ class ResidueOracle(ProjectorSeries):
 
     def _resolvent_factor(self, state: dict, remaining: int) -> dict:
         """Multiply a Laurent state by G0(E0 + w), componentwise, keeping at
-        each position the w-powers p <= L - 1 (``_power_bounds``)."""
-        mode, degree_at = self.mode, self.basis.degree_at
+        each basis vector the w-powers p <= L - 1 (``_power_bounds``)."""
+        mode, basis = self.mode, self.basis
         bound, parity = self._power_bounds(remaining), self._parity or 0
         out: dict[int, HermiteVec] = {}
         for power, vec in state.items():
             den = vec.den
             for idx, n in vec.num.items():
-                top = bound[(degree_at[idx] ^ parity) & 1]
+                top = bound[(basis.index(idx).degree ^ parity) & 1]
                 if idx in self._level_set:
                     if power <= top:
                         _slot(out, power - 1, mode).add_entry(idx, n, den)
@@ -100,15 +100,15 @@ class ResidueOracle(ProjectorSeries):
                     _slot(out, power + s, mode).add_entry(idx, n * a, den * b)
         return _reduced(out)
 
-    def images2(self, pos: int) -> dict:
+    def images2(self, key: int) -> dict:
         """The order-j coefficients, 0 <= 2j <= N, of the projected basis
-        vector at ``pos``, keyed by 2j: the nonzero residues of T_j."""
+        vector ``key``, keyed by 2j: the nonzero residues of T_j."""
         N = self.order2
         parts = [i for i in self.family.orders2() if 0 < i <= N]
         states = self.states = {}
         out: dict[int, HermiteVec] = {}
         for s in range(N + 1):
-            summed = {0: HermiteVec.of(self.mode, {pos: self.mode.one()})} if s == 0 else {}
+            summed = {0: HermiteVec.of(self.mode, {key: self.mode.one()})} if s == 0 else {}
             for i in parts:
                 if i > s:
                     break
@@ -125,4 +125,5 @@ def residue_images_s0(ctx) -> list:
     as power-counted series (``ProjectorSeries.as_s0``)."""
     proj = ctx.projector
     oracle = ResidueOracle(proj.family, proj.basis, proj.level, proj.order2)
-    return [oracle.as_s0(a, oracle.images2(proj.basis.position(a))) for a in ctx.level.members]
+    return [oracle.as_s0(oracle.images2(proj.basis.key(a)), a.degree, proj.order2)
+            for a in ctx.level.members]

@@ -110,7 +110,7 @@ def bloch(self, bump_at=None):
     (``bumped``) as soon as it is formed at (b, 2s) = ``bump_at``, so the
     later orders and H_eff read it."""
     mode, N = self.mode, self.order2
-    members = [self.basis.position(m) for m in self.level.members]
+    members = [self.basis.key(m) for m in self.level.members]
     parts = [j for j in self.family.orders2() if 0 < j <= N]
     waves = [{0: HermiteVec.of(mode, {pos: mode.one()})} for pos in members]
     h: dict[int, list] = {}
@@ -214,12 +214,12 @@ def exponent(monkeypatch):
 
 
 def gap(result):
-    # one position's 1/(E0 - E) x 1001/1000 after compute, at the first
-    # position off the level that the left recursion's first step reaches:
+    # one basis vector's 1/(E0 - E) x 1001/1000 after compute, at the first
+    # one off the level that the left recursion's first step reaches:
     # the wave operator has run, so only the left recursion reads it
     proj = result.context.projector
     first = min(i for i in proj.family.orders2() if i > 0)
-    member = proj.basis.position(proj.level.members[0])
+    member = proj.basis.key(proj.level.members[0])
     pos = next(i for i in proj.adjoint_action(first, member, proj.basis.degree - first).num
                if i not in proj._level_set)
     u, v = proj._gap(pos)

@@ -233,6 +233,16 @@ class TestPresets:
         with pytest.raises(SpecFileError, match="unknown preset parameters"):
             preset_problem("cubic1d:zz=1")
 
+    @pytest.mark.parametrize("order, raised", [("2", None), ("5/2", None), ("3", None),
+                                               ("6", 16), ("10", 24), ("20", 44)])
+    def test_jet_degree(self, order, raised):
+        # each preset's own D, or order2 + 4 once that falls below order2 + 2
+        defaults = {"harmonic": 8, "cubic1d": 12, "quartic1d": 12, "witten1d": 12,
+                    "iso2d": 10, "rank2": 12}
+        for name, default in defaults.items():
+            spec = preset_problem(name, order=F(order))
+            assert spec.problem.D == (raised or default), name
+
     def test_rank2_level_is_mixed(self):
         spec = preset_problem("rank2")
         res = compute_quasimodes(spec.problem, 1, e0=spec.level_value)

@@ -328,7 +328,7 @@ def wave_level(preset: str, order: int) -> tuple:
     """(context, wave-operator images Omega e_a as series, H_eff, order)."""
     ctx, n = level_context(preset, order)
     waves, h_eff = ctx.projector.wave_operator2()
-    fs = [ctx.projector.as_s0(a, w) for a, w in zip(ctx.level.members, waves)]
+    fs = [ctx.projector.as_s0(w, a.degree, n) for a, w in zip(ctx.level.members, waves)]
     return ctx, fs, h_eff, n
 
 

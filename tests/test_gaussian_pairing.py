@@ -478,7 +478,8 @@ def level_elements(case: str):
     preset, order, mode_name = case.split("-")
     ctx = pipeline_context(preset, int(order), "float" if mode_name == "complex" else mode_name)
     waves, _ = ctx.projector.wave_operator2()
-    level_basis = [ctx.projector.as_s0(m, vecs) for m, vecs in zip(ctx.level.members, waves)]
+    level_basis = [ctx.projector.as_s0(vecs, m.degree, ctx.projector.order2)
+                   for m, vecs in zip(ctx.level.members, waves)]
     elems = level_basis + projected_level_basis(ctx)
     if mode_name == "complex":
         elems = [S0Series(u.mode, u.n, u.rank, u.K2,

@@ -28,8 +28,8 @@ def basis_1d(lam=F(1), degree=8, mu=(F(0),)):
 
 def synthesize(b: HermiteBasis, coeffs: dict) -> FiberPoly:
     """``b.synthesize`` of coefficients keyed by ``HermiteIndex``, passed as the
-    numerators and denominator of the ``HermiteVec`` keyed by position."""
-    vec = HermiteVec.of(b.mode, {b.position(i): c for i, c in coeffs.items()})
+    numerators and denominator of the ``HermiteVec`` keyed by basis key."""
+    vec = HermiteVec.of(b.mode, {b.key(i): c for i, c in coeffs.items()})
     return b.synthesize(vec.num, vec.den)
 
 
@@ -191,11 +191,11 @@ def test_apply_matches_elimination_on_families(source, order, degree):
     ffamily, _, fbasis = family_and_basis(source, "float", order, degree)
     for j in orders:
         for index in basis.indices(degree):
-            num, den = basis.apply(family.get2(j), basis.position(index))
-            got = {basis.index_at[i]: F(n, den) for i, n in num.items()}
+            num, den = basis.apply(family.get2(j), basis.key(index))
+            got = {basis.index(i): F(n, den) for i, n in num.items()}
             assert got == apply_by_elimination(basis, family.get2(j), index), (j, index)
-            fnum, fden = fbasis.apply(ffamily.get2(j), fbasis.position(index))
-            fgot = {fbasis.index_at[i]: n for i, n in fnum.items()}
+            fnum, fden = fbasis.apply(ffamily.get2(j), fbasis.key(index))
+            fgot = {fbasis.index(i): n for i, n in fnum.items()}
             assert fden == 1
             if (source, order) not in ROUNDED_SUPPORT:
                 assert set(fgot) == set(got), (j, index)
@@ -237,7 +237,7 @@ class TestSpectrum:
         (float_mode(), (0.7, 1.3), (0.25, -1.5)),
     ], ids=["exact-n2", "exact-rank2", "float-n2-rank2"])
     def test_basis_eigenvalue_matches_table(self, mode, lam, mu):
-        # the projector and the RS oracle read HermiteBasis.eigenvalue_at; it
+        # the projector and the RS oracle read HermiteBasis.eigenvalue; it
         # must be the spectrum table's value on every index through degree 6
         lam = tuple(mode.coeff(l) for l in lam)
         mu = tuple(mode.coeff(m) for m in mu)
@@ -245,7 +245,7 @@ class TestSpectrum:
         basis = HermiteBasis(mode, lam, mu, 6)
         assert set(basis.indices()) == set(table.entries)
         for index in basis.indices():
-            assert basis.eigenvalue_at[basis.position(index)] == table.entries[index]
+            assert basis.eigenvalue(basis.key(index)) == table.entries[index]
 
 
 class TestDegenerateLevel:
@@ -371,18 +371,18 @@ def test_adjoint_is_the_gaussian_transpose(source, mode_name):
     indices = basis.indices(top)
 
     def norm(index):
-        return mode.join(*basis.norm2(basis.position(index)))
+        return mode.join(*basis.norm2(basis.key(index)))
 
     for j in (j for j in family.orders2() if 0 < j <= 6):
         op, rows = family.get2(j), {}
         for m in indices:
-            num, den = basis.apply(op, basis.position(m))
-            rows.update(((basis.index_at[i], m), mode.join(n, den)) for i, n in num.items())
+            num, den = basis.apply(op, basis.key(m))
+            rows.update(((basis.index(i), m), mode.join(n, den)) for i, n in num.items())
         for mp in indices:
-            num, den = basis.apply_adjoint(op, basis.position(mp))
-            adjoint = {basis.index_at[i]: mode.join(n, den) for i, n in num.items()}
-            cut, den = basis.apply_adjoint(op, basis.position(mp), through=mp.degree)
-            assert {basis.index_at[i]: mode.join(n, den) for i, n in cut.items()} == {
+            num, den = basis.apply_adjoint(op, basis.key(mp))
+            adjoint = {basis.index(i): mode.join(n, den) for i, n in num.items()}
+            cut, den = basis.apply_adjoint(op, basis.key(mp), through=mp.degree)
+            assert {basis.index(i): mode.join(n, den) for i, n in cut.items()} == {
                 i: c for i, c in adjoint.items() if i.degree <= mp.degree}, (j, mp)
             got = {m: norm(m) / norm(mp) * mode.conj(adjoint.get(m, 0)) for m in indices}
             want = {m: rows.get((mp, m), mode.zero()) for m in indices}

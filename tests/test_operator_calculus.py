@@ -137,8 +137,9 @@ class TestConjugation:
         p = scalar_problem(poly1({2: 1, 3: c}), D=8)
         phi = solve_eikonal(p)
         conj = conjugate_hamiltonian(p, phi)
-        a1 = conj.hbar1.graded_pieces()[1]
-        # degree-1 transport piece c*(x^2 d + x): check on 1 and on x
+        # -d^2 has no part of graded degree -1, so Q_(1/2) is the degree-1
+        # transport piece c*(x^2 d + x): check on 1 and on x
+        a1 = rescale_operator(conj).get2(1)
         assert a1.apply(mono_fiber((0,))) == mono_fiber((1,), c)
         assert a1.apply(mono_fiber((1,))) == mono_fiber((2,), 2 * c)
 
@@ -216,25 +217,36 @@ def test_conjugation_rejects_a_phase_wrong_at_any_degree(problem):
             conjugate_hamiltonian(problem, ScalarJet(bad, phi.complete))
 
 
+def graded_terms(op: DiffOpJet) -> dict:
+    """The coefficient terms c x^alpha of C_beta[i][k] d^beta, keyed by
+    (graded degree |alpha| - |beta|, beta, i, k, alpha)."""
+    return {(sum(alpha) - sum(beta), beta, i, k, alpha): c
+            for beta, m in op.terms.items() for i, row in enumerate(m)
+            for k, entry in enumerate(row) for alpha, c in entry.terms.items()}
+
+
 @pytest.mark.parametrize("preset", ["cubic1d", "iso2d", "rank2"])
-def test_graded_pieces_are_homogeneous_and_sum_to_operator(preset):
+def test_family_terms_are_graded_and_add_back_to_the_operators(preset):
+    # each term of Q_j has graded degree 2j - 2 (from h^2 L) or 2j (from the
+    # transport operator), so Q_j maps degree k to k + 2j - 2 and k + 2j; the
+    # terms of each degree, over the family, are the operator's through
+    # max_order2
     p = preset_problem(preset).problem
     conj = conjugate_hamiltonian(p, solve_eikonal(p))
-    for op in (conj.hbar2, conj.hbar1):
-        pieces = op.graded_pieces()
-        total = DiffOpJet.zero(EXACT, p.n, p.rank)
-        for piece in pieces.values():
-            total = total + piece
-        assert total.terms == op.terms
-        for d, piece in pieces.items():
-            for alpha in product(range(5), repeat=p.n):
-                k = sum(alpha)
-                if k > 4:
-                    continue
-                for slot in range(p.rank):
-                    img = piece.apply(mono_fiber(alpha, rank=p.rank, k=slot))
-                    assert all(sum(beta) == k + d
-                               for comp in img.components for beta in comp.terms), (d, alpha)
+    family = rescale_operator(conj)
+    from2, from1 = {}, {}
+    for j2, op in family.ops2.items():
+        for key, c in graded_terms(op).items():
+            assert key[0] in (j2 - 2, j2), (j2, key)
+            (from2 if key[0] == j2 - 2 else from1)[key] = c
+        for alpha in (a for a in product(range(5), repeat=p.n) if sum(a) <= 4):
+            for slot in range(p.rank):
+                img = op.apply(mono_fiber(alpha, rank=p.rank, k=slot))
+                assert all(sum(beta) - sum(alpha) in (j2 - 2, j2)
+                           for comp in img.components for beta in comp.terms), (j2, alpha)
+    N = family.max_order2
+    assert from2 == {key: c for key, c in graded_terms(conj.hbar2).items() if key[0] + 2 <= N}
+    assert from1 == {key: c for key, c in graded_terms(conj.hbar1).items() if key[0] <= N}
 
 
 class TestRescaledFamily:
@@ -532,8 +544,8 @@ class TestHermiteAction:
             op, _ = build_case(mode, case, value)
             basis = HermiteBasis(mode, tuple(map(mode.coeff, lam[:n])), (mode.zero(),) * rank,
                                  degree)
-            num, den = basis.apply(op, basis.position(index))
-            return basis, op, {basis.index_at[i]: mode.join(c, den) for i, c in num.items()}
+            num, den = basis.apply(op, basis.key(index))
+            return basis, op, {basis.index(i): mode.join(c, den) for i, c in num.items()}
 
         basis, op, got = action(EXACT)
         want = apply_by_elimination(basis, op, index)

@@ -89,14 +89,14 @@ def compositions(n):
             yield [first] + rest
 
 
-def composition_sum_image(proj, j, pos, budget):
-    """Order-j image at a basis position as the residue sum of single chains
+def composition_sum_image(proj, j, key, budget):
+    """Order-j image of the basis vector ``key`` as the residue sum of single chains
     G0 Q_{j_1} G0 ... Q_{j_k} G0."""
     proj = ResidueOracle(proj.family, proj.basis, proj.level, proj.order2)
     total = {}
     for comp in compositions(j):
         spent = 0
-        state = proj._resolvent_factor({0: vec({pos: F(1)})}, budget)
+        state = proj._resolvent_factor({0: vec({key: F(1)})}, budget)
         for part in reversed(comp):
             spent += part
             state = proj._resolvent_factor(apply_q(proj, part, state, {}),
@@ -116,7 +116,7 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
         level-level block:     P_j = -sum_{0<i<j} P_i P_{j-i}
         other equal-eigenvalue blocks:  P_j = +sum_{0<i<j} P_i P_{j-i}
 
-    Columns and rows are basis positions. Returns {order -> {column position
+    Columns and rows are basis keys. Returns {order -> {column key
     -> HermiteVec}} on the covered columns.
     Internally the recursion works on an enlarged column set (degrees up to
     cover degree + 2*order) so the matrix products are closed; the basis
@@ -124,16 +124,16 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
     """
     mode = basis.mode
     requested = sorted(set(cover))
-    max_deg = max((basis.degree_at[col] for col in requested), default=0)
+    max_deg = max((basis.index(col).degree for col in requested), default=0)
     # per-order column sets: at order j the remaining budget can raise the
     # degree by at most (order - j), which keeps every product closed
     def columns_at(j: int) -> list:
         bound = min(max_deg + (order - j), basis.degree)
-        return [basis.position(idx) for idx in basis.indices(bound)]
+        return [basis.key(idx) for idx in basis.indices(bound)]
 
     proj = ProjectorSeries(family, basis, level, order)
-    level_set = {basis.position(m) for m in level.members}
-    eig = basis.eigenvalue_at.__getitem__
+    level_set = {basis.key(m) for m in level.members}
+    eig = basis.eigenvalue
 
     def mat_mul(a: Mapping, b: Mapping) -> dict:
         out: dict[int, HermiteVec] = {}
@@ -143,7 +143,7 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
                 avec = a.get(mid)
                 if avec is None:
                     raise WorkspaceDegreeError(
-                        f"block recursion needs column {basis.index_at[mid]} outside its "
+                        f"block recursion needs column {basis.index(mid)} outside its "
                         f"internal cover")
                 acc.add(avec, n, vec.den)
         return {col: vec for col, vec in out.items() if vec.reduce()}
@@ -191,19 +191,19 @@ def projector_by_block_recursion(family, basis, level, order, cover) -> dict:
 def assert_block_recursion_agrees(family, basis, level, N, cover):
     proj = build_projector(family, basis, level, N)
     blocks = projector_by_block_recursion(family, basis, level, N,
-                                          [basis.position(idx) for idx in cover])
+                                          [basis.key(idx) for idx in cover])
     for j, cols in blocks.items():
         for col, cvec in cols.items():
             want = proj.image2(col).get(j, HermiteVec(EXACT))
-            assert cvec == want, (j, basis.index_at[col])
+            assert cvec == want, (j, basis.index(col))
 
 
 class TestChainResidues:
     def test_order_zero_is_level_projection(self):
         _, family, basis, level, _ = setup_problem()
         proj = build_projector(family, basis, level, 0)
-        h0 = basis.position(HermiteIndex((0,), 0))
-        h2 = basis.position(HermiteIndex((2,), 0))
+        h0 = basis.key(HermiteIndex((0,), 0))
+        h2 = basis.key(HermiteIndex((2,), 0))
         assert proj.image2(h0) == {0: vec({h0: F(1)})}
         assert proj.image2(h2) == {}
 
@@ -213,9 +213,9 @@ class TestChainResidues:
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
-        h0 = basis.position(HermiteIndex((0,), 0))
+        h0 = basis.key(HermiteIndex((0,), 0))
         got = proj.image2(h0)[1]
-        assert got == vec({basis.position(HermiteIndex((1,), 0)): F(-c, 2)})
+        assert got == vec({basis.key(HermiteIndex((1,), 0)): F(-c, 2)})
 
     def test_first_order_matches_kato_form_on_nonlevel(self):
         # for h outside the level the order-1/2 image is -P0 Q S h - S Q P0 h;
@@ -223,17 +223,17 @@ class TestChainResidues:
         c = 1
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: c}))
         proj = build_projector(family, basis, level, 4)
-        h1 = basis.position(HermiteIndex((1,), 0))
+        h1 = basis.key(HermiteIndex((1,), 0))
         got = proj.image2(h1)[1]
         # Q_{1/2} h1 = c(y^2 d + y)(y) = 2 c y^2 = 2c p2 + c p0;
         # -P0 Q S h1: S h1 = h1/(3-1)... careful: h1 not in level so S h1 = h1/2,
         # Q S h1 = c y^2 = c (p2 + 1/2); P0 picks (c/2) p0 -> minus sign: -(c/2) p0.
-        assert vec_coeffs(got).get(basis.position(HermiteIndex((0,), 0))) == F(-c, 2)
+        assert vec_coeffs(got).get(basis.key(HermiteIndex((0,), 0))) == F(-c, 2)
 
     def test_pure_harmonic_has_no_corrections(self):
         _, family, basis, level, _ = setup_problem()
         proj = build_projector(family, basis, level, 6)
-        img = proj.image2(basis.position(HermiteIndex((0,), 0)))
+        img = proj.image2(basis.key(HermiteIndex((0,), 0)))
         assert list(img) == [0]
 
     def test_workspace_guard(self):
@@ -251,10 +251,10 @@ class TestChainResidues:
         _, family, basis, level, _ = setup_problem(poly1({2: 1, 3: 1}))
         proj = build_projector(family, basis, level, 4)
         top = basis.degree - 4
-        assert proj.image2(basis.position(HermiteIndex((top,), 0)))
+        assert proj.image2(basis.key(HermiteIndex((top,), 0)))
         with pytest.raises(WorkspaceDegreeError, match=(
                 f"needs the Hermite basis at degree {basis.degree + 1} or more")):
-            proj.image2(basis.position(HermiteIndex((top + 1,), 0)))
+            proj.image2(basis.key(HermiteIndex((top + 1,), 0)))
 
     def test_family_order_guard(self):
         # the condition compute_quasimodes reports, with the same error type
@@ -282,7 +282,7 @@ class TestProjectorLaws:
         _, family, basis, level, omega = setup_problem(
             None, lam=(1, 1), E0=4, N=2)
         proj = build_projector(family, basis, level, 2)
-        for m in map(basis.position, level.members):
+        for m in map(basis.key, level.members):
             assert proj.image2(m) == {0: vec({m: F(1)})}
 
     def test_block_recursion_agrees_with_residues(self):
@@ -309,7 +309,7 @@ class TestProjectorLaws:
             poly1({2: 1, 3: 1}), D=12, N=N)
         proj = build_projector(family, basis, level, N)
         for idx in basis.indices(2):
-            pos = basis.position(idx)
+            pos = basis.key(idx)
             images = proj.image2(pos)
             for j in range(7):
                 got = vec_coeffs(images[j]) if j in images else {}
@@ -404,7 +404,7 @@ class TestBudgetPrefix:
         proj = build_projector(proj.family, basis, proj.level, N)
         below = [at_order(proj, b) for b in range(N)]
         for idx in proj.basis.indices(6):
-            pos = proj.basis.position(idx)
+            pos = proj.basis.key(idx)
             full = proj.image2(pos)
             for b, at_b in enumerate(below):
                 want = {j: vec for j, vec in full.items() if j <= b}
@@ -457,19 +457,17 @@ class TestDiagnosticsBuildEachPieceOnce:
             assert run_command(["verify", "--preset", preset, "--order", order]) == 0
         assert sorted(runs) == ["left", "right"]
         (proj,) = overlaps
-        assert sorted(proj._images) == sorted({proj.basis.position(i) for i in _probes(proj)})
+        assert sorted(proj._images) == sorted({proj.basis.key(i) for i in _probes(proj)})
 
 
 def test_float_q_action_support_equals_exact():
     # float rounding must leave no entry where exact arithmetic cancels to zero
-    # (positions are each basis's own, so both caches are read as indices)
+    # (both bases name a basis vector by the same key)
     caches = {}
     for mode_name in ("exact", "float"):
         spec = preset_problem("iso2d", mode_name, Fraction(5, 2))
         ctx = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value).context
-        index_at = ctx.basis.index_at
-        caches[mode_name] = {(j, index_at[pos]): {index_at[i] for i in vec.num}
-                             for (j, pos), vec in ctx.projector._q_cache.items()}
+        caches[mode_name] = {key: set(vec.num) for key, vec in ctx.projector._q_cache.items()}
     exact, flt = caches["exact"], caches["float"]
     assert exact.keys() == flt.keys()
     for key, support in exact.items():
@@ -559,7 +557,7 @@ def assert_images_equal_the_oracle(proj, exact: bool):
     order's largest coefficient."""
     oracle = ResidueOracle(proj.family, proj.basis, proj.level, proj.order2)
     for idx in _probes(proj):
-        pos = proj.basis.position(idx)
+        pos = proj.basis.key(idx)
         got, want = proj.image2(pos), oracle.images2(pos)
         if exact:
             assert got == want, idx
@@ -582,7 +580,7 @@ class TestLeftRoute:
         assert_images_equal_the_oracle(proj, exact=True)
         untruncated = UntruncatedEngine(proj.family, proj.basis, proj.level, proj.order2)
         for idx in _probes(proj):
-            pos = proj.basis.position(idx)
+            pos = proj.basis.key(idx)
             assert proj.image2(pos) == untruncated.images2(pos), idx
 
     @pytest.mark.parametrize("preset,order", PRESET_CASES)
@@ -599,10 +597,10 @@ class TestLeftRoute:
         # the cache keeps each Q_j^dagger image through the largest degree
         # asked, so a later, wider request is never served a cut image
         proj, _ = preset_projector("iso2d", 4)
-        j2, pos = 1, proj.basis.position(proj.level.members[0])
+        j2, pos = 1, proj.basis.key(proj.level.members[0])
         full = HermiteVec(proj.mode, *proj.basis.apply_adjoint(proj.family.get2(j2), pos))
         cut = proj.adjoint_action(j2, pos, 3)
-        assert cut and all(proj.basis.degree_at[i] <= 3 for i in cut.num)
+        assert cut and all(proj.basis.index(i).degree <= 3 for i in cut.num)
         assert proj.adjoint_action(j2, pos, 2) is cut
         wide = proj.adjoint_action(j2, pos, proj.basis.degree)
         assert wide == full != cut
@@ -651,7 +649,7 @@ class TestFloatSymmetry:
     def test_perturbed_float_image_still_fails(self, preset, level):
         # one image coefficient of a level member off by a relative 1e-6
         proj, omega = preset_projector(preset, 4, "float", level)
-        pos = proj.basis.position(proj.level.members[0])
+        pos = proj.basis.key(proj.level.members[0])
         img = dict(proj.image2(pos))
         j = max(img)
         vec = img[j]
@@ -700,7 +698,7 @@ class TestIdempotencyAndCommutation:
         orders = [i for i in proj.family.orders2() if i <= N]
         basis, level = proj.basis, proj.level
         for idx in sorted(set(basis.indices(workspace_degree(level, 0))) | set(level.members)):
-            pos = basis.position(idx)
+            pos = basis.key(idx)
             img = proj.image2(pos)
             assert graded_apply(proj, img, cache) == img, idx
             qp: dict = {}
@@ -723,14 +721,14 @@ class TestIdempotencyAndCommutation:
 
     @pytest.mark.parametrize("preset,order", [("cubic1d", 6), ("iso2d", 4)])
     def test_a_left_recursion_defect_breaks_them(self, preset, order):
-        # one position's gap off by 1001/1000 inside the left recursion only:
+        # one basis vector's gap off by 1001/1000 inside the left recursion only:
         # the wave operator has run, so the construction and the checks that
         # read it stand, while rs and the projector laws read the left vectors
         spec = preset_problem(preset, "exact", order)
         result = compute_quasimodes(spec.problem, spec.order, e0=spec.level_value)
         proj = result.context.projector
         first = min(i for i in proj.family.orders2() if i > 0)
-        member = proj.basis.position(proj.level.members[0])
+        member = proj.basis.key(proj.level.members[0])
         pos = next(i for i in proj.adjoint_action(first, member, proj.basis.degree - first).num
                    if i not in proj._level_set)
         u, v = proj._gap(pos)
@@ -757,7 +755,7 @@ class TestWaveOperator:
         proj, _ = preset_projector(preset, order)
         N, members = proj.order2, proj.level.members
         waves, h_eff = proj.wave_operator2()
-        fs = [proj.as_s0(a, w) for a, w in zip(members, waves)]
+        fs = [proj.as_s0(w, a.degree, N) for a, w in zip(members, waves)]
         for b, fb in enumerate(fs):
             q_omega = proj.family.apply_series(fb, out_trunc2=N)
             omega_h = fs[0].scale_series(h_eff[0][b])
@@ -769,9 +767,9 @@ class TestWaveOperator:
     @pytest.mark.parametrize("preset,order", CASES)
     def test_intermediate_normalization(self, preset, order):
         proj, _ = preset_projector(preset, order)
-        members = {proj.basis.position(a) for a in proj.level.members}
+        members = {proj.basis.key(a) for a in proj.level.members}
         waves, h_eff = proj.wave_operator2()
-        assert [w[0] for w in waves] == [vec({proj.basis.position(a): 1})
+        assert [w[0] for w in waves] == [vec({proj.basis.key(a): 1})
                                           for a in proj.level.members]
         for w in waves:
             assert max(w) > 0

@@ -351,6 +351,17 @@ class TestBandRitzSolver:
         e, _ = _band_eigenpair(rows, k, 2.5, [1.0, 0.5, -0.3, 0.2])
         assert abs(e - want) <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_index_certificate_rejects_the_eigenvalue_below(self, k):
+        # on a diagonal band the start e_(k-1) is an exact eigenvector, of
+        # lambda_(k-1), with residual 0; the first shift, between lambda_k and
+        # lambda_(k+1), counts k + 1 below it, and no count of exactly k lies
+        # at or below lambda_(k-1), so its Rayleigh quotient is not the k-th
+        diag = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        start = [float(i == k - 1) for i in range(len(diag))]
+        e, _ = _band_eigenpair([[d, 0.0] for d in diag], k, diag[k] + 0.5, start)
+        assert e == diag[k]
+
     def test_warm_start_takes_one_factorization(self, monkeypatch):
         # the smaller basis's Ritz value lies just above this one's, so the
         # first count settles the upper side and the padded vector converges
@@ -374,6 +385,12 @@ class TestBandRitzSolver:
         want = sorted(r.real for r in roots if abs(r.imag) <= 1e-6 * abs(r))
         got = sorted(_real_roots(coef))
         assert len(got) == len(want) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_real_roots_drop_a_close_complex_pair(self):
+        # (x - 3)(x^2 - 2x + 1 + 1e-8): the other roots are 1 +- 1e-4 i, whose
+        # imaginary part is 1e-4 of their size, past the 1e-6 filter
+        got = _real_roots([-3 - 3e-8, 7 + 1e-8, -5.0, 1.0])
+        assert len(got) == 1 and abs(got[0] - 3.0) <= 1e-12
 
 
 class TestDegenerate2D:
